@@ -2,7 +2,6 @@
 //! series the paper's figures report, as aligned text plus CSV.
 
 use crate::runner::EvalStats;
-use serde::Serialize;
 
 /// One point of a figure series: an x value (e.g. ingress count, deadline)
 /// and the aggregated result for one algorithm.
@@ -77,75 +76,6 @@ pub fn print_series(figure: &str, ylabel: &str, points: &[SeriesPoint], with_del
     }
 }
 
-/// One baseline-vs-candidate timing comparison in a machine-readable
-/// performance report (see the `perf_report` binary).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct BenchRecord {
-    /// Short identifier, e.g. `gemm/fwd-bwd-256x512`.
-    pub name: String,
-    /// What the baseline timing measures.
-    pub baseline: String,
-    /// What the candidate timing measures.
-    pub candidate: String,
-    /// Best-of-N wall time of the baseline, milliseconds.
-    pub baseline_ms: f64,
-    /// Best-of-N wall time of the candidate, milliseconds.
-    pub candidate_ms: f64,
-    /// `baseline_ms / candidate_ms` (>1 means the candidate is faster).
-    pub speedup: f64,
-    /// Measurement caveats (e.g. host core count limiting thread scaling).
-    pub note: String,
-}
-
-/// A full performance report: environment description plus records.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct BenchReport {
-    /// What produced this file.
-    pub generated_by: String,
-    /// Host parallelism (`std::thread::available_parallelism`).
-    pub host_threads: usize,
-    /// Worker-pool width used for the "parallel" timings.
-    pub pool_threads: usize,
-    /// The comparisons.
-    pub records: Vec<BenchRecord>,
-    /// Observability snapshot (span timings, counters, histograms)
-    /// captured while the benchmarks ran; `None` when spans were off.
-    pub obs: Option<dosco_obs::ObsReport>,
-}
-
-impl BenchRecord {
-    /// Builds a record, deriving the speedup from the two timings.
-    pub fn new(
-        name: &str,
-        baseline: &str,
-        candidate: &str,
-        baseline_ms: f64,
-        candidate_ms: f64,
-        note: &str,
-    ) -> Self {
-        BenchRecord {
-            name: name.to_string(),
-            baseline: baseline.to_string(),
-            candidate: candidate.to_string(),
-            baseline_ms,
-            candidate_ms,
-            speedup: baseline_ms / candidate_ms.max(1e-9),
-            note: note.to_string(),
-        }
-    }
-}
-
-/// Serializes `report` as pretty-printed JSON to `path`.
-///
-/// # Errors
-///
-/// Returns any filesystem error from writing the file.
-pub fn write_json_report(path: &std::path::Path, report: &BenchReport) -> std::io::Result<()> {
-    let json = serde_json::to_string_pretty(report)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, json + "\n")
-}
-
 /// Tiny CLI flag reader: returns the value following `--name`, if present.
 pub fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -184,24 +114,6 @@ mod tests {
         ];
         // Just exercising the formatting path (stdout in tests is captured).
         print_series("fig6a", "successful flows", &points, true);
-    }
-
-    #[test]
-    fn bench_record_speedup_and_json_shape() {
-        let rec = BenchRecord::new("gemm/t", "naive", "blocked", 10.0, 4.0, "");
-        assert!((rec.speedup - 2.5).abs() < 1e-9);
-        let report = BenchReport {
-            generated_by: "test".into(),
-            host_threads: 1,
-            pool_threads: 4,
-            records: vec![rec],
-            obs: None,
-        };
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"gemm/t\""));
-        assert!(json.contains("\"pool_threads\""));
-        assert!(json.contains("\"obs\""));
     }
 
     #[test]

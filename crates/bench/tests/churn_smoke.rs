@@ -1,9 +1,9 @@
 //! Release-mode smoke gate for the million-flow simulation core.
 //!
 //! Drives 100k concurrent flows through `dosco_simnet` on a synthetic
-//! 100-node grid — a 10x-scaled-down version of the `perf_report`
-//! million-flow runs — and asserts the storage contracts that make the
-//! full-scale run viable:
+//! 100-node grid — the scale of the `sim-grid-static` workload in
+//! `benchmark/`, a tenth of the million-flow runs the core was sized for —
+//! and asserts the storage contracts that make the full-scale run viable:
 //!
 //! - the run finishes inside a bounded wall clock,
 //! - the flow slab's resident size equals its live-flow high-water mark

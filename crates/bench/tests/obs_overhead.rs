@@ -1,6 +1,6 @@
 //! Pins the "near-zero when disabled" contract of `dosco_obs`: with no
 //! recorder installed and spans disarmed, the per-decision cost added to
-//! the `sim_throughput` hot path must stay below 1% of the simulator's
+//! the simulator's decision hot path must stay below 1% of the simulator's
 //! own per-decision cost.
 //!
 //! Rather than an A/B wall-clock diff (too noisy for a sub-1% bound on a

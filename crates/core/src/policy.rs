@@ -168,55 +168,59 @@ impl CoordinationPolicy {
 
     /// Loads a policy from a file written by [`CoordinationPolicy::save`],
     /// verifying the header's payload length (truncation) and FNV-1a 64
-    /// checksum (corruption) before parsing. Headerless files are parsed
-    /// as legacy bare-JSON artifacts.
+    /// checksum (corruption) before parsing. A file without a valid
+    /// header is rejected: nothing could vouch for its payload.
     ///
     /// # Errors
     ///
-    /// Returns I/O errors or [`io::ErrorKind::InvalidData`] for
-    /// truncated, corrupt, or malformed content; the message names the
-    /// offending path and, for integrity failures, the expected vs.
-    /// actual length or checksum.
+    /// Returns I/O errors or [`io::ErrorKind::InvalidData`] for a missing,
+    /// damaged or unknown-format header and for truncated, corrupt, or
+    /// malformed content; the message names the offending path and, for
+    /// integrity failures, the expected vs. actual length or checksum.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref();
         let content = std::fs::read_to_string(path).map_err(|e| {
             io::Error::new(e.kind(), format!("reading policy file {}: {e}", path.display()))
         })?;
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let header = content
-            .split_once('\n')
-            .and_then(|(first, rest)| {
-                serde_json::from_str::<ArtifactHeader>(first)
-                    .ok()
-                    .filter(|h| h.format == ARTIFACT_FORMAT)
-                    .map(|h| (h, rest))
-            });
-        let payload = match &header {
-            Some((h, payload)) => {
-                if payload.len() as u64 != h.payload_len {
-                    return Err(invalid(format!(
-                        "policy file {} is truncated or padded: header expects {} payload \
-                         bytes, found {}",
-                        path.display(),
-                        h.payload_len,
-                        payload.len()
-                    )));
-                }
-                let actual = format!("{:016x}", fnv1a64(payload.as_bytes()));
-                if actual != h.fnv64 {
-                    return Err(invalid(format!(
-                        "policy file {} is corrupt: header expects fnv64 checksum {}, \
-                         payload hashes to {}",
-                        path.display(),
-                        h.fnv64,
-                        actual
-                    )));
-                }
-                *payload
-            }
-            // No artifact header: a legacy bare-JSON policy file.
-            None => content.as_str(),
-        };
+        let (first, payload) = content.split_once('\n').ok_or_else(|| {
+            invalid(format!(
+                "policy file {} has no {ARTIFACT_FORMAT} header line",
+                path.display()
+            ))
+        })?;
+        let header: ArtifactHeader = serde_json::from_str(first).map_err(|e| {
+            invalid(format!(
+                "policy file {} has a missing or damaged {ARTIFACT_FORMAT} header: {e}",
+                path.display()
+            ))
+        })?;
+        if header.format != ARTIFACT_FORMAT {
+            return Err(invalid(format!(
+                "policy file {} has unknown artifact format {:?} (expected {ARTIFACT_FORMAT:?})",
+                path.display(),
+                header.format
+            )));
+        }
+        if payload.len() as u64 != header.payload_len {
+            return Err(invalid(format!(
+                "policy file {} is truncated or padded: header expects {} payload \
+                 bytes, found {}",
+                path.display(),
+                header.payload_len,
+                payload.len()
+            )));
+        }
+        let actual = format!("{:016x}", fnv1a64(payload.as_bytes()));
+        if actual != header.fnv64 {
+            return Err(invalid(format!(
+                "policy file {} is corrupt: header expects fnv64 checksum {}, \
+                 payload hashes to {}",
+                path.display(),
+                header.fnv64,
+                actual
+            )));
+        }
         Self::from_json(payload).map_err(|e| {
             invalid(format!("parsing policy file {}: {e}", path.display()))
         })
@@ -508,17 +512,44 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Pre-header artifacts (bare policy JSON) still load.
+    /// A file without a valid header line is rejected, not parsed
+    /// unverified: bare policy JSON, and a saved artifact whose header
+    /// line lost a byte.
     #[test]
-    fn load_accepts_legacy_bare_json_artifacts() {
+    fn load_rejects_headerless_and_damaged_header_artifacts() {
         let p = policy(3);
         let dir = std::env::temp_dir().join("dosco-policy-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.json");
-        std::fs::write(&path, p.to_json().unwrap()).unwrap();
-        let q = CoordinationPolicy::load(&path).unwrap();
-        assert_eq!(p.degree(), q.degree());
-        assert_eq!(p.act(&[0.25f32; 16]), q.act(&[0.25f32; 16]));
+        let path = dir.join("headerless.json");
+        p.save(&path).unwrap();
+        let saved = std::fs::read_to_string(&path).unwrap();
+        for content in [p.to_json().unwrap(), saved[1..].to_string()] {
+            std::fs::write(&path, content).unwrap();
+            let err = CoordinationPolicy::load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains("header"), "must name the header: {msg}");
+            assert!(msg.contains("headerless.json"), "must name the path: {msg}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A well-formed header of another format does not vouch for the
+    /// payload either, even with a matching length and checksum.
+    #[test]
+    fn load_rejects_unknown_artifact_format() {
+        let p = policy(3);
+        let dir = std::env::temp_dir().join("dosco-policy-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wrong-format.json");
+        p.save(&path).unwrap();
+        let saved = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, saved.replacen(ARTIFACT_FORMAT, "dosco-policy-v0", 1)).unwrap();
+        let err = CoordinationPolicy::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("dosco-policy-v0"), "must name the format found: {msg}");
+        assert!(msg.contains("wrong-format.json"), "must name the path: {msg}");
         std::fs::remove_file(&path).ok();
     }
 

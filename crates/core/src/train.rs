@@ -14,6 +14,7 @@ use crate::reward::RewardConfig;
 use dosco_rl::a2c::{A2c, A2cConfig};
 use dosco_rl::acktr::{Acktr, AcktrConfig};
 use dosco_rl::env::Env;
+use dosco_rl::learner::{decayed_lr, train_serial, Learner};
 use dosco_rl::ppo::{Ppo, PpoConfig};
 use dosco_rl::trainer::train_multi_seed;
 use dosco_runtime::RuntimeConfig;
@@ -184,76 +185,43 @@ pub fn train_distributed(scenario: &ScenarioConfig, config: &TrainConfig) -> Tra
             config.fixed_capacity_training,
             config.churn.as_ref(),
         );
-        // One closure per algorithm: train a chunk, hand back the actor.
-        enum Agent {
-            Acktr(Box<Acktr>),
-            A2c(Box<A2c>),
-            Ppo(Box<Ppo>),
-        }
-        let mut agent = match config.algorithm {
+        // The checkpoint loop below owns the schedule, so the agents'
+        // internal decay is off.
+        let (mut agent, base_lr): (Box<dyn Learner>, f32) = match config.algorithm {
             Algorithm::Acktr => {
-                let mut c = config.acktr;
-                c.lr_decay = false; // schedule handled across checkpoints
-                Agent::Acktr(Box::new(Acktr::new(obs_dim, num_actions, c, seed)))
+                let c = AcktrConfig {
+                    lr_decay: false,
+                    ..config.acktr
+                };
+                (Box::new(Acktr::new(obs_dim, num_actions, c, seed)), c.lr)
             }
             Algorithm::A2c => {
-                let mut c = config.a2c;
-                c.lr_decay = false;
-                Agent::A2c(Box::new(A2c::new(obs_dim, num_actions, c, seed)))
+                let c = A2cConfig {
+                    lr_decay: false,
+                    ..config.a2c
+                };
+                (Box::new(A2c::new(obs_dim, num_actions, c, seed)), c.lr)
             }
-            Algorithm::Ppo => Agent::Ppo(Box::new(Ppo::new(obs_dim, num_actions, config.ppo, seed))),
-        };
-        let base_lr = match config.algorithm {
-            Algorithm::Acktr => config.acktr.lr,
-            Algorithm::A2c => config.a2c.lr,
-            Algorithm::Ppo => config.ppo.lr,
+            Algorithm::Ppo => (
+                Box::new(Ppo::new(obs_dim, num_actions, config.ppo, seed)),
+                config.ppo.lr,
+            ),
         };
         let mut best: Option<(f32, CoordinationPolicy)> = None;
         for ck in 0..checkpoints {
-            let frac = ck as f32 / checkpoints as f32;
-            let lr = base_lr * (1.0 - 0.9 * frac);
-            // One chunk of training per arm: through the actor–learner
-            // runtime when configured, the algorithm's serial loop
-            // otherwise (`Some(sync)` and `None` are bit-identical).
-            let rt = config.runtime.as_ref();
-            let actor = match &mut agent {
-                Agent::Acktr(a) => {
-                    a.set_lr(lr);
-                    match rt {
-                        Some(rt) => {
-                            dosco_runtime::train(&mut **a, &mut envs, chunk, rt);
-                        }
-                        None => {
-                            a.train(&mut envs, chunk);
-                        }
-                    }
-                    a.actor().clone()
+            agent.set_lr(decayed_lr(base_lr, ck, checkpoints));
+            // One chunk of training: through the actor–learner runtime
+            // when configured, the serial loop otherwise (`Some(sync)` and
+            // `None` are bit-identical).
+            match &config.runtime {
+                Some(rt) => {
+                    dosco_runtime::train(&mut *agent, &mut envs, chunk, rt);
                 }
-                Agent::A2c(a) => {
-                    a.set_lr(lr);
-                    match rt {
-                        Some(rt) => {
-                            dosco_runtime::train(&mut **a, &mut envs, chunk, rt);
-                        }
-                        None => {
-                            a.train(&mut envs, chunk);
-                        }
-                    }
-                    a.actor().clone()
+                None => {
+                    train_serial(&mut *agent, &mut envs, chunk);
                 }
-                Agent::Ppo(a) => {
-                    a.set_lr(lr);
-                    match rt {
-                        Some(rt) => {
-                            dosco_runtime::train(&mut **a, &mut envs, chunk, rt);
-                        }
-                        None => {
-                            a.train(&mut envs, chunk);
-                        }
-                    }
-                    a.actor().clone()
-                }
-            };
+            }
+            let actor = agent.actor().clone();
             let policy = CoordinationPolicy::new(
                 actor,
                 degree,

@@ -19,10 +19,7 @@
 //!   every thread count),
 //! - [`simd`]: runtime-detected AVX2/FMA GEMM micro-kernels behind the
 //!   `DOSCO_SIMD` switch (scalar kernels stay the bit-exact reference;
-//!   the default `auto` mode only ever picks bit-identical kernels),
-//! - [`quant`]: per-row-absmax int8 weight quantization and an
-//!   integer-accumulate int8 GEMM for inference-only forwards
-//!   ([`quant::QuantizedMlp`]).
+//!   the default `auto` mode only ever picks bit-identical kernels).
 //!
 //! Models serialize with serde, so trained policies can be copied to every
 //! node for distributed inference (Fig. 4b) and shipped as JSON artifacts.
@@ -51,7 +48,6 @@ pub mod matrix;
 pub mod mlp;
 pub mod optim;
 pub mod par;
-pub mod quant;
 pub mod simd;
 
 pub use dist::Categorical;
@@ -59,5 +55,4 @@ pub use kfac::{Kfac, KfacConfig};
 pub use matrix::Matrix;
 pub use mlp::{Activation, ForwardCache, Gradients, Mlp};
 pub use optim::{Adam, Optimizer, RmsProp, Sgd};
-pub use quant::{QuantizedMatrix, QuantizedMlp};
 pub use simd::GemmKernel;

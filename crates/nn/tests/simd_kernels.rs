@@ -1,4 +1,4 @@
-//! Forced-kernel SIMD equivalence and quantization tests.
+//! Forced-kernel SIMD equivalence tests.
 //!
 //! These force specific kernels through the `*_into_with` APIs, so they
 //! exercise the AVX2/FMA paths regardless of `DOSCO_SIMD` (skipping
@@ -8,15 +8,8 @@
 //!   `transpose_matmul` (and `matmul_transpose` trivially: it routes to
 //!   the scalar kernel below FMA).
 //! - FMA kernels are deterministic and within tight tolerance of scalar.
-//! - The int8 quantized forward is deterministic, batch-split invariant,
-//!   and its AVX2 dot kernel is bit-equal to its scalar one (tested in
-//!   the `quant` module; here we pin the end-to-end argmax behavior the
-//!   serve plane relies on).
 
-use dosco_nn::dist::Categorical;
 use dosco_nn::matrix::Matrix;
-use dosco_nn::mlp::Mlp;
-use dosco_nn::quant::QuantizedMlp;
 use dosco_nn::simd::GemmKernel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -195,25 +188,4 @@ fn simd_kernels_propagate_nan_and_inf() {
         a_long.matmul_transpose_into_with(&b_long, &mut out_mt, kernel);
         assert!(out_mt.get(0, 0).is_nan(), "{kernel:?}: matmul_transpose 0·NaN");
     }
-}
-
-/// End-to-end decision agreement on the paper architecture: int8
-/// quantized logits pick the same greedy action as f32 on nearly all
-/// random observations. The serve-plane contract (recorded corpus,
-/// pinned threshold) lives in `dosco_serve`; this is the nn-level sanity
-/// bound with a generous margin.
-#[test]
-fn quantized_argmax_agrees_with_f32_on_random_observations() {
-    let mut rng = StdRng::seed_from_u64(6);
-    let net = Mlp::paper_arch(24, 6, &mut rng);
-    let q = QuantizedMlp::from_mlp(&net);
-    let n = 512;
-    let x = rand_matrix(n, 24, &mut rng);
-    let exact = Categorical::new(&net.forward(&x)).argmax();
-    let approx = Categorical::new(&q.forward(&x)).argmax();
-    let agree = exact.iter().zip(&approx).filter(|(a, b)| a == b).count();
-    assert!(
-        agree as f64 >= 0.95 * n as f64,
-        "argmax agreement {agree}/{n} below 95%"
-    );
 }

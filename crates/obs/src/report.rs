@@ -1,5 +1,5 @@
 //! The serializable per-run observability report: a snapshot of the whole
-//! metrics registry, merged into `BENCH_PR4.json` by `perf_report`.
+//! metrics registry.
 
 use crate::registry::{
     counter_value, gauge_value, histogram_snapshot, span_snapshot, CounterKind, GaugeKind,

@@ -7,7 +7,8 @@
 //! training algorithm and an ablation point versus ACKTR.
 
 use crate::env::Env;
-use crate::rollout::{Rollout, RolloutCollector};
+use crate::learner::train_serial;
+use crate::rollout::Rollout;
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::{Gradients, Mlp};
 use dosco_nn::optim::{Optimizer, RmsProp};
@@ -185,42 +186,14 @@ impl A2c {
     ///
     /// Panics if `envs` is empty or env dimensions mismatch the networks.
     pub fn train(&mut self, envs: &mut [Box<dyn Env>], total_steps: usize) -> TrainStats {
-        let mut collector = RolloutCollector::new(envs);
-        let mut stats = TrainStats::default();
-        let per_update = self.config.n_steps * envs.len();
-        while stats.total_steps < total_steps {
-            if self.config.lr_decay {
-                let frac = stats.total_steps as f32 / total_steps as f32;
-                let lr = self.config.lr * (1.0 - 0.9 * frac);
-                self.actor_opt.set_learning_rate(lr);
-                self.critic_opt.set_learning_rate(lr);
-            }
-            let mut rollout = collector.collect(
-                envs,
-                &self.actor,
-                &self.critic,
-                self.config.n_steps,
-                self.config.gamma,
-                self.config.gae_lambda,
-                &mut self.rng,
-            );
-            self.apply_batch(&mut rollout);
-            stats.mean_rewards.push(rollout.mean_reward());
-            stats.total_steps += per_update;
-        }
-        stats
+        train_serial(self, envs, total_steps)
     }
 
-    /// One update from an externally collected rollout — the learner-side
-    /// entry point of the actor–learner runtime, and the exact update the
-    /// serial [`A2c::train`] loop applies per batch. The RNG parameter is
+    /// One update from a collected rollout — what both [`A2c::train`] and
+    /// the actor–learner runtime apply per batch. The RNG parameter is
     /// unused (the A2C update draws no randomness) but part of the shared
     /// learner signature.
     pub fn update_batch(&mut self, rollout: &mut Rollout, _rng: &mut StdRng) {
-        self.apply_batch(rollout);
-    }
-
-    fn apply_batch(&mut self, rollout: &mut Rollout) {
         if self.config.normalize_advantages {
             rollout.normalize_advantages();
         }

@@ -10,7 +10,8 @@
 
 use crate::a2c::{actor_critic_gradients, TrainStats};
 use crate::env::Env;
-use crate::rollout::{Rollout, RolloutCollector};
+use crate::learner::train_serial;
+use crate::rollout::Rollout;
 use dosco_nn::kfac::{Kfac, KfacConfig};
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
@@ -88,54 +89,6 @@ impl AcktrConfig {
     }
 }
 
-/// The full per-batch ACKTR update (advantage normalization, A2C
-/// gradients, Fisher-factor statistics from model-sampled gradients,
-/// natural-gradient steps). Free function over destructured fields so the
-/// serial `train` loop and the runtime-facing [`Acktr::update_batch`]
-/// share one code path under disjoint borrows.
-#[allow(clippy::too_many_arguments)]
-fn update_impl(
-    actor: &mut Mlp,
-    critic: &mut Mlp,
-    actor_kfac: &mut Kfac,
-    critic_kfac: &mut Kfac,
-    config: &AcktrConfig,
-    rollout: &mut Rollout,
-    rng: &mut StdRng,
-) {
-    if config.normalize_advantages {
-        rollout.normalize_advantages();
-    }
-    let (actor_grads, critic_grads, actor_cache, critic_cache) =
-        actor_critic_gradients(actor, critic, rollout, config.ent_coef, config.vf_coef);
-
-    // Fisher factor statistics from model-sampled gradients.
-    let batch = rollout.actions.len();
-    let actor_fisher_out = Categorical::new(&actor_cache.output).fisher_sample_logits(rng);
-    let actor_fisher = actor.backward(&actor_cache, &actor_fisher_out);
-    let afg: Vec<&Matrix> = actor_fisher.layers.iter().map(|l| &l.preact_grads).collect();
-    actor_kfac.update_stats(&actor_cache, &afg);
-
-    // Critic value head: Gaussian likelihood ⇒ Fisher gradient is
-    // standard normal noise (Wu et al., Sec. 3).
-    let critic_fisher_out = Matrix::from_fn(batch, 1, |_, _| {
-        let u1: f32 = rng.gen_range(1e-6..1.0f32);
-        let u2: f32 = rng.gen();
-        ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()) / batch as f32
-    });
-    let critic_fisher = critic.backward(&critic_cache, &critic_fisher_out);
-    let cfg: Vec<&Matrix> = critic_fisher.layers.iter().map(|l| &l.preact_grads).collect();
-    critic_kfac.update_stats(&critic_cache, &cfg);
-
-    // Natural-gradient steps with the trust region.
-    actor_kfac
-        .step(actor, &actor_grads)
-        .expect("actor K-FAC inversion failed; increase damping");
-    critic_kfac
-        .step(critic, &critic_grads)
-        .expect("critic K-FAC inversion failed; increase damping");
-}
-
 /// The ACKTR agent.
 #[derive(Debug)]
 pub struct Acktr {
@@ -211,58 +164,52 @@ impl Acktr {
     ///
     /// Panics if `envs` is empty or dimensions mismatch.
     pub fn train(&mut self, envs: &mut [Box<dyn Env>], total_steps: usize) -> TrainStats {
-        let mut collector = RolloutCollector::new(envs);
-        let mut stats = TrainStats::default();
-        let per_update = self.config.n_steps * envs.len();
-        while stats.total_steps < total_steps {
-            if self.config.lr_decay {
-                let frac = stats.total_steps as f32 / total_steps as f32;
-                let lr = self.config.lr * (1.0 - 0.9 * frac);
-                self.actor_kfac.set_lr(lr);
-                self.critic_kfac.set_lr(lr);
-            }
-            let mut rollout = collector.collect(
-                envs,
-                &self.actor,
-                &self.critic,
-                self.config.n_steps,
-                self.config.gamma,
-                self.config.gae_lambda,
-                &mut self.rng,
-            );
-            // The Fisher sampling below continues the same RNG stream that
-            // collection consumed — the property the runtime's sync mode
-            // preserves by circulating the RNG with each batch.
-            let Acktr {
-                actor,
-                critic,
-                actor_kfac,
-                critic_kfac,
-                config,
-                rng,
-            } = self;
-            update_impl(actor, critic, actor_kfac, critic_kfac, config, &mut rollout, rng);
-            stats.mean_rewards.push(rollout.mean_reward());
-            stats.total_steps += per_update;
-        }
-        stats
+        train_serial(self, envs, total_steps)
     }
 
-    /// One K-FAC update from an externally collected rollout — the
-    /// learner-side entry point of the actor–learner runtime, identical to
-    /// the per-batch update of the serial [`Acktr::train`] loop. `rng`
-    /// drives the Fisher-factor sampling; for bit-identical sync-mode
-    /// training it must be the same stream that collected the rollout.
+    /// One K-FAC update from a collected rollout — what both
+    /// [`Acktr::train`] and the actor–learner runtime apply per batch:
+    /// advantage normalization, A2C gradients, Fisher-factor statistics
+    /// from model-sampled gradients, natural-gradient steps. `rng` drives
+    /// the Fisher-factor sampling; for bit-identical training it must be
+    /// the same stream that collected the rollout.
     pub fn update_batch(&mut self, rollout: &mut Rollout, rng: &mut StdRng) {
-        let Acktr {
-            actor,
-            critic,
-            actor_kfac,
-            critic_kfac,
-            config,
-            ..
-        } = self;
-        update_impl(actor, critic, actor_kfac, critic_kfac, config, rollout, rng);
+        if self.config.normalize_advantages {
+            rollout.normalize_advantages();
+        }
+        let (actor_grads, critic_grads, actor_cache, critic_cache) = actor_critic_gradients(
+            &self.actor,
+            &self.critic,
+            rollout,
+            self.config.ent_coef,
+            self.config.vf_coef,
+        );
+
+        // Fisher factor statistics from model-sampled gradients.
+        let batch = rollout.actions.len();
+        let actor_fisher_out = Categorical::new(&actor_cache.output).fisher_sample_logits(rng);
+        let actor_fisher = self.actor.backward(&actor_cache, &actor_fisher_out);
+        let afg: Vec<&Matrix> = actor_fisher.layers.iter().map(|l| &l.preact_grads).collect();
+        self.actor_kfac.update_stats(&actor_cache, &afg);
+
+        // Critic value head: Gaussian likelihood ⇒ Fisher gradient is
+        // standard normal noise (Wu et al., Sec. 3).
+        let critic_fisher_out = Matrix::from_fn(batch, 1, |_, _| {
+            let u1: f32 = rng.gen_range(1e-6..1.0f32);
+            let u2: f32 = rng.gen();
+            ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()) / batch as f32
+        });
+        let critic_fisher = self.critic.backward(&critic_cache, &critic_fisher_out);
+        let cfg: Vec<&Matrix> = critic_fisher.layers.iter().map(|l| &l.preact_grads).collect();
+        self.critic_kfac.update_stats(&critic_cache, &cfg);
+
+        // Natural-gradient steps with the trust region.
+        self.actor_kfac
+            .step(&mut self.actor, &actor_grads)
+            .expect("actor K-FAC inversion failed; increase damping");
+        self.critic_kfac
+            .step(&mut self.critic, &critic_grads)
+            .expect("critic K-FAC inversion failed; increase damping");
     }
 
     /// Moves the sampling RNG out of the agent so an external collection

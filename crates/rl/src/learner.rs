@@ -1,11 +1,16 @@
-//! The [`Learner`] trait the runtime drives, implemented for the three
-//! `dosco_rl` algorithms (A2C, ACKTR, PPO).
+//! The [`Learner`] trait — what a training loop needs from an algorithm —
+//! implemented for A2C, ACKTR and PPO, and [`train_serial`], the one
+//! serial collect → update loop. The actor–learner runtime
+//! (`dosco_runtime`) drives the same trait over channels; its sync mode is
+//! pinned bit-identical to [`train_serial`].
 
+use crate::a2c::{A2c, TrainStats};
+use crate::acktr::Acktr;
+use crate::env::Env;
+use crate::ppo::Ppo;
+use crate::rollout::{Rollout, RolloutCollector};
+use crate::schedule::LrSchedule;
 use dosco_nn::mlp::Mlp;
-use dosco_rl::a2c::A2c;
-use dosco_rl::acktr::Acktr;
-use dosco_rl::ppo::Ppo;
-use dosco_rl::rollout::Rollout;
 use rand::rngs::StdRng;
 
 /// Collection hyperparameters the actors need from the algorithm.
@@ -19,8 +24,8 @@ pub struct CollectParams {
     pub gae_lambda: f32,
 }
 
-/// An algorithm the actor–learner runtime can train: exposes its networks
-/// for snapshotting, its collection hyperparameters for the actors, its
+/// An algorithm a training loop can drive: exposes its networks for
+/// collection and snapshotting, its collection hyperparameters, its
 /// sampling RNG for circulation, and a single-batch update entry point.
 pub trait Learner: Send {
     /// Collection hyperparameters for the rollout actors.
@@ -41,9 +46,8 @@ pub trait Learner: Send {
     /// the stream.
     fn restore_rng(&mut self, rng: StdRng);
 
-    /// `Some(base_lr)` if the algorithm's serial loop linearly decays the
-    /// learning rate to 10 % over the training horizon, `None` otherwise.
-    /// The runtime replays the same schedule against consumed steps.
+    /// `Some(base_lr)` if training linearly decays the learning rate to
+    /// 10 % over the horizon ([`decayed_lr`]), `None` otherwise.
     fn lr_schedule(&self) -> Option<f32>;
 
     /// Overwrites the current learning rate.
@@ -53,6 +57,56 @@ pub trait Learner: Send {
     /// `rng` is the stream for any update-time sampling (ACKTR's Fisher
     /// factors); A2C and PPO ignore it.
     fn update_batch(&mut self, rollout: &mut Rollout, rng: &mut StdRng);
+}
+
+/// The learning rate after `done` of `total` steps under the linear decay
+/// to 10 % that [`Learner::lr_schedule`] announces.
+pub fn decayed_lr(base_lr: f32, done: usize, total: usize) -> f32 {
+    let decay = LrSchedule::Linear {
+        final_fraction: 0.1,
+    };
+    decay.at(base_lr, done as f32 / total as f32)
+}
+
+/// Trains `learner` for (at least) `total_steps` environment transitions
+/// across the parallel `envs` (Alg. 1 ln. 3–12): apply the learning-rate
+/// schedule, collect a rollout under the current policy, update. The
+/// agent's own RNG stream drives both collection and any update-time
+/// sampling, in that order. Returns per-update stats.
+///
+/// # Panics
+///
+/// Panics if `envs` is empty or env dimensions mismatch the networks.
+pub fn train_serial<L: Learner + ?Sized>(
+    learner: &mut L,
+    envs: &mut [Box<dyn Env>],
+    total_steps: usize,
+) -> TrainStats {
+    let params = learner.collect_params();
+    let base_lr = learner.lr_schedule();
+    let mut rng = learner.take_rng();
+    let mut collector = RolloutCollector::new(envs);
+    let mut stats = TrainStats::default();
+    let per_update = params.n_steps * envs.len();
+    while stats.total_steps < total_steps {
+        if let Some(base) = base_lr {
+            learner.set_lr(decayed_lr(base, stats.total_steps, total_steps));
+        }
+        let mut rollout = collector.collect(
+            envs,
+            learner.actor(),
+            learner.critic(),
+            params.n_steps,
+            params.gamma,
+            params.gae_lambda,
+            &mut rng,
+        );
+        learner.update_batch(&mut rollout, &mut rng);
+        stats.mean_rewards.push(rollout.mean_reward());
+        stats.total_steps += per_update;
+    }
+    learner.restore_rng(rng);
+    stats
 }
 
 impl Learner for A2c {
@@ -157,7 +211,7 @@ impl Learner for Ppo {
     }
 
     fn lr_schedule(&self) -> Option<f32> {
-        None // PPO's serial loop applies no internal decay
+        None // PPO applies no internal decay
     }
 
     fn set_lr(&mut self, lr: f32) {

@@ -15,6 +15,9 @@
 //! - [`acktr`]: A2C with K-FAC natural gradients and a KL trust region —
 //!   the paper's training algorithm,
 //! - [`ppo`]: PPO-clip, as an ablation alternative,
+//! - [`learner`]: the [`Learner`] trait the three algorithms above
+//!   implement and [`train_serial`], the one serial collect → update loop
+//!   behind their `train` methods,
 //! - [`ddpg`]: deep deterministic policy gradient (replay buffer, target
 //!   networks, OU exploration noise) — used by the centralized baseline's
 //!   continuous rule-update policy,
@@ -52,6 +55,7 @@ pub mod a2c;
 pub mod acktr;
 pub mod ddpg;
 pub mod env;
+pub mod learner;
 pub mod ppo;
 pub mod rollout;
 pub mod schedule;
@@ -61,5 +65,6 @@ pub use a2c::{A2c, A2cConfig};
 pub use acktr::{Acktr, AcktrConfig};
 pub use ddpg::{Ddpg, DdpgConfig};
 pub use env::{ContinuousEnv, Env, StepResult};
+pub use learner::{train_serial, CollectParams, Learner};
 pub use ppo::{Ppo, PpoConfig};
 pub use trainer::{train_multi_seed, SeedResult};

@@ -7,7 +7,8 @@
 
 use crate::a2c::TrainStats;
 use crate::env::Env;
-use crate::rollout::{Rollout, RolloutCollector};
+use crate::learner::train_serial;
+use crate::rollout::Rollout;
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
 use dosco_nn::optim::{Adam, Optimizer};
@@ -170,36 +171,14 @@ impl Ppo {
     ///
     /// Panics if `envs` is empty or dimensions mismatch.
     pub fn train(&mut self, envs: &mut [Box<dyn Env>], total_steps: usize) -> TrainStats {
-        let mut collector = RolloutCollector::new(envs);
-        let mut stats = TrainStats::default();
-        let per_update = self.config.n_steps * envs.len();
-        while stats.total_steps < total_steps {
-            let mut rollout = collector.collect(
-                envs,
-                &self.actor,
-                &self.critic,
-                self.config.n_steps,
-                self.config.gamma,
-                self.config.gae_lambda,
-                &mut self.rng,
-            );
-            self.apply_batch(&mut rollout);
-            stats.mean_rewards.push(rollout.mean_reward());
-            stats.total_steps += per_update;
-        }
-        stats
+        train_serial(self, envs, total_steps)
     }
 
-    /// One clipped-surrogate update (all epochs) from an externally
-    /// collected rollout — the learner-side entry point of the actor–
-    /// learner runtime, identical to the per-batch update of the serial
-    /// [`Ppo::train`] loop. The RNG parameter is unused (the PPO update
-    /// draws no randomness) but part of the shared learner signature.
+    /// One clipped-surrogate update (all epochs) from a collected rollout
+    /// — what both [`Ppo::train`] and the actor–learner runtime apply per
+    /// batch. The RNG parameter is unused (the PPO update draws no
+    /// randomness) but part of the shared learner signature.
     pub fn update_batch(&mut self, rollout: &mut Rollout, _rng: &mut StdRng) {
-        self.apply_batch(rollout);
-    }
-
-    fn apply_batch(&mut self, rollout: &mut Rollout) {
         rollout.normalize_advantages();
         // Old log-probs under the collection policy.
         let old_lp = Categorical::new(&self.actor.forward(&rollout.obs)).log_prob(&rollout.actions);

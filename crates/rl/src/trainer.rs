@@ -20,7 +20,8 @@ pub struct SeedResult<A> {
 }
 
 /// Trains one agent per seed in parallel and returns the results sorted
-/// best-first.
+/// best-first. A seed whose score is NaN (a diverged run) ranks last, so
+/// it cannot displace or discard the seeds that trained.
 ///
 /// `train` maps a seed to `(agent, score)`; it must be `Sync` because the
 /// closure is shared across threads.
@@ -61,7 +62,10 @@ where
             .collect()
     })
     .expect("crossbeam scope failed");
-    results.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("scores are finite"));
+    results.sort_by(|a, b| {
+        let nan_last = a.score.is_nan().cmp(&b.score.is_nan());
+        nan_last.then_with(|| b.score.total_cmp(&a.score))
+    });
     results
 }
 
@@ -77,6 +81,23 @@ mod tests {
         assert_eq!(scores, vec![40.0, 30.0, 20.0, 10.0]);
         assert_eq!(results[0].agent, 40);
         assert_eq!(results[0].seed, 40);
+    }
+
+    /// One diverged seed must not panic the run or outrank a finite one.
+    #[test]
+    fn nan_score_ranks_last_and_the_best_finite_seed_first() {
+        let results = train_multi_seed(&[1, 2, 3, 4], |seed| {
+            let score = match seed {
+                1 => 0.5,
+                2 => f32::NAN,
+                3 => 0.9,
+                _ => f32::NEG_INFINITY,
+            };
+            (seed, score)
+        });
+        let order: Vec<u64> = results.iter().map(|r| r.agent).collect();
+        assert_eq!(order, vec![3, 1, 4, 2]);
+        assert!(results[3].score.is_nan());
     }
 
     #[test]

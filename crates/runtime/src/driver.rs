@@ -37,13 +37,13 @@
 
 use crate::config::{Mode, RuntimeConfig};
 use crate::counters::{Counters, RuntimeReport};
-use crate::learner::{CollectParams, Learner};
 use crate::snapshot::{PolicySlot, PolicySnapshot};
 use crate::wire::{ExperienceBatch, SyncReply};
 use crossbeam::channel::{SendError, TrySendError};
 use dosco_net::{InProcess, Rx, Transport, Tx};
 use dosco_rl::a2c::TrainStats;
 use dosco_rl::env::Env;
+use dosco_rl::learner::{decayed_lr, CollectParams, Learner};
 use dosco_rl::rollout::{Rollout, RolloutCollector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -265,7 +265,7 @@ fn actor_loop(
 /// failure (actor gone), which ends the loop. `cancel`, when set, stops
 /// the loop at the next batch boundary.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_learner_loop<L: Learner>(
+pub(crate) fn run_learner_loop<L: Learner + ?Sized>(
     learner: &mut L,
     rx: &dyn Rx<ExperienceBatch>,
     config: &RuntimeConfig,
@@ -334,9 +334,7 @@ pub(crate) fn run_learner_loop<L: Learner>(
             break 'learn;
         };
         if let Some(base) = base_lr {
-            // Replay the serial loops' linear decay to 10 %.
-            let frac = stats.total_steps as f32 / total_steps as f32;
-            learner.set_lr(base * (1.0 - 0.9 * frac));
+            learner.set_lr(decayed_lr(base, stats.total_steps, total_steps));
         }
         {
             let _span = dosco_obs::span(dosco_obs::SpanKind::LearnerUpdate);
@@ -393,7 +391,7 @@ pub(crate) fn run_learner_loop<L: Learner>(
 /// Panics if the configuration is invalid, `envs` is empty, the observed
 /// staleness ever exceeds the configured bound, or any actor thread
 /// panics (the panic is re-raised after shutdown).
-pub fn train<L: Learner>(
+pub fn train<L: Learner + ?Sized>(
     learner: &mut L,
     envs: &mut [Box<dyn Env>],
     total_steps: usize,
@@ -419,7 +417,7 @@ pub fn train_with_transport<L, Tr>(
     transport: &Tr,
 ) -> RuntimeOutcome
 where
-    L: Learner,
+    L: Learner + ?Sized,
     Tr: Transport<ExperienceBatch> + Transport<SyncReply>,
 {
     train_inner(learner, envs, total_steps, config, transport, None)
@@ -433,7 +431,7 @@ where
 /// # Panics
 ///
 /// As [`train`].
-pub fn train_cancellable<L: Learner>(
+pub fn train_cancellable<L: Learner + ?Sized>(
     learner: &mut L,
     envs: &mut [Box<dyn Env>],
     total_steps: usize,
@@ -452,7 +450,7 @@ fn train_inner<L, Tr>(
     cancel: Option<&AtomicBool>,
 ) -> RuntimeOutcome
 where
-    L: Learner,
+    L: Learner + ?Sized,
     Tr: Transport<ExperienceBatch> + Transport<SyncReply>,
 {
     config.validate().expect("invalid runtime configuration");

@@ -40,7 +40,6 @@
 pub mod config;
 pub mod counters;
 pub mod driver;
-pub mod learner;
 pub mod remote;
 pub mod snapshot;
 pub mod wire;
@@ -48,7 +47,7 @@ pub mod wire;
 pub use config::{Mode, RuntimeConfig};
 pub use counters::RuntimeReport;
 pub use driver::{train, train_cancellable, train_with_transport, RuntimeOutcome};
-pub use learner::{CollectParams, Learner};
+pub use dosco_rl::learner::{CollectParams, Learner};
 pub use remote::{run_actor, run_learner_server, LearnerServer};
 pub use snapshot::{PolicySlot, PolicySnapshot, SlotInfo};
 pub use wire::{ActorCtrl, ExperienceBatch, LearnerHello, SyncReply};

@@ -46,6 +46,7 @@ use dosco_net::{
     NetError, Rx,
 };
 use dosco_rl::env::Env;
+use dosco_rl::learner::Learner;
 use dosco_rl::rollout::RolloutCollector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,7 +54,6 @@ use rand::SeedableRng;
 use crate::config::{Mode, RuntimeConfig};
 use crate::counters::Counters;
 use crate::driver::{run_learner_loop, RuntimeOutcome};
-use crate::learner::Learner;
 use crate::snapshot::PolicySnapshot;
 use crate::wire::{ActorCtrl, ExperienceBatch, LearnerHello};
 

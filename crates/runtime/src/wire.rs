@@ -8,8 +8,8 @@
 //! carry them; the circulating [`StdRng`] travels as its four-word
 //! xoshiro256++ state and resumes the identical stream on the other side.
 
-use crate::learner::CollectParams;
 use crate::snapshot::PolicySnapshot;
+use dosco_rl::learner::CollectParams;
 use dosco_rl::rollout::Rollout;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize, Value};

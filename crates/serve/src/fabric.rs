@@ -62,12 +62,6 @@ pub struct ServeConfig {
     /// `Some(seed)` samples actions from per-node RNG streams
     /// (`per_node_seed(seed, node)`); `None` serves greedy argmax.
     pub stochastic_seed: Option<u64>,
-    /// Serve batched decisions from int8-quantized weights
-    /// ([`dosco_nn::QuantizedMlp`]). Greedy-only: the contract is argmax
-    /// agreement on logits, not bit-identical probabilities, so
-    /// [`ServeConfig::validate`] rejects combining this with
-    /// `stochastic_seed`.
-    pub quantized: bool,
     /// Epoch-scripted fault injection.
     pub faults: FaultScript,
     /// Control-plane directive queue, drained at every epoch boundary
@@ -110,7 +104,6 @@ impl PartialEq for ServeConfig {
         self.num_shards == other.num_shards
             && self.mailbox_capacity == other.mailbox_capacity
             && self.stochastic_seed == other.stochastic_seed
-            && self.quantized == other.quantized
             && self.faults == other.faults
             && same(&self.control, &other.control)
             && same(&self.status, &other.status)
@@ -129,7 +122,6 @@ impl ServeConfig {
             num_shards,
             mailbox_capacity: 64,
             stochastic_seed: None,
-            quantized: false,
             faults: FaultScript::new(),
             control: None,
             status: None,
@@ -164,13 +156,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_stochastic_seed(mut self, seed: u64) -> Self {
         self.stochastic_seed = Some(seed);
-        self
-    }
-
-    /// Switches batched forwards to the int8-quantized inference path.
-    #[must_use]
-    pub fn with_quantized(mut self) -> Self {
-        self.quantized = true;
         self
     }
 
@@ -211,13 +196,6 @@ impl ServeConfig {
         }
         if self.gather_stall.is_zero() {
             return Err("gather_stall must be non-zero".into());
-        }
-        if self.quantized && self.stochastic_seed.is_some() {
-            return Err(
-                "quantized serving is greedy-only: its contract is argmax agreement, \
-                 which says nothing about the sampled distribution"
-                    .into(),
-            );
         }
         Ok(())
     }
@@ -375,7 +353,6 @@ where
         let (tx, rx) = Transport::<ShardMsg>::channel(self.transport, self.cfg.mailbox_capacity);
         let responses = self.resp_tx.clone_box();
         let stochastic_seed = self.cfg.stochastic_seed;
-        let quantized = self.cfg.quantized;
         let (num_shards, num_nodes) = (self.num_shards, self.num_nodes);
         let join = self.scope.spawn(move |_| {
             run_shard(ShardWorker {
@@ -383,7 +360,6 @@ where
                 num_shards,
                 num_nodes,
                 stochastic_seed,
-                quantized,
                 policy,
                 version,
                 mailbox: rx,
@@ -969,15 +945,6 @@ mod tests {
         let mut c = ServeConfig::new(2);
         c.gather_stall = Duration::ZERO;
         assert!(c.validate().is_err());
-        // Quantized serving is greedy-only: the decision-equivalence
-        // contract is argmax agreement, which a sampled distribution
-        // does not inherit.
-        assert!(ServeConfig::new(2).with_quantized().validate().is_ok());
-        assert!(ServeConfig::new(2)
-            .with_quantized()
-            .with_stochastic_seed(7)
-            .validate()
-            .is_err());
     }
 
     /// Drives `serve_core` directly with a custom launcher (the trait is

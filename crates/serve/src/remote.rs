@@ -49,9 +49,6 @@ pub struct ShardInit {
     pub num_nodes: u64,
     /// `Some(seed)` for stochastic serving, `None` for greedy.
     pub stochastic_seed: Option<u64>,
-    /// Serve from int8-quantized weights (greedy-only; see
-    /// [`ServeConfig::with_quantized`]).
-    pub quantized: bool,
     /// The policy to serve until the first [`ShardMsg::Swap`].
     pub policy: CoordinationPolicy,
     /// The snapshot version `policy` came from.
@@ -67,7 +64,6 @@ struct RemoteLauncher {
     num_shards: usize,
     num_nodes: usize,
     stochastic_seed: Option<u64>,
-    quantized: bool,
     fan_tx: Sender<Vec<DecisionResponse>>,
     forwarders: Vec<JoinHandle<()>>,
 }
@@ -98,7 +94,6 @@ impl ShardLauncher<'static> for RemoteLauncher {
             num_shards: self.num_shards as u64,
             num_nodes: self.num_nodes as u64,
             stochastic_seed: self.stochastic_seed,
-            quantized: self.quantized,
             policy: (*policy).clone(),
             version,
         };
@@ -220,7 +215,6 @@ impl FrontendServer {
             num_shards,
             num_nodes,
             stochastic_seed: cfg.stochastic_seed,
-            quantized: cfg.quantized,
             fan_tx,
             forwarders: Vec::new(),
         };
@@ -286,7 +280,6 @@ pub fn run_remote_shard(addr: &str, net: &NetConfig) -> Result<(), NetError> {
         num_shards: dim("ShardInit.num_shards", init.num_shards)?,
         num_nodes: dim("ShardInit.num_nodes", init.num_nodes)?,
         stochastic_seed: init.stochastic_seed,
-        quantized: init.quantized,
         policy: Arc::new(init.policy),
         version: init.version,
         mailbox,

@@ -13,7 +13,7 @@
 use dosco_core::{per_node_seed, CoordinationPolicy};
 use dosco_net::{BoxRx, BoxTx};
 use dosco_nn::matrix::Matrix;
-use dosco_nn::{Categorical, QuantizedMlp};
+use dosco_nn::Categorical;
 use dosco_obs::registry;
 use dosco_obs::{GaugeKind, HistKind, SpanKind};
 use dosco_topology::NodeId;
@@ -100,10 +100,6 @@ pub(crate) struct ShardWorker {
     pub num_shards: usize,
     pub num_nodes: usize,
     pub stochastic_seed: Option<u64>,
-    /// Serve batched forwards from int8-quantized weights. The shard
-    /// quantizes once per policy (at start and on every swap), then
-    /// every flush runs the integer GEMM instead of the f32 one.
-    pub quantized: bool,
     pub policy: Arc<CoordinationPolicy>,
     pub version: u64,
     pub mailbox: BoxRx<ShardMsg>,
@@ -125,12 +121,6 @@ pub(crate) fn run_shard(mut w: ShardWorker) {
             .collect(),
         None => Vec::new(),
     };
-    // Quantize the starting policy once; swaps re-quantize. The f32
-    // policy is kept alongside — quantization is an inference-time
-    // view, never the stored weights.
-    let mut quant: Option<QuantizedMlp> = w
-        .quantized
-        .then(|| QuantizedMlp::from_mlp(w.policy.actor()));
     let mut pending: Vec<DecisionRequest> = Vec::new();
     loop {
         match w.mailbox.recv() {
@@ -142,13 +132,10 @@ pub(crate) fn run_shard(mut w: ShardWorker) {
                 );
                 pending.push(r);
             }
-            Ok(ShardMsg::Flush { .. }) => flush(&w, &mut pending, &mut rngs, quant.as_ref()),
+            Ok(ShardMsg::Flush { .. }) => flush(&w, &mut pending, &mut rngs),
             Ok(ShardMsg::Swap { policy, version }) => {
                 w.policy = policy;
                 w.version = version;
-                if w.quantized {
-                    quant = Some(QuantizedMlp::from_mlp(w.policy.actor()));
-                }
             }
             // Disconnect means the frontend dropped the mailbox: treat
             // like a shutdown (nothing can be pending past a flush).
@@ -157,14 +144,8 @@ pub(crate) fn run_shard(mut w: ShardWorker) {
     }
 }
 
-/// Answers every queued request with one batched forward — f32, or the
-/// int8 integer-accumulate path when the worker is quantized.
-fn flush(
-    w: &ShardWorker,
-    pending: &mut Vec<DecisionRequest>,
-    rngs: &mut [Option<StdRng>],
-    quant: Option<&QuantizedMlp>,
-) {
+/// Answers every queued request with one batched forward.
+fn flush(w: &ShardWorker, pending: &mut Vec<DecisionRequest>, rngs: &mut [Option<StdRng>]) {
     if pending.is_empty() {
         return;
     }
@@ -181,10 +162,7 @@ fn flush(
         let _span = dosco_obs::span(SpanKind::ServeBatchForward);
         let obs_dim = w.policy.actor().inputs();
         let batch = Matrix::from_fn(rows, obs_dim, |r, c| pending[r].obs[c]);
-        let logits = match quant {
-            Some(q) => q.forward(&batch),
-            None => w.policy.actor().forward(&batch),
-        };
+        let logits = w.policy.actor().forward(&batch);
         let dist = Categorical::new(&logits);
         if w.stochastic_seed.is_some() {
             // One draw per row, in id order, from the owning node's

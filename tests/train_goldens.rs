@@ -1,0 +1,183 @@
+//! Bit-identity goldens for the training loops.
+//!
+//! The fingerprints below were captured at commit `d840831`, when
+//! `A2c::train`, `Acktr::train` and `Ppo::train` each carried a private
+//! copy of the collect → update loop and `train_distributed` dispatched on
+//! a per-algorithm enum. The shared `train_serial` loop and the
+//! `Box<dyn Learner>` path must reproduce them exactly: same seed, same
+//! trained weights, bit for bit.
+//!
+//! A fingerprint is FNV-1a 64 over the little-endian bits of the networks'
+//! `flat_params()`. On a mismatch the test prints the value it computed;
+//! replace a golden only when a change to the numerics is intended and
+//! documented.
+
+use dosco::core::policy::fnv1a64;
+use dosco::core::train::{train_distributed, Algorithm, TrainConfig};
+use dosco::core::{CoordEnv, RewardConfig};
+use dosco::nn::Mlp;
+use dosco::rl::{A2c, A2cConfig, Acktr, AcktrConfig, Env, Ppo, PpoConfig};
+use dosco::runtime::RuntimeConfig;
+use dosco::simnet::ScenarioConfig;
+
+const HIDDEN: [usize; 2] = [8, 8];
+const AGENT_SEED: u64 = 11;
+/// Ten updates of 2 envs × 16 steps.
+const SERIAL_STEPS: usize = 320;
+
+fn fingerprint(nets: &[&Mlp]) -> u64 {
+    let mut bytes = Vec::new();
+    for net in nets {
+        for p in net.flat_params() {
+            bytes.extend_from_slice(&p.to_bits().to_le_bytes());
+        }
+    }
+    fnv1a64(&bytes)
+}
+
+/// `DOSCO_SIMD=fma` rounds differently by design; the goldens hold for the
+/// bit-exact tiers (scalar, AVX2), which is what `auto` selects.
+fn bit_exact_kernels() -> bool {
+    dosco::nn::simd::active().bit_exact()
+}
+
+fn scenario() -> ScenarioConfig {
+    ScenarioConfig::paper_base(1).with_horizon(250.0)
+}
+
+/// Two coordination environments on the paper's base scenario, plus the
+/// observation and action dimensions the agents need.
+fn envs() -> (Vec<Box<dyn Env>>, usize, usize) {
+    let scenario = scenario();
+    let degree = scenario.topology.network_degree();
+    let envs = (0..2)
+        .map(|i| {
+            Box::new(CoordEnv::new(scenario.clone(), RewardConfig::default(), 500 + i, None))
+                as Box<dyn Env>
+        })
+        .collect();
+    (envs, 4 * degree + 4, degree + 1)
+}
+
+fn check(name: &str, got: u64, golden: u64) {
+    assert_eq!(
+        got, golden,
+        "{name}: trained weights diverged from the pre-dedupe loop (got {got:#018x})"
+    );
+}
+
+#[test]
+fn a2c_serial_train_matches_golden() {
+    if !bit_exact_kernels() {
+        return;
+    }
+    let (mut envs, obs_dim, num_actions) = envs();
+    // lr_decay on (off by default) so the schedule branch is pinned too.
+    let config = A2cConfig {
+        hidden: HIDDEN,
+        lr_decay: true,
+        ..A2cConfig::default()
+    };
+    let mut agent = A2c::new(obs_dim, num_actions, config, AGENT_SEED);
+    agent.train(&mut envs, SERIAL_STEPS);
+    check(
+        "a2c",
+        fingerprint(&[agent.actor(), agent.critic()]),
+        A2C_SERIAL,
+    );
+}
+
+#[test]
+fn acktr_serial_train_matches_golden() {
+    if !bit_exact_kernels() {
+        return;
+    }
+    let (mut envs, obs_dim, num_actions) = envs();
+    let config = AcktrConfig {
+        hidden: HIDDEN,
+        ..AcktrConfig::default()
+    };
+    let mut agent = Acktr::new(obs_dim, num_actions, config, AGENT_SEED);
+    agent.train(&mut envs, SERIAL_STEPS);
+    check(
+        "acktr",
+        fingerprint(&[agent.actor(), agent.critic()]),
+        ACKTR_SERIAL,
+    );
+}
+
+#[test]
+fn ppo_serial_train_matches_golden() {
+    if !bit_exact_kernels() {
+        return;
+    }
+    let (mut envs, obs_dim, num_actions) = envs();
+    let config = PpoConfig {
+        hidden: HIDDEN,
+        ..PpoConfig::default()
+    };
+    let mut agent = Ppo::new(obs_dim, num_actions, config, AGENT_SEED);
+    agent.train(&mut envs, SERIAL_STEPS);
+    check(
+        "ppo",
+        fingerprint(&[agent.actor(), agent.critic()]),
+        PPO_SERIAL,
+    );
+}
+
+/// `train_distributed` returns only the deployed actor, so that is what
+/// is fingerprinted; the serial path (`runtime: None`) and the sync
+/// actor–learner runtime must both land on the same golden.
+#[test]
+fn train_distributed_matches_golden_on_both_paths() {
+    if !bit_exact_kernels() {
+        return;
+    }
+    let scenario = scenario();
+    for (algorithm, golden) in [
+        (Algorithm::A2c, A2C_DISTRIBUTED),
+        (Algorithm::Acktr, ACKTR_DISTRIBUTED),
+        (Algorithm::Ppo, PPO_DISTRIBUTED),
+    ] {
+        let serial = TrainConfig {
+            algorithm,
+            total_steps: 384,
+            n_envs: 2,
+            seeds: vec![4],
+            a2c: A2cConfig {
+                hidden: HIDDEN,
+                ..A2cConfig::default()
+            },
+            acktr: AcktrConfig {
+                hidden: HIDDEN,
+                ..AcktrConfig::default()
+            },
+            ppo: PpoConfig {
+                hidden: HIDDEN,
+                ..PpoConfig::default()
+            },
+            eval_horizon: 150.0,
+            checkpoints: 2,
+            ..TrainConfig::default()
+        };
+        let synced = TrainConfig {
+            runtime: Some(RuntimeConfig::sync()),
+            ..serial.clone()
+        };
+        for (path, config) in [("serial", &serial), ("runtime-sync", &synced)] {
+            let trained = train_distributed(&scenario, config);
+            check(
+                &format!("train_distributed/{}/{path}", algorithm.name()),
+                fingerprint(&[trained.policy.actor()]),
+                golden,
+            );
+        }
+    }
+}
+
+const A2C_SERIAL: u64 = 0x61c4_c13e_e315_cfe3;
+const ACKTR_SERIAL: u64 = 0xcca7_a076_1197_56b5;
+const PPO_SERIAL: u64 = 0x349d_3287_a0e3_3335;
+const A2C_DISTRIBUTED: u64 = 0x764d_973d_14dd_7d52;
+const ACKTR_DISTRIBUTED: u64 = 0xd871_fb13_d181_e45b;
+const PPO_DISTRIBUTED: u64 = 0x3747_db2c_7b1a_2d69;
