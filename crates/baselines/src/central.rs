@@ -55,7 +55,7 @@ fn snapshot(sim: &Simulation) -> Vec<f32> {
     sim.topology()
         .node_ids()
         .map(|v| {
-            let cap = sim.topology().node(v).capacity;
+            let cap = sim.node_capacity(v);
             if cap <= 0.0 {
                 1.0
             } else {
@@ -258,6 +258,7 @@ impl ContinuousEnv for CentralRuleEnv {
         let until = self.sim.time() + self.monitor_interval;
         let mut reward = 0.0f32;
         let mut done = false;
+        let mut events = Vec::new();
         loop {
             match self.sim.next_decision() {
                 Some(dp) if dp.time <= until => {
@@ -270,7 +271,8 @@ impl ContinuousEnv for CentralRuleEnv {
                     break;
                 }
             }
-            for ev in self.sim.drain_events() {
+            self.sim.drain_events_into(&mut events);
+            for ev in &events {
                 match ev {
                     SimEvent::FlowCompleted { .. } => reward += 1.0,
                     SimEvent::FlowDropped { .. } => reward -= 1.0,

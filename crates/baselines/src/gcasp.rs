@@ -51,7 +51,7 @@ impl Gcasp {
             }
             let can_process = sim.node_free(n) >= demand;
             let bounce = prev == Some(n);
-            let delay = topo.link(l).delay + sp.delay(n, egress);
+            let delay = sim.link_delay(l) + sp.delay(n, egress);
             // Sort key (max-better): (can_process, !bounce, -delay).
             let key = (can_process, !bounce, -delay);
             if best
@@ -150,6 +150,56 @@ mod tests {
             "GCASP {} should be at least SP {}",
             gc.success_ratio(),
             sp.success_ratio()
+        );
+    }
+
+    /// Neighbours are ranked by the *effective* first hop, the same epoch
+    /// as the shortest-path remainder: a delay spike on the nominally
+    /// shorter one must flip the choice.
+    #[test]
+    fn ranks_neighbours_by_effective_first_hop_delay() {
+        use dosco_simnet::{ChurnAction, ChurnTimeline, IngressSpec, ServiceCatalog, ServiceId};
+        use dosco_topology::{LinkId, TopologyBuilder};
+        use dosco_traffic::FlowProfile;
+        // Diamond 0 -> {1, 2} -> 3: via 1 costs 1 + 1, via 2 costs 2 + 1.
+        // The ingress has no compute, so GCASP must pick a neighbour.
+        let mut b = TopologyBuilder::new("diamond");
+        let v: Vec<NodeId> = [0.0, 10.0, 10.0, 10.0]
+            .iter()
+            .map(|&cap| b.add_node("n", cap))
+            .collect();
+        for (a, z, delay) in [(0, 1, 1.0), (0, 2, 2.0), (1, 3, 1.0), (2, 3, 1.0)] {
+            b.add_link(v[a], v[z], delay, 10.0).unwrap();
+        }
+        let cfg = ScenarioConfig {
+            topology: b.build().unwrap(),
+            catalog: ServiceCatalog::paper_video_service(),
+            ingresses: vec![IngressSpec {
+                node: v[0],
+                pattern: ArrivalPattern::Fixed { interval: 10.0 },
+                service: ServiceId(0),
+                egress: v[3],
+                profile: FlowProfile::paper_default(),
+            }],
+            horizon: 50.0,
+            hold_delay: 1.0,
+            capacity_seed: 0,
+        };
+        let first_choice = |timeline: ChurnTimeline| {
+            let mut sim = Simulation::with_churn(cfg.clone(), 1, timeline);
+            let dp = sim.next_decision().expect("a flow arrives at t=10");
+            assert_eq!(dp.node, v[0]);
+            Gcasp::new().decide(&sim, &dp)
+        };
+        assert_eq!(first_choice(ChurnTimeline::none()), Action::Forward(0));
+        let spike = ChurnAction::DelaySpike {
+            link: LinkId(0),
+            factor: 5.0,
+        };
+        assert_eq!(
+            first_choice(ChurnTimeline::none().at(1.0, spike)),
+            Action::Forward(1),
+            "via 1 now costs 5 + 1, via 2 still 2 + 1"
         );
     }
 

@@ -254,6 +254,7 @@ pub fn train_per_node(
     let mut decisions = 0usize;
     let mut episode = 0u64;
     let mut sim = Simulation::new(scenario.clone(), seed.wrapping_add(episode));
+    let mut events = Vec::new();
     let diameter = sim.diameter();
     while decisions < config.total_decisions {
         let Some(dp) = sim.next_decision() else {
@@ -271,7 +272,8 @@ pub fn train_per_node(
             continue;
         };
         // Credit events since the last decision to the flows' last actors.
-        for ev in sim.drain_events() {
+        sim.drain_events_into(&mut events);
+        for ev in events.drain(..) {
             let Some(flow) = ev.flow() else { continue };
             let r = reward_cfg.event_reward(&ev, diameter);
             if let Some(p) = pending.get_mut(&flow) {

@@ -9,11 +9,11 @@
 //! module only defines the mechanics the engine itself needs.
 //!
 //! The hard contract: an empty timeline ([`ChurnTimeline::none`]) leaves
-//! the simulator bit-identical to a churn-free build — no extra queue
-//! entries, no RNG draws, no changed float expressions (pinned by the
-//! `simcore_goldens` suite).
+//! the simulator bit-identical to the churn-free goldens — no extra queue
+//! entries, no RNG draws, and a substrate whose every effective value is
+//! the topology's nominal float (pinned by the `simcore_goldens` suite).
 
-use dosco_topology::{LinkId, NodeId};
+use dosco_topology::{LinkId, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -221,6 +221,34 @@ impl ChurnTimeline {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// Checks every entry against the topology it will be replayed on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry targets a node/link outside `topo` or carries a
+    /// non-finite/negative factor.
+    pub(crate) fn assert_fits(&self, topo: &Topology) {
+        for &(t, action) in &self.entries {
+            let target = action.target() as usize;
+            let in_range = match action {
+                ChurnAction::NodeDown(_)
+                | ChurnAction::NodeUp(_)
+                | ChurnAction::DegradeNodeCapacity { .. } => target < topo.num_nodes(),
+                _ => target < topo.num_links(),
+            };
+            assert!(
+                in_range,
+                "churn action `{action}` at t={t} targets an entity outside the topology"
+            );
+            if let Some(f) = action.factor() {
+                assert!(
+                    f.is_finite() && f >= 0.0,
+                    "churn action `{action}` factor must be finite and ≥ 0"
+                );
+            }
+        }
+    }
 }
 
 /// Counters the simulator keeps while a churn timeline is active
@@ -256,33 +284,22 @@ pub struct ChurnStats {
     pub sp_recomputes: u64,
 }
 
-/// Where a live flow currently resides, tracked (only while churn is
-/// active) so a failure can find its victims without scanning the slab.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum FlowPlace {
-    /// Head at a node, between decisions (or held).
-    AtNode(NodeId),
-    /// Head in transit on a link towards `to`.
-    OnLink {
-        /// The carrying link.
-        link: LinkId,
-        /// The receiving endpoint.
-        to: NodeId,
-    },
-    /// Being processed by an instance at a node.
-    Processing(NodeId),
-}
-
-impl FlowPlace {
-    /// Whether the flow dies when node `v` fails.
-    pub(crate) fn on_node(&self, v: NodeId) -> bool {
-        matches!(self, FlowPlace::AtNode(n) | FlowPlace::Processing(n) if *n == v)
-    }
-
-    /// Whether the flow dies when link `l` fails (under
-    /// [`TransitPolicy::Drop`]).
-    pub(crate) fn on_link(&self, l: LinkId) -> bool {
-        matches!(self, FlowPlace::OnLink { link, .. } if *link == l)
+impl ChurnStats {
+    /// Counts one applied `action` and the instances that died with it.
+    pub(crate) fn record(&mut self, action: ChurnAction, instances_lost: u64) {
+        match action {
+            ChurnAction::LinkDown(_) => self.link_downs += 1,
+            ChurnAction::LinkUp(_) => self.link_ups += 1,
+            ChurnAction::NodeDown(_) => self.node_downs += 1,
+            ChurnAction::NodeUp(_) => self.node_ups += 1,
+            ChurnAction::DegradeLinkCapacity { .. } | ChurnAction::DegradeNodeCapacity { .. } => {
+                self.degrades += 1;
+            }
+            ChurnAction::DelaySpike { .. } => self.delay_spikes += 1,
+        }
+        self.events_applied += 1;
+        self.sp_recomputes += u64::from(action.affects_routing());
+        self.instances_lost += instances_lost;
     }
 }
 
@@ -339,15 +356,6 @@ mod tests {
         assert!(b.affects_routing());
         assert!(ChurnAction::DelaySpike { link: LinkId(0), factor: 2.0 }.affects_routing());
         assert_eq!(b.to_string(), "node-down v2");
-    }
-
-    #[test]
-    fn flow_place_membership() {
-        assert!(FlowPlace::AtNode(NodeId(1)).on_node(NodeId(1)));
-        assert!(FlowPlace::Processing(NodeId(1)).on_node(NodeId(1)));
-        assert!(!FlowPlace::OnLink { link: LinkId(0), to: NodeId(1) }.on_node(NodeId(1)));
-        assert!(FlowPlace::OnLink { link: LinkId(0), to: NodeId(1) }.on_link(LinkId(0)));
-        assert!(!FlowPlace::AtNode(NodeId(0)).on_link(LinkId(0)));
     }
 
     #[test]

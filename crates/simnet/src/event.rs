@@ -210,8 +210,8 @@ pub(crate) enum QueuedEvent {
     ReleaseLink { link: LinkId, amount: f64, epoch: u64 },
     /// Check whether an instance has been idle for its full timeout.
     InstanceTimeout { node: NodeId, component: ComponentId },
-    /// Apply the `idx`-th entry of the churn timeline.
-    Churn { idx: usize },
+    /// Apply one entry of the churn timeline.
+    Churn { action: crate::churn::ChurnAction },
 }
 
 #[cfg(test)]

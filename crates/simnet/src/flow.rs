@@ -1,7 +1,7 @@
 //! Flows: the unit of traffic and decision-making (Sec. III-A).
 
 use crate::service::ServiceId;
-use dosco_topology::NodeId;
+use dosco_topology::{LinkId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -68,6 +68,11 @@ pub struct Flow {
     /// The node where the flow's head currently is (or is headed to while
     /// traversing a link).
     pub location: NodeId,
+    /// Dense index of the link the head is crossing towards
+    /// [`Flow::location`]; `None` while it waits or is processed there.
+    /// Together with `location` this is all a failure needs to find its
+    /// victims, at 8 bytes per live flow.
+    pub(crate) in_transit: Option<u32>,
 }
 
 impl Flow {
@@ -101,6 +106,11 @@ impl Flow {
         }
     }
 
+    /// Whether the flow's head is crossing link `l` right now.
+    pub(crate) fn in_transit_on(&self, l: LinkId) -> bool {
+        self.in_transit.is_some_and(|i| i as usize == l.0)
+    }
+
     /// Whether the deadline has expired at time `t`.
     pub fn expired(&self, t: f64) -> bool {
         t - self.arrival > self.deadline
@@ -124,6 +134,7 @@ mod tests {
             chain_pos: 0,
             chain_len: 3,
             location: NodeId(0),
+            in_transit: None,
         }
     }
 

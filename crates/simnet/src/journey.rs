@@ -241,12 +241,15 @@ mod tests {
         let mut sim = Simulation::new(cfg, 4);
         let mut log = JourneyLog::new();
         let mut c = crate::coordinator::RandomCoordinator::new(7);
+        let mut events = Vec::new();
         while let Some(dp) = sim.next_decision() {
-            log.ingest(&sim.drain_events());
+            sim.drain_events_into(&mut events);
+            log.ingest(&events);
             let a = c.decide(&sim, &dp);
             sim.apply(a);
         }
-        log.ingest(&sim.drain_events());
+        sim.drain_events_into(&mut events);
+        log.ingest(&events);
         (log, sim.metrics().clone())
     }
 

@@ -42,6 +42,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod churn;
 pub mod config;
@@ -55,6 +56,7 @@ pub mod queue;
 pub mod service;
 pub mod sim;
 pub mod slab;
+mod substrate;
 
 pub use churn::{ChurnAction, ChurnStats, ChurnTimeline, TransitPolicy};
 pub use config::{IngressSpec, ScenarioConfig};

@@ -125,7 +125,7 @@ impl<C> Probe<C> {
         let node_util = topo
             .node_ids()
             .map(|v| {
-                let cap = topo.node(v).capacity;
+                let cap = sim.node_capacity(v);
                 if cap <= 0.0 {
                     1.0
                 } else {
@@ -136,7 +136,7 @@ impl<C> Probe<C> {
         let link_util = topo
             .link_ids()
             .map(|l| {
-                let cap = topo.link(l).capacity;
+                let cap = sim.link_capacity(l);
                 if cap <= 0.0 {
                     1.0
                 } else {
@@ -213,6 +213,38 @@ mod tests {
             }
         }
         assert!(probe.peak_node_utilization() >= probe.mean_node_utilization());
+    }
+
+    /// Utilization is measured against the *effective* capacity: halving
+    /// a node's capacity doubles the utilization of an unchanged load.
+    #[test]
+    fn degraded_capacity_doubles_utilization_of_the_same_load() {
+        use crate::churn::{ChurnAction, ChurnTimeline};
+        use crate::coordinator::AlwaysLocal;
+        // AlwaysLocal processes every flow at its ingress whatever the
+        // capacity, so both runs put the same load on node 0.
+        let mut cfg = ScenarioConfig::paper_base(1).with_horizon(500.0);
+        cfg.topology.scale_capacities(100.0, 1.0);
+        // Long flows, so the sampled decisions find earlier ones loaded.
+        cfg.ingresses[0].profile = dosco_traffic::FlowProfile::new(1.0, 30.0, 100.0);
+        let ingress = cfg.ingresses[0].node;
+        let run = |timeline: ChurnTimeline| {
+            let mut probe = Probe::new(AlwaysLocal, 50.0);
+            Simulation::with_churn(cfg.clone(), 1, timeline).run(&mut probe);
+            let utils = probe.samples().iter().map(|s| s.node_util[ingress.0]);
+            utils.collect::<Vec<f64>>()
+        };
+        let nominal = run(ChurnTimeline::none());
+        let halved = run(ChurnTimeline::none().at(
+            0.0,
+            ChurnAction::DegradeNodeCapacity {
+                node: ingress,
+                factor: 0.5,
+            },
+        ));
+        assert!(nominal.iter().any(|&u| u > 0.0 && u < 0.5), "{nominal:?}");
+        let doubled: Vec<f64> = nominal.iter().map(|u| 2.0 * u).collect();
+        assert_eq!(halved, doubled);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The discrete-event simulation engine.
 
-use crate::churn::{ChurnAction, ChurnStats, ChurnTimeline, FlowPlace, TransitPolicy};
+use crate::churn::{ChurnAction, ChurnStats, ChurnTimeline, TransitPolicy};
 use crate::config::ScenarioConfig;
 use crate::coordinator::{Action, Coordinator, DecisionPoint};
 use crate::event::{DropReason, QueuedEvent, SimEvent};
@@ -9,11 +9,11 @@ use crate::metrics::{Metrics, WindowedStats};
 use crate::queue::{EventKey, EventQueue};
 use crate::service::ComponentId;
 use crate::slab::Slab;
+use crate::substrate::Substrate;
 use dosco_topology::{LinkId, NodeId, ShortestPaths};
 use dosco_traffic::ArrivalProcess;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 
 /// Float tolerance for capacity admission checks.
 const CAP_EPS: f64 = 1e-9;
@@ -23,39 +23,10 @@ const CAP_EPS: f64 = 1e-9;
 /// view).
 const CHURN_WINDOW: usize = 256;
 
-/// State the simulator keeps *only* while a non-empty [`ChurnTimeline`]
-/// is installed. Boxed behind an `Option` on [`Simulation`]: with churn
-/// disabled nothing here is allocated and every accessor falls through to
-/// the exact pre-churn expression, which is what keeps
-/// [`ChurnTimeline::none`] bit-identical to the seed simulator (pinned by
-/// the `simcore_goldens` suite).
+/// Bookkeeping *about* a churn timeline, kept only while a non-empty one
+/// is installed (the substrate it acts on is always there).
 #[derive(Debug)]
-struct ChurnState {
-    timeline: ChurnTimeline,
-    /// Nominal capacities and delays (id-ordered): the restore targets
-    /// for `LinkUp`/`NodeUp` and the base of degradation factors.
-    node_base: Vec<f64>,
-    link_base: Vec<f64>,
-    delay_base: Vec<f64>,
-    /// Effective values read by admission checks and SP recomputes.
-    node_eff_cap: Vec<f64>,
-    link_eff_cap: Vec<f64>,
-    link_eff_delay: Vec<f64>,
-    /// Liveness masks fed to [`ShortestPaths::compute_masked`].
-    node_up: Vec<bool>,
-    link_up: Vec<bool>,
-    /// Active degradation factors (reset to 1.0 by a repair).
-    node_degrade: Vec<f64>,
-    link_degrade: Vec<f64>,
-    /// Failure epochs: bumped when an entity fails, so resource releases
-    /// reserved *before* the failure are recognized as stale — their
-    /// capacity was already reclaimed wholesale with the failure.
-    node_epoch: Vec<u64>,
-    link_epoch: Vec<u64>,
-    /// Where each live flow's head currently is. Keyed by the monotone
-    /// [`FlowId`] so fault victims die in arrival order — deterministic
-    /// regardless of slab slot recycling.
-    places: BTreeMap<FlowId, (FlowKey, FlowPlace)>,
+struct ChurnRun {
     stats: ChurnStats,
     /// Sliding success ratio over recent terminations (resilience
     /// reporting around faults).
@@ -94,8 +65,7 @@ pub struct Simulation {
     /// footprint is the concurrent high-water mark, not the arrival count.
     flows: Slab<Flow>,
     next_flow_id: u64,
-    node_used: Vec<f64>,
-    link_used: Vec<f64>,
+    substrate: Substrate,
     /// Dense NodeId-major instance table (`node.0 * num_components + c.0`).
     instances: Vec<Option<Instance>>,
     num_components: usize,
@@ -117,10 +87,9 @@ pub struct Simulation {
     obs_stream: Option<dosco_obs::Stream>,
     /// Decisions between mid-episode trace samples.
     obs_stride: u64,
-    /// Substrate churn state; `None` (never allocated) unless the
-    /// simulation was built via [`Simulation::with_churn`] with a
-    /// non-empty timeline.
-    churn: Option<Box<ChurnState>>,
+    /// `Some` iff the simulation was built via
+    /// [`Simulation::with_churn`] with a non-empty timeline.
+    churn: Option<ChurnRun>,
 }
 
 impl Simulation {
@@ -155,8 +124,8 @@ impl Simulation {
         let diameter = sp.diameter();
         let arrivals: Vec<Box<dyn ArrivalProcess>> =
             config.ingresses.iter().map(|i| i.pattern.build()).collect();
-        let node_used = vec![0.0; config.topology.num_nodes()];
-        let link_used = vec![0.0; config.topology.num_links()];
+        timeline.assert_fits(&config.topology);
+        let substrate = Substrate::new(&config.topology, timeline.transit());
         let num_components = config.catalog.components().len();
         let instances = vec![None; config.topology.num_nodes() * num_components];
         let mut sim = Simulation {
@@ -170,8 +139,7 @@ impl Simulation {
             arrivals,
             flows: Slab::new(),
             next_flow_id: 0,
-            node_used,
-            link_used,
+            substrate,
             instances,
             num_components,
             num_instances: 0,
@@ -182,13 +150,20 @@ impl Simulation {
             finished: false,
             obs_stream: dosco_obs::trace_enabled().then(|| dosco_obs::Stream::sim(seed)),
             obs_stride: dosco_obs::sample_stride(),
-            churn: None,
+            churn: (!timeline.is_empty()).then(|| ChurnRun {
+                stats: ChurnStats::default(),
+                window: WindowedStats::new(CHURN_WINDOW),
+            }),
         };
         for idx in 0..sim.arrivals.len() {
             sim.schedule_next_arrival(idx, 0.0);
         }
-        if !timeline.is_empty() {
-            sim.install_churn(timeline);
+        // One queue entry per timeline entry within the horizon; draws
+        // nothing from the traffic RNG stream.
+        for &(t, action) in timeline.entries() {
+            if t <= sim.config.horizon {
+                sim.queue.push(t, QueuedEvent::Churn { action });
+            }
         }
         if let Some(stream) = sim.obs_stream {
             dosco_obs::emit(stream, || dosco_obs::Event::EpisodeStart {
@@ -200,60 +175,6 @@ impl Simulation {
             });
         }
         sim
-    }
-
-    /// Installs a non-empty churn timeline: validates targets, seeds the
-    /// effective-capacity views from the nominal topology, and schedules
-    /// one internal event per timeline entry within the horizon. Draws
-    /// nothing from the traffic RNG stream.
-    fn install_churn(&mut self, timeline: ChurnTimeline) {
-        let topo = &self.config.topology;
-        let (n, m) = (topo.num_nodes(), topo.num_links());
-        for &(t, action) in timeline.entries() {
-            let target = action.target() as usize;
-            let in_range = match action {
-                ChurnAction::NodeDown(_)
-                | ChurnAction::NodeUp(_)
-                | ChurnAction::DegradeNodeCapacity { .. } => target < n,
-                _ => target < m,
-            };
-            assert!(
-                in_range,
-                "churn action `{action}` at t={t} targets an entity outside the topology"
-            );
-            if let Some(f) = action.factor() {
-                assert!(
-                    f.is_finite() && f >= 0.0,
-                    "churn action `{action}` factor must be finite and ≥ 0"
-                );
-            }
-        }
-        let node_base: Vec<f64> = topo.node_capacities().collect();
-        let link_base: Vec<f64> = topo.link_capacities().collect();
-        let delay_base: Vec<f64> = topo.link_ids().map(|l| topo.link(l).delay).collect();
-        for (idx, &(t, _)) in timeline.entries().iter().enumerate() {
-            if t <= self.config.horizon {
-                self.queue.push(t, QueuedEvent::Churn { idx });
-            }
-        }
-        self.churn = Some(Box::new(ChurnState {
-            node_eff_cap: node_base.clone(),
-            link_eff_cap: link_base.clone(),
-            link_eff_delay: delay_base.clone(),
-            node_base,
-            link_base,
-            delay_base,
-            node_up: vec![true; n],
-            link_up: vec![true; m],
-            node_degrade: vec![1.0; n],
-            link_degrade: vec![1.0; m],
-            node_epoch: vec![0; n],
-            link_epoch: vec![0; m],
-            places: BTreeMap::new(),
-            stats: ChurnStats::default(),
-            window: WindowedStats::new(CHURN_WINDOW),
-            timeline,
-        }));
     }
 
     // ------------------------------------------------------------------
@@ -275,11 +196,6 @@ impl Simulation {
         &self.config.topology
     }
 
-    /// The service catalog.
-    pub fn catalog(&self) -> &crate::service::ServiceCatalog {
-        &self.config.catalog
-    }
-
     /// Precomputed all-pairs shortest path delays.
     pub fn shortest_paths(&self) -> &ShortestPaths {
         &self.sp
@@ -298,41 +214,35 @@ impl Simulation {
 
     /// Compute resources currently in use at node `v` (`r_v(t)`).
     pub fn node_used(&self, v: NodeId) -> f64 {
-        self.node_used[v.0]
+        self.substrate.node_used[v.0]
     }
 
     /// Effective compute capacity of node `v`: nominal unless churn
     /// degraded it, zero while the node is down. Without churn this is
     /// exactly the static topology capacity.
     pub fn node_capacity(&self, v: NodeId) -> f64 {
-        match &self.churn {
-            Some(cs) => cs.node_eff_cap[v.0],
-            None => self.config.topology.node(v).capacity,
-        }
+        self.substrate.node_cap[v.0]
     }
 
     /// Free compute resources at node `v` (`cap_v − r_v(t)`).
     pub fn node_free(&self, v: NodeId) -> f64 {
-        self.node_capacity(v) - self.node_used[v.0]
+        self.node_capacity(v) - self.node_used(v)
     }
 
     /// Data rate currently reserved on link `l` (`r_l(t)`).
     pub fn link_used(&self, l: LinkId) -> f64 {
-        self.link_used[l.0]
+        self.substrate.link_used[l.0]
     }
 
     /// Effective data-rate capacity of link `l` (see
     /// [`Simulation::node_capacity`]).
     pub fn link_capacity(&self, l: LinkId) -> f64 {
-        match &self.churn {
-            Some(cs) => cs.link_eff_cap[l.0],
-            None => self.config.topology.link(l).capacity,
-        }
+        self.substrate.link_cap[l.0]
     }
 
     /// Free data rate on link `l` (`cap_l − r_l(t)`).
     pub fn link_free(&self, l: LinkId) -> f64 {
-        self.link_capacity(l) - self.link_used[l.0]
+        self.link_capacity(l) - self.link_used(l)
     }
 
     /// Effective propagation delay of link `l` (nominal unless a churn
@@ -340,20 +250,17 @@ impl Simulation {
     /// the static topology — so delays track the current topology
     /// version.
     pub fn link_delay(&self, l: LinkId) -> f64 {
-        match &self.churn {
-            Some(cs) => cs.link_eff_delay[l.0],
-            None => self.config.topology.link(l).delay,
-        }
+        self.substrate.link_delay[l.0]
     }
 
     /// Whether node `v` is currently up (always true without churn).
     pub fn is_node_up(&self, v: NodeId) -> bool {
-        self.churn.as_ref().is_none_or(|cs| cs.node_up[v.0])
+        self.substrate.node_up[v.0]
     }
 
     /// Whether link `l` is currently up (always true without churn).
     pub fn is_link_up(&self, l: LinkId) -> bool {
-        self.churn.as_ref().is_none_or(|cs| cs.link_up[l.0])
+        self.substrate.link_up[l.0]
     }
 
     /// Substrate topology version: the number of churn actions applied so
@@ -361,19 +268,12 @@ impl Simulation {
     /// recomputed only when this changes through a routing-affecting
     /// action — consumers may cache per version.
     pub fn topo_version(&self) -> u64 {
-        self.churn.as_ref().map_or(0, |cs| cs.stats.events_applied)
+        self.substrate.version
     }
 
     /// Churn counters, `None` when no churn timeline is installed.
     pub fn churn_stats(&self) -> Option<&ChurnStats> {
-        self.churn.as_ref().map(|cs| &cs.stats)
-    }
-
-    /// Success ratio over the most recent terminations (a sliding window)
-    /// while churn is active; `None` without churn or before any flow
-    /// terminated.
-    pub fn windowed_success_ratio(&self) -> Option<f64> {
-        self.churn.as_ref().and_then(|cs| cs.window.success_ratio())
+        self.churn.as_ref().map(|run| &run.stats)
     }
 
     /// Dense index of `(v, c)` in the NodeId-major instance table.
@@ -405,7 +305,7 @@ impl Simulation {
                 return self.flows.get(key.0);
             }
         }
-        self.flows.iter().find(|fl| fl.id == f)
+        self.flows.iter().map(|(_, fl)| fl).find(|fl| fl.id == f)
     }
 
     /// Number of flows currently in the network.
@@ -438,25 +338,6 @@ impl Simulation {
     /// Metrics collected so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Whether the episode reached its horizon (no further decisions).
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Number of internally scheduled future events (diagnostics; useful
-    /// when benchmarking simulator throughput).
-    pub fn queued_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Removes and returns all events emitted since the last drain.
-    ///
-    /// Allocates a fresh `Vec` per call; steady-state loops should prefer
-    /// [`Simulation::drain_events_into`], which recycles one buffer.
-    pub fn drain_events(&mut self) -> Vec<SimEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// Moves all events emitted since the last drain into `out`
@@ -599,10 +480,11 @@ impl Simulation {
         let Some(stream) = self.obs_stream else {
             return;
         };
+        let sub = &self.substrate;
         let (node_util_mean, node_util_max) =
-            Self::utilization(&self.node_used, self.config.topology.node_capacities());
+            Self::utilization(&sub.node_used, sub.node_cap.iter().copied());
         let (link_util_mean, link_util_max) =
-            Self::utilization(&self.link_used, self.config.topology.link_capacities());
+            Self::utilization(&sub.link_used, sub.link_cap.iter().copied());
         let m = &self.metrics;
         dosco_obs::registry::count(dosco_obs::CounterKind::DecisionSamples, 1);
         if let Some(r) = m.success_ratio_opt() {
@@ -699,17 +581,14 @@ impl Simulation {
                 amount,
                 epoch,
             } => {
-                if self
-                    .churn
-                    .as_ref()
-                    .is_some_and(|cs| cs.node_epoch[node.0] != epoch)
-                {
+                if self.substrate.node_epoch[node.0] != epoch {
                     // The node failed after this reservation was made: its
                     // usage was reclaimed wholesale with the failure and
                     // the instance is gone, so the release is stale.
                     return None;
                 }
-                self.node_used[node.0] = (self.node_used[node.0] - amount).max(0.0);
+                let used = &mut self.substrate.node_used[node.0];
+                *used = (*used - amount).max(0.0);
                 let idx = self.inst_idx(node, component);
                 let went_idle = self.instances[idx].as_mut().is_some_and(|inst| {
                     inst.active = inst.active.saturating_sub(1);
@@ -733,14 +612,11 @@ impl Simulation {
                 None
             }
             QueuedEvent::ReleaseLink { link, amount, epoch } => {
-                if self
-                    .churn
-                    .as_ref()
-                    .is_some_and(|cs| cs.link_epoch[link.0] != epoch)
-                {
+                if self.substrate.link_epoch[link.0] != epoch {
                     return None; // stale: the link failed in between
                 }
-                self.link_used[link.0] = (self.link_used[link.0] - amount).max(0.0);
+                let used = &mut self.substrate.link_used[link.0];
+                *used = (*used - amount).max(0.0);
                 None
             }
             QueuedEvent::InstanceTimeout { node, component } => {
@@ -765,149 +641,44 @@ impl Simulation {
                 }
                 None
             }
-            QueuedEvent::Churn { idx } => {
-                self.apply_churn(idx);
+            QueuedEvent::Churn { action } => {
+                self.apply_churn(action);
                 None
             }
         }
     }
 
-    /// Applies the `idx`-th churn timeline entry. Runs between decisions
-    /// (the queue only surfaces churn from [`Simulation::handle`], where
-    /// no decision is pending), so victims are dropped atomically with
-    /// the substrate mutation.
-    fn apply_churn(&mut self, idx: usize) {
-        let action = {
-            let cs = self.churn.as_ref().expect("churn event requires churn state");
-            cs.timeline.entries()[idx].1
-        };
-        match action {
-            ChurnAction::LinkDown(l) => {
-                let cs = self.churn.as_mut().expect("churn state");
-                cs.stats.link_downs += 1;
-                cs.link_up[l.0] = false;
-                cs.link_eff_cap[l.0] = 0.0;
-                if cs.timeline.transit() == TransitPolicy::Drop {
-                    // Reservations on the link die with it: bump the epoch
-                    // so queued releases are recognized as stale, reclaim
-                    // the usage wholesale, and kill in-transit flows in
-                    // FlowId (arrival) order.
-                    cs.link_epoch[l.0] += 1;
-                    let victims: Vec<(FlowKey, NodeId)> = cs
-                        .places
-                        .values()
-                        .filter(|(_, place)| place.on_link(l))
-                        .map(|&(key, place)| match place {
-                            FlowPlace::OnLink { to, .. } => (key, to),
-                            _ => unreachable!("on_link filtered"),
-                        })
-                        .collect();
-                    self.link_used[l.0] = 0.0;
-                    for (key, to) in victims {
-                        self.drop_flow(key, DropReason::LinkFailure, to);
-                    }
-                }
-            }
-            ChurnAction::LinkUp(l) => {
-                let cs = self.churn.as_mut().expect("churn state");
-                cs.stats.link_ups += 1;
-                cs.link_up[l.0] = true;
-                cs.link_degrade[l.0] = 1.0;
-                cs.link_eff_cap[l.0] = cs.link_base[l.0];
-                cs.link_eff_delay[l.0] = cs.delay_base[l.0];
+    /// Applies one churn action. Runs between decisions (the queue only
+    /// surfaces churn from [`Simulation::handle`], where no decision is
+    /// pending), so victims are dropped atomically with the substrate
+    /// mutation.
+    fn apply_churn(&mut self, action: ChurnAction) {
+        self.substrate.apply(&self.config.topology, action);
+        let instances_lost = match action {
+            ChurnAction::LinkDown(l) if self.substrate.transit == TransitPolicy::Drop => {
+                self.kill_flows(DropReason::LinkFailure, |f| f.in_transit_on(l));
+                0
             }
             ChurnAction::NodeDown(v) => {
-                let cs = self.churn.as_mut().expect("churn state");
-                cs.stats.node_downs += 1;
-                cs.node_up[v.0] = false;
-                cs.node_eff_cap[v.0] = 0.0;
-                cs.node_epoch[v.0] += 1;
-                let victims: Vec<FlowKey> = cs
-                    .places
-                    .values()
-                    .filter(|(_, place)| place.on_node(v))
-                    .map(|&(key, _)| key)
-                    .collect();
-                self.node_used[v.0] = 0.0;
-                for key in victims {
-                    self.drop_flow(key, DropReason::NodeFailure, v);
-                }
-                // Instances die with the node; their reserved capacity was
-                // reclaimed above. They count as stopped so the instance
-                // conservation (started == stopped + live) holds through
-                // the fault; the node comes back empty on repair.
-                let mut lost = 0u64;
-                for c in 0..self.num_components {
-                    let idx = self.inst_idx(v, ComponentId(c));
-                    if let Some(inst) = self.instances[idx].take() {
-                        if let Some(probe) = inst.timeout {
-                            self.queue.cancel(probe);
-                        }
-                        self.num_instances -= 1;
-                        self.metrics.instances_stopped += 1;
-                        lost += 1;
-                        self.events.push(SimEvent::InstanceStopped {
-                            node: v,
-                            component: ComponentId(c),
-                            time: self.time,
-                        });
-                    }
-                }
-                if lost > 0 {
-                    let cs = self.churn.as_mut().expect("churn state");
-                    cs.stats.instances_lost += lost;
-                    dosco_obs::registry::count(dosco_obs::CounterKind::ChurnInstancesLost, lost);
-                }
+                self.kill_flows(DropReason::NodeFailure, |f| {
+                    f.location == v && f.in_transit.is_none()
+                });
+                self.lose_instances(v)
             }
-            ChurnAction::NodeUp(v) => {
-                let cs = self.churn.as_mut().expect("churn state");
-                cs.stats.node_ups += 1;
-                cs.node_up[v.0] = true;
-                cs.node_degrade[v.0] = 1.0;
-                cs.node_eff_cap[v.0] = cs.node_base[v.0];
-            }
-            ChurnAction::DegradeLinkCapacity { link, factor } => {
-                let cs = self.churn.as_mut().expect("churn state");
-                cs.stats.degrades += 1;
-                cs.link_degrade[link.0] = factor;
-                if cs.link_up[link.0] {
-                    cs.link_eff_cap[link.0] = cs.link_base[link.0] * factor;
-                }
-            }
-            ChurnAction::DegradeNodeCapacity { node, factor } => {
-                let cs = self.churn.as_mut().expect("churn state");
-                cs.stats.degrades += 1;
-                cs.node_degrade[node.0] = factor;
-                if cs.node_up[node.0] {
-                    cs.node_eff_cap[node.0] = cs.node_base[node.0] * factor;
-                }
-            }
-            ChurnAction::DelaySpike { link, factor } => {
-                let cs = self.churn.as_mut().expect("churn state");
-                cs.stats.delay_spikes += 1;
-                cs.link_eff_delay[link.0] = cs.delay_base[link.0] * factor;
-            }
-        }
+            _ => 0,
+        };
         // Every action bumps the topology version; routing-affecting ones
         // re-run Dijkstra against the current masks and delays. The reward
         // normalizer D_G deliberately keeps the *nominal* diameter so
         // reward scales stay comparable across topology versions.
-        let version = {
-            let cs = self.churn.as_mut().expect("churn state");
-            cs.stats.events_applied += 1;
-            cs.stats.events_applied
-        };
         if action.affects_routing() {
-            let cs = self.churn.as_ref().expect("churn state");
-            self.sp = ShortestPaths::compute_masked(
-                &self.config.topology,
-                &cs.node_up,
-                &cs.link_up,
-                &cs.link_eff_delay,
-            );
-            self.churn.as_mut().expect("churn state").stats.sp_recomputes += 1;
+            self.sp = self.substrate.shortest_paths(&self.config.topology);
             dosco_obs::registry::count(dosco_obs::CounterKind::ChurnSpRecomputes, 1);
         }
+        if let Some(run) = &mut self.churn {
+            run.stats.record(action, instances_lost);
+        }
+        let version = self.substrate.version;
         self.events.push(SimEvent::ChurnApplied {
             action,
             topo_version: version,
@@ -924,6 +695,49 @@ impl Simulation {
                 topo_version: version,
             });
         }
+    }
+
+    /// Drops every live flow that is `doomed`, in [`FlowId`] (arrival)
+    /// order — deterministic regardless of slab slot recycling.
+    fn kill_flows(&mut self, reason: DropReason, doomed: impl Fn(&Flow) -> bool) {
+        let mut victims: Vec<(FlowId, FlowKey, NodeId)> = self
+            .flows
+            .iter()
+            .filter(|(_, f)| doomed(f))
+            .map(|(key, f)| (f.id, FlowKey(key), f.location))
+            .collect();
+        victims.sort_unstable_by_key(|&(id, ..)| id);
+        for (_, key, node) in victims {
+            self.drop_flow(key, reason, node);
+        }
+    }
+
+    /// Instances die with their node `v`; their reserved capacity was
+    /// reclaimed with the failure. They count as stopped so the instance
+    /// conservation (started == stopped + live) holds through the fault;
+    /// the node comes back empty on repair. Returns how many were lost.
+    fn lose_instances(&mut self, v: NodeId) -> u64 {
+        let mut lost = 0;
+        for c in (0..self.num_components).map(ComponentId) {
+            let idx = self.inst_idx(v, c);
+            if let Some(inst) = self.instances[idx].take() {
+                if let Some(probe) = inst.timeout {
+                    self.queue.cancel(probe);
+                }
+                self.num_instances -= 1;
+                self.metrics.instances_stopped += 1;
+                lost += 1;
+                self.events.push(SimEvent::InstanceStopped {
+                    node: v,
+                    component: c,
+                    time: self.time,
+                });
+            }
+        }
+        if lost > 0 {
+            dosco_obs::registry::count(dosco_obs::CounterKind::ChurnInstancesLost, lost);
+        }
+        lost
     }
 
     fn spawn_flow(&mut self, ingress_idx: usize) {
@@ -944,11 +758,9 @@ impl Simulation {
             chain_pos: 0,
             chain_len,
             location: spec.node,
+            in_transit: None,
         };
         let key = FlowKey(self.flows.insert(flow));
-        if let Some(cs) = &mut self.churn {
-            cs.places.insert(id, (key, FlowPlace::AtNode(node)));
-        }
         self.metrics.arrived += 1;
         self.events.push(SimEvent::FlowArrived {
             flow: id,
@@ -959,25 +771,21 @@ impl Simulation {
     }
 
     fn handle_decision(&mut self, key: FlowKey) -> Option<DecisionPoint> {
-        let Some(f) = self.flows.get(key.0) else {
+        let Some(f) = self.flows.get_mut(key.0) else {
             return None; // flow already terminated (defensive)
         };
+        f.in_transit = None; // the head is at `location` now
         let id = f.id;
         let node = f.location;
         let expired = f.expired(self.time);
         let done_at_egress = f.fully_processed() && node == f.egress;
         let (service, chain_pos) = (f.service, f.chain_pos);
-        if self.churn.as_ref().is_some_and(|cs| !cs.node_up[node.0]) {
+        if !self.substrate.node_up[node.0] {
             // The head reached a node that is down (forwarded while the
             // link was still alive, or spawned at a dead ingress): it
             // dies on arrival.
             self.drop_flow(key, DropReason::NodeFailure, node);
             return None;
-        }
-        if let Some(cs) = &mut self.churn {
-            if let Some(entry) = cs.places.get_mut(&id) {
-                entry.1 = FlowPlace::AtNode(node);
-            }
         }
         if expired {
             self.drop_flow(key, DropReason::DeadlineExpired, node);
@@ -1008,11 +816,15 @@ impl Simulation {
             e2e_delay: e2e,
             node,
         });
-        if let Some(cs) = &mut self.churn {
-            cs.places.remove(&f.id);
-            cs.window
-                .observe(self.events.last().expect("completion event just pushed"));
-            if let Some(r) = cs.window.success_ratio() {
+        self.window_termination();
+    }
+
+    /// Feeds the termination event just pushed to the churn window.
+    fn window_termination(&mut self) {
+        if let Some(run) = &mut self.churn {
+            run.window
+                .observe(self.events.last().expect("termination event just pushed"));
+            if let Some(r) = run.window.success_ratio() {
                 dosco_obs::registry::set_gauge(dosco_obs::GaugeKind::WindowedSuccessRatio, r);
             }
         }
@@ -1027,19 +839,14 @@ impl Simulation {
             reason,
             node,
         });
-        if let Some(cs) = &mut self.churn {
-            cs.places.remove(&f.id);
+        if let Some(run) = &mut self.churn {
             match reason {
-                DropReason::LinkFailure => cs.stats.flows_killed_link += 1,
-                DropReason::NodeFailure => cs.stats.flows_killed_node += 1,
+                DropReason::LinkFailure => run.stats.flows_killed_link += 1,
+                DropReason::NodeFailure => run.stats.flows_killed_node += 1,
                 _ => {}
             }
-            cs.window
-                .observe(self.events.last().expect("drop event just pushed"));
-            if let Some(r) = cs.window.success_ratio() {
-                dosco_obs::registry::set_gauge(dosco_obs::GaugeKind::WindowedSuccessRatio, r);
-            }
         }
+        self.window_termination();
         // The drop-cause series feeds the ops /metrics surface; gated so
         // the tracing-off, churn-off hot path stays untouched.
         if self.obs_stream.is_some() || self.churn.is_some() {
@@ -1085,7 +892,7 @@ impl Simulation {
         let comp = self.config.catalog.component(component);
         let demand = comp.resources(f.rate);
         let capacity = self.node_capacity(dp.node);
-        if self.node_used[dp.node.0] + demand > capacity + CAP_EPS {
+        if self.node_used(dp.node) + demand > capacity + CAP_EPS {
             self.drop_flow(key, DropReason::NodeCapacity, dp.node);
             return;
         }
@@ -1115,12 +922,7 @@ impl Simulation {
         };
         let start = self.time.max(available_at);
         let done = start + comp.processing_delay;
-        self.node_used[dp.node.0] += demand;
-        if let Some(cs) = &mut self.churn {
-            if let Some(entry) = cs.places.get_mut(&dp.flow) {
-                entry.1 = FlowPlace::Processing(dp.node);
-            }
-        }
+        self.substrate.node_used[dp.node.0] += demand;
         let inst = self.instances[idx].as_mut().expect("instance just ensured");
         inst.active += 1;
         // The instance is busy again: its outstanding idle-timeout probe
@@ -1143,14 +945,13 @@ impl Simulation {
         // flow duration δ_f starting at processing start; the processing
         // delay d_c shifts the flow in time but does not multiply the
         // rate-based occupancy.
-        let epoch = self.churn.as_ref().map_or(0, |cs| cs.node_epoch[dp.node.0]);
         self.queue.push(
             start + duration,
             QueuedEvent::ReleaseNode {
                 node: dp.node,
                 component,
                 amount: demand,
-                epoch,
+                epoch: self.substrate.node_epoch[dp.node.0],
             },
         );
     }
@@ -1163,32 +964,26 @@ impl Simulation {
             self.drop_flow(key, DropReason::InvalidAction, dp.node);
             return;
         };
-        if self.churn.as_ref().is_some_and(|cs| !cs.link_up[link.0]) {
+        if !self.substrate.link_up[link.0] {
             // The chosen link is down: the forward fails on the spot.
             self.drop_flow(key, DropReason::LinkFailure, dp.node);
             return;
         }
+        let (delay, capacity) = (self.link_delay(link), self.link_capacity(link));
+        let used = self.link_used(link);
         let f = self
             .flows
-            .get(key.0)
+            .get_mut(key.0)
             .expect("pending decision refers to a live flow");
         let rate = f.rate;
         let duration = f.duration;
-        let (delay, capacity) = (self.link_delay(link), self.link_capacity(link));
-        if self.link_used[link.0] + rate > capacity + CAP_EPS {
+        if used + rate > capacity + CAP_EPS {
             self.drop_flow(key, DropReason::LinkCapacity, dp.node);
             return;
         }
-        self.flows
-            .get_mut(key.0)
-            .expect("pending decision refers to a live flow")
-            .location = to;
-        if let Some(cs) = &mut self.churn {
-            if let Some(entry) = cs.places.get_mut(&dp.flow) {
-                entry.1 = FlowPlace::OnLink { link, to };
-            }
-        }
-        self.link_used[link.0] += rate;
+        f.location = to;
+        f.in_transit = Some(u32::try_from(link.0).expect("link ids fit in u32"));
+        self.substrate.link_used[link.0] += rate;
         self.metrics.forwards += 1;
         self.events.push(SimEvent::Forwarded {
             flow: dp.flow,
@@ -1200,13 +995,12 @@ impl Simulation {
         });
         // Rate-based occupancy: the link transmits the flow for δ_f; the
         // propagation delay d_l adds latency but not bandwidth usage.
-        let epoch = self.churn.as_ref().map_or(0, |cs| cs.link_epoch[link.0]);
         self.queue.push(
             self.time + duration,
             QueuedEvent::ReleaseLink {
                 link,
                 amount: rate,
-                epoch,
+                epoch: self.substrate.link_epoch[link.0],
             },
         );
         self.queue
@@ -1510,7 +1304,7 @@ mod tests {
             sim.apply(a);
         }
         assert_eq!(sim.metrics(), &run_metrics);
-        assert!(sim.is_finished());
+        assert_eq!(sim.next_decision(), None, "the horizon is final");
     }
 
     #[test]
@@ -1564,8 +1358,7 @@ mod tests {
         assert_eq!(completed, 9); // the t=100 arrival is in flight
         assert_eq!(traversed, 9); // one component each
         assert_eq!(forwarded, 18); // two hops each
-        // Second drain yields nothing.
-        assert!(sim.drain_events().is_empty());
+        assert!(sim.events.is_empty(), "`run` drained everything");
     }
 
     #[test]
@@ -1693,7 +1486,8 @@ mod tests {
         assert_eq!(m.completed, 1);
         assert!(sim.is_node_up(NodeId(0)));
         assert_eq!(sim.node_capacity(NodeId(0)), 10.0, "nominal restored");
-        assert_eq!(sim.windowed_success_ratio(), Some(0.5));
+        let window = &sim.churn.as_ref().expect("timeline installed").window;
+        assert_eq!(window.success_ratio(), Some(0.5));
     }
 
     #[test]

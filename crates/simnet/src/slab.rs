@@ -158,9 +158,17 @@ impl<T> Slab<T> {
         Some(value)
     }
 
-    /// Iterates over live values in slot order (diagnostics; O(capacity)).
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().filter_map(|s| s.value.as_ref())
+    /// Iterates over live values and their keys in slot order
+    /// (O(capacity)).
+    pub fn iter(&self) -> impl Iterator<Item = (SlotKey, &T)> {
+        self.slots.iter().enumerate().filter_map(|(i, s)| {
+            let value = s.value.as_ref()?;
+            let key = SlotKey {
+                index: i as u32, // `insert` keeps every index within u32
+                generation: s.generation,
+            };
+            Some((key, value))
+        })
     }
 }
 
@@ -221,14 +229,14 @@ mod tests {
     }
 
     #[test]
-    fn iter_yields_live_values_in_slot_order() {
+    fn iter_yields_live_values_with_their_keys_in_slot_order() {
         let mut slab = Slab::new();
         let a = slab.insert(1);
-        let _b = slab.insert(2);
-        let _c = slab.insert(3);
+        let b = slab.insert(2);
+        let c = slab.insert(3);
         slab.remove(a);
-        let live: Vec<i32> = slab.iter().copied().collect();
-        assert_eq!(live, vec![2, 3]);
+        let live: Vec<(SlotKey, i32)> = slab.iter().map(|(k, v)| (k, *v)).collect();
+        assert_eq!(live, vec![(b, 2), (c, 3)]);
     }
 
     #[test]

@@ -90,6 +90,7 @@ proptest! {
         let mut rc = RandomCoordinator::new(policy_seed);
         let mut terminal = std::collections::HashMap::new();
         let mut deadline = 0.0;
+        let mut events = Vec::new();
         while let Some(dp) = sim.next_decision() {
             deadline = sim
                 .flow(dp.flow)
@@ -97,7 +98,8 @@ proptest! {
                 .unwrap_or(deadline);
             let a = rc.decide(&sim, &dp);
             sim.apply(a);
-            for ev in sim.drain_events() {
+            sim.drain_events_into(&mut events);
+            for ev in events.drain(..) {
                 match ev {
                     SimEvent::FlowCompleted { flow, e2e_delay, .. } => {
                         prop_assert!(terminal.insert(flow, "done").is_none());

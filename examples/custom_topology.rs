@@ -96,8 +96,10 @@ fn main() {
     let mut sim = Simulation::new(scenario, 11);
     let mut gcasp = Gcasp::new();
     let mut printed = 0;
+    let mut events = Vec::new();
     loop {
-        for ev in sim.drain_events() {
+        sim.drain_events_into(&mut events);
+        for ev in events.drain(..) {
             if printed < 25 {
                 match ev {
                     SimEvent::FlowArrived { flow, node, time } => {

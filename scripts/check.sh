@@ -36,4 +36,7 @@ echo "== benchmark package: contract tests =="
 echo "== benchmark smoke (1 s of decide-abilene, in-run checks on) =="
 bash benchmark/run.sh --workload decide-abilene --seconds 1
 
+echo "== benchmark smoke (1 s of sim-grid-churn: conservation, every churn event applied) =="
+bash benchmark/run.sh --workload sim-grid-churn --seconds 1
+
 echo "All checks passed."

@@ -43,10 +43,12 @@ proptest! {
         let diameter = sim.diameter();
         let policy = random_policy(3, policy_seed);
         let adapter = ObservationAdapter::new(3);
+        let mut events = Vec::new();
         while let Some(dp) = sim.next_decision() {
             let obs = adapter.observe(&sim, &dp);
             sim.apply(Action::from_index(policy.act(&obs)));
-            for ev in sim.drain_events() {
+            sim.drain_events_into(&mut events);
+            for ev in events.drain(..) {
                 let r = reward.event_reward(&ev, diameter);
                 prop_assert!((-10.0..=10.0).contains(&r), "{ev:?} -> {r}");
                 if matches!(ev, SimEvent::Forwarded { .. } | SimEvent::Held { .. }) {

@@ -7,6 +7,12 @@
 //! the same seed must yield the exact same [`Metrics`] and the identical
 //! `SimEvent` stream, event for event, byte for byte.
 //!
+//! `tests/goldens/churn.json` pins the same for the substrate-churn path:
+//! it was captured at `2489780`, while the simulator still kept churn as
+//! an `Option<Box<ChurnState>>` fork with a `places` map, and the
+//! single-substrate engine must reproduce it exactly, [`ChurnStats`]
+//! included.
+//!
 //! Regenerate (only when a behavior change is *intended* and documented):
 //!
 //! ```text
@@ -16,10 +22,16 @@
 use dosco::baselines::{Gcasp, ShortestPath};
 use dosco::core::policy::fnv1a64;
 use dosco::simnet::coordinator::RandomCoordinator;
-use dosco::simnet::{Coordinator, Metrics, ScenarioConfig, SimEvent, Simulation};
+use dosco::simnet::{
+    ChurnAction, ChurnStats, ChurnTimeline, Coordinator, Metrics, ScenarioConfig, SimEvent,
+    Simulation, TransitPolicy,
+};
+use dosco::topology::zoo::ABILENE_EGRESS;
+use dosco::topology::{LinkId, NodeId};
 use dosco::traffic::ArrivalPattern;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 #[derive(Debug, Serialize, Deserialize, PartialEq)]
 struct GoldenCase {
@@ -42,14 +54,32 @@ struct Goldens {
     cases: Vec<GoldenCase>,
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/simcore.json")
+/// A [`GoldenCase`] run under a churn timeline, plus its exact counters.
+#[derive(Debug, Serialize, Deserialize, PartialEq)]
+struct ChurnCase {
+    run: GoldenCase,
+    churn: ChurnStats,
+}
+
+#[derive(Debug, Serialize, Deserialize, PartialEq)]
+struct ChurnGoldens {
+    version: u32,
+    cases: Vec<ChurnCase>,
+}
+
+fn golden_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/goldens")
+        .join(file)
+}
+
+fn run_case(name: &str, cfg: ScenarioConfig, seed: u64, c: &mut dyn Coordinator) -> GoldenCase {
+    run_sim(name, &mut Simulation::new(cfg, seed), seed, c)
 }
 
 /// Runs one episode step-wise, hashing the full event stream as it is
 /// drained (the streaming path the refactor must keep byte-compatible).
-fn run_case(name: &str, cfg: ScenarioConfig, seed: u64, c: &mut dyn Coordinator) -> GoldenCase {
-    let mut sim = Simulation::new(cfg, seed);
+fn run_sim(name: &str, sim: &mut Simulation, seed: u64, c: &mut dyn Coordinator) -> GoldenCase {
     let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
     let mut count = 0u64;
     let absorb = |events: &[SimEvent], hash: &mut u64, count: &mut u64| {
@@ -60,16 +90,17 @@ fn run_case(name: &str, cfg: ScenarioConfig, seed: u64, c: &mut dyn Coordinator)
             *count += 1;
         }
     };
+    let mut events = Vec::new();
     loop {
-        let events = sim.drain_events();
+        sim.drain_events_into(&mut events);
         absorb(&events, &mut hash, &mut count);
         let Some(dp) = sim.next_decision() else {
             break;
         };
-        let a = c.decide(&sim, &dp);
+        let a = c.decide(sim, &dp);
         sim.apply(a);
     }
-    let events = sim.drain_events();
+    sim.drain_events_into(&mut events);
     absorb(&events, &mut hash, &mut count);
     GoldenCase {
         name: name.to_string(),
@@ -155,6 +186,71 @@ fn capture() -> Goldens {
     Goldens { version: 1, cases }
 }
 
+/// A timeline exercising every [`ChurnAction`]: failures that catch flows
+/// in transit and mid-processing, a degrade issued while its link is down
+/// (the repair must restore nominal), two faults at one timestamp, factor
+/// 0.0 and restoring factor 1.0, and an entry beyond the horizon (never
+/// applied).
+fn churn_timeline(transit: TransitPolicy) -> ChurnTimeline {
+    let (ind_chi, chi_ny, atl_wash, ny_wash) = (LinkId(9), LinkId(11), LinkId(12), LinkId(13));
+    let (chicago, indianapolis, newyork) = (NodeId(0), NodeId(1), NodeId(2));
+    let spike = |link, factor| ChurnAction::DelaySpike { link, factor };
+    let degrade_link = |link, factor| ChurnAction::DegradeLinkCapacity { link, factor };
+    let degrade_node = |node, factor| ChurnAction::DegradeNodeCapacity { node, factor };
+    ChurnTimeline::new(vec![
+        // Slow links hold several flows in transit when they are cut: ×8
+        // keeps NewYork-Washington the shortest path, ×40 only catches
+        // coordinators that ignore delay.
+        (200.0, spike(ny_wash, 8.0)),
+        (250.0, spike(ind_chi, 40.0)),
+        (300.0, ChurnAction::LinkDown(ny_wash)),
+        (300.0, ChurnAction::LinkDown(ind_chi)),
+        (350.0, degrade_link(ny_wash, 0.5)),
+        (400.0, ChurnAction::LinkUp(ind_chi)),
+        (450.0, degrade_node(indianapolis, 0.5)),
+        (600.0, ChurnAction::NodeDown(chicago)),
+        (700.0, ChurnAction::LinkUp(ny_wash)),
+        (800.0, spike(chi_ny, 3.0)),
+        (900.0, ChurnAction::NodeUp(chicago)),
+        (1_000.0, ChurnAction::LinkDown(chi_ny)),
+        (1_000.0, ChurnAction::NodeDown(ABILENE_EGRESS)),
+        (1_100.0, degrade_link(atl_wash, 0.25)),
+        (1_200.0, ChurnAction::NodeUp(ABILENE_EGRESS)),
+        (1_200.0, ChurnAction::LinkUp(chi_ny)),
+        (1_400.0, degrade_node(indianapolis, 0.0)),
+        (1_500.0, spike(ny_wash, 1.0)),
+        (1_600.0, degrade_node(indianapolis, 1.0)),
+        (1_600.0, degrade_link(atl_wash, 1.0)),
+        (1_700.0, ChurnAction::NodeDown(newyork)),
+        (1_800.0, ChurnAction::NodeUp(newyork)),
+        (2_500.0, ChurnAction::LinkDown(atl_wash)),
+    ])
+    .with_transit(transit)
+}
+
+fn capture_churn() -> ChurnGoldens {
+    let cfg = ScenarioConfig::paper_base(5)
+        .with_pattern(ArrivalPattern::paper_poisson())
+        .with_horizon(2_000.0);
+    let mut cases = Vec::new();
+    for (policy, transit) in [
+        ("drop", TransitPolicy::Drop),
+        ("deliver", TransitPolicy::Deliver),
+    ] {
+        let coordinators: [(&str, Box<dyn Coordinator>); 2] = [
+            ("sp", Box::new(ShortestPath::new())),
+            ("random", Box::new(RandomCoordinator::new(13))),
+        ];
+        for (label, mut c) in coordinators {
+            let mut sim = Simulation::with_churn(cfg.clone(), 70, churn_timeline(transit));
+            let run = run_sim(&format!("churn-{policy}-{label}"), &mut sim, 70, c.as_mut());
+            let churn = *sim.churn_stats().expect("timeline installed");
+            cases.push(ChurnCase { run, churn });
+        }
+    }
+    ChurnGoldens { version: 1, cases }
+}
+
 /// `fnv1a64` (the one-shot helper) and the resumable [`fnv_step`] agree,
 /// so the golden hashes are reproducible from a collected stream too.
 #[test]
@@ -163,34 +259,62 @@ fn fnv_step_matches_one_shot() {
     assert_eq!(fnv_step(0xcbf2_9ce4_8422_2325, data), fnv1a64(data));
 }
 
-#[test]
-fn simcore_matches_pre_refactor_goldens() {
-    let path = golden_path();
-    let fresh = capture();
+/// Serializes the two golden tests: the simcore capture installs the
+/// process-wide trace recorder for one case, and any simulation running
+/// concurrently would write into it.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// Compares `fresh` with the pinned `file`, or (re)writes `file` under
+/// `DOSCO_CAPTURE_GOLDENS`. Returns the pinned goldens when comparing.
+fn pinned_or_capture<G: Serialize + Deserialize>(file: &str, fresh: &G) -> Option<G> {
+    let path = golden_path(file);
     if std::env::var("DOSCO_CAPTURE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("mkdir goldens");
-        let json = serde_json::to_string_pretty(&fresh).expect("serialize goldens");
+        let json = serde_json::to_string_pretty(fresh).expect("serialize goldens");
         std::fs::write(&path, json).expect("write goldens");
-        eprintln!("captured {} golden cases to {}", fresh.cases.len(), path.display());
-        return;
+        eprintln!("captured goldens to {}", path.display());
+        return None;
     }
     let json = std::fs::read_to_string(&path)
         .expect("goldens missing: run with DOSCO_CAPTURE_GOLDENS=1 first");
-    let pinned: Goldens = serde_json::from_str(&json).expect("parse goldens");
+    Some(serde_json::from_str(&json).expect("parse goldens"))
+}
+
+fn assert_case_eq(p: &GoldenCase, f: &GoldenCase) {
+    assert_eq!(p.name, f.name, "case order changed");
+    assert_eq!(p.metrics, f.metrics, "{}: Metrics diverged", p.name);
+    assert_eq!(p.events, f.events, "{}: event count diverged", p.name);
+    assert_eq!(
+        p.event_hash, f.event_hash,
+        "{}: SimEvent stream diverged",
+        p.name
+    );
+}
+
+#[test]
+fn simcore_matches_pre_refactor_goldens() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let fresh = capture();
+    let Some(pinned) = pinned_or_capture("simcore.json", &fresh) else {
+        return;
+    };
     assert_eq!(pinned.version, 1);
     assert_eq!(pinned.cases.len(), fresh.cases.len(), "case set changed");
     for (p, f) in pinned.cases.iter().zip(&fresh.cases) {
-        assert_eq!(p.name, f.name, "case order changed");
-        assert_eq!(p.metrics, f.metrics, "{}: Metrics diverged", p.name);
-        assert_eq!(
-            p.events, f.events,
-            "{}: event count diverged",
-            p.name
-        );
-        assert_eq!(
-            p.event_hash, f.event_hash,
-            "{}: SimEvent stream diverged",
-            p.name
-        );
+        assert_case_eq(p, f);
+    }
+}
+
+#[test]
+fn churn_matches_pre_refactor_goldens() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let fresh = capture_churn();
+    let Some(pinned) = pinned_or_capture("churn.json", &fresh) else {
+        return;
+    };
+    assert_eq!(pinned.version, 1);
+    assert_eq!(pinned.cases.len(), fresh.cases.len(), "case set changed");
+    for (p, f) in pinned.cases.iter().zip(&fresh.cases) {
+        assert_case_eq(&p.run, &f.run);
+        assert_eq!(p.churn, f.churn, "{}: ChurnStats diverged", p.run.name);
     }
 }
