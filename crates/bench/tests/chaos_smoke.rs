@@ -3,10 +3,11 @@
 //! Drives the 10x10-grid scenario (~10k steady-state concurrent flows)
 //! under a stochastic per-link failure process and asserts that
 //!
-//! - the run finishes inside a bounded wall clock (fault application,
-//!   victim killing, and per-epoch path recomputes stay sub-linear),
-//! - churn really happened (events applied, paths recomputed, flows
-//!   killed), and
+//! - the run costs a bounded multiple of the same episode without the
+//!   timeline (fault application, victim killing and the path rows read
+//!   after each fault stay a small factor, on any host),
+//! - churn really happened (events applied, path table invalidated,
+//!   flows killed), and
 //! - flow conservation holds through every fault and repair: every
 //!   arrived flow either completed, dropped, or is still live at the
 //!   horizon.
@@ -16,8 +17,8 @@
 
 use dosco_bench::scenarios::churn_scenario;
 use dosco_chaos::{ChurnSchedule, StochasticChurn};
-use dosco_simnet::Simulation;
-use std::time::Instant;
+use dosco_simnet::{ChurnTimeline, Simulation};
+use std::time::{Duration, Instant};
 
 #[test]
 #[ignore = "release-mode smoke gate; run via scripts/check.sh"]
@@ -29,10 +30,24 @@ fn substrate_churn_smoke_is_bounded_and_conserves_flows() {
         .compile(&cfg.topology, cfg.horizon, 3)
         .expect("valid schedule");
 
-    let t = Instant::now();
-    let mut sim = Simulation::with_churn(cfg, 7, timeline);
-    sim.run(&mut dosco_baselines::ShortestPath::new());
-    let elapsed = t.elapsed();
+    // One SP episode under `timeline`, and its wall time.
+    let episode = |timeline: &ChurnTimeline| {
+        let t = Instant::now();
+        let mut sim = Simulation::with_churn(cfg.clone(), 7, timeline.clone());
+        sim.run(&mut dosco_baselines::ShortestPath::new());
+        (t.elapsed(), sim)
+    };
+    // Best of three per side, alternating, so a noisy neighbour has to
+    // hit every run of one side to move the ratio.
+    let (mut churn, mut still) = (Duration::MAX, Duration::MAX);
+    let mut sim = None;
+    for _ in 0..3 {
+        let (elapsed, churned) = episode(&timeline);
+        churn = churn.min(elapsed);
+        sim = Some(churned);
+        still = still.min(episode(&ChurnTimeline::none()).0);
+    }
+    let sim = sim.expect("three episodes ran");
 
     let m = sim.metrics().clone();
     let stats = *sim.churn_stats().expect("churn was active");
@@ -45,11 +60,13 @@ fn substrate_churn_smoke_is_bounded_and_conserves_flows() {
         m.completed + m.dropped.values().sum::<u64>() + sim.live_flows() as u64,
         "conservation through every fault and repair"
     );
-    // Generous bound (~10x observed): a tripwire for superlinear victim
-    // scans or per-event path recomputes, not a perf SLO.
+    // Invalidate-on-fault measures ~4x here; one all-pairs recompute per
+    // churn event measured 34x. A tripwire for that and for superlinear
+    // victim scans, not a perf SLO.
+    let ratio = churn.as_secs_f64() / still.as_secs_f64();
     assert!(
-        elapsed.as_secs() < 120,
-        "substrate churn smoke took {elapsed:?}; fault application has \
-         regressed superlinearly"
+        ratio < 12.0,
+        "substrate churn smoke took {churn:?}, {ratio:.1}x the {still:?} of the \
+         same episode without churn (must stay < 12x)"
     );
 }

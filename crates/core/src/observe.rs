@@ -110,7 +110,8 @@ impl ObservationAdapter {
         // means forwarding that way cannot succeed anymore.
         let remaining = flow.remaining_time(dp.time);
         // `shortest_paths` and `link_delay` track the current topology
-        // version under substrate churn (recomputed only at churn epochs),
+        // version under substrate churn (invalidated at churn epochs,
+        // recomputed per source on the next read),
         // so the slack below never reads a stale path through a dead link.
         let sp = sim.shortest_paths();
         for &(n, l) in neighbors {

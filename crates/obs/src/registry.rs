@@ -38,7 +38,7 @@ pub enum CounterKind {
     NetSocketStalls,
     /// Substrate churn actions applied by the simulator.
     ChurnEventsApplied,
-    /// Shortest-path recomputations triggered by churn epochs.
+    /// Path-table invalidations by routing-affecting churn actions.
     ChurnSpRecomputes,
     /// Flows killed by link/node failures (substrate churn).
     ChurnFlowsKilled,

@@ -52,8 +52,8 @@ pub enum ChurnAction {
         factor: f64,
     },
     /// Scales the link's effective propagation delay to
-    /// `factor × nominal` (`1.0` restores). Triggers a shortest-path
-    /// recompute: routing baselines and the observation adapter's
+    /// `factor × nominal` (`1.0` restores). Invalidates the shortest-path
+    /// table: routing baselines and the observation adapter's
     /// delays-to-egress see the spiked delay immediately.
     DelaySpike {
         /// The spiked link.
@@ -101,7 +101,7 @@ impl ChurnAction {
     }
 
     /// Whether applying this action can change reachability or path
-    /// delays (and therefore requires a shortest-path recompute).
+    /// delays (and therefore invalidates the shortest-path table).
     /// Capacity-only degradation does not.
     pub fn affects_routing(&self) -> bool {
         !matches!(
@@ -278,9 +278,9 @@ pub struct ChurnStats {
     /// Instances lost with failed nodes (their reserved capacity is
     /// reclaimed atomically with the failure).
     pub instances_lost: u64,
-    /// Shortest-path recomputations triggered by churn epochs. The cache
-    /// contract: this never exceeds the number of routing-affecting churn
-    /// events, regardless of decision count.
+    /// Path-table invalidations: routing-affecting churn events applied,
+    /// regardless of decision count. An invalidation runs no Dijkstra; a
+    /// source's row is recomputed by its first read afterwards.
     pub sp_recomputes: u64,
 }
 

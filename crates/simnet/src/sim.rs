@@ -196,7 +196,7 @@ impl Simulation {
         &self.config.topology
     }
 
-    /// Precomputed all-pairs shortest path delays.
+    /// All-pairs shortest path delays over what is currently up.
     pub fn shortest_paths(&self) -> &ShortestPaths {
         &self.sp
     }
@@ -265,7 +265,7 @@ impl Simulation {
 
     /// Substrate topology version: the number of churn actions applied so
     /// far, 0 forever without churn. [`Simulation::shortest_paths`] is
-    /// recomputed only when this changes through a routing-affecting
+    /// invalidated only when this changes through a routing-affecting
     /// action — consumers may cache per version.
     pub fn topo_version(&self) -> u64 {
         self.substrate.version
@@ -668,11 +668,13 @@ impl Simulation {
             _ => 0,
         };
         // Every action bumps the topology version; routing-affecting ones
-        // re-run Dijkstra against the current masks and delays. The reward
+        // invalidate the path table against the current masks and delays,
+        // and each source's row is recomputed by its next read. The reward
         // normalizer D_G deliberately keeps the *nominal* diameter so
         // reward scales stay comparable across topology versions.
         if action.affects_routing() {
-            self.sp = self.substrate.shortest_paths(&self.config.topology);
+            let Substrate { node_up, link_up, link_delay, .. } = &self.substrate;
+            self.sp.remask(node_up, link_up, link_delay);
             dosco_obs::registry::count(dosco_obs::CounterKind::ChurnSpRecomputes, 1);
         }
         if let Some(run) = &mut self.churn {

@@ -7,7 +7,7 @@
 //! what keeps it bit-identical to the churn-free goldens.
 
 use crate::churn::{ChurnAction, TransitPolicy};
-use dosco_topology::{ShortestPaths, Topology};
+use dosco_topology::Topology;
 
 /// Id-indexed substrate state. The simulator's flow lifecycle reads all of
 /// it and writes only `*_used`; [`Substrate::apply`] is the single writer
@@ -96,10 +96,5 @@ impl Substrate {
             }
         }
         self.version += 1;
-    }
-
-    /// All-pairs shortest paths over what is up, at the effective delays.
-    pub(crate) fn shortest_paths(&self, topo: &Topology) -> ShortestPaths {
-        ShortestPaths::compute_masked(topo, &self.node_up, &self.link_up, &self.link_delay)
     }
 }

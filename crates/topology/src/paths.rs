@@ -3,13 +3,25 @@
 //! The paper assumes a fixed topology and link delays, so shortest-path
 //! delays `d_{v,v',v_eg}` (from `v` via neighbor `v'` to the egress) can be
 //! precomputed and looked up in constant time at runtime (Sec. IV-B1d).
+//!
+//! Under substrate churn the table is kept per source: a fault
+//! [re-masks](ShortestPaths::remask) the link weights and forgets every
+//! row, and a row's Dijkstra runs on its first read afterwards. Rows that
+//! nobody reads between two faults are never computed.
 
 use crate::graph::{LinkId, NodeId, Topology};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
-/// Precomputed all-pairs shortest-path delays (by link propagation delay)
-/// and next-hop tables for a [`Topology`].
+/// All-pairs shortest-path delays (by link propagation delay) and next-hop
+/// tables for a [`Topology`], one row per source node.
+///
+/// [`ShortestPaths::compute`] and [`ShortestPaths::compute_masked`] fill
+/// every row up front; after a [`ShortestPaths::remask`] rows are filled
+/// on first read. Either way a row holds exactly what an eager all-pairs
+/// run over the same weights produces. Two tables are equal when all their
+/// delays and next hops are, whatever graph they came from.
 ///
 /// # Example
 ///
@@ -24,13 +36,32 @@ use std::collections::BinaryHeap;
 /// // Walking the next-hop chain reaches the destination with the same delay.
 /// assert_eq!(sp.path(src, dst).unwrap().last().copied(), Some(dst));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ShortestPaths {
-    n: usize,
-    /// `dist[s * n + t]` = shortest path delay s→t (∞ if unreachable).
+    /// CSR adjacency: `arcs[starts[v]..starts[v + 1]]` are the neighbors of
+    /// `v` with their links, in [`Topology::neighbors`] order.
+    starts: Vec<usize>,
+    arcs: Vec<(NodeId, LinkId)>,
+    /// Effective delay per link: `∞` while the link or either endpoint is
+    /// down, which no relaxation can ever accept.
+    weight: Vec<f64>,
+    /// `rows[s]` is empty until the first read from source `s`.
+    rows: Vec<OnceLock<Row>>,
+}
+
+/// Everything known about shortest paths from one source.
+#[derive(Debug, Clone, PartialEq)]
+struct Row {
+    /// `dist[t]` = shortest path delay to `t` (∞ if unreachable).
     dist: Vec<f64>,
-    /// `next_hop[s * n + t]` = first hop on a shortest path s→t.
+    /// `next_hop[t]` = first hop on a shortest path to `t`.
     next_hop: Vec<Option<NodeId>>,
+}
+
+impl PartialEq for ShortestPaths {
+    fn eq(&self, other: &Self) -> bool {
+        self.all_rows().eq(other.all_rows())
+    }
 }
 
 /// Max-heap entry ordered so the *smallest* distance pops first.
@@ -63,33 +94,9 @@ impl PartialOrd for HeapEntry {
 impl ShortestPaths {
     /// Runs Dijkstra from every node and stores delays plus next hops.
     pub fn compute(topo: &Topology) -> Self {
-        let n = topo.num_nodes();
-        let mut dist = vec![f64::INFINITY; n * n];
-        let mut next_hop: Vec<Option<NodeId>> = vec![None; n * n];
-
-        for s in topo.node_ids() {
-            let row = s.0 * n;
-            dist[row + s.0] = 0.0;
-            let mut heap = BinaryHeap::new();
-            heap.push(HeapEntry { dist: 0.0, node: s });
-            // first[v] = first hop from s towards v (None for s itself).
-            let mut first: Vec<Option<NodeId>> = vec![None; n];
-            while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-                if d > dist[row + v.0] {
-                    continue; // stale entry
-                }
-                for &(w, l) in topo.neighbors(v) {
-                    let nd = d + topo.link(l).delay;
-                    if nd < dist[row + w.0] {
-                        dist[row + w.0] = nd;
-                        first[w.0] = if v == s { Some(w) } else { first[v.0] };
-                        heap.push(HeapEntry { dist: nd, node: w });
-                    }
-                }
-            }
-            next_hop[row..row + n].copy_from_slice(&first);
-        }
-        ShortestPaths { n, dist, next_hop }
+        let sp = Self::unread(topo, topo.links().iter().map(|l| l.delay).collect());
+        sp.all_rows().for_each(drop);
+        sp
     }
 
     /// Like [`ShortestPaths::compute`], but on a *masked* view of the
@@ -115,69 +122,100 @@ impl ShortestPaths {
         link_up: &[bool],
         delays: &[f64],
     ) -> Self {
-        let n = topo.num_nodes();
-        assert!(node_up.len() >= n, "node mask covers every node");
-        assert!(link_up.len() >= topo.num_links(), "link mask covers every link");
-        assert!(delays.len() >= topo.num_links(), "delays cover every link");
-        let mut dist = vec![f64::INFINITY; n * n];
-        let mut next_hop: Vec<Option<NodeId>> = vec![None; n * n];
+        let mut sp = Self::unread(topo, vec![f64::INFINITY; topo.num_links()]);
+        sp.remask(node_up, link_up, delays);
+        sp.all_rows().for_each(drop);
+        sp
+    }
 
-        for s in topo.node_ids() {
-            let row = s.0 * n;
-            dist[row + s.0] = 0.0;
+    /// The table of `topo` under the per-link `weight`, no row filled yet.
+    fn unread(topo: &Topology, weight: Vec<f64>) -> Self {
+        let mut starts = Vec::with_capacity(topo.num_nodes() + 1);
+        let mut arcs = Vec::with_capacity(2 * topo.num_links());
+        for v in topo.node_ids() {
+            starts.push(arcs.len());
+            arcs.extend_from_slice(topo.neighbors(v));
+        }
+        starts.push(arcs.len());
+        ShortestPaths {
+            starts,
+            arcs,
+            weight,
+            rows: vec![OnceLock::new(); topo.num_nodes()],
+        }
+    }
+
+    /// Switches the table to a new masked view of its topology — the
+    /// arguments mean what they mean to [`ShortestPaths::compute_masked`]
+    /// — and forgets every row. Nothing is recomputed here: each row is
+    /// rebuilt by the first [`ShortestPaths::delay`] or
+    /// [`ShortestPaths::next_hop`] that reads it, and equals the row
+    /// `compute_masked` would have produced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a mask or delay slice is shorter than the topology's node
+    /// or link count.
+    pub fn remask(&mut self, node_up: &[bool], link_up: &[bool], delays: &[f64]) {
+        let (n, m) = (self.rows.len(), self.weight.len());
+        assert!(node_up.len() >= n, "node mask covers every node");
+        assert!(link_up.len() >= m, "link mask covers every link");
+        assert!(delays.len() >= m, "delays cover every link");
+        for v in 0..n {
+            for &(w, l) in &self.arcs[self.starts[v]..self.starts[v + 1]] {
+                let usable = link_up[l.0] && node_up[v] && node_up[w.0];
+                self.weight[l.0] = if usable { delays[l.0] } else { f64::INFINITY };
+            }
+        }
+        for row in &mut self.rows {
+            row.take();
+        }
+    }
+
+    /// The row of source `s`, running its Dijkstra if nobody read it since
+    /// the last re-mask.
+    fn row(&self, s: NodeId) -> &Row {
+        self.rows[s.0].get_or_init(|| {
+            let n = self.rows.len();
+            let mut dist = vec![f64::INFINITY; n];
+            // first[v] = first hop from s towards v (None for s itself).
+            let mut first: Vec<Option<NodeId>> = vec![None; n];
+            dist[s.0] = 0.0;
             let mut heap = BinaryHeap::new();
             heap.push(HeapEntry { dist: 0.0, node: s });
-            let mut first: Vec<Option<NodeId>> = vec![None; n];
             while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-                if d > dist[row + v.0] {
+                if d > dist[v.0] {
                     continue; // stale entry
                 }
-                for &(w, l) in topo.neighbors(v) {
-                    if !link_up[l.0] || !node_up[v.0] || !node_up[w.0] {
-                        continue; // masked out by churn
-                    }
-                    let nd = d + delays[l.0];
-                    if nd < dist[row + w.0] {
-                        dist[row + w.0] = nd;
+                for &(w, l) in &self.arcs[self.starts[v.0]..self.starts[v.0 + 1]] {
+                    let nd = d + self.weight[l.0];
+                    if nd < dist[w.0] {
+                        dist[w.0] = nd;
                         first[w.0] = if v == s { Some(w) } else { first[v.0] };
                         heap.push(HeapEntry { dist: nd, node: w });
                     }
                 }
             }
-            next_hop[row..row + n].copy_from_slice(&first);
-        }
-        ShortestPaths { n, dist, next_hop }
+            Row { dist, next_hop: first }
+        })
+    }
+
+    /// Every row in source order, computing the ones not read yet.
+    fn all_rows(&self) -> impl Iterator<Item = &Row> {
+        (0..self.rows.len()).map(|s| self.row(NodeId(s)))
     }
 
     /// Shortest-path delay from `s` to `t` (0 for `s == t`,
     /// `f64::INFINITY` if unreachable).
     pub fn delay(&self, s: NodeId, t: NodeId) -> f64 {
-        self.dist[s.0 * self.n + t.0]
-    }
-
-    /// Shortest-path delay from `v` to `t` whose first hop is the neighbor
-    /// `via`: `d_l(v,via) + delay(via, t)` (Sec. IV-B1d). The caller must
-    /// pass the connecting link's delay; see [`ShortestPaths::delay_via_link`]
-    /// for a topology-aware variant.
-    pub fn delay_via(&self, link_delay: f64, via: NodeId, t: NodeId) -> f64 {
-        link_delay + self.delay(via, t)
-    }
-
-    /// Like [`ShortestPaths::delay_via`], looking up the link delay in `topo`.
-    ///
-    /// Returns `f64::INFINITY` if `via` is not adjacent to `v`.
-    pub fn delay_via_link(&self, topo: &Topology, v: NodeId, via: NodeId, t: NodeId) -> f64 {
-        match topo.link_between(v, via) {
-            Some(l) => topo.link(l).delay + self.delay(via, t),
-            None => f64::INFINITY,
-        }
+        self.row(s).dist[t.0]
     }
 
     /// First hop on a shortest path from `s` to `t`.
     ///
     /// Returns `None` if `s == t` or `t` is unreachable.
     pub fn next_hop(&self, s: NodeId, t: NodeId) -> Option<NodeId> {
-        self.next_hop[s.0 * self.n + t.0]
+        self.row(s).next_hop[t.0]
     }
 
     /// The full node sequence of a shortest path from `s` to `t`, excluding
@@ -196,7 +234,7 @@ impl ShortestPaths {
             let hop = self.next_hop(cur, t)?;
             path.push(hop);
             cur = hop;
-            if path.len() > self.n {
+            if path.len() > self.rows.len() {
                 // Defensive: should be impossible on a consistent table.
                 return None;
             }
@@ -208,25 +246,11 @@ impl ShortestPaths {
     /// shortest-path delay over all node pairs. Used to normalize the
     /// per-hop shaping penalty (Sec. IV-B3).
     pub fn diameter(&self) -> f64 {
-        self.dist
-            .iter()
+        self.all_rows()
+            .flat_map(|row| &row.dist)
             .copied()
             .filter(|d| d.is_finite())
             .fold(0.0, f64::max)
-    }
-
-    /// Links on the shortest path from `s` to `t` (empty for `s == t`).
-    ///
-    /// Returns `None` if `t` is unreachable.
-    pub fn path_links(&self, topo: &Topology, s: NodeId, t: NodeId) -> Option<Vec<LinkId>> {
-        let nodes = self.path(s, t)?;
-        let mut links = Vec::with_capacity(nodes.len());
-        let mut cur = s;
-        for &nxt in &nodes {
-            links.push(topo.link_between(cur, nxt)?);
-            cur = nxt;
-        }
-        Some(links)
     }
 }
 
@@ -289,40 +313,10 @@ mod tests {
     }
 
     #[test]
-    fn delay_via_matches_definition() {
-        let t = detour();
-        let sp = ShortestPaths::compute(&t);
-        // From 0 via neighbor 2 to 2: direct link of delay 5.
-        assert_eq!(sp.delay_via_link(&t, NodeId(0), NodeId(2), NodeId(2)), 5.0);
-        // From 0 via neighbor 1 to 2: 1 + 1.
-        assert_eq!(sp.delay_via_link(&t, NodeId(0), NodeId(1), NodeId(2)), 2.0);
-        // Non-adjacent `via` is infinite.
-        let mut b = TopologyBuilder::new("line");
-        let v0 = b.add_node("a", 1.0);
-        let v1 = b.add_node("b", 1.0);
-        let v2 = b.add_node("c", 1.0);
-        b.add_link(v0, v1, 1.0, 1.0).unwrap();
-        b.add_link(v1, v2, 1.0, 1.0).unwrap();
-        let line = b.build().unwrap();
-        let lp = ShortestPaths::compute(&line);
-        assert!(!lp.delay_via_link(&line, v0, v2, v2).is_finite());
-    }
-
-    #[test]
     fn diameter_of_detour() {
         let t = detour();
         let sp = ShortestPaths::compute(&t);
         assert_eq!(sp.diameter(), 2.0);
-    }
-
-    #[test]
-    fn path_links_cover_path() {
-        let t = detour();
-        let sp = ShortestPaths::compute(&t);
-        let links = sp.path_links(&t, NodeId(0), NodeId(2)).unwrap();
-        assert_eq!(links.len(), 2);
-        let total: f64 = links.iter().map(|&l| t.link(l).delay).sum();
-        assert_eq!(total, sp.delay(NodeId(0), NodeId(2)));
     }
 
     #[test]
@@ -379,6 +373,71 @@ mod tests {
         let sp = ShortestPaths::compute_masked(&t, &[true; 3], &[true; 3], &delays);
         assert_eq!(sp.delay(NodeId(0), NodeId(2)), 5.0);
         assert_eq!(sp.next_hop(NodeId(0), NodeId(2)), Some(NodeId(2)));
+    }
+
+    /// Abilene and its everything-up masks at the nominal delays.
+    fn abilene_masks() -> (Topology, Vec<bool>, Vec<bool>, Vec<f64>) {
+        let t = crate::zoo::abilene();
+        let delays = t.link_ids().map(|l| t.link(l).delay).collect();
+        let (n, m) = (t.num_nodes(), t.num_links());
+        (t, vec![true; n], vec![true; m], delays)
+    }
+
+    /// The sources whose rows are filled.
+    fn filled(sp: &ShortestPaths) -> Vec<usize> {
+        (0..sp.rows.len())
+            .filter(|&s| sp.rows[s].get().is_some())
+            .collect()
+    }
+
+    #[test]
+    fn remask_fills_only_the_rows_that_are_read() {
+        let (t, node_up, mut link_up, delays) = abilene_masks();
+        let mut sp = ShortestPaths::compute(&t);
+        assert_eq!(filled(&sp).len(), t.num_nodes(), "compute is eager");
+        link_up[3] = false;
+        sp.remask(&node_up, &link_up, &delays);
+        assert!(filled(&sp).is_empty());
+        let eager = ShortestPaths::compute_masked(&t, &node_up, &link_up, &delays);
+        for (s, t) in [(NodeId(4), NodeId(9)), (NodeId(7), NodeId(0)), (NodeId(4), NodeId(1))] {
+            assert_eq!(sp.delay(s, t), eager.delay(s, t));
+            assert_eq!(sp.next_hop(s, t), eager.next_hop(s, t));
+        }
+        assert_eq!(filled(&sp), vec![4, 7]);
+    }
+
+    #[test]
+    fn back_to_back_remasks_compute_nothing() {
+        let (t, mut node_up, mut link_up, delays) = abilene_masks();
+        let mut sp = ShortestPaths::compute(&t);
+        link_up[0] = false;
+        sp.remask(&node_up, &link_up, &delays);
+        node_up[5] = false;
+        sp.remask(&node_up, &link_up, &delays);
+        assert!(filled(&sp).is_empty());
+        // The first read sees the second re-mask, not the first.
+        assert!(!sp.delay(NodeId(0), NodeId(5)).is_finite());
+        assert_eq!(filled(&sp), vec![0]);
+    }
+
+    #[test]
+    fn equality_and_diameter_force_every_row() {
+        let (t, node_up, mut link_up, mut delays) = abilene_masks();
+        link_up[2] = false;
+        delays[6] *= 3.0;
+        let eager = ShortestPaths::compute_masked(&t, &node_up, &link_up, &delays);
+        let mut lazy = ShortestPaths::compute(&t);
+        lazy.remask(&node_up, &link_up, &delays);
+        assert_eq!(lazy.diameter(), eager.diameter());
+        assert_eq!(filled(&lazy).len(), t.num_nodes());
+        lazy.remask(&node_up, &link_up, &delays);
+        assert_eq!(lazy, eager);
+        assert_eq!(filled(&lazy).len(), t.num_nodes());
+        // Re-masking back to nominal is a fresh `compute`.
+        let (_, node_up, link_up, delays) = abilene_masks();
+        lazy.remask(&node_up, &link_up, &delays);
+        assert_eq!(lazy, ShortestPaths::compute(&t));
+        assert_ne!(lazy, eager);
     }
 
     #[test]

@@ -3,8 +3,40 @@
 use dosco_topology::generators::{self, DegreeProfile};
 use dosco_topology::paths::ShortestPaths;
 use dosco_topology::stats::DegreeStats;
-use dosco_topology::{LinkId, NodeId, TopologyBuilder};
+use dosco_topology::{LinkId, NodeId, Topology, TopologyBuilder};
 use proptest::prelude::*;
+
+/// Applies one packed churn op to the masks (the vendored proptest has no
+/// tuple strategies): kind, entity index, delay factor.
+fn churn_op(
+    topo: &Topology,
+    op: u64,
+    node_up: &mut [bool],
+    link_up: &mut [bool],
+    delays: &mut [f64],
+) {
+    let (kind, idx, factor) = (op % 4, (op / 4) as usize % 64, 1 + (op / 256) % 5);
+    match kind {
+        0 => {
+            let i = idx % link_up.len();
+            link_up[i] = !link_up[i];
+        }
+        1 => {
+            let i = idx % node_up.len();
+            node_up[i] = !node_up[i];
+        }
+        2 => {
+            let i = idx % delays.len();
+            delays[i] = topo.link(LinkId(i)).delay * factor as f64;
+        }
+        _ => {
+            // Explicit restore: entity up, nominal delay.
+            let i = idx % link_up.len();
+            link_up[i] = true;
+            delays[i] = topo.link(LinkId(i)).delay;
+        }
+    }
+}
 
 proptest! {
     /// Shortest-path delays on any connected random geometric graph satisfy
@@ -113,29 +145,7 @@ proptest! {
         let mut link_up = vec![true; topo.num_links()];
         let mut delays: Vec<f64> = topo.link_ids().map(|l| topo.link(l).delay).collect();
         for &op in &ops {
-            // Decode one packed op (the vendored proptest has no tuple
-            // strategies): kind, entity index, delay factor.
-            let (kind, idx, factor) = (op % 4, (op / 4) as usize % 64, 1 + (op / 256) % 5);
-            match kind {
-                0 => {
-                    let i = idx % link_up.len();
-                    link_up[i] = !link_up[i];
-                }
-                1 => {
-                    let i = idx % node_up.len();
-                    node_up[i] = !node_up[i];
-                }
-                2 => {
-                    let i = idx % delays.len();
-                    delays[i] = topo.link(LinkId(i)).delay * factor as f64;
-                }
-                _ => {
-                    // Explicit restore: entity up, nominal delay.
-                    let i = idx % link_up.len();
-                    link_up[i] = true;
-                    delays[i] = topo.link(LinkId(i)).delay;
-                }
-            }
+            churn_op(&topo, op, &mut node_up, &mut link_up, &mut delays);
         }
         prop_assume!(node_up.iter().any(|&u| u));
         let masked = ShortestPaths::compute_masked(&topo, &node_up, &link_up, &delays);
@@ -184,6 +194,43 @@ proptest! {
                         "pair ({a}, {t}) touches a dead node, got {got}"
                     ),
                 }
+            }
+        }
+    }
+
+    /// Lazy rows: re-masks interleaved with partial reads leave a table
+    /// that answers every pair exactly like an eager `compute_masked` of
+    /// the final masks — whichever rows were read, and so filled, under
+    /// an earlier mask.
+    #[test]
+    fn remasks_and_partial_reads_equal_eager_masked_compute(
+        seed in 0u64..30,
+        n in 5usize..16,
+        ops in proptest::collection::vec(0u64..1_000_000, 0..24),
+    ) {
+        let topo = generators::random_geometric(n, 300.0, 120.0, seed).unwrap();
+        let mut node_up = vec![true; topo.num_nodes()];
+        let mut link_up = vec![true; topo.num_links()];
+        let mut delays: Vec<f64> = topo.link_ids().map(|l| topo.link(l).delay).collect();
+        let mut sp = ShortestPaths::compute(&topo);
+        for &op in &ops {
+            // Two ops in three re-mask, every op then reads 0–2 pairs.
+            if op % 3 != 0 {
+                churn_op(&topo, op / 3, &mut node_up, &mut link_up, &mut delays);
+                sp.remask(&node_up, &link_up, &delays);
+            }
+            for read in 0..(op / 1_000) % 3 {
+                let pair = (op / 7 + 13 * read) as usize;
+                let (s, t) = (NodeId(pair % n), NodeId(pair / n % n));
+                sp.delay(s, t);
+                sp.next_hop(t, s);
+            }
+        }
+        let eager = ShortestPaths::compute_masked(&topo, &node_up, &link_up, &delays);
+        for s in topo.node_ids() {
+            for t in topo.node_ids() {
+                prop_assert_eq!(sp.delay(s, t), eager.delay(s, t), "delay({}, {})", s, t);
+                prop_assert_eq!(sp.next_hop(s, t), eager.next_hop(s, t), "next_hop({}, {})", s, t);
             }
         }
     }
