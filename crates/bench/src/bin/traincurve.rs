@@ -11,7 +11,7 @@ use dosco_rl::env::Env;
 use dosco_rl::ppo::{Ppo, PpoConfig};
 
 enum Agent {
-    Acktr(Acktr),
+    Acktr(Box<Acktr>),
     A2c(A2c),
     Ppo(Ppo),
 }
@@ -77,7 +77,7 @@ fn main() {
         .map(|v| v.parse().expect("--gamma must be a number"))
         .unwrap_or(0.99);
     let mut agent = match algo.as_str() {
-        "acktr" => Agent::Acktr(Acktr::new(
+        "acktr" => Agent::Acktr(Box::new(Acktr::new(
             obs_dim,
             acts,
             AcktrConfig {
@@ -89,7 +89,7 @@ fn main() {
                 ..AcktrConfig::default()
             },
             seed,
-        )),
+        ))),
         "a2c" => Agent::A2c(A2c::new(
             obs_dim,
             acts,

@@ -12,7 +12,7 @@
 
 use crate::linalg::{damped_inverse, symmetrize, LinalgError};
 use crate::matrix::Matrix;
-use crate::mlp::{ForwardCache, Gradients, LayerGrads, Mlp};
+use crate::mlp::{ForwardCache, Gradients, Mlp};
 use crate::par;
 use serde::{Deserialize, Serialize};
 
@@ -57,6 +57,11 @@ struct LayerFactors {
     a_inv: Option<Matrix>,
     g_inv: Option<Matrix>,
     initialized: bool,
+    /// This layer's natural gradient `A⁻¹ ∇ G⁻¹` in the homogeneous
+    /// `(in+1) × out` layout: written by the preconditioning half of
+    /// [`Kfac::step`], applied once the trust-region scale over all
+    /// layers is known.
+    nat: Matrix,
 }
 
 /// K-FAC natural-gradient optimizer state for one [`Mlp`].
@@ -66,11 +71,23 @@ struct LayerFactors {
 ///    per-layer pre-activation gradients (see
 ///    [`crate::dist::Categorical::fisher_sample_logits`] for policy heads),
 /// 2. [`Kfac::step`] with the true loss gradients.
+///
+/// The intermediates of both are as large as a factor (264 KB at the
+/// paper's width), so they live here and are reused by every layer and
+/// every update instead of being allocated per product.
 #[derive(Debug, Clone)]
 pub struct Kfac {
     config: KfacConfig,
     layers: Vec<LayerFactors>,
     steps: u32,
+    /// A layer's input batch with the homogeneous ones column.
+    xe: Matrix,
+    /// The upper triangle of one batch's `xᵀx`.
+    gram: Matrix,
+    /// A layer's `[dW; db]`, norm-clipped.
+    grad: Matrix,
+    /// `A⁻¹ · grad`.
+    half: Matrix,
 }
 
 impl Kfac {
@@ -85,12 +102,18 @@ impl Kfac {
                 a_inv: None,
                 g_inv: None,
                 initialized: false,
+                nat: Matrix::zeros(l.inputs() + 1, l.outputs()),
             })
             .collect();
+        let scratch = || Matrix::zeros(0, 0);
         Kfac {
             config,
             layers,
             steps: 0,
+            xe: scratch(),
+            gram: scratch(),
+            grad: scratch(),
+            half: scratch(),
         }
     }
 
@@ -107,52 +130,41 @@ impl Kfac {
     /// Updates the running Kronecker factors from one batch: `A` from the
     /// cached layer inputs, `G` from `fisher_grads` (per-layer `batch × out`
     /// pre-activation gradients sampled from the model distribution — e.g.
-    /// obtained by backpropagating Fisher-sampled output gradients and
-    /// collecting [`LayerGrads::preact_grads`]).
+    /// [`Mlp::backward_preact`] of Fisher-sampled output gradients).
     ///
     /// # Panics
     ///
     /// Panics on layer-count or shape mismatches.
-    pub fn update_stats(&mut self, cache: &ForwardCache, fisher_grads: &[&Matrix]) {
+    pub fn update_stats(&mut self, cache: &ForwardCache, fisher_grads: &[Matrix]) {
         assert_eq!(
             fisher_grads.len(),
             self.layers.len(),
             "one Fisher gradient batch per layer required"
         );
         let _span = dosco_obs::span(dosco_obs::SpanKind::KfacStats);
-        let decay = self.config.stat_decay;
-        // Each layer's factors depend only on that layer's inputs and
-        // Fisher gradients, so the layers update in parallel (the values
-        // are identical to the serial loop for any thread count).
-        par::par_map_mut(&mut self.layers, |i, factors| {
-            let x = &cache.inputs[i];
+        let Kfac { layers, xe, gram, .. } = self;
+        for ((factors, x), g) in layers.iter_mut().zip(&cache.inputs).zip(fisher_grads) {
             let batch = x.rows() as f32;
             assert!(batch > 0.0, "empty batch");
-            // Extend inputs with the homogeneous coordinate for the bias.
-            let xe = Matrix::from_fn(x.rows(), x.cols() + 1, |r, c| {
-                if c < x.cols() {
-                    x.get(r, c)
-                } else {
-                    1.0
-                }
-            });
-            let a_new = xe.transpose_matmul(&xe).scaled(1.0 / batch);
-            let g = fisher_grads[i];
             assert_eq!(g.rows(), x.rows(), "Fisher gradient batch size mismatch");
+            let decay = factors.initialized.then_some(self.config.stat_decay);
+            // Extend inputs with the homogeneous coordinate for the bias.
+            let width = x.cols() + 1;
+            xe.reshape(x.rows(), width);
+            for (e, row) in xe
+                .as_mut_slice()
+                .chunks_exact_mut(width)
+                .zip(x.as_slice().chunks_exact(x.cols()))
+            {
+                e[..x.cols()].copy_from_slice(row);
+                e[x.cols()] = 1.0;
+            }
+            blend_second_moment(&mut factors.a, xe, gram, 1.0 / batch, decay);
             // fisher_grads carry 1/batch scaling from the sampler; the
             // second moment needs Σ g gᵀ · batch to undo the square of it.
-            let g_new = g.transpose_matmul(g).scaled(batch);
-            if factors.initialized {
-                factors.a.scale_in_place(decay);
-                factors.a.add_scaled(&a_new, 1.0 - decay);
-                factors.g.scale_in_place(decay);
-                factors.g.add_scaled(&g_new, 1.0 - decay);
-            } else {
-                factors.a = a_new;
-                factors.g = g_new;
-                factors.initialized = true;
-            }
-        });
+            blend_second_moment(&mut factors.g, g, gram, batch, decay);
+            factors.initialized = true;
+        }
     }
 
     fn refresh_inverses(&mut self) -> Result<(), LinalgError> {
@@ -188,8 +200,7 @@ impl Kfac {
     /// Panics on shape mismatches between `net`, `grads`, and this state.
     pub fn step(&mut self, net: &mut Mlp, grads: &Gradients) -> Result<(), LinalgError> {
         assert_eq!(grads.layers.len(), self.layers.len(), "layer count mismatch");
-        let mut grads = grads.clone();
-        grads.clip_global_norm(self.config.max_grad_norm);
+        let clip = grads.clip_factor(self.config.max_grad_norm);
         if self.steps.is_multiple_of(self.config.inverse_period) || self.layers[0].a_inv.is_none()
         {
             self.refresh_inverses()?;
@@ -198,23 +209,27 @@ impl Kfac {
 
         // Precondition every layer; accumulate Δᵀ∇ ≈ ΔᵀFΔ for the trust
         // region (exact when F Δ = ∇).
-        let mut nat_layers = Vec::with_capacity(grads.layers.len());
         let mut quad = 0.0f64;
-        for (factors, g) in self.layers.iter().zip(&grads.layers) {
-            let a_inv = factors.a_inv.as_ref().expect("inverses refreshed");
-            let g_inv = factors.g_inv.as_ref().expect("inverses refreshed");
-            // Homogeneous gradient: (in+1) × out with db as the last row.
-            let rows = g.dw.rows() + 1;
-            let combined = Matrix::from_fn(rows, g.dw.cols(), |r, c| {
-                if r < g.dw.rows() {
-                    g.dw.get(r, c)
-                } else {
-                    g.db[c]
+        {
+            let _span = dosco_obs::span(dosco_obs::SpanKind::KfacPrecondition);
+            let Kfac { layers, grad, half, .. } = self;
+            for (factors, g) in layers.iter_mut().zip(&grads.layers) {
+                let a_inv = factors.a_inv.as_ref().expect("inverses refreshed");
+                let g_inv = factors.g_inv.as_ref().expect("inverses refreshed");
+                // Homogeneous gradient: (in+1) × out with db as the last row.
+                let (rows, cols) = (g.dw.rows() + 1, g.dw.cols());
+                grad.reshape(rows, cols);
+                let (dw, db) = grad.as_mut_slice().split_at_mut(g.dw.as_slice().len());
+                dw.copy_from_slice(g.dw.as_slice());
+                db.copy_from_slice(&g.db);
+                if let Some(factor) = clip {
+                    grad.scale_in_place(factor);
                 }
-            });
-            let nat = a_inv.matmul(&combined).matmul(g_inv);
-            quad += f64::from(nat.dot(&combined));
-            nat_layers.push(nat);
+                half.reshape(rows, cols);
+                a_inv.matmul_into(grad, half);
+                half.matmul_into(g_inv, &mut factors.nat);
+                quad += f64::from(factors.nat.dot(grad));
+            }
         }
         let quad = quad.max(0.0);
         let eta = if quad > 0.0 {
@@ -224,34 +239,47 @@ impl Kfac {
         } else {
             self.config.lr
         };
-
-        // Split updates back into weight/bias shapes and apply.
-        let update = Gradients {
-            layers: nat_layers
-                .into_iter()
-                .zip(&grads.layers)
-                .map(|(nat, g)| {
-                    let dw = Matrix::from_fn(g.dw.rows(), g.dw.cols(), |r, c| nat.get(r, c));
-                    let db = (0..g.db.len())
-                        .map(|c| nat.get(g.dw.rows(), c))
-                        .collect();
-                    LayerGrads {
-                        dw,
-                        db,
-                        preact_grads: Matrix::zeros(0, 0),
-                    }
-                })
-                .collect(),
-        };
-        net.apply_update(&update, -eta);
+        for (i, factors) in self.layers.iter().enumerate() {
+            net.apply_homogeneous_update(i, &factors.nat, -eta);
+        }
         Ok(())
+    }
+}
+
+/// One factor's moving average, `factor ← decay·factor + (1 − decay)·
+/// scale·xᵀx` (just the new term while `decay` is `None`: the first batch
+/// replaces the identity). `xᵀx` is symmetric bit for bit, so only its
+/// upper triangle is computed (into `gram`) and blended, and each value is
+/// stored at both `(i, j)` and `(j, i)`.
+fn blend_second_moment(
+    factor: &mut Matrix,
+    x: &Matrix,
+    gram: &mut Matrix,
+    scale: f32,
+    decay: Option<f32>,
+) {
+    let n = x.cols();
+    assert_eq!((factor.rows(), factor.cols()), (n, n), "factor shape mismatch");
+    gram.reshape(n, n);
+    x.gram_upper_into(gram);
+    let (f, new) = (factor.as_mut_slice(), gram.as_slice());
+    for i in 0..n {
+        for j in i..n {
+            let fresh = new[i * n + j] * scale;
+            let v = match decay {
+                Some(d) => f[i * n + j] * d + (1.0 - d) * fresh,
+                None => fresh,
+            };
+            f[i * n + j] = v;
+            f[j * n + i] = v;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mlp::Activation;
+    use crate::mlp::{Activation, LayerGrads};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -292,9 +320,7 @@ mod tests {
                 ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos())
                     / x.rows() as f32
             });
-            let fisher = net.backward(&cache, &fisher_out);
-            let fgrads: Vec<&Matrix> = fisher.layers.iter().map(|l| &l.preact_grads).collect();
-            kfac.update_stats(&cache, &fgrads);
+            kfac.update_stats(&cache, &net.backward_preact(&cache, &fisher_out));
             kfac.step(&mut net, &grads).unwrap();
         }
         let fin = loss(&net);
@@ -368,10 +394,7 @@ mod tests {
                             * (2.0 * std::f32::consts::PI * u2).cos())
                             / x.rows() as f32
                     });
-                    let fisher = net.backward(&cache, &fisher_out);
-                    let fg: Vec<&Matrix> =
-                        fisher.layers.iter().map(|l| &l.preact_grads).collect();
-                    kfac.update_stats(&cache, &fg);
+                    kfac.update_stats(&cache, &net.backward_preact(&cache, &fisher_out));
                     kfac.step(&mut net, &grads).unwrap();
                 } else {
                     sgd.step(&mut net, &grads);
@@ -395,7 +418,7 @@ mod tests {
         let x = Matrix::from_rows(&[&[2.0, 0.0], &[2.0, 0.0]]);
         let cache = net.forward_cached(&x);
         let fisher = Matrix::zeros(2, 3);
-        kfac.update_stats(&cache, &[&fisher]);
+        kfac.update_stats(&cache, &[fisher]);
         // A = mean of [2,0,1]ᵀ[2,0,1] = [[4,0,2],[0,0,0],[2,0,1]].
         let a = &kfac.layers[0].a;
         assert_eq!(a.get(0, 0), 4.0);

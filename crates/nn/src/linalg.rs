@@ -40,40 +40,102 @@ impl fmt::Display for LinalgError {
 
 impl std::error::Error for LinalgError {}
 
-/// Cholesky factorization `M = L Lᵀ` of a symmetric positive-definite
-/// matrix, in `f64`. Returns the lower factor in packed row-major form.
-fn cholesky_f64(m: &[f64], n: usize) -> Result<Vec<f64>, LinalgError> {
-    let mut l = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in 0..=i {
-            let mut s = m[i * n + j];
-            for k in 0..j {
-                s -= l[i * n + k] * l[j * n + k];
-            }
-            if i == j {
-                if s <= 0.0 {
-                    return Err(LinalgError::NotPositiveDefinite { pivot: i });
-                }
-                l[i * n + i] = s.sqrt();
-            } else {
-                l[i * n + j] = s / l[j * n + j];
+/// Right-hand sides solved together: one panel of `PANEL` unit vectors
+/// keeps its `n × PANEL` solution block (32 KiB at `n = 256`) cache-resident
+/// through both triangular solves, with one row of it in registers.
+const PANEL: usize = 16;
+
+/// Cholesky factorization `M = L Lᵀ` in place, column by column.
+///
+/// On entry row `j` of `s` holds column `j` of the lower triangle of `M`
+/// at positions `j..n`. On return `s` is `L` stored symmetrically,
+/// `s[i][j] = s[j][i] = L[max(i,j)][min(i,j)]`, so both a row and a column
+/// of `L` are contiguous. Every `L[i][j]` starts from `M[i][j]` and
+/// subtracts `L[i][k]·L[j][k]` for ascending `k` — the order of the
+/// textbook row-by-row loop — but the inner loop runs over `i`, which is
+/// contiguous here and carries no reduction.
+fn cholesky_in_place(s: &mut [f64], n: usize) -> Result<(), LinalgError> {
+    for j in 0..n {
+        let (done, rest) = s.split_at_mut(j * n);
+        let (l_j, col) = rest[..n].split_at_mut(j);
+        for (k, &l_jk) in l_j.iter().enumerate() {
+            let l_k = &done[k * n + j..(k + 1) * n];
+            for (v, &l_ik) in col.iter_mut().zip(l_k) {
+                *v -= l_ik * l_jk;
             }
         }
+        // `!(.. > 0.0)` also rejects a NaN pivot, which `<= 0.0` lets through.
+        if !(col[0] > 0.0 && col[0].is_finite()) {
+            return Err(LinalgError::NotPositiveDefinite { pivot: j });
+        }
+        let d = col[0].sqrt();
+        col[0] = d;
+        for v in &mut col[1..] {
+            *v /= d;
+        }
+        for i in j + 1..n {
+            s[i * n + j] = s[j * n + i];
+        }
     }
-    Ok(l)
+    Ok(())
 }
 
-/// Inverts the symmetric positive-definite matrix `m + damping·I`.
+/// `acc[w] -= coeffs[t] · rows[t][w]` for ascending `t`, the whole panel
+/// row in registers.
+#[inline]
+fn eliminate(acc: &mut [f64; PANEL], coeffs: &[f64], rows: &[f64]) {
+    for (&c, row) in coeffs.iter().zip(rows.chunks_exact(PANEL)) {
+        for (a, &r) in acc.iter_mut().zip(row) {
+            *a -= c * r;
+        }
+    }
+}
+
+/// Columns `c0 .. c0 + PANEL` of `(L Lᵀ)⁻¹` into `z` (`n × PANEL`), from
+/// the symmetric `L` storage of [`cholesky_in_place`]: forward
+/// substitution `L y = e_c` and back substitution `Lᵀ x = y` for every
+/// column of the panel at once. Per element the terms are subtracted in
+/// the order of the one-column-at-a-time solves; the forward pass skips
+/// only `k < c0`, where `y_c[k]` is an exact zero.
+fn solve_panel(l: &[f64], n: usize, c0: usize, z: &mut [f64]) {
+    z[..c0 * PANEL].fill(0.0);
+    for i in c0..n {
+        let mut acc = [0.0f64; PANEL];
+        if i - c0 < PANEL {
+            acc[i - c0] = 1.0;
+        }
+        eliminate(&mut acc, &l[i * n + c0..i * n + i], &z[c0 * PANEL..i * PANEL]);
+        let d = l[i * n + i];
+        for (o, a) in z[i * PANEL..(i + 1) * PANEL].iter_mut().zip(acc) {
+            *o = a / d;
+        }
+    }
+    for i in (0..n).rev() {
+        let (row, below) = z[i * PANEL..].split_at_mut(PANEL);
+        let mut acc = [0.0f64; PANEL];
+        acc.copy_from_slice(row);
+        eliminate(&mut acc, &l[i * n + i + 1..(i + 1) * n], below);
+        let d = l[i * n + i];
+        for (o, a) in row.iter_mut().zip(acc) {
+            *o = a / d;
+        }
+    }
+}
+
+/// Inverts the symmetric positive-definite matrix `m + damping·I`, reading
+/// the lower triangle of `m`.
 ///
 /// This is the K-FAC damped-inverse primitive: the damping both regularizes
 /// the curvature estimate and guarantees positive definiteness for PSD
-/// inputs.
+/// inputs. `M⁻¹ = L⁻ᵀ L⁻¹` from an `f64` Cholesky factor, solved for
+/// [`PANEL`] unit vectors at a time.
 ///
 /// # Errors
 ///
 /// Returns [`LinalgError::NotSquare`] for non-square input and
 /// [`LinalgError::NotPositiveDefinite`] if the damped matrix still fails
-/// Cholesky (e.g. damping too small for a badly indefinite input).
+/// Cholesky (e.g. damping too small for a badly indefinite input) or holds
+/// a non-finite value.
 pub fn damped_inverse(m: &Matrix, damping: f64) -> Result<Matrix, LinalgError> {
     let n = m.rows();
     if m.rows() != m.cols() {
@@ -82,37 +144,29 @@ pub fn damped_inverse(m: &Matrix, damping: f64) -> Result<Matrix, LinalgError> {
             cols: m.cols(),
         });
     }
-    // Promote to f64 and add damping on the diagonal.
-    let mut a = vec![0.0f64; n * n];
+    // Promote to f64, transposed (column j of the lower triangle becomes
+    // row j), and add damping on the diagonal.
+    let src = m.as_slice();
+    let mut l = vec![0.0f64; n * n];
     for i in 0..n {
-        for j in 0..n {
-            a[i * n + j] = f64::from(m.get(i, j));
+        for j in 0..=i {
+            l[j * n + i] = f64::from(src[i * n + j]);
         }
-        a[i * n + i] += damping;
+        l[i * n + i] += damping;
     }
-    let l = cholesky_f64(&a, n)?;
-    // Invert via two triangular solves per unit vector: M⁻¹ = L⁻ᵀ L⁻¹.
-    let mut inv = vec![0.0f64; n * n];
-    let mut y = vec![0.0f64; n];
-    for col in 0..n {
-        // Forward solve L y = e_col.
-        for i in 0..n {
-            let mut s = if i == col { 1.0 } else { 0.0 };
-            for k in 0..i {
-                s -= l[i * n + k] * y[k];
+    cholesky_in_place(&mut l, n)?;
+    let mut inv = Matrix::zeros(n, n);
+    let mut z = vec![0.0f64; n * PANEL];
+    for c0 in (0..n).step_by(PANEL) {
+        solve_panel(&l, n, c0, &mut z);
+        let width = PANEL.min(n - c0);
+        for (out, row) in inv.as_mut_slice().chunks_exact_mut(n).zip(z.chunks_exact(PANEL)) {
+            for (o, &v) in out[c0..c0 + width].iter_mut().zip(row) {
+                *o = v as f32;
             }
-            y[i] = s / l[i * n + i];
-        }
-        // Back solve Lᵀ x = y.
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for k in (i + 1)..n {
-                s -= l[k * n + i] * inv[k * n + col];
-            }
-            inv[i * n + col] = s / l[i * n + i];
         }
     }
-    Ok(Matrix::from_fn(n, n, |r, c| inv[r * n + c] as f32))
+    Ok(inv)
 }
 
 /// Symmetrizes a matrix in place: `m ← (m + mᵀ)/2`. Running covariance
@@ -125,11 +179,12 @@ pub fn damped_inverse(m: &Matrix, damping: f64) -> Result<Matrix, LinalgError> {
 pub fn symmetrize(m: &mut Matrix) {
     assert_eq!(m.rows(), m.cols(), "symmetrize requires a square matrix");
     let n = m.rows();
+    let data = m.as_mut_slice();
     for i in 0..n {
         for j in (i + 1)..n {
-            let avg = 0.5 * (m.get(i, j) + m.get(j, i));
-            m.set(i, j, avg);
-            m.set(j, i, avg);
+            let avg = 0.5 * (data[i * n + j] + data[j * n + i]);
+            data[i * n + j] = avg;
+            data[j * n + i] = avg;
         }
     }
 }
@@ -195,6 +250,28 @@ mod tests {
             damped_inverse(&m, 1.0),
             Err(LinalgError::NotPositiveDefinite { .. })
         ));
+    }
+
+    /// A NaN pivot compares false with everything, so `s <= 0.0` let it
+    /// through and the "inverse" came back `Ok` and all NaN.
+    #[test]
+    fn rejects_non_finite_input() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut m = Matrix::identity(3);
+            m.set(1, 1, bad);
+            assert_eq!(
+                damped_inverse(&m, 0.01),
+                Err(LinalgError::NotPositiveDefinite { pivot: 1 }),
+                "diagonal {bad}"
+            );
+            let mut m = Matrix::identity(3);
+            m.set(2, 0, bad);
+            assert_eq!(
+                damped_inverse(&m, 0.01),
+                Err(LinalgError::NotPositiveDefinite { pivot: 2 }),
+                "off-diagonal {bad}"
+            );
+        }
     }
 
     #[test]

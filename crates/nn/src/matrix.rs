@@ -6,6 +6,7 @@
 use crate::simd::GemmKernel;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// A dense row-major matrix of `f32`.
 ///
@@ -168,9 +169,16 @@ impl Matrix {
     /// possible; every element is reset to zero. The scratch-buffer
     /// workhorse of the forward/backward passes.
     pub fn reshape_zeroed(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.reshape(rows, cols);
+    }
+
+    /// Reshapes to `rows × cols` in place, reusing the allocation where
+    /// possible and leaving the contents unspecified: for scratch buffers
+    /// whose next use overwrites every element.
+    pub(crate) fn reshape(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.clear();
         self.data.resize(rows * cols, 0.0);
     }
 
@@ -187,7 +195,7 @@ impl Matrix {
 
     /// Matrix product `self · other` written into a preallocated `out`
     /// (`self.rows × other.cols`), overwriting its contents. The kernel is
-    /// cache-blocked and parallelizes over row blocks of `out` above a
+    /// register-tiled and parallelizes over row blocks of `out` above a
     /// size threshold; each output element accumulates in ascending-`k`
     /// order with a single `f32` accumulator, so the result is
     /// bit-identical to [`Matrix::matmul_ref`] for every thread count.
@@ -196,16 +204,6 @@ impl Matrix {
     ///
     /// Panics on inner-dimension mismatch or if `out` has the wrong shape.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, other.cols),
-            "matmul output shape mismatch"
-        );
         self.matmul_into_with(other, out, crate::simd::active());
     }
 
@@ -229,15 +227,10 @@ impl Matrix {
             (self.rows, other.cols),
             "matmul output shape mismatch"
         );
-        let _span = dosco_obs::span(dosco_obs::SpanKind::Gemm);
-        let kernel = kernel.best_available();
-        let (kk, n) = (self.cols, other.cols);
-        run_row_blocked(self.rows, kk, n, &mut out.data, |row0, out_block| {
-            matmul_block_dispatch(&self.data, &other.data, out_block, row0, kk, n, kernel);
-        });
+        gemm(&self.data, &other.data, self.cols, out, false, kernel);
     }
 
-    /// `selfᵀ · other` without materializing the transpose.
+    /// `selfᵀ · other`.
     ///
     /// # Panics
     ///
@@ -249,24 +242,15 @@ impl Matrix {
     }
 
     /// `selfᵀ · other` written into a preallocated `out`
-    /// (`self.cols × other.cols`), overwriting its contents. Blocked and
-    /// row-parallel like [`Matrix::matmul_into`]; bit-identical to
+    /// (`self.cols × other.cols`), overwriting its contents: `selfᵀ` is
+    /// packed into a per-thread scratch buffer and the product runs on the
+    /// [`Matrix::matmul_into`] kernel, so it is bit-identical to
     /// [`Matrix::transpose_matmul_ref`] for every thread count.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch or if `out` has the wrong shape.
     pub fn transpose_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.rows, other.rows,
-            "transpose_matmul shape mismatch: {}x{} vs {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.cols, other.cols),
-            "transpose_matmul output shape mismatch"
-        );
         self.transpose_matmul_into_with(other, out, crate::simd::active());
     }
 
@@ -287,24 +271,30 @@ impl Matrix {
             (self.cols, other.cols),
             "transpose_matmul output shape mismatch"
         );
-        let _span = dosco_obs::span(dosco_obs::SpanKind::Gemm);
-        let kernel = kernel.best_available();
-        let (m, kk, n) = (self.cols, self.rows, other.cols);
-        run_row_blocked(m, kk, n, &mut out.data, |row0, out_block| {
-            transpose_matmul_block_dispatch(
-                &self.data,
-                &other.data,
-                out_block,
-                row0,
-                m,
-                kk,
-                n,
-                kernel,
-            );
-        });
+        with_packed_transpose(self, |at| gemm(at, &other.data, self.rows, out, false, kernel));
     }
 
-    /// `self · otherᵀ` without materializing the transpose.
+    /// The upper triangle of the Gram matrix `selfᵀ · self` into a
+    /// preallocated `out` (`self.cols × self.cols`): every element on or
+    /// above the diagonal equals the [`Matrix::transpose_matmul_into`]
+    /// result bit for bit, and what `out` holds below the diagonal is
+    /// unspecified. The product is symmetric bit for bit (`a·b == b·a`,
+    /// same `k` order), so the lower half is the caller's to mirror.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` has the wrong shape.
+    pub fn gram_upper_into(&self, out: &mut Matrix) {
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.cols, self.cols),
+            "gram output shape mismatch"
+        );
+        let kernel = crate::simd::active();
+        with_packed_transpose(self, |at| gemm(at, &self.data, self.rows, out, true, kernel));
+    }
+
+    /// `self · otherᵀ`.
     ///
     /// # Panics
     ///
@@ -316,33 +306,20 @@ impl Matrix {
     }
 
     /// `self · otherᵀ` written into a preallocated `out`
-    /// (`self.rows × other.rows`), overwriting its contents. Blocked and
-    /// row-parallel like [`Matrix::matmul_into`]; bit-identical to
+    /// (`self.rows × other.rows`), overwriting its contents: `otherᵀ` is
+    /// packed into a per-thread scratch buffer and the product runs on the
+    /// [`Matrix::matmul_into`] kernel, so it is bit-identical to
     /// [`Matrix::matmul_transpose_ref`] for every thread count.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch or if `out` has the wrong shape.
     pub fn matmul_transpose_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transpose shape mismatch: {}x{} vs {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, other.rows),
-            "matmul_transpose output shape mismatch"
-        );
         self.matmul_transpose_into_with(other, out, crate::simd::active());
     }
 
     /// [`Matrix::matmul_transpose_into`] with an explicitly forced GEMM
-    /// kernel, clamped to the best the CPU supports. `A·Bᵀ` reduces over
-    /// `k`, which SIMD lanes can only speed up by reordering the sum, so
-    /// only the (already inexact) FMA kernel vectorizes here —
-    /// `Scalar` and `Avx2` both run the scalar kernel and stay
-    /// bit-identical to the reference.
+    /// kernel, clamped to the best the CPU supports.
     ///
     /// # Panics
     ///
@@ -358,12 +335,7 @@ impl Matrix {
             (self.rows, other.rows),
             "matmul_transpose output shape mismatch"
         );
-        let _span = dosco_obs::span(dosco_obs::SpanKind::Gemm);
-        let kernel = kernel.best_available();
-        let (kk, n) = (self.cols, other.rows);
-        run_row_blocked(self.rows, kk, n, &mut out.data, |row0, out_block| {
-            matmul_transpose_block_dispatch(&self.data, &other.data, out_block, row0, kk, n, kernel);
-        });
+        with_packed_transpose(other, |bt| gemm(&self.data, bt, self.cols, out, false, kernel));
     }
 
     /// Reference (naive triple-loop) `self · other`: the specification the
@@ -446,23 +418,10 @@ impl Matrix {
         out
     }
 
-    /// The transpose (blocked copy: both source columns and destination
-    /// rows stay cache-resident within a tile).
+    /// The transpose.
     pub fn transpose(&self) -> Matrix {
-        const TB: usize = 32;
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r0 in (0..self.rows).step_by(TB) {
-            let r1 = (r0 + TB).min(self.rows);
-            for c0 in (0..self.cols).step_by(TB) {
-                let c1 = (c0 + TB).min(self.cols);
-                for r in r0..r1 {
-                    let src = &self.data[r * self.cols..(r + 1) * self.cols];
-                    for (c, &v) in src.iter().enumerate().take(c1).skip(c0) {
-                        out.data[c * self.rows + r] = v;
-                    }
-                }
-            }
-        }
+        transpose_into(self, &mut out.data);
         out
     }
 
@@ -608,40 +567,78 @@ impl Matrix {
     }
 }
 
+/// `src` transposed into `dst` (`src.cols × src.rows`, row-major), as a
+/// blocked copy: source columns and destination rows both stay
+/// cache-resident within a tile, and the inner loop writes a destination
+/// row contiguously.
+fn transpose_into(src: &Matrix, dst: &mut [f32]) {
+    const TB: usize = 32;
+    let (rows, cols) = (src.rows, src.cols);
+    assert_eq!(dst.len(), rows * cols, "transpose destination size mismatch");
+    for c0 in (0..cols).step_by(TB) {
+        let c1 = (c0 + TB).min(cols);
+        for r0 in (0..rows).step_by(TB) {
+            let r1 = (r0 + TB).min(rows);
+            for c in c0..c1 {
+                let column = &src.data[r0 * cols + c..];
+                for (k, d) in dst[c * rows + r0..c * rows + r1].iter_mut().enumerate() {
+                    *d = column[k * cols];
+                }
+            }
+        }
+    }
+}
+
+thread_local! {
+    /// The packed transposed operand of the `Aᵀ·B` / `A·Bᵀ` entry points,
+    /// reused across calls: it is at most one activation batch or one
+    /// weight matrix, and a fresh buffer that size per product would be an
+    /// allocator round trip each.
+    static PACKED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on `mᵀ` (row-major) packed into this thread's scratch buffer.
+fn with_packed_transpose<R>(m: &Matrix, f: impl FnOnce(&[f32]) -> R) -> R {
+    PACKED.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < m.data.len() {
+            buf.resize(m.data.len(), 0.0);
+        }
+        let packed = &mut buf[..m.data.len()];
+        transpose_into(m, packed);
+        f(packed)
+    })
+}
+
 /// Rows of `out` processed per parallel chunk. The partition never affects
 /// values (each element belongs to exactly one chunk), only load balance.
 const ROW_BLOCK: usize = 32;
-/// Panel width over the contraction dimension `k`: bounds the slice of the
-/// non-output operand kept hot in cache while sweeping a row block.
-/// Shared with the SIMD kernels so scalar and vector paths walk the same
-/// panels (a precondition for the AVX2 path's bit-identity).
-pub(crate) const K_BLOCK: usize = 64;
-/// Panel width over output columns: one `f32` panel row is 1 KiB, so a
-/// `K_BLOCK × J_BLOCK` panel of `B` stays L2-resident.
-pub(crate) const J_BLOCK: usize = 256;
 /// Below this many multiply-adds the pool dispatch overhead dominates and
 /// the product runs inline on the calling thread.
 const PAR_MIN_FLOPS: usize = 1 << 17;
 
-/// Runs `kernel(row0, out_block)` over row blocks of the `m × n` output,
-/// in parallel when the product is large enough. Each kernel call owns
-/// rows `row0 .. row0 + out_block.len() / n` exclusively.
-fn run_row_blocked(
-    m: usize,
-    kk: usize,
-    n: usize,
-    out: &mut [f32],
-    kernel: impl Fn(usize, &mut [f32]) + Sync,
-) {
+/// `out = A · B` for row-major `a` (`out.rows × kk`) and `b`
+/// (`kk × out.cols`): the one kernel family under every product. Row
+/// blocks of `out` run in parallel when the product is large enough; each
+/// block owns its rows exclusively. With `upper`, a block skips the
+/// columns left of its first row's diagonal tile.
+fn gemm(a: &[f32], b: &[f32], kk: usize, out: &mut Matrix, upper: bool, kernel: GemmKernel) {
+    let _span = dosco_obs::span(dosco_obs::SpanKind::Gemm);
+    let kernel = kernel.best_available();
+    let (m, n) = (out.rows, out.cols);
     if n == 0 || m == 0 {
         return;
     }
+    let block = |row0: usize, out_block: &mut [f32]| {
+        let j_start = if upper { row0 - row0 % MM_JT } else { 0 };
+        matmul_block_dispatch(a, b, out_block, row0, kk, n, j_start, kernel);
+    };
     if m.saturating_mul(kk).saturating_mul(n) < PAR_MIN_FLOPS {
-        kernel(0, out);
+        block(0, &mut out.data);
         return;
     }
-    crate::par::par_chunks_mut(out, ROW_BLOCK * n, |block_idx, out_block| {
-        kernel(block_idx * ROW_BLOCK, out_block);
+    crate::par::par_chunks_mut(&mut out.data, ROW_BLOCK * n, |block_idx, out_block| {
+        block(block_idx * ROW_BLOCK, out_block);
     });
 }
 
@@ -653,11 +650,13 @@ fn run_row_blocked(
 pub(crate) const MM_JT: usize = 16;
 
 /// Register-tiled inner kernel: `RT` rows × (up to) [`MM_JT`] columns of
-/// `C`, with the accumulators living in registers for the *entire* `k`
-/// loop. Each `B` element is loaded once per `RT` rows — this weight
-/// reuse is why a batched forward costs less per row than single-row
-/// forwards. Every accumulator is still one `f32` chain over ascending
-/// `k`, so the result stays bit-identical to the naive `(i, k, j)` loop.
+/// `C` from column `j_start` on, with the accumulators living in registers
+/// for the *entire* `k` loop. Each `B` element is loaded once per `RT`
+/// rows — this weight reuse is why a batched forward costs less per row
+/// than single-row forwards. Every accumulator is still one `f32` chain
+/// over ascending `k`, so the result stays bit-identical to the naive
+/// `(i, k, j)` loop.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn mm_tile<const RT: usize>(
     a: &[f32],
@@ -667,8 +666,9 @@ fn mm_tile<const RT: usize>(
     r: usize,
     kk: usize,
     n: usize,
+    j_start: usize,
 ) {
-    let mut j0 = 0;
+    let mut j0 = j_start;
     // Full-width tiles: fixed trip counts so the accumulator arrays stay
     // in registers and the column loop vectorizes.
     while j0 + MM_JT <= n {
@@ -709,114 +709,41 @@ fn mm_tile<const RT: usize>(
     }
 }
 
-/// `C[row0.., :] = A[row0.., :] · B` for `out_block.len() / n` rows.
+/// `C[row0.., j_start..] = A[row0.., :] · B[:, j_start..]` for
+/// `out_block.len() / n` rows (`j_start` a multiple of [`MM_JT`]).
 /// Register-tiled over 4/2/1-row panels ([`mm_tile`]); per element the
 /// accumulation is a single `f32` chain over ascending `k`, identical to
 /// the naive `(i, k, j)` loop — blocked vs naive vs any batch split is
 /// bit-identical.
-fn matmul_block(a: &[f32], b: &[f32], out_block: &mut [f32], row0: usize, kk: usize, n: usize) {
+fn matmul_block(
+    a: &[f32],
+    b: &[f32],
+    out_block: &mut [f32],
+    row0: usize,
+    kk: usize,
+    n: usize,
+    j_start: usize,
+) {
     let rows = out_block.len() / n;
     let mut r = 0;
     while r + 4 <= rows {
-        mm_tile::<4>(a, b, out_block, row0 + r, r, kk, n);
+        mm_tile::<4>(a, b, out_block, row0 + r, r, kk, n, j_start);
         r += 4;
     }
     if r + 2 <= rows {
-        mm_tile::<2>(a, b, out_block, row0 + r, r, kk, n);
+        mm_tile::<2>(a, b, out_block, row0 + r, r, kk, n, j_start);
         r += 2;
     }
     if r < rows {
-        mm_tile::<1>(a, b, out_block, row0 + r, r, kk, n);
+        mm_tile::<1>(a, b, out_block, row0 + r, r, kk, n, j_start);
     }
 }
 
-/// `C[row0.., :] = (Aᵀ)[row0.., :] · B` where `A` is `kk × m` (so row `i`
-/// of `C` reads column `i` of `A`). Same ascending-`k` per-element order
-/// as the naive `k`-outer loop.
-fn transpose_matmul_block(
-    a: &[f32],
-    b: &[f32],
-    out_block: &mut [f32],
-    row0: usize,
-    m: usize,
-    kk: usize,
-    n: usize,
-) {
-    out_block.fill(0.0);
-    let rows = out_block.len() / n;
-    for k0 in (0..kk).step_by(K_BLOCK) {
-        let k1 = (k0 + K_BLOCK).min(kk);
-        for j0 in (0..n).step_by(J_BLOCK) {
-            let j1 = (j0 + J_BLOCK).min(n);
-            for r in 0..rows {
-                let i = row0 + r;
-                let out_seg = &mut out_block[r * n + j0..r * n + j1];
-                for k in k0..k1 {
-                    let av = a[k * m + i];
-                    let b_seg = &b[k * n + j0..k * n + j1];
-                    for (o, &bv) in out_seg.iter_mut().zip(b_seg) {
-                        *o += av * bv;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `C[row0.., :] = A[row0.., :] · Bᵀ` where `B` is `n × kk`: blocked dot
-/// products, four output columns at a time. Each output element keeps its
-/// own single accumulator advancing in ascending `k`, so the unroll only
-/// interleaves *independent* dependency chains (≈2× on long `k`) and every
-/// element stays bit-identical to the one-at-a-time naive dot.
-fn matmul_transpose_block(
-    a: &[f32],
-    b: &[f32],
-    out_block: &mut [f32],
-    row0: usize,
-    kk: usize,
-    n: usize,
-) {
-    let rows = out_block.len() / n;
-    for j0 in (0..n).step_by(ROW_BLOCK) {
-        let j1 = (j0 + ROW_BLOCK).min(n);
-        for r in 0..rows {
-            let a_row = &a[(row0 + r) * kk..(row0 + r) * kk + kk];
-            let mut j = j0;
-            while j + 4 <= j1 {
-                let b0 = &b[j * kk..(j + 1) * kk];
-                let b1 = &b[(j + 1) * kk..(j + 2) * kk];
-                let b2 = &b[(j + 2) * kk..(j + 3) * kk];
-                let b3 = &b[(j + 3) * kk..(j + 4) * kk];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for (k, &av) in a_row.iter().enumerate() {
-                    s0 += av * b0[k];
-                    s1 += av * b1[k];
-                    s2 += av * b2[k];
-                    s3 += av * b3[k];
-                }
-                out_block[r * n + j] = s0;
-                out_block[r * n + j + 1] = s1;
-                out_block[r * n + j + 2] = s2;
-                out_block[r * n + j + 3] = s3;
-                j += 4;
-            }
-            while j < j1 {
-                let b_row = &b[j * kk..(j + 1) * kk];
-                let mut s = 0.0;
-                for (&av, &bv) in a_row.iter().zip(b_row) {
-                    s += av * bv;
-                }
-                out_block[r * n + j] = s;
-                j += 1;
-            }
-        }
-    }
-}
-
-/// Routes one `matmul` row block to the scalar or SIMD kernel. The
-/// kernel arrives pre-clamped by [`GemmKernel::best_available`], so the
-/// SIMD arms are only reachable when the CPU supports them (re-asserted
-/// inside `simd::x86`).
+/// Routes one row block to the scalar or SIMD kernel. The kernel arrives
+/// pre-clamped by [`GemmKernel::best_available`], so the SIMD arms are
+/// only reachable when the CPU supports them (re-asserted inside
+/// `simd::x86`).
+#[allow(clippy::too_many_arguments)]
 fn matmul_block_dispatch(
     a: &[f32],
     b: &[f32],
@@ -824,68 +751,21 @@ fn matmul_block_dispatch(
     row0: usize,
     kk: usize,
     n: usize,
+    j_start: usize,
     kernel: GemmKernel,
 ) {
     match kernel {
-        GemmKernel::Scalar => matmul_block(a, b, out_block, row0, kk, n),
-        #[cfg(target_arch = "x86_64")]
-        GemmKernel::Avx2 => crate::simd::x86::run_matmul_block(false, a, b, out_block, row0, kk, n),
-        #[cfg(target_arch = "x86_64")]
-        GemmKernel::Fma => crate::simd::x86::run_matmul_block(true, a, b, out_block, row0, kk, n),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => matmul_block(a, b, out_block, row0, kk, n),
-    }
-}
-
-/// Routes one `transpose_matmul` row block (see [`matmul_block_dispatch`]).
-#[allow(clippy::too_many_arguments)]
-fn transpose_matmul_block_dispatch(
-    a: &[f32],
-    b: &[f32],
-    out_block: &mut [f32],
-    row0: usize,
-    m: usize,
-    kk: usize,
-    n: usize,
-    kernel: GemmKernel,
-) {
-    match kernel {
-        GemmKernel::Scalar => transpose_matmul_block(a, b, out_block, row0, m, kk, n),
+        GemmKernel::Scalar => matmul_block(a, b, out_block, row0, kk, n, j_start),
         #[cfg(target_arch = "x86_64")]
         GemmKernel::Avx2 => {
-            crate::simd::x86::run_transpose_matmul_block(false, a, b, out_block, row0, m, kk, n)
+            crate::simd::x86::run_matmul_block(false, a, b, out_block, row0, kk, n, j_start)
         }
         #[cfg(target_arch = "x86_64")]
         GemmKernel::Fma => {
-            crate::simd::x86::run_transpose_matmul_block(true, a, b, out_block, row0, m, kk, n)
+            crate::simd::x86::run_matmul_block(true, a, b, out_block, row0, kk, n, j_start)
         }
         #[cfg(not(target_arch = "x86_64"))]
-        _ => transpose_matmul_block(a, b, out_block, row0, m, kk, n),
-    }
-}
-
-/// Routes one `matmul_transpose` row block. Only the FMA kernel
-/// vectorizes this shape (`k`-reduction); `Scalar` *and* `Avx2` take the
-/// scalar kernel so both stay bit-identical to the reference.
-fn matmul_transpose_block_dispatch(
-    a: &[f32],
-    b: &[f32],
-    out_block: &mut [f32],
-    row0: usize,
-    kk: usize,
-    n: usize,
-    kernel: GemmKernel,
-) {
-    match kernel {
-        GemmKernel::Scalar | GemmKernel::Avx2 => {
-            matmul_transpose_block(a, b, out_block, row0, kk, n)
-        }
-        #[cfg(target_arch = "x86_64")]
-        GemmKernel::Fma => {
-            crate::simd::x86::run_matmul_transpose_block(a, b, out_block, row0, kk, n)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        GemmKernel::Fma => matmul_transpose_block(a, b, out_block, row0, kk, n),
+        _ => matmul_block(a, b, out_block, row0, kk, n, j_start),
     }
 }
 

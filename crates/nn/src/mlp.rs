@@ -130,14 +130,19 @@ impl Gradients {
         sq.sqrt()
     }
 
+    /// The factor [`Gradients::clip_global_norm`] would scale by, `None`
+    /// when the global norm is already within `max_norm`.
+    pub fn clip_factor(&self, max_norm: f32) -> Option<f32> {
+        let norm = self.global_norm();
+        (norm > max_norm && norm != 0.0).then(|| max_norm / norm)
+    }
+
     /// Scales all gradients so the global norm is at most `max_norm`
     /// (gradient clipping; ACKTR uses 0.5). Returns the applied factor.
     pub fn clip_global_norm(&mut self, max_norm: f32) -> f32 {
-        let norm = self.global_norm();
-        if norm <= max_norm || norm == 0.0 {
+        let Some(factor) = self.clip_factor(max_norm) else {
             return 1.0;
-        }
-        let factor = max_norm / norm;
+        };
         for l in &mut self.layers {
             l.dw.scale_in_place(factor);
             for b in &mut l.db {
@@ -296,7 +301,7 @@ impl Mlp {
     ///
     /// Panics if `dout`'s shape does not match the cached output.
     pub fn backward(&self, cache: &ForwardCache, dout: &Matrix) -> Gradients {
-        self.backward_with_input_grad(cache, dout).0
+        self.backward_with(cache, dout, false).0
     }
 
     /// Like [`Mlp::backward`], additionally returning `∂L/∂input`
@@ -311,47 +316,75 @@ impl Mlp {
         cache: &ForwardCache,
         dout: &Matrix,
     ) -> (Gradients, Matrix) {
+        let (grads, dinput) = self.backward_with(cache, dout, true);
+        (grads, dinput.expect("input gradient requested"))
+    }
+
+    fn backward_with(
+        &self,
+        cache: &ForwardCache,
+        dout: &Matrix,
+        input_grad: bool,
+    ) -> (Gradients, Option<Matrix>) {
+        let (deltas, dinput) = self.preact_deltas(cache, dout, input_grad);
+        let layers = deltas
+            .into_iter()
+            .zip(&cache.inputs)
+            .map(|(delta, input)| LayerGrads {
+                dw: input.transpose_matmul(&delta),
+                db: delta.column_sums(),
+                preact_grads: delta,
+            })
+            .collect();
+        (Gradients { layers }, dinput)
+    }
+
+    /// The per-sample pre-activation gradients of every layer (input-side
+    /// first, each `batch × out`) for `dout = ∂L/∂output`: the part of
+    /// [`Mlp::backward`] that K-FAC's Fisher statistics read, without the
+    /// weight and bias gradients they never look at.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dout`'s shape does not match the cached output.
+    pub fn backward_preact(&self, cache: &ForwardCache, dout: &Matrix) -> Vec<Matrix> {
+        self.preact_deltas(cache, dout, false).0
+    }
+
+    /// The backward recursion itself: `δ_last = dout`, `δ_{i−1} = (δ_i ·
+    /// W_iᵀ) ⊙ act′`. `∂L/∂input` (`δ_0 · W_0ᵀ`) is one more product that
+    /// only callers chaining into another network need.
+    fn preact_deltas(
+        &self,
+        cache: &ForwardCache,
+        dout: &Matrix,
+        input_grad: bool,
+    ) -> (Vec<Matrix>, Option<Matrix>) {
         assert_eq!(
             (dout.rows(), dout.cols()),
             (cache.output.rows(), cache.output.cols()),
             "dout shape mismatch"
         );
-        let mut grads: Vec<Option<LayerGrads>> = (0..self.layers.len()).map(|_| None).collect();
-        let mut delta = dout.clone();
-        for i in (0..self.layers.len()).rev() {
-            let input = &cache.inputs[i];
-            let dw = input.transpose_matmul(&delta);
-            let db = delta.column_sums();
-            let dinput = delta.matmul_transpose(&self.layers[i].w);
-            grads[i] = Some(LayerGrads {
-                dw,
-                db,
-                preact_grads: delta,
-            });
-            if i > 0 {
-                // cache.inputs[i] is the activation output of layer i-1:
-                // chain through the activation derivative, in place on the
-                // input gradient (no intermediate derivative matrix).
-                let act = self.activation;
-                let mut dinput = dinput;
-                for (d, &a) in dinput
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(cache.inputs[i].as_slice())
-                {
-                    *d *= act.derivative_from_output(a);
-                }
-                delta = dinput;
-            } else {
-                delta = dinput; // ∂L/∂input of the whole network
+        let mut deltas = vec![dout.clone()];
+        for i in (1..self.layers.len()).rev() {
+            let mut dinput = deltas.last().expect("seeded").matmul_transpose(&self.layers[i].w);
+            // cache.inputs[i] is the activation output of layer i-1:
+            // chain through the activation derivative, in place on the
+            // input gradient (no intermediate derivative matrix).
+            let act = self.activation;
+            for (d, &a) in dinput
+                .as_mut_slice()
+                .iter_mut()
+                .zip(cache.inputs[i].as_slice())
+            {
+                *d *= act.derivative_from_output(a);
             }
+            deltas.push(dinput);
         }
-        (
-            Gradients {
-                layers: grads.into_iter().map(|g| g.expect("filled")).collect(),
-            },
-            delta,
-        )
+        let dinput =
+            input_grad.then(|| deltas.last().expect("seeded").matmul_transpose(&self.layers[0].w));
+        deltas.reverse();
+        (deltas, dinput)
     }
 
     /// Polyak averaging toward `source`: `θ ← τ·θ_source + (1−τ)·θ`.
@@ -415,6 +448,25 @@ impl Mlp {
             let nb = layer.b.len();
             layer.b.copy_from_slice(&params[offset..offset + nb]);
             offset += nb;
+        }
+    }
+
+    /// `[W; b] ← [W; b] + scale · update` for layer `i`, with `update` in
+    /// K-FAC's homogeneous `(in + 1) × out` layout (bias as the last row).
+    /// Element for element the arithmetic of [`Mlp::apply_update`].
+    pub(crate) fn apply_homogeneous_update(&mut self, i: usize, update: &Matrix, scale: f32) {
+        let layer = &mut self.layers[i];
+        assert_eq!(
+            (update.rows(), update.cols()),
+            (layer.inputs() + 1, layer.outputs()),
+            "homogeneous update shape mismatch"
+        );
+        let (dw, db) = update.as_slice().split_at(layer.w.as_slice().len());
+        for (w, &d) in layer.w.as_mut_slice().iter_mut().zip(dw) {
+            *w += scale * d;
+        }
+        for (b, &d) in layer.b.iter_mut().zip(db) {
+            *b += scale * d;
         }
     }
 

@@ -20,9 +20,9 @@
 //! The FMA kernels fuse multiply-add with a single rounding per step:
 //! still fully deterministic (fixed order, batch-split invariant), but
 //! not bit-comparable to scalar, so they run only when explicitly
-//! requested. `A·Bᵀ` (`matmul_transpose`) reduces over `k`; lane-parallel
-//! reduction inherently reorders the sum, so that kernel gets a SIMD
-//! variant only in FMA mode and stays scalar otherwise.
+//! requested. There is one kernel family: `Aᵀ·B` and `A·Bᵀ` pack their
+//! transposed operand and run on the `matmul` kernels (see
+//! [`crate::matrix`]), so every product inherits the same guarantees.
 //!
 //! Requesting a kernel the CPU lacks silently falls back to the best
 //! available one ([`GemmKernel::best_available`]); an unparseable
@@ -177,7 +177,7 @@ pub fn active() -> GemmKernel {
 /// block).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    use crate::matrix::{J_BLOCK, K_BLOCK, MM_JT};
+    use crate::matrix::MM_JT;
     use core::arch::x86_64::*;
 
     /// `acc + a·b` with separate rounding steps — matches the scalar
@@ -208,18 +208,20 @@ pub(crate) mod x86 {
         a.mul_add(b, acc)
     }
 
-    /// Expands the `matmul` / `transpose_matmul` kernel pair once per
-    /// feature set. A macro (rather than a `const FMA: bool` generic)
-    /// keeps each instantiation inside a fn carrying exactly the
-    /// `#[target_feature]` set its intrinsics need, so the multiply-add
-    /// helpers stay safe calls and inline cleanly.
+    /// Expands the `matmul` kernels once per feature set. A macro (rather
+    /// than a `const FMA: bool` generic) keeps each instantiation inside a
+    /// fn carrying exactly the `#[target_feature]` set its intrinsics
+    /// need, so the multiply-add helpers stay safe calls and inline
+    /// cleanly.
     macro_rules! define_gemm_kernels {
         ($feat:literal, $vmadd:ident, $smadd:ident,
-         $mm_tile:ident, $matmul_block:ident, $tmm_block:ident) => {
-            /// `RT` rows × up to [`MM_JT`] columns of `C` with 8-lane
-            /// register accumulators; the vector lanes are independent
-            /// output columns, so each element keeps one accumulator
-            /// chain over ascending `k` exactly like the scalar tile.
+         $mm_tile:ident, $matmul_block:ident) => {
+            /// `RT` rows × up to [`MM_JT`] columns of `C` from column
+            /// `j_start` on, with 8-lane register accumulators; the
+            /// vector lanes are independent output columns, so each
+            /// element keeps one accumulator chain over ascending `k`
+            /// exactly like the scalar tile.
+            #[allow(clippy::too_many_arguments)]
             #[target_feature(enable = $feat)]
             fn $mm_tile<const RT: usize>(
                 a: &[f32],
@@ -229,8 +231,9 @@ pub(crate) mod x86 {
                 r: usize,
                 kk: usize,
                 n: usize,
+                j_start: usize,
             ) {
-                let mut j0 = 0;
+                let mut j0 = j_start;
                 while j0 + MM_JT <= n {
                     let mut acc = [[_mm256_setzero_ps(); 2]; RT];
                     for k in 0..kk {
@@ -279,8 +282,8 @@ pub(crate) mod x86 {
                 }
             }
 
-            /// `C[row0.., :] = A[row0.., :] · B`: 4/2/1-row tiling
-            /// identical to the scalar `matmul_block`.
+            /// `C[row0.., j_start..] = A[row0.., :] · B[:, j_start..]`:
+            /// 4/2/1-row tiling identical to the scalar `matmul_block`.
             #[target_feature(enable = $feat)]
             fn $matmul_block(
                 a: &[f32],
@@ -289,74 +292,20 @@ pub(crate) mod x86 {
                 row0: usize,
                 kk: usize,
                 n: usize,
+                j_start: usize,
             ) {
                 let rows = out_block.len() / n;
                 let mut r = 0;
                 while r + 4 <= rows {
-                    $mm_tile::<4>(a, b, out_block, row0 + r, r, kk, n);
+                    $mm_tile::<4>(a, b, out_block, row0 + r, r, kk, n, j_start);
                     r += 4;
                 }
                 if r + 2 <= rows {
-                    $mm_tile::<2>(a, b, out_block, row0 + r, r, kk, n);
+                    $mm_tile::<2>(a, b, out_block, row0 + r, r, kk, n, j_start);
                     r += 2;
                 }
                 if r < rows {
-                    $mm_tile::<1>(a, b, out_block, row0 + r, r, kk, n);
-                }
-            }
-
-            /// `C[row0.., :] = (Aᵀ)[row0.., :] · B`: the scalar kernel's
-            /// `K_BLOCK × J_BLOCK` panel walk with the elementwise inner
-            /// `out[j] += a·b[j]` loop run 8 lanes at a time. Lanes are
-            /// independent `j` columns, so per-element order matches the
-            /// scalar kernel.
-            #[target_feature(enable = $feat)]
-            fn $tmm_block(
-                a: &[f32],
-                b: &[f32],
-                out_block: &mut [f32],
-                row0: usize,
-                m: usize,
-                kk: usize,
-                n: usize,
-            ) {
-                out_block.fill(0.0);
-                let rows = out_block.len() / n;
-                for k0 in (0..kk).step_by(K_BLOCK) {
-                    let k1 = (k0 + K_BLOCK).min(kk);
-                    for j0 in (0..n).step_by(J_BLOCK) {
-                        let j1 = (j0 + J_BLOCK).min(n);
-                        let len = j1 - j0;
-                        for r in 0..rows {
-                            let i = row0 + r;
-                            for k in k0..k1 {
-                                let avs = a[k * m + i];
-                                let av = _mm256_set1_ps(avs);
-                                let bp = b[k * n + j0..k * n + j1].as_ptr();
-                                let op = out_block[r * n + j0..r * n + j1].as_mut_ptr();
-                                let mut j = 0;
-                                while j + 8 <= len {
-                                    // SAFETY: `j + 8 <= len` keeps both
-                                    // 8-lane accesses inside the two
-                                    // `len`-long slices taken above.
-                                    unsafe {
-                                        let o = _mm256_loadu_ps(op.add(j));
-                                        let bv = _mm256_loadu_ps(bp.add(j));
-                                        _mm256_storeu_ps(op.add(j), $vmadd(av, bv, o));
-                                    }
-                                    j += 8;
-                                }
-                                while j < len {
-                                    // SAFETY: `j < len` stays inside the
-                                    // slices taken above.
-                                    unsafe {
-                                        *op.add(j) = $smadd(avs, *bp.add(j), *op.add(j));
-                                    }
-                                    j += 1;
-                                }
-                            }
-                        }
-                    }
+                    $mm_tile::<1>(a, b, out_block, row0 + r, r, kk, n, j_start);
                 }
             }
         };
@@ -367,90 +316,19 @@ pub(crate) mod x86 {
         vmadd_unfused,
         smadd_unfused,
         mm_tile_avx2,
-        matmul_block_avx2,
-        transpose_matmul_block_avx2
+        matmul_block_avx2
     );
     define_gemm_kernels!(
         "avx2,fma",
         vmadd_fused,
         smadd_fused,
         mm_tile_fma,
-        matmul_block_fma,
-        transpose_matmul_block_fma
+        matmul_block_fma
     );
-
-    /// Horizontal sum of 8 lanes: fold high half onto low, then pairwise.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn hsum256(v: __m256) -> f32 {
-        let q = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps::<1>(v));
-        let d = _mm_add_ps(q, _mm_movehl_ps(q, q));
-        _mm_cvtss_f32(_mm_add_ss(d, _mm_shuffle_ps::<0b01>(d, d)))
-    }
-
-    /// `C[row0.., :] = A[row0.., :] · Bᵀ` with four independent 8-lane FMA
-    /// accumulators over `k` per dot product. Lane-parallel reduction
-    /// reorders the sum, so this kernel exists only for the (already
-    /// inexact) FMA mode; Scalar/Avx2 modes keep the scalar kernel. The
-    /// order is still fixed and row-independent, so results stay
-    /// deterministic and batch-split invariant, and nothing skips zero
-    /// terms (NaN/∞ propagate like the reference).
-    #[target_feature(enable = "avx2,fma")]
-    fn matmul_transpose_block_fma(
-        a: &[f32],
-        b: &[f32],
-        out_block: &mut [f32],
-        row0: usize,
-        kk: usize,
-        n: usize,
-    ) {
-        let rows = out_block.len() / n;
-        for r in 0..rows {
-            let a_row = &a[(row0 + r) * kk..(row0 + r) * kk + kk];
-            let ap = a_row.as_ptr();
-            for j in 0..n {
-                let b_row = &b[j * kk..(j + 1) * kk];
-                let bp = b_row.as_ptr();
-                let mut acc = [_mm256_setzero_ps(); 4];
-                let mut k = 0;
-                while k + 32 <= kk {
-                    for (l, accl) in acc.iter_mut().enumerate() {
-                        // SAFETY: `k + 32 <= kk` bounds all four 8-lane
-                        // loads (offsets k..k+32) within both kk-long rows.
-                        unsafe {
-                            *accl = _mm256_fmadd_ps(
-                                _mm256_loadu_ps(ap.add(k + 8 * l)),
-                                _mm256_loadu_ps(bp.add(k + 8 * l)),
-                                *accl,
-                            );
-                        }
-                    }
-                    k += 32;
-                }
-                while k + 8 <= kk {
-                    // SAFETY: `k + 8 <= kk` bounds both 8-lane loads.
-                    unsafe {
-                        acc[0] = _mm256_fmadd_ps(
-                            _mm256_loadu_ps(ap.add(k)),
-                            _mm256_loadu_ps(bp.add(k)),
-                            acc[0],
-                        );
-                    }
-                    k += 8;
-                }
-                let accv = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
-                let mut s = hsum256(accv);
-                while k < kk {
-                    s = a_row[k].mul_add(b_row[k], s);
-                    k += 1;
-                }
-                out_block[r * n + j] = s;
-            }
-        }
-    }
 
     /// Dispatches one `matmul` row block to the AVX2 (`fma = false`) or
     /// AVX2+FMA kernel.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_matmul_block(
         fma: bool,
         a: &[f32],
@@ -459,59 +337,19 @@ pub(crate) mod x86 {
         row0: usize,
         kk: usize,
         n: usize,
+        j_start: usize,
     ) {
         if fma {
             assert!(super::fma_available(), "FMA kernel dispatched without CPU support");
             // SAFETY: AVX2+FMA support was just asserted via runtime
             // feature detection.
-            unsafe { matmul_block_fma(a, b, out_block, row0, kk, n) }
+            unsafe { matmul_block_fma(a, b, out_block, row0, kk, n, j_start) }
         } else {
             assert!(super::avx2_available(), "AVX2 kernel dispatched without CPU support");
             // SAFETY: AVX2 support was just asserted via runtime feature
             // detection.
-            unsafe { matmul_block_avx2(a, b, out_block, row0, kk, n) }
+            unsafe { matmul_block_avx2(a, b, out_block, row0, kk, n, j_start) }
         }
-    }
-
-    /// Dispatches one `transpose_matmul` row block (see
-    /// [`run_matmul_block`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_transpose_matmul_block(
-        fma: bool,
-        a: &[f32],
-        b: &[f32],
-        out_block: &mut [f32],
-        row0: usize,
-        m: usize,
-        kk: usize,
-        n: usize,
-    ) {
-        if fma {
-            assert!(super::fma_available(), "FMA kernel dispatched without CPU support");
-            // SAFETY: AVX2+FMA support was just asserted via runtime
-            // feature detection.
-            unsafe { transpose_matmul_block_fma(a, b, out_block, row0, m, kk, n) }
-        } else {
-            assert!(super::avx2_available(), "AVX2 kernel dispatched without CPU support");
-            // SAFETY: AVX2 support was just asserted via runtime feature
-            // detection.
-            unsafe { transpose_matmul_block_avx2(a, b, out_block, row0, m, kk, n) }
-        }
-    }
-
-    /// Dispatches one `matmul_transpose` row block; FMA mode only.
-    pub(crate) fn run_matmul_transpose_block(
-        a: &[f32],
-        b: &[f32],
-        out_block: &mut [f32],
-        row0: usize,
-        kk: usize,
-        n: usize,
-    ) {
-        assert!(super::fma_available(), "FMA kernel dispatched without CPU support");
-        // SAFETY: AVX2+FMA support was just asserted via runtime feature
-        // detection.
-        unsafe { matmul_transpose_block_fma(a, b, out_block, row0, kk, n) }
     }
 }
 

@@ -1,10 +1,11 @@
 //! Property-based tests for the NN substrate.
 
 use dosco_nn::dist::{log_softmax_row, softmax_row, Categorical};
-use dosco_nn::linalg::damped_inverse;
+use dosco_nn::linalg::{damped_inverse, LinalgError};
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::{Activation, Mlp};
 use dosco_nn::par;
+use dosco_nn::simd::GemmKernel;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -41,8 +42,145 @@ fn gemm_matches(actual: &Matrix, reference: &Matrix) -> bool {
     }
 }
 
+/// The inversion `damped_inverse` replaced, kept as its specification: a
+/// row-by-row `f64` Cholesky, then a forward and a back substitution per
+/// unit vector. The production routine must return these bits. (Its
+/// `s <= 0.0` pivot test lets a NaN through; inputs here are finite.)
+fn damped_inverse_ref(m: &Matrix, damping: f64) -> Result<Matrix, LinalgError> {
+    let n = m.rows();
+    let mut a = vec![0.0f64; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            a[i * n + j] = f64::from(m.get(i, j));
+        }
+        a[i * n + i] += damping;
+    }
+    let mut l = vec![0.0f64; n * n];
+    for i in 0..n {
+        for j in 0..=i {
+            let mut s = a[i * n + j];
+            for k in 0..j {
+                s -= l[i * n + k] * l[j * n + k];
+            }
+            if i == j {
+                if s <= 0.0 {
+                    return Err(LinalgError::NotPositiveDefinite { pivot: i });
+                }
+                l[i * n + i] = s.sqrt();
+            } else {
+                l[i * n + j] = s / l[j * n + j];
+            }
+        }
+    }
+    let mut inv = vec![0.0f64; n * n];
+    let mut y = vec![0.0f64; n];
+    for col in 0..n {
+        for i in 0..n {
+            let mut s = if i == col { 1.0 } else { 0.0 };
+            for k in 0..i {
+                s -= l[i * n + k] * y[k];
+            }
+            y[i] = s / l[i * n + i];
+        }
+        for i in (0..n).rev() {
+            let mut s = y[i];
+            for k in (i + 1)..n {
+                s -= l[k * n + i] * inv[k * n + col];
+            }
+            inv[i * n + col] = s / l[i * n + i];
+        }
+    }
+    Ok(Matrix::from_fn(n, n, |r, c| inv[r * n + c] as f32))
+}
+
+/// A K-FAC-like factor: the second moment `xᵀx / batch` of a random
+/// `batch × n` matrix — PSD, rank-deficient when `batch < n`.
+fn second_moment(batch: usize, n: usize, rng: &mut rand::rngs::StdRng) -> Matrix {
+    let x = rand_matrix(batch, n, rng);
+    x.transpose_matmul_ref(&x).scaled(1.0 / batch as f32)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The all-right-hand-sides inversion returns the bits of the
+    /// column-at-a-time reference on SPD and PSD-plus-damping inputs.
+    #[test]
+    fn damped_inverse_matches_reference_bitwise(
+        n in 1usize..40, batch in 1usize..48, damping in 0.001f64..1.0, seed in 0u64..1000
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let m = second_moment(batch, n, &mut rng);
+        let got = damped_inverse(&m, damping).unwrap();
+        prop_assert_eq!(bits(&got), bits(&damped_inverse_ref(&m, damping).unwrap()));
+    }
+
+    /// On an indefinite input both fail, at the same pivot.
+    #[test]
+    fn damped_inverse_fails_like_reference(
+        n in 1usize..40, row in 0usize..40, shift in 0.5f32..20.0, seed in 0u64..1000
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut m = second_moment(n + 3, n, &mut rng);
+        let row = row % n;
+        m.set(row, row, m.get(row, row) - shift);
+        let reference = damped_inverse_ref(&m, 0.01);
+        let got = damped_inverse(&m, 0.01);
+        match (got, reference) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(bits(&a), bits(&b)),
+            (a, b) => prop_assert_eq!(a.unwrap_err(), b.unwrap_err()),
+        }
+    }
+
+    /// All three GEMM entry points return the bits of their `*_ref` under
+    /// the scalar and the AVX2 kernel, forced — whatever `DOSCO_SIMD` says
+    /// — at shapes off every tile boundary (`n % 16 != 0`, `m % 4 != 0`).
+    #[test]
+    fn forced_bit_exact_kernels_match_references(
+        m in 1usize..40, k in 1usize..70, n in 1usize..40, seed in 0u64..1000
+    ) {
+        let (m, n) = (m + usize::from(m % 4 == 0), n + usize::from(n % 16 == 0));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a = rand_matrix(m, k, &mut rng);
+        let b = rand_matrix(k, n, &mut rng);
+        let at = rand_matrix(k, m, &mut rng);
+        let bt = rand_matrix(n, k, &mut rng);
+        for kernel in [GemmKernel::Scalar, GemmKernel::Avx2] {
+            let mut out = Matrix::from_fn(m, n, |_, _| f32::NAN);
+            a.matmul_into_with(&b, &mut out, kernel);
+            prop_assert_eq!(bits(&out), bits(&a.matmul_ref(&b)), "{:?} matmul", kernel);
+            at.transpose_matmul_into_with(&b, &mut out, kernel);
+            prop_assert_eq!(
+                bits(&out), bits(&at.transpose_matmul_ref(&b)), "{:?} transpose_matmul", kernel
+            );
+            a.matmul_transpose_into_with(&bt, &mut out, kernel);
+            prop_assert_eq!(
+                bits(&out), bits(&a.matmul_transpose_ref(&bt)), "{:?} matmul_transpose", kernel
+            );
+        }
+    }
+
+    /// The Gram upper triangle is the `transpose_matmul` reference on and
+    /// above the diagonal, and that reference is symmetric bit for bit —
+    /// which is what lets K-FAC mirror instead of computing both halves.
+    #[test]
+    fn gram_upper_matches_reference_and_mirrors(
+        batch in 1usize..70, n in 1usize..80, seed in 0u64..1000
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let x = rand_matrix(batch, n, &mut rng);
+        let reference = x.transpose_matmul_ref(&x);
+        let mut out = Matrix::from_fn(n, n, |_, _| f32::NAN);
+        x.gram_upper_into(&mut out);
+        for i in 0..n {
+            for j in i..n {
+                if dosco_nn::simd::active().bit_exact() {
+                    prop_assert_eq!(out.get(i, j).to_bits(), reference.get(i, j).to_bits());
+                }
+                prop_assert_eq!(reference.get(j, i).to_bits(), reference.get(i, j).to_bits());
+            }
+        }
+    }
 
     /// (A·B)·C == A·(B·C) within f32 tolerance on small matrices.
     #[test]
@@ -237,6 +375,22 @@ proptest! {
         net.apply_update(&grads, -1e-4);
         let after = loss(&net);
         prop_assert!(after <= before + 1e-6, "{before} -> {after}");
+    }
+}
+
+/// The two factor sizes of the paper's architecture (256 pre-activations,
+/// 256 inputs plus the homogeneous coordinate), once each: full panels
+/// and a one-column remainder, rank 64.
+#[test]
+fn damped_inverse_matches_reference_at_paper_scale() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+    for n in [256, 257] {
+        let m = second_moment(64, n, &mut rng);
+        assert_eq!(
+            bits(&damped_inverse(&m, 0.01).unwrap()),
+            bits(&damped_inverse_ref(&m, 0.01).unwrap()),
+            "n = {n}"
+        );
     }
 }
 

@@ -4,9 +4,9 @@
 //! exercise the AVX2/FMA paths regardless of `DOSCO_SIMD` (skipping
 //! silently on CPUs without the features). Contracts:
 //!
-//! - AVX2 kernels are **bit-identical** to scalar for `matmul` and
-//!   `transpose_matmul` (and `matmul_transpose` trivially: it routes to
-//!   the scalar kernel below FMA).
+//! - AVX2 kernels are **bit-identical** to scalar for `matmul`,
+//!   `transpose_matmul` and `matmul_transpose` (one kernel family: the
+//!   transposed products pack an operand and run the `matmul` kernel).
 //! - FMA kernels are deterministic and within tight tolerance of scalar.
 
 use dosco_nn::matrix::Matrix;
@@ -23,7 +23,7 @@ fn bits(m: &Matrix) -> Vec<u32> {
 }
 
 /// Shapes crossing every tile/block boundary: full 16-wide tiles, column
-/// remainders, 4/2/1-row tails, K_BLOCK/J_BLOCK edges, degenerate dims.
+/// remainders, 4/2/1-row tails, degenerate dims.
 const SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
     (1, 5, 17),
@@ -74,7 +74,7 @@ fn avx2_transpose_matmul_is_bit_identical_to_scalar() {
 }
 
 #[test]
-fn avx2_matmul_transpose_routes_to_the_scalar_kernel() {
+fn avx2_matmul_transpose_is_bit_identical_to_scalar() {
     if !GemmKernel::Avx2.is_available() {
         eprintln!("skipping: no AVX2 on this CPU");
         return;
@@ -155,8 +155,7 @@ fn fma_matmul_is_batch_split_invariant() {
 
 /// SIMD kernels must propagate NaN/∞ like the reference (no zero-skip):
 /// `0 · NaN` and `0 · ∞` are NaN, and the poisoned elements sit inside
-/// the vector lanes (col 0 and col 16 at n = 17; k = 40 for the
-/// k-vectorized FMA dot), not just the scalar tails.
+/// the vector lanes (col 0 at n = 17), not just the scalar tails (col 16).
 #[test]
 fn simd_kernels_propagate_nan_and_inf() {
     // matmul / transpose_matmul: out row = 0·row0(b) + 1·row1(b).
@@ -164,7 +163,7 @@ fn simd_kernels_propagate_nan_and_inf() {
     let mut b = Matrix::from_fn(2, 17, |_, _| 1.0);
     b.set(0, 0, f32::NAN);
     b.set(0, 16, f32::INFINITY);
-    // matmul_transpose: 40-long dot with the NaN inside the vector body.
+    // matmul_transpose: a 40-long dot whose first term is 0·NaN.
     let mut a_long = Matrix::zeros(1, 40);
     a_long.set(0, 1, 1.0);
     let mut b_long = Matrix::from_fn(1, 40, |_, _| 1.0);

@@ -237,6 +237,8 @@ pub enum SpanKind {
     KfacStats,
     /// K-FAC damped Cholesky factor inversions.
     KfacInversion,
+    /// K-FAC preconditioning `A⁻¹ · ∇ · G⁻¹` of one step's gradients.
+    KfacPrecondition,
     /// Rollout collection (`RolloutCollector::collect`).
     RolloutCollect,
     /// Actor blocking on a full experience channel.
@@ -259,10 +261,11 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// All spans, in report order.
-    pub const ALL: [SpanKind; 12] = [
+    pub const ALL: [SpanKind; 13] = [
         SpanKind::Gemm,
         SpanKind::KfacStats,
         SpanKind::KfacInversion,
+        SpanKind::KfacPrecondition,
         SpanKind::RolloutCollect,
         SpanKind::ChannelSend,
         SpanKind::ChannelRecv,
@@ -280,6 +283,7 @@ impl SpanKind {
             SpanKind::Gemm => "gemm",
             SpanKind::KfacStats => "kfac_stats",
             SpanKind::KfacInversion => "kfac_inversion",
+            SpanKind::KfacPrecondition => "kfac_precondition",
             SpanKind::RolloutCollect => "rollout_collect",
             SpanKind::ChannelSend => "channel_send",
             SpanKind::ChannelRecv => "channel_recv",

@@ -167,6 +167,7 @@ mod tests {
         count(CounterKind::TraceEvents, 5);
         observe(HistKind::Staleness, 2.0);
         record_span_ns(SpanKind::Gemm, 1_500_000);
+        record_span_ns(SpanKind::KfacPrecondition, 250_000);
         let r = ObsReport::capture();
         assert_eq!(r.counters.len(), CounterKind::ALL.len());
         assert_eq!(r.gauges.len(), GaugeKind::ALL.len());
@@ -176,6 +177,14 @@ mod tests {
         let g = r.span("gemm").unwrap();
         assert_eq!(g.count, 1);
         assert!((g.total_ms - 1.5).abs() < 1e-9);
+        // Report order is `SpanKind::ALL` order: the three K-FAC phases
+        // of one update sit together.
+        let names: Vec<&str> = r.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names[1..4],
+            ["kfac_stats", "kfac_inversion", "kfac_precondition"]
+        );
+        assert_eq!(r.span("kfac_precondition").unwrap().count, 1);
         // Overflow bucket is the null-bounded last one.
         let h = r.histograms.iter().find(|h| h.name == "staleness").unwrap();
         assert_eq!(h.buckets.last().unwrap().le, None);

@@ -188,9 +188,8 @@ impl Acktr {
         // Fisher factor statistics from model-sampled gradients.
         let batch = rollout.actions.len();
         let actor_fisher_out = Categorical::new(&actor_cache.output).fisher_sample_logits(rng);
-        let actor_fisher = self.actor.backward(&actor_cache, &actor_fisher_out);
-        let afg: Vec<&Matrix> = actor_fisher.layers.iter().map(|l| &l.preact_grads).collect();
-        self.actor_kfac.update_stats(&actor_cache, &afg);
+        let actor_fisher = self.actor.backward_preact(&actor_cache, &actor_fisher_out);
+        self.actor_kfac.update_stats(&actor_cache, &actor_fisher);
 
         // Critic value head: Gaussian likelihood ⇒ Fisher gradient is
         // standard normal noise (Wu et al., Sec. 3).
@@ -199,9 +198,8 @@ impl Acktr {
             let u2: f32 = rng.gen();
             ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()) / batch as f32
         });
-        let critic_fisher = self.critic.backward(&critic_cache, &critic_fisher_out);
-        let cfg: Vec<&Matrix> = critic_fisher.layers.iter().map(|l| &l.preact_grads).collect();
-        self.critic_kfac.update_stats(&critic_cache, &cfg);
+        let critic_fisher = self.critic.backward_preact(&critic_cache, &critic_fisher_out);
+        self.critic_kfac.update_stats(&critic_cache, &critic_fisher);
 
         // Natural-gradient steps with the trust region.
         self.actor_kfac

@@ -39,4 +39,7 @@ bash benchmark/run.sh --workload decide-abilene --seconds 1
 echo "== benchmark smoke (1 s of sim-grid-churn: conservation, every churn event applied) =="
 bash benchmark/run.sh --workload sim-grid-churn --seconds 1
 
+echo "== benchmark smoke (1 s of train-inproc: runtime weights == serial ACKTR weights) =="
+bash benchmark/run.sh --workload train-inproc --seconds 1
+
 echo "All checks passed."

@@ -125,6 +125,30 @@ fn ppo_serial_train_matches_golden() {
     );
 }
 
+/// The paper's architecture (`AcktrConfig::default()`, 2×256): the 8×8
+/// goldens above never reach the 256- and 257-wide K-FAC factors, whose
+/// row and column remainders take kernel paths of their own. Only the
+/// inversion period is shortened, so four updates cross two refreshes.
+/// Captured at commit `8236a78`.
+#[test]
+fn acktr_paper_arch_train_matches_golden() {
+    if !bit_exact_kernels() {
+        return;
+    }
+    let (mut envs, obs_dim, num_actions) = envs();
+    let config = AcktrConfig {
+        inverse_period: 2,
+        ..AcktrConfig::default()
+    };
+    let mut agent = Acktr::new(obs_dim, num_actions, config, AGENT_SEED);
+    agent.train(&mut envs, 4 * 32);
+    check(
+        "acktr/256x256",
+        fingerprint(&[agent.actor(), agent.critic()]),
+        ACKTR_PAPER_ARCH,
+    );
+}
+
 /// `train_distributed` returns only the deployed actor, so that is what
 /// is fingerprinted; the serial path (`runtime: None`) and the sync
 /// actor–learner runtime must both land on the same golden.
@@ -177,6 +201,7 @@ fn train_distributed_matches_golden_on_both_paths() {
 
 const A2C_SERIAL: u64 = 0x61c4_c13e_e315_cfe3;
 const ACKTR_SERIAL: u64 = 0xcca7_a076_1197_56b5;
+const ACKTR_PAPER_ARCH: u64 = 0x4e77_d7a2_741f_2fb5;
 const PPO_SERIAL: u64 = 0x349d_3287_a0e3_3335;
 const A2C_DISTRIBUTED: u64 = 0x764d_973d_14dd_7d52;
 const ACKTR_DISTRIBUTED: u64 = 0xd871_fb13_d181_e45b;
