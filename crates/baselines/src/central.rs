@@ -98,9 +98,7 @@ fn rule_decide(sim: &Simulation, dp: &DecisionPoint, targets: &[NodeId]) -> Acti
         Some(hop) => {
             let idx = sim
                 .topology()
-                .neighbors(dp.node)
-                .iter()
-                .position(|&(n, _)| n == hop)
+                .neighbor_index(dp.node, hop)
                 .expect("next hop is a neighbor");
             Action::Forward(idx)
         }

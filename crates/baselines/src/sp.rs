@@ -24,10 +24,8 @@ impl ShortestPath {
     fn forward_to(sim: &Simulation, node: dosco_topology::NodeId, hop: dosco_topology::NodeId) -> Action {
         let idx = sim
             .topology()
-            .neighbors(node)
-            .iter()
-            .position(|&(n, _)| n == hop)
-            .expect("next hop is a neighbor by construction");
+            .neighbor_index(node, hop)
+            .expect("next hop is a neighbor");
         Action::Forward(idx)
     }
 }

@@ -1019,6 +1019,14 @@ mod tests {
     use dosco_topology::generators;
     use dosco_traffic::{ArrivalPattern, FlowProfile};
 
+    /// The path table advances its rows behind a `RefCell`, so a
+    /// simulation moves between threads but is not shared by them.
+    #[test]
+    fn simulation_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Simulation>();
+    }
+
     /// A 3-node line (0 - 1 - 2) with one single-component service; ingress
     /// at 0, egress at 2, ample capacities, link delay 1 ms.
     fn line_scenario() -> ScenarioConfig {

@@ -207,6 +207,12 @@ impl Topology {
         self.adj.iter().map(Vec::len).max().unwrap_or(0)
     }
 
+    /// Position of `hop` in `v`'s neighbor list — the index a forward
+    /// action addresses it by — if the two are adjacent.
+    pub fn neighbor_index(&self, v: NodeId, hop: NodeId) -> Option<usize> {
+        self.adj[v.0].iter().position(|&(n, _)| n == hop)
+    }
+
     /// The link between `a` and `b`, if any.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
         self.adj[a.0]
@@ -501,6 +507,17 @@ mod tests {
         assert_eq!(t.network_degree(), 2);
         assert!(t.is_connected());
         assert_eq!(t.max_node_capacity(), 3.0);
+    }
+
+    #[test]
+    fn neighbor_index_addresses_the_neighbor_list() {
+        let t = triangle();
+        for v in t.node_ids() {
+            for (i, &(n, _)) in t.neighbors(v).iter().enumerate() {
+                assert_eq!(t.neighbor_index(v, n), Some(i));
+            }
+            assert_eq!(t.neighbor_index(v, v), None);
+        }
     }
 
     #[test]

@@ -4,24 +4,43 @@
 //! delays `d_{v,v',v_eg}` (from `v` via neighbor `v'` to the egress) can be
 //! precomputed and looked up in constant time at runtime (Sec. IV-B1d).
 //!
-//! Under substrate churn the table is kept per source: a fault
-//! [re-masks](ShortestPaths::remask) the link weights and forgets every
-//! row, and a row's Dijkstra runs on its first read afterwards. Rows that
-//! nobody reads between two faults are never computed.
+//! Under substrate churn the table is kept per source, and a source's row
+//! is a *resumable* Dijkstra: a fault [re-masks](ShortestPaths::remask)
+//! the link weights and marks every row unstarted, and a read of `(s, t)`
+//! afterwards runs `s`'s search only until `t` is final, leaving the heap
+//! in place for the next, farther target. Rows that nobody reads between
+//! two faults are never started, a row whose reads all fall near its
+//! source never finishes, and no row allocates after construction.
+//!
+//! What makes a partial row exact is its `radius`, the distance of the
+//! last node it settled. Link weights are non-negative and a relaxation
+//! only accepts a strictly smaller distance, so every later relaxation
+//! offers `radius` or more: a node whose tentative distance is already
+//! `<= radius` keeps that distance *and* its first hop for the rest of the
+//! search. A read answers from any row with `dist[t] <= radius` — always
+//! true once the heap has run dry (`radius` = `∞`), so on a finished table
+//! a read is an indexed load behind one compare.
 
 use crate::graph::{LinkId, NodeId, Topology};
+use std::cell::{Ref, RefCell};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
 
 /// All-pairs shortest-path delays (by link propagation delay) and next-hop
-/// tables for a [`Topology`], one row per source node.
+/// tables for a [`Topology`], one resumable row per source node.
 ///
-/// [`ShortestPaths::compute`] and [`ShortestPaths::compute_masked`] fill
-/// every row up front; after a [`ShortestPaths::remask`] rows are filled
-/// on first read. Either way a row holds exactly what an eager all-pairs
-/// run over the same weights produces. Two tables are equal when all their
-/// delays and next hops are, whatever graph they came from.
+/// [`ShortestPaths::compute`] and [`ShortestPaths::compute_masked`] settle
+/// every row up front; after a [`ShortestPaths::remask`] a row is settled
+/// as far as its reads need. Either way a read returns exactly what an
+/// eager all-pairs run over the same weights produces. Two tables are
+/// equal when all their delays and next hops are, whatever graph they came
+/// from and however far their rows had got.
+///
+/// Reads take `&self` and advance rows behind a [`RefCell`], so the table
+/// is [`Send`] but not [`Sync`]. A read of a settled target is a shared
+/// borrow, an indexed load and one compare; the exclusive borrow and the
+/// search sit behind a cold call, so a table nobody re-masks never takes
+/// them.
 ///
 /// # Example
 ///
@@ -42,30 +61,61 @@ pub struct ShortestPaths {
     /// `v` with their links, in [`Topology::neighbors`] order.
     starts: Vec<usize>,
     arcs: Vec<(NodeId, LinkId)>,
-    /// Effective delay per link: `∞` while the link or either endpoint is
-    /// down, which no relaxation can ever accept.
+    /// Effective delay per link, never negative: `∞` while the link or
+    /// either endpoint is down, which no relaxation can ever accept.
     weight: Vec<f64>,
-    /// `rows[s]` is empty until the first read from source `s`.
-    rows: Vec<OnceLock<Row>>,
+    rows: Vec<RefCell<Row>>,
 }
 
-/// Everything known about shortest paths from one source.
-#[derive(Debug, Clone, PartialEq)]
+/// The Dijkstra search from one source, paused after any settled node.
+#[derive(Debug)]
 struct Row {
-    /// `dist[t]` = shortest path delay to `t` (∞ if unreachable).
+    /// `dist[t]` = shortest path delay to `t` (∞ if unreachable), final
+    /// wherever it is `<= radius`.
     dist: Vec<f64>,
-    /// `next_hop[t]` = first hop on a shortest path to `t`.
+    /// `next_hop[t]` = first hop on a shortest path to `t`, final wherever
+    /// `dist[t]` is.
     next_hop: Vec<Option<NodeId>>,
+    /// The frontier, sized at construction so no push reallocates.
+    heap: BinaryHeap<HeapEntry>,
+    /// Distance of the last settled node: [`UNSTARTED`] until the first
+    /// read after a re-mask, `∞` once the heap has run dry.
+    radius: f64,
 }
+
+impl Clone for Row {
+    /// A derived clone would trim the heap's spare capacity, and the copy
+    /// would allocate when its search resumes.
+    fn clone(&self) -> Self {
+        let mut heap = self.heap.clone();
+        heap.reserve_exact(self.heap.capacity() - heap.len());
+        Row {
+            dist: self.dist.clone(),
+            next_hop: self.next_hop.clone(),
+            heap,
+            radius: self.radius,
+        }
+    }
+}
+
+/// The `radius` of a row whose buffers still hold the previous mask's
+/// search; below every distance, so no read answers from it.
+const UNSTARTED: f64 = f64::NEG_INFINITY;
 
 impl PartialEq for ShortestPaths {
     fn eq(&self, other: &Self) -> bool {
-        self.all_rows().eq(other.all_rows())
+        self.settle_all();
+        other.settle_all();
+        self.rows.len() == other.rows.len()
+            && self.rows.iter().zip(&other.rows).all(|(a, b)| {
+                let (a, b) = (a.borrow(), b.borrow());
+                a.dist == b.dist && a.next_hop == b.next_hop
+            })
     }
 }
 
 /// Max-heap entry ordered so the *smallest* distance pops first.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct HeapEntry {
     dist: f64,
     node: NodeId,
@@ -76,11 +126,10 @@ impl Eq for HeapEntry {}
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: BinaryHeap is a max-heap, we want min-dist first.
-        // Distances are finite non-NaN by construction.
+        // Distances are sums of the non-negative weights `remask` admits.
         other
             .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&self.dist)
             .then_with(|| other.node.cmp(&self.node))
     }
 }
@@ -94,8 +143,8 @@ impl PartialOrd for HeapEntry {
 impl ShortestPaths {
     /// Runs Dijkstra from every node and stores delays plus next hops.
     pub fn compute(topo: &Topology) -> Self {
-        let sp = Self::unread(topo, topo.links().iter().map(|l| l.delay).collect());
-        sp.all_rows().for_each(drop);
+        let sp = Self::unstarted(topo, topo.links().iter().map(|l| l.delay).collect());
+        sp.settle_all();
         sp
     }
 
@@ -115,107 +164,167 @@ impl ShortestPaths {
     /// # Panics
     ///
     /// Panics if a mask or delay slice is shorter than the topology's node
-    /// or link count.
+    /// or link count, or if a usable link's delay is negative or NaN.
     pub fn compute_masked(
         topo: &Topology,
         node_up: &[bool],
         link_up: &[bool],
         delays: &[f64],
     ) -> Self {
-        let mut sp = Self::unread(topo, vec![f64::INFINITY; topo.num_links()]);
+        let mut sp = Self::unstarted(topo, vec![f64::INFINITY; topo.num_links()]);
         sp.remask(node_up, link_up, delays);
-        sp.all_rows().for_each(drop);
+        sp.settle_all();
         sp
     }
 
-    /// The table of `topo` under the per-link `weight`, no row filled yet.
-    fn unread(topo: &Topology, weight: Vec<f64>) -> Self {
-        let mut starts = Vec::with_capacity(topo.num_nodes() + 1);
+    /// The table of `topo` under the per-link `weight`, no row started;
+    /// the only place a row's buffers are allocated.
+    fn unstarted(topo: &Topology, weight: Vec<f64>) -> Self {
+        let n = topo.num_nodes();
+        let mut starts = Vec::with_capacity(n + 1);
         let mut arcs = Vec::with_capacity(2 * topo.num_links());
         for v in topo.node_ids() {
             starts.push(arcs.len());
             arcs.extend_from_slice(topo.neighbors(v));
         }
         starts.push(arcs.len());
+        // One push for the source, then one per accepted relaxation. A
+        // link is relaxed once from each end, and the later end offers
+        // the earlier one no less than its final distance: at most one
+        // push per link.
+        let frontier = topo.num_links() + 1;
+        let rows = (0..n)
+            .map(|_| {
+                RefCell::new(Row {
+                    dist: vec![f64::INFINITY; n],
+                    next_hop: vec![None; n],
+                    heap: BinaryHeap::with_capacity(frontier),
+                    radius: UNSTARTED,
+                })
+            })
+            .collect();
         ShortestPaths {
             starts,
             arcs,
             weight,
-            rows: vec![OnceLock::new(); topo.num_nodes()],
+            rows,
         }
     }
 
     /// Switches the table to a new masked view of its topology — the
     /// arguments mean what they mean to [`ShortestPaths::compute_masked`]
-    /// — and forgets every row. Nothing is recomputed here: each row is
-    /// rebuilt by the first [`ShortestPaths::delay`] or
-    /// [`ShortestPaths::next_hop`] that reads it, and equals the row
-    /// `compute_masked` would have produced.
+    /// — and, if that changed any link's effective weight, marks every row
+    /// unstarted. Nothing is recomputed here: a row restarts in place on
+    /// the first [`ShortestPaths::delay`] or [`ShortestPaths::next_hop`]
+    /// that reads it, and answers what `compute_masked` would have.
     ///
     /// # Panics
     ///
     /// Panics if a mask or delay slice is shorter than the topology's node
-    /// or link count.
+    /// or link count, or if a usable link's delay is negative or NaN:
+    /// stopping a search at its target is only exact for non-negative
+    /// weights.
     pub fn remask(&mut self, node_up: &[bool], link_up: &[bool], delays: &[f64]) {
         let (n, m) = (self.rows.len(), self.weight.len());
         assert!(node_up.len() >= n, "node mask covers every node");
         assert!(link_up.len() >= m, "link mask covers every link");
         assert!(delays.len() >= m, "delays cover every link");
+        let mut changed = false;
         for v in 0..n {
             for &(w, l) in &self.arcs[self.starts[v]..self.starts[v + 1]] {
                 let usable = link_up[l.0] && node_up[v] && node_up[w.0];
-                self.weight[l.0] = if usable { delays[l.0] } else { f64::INFINITY };
+                let weight = if usable { delays[l.0] } else { f64::INFINITY };
+                assert!(weight >= 0.0, "usable link delays are non-negative");
+                changed |= weight.to_bits() != self.weight[l.0].to_bits();
+                self.weight[l.0] = weight;
             }
         }
-        for row in &mut self.rows {
-            row.take();
+        if changed {
+            for row in &mut self.rows {
+                row.get_mut().radius = UNSTARTED;
+            }
         }
     }
 
-    /// The row of source `s`, running its Dijkstra if nobody read it since
-    /// the last re-mask.
-    fn row(&self, s: NodeId) -> &Row {
-        self.rows[s.0].get_or_init(|| {
-            let n = self.rows.len();
-            let mut dist = vec![f64::INFINITY; n];
-            // first[v] = first hop from s towards v (None for s itself).
-            let mut first: Vec<Option<NodeId>> = vec![None; n];
+    /// The row of source `s`, settled at least as far as `t`.
+    #[inline]
+    fn row(&self, s: NodeId, t: NodeId) -> Ref<'_, Row> {
+        let row = self.rows[s.0].borrow();
+        if row.dist[t.0] <= row.radius {
+            return row;
+        }
+        drop(row);
+        self.settle(s, Some(t));
+        self.rows[s.0].borrow()
+    }
+
+    /// Resumes `s`'s Dijkstra — restarting it in place if a re-mask
+    /// intervened — until `t` is final, or until the heap runs dry for
+    /// `None`. However the stops fall, the pops, relaxations and float
+    /// sums are those of one uninterrupted run.
+    #[cold]
+    fn settle(&self, s: NodeId, t: Option<NodeId>) {
+        let mut row = self.rows[s.0].borrow_mut();
+        let Row {
+            dist,
+            next_hop,
+            heap,
+            radius,
+        } = &mut *row;
+        if *radius == UNSTARTED {
+            dist.fill(f64::INFINITY);
+            next_hop.fill(None);
+            heap.clear();
             dist[s.0] = 0.0;
-            let mut heap = BinaryHeap::new();
             heap.push(HeapEntry { dist: 0.0, node: s });
-            while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-                if d > dist[v.0] {
-                    continue; // stale entry
-                }
-                for &(w, l) in &self.arcs[self.starts[v.0]..self.starts[v.0 + 1]] {
-                    let nd = d + self.weight[l.0];
-                    if nd < dist[w.0] {
-                        dist[w.0] = nd;
-                        first[w.0] = if v == s { Some(w) } else { first[v.0] };
-                        heap.push(HeapEntry { dist: nd, node: w });
-                    }
+        }
+        while t.map_or(*radius < f64::INFINITY, |t| dist[t.0] > *radius) {
+            let Some(HeapEntry { dist: d, node: v }) = heap.pop() else {
+                *radius = f64::INFINITY;
+                break;
+            };
+            if d > dist[v.0] {
+                continue; // stale entry
+            }
+            *radius = d;
+            for &(w, l) in &self.arcs[self.starts[v.0]..self.starts[v.0 + 1]] {
+                let nd = d + self.weight[l.0];
+                if nd < dist[w.0] {
+                    dist[w.0] = nd;
+                    // The first hop towards w is w itself out of s, else v's.
+                    next_hop[w.0] = if v == s { Some(w) } else { next_hop[v.0] };
+                    debug_assert!(heap.len() < heap.capacity(), "at most one push per link");
+                    heap.push(HeapEntry { dist: nd, node: w });
                 }
             }
-            Row { dist, next_hop: first }
-        })
+        }
     }
 
-    /// Every row in source order, computing the ones not read yet.
-    fn all_rows(&self) -> impl Iterator<Item = &Row> {
-        (0..self.rows.len()).map(|s| self.row(NodeId(s)))
+    /// How many of `s`'s targets are final (0 for an unstarted row).
+    #[cfg(test)]
+    fn settled(&self, s: NodeId) -> usize {
+        let row = self.rows[s.0].borrow();
+        row.dist.iter().filter(|&&d| d <= row.radius).count()
+    }
+
+    /// Runs every row's search to exhaustion.
+    fn settle_all(&self) {
+        for s in 0..self.rows.len() {
+            self.settle(NodeId(s), None);
+        }
     }
 
     /// Shortest-path delay from `s` to `t` (0 for `s == t`,
     /// `f64::INFINITY` if unreachable).
     pub fn delay(&self, s: NodeId, t: NodeId) -> f64 {
-        self.row(s).dist[t.0]
+        self.row(s, t).dist[t.0]
     }
 
     /// First hop on a shortest path from `s` to `t`.
     ///
     /// Returns `None` if `s == t` or `t` is unreachable.
     pub fn next_hop(&self, s: NodeId, t: NodeId) -> Option<NodeId> {
-        self.row(s).next_hop[t.0]
+        self.row(s, t).next_hop[t.0]
     }
 
     /// The full node sequence of a shortest path from `s` to `t`, excluding
@@ -246,11 +355,11 @@ impl ShortestPaths {
     /// shortest-path delay over all node pairs. Used to normalize the
     /// per-hop shaping penalty (Sec. IV-B3).
     pub fn diameter(&self) -> f64 {
-        self.all_rows()
-            .flat_map(|row| &row.dist)
-            .copied()
-            .filter(|d| d.is_finite())
-            .fold(0.0, f64::max)
+        self.settle_all();
+        let finite_max = |max: f64, &d: &f64| if d.is_finite() { max.max(d) } else { max };
+        self.rows.iter().fold(0.0, |max, row| {
+            row.borrow().dist.iter().fold(max, finite_max)
+        })
     }
 }
 
@@ -383,27 +492,127 @@ mod tests {
         (t, vec![true; n], vec![true; m], delays)
     }
 
-    /// The sources whose rows are filled.
-    fn filled(sp: &ShortestPaths) -> Vec<usize> {
-        (0..sp.rows.len())
-            .filter(|&s| sp.rows[s].get().is_some())
-            .collect()
+    /// Settled nodes per source, and each row's buffer capacities.
+    fn settled(sp: &ShortestPaths) -> Vec<usize> {
+        (0..sp.rows.len()).map(|s| sp.settled(NodeId(s))).collect()
+    }
+
+    fn capacities(sp: &ShortestPaths) -> Vec<[usize; 3]> {
+        let caps = |r: &RefCell<Row>| {
+            let r = r.borrow();
+            [r.dist.capacity(), r.next_hop.capacity(), r.heap.capacity()]
+        };
+        sp.rows.iter().map(caps).collect()
     }
 
     #[test]
-    fn remask_fills_only_the_rows_that_are_read() {
+    fn read_settles_to_its_target_and_a_farther_read_resumes() {
         let (t, node_up, mut link_up, delays) = abilene_masks();
+        let n = t.num_nodes();
         let mut sp = ShortestPaths::compute(&t);
-        assert_eq!(filled(&sp).len(), t.num_nodes(), "compute is eager");
+        assert_eq!(settled(&sp), vec![n; n], "compute is eager");
+        let caps = capacities(&sp);
         link_up[3] = false;
         sp.remask(&node_up, &link_up, &delays);
-        assert!(filled(&sp).is_empty());
+        assert_eq!(settled(&sp), vec![0; n]);
         let eager = ShortestPaths::compute_masked(&t, &node_up, &link_up, &delays);
-        for (s, t) in [(NodeId(4), NodeId(9)), (NodeId(7), NodeId(0)), (NodeId(4), NodeId(1))] {
+        let check = |s, t| {
             assert_eq!(sp.delay(s, t), eager.delay(s, t));
             assert_eq!(sp.next_hop(s, t), eager.next_hop(s, t));
+        };
+
+        // A neighbour is final long before the search has seen every node.
+        let s = NodeId(4);
+        let near = t.neighbors(s)[0].0;
+        check(s, near);
+        let partial = sp.settled(s);
+        assert!((2..n).contains(&partial), "settled {partial} of {n}");
+        check(s, near);
+        assert_eq!(sp.settled(s), partial, "a settled target is a load");
+
+        // The farthest target resumes the same search: the heap is not
+        // restarted, the count only grows, and the near answer stands.
+        let far = t
+            .node_ids()
+            .max_by(|&a, &b| eager.delay(s, a).total_cmp(&eager.delay(s, b)))
+            .unwrap();
+        check(s, far);
+        assert!(sp.settled(s) > partial);
+        check(s, near);
+        for target in t.node_ids() {
+            check(s, target);
         }
-        assert_eq!(filled(&sp), vec![4, 7]);
+        assert_eq!(sp.settled(s), n);
+
+        check(NodeId(7), NodeId(0));
+        let started: Vec<usize> = (0..n).filter(|&s| sp.settled(NodeId(s)) > 0).collect();
+        assert_eq!(started, vec![4, 7], "unread rows never start");
+        assert_eq!(capacities(&sp), caps, "no row allocates after construction");
+    }
+
+    #[test]
+    fn unreachable_target_or_dead_source_exhausts_the_row() {
+        let (t, mut node_up, link_up, delays) = abilene_masks();
+        let n = t.num_nodes();
+        let mut sp = ShortestPaths::compute(&t);
+        node_up[5] = false;
+        sp.remask(&node_up, &link_up, &delays);
+
+        // Only an exhausted heap proves a target unreachable.
+        assert!(!sp.delay(NodeId(0), NodeId(5)).is_finite());
+        assert_eq!(sp.next_hop(NodeId(0), NodeId(5)), None);
+        assert_eq!(sp.rows[0].borrow().radius, f64::INFINITY);
+        assert_eq!(sp.settled(NodeId(0)), n, "∞ is settled too");
+
+        // A dead source reaches nothing but itself.
+        assert_eq!(sp.delay(NodeId(5), NodeId(5)), 0.0);
+        assert_eq!(sp.settled(NodeId(5)), 1);
+        assert!(!sp.delay(NodeId(5), NodeId(0)).is_finite());
+        assert_eq!(sp.rows[5].borrow().radius, f64::INFINITY);
+
+        // Reads of finished rows are loads: no row state moves.
+        let before: Vec<f64> = sp.rows.iter().map(|r| r.borrow().radius).collect();
+        for s in [NodeId(0), NodeId(5)] {
+            for target in t.node_ids() {
+                sp.delay(s, target);
+                sp.next_hop(s, target);
+            }
+        }
+        let after: Vec<f64> = sp.rows.iter().map(|r| r.borrow().radius).collect();
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn noop_remask_keeps_rows_and_a_changed_weight_resets_them() {
+        let (t, mut node_up, mut link_up, mut delays) = abilene_masks();
+        let n = t.num_nodes();
+        let mut sp = ShortestPaths::compute(&t);
+        node_up[2] = false;
+        sp.remask(&node_up, &link_up, &delays);
+        sp.delay(NodeId(4), t.neighbors(NodeId(4))[0].0);
+        sp.delay(NodeId(7), NodeId(0));
+        let counts = settled(&sp);
+        assert!(counts[4] > 0 && counts[4] < n);
+
+        // Identical arguments, and a link going down under a dead endpoint.
+        sp.remask(&node_up, &link_up, &delays);
+        assert_eq!(settled(&sp), counts);
+        link_up[t.neighbors(NodeId(2))[0].1 .0] = false;
+        sp.remask(&node_up, &link_up, &delays);
+        assert_eq!(settled(&sp), counts);
+
+        // One live link's delay moves: every row restarts.
+        let live = t
+            .link_between(NodeId(0), t.neighbors(NodeId(0))[0].0)
+            .unwrap();
+        assert!(sp.weight[live.0].is_finite());
+        delays[live.0] *= 2.0;
+        sp.remask(&node_up, &link_up, &delays);
+        assert_eq!(settled(&sp), vec![0; n]);
+        assert_eq!(
+            sp,
+            ShortestPaths::compute_masked(&t, &node_up, &link_up, &delays)
+        );
     }
 
     #[test]
@@ -414,30 +623,83 @@ mod tests {
         sp.remask(&node_up, &link_up, &delays);
         node_up[5] = false;
         sp.remask(&node_up, &link_up, &delays);
-        assert!(filled(&sp).is_empty());
+        assert_eq!(settled(&sp), vec![0; t.num_nodes()]);
         // The first read sees the second re-mask, not the first.
         assert!(!sp.delay(NodeId(0), NodeId(5)).is_finite());
-        assert_eq!(filled(&sp), vec![0]);
     }
 
     #[test]
-    fn equality_and_diameter_force_every_row() {
+    fn equality_diameter_and_clone_of_a_half_settled_table_match_eager() {
         let (t, node_up, mut link_up, mut delays) = abilene_masks();
+        let n = t.num_nodes();
         link_up[2] = false;
         delays[6] *= 3.0;
         let eager = ShortestPaths::compute_masked(&t, &node_up, &link_up, &delays);
-        let mut lazy = ShortestPaths::compute(&t);
-        lazy.remask(&node_up, &link_up, &delays);
+        let half_settled = || {
+            let mut sp = ShortestPaths::compute(&t);
+            sp.remask(&node_up, &link_up, &delays);
+            sp.delay(NodeId(4), t.neighbors(NodeId(4))[0].0);
+            sp.delay(NodeId(9), NodeId(9));
+            assert!(settled(&sp).iter().sum::<usize>() < n);
+            sp
+        };
+
+        let lazy = half_settled();
         assert_eq!(lazy.diameter(), eager.diameter());
-        assert_eq!(filled(&lazy).len(), t.num_nodes());
-        lazy.remask(&node_up, &link_up, &delays);
+        assert_eq!(settled(&lazy), vec![n; n], "diameter settles every row");
+
+        let lazy = half_settled();
         assert_eq!(lazy, eager);
-        assert_eq!(filled(&lazy).len(), t.num_nodes());
+        assert_eq!(settled(&lazy), vec![n; n], "so does equality");
+
+        // A clone carries the paused searches and resumes them on its own.
+        let lazy = half_settled();
+        let clone = lazy.clone();
+        assert_eq!(settled(&clone), settled(&lazy));
+        assert_eq!(capacities(&clone), capacities(&lazy));
+        assert_eq!(clone, eager);
+        assert!(
+            settled(&lazy).iter().sum::<usize>() < n,
+            "the original is untouched"
+        );
+        assert_eq!(lazy, eager);
+
         // Re-masking back to nominal is a fresh `compute`.
         let (_, node_up, link_up, delays) = abilene_masks();
+        let mut lazy = lazy;
         lazy.remask(&node_up, &link_up, &delays);
         assert_eq!(lazy, ShortestPaths::compute(&t));
         assert_ne!(lazy, eager);
+    }
+
+    #[test]
+    #[should_panic(expected = "usable link delays are non-negative")]
+    fn remask_rejects_a_negative_usable_delay() {
+        let (t, node_up, link_up, mut delays) = abilene_masks();
+        delays[3] = -1.0;
+        ShortestPaths::compute(&t).remask(&node_up, &link_up, &delays);
+    }
+
+    #[test]
+    #[should_panic(expected = "usable link delays are non-negative")]
+    fn compute_masked_rejects_a_nan_usable_delay() {
+        let (t, node_up, link_up, mut delays) = abilene_masks();
+        delays[0] = f64::NAN;
+        ShortestPaths::compute_masked(&t, &node_up, &link_up, &delays);
+    }
+
+    #[test]
+    fn a_down_links_delay_is_never_checked() {
+        let (t, node_up, mut link_up, mut delays) = abilene_masks();
+        (link_up[3], delays[3]) = (false, f64::NAN);
+        let sp = ShortestPaths::compute_masked(&t, &node_up, &link_up, &delays);
+        assert!(sp.diameter().is_finite());
+    }
+
+    #[test]
+    fn table_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<ShortestPaths>();
     }
 
     #[test]

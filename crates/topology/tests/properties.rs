@@ -198,15 +198,17 @@ proptest! {
         }
     }
 
-    /// Lazy rows: re-masks interleaved with partial reads leave a table
-    /// that answers every pair exactly like an eager `compute_masked` of
-    /// the final masks — whichever rows were read, and so filled, under
-    /// an earlier mask.
+    /// Resumable rows: re-masks interleaved with partial reads leave a
+    /// table that answers every pair exactly like an eager
+    /// `compute_masked` of the final masks — whichever rows were read, and
+    /// however far each was settled, under an earlier mask, and in
+    /// whatever order (repeats included) the final reads then arrive.
     #[test]
     fn remasks_and_partial_reads_equal_eager_masked_compute(
         seed in 0u64..30,
         n in 5usize..16,
         ops in proptest::collection::vec(0u64..1_000_000, 0..24),
+        reads in proptest::collection::vec(0usize..256, 0..64),
     ) {
         let topo = generators::random_geometric(n, 300.0, 120.0, seed).unwrap();
         let mut node_up = vec![true; topo.num_nodes()];
@@ -227,6 +229,11 @@ proptest! {
             }
         }
         let eager = ShortestPaths::compute_masked(&topo, &node_up, &link_up, &delays);
+        for pair in reads {
+            let (s, t) = (NodeId(pair % n), NodeId(pair / n % n));
+            prop_assert_eq!(sp.next_hop(s, t), eager.next_hop(s, t), "next_hop({}, {})", s, t);
+            prop_assert_eq!(sp.delay(s, t), eager.delay(s, t), "delay({}, {})", s, t);
+        }
         for s in topo.node_ids() {
             for t in topo.node_ids() {
                 prop_assert_eq!(sp.delay(s, t), eager.delay(s, t), "delay({}, {})", s, t);

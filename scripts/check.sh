@@ -36,6 +36,9 @@ echo "== benchmark package: contract tests =="
 echo "== benchmark smoke (1 s of decide-abilene, in-run checks on) =="
 bash benchmark/run.sh --workload decide-abilene --seconds 1
 
+echo "== benchmark smoke (1 s of sim-grid-static: zero drops, conservation, every segment bit-equal to the warm-up) =="
+bash benchmark/run.sh --workload sim-grid-static --seconds 1
+
 echo "== benchmark smoke (1 s of sim-grid-churn: conservation, every churn event applied) =="
 bash benchmark/run.sh --workload sim-grid-churn --seconds 1
 
