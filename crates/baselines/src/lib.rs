@@ -15,6 +15,7 @@
 //! simulator and scenarios as the distributed DRL approach.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod central;

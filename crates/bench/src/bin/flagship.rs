@@ -10,6 +10,7 @@ use dosco_bench::runner::{scenario_with_capacity_seed, Algo, ExpBudget};
 use dosco_bench::scenarios::{base_scenario, pattern_by_name};
 use dosco_core::eval::evaluate;
 use dosco_core::train::train_distributed;
+use dosco_rl::trainer::fan_out;
 use dosco_simnet::{Metrics, Simulation};
 
 fn main() {
@@ -37,11 +38,9 @@ fn main() {
     );
 
     // In-distribution: the canonical draw, traffic seeds only (seeds fan
-    // out over the worker pool; results stay in seed order).
+    // out over the cores; results stay in seed order).
     let in_dist: Vec<Metrics> =
-        dosco_nn::par::par_map(&budget.eval_seeds, |_, &s| {
-            evaluate(&trained.policy, &scenario, s)
-        });
+        fan_out(&budget.eval_seeds, |&s| evaluate(&trained.policy, &scenario, s));
     let mean_in =
         in_dist.iter().map(Metrics::success_ratio).sum::<f64>() / in_dist.len() as f64;
 
@@ -49,7 +48,7 @@ fn main() {
     let transfer = Algo::DistDrl(trained.policy.clone()).evaluate(&scenario, &budget.eval_seeds);
 
     // Heuristics on the canonical draw for reference.
-    let gcasp: Vec<Metrics> = dosco_nn::par::par_map(&budget.eval_seeds, |_, &s| {
+    let gcasp: Vec<Metrics> = fan_out(&budget.eval_seeds, |&s| {
         let mut c = dosco_baselines::Gcasp::new();
         let mut sim = Simulation::new(scenario.clone(), s);
         sim.run(&mut c).clone()

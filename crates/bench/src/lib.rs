@@ -9,6 +9,7 @@
 //! parameter sweep.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod report;

@@ -7,6 +7,7 @@ use dosco_core::policy::CoordinationPolicy;
 use dosco_core::train::{train_distributed, Algorithm, TrainConfig};
 use dosco_core::DistributedAgents;
 use dosco_rl::ddpg::DdpgConfig;
+use dosco_rl::trainer::fan_out;
 use dosco_simnet::{Coordinator, Metrics, ScenarioConfig, Simulation};
 
 /// Experiment budget: scaled-down defaults that preserve the paper's
@@ -191,12 +192,12 @@ impl Algo {
     /// deviation over 30 random seeds" shows variance even under
     /// deterministic fixed arrivals, so the seeds must cover the random
     /// scenario draw, not just the traffic.
-    /// Seeds fan out over the worker pool (`DOSCO_THREADS`); each seed is
-    /// a self-contained simulation with its own RNG streams, so the
+    /// Seeds fan out over the cores ([`fan_out`]); each seed is a
+    /// self-contained simulation with its own RNG streams, so the
     /// per-seed metrics — and their aggregation order — are identical to
     /// a serial run.
     pub fn evaluate(&self, scenario: &ScenarioConfig, eval_seeds: &[u64]) -> EvalStats {
-        let metrics: Vec<Metrics> = dosco_nn::par::par_map(eval_seeds, |_, &seed| {
+        let metrics: Vec<Metrics> = fan_out(eval_seeds, |&seed| {
             let scenario = scenario_with_capacity_seed(scenario, seed);
             let mut coordinator = self.coordinator(&scenario);
             let mut sim = Simulation::new(scenario, seed);

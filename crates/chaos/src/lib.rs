@@ -20,6 +20,8 @@
 //! and [`ChurnSchedule::none`] compiles to the empty timeline, which the
 //! simulator treats bit-identically to no churn at all.
 
+#![forbid(unsafe_code)]
+
 pub mod report;
 pub mod schedule;
 

@@ -17,7 +17,6 @@ use dosco_rl::env::Env;
 use dosco_rl::learner::{decayed_lr, train_serial, Learner};
 use dosco_rl::ppo::{Ppo, PpoConfig};
 use dosco_rl::trainer::train_multi_seed;
-use dosco_runtime::RuntimeConfig;
 use dosco_simnet::ScenarioConfig;
 use serde::{Deserialize, Serialize};
 
@@ -82,10 +81,6 @@ pub struct TrainConfig {
     /// re-drawing capacities per episode. Narrower distribution: easier
     /// to learn at small budgets, weaker transfer across seeded draws.
     pub fixed_capacity_training: bool,
-    /// Run each seed's training chunks through the actor–learner runtime
-    /// (`dosco_runtime`) instead of the algorithm's serial loop. `None`
-    /// keeps the serial path; `Some(sync)` is bit-identical to it.
-    pub runtime: Option<RuntimeConfig>,
     /// Substrate churn applied during training episodes: each episode
     /// compiles this schedule against the scenario topology with a
     /// churn-private seed stream, so the policy learns under link/node
@@ -110,7 +105,6 @@ impl Default for TrainConfig {
             eval_seed: 0xE7A1,
             checkpoints: 8,
             fixed_capacity_training: false,
-            runtime: None,
             churn: None,
         }
     }
@@ -156,7 +150,7 @@ fn make_envs(
 
 /// Trains the distributed coordination policy on `scenario` (Alg. 1):
 /// centralized training over `config.n_envs` parallel environments for
-/// every seed in `config.seeds` (in parallel threads), then selects the
+/// every seed in `config.seeds` (fanned out over the cores), then selects the
 /// seed whose greedy policy achieves the highest success ratio on a held-
 /// out evaluation episode.
 ///
@@ -210,17 +204,7 @@ pub fn train_distributed(scenario: &ScenarioConfig, config: &TrainConfig) -> Tra
         let mut best: Option<(f32, CoordinationPolicy)> = None;
         for ck in 0..checkpoints {
             agent.set_lr(decayed_lr(base_lr, ck, checkpoints));
-            // One chunk of training: through the actor–learner runtime
-            // when configured, the serial loop otherwise (`Some(sync)` and
-            // `None` are bit-identical).
-            match &config.runtime {
-                Some(rt) => {
-                    dosco_runtime::train(&mut *agent, &mut envs, chunk, rt);
-                }
-                None => {
-                    train_serial(&mut *agent, &mut envs, chunk);
-                }
-            }
+            train_serial(&mut *agent, &mut envs, chunk);
             let actor = agent.actor().clone();
             let policy = CoordinationPolicy::new(
                 actor,
@@ -322,39 +306,6 @@ mod tests {
         };
         let trained = train_distributed(&scenario, &config);
         assert_eq!(trained.policy.metadata.algorithm, "acktr");
-    }
-
-    /// Routing the training chunks through the actor–learner runtime in
-    /// sync mode yields the exact same policy and scores as the serial
-    /// path — the subsystem drops into `train_distributed` losslessly.
-    #[test]
-    fn runtime_sync_path_matches_serial_training() {
-        let scenario = ScenarioConfig::paper_base(1).with_horizon(250.0);
-        let base = TrainConfig {
-            algorithm: Algorithm::A2c,
-            total_steps: 800,
-            n_envs: 2,
-            seeds: vec![4],
-            a2c: A2cConfig {
-                hidden: [8, 8],
-                ..A2cConfig::default()
-            },
-            eval_horizon: 150.0,
-            checkpoints: 2,
-            ..TrainConfig::default()
-        };
-        let serial = train_distributed(&scenario, &base);
-        let runtime = TrainConfig {
-            runtime: Some(RuntimeConfig::sync()),
-            ..base
-        };
-        let synced = train_distributed(&scenario, &runtime);
-        assert_eq!(synced.seed_scores, serial.seed_scores);
-        assert_eq!(
-            synced.policy.actor().flat_params(),
-            serial.policy.actor().flat_params(),
-            "runtime-sync policy diverged from the serial path"
-        );
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! attached pays one `Option` check per epoch and nothing per decision.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![warn(missing_debug_implementations)]
 

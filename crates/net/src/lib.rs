@@ -25,6 +25,7 @@
 //! `net_encode`/`net_decode` span timers in `dosco_obs`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod codec;

@@ -13,7 +13,6 @@
 use crate::linalg::{damped_inverse, symmetrize, LinalgError};
 use crate::matrix::Matrix;
 use crate::mlp::{ForwardCache, Gradients, Mlp};
-use crate::par;
 use serde::{Deserialize, Serialize};
 
 /// K-FAC hyperparameters.
@@ -170,18 +169,13 @@ impl Kfac {
     fn refresh_inverses(&mut self) -> Result<(), LinalgError> {
         let _span = dosco_obs::span(dosco_obs::SpanKind::KfacInversion);
         let damping = self.config.damping;
-        // The two Cholesky inversions per layer are independent across
-        // layers; run them in parallel and surface the first (lowest-layer)
-        // error so failures are deterministic.
-        par::par_map_mut(&mut self.layers, |_, f| -> Result<(), LinalgError> {
+        for f in &mut self.layers {
             symmetrize(&mut f.a);
             symmetrize(&mut f.g);
             f.a_inv = Some(damped_inverse(&f.a, damping)?);
             f.g_inv = Some(damped_inverse(&f.g, damping)?);
-            Ok(())
-        })
-        .into_iter()
-        .collect()
+        }
+        Ok(())
     }
 
     /// Applies one natural-gradient step for the true loss `grads`.

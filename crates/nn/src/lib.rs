@@ -14,12 +14,14 @@
 //! - [`optim`]: SGD / RMSprop / Adam,
 //! - [`kfac`]: Kronecker-factored natural-gradient preconditioning with a
 //!   KL trust region (the core of ACKTR),
-//! - [`par`]: a persistent worker pool with deterministic data-parallel
-//!   primitives (sized by `DOSCO_THREADS`; results are bit-identical for
-//!   every thread count),
 //! - [`simd`]: runtime-detected AVX2/FMA GEMM micro-kernels behind the
 //!   `DOSCO_SIMD` switch (scalar kernels stay the bit-exact reference;
 //!   the default `auto` mode only ever picks bit-identical kernels).
+//!
+//! Every kernel here is serial: the workspace spends its cores on whole
+//! training and evaluation seeds (`dosco_rl::trainer::fan_out`), not on
+//! threads inside a GEMM. Only [`simd`] is exempt from this crate's
+//! `deny` on raw-pointer and intrinsic code.
 //!
 //! Models serialize with serde, so trained policies can be copied to every
 //! node for distributed inference (Fig. 4b) and shipped as JSON artifacts.
@@ -40,6 +42,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_code)]
 
 pub mod dist;
 pub mod kfac;
@@ -47,7 +50,7 @@ pub mod linalg;
 pub mod matrix;
 pub mod mlp;
 pub mod optim;
-pub mod par;
+#[allow(unsafe_code)]
 pub mod simd;
 
 pub use dist::Categorical;

@@ -195,10 +195,9 @@ impl Matrix {
 
     /// Matrix product `self · other` written into a preallocated `out`
     /// (`self.rows × other.cols`), overwriting its contents. The kernel is
-    /// register-tiled and parallelizes over row blocks of `out` above a
-    /// size threshold; each output element accumulates in ascending-`k`
-    /// order with a single `f32` accumulator, so the result is
-    /// bit-identical to [`Matrix::matmul_ref`] for every thread count.
+    /// register-tiled and walks `out` in row blocks; each output element
+    /// accumulates in ascending-`k` order with a single `f32` accumulator,
+    /// so the result is bit-identical to [`Matrix::matmul_ref`].
     ///
     /// # Panics
     ///
@@ -245,7 +244,7 @@ impl Matrix {
     /// (`self.cols × other.cols`), overwriting its contents: `selfᵀ` is
     /// packed into a per-thread scratch buffer and the product runs on the
     /// [`Matrix::matmul_into`] kernel, so it is bit-identical to
-    /// [`Matrix::transpose_matmul_ref`] for every thread count.
+    /// [`Matrix::transpose_matmul_ref`].
     ///
     /// # Panics
     ///
@@ -309,7 +308,7 @@ impl Matrix {
     /// (`self.rows × other.rows`), overwriting its contents: `otherᵀ` is
     /// packed into a per-thread scratch buffer and the product runs on the
     /// [`Matrix::matmul_into`] kernel, so it is bit-identical to
-    /// [`Matrix::matmul_transpose_ref`] for every thread count.
+    /// [`Matrix::matmul_transpose_ref`].
     ///
     /// # Panics
     ///
@@ -610,36 +609,27 @@ fn with_packed_transpose<R>(m: &Matrix, f: impl FnOnce(&[f32]) -> R) -> R {
     })
 }
 
-/// Rows of `out` processed per parallel chunk. The partition never affects
-/// values (each element belongs to exactly one chunk), only load balance.
+/// Rows of `out` per kernel call. The partition never affects values (each
+/// element belongs to exactly one block); with `upper` it sets how finely
+/// the skipped region follows the diagonal.
 const ROW_BLOCK: usize = 32;
-/// Below this many multiply-adds the pool dispatch overhead dominates and
-/// the product runs inline on the calling thread.
-const PAR_MIN_FLOPS: usize = 1 << 17;
 
 /// `out = A · B` for row-major `a` (`out.rows × kk`) and `b`
-/// (`kk × out.cols`): the one kernel family under every product. Row
-/// blocks of `out` run in parallel when the product is large enough; each
-/// block owns its rows exclusively. With `upper`, a block skips the
+/// (`kk × out.cols`): the one kernel family under every product, run one
+/// block of [`ROW_BLOCK`] rows at a time. With `upper`, a block skips the
 /// columns left of its first row's diagonal tile.
 fn gemm(a: &[f32], b: &[f32], kk: usize, out: &mut Matrix, upper: bool, kernel: GemmKernel) {
     let _span = dosco_obs::span(dosco_obs::SpanKind::Gemm);
     let kernel = kernel.best_available();
-    let (m, n) = (out.rows, out.cols);
-    if n == 0 || m == 0 {
+    let n = out.cols;
+    if n == 0 || out.rows == 0 {
         return;
     }
-    let block = |row0: usize, out_block: &mut [f32]| {
+    for (block_idx, out_block) in out.data.chunks_mut(ROW_BLOCK * n).enumerate() {
+        let row0 = block_idx * ROW_BLOCK;
         let j_start = if upper { row0 - row0 % MM_JT } else { 0 };
         matmul_block_dispatch(a, b, out_block, row0, kk, n, j_start, kernel);
-    };
-    if m.saturating_mul(kk).saturating_mul(n) < PAR_MIN_FLOPS {
-        block(0, &mut out.data);
-        return;
     }
-    crate::par::par_chunks_mut(&mut out.data, ROW_BLOCK * n, |block_idx, out_block| {
-        block(block_idx * ROW_BLOCK, out_block);
-    });
 }
 
 /// Output-column width of the register micro-kernel: `MM_JT` accumulators

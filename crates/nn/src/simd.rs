@@ -26,7 +26,7 @@
 //!
 //! Requesting a kernel the CPU lacks silently falls back to the best
 //! available one ([`GemmKernel::best_available`]); an unparseable
-//! `DOSCO_SIMD` value panics, mirroring `DOSCO_THREADS`.
+//! `DOSCO_SIMD` value panics.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::sync::OnceLock;

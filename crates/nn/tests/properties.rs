@@ -4,7 +4,6 @@ use dosco_nn::dist::{log_softmax_row, softmax_row, Categorical};
 use dosco_nn::linalg::{damped_inverse, LinalgError};
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::{Activation, Mlp};
-use dosco_nn::par;
 use dosco_nn::simd::GemmKernel;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -28,7 +27,7 @@ fn bits(m: &Matrix) -> Vec<u32> {
 /// reference *bitwise*; the opt-in FMA mode fuses multiply-add (one
 /// rounding per step) so it gets a tight tolerance instead (±1 ulp per
 /// term over k ≤ 512 stays far below 1e-3 absolute at these magnitudes).
-/// Thread/batch invariance stays bitwise in every mode and is asserted
+/// Batch invariance stays bitwise in every mode and is asserted
 /// separately.
 fn gemm_matches(actual: &Matrix, reference: &Matrix) -> bool {
     if dosco_nn::simd::active().bit_exact() {
@@ -262,9 +261,8 @@ proptest! {
 
     /// The dispatched `matmul` kernel matches the naive reference
     /// (bitwise in scalar/AVX2 modes, tight tolerance under opt-in FMA —
-    /// see [`gemm_matches`]) at 1 and 4 threads, over shapes that cross
-    /// every block boundary (1×N, N×1, non-multiples of the 32/64/256
-    /// blocks). Serial vs parallel stays *bitwise* in every mode.
+    /// see [`gemm_matches`]) over shapes that cross every block boundary
+    /// (1×N, N×1, non-multiples of the 32/64/256 blocks).
     #[test]
     fn matmul_matches_reference_bitwise(
         m in 1usize..=80, k in 1usize..=64, n in 1usize..=64, seed in 0u64..1000
@@ -273,10 +271,7 @@ proptest! {
         let a = rand_matrix(m, k, &mut rng);
         let b = rand_matrix(k, n, &mut rng);
         let reference = a.matmul_ref(&b);
-        let serial = par::with_threads(1, || a.matmul(&b));
-        let parallel = par::with_threads(4, || a.matmul(&b));
-        prop_assert!(gemm_matches(&serial, &reference));
-        prop_assert_eq!(bits(&parallel), bits(&serial));
+        prop_assert!(gemm_matches(&a.matmul(&b), &reference));
     }
 
     /// Same contract for the fused `selfᵀ · other` kernel.
@@ -288,10 +283,7 @@ proptest! {
         let a = rand_matrix(k, m, &mut rng); // self is k×m, output m×n
         let b = rand_matrix(k, n, &mut rng);
         let reference = a.transpose_matmul_ref(&b);
-        let serial = par::with_threads(1, || a.transpose_matmul(&b));
-        let parallel = par::with_threads(4, || a.transpose_matmul(&b));
-        prop_assert!(gemm_matches(&serial, &reference));
-        prop_assert_eq!(bits(&parallel), bits(&serial));
+        prop_assert!(gemm_matches(&a.transpose_matmul(&b), &reference));
     }
 
     /// Same contract for the fused `self · otherᵀ` kernel.
@@ -303,10 +295,7 @@ proptest! {
         let a = rand_matrix(m, k, &mut rng);
         let b = rand_matrix(n, k, &mut rng); // other is n×k, output m×n
         let reference = a.matmul_transpose_ref(&b);
-        let serial = par::with_threads(1, || a.matmul_transpose(&b));
-        let parallel = par::with_threads(4, || a.matmul_transpose(&b));
-        prop_assert!(gemm_matches(&serial, &reference));
-        prop_assert_eq!(bits(&parallel), bits(&serial));
+        prop_assert!(gemm_matches(&a.matmul_transpose(&b), &reference));
     }
 
     /// The `*_into` variants overwrite stale output contents completely
@@ -343,18 +332,6 @@ proptest! {
             let srow: Vec<u32> = single.row(0).iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(&brow, &srow, "row {} diverged", r);
         }
-    }
-
-    /// Same keystone under thread-count variation: the batched forward is
-    /// bit-identical whether the pool runs 1 or 4 workers.
-    #[test]
-    fn batch_forward_thread_invariant(seed in 0u64..100) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let net = Mlp::new(&[6, 12, 4], Activation::Tanh, &mut rng);
-        let x = rand_matrix(5, 6, &mut rng);
-        let t1 = par::with_threads(1, || net.forward(&x));
-        let t4 = par::with_threads(4, || net.forward(&x));
-        prop_assert_eq!(bits(&t1), bits(&t4));
     }
 
     /// apply_update with the negated gradient and tiny step never
@@ -394,14 +371,13 @@ fn damped_inverse_matches_reference_at_paper_scale() {
     }
 }
 
-/// Shapes big enough to clear the parallel-dispatch threshold (so the
-/// 4-thread run genuinely splits row blocks across pool workers), plus
-/// degenerate and off-block-boundary shapes.
+/// Shapes spanning several row blocks and `k` panels, plus degenerate and
+/// off-block-boundary shapes.
 #[test]
-fn gemm_equivalence_at_paper_and_parallel_scale() {
+fn gemm_equivalence_at_paper_scale() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     for &(m, k, n) in &[
-        (96usize, 64usize, 96usize), // above threshold: parallel path
+        (96usize, 64usize, 96usize), // three row blocks
         (256, 512, 256),             // large: many row blocks and k panels
         (64, 16, 256),               // the paper's input layer at batch 64
         (1, 500, 7),                 // single row
@@ -411,27 +387,20 @@ fn gemm_equivalence_at_paper_and_parallel_scale() {
         let a = rand_matrix(m, k, &mut rng);
         let b = rand_matrix(k, n, &mut rng);
         let reference = a.matmul_ref(&b);
-        let serial = par::with_threads(1, || a.matmul(&b));
-        let parallel = par::with_threads(4, || a.matmul(&b));
-        assert!(gemm_matches(&serial, &reference), "serial matmul {m}x{k}x{n}");
-        assert_eq!(
-            bits(&parallel),
-            bits(&serial),
-            "thread-invariance matmul {m}x{k}x{n}"
-        );
+        assert!(gemm_matches(&a.matmul(&b), &reference), "matmul {m}x{k}x{n}");
 
         let at = rand_matrix(k, m, &mut rng);
         let reference = at.transpose_matmul_ref(&b);
         assert!(
-            gemm_matches(&par::with_threads(4, || at.transpose_matmul(&b)), &reference),
-            "parallel transpose_matmul {m}x{k}x{n}"
+            gemm_matches(&at.transpose_matmul(&b), &reference),
+            "transpose_matmul {m}x{k}x{n}"
         );
 
         let bt = rand_matrix(n, k, &mut rng);
         let reference = a.matmul_transpose_ref(&bt);
         assert!(
-            gemm_matches(&par::with_threads(4, || a.matmul_transpose(&bt)), &reference),
-            "parallel matmul_transpose {m}x{k}x{n}"
+            gemm_matches(&a.matmul_transpose(&bt), &reference),
+            "matmul_transpose {m}x{k}x{n}"
         );
     }
 }
@@ -459,23 +428,3 @@ fn gemm_propagates_nan_and_inf_through_zero_rows() {
     assert_eq!(bits(&c), bits(&a.matmul_transpose_ref(&bt)));
 }
 
-/// Full forward/backward at the paper's architecture is bit-identical at
-/// 1 and 4 threads (the partition only splits independent output rows).
-#[test]
-fn mlp_forward_backward_thread_invariant() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let net = Mlp::paper_arch(16, 4, &mut rng);
-    let x = rand_matrix(64, 16, &mut rng);
-    let run = || {
-        let cache = net.forward_cached(&x);
-        let grads = net.backward(&cache, &cache.output);
-        (cache, grads)
-    };
-    let (c1, g1) = par::with_threads(1, run);
-    let (c4, g4) = par::with_threads(4, run);
-    assert_eq!(bits(&c1.output), bits(&c4.output));
-    for (a, b) in g1.layers.iter().zip(&g4.layers) {
-        assert_eq!(bits(&a.dw), bits(&b.dw));
-        assert_eq!(a.db, b.db);
-    }
-}

@@ -40,6 +40,7 @@
 //! runtime in sync mode (see `examples/actor_learner.rs`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod env;

@@ -22,7 +22,8 @@
 //!   networks, OU exploration noise) — used by the centralized baseline's
 //!   continuous rule-update policy,
 //! - [`trainer`]: multi-seed training with best-agent selection
-//!   (Alg. 1 ln. 13), parallelized with crossbeam.
+//!   (Alg. 1 ln. 13) over [`trainer::fan_out`], the scoped-thread
+//!   fork–join every seed-level loop in the workspace shares.
 //!
 //! # Example
 //!
@@ -49,6 +50,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod a2c;

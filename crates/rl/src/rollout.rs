@@ -4,7 +4,7 @@
 use crate::env::Env;
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
-use dosco_nn::{par, Categorical};
+use dosco_nn::Categorical;
 use rand::rngs::StdRng;
 
 /// One collected mini-batch (`n_steps × n_envs` transitions, flattened
@@ -87,12 +87,8 @@ impl RolloutCollector {
             let dist = Categorical::new(&actor.forward(&step_obs));
             let acts = dist.sample(rng);
             let vals = critic.forward(&step_obs);
-            // Sampling consumed the shared RNG serially above; the env
-            // steps are independent (each env owns its RNG stream), so
-            // they advance in parallel and the results are merged back in
-            // env order — bit-identical to the serial loop.
-            let results = par::par_map_mut(envs, |e, env| env.step(acts[e]));
-            for (e, r) in results.into_iter().enumerate() {
+            for (e, env) in envs.iter_mut().enumerate() {
+                let r = env.step(acts[e]);
                 let idx = t * n_envs + e;
                 obs.row_mut(idx).copy_from_slice(self.current_obs[e].as_slice());
                 actions.push(acts[e]);
@@ -281,13 +277,11 @@ mod tests {
         }
     }
 
-    /// Collecting the same seeded setup twice — and at 1 vs 4 threads —
-    /// yields bit-for-bit identical rollouts: the shared RNG is consumed
-    /// serially for sampling, and env stepping only fans out over
-    /// independent per-env state.
+    /// Collecting the same seeded setup twice yields bit-for-bit identical
+    /// rollouts: the shared RNG only feeds action sampling, and each env
+    /// owns its own stream.
     #[test]
-    fn collection_is_deterministic_across_thread_counts() {
-        use dosco_nn::par;
+    fn collection_is_deterministic() {
         let run = || {
             let mut envs: Vec<Box<dyn Env>> = (0..6)
                 .map(|i| Box::new(Corridor::new(3 + i)) as Box<dyn Env>)
@@ -297,11 +291,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(9);
             col.collect(&mut envs, &actor, &critic, 16, 0.99, 0.95, &mut rng)
         };
-        let serial = par::with_threads(1, run);
-        let serial_again = par::with_threads(1, run);
-        let parallel = par::with_threads(4, run);
-        assert_eq!(serial, serial_again, "same seed must reproduce exactly");
-        assert_eq!(serial, parallel, "thread count must not change results");
+        assert_eq!(run(), run(), "same seed must reproduce exactly");
     }
 
     /// Appending concatenates every per-transition field and keeps

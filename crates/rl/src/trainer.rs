@@ -2,10 +2,68 @@
 //!
 //! Random seeds have a significant impact on DRL convergence (Henderson et
 //! al. [43]); the paper therefore trains `k = 10` agents with different
-//! seeds in parallel and deploys the one with the highest reward. This
-//! module runs the per-seed training closures on crossbeam scoped threads.
+//! seeds in parallel and deploys the one with the highest reward.
+//! [`fan_out`] is how this workspace uses more than one core for compute:
+//! whole seeds (training or evaluation) spread over the machine's cores,
+//! each running the serial kernels.
 
-use crossbeam::thread;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Applies `f` to every item and returns the results in item order, on
+/// `min(available_parallelism, items.len())` scoped threads that claim
+/// items in index order, one at a time (inline on the calling thread when
+/// that is 1). Meant for coarse, independent work — a training or
+/// evaluation seed — where each item is worth a thread.
+///
+/// # Panics
+///
+/// If `f` panics on an item, the other workers still finish what is left
+/// and the first panic is re-raised once every worker has joined.
+pub fn fan_out<T, R, F>(items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    // Relaxed: the counter only hands out indices; results travel through
+    // the joins below.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut part = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return part;
+            };
+            part.push((i, f(item)));
+        }
+    };
+    let mut done = Vec::with_capacity(items.len());
+    let mut panic = None;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(claim)).collect();
+        for h in handles {
+            match h.join() {
+                Ok(part) => done.extend(part),
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
+        }
+    });
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
 
 /// The outcome of one seed's training run.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,16 +77,17 @@ pub struct SeedResult<A> {
     pub agent: A,
 }
 
-/// Trains one agent per seed in parallel and returns the results sorted
-/// best-first. A seed whose score is NaN (a diverged run) ranks last, so
-/// it cannot displace or discard the seeds that trained.
+/// Trains one agent per seed ([`fan_out`] over the seeds) and returns the
+/// results sorted best-first. A seed whose score is NaN (a diverged run)
+/// ranks last, so it cannot displace or discard the seeds that trained.
 ///
 /// `train` maps a seed to `(agent, score)`; it must be `Sync` because the
 /// closure is shared across threads.
 ///
 /// # Panics
 ///
-/// Panics if `seeds` is empty, or if any training thread panics.
+/// Panics if `seeds` is empty, or with the seed's own panic if `train`
+/// panics.
 ///
 /// # Example
 ///
@@ -45,23 +104,10 @@ where
     F: Fn(u64) -> (A, f32) + Sync,
 {
     assert!(!seeds.is_empty(), "need at least one seed");
-    let mut results: Vec<SeedResult<A>> = thread::scope(|s| {
-        let handles: Vec<_> = seeds
-            .iter()
-            .map(|&seed| {
-                let train = &train;
-                s.spawn(move |_| {
-                    let (agent, score) = train(seed);
-                    SeedResult { seed, score, agent }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("training thread panicked"))
-            .collect()
-    })
-    .expect("crossbeam scope failed");
+    let mut results = fan_out(seeds, |&seed| {
+        let (agent, score) = train(seed);
+        SeedResult { seed, score, agent }
+    });
     results.sort_by(|a, b| {
         let nan_last = a.score.is_nan().cmp(&b.score.is_nan());
         nan_last.then_with(|| b.score.total_cmp(&a.score))
@@ -73,6 +119,42 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// More items than any host has workers: every item runs exactly once
+    /// and the output is the serial `map`, in item order.
+    #[test]
+    fn fan_out_equals_the_serial_map_in_item_order() {
+        let items: Vec<u64> = (0..257).collect();
+        let runs: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+        let square = |&x: &u64| {
+            runs[x as usize].fetch_add(1, Ordering::SeqCst);
+            x * x
+        };
+        let out = fan_out(&items, square);
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
+        assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
+        assert_eq!(fan_out(&[] as &[u64], |&x| x), Vec::<u64>::new());
+    }
+
+    /// The last item is claimed after every other one, so whichever worker
+    /// panics on it, the rest are finished or in flight — and the panic
+    /// only surfaces once they are all done.
+    #[test]
+    fn fan_out_re_raises_a_panic_after_the_other_items_completed() {
+        let items: Vec<usize> = (0..64).collect();
+        let completed = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fan_out(&items, |&i| {
+                if i == 63 {
+                    panic!("item 63 exploded");
+                }
+                completed.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        let payload = result.expect_err("the item's panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 63 exploded"));
+        assert_eq!(completed.load(Ordering::SeqCst), 63);
+    }
 
     #[test]
     fn returns_sorted_best_first() {
@@ -120,9 +202,10 @@ mod tests {
     }
 
     /// A panicking seed closure propagates out of `train_multi_seed`
-    /// instead of being swallowed by the worker thread.
+    /// with its own message instead of being swallowed by the worker
+    /// thread.
     #[test]
-    #[should_panic(expected = "training thread panicked")]
+    #[should_panic(expected = "seed 2 exploded")]
     fn propagates_seed_closure_panics() {
         let _ = train_multi_seed(&[1, 2, 3], |seed| {
             if seed == 2 {

@@ -487,7 +487,7 @@ where
         counters: &counters,
     };
 
-    let (stats, final_rng) = crossbeam::thread::scope(|s| {
+    let (stats, final_rng) = std::thread::scope(|s| {
         let shared = &shared;
         let (ret_tx_opt, mut ret_rx_opt) = ret_pair;
         let mut agent_rng_opt = Some(agent_rng);
@@ -505,7 +505,7 @@ where
                 )
             };
             let ret_rx = ret_rx_opt.take();
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 let _clock_guard = ClockGuard {
                     clocks: shared.clocks,
                     idx,
@@ -572,8 +572,7 @@ where
             std::panic::resume_unwind(p);
         }
         (stats, final_rng)
-    })
-    .expect("crossbeam scope failed");
+    });
 
     learner.restore_rng(final_rng.expect("the runtime recovers the agent RNG at shutdown"));
     RuntimeOutcome {

@@ -35,6 +35,7 @@
 //! staleness statistics, channel-full stalls) for the bench plumbing.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod config;

@@ -30,7 +30,6 @@ use crate::shard::{
 };
 use crate::status::{FabricStatus, ShardStatus, StatusBoard};
 use crossbeam::channel::TryRecvError;
-use crossbeam::thread::{Scope, ScopedJoinHandle};
 use dosco_core::policy::PolicyMetadata;
 use dosco_core::CoordinationPolicy;
 use dosco_net::{BoxTx, InProcess, Rx, Transport};
@@ -41,6 +40,7 @@ use dosco_simnet::{Action, ChurnTimeline, Metrics, ScenarioConfig, Simulation};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 /// Default [`ServeConfig::gather_stall`]: how long a flush barrier may
@@ -332,7 +332,7 @@ pub(crate) trait ShardLauncher<'scope> {
 
 /// Launches shard workers on scoped threads, wired over any transport.
 struct LocalLauncher<'a, 'scope, 'env, Tr> {
-    scope: &'a Scope<'scope, 'env>,
+    scope: &'scope Scope<'scope, 'env>,
     transport: &'a Tr,
     cfg: &'a ServeConfig,
     num_shards: usize,
@@ -354,7 +354,7 @@ where
         let responses = self.resp_tx.clone_box();
         let stochastic_seed = self.cfg.stochastic_seed;
         let (num_shards, num_nodes) = (self.num_shards, self.num_nodes);
-        let join = self.scope.spawn(move |_| {
+        let join = self.scope.spawn(move || {
             run_shard(ShardWorker {
                 index,
                 num_shards,
@@ -489,7 +489,7 @@ where
 
     let (resp_tx, resp_rx) = Transport::<Vec<DecisionResponse>>::channel(transport, num_shards + 1);
 
-    let (metrics, report) = crossbeam::thread::scope(|s| {
+    let (metrics, report) = std::thread::scope(|s| {
         let mut launcher = LocalLauncher {
             scope: s,
             transport,
@@ -508,8 +508,7 @@ where
             resp_rx.as_ref(),
             &mut on_epoch,
         )
-    })
-    .expect("serve scope");
+    });
 
     assert!(
         report.conserved(),

@@ -37,6 +37,7 @@
 //! and fallback/swap counters.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![warn(missing_debug_implementations)]
 

@@ -103,13 +103,19 @@ impl ShardLauncher<'static> for RemoteLauncher {
         let tx = sender_on::<ShardMsg>(stream, self.capacity);
         let rx = receiver_on::<Vec<DecisionResponse>>(read_half, self.capacity);
         let fan = self.fan_tx.clone();
-        self.forwarders.push(std::thread::spawn(move || {
-            while let Ok(v) = rx.recv() {
-                if fan.send(v).is_err() {
-                    break;
+        let Ok(forwarder) = std::thread::Builder::new()
+            .name("dosco-serve-fanin".into())
+            .spawn(move || {
+                while let Ok(v) = rx.recv() {
+                    if fan.send(v).is_err() {
+                        break;
+                    }
                 }
-            }
-        }));
+            })
+        else {
+            return ShardHandle::dead(version);
+        };
+        self.forwarders.push(forwarder);
         ShardHandle {
             tx: Some(tx),
             join: None,

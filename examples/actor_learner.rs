@@ -15,10 +15,7 @@
 //! additionally arms the hot-path span timers.
 //!
 //! For the lockstep variant that is bit-identical to the serial training
-//! loop, swap in `RuntimeConfig::sync()` — or set
-//! `TrainConfig { runtime: Some(...), .. }` to route the full
-//! `train_distributed` pipeline (multi-seed, checkpoints, best-policy
-//! selection) through the runtime.
+//! loop, swap in `RuntimeConfig::sync()`.
 
 use dosco::core::{CoordEnv, RewardConfig};
 use dosco::rl::a2c::{A2c, A2cConfig};

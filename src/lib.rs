@@ -6,6 +6,8 @@
 //!
 //! See the `README.md` for a tour and `examples/` for runnable scenarios.
 
+#![forbid(unsafe_code)]
+
 pub use dosco_baselines as baselines;
 pub use dosco_chaos as chaos;
 pub use dosco_core as core;

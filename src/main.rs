@@ -23,6 +23,31 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The value of `--name` parsed as `T` and checked by `valid`, or `None`
+/// when the flag is absent. A value that fails either prints
+/// `--name must be <what>` and exits with code 2, like an unknown
+/// `--pattern`.
+fn parsed<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    what: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Option<T> {
+    let raw = flag(args, name)?;
+    match raw.parse() {
+        Ok(v) if valid(&v) => Some(v),
+        _ => {
+            eprintln!("{name} must be {what}, got {raw:?}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// `--seeds K`: how many seeds to train or evaluate, at least one.
+fn seed_count(args: &[String], default: u64) -> u64 {
+    parsed(args, "--seeds", "a positive integer", |&k| k > 0).unwrap_or(default)
+}
+
 fn pattern(args: &[String]) -> ArrivalPattern {
     match flag(args, "--pattern").as_deref().unwrap_or("poisson") {
         "fixed" => ArrivalPattern::paper_fixed(),
@@ -37,14 +62,11 @@ fn pattern(args: &[String]) -> ArrivalPattern {
 }
 
 fn scenario(args: &[String]) -> ScenarioConfig {
-    let ingress: usize = flag(args, "--ingress")
-        .map(|v| v.parse().expect("--ingress must be 1..=5"))
-        .unwrap_or(2);
-    let horizon: f64 = flag(args, "--horizon")
-        .map(|v| v.parse().expect("--horizon must be a number"))
-        .unwrap_or(5_000.0);
-    let deadline: Option<f64> =
-        flag(args, "--deadline").map(|v| v.parse().expect("--deadline must be a number"));
+    let positive = |v: &f64| v.is_finite() && *v > 0.0;
+    let in_base_scenario = |k: &usize| (1..=5).contains(k);
+    let ingress = parsed(args, "--ingress", "an integer in 1..=5", in_base_scenario).unwrap_or(2);
+    let horizon = parsed(args, "--horizon", "a positive number", positive).unwrap_or(5_000.0);
+    let deadline = parsed(args, "--deadline", "a positive number", positive);
     let mut cfg = ScenarioConfig::paper_base(ingress)
         .with_pattern(pattern(args))
         .with_horizon(horizon);
@@ -68,12 +90,9 @@ fn print_metrics(label: &str, m: &Metrics) {
 
 fn cmd_train(args: &[String]) -> ExitCode {
     let out = flag(args, "--out").unwrap_or_else(|| "policy.json".into());
-    let steps: usize = flag(args, "--steps")
-        .map(|v| v.parse().expect("--steps must be an integer"))
-        .unwrap_or(40_000);
-    let seeds: u64 = flag(args, "--seeds")
-        .map(|v| v.parse().expect("--seeds must be an integer"))
-        .unwrap_or(3);
+    let steps: usize =
+        parsed(args, "--steps", "a non-negative integer", |_| true).unwrap_or(40_000);
+    let seeds = seed_count(args, 3);
     let algorithm = match flag(args, "--algo").as_deref().unwrap_or("acktr") {
         "acktr" => Algorithm::Acktr,
         "a2c" => Algorithm::A2c,
@@ -108,6 +127,7 @@ fn cmd_train(args: &[String]) -> ExitCode {
 }
 
 fn cmd_eval(args: &[String]) -> ExitCode {
+    let seeds = seed_count(args, 5);
     let Some(path) = flag(args, "--policy") else {
         eprintln!("--policy <file> required");
         return ExitCode::from(2);
@@ -119,26 +139,31 @@ fn cmd_eval(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let seeds: u64 = flag(args, "--seeds")
-        .map(|v| v.parse().expect("--seeds must be an integer"))
-        .unwrap_or(5);
     let scenario = scenario(args);
+    // Episodes in which no flow terminated have no success ratio; they are
+    // skipped rather than averaged in as 1.0 (as `eval::evaluate_seeds`).
     let mut ratios = Vec::new();
     for seed in 100..100 + seeds {
         let m = evaluate_with_capacity_draw(&policy, &scenario, seed);
         print_metrics(&format!("seed {seed}"), &m);
-        ratios.push(m.success_ratio());
+        ratios.extend(m.success_ratio_opt());
     }
-    let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
-    println!("mean success over {seeds} seeds: {mean:.3}");
+    if ratios.is_empty() {
+        println!("mean success over {seeds} seeds: n/a (no flow terminated)");
+    } else {
+        let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
+        print!("mean success over {seeds} seeds: {mean:.3}");
+        match seeds as usize - ratios.len() {
+            0 => println!(),
+            skipped => println!(" ({skipped} with no terminated flow skipped)"),
+        }
+    }
     ExitCode::SUCCESS
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
     let algo = flag(args, "--algo").unwrap_or_else(|| "gcasp".into());
-    let seed: u64 = flag(args, "--seed")
-        .map(|v| v.parse().expect("--seed must be an integer"))
-        .unwrap_or(1);
+    let seed: u64 = parsed(args, "--seed", "a non-negative integer", |_| true).unwrap_or(1);
     let scenario = scenario(args);
     let mut coordinator: Box<dyn Coordinator> = match algo.as_str() {
         "gcasp" => Box::new(Gcasp::new()),

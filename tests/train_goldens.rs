@@ -87,23 +87,32 @@ fn a2c_serial_train_matches_golden() {
     );
 }
 
+/// The serial loop and the sync actor–learner runtime land on the same
+/// golden (the runtime leg is what `TrainConfig::runtime` used to pin at
+/// tier-1 through `train_distributed`).
 #[test]
 fn acktr_serial_train_matches_golden() {
     if !bit_exact_kernels() {
         return;
     }
-    let (mut envs, obs_dim, num_actions) = envs();
-    let config = AcktrConfig {
-        hidden: HIDDEN,
-        ..AcktrConfig::default()
-    };
-    let mut agent = Acktr::new(obs_dim, num_actions, config, AGENT_SEED);
-    agent.train(&mut envs, SERIAL_STEPS);
-    check(
-        "acktr",
-        fingerprint(&[agent.actor(), agent.critic()]),
-        ACKTR_SERIAL,
-    );
+    for path in ["serial", "runtime-sync"] {
+        let (mut envs, obs_dim, num_actions) = envs();
+        let config = AcktrConfig {
+            hidden: HIDDEN,
+            ..AcktrConfig::default()
+        };
+        let mut agent = Acktr::new(obs_dim, num_actions, config, AGENT_SEED);
+        if path == "serial" {
+            agent.train(&mut envs, SERIAL_STEPS);
+        } else {
+            dosco::runtime::train(&mut agent, &mut envs, SERIAL_STEPS, &RuntimeConfig::sync());
+        }
+        check(
+            &format!("acktr/{path}"),
+            fingerprint(&[agent.actor(), agent.critic()]),
+            ACKTR_SERIAL,
+        );
+    }
 }
 
 #[test]
@@ -150,10 +159,9 @@ fn acktr_paper_arch_train_matches_golden() {
 }
 
 /// `train_distributed` returns only the deployed actor, so that is what
-/// is fingerprinted; the serial path (`runtime: None`) and the sync
-/// actor–learner runtime must both land on the same golden.
+/// is fingerprinted.
 #[test]
-fn train_distributed_matches_golden_on_both_paths() {
+fn train_distributed_matches_golden() {
     if !bit_exact_kernels() {
         return;
     }
@@ -163,7 +171,7 @@ fn train_distributed_matches_golden_on_both_paths() {
         (Algorithm::Acktr, ACKTR_DISTRIBUTED),
         (Algorithm::Ppo, PPO_DISTRIBUTED),
     ] {
-        let serial = TrainConfig {
+        let config = TrainConfig {
             algorithm,
             total_steps: 384,
             n_envs: 2,
@@ -184,18 +192,12 @@ fn train_distributed_matches_golden_on_both_paths() {
             checkpoints: 2,
             ..TrainConfig::default()
         };
-        let synced = TrainConfig {
-            runtime: Some(RuntimeConfig::sync()),
-            ..serial.clone()
-        };
-        for (path, config) in [("serial", &serial), ("runtime-sync", &synced)] {
-            let trained = train_distributed(&scenario, config);
-            check(
-                &format!("train_distributed/{}/{path}", algorithm.name()),
-                fingerprint(&[trained.policy.actor()]),
-                golden,
-            );
-        }
+        let trained = train_distributed(&scenario, &config);
+        check(
+            &format!("train_distributed/{}", algorithm.name()),
+            fingerprint(&[trained.policy.actor()]),
+            golden,
+        );
     }
 }
 
