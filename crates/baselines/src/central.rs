@@ -319,6 +319,40 @@ mod tests {
         assert_eq!(t, vec![NodeId(1), NodeId(0)]);
     }
 
+    /// Utilization is measured against the *effective* capacity: halving
+    /// a node's capacity doubles the utilization of an unchanged load.
+    #[test]
+    fn degraded_capacity_doubles_the_snapshot_of_the_same_load() {
+        use dosco_simnet::{ChurnAction, ChurnTimeline};
+        // Every flow is processed at its ingress whatever the capacity, so
+        // both runs put the same load on that node.
+        let mut cfg = ScenarioConfig::paper_base(1).with_horizon(500.0);
+        cfg.topology.scale_capacities(100.0, 1.0);
+        // Long flows, so later decisions find earlier ones still loaded.
+        cfg.ingresses[0].profile = dosco_traffic::FlowProfile::new(1.0, 30.0, 100.0);
+        let ingress = cfg.ingresses[0].node;
+        let run = |timeline: ChurnTimeline| {
+            let mut sim = Simulation::with_churn(cfg.clone(), 1, timeline);
+            let mut utils = Vec::new();
+            while sim.next_decision().is_some() {
+                utils.push(snapshot(&sim)[ingress.0]);
+                sim.apply(Action::Local);
+            }
+            utils
+        };
+        let nominal = run(ChurnTimeline::none());
+        let halved = run(ChurnTimeline::none().at(
+            0.0,
+            ChurnAction::DegradeNodeCapacity {
+                node: ingress,
+                factor: 0.5,
+            },
+        ));
+        assert!(nominal.iter().any(|&u| u > 0.0 && u < 0.5), "{nominal:?}");
+        let doubled: Vec<f32> = nominal.iter().map(|u| 2.0 * u).collect();
+        assert_eq!(halved, doubled);
+    }
+
     #[test]
     fn rule_env_dimensions() {
         let scenario = ScenarioConfig::paper_base(2).with_horizon(500.0);

@@ -85,7 +85,7 @@ fn main() {
             .eval_seeds
             .iter()
             .map(|&seed| {
-                let s = dosco_bench::runner::scenario_with_capacity_seed(&scenario, seed);
+                let s = scenario.clone().with_capacity_draw(seed);
                 let mut c = policies.clone();
                 let mut sim = Simulation::new(s, seed);
                 sim.run(&mut c).clone()

@@ -2,7 +2,7 @@
 //! compares all four algorithms on one scenario. Not a paper figure —
 //! a smoke/sizing tool for the real experiment binaries.
 
-use dosco_bench::report::flag_value;
+use dosco_bench::report::{flag_value, parsed_flag};
 use dosco_bench::runner::{train_central_drl, train_dist_drl, Algo, ExpBudget};
 use dosco_bench::scenarios::{base_scenario, pattern_by_name};
 use std::time::Instant;
@@ -12,15 +12,12 @@ fn main() {
     let pattern = pattern_by_name(
         flag_value(&args, "--pattern").as_deref().unwrap_or("poisson"),
     );
-    let ingress: usize = flag_value(&args, "--ingress")
-        .map(|v| v.parse().expect("--ingress must be an integer"))
-        .unwrap_or(2);
+    let ingress: usize = parsed_flag(&args, "--ingress", "an integer").unwrap_or(2);
     let mut budget = ExpBudget::from_env();
-    if let Some(v) = flag_value(&args, "--train-steps") {
-        budget.train_steps = v.parse().expect("--train-steps must be an integer");
+    if let Some(steps) = parsed_flag(&args, "--train-steps", "an integer") {
+        budget.train_steps = steps;
     }
-    if let Some(v) = flag_value(&args, "--train-seeds") {
-        let k: u64 = v.parse().expect("--train-seeds must be an integer");
+    if let Some(k) = parsed_flag::<u64>(&args, "--train-seeds", "an integer") {
         budget.train_seeds = (0..k).collect();
     }
 

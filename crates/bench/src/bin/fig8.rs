@@ -16,7 +16,7 @@
 //!
 //! Policies are shared with `fig6` through the policy cache.
 
-use dosco_bench::report::{flag_value, print_series, SeriesPoint};
+use dosco_bench::report::{bad_flag, flag_value, print_series, SeriesPoint};
 use dosco_bench::runner::{train_central_drl, train_dist_drl_cached, Algo, ExpBudget};
 use dosco_bench::scenarios::{base_scenario, pattern_by_name};
 
@@ -116,6 +116,6 @@ fn main() {
             part_traffic(&budget);
             part_load(&budget);
         }
-        other => panic!("unknown part {other:?}; use traffic|load|all"),
+        other => bad_flag("--part", "traffic|load|all", other),
     }
 }

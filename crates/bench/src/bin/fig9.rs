@@ -12,7 +12,7 @@
 //! cargo run -p dosco-bench --release --bin fig9 -- --part latency
 //! ```
 
-use dosco_bench::report::{flag_value, print_series, SeriesPoint};
+use dosco_bench::report::{bad_flag, flag_value, print_series, SeriesPoint};
 use dosco_bench::runner::{train_central_drl, train_dist_drl_cached, Algo, ExpBudget};
 use dosco_bench::scenarios::topology_scenario;
 use dosco_core::ObservationAdapter;
@@ -108,6 +108,6 @@ fn main() {
             part_success(&budget);
             part_latency(&budget);
         }
-        other => panic!("unknown part {other:?}; use success|latency|all"),
+        other => bad_flag("--part", "success|latency|all", other),
     }
 }

@@ -6,7 +6,7 @@
 //! training budget vs. distribution width.
 
 use dosco_bench::report::flag_value;
-use dosco_bench::runner::{scenario_with_capacity_seed, Algo, ExpBudget};
+use dosco_bench::runner::{Algo, ExpBudget};
 use dosco_bench::scenarios::{base_scenario, pattern_by_name};
 use dosco_core::eval::evaluate;
 use dosco_core::train::train_distributed;
@@ -67,5 +67,4 @@ fn main() {
         "csv: flagship,DistDRL-indist,canonical,{mean_in:.4},0.0\ncsv: flagship,DistDRL-transfer,redrawn,{:.4},{:.4}",
         transfer.mean_success, transfer.std_success
     );
-    let _ = scenario_with_capacity_seed(&scenario, 0); // keep linkage explicit
 }

@@ -2,8 +2,7 @@
 //! sizing probe for the evaluation protocol (stable-baselines' `predict`
 //! samples by default; argmax can lock into forwarding loops).
 
-use dosco_bench::report::flag_value;
-use dosco_bench::runner::scenario_with_capacity_seed;
+use dosco_bench::report::{bad_flag, flag_value, parsed_flag};
 use dosco_bench::scenarios::{base_scenario, pattern_by_name};
 use dosco_core::policy::CoordinationPolicy;
 use dosco_core::DistributedAgents;
@@ -11,19 +10,18 @@ use dosco_simnet::Simulation;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let path = flag_value(&args, "--policy").expect("--policy <json> required");
+    let path = flag_value(&args, "--policy")
+        .unwrap_or_else(|| bad_flag("--policy", "a policy JSON path", ""));
     let pattern = pattern_by_name(
         flag_value(&args, "--pattern").as_deref().unwrap_or("poisson"),
     );
-    let ingress: usize = flag_value(&args, "--ingress")
-        .map(|v| v.parse().expect("--ingress must be an integer"))
-        .unwrap_or(2);
+    let ingress: usize = parsed_flag(&args, "--ingress", "an integer").unwrap_or(2);
     let policy = CoordinationPolicy::load(&path).expect("readable policy JSON");
     let scenario = base_scenario(ingress, pattern, 5_000.0);
     for mode in ["greedy", "stochastic"] {
         let mut ratios = Vec::new();
         for seed in 100..105u64 {
-            let s = scenario_with_capacity_seed(&scenario, seed);
+            let s = scenario.clone().with_capacity_draw(seed);
             let mut agents = if mode == "greedy" {
                 DistributedAgents::deploy(&policy, s.topology.num_nodes())
             } else {

@@ -1,136 +1,187 @@
-//! Prints the training reward curve of one agent — a diagnostic for
-//! sizing the training budget of the experiment binaries.
+//! Prints the training curve of one agent — the diagnostic behind
+//! ROADMAP's "training collapses" item. The agent trains in **one**
+//! `train_serial_with` call (one collector, one learning-rate schedule,
+//! episodes never truncated) and reports from its hook every 4 000 steps:
+//! what the window's rollouts say about the policy (entropy, action mix,
+//! explained variance of the critic), how the training episodes that
+//! ended in the window went, and a greedy evaluation episode with the
+//! journeys of the flows the deadline killed.
 
-use dosco_bench::report::flag_value;
+use dosco_bench::report::{bad_flag, flag_value, parsed_flag};
 use dosco_bench::scenarios::{base_scenario, pattern_by_name};
+use dosco_core::eval::{evaluate_under_churn, success_mean_std};
 use dosco_core::policy::{CoordinationPolicy, PolicyMetadata};
+use dosco_core::train::{Algorithm, TrainConfig};
 use dosco_core::{CoordEnv, RewardConfig};
-use dosco_rl::a2c::{A2c, A2cConfig};
-use dosco_rl::acktr::{Acktr, AcktrConfig};
-use dosco_rl::env::Env;
-use dosco_rl::ppo::{Ppo, PpoConfig};
+use dosco_nn::Categorical;
+use dosco_rl::rollout::Rollout;
+use dosco_rl::{train_serial_with, A2cConfig, AcktrConfig, Env, PpoConfig, StepResult};
+use dosco_simnet::journey::{Journey, JourneyLog};
+use dosco_simnet::{ChurnTimeline, DropReason, Metrics};
+use std::sync::mpsc::{channel, Sender};
 
-enum Agent {
-    Acktr(Box<Acktr>),
-    A2c(A2c),
-    Ppo(Ppo),
+/// Steps between two report lines.
+const WINDOW: usize = 4_000;
+
+/// A training environment that sends the metrics of every episode it
+/// finishes to the reporting hook.
+struct Tracked {
+    env: CoordEnv,
+    finished: Sender<Metrics>,
 }
 
-impl Agent {
-    fn train(&mut self, envs: &mut [Box<dyn Env>], steps: usize) -> dosco_rl::a2c::TrainStats {
-        match self {
-            Agent::Acktr(a) => a.train(envs, steps),
-            Agent::A2c(a) => a.train(envs, steps),
-            Agent::Ppo(a) => a.train(envs, steps),
+impl Env for Tracked {
+    fn obs_dim(&self) -> usize {
+        self.env.obs_dim()
+    }
+
+    fn num_actions(&self) -> usize {
+        self.env.num_actions()
+    }
+
+    fn reset(&mut self) -> Vec<f32> {
+        self.env.reset()
+    }
+
+    fn step(&mut self, action: usize) -> StepResult {
+        let result = self.env.step(action);
+        if result.done {
+            let m = self.env.finished_metrics().expect("a done step records its episode");
+            // The receiver lives as long as training does.
+            let _ = self.finished.send(m.clone());
+        }
+        result
+    }
+}
+
+/// What the rollouts of one report window say about actor and critic.
+#[derive(Default)]
+struct Window {
+    rows: f64,
+    entropy: f64,
+    /// Σ and Σ² of the returns, then of the residuals `return − value`.
+    moments: [f64; 4],
+    actions: Vec<usize>,
+}
+
+impl Window {
+    fn add(&mut self, actor: &dosco_nn::Mlp, rollout: &Rollout) {
+        self.rows += rollout.actions.len() as f64;
+        let dist = Categorical::new(&actor.forward(&rollout.obs));
+        self.entropy += dist.entropy().iter().map(|&h| f64::from(h)).sum::<f64>();
+        self.actions.resize(actor.outputs(), 0);
+        for (i, &a) in rollout.actions.iter().enumerate() {
+            self.actions[a] += 1;
+            let ret = f64::from(rollout.returns[i]);
+            let res = ret - f64::from(rollout.values[i]);
+            for (m, x) in self.moments.iter_mut().zip([ret, ret * ret, res, res * res]) {
+                *m += x;
+            }
         }
     }
 
-    fn actor(&self) -> &dosco_nn::Mlp {
-        match self {
-            Agent::Acktr(a) => a.actor(),
-            Agent::A2c(a) => a.actor(),
-            Agent::Ppo(a) => a.actor(),
-        }
+    /// `1 − Var(returns − values) / Var(returns)`.
+    fn explained_variance(&self) -> f64 {
+        let var = |sum: f64, sq: f64| sq / self.rows - (sum / self.rows).powi(2);
+        let [ret, ret_sq, res, res_sq] = self.moments;
+        1.0 - var(res, res_sq) / var(ret, ret_sq)
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let pattern = pattern_by_name(
-        flag_value(&args, "--pattern").as_deref().unwrap_or("poisson"),
-    );
-    let ingress: usize = flag_value(&args, "--ingress")
-        .map(|v| v.parse().expect("--ingress must be an integer"))
-        .unwrap_or(2);
-    let steps: usize = flag_value(&args, "--steps")
-        .map(|v| v.parse().expect("--steps must be an integer"))
-        .unwrap_or(50_000);
-    let lr: f32 = flag_value(&args, "--lr")
-        .map(|v| v.parse().expect("--lr must be a number"))
-        .unwrap_or(0.25);
-    let ent: f32 = flag_value(&args, "--ent")
-        .map(|v| v.parse().expect("--ent must be a number"))
-        .unwrap_or(0.01);
-    let seed: u64 = flag_value(&args, "--seed")
-        .map(|v| v.parse().expect("--seed must be an integer"))
-        .unwrap_or(0);
-
-    let scenario = base_scenario(ingress, pattern, 5_000.0);
-    let mut envs: Vec<Box<dyn Env>> = (0..4)
-        .map(|i| {
-            Box::new(CoordEnv::new(
-                scenario.clone(),
-                RewardConfig::default(),
-                seed * 1000 + i,
-                None,
-            )) as Box<dyn Env>
-        })
-        .collect();
-    let obs_dim = 4 * scenario.topology.network_degree() + 4;
-    let acts = scenario.topology.network_degree() + 1;
-    let norm = args.iter().any(|a| a == "--norm");
-    let n_steps: usize = flag_value(&args, "--nsteps")
-        .map(|v| v.parse().expect("--nsteps must be an integer"))
-        .unwrap_or(16);
-    let algo = flag_value(&args, "--algo").unwrap_or_else(|| "acktr".into());
-    let gamma: f32 = flag_value(&args, "--gamma")
-        .map(|v| v.parse().expect("--gamma must be a number"))
-        .unwrap_or(0.99);
-    let mut agent = match algo.as_str() {
-        "acktr" => Agent::Acktr(Box::new(Acktr::new(
-            obs_dim,
-            acts,
-            AcktrConfig {
-                lr,
-                ent_coef: ent,
-                normalize_advantages: norm,
-                n_steps,
-                gamma,
-                ..AcktrConfig::default()
-            },
-            seed,
-        ))),
-        "a2c" => Agent::A2c(A2c::new(
-            obs_dim,
-            acts,
-            A2cConfig {
-                ent_coef: ent,
-                normalize_advantages: norm,
-                n_steps,
-                ..A2cConfig::default()
-            },
-            seed,
-        )),
-        "ppo" => Agent::Ppo(Ppo::new(
-            obs_dim,
-            acts,
-            PpoConfig {
-                ent_coef: ent,
-                hidden: [256, 256],
-                ..PpoConfig::default()
-            },
-            seed,
-        )),
-        other => panic!("unknown algo {other:?}"),
+    let pattern = pattern_by_name(flag_value(&args, "--pattern").as_deref().unwrap_or("poisson"));
+    let ingress: usize = parsed_flag(&args, "--ingress", "an integer").unwrap_or(2);
+    let steps: usize = parsed_flag(&args, "--steps", "an integer").unwrap_or(50_000);
+    let lr: f32 = parsed_flag(&args, "--lr", "a number").unwrap_or(0.25);
+    let ent_coef: f32 = parsed_flag(&args, "--ent", "a number").unwrap_or(0.01);
+    let seed: u64 = parsed_flag(&args, "--seed", "an integer").unwrap_or(0);
+    let n_steps: usize = parsed_flag(&args, "--nsteps", "an integer").unwrap_or(16);
+    let gamma: f32 = parsed_flag(&args, "--gamma", "a number").unwrap_or(0.99);
+    let normalize_advantages = args.iter().any(|a| a == "--norm");
+    let algorithm = match flag_value(&args, "--algo").as_deref().unwrap_or("acktr") {
+        "acktr" => Algorithm::Acktr,
+        "a2c" => Algorithm::A2c,
+        "ppo" => Algorithm::Ppo,
+        other => bad_flag("--algo", "acktr|a2c|ppo", other),
+    };
+    let config = TrainConfig {
+        algorithm,
+        acktr: AcktrConfig {
+            lr,
+            ent_coef,
+            normalize_advantages,
+            n_steps,
+            gamma,
+            ..AcktrConfig::default()
+        },
+        a2c: A2cConfig {
+            ent_coef,
+            normalize_advantages,
+            n_steps,
+            ..A2cConfig::default()
+        },
+        ppo: PpoConfig {
+            ent_coef,
+            hidden: [256, 256],
+            ..PpoConfig::default()
+        },
+        ..TrainConfig::default()
     };
 
-    let chunk = 4_000;
-    let mut done = 0;
-    while done < steps {
-        let stats = agent.train(&mut envs, chunk);
-        done += chunk;
-        // Evaluate greedily on a short episode.
-        let policy = CoordinationPolicy::new(
-            agent.actor().clone(),
-            scenario.topology.network_degree(),
-            PolicyMetadata::default(),
-        );
-        let m = dosco_core::eval::evaluate(&policy, &scenario.clone().with_horizon(2_000.0), 777);
-        use dosco_simnet::DropReason;
-        println!(
-            "steps {:>7}  mean_reward {:>7.3}  greedy_success {:.3}  (ok {} node {} link {} ddl {} inval {} holds {})",
-            done,
+    let scenario = base_scenario(ingress, pattern, 5_000.0);
+    let eval_scenario = scenario.clone().with_horizon(2_000.0);
+    let degree = scenario.topology.network_degree();
+    let (finished, episodes) = channel();
+    let mut envs: Vec<Box<dyn Env>> = (0..4)
+        .map(|i| {
+            let reward = RewardConfig::default();
+            Box::new(Tracked {
+                env: CoordEnv::new(scenario.clone(), reward, seed * 1000 + i, None),
+                finished: finished.clone(),
+            }) as Box<dyn Env>
+        })
+        .collect();
+    let mut agent = config.learner(4 * degree + 4, degree + 1, seed);
+
+    let mut window = Window::default();
+    let mut reported = 0;
+    train_serial_with(&mut *agent, &mut envs, steps, |agent, rollout, stats| {
+        window.add(agent.actor(), rollout);
+        if stats.total_steps / WINDOW == reported {
+            return;
+        }
+        reported = stats.total_steps / WINDOW;
+        let w = std::mem::take(&mut window);
+        let mix: Vec<String> = w
+            .actions
+            .iter()
+            .map(|&n| format!("{:.2}", n as f64 / w.rows))
+            .collect();
+        let trained: Vec<Metrics> = episodes.try_iter().collect();
+        print!(
+            "steps {:>7}  mean_reward {:>7.3}  entropy {:.3}  expl_var {:>6.3}  actions [{}]  train_episodes {} success {:.3}",
+            stats.total_steps,
             stats.tail_mean(50),
+            w.entropy / w.rows,
+            w.explained_variance(),
+            mix.join(" "),
+            trained.len(),
+            success_mean_std(&trained).0,
+        );
+        // One greedy episode, with the journeys of the flows the deadline
+        // killed: many hops and no processing is "forward until it dies".
+        let policy =
+            CoordinationPolicy::new(agent.actor().clone(), degree, PolicyMetadata::default());
+        let (m, events) = evaluate_under_churn(&policy, &eval_scenario, 777, ChurnTimeline::none());
+        let mut journeys = JourneyLog::new();
+        journeys.ingest(&events);
+        let expired = journeys.dropped_for(DropReason::DeadlineExpired);
+        let mean = |count: fn(&Journey) -> usize| {
+            expired.iter().map(|j| count(j)).sum::<usize>() as f64 / expired.len().max(1) as f64
+        };
+        println!(
+            "  greedy_success {:.3}  (ok {} node {} link {} ddl {} inval {} holds {})  ddl_flows hops {:.1} processed {:.2}",
             m.success_ratio(),
             m.completed,
             m.dropped_for(DropReason::NodeCapacity),
@@ -138,6 +189,8 @@ fn main() {
             m.dropped_for(DropReason::DeadlineExpired),
             m.dropped_for(DropReason::InvalidAction),
             m.holds,
+            mean(Journey::hops),
+            mean(Journey::processings),
         );
-    }
+    });
 }

@@ -83,6 +83,21 @@ pub fn flag_value(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Rejects a flag value as a usage error: prints
+/// `--name must be <what>, got "v"` and exits with code 2 — one line on
+/// stderr, never a panic with a backtrace.
+pub fn bad_flag(name: &str, what: &str, got: &str) -> ! {
+    eprintln!("{name} must be {what}, got {got:?}");
+    std::process::exit(2)
+}
+
+/// The value following `--name` parsed as `T`, or `None` when the flag is
+/// absent; a value that does not parse is a [`bad_flag`].
+pub fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str, what: &str) -> Option<T> {
+    let raw = flag_value(args, name)?;
+    Some(raw.parse().unwrap_or_else(|_| bad_flag(name, what, &raw)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

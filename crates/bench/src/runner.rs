@@ -3,6 +3,7 @@
 use dosco_baselines::central::{train_central, CentralConfig, CentralPolicy, CentralizedCoordinator};
 use dosco_baselines::gcasp::Gcasp;
 use dosco_baselines::sp::ShortestPath;
+use dosco_core::eval::success_mean_std;
 use dosco_core::policy::CoordinationPolicy;
 use dosco_core::train::{train_distributed, Algorithm, TrainConfig};
 use dosco_core::DistributedAgents;
@@ -198,7 +199,7 @@ impl Algo {
     /// a serial run.
     pub fn evaluate(&self, scenario: &ScenarioConfig, eval_seeds: &[u64]) -> EvalStats {
         let metrics: Vec<Metrics> = fan_out(eval_seeds, |&seed| {
-            let scenario = scenario_with_capacity_seed(scenario, seed);
+            let scenario = scenario.clone().with_capacity_draw(seed);
             let mut coordinator = self.coordinator(&scenario);
             let mut sim = Simulation::new(scenario, seed);
             sim.run(coordinator.as_mut()).clone()
@@ -232,48 +233,17 @@ impl EvalStats {
     /// Panics if `metrics` is empty.
     pub fn from_metrics(metrics: Vec<Metrics>) -> Self {
         assert!(!metrics.is_empty(), "need at least one evaluation run");
-        let ratios: Vec<f64> = metrics
-            .iter()
-            .filter_map(Metrics::success_ratio_opt)
-            .collect();
-        if ratios.is_empty() {
-            let delays: Vec<f64> = metrics.iter().filter_map(Metrics::avg_e2e_delay).collect();
-            debug_assert!(delays.is_empty(), "completed flows imply a defined ratio");
-            return EvalStats {
-                mean_success: f64::NAN,
-                std_success: f64::NAN,
-                mean_e2e_delay: None,
-                metrics,
-            };
-        }
-        let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
-        let var = ratios.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>()
-            / ratios.len() as f64;
+        let (mean_success, std_success, _) = success_mean_std(&metrics);
         let delays: Vec<f64> = metrics.iter().filter_map(Metrics::avg_e2e_delay).collect();
-        let mean_delay = if delays.is_empty() {
-            None
-        } else {
-            Some(delays.iter().sum::<f64>() / delays.len() as f64)
-        };
+        let mean_e2e_delay =
+            (!delays.is_empty()).then(|| delays.iter().sum::<f64>() / delays.len() as f64);
         EvalStats {
-            mean_success: mean,
-            std_success: var.sqrt(),
-            mean_e2e_delay: mean_delay,
+            mean_success,
+            std_success,
+            mean_e2e_delay,
             metrics,
         }
     }
-}
-
-/// Clones `scenario` with capacities re-drawn from `seed` (same ranges as
-/// the base scenario: nodes U(0,2), links U(1,5)).
-pub fn scenario_with_capacity_seed(scenario: &ScenarioConfig, seed: u64) -> ScenarioConfig {
-    use rand::SeedableRng;
-    let mut out = scenario.clone();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xCAB5);
-    out.topology
-        .assign_random_capacities(&mut rng, (0.0, 2.0), (1.0, 5.0));
-    out.capacity_seed = seed;
-    out
 }
 
 /// Trains the distributed DRL policy for a scenario under a budget.
@@ -312,18 +282,6 @@ pub fn train_dist_drl_cached(
         let _ = policy.save(&path);
     }
     policy
-}
-
-/// Trains the distributed DRL policy with an explicit degree override
-/// (for cross-topology deployment in the scalability experiment).
-pub fn train_dist_drl_padded(
-    scenario: &ScenarioConfig,
-    budget: &ExpBudget,
-    degree: usize,
-) -> CoordinationPolicy {
-    let mut cfg = budget.train_config();
-    cfg.degree_override = Some(degree);
-    train_distributed(scenario, &cfg).policy
 }
 
 /// Trains the centralized baseline for a scenario under a budget.

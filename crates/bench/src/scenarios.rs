@@ -1,5 +1,6 @@
 //! Evaluation scenario construction (Sec. V-A1).
 
+use crate::report::bad_flag;
 use dosco_simnet::ScenarioConfig;
 use dosco_topology::{NodeId, Topology};
 use dosco_traffic::ArrivalPattern;
@@ -120,18 +121,15 @@ pub fn churn_scenario(
     cfg
 }
 
-/// Parses the four pattern names used on experiment CLIs.
-///
-/// # Panics
-///
-/// Panics on unknown names (the CLI surfaces the message).
+/// Parses the four pattern names used on experiment CLIs; an unknown name
+/// is a usage error ([`bad_flag`]: one line on stderr, exit code 2).
 pub fn pattern_by_name(name: &str) -> ArrivalPattern {
     match name {
         "fixed" => ArrivalPattern::paper_fixed(),
         "poisson" => ArrivalPattern::paper_poisson(),
         "mmpp" => ArrivalPattern::paper_mmpp(),
         "trace" => ArrivalPattern::paper_trace(),
-        other => panic!("unknown pattern {other:?}; use fixed|poisson|mmpp|trace"),
+        other => bad_flag("--pattern", "fixed|poisson|mmpp|trace", other),
     }
 }
 
@@ -184,11 +182,5 @@ mod tests {
         for n in ["fixed", "poisson", "mmpp", "trace"] {
             assert_eq!(pattern_by_name(n).name(), n);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown pattern")]
-    fn pattern_rejects_unknown() {
-        pattern_by_name("bursty");
     }
 }

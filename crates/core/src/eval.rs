@@ -38,32 +38,40 @@ pub fn evaluate_under_churn(
     (metrics, log.into_events())
 }
 
-/// Like [`evaluate`], but first re-draws the random capacity assignment
-/// from `seed` (nodes U(0,2), links U(1,5)) — one sample of the paper's
-/// random-seed evaluation protocol, and the counterpart of the training
-/// environment's per-episode capacity resampling.
+/// Like [`evaluate`], but on [`ScenarioConfig::with_capacity_draw`] of
+/// `seed` — one sample of the paper's random-seed evaluation protocol, and
+/// the counterpart of the training environment's per-episode capacity
+/// resampling.
 pub fn evaluate_with_capacity_draw(
     policy: &CoordinationPolicy,
     scenario: &ScenarioConfig,
     seed: u64,
 ) -> Metrics {
-    let mut scenario = scenario.clone();
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed ^ 0xCAB5);
-    scenario
-        .topology
-        .assign_random_capacities(&mut rng, (0.0, 2.0), (1.0, 5.0));
-    evaluate(policy, &scenario, seed)
+    evaluate(policy, &scenario.clone().with_capacity_draw(seed), seed)
 }
 
-/// Evaluates over several seeds and returns `(mean, std)` of the success
-/// ratio, plus the per-seed metrics — the aggregation used in every figure
-/// of Sec. V ("mean and standard deviation over 30 random seeds").
+/// Mean and standard deviation of the success ratio over `metrics`, and
+/// the number of episodes they cover — the aggregation of every figure of
+/// Sec. V ("mean and standard deviation over 30 random seeds").
 ///
 /// Episodes where no flow terminated (the objective is undefined) are
-/// *skipped* in the mean/std rather than counted as perfect 1.0, so short
-/// or empty episodes cannot inflate the aggregate. If every episode is
-/// vacuous, mean and std are `NaN` — "no data", distinguishable from a
-/// genuinely perfect 1.0. The returned metrics still cover all seeds.
+/// *skipped* rather than counted as perfect 1.0, so short or empty
+/// episodes cannot inflate the aggregate. If every episode is vacuous the
+/// count is 0 and mean and std are `NaN` — "no data", distinguishable
+/// from a genuinely perfect 1.0.
+pub fn success_mean_std(metrics: &[Metrics]) -> (f64, f64, usize) {
+    let ratios: Vec<f64> = metrics
+        .iter()
+        .filter_map(Metrics::success_ratio_opt)
+        .collect();
+    let n = ratios.len() as f64;
+    let mean = ratios.iter().sum::<f64>() / n;
+    let var = ratios.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / n;
+    (mean, var.sqrt(), ratios.len())
+}
+
+/// Evaluates over several seeds and returns [`success_mean_std`]'s
+/// `(mean, std)` plus the per-seed metrics, which cover all seeds.
 ///
 /// # Panics
 ///
@@ -78,20 +86,8 @@ pub fn evaluate_seeds(
         .iter()
         .map(|&s| evaluate(policy, scenario, s))
         .collect();
-    let ratios: Vec<f64> = metrics
-        .iter()
-        .filter_map(Metrics::success_ratio_opt)
-        .collect();
-    if ratios.is_empty() {
-        return (f64::NAN, f64::NAN, metrics);
-    }
-    let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
-    let var = ratios
-        .iter()
-        .map(|r| (r - mean) * (r - mean))
-        .sum::<f64>()
-        / ratios.len() as f64;
-    (mean, var.sqrt(), metrics)
+    let (mean, std, _) = success_mean_std(&metrics);
+    (mean, std, metrics)
 }
 
 #[cfg(test)]

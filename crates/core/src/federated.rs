@@ -11,7 +11,11 @@
 //!
 //! - [`train_per_node`] trains one actor-critic per node on that node's
 //!   own decisions, with *per-flow credit*: the reward of every event on a
-//!   flow is attributed to the node that last acted on that flow,
+//!   flow is attributed to the node that last acted on that flow. A node's
+//!   update is the A2C rule (`dosco_rl::a2c::RmsPropStep`) over its buffer
+//!   of 1-step TD targets; the collect loop is this module's own, because
+//!   it interleaves every node's learner over one simulator and so is not
+//!   an `Env` that `train_serial` could drive,
 //! - with [`FederatedConfig::sync_interval`] set, all node networks are
 //!   periodically averaged (FedAvg-style), recovering most of the pooled-
 //!   experience benefit while keeping training local.
@@ -25,14 +29,16 @@ use crate::policy::{CoordinationPolicy, PolicyMetadata};
 use crate::reward::RewardConfig;
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
-use dosco_nn::optim::{Optimizer, RmsProp};
 use dosco_nn::{Activation, Categorical};
+use dosco_rl::a2c::{A2cConfig, RmsPropStep};
+use dosco_rl::rollout::Rollout;
+use dosco_rl::UpdateRule;
 use dosco_simnet::{Action, Coordinator, DecisionPoint, FlowId, ScenarioConfig, SimEvent, Simulation};
 use dosco_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Configuration for per-node training.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -78,85 +84,86 @@ struct Transition {
     next_obs: Option<Vec<f32>>, // None = terminal for this flow
 }
 
-/// A node-local actor-critic learner.
+/// A node-local actor-critic learner: its own two networks, trained by
+/// the A2C update rule on its own buffered transitions.
 #[derive(Debug)]
 struct NodeLearner {
     actor: Mlp,
     critic: Mlp,
-    actor_opt: RmsProp,
-    critic_opt: RmsProp,
+    rule: RmsPropStep,
     buffer: Vec<Transition>,
-    updates: u64,
 }
 
 impl NodeLearner {
     fn new(obs_dim: usize, num_actions: usize, cfg: &FederatedConfig, rng: &mut StdRng) -> Self {
+        let actor = Mlp::new(
+            &[obs_dim, cfg.hidden[0], cfg.hidden[1], num_actions],
+            Activation::Tanh,
+            rng,
+        );
+        let critic = Mlp::new(
+            &[obs_dim, cfg.hidden[0], cfg.hidden[1], 1],
+            Activation::Tanh,
+            rng,
+        );
+        // The local loss weighs the value term fully and clips at 0.5;
+        // the collection fields are unused (`train_per_node` collects).
+        let a2c = A2cConfig {
+            lr: cfg.lr,
+            ent_coef: cfg.ent_coef,
+            vf_coef: 1.0,
+            max_grad_norm: 0.5,
+            hidden: cfg.hidden,
+            ..A2cConfig::default()
+        };
         NodeLearner {
-            actor: Mlp::new(
-                &[obs_dim, cfg.hidden[0], cfg.hidden[1], num_actions],
-                Activation::Tanh,
-                rng,
-            ),
-            critic: Mlp::new(
-                &[obs_dim, cfg.hidden[0], cfg.hidden[1], 1],
-                Activation::Tanh,
-                rng,
-            ),
-            actor_opt: RmsProp::with_lr(cfg.lr),
-            critic_opt: RmsProp::with_lr(cfg.lr),
+            rule: RmsPropStep::new(a2c, &actor, &critic),
+            actor,
+            critic,
             buffer: Vec::new(),
-            updates: 0,
         }
     }
 
-    /// One A2C-style update over the buffered transitions (1-step TD
-    /// advantages with per-flow credit).
-    fn update(&mut self, cfg: &FederatedConfig) {
+    /// One A2C update over the buffered transitions, as a rollout of
+    /// 1-step TD targets with per-flow credit.
+    fn update(&mut self, cfg: &FederatedConfig, rng: &mut StdRng) {
         let batch = self.buffer.len();
         if batch == 0 {
             return;
         }
-        let obs_dim = self.actor.inputs();
-        let mut obs = Matrix::zeros(batch, obs_dim);
+        let mut obs = Matrix::zeros(batch, self.actor.inputs());
         for (i, t) in self.buffer.iter().enumerate() {
             obs.row_mut(i).copy_from_slice(&t.obs);
         }
-        let values = self.critic.forward(&obs);
+        let values = self.critic.forward(&obs).as_slice().to_vec();
         // Bootstrap next-state values where the flow continued.
-        let mut advantages = Vec::with_capacity(batch);
-        let mut returns = Vec::with_capacity(batch);
-        for (i, t) in self.buffer.iter().enumerate() {
-            let next_v = match &t.next_obs {
-                Some(o) => self
-                    .critic
-                    .forward(&Matrix::row_vector(o))
-                    .get(0, 0),
-                None => 0.0,
-            };
-            let ret = t.reward + cfg.gamma * next_v;
-            returns.push(ret);
-            advantages.push(ret - values.get(i, 0));
-        }
-        let actions: Vec<usize> = self.buffer.iter().map(|t| t.action).collect();
-
-        let actor_cache = self.actor.forward_cached(&obs);
-        let dist = Categorical::new(&actor_cache.output);
-        let dlogits = dist.policy_gradient_logits(&actions, &advantages, cfg.ent_coef);
-        let mut actor_grads = self.actor.backward(&actor_cache, &dlogits);
-        actor_grads.clip_global_norm(0.5);
-        self.actor_opt.step(&mut self.actor, &actor_grads);
-
-        let critic_cache = self.critic.forward_cached(&obs);
-        let mut dv = Matrix::zeros(batch, 1);
-        for (i, &ret) in returns.iter().enumerate().take(batch) {
-            dv.set(i, 0, (critic_cache.output.get(i, 0) - ret) / batch as f32);
-        }
-        let mut critic_grads = self.critic.backward(&critic_cache, &dv);
-        critic_grads.clip_global_norm(0.5);
-        self.critic_opt.step(&mut self.critic, &critic_grads);
-
+        let returns: Vec<f32> = self
+            .buffer
+            .iter()
+            .map(|t| {
+                let next_v = match &t.next_obs {
+                    Some(o) => self.critic.forward(&Matrix::row_vector(o)).get(0, 0),
+                    None => 0.0,
+                };
+                t.reward + cfg.gamma * next_v
+            })
+            .collect();
+        let rewards: Vec<f32> = self.buffer.iter().map(|t| t.reward).collect();
+        let mut rollout = Rollout {
+            obs,
+            actions: self.buffer.iter().map(|t| t.action).collect(),
+            dones: self.buffer.iter().map(|t| t.next_obs.is_none()).collect(),
+            advantages: returns.iter().zip(&values).map(|(r, v)| r - v).collect(),
+            reward_sum: rewards.iter().sum(),
+            rewards,
+            values,
+            returns,
+            n_envs: 1,
+            n_steps: batch,
+        };
+        self.rule
+            .update(&mut self.actor, &mut self.critic, &mut rollout, rng);
         self.buffer.clear();
-        self.updates += 1;
     }
 }
 
@@ -248,8 +255,10 @@ pub fn train_per_node(
         .collect();
 
     // Pending transition per flow: the node that last acted on it, its
-    // observation/action, and the reward accumulated since.
-    let mut pending: HashMap<FlowId, (NodeId, Vec<f32>, usize, f32)> = HashMap::new();
+    // observation/action, and the reward accumulated since. Ordered, so
+    // the end-of-episode flush fills the buffers in flow order: row order
+    // inside a batch decides the float sums of its gradient.
+    let mut pending: BTreeMap<FlowId, (NodeId, Vec<f32>, usize, f32)> = BTreeMap::new();
 
     let mut decisions = 0usize;
     let mut episode = 0u64;
@@ -259,7 +268,7 @@ pub fn train_per_node(
     while decisions < config.total_decisions {
         let Some(dp) = sim.next_decision() else {
             // Episode over: flush pending flows as terminal.
-            for (_, (node, obs, action, r)) in pending.drain() {
+            for (_, (node, obs, action, r)) in std::mem::take(&mut pending) {
                 learners[node.0].buffer.push(Transition {
                     obs,
                     action,
@@ -314,7 +323,7 @@ pub fn train_per_node(
 
         // Local updates when a node's buffer fills.
         if learners[dp.node.0].buffer.len() >= config.batch_size {
-            learners[dp.node.0].update(config);
+            learners[dp.node.0].update(config, &mut rng);
         }
         // Periodic federated synchronization.
         if let Some(interval) = config.sync_interval {

@@ -10,7 +10,7 @@ use crate::observe::ObservationAdapter;
 use crate::reward::RewardConfig;
 use dosco_chaos::ChurnSchedule;
 use dosco_rl::env::{Env, StepResult};
-use dosco_simnet::{Action, ScenarioConfig, SimEvent, Simulation};
+use dosco_simnet::{Action, Metrics, ScenarioConfig, SimEvent, Simulation};
 
 /// The training environment: a simulated episode of the scenario, exposing
 /// flow decisions as RL steps.
@@ -37,6 +37,8 @@ pub struct CoordEnv {
     /// Substrate churn injected into every episode; `None` trains on a
     /// static substrate (bit-identical to the pre-churn environment).
     churn: Option<ChurnSchedule>,
+    /// Final metrics of the last episode that ran to its end.
+    finished: Option<Metrics>,
 }
 
 impl CoordEnv {
@@ -74,6 +76,7 @@ impl CoordEnv {
             events_buf: Vec::new(),
             resample_capacities: true,
             churn: None,
+            finished: None,
         }
     }
 
@@ -116,8 +119,15 @@ impl CoordEnv {
     }
 
     /// Metrics of the current (possibly running) episode.
-    pub fn metrics(&self) -> &dosco_simnet::Metrics {
+    pub fn metrics(&self) -> &Metrics {
         self.sim.metrics()
+    }
+
+    /// Final metrics of the episode whose last step returned `done`
+    /// (`None` until one has): what the rewards summed over that episode
+    /// must account for.
+    pub fn finished_metrics(&self) -> Option<&Metrics> {
+        self.finished.as_ref()
     }
 
     fn fresh_sim(&mut self) -> Vec<f32> {
@@ -132,11 +142,7 @@ impl CoordEnv {
         // evaluation protocol (mean over random seeds incl. capacities).
         let mut scenario = self.scenario.clone();
         if self.resample_capacities {
-            let mut rng =
-                <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed ^ 0xCAB5);
-            scenario
-                .topology
-                .assign_random_capacities(&mut rng, (0.0, 2.0), (1.0, 5.0));
+            scenario = scenario.with_capacity_draw(seed);
         }
         self.sim = match &self.churn {
             Some(schedule) => {
@@ -191,6 +197,7 @@ impl Env for CoordEnv {
             None => {
                 self.sim.drain_events_into(&mut self.events_buf);
                 let reward = self.reward.batch_reward(&self.events_buf, self.diameter);
+                self.finished = Some(self.sim.metrics().clone());
                 StepResult {
                     obs: self.fresh_sim(),
                     reward,

@@ -110,6 +110,28 @@ impl Default for TrainConfig {
     }
 }
 
+impl TrainConfig {
+    /// The agent `self.algorithm` names, built from that algorithm's
+    /// hyperparameter block — the one place an [`Algorithm`] becomes a
+    /// [`Learner`].
+    pub fn learner(&self, obs_dim: usize, num_actions: usize, seed: u64) -> Box<dyn Learner> {
+        match self.algorithm {
+            Algorithm::Acktr => Box::new(Acktr::new(obs_dim, num_actions, self.acktr, seed)),
+            Algorithm::A2c => Box::new(A2c::new(obs_dim, num_actions, self.a2c, seed)),
+            Algorithm::Ppo => Box::new(Ppo::new(obs_dim, num_actions, self.ppo, seed)),
+        }
+    }
+
+    /// The initial learning rate of `self.algorithm`.
+    fn base_lr(&self) -> f32 {
+        match self.algorithm {
+            Algorithm::Acktr => self.acktr.lr,
+            Algorithm::A2c => self.a2c.lr,
+            Algorithm::Ppo => self.ppo.lr,
+        }
+    }
+}
+
 /// The outcome of a training run.
 #[derive(Debug, Clone)]
 pub struct TrainedPolicy {
@@ -169,6 +191,13 @@ pub fn train_distributed(scenario: &ScenarioConfig, config: &TrainConfig) -> Tra
     let checkpoints = config.checkpoints.max(1);
     let chunk = (config.total_steps / checkpoints).max(1);
 
+    // The checkpoint loop below owns the schedule, so the agents'
+    // internal decay is off.
+    let mut undecayed = config.clone();
+    undecayed.acktr.lr_decay = false;
+    undecayed.a2c.lr_decay = false;
+    let base_lr = config.base_lr();
+
     let results = train_multi_seed(&config.seeds, |seed| {
         let mut envs = make_envs(
             scenario,
@@ -179,28 +208,7 @@ pub fn train_distributed(scenario: &ScenarioConfig, config: &TrainConfig) -> Tra
             config.fixed_capacity_training,
             config.churn.as_ref(),
         );
-        // The checkpoint loop below owns the schedule, so the agents'
-        // internal decay is off.
-        let (mut agent, base_lr): (Box<dyn Learner>, f32) = match config.algorithm {
-            Algorithm::Acktr => {
-                let c = AcktrConfig {
-                    lr_decay: false,
-                    ..config.acktr
-                };
-                (Box::new(Acktr::new(obs_dim, num_actions, c, seed)), c.lr)
-            }
-            Algorithm::A2c => {
-                let c = A2cConfig {
-                    lr_decay: false,
-                    ..config.a2c
-                };
-                (Box::new(A2c::new(obs_dim, num_actions, c, seed)), c.lr)
-            }
-            Algorithm::Ppo => (
-                Box::new(Ppo::new(obs_dim, num_actions, config.ppo, seed)),
-                config.ppo.lr,
-            ),
-        };
+        let mut agent = undecayed.learner(obs_dim, num_actions, seed);
         let mut best: Option<(f32, CoordinationPolicy)> = None;
         for ck in 0..checkpoints {
             agent.set_lr(decayed_lr(base_lr, ck, checkpoints));

@@ -442,15 +442,6 @@ impl Matrix {
         self.zip_with(other, |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip_with(other, |a, b| a * b)
-    }
-
     fn zip_with(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         assert_eq!(
             (self.rows, self.cols),
@@ -808,7 +799,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[3.0, 5.0]]);
         assert_eq!(a.add(&b), Matrix::from_rows(&[&[4.0, 7.0]]));
         assert_eq!(b.sub(&a), Matrix::from_rows(&[&[2.0, 3.0]]));
-        assert_eq!(a.hadamard(&b), Matrix::from_rows(&[&[3.0, 10.0]]));
         assert_eq!(a.scaled(2.0), Matrix::from_rows(&[&[2.0, 4.0]]));
     }
 

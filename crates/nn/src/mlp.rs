@@ -414,9 +414,8 @@ impl Mlp {
     }
 
     /// Serializes every parameter into one flat vector, layer by layer
-    /// (input-side first), weights row-major then bias. Together with
-    /// [`Mlp::load_flat_params`] this is the wire format of policy
-    /// snapshots in the actor–learner runtime.
+    /// (input-side first), weights row-major then bias: what the weight
+    /// fingerprints hash and FedAvg tests compare.
     pub fn flat_params(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.num_params());
         for layer in &self.layers {
@@ -424,31 +423,6 @@ impl Mlp {
             out.extend_from_slice(&layer.b);
         }
         out
-    }
-
-    /// Restores parameters from a [`Mlp::flat_params`] vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len()` does not match [`Mlp::num_params`].
-    pub fn load_flat_params(&mut self, params: &[f32]) {
-        assert_eq!(
-            params.len(),
-            self.num_params(),
-            "flat parameter count mismatch"
-        );
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            let nw = layer.w.rows() * layer.w.cols();
-            layer
-                .w
-                .as_mut_slice()
-                .copy_from_slice(&params[offset..offset + nw]);
-            offset += nw;
-            let nb = layer.b.len();
-            layer.b.copy_from_slice(&params[offset..offset + nb]);
-            offset += nb;
-        }
     }
 
     /// `[W; b] ← [W; b] + scale · update` for layer `i`, with `update` in
@@ -644,27 +618,6 @@ mod tests {
     #[should_panic(expected = "at least input and output")]
     fn rejects_single_size() {
         Mlp::new(&[4], Activation::Tanh, &mut rng());
-    }
-
-    /// flat_params/load_flat_params round-trip bit-exactly: restoring a
-    /// snapshot into a differently initialized net makes the nets equal.
-    #[test]
-    fn flat_params_round_trip_is_bit_exact() {
-        let src = Mlp::new(&[5, 7, 3], Activation::Tanh, &mut rng());
-        let flat = src.flat_params();
-        assert_eq!(flat.len(), src.num_params());
-        let mut dst = Mlp::new(&[5, 7, 3], Activation::Tanh, &mut StdRng::seed_from_u64(99));
-        assert_ne!(src, dst);
-        dst.load_flat_params(&flat);
-        assert_eq!(src, dst, "restored net must equal the snapshot bitwise");
-        assert_eq!(dst.flat_params(), flat);
-    }
-
-    #[test]
-    #[should_panic(expected = "flat parameter count mismatch")]
-    fn load_flat_params_checks_length() {
-        let mut net = Mlp::new(&[3, 4, 2], Activation::Tanh, &mut rng());
-        net.load_flat_params(&[0.0; 3]);
     }
 
     /// The input gradient must match finite differences of L = 0.5 Σ out².

@@ -6,15 +6,13 @@
 //! entropy bonus. This is the "plain gradient" half of the paper's
 //! training algorithm and an ablation point versus ACKTR.
 
-use crate::env::Env;
-use crate::learner::train_serial;
+use crate::learner::{ActorCritic, CollectParams, UpdateRule};
 use crate::rollout::Rollout;
 use dosco_nn::matrix::Matrix;
-use dosco_nn::mlp::{Gradients, Mlp};
+use dosco_nn::mlp::{ForwardCache, Gradients, Mlp};
 use dosco_nn::optim::{Optimizer, RmsProp};
 use dosco_nn::Categorical;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// A2C hyperparameters.
@@ -80,15 +78,13 @@ impl TrainStats {
     }
 }
 
-/// The A2C agent: actor + critic + optimizer state.
-#[derive(Debug)]
-pub struct A2c {
-    actor: Mlp,
-    critic: Mlp,
-    actor_opt: RmsProp,
-    critic_opt: RmsProp,
-    config: A2cConfig,
-    rng: StdRng,
+/// The critic-loss gradient `vf_coef·(v − ret)/B` w.r.t. the value head's
+/// output, for `0.5·vf_coef·(v − ret)²` averaged over the batch.
+pub(crate) fn value_loss_gradient(values: &Matrix, returns: &[f32], vf_coef: f32) -> Matrix {
+    let batch = returns.len() as f32;
+    Matrix::from_fn(returns.len(), 1, |i, _| {
+        vf_coef * (values.get(i, 0) - returns[i]) / batch
+    })
 }
 
 /// Computes actor and critic gradients for one rollout batch — shared by
@@ -99,143 +95,87 @@ pub(crate) fn actor_critic_gradients(
     rollout: &Rollout,
     ent_coef: f32,
     vf_coef: f32,
-) -> (
-    Gradients,
-    Gradients,
-    dosco_nn::mlp::ForwardCache,
-    dosco_nn::mlp::ForwardCache,
-) {
-    let batch = rollout.actions.len() as f32;
+) -> (Gradients, Gradients, ForwardCache, ForwardCache) {
     // Actor: policy gradient with entropy bonus on the logits.
     let actor_cache = actor.forward_cached(&rollout.obs);
     let dist = Categorical::new(&actor_cache.output);
     let dlogits = dist.policy_gradient_logits(&rollout.actions, &rollout.advantages, ent_coef);
     let actor_grads = actor.backward(&actor_cache, &dlogits);
-    // Critic: 0.5·vf_coef·(v − ret)² per sample.
     let critic_cache = critic.forward_cached(&rollout.obs);
-    let mut dv = Matrix::zeros(rollout.actions.len(), 1);
-    for i in 0..rollout.actions.len() {
-        dv.set(i, 0, vf_coef * (critic_cache.output.get(i, 0) - rollout.returns[i]) / batch);
-    }
+    let dv = value_loss_gradient(&critic_cache.output, &rollout.returns, vf_coef);
     let critic_grads = critic.backward(&critic_cache, &dv);
     (actor_grads, critic_grads, actor_cache, critic_cache)
 }
 
-impl A2c {
-    /// Creates an A2C agent for `obs_dim`-dimensional observations and
-    /// `num_actions` discrete actions, with all randomness derived from
-    /// `seed`.
-    pub fn new(obs_dim: usize, num_actions: usize, config: A2cConfig, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let actor = Mlp::new(
-            &[obs_dim, config.hidden[0], config.hidden[1], num_actions],
-            dosco_nn::Activation::Tanh,
-            &mut rng,
-        );
-        let critic = Mlp::new(
-            &[obs_dim, config.hidden[0], config.hidden[1], 1],
-            dosco_nn::Activation::Tanh,
-            &mut rng,
-        );
-        A2c {
-            actor,
-            critic,
+/// The A2C update: the actor–critic gradients, clipped, through one
+/// RMSprop step per network. Draws no randomness.
+#[derive(Debug)]
+pub struct RmsPropStep {
+    config: A2cConfig,
+    actor_opt: RmsProp,
+    critic_opt: RmsProp,
+}
+
+/// The A2C agent.
+pub type A2c = ActorCritic<RmsPropStep>;
+
+impl UpdateRule for RmsPropStep {
+    type Config = A2cConfig;
+
+    fn new(config: A2cConfig, _actor: &Mlp, _critic: &Mlp) -> Self {
+        RmsPropStep {
+            config,
             actor_opt: RmsProp::with_lr(config.lr),
             critic_opt: RmsProp::with_lr(config.lr),
-            config,
-            rng,
         }
     }
 
-    /// The actor network (the deployable policy).
-    pub fn actor(&self) -> &Mlp {
-        &self.actor
-    }
-
-    /// The critic network.
-    pub fn critic(&self) -> &Mlp {
-        &self.critic
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &A2cConfig {
+    fn config(&self) -> &A2cConfig {
         &self.config
     }
 
-    /// Overwrites the current learning rate (external schedules).
-    pub fn set_lr(&mut self, lr: f32) {
+    fn hidden(config: &A2cConfig) -> [usize; 2] {
+        config.hidden
+    }
+
+    fn collect_params(&self) -> CollectParams {
+        CollectParams {
+            n_steps: self.config.n_steps,
+            gamma: self.config.gamma,
+            gae_lambda: self.config.gae_lambda,
+        }
+    }
+
+    fn lr_schedule(&self) -> Option<f32> {
+        self.config.lr_decay.then_some(self.config.lr)
+    }
+
+    fn set_lr(&mut self, lr: f32) {
         self.actor_opt.set_learning_rate(lr);
         self.critic_opt.set_learning_rate(lr);
     }
 
-    /// Greedy (argmax) action for a single observation — the inference
-    /// mode of the deployed distributed agents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obs.len()` does not match the observation dimension.
-    pub fn act_greedy(&self, obs: &[f32]) -> usize {
-        let logits = self.actor.forward(&Matrix::row_vector(obs));
-        Categorical::new(&logits).argmax()[0]
-    }
-
-    /// Trains for (at least) `total_steps` environment transitions across
-    /// the parallel `envs` (Alg. 1 ln. 3–12). Returns per-update stats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `envs` is empty or env dimensions mismatch the networks.
-    pub fn train(&mut self, envs: &mut [Box<dyn Env>], total_steps: usize) -> TrainStats {
-        train_serial(self, envs, total_steps)
-    }
-
-    /// One update from a collected rollout — what both [`A2c::train`] and
-    /// the actor–learner runtime apply per batch. The RNG parameter is
-    /// unused (the A2C update draws no randomness) but part of the shared
-    /// learner signature.
-    pub fn update_batch(&mut self, rollout: &mut Rollout, _rng: &mut StdRng) {
+    fn update(
+        &mut self,
+        actor: &mut Mlp,
+        critic: &mut Mlp,
+        rollout: &mut Rollout,
+        _rng: &mut StdRng,
+    ) {
         if self.config.normalize_advantages {
             rollout.normalize_advantages();
         }
-        self.update(rollout);
-    }
-
-    /// Moves the sampling RNG out of the agent so an external collection
-    /// loop (the runtime's actor thread) can continue the same stream;
-    /// pair with [`A2c::restore_rng`]. The agent is left with a
-    /// placeholder stream and must not sample until restored.
-    pub fn take_rng(&mut self) -> StdRng {
-        std::mem::replace(&mut self.rng, StdRng::seed_from_u64(0))
-    }
-
-    /// Restores the sampling RNG after [`A2c::take_rng`].
-    pub fn restore_rng(&mut self, rng: StdRng) {
-        self.rng = rng;
-    }
-
-    fn update(&mut self, rollout: &Rollout) {
         let (mut actor_grads, mut critic_grads, _, _) = actor_critic_gradients(
-            &self.actor,
-            &self.critic,
+            actor,
+            critic,
             rollout,
             self.config.ent_coef,
             self.config.vf_coef,
         );
         actor_grads.clip_global_norm(self.config.max_grad_norm);
         critic_grads.clip_global_norm(self.config.max_grad_norm);
-        self.actor_opt.step(&mut self.actor, &actor_grads);
-        self.critic_opt.step(&mut self.critic, &critic_grads);
-    }
-
-    /// Replaces the actor (e.g. loading a saved policy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions mismatch.
-    pub fn set_actor(&mut self, actor: Mlp) {
-        assert_eq!(actor.inputs(), self.actor.inputs(), "obs dim mismatch");
-        assert_eq!(actor.outputs(), self.actor.outputs(), "action dim mismatch");
-        self.actor = actor;
+        self.actor_opt.step(actor, &actor_grads);
+        self.critic_opt.step(critic, &critic_grads);
     }
 }
 
@@ -243,6 +183,7 @@ impl A2c {
 mod tests {
     use super::*;
     use crate::env::testenvs::Corridor;
+    use crate::env::Env;
 
     #[test]
     fn learns_corridor() {
@@ -291,22 +232,5 @@ mod tests {
         };
         assert_eq!(stats.tail_mean(10), 2.0);
         assert_eq!(TrainStats::default().tail_mean(5), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "obs dim mismatch")]
-    fn set_actor_checks_shape() {
-        let mut agent = A2c::new(
-            3,
-            2,
-            A2cConfig {
-                hidden: [4, 4],
-                ..A2cConfig::default()
-            },
-            0,
-        );
-        let mut rng = StdRng::seed_from_u64(0);
-        let wrong = Mlp::new(&[5, 4, 2], dosco_nn::Activation::Tanh, &mut rng);
-        agent.set_actor(wrong);
     }
 }

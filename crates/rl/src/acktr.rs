@@ -8,9 +8,8 @@
 //! from the model's own predictive distribution: categorical sampling for
 //! the actor, unit-Gaussian sampling for the critic's value head.
 
-use crate::a2c::{actor_critic_gradients, TrainStats};
-use crate::env::Env;
-use crate::learner::train_serial;
+use crate::a2c::actor_critic_gradients;
+use crate::learner::{ActorCritic, CollectParams, UpdateRule};
 use crate::rollout::Rollout;
 use dosco_nn::kfac::{Kfac, KfacConfig};
 use dosco_nn::matrix::Matrix;
@@ -18,7 +17,6 @@ use dosco_nn::mlp::Mlp;
 use dosco_nn::Categorical;
 use rand::rngs::StdRng;
 use rand::Rng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// ACKTR hyperparameters (paper values in Sec. V-A2 as defaults).
@@ -89,97 +87,70 @@ impl AcktrConfig {
     }
 }
 
-/// The ACKTR agent.
+/// The ACKTR update: the A2C gradients, Fisher-factor statistics from
+/// model-sampled gradients, and one K-FAC natural-gradient step per
+/// network under the KL trust region.
 #[derive(Debug)]
-pub struct Acktr {
-    actor: Mlp,
-    critic: Mlp,
+pub struct KfacStep {
+    config: AcktrConfig,
     actor_kfac: Kfac,
     critic_kfac: Kfac,
-    config: AcktrConfig,
-    rng: StdRng,
 }
 
-impl Acktr {
-    /// Creates an ACKTR agent with all randomness derived from `seed`.
-    pub fn new(obs_dim: usize, num_actions: usize, config: AcktrConfig, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let actor = Mlp::new(
-            &[obs_dim, config.hidden[0], config.hidden[1], num_actions],
-            dosco_nn::Activation::Tanh,
-            &mut rng,
-        );
-        let critic = Mlp::new(
-            &[obs_dim, config.hidden[0], config.hidden[1], 1],
-            dosco_nn::Activation::Tanh,
-            &mut rng,
-        );
-        let actor_kfac = Kfac::new(&actor, config.kfac());
-        let critic_kfac = Kfac::new(&critic, config.kfac());
-        Acktr {
-            actor,
-            critic,
-            actor_kfac,
-            critic_kfac,
+/// The ACKTR agent.
+pub type Acktr = ActorCritic<KfacStep>;
+
+impl UpdateRule for KfacStep {
+    type Config = AcktrConfig;
+
+    fn new(config: AcktrConfig, actor: &Mlp, critic: &Mlp) -> Self {
+        KfacStep {
             config,
-            rng,
+            actor_kfac: Kfac::new(actor, config.kfac()),
+            critic_kfac: Kfac::new(critic, config.kfac()),
         }
     }
 
-    /// The actor network (the deployable policy).
-    pub fn actor(&self) -> &Mlp {
-        &self.actor
-    }
-
-    /// The critic network.
-    pub fn critic(&self) -> &Mlp {
-        &self.critic
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &AcktrConfig {
+    fn config(&self) -> &AcktrConfig {
         &self.config
     }
 
-    /// Overwrites the current learning rate (external schedules).
-    pub fn set_lr(&mut self, lr: f32) {
+    fn hidden(config: &AcktrConfig) -> [usize; 2] {
+        config.hidden
+    }
+
+    fn collect_params(&self) -> CollectParams {
+        CollectParams {
+            n_steps: self.config.n_steps,
+            gamma: self.config.gamma,
+            gae_lambda: self.config.gae_lambda,
+        }
+    }
+
+    fn lr_schedule(&self) -> Option<f32> {
+        self.config.lr_decay.then_some(self.config.lr)
+    }
+
+    fn set_lr(&mut self, lr: f32) {
         self.actor_kfac.set_lr(lr);
         self.critic_kfac.set_lr(lr);
     }
 
-    /// Greedy (argmax) action for one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obs.len()` mismatches the observation dimension.
-    pub fn act_greedy(&self, obs: &[f32]) -> usize {
-        let logits = self.actor.forward(&Matrix::row_vector(obs));
-        Categorical::new(&logits).argmax()[0]
-    }
-
-    /// Trains for (at least) `total_steps` transitions across `envs`
-    /// (Alg. 1 ln. 3–12).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `envs` is empty or dimensions mismatch.
-    pub fn train(&mut self, envs: &mut [Box<dyn Env>], total_steps: usize) -> TrainStats {
-        train_serial(self, envs, total_steps)
-    }
-
-    /// One K-FAC update from a collected rollout — what both
-    /// [`Acktr::train`] and the actor–learner runtime apply per batch:
-    /// advantage normalization, A2C gradients, Fisher-factor statistics
-    /// from model-sampled gradients, natural-gradient steps. `rng` drives
-    /// the Fisher-factor sampling; for bit-identical training it must be
-    /// the same stream that collected the rollout.
-    pub fn update_batch(&mut self, rollout: &mut Rollout, rng: &mut StdRng) {
+    /// `rng` drives the Fisher-factor sampling; for bit-identical training
+    /// it must be the same stream that collected the rollout.
+    fn update(
+        &mut self,
+        actor: &mut Mlp,
+        critic: &mut Mlp,
+        rollout: &mut Rollout,
+        rng: &mut StdRng,
+    ) {
         if self.config.normalize_advantages {
             rollout.normalize_advantages();
         }
         let (actor_grads, critic_grads, actor_cache, critic_cache) = actor_critic_gradients(
-            &self.actor,
-            &self.critic,
+            actor,
+            critic,
             rollout,
             self.config.ent_coef,
             self.config.vf_coef,
@@ -188,7 +159,7 @@ impl Acktr {
         // Fisher factor statistics from model-sampled gradients.
         let batch = rollout.actions.len();
         let actor_fisher_out = Categorical::new(&actor_cache.output).fisher_sample_logits(rng);
-        let actor_fisher = self.actor.backward_preact(&actor_cache, &actor_fisher_out);
+        let actor_fisher = actor.backward_preact(&actor_cache, &actor_fisher_out);
         self.actor_kfac.update_stats(&actor_cache, &actor_fisher);
 
         // Critic value head: Gaussian likelihood ⇒ Fisher gradient is
@@ -198,39 +169,16 @@ impl Acktr {
             let u2: f32 = rng.gen();
             ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()) / batch as f32
         });
-        let critic_fisher = self.critic.backward_preact(&critic_cache, &critic_fisher_out);
+        let critic_fisher = critic.backward_preact(&critic_cache, &critic_fisher_out);
         self.critic_kfac.update_stats(&critic_cache, &critic_fisher);
 
         // Natural-gradient steps with the trust region.
         self.actor_kfac
-            .step(&mut self.actor, &actor_grads)
+            .step(actor, &actor_grads)
             .expect("actor K-FAC inversion failed; increase damping");
         self.critic_kfac
-            .step(&mut self.critic, &critic_grads)
+            .step(critic, &critic_grads)
             .expect("critic K-FAC inversion failed; increase damping");
-    }
-
-    /// Moves the sampling RNG out of the agent so an external collection
-    /// loop (the runtime's actor thread) can continue the same stream;
-    /// pair with [`Acktr::restore_rng`].
-    pub fn take_rng(&mut self) -> StdRng {
-        std::mem::replace(&mut self.rng, StdRng::seed_from_u64(0))
-    }
-
-    /// Restores the sampling RNG after [`Acktr::take_rng`].
-    pub fn restore_rng(&mut self, rng: StdRng) {
-        self.rng = rng;
-    }
-
-    /// Replaces the actor (e.g. loading a saved policy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions mismatch.
-    pub fn set_actor(&mut self, actor: Mlp) {
-        assert_eq!(actor.inputs(), self.actor.inputs(), "obs dim mismatch");
-        assert_eq!(actor.outputs(), self.actor.outputs(), "action dim mismatch");
-        self.actor = actor;
     }
 }
 
@@ -238,6 +186,7 @@ impl Acktr {
 mod tests {
     use super::*;
     use crate::env::testenvs::Corridor;
+    use crate::env::Env;
 
     #[test]
     fn learns_corridor() {

@@ -1,17 +1,19 @@
 //! The [`Learner`] trait — what a training loop needs from an algorithm —
-//! implemented for A2C, ACKTR and PPO, and [`train_serial`], the one
-//! serial collect → update loop. The actor–learner runtime
-//! (`dosco_runtime`) drives the same trait over channels; its sync mode is
-//! pinned bit-identical to [`train_serial`].
+//! [`ActorCritic`], the agent behind this crate's one `impl Learner for`,
+//! and [`train_serial`], the one serial collect → update loop. A2C, ACKTR
+//! and PPO are the same agent under three [`UpdateRule`]s; the
+//! actor–learner runtime (`dosco_runtime`) drives the same trait over
+//! channels, and its sync mode is pinned bit-identical to
+//! [`train_serial`].
 
-use crate::a2c::{A2c, TrainStats};
-use crate::acktr::Acktr;
+use crate::a2c::TrainStats;
 use crate::env::Env;
-use crate::ppo::Ppo;
 use crate::rollout::{Rollout, RolloutCollector};
-use crate::schedule::LrSchedule;
+use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
+use dosco_nn::{Activation, Categorical};
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Collection hyperparameters the actors need from the algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -62,10 +64,8 @@ pub trait Learner: Send {
 /// The learning rate after `done` of `total` steps under the linear decay
 /// to 10 % that [`Learner::lr_schedule`] announces.
 pub fn decayed_lr(base_lr: f32, done: usize, total: usize) -> f32 {
-    let decay = LrSchedule::Linear {
-        final_fraction: 0.1,
-    };
-    decay.at(base_lr, done as f32 / total as f32)
+    let frac = (done as f32 / total as f32).clamp(0.0, 1.0);
+    base_lr * (1.0 - (1.0 - 0.1) * frac)
 }
 
 /// Trains `learner` for (at least) `total_steps` environment transitions
@@ -81,6 +81,23 @@ pub fn train_serial<L: Learner + ?Sized>(
     learner: &mut L,
     envs: &mut [Box<dyn Env>],
     total_steps: usize,
+) -> TrainStats {
+    train_serial_with(learner, envs, total_steps, |_, _, _| {})
+}
+
+/// [`train_serial`] with a hook: after every update, `on_update` sees the
+/// learner, the rollout that update consumed and the stats so far — one
+/// collector and one schedule for the whole budget, so a caller that
+/// evaluates or prints along the way does not reset the envs to do it.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`train_serial`].
+pub fn train_serial_with<L: Learner + ?Sized>(
+    learner: &mut L,
+    envs: &mut [Box<dyn Env>],
+    total_steps: usize,
+    mut on_update: impl FnMut(&L, &Rollout, &TrainStats),
 ) -> TrainStats {
     let params = learner.collect_params();
     let base_lr = learner.lr_schedule();
@@ -104,121 +121,185 @@ pub fn train_serial<L: Learner + ?Sized>(
         learner.update_batch(&mut rollout, &mut rng);
         stats.mean_rewards.push(rollout.mean_reward());
         stats.total_steps += per_update;
+        on_update(learner, &rollout, &stats);
     }
     learner.restore_rng(rng);
     stats
 }
 
-impl Learner for A2c {
-    fn collect_params(&self) -> CollectParams {
-        CollectParams {
-            n_steps: self.config().n_steps,
-            gamma: self.config().gamma,
-            gae_lambda: self.config().gae_lambda,
+/// What tells A2C, ACKTR and PPO apart: the hyperparameters and the update
+/// one collected rollout is turned into. The networks, the sampling RNG
+/// and how training is driven are [`ActorCritic`]'s.
+pub trait UpdateRule: Send + Sized {
+    /// The algorithm's hyperparameters.
+    type Config: Copy + std::fmt::Debug + Send;
+
+    /// Optimizer state for freshly initialized networks.
+    fn new(config: Self::Config, actor: &Mlp, critic: &Mlp) -> Self;
+
+    /// The hyperparameters this rule was built with.
+    fn config(&self) -> &Self::Config;
+
+    /// Hidden layer sizes of actor and critic.
+    fn hidden(config: &Self::Config) -> [usize; 2];
+
+    /// See [`Learner::collect_params`].
+    fn collect_params(&self) -> CollectParams;
+
+    /// See [`Learner::lr_schedule`].
+    fn lr_schedule(&self) -> Option<f32>;
+
+    /// Overwrites the current learning rate of both optimizers.
+    fn set_lr(&mut self, lr: f32);
+
+    /// Applies one update to the networks from a collected rollout; `rng`
+    /// is the stream for any update-time sampling.
+    fn update(
+        &mut self,
+        actor: &mut Mlp,
+        critic: &mut Mlp,
+        rollout: &mut Rollout,
+        rng: &mut StdRng,
+    );
+}
+
+/// An actor and a critic MLP, the RNG stream that samples actions, and
+/// the [`UpdateRule`] that trains them: [`crate::A2c`], [`crate::Acktr`]
+/// and [`crate::Ppo`] are this type under their rules.
+#[derive(Debug)]
+pub struct ActorCritic<R> {
+    actor: Mlp,
+    critic: Mlp,
+    rule: R,
+    rng: StdRng,
+}
+
+impl<R: UpdateRule> ActorCritic<R> {
+    /// Creates an agent for `obs_dim`-dimensional observations and
+    /// `num_actions` discrete actions, with all randomness derived from
+    /// `seed` (actor first, then critic, then sampling).
+    pub fn new(obs_dim: usize, num_actions: usize, config: R::Config, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let [h0, h1] = R::hidden(&config);
+        let actor = Mlp::new(&[obs_dim, h0, h1, num_actions], Activation::Tanh, &mut rng);
+        let critic = Mlp::new(&[obs_dim, h0, h1, 1], Activation::Tanh, &mut rng);
+        let rule = R::new(config, &actor, &critic);
+        ActorCritic {
+            actor,
+            critic,
+            rule,
+            rng,
         }
     }
 
-    fn actor(&self) -> &Mlp {
-        self.actor()
+    /// The actor network (the deployable policy).
+    pub fn actor(&self) -> &Mlp {
+        &self.actor
     }
 
-    fn critic(&self) -> &Mlp {
-        self.critic()
+    /// The critic network.
+    pub fn critic(&self) -> &Mlp {
+        &self.critic
     }
 
-    fn take_rng(&mut self) -> StdRng {
-        A2c::take_rng(self)
+    /// The configuration.
+    pub fn config(&self) -> &R::Config {
+        self.rule.config()
     }
 
-    fn restore_rng(&mut self, rng: StdRng) {
-        A2c::restore_rng(self, rng);
+    /// Overwrites the current learning rate (external schedules).
+    pub fn set_lr(&mut self, lr: f32) {
+        self.rule.set_lr(lr);
     }
 
-    fn lr_schedule(&self) -> Option<f32> {
-        self.config().lr_decay.then_some(self.config().lr)
+    /// Greedy (argmax) action for a single observation — the inference
+    /// mode of the deployed distributed agents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obs.len()` does not match the observation dimension.
+    pub fn act_greedy(&self, obs: &[f32]) -> usize {
+        let logits = self.actor.forward(&Matrix::row_vector(obs));
+        Categorical::new(&logits).argmax()[0]
     }
 
-    fn set_lr(&mut self, lr: f32) {
-        A2c::set_lr(self, lr);
+    /// Trains for (at least) `total_steps` environment transitions across
+    /// the parallel `envs` ([`train_serial`]). Returns per-update stats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `envs` is empty or env dimensions mismatch the networks.
+    pub fn train(&mut self, envs: &mut [Box<dyn Env>], total_steps: usize) -> TrainStats {
+        train_serial(self, envs, total_steps)
     }
 
-    fn update_batch(&mut self, rollout: &mut Rollout, rng: &mut StdRng) {
-        A2c::update_batch(self, rollout, rng);
+    /// One update from a collected rollout — what both
+    /// [`ActorCritic::train`] and the actor–learner runtime apply per
+    /// batch. `rng` drives any update-time sampling (ACKTR's Fisher
+    /// factors; A2C and PPO draw nothing); for bit-identical training it
+    /// must be the stream that collected the rollout.
+    pub fn update_batch(&mut self, rollout: &mut Rollout, rng: &mut StdRng) {
+        self.rule
+            .update(&mut self.actor, &mut self.critic, rollout, rng);
+    }
+
+    /// Moves the sampling RNG out of the agent so an external collection
+    /// loop (the runtime's actor thread) can continue the same stream;
+    /// pair with [`ActorCritic::restore_rng`]. The agent is left with a
+    /// placeholder stream and must not sample until restored.
+    pub fn take_rng(&mut self) -> StdRng {
+        std::mem::replace(&mut self.rng, StdRng::seed_from_u64(0))
+    }
+
+    /// Restores the sampling RNG after [`ActorCritic::take_rng`].
+    pub fn restore_rng(&mut self, rng: StdRng) {
+        self.rng = rng;
     }
 }
 
-impl Learner for Acktr {
+impl<R: UpdateRule> Learner for ActorCritic<R> {
     fn collect_params(&self) -> CollectParams {
-        CollectParams {
-            n_steps: self.config().n_steps,
-            gamma: self.config().gamma,
-            gae_lambda: self.config().gae_lambda,
-        }
+        self.rule.collect_params()
     }
 
     fn actor(&self) -> &Mlp {
-        self.actor()
+        &self.actor
     }
 
     fn critic(&self) -> &Mlp {
-        self.critic()
+        &self.critic
     }
 
     fn take_rng(&mut self) -> StdRng {
-        Acktr::take_rng(self)
+        ActorCritic::take_rng(self)
     }
 
     fn restore_rng(&mut self, rng: StdRng) {
-        Acktr::restore_rng(self, rng);
+        self.rng = rng;
     }
 
     fn lr_schedule(&self) -> Option<f32> {
-        self.config().lr_decay.then_some(self.config().lr)
+        self.rule.lr_schedule()
     }
 
     fn set_lr(&mut self, lr: f32) {
-        Acktr::set_lr(self, lr);
+        self.rule.set_lr(lr);
     }
 
     fn update_batch(&mut self, rollout: &mut Rollout, rng: &mut StdRng) {
-        Acktr::update_batch(self, rollout, rng);
+        ActorCritic::update_batch(self, rollout, rng);
     }
 }
 
-impl Learner for Ppo {
-    fn collect_params(&self) -> CollectParams {
-        CollectParams {
-            n_steps: self.config().n_steps,
-            gamma: self.config().gamma,
-            gae_lambda: self.config().gae_lambda,
-        }
-    }
+#[cfg(test)]
+mod tests {
+    use super::decayed_lr;
 
-    fn actor(&self) -> &Mlp {
-        self.actor()
-    }
-
-    fn critic(&self) -> &Mlp {
-        self.critic()
-    }
-
-    fn take_rng(&mut self) -> StdRng {
-        Ppo::take_rng(self)
-    }
-
-    fn restore_rng(&mut self, rng: StdRng) {
-        Ppo::restore_rng(self, rng);
-    }
-
-    fn lr_schedule(&self) -> Option<f32> {
-        None // PPO applies no internal decay
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        Ppo::set_lr(self, lr);
-    }
-
-    fn update_batch(&mut self, rollout: &mut Rollout, rng: &mut StdRng) {
-        Ppo::update_batch(self, rollout, rng);
+    #[test]
+    fn decay_is_linear_to_a_tenth_and_clamped() {
+        assert_eq!(decayed_lr(1.0, 0, 10), 1.0);
+        assert!((decayed_lr(1.0, 5, 10) - 0.55).abs() < 1e-6);
+        assert!((decayed_lr(0.25, 10, 10) - 0.025).abs() < 1e-7);
+        assert_eq!(decayed_lr(1.0, 20, 10), decayed_lr(1.0, 10, 10));
     }
 }

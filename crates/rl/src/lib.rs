@@ -10,14 +10,17 @@
 //!   [`env::ContinuousEnv`] traits,
 //! - [`rollout`]: n-step rollout collection across parallel envs with
 //!   bootstrapped returns and GAE,
-//! - [`a2c`]: synchronous advantage actor-critic (the A3C update of [39],
-//!   synchronous variant) with RMSprop,
-//! - [`acktr`]: A2C with K-FAC natural gradients and a KL trust region —
-//!   the paper's training algorithm,
-//! - [`ppo`]: PPO-clip, as an ablation alternative,
-//! - [`learner`]: the [`Learner`] trait the three algorithms above
-//!   implement and [`train_serial`], the one serial collect → update loop
-//!   behind their `train` methods,
+//! - [`learner`]: the [`Learner`] trait a training loop drives,
+//!   [`ActorCritic`] — the one agent (two MLPs, a sampling RNG stream)
+//!   that implements it, parameterised by an [`UpdateRule`] — and
+//!   [`train_serial`], the one serial collect → update loop behind
+//!   `train`,
+//! - [`a2c`], [`acktr`], [`ppo`]: each algorithm's hyperparameters and
+//!   its rule — a clipped RMSprop step (the A3C update of [39],
+//!   synchronous variant); that gradient through K-FAC natural-gradient
+//!   steps under a KL trust region, the paper's training algorithm; PPO's
+//!   clipped-surrogate epochs, as an ablation alternative. [`A2c`],
+//!   [`Acktr`] and [`Ppo`] name the agent under each rule,
 //! - [`ddpg`]: deep deterministic policy gradient (replay buffer, target
 //!   networks, OU exploration noise) — used by the centralized baseline's
 //!   continuous rule-update policy,
@@ -60,13 +63,12 @@ pub mod env;
 pub mod learner;
 pub mod ppo;
 pub mod rollout;
-pub mod schedule;
 pub mod trainer;
 
 pub use a2c::{A2c, A2cConfig};
 pub use acktr::{Acktr, AcktrConfig};
 pub use ddpg::{Ddpg, DdpgConfig};
 pub use env::{ContinuousEnv, Env, StepResult};
-pub use learner::{train_serial, CollectParams, Learner};
+pub use learner::{train_serial, train_serial_with, ActorCritic, CollectParams, Learner, UpdateRule};
 pub use ppo::{Ppo, PpoConfig};
 pub use trainer::{train_multi_seed, SeedResult};

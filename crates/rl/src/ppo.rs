@@ -5,16 +5,14 @@
 //! policy-gradient methods that ACKTR belongs to; this implementation
 //! serves as the ablation alternative to ACKTR's natural gradient.
 
-use crate::a2c::TrainStats;
-use crate::env::Env;
-use crate::learner::train_serial;
+use crate::a2c::value_loss_gradient;
+use crate::learner::{ActorCritic, CollectParams, UpdateRule};
 use crate::rollout::Rollout;
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
 use dosco_nn::optim::{Adam, Optimizer};
 use dosco_nn::Categorical;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// PPO hyperparameters.
@@ -59,16 +57,18 @@ impl Default for PpoConfig {
     }
 }
 
-/// The PPO agent.
+/// The PPO update: `epochs` passes over the rollout, each a clipped-
+/// surrogate Adam step on the actor and a value-loss Adam step on the
+/// critic. Draws no randomness.
 #[derive(Debug)]
-pub struct Ppo {
-    actor: Mlp,
-    critic: Mlp,
+pub struct ClippedSurrogateEpochs {
+    config: PpoConfig,
     actor_opt: Adam,
     critic_opt: Adam,
-    config: PpoConfig,
-    rng: StdRng,
 }
+
+/// The PPO agent.
+pub type Ppo = ActorCritic<ClippedSurrogateEpochs>;
 
 /// Gradient of the clipped surrogate + entropy loss w.r.t. the logits.
 ///
@@ -111,80 +111,54 @@ pub(crate) fn ppo_logit_gradients(
     out
 }
 
-impl Ppo {
-    /// Creates a PPO agent with all randomness derived from `seed`.
-    pub fn new(obs_dim: usize, num_actions: usize, config: PpoConfig, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let actor = Mlp::new(
-            &[obs_dim, config.hidden[0], config.hidden[1], num_actions],
-            dosco_nn::Activation::Tanh,
-            &mut rng,
-        );
-        let critic = Mlp::new(
-            &[obs_dim, config.hidden[0], config.hidden[1], 1],
-            dosco_nn::Activation::Tanh,
-            &mut rng,
-        );
-        Ppo {
-            actor,
-            critic,
+impl UpdateRule for ClippedSurrogateEpochs {
+    type Config = PpoConfig;
+
+    fn new(config: PpoConfig, _actor: &Mlp, _critic: &Mlp) -> Self {
+        ClippedSurrogateEpochs {
+            config,
             actor_opt: Adam::with_lr(config.lr),
             critic_opt: Adam::with_lr(config.lr),
-            config,
-            rng,
         }
     }
 
-    /// The actor network.
-    pub fn actor(&self) -> &Mlp {
-        &self.actor
-    }
-
-    /// The critic network.
-    pub fn critic(&self) -> &Mlp {
-        &self.critic
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PpoConfig {
+    fn config(&self) -> &PpoConfig {
         &self.config
     }
 
-    /// Overwrites the current learning rate (external schedules).
-    pub fn set_lr(&mut self, lr: f32) {
+    fn hidden(config: &PpoConfig) -> [usize; 2] {
+        config.hidden
+    }
+
+    fn collect_params(&self) -> CollectParams {
+        CollectParams {
+            n_steps: self.config.n_steps,
+            gamma: self.config.gamma,
+            gae_lambda: self.config.gae_lambda,
+        }
+    }
+
+    fn lr_schedule(&self) -> Option<f32> {
+        None // PPO applies no internal decay
+    }
+
+    fn set_lr(&mut self, lr: f32) {
         self.actor_opt.set_learning_rate(lr);
         self.critic_opt.set_learning_rate(lr);
     }
 
-    /// Greedy action for one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn act_greedy(&self, obs: &[f32]) -> usize {
-        Categorical::new(&self.actor.forward(&Matrix::row_vector(obs))).argmax()[0]
-    }
-
-    /// Trains for (at least) `total_steps` transitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `envs` is empty or dimensions mismatch.
-    pub fn train(&mut self, envs: &mut [Box<dyn Env>], total_steps: usize) -> TrainStats {
-        train_serial(self, envs, total_steps)
-    }
-
-    /// One clipped-surrogate update (all epochs) from a collected rollout
-    /// — what both [`Ppo::train`] and the actor–learner runtime apply per
-    /// batch. The RNG parameter is unused (the PPO update draws no
-    /// randomness) but part of the shared learner signature.
-    pub fn update_batch(&mut self, rollout: &mut Rollout, _rng: &mut StdRng) {
+    fn update(
+        &mut self,
+        actor: &mut Mlp,
+        critic: &mut Mlp,
+        rollout: &mut Rollout,
+        _rng: &mut StdRng,
+    ) {
         rollout.normalize_advantages();
         // Old log-probs under the collection policy.
-        let old_lp = Categorical::new(&self.actor.forward(&rollout.obs)).log_prob(&rollout.actions);
-        let batch = rollout.actions.len() as f32;
+        let old_lp = Categorical::new(&actor.forward(&rollout.obs)).log_prob(&rollout.actions);
         for _ in 0..self.config.epochs {
-            let actor_cache = self.actor.forward_cached(&rollout.obs);
+            let actor_cache = actor.forward_cached(&rollout.obs);
             let dist = Categorical::new(&actor_cache.output);
             let dlogits = ppo_logit_gradients(
                 &dist,
@@ -194,36 +168,17 @@ impl Ppo {
                 self.config.clip,
                 self.config.ent_coef,
             );
-            let mut actor_grads = self.actor.backward(&actor_cache, &dlogits);
+            let mut actor_grads = actor.backward(&actor_cache, &dlogits);
             actor_grads.clip_global_norm(self.config.max_grad_norm);
-            self.actor_opt.step(&mut self.actor, &actor_grads);
+            self.actor_opt.step(actor, &actor_grads);
 
-            let critic_cache = self.critic.forward_cached(&rollout.obs);
-            let mut dv = Matrix::zeros(rollout.actions.len(), 1);
-            for i in 0..rollout.actions.len() {
-                dv.set(
-                    i,
-                    0,
-                    self.config.vf_coef * (critic_cache.output.get(i, 0) - rollout.returns[i])
-                        / batch,
-                );
-            }
-            let mut critic_grads = self.critic.backward(&critic_cache, &dv);
+            let critic_cache = critic.forward_cached(&rollout.obs);
+            let dv =
+                value_loss_gradient(&critic_cache.output, &rollout.returns, self.config.vf_coef);
+            let mut critic_grads = critic.backward(&critic_cache, &dv);
             critic_grads.clip_global_norm(self.config.max_grad_norm);
-            self.critic_opt.step(&mut self.critic, &critic_grads);
+            self.critic_opt.step(critic, &critic_grads);
         }
-    }
-
-    /// Moves the sampling RNG out of the agent so an external collection
-    /// loop (the runtime's actor thread) can continue the same stream;
-    /// pair with [`Ppo::restore_rng`].
-    pub fn take_rng(&mut self) -> StdRng {
-        std::mem::replace(&mut self.rng, StdRng::seed_from_u64(0))
-    }
-
-    /// Restores the sampling RNG after [`Ppo::take_rng`].
-    pub fn restore_rng(&mut self, rng: StdRng) {
-        self.rng = rng;
     }
 }
 
@@ -231,6 +186,7 @@ impl Ppo {
 mod tests {
     use super::*;
     use crate::env::testenvs::Corridor;
+    use crate::env::Env;
 
     #[test]
     fn learns_corridor() {

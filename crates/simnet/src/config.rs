@@ -144,6 +144,18 @@ impl ScenarioConfig {
         self
     }
 
+    /// Re-draws the random capacity assignment from `seed` (nodes U(0,2),
+    /// links U(1,5), the base scenario's ranges) and records the seed: the
+    /// one per-seed draw that training episodes and the paper's random-
+    /// seed evaluation protocol share, so both see the same distribution.
+    pub fn with_capacity_draw(mut self, seed: u64) -> Self {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed ^ 0xCAB5);
+        self.topology
+            .assign_random_capacities(&mut rng, (0.0, 2.0), (1.0, 5.0));
+        self.capacity_seed = seed;
+        self
+    }
+
     /// Replaces the episode horizon.
     pub fn with_horizon(mut self, horizon: f64) -> Self {
         self.horizon = horizon;

@@ -208,22 +208,6 @@ impl JourneyLog {
             .filter(|j| matches!(j.outcome, Outcome::Dropped { reason: r, .. } if r == reason))
             .collect()
     }
-
-    /// Mean hop count of completed journeys (path-length diagnostics,
-    /// e.g. "longer paths under larger deadlines", Fig. 7).
-    pub fn mean_hops_completed(&self) -> Option<f64> {
-        let hops: Vec<usize> = self
-            .journeys
-            .values()
-            .filter(|j| matches!(j.outcome, Outcome::Completed { .. }))
-            .map(Journey::hops)
-            .collect();
-        if hops.is_empty() {
-            None
-        } else {
-            Some(hops.iter().sum::<usize>() as f64 / hops.len() as f64)
-        }
-    }
 }
 
 #[cfg(test)]

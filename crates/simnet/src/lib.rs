@@ -27,7 +27,9 @@
 //! (heuristics, deployed agents) and *step-wise control* via
 //! [`Simulation::next_decision`] / [`Simulation::apply`] (RL training
 //! loops). All activity is also reported as a stream of [`SimEvent`]s so
-//! reward functions can be computed outside the simulator.
+//! reward functions can be computed outside the simulator; [`journey`]
+//! folds that stream into one record per flow (where it went, what ended
+//! it), and [`metrics::WindowedStats`] into a rolling success ratio.
 //!
 //! # Example
 //!
@@ -52,7 +54,6 @@ pub mod event;
 pub mod flow;
 pub mod journey;
 pub mod metrics;
-pub mod probe;
 pub mod queue;
 pub mod service;
 pub mod sim;

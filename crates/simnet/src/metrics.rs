@@ -164,13 +164,6 @@ impl WindowedStats {
         }
     }
 
-    /// Feeds a drained event batch in order.
-    pub fn observe_batch(&mut self, events: &[SimEvent]) {
-        for ev in events {
-            self.observe(ev);
-        }
-    }
-
     fn push(&mut self, completed: bool, delay: f64) {
         self.seen += 1;
         if self.ring.len() < self.window {
@@ -315,7 +308,7 @@ mod tests {
         let mut w = WindowedStats::new(3);
         assert_eq!(w.success_ratio(), None);
         assert!(w.is_empty());
-        w.observe_batch(&[completed(4.0), completed(6.0), dropped()]);
+        [completed(4.0), completed(6.0), dropped()].iter().for_each(|e| w.observe(e));
         assert_eq!(w.len(), 3);
         assert_eq!(w.success_ratio(), Some(2.0 / 3.0));
         assert_eq!(w.avg_e2e_delay(), Some(5.0));
@@ -326,7 +319,7 @@ mod tests {
         assert_eq!(w.success_ratio(), Some(1.0 / 3.0));
         assert_eq!(w.avg_e2e_delay(), Some(6.0));
         // Two more drops push the last completion out.
-        w.observe_batch(&[dropped(), dropped()]);
+        [dropped(), dropped()].iter().for_each(|e| w.observe(e));
         assert_eq!(w.success_ratio(), Some(0.0));
         assert_eq!(w.avg_e2e_delay(), None);
     }

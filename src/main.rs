@@ -9,7 +9,7 @@
 //! ```
 
 use dosco::baselines::{Gcasp, ShortestPath};
-use dosco::core::eval::evaluate_with_capacity_draw;
+use dosco::core::eval::{evaluate_with_capacity_draw, success_mean_std};
 use dosco::core::policy::CoordinationPolicy;
 use dosco::core::train::{train_distributed, Algorithm, TrainConfig};
 use dosco::simnet::{Coordinator, Metrics, ScenarioConfig, Simulation};
@@ -140,22 +140,23 @@ fn cmd_eval(args: &[String]) -> ExitCode {
         }
     };
     let scenario = scenario(args);
-    // Episodes in which no flow terminated have no success ratio; they are
-    // skipped rather than averaged in as 1.0 (as `eval::evaluate_seeds`).
-    let mut ratios = Vec::new();
-    for seed in 100..100 + seeds {
-        let m = evaluate_with_capacity_draw(&policy, &scenario, seed);
-        print_metrics(&format!("seed {seed}"), &m);
-        ratios.extend(m.success_ratio_opt());
-    }
-    if ratios.is_empty() {
-        println!("mean success over {seeds} seeds: n/a (no flow terminated)");
-    } else {
-        let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
-        print!("mean success over {seeds} seeds: {mean:.3}");
-        match seeds as usize - ratios.len() {
-            0 => println!(),
-            skipped => println!(" ({skipped} with no terminated flow skipped)"),
+    let metrics: Vec<Metrics> = (100..100 + seeds)
+        .map(|seed| {
+            let m = evaluate_with_capacity_draw(&policy, &scenario, seed);
+            print_metrics(&format!("seed {seed}"), &m);
+            m
+        })
+        .collect();
+    // Episodes in which no flow terminated have no success ratio; the fold
+    // skips them rather than averaging them in as 1.0.
+    match success_mean_std(&metrics) {
+        (_, _, 0) => println!("mean success over {seeds} seeds: n/a (no flow terminated)"),
+        (mean, _, defined) => {
+            print!("mean success over {seeds} seeds: {mean:.3}");
+            match seeds as usize - defined {
+                0 => println!(),
+                skipped => println!(" ({skipped} with no terminated flow skipped)"),
+            }
         }
     }
     ExitCode::SUCCESS

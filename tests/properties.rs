@@ -2,7 +2,8 @@
 
 use dosco::core::observe::ObservationAdapter;
 use dosco::core::policy::{CoordinationPolicy, PolicyMetadata};
-use dosco::core::RewardConfig;
+use dosco::core::{CoordEnv, RewardConfig};
+use dosco::rl::Env;
 use dosco::nn::{Activation, Mlp};
 use dosco::simnet::{Action, ScenarioConfig, SimEvent, Simulation};
 use dosco::traffic::ArrivalPattern;
@@ -104,5 +105,64 @@ proptest! {
         let m = sim.run(&mut agents).clone();
         prop_assert!((0.0..=1.0).contains(&m.success_ratio()));
         prop_assert_eq!(m.arrived, m.completed + m.dropped_total() + m.in_flight());
+    }
+}
+
+/// The reward-conservation law: over one full episode the step rewards
+/// add up to what the episode's `Metrics` say happened — every terminal
+/// ±10 and every shaping term is credited to exactly one step, under any
+/// policy, on a static substrate and under churn. Random actions, three
+/// full episodes per environment seed.
+#[test]
+fn episode_rewards_add_up_to_the_episode_metrics() {
+    use dosco::chaos::{ChurnAction, ChurnSchedule, StochasticChurn};
+    use rand::Rng;
+    let scenario = ScenarioConfig::paper_base(2)
+        .with_pattern(ArrivalPattern::paper_poisson())
+        .with_horizon(400.0);
+    let churn = ChurnSchedule::none()
+        .at(100.0, ChurnAction::LinkDown(dosco::topology::LinkId(0)))
+        .at(200.0, ChurnAction::LinkUp(dosco::topology::LinkId(0)))
+        .with_stochastic(StochasticChurn::default().with_node_failures(1_000.0, 50.0));
+    // `hop_scale: 0`: the hop penalty is the one term `Metrics` cannot
+    // recompute (it weighs each forward by its link's delay).
+    let shaped = RewardConfig {
+        hop_scale: 0.0,
+        ..RewardConfig::default()
+    };
+    let diameter = Simulation::new(scenario.clone(), 0).diameter();
+    for env_seed in 0..4u64 {
+        for churned in [false, true] {
+            for (reward, exact) in [(RewardConfig::sparse_only(), true), (shaped, false)] {
+                let mut env = CoordEnv::new(scenario.clone(), reward, env_seed, None);
+                if churned {
+                    env = env.with_churn(churn.clone());
+                }
+                let mut rng = rand::rngs::StdRng::seed_from_u64(env_seed);
+                env.reset();
+                for episode in 0..3 {
+                    let mut total = 0.0f64;
+                    loop {
+                        let step = env.step(rng.gen_range(0..env.num_actions()));
+                        total += f64::from(step.reward);
+                        if step.done {
+                            break;
+                        }
+                    }
+                    let m = env.finished_metrics().expect("an episode just ended");
+                    let terminal = 10.0 * m.completed as f64 - 10.0 * m.dropped_total() as f64;
+                    let label = format!("seed {env_seed} churn {churned} episode {episode}: {m:?}");
+                    assert!(m.completed + m.dropped_total() > 0, "{label}");
+                    if exact {
+                        assert_eq!(total, terminal, "{label}");
+                    } else {
+                        // The video service chains three components.
+                        let expected =
+                            terminal + m.processings as f64 / 3.0 - m.holds as f64 / diameter;
+                        assert!((total - expected).abs() < 1e-3, "{total} vs {expected}, {label}");
+                    }
+                }
+            }
+        }
     }
 }

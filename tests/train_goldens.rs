@@ -12,6 +12,7 @@
 //! replace a golden only when a change to the numerics is intended and
 //! documented.
 
+use dosco::core::federated::{train_per_node, FederatedConfig};
 use dosco::core::policy::fnv1a64;
 use dosco::core::train::{train_distributed, Algorithm, TrainConfig};
 use dosco::core::{CoordEnv, RewardConfig};
@@ -201,6 +202,36 @@ fn train_distributed_matches_golden() {
     }
 }
 
+/// `train_per_node` interleaves one learner per node over one simulator;
+/// the fingerprint covers every node's deployed actor, with and without
+/// FedAvg. Captured at commit `eff9b8f`, when `NodeLearner::update` was a
+/// hand-written copy of the A2C update.
+#[test]
+fn train_per_node_matches_golden() {
+    if !bit_exact_kernels() {
+        return;
+    }
+    let scenario = ScenarioConfig::paper_base(2)
+        .with_pattern(dosco::traffic::ArrivalPattern::paper_poisson())
+        .with_horizon(600.0);
+    for (sync_interval, golden) in [(Some(400), PER_NODE_FEDAVG), (None, PER_NODE_INDEPENDENT)] {
+        let config = FederatedConfig {
+            total_decisions: 1_500,
+            batch_size: 16,
+            hidden: HIDDEN,
+            sync_interval,
+            ..FederatedConfig::default()
+        };
+        let trained = train_per_node(&scenario, &config, 1);
+        let actors: Vec<&Mlp> = trained.policies().iter().map(|p| p.actor()).collect();
+        check(
+            &format!("train_per_node/{sync_interval:?}"),
+            fingerprint(&actors),
+            golden,
+        );
+    }
+}
+
 const A2C_SERIAL: u64 = 0x61c4_c13e_e315_cfe3;
 const ACKTR_SERIAL: u64 = 0xcca7_a076_1197_56b5;
 const ACKTR_PAPER_ARCH: u64 = 0x4e77_d7a2_741f_2fb5;
@@ -208,3 +239,5 @@ const PPO_SERIAL: u64 = 0x349d_3287_a0e3_3335;
 const A2C_DISTRIBUTED: u64 = 0x764d_973d_14dd_7d52;
 const ACKTR_DISTRIBUTED: u64 = 0xd871_fb13_d181_e45b;
 const PPO_DISTRIBUTED: u64 = 0x3747_db2c_7b1a_2d69;
+const PER_NODE_FEDAVG: u64 = 0xbe1e_480b_9364_4ce7;
+const PER_NODE_INDEPENDENT: u64 = 0xc4af_4588_20fb_e651;
