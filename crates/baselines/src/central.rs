@@ -134,7 +134,7 @@ impl CentralPolicy {
     pub fn rules_for(&self, snapshot: &[f32]) -> Vec<NodeId> {
         assert_eq!(snapshot.len(), self.num_nodes, "snapshot length mismatch");
         let out = self.actor.forward(&Matrix::row_vector(snapshot));
-        let weights: Vec<f32> = out.row(0).iter().map(|v| v.tanh()).collect();
+        let weights: Vec<f32> = out.row(0).iter().map(|&v| dosco_nn::tanh(v)).collect();
         decode_targets(&weights, self.num_nodes, self.num_components)
     }
 }

@@ -16,7 +16,10 @@
 //!   KL trust region (the core of ACKTR),
 //! - [`simd`]: runtime-detected AVX2/FMA GEMM micro-kernels behind the
 //!   `DOSCO_SIMD` switch (scalar kernels stay the bit-exact reference;
-//!   the default `auto` mode only ever picks bit-identical kernels).
+//!   the default `auto` mode only ever picks bit-identical kernels),
+//! - [`tanh()`] / [`tanh_in_place`]: the workspace's one `tanh`, an in-repo
+//!   port of fdlibm's that returns glibc's bits on every host and
+//!   vectorises.
 //!
 //! Every kernel here is serial: the workspace spends its cores on whole
 //! training and evaluation seeds (`dosco_rl::trainer::fan_out`), not on
@@ -52,6 +55,7 @@ pub mod mlp;
 pub mod optim;
 #[allow(unsafe_code)]
 pub mod simd;
+mod tanh;
 
 pub use dist::Categorical;
 pub use kfac::{Kfac, KfacConfig};
@@ -59,3 +63,4 @@ pub use matrix::Matrix;
 pub use mlp::{Activation, ForwardCache, Gradients, Mlp};
 pub use optim::{Adam, Optimizer, RmsProp, Sgd};
 pub use simd::GemmKernel;
+pub use tanh::{tanh, tanh_in_place};

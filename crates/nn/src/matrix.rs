@@ -166,14 +166,6 @@ impl Matrix {
     }
 
     /// Reshapes to `rows × cols` in place, reusing the allocation where
-    /// possible; every element is reset to zero. The scratch-buffer
-    /// workhorse of the forward/backward passes.
-    pub fn reshape_zeroed(&mut self, rows: usize, cols: usize) {
-        self.data.clear();
-        self.reshape(rows, cols);
-    }
-
-    /// Reshapes to `rows × cols` in place, reusing the allocation where
     /// possible and leaving the contents unspecified: for scratch buffers
     /// whose next use overwrites every element.
     pub(crate) fn reshape(&mut self, rows: usize, cols: usize) {
@@ -623,12 +615,12 @@ fn gemm(a: &[f32], b: &[f32], kk: usize, out: &mut Matrix, upper: bool, kernel: 
     }
 }
 
-/// Output-column width of the register micro-kernel: `MM_JT` accumulators
-/// per row fit a couple of SIMD registers, and a full `kk × MM_JT` column
-/// panel of `B` (e.g. 512 × 16 f32 = 32 KiB) stays L1/L2-resident while
-/// the `k` loop streams it. Shared with the SIMD kernels (two 8-lane
-/// vectors per row).
-pub(crate) const MM_JT: usize = 16;
+/// Output-column width of the scalar register micro-kernel: `MM_JT`
+/// accumulators per row fit a couple of SIMD registers, and a full
+/// `kk × MM_JT` column panel of `B` (e.g. 512 × 16 f32 = 32 KiB) stays
+/// L1/L2-resident while the `k` loop streams it. The SIMD kernels pick
+/// their own tile widths (see `simd.rs`).
+const MM_JT: usize = 16;
 
 /// Register-tiled inner kernel: `RT` rows × (up to) [`MM_JT`] columns of
 /// `C` from column `j_start` on, with the accumulators living in registers

@@ -24,12 +24,9 @@ impl Activation {
     /// Applies the activation in place so the forward pass can reuse the
     /// pre-activation buffer instead of allocating.
     pub(crate) fn apply_in_place(self, z: &mut Matrix) {
+        let _span = dosco_obs::span(dosco_obs::SpanKind::Activation);
         match self {
-            Activation::Tanh => {
-                for v in z.as_mut_slice() {
-                    *v = v.tanh();
-                }
-            }
+            Activation::Tanh => crate::tanh::tanh_in_place(z.as_mut_slice()),
             Activation::Relu => {
                 for v in z.as_mut_slice() {
                     *v = v.max(0.0);
@@ -258,14 +255,15 @@ impl Mlp {
     /// Panics if `x.cols()` does not match the input dimension.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         // Ping-pong between the activation `h` and a scratch buffer `z`:
-        // after the first layer both keep their (maximum-width) allocation
-        // for the rest of the pass.
-        let mut h = x.clone();
+        // after the second layer both keep their (maximum-width)
+        // allocation for the rest of the pass. The first layer reads `x`.
+        let mut h = Matrix::zeros(0, 0);
         let mut z = Matrix::zeros(0, 0);
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            z.reshape_zeroed(h.rows(), layer.outputs());
-            layer.forward_into(&h, &mut z);
+            let input = if i == 0 { x } else { &h };
+            z.reshape(input.rows(), layer.outputs());
+            layer.forward_into(input, &mut z);
             if i != last {
                 self.activation.apply_in_place(&mut z);
             }

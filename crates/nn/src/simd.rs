@@ -1,16 +1,17 @@
-//! Runtime-dispatched `std::arch` SIMD micro-kernels for the GEMM hot path.
+//! Runtime-dispatched `std::arch` SIMD micro-kernels for the forward and
+//! GEMM hot paths.
 //!
 //! The scalar register-tiled kernels in [`crate::matrix`] remain the
 //! bit-exact reference path; this module adds AVX2 and AVX2+FMA variants
 //! selected at runtime via [`is_x86_feature_detected!`] and the
 //! `DOSCO_SIMD` environment switch:
 //!
-//! | `DOSCO_SIMD`            | kernel                         | numerics vs scalar        |
-//! |-------------------------|--------------------------------|---------------------------|
-//! | `off` / `0` / `scalar`  | [`GemmKernel::Scalar`]         | reference                 |
-//! | `avx2`                  | [`GemmKernel::Avx2`]           | **bit-identical**         |
-//! | `fma` / `on` / `1`      | [`GemmKernel::Fma`]            | deterministic, not bitwise|
-//! | unset / `auto`          | best **bit-identical** kernel  | bit-identical             |
+//! | `DOSCO_SIMD`            | GEMM kernel                    | numerics vs scalar        | `tanh` loop     |
+//! |-------------------------|--------------------------------|---------------------------|-----------------|
+//! | `off` / `0` / `scalar`  | [`GemmKernel::Scalar`]         | reference                 | plain           |
+//! | `avx2`                  | [`GemmKernel::Avx2`]           | **bit-identical**         | AVX2, same bits |
+//! | `fma` / `on` / `1`      | [`GemmKernel::Fma`]            | deterministic, not bitwise| AVX2, same bits |
+//! | unset / `auto`          | best **bit-identical** kernel  | bit-identical             | AVX2, same bits |
 //!
 //! The AVX2 kernels vectorize across *independent output columns* with
 //! separate multiply and add steps, so every output element keeps exactly
@@ -23,6 +24,20 @@
 //! requested. There is one kernel family: `Aᵀ·B` and `A·Bᵀ` pack their
 //! transposed operand and run on the `matmul` kernels (see
 //! [`crate::matrix`]), so every product inherits the same guarantees.
+//!
+//! Tile shapes follow the row panel, because what a tile must hide is the
+//! add latency of its accumulator chains: a 4-row panel runs 4 × 16
+//! columns (eight 8-lane chains), and so that the 2- and 1-row panels —
+//! every batch-1 decision, and the tail of a 13–15-row serve batch — run
+//! eight chains too, they start with 2 × 32 and 1 × 64 column tiles before
+//! narrowing to 16, 8 and a masked tail of fewer than 8 columns. Which
+//! tile covers an element never changes its chain, so none of this is
+//! visible in the results.
+//!
+//! The module also hosts the AVX2 instantiation of the activation loop
+//! ([`crate::tanh_in_place`]): the same safe, contraction-free source as
+//! the plain one, so it returns the same bits in every mode — there is no
+//! fused `tanh`.
 //!
 //! Requesting a kernel the CPU lacks silently falls back to the best
 //! available one ([`GemmKernel::best_available`]); an unparseable
@@ -170,14 +185,13 @@ pub fn active() -> GemmKernel {
     })
 }
 
-/// The x86-64 kernel bodies. Everything here mirrors the scalar kernels
-/// in `matrix.rs` tile-for-tile; the `run_*` wrappers re-verify CPU
+/// The x86-64 kernel bodies. The GEMM panels mirror the scalar kernels
+/// in `matrix.rs` chain for chain; the `run_*` wrappers re-verify CPU
 /// support with a real `assert!` so they are safe to call from any
 /// context (the check is one cached atomic load, noise next to a GEMM
 /// block).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    use crate::matrix::MM_JT;
     use core::arch::x86_64::*;
 
     /// `acc + a·b` with separate rounding steps — matches the scalar
@@ -195,35 +209,118 @@ pub(crate) mod x86 {
         _mm256_fmadd_ps(a, b, acc)
     }
 
-    /// Scalar tail op paired with [`vmadd_unfused`].
-    #[inline]
-    fn smadd_unfused(a: f32, b: f32, acc: f32) -> f32 {
-        acc + a * b
-    }
-
-    /// Scalar tail op paired with [`vmadd_fused`]: fused like the vector
-    /// lanes so the whole FMA kernel rounds once per step.
-    #[inline]
-    fn smadd_fused(a: f32, b: f32, acc: f32) -> f32 {
-        a.mul_add(b, acc)
-    }
-
     /// Expands the `matmul` kernels once per feature set. A macro (rather
     /// than a `const FMA: bool` generic) keeps each instantiation inside a
     /// fn carrying exactly the `#[target_feature]` set its intrinsics
-    /// need, so the multiply-add helpers stay safe calls and inline
+    /// need, so the multiply-add helper stays a safe call and inlines
     /// cleanly.
     macro_rules! define_gemm_kernels {
-        ($feat:literal, $vmadd:ident, $smadd:ident,
-         $mm_tile:ident, $matmul_block:ident) => {
-            /// `RT` rows × up to [`MM_JT`] columns of `C` from column
-            /// `j_start` on, with 8-lane register accumulators; the
-            /// vector lanes are independent output columns, so each
-            /// element keeps one accumulator chain over ascending `k`
-            /// exactly like the scalar tile.
+        ($feat:literal, $vmadd:ident, $mm_tiles:ident, $mm_tail:ident,
+         $mm_panel:ident, $matmul_block:ident) => {
+            /// Every full `RT` rows × `8·NV` columns tile of `C` from
+            /// column `j0` on; returns the first column not covered. The
+            /// `RT·NV` 8-lane accumulators live in registers for the whole
+            /// `k` loop, and the vector lanes are independent output
+            /// columns, so each element keeps one accumulator chain over
+            /// ascending `k` exactly like the scalar tile — whatever the
+            /// tile shape.
             #[allow(clippy::too_many_arguments)]
             #[target_feature(enable = $feat)]
-            fn $mm_tile<const RT: usize>(
+            #[inline]
+            fn $mm_tiles<const RT: usize, const NV: usize>(
+                a: &[f32],
+                b: &[f32],
+                out_block: &mut [f32],
+                arow0: usize,
+                r: usize,
+                kk: usize,
+                n: usize,
+                mut j0: usize,
+            ) -> usize {
+                let width = 8 * NV;
+                while j0 + width <= n {
+                    let mut acc = [[_mm256_setzero_ps(); NV]; RT];
+                    for k in 0..kk {
+                        let bp = b[k * n + j0..k * n + j0 + width].as_ptr();
+                        let mut bv = [_mm256_setzero_ps(); NV];
+                        for (v, lanes) in bv.iter_mut().enumerate() {
+                            // SAFETY: the slice above proves `8·NV` f32 are
+                            // readable at `bp`; this unaligned load covers
+                            // lanes `8v..8v+8` of them, `v < NV`.
+                            *lanes = unsafe { _mm256_loadu_ps(bp.add(8 * v)) };
+                        }
+                        for rr in 0..RT {
+                            let av = _mm256_set1_ps(a[(arow0 + rr) * kk + k]);
+                            for v in 0..NV {
+                                acc[rr][v] = $vmadd(av, bv[v], acc[rr][v]);
+                            }
+                        }
+                    }
+                    for rr in 0..RT {
+                        let op =
+                            out_block[(r + rr) * n + j0..(r + rr) * n + j0 + width].as_mut_ptr();
+                        for v in 0..NV {
+                            // SAFETY: the slice above proves `8·NV` f32 of
+                            // writable storage at `op`; this unaligned
+                            // store covers lanes `8v..8v+8` of it, `v < NV`.
+                            unsafe { _mm256_storeu_ps(op.add(8 * v), acc[rr][v]) };
+                        }
+                    }
+                    j0 += width;
+                }
+                j0
+            }
+
+            /// The last `n − j0 < 8` columns of `RT` rows as one masked
+            /// 8-lane tile: lanes past `n` load as zero and are never
+            /// stored, the live lanes run the same chain as a full tile.
+            #[allow(clippy::too_many_arguments)]
+            #[target_feature(enable = $feat)]
+            #[inline]
+            fn $mm_tail<const RT: usize>(
+                a: &[f32],
+                b: &[f32],
+                out_block: &mut [f32],
+                arow0: usize,
+                r: usize,
+                kk: usize,
+                n: usize,
+                j0: usize,
+            ) {
+                let jt = n - j0;
+                debug_assert!(jt < 8);
+                let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+                let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(jt as i32), lane);
+                let mut acc = [_mm256_setzero_ps(); RT];
+                for k in 0..kk {
+                    let bp = b[k * n + j0..k * n + j0 + jt].as_ptr();
+                    // SAFETY: `mask` selects lanes `0..jt` only, and the
+                    // slice above proves `jt` f32 are readable at `bp`; a
+                    // masked load does not access unselected lanes.
+                    let bv = unsafe { _mm256_maskload_ps(bp, mask) };
+                    for rr in 0..RT {
+                        let av = _mm256_set1_ps(a[(arow0 + rr) * kk + k]);
+                        acc[rr] = $vmadd(av, bv, acc[rr]);
+                    }
+                }
+                for rr in 0..RT {
+                    let op = out_block[(r + rr) * n + j0..(r + rr) * n + j0 + jt].as_mut_ptr();
+                    // SAFETY: `mask` selects lanes `0..jt` only, and the
+                    // slice above proves `jt` f32 of writable storage at
+                    // `op`; a masked store does not access unselected lanes.
+                    unsafe { _mm256_maskstore_ps(op, mask, acc[rr]) };
+                }
+            }
+
+            /// `RT` rows of `C` from column `j_start` on. The short panels
+            /// start with wider tiles — 1 row × 64 columns, 2 rows × 32 —
+            /// so that they too run eight independent accumulator chains
+            /// and are bound by throughput, not by add latency; every
+            /// panel then narrows to 16- and 8-column tiles and the
+            /// masked tail.
+            #[allow(clippy::too_many_arguments)]
+            #[target_feature(enable = $feat)]
+            fn $mm_panel<const RT: usize>(
                 a: &[f32],
                 b: &[f32],
                 out_block: &mut [f32],
@@ -234,56 +331,21 @@ pub(crate) mod x86 {
                 j_start: usize,
             ) {
                 let mut j0 = j_start;
-                while j0 + MM_JT <= n {
-                    let mut acc = [[_mm256_setzero_ps(); 2]; RT];
-                    for k in 0..kk {
-                        let bp = b[k * n + j0..k * n + j0 + MM_JT].as_ptr();
-                        // SAFETY: the slice above proves MM_JT (=16) f32 are
-                        // readable at `bp`; the two unaligned loads cover
-                        // lanes 0..8 and 8..16 of it.
-                        let (b0, b1) = unsafe { (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(8))) };
-                        for rr in 0..RT {
-                            let av = _mm256_set1_ps(a[(arow0 + rr) * kk + k]);
-                            acc[rr][0] = $vmadd(av, b0, acc[rr][0]);
-                            acc[rr][1] = $vmadd(av, b1, acc[rr][1]);
-                        }
-                    }
-                    for rr in 0..RT {
-                        let op =
-                            out_block[(r + rr) * n + j0..(r + rr) * n + j0 + MM_JT].as_mut_ptr();
-                        // SAFETY: the slice above proves MM_JT (=16) f32 of
-                        // writable storage at `op`; the two unaligned stores
-                        // cover lanes 0..8 and 8..16 of it.
-                        unsafe {
-                            _mm256_storeu_ps(op, acc[rr][0]);
-                            _mm256_storeu_ps(op.add(8), acc[rr][1]);
-                        }
-                    }
-                    j0 += MM_JT;
+                if RT == 1 {
+                    j0 = $mm_tiles::<RT, 8>(a, b, out_block, arow0, r, kk, n, j0);
                 }
-                // Scalar column remainder (n % MM_JT), same per-element
-                // accumulation order as the scalar tile's remainder loop.
+                if RT <= 2 {
+                    j0 = $mm_tiles::<RT, 4>(a, b, out_block, arow0, r, kk, n, j0);
+                }
+                j0 = $mm_tiles::<RT, 2>(a, b, out_block, arow0, r, kk, n, j0);
+                j0 = $mm_tiles::<RT, 1>(a, b, out_block, arow0, r, kk, n, j0);
                 if j0 < n {
-                    let jt = n - j0;
-                    let mut acc = [[0.0f32; MM_JT]; RT];
-                    for k in 0..kk {
-                        let b_seg = &b[k * n + j0..k * n + j0 + jt];
-                        for rr in 0..RT {
-                            let av = a[(arow0 + rr) * kk + k];
-                            for (x, &bv) in acc[rr][..jt].iter_mut().zip(b_seg) {
-                                *x = $smadd(av, bv, *x);
-                            }
-                        }
-                    }
-                    for rr in 0..RT {
-                        out_block[(r + rr) * n + j0..(r + rr) * n + j0 + jt]
-                            .copy_from_slice(&acc[rr][..jt]);
-                    }
+                    $mm_tail::<RT>(a, b, out_block, arow0, r, kk, n, j0);
                 }
             }
 
             /// `C[row0.., j_start..] = A[row0.., :] · B[:, j_start..]`:
-            /// 4/2/1-row tiling identical to the scalar `matmul_block`.
+            /// 4/2/1-row panels like the scalar `matmul_block`.
             #[target_feature(enable = $feat)]
             fn $matmul_block(
                 a: &[f32],
@@ -297,15 +359,15 @@ pub(crate) mod x86 {
                 let rows = out_block.len() / n;
                 let mut r = 0;
                 while r + 4 <= rows {
-                    $mm_tile::<4>(a, b, out_block, row0 + r, r, kk, n, j_start);
+                    $mm_panel::<4>(a, b, out_block, row0 + r, r, kk, n, j_start);
                     r += 4;
                 }
                 if r + 2 <= rows {
-                    $mm_tile::<2>(a, b, out_block, row0 + r, r, kk, n, j_start);
+                    $mm_panel::<2>(a, b, out_block, row0 + r, r, kk, n, j_start);
                     r += 2;
                 }
                 if r < rows {
-                    $mm_tile::<1>(a, b, out_block, row0 + r, r, kk, n, j_start);
+                    $mm_panel::<1>(a, b, out_block, row0 + r, r, kk, n, j_start);
                 }
             }
         };
@@ -314,17 +376,37 @@ pub(crate) mod x86 {
     define_gemm_kernels!(
         "avx2",
         vmadd_unfused,
-        smadd_unfused,
-        mm_tile_avx2,
+        mm_tiles_avx2,
+        mm_tail_avx2,
+        mm_panel_avx2,
         matmul_block_avx2
     );
     define_gemm_kernels!(
         "avx2,fma",
         vmadd_fused,
-        smadd_fused,
-        mm_tile_fma,
+        mm_tiles_fma,
+        mm_tail_fma,
+        mm_panel_fma,
         matmul_block_fma
     );
+
+    /// The AVX2 instantiation of the [`crate::tanh_in_place`] loop: the same
+    /// safe, contraction-free body as the plain one, compiled where the
+    /// autovectoriser has 8 lanes, `vroundps` and `vblendvps`.
+    #[target_feature(enable = "avx2")]
+    fn tanh_in_place_avx2(xs: &mut [f32]) {
+        for v in xs {
+            *v = crate::tanh::tanh(*v);
+        }
+    }
+
+    /// [`crate::tanh_in_place`] on the AVX2 instantiation.
+    pub(crate) fn run_tanh_in_place(xs: &mut [f32]) {
+        assert!(super::avx2_available(), "AVX2 tanh dispatched without CPU support");
+        // SAFETY: AVX2 support was just asserted via runtime feature
+        // detection.
+        unsafe { tanh_in_place_avx2(xs) }
+    }
 
     /// Dispatches one `matmul` row block to the AVX2 (`fma = false`) or
     /// AVX2+FMA kernel.

@@ -1,0 +1,257 @@
+//! The workspace's one `tanh`: an in-repo `f32` hyperbolic tangent that
+//! returns, bit for bit, what glibc's `tanhf` returns — so no activation,
+//! trained weight or served decision depends on the host's libm.
+//!
+//! It is a port of the fdlibm `tanhf`/`expm1f` pair (the one glibc ≤ 2.40
+//! ships) with every branch turned into a select: the body is
+//! straight-line code over basic IEEE operations (add, multiply, divide,
+//! truncate, integer bit moves — never a fused multiply-add), so the same
+//! source gives the same bits on every target, and a loop over it
+//! vectorises. [`tanh_in_place`] runs that loop, instantiated twice: plainly,
+//! and under AVX2 where [`crate::simd::active`] selects a SIMD kernel.
+//!
+//! The port's source carries this notice:
+//!
+//! > Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved.
+//! >
+//! > Developed at SunPro, a Sun Microsystems, Inc. business.
+//! > Permission to use, copy, modify, and distribute this
+//! > software is freely granted, provided that this notice
+//! > is preserved.
+
+use crate::simd::GemmKernel;
+
+#[inline(always)]
+fn f(bits: u32) -> f32 {
+    f32::from_bits(bits)
+}
+
+/// `c ? a : b` with both sides already computed: a blend, not a branch.
+#[inline(always)]
+fn sel<T>(c: bool, a: T, b: T) -> T {
+    if c {
+        a
+    } else {
+        b
+    }
+}
+
+/// `y · 2^k` by adding `k` to `y`'s exponent field (fdlibm's
+/// `SET_FLOAT_WORD(y, high + (k << 23))`).
+#[inline(always)]
+fn add_exponent(y: f32, shift: i32) -> f32 {
+    f((y.to_bits() as i32).wrapping_add(shift) as u32)
+}
+
+/// `tanh(x)`: the bits of glibc's `tanhf` (fdlibm), on every host.
+///
+/// fdlibm's algorithm, select-only. With `em = expm1f(±2|x|)`:
+/// `|x| ≥ 1` gives `1 − 2/(em + 2)`, `|x| < 1` gives `−em/(em + 2)`, and
+/// the tiny, saturated and non-finite ranges are selected in at the end.
+/// Every lane computes every range; out-of-range intermediates are
+/// clamped only where an integer shift would otherwise be out of bounds.
+///
+/// # Example
+///
+/// ```
+/// assert_eq!(dosco_nn::tanh(0.0), 0.0);
+/// assert_eq!(dosco_nn::tanh(30.0), 1.0);
+/// assert!((dosco_nn::tanh(0.5) - 0.462_117_15).abs() < 1e-7);
+/// ```
+#[inline(always)]
+pub fn tanh(x: f32) -> f32 {
+    let (ln2_hi, ln2_lo, invln2) = (f(0x3f31_7180), f(0x3717_f7d1), f(0x3fb8_aa3b));
+    let (q1, q2, q3) = (f(0xbd08_8889), f(0x3ad0_0d01), f(0xb8a6_70cd));
+    let (q4, q5) = (f(0x3686_7e54), f(0xb457_edbb));
+
+    let jx = x.to_bits() as i32;
+    let ix = jx & 0x7fff_ffff;
+    let big = ix >= 0x3f80_0000; // |x| >= 1
+    let below_22 = ix < 0x41b0_0000;
+    let ax = sel(below_22, f(ix as u32), 1.0); // |x| >= 22 is overridden below
+    let a = sel(big, 2.0 * ax, -2.0 * ax); // expm1f's argument
+
+    // --- expm1f(a), |a| < 44 ---
+    let hx = (a.to_bits() & 0x7fff_ffff) as i32;
+    let neg = !big;
+    // k = (int)(invln2·a ± 0.5). `as i32` saturates and scalarises the
+    // loop; truncating in float and reading the integer out of the
+    // mantissa (2^23 + 2^22 magic add) vectorises.
+    let t_gen = (invln2 * a + sel(neg, -0.5, 0.5)).trunc();
+    let k_gen = ((t_gen + 12_582_912.0).to_bits() as i32).wrapping_sub(0x4b40_0000);
+    let k = sel(
+        hx > 0x3eb1_7218,                              // |a| > 0.5 ln2
+        sel(hx < 0x3f85_1592, sel(neg, -1, 1), k_gen), // |a| < 1.5 ln2
+        0,
+    );
+    // k = ±1 and k = 0 fall out of the general reduction exactly.
+    let t = k as f32;
+    let hi = a - t * ln2_hi;
+    let lo = t * ln2_lo;
+    let xr = hi - lo;
+    let c = (hi - xr) - lo;
+    let hfx = 0.5 * xr;
+    let hxs = xr * hfx;
+    let r1 = 1.0 + hxs * (q1 + hxs * (q2 + hxs * (q3 + hxs * (q4 + hxs * q5))));
+    let tt = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - tt) / (6.0 - xr * tt));
+    let r_k0 = xr - (xr * e - hxs);
+    let e2 = (xr * (e - c) - c) - hxs;
+    let r_km1 = 0.5 * (xr - e2) - 0.5;
+    let kk = k.clamp(-3, 63);
+    let shift = kk << 23;
+    let r_far = add_exponent(1.0 - (e2 - xr), shift) - 1.0; // k <= -2 or k > 56
+    let t_b = f((0x3f80_0000 - (0x0100_0000 >> (kk.clamp(0, 31) as u32))) as u32);
+    let r_b = add_exponent(t_b - (e2 - xr), shift); // 3 <= k < 23
+    let t_c = f(((0x7f - kk.clamp(0, 126)) << 23) as u32);
+    let r_c = add_exponent((xr - (e2 + t_c)) + 1.0, shift); // 23 <= k <= 56
+    let r_pos = sel(k < 23, r_b, sel(k > 56, r_far, r_c));
+    let em = sel(
+        k == 0,
+        r_k0,
+        sel(k == -1, r_km1, sel(k <= -2, r_far, r_pos)),
+    );
+    let em = sel(hx < 0x3300_0000, a, em); // |a| < 2^-25: expm1f(a) = a
+
+    // --- back in tanhf: one division serves both formulas ---
+    let q = sel(big, 2.0, -em) / (em + 2.0);
+    let z = sel(big, 1.0 - q, q);
+    let z = sel(below_22, z, 1.0); // |x| >= 22: 1 - tiny == 1
+    let r = f((z.to_bits() & 0x7fff_ffff) | (jx as u32 & 0x8000_0000));
+    let r = sel(ix < 0x2400_0000, x * (1.0 + x), r); // |x| < 2^-55, and ±0
+    let non_finite = sel(
+        ix == 0x7f80_0000,
+        f(0x3f80_0000 | (jx as u32 & 0x8000_0000)), // ±inf -> ±1
+        x + x,                                      // NaN -> NaN
+    );
+    sel(ix >= 0x7f80_0000, non_finite, r)
+}
+
+/// The slice loop on a given kernel: the plain instantiation here, the
+/// AVX2 one (same body) in `simd::x86`.
+fn tanh_in_place_with(xs: &mut [f32], kernel: GemmKernel) {
+    match kernel.best_available() {
+        // `Fma` too: there is no fused `tanh`, the AVX2 body never contracts.
+        #[cfg(target_arch = "x86_64")]
+        GemmKernel::Avx2 | GemmKernel::Fma => crate::simd::x86::run_tanh_in_place(xs),
+        _ => xs.iter_mut().for_each(|v| *v = tanh(*v)),
+    }
+}
+
+/// [`tanh()`] of every element, in place, on the kernel `DOSCO_SIMD`
+/// selected: the vectorised form every activation buffer goes through.
+/// Element for element the bits of [`tanh()`], whichever kernel runs.
+pub fn tanh_in_place(xs: &mut [f32]) {
+    tanh_in_place_with(xs, crate::simd::active());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `STRIDE`-th `f32` bit pattern: 4.26 M inputs that walk every
+    /// exponent, both signs, subnormals, infinities and NaNs.
+    const STRIDE: usize = 1009;
+
+    fn strided_inputs() -> Vec<f32> {
+        (0..=u32::MAX).step_by(STRIDE).map(f32::from_bits).collect()
+    }
+
+    /// NaN payloads are not part of the contract; everything else is
+    /// compared as bits (so `-0.0` and `0.0` differ).
+    fn canonical_bits(v: f32) -> u32 {
+        if v.is_nan() {
+            0x7fc0_0000
+        } else {
+            v.to_bits()
+        }
+    }
+
+    fn fnv1a64(values: &[f32]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in values {
+            for byte in canonical_bits(*v).to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    fn first_mismatch(xs: &[f32], got: &[f32], want: impl Fn(f32) -> f32) -> Option<String> {
+        xs.iter().zip(got).find_map(|(&x, &g)| {
+            let w = want(x);
+            (canonical_bits(g) != canonical_bits(w)).then(|| {
+                format!(
+                    "tanh({x:e}) [input bits {:#010x}]: got {:#010x}, expected {:#010x}",
+                    x.to_bits(),
+                    g.to_bits(),
+                    w.to_bits()
+                )
+            })
+        })
+    }
+
+    /// The function is pinned on every platform, whatever its libm: the
+    /// plain and the AVX2 instantiation agree bit for bit with each other
+    /// and with the scalar form, and the outputs hash to a constant
+    /// (captured from this implementation on x86-64, where it equals
+    /// glibc 2.36's `tanhf` on all 2³² inputs).
+    #[test]
+    fn both_instantiations_agree_and_match_the_pinned_fingerprint() {
+        let xs = strided_inputs();
+        let mut plain = xs.clone();
+        tanh_in_place_with(&mut plain, GemmKernel::Scalar);
+        assert_eq!(
+            first_mismatch(&xs, &plain, tanh),
+            None,
+            "plain slice vs scalar form"
+        );
+        if GemmKernel::Avx2.is_available() {
+            let mut avx2 = xs.clone();
+            tanh_in_place_with(&mut avx2, GemmKernel::Avx2);
+            assert_eq!(
+                first_mismatch(&xs, &avx2, tanh),
+                None,
+                "AVX2 slice vs scalar form"
+            );
+        }
+        assert_eq!(
+            fnv1a64(&plain),
+            0x0d65_629d_a1f7_8955,
+            "tanh output fingerprint moved"
+        );
+    }
+
+    /// The goldens under `tests/` were captured with libm's `tanhf` from
+    /// glibc 2.36 (x86-64); this implementation must equal it there, and
+    /// does on any libm that ships the fdlibm `tanhf` (glibc ≤ 2.40). On a
+    /// host whose libm rounds differently this fails and names the first
+    /// differing input — the pinned fingerprint above, not libm, is then
+    /// the authority.
+    #[test]
+    fn strided_sweep_equals_libm() {
+        let xs = strided_inputs();
+        let mut got = xs.clone();
+        tanh_in_place(&mut got);
+        assert_eq!(first_mismatch(&xs, &got, f32::tanh), None);
+    }
+
+    /// All 2³² bit patterns against libm (NaN ↦ NaN), ≈ 1 min in release;
+    /// `scripts/check.sh` runs it. A mismatch here means the port is
+    /// wrong: fix the port, never relax this to a tolerance.
+    #[test]
+    #[ignore = "exhaustive: run in release (scripts/check.sh)"]
+    fn all_bit_patterns_equal_libm() {
+        const CHUNK: usize = 1 << 16;
+        let mut xs = vec![0.0f32; CHUNK];
+        let mut got = vec![0.0f32; CHUNK];
+        for base in (0..=u32::MAX).step_by(CHUNK) {
+            for (i, x) in xs.iter_mut().enumerate() {
+                *x = f32::from_bits(base + i as u32);
+            }
+            got.copy_from_slice(&xs);
+            tanh_in_place(&mut got);
+            assert_eq!(first_mismatch(&xs, &got, f32::tanh), None);
+        }
+    }
+}

@@ -257,11 +257,14 @@ pub enum SpanKind {
     NetEncode,
     /// Decoding one wire message (binary frame payload -> serde tree).
     NetDecode,
+    /// One layer's hidden activation (`tanh` over its batch) in a
+    /// `dosco_nn` forward pass: the forward's other half, next to `Gemm`.
+    Activation,
 }
 
 impl SpanKind {
     /// All spans, in report order.
-    pub const ALL: [SpanKind; 13] = [
+    pub const ALL: [SpanKind; 14] = [
         SpanKind::Gemm,
         SpanKind::KfacStats,
         SpanKind::KfacInversion,
@@ -275,6 +278,7 @@ impl SpanKind {
         SpanKind::ServeDecision,
         SpanKind::NetEncode,
         SpanKind::NetDecode,
+        SpanKind::Activation,
     ];
 
     /// Stable snake_case name used in reports.
@@ -293,6 +297,7 @@ impl SpanKind {
             SpanKind::ServeDecision => "serve_decision",
             SpanKind::NetEncode => "net_encode",
             SpanKind::NetDecode => "net_decode",
+            SpanKind::Activation => "activation",
         }
     }
 

@@ -198,7 +198,7 @@ impl Ddpg {
             .forward(&Matrix::row_vector(obs))
             .row(0)
             .iter()
-            .map(|v| v.tanh())
+            .map(|&v| dosco_nn::tanh(v))
             .collect()
     }
 
@@ -256,7 +256,7 @@ impl Ddpg {
         }
 
         // Critic target: y = r + γ(1−d)·Q'(s', tanh(μ'(s'))).
-        let next_a = self.target_actor.forward(&next_obs).map(f32::tanh);
+        let next_a = self.target_actor.forward(&next_obs).map(dosco_nn::tanh);
         let mut next_sa = Matrix::zeros(n, od + ad);
         for r in 0..n {
             next_sa.row_mut(r)[..od].copy_from_slice(next_obs.row(r));
@@ -276,7 +276,7 @@ impl Ddpg {
         // Actor: maximize Q(s, tanh(μ(s))) — chain the critic's action
         // gradient through tanh into the actor.
         let actor_cache = self.actor.forward_cached(&obs);
-        let a = actor_cache.output.map(f32::tanh);
+        let a = actor_cache.output.map(dosco_nn::tanh);
         let mut sa_pi = Matrix::zeros(n, od + ad);
         for r in 0..n {
             sa_pi.row_mut(r)[..od].copy_from_slice(obs.row(r));
