@@ -1,6 +1,6 @@
 //! The simulator's public event stream.
 //!
-//! The scheduler behind it — the indexed, cancellable priority queue —
+//! The scheduler behind it — the cancellable radix-heap event queue —
 //! lives in [`crate::queue`].
 
 use crate::flow::{FlowId, FlowKey};

@@ -31,6 +31,13 @@
 //! folds that stream into one record per flow (where it went, what ended
 //! it), and [`metrics::WindowedStats`] into a rolling success ratio.
 //!
+//! Everything above is driven by one scheduler, [`EventQueue`]: a monotone
+//! radix heap over the ordered bits of the `f64` clock, with O(1)
+//! cancellation. Its pop order — time-ascending, FIFO among equal times —
+//! is the determinism contract the golden suites pin, and it relies on the
+//! one law the simulator keeps at its single scheduling door: no event is
+//! scheduled in the past.
+//!
 //! # Example
 //!
 //! ```

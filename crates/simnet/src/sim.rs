@@ -162,7 +162,7 @@ impl Simulation {
         // nothing from the traffic RNG stream.
         for &(t, action) in timeline.entries() {
             if t <= sim.config.horizon {
-                sim.queue.push(t, QueuedEvent::Churn { action });
+                sim.schedule(t, QueuedEvent::Churn { action });
             }
         }
         if let Some(stream) = sim.obs_stream {
@@ -386,6 +386,8 @@ impl Simulation {
         if self.finished {
             return None;
         }
+        // The peek settles the queue on its minimum; the pop that follows
+        // finds that done and takes the head.
         while let Some(t) = self.queue.peek_time() {
             if t > self.config.horizon {
                 break;
@@ -537,10 +539,23 @@ impl Simulation {
     // Event handling.
     // ------------------------------------------------------------------
 
+    /// The one door into the event queue. The simulator never schedules
+    /// into the past — the auditor's law, and what keeps every push on the
+    /// queue's bucket path (a push below its last minimum would take the
+    /// side heap).
+    fn schedule(&mut self, t: f64, ev: QueuedEvent) -> EventKey {
+        debug_assert!(
+            t >= self.time,
+            "event scheduled in the past: {t} < now {}",
+            self.time
+        );
+        self.queue.push(t, ev)
+    }
+
     fn schedule_next_arrival(&mut self, idx: usize, now: f64) {
         let t = self.arrivals[idx].next_arrival(now, &mut self.rng);
         if t.is_finite() && t <= self.config.horizon {
-            self.queue.push(t, QueuedEvent::Arrival { ingress_idx: idx });
+            self.schedule(t, QueuedEvent::Arrival { ingress_idx: idx });
         }
     }
 
@@ -571,7 +586,7 @@ impl Simulation {
                         time: self.time,
                     });
                     self.metrics.processings += 1;
-                    self.queue.push(self.time, QueuedEvent::Decision { flow });
+                    self.schedule(self.time, QueuedEvent::Decision { flow });
                 }
                 None
             }
@@ -601,7 +616,7 @@ impl Simulation {
                 });
                 if went_idle {
                     let timeout = self.config.catalog.component(component).idle_timeout;
-                    let probe = self.queue.push(
+                    let probe = self.schedule(
                         self.time + timeout,
                         QueuedEvent::InstanceTimeout { node, component },
                     );
@@ -769,7 +784,7 @@ impl Simulation {
             node,
             time: self.time,
         });
-        self.queue.push(self.time, QueuedEvent::Decision { flow: key });
+        self.schedule(self.time, QueuedEvent::Decision { flow: key });
     }
 
     fn handle_decision(&mut self, key: FlowKey) -> Option<DecisionPoint> {
@@ -885,7 +900,7 @@ impl Simulation {
                 node: dp.node,
                 time: self.time,
             });
-            self.queue.push(
+            self.schedule(
                 self.time + self.config.hold_delay,
                 QueuedEvent::Decision { flow: key },
             );
@@ -934,7 +949,7 @@ impl Simulation {
         if let Some(probe) = stale_probe {
             self.queue.cancel(probe);
         }
-        self.queue.push(
+        self.schedule(
             done,
             QueuedEvent::ProcessingDone {
                 flow: key,
@@ -947,7 +962,7 @@ impl Simulation {
         // flow duration δ_f starting at processing start; the processing
         // delay d_c shifts the flow in time but does not multiply the
         // rate-based occupancy.
-        self.queue.push(
+        self.schedule(
             start + duration,
             QueuedEvent::ReleaseNode {
                 node: dp.node,
@@ -997,7 +1012,7 @@ impl Simulation {
         });
         // Rate-based occupancy: the link transmits the flow for δ_f; the
         // propagation delay d_l adds latency but not bandwidth usage.
-        self.queue.push(
+        self.schedule(
             self.time + duration,
             QueuedEvent::ReleaseLink {
                 link,
@@ -1005,8 +1020,7 @@ impl Simulation {
                 epoch: self.substrate.link_epoch[link.0],
             },
         );
-        self.queue
-            .push(self.time + delay, QueuedEvent::Decision { flow: key });
+        self.schedule(self.time + delay, QueuedEvent::Decision { flow: key });
     }
 }
 
@@ -1612,6 +1626,56 @@ mod tests {
         // fired after the fault already reclaimed its reservation —
         // stealing B's live share.
         assert_eq!(at_17, vec![1.0], "node 0 usage at t=17");
+    }
+
+    /// The law `schedule` asserts, seen from the queue: nothing the
+    /// simulator pushes lands below the queue's last minimum, so the side
+    /// heap for late pushes stays empty and every event takes the bucket
+    /// path.
+    #[test]
+    fn episodes_make_no_late_push() {
+        use rand::{Rng, SeedableRng};
+        // The paper's base scenario on Abilene, full horizon.
+        let mut sim = Simulation::new(ScenarioConfig::paper_base(5), 3);
+        let decisions = sim.run(&mut RandomCoordinator::new(1)).decisions;
+        assert!(decisions > 10_000, "{decisions} decisions");
+        assert_eq!(sim.queue.late_pushes(), 0);
+
+        // A 10×10 grid, Poisson arrivals at every node, under stochastic
+        // link churn: each link alternates exponential up and down times,
+        // as `dosco_chaos::StochasticChurn` (which depends on this crate)
+        // draws them.
+        let mut cfg = line_scenario();
+        cfg.topology = generators::grid(10, 10, 1.0, 10.0);
+        cfg.topology.scale_capacities(10.0, 1.0);
+        let n = cfg.topology.num_nodes();
+        cfg.ingresses = (0..n)
+            .map(|v| IngressSpec {
+                node: NodeId(v),
+                pattern: ArrivalPattern::Poisson { mean: 5.0 },
+                egress: NodeId((v + 2) % n),
+                ..cfg.ingresses[0].clone()
+            })
+            .collect();
+        cfg.horizon = 400.0;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut exp = |mean: f64| -mean * (1.0 - rng.gen::<f64>()).ln();
+        let mut entries = Vec::new();
+        for l in 0..cfg.topology.num_links() {
+            let mut t = exp(300.0);
+            while t < cfg.horizon {
+                entries.push((t, ChurnAction::LinkDown(LinkId(l))));
+                t += exp(40.0);
+                entries.push((t, ChurnAction::LinkUp(LinkId(l))));
+                t += exp(300.0);
+            }
+        }
+        let mut sim = Simulation::with_churn(cfg, 4, ChurnTimeline::new(entries));
+        let m = sim.run(&mut RandomCoordinator::new(2)).clone();
+        let churn = sim.churn_stats().unwrap();
+        assert!(m.decisions > 10_000 && churn.events_applied > 100);
+        assert!(m.dropped_for(DropReason::LinkFailure) > 0);
+        assert_eq!(sim.queue.late_pushes(), 0);
     }
 
     #[test]

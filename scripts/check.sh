@@ -18,6 +18,9 @@ DOSCO_SIMD=off cargo test -q -p dosco-nn -p dosco-serve
 echo "== tanh: all 2^32 inputs equal libm's tanhf bit for bit (release, ~1 min) =="
 cargo test --release -p dosco-nn --lib tanh::tests::all_bit_patterns_equal_libm -- --include-ignored
 
+echo "== event queue: radix heap vs the indexed-heap oracle, 1 M operations with and without peeks (release) =="
+cargo test --release -p dosco-simnet --lib queue::tests::matches_reference_heap_on_a_million_operations -- --include-ignored
+
 echo "== simcore 100k-flow churn smoke (release, bounded time + flat memory) =="
 cargo test --release -p dosco-bench --test churn_smoke -- --include-ignored
 
