@@ -21,6 +21,7 @@
 //! simulator treats bit-identically to no churn at all.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod report;
 pub mod schedule;

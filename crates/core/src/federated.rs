@@ -266,21 +266,10 @@ pub fn train_per_node(
     let mut events = Vec::new();
     let diameter = sim.diameter();
     while decisions < config.total_decisions {
-        let Some(dp) = sim.next_decision() else {
-            // Episode over: flush pending flows as terminal.
-            for (_, (node, obs, action, r)) in std::mem::take(&mut pending) {
-                learners[node.0].buffer.push(Transition {
-                    obs,
-                    action,
-                    reward: r,
-                    next_obs: None,
-                });
-            }
-            episode += 1;
-            sim = Simulation::new(scenario.clone(), seed.wrapping_add(episode));
-            continue;
-        };
-        // Credit events since the last decision to the flows' last actors.
+        let next = sim.next_decision();
+        // Credit events since the last decision to the flows' last actors
+        // — at the horizon too, where they include the last action's own
+        // events and the terminations that followed it.
         sim.drain_events_into(&mut events);
         for ev in events.drain(..) {
             let Some(flow) = ev.flow() else { continue };
@@ -302,6 +291,20 @@ pub fn train_per_node(
                 }
             }
         }
+        let Some(dp) = next else {
+            // Episode over: flush pending flows as terminal.
+            for (_, (node, obs, action, r)) in std::mem::take(&mut pending) {
+                learners[node.0].buffer.push(Transition {
+                    obs,
+                    action,
+                    reward: r,
+                    next_obs: None,
+                });
+            }
+            episode += 1;
+            sim = Simulation::new(scenario.clone(), seed.wrapping_add(episode));
+            continue;
+        };
         let obs = adapter.observe(&sim, &dp);
         // The flow reached its next decision: close the previous pending
         // transition with this observation as the successor state.

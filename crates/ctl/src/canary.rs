@@ -106,19 +106,19 @@ pub struct CanaryStats {
 impl CanaryStats {
     /// Batched decisions the candidate answered during the window.
     pub fn candidate_decisions(&self) -> u64 {
-        self.window_end.decisions_at_version(self.candidate_version)
-            - self.window_start.decisions_at_version(self.candidate_version)
+        self.window_end.report.decisions_at_version(self.candidate_version)
+            - self.window_start.report.decisions_at_version(self.candidate_version)
     }
 
     /// Batched decisions the incumbent answered during the window.
     pub fn incumbent_decisions(&self) -> u64 {
-        self.window_end.decisions_at_version(self.incumbent_version)
-            - self.window_start.decisions_at_version(self.incumbent_version)
+        self.window_end.report.decisions_at_version(self.incumbent_version)
+            - self.window_start.report.decisions_at_version(self.incumbent_version)
     }
 
     /// Total decisions applied during the window (batched + fallback).
     pub fn window_decisions(&self) -> u64 {
-        self.window_end.decisions - self.window_start.decisions
+        self.window_end.report.decisions - self.window_start.report.decisions
     }
 
     /// Flows completed during the window, fabric-wide.
@@ -321,11 +321,15 @@ pub fn run_canary(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dosco_serve::ServeReport;
 
     fn status(decisions: u64, by_version: Vec<(u64, u64)>, completed: u64, dropped: u64) -> FabricStatus {
         FabricStatus {
-            decisions,
-            decisions_by_version: by_version,
+            report: ServeReport {
+                decisions,
+                decisions_by_version: by_version,
+                ..ServeReport::default()
+            },
             flows_completed: completed,
             flows_dropped: dropped,
             ..FabricStatus::default()

@@ -143,10 +143,10 @@ fn ops_endpoints_answer_live_during_a_serving_run() {
     let shards: ShardsResponse = serde_json::from_str(&body).unwrap();
     assert!(shards.attached);
     assert_eq!(shards.status, board.snapshot());
-    assert_eq!(shards.status.decisions, outcome.report.decisions);
+    assert_eq!(shards.status.report.decisions, outcome.report.decisions);
     assert_eq!(shards.status.live_episodes, 0);
-    assert_eq!(shards.status.shards.len(), 3);
-    assert_eq!(shards.status.current_version, 7);
+    assert_eq!(shards.status.alive.len(), 3);
+    assert_eq!(shards.status.report.final_version, 7);
 
     // /snapshot: the slot's live info plus the registry head.
     let (code, body) = http_get(addr, "/snapshot");

@@ -28,7 +28,7 @@ use crate::fault::{FaultKind, FaultScript};
 use crate::shard::{
     run_shard, shard_of, DecisionRequest, DecisionResponse, ShardMsg, ShardWorker,
 };
-use crate::status::{FabricStatus, ShardStatus, StatusBoard};
+use crate::status::{FabricStatus, StatusBoard};
 use crossbeam::channel::TryRecvError;
 use dosco_core::policy::PolicyMetadata;
 use dosco_core::CoordinationPolicy;
@@ -37,7 +37,7 @@ use dosco_obs::registry;
 use dosco_obs::{CounterKind, SpanKind};
 use dosco_runtime::{PolicySlot, PolicySnapshot};
 use dosco_simnet::{Action, ChurnTimeline, Metrics, ScenarioConfig, Simulation};
-use std::collections::BTreeMap;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
@@ -201,12 +201,16 @@ impl ServeConfig {
     }
 }
 
-/// Counters the fabric reports after a run. The conservation invariant
-/// — every decision is either batched through a shard or answered by
-/// the fallback — is checked before the report is returned.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The fabric's accounting: the running tally the epoch loop writes from
+/// epoch 0, the body of every [`FabricStatus`] the board shows, and what
+/// a run returns. The conservation invariant — every decision is either
+/// batched through a shard or answered by the fallback, and the
+/// per-shard and per-version splits add up — is checked before the
+/// report is returned.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeReport {
-    /// Epoch-loop iterations (including the final empty epoch).
+    /// Epoch-loop iterations (including the final empty epoch); during a
+    /// run, the index of the current epoch.
     pub epochs: u64,
     /// Total decisions applied to episodes.
     pub decisions: u64,
@@ -232,9 +236,10 @@ pub struct ServeReport {
     pub shard_disconnects: u64,
     /// Largest batched forward, in rows.
     pub max_batch_rows: u64,
-    /// Policy version the fabric ended on.
+    /// Policy version the fabric ended on; during a run, the fabric-wide
+    /// current version (what respawns re-sync to).
     pub final_version: u64,
-    /// Per-shard policy version at shutdown.
+    /// Policy version last delivered to each shard.
     pub shard_versions: Vec<u64>,
     /// Batched decisions answered by each shard.
     pub shard_batched: Vec<u64>,
@@ -246,9 +251,45 @@ pub struct ServeReport {
 
 impl ServeReport {
     /// Whether every decision is accounted for: batched + fallback ==
-    /// total. The fabric asserts this before returning.
+    /// total, the per-shard vectors agree in length, and the per-shard
+    /// and per-version splits sum to their totals. The fabric asserts
+    /// this before returning.
     pub fn conserved(&self) -> bool {
+        let shards = self.shard_versions.len();
         self.decisions == self.batched_decisions + self.fallback_decisions
+            && self.shard_batched.len() == shards
+            && self.shard_fallback.len() == shards
+            && self.shard_batched.iter().sum::<u64>() == self.batched_decisions
+            && self.shard_fallback.iter().sum::<u64>() == self.fallback_decisions
+            && self.decisions_by_version.iter().map(|&(_, n)| n).sum::<u64>()
+                == self.batched_decisions
+    }
+
+    /// Batched decisions attributed to `version`.
+    pub fn decisions_at_version(&self, version: u64) -> u64 {
+        self.decisions_by_version
+            .iter()
+            .find(|&&(v, _)| v == version)
+            .map_or(0, |&(_, n)| n)
+    }
+
+    /// Counts one decision `shard` answered at `version` from a batch of
+    /// `rows`.
+    fn count_batched(&mut self, shard: usize, version: u64, rows: usize) {
+        self.batched_decisions += 1;
+        self.shard_batched[shard] += 1;
+        self.max_batch_rows = self.max_batch_rows.max(rows as u64);
+        match self.decisions_by_version.binary_search_by_key(&version, |&(v, _)| v) {
+            Ok(i) => self.decisions_by_version[i].1 += 1,
+            Err(i) => self.decisions_by_version.insert(i, (version, 1)),
+        }
+    }
+
+    /// Counts one decision of `shard`'s answered by the fallback.
+    fn count_fallback(&mut self, shard: usize) {
+        self.fallback_decisions += 1;
+        self.shard_fallback[shard] += 1;
+        registry::count(CounterKind::ServeFallbacks, 1);
     }
 }
 
@@ -283,8 +324,6 @@ pub(crate) struct ShardHandle<'scope> {
     /// Worker thread for locally-launched shards; `None` for shards that
     /// live in another process (their lifecycle is the connection's).
     pub(crate) join: Option<ScopedJoinHandle<'scope, ()>>,
-    /// Policy version last delivered to this shard.
-    pub(crate) version: u64,
     /// The shard's transport died (send failure, launch failure, or a
     /// stalled barrier). A dead shard is never respawned: the peer is
     /// gone, not scripted to come back like a fault-window kill.
@@ -298,11 +337,10 @@ impl ShardHandle<'_> {
 
     /// A handle for a shard that could not be launched or whose
     /// transport failed: routes fall back immediately, never respawns.
-    pub(crate) fn dead(version: u64) -> Self {
+    pub(crate) fn dead() -> Self {
         ShardHandle {
             tx: None,
             join: None,
-            version,
             dead: true,
         }
     }
@@ -369,7 +407,6 @@ where
         ShardHandle {
             tx: Some(tx),
             join: Some(join),
-            version,
             dead: false,
         }
     }
@@ -378,7 +415,6 @@ where
 /// Falls back every still-unanswered decision routed to `shard` this
 /// epoch: its transport died between route and response, so the stored
 /// decision points are answered by shortest-path coordination instead.
-#[allow(clippy::too_many_arguments)]
 fn fall_back_routed(
     shard: usize,
     sims: &[Simulation],
@@ -386,7 +422,6 @@ fn fall_back_routed(
     routed_to: &mut [Option<usize>],
     actions: &mut [Option<Action>],
     report: &mut ServeReport,
-    shard_fallback: &mut [u64],
     expected: &mut usize,
 ) {
     for e in 0..sims.len() {
@@ -394,11 +429,29 @@ fn fall_back_routed(
             let dp = dps[e].take().expect("routed episode has a decision point");
             routed_to[e] = None;
             actions[e] = Some(dosco_baselines::sp_action(&sims[e], &dp));
-            report.fallback_decisions += 1;
-            shard_fallback[shard] += 1;
+            report.count_fallback(shard);
             *expected -= 1;
-            registry::count(CounterKind::ServeFallbacks, 1);
         }
+    }
+}
+
+/// What the status board shows: the running report plus what only the
+/// frontend knows live. The one constructor for every publish, at each
+/// boundary and at shutdown.
+fn status_of(
+    report: &ServeReport,
+    live_episodes: u64,
+    shards: &[ShardHandle<'_>],
+    sims: &[Simulation],
+) -> FabricStatus {
+    let total = |count: fn(&Metrics) -> u64| sims.iter().map(|s| count(s.metrics())).sum();
+    FabricStatus {
+        report: report.clone(),
+        live_episodes,
+        alive: shards.iter().map(ShardHandle::alive).collect(),
+        flows_arrived: total(|m| m.arrived),
+        flows_completed: total(|m| m.completed),
+        flows_dropped: total(Metrics::dropped_total),
     }
 }
 
@@ -509,14 +562,6 @@ where
             &mut on_epoch,
         )
     });
-
-    assert!(
-        report.conserved(),
-        "decision conservation violated: {} != {} batched + {} fallback",
-        report.decisions,
-        report.batched_decisions,
-        report.fallback_decisions
-    );
     ServeOutcome { metrics, report }
 }
 
@@ -524,6 +569,10 @@ where
 /// phases). Shared verbatim by every serve entry point — in-process,
 /// loopback-TCP, and multi-process — so transport and process topology
 /// cannot change decision arithmetic.
+///
+/// # Panics
+///
+/// Panics if the returned report is not [`ServeReport::conserved`].
 #[allow(clippy::too_many_lines)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn serve_core<'scope>(
@@ -542,7 +591,7 @@ pub(crate) fn serve_core<'scope>(
 
     // The policy being served: the hub's latest snapshot when attached,
     // else the caller's policy at version 0.
-    let (mut current, mut current_version) = match hub {
+    let (mut current, version) = match hub {
         Some(h) => {
             let snap = h.latest();
             (Arc::new(policy_from_snapshot(&snap, degree)), snap.version)
@@ -551,11 +600,19 @@ pub(crate) fn serve_core<'scope>(
     };
 
     let mut shards: Vec<ShardHandle> = (0..num_shards)
-        .map(|i| launcher.launch(i, Arc::clone(&current), current_version))
+        .map(|i| launcher.launch(i, Arc::clone(&current), version))
         .collect();
 
-    let mut report = ServeReport::default();
-    let mut by_version: BTreeMap<u64, u64> = BTreeMap::new();
+    // The running tally, current at every boundary: `epochs` is the loop
+    // counter, `final_version` the fabric-wide current version and
+    // `shard_versions` what each shard was last delivered.
+    let mut report = ServeReport {
+        final_version: version,
+        shard_versions: vec![version; num_shards],
+        shard_batched: vec![0; num_shards],
+        shard_fallback: vec![0; num_shards],
+        ..ServeReport::default()
+    };
     let mut live = vec![true; episodes];
     let mut actions: Vec<Option<Action>> = vec![None; episodes];
     let mut starts: Vec<Option<Instant>> = vec![None; episodes];
@@ -566,24 +623,22 @@ pub(crate) fn serve_core<'scope>(
     let mut dps: Vec<Option<dosco_simnet::DecisionPoint>> = vec![None; episodes];
     let mut routed_to: Vec<Option<usize>> = vec![None; episodes];
     let mut events_scratch = Vec::new();
-    let mut shard_batched = vec![0u64; num_shards];
-    let mut shard_fallback = vec![0u64; num_shards];
     // The policy each shard *should* run. Hub publishes and All-scope
     // directives set every entry; targeted directives set a subset —
     // respawns and lag re-syncs always converge a shard onto its own
     // entry, so a killed canary shard comes back as a canary.
     let mut desired: Vec<(Arc<CoordinationPolicy>, u64)> =
-        vec![(Arc::clone(&current), current_version); num_shards];
+        vec![(Arc::clone(&current), version); num_shards];
     let mut next_id: u64 = 0;
-    let mut epoch: u64 = 0;
 
     loop {
+        let epoch = report.epochs;
         if cfg
             .cancel
             .as_ref()
             .is_some_and(|c| c.load(Ordering::Relaxed))
         {
-            epoch += 1;
+            report.epochs += 1;
             break;
         }
         on_epoch(epoch);
@@ -591,11 +646,11 @@ pub(crate) fn serve_core<'scope>(
         // -- Epoch-boundary work: hot-swap poll, control directives,
         // fault transitions.
         if let Some(h) = hub {
-            if h.version() != current_version {
+            if h.version() != report.final_version {
                 let snap = h.latest();
                 current = Arc::new(policy_from_snapshot(&snap, degree));
-                current_version = snap.version;
-                desired.fill((Arc::clone(&current), current_version));
+                report.final_version = snap.version;
+                desired.fill((Arc::clone(&current), snap.version));
                 report.swaps += 1;
                 registry::count(CounterKind::ServeSwaps, 1);
             }
@@ -610,7 +665,7 @@ pub(crate) fn serve_core<'scope>(
                             // `desired` is the source of truth for swaps
                             // and respawns; `current` itself is only read
                             // when rebuilt from a hub snapshot.
-                            current_version = version;
+                            report.final_version = version;
                             desired.fill((Arc::clone(&policy), version));
                         }
                         PublishScope::Shards(targets) => {
@@ -645,9 +700,10 @@ pub(crate) fn serve_core<'scope>(
                     // is gone, not scripted to return.
                     if !h.dead {
                         *h = launcher.launch(i, Arc::clone(want), *want_version);
+                        report.shard_versions[i] = *want_version;
                         report.shard_respawns += 1;
                     }
-                } else if h.version != *want_version {
+                } else if report.shard_versions[i] != *want_version {
                     // Reachable shard lagging its desired policy:
                     // deliver the swap at this boundary (covers the
                     // global broadcast, targeted publishes, rollback
@@ -660,7 +716,7 @@ pub(crate) fn serve_core<'scope>(
                         })
                         .is_ok()
                     {
-                        h.version = *want_version;
+                        report.shard_versions[i] = *want_version;
                     } else {
                         // Dead peer mid-swap: degrade, don't panic.
                         disconnect(h, &mut report);
@@ -672,38 +728,8 @@ pub(crate) fn serve_core<'scope>(
         // -- Status publish: one snapshot per boundary, only when a
         // board is attached (detached fabrics skip in one branch).
         if let Some(board) = cfg.status.as_ref() {
-            let mut arrived = 0;
-            let mut completed = 0;
-            let mut dropped = 0;
-            for sim in sims.iter() {
-                let m = sim.metrics();
-                arrived += m.arrived;
-                completed += m.completed;
-                dropped += m.dropped_total();
-            }
-            board.publish(FabricStatus {
-                epoch,
-                live_episodes: live.iter().filter(|&&l| l).count() as u64,
-                decisions: report.decisions,
-                swaps: report.swaps,
-                directed_publishes: report.directed_publishes,
-                current_version,
-                shards: shards
-                    .iter()
-                    .enumerate()
-                    .map(|(i, h)| ShardStatus {
-                        shard: i,
-                        alive: h.alive(),
-                        version: h.version,
-                        batched_decisions: shard_batched[i],
-                        fallback_decisions: shard_fallback[i],
-                    })
-                    .collect(),
-                decisions_by_version: by_version.iter().map(|(&v, &n)| (v, n)).collect(),
-                flows_arrived: arrived,
-                flows_completed: completed,
-                flows_dropped: dropped,
-            });
+            let live_episodes = live.iter().filter(|&&l| l).count() as u64;
+            board.publish(status_of(&report, live_episodes, &shards, sims));
         }
 
         // -- Collect one pending decision per live episode.
@@ -760,15 +786,13 @@ pub(crate) fn serve_core<'scope>(
                 // by shortest-path coordination and counted — never
                 // silently dropped.
                 actions[e] = Some(dosco_baselines::sp_action(sim, &dp));
-                report.fallback_decisions += 1;
-                shard_fallback[owner] += 1;
+                report.count_fallback(owner);
                 fell_back += 1;
-                registry::count(CounterKind::ServeFallbacks, 1);
             }
         }
         if expected == 0 && fell_back == 0 {
             // Every episode reached its horizon.
-            epoch += 1;
+            report.epochs += 1;
             break;
         }
 
@@ -793,7 +817,6 @@ pub(crate) fn serve_core<'scope>(
                         &mut routed_to,
                         &mut actions,
                         &mut report,
-                        &mut shard_fallback,
                         &mut expected,
                     );
                 }
@@ -820,10 +843,7 @@ pub(crate) fn serve_core<'scope>(
                     received += answers.len();
                     for resp in answers {
                         actions[resp.episode] = Some(Action::from_index(resp.action_index));
-                        *by_version.entry(resp.version).or_insert(0) += 1;
-                        report.batched_decisions += 1;
-                        shard_batched[resp.shard] += 1;
-                        report.max_batch_rows = report.max_batch_rows.max(resp.batch_rows as u64);
+                        report.count_batched(resp.shard, resp.version, resp.batch_rows);
                     }
                 }
                 Err(e) => {
@@ -845,7 +865,6 @@ pub(crate) fn serve_core<'scope>(
                                     &mut routed_to,
                                     &mut actions,
                                     &mut report,
-                                    &mut shard_fallback,
                                     &mut expected,
                                 );
                             }
@@ -878,7 +897,13 @@ pub(crate) fn serve_core<'scope>(
                 }
             }
         }
-        epoch += 1;
+        report.epochs += 1;
+    }
+
+    // Final status so post-run snapshots show the completed totals (and
+    // which shards were up when the run ended).
+    if let Some(board) = cfg.status.as_ref() {
+        board.publish(status_of(&report, 0, &shards, sims));
     }
 
     // -- Graceful shutdown: barrier-free mailboxes are empty here.
@@ -891,34 +916,8 @@ pub(crate) fn serve_core<'scope>(
         join_shard(h);
     }
 
-    report.epochs = epoch;
-    report.final_version = current_version;
-    report.shard_versions = shards.iter().map(|h| h.version).collect();
-    report.shard_batched = shard_batched;
-    report.shard_fallback = shard_fallback;
-    report.decisions_by_version = by_version.into_iter().collect();
-    let metrics: Vec<Metrics> = sims.iter().map(|sim| sim.metrics().clone()).collect();
-
-    // Final status so post-run snapshots show the completed totals.
-    if let Some(board) = cfg.status.as_ref() {
-        let mut status = board.snapshot();
-        status.epoch = report.epochs;
-        status.live_episodes = 0;
-        status.decisions = report.decisions;
-        status.swaps = report.swaps;
-        status.directed_publishes = report.directed_publishes;
-        status.current_version = report.final_version;
-        for (i, st) in status.shards.iter_mut().enumerate() {
-            st.batched_decisions = report.shard_batched[i];
-            st.fallback_decisions = report.shard_fallback[i];
-            st.version = report.shard_versions[i];
-        }
-        status.decisions_by_version = report.decisions_by_version.clone();
-        status.flows_arrived = metrics.iter().map(|m| m.arrived).sum();
-        status.flows_completed = metrics.iter().map(|m| m.completed).sum();
-        status.flows_dropped = metrics.iter().map(|m| m.dropped_total()).sum();
-        board.publish(status);
-    }
+    assert!(report.conserved(), "decision conservation violated: {report:?}");
+    let metrics = sims.iter().map(|sim| sim.metrics().clone()).collect();
     (metrics, report)
 }
 
@@ -944,6 +943,38 @@ mod tests {
         let mut c = ServeConfig::new(2);
         c.gather_stall = Duration::ZERO;
         assert!(c.validate().is_err());
+    }
+
+    /// Each clause of the conservation law, broken one at a time on a
+    /// hand-built report that satisfies all of them.
+    #[test]
+    fn conserved_checks_every_split() {
+        let good = ServeReport {
+            decisions: 10,
+            batched_decisions: 7,
+            fallback_decisions: 3,
+            shard_versions: vec![1, 2],
+            shard_batched: vec![4, 3],
+            shard_fallback: vec![0, 3],
+            decisions_by_version: vec![(1, 4), (2, 3)],
+            ..ServeReport::default()
+        };
+        assert!(good.conserved());
+        assert!(ServeReport::default().conserved());
+        let broken: [fn(&mut ServeReport); 7] = [
+            |r| r.decisions += 1,
+            |r| r.shard_batched[0] += 1,
+            |r| r.shard_fallback[1] -= 1,
+            |r| r.decisions_by_version[1].1 += 1,
+            |r| r.shard_batched.push(0),
+            |r| r.shard_fallback.push(0),
+            |r| r.shard_versions.push(0),
+        ];
+        for (i, breaks) in broken.iter().enumerate() {
+            let mut r = good.clone();
+            breaks(&mut r);
+            assert!(!r.conserved(), "clause {i}: {r:?}");
+        }
     }
 
     /// Drives `serve_core` directly with a custom launcher (the trait is
@@ -984,9 +1015,9 @@ mod tests {
                 &mut self,
                 _index: usize,
                 _policy: Arc<CoordinationPolicy>,
-                version: u64,
+                _version: u64,
             ) -> ShardHandle<'static> {
-                ShardHandle::dead(version)
+                ShardHandle::dead()
             }
         }
         let (metrics, report) = run_core(&mut DeadLauncher, &ServeConfig::new(2), 2);
@@ -1010,14 +1041,13 @@ mod tests {
                 &mut self,
                 _index: usize,
                 _policy: Arc<CoordinationPolicy>,
-                version: u64,
+                _version: u64,
             ) -> ShardHandle<'static> {
                 let (tx, rx) = Transport::<ShardMsg>::channel(&InProcess, 4);
                 drop(rx);
                 ShardHandle {
                     tx: Some(tx),
                     join: None,
-                    version,
                     dead: false,
                 }
             }
@@ -1041,7 +1071,7 @@ mod tests {
                 &mut self,
                 _index: usize,
                 _policy: Arc<CoordinationPolicy>,
-                version: u64,
+                _version: u64,
             ) -> ShardHandle<'static> {
                 let (tx, rx) = Transport::<ShardMsg>::channel(&InProcess, 64);
                 // Consume everything, answer nothing: the frontend's
@@ -1050,7 +1080,6 @@ mod tests {
                 ShardHandle {
                     tx: Some(tx),
                     join: None,
-                    version,
                     dead: false,
                 }
             }

@@ -55,4 +55,4 @@ pub use fabric::{
 pub use fault::{FaultKind, FaultScript, FaultWindow};
 pub use remote::{run_remote_shard, FrontendServer, ShardInit};
 pub use shard::{shard_of, DecisionRequest, DecisionResponse, ShardMsg};
-pub use status::{FabricStatus, ShardStatus, StatusBoard};
+pub use status::{FabricStatus, StatusBoard};

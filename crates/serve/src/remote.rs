@@ -81,13 +81,13 @@ impl ShardLauncher<'static> for RemoteLauncher {
         // returned dead — the epoch loop serves its nodes via the
         // shortest-path fallback instead of panicking the frontend.
         let Some(stream) = self.conns[index].take() else {
-            return ShardHandle::dead(version);
+            return ShardHandle::dead();
         };
         let Ok(read_half) = stream.try_clone() else {
-            return ShardHandle::dead(version);
+            return ShardHandle::dead();
         };
         let Ok(mut init_half) = stream.try_clone() else {
-            return ShardHandle::dead(version);
+            return ShardHandle::dead();
         };
         let init = ShardInit {
             index: index as u64,
@@ -98,7 +98,7 @@ impl ShardLauncher<'static> for RemoteLauncher {
             version,
         };
         if write_frame(&mut init_half, &dosco_net::encode_msg(&init)).is_err() {
-            return ShardHandle::dead(version);
+            return ShardHandle::dead();
         }
         let tx = sender_on::<ShardMsg>(stream, self.capacity);
         let rx = receiver_on::<Vec<DecisionResponse>>(read_half, self.capacity);
@@ -113,13 +113,12 @@ impl ShardLauncher<'static> for RemoteLauncher {
                 }
             })
         else {
-            return ShardHandle::dead(version);
+            return ShardHandle::dead();
         };
         self.forwarders.push(forwarder);
         ShardHandle {
             tx: Some(tx),
             join: None,
-            version,
             dead: false,
         }
     }
@@ -244,14 +243,6 @@ impl FrontendServer {
                 return Err(NetError::Protocol("response forwarder panicked".into()));
             }
         }
-
-        assert!(
-            report.conserved(),
-            "decision conservation violated: {} != {} batched + {} fallback",
-            report.decisions,
-            report.batched_decisions,
-            report.fallback_decisions
-        );
         Ok(ServeOutcome { metrics, report })
     }
 }

@@ -2,56 +2,37 @@
 //!
 //! A [`StatusBoard`] is an optional attachment on
 //! [`ServeConfig`](crate::ServeConfig): when present, the frontend
-//! publishes a [`FabricStatus`] snapshot at every epoch boundary (and
-//! once more at shutdown), covering per-shard liveness/version/decision
-//! counts, running per-version decision accounting, and aggregate
-//! episode metrics. The `dosco_ctl` `GET /shards` endpoint serves it,
-//! and the canary driver reads window deltas from it.
+//! publishes a [`FabricStatus`] at every epoch boundary (and once more at
+//! shutdown). A status is a view of the fabric's own accounting, not a
+//! second copy of it: its body is the running [`ServeReport`] the epoch
+//! loop writes from epoch 0 — epoch, decision and per-shard counts,
+//! per-version accounting, versions — and it adds only what the report
+//! does not hold: live episodes, shard liveness, and aggregate flow
+//! metrics. The `dosco_ctl` `GET /shards` endpoint serves it, and the
+//! canary driver reads window deltas from it.
 //!
 //! Cost model: updates happen on the frontend thread only, once per
 //! epoch (never per decision), and only when a board is attached — a
 //! detached fabric pays exactly one `Option` check per epoch.
 
+use crate::fabric::ServeReport;
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
-
-/// One shard as of the last published epoch boundary.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardStatus {
-    /// Shard index.
-    pub shard: usize,
-    /// Whether the shard worker is up (false inside a kill window).
-    pub alive: bool,
-    /// Policy version last delivered to this shard.
-    pub version: u64,
-    /// Cumulative decisions this shard answered from batched forwards.
-    pub batched_decisions: u64,
-    /// Cumulative decisions answered by the SP fallback because this
-    /// shard (their owner) was down or delayed.
-    pub fallback_decisions: u64,
-}
 
 /// A whole-fabric snapshot published at an epoch boundary.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FabricStatus {
-    /// The epoch this snapshot was taken at (boundary work for this
-    /// epoch — swaps, faults — is already applied; the epoch's decisions
-    /// are not yet counted).
-    pub epoch: u64,
+    /// The fabric's accounting as of this boundary: `report.epochs` is
+    /// the epoch the snapshot was taken at (its boundary work — swaps,
+    /// faults — is applied; its decisions are not yet counted), and
+    /// `report.final_version` the fabric-wide current version. The final
+    /// snapshot's report is the one the run returns.
+    pub report: ServeReport,
     /// Episodes still running.
     pub live_episodes: u64,
-    /// Total decisions applied so far (batched + fallback).
-    pub decisions: u64,
-    /// Policy hot-swaps broadcast so far (hub-driven).
-    pub swaps: u64,
-    /// Targeted control-queue publishes applied so far.
-    pub directed_publishes: u64,
-    /// The fabric-wide current policy version (what respawns re-sync to).
-    pub current_version: u64,
-    /// Per-shard state, indexed by shard.
-    pub shards: Vec<ShardStatus>,
-    /// Batched decisions per policy version so far, ascending by version.
-    pub decisions_by_version: Vec<(u64, u64)>,
+    /// Whether each shard worker is up (false inside a kill window or
+    /// after a disconnect), indexed by shard.
+    pub alive: Vec<bool>,
     /// Flows arrived across all episodes so far.
     pub flows_arrived: u64,
     /// Flows completed successfully across all episodes so far.
@@ -66,14 +47,6 @@ impl FabricStatus {
     pub fn success_ratio(&self) -> Option<f64> {
         let terminated = self.flows_completed + self.flows_dropped;
         (terminated > 0).then(|| self.flows_completed as f64 / terminated as f64)
-    }
-
-    /// Cumulative batched decisions attributed to `version`.
-    pub fn decisions_at_version(&self, version: u64) -> u64 {
-        self.decisions_by_version
-            .iter()
-            .find(|&&(v, _)| v == version)
-            .map_or(0, |&(_, n)| n)
     }
 }
 
@@ -110,16 +83,18 @@ mod tests {
         let board = StatusBoard::new();
         assert_eq!(board.snapshot(), FabricStatus::default());
         let status = FabricStatus {
-            epoch: 7,
-            decisions: 40,
-            shards: vec![ShardStatus {
-                shard: 0,
-                alive: true,
-                version: 2,
+            report: ServeReport {
+                epochs: 7,
+                decisions: 40,
                 batched_decisions: 30,
                 fallback_decisions: 10,
-            }],
-            decisions_by_version: vec![(1, 10), (2, 20)],
+                shard_versions: vec![2],
+                shard_batched: vec![30],
+                shard_fallback: vec![10],
+                decisions_by_version: vec![(1, 10), (2, 20)],
+                ..ServeReport::default()
+            },
+            alive: vec![true],
             flows_completed: 3,
             flows_dropped: 1,
             ..FabricStatus::default()
@@ -127,8 +102,8 @@ mod tests {
         board.publish(status.clone());
         assert_eq!(board.snapshot(), status);
         assert_eq!(status.success_ratio(), Some(0.75));
-        assert_eq!(status.decisions_at_version(2), 20);
-        assert_eq!(status.decisions_at_version(9), 0);
+        assert_eq!(status.report.decisions_at_version(2), 20);
+        assert_eq!(status.report.decisions_at_version(9), 0);
     }
 
     #[test]
@@ -139,9 +114,13 @@ mod tests {
     #[test]
     fn status_serializes_and_round_trips() {
         let status = FabricStatus {
-            epoch: 3,
-            shards: vec![ShardStatus::default()],
-            decisions_by_version: vec![(0, 5)],
+            report: ServeReport {
+                epochs: 3,
+                shard_versions: vec![0],
+                decisions_by_version: vec![(0, 5)],
+                ..ServeReport::default()
+            },
+            alive: vec![false],
             ..FabricStatus::default()
         };
         let json = serde_json::to_string(&status).unwrap();

@@ -48,18 +48,20 @@ fn snap(degree: usize, version: u64, seed: u64) -> Arc<PolicySnapshot> {
 /// Asserts every shard's observed version sequence is non-decreasing
 /// across the sampled epoch snapshots.
 fn assert_monotone_versions(samples: &[FabricStatus]) {
-    let num_shards = samples.first().map_or(0, |s| s.shards.len());
+    // The first sample precedes the first boundary (an empty board).
+    let num_shards = samples.last().map_or(0, |s| s.report.shard_versions.len());
+    assert!(num_shards > 0, "no boundary was sampled");
     for shard in 0..num_shards {
         let mut last = 0u64;
         for s in samples {
-            if s.shards.is_empty() {
+            if s.report.shard_versions.is_empty() {
                 continue; // pre-first-boundary snapshot
             }
-            let v = s.shards[shard].version;
+            let v = s.report.shard_versions[shard];
             assert!(
                 v >= last,
                 "shard {shard} observed version {v} after {last} at epoch {}",
-                s.epoch
+                s.report.epochs
             );
             last = v;
         }

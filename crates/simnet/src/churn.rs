@@ -13,6 +13,7 @@
 //! entries, no RNG draws, and a substrate whose every effective value is
 //! the topology's nominal float (pinned by the `simcore_goldens` suite).
 
+use crate::event::{DropReason, SimEvent};
 use dosco_topology::{LinkId, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -285,21 +286,30 @@ pub struct ChurnStats {
 }
 
 impl ChurnStats {
-    /// Counts one applied `action` and the instances that died with it.
-    pub(crate) fn record(&mut self, action: ChurnAction, instances_lost: u64) {
-        match action {
-            ChurnAction::LinkDown(_) => self.link_downs += 1,
-            ChurnAction::LinkUp(_) => self.link_ups += 1,
-            ChurnAction::NodeDown(_) => self.node_downs += 1,
-            ChurnAction::NodeUp(_) => self.node_ups += 1,
-            ChurnAction::DegradeLinkCapacity { .. } | ChurnAction::DegradeNodeCapacity { .. } => {
-                self.degrades += 1;
+    /// Counts one event, as [`crate::Metrics::record`] does. Every field
+    /// is the fold of the stream but [`ChurnStats::instances_lost`]: a
+    /// lost instance's `InstanceStopped` looks like an idle timeout's, so
+    /// the simulator counts it where it applies the fault.
+    #[inline]
+    pub fn record(&mut self, event: &SimEvent) {
+        match *event {
+            SimEvent::ChurnApplied { action, .. } => {
+                match action {
+                    ChurnAction::LinkDown(_) => self.link_downs += 1,
+                    ChurnAction::LinkUp(_) => self.link_ups += 1,
+                    ChurnAction::NodeDown(_) => self.node_downs += 1,
+                    ChurnAction::NodeUp(_) => self.node_ups += 1,
+                    ChurnAction::DegradeLinkCapacity { .. }
+                    | ChurnAction::DegradeNodeCapacity { .. } => self.degrades += 1,
+                    ChurnAction::DelaySpike { .. } => self.delay_spikes += 1,
+                }
+                self.events_applied += 1;
+                self.sp_recomputes += u64::from(action.affects_routing());
             }
-            ChurnAction::DelaySpike { .. } => self.delay_spikes += 1,
+            SimEvent::FlowDropped { reason: DropReason::LinkFailure, .. } => self.flows_killed_link += 1,
+            SimEvent::FlowDropped { reason: DropReason::NodeFailure, .. } => self.flows_killed_node += 1,
+            _ => {}
         }
-        self.events_applied += 1;
-        self.sp_recomputes += u64::from(action.affects_routing());
-        self.instances_lost += instances_lost;
     }
 }
 

@@ -49,8 +49,29 @@ impl Metrics {
         self.dropped.get(&reason).copied().unwrap_or(0)
     }
 
-    /// Records one dropped flow (used by the simulator; public so test
-    /// fixtures and aggregation code can build metrics).
+    /// Counts one event — the one map from the event stream to these
+    /// counters. [`Metrics::decisions`] has no event: the simulator counts
+    /// it where actions are applied.
+    #[inline]
+    pub fn record(&mut self, event: &SimEvent) {
+        match *event {
+            SimEvent::FlowArrived { .. } => self.arrived += 1,
+            SimEvent::FlowCompleted { e2e_delay, .. } => {
+                self.completed += 1;
+                self.e2e_delay_sum += e2e_delay;
+            }
+            SimEvent::FlowDropped { reason, .. } => self.record_drop(reason),
+            SimEvent::InstanceTraversed { .. } => self.processings += 1,
+            SimEvent::Forwarded { .. } => self.forwards += 1,
+            SimEvent::Held { .. } => self.holds += 1,
+            SimEvent::InstanceStarted { .. } => self.instances_started += 1,
+            SimEvent::InstanceStopped { .. } => self.instances_stopped += 1,
+            SimEvent::ChurnApplied { .. } => {}
+        }
+    }
+
+    /// Records one dropped flow (public so test fixtures and aggregation
+    /// code can build metrics).
     pub fn record_drop(&mut self, reason: DropReason) {
         *self.dropped.entry(reason).or_insert(0) += 1;
     }

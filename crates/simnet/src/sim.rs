@@ -69,7 +69,6 @@ pub struct Simulation {
     /// Dense NodeId-major instance table (`node.0 * num_components + c.0`).
     instances: Vec<Option<Instance>>,
     num_components: usize,
-    num_instances: usize,
     pending: Option<DecisionPoint>,
     /// Slab handle of the pending decision's flow, kept alongside
     /// [`Simulation::pending`] so `flow(dp.flow)` on the decision hot path
@@ -142,7 +141,6 @@ impl Simulation {
             substrate,
             instances,
             num_components,
-            num_instances: 0,
             pending: None,
             pending_key: None,
             events: Vec::new(),
@@ -288,9 +286,10 @@ impl Simulation {
         self.instances[self.inst_idx(v, c)].is_some()
     }
 
-    /// Number of placed instances (for scaling diagnostics).
+    /// Number of placed instances (for scaling diagnostics): started minus
+    /// stopped, lost ones included.
     pub fn num_instances(&self) -> usize {
-        self.num_instances
+        (self.metrics.instances_started - self.metrics.instances_stopped) as usize
     }
 
     /// The live flow `f`, if it has neither completed nor been dropped.
@@ -420,6 +419,8 @@ impl Simulation {
             .pending_key
             .take()
             .expect("pending key accompanies the pending decision");
+        // Hand-counted: a decision emits no event of its own (its outcome
+        // does), so this is the one counter `emit` cannot fold.
         self.metrics.decisions += 1;
         match action {
             Action::Local => self.apply_local(dp, key),
@@ -509,7 +510,7 @@ impl Simulation {
             node_util_max,
             link_util_mean,
             link_util_max,
-            instances: self.num_instances as u64,
+            instances: self.num_instances() as u64,
         });
     }
 
@@ -552,6 +553,44 @@ impl Simulation {
         self.queue.push(t, ev)
     }
 
+    /// The one door out to the event stream, as `schedule` is the one into
+    /// the queue: every counter that mirrors an event is bumped here and
+    /// nowhere else, so [`Metrics`], [`ChurnStats`], the churn window and
+    /// the registry series are folds of the stream. The drop-cause series
+    /// are gated so the tracing-off, churn-off hot path stays untouched.
+    #[inline]
+    fn emit(&mut self, ev: SimEvent) {
+        use dosco_obs::registry::{count, set_gauge};
+        use dosco_obs::{CounterKind, GaugeKind};
+        self.metrics.record(&ev);
+        if let Some(run) = &mut self.churn {
+            run.stats.record(&ev);
+            run.window.observe(&ev);
+            if matches!(ev, SimEvent::FlowCompleted { .. } | SimEvent::FlowDropped { .. }) {
+                if let Some(r) = run.window.success_ratio() {
+                    set_gauge(GaugeKind::WindowedSuccessRatio, r);
+                }
+            }
+        }
+        match ev {
+            SimEvent::FlowDropped { reason, .. }
+                if self.obs_stream.is_some() || self.churn.is_some() =>
+            {
+                count(Self::drop_counter(reason), 1);
+                if matches!(reason, DropReason::LinkFailure | DropReason::NodeFailure) {
+                    count(CounterKind::ChurnFlowsKilled, 1);
+                }
+            }
+            SimEvent::ChurnApplied { action, topo_version, .. } => {
+                count(CounterKind::ChurnSpRecomputes, u64::from(action.affects_routing()));
+                count(CounterKind::ChurnEventsApplied, 1);
+                set_gauge(GaugeKind::TopoVersion, topo_version as f64);
+            }
+            _ => {}
+        }
+        self.events.push(ev);
+    }
+
     fn schedule_next_arrival(&mut self, idx: usize, now: f64) {
         let t = self.arrivals[idx].next_arrival(now, &mut self.rng);
         if t.is_finite() && t <= self.config.horizon {
@@ -578,14 +617,13 @@ impl Simulation {
                     f.chain_pos += 1;
                     let id = f.id;
                     let service_len = f.chain_len;
-                    self.events.push(SimEvent::InstanceTraversed {
+                    self.emit(SimEvent::InstanceTraversed {
                         flow: id,
                         node,
                         component,
                         service_len,
                         time: self.time,
                     });
-                    self.metrics.processings += 1;
                     self.schedule(self.time, QueuedEvent::Decision { flow });
                 }
                 None
@@ -646,9 +684,7 @@ impl Simulation {
                 });
                 if remove {
                     self.instances[idx] = None;
-                    self.num_instances -= 1;
-                    self.metrics.instances_stopped += 1;
-                    self.events.push(SimEvent::InstanceStopped {
+                    self.emit(SimEvent::InstanceStopped {
                         node,
                         component,
                         time: self.time,
@@ -690,19 +726,18 @@ impl Simulation {
         if action.affects_routing() {
             let Substrate { node_up, link_up, link_delay, .. } = &self.substrate;
             self.sp.remask(node_up, link_up, link_delay);
-            dosco_obs::registry::count(dosco_obs::CounterKind::ChurnSpRecomputes, 1);
         }
         if let Some(run) = &mut self.churn {
-            run.stats.record(action, instances_lost);
+            // Hand-counted: a lost instance's `InstanceStopped` is the same
+            // event as an idle timeout's, so the stream cannot fold it.
+            run.stats.instances_lost += instances_lost;
         }
         let version = self.substrate.version;
-        self.events.push(SimEvent::ChurnApplied {
+        self.emit(SimEvent::ChurnApplied {
             action,
             topo_version: version,
             time: self.time,
         });
-        dosco_obs::registry::count(dosco_obs::CounterKind::ChurnEventsApplied, 1);
-        dosco_obs::registry::set_gauge(dosco_obs::GaugeKind::TopoVersion, version as f64);
         if let Some(stream) = self.obs_stream {
             dosco_obs::emit(stream, || dosco_obs::Event::ChurnApplied {
                 time: self.time,
@@ -741,10 +776,8 @@ impl Simulation {
                 if let Some(probe) = inst.timeout {
                     self.queue.cancel(probe);
                 }
-                self.num_instances -= 1;
-                self.metrics.instances_stopped += 1;
                 lost += 1;
-                self.events.push(SimEvent::InstanceStopped {
+                self.emit(SimEvent::InstanceStopped {
                     node: v,
                     component: c,
                     time: self.time,
@@ -778,8 +811,7 @@ impl Simulation {
             in_transit: None,
         };
         let key = FlowKey(self.flows.insert(flow));
-        self.metrics.arrived += 1;
-        self.events.push(SimEvent::FlowArrived {
+        self.emit(SimEvent::FlowArrived {
             flow: id,
             node,
             time: self.time,
@@ -825,53 +857,22 @@ impl Simulation {
     fn complete_flow(&mut self, key: FlowKey, node: NodeId) {
         let f = self.flows.remove(key.0).expect("completing a live flow");
         let e2e = self.time - f.arrival;
-        self.metrics.completed += 1;
-        self.metrics.e2e_delay_sum += e2e;
-        self.events.push(SimEvent::FlowCompleted {
+        self.emit(SimEvent::FlowCompleted {
             flow: f.id,
             time: self.time,
             e2e_delay: e2e,
             node,
         });
-        self.window_termination();
-    }
-
-    /// Feeds the termination event just pushed to the churn window.
-    fn window_termination(&mut self) {
-        if let Some(run) = &mut self.churn {
-            run.window
-                .observe(self.events.last().expect("termination event just pushed"));
-            if let Some(r) = run.window.success_ratio() {
-                dosco_obs::registry::set_gauge(dosco_obs::GaugeKind::WindowedSuccessRatio, r);
-            }
-        }
     }
 
     fn drop_flow(&mut self, key: FlowKey, reason: DropReason, node: NodeId) {
         let f = self.flows.remove(key.0).expect("dropping a live flow");
-        self.metrics.record_drop(reason);
-        self.events.push(SimEvent::FlowDropped {
+        self.emit(SimEvent::FlowDropped {
             flow: f.id,
             time: self.time,
             reason,
             node,
         });
-        if let Some(run) = &mut self.churn {
-            match reason {
-                DropReason::LinkFailure => run.stats.flows_killed_link += 1,
-                DropReason::NodeFailure => run.stats.flows_killed_node += 1,
-                _ => {}
-            }
-        }
-        self.window_termination();
-        // The drop-cause series feeds the ops /metrics surface; gated so
-        // the tracing-off, churn-off hot path stays untouched.
-        if self.obs_stream.is_some() || self.churn.is_some() {
-            dosco_obs::registry::count(Self::drop_counter(reason), 1);
-            if matches!(reason, DropReason::LinkFailure | DropReason::NodeFailure) {
-                dosco_obs::registry::count(dosco_obs::CounterKind::ChurnFlowsKilled, 1);
-            }
-        }
     }
 
     /// The registry counter backing the `/metrics` drop-cause series.
@@ -894,8 +895,7 @@ impl Simulation {
         let Some(component) = dp.component else {
             // Fully processed flow kept at the node: hold one time step
             // (Sec. IV-B2) and ask again.
-            self.metrics.holds += 1;
-            self.events.push(SimEvent::Held {
+            self.emit(SimEvent::Held {
                 flow: dp.flow,
                 node: dp.node,
                 time: self.time,
@@ -913,7 +913,7 @@ impl Simulation {
             self.drop_flow(key, DropReason::NodeCapacity, dp.node);
             return;
         }
-        let duration = f.duration;
+        let (duration, processing_delay) = (f.duration, comp.processing_delay);
         // Scaling/placement derived from scheduling (Sec. IV-A): ensure an
         // instance exists, starting one (with startup delay) if needed.
         let idx = self.inst_idx(dp.node, component);
@@ -927,9 +927,7 @@ impl Simulation {
                     last_release: self.time,
                     timeout: None,
                 });
-                self.num_instances += 1;
-                self.metrics.instances_started += 1;
-                self.events.push(SimEvent::InstanceStarted {
+                self.emit(SimEvent::InstanceStarted {
                     node: dp.node,
                     component,
                     time: self.time,
@@ -938,7 +936,7 @@ impl Simulation {
             }
         };
         let start = self.time.max(available_at);
-        let done = start + comp.processing_delay;
+        let done = start + processing_delay;
         self.substrate.node_used[dp.node.0] += demand;
         let inst = self.instances[idx].as_mut().expect("instance just ensured");
         inst.active += 1;
@@ -1001,8 +999,7 @@ impl Simulation {
         f.location = to;
         f.in_transit = Some(u32::try_from(link.0).expect("link ids fit in u32"));
         self.substrate.link_used[link.0] += rate;
-        self.metrics.forwards += 1;
-        self.events.push(SimEvent::Forwarded {
+        self.emit(SimEvent::Forwarded {
             flow: dp.flow,
             from: dp.node,
             to,
@@ -1714,10 +1711,9 @@ mod tests {
                 m.completed + m.dropped_total() + sim.live_flows() as u64
             );
             // Instance conservation: lost instances count as stopped.
-            assert_eq!(
-                m.instances_started,
-                m.instances_stopped + sim.num_instances() as u64
-            );
+            let placed = sim.instances.iter().flatten().count();
+            assert_eq!(m.instances_started, m.instances_stopped + placed as u64);
+            assert_eq!(sim.num_instances(), placed);
             (m, stats)
         };
         let (m1, s1) = run();

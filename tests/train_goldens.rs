@@ -205,7 +205,9 @@ fn train_distributed_matches_golden() {
 /// `train_per_node` interleaves one learner per node over one simulator;
 /// the fingerprint covers every node's deployed actor, with and without
 /// FedAvg. Captured at commit `eff9b8f`, when `NodeLearner::update` was a
-/// hand-written copy of the A2C update.
+/// hand-written copy of the A2C update; re-captured on purpose when the
+/// episode boundary began crediting the events drained with it (in each
+/// run here: the last forward's hop penalty — no terminal event).
 #[test]
 fn train_per_node_matches_golden() {
     if !bit_exact_kernels() {
@@ -239,5 +241,5 @@ const PPO_SERIAL: u64 = 0x349d_3287_a0e3_3335;
 const A2C_DISTRIBUTED: u64 = 0x764d_973d_14dd_7d52;
 const ACKTR_DISTRIBUTED: u64 = 0xd871_fb13_d181_e45b;
 const PPO_DISTRIBUTED: u64 = 0x3747_db2c_7b1a_2d69;
-const PER_NODE_FEDAVG: u64 = 0xbe1e_480b_9364_4ce7;
-const PER_NODE_INDEPENDENT: u64 = 0xc4af_4588_20fb_e651;
+const PER_NODE_FEDAVG: u64 = 0x34e3_ded2_6724_5505;
+const PER_NODE_INDEPENDENT: u64 = 0xac2c_982b_8059_a40f;
