@@ -91,7 +91,16 @@ pub struct Kfac {
 
 impl Kfac {
     /// Creates K-FAC state shaped for `net`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.inverse_period` is 0, which would invert the
+    /// factors once and never refresh them.
     pub fn new(net: &Mlp, config: KfacConfig) -> Self {
+        assert!(
+            config.inverse_period > 0,
+            "KfacConfig::inverse_period must be at least 1 (0 would invert once and never refresh)"
+        );
         let layers = net
             .layers()
             .iter()
@@ -402,6 +411,21 @@ mod tests {
         assert!(
             kfac_loss < sgd_loss,
             "kfac {kfac_loss} should beat sgd {sgd_loss}"
+        );
+    }
+
+    /// `steps.is_multiple_of(0)` holds only at step 0, so a zero period
+    /// would silently freeze the first inverses.
+    #[test]
+    #[should_panic(expected = "KfacConfig::inverse_period must be at least 1")]
+    fn rejects_zero_inverse_period() {
+        let net = Mlp::new(&[2, 3], Activation::Identity, &mut rng());
+        let _ = Kfac::new(
+            &net,
+            KfacConfig {
+                inverse_period: 0,
+                ..KfacConfig::default()
+            },
         );
     }
 

@@ -16,7 +16,8 @@
 //!   KL trust region (the core of ACKTR),
 //! - [`simd`]: runtime-detected AVX2/FMA GEMM micro-kernels behind the
 //!   `DOSCO_SIMD` switch (scalar kernels stay the bit-exact reference;
-//!   the default `auto` mode only ever picks bit-identical kernels),
+//!   the default `auto` mode only ever picks bit-identical kernels), and
+//!   the AVX2 builds of the `tanh` and inversion loops,
 //! - [`tanh()`] / [`tanh_in_place`]: the workspace's one `tanh`, an in-repo
 //!   port of fdlibm's that returns glibc's bits on every host and
 //!   vectorises.

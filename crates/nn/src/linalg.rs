@@ -6,6 +6,7 @@
 //! numerical robustness and returns `f32` matrices.
 
 use crate::matrix::Matrix;
+use crate::simd::GemmKernel;
 use std::fmt;
 
 /// Errors from linear-algebra routines.
@@ -54,6 +55,7 @@ const PANEL: usize = 16;
 /// subtracts `L[i][k]·L[j][k]` for ascending `k` — the order of the
 /// textbook row-by-row loop — but the inner loop runs over `i`, which is
 /// contiguous here and carries no reduction.
+#[inline(always)]
 fn cholesky_in_place(s: &mut [f64], n: usize) -> Result<(), LinalgError> {
     for j in 0..n {
         let (done, rest) = s.split_at_mut(j * n);
@@ -82,7 +84,7 @@ fn cholesky_in_place(s: &mut [f64], n: usize) -> Result<(), LinalgError> {
 
 /// `acc[w] -= coeffs[t] · rows[t][w]` for ascending `t`, the whole panel
 /// row in registers.
-#[inline]
+#[inline(always)]
 fn eliminate(acc: &mut [f64; PANEL], coeffs: &[f64], rows: &[f64]) {
     for (&c, row) in coeffs.iter().zip(rows.chunks_exact(PANEL)) {
         for (a, &r) in acc.iter_mut().zip(row) {
@@ -97,6 +99,7 @@ fn eliminate(acc: &mut [f64; PANEL], coeffs: &[f64], rows: &[f64]) {
 /// column of the panel at once. Per element the terms are subtracted in
 /// the order of the one-column-at-a-time solves; the forward pass skips
 /// only `k < c0`, where `y_c[k]` is an exact zero.
+#[inline(always)]
 fn solve_panel(l: &[f64], n: usize, c0: usize, z: &mut [f64]) {
     z[..c0 * PANEL].fill(0.0);
     for i in c0..n {
@@ -122,13 +125,41 @@ fn solve_panel(l: &[f64], n: usize, c0: usize, z: &mut [f64]) {
     }
 }
 
+/// `(L Lᵀ)⁻¹` into `inv` (`n × n`, as `f32`) from `l`, which holds the
+/// lower triangle of the damped `M` as [`cholesky_in_place`] takes it:
+/// every `f64` loop of [`damped_inverse`], in one body so that it can be
+/// instantiated twice — plainly here, and under AVX2 in `simd::x86`. The
+/// body is safe code with no fused multiply-add, and each element's
+/// operations and their order are fixed by the source, so the two
+/// instantiations return the same bits.
+#[inline(always)]
+pub(crate) fn factor_and_solve(
+    l: &mut [f64],
+    n: usize,
+    inv: &mut [f32],
+) -> Result<(), LinalgError> {
+    cholesky_in_place(l, n)?;
+    let mut z = vec![0.0f64; n * PANEL];
+    for c0 in (0..n).step_by(PANEL) {
+        solve_panel(l, n, c0, &mut z);
+        let width = PANEL.min(n - c0);
+        for (out, row) in inv.chunks_exact_mut(n).zip(z.chunks_exact(PANEL)) {
+            for (o, &v) in out[c0..c0 + width].iter_mut().zip(row) {
+                *o = v as f32;
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Inverts the symmetric positive-definite matrix `m + damping·I`, reading
 /// the lower triangle of `m`.
 ///
 /// This is the K-FAC damped-inverse primitive: the damping both regularizes
 /// the curvature estimate and guarantees positive definiteness for PSD
 /// inputs. `M⁻¹ = L⁻ᵀ L⁻¹` from an `f64` Cholesky factor, solved for
-/// [`PANEL`] unit vectors at a time.
+/// [`PANEL`] unit vectors at a time, on the loops `DOSCO_SIMD` selects
+/// (plain under `off`, AVX2 otherwise) — the same bits either way.
 ///
 /// # Errors
 ///
@@ -137,6 +168,16 @@ fn solve_panel(l: &[f64], n: usize, c0: usize, z: &mut [f64]) {
 /// Cholesky (e.g. damping too small for a badly indefinite input) or holds
 /// a non-finite value.
 pub fn damped_inverse(m: &Matrix, damping: f64) -> Result<Matrix, LinalgError> {
+    damped_inverse_with(m, damping, crate::simd::active())
+}
+
+/// [`damped_inverse`] on a given kernel: the loops' AVX2 instantiation
+/// wherever a SIMD kernel is selected, the plain one otherwise.
+fn damped_inverse_with(
+    m: &Matrix,
+    damping: f64,
+    kernel: GemmKernel,
+) -> Result<Matrix, LinalgError> {
     let n = m.rows();
     if m.rows() != m.cols() {
         return Err(LinalgError::NotSquare {
@@ -154,17 +195,15 @@ pub fn damped_inverse(m: &Matrix, damping: f64) -> Result<Matrix, LinalgError> {
         }
         l[i * n + i] += damping;
     }
-    cholesky_in_place(&mut l, n)?;
     let mut inv = Matrix::zeros(n, n);
-    let mut z = vec![0.0f64; n * PANEL];
-    for c0 in (0..n).step_by(PANEL) {
-        solve_panel(&l, n, c0, &mut z);
-        let width = PANEL.min(n - c0);
-        for (out, row) in inv.as_mut_slice().chunks_exact_mut(n).zip(z.chunks_exact(PANEL)) {
-            for (o, &v) in out[c0..c0 + width].iter_mut().zip(row) {
-                *o = v as f32;
-            }
+    let out = inv.as_mut_slice();
+    match kernel.best_available() {
+        // `Fma` too: the body never contracts, so there is no fused variant.
+        #[cfg(target_arch = "x86_64")]
+        GemmKernel::Avx2 | GemmKernel::Fma => {
+            crate::simd::x86::run_factor_and_solve(&mut l, n, out)?
         }
+        _ => factor_and_solve(&mut l, n, out)?,
     }
     Ok(inv)
 }
@@ -272,6 +311,38 @@ mod tests {
                 "off-diagonal {bad}"
             );
         }
+    }
+
+    /// The plain and the AVX2 instantiation of the `f64` loops return the
+    /// same bits, and fail at the same pivot, whatever `DOSCO_SIMD` says:
+    /// at one panel's tail, and at the paper's 257-wide factor.
+    #[test]
+    fn plain_and_avx2_loops_agree_bitwise() {
+        use rand::{Rng, SeedableRng};
+        if !GemmKernel::Avx2.is_available() {
+            eprintln!("skipping: no AVX2 on this CPU");
+            return;
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for n in [1, 17, 257] {
+            let x = Matrix::from_fn(64, n, |_, _| rng.gen_range(-2.0f32..2.0));
+            let m = x.transpose_matmul(&x).scaled(1.0 / 64.0);
+            let bits = |kernel| {
+                let inv = damped_inverse_with(&m, 0.01, kernel).unwrap();
+                inv.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(GemmKernel::Scalar), bits(GemmKernel::Avx2), "n = {n}");
+        }
+        let mut m = Matrix::identity(5);
+        m.set(3, 3, -1.0);
+        assert_eq!(
+            damped_inverse_with(&m, 0.01, GemmKernel::Avx2),
+            Err(LinalgError::NotPositiveDefinite { pivot: 3 })
+        );
+        assert_eq!(
+            damped_inverse_with(&m, 0.01, GemmKernel::Scalar),
+            Err(LinalgError::NotPositiveDefinite { pivot: 3 })
+        );
     }
 
     #[test]

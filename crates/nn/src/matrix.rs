@@ -7,6 +7,7 @@ use crate::simd::GemmKernel;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::thread::LocalKey;
 
 /// A dense row-major matrix of `f32`.
 ///
@@ -218,7 +219,7 @@ impl Matrix {
             (self.rows, other.cols),
             "matmul output shape mismatch"
         );
-        gemm(&self.data, &other.data, self.cols, out, false, kernel);
+        gemm(&self.data, Rhs::Rows(&other.data), self.cols, out, false, kernel);
     }
 
     /// `selfᵀ · other`.
@@ -262,7 +263,9 @@ impl Matrix {
             (self.cols, other.cols),
             "transpose_matmul output shape mismatch"
         );
-        with_packed_transpose(self, |at| gemm(at, &other.data, self.rows, out, false, kernel));
+        with_packed_transpose(self, |at| {
+            gemm(at, Rhs::Rows(&other.data), self.rows, out, false, kernel)
+        });
     }
 
     /// The upper triangle of the Gram matrix `selfᵀ · self` into a
@@ -282,7 +285,9 @@ impl Matrix {
             "gram output shape mismatch"
         );
         let kernel = crate::simd::active();
-        with_packed_transpose(self, |at| gemm(at, &self.data, self.rows, out, true, kernel));
+        with_packed_transpose(self, |at| {
+            gemm(at, Rhs::Rows(&self.data), self.rows, out, true, kernel)
+        });
     }
 
     /// `self · otherᵀ`.
@@ -298,8 +303,9 @@ impl Matrix {
 
     /// `self · otherᵀ` written into a preallocated `out`
     /// (`self.rows × other.rows`), overwriting its contents: `otherᵀ` is
-    /// packed into a per-thread scratch buffer and the product runs on the
-    /// [`Matrix::matmul_into`] kernel, so it is bit-identical to
+    /// packed into a per-thread scratch buffer (whole, or straight into
+    /// 16-column panels when the product is deep) and the product runs on
+    /// the [`Matrix::matmul_into`] kernel, so it is bit-identical to
     /// [`Matrix::matmul_transpose_ref`].
     ///
     /// # Panics
@@ -326,7 +332,7 @@ impl Matrix {
             (self.rows, other.rows),
             "matmul_transpose output shape mismatch"
         );
-        with_packed_transpose(other, |bt| gemm(&self.data, bt, self.cols, out, false, kernel));
+        gemm(&self.data, Rhs::Transposed(other), self.cols, out, false, kernel);
     }
 
     /// Reference (naive triple-loop) `self · other`: the specification the
@@ -577,88 +583,200 @@ thread_local! {
     /// weight matrix, and a fresh buffer that size per product would be an
     /// allocator round trip each.
     static PACKED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// One `kk × MM_JT` column panel of a deep product's `B` (16 KiB at
+    /// `kk = 257`), reused by every panel of every such product.
+    static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on `len` elements of one of this thread's scratch buffers,
+/// grown as needed (contents unspecified) and starting on a 64-byte
+/// boundary, so that a panel row is one cache line and no vector load
+/// splits across two.
+fn with_scratch<R>(
+    scratch: &'static LocalKey<RefCell<Vec<f32>>>,
+    len: usize,
+    f: impl FnOnce(&mut [f32]) -> R,
+) -> R {
+    const SLACK: usize = 64 / std::mem::size_of::<f32>();
+    scratch.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < len + SLACK {
+            buf.resize(len + SLACK, 0.0);
+        }
+        let start = buf.as_ptr().align_offset(64).min(SLACK);
+        f(&mut buf[start..start + len])
+    })
 }
 
 /// Runs `f` on `mᵀ` (row-major) packed into this thread's scratch buffer.
 fn with_packed_transpose<R>(m: &Matrix, f: impl FnOnce(&[f32]) -> R) -> R {
-    PACKED.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < m.data.len() {
-            buf.resize(m.data.len(), 0.0);
-        }
-        let packed = &mut buf[..m.data.len()];
+    with_scratch(&PACKED, m.data.len(), |packed| {
         transpose_into(m, packed);
         f(packed)
     })
 }
 
-/// Rows of `out` per kernel call. The partition never affects values (each
-/// element belongs to exactly one block); with `upper` it sets how finely
-/// the skipped region follows the diagonal.
+/// Rows of `out` per kernel call on the in-place path. The partition never
+/// affects values (each element belongs to exactly one block); with `upper`
+/// it sets how finely the skipped region follows the diagonal.
 const ROW_BLOCK: usize = 32;
 
-/// `out = A · B` for row-major `a` (`out.rows × kk`) and `b`
-/// (`kk × out.cols`): the one kernel family under every product, run one
-/// block of [`ROW_BLOCK`] rows at a time. With `upper`, a block skips the
-/// columns left of its first row's diagonal tile.
-fn gemm(a: &[f32], b: &[f32], kk: usize, out: &mut Matrix, upper: bool, kernel: GemmKernel) {
-    let _span = dosco_obs::span(dosco_obs::SpanKind::Gemm);
-    let kernel = kernel.best_available();
-    let n = out.cols;
-    if n == 0 || out.rows == 0 {
-        return;
-    }
-    for (block_idx, out_block) in out.data.chunks_mut(ROW_BLOCK * n).enumerate() {
-        let row0 = block_idx * ROW_BLOCK;
-        let j_start = if upper { row0 - row0 % MM_JT } else { 0 };
-        matmul_block_dispatch(a, b, out_block, row0, kk, n, j_start, kernel);
+/// A product reads `B` from packed column panels from this many rows of
+/// `out` and this deep an inner dimension on. In place, a 16-column tile
+/// walks `B` at a row stride of `4·n` bytes — 1 KiB at the paper's width,
+/// so its `kk` rows share 4 of L1's 64 sets and every `k` step reloads
+/// from L2, two lines at a time where `B` is not 64-byte aligned — while
+/// a panel row is one aligned line. The copy is paid once per product: it
+/// takes enough rows to amortise it and a deep enough `kk` for the reloads
+/// to cost more (see DESIGN.md for the shape table).
+const PANEL_MIN_ROWS: usize = 32;
+/// See [`PANEL_MIN_ROWS`].
+const PANEL_MIN_DEPTH: usize = 192;
+
+/// The `B` operand of [`gemm`].
+#[derive(Clone, Copy)]
+enum Rhs<'a> {
+    /// `B` itself, row-major `kk × n`.
+    Rows(&'a [f32]),
+    /// `Bᵀ`, row-major `n × kk`: the `other` of `A·Bᵀ`, packed straight
+    /// into whichever layout the product runs on.
+    Transposed(&'a Matrix),
+}
+
+impl Rhs<'_> {
+    /// Columns `j0 .. j0 + width` of `B` (`n` columns in all) into `panel`,
+    /// row `k` at `panel[k · MM_JT..]`. A tail panel narrower than
+    /// [`MM_JT`] leaves its last columns as they were: the kernels run its
+    /// `width` live columns only.
+    fn pack_panel(self, n: usize, j0: usize, width: usize, panel: &mut [f32]) {
+        match self {
+            Rhs::Rows(b) => {
+                for (dst, src) in panel.chunks_exact_mut(MM_JT).zip(b.chunks_exact(n)) {
+                    dst[..width].copy_from_slice(&src[j0..j0 + width]);
+                }
+            }
+            Rhs::Transposed(bt) => {
+                for jj in 0..width {
+                    for (dst, &v) in panel.chunks_exact_mut(MM_JT).zip(bt.row(j0 + jj)) {
+                        dst[jj] = v;
+                    }
+                }
+            }
+        }
     }
 }
 
-/// Output-column width of the scalar register micro-kernel: `MM_JT`
-/// accumulators per row fit a couple of SIMD registers, and a full
-/// `kk × MM_JT` column panel of `B` (e.g. 512 × 16 f32 = 32 KiB) stays
-/// L1/L2-resident while the `k` loop streams it. The SIMD kernels pick
-/// their own tile widths (see `simd.rs`).
+/// `out = A · B` for row-major `a` (`out.rows × kk`) and `B` (`kk ×
+/// out.cols`): the one kernel family under every product. A deep product
+/// (see [`PANEL_MIN_ROWS`]) copies `B` one [`MM_JT`]-column panel at a
+/// time into this thread's scratch and runs every row of `A` over it, with
+/// `B` read at stride [`MM_JT`] and only the store at stride `n`; any other
+/// reads `B` in place, one block of [`ROW_BLOCK`] rows at a time. With
+/// `upper` (the Gram, whose `kk` is a batch) a block skips the columns left
+/// of its first row's diagonal tile, always in place. Each element is one
+/// ascending-`k` chain on either path, so the path never shows in the bits.
+fn gemm(a: &[f32], b: Rhs<'_>, kk: usize, out: &mut Matrix, upper: bool, kernel: GemmKernel) {
+    let _span = dosco_obs::span(dosco_obs::SpanKind::Gemm);
+    let kernel = kernel.best_available();
+    let (rows, n) = (out.rows, out.cols);
+    if n == 0 || rows == 0 {
+        return;
+    }
+    if !upper && rows >= PANEL_MIN_ROWS && kk >= PANEL_MIN_DEPTH {
+        return with_scratch(&PANEL, kk * MM_JT, |panel| {
+            for j0 in (0..n).step_by(MM_JT) {
+                let width = MM_JT.min(n - j0);
+                b.pack_panel(n, j0, width, panel);
+                let ab = Operands::new(a, kk, panel, MM_JT);
+                matmul_block_dispatch(ab, &mut out.data[j0..], n, 0, rows, 0, width, kernel);
+            }
+        });
+    }
+    match b {
+        Rhs::Rows(b) => row_blocks(a, b, kk, out, upper, kernel),
+        Rhs::Transposed(bt) => {
+            with_packed_transpose(bt, |b| row_blocks(a, b, kk, out, upper, kernel))
+        }
+    }
+}
+
+/// [`gemm`]'s in-place path: `B` read at its own row stride `n`.
+fn row_blocks(a: &[f32], b: &[f32], kk: usize, out: &mut Matrix, upper: bool, kernel: GemmKernel) {
+    let n = out.cols;
+    let ab = Operands::new(a, kk, b, n);
+    for (block_idx, out_block) in out.data.chunks_mut(ROW_BLOCK * n).enumerate() {
+        let row0 = block_idx * ROW_BLOCK;
+        let j_start = if upper { row0 - row0 % MM_JT } else { 0 };
+        let rows = out_block.len() / n;
+        matmul_block_dispatch(ab, out_block, n, row0, rows, j_start, n, kernel);
+    }
+}
+
+/// What a kernel call reads: `A` row-major with `kk` columns, and `B`
+/// with its row `k` at `b[k · ldb..]` — `ldb` is `n` when `B` is read in
+/// place and [`MM_JT`] when it is a packed column panel.
+#[derive(Clone, Copy)]
+pub(crate) struct Operands<'a> {
+    pub(crate) a: &'a [f32],
+    pub(crate) kk: usize,
+    pub(crate) b: &'a [f32],
+    pub(crate) ldb: usize,
+}
+
+impl<'a> Operands<'a> {
+    /// # Panics
+    ///
+    /// Panics unless `b` is exactly `kk` rows of `ldb`: the kernels walk
+    /// `b.chunks_exact(ldb)` beside `0..kk`.
+    fn new(a: &'a [f32], kk: usize, b: &'a [f32], ldb: usize) -> Self {
+        assert_eq!(b.len(), kk * ldb, "B operand is not {kk} rows of {ldb}");
+        Operands { a, kk, b, ldb }
+    }
+}
+
+/// Output-column width of the scalar register micro-kernel, and the width
+/// of a packed `B` panel: `MM_JT` accumulators per row fit a couple of SIMD
+/// registers, and one `kk × MM_JT` panel row is one 64-byte line. The SIMD
+/// kernels pick their own tile widths (see `simd.rs`).
 const MM_JT: usize = 16;
 
 /// Register-tiled inner kernel: `RT` rows × (up to) [`MM_JT`] columns of
-/// `C` from column `j_start` on, with the accumulators living in registers
-/// for the *entire* `k` loop. Each `B` element is loaded once per `RT`
+/// `C`, columns `j_start..n`, with the accumulators living in registers
+/// for the *entire* `k` loop; `out` starts at the tile's first row, whose
+/// `C` rows are `ldc` apart. Each `B` element is loaded once per `RT`
 /// rows — this weight reuse is why a batched forward costs less per row
 /// than single-row forwards. Every accumulator is still one `f32` chain
 /// over ascending `k`, so the result stays bit-identical to the naive
 /// `(i, k, j)` loop.
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn mm_tile<const RT: usize>(
-    a: &[f32],
-    b: &[f32],
-    out_block: &mut [f32],
+    ab: Operands<'_>,
+    out: &mut [f32],
+    ldc: usize,
     arow0: usize,
-    r: usize,
-    kk: usize,
-    n: usize,
     j_start: usize,
+    n: usize,
 ) {
+    let Operands { a, kk, b, ldb } = ab;
+    // The tile's rows of `A` sliced once, and `B` walked row by row beside
+    // `0..kk`: the `k` loop then carries no bounds check on either.
+    let a_rows: [&[f32]; RT] = std::array::from_fn(|rr| &a[(arow0 + rr) * kk..][..kk]);
     let mut j0 = j_start;
     // Full-width tiles: fixed trip counts so the accumulator arrays stay
     // in registers and the column loop vectorizes.
     while j0 + MM_JT <= n {
         let mut acc = [[0.0f32; MM_JT]; RT];
-        for k in 0..kk {
-            let b_seg: &[f32; MM_JT] = b[k * n + j0..k * n + j0 + MM_JT]
-                .try_into()
-                .expect("tile width");
+        for (k, b_row) in (0..kk).zip(b.chunks_exact(ldb)) {
+            let b_seg: &[f32; MM_JT] = b_row[j0..j0 + MM_JT].try_into().expect("tile width");
             for rr in 0..RT {
-                let av = a[(arow0 + rr) * kk + k];
+                let av = a_rows[rr][k];
                 for jj in 0..MM_JT {
                     acc[rr][jj] += av * b_seg[jj];
                 }
             }
         }
         for rr in 0..RT {
-            out_block[(r + rr) * n + j0..(r + rr) * n + j0 + MM_JT].copy_from_slice(&acc[rr]);
+            out[rr * ldc + j0..rr * ldc + j0 + MM_JT].copy_from_slice(&acc[rr]);
         }
         j0 += MM_JT;
     }
@@ -666,49 +784,47 @@ fn mm_tile<const RT: usize>(
     if j0 < n {
         let jt = n - j0;
         let mut acc = [[0.0f32; MM_JT]; RT];
-        for k in 0..kk {
-            let b_seg = &b[k * n + j0..k * n + j0 + jt];
+        for (k, b_row) in (0..kk).zip(b.chunks_exact(ldb)) {
+            let b_seg = &b_row[j0..j0 + jt];
             for rr in 0..RT {
-                let av = a[(arow0 + rr) * kk + k];
+                let av = a_rows[rr][k];
                 for (x, &bv) in acc[rr][..jt].iter_mut().zip(b_seg) {
                     *x += av * bv;
                 }
             }
         }
         for rr in 0..RT {
-            out_block[(r + rr) * n + j0..(r + rr) * n + j0 + jt]
-                .copy_from_slice(&acc[rr][..jt]);
+            out[rr * ldc + j0..rr * ldc + j0 + jt].copy_from_slice(&acc[rr][..jt]);
         }
     }
 }
 
-/// `C[row0.., j_start..] = A[row0.., :] · B[:, j_start..]` for
-/// `out_block.len() / n` rows (`j_start` a multiple of [`MM_JT`]).
-/// Register-tiled over 4/2/1-row panels ([`mm_tile`]); per element the
-/// accumulation is a single `f32` chain over ascending `k`, identical to
-/// the naive `(i, k, j)` loop — blocked vs naive vs any batch split is
-/// bit-identical.
+/// `C[row0 .. row0 + rows, j_start..n] = A[row0.., :] · B[:, j_start..n]`
+/// into `out`, which starts at row `row0` of `C` (rows `ldc` apart;
+/// `j_start` a multiple of [`MM_JT`]). Register-tiled over 4/2/1-row
+/// panels ([`mm_tile`]); per element the accumulation is a single `f32`
+/// chain over ascending `k`, identical to the naive `(i, k, j)` loop —
+/// blocked vs naive vs packed vs any batch split is bit-identical.
 fn matmul_block(
-    a: &[f32],
-    b: &[f32],
-    out_block: &mut [f32],
+    ab: Operands<'_>,
+    out: &mut [f32],
+    ldc: usize,
     row0: usize,
-    kk: usize,
-    n: usize,
+    rows: usize,
     j_start: usize,
+    n: usize,
 ) {
-    let rows = out_block.len() / n;
     let mut r = 0;
     while r + 4 <= rows {
-        mm_tile::<4>(a, b, out_block, row0 + r, r, kk, n, j_start);
+        mm_tile::<4>(ab, &mut out[r * ldc..], ldc, row0 + r, j_start, n);
         r += 4;
     }
     if r + 2 <= rows {
-        mm_tile::<2>(a, b, out_block, row0 + r, r, kk, n, j_start);
+        mm_tile::<2>(ab, &mut out[r * ldc..], ldc, row0 + r, j_start, n);
         r += 2;
     }
     if r < rows {
-        mm_tile::<1>(a, b, out_block, row0 + r, r, kk, n, j_start);
+        mm_tile::<1>(ab, &mut out[r * ldc..], ldc, row0 + r, j_start, n);
     }
 }
 
@@ -718,27 +834,27 @@ fn matmul_block(
 /// `simd::x86`).
 #[allow(clippy::too_many_arguments)]
 fn matmul_block_dispatch(
-    a: &[f32],
-    b: &[f32],
-    out_block: &mut [f32],
+    ab: Operands<'_>,
+    out: &mut [f32],
+    ldc: usize,
     row0: usize,
-    kk: usize,
-    n: usize,
+    rows: usize,
     j_start: usize,
+    n: usize,
     kernel: GemmKernel,
 ) {
     match kernel {
-        GemmKernel::Scalar => matmul_block(a, b, out_block, row0, kk, n, j_start),
+        GemmKernel::Scalar => matmul_block(ab, out, ldc, row0, rows, j_start, n),
         #[cfg(target_arch = "x86_64")]
         GemmKernel::Avx2 => {
-            crate::simd::x86::run_matmul_block(false, a, b, out_block, row0, kk, n, j_start)
+            crate::simd::x86::run_matmul_block(false, ab, out, ldc, row0, rows, j_start, n)
         }
         #[cfg(target_arch = "x86_64")]
         GemmKernel::Fma => {
-            crate::simd::x86::run_matmul_block(true, a, b, out_block, row0, kk, n, j_start)
+            crate::simd::x86::run_matmul_block(true, ab, out, ldc, row0, rows, j_start, n)
         }
         #[cfg(not(target_arch = "x86_64"))]
-        _ => matmul_block(a, b, out_block, row0, kk, n, j_start),
+        _ => matmul_block(ab, out, ldc, row0, rows, j_start, n),
     }
 }
 

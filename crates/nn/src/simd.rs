@@ -6,12 +6,12 @@
 //! selected at runtime via [`is_x86_feature_detected!`] and the
 //! `DOSCO_SIMD` environment switch:
 //!
-//! | `DOSCO_SIMD`            | GEMM kernel                    | numerics vs scalar        | `tanh` loop     |
-//! |-------------------------|--------------------------------|---------------------------|-----------------|
-//! | `off` / `0` / `scalar`  | [`GemmKernel::Scalar`]         | reference                 | plain           |
-//! | `avx2`                  | [`GemmKernel::Avx2`]           | **bit-identical**         | AVX2, same bits |
-//! | `fma` / `on` / `1`      | [`GemmKernel::Fma`]            | deterministic, not bitwise| AVX2, same bits |
-//! | unset / `auto`          | best **bit-identical** kernel  | bit-identical             | AVX2, same bits |
+//! | `DOSCO_SIMD`            | GEMM kernel                    | numerics vs scalar        | `tanh` loop     | `f64` inversion |
+//! |-------------------------|--------------------------------|---------------------------|-----------------|-----------------|
+//! | `off` / `0` / `scalar`  | [`GemmKernel::Scalar`]         | reference                 | plain           | plain           |
+//! | `avx2`                  | [`GemmKernel::Avx2`]           | **bit-identical**         | AVX2, same bits | AVX2, same bits |
+//! | `fma` / `on` / `1`      | [`GemmKernel::Fma`]            | deterministic, not bitwise| AVX2, same bits | AVX2, same bits |
+//! | unset / `auto`          | best **bit-identical** kernel  | bit-identical             | AVX2, same bits | AVX2, same bits |
 //!
 //! The AVX2 kernels vectorize across *independent output columns* with
 //! separate multiply and add steps, so every output element keeps exactly
@@ -23,7 +23,9 @@
 //! not bit-comparable to scalar, so they run only when explicitly
 //! requested. There is one kernel family: `Aᵀ·B` and `A·Bᵀ` pack their
 //! transposed operand and run on the `matmul` kernels (see
-//! [`crate::matrix`]), so every product inherits the same guarantees.
+//! [`crate::matrix`]), so every product inherits the same guarantees. The
+//! kernels read `B` at a row stride of their own (`n` in place, 16 from a
+//! packed panel) and write `C` at another, which never touches a chain.
 //!
 //! Tile shapes follow the row panel, because what a tile must hide is the
 //! add latency of its accumulator chains: a 4-row panel runs 4 × 16
@@ -34,10 +36,11 @@
 //! tile covers an element never changes its chain, so none of this is
 //! visible in the results.
 //!
-//! The module also hosts the AVX2 instantiation of the activation loop
-//! ([`crate::tanh_in_place`]): the same safe, contraction-free source as
-//! the plain one, so it returns the same bits in every mode — there is no
-//! fused `tanh`.
+//! The module also hosts the AVX2 instantiations of the activation loop
+//! ([`crate::tanh_in_place`]) and of the K-FAC factor inversion's `f64`
+//! loops ([`crate::linalg::damped_inverse`]): the same safe,
+//! contraction-free source as the plain ones, so they return the same bits
+//! in every mode — there is no fused `tanh` and no fused inversion.
 //!
 //! Requesting a kernel the CPU lacks silently falls back to the best
 //! available one ([`GemmKernel::best_available`]); an unparseable
@@ -192,6 +195,7 @@ pub fn active() -> GemmKernel {
 /// block).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
+    use crate::matrix::Operands;
     use core::arch::x86_64::*;
 
     /// `acc + a·b` with separate rounding steps — matches the scalar
@@ -218,30 +222,33 @@ pub(crate) mod x86 {
         ($feat:literal, $vmadd:ident, $mm_tiles:ident, $mm_tail:ident,
          $mm_panel:ident, $matmul_block:ident) => {
             /// Every full `RT` rows × `8·NV` columns tile of `C` from
-            /// column `j0` on; returns the first column not covered. The
+            /// column `j0` on; returns the first column not covered. `out`
+            /// starts at the tile's first row, `C` rows `ldc` apart. The
             /// `RT·NV` 8-lane accumulators live in registers for the whole
             /// `k` loop, and the vector lanes are independent output
             /// columns, so each element keeps one accumulator chain over
             /// ascending `k` exactly like the scalar tile — whatever the
             /// tile shape.
-            #[allow(clippy::too_many_arguments)]
             #[target_feature(enable = $feat)]
             #[inline]
             fn $mm_tiles<const RT: usize, const NV: usize>(
-                a: &[f32],
-                b: &[f32],
-                out_block: &mut [f32],
+                ab: Operands<'_>,
+                out: &mut [f32],
+                ldc: usize,
                 arow0: usize,
-                r: usize,
-                kk: usize,
-                n: usize,
                 mut j0: usize,
+                n: usize,
             ) -> usize {
+                let Operands { a, kk, b, ldb } = ab;
+                // As in the scalar tile: rows of `A` sliced once, `B`
+                // walked row by row, no bounds check inside the `k` loop.
+                let a_rows: [&[f32]; RT] =
+                    core::array::from_fn(|rr| &a[(arow0 + rr) * kk..][..kk]);
                 let width = 8 * NV;
                 while j0 + width <= n {
                     let mut acc = [[_mm256_setzero_ps(); NV]; RT];
-                    for k in 0..kk {
-                        let bp = b[k * n + j0..k * n + j0 + width].as_ptr();
+                    for (k, b_row) in (0..kk).zip(b.chunks_exact(ldb)) {
+                        let bp = b_row[j0..j0 + width].as_ptr();
                         let mut bv = [_mm256_setzero_ps(); NV];
                         for (v, lanes) in bv.iter_mut().enumerate() {
                             // SAFETY: the slice above proves `8·NV` f32 are
@@ -250,15 +257,14 @@ pub(crate) mod x86 {
                             *lanes = unsafe { _mm256_loadu_ps(bp.add(8 * v)) };
                         }
                         for rr in 0..RT {
-                            let av = _mm256_set1_ps(a[(arow0 + rr) * kk + k]);
+                            let av = _mm256_set1_ps(a_rows[rr][k]);
                             for v in 0..NV {
                                 acc[rr][v] = $vmadd(av, bv[v], acc[rr][v]);
                             }
                         }
                     }
                     for rr in 0..RT {
-                        let op =
-                            out_block[(r + rr) * n + j0..(r + rr) * n + j0 + width].as_mut_ptr();
+                        let op = out[rr * ldc + j0..rr * ldc + j0 + width].as_mut_ptr();
                         for v in 0..NV {
                             // SAFETY: the slice above proves `8·NV` f32 of
                             // writable storage at `op`; this unaligned
@@ -274,37 +280,37 @@ pub(crate) mod x86 {
             /// The last `n − j0 < 8` columns of `RT` rows as one masked
             /// 8-lane tile: lanes past `n` load as zero and are never
             /// stored, the live lanes run the same chain as a full tile.
-            #[allow(clippy::too_many_arguments)]
             #[target_feature(enable = $feat)]
             #[inline]
             fn $mm_tail<const RT: usize>(
-                a: &[f32],
-                b: &[f32],
-                out_block: &mut [f32],
+                ab: Operands<'_>,
+                out: &mut [f32],
+                ldc: usize,
                 arow0: usize,
-                r: usize,
-                kk: usize,
-                n: usize,
                 j0: usize,
+                n: usize,
             ) {
+                let Operands { a, kk, b, ldb } = ab;
+                let a_rows: [&[f32]; RT] =
+                    core::array::from_fn(|rr| &a[(arow0 + rr) * kk..][..kk]);
                 let jt = n - j0;
                 debug_assert!(jt < 8);
                 let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
                 let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(jt as i32), lane);
                 let mut acc = [_mm256_setzero_ps(); RT];
-                for k in 0..kk {
-                    let bp = b[k * n + j0..k * n + j0 + jt].as_ptr();
+                for (k, b_row) in (0..kk).zip(b.chunks_exact(ldb)) {
+                    let bp = b_row[j0..j0 + jt].as_ptr();
                     // SAFETY: `mask` selects lanes `0..jt` only, and the
                     // slice above proves `jt` f32 are readable at `bp`; a
                     // masked load does not access unselected lanes.
                     let bv = unsafe { _mm256_maskload_ps(bp, mask) };
                     for rr in 0..RT {
-                        let av = _mm256_set1_ps(a[(arow0 + rr) * kk + k]);
+                        let av = _mm256_set1_ps(a_rows[rr][k]);
                         acc[rr] = $vmadd(av, bv, acc[rr]);
                     }
                 }
                 for rr in 0..RT {
-                    let op = out_block[(r + rr) * n + j0..(r + rr) * n + j0 + jt].as_mut_ptr();
+                    let op = out[rr * ldc + j0..rr * ldc + j0 + jt].as_mut_ptr();
                     // SAFETY: `mask` selects lanes `0..jt` only, and the
                     // slice above proves `jt` f32 of writable storage at
                     // `op`; a masked store does not access unselected lanes.
@@ -312,62 +318,59 @@ pub(crate) mod x86 {
                 }
             }
 
-            /// `RT` rows of `C` from column `j_start` on. The short panels
+            /// `RT` rows of `C`, columns `j_start..n`. The short panels
             /// start with wider tiles — 1 row × 64 columns, 2 rows × 32 —
             /// so that they too run eight independent accumulator chains
             /// and are bound by throughput, not by add latency; every
             /// panel then narrows to 16- and 8-column tiles and the
             /// masked tail.
-            #[allow(clippy::too_many_arguments)]
             #[target_feature(enable = $feat)]
             fn $mm_panel<const RT: usize>(
-                a: &[f32],
-                b: &[f32],
-                out_block: &mut [f32],
+                ab: Operands<'_>,
+                out: &mut [f32],
+                ldc: usize,
                 arow0: usize,
-                r: usize,
-                kk: usize,
-                n: usize,
                 j_start: usize,
+                n: usize,
             ) {
                 let mut j0 = j_start;
                 if RT == 1 {
-                    j0 = $mm_tiles::<RT, 8>(a, b, out_block, arow0, r, kk, n, j0);
+                    j0 = $mm_tiles::<RT, 8>(ab, out, ldc, arow0, j0, n);
                 }
                 if RT <= 2 {
-                    j0 = $mm_tiles::<RT, 4>(a, b, out_block, arow0, r, kk, n, j0);
+                    j0 = $mm_tiles::<RT, 4>(ab, out, ldc, arow0, j0, n);
                 }
-                j0 = $mm_tiles::<RT, 2>(a, b, out_block, arow0, r, kk, n, j0);
-                j0 = $mm_tiles::<RT, 1>(a, b, out_block, arow0, r, kk, n, j0);
+                j0 = $mm_tiles::<RT, 2>(ab, out, ldc, arow0, j0, n);
+                j0 = $mm_tiles::<RT, 1>(ab, out, ldc, arow0, j0, n);
                 if j0 < n {
-                    $mm_tail::<RT>(a, b, out_block, arow0, r, kk, n, j0);
+                    $mm_tail::<RT>(ab, out, ldc, arow0, j0, n);
                 }
             }
 
-            /// `C[row0.., j_start..] = A[row0.., :] · B[:, j_start..]`:
-            /// 4/2/1-row panels like the scalar `matmul_block`.
+            /// `C[row0 .. row0 + rows, j_start..n] = A · B` into `out`
+            /// (starting at row `row0`): 4/2/1-row panels like the scalar
+            /// `matmul_block`.
             #[target_feature(enable = $feat)]
             fn $matmul_block(
-                a: &[f32],
-                b: &[f32],
-                out_block: &mut [f32],
+                ab: Operands<'_>,
+                out: &mut [f32],
+                ldc: usize,
                 row0: usize,
-                kk: usize,
-                n: usize,
+                rows: usize,
                 j_start: usize,
+                n: usize,
             ) {
-                let rows = out_block.len() / n;
                 let mut r = 0;
                 while r + 4 <= rows {
-                    $mm_panel::<4>(a, b, out_block, row0 + r, r, kk, n, j_start);
+                    $mm_panel::<4>(ab, &mut out[r * ldc..], ldc, row0 + r, j_start, n);
                     r += 4;
                 }
                 if r + 2 <= rows {
-                    $mm_panel::<2>(a, b, out_block, row0 + r, r, kk, n, j_start);
+                    $mm_panel::<2>(ab, &mut out[r * ldc..], ldc, row0 + r, j_start, n);
                     r += 2;
                 }
                 if r < rows {
-                    $mm_panel::<1>(a, b, out_block, row0 + r, r, kk, n, j_start);
+                    $mm_panel::<1>(ab, &mut out[r * ldc..], ldc, row0 + r, j_start, n);
                 }
             }
         };
@@ -408,29 +411,54 @@ pub(crate) mod x86 {
         unsafe { tanh_in_place_avx2(xs) }
     }
 
+    /// The AVX2 instantiation of the `f64` inversion loops
+    /// ([`crate::linalg::factor_and_solve`]): the same safe,
+    /// contraction-free source, compiled where the autovectoriser has four
+    /// `f64` lanes instead of two.
+    #[target_feature(enable = "avx2")]
+    fn factor_and_solve_avx2(
+        l: &mut [f64],
+        n: usize,
+        inv: &mut [f32],
+    ) -> Result<(), crate::linalg::LinalgError> {
+        crate::linalg::factor_and_solve(l, n, inv)
+    }
+
+    /// [`crate::linalg::factor_and_solve`] on the AVX2 instantiation.
+    pub(crate) fn run_factor_and_solve(
+        l: &mut [f64],
+        n: usize,
+        inv: &mut [f32],
+    ) -> Result<(), crate::linalg::LinalgError> {
+        assert!(super::avx2_available(), "AVX2 inversion dispatched without CPU support");
+        // SAFETY: AVX2 support was just asserted via runtime feature
+        // detection.
+        unsafe { factor_and_solve_avx2(l, n, inv) }
+    }
+
     /// Dispatches one `matmul` row block to the AVX2 (`fma = false`) or
     /// AVX2+FMA kernel.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_matmul_block(
         fma: bool,
-        a: &[f32],
-        b: &[f32],
-        out_block: &mut [f32],
+        ab: Operands<'_>,
+        out: &mut [f32],
+        ldc: usize,
         row0: usize,
-        kk: usize,
-        n: usize,
+        rows: usize,
         j_start: usize,
+        n: usize,
     ) {
         if fma {
             assert!(super::fma_available(), "FMA kernel dispatched without CPU support");
             // SAFETY: AVX2+FMA support was just asserted via runtime
             // feature detection.
-            unsafe { matmul_block_fma(a, b, out_block, row0, kk, n, j_start) }
+            unsafe { matmul_block_fma(ab, out, ldc, row0, rows, j_start, n) }
         } else {
             assert!(super::avx2_available(), "AVX2 kernel dispatched without CPU support");
             // SAFETY: AVX2 support was just asserted via runtime feature
             // detection.
-            unsafe { matmul_block_avx2(a, b, out_block, row0, kk, n, j_start) }
+            unsafe { matmul_block_avx2(ab, out, ldc, row0, rows, j_start, n) }
         }
     }
 }

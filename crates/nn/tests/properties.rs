@@ -30,7 +30,12 @@ fn bits(m: &Matrix) -> Vec<u32> {
 /// Batch invariance stays bitwise in every mode and is asserted
 /// separately.
 fn gemm_matches(actual: &Matrix, reference: &Matrix) -> bool {
-    if dosco_nn::simd::active().bit_exact() {
+    gemm_matches_under(dosco_nn::simd::active(), actual, reference)
+}
+
+/// [`gemm_matches`] for a product run on `kernel` (as clamped to the CPU).
+fn gemm_matches_under(kernel: GemmKernel, actual: &Matrix, reference: &Matrix) -> bool {
+    if kernel.best_available().bit_exact() {
         bits(actual) == bits(reference)
     } else {
         actual
@@ -429,7 +434,7 @@ fn paper_shape_forward_is_batch_split_invariant_under_every_kernel() {
 }
 
 /// Shapes spanning several row blocks and `k` panels, plus degenerate and
-/// off-block-boundary shapes.
+/// off-block-boundary shapes, then the shapes around the packed-panel rule.
 #[test]
 fn gemm_equivalence_at_paper_scale() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
@@ -459,6 +464,54 @@ fn gemm_equivalence_at_paper_scale() {
             gemm_matches(&a.matmul_transpose(&bt), &reference),
             "matmul_transpose {m}x{k}x{n}"
         );
+    }
+
+    // Both sides of the packed-panel rule (≥ 32 rows and `kk` ≥ 192) on
+    // each axis, every tail width of a 16-column panel, and the K-FAC
+    // step's own products — for all three entry points under every
+    // kernel, forced.
+    let mut shapes = vec![
+        (257usize, 257usize, 256usize), // A⁻¹ · ∇ at the paper's width
+        (257, 256, 256),                // (A⁻¹∇) · G⁻¹
+        (64, 256, 256),                 // the hidden layer at batch 64
+        (257, 257, 4),                  // the actor head's A⁻¹ · ∇
+        (257, 191, 1),
+    ];
+    for m in [31, 32, 33] {
+        for k in [191, 192, 257] {
+            for n in [1, 4, 15, 16, 17] {
+                shapes.push((m, k, n));
+            }
+        }
+    }
+    for (m, k, n) in shapes {
+        let a = rand_matrix(m, k, &mut rng);
+        let b = rand_matrix(k, n, &mut rng);
+        let at = rand_matrix(k, m, &mut rng);
+        let bt = rand_matrix(n, k, &mut rng);
+        let references = [
+            a.matmul_ref(&b),
+            at.transpose_matmul_ref(&b),
+            a.matmul_transpose_ref(&bt),
+        ];
+        for kernel in [GemmKernel::Scalar, GemmKernel::Avx2, GemmKernel::Fma] {
+            let mut out = Matrix::from_fn(m, n, |_, _| f32::NAN);
+            a.matmul_into_with(&b, &mut out, kernel);
+            assert!(
+                gemm_matches_under(kernel, &out, &references[0]),
+                "{kernel:?} matmul {m}x{k}x{n}"
+            );
+            at.transpose_matmul_into_with(&b, &mut out, kernel);
+            assert!(
+                gemm_matches_under(kernel, &out, &references[1]),
+                "{kernel:?} transpose_matmul {m}x{k}x{n}"
+            );
+            a.matmul_transpose_into_with(&bt, &mut out, kernel);
+            assert!(
+                gemm_matches_under(kernel, &out, &references[2]),
+                "{kernel:?} matmul_transpose {m}x{k}x{n}"
+            );
+        }
     }
 }
 

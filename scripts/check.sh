@@ -12,8 +12,11 @@ cargo build --release --workspace
 echo "== cargo test (every crate, auto SIMD dispatch) =="
 cargo test -q --workspace
 
-echo "== cargo test (nn + serve, DOSCO_SIMD=off: scalar reference kernels, plain tanh loop) =="
+echo "== cargo test (nn + serve, DOSCO_SIMD=off: scalar reference kernels, plain tanh and inversion loops) =="
 DOSCO_SIMD=off cargo test -q -p dosco-nn -p dosco-serve
+
+echo "== training fingerprints (DOSCO_SIMD=off: the 2x256 golden on the scalar kernels, panels included) =="
+DOSCO_SIMD=off cargo test -q --test train_goldens
 
 echo "== tanh: all 2^32 inputs equal libm's tanhf bit for bit (release, ~1 min) =="
 cargo test --release -p dosco-nn --lib tanh::tests::all_bit_patterns_equal_libm -- --include-ignored
