@@ -26,7 +26,7 @@ pub fn per_node_seed(seed: u64, node: usize) -> u64 {
 /// contract it was trained with. This is the artifact that centralized
 /// training produces and that gets copied to every node for distributed
 /// inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CoordinationPolicy {
     /// The actor network (observation → action logits).
     actor: Mlp,
@@ -59,16 +59,9 @@ impl CoordinationPolicy {
     /// Panics if the actor's input/output dimensions are inconsistent with
     /// `degree` (`4·Δ+4` inputs, `Δ+1` outputs).
     pub fn new(actor: Mlp, degree: usize, metadata: PolicyMetadata) -> Self {
-        assert_eq!(
-            actor.inputs(),
-            4 * degree + 4,
-            "actor inputs must equal 4·Δ+4"
-        );
-        assert_eq!(
-            actor.outputs(),
-            degree + 1,
-            "actor outputs must equal Δ+1"
-        );
+        if let Err(e) = check_shapes(&actor, degree) {
+            panic!("{e}");
+        }
         CoordinationPolicy {
             actor,
             degree,
@@ -223,6 +216,71 @@ impl CoordinationPolicy {
         }
         Self::from_json(payload).map_err(|e| {
             invalid(format!("parsing policy file {}: {e}", path.display()))
+        })
+    }
+}
+
+/// Why `actor` cannot serve as the policy of a degree-`degree` network:
+/// its layers must chain (each bias as long as its layer's outputs, each
+/// layer's outputs the next one's inputs) from `4·Δ+4` inputs to `Δ+1`
+/// outputs, or the first decision panics inside a product.
+fn check_shapes(actor: &Mlp, degree: usize) -> Result<(), String> {
+    let layers = actor.layers();
+    if layers.is_empty() {
+        return Err("actor has no layers".to_string());
+    }
+    for (i, layer) in layers.iter().enumerate() {
+        if layer.bias().len() != layer.outputs() {
+            return Err(format!(
+                "actor layer {i} has {} outputs but a bias of {}",
+                layer.outputs(),
+                layer.bias().len()
+            ));
+        }
+    }
+    for (i, pair) in layers.windows(2).enumerate() {
+        if pair[0].outputs() != pair[1].inputs() {
+            return Err(format!(
+                "actor layer {i} has {} outputs but layer {} takes {} inputs",
+                pair[0].outputs(),
+                i + 1,
+                pair[1].inputs()
+            ));
+        }
+    }
+    if actor.inputs() != 4 * degree + 4 {
+        return Err(format!(
+            "actor inputs must equal 4·Δ+4 = {} for Δ = {degree}, found {}",
+            4 * degree + 4,
+            actor.inputs()
+        ));
+    }
+    if actor.outputs() != degree + 1 {
+        return Err(format!(
+            "actor outputs must equal Δ+1 = {} for Δ = {degree}, found {}",
+            degree + 1,
+            actor.outputs()
+        ));
+    }
+    Ok(())
+}
+
+/// Re-checks [`CoordinationPolicy::new`]'s shape contract, so a damaged
+/// or hand-edited policy is an error at load time rather than a panic at
+/// its first decision.
+impl Deserialize for CoordinationPolicy {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::new("expected object for CoordinationPolicy"))?;
+        let actor: Mlp = serde::field(obj, "actor", "CoordinationPolicy")?;
+        let degree = serde::field(obj, "degree", "CoordinationPolicy")?;
+        let metadata = serde::field(obj, "metadata", "CoordinationPolicy")?;
+        check_shapes(&actor, degree).map_err(serde::Error::new)?;
+        Ok(CoordinationPolicy {
+            actor,
+            degree,
+            metadata,
         })
     }
 }
@@ -550,6 +608,113 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("dosco-policy-v0"), "must name the format found: {msg}");
         assert!(msg.contains("wrong-format.json"), "must name the path: {msg}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `p`'s JSON, edited as a value tree, parsed back.
+    fn reparse(
+        p: &CoordinationPolicy,
+        edit: impl FnOnce(&mut serde::Value),
+    ) -> Result<CoordinationPolicy, serde_json::Error> {
+        let mut v = serde::Serialize::to_value(p);
+        edit(&mut v);
+        CoordinationPolicy::from_json(&serde_json::to_string(&v).unwrap())
+    }
+
+    /// Object field `key` of `v`.
+    fn field_mut<'a>(v: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
+        match v {
+            serde::Value::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            other => panic!("expected an object, found {other:?}"),
+        }
+    }
+
+    /// Field `key` of the actor's layer `i`.
+    fn layer_field_mut<'a>(v: &'a mut serde::Value, i: usize, key: &str) -> &'a mut serde::Value {
+        match field_mut(field_mut(v, "actor"), "layers") {
+            serde::Value::Array(layers) => field_mut(&mut layers[i], key),
+            other => panic!("expected an array, found {other:?}"),
+        }
+    }
+
+    fn assert_rejected(parsed: Result<CoordinationPolicy, serde_json::Error>, needle: &str) {
+        let err = parsed.expect_err("an inconsistent policy must not parse");
+        assert!(err.to_string().contains(needle), "error must say {needle:?}: {err}");
+    }
+
+    #[test]
+    fn from_json_rejects_weights_of_the_wrong_length() {
+        assert_rejected(
+            reparse(&policy(3), |v| match field_mut(layer_field_mut(v, 0, "w"), "data") {
+                serde::Value::Array(data) => drop(data.pop()),
+                other => panic!("expected an array, found {other:?}"),
+            }),
+            "needs",
+        );
+    }
+
+    /// The degree of a degree-3 policy edited to 5: the actor still takes
+    /// 16 inputs, and `act` on a 24-wide observation used to panic.
+    #[test]
+    fn from_json_rejects_an_edited_degree() {
+        let json = policy(3).to_json().unwrap();
+        assert!(json.contains(r#""degree":3"#));
+        let edited = json.replacen(r#""degree":3"#, r#""degree":5"#, 1);
+        assert_rejected(CoordinationPolicy::from_json(&edited), "4·Δ+4");
+    }
+
+    #[test]
+    fn from_json_rejects_outputs_that_do_not_match_the_degree() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let five_heads = Mlp::new(&[16, 16, 5], Activation::Tanh, &mut rng);
+        assert_rejected(
+            reparse(&policy(3), |v| *field_mut(v, "actor") = serde::Serialize::to_value(&five_heads)),
+            "Δ+1",
+        );
+    }
+
+    #[test]
+    fn from_json_rejects_a_bias_of_the_wrong_length() {
+        assert_rejected(
+            reparse(&policy(3), |v| *layer_field_mut(v, 0, "b") = serde::Value::Array(Vec::new())),
+            "bias",
+        );
+    }
+
+    #[test]
+    fn from_json_rejects_layers_that_do_not_chain() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let eight_wide = Mlp::new(&[8, 4], Activation::Tanh, &mut rng);
+        let layer = serde::Serialize::to_value(&eight_wide.layers()[0]);
+        assert_rejected(
+            reparse(&policy(3), |v| match field_mut(field_mut(v, "actor"), "layers") {
+                serde::Value::Array(layers) => layers[1] = layer,
+                other => panic!("expected an array, found {other:?}"),
+            }),
+            "layer 1 takes 8 inputs",
+        );
+    }
+
+    /// `load` parses through the same check, behind a header that vouches
+    /// for the bytes.
+    #[test]
+    fn load_rejects_an_inconsistent_policy_with_a_valid_header() {
+        let json = policy(3).to_json().unwrap().replacen(r#""degree":3"#, r#""degree":5"#, 1);
+        let header = ArtifactHeader {
+            format: ARTIFACT_FORMAT.to_string(),
+            payload_len: json.len() as u64,
+            fnv64: format!("{:016x}", fnv1a64(json.as_bytes())),
+        };
+        let dir = std::env::temp_dir().join("dosco-policy-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("inconsistent.json");
+        let header = serde_json::to_string(&header).unwrap();
+        std::fs::write(&path, format!("{header}\n{json}")).unwrap();
+        let err = CoordinationPolicy::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("4·Δ+4"), "must name the broken contract: {msg}");
+        assert!(msg.contains("inconsistent.json"), "must name the path: {msg}");
         std::fs::remove_file(&path).ok();
     }
 

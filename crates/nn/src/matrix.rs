@@ -5,11 +5,13 @@
 
 use crate::simd::GemmKernel;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::cell::RefCell;
-use std::thread::LocalKey;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
-/// A dense row-major matrix of `f32`.
+/// A dense row-major matrix of `f32`, whose first element sits on a
+/// 64-byte boundary.
 ///
 /// # Example
 ///
@@ -20,11 +22,166 @@ use std::thread::LocalKey;
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    data: AlignedBuf,
+}
+
+/// A matrix's `f32` storage, starting on a 64-byte boundary: a row of a
+/// kernel tile then spans whole cache lines, and no 32-byte load splits
+/// across two. The allocator only promises 16 bytes — a block of 128 KiB
+/// or more is its own `mmap` and starts 16 bytes into a page — so the
+/// buffer over-allocates by [`AlignedBuf::SLACK`] elements and starts
+/// `off` elements in. Every new allocation re-derives `off`, which is why
+/// `Clone` is written out: a derived one would copy the old offset.
+struct AlignedBuf {
+    /// `off` elements of padding, then the contents.
+    buf: Vec<f32>,
+    off: usize,
+}
+
+impl AlignedBuf {
+    /// The most padding a 64-byte boundary can need from an `f32` address.
+    const SLACK: usize = 64 / std::mem::size_of::<f32>() - 1;
+
+    /// An empty buffer, which allocates nothing.
+    const fn new() -> Self {
+        AlignedBuf {
+            buf: Vec::new(),
+            off: 0,
+        }
+    }
+
+    /// How many elements past `start` the first 64-byte boundary is.
+    fn offset(start: *const f32) -> usize {
+        start.align_offset(64).min(Self::SLACK)
+    }
+
+    /// `len` zeros, from the allocator's zeroed path.
+    fn zeros(len: usize) -> Self {
+        if len == 0 {
+            return Self::new();
+        }
+        let mut buf = vec![0.0; len + Self::SLACK];
+        let off = Self::offset(buf.as_ptr());
+        buf.truncate(off + len);
+        AlignedBuf { buf, off }
+    }
+
+    /// The first `len` elements of `items`, written straight into a fresh
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` holds fewer than `len` elements.
+    fn collect(len: usize, items: impl IntoIterator<Item = f32>) -> Self {
+        if len == 0 {
+            return Self::new();
+        }
+        let mut buf = Vec::with_capacity(len + Self::SLACK);
+        let off = Self::offset(buf.as_ptr());
+        buf.resize(off, 0.0);
+        buf.extend(items.into_iter().take(len));
+        assert_eq!(buf.len() - off, len, "buffer needs {len} elements");
+        AlignedBuf { buf, off }
+    }
+
+    /// Resizes to `len` elements, contents unspecified: in place while the
+    /// allocation has room, else in a fresh one.
+    fn resize(&mut self, len: usize) {
+        if self.off + len <= self.buf.capacity() {
+            self.buf.resize(self.off + len, 0.0);
+        } else {
+            *self = Self::zeros(len);
+        }
+    }
+
+    /// The first `len` elements, growing the buffer first (contents
+    /// unspecified) if it is shorter.
+    fn prefix_mut(&mut self, len: usize) -> &mut [f32] {
+        if self.len() < len {
+            self.resize(len);
+        }
+        &mut self[..len]
+    }
+}
+
+impl Deref for AlignedBuf {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.buf[self.off..]
+    }
+}
+
+impl DerefMut for AlignedBuf {
+    fn deref_mut(&mut self) -> &mut [f32] {
+        &mut self.buf[self.off..]
+    }
+}
+
+impl Clone for AlignedBuf {
+    fn clone(&self) -> Self {
+        Self::collect(self.len(), self.iter().copied())
+    }
+}
+
+impl PartialEq for AlignedBuf {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for AlignedBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+/// The contents alone, as the `Vec<f32>` this type replaced wrote them.
+impl Serialize for AlignedBuf {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+/// Rejects a `data` array whose length is not `rows · cols`.
+impl Deserialize for Matrix {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::new("expected object for Matrix"))?;
+        let rows: usize = serde::field(obj, "rows", "Matrix")?;
+        let cols: usize = serde::field(obj, "cols", "Matrix")?;
+        let items = v
+            .get("data")
+            .and_then(Value::as_array)
+            .ok_or_else(|| serde::Error::new("field `data` of Matrix: expected array"))?;
+        let len = rows
+            .checked_mul(cols)
+            .filter(|&len| len == items.len())
+            .ok_or_else(|| {
+                serde::Error::new(format!(
+                    "Matrix data has {} elements, but {rows}x{cols} needs {}",
+                    items.len(),
+                    rows.saturating_mul(cols)
+                ))
+            })?;
+        let mut error = Ok(());
+        let data = AlignedBuf::collect(
+            len,
+            items.iter().map(|item| {
+                f32::from_value(item).unwrap_or_else(|e| {
+                    error = Err(e);
+                    f32::NAN
+                })
+            }),
+        );
+        error.map_err(|e| serde::Error::new(format!("field `data` of Matrix: {e}")))?;
+        Ok(Matrix { rows, cols, data })
+    }
 }
 
 impl Matrix {
@@ -33,7 +190,7 @@ impl Matrix {
         Matrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: AlignedBuf::zeros(rows * cols),
         }
     }
 
@@ -48,13 +205,12 @@ impl Matrix {
 
     /// Builds a matrix from a function of `(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
+        let cells = (0..rows).flat_map(|r| (0..cols).map(move |c| (r, c)));
+        Matrix {
+            rows,
+            cols,
+            data: AlignedBuf::collect(rows * cols, cells.map(|(r, c)| f(r, c))),
         }
-        Matrix { rows, cols, data }
     }
 
     /// Builds a matrix from row slices.
@@ -65,19 +221,17 @@ impl Matrix {
     pub fn from_rows(rows: &[&[f32]]) -> Self {
         assert!(!rows.is_empty(), "matrix needs at least one row");
         let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
         for r in rows {
             assert_eq!(r.len(), cols, "all rows must have the same length");
-            data.extend_from_slice(r);
         }
         Matrix {
             rows: rows.len(),
             cols,
-            data,
+            data: AlignedBuf::collect(rows.len() * cols, rows.iter().copied().flatten().copied()),
         }
     }
 
-    /// Wraps an existing buffer.
+    /// Copies an existing buffer into a matrix.
     ///
     /// # Panics
     ///
@@ -89,12 +243,16 @@ impl Matrix {
             "buffer length {} does not match {rows}x{cols}",
             data.len()
         );
-        Matrix { rows, cols, data }
+        Matrix {
+            rows,
+            cols,
+            data: AlignedBuf::collect(rows * cols, data),
+        }
     }
 
     /// A single-row matrix (e.g. one observation).
     pub fn row_vector(values: &[f32]) -> Self {
-        Matrix::from_vec(1, values.len(), values.to_vec())
+        Matrix::from_rows(&[values])
     }
 
     /// Xavier/Glorot-uniform initialization for a `fan_in × fan_out` weight
@@ -172,7 +330,7 @@ impl Matrix {
     pub(crate) fn reshape(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.resize(rows * cols, 0.0);
+        self.data.resize(rows * cols);
     }
 
     /// Matrix product `self · other`.
@@ -219,7 +377,7 @@ impl Matrix {
             (self.rows, other.cols),
             "matmul output shape mismatch"
         );
-        gemm(&self.data, Rhs::Rows(&other.data), self.cols, out, false, kernel);
+        gemm(&self.data, &other.data, self.cols, out, false, kernel);
     }
 
     /// `selfᵀ · other`.
@@ -263,9 +421,7 @@ impl Matrix {
             (self.cols, other.cols),
             "transpose_matmul output shape mismatch"
         );
-        with_packed_transpose(self, |at| {
-            gemm(at, Rhs::Rows(&other.data), self.rows, out, false, kernel)
-        });
+        with_packed_transpose(self, |at| gemm(at, &other.data, self.rows, out, false, kernel));
     }
 
     /// The upper triangle of the Gram matrix `selfᵀ · self` into a
@@ -285,9 +441,7 @@ impl Matrix {
             "gram output shape mismatch"
         );
         let kernel = crate::simd::active();
-        with_packed_transpose(self, |at| {
-            gemm(at, Rhs::Rows(&self.data), self.rows, out, true, kernel)
-        });
+        with_packed_transpose(self, |at| gemm(at, &self.data, self.rows, out, true, kernel));
     }
 
     /// `self · otherᵀ`.
@@ -303,9 +457,8 @@ impl Matrix {
 
     /// `self · otherᵀ` written into a preallocated `out`
     /// (`self.rows × other.rows`), overwriting its contents: `otherᵀ` is
-    /// packed into a per-thread scratch buffer (whole, or straight into
-    /// 16-column panels when the product is deep) and the product runs on
-    /// the [`Matrix::matmul_into`] kernel, so it is bit-identical to
+    /// packed into a per-thread scratch buffer and the product runs on the
+    /// [`Matrix::matmul_into`] kernel, so it is bit-identical to
     /// [`Matrix::matmul_transpose_ref`].
     ///
     /// # Panics
@@ -332,7 +485,7 @@ impl Matrix {
             (self.rows, other.rows),
             "matmul_transpose output shape mismatch"
         );
-        gemm(&self.data, Rhs::Transposed(other), self.cols, out, false, kernel);
+        with_packed_transpose(other, |bt| gemm(&self.data, bt, self.cols, out, false, kernel));
     }
 
     /// Reference (naive triple-loop) `self · other`: the specification the
@@ -446,15 +599,16 @@ impl Matrix {
             (other.rows, other.cols),
             "element-wise op shape mismatch"
         );
+        let pairs = self.data.iter().zip(other.data.iter());
+        self.with_data(pairs.map(|(&a, &b)| f(a, b)))
+    }
+
+    /// A matrix of `self`'s shape holding `items`.
+    fn with_data(&self, items: impl IntoIterator<Item = f32>) -> Matrix {
         Matrix {
             rows: self.rows,
             cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+            data: AlignedBuf::collect(self.data.len(), items),
         }
     }
 
@@ -469,23 +623,19 @@ impl Matrix {
             (other.rows, other.cols),
             "add_scaled shape mismatch"
         );
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += scale * b;
         }
     }
 
     /// Returns `self` scaled by a constant.
     pub fn scaled(&self, scale: f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| v * scale).collect(),
-        }
+        self.map(|v| v * scale)
     }
 
     /// In-place scaling.
     pub fn scale_in_place(&mut self, scale: f32) {
-        for v in &mut self.data {
+        for v in self.data.iter_mut() {
             *v *= scale;
         }
     }
@@ -507,11 +657,7 @@ impl Matrix {
 
     /// Applies `f` element-wise, returning a new matrix.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
-        }
+        self.with_data(self.data.iter().map(|&v| f(v)))
     }
 
     /// Column sums (length `cols`) — e.g. bias gradients from a batch.
@@ -539,7 +685,7 @@ impl Matrix {
         );
         self.data
             .iter()
-            .zip(&other.data)
+            .zip(other.data.iter())
             .map(|(&a, &b)| a * b)
             .sum()
     }
@@ -582,182 +728,79 @@ thread_local! {
     /// reused across calls: it is at most one activation batch or one
     /// weight matrix, and a fresh buffer that size per product would be an
     /// allocator round trip each.
-    static PACKED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// One `kk × MM_JT` column panel of a deep product's `B` (16 KiB at
-    /// `kk = 257`), reused by every panel of every such product.
-    static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` on `len` elements of one of this thread's scratch buffers,
-/// grown as needed (contents unspecified) and starting on a 64-byte
-/// boundary, so that a panel row is one cache line and no vector load
-/// splits across two.
-fn with_scratch<R>(
-    scratch: &'static LocalKey<RefCell<Vec<f32>>>,
-    len: usize,
-    f: impl FnOnce(&mut [f32]) -> R,
-) -> R {
-    const SLACK: usize = 64 / std::mem::size_of::<f32>();
-    scratch.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < len + SLACK {
-            buf.resize(len + SLACK, 0.0);
-        }
-        let start = buf.as_ptr().align_offset(64).min(SLACK);
-        f(&mut buf[start..start + len])
-    })
+    static PACKED: RefCell<AlignedBuf> = const { RefCell::new(AlignedBuf::new()) };
 }
 
 /// Runs `f` on `mᵀ` (row-major) packed into this thread's scratch buffer.
 fn with_packed_transpose<R>(m: &Matrix, f: impl FnOnce(&[f32]) -> R) -> R {
-    with_scratch(&PACKED, m.data.len(), |packed| {
+    PACKED.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        let packed = buf.prefix_mut(m.data.len());
         transpose_into(m, packed);
         f(packed)
     })
 }
 
-/// Rows of `out` per kernel call on the in-place path. The partition never
-/// affects values (each element belongs to exactly one block); with `upper`
-/// it sets how finely the skipped region follows the diagonal.
+/// Rows of `out` per kernel call. The partition never affects values (each
+/// element belongs to exactly one block); with `upper` it sets how finely
+/// the skipped region follows the diagonal.
 const ROW_BLOCK: usize = 32;
 
-/// A product reads `B` from packed column panels from this many rows of
-/// `out` and this deep an inner dimension on. In place, a 16-column tile
-/// walks `B` at a row stride of `4·n` bytes — 1 KiB at the paper's width,
-/// so its `kk` rows share 4 of L1's 64 sets and every `k` step reloads
-/// from L2, two lines at a time where `B` is not 64-byte aligned — while
-/// a panel row is one aligned line. The copy is paid once per product: it
-/// takes enough rows to amortise it and a deep enough `kk` for the reloads
-/// to cost more (see DESIGN.md for the shape table).
-const PANEL_MIN_ROWS: usize = 32;
-/// See [`PANEL_MIN_ROWS`].
-const PANEL_MIN_DEPTH: usize = 192;
-
-/// The `B` operand of [`gemm`].
-#[derive(Clone, Copy)]
-enum Rhs<'a> {
-    /// `B` itself, row-major `kk × n`.
-    Rows(&'a [f32]),
-    /// `Bᵀ`, row-major `n × kk`: the `other` of `A·Bᵀ`, packed straight
-    /// into whichever layout the product runs on.
-    Transposed(&'a Matrix),
-}
-
-impl Rhs<'_> {
-    /// Columns `j0 .. j0 + width` of `B` (`n` columns in all) into `panel`,
-    /// row `k` at `panel[k · MM_JT..]`. A tail panel narrower than
-    /// [`MM_JT`] leaves its last columns as they were: the kernels run its
-    /// `width` live columns only.
-    fn pack_panel(self, n: usize, j0: usize, width: usize, panel: &mut [f32]) {
-        match self {
-            Rhs::Rows(b) => {
-                for (dst, src) in panel.chunks_exact_mut(MM_JT).zip(b.chunks_exact(n)) {
-                    dst[..width].copy_from_slice(&src[j0..j0 + width]);
-                }
-            }
-            Rhs::Transposed(bt) => {
-                for jj in 0..width {
-                    for (dst, &v) in panel.chunks_exact_mut(MM_JT).zip(bt.row(j0 + jj)) {
-                        dst[jj] = v;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `out = A · B` for row-major `a` (`out.rows × kk`) and `B` (`kk ×
-/// out.cols`): the one kernel family under every product. A deep product
-/// (see [`PANEL_MIN_ROWS`]) copies `B` one [`MM_JT`]-column panel at a
-/// time into this thread's scratch and runs every row of `A` over it, with
-/// `B` read at stride [`MM_JT`] and only the store at stride `n`; any other
-/// reads `B` in place, one block of [`ROW_BLOCK`] rows at a time. With
-/// `upper` (the Gram, whose `kk` is a batch) a block skips the columns left
-/// of its first row's diagonal tile, always in place. Each element is one
-/// ascending-`k` chain on either path, so the path never shows in the bits.
-fn gemm(a: &[f32], b: Rhs<'_>, kk: usize, out: &mut Matrix, upper: bool, kernel: GemmKernel) {
+/// `out = A · B` for row-major `a` (`out.rows × kk`) and `b`
+/// (`kk × out.cols`): the one kernel family under every product, run one
+/// block of [`ROW_BLOCK`] rows at a time. With `upper`, a block skips the
+/// columns left of its first row's diagonal tile.
+fn gemm(a: &[f32], b: &[f32], kk: usize, out: &mut Matrix, upper: bool, kernel: GemmKernel) {
     let _span = dosco_obs::span(dosco_obs::SpanKind::Gemm);
     let kernel = kernel.best_available();
-    let (rows, n) = (out.rows, out.cols);
-    if n == 0 || rows == 0 {
+    let n = out.cols;
+    if n == 0 || out.rows == 0 {
         return;
     }
-    if !upper && rows >= PANEL_MIN_ROWS && kk >= PANEL_MIN_DEPTH {
-        return with_scratch(&PANEL, kk * MM_JT, |panel| {
-            for j0 in (0..n).step_by(MM_JT) {
-                let width = MM_JT.min(n - j0);
-                b.pack_panel(n, j0, width, panel);
-                let ab = Operands::new(a, kk, panel, MM_JT);
-                matmul_block_dispatch(ab, &mut out.data[j0..], n, 0, rows, 0, width, kernel);
-            }
-        });
-    }
-    match b {
-        Rhs::Rows(b) => row_blocks(a, b, kk, out, upper, kernel),
-        Rhs::Transposed(bt) => {
-            with_packed_transpose(bt, |b| row_blocks(a, b, kk, out, upper, kernel))
-        }
-    }
-}
-
-/// [`gemm`]'s in-place path: `B` read at its own row stride `n`.
-fn row_blocks(a: &[f32], b: &[f32], kk: usize, out: &mut Matrix, upper: bool, kernel: GemmKernel) {
-    let n = out.cols;
     let ab = Operands::new(a, kk, b, n);
     for (block_idx, out_block) in out.data.chunks_mut(ROW_BLOCK * n).enumerate() {
         let row0 = block_idx * ROW_BLOCK;
         let j_start = if upper { row0 - row0 % MM_JT } else { 0 };
-        let rows = out_block.len() / n;
-        matmul_block_dispatch(ab, out_block, n, row0, rows, j_start, n, kernel);
+        matmul_block_dispatch(ab, out_block, row0, j_start, kernel);
     }
 }
 
 /// What a kernel call reads: `A` row-major with `kk` columns, and `B`
-/// with its row `k` at `b[k · ldb..]` — `ldb` is `n` when `B` is read in
-/// place and [`MM_JT`] when it is a packed column panel.
+/// row-major `kk × n`. `n` is also the row stride of `C`.
 #[derive(Clone, Copy)]
 pub(crate) struct Operands<'a> {
     pub(crate) a: &'a [f32],
     pub(crate) kk: usize,
     pub(crate) b: &'a [f32],
-    pub(crate) ldb: usize,
+    pub(crate) n: usize,
 }
 
 impl<'a> Operands<'a> {
     /// # Panics
     ///
-    /// Panics unless `b` is exactly `kk` rows of `ldb`: the kernels walk
-    /// `b.chunks_exact(ldb)` beside `0..kk`.
-    fn new(a: &'a [f32], kk: usize, b: &'a [f32], ldb: usize) -> Self {
-        assert_eq!(b.len(), kk * ldb, "B operand is not {kk} rows of {ldb}");
-        Operands { a, kk, b, ldb }
+    /// Panics unless `b` is exactly `kk` rows of `n`: the kernels walk
+    /// `b.chunks_exact(n)` beside `0..kk`.
+    fn new(a: &'a [f32], kk: usize, b: &'a [f32], n: usize) -> Self {
+        assert_eq!(b.len(), kk * n, "B operand is not {kk} rows of {n}");
+        Operands { a, kk, b, n }
     }
 }
 
-/// Output-column width of the scalar register micro-kernel, and the width
-/// of a packed `B` panel: `MM_JT` accumulators per row fit a couple of SIMD
-/// registers, and one `kk × MM_JT` panel row is one 64-byte line. The SIMD
-/// kernels pick their own tile widths (see `simd.rs`).
+/// Output-column width of the scalar register micro-kernel: `MM_JT`
+/// accumulators per row fit a couple of SIMD registers. The SIMD kernels
+/// pick their own tile widths (see `simd.rs`).
 const MM_JT: usize = 16;
 
 /// Register-tiled inner kernel: `RT` rows × (up to) [`MM_JT`] columns of
-/// `C`, columns `j_start..n`, with the accumulators living in registers
-/// for the *entire* `k` loop; `out` starts at the tile's first row, whose
-/// `C` rows are `ldc` apart. Each `B` element is loaded once per `RT`
-/// rows — this weight reuse is why a batched forward costs less per row
-/// than single-row forwards. Every accumulator is still one `f32` chain
-/// over ascending `k`, so the result stays bit-identical to the naive
-/// `(i, k, j)` loop.
+/// `C` from column `j_start` on, with the accumulators living in registers
+/// for the *entire* `k` loop; `out` starts at the tile's first row. Each
+/// `B` element is loaded once per `RT` rows — this weight reuse is why a
+/// batched forward costs less per row than single-row forwards. Every
+/// accumulator is still one `f32` chain over ascending `k`, so the result
+/// stays bit-identical to the naive `(i, k, j)` loop.
 #[inline(always)]
-fn mm_tile<const RT: usize>(
-    ab: Operands<'_>,
-    out: &mut [f32],
-    ldc: usize,
-    arow0: usize,
-    j_start: usize,
-    n: usize,
-) {
-    let Operands { a, kk, b, ldb } = ab;
+fn mm_tile<const RT: usize>(ab: Operands<'_>, out: &mut [f32], arow0: usize, j_start: usize) {
+    let Operands { a, kk, b, n } = ab;
     // The tile's rows of `A` sliced once, and `B` walked row by row beside
     // `0..kk`: the `k` loop then carries no bounds check on either.
     let a_rows: [&[f32]; RT] = std::array::from_fn(|rr| &a[(arow0 + rr) * kk..][..kk]);
@@ -766,7 +809,7 @@ fn mm_tile<const RT: usize>(
     // in registers and the column loop vectorizes.
     while j0 + MM_JT <= n {
         let mut acc = [[0.0f32; MM_JT]; RT];
-        for (k, b_row) in (0..kk).zip(b.chunks_exact(ldb)) {
+        for (k, b_row) in (0..kk).zip(b.chunks_exact(n)) {
             let b_seg: &[f32; MM_JT] = b_row[j0..j0 + MM_JT].try_into().expect("tile width");
             for rr in 0..RT {
                 let av = a_rows[rr][k];
@@ -776,7 +819,7 @@ fn mm_tile<const RT: usize>(
             }
         }
         for rr in 0..RT {
-            out[rr * ldc + j0..rr * ldc + j0 + MM_JT].copy_from_slice(&acc[rr]);
+            out[rr * n + j0..rr * n + j0 + MM_JT].copy_from_slice(&acc[rr]);
         }
         j0 += MM_JT;
     }
@@ -784,7 +827,7 @@ fn mm_tile<const RT: usize>(
     if j0 < n {
         let jt = n - j0;
         let mut acc = [[0.0f32; MM_JT]; RT];
-        for (k, b_row) in (0..kk).zip(b.chunks_exact(ldb)) {
+        for (k, b_row) in (0..kk).zip(b.chunks_exact(n)) {
             let b_seg = &b_row[j0..j0 + jt];
             for rr in 0..RT {
                 let av = a_rows[rr][k];
@@ -794,37 +837,31 @@ fn mm_tile<const RT: usize>(
             }
         }
         for rr in 0..RT {
-            out[rr * ldc + j0..rr * ldc + j0 + jt].copy_from_slice(&acc[rr][..jt]);
+            out[rr * n + j0..rr * n + j0 + jt].copy_from_slice(&acc[rr][..jt]);
         }
     }
 }
 
-/// `C[row0 .. row0 + rows, j_start..n] = A[row0.., :] · B[:, j_start..n]`
-/// into `out`, which starts at row `row0` of `C` (rows `ldc` apart;
-/// `j_start` a multiple of [`MM_JT`]). Register-tiled over 4/2/1-row
-/// panels ([`mm_tile`]); per element the accumulation is a single `f32`
-/// chain over ascending `k`, identical to the naive `(i, k, j)` loop —
-/// blocked vs naive vs packed vs any batch split is bit-identical.
-fn matmul_block(
-    ab: Operands<'_>,
-    out: &mut [f32],
-    ldc: usize,
-    row0: usize,
-    rows: usize,
-    j_start: usize,
-    n: usize,
-) {
+/// `C[row0.., j_start..] = A[row0.., :] · B[:, j_start..]` for the
+/// `out.len() / n` rows of `C` that `out` holds (`j_start` a multiple of
+/// [`MM_JT`]). Register-tiled over 4/2/1-row panels ([`mm_tile`]); per
+/// element the accumulation is a single `f32` chain over ascending `k`,
+/// identical to the naive `(i, k, j)` loop — blocked vs naive vs any batch
+/// split is bit-identical.
+fn matmul_block(ab: Operands<'_>, out: &mut [f32], row0: usize, j_start: usize) {
+    let n = ab.n;
+    let rows = out.len() / n;
     let mut r = 0;
     while r + 4 <= rows {
-        mm_tile::<4>(ab, &mut out[r * ldc..], ldc, row0 + r, j_start, n);
+        mm_tile::<4>(ab, &mut out[r * n..], row0 + r, j_start);
         r += 4;
     }
     if r + 2 <= rows {
-        mm_tile::<2>(ab, &mut out[r * ldc..], ldc, row0 + r, j_start, n);
+        mm_tile::<2>(ab, &mut out[r * n..], row0 + r, j_start);
         r += 2;
     }
     if r < rows {
-        mm_tile::<1>(ab, &mut out[r * ldc..], ldc, row0 + r, j_start, n);
+        mm_tile::<1>(ab, &mut out[r * n..], row0 + r, j_start);
     }
 }
 
@@ -832,29 +869,21 @@ fn matmul_block(
 /// pre-clamped by [`GemmKernel::best_available`], so the SIMD arms are
 /// only reachable when the CPU supports them (re-asserted inside
 /// `simd::x86`).
-#[allow(clippy::too_many_arguments)]
 fn matmul_block_dispatch(
     ab: Operands<'_>,
     out: &mut [f32],
-    ldc: usize,
     row0: usize,
-    rows: usize,
     j_start: usize,
-    n: usize,
     kernel: GemmKernel,
 ) {
     match kernel {
-        GemmKernel::Scalar => matmul_block(ab, out, ldc, row0, rows, j_start, n),
+        GemmKernel::Scalar => matmul_block(ab, out, row0, j_start),
         #[cfg(target_arch = "x86_64")]
-        GemmKernel::Avx2 => {
-            crate::simd::x86::run_matmul_block(false, ab, out, ldc, row0, rows, j_start, n)
-        }
+        GemmKernel::Avx2 => crate::simd::x86::run_matmul_block(false, ab, out, row0, j_start),
         #[cfg(target_arch = "x86_64")]
-        GemmKernel::Fma => {
-            crate::simd::x86::run_matmul_block(true, ab, out, ldc, row0, rows, j_start, n)
-        }
+        GemmKernel::Fma => crate::simd::x86::run_matmul_block(true, ab, out, row0, j_start),
         #[cfg(not(target_arch = "x86_64"))]
-        _ => matmul_block(ab, out, ldc, row0, rows, j_start, n),
+        _ => matmul_block(ab, out, row0, j_start),
     }
 }
 
@@ -958,6 +987,71 @@ mod tests {
     fn serde_round_trip() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(json, r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0,4.0]}"#);
         assert_eq!(serde_json::from_str::<Matrix>(&json).unwrap(), m);
+    }
+
+    #[test]
+    fn deserialize_rejects_data_of_the_wrong_length() {
+        for json in [
+            r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0]}"#,
+            r#"{"rows":1,"cols":2,"data":[1.0,2.0,3.0]}"#,
+            r#"{"rows":4294967296,"cols":4294967296,"data":[]}"#,
+        ] {
+            let err = serde_json::from_str::<Matrix>(json).unwrap_err();
+            assert!(err.to_string().contains("needs"), "{json}: {err}");
+        }
+        let err = serde_json::from_str::<Matrix>(r#"{"rows":1,"cols":2,"data":[1.0,"x"]}"#);
+        assert!(err.unwrap_err().to_string().contains("field `data`"));
+    }
+
+    /// Every way a matrix comes to own storage starts it on a cache line,
+    /// at sizes on both sides of glibc's 128 KiB `mmap` threshold.
+    #[test]
+    fn every_matrix_starts_on_a_cache_line() {
+        fn check(m: &Matrix, what: &str) {
+            let addr = m.as_slice().as_ptr() as usize;
+            assert_eq!(addr % 64, 0, "{what} {}x{} starts at {addr:#x}", m.rows, m.cols);
+        }
+        let mut rng = StdRng::seed_from_u64(3);
+        for (rows, cols) in [(1, 16), (1, 256), (256, 256), (257, 257)] {
+            let values: Vec<f32> = (0..rows * cols).map(|i| i as f32).collect();
+            let row_slices: Vec<&[f32]> = values.chunks(cols).collect();
+            let m = Matrix::from_rows(&row_slices);
+            let other = Matrix::from_fn(rows, cols, |r, c| (r + 2 * c) as f32);
+            for (built, what) in [
+                (Matrix::zeros(rows, cols), "zeros"),
+                (Matrix::identity(cols), "identity"),
+                (other.clone(), "from_fn"),
+                (m.clone(), "from_rows"),
+                (Matrix::from_vec(rows, cols, values.clone()), "from_vec"),
+                (Matrix::row_vector(&values), "row_vector"),
+                (Matrix::xavier_uniform(rows, cols, &mut rng), "xavier_uniform"),
+                (m.clone(), "clone"),
+                (serde_json::from_str(&serde_json::to_string(&m).unwrap()).unwrap(), "serde"),
+                (m.map(f32::abs), "map"),
+                (m.scaled(0.5), "scaled"),
+                (m.add(&other), "add"),
+                (m.transpose(), "transpose"),
+                (m.matmul(&other.transpose()), "matmul"),
+                (m.transpose_matmul(&other), "transpose_matmul"),
+                (m.matmul_transpose(&other), "matmul_transpose"),
+            ] {
+                check(&built, what);
+            }
+            let mut grown = Matrix::row_vector(&values[..cols]);
+            grown.reshape(rows + 1, cols + 1);
+            check(&grown, "reshape");
+            with_packed_transpose(&m, |packed| {
+                assert_eq!(packed.as_ptr() as usize % 64, 0, "packed {rows}x{cols}");
+            });
+        }
+        // The forward's last layer reuses the first one's 16-wide buffer
+        // and grows it to 257 columns.
+        let net = crate::Mlp::new(&[4, 16, 8, 257], crate::Activation::Tanh, &mut rng);
+        check(&net.forward(&Matrix::zeros(1, 4)), "Mlp::forward");
+        // An empty matrix allocates nothing.
+        assert_eq!(Matrix::zeros(0, 0).data.buf.capacity(), 0);
+        assert_eq!(Matrix::zeros(3, 0).clone().data.buf.capacity(), 0);
     }
 }

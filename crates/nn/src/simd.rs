@@ -23,9 +23,7 @@
 //! not bit-comparable to scalar, so they run only when explicitly
 //! requested. There is one kernel family: `Aᵀ·B` and `A·Bᵀ` pack their
 //! transposed operand and run on the `matmul` kernels (see
-//! [`crate::matrix`]), so every product inherits the same guarantees. The
-//! kernels read `B` at a row stride of their own (`n` in place, 16 from a
-//! packed panel) and write `C` at another, which never touches a chain.
+//! [`crate::matrix`]), so every product inherits the same guarantees.
 //!
 //! Tile shapes follow the row panel, because what a tile must hide is the
 //! add latency of its accumulator chains: a 4-row panel runs 4 × 16
@@ -223,23 +221,20 @@ pub(crate) mod x86 {
          $mm_panel:ident, $matmul_block:ident) => {
             /// Every full `RT` rows × `8·NV` columns tile of `C` from
             /// column `j0` on; returns the first column not covered. `out`
-            /// starts at the tile's first row, `C` rows `ldc` apart. The
-            /// `RT·NV` 8-lane accumulators live in registers for the whole
-            /// `k` loop, and the vector lanes are independent output
-            /// columns, so each element keeps one accumulator chain over
-            /// ascending `k` exactly like the scalar tile — whatever the
-            /// tile shape.
+            /// starts at the tile's first row. The `RT·NV` 8-lane
+            /// accumulators live in registers for the whole `k` loop, and
+            /// the vector lanes are independent output columns, so each
+            /// element keeps one accumulator chain over ascending `k`
+            /// exactly like the scalar tile — whatever the tile shape.
             #[target_feature(enable = $feat)]
             #[inline]
             fn $mm_tiles<const RT: usize, const NV: usize>(
                 ab: Operands<'_>,
                 out: &mut [f32],
-                ldc: usize,
                 arow0: usize,
                 mut j0: usize,
-                n: usize,
             ) -> usize {
-                let Operands { a, kk, b, ldb } = ab;
+                let Operands { a, kk, b, n } = ab;
                 // As in the scalar tile: rows of `A` sliced once, `B`
                 // walked row by row, no bounds check inside the `k` loop.
                 let a_rows: [&[f32]; RT] =
@@ -247,7 +242,7 @@ pub(crate) mod x86 {
                 let width = 8 * NV;
                 while j0 + width <= n {
                     let mut acc = [[_mm256_setzero_ps(); NV]; RT];
-                    for (k, b_row) in (0..kk).zip(b.chunks_exact(ldb)) {
+                    for (k, b_row) in (0..kk).zip(b.chunks_exact(n)) {
                         let bp = b_row[j0..j0 + width].as_ptr();
                         let mut bv = [_mm256_setzero_ps(); NV];
                         for (v, lanes) in bv.iter_mut().enumerate() {
@@ -264,7 +259,7 @@ pub(crate) mod x86 {
                         }
                     }
                     for rr in 0..RT {
-                        let op = out[rr * ldc + j0..rr * ldc + j0 + width].as_mut_ptr();
+                        let op = out[rr * n + j0..rr * n + j0 + width].as_mut_ptr();
                         for v in 0..NV {
                             // SAFETY: the slice above proves `8·NV` f32 of
                             // writable storage at `op`; this unaligned
@@ -282,15 +277,8 @@ pub(crate) mod x86 {
             /// stored, the live lanes run the same chain as a full tile.
             #[target_feature(enable = $feat)]
             #[inline]
-            fn $mm_tail<const RT: usize>(
-                ab: Operands<'_>,
-                out: &mut [f32],
-                ldc: usize,
-                arow0: usize,
-                j0: usize,
-                n: usize,
-            ) {
-                let Operands { a, kk, b, ldb } = ab;
+            fn $mm_tail<const RT: usize>(ab: Operands<'_>, out: &mut [f32], arow0: usize, j0: usize) {
+                let Operands { a, kk, b, n } = ab;
                 let a_rows: [&[f32]; RT] =
                     core::array::from_fn(|rr| &a[(arow0 + rr) * kk..][..kk]);
                 let jt = n - j0;
@@ -298,7 +286,7 @@ pub(crate) mod x86 {
                 let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
                 let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(jt as i32), lane);
                 let mut acc = [_mm256_setzero_ps(); RT];
-                for (k, b_row) in (0..kk).zip(b.chunks_exact(ldb)) {
+                for (k, b_row) in (0..kk).zip(b.chunks_exact(n)) {
                     let bp = b_row[j0..j0 + jt].as_ptr();
                     // SAFETY: `mask` selects lanes `0..jt` only, and the
                     // slice above proves `jt` f32 are readable at `bp`; a
@@ -310,7 +298,7 @@ pub(crate) mod x86 {
                     }
                 }
                 for rr in 0..RT {
-                    let op = out[rr * ldc + j0..rr * ldc + j0 + jt].as_mut_ptr();
+                    let op = out[rr * n + j0..rr * n + j0 + jt].as_mut_ptr();
                     // SAFETY: `mask` selects lanes `0..jt` only, and the
                     // slice above proves `jt` f32 of writable storage at
                     // `op`; a masked store does not access unselected lanes.
@@ -318,7 +306,7 @@ pub(crate) mod x86 {
                 }
             }
 
-            /// `RT` rows of `C`, columns `j_start..n`. The short panels
+            /// `RT` rows of `C` from column `j_start` on. The short panels
             /// start with wider tiles — 1 row × 64 columns, 2 rows × 32 —
             /// so that they too run eight independent accumulator chains
             /// and are bound by throughput, not by add latency; every
@@ -328,49 +316,41 @@ pub(crate) mod x86 {
             fn $mm_panel<const RT: usize>(
                 ab: Operands<'_>,
                 out: &mut [f32],
-                ldc: usize,
                 arow0: usize,
                 j_start: usize,
-                n: usize,
             ) {
                 let mut j0 = j_start;
                 if RT == 1 {
-                    j0 = $mm_tiles::<RT, 8>(ab, out, ldc, arow0, j0, n);
+                    j0 = $mm_tiles::<RT, 8>(ab, out, arow0, j0);
                 }
                 if RT <= 2 {
-                    j0 = $mm_tiles::<RT, 4>(ab, out, ldc, arow0, j0, n);
+                    j0 = $mm_tiles::<RT, 4>(ab, out, arow0, j0);
                 }
-                j0 = $mm_tiles::<RT, 2>(ab, out, ldc, arow0, j0, n);
-                j0 = $mm_tiles::<RT, 1>(ab, out, ldc, arow0, j0, n);
-                if j0 < n {
-                    $mm_tail::<RT>(ab, out, ldc, arow0, j0, n);
+                j0 = $mm_tiles::<RT, 2>(ab, out, arow0, j0);
+                j0 = $mm_tiles::<RT, 1>(ab, out, arow0, j0);
+                if j0 < ab.n {
+                    $mm_tail::<RT>(ab, out, arow0, j0);
                 }
             }
 
-            /// `C[row0 .. row0 + rows, j_start..n] = A · B` into `out`
-            /// (starting at row `row0`): 4/2/1-row panels like the scalar
-            /// `matmul_block`.
+            /// `C[row0.., j_start..] = A[row0.., :] · B[:, j_start..]` for
+            /// the `out.len() / n` rows of `C` that `out` holds: 4/2/1-row
+            /// panels like the scalar `matmul_block`.
             #[target_feature(enable = $feat)]
-            fn $matmul_block(
-                ab: Operands<'_>,
-                out: &mut [f32],
-                ldc: usize,
-                row0: usize,
-                rows: usize,
-                j_start: usize,
-                n: usize,
-            ) {
+            fn $matmul_block(ab: Operands<'_>, out: &mut [f32], row0: usize, j_start: usize) {
+                let n = ab.n;
+                let rows = out.len() / n;
                 let mut r = 0;
                 while r + 4 <= rows {
-                    $mm_panel::<4>(ab, &mut out[r * ldc..], ldc, row0 + r, j_start, n);
+                    $mm_panel::<4>(ab, &mut out[r * n..], row0 + r, j_start);
                     r += 4;
                 }
                 if r + 2 <= rows {
-                    $mm_panel::<2>(ab, &mut out[r * ldc..], ldc, row0 + r, j_start, n);
+                    $mm_panel::<2>(ab, &mut out[r * n..], row0 + r, j_start);
                     r += 2;
                 }
                 if r < rows {
-                    $mm_panel::<1>(ab, &mut out[r * ldc..], ldc, row0 + r, j_start, n);
+                    $mm_panel::<1>(ab, &mut out[r * n..], row0 + r, j_start);
                 }
             }
         };
@@ -438,27 +418,23 @@ pub(crate) mod x86 {
 
     /// Dispatches one `matmul` row block to the AVX2 (`fma = false`) or
     /// AVX2+FMA kernel.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_matmul_block(
         fma: bool,
         ab: Operands<'_>,
         out: &mut [f32],
-        ldc: usize,
         row0: usize,
-        rows: usize,
         j_start: usize,
-        n: usize,
     ) {
         if fma {
             assert!(super::fma_available(), "FMA kernel dispatched without CPU support");
             // SAFETY: AVX2+FMA support was just asserted via runtime
             // feature detection.
-            unsafe { matmul_block_fma(ab, out, ldc, row0, rows, j_start, n) }
+            unsafe { matmul_block_fma(ab, out, row0, j_start) }
         } else {
             assert!(super::avx2_available(), "AVX2 kernel dispatched without CPU support");
             // SAFETY: AVX2 support was just asserted via runtime feature
             // detection.
-            unsafe { matmul_block_avx2(ab, out, ldc, row0, rows, j_start, n) }
+            unsafe { matmul_block_avx2(ab, out, row0, j_start) }
         }
     }
 }

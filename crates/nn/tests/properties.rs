@@ -434,7 +434,7 @@ fn paper_shape_forward_is_batch_split_invariant_under_every_kernel() {
 }
 
 /// Shapes spanning several row blocks and `k` panels, plus degenerate and
-/// off-block-boundary shapes, then the shapes around the packed-panel rule.
+/// off-block-boundary shapes, then the shapes around the former packed-panel rule.
 #[test]
 fn gemm_equivalence_at_paper_scale() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
@@ -466,8 +466,8 @@ fn gemm_equivalence_at_paper_scale() {
         );
     }
 
-    // Both sides of the packed-panel rule (≥ 32 rows and `kk` ≥ 192) on
-    // each axis, every tail width of a 16-column panel, and the K-FAC
+    // Both sides of the former packed-panel rule (≥ 32 rows and `kk` ≥ 192)
+    // on each axis, every tail width of a 16-column tile, and the K-FAC
     // step's own products — for all three entry points under every
     // kernel, forced.
     let mut shapes = vec![

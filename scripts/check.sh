@@ -15,7 +15,7 @@ cargo test -q --workspace
 echo "== cargo test (nn + serve, DOSCO_SIMD=off: scalar reference kernels, plain tanh and inversion loops) =="
 DOSCO_SIMD=off cargo test -q -p dosco-nn -p dosco-serve
 
-echo "== training fingerprints (DOSCO_SIMD=off: the 2x256 golden on the scalar kernels, panels included) =="
+echo "== training fingerprints (DOSCO_SIMD=off: the 2x256 golden on the scalar kernels, plain tanh and inversion loops) =="
 DOSCO_SIMD=off cargo test -q --test train_goldens
 
 echo "== tanh: all 2^32 inputs equal libm's tanhf bit for bit (release, ~1 min) =="
@@ -44,6 +44,9 @@ echo "== benchmark package: contract tests =="
 
 echo "== benchmark smoke (1 s of decide-abilene, in-run checks on) =="
 bash benchmark/run.sh --workload decide-abilene --seconds 1
+
+echo "== benchmark smoke (1 s of serve-abilene: per-episode Metrics == eval::evaluate, ServeReport conserved) =="
+bash benchmark/run.sh --workload serve-abilene --seconds 1
 
 echo "== benchmark smoke (1 s of sim-grid-static: zero drops, conservation, every segment bit-equal to the warm-up) =="
 bash benchmark/run.sh --workload sim-grid-static --seconds 1
