@@ -20,7 +20,7 @@ use dosco_core::policy::PolicyMetadata;
 use dosco_nn::mlp::{Activation, Mlp};
 use dosco_rl::a2c::{A2c, A2cConfig};
 use dosco_rl::env::Env;
-use dosco_runtime::{train_cancellable, Mode, RuntimeConfig};
+use dosco_runtime::{train_cancellable, RuntimeConfig};
 use dosco_serve::ServeConfig;
 use dosco_simnet::ScenarioConfig;
 use rand::rngs::StdRng;
@@ -36,10 +36,6 @@ use std::thread::JoinHandle;
 pub struct TrainJobSpec {
     /// Environment transitions to train for.
     pub total_steps: usize,
-    /// `Mode::Sync` (lockstep, bit-identical to serial) or `Mode::Async`.
-    pub mode: Mode,
-    /// Actor threads (forced to 1 by sync mode).
-    pub n_actors: usize,
     /// Agent / environment seed base.
     pub seed: u64,
     /// Simulated-time horizon of each training episode.
@@ -50,8 +46,6 @@ impl Default for TrainJobSpec {
     fn default() -> Self {
         TrainJobSpec {
             total_steps: 2_000,
-            mode: Mode::Async,
-            n_actors: 2,
             seed: 0,
             horizon: 300.0,
         }
@@ -126,26 +120,10 @@ impl TrainJobSpec {
     ///
     /// A message naming the offending field.
     pub fn from_json(spec: &Value) -> Result<Self, String> {
-        check_keys(
-            spec,
-            &["total_steps", "mode", "n_actors", "seed", "horizon"],
-        )?;
+        check_keys(spec, &["total_steps", "seed", "horizon"])?;
         let mut out = TrainJobSpec::default();
         if let Some(v) = spec_u64(spec, "total_steps")? {
             out.total_steps = usize::try_from(v).map_err(|_| "total_steps too large")?;
-        }
-        if let Some(v) = spec.get("mode") {
-            out.mode = match v.as_str() {
-                Some("sync") => Mode::Sync,
-                Some("async") => Mode::Async,
-                _ => return Err(r#"field "mode" must be "sync" or "async""#.to_string()),
-            };
-        }
-        if let Some(v) = spec_u64(spec, "n_actors")? {
-            if v == 0 {
-                return Err(r#"field "n_actors" must be at least 1"#.to_string());
-            }
-            out.n_actors = usize::try_from(v).map_err(|_| "n_actors too large")?;
         }
         if let Some(v) = spec_u64(spec, "seed")? {
             out.seed = v;
@@ -352,14 +330,13 @@ impl JobManager {
     }
 }
 
-/// The training-job body: a fresh A2C agent over `CoordEnv` copies of
-/// the paper's base scenario, run through the cancellable runtime.
+/// The training-job body: a fresh A2C agent over four `CoordEnv` copies
+/// of the paper's base scenario, run through the cancellable runtime.
 fn run_train_job(spec: &TrainJobSpec, cancel: &AtomicBool) -> String {
     let scenario = ScenarioConfig::paper_base(2).with_horizon(spec.horizon);
     let degree = scenario.topology.network_degree();
     let (obs_dim, num_actions) = (4 * degree + 4, degree + 1);
-    let n_envs = (2 * spec.n_actors).max(2);
-    let mut envs: Vec<Box<dyn Env>> = (0..n_envs)
+    let mut envs: Vec<Box<dyn Env>> = (0..4)
         .map(|i| {
             Box::new(CoordEnv::new(
                 scenario.clone(),
@@ -379,21 +356,17 @@ fn run_train_job(spec: &TrainJobSpec, cancel: &AtomicBool) -> String {
         },
         spec.seed,
     );
-    let config = RuntimeConfig {
-        mode: spec.mode,
-        n_actors: spec.n_actors,
-        channel_capacity: 4,
-        minibatch_batches: 1,
-        max_staleness: 64,
-        actor_seed: spec.seed,
-    };
-    config.validate().expect("job runtime configuration");
-    let outcome = train_cancellable(&mut agent, &mut envs, spec.total_steps, &config, cancel);
+    let outcome = train_cancellable(
+        &mut agent,
+        &mut envs,
+        spec.total_steps,
+        &RuntimeConfig::sync(),
+        cancel,
+    );
     format!(
-        "trained {} steps over {} updates (mode {}, tail mean reward {:.4})",
+        "trained {} steps over {} updates (tail mean reward {:.4})",
         outcome.stats.total_steps,
         outcome.stats.mean_rewards.len(),
-        outcome.report.mode,
         outcome.stats.tail_mean(10),
     )
 }
@@ -445,11 +418,10 @@ mod tests {
         let t = TrainJobSpec::from_json(&json("{}")).unwrap();
         assert_eq!(t, TrainJobSpec::default());
         let t = TrainJobSpec::from_json(&json(
-            r#"{"total_steps": 500, "mode": "sync", "seed": 9}"#,
+            r#"{"total_steps": 500, "seed": 9}"#,
         ))
         .unwrap();
         assert_eq!(t.total_steps, 500);
-        assert_eq!(t.mode, Mode::Sync);
         assert_eq!(t.seed, 9);
 
         let s = ServeJobSpec::from_json(&json(r#"{"episodes": 3, "stochastic_seed": 7}"#)).unwrap();
@@ -461,8 +433,11 @@ mod tests {
     fn specs_reject_unknown_and_malformed_fields() {
         let err = TrainJobSpec::from_json(&json(r#"{"totl_steps": 500}"#)).unwrap_err();
         assert!(err.contains("totl_steps"), "{err}");
-        let err = TrainJobSpec::from_json(&json(r#"{"mode": "turbo"}"#)).unwrap_err();
-        assert!(err.contains("mode"), "{err}");
+        // The runtime has one mode: the retired knobs are unknown fields.
+        for retired in [r#"{"mode": "sync"}"#, r#"{"n_actors": 1}"#] {
+            let err = TrainJobSpec::from_json(&json(retired)).unwrap_err();
+            assert!(err.contains("unknown field"), "{err}");
+        }
         let err = ServeJobSpec::from_json(&json(r#"{"episodes": 0}"#)).unwrap_err();
         assert!(err.contains("episodes"), "{err}");
         let err = ServeJobSpec::from_json(&json(r#"[1,2]"#)).unwrap_err();
@@ -474,8 +449,6 @@ mod tests {
         let mgr = JobManager::new();
         let id = mgr.spawn_train(TrainJobSpec {
             total_steps: 1_000_000_000, // far beyond the test's patience
-            mode: Mode::Sync,
-            n_actors: 1,
             seed: 1,
             horizon: 100.0,
         });

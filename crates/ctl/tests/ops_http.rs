@@ -264,7 +264,7 @@ fn job_control_routes_spawn_stop_and_report() {
     let (code, body) = http_post(
         addr,
         "/jobs/train",
-        r#"{"total_steps": 100000000, "mode": "sync", "n_actors": 1, "horizon": 60.0}"#,
+        r#"{"total_steps": 100000000, "horizon": 60.0}"#,
     );
     assert_eq!(code, 200, "{body}");
     let train_id: u64 = body
@@ -289,6 +289,10 @@ fn job_control_routes_spawn_stop_and_report() {
     let (code, body) = http_post(addr, "/jobs/train", r#"{"total_stepz": 5}"#);
     assert_eq!(code, 400);
     assert!(body.contains("total_stepz"), "{body}");
+    // The runtime has one mode: a spec still naming it is refused.
+    let (code, body) = http_post(addr, "/jobs/train", r#"{"mode": "async"}"#);
+    assert_eq!(code, 400);
+    assert!(body.contains("mode"), "{body}");
     let (code, body) = http_post(addr, "/jobs/serve", r#"{"episodes": 0}"#);
     assert_eq!(code, 400);
     assert!(body.contains("episodes"), "{body}");

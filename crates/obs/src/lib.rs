@@ -35,9 +35,9 @@
 //! A trace is byte-identical across runs when every stream is emitted by
 //! deterministic sequential code and no two concurrent emitters share a
 //! stream. The stack guarantees distinct streams per simulation seed,
-//! actor index, and learner; async-mode runtime timing is inherently
-//! nondeterministic, so trace consumers wanting byte-stable files run the
-//! runtime in sync mode (see `examples/actor_learner.rs`).
+//! actor, and learner, and the training runtime runs its actor and learner
+//! in lockstep, so a traced training run is byte-stable (see
+//! `examples/actor_learner.rs`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -33,8 +33,7 @@ pub enum CounterKind {
     /// Payload + header bytes read from a `dosco_net` socket transport.
     NetBytesReceived,
     /// Socket-transport sends that found the bounded outbound queue full
-    /// (the net plane's backpressure signal, mirroring the runtime's
-    /// `channel_full_stalls`).
+    /// (the net plane's backpressure signal).
     NetSocketStalls,
     /// Substrate churn actions applied by the simulator.
     ChurnEventsApplied,

@@ -145,38 +145,6 @@ impl Rollout {
         self.reward_sum / (self.n_envs * self.n_steps) as f32
     }
 
-    /// Appends another rollout's transitions (the learner-side minibatch
-    /// aggregation of the actor–learner runtime). Returns and advantages
-    /// must already be computed per rollout — GAE never crosses batch
-    /// boundaries. After appending, indices are per-segment time-major
-    /// (each source rollout's layout, concatenated), and `n_envs` counts
-    /// the combined env shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if observation widths or `n_steps` differ.
-    pub fn append(&mut self, other: &Rollout) {
-        assert_eq!(
-            self.obs.cols(),
-            other.obs.cols(),
-            "observation width mismatch"
-        );
-        assert_eq!(self.n_steps, other.n_steps, "n_steps mismatch");
-        let mut obs = Matrix::zeros(self.obs.rows() + other.obs.rows(), self.obs.cols());
-        let split = self.obs.rows() * self.obs.cols();
-        obs.as_mut_slice()[..split].copy_from_slice(self.obs.as_slice());
-        obs.as_mut_slice()[split..].copy_from_slice(other.obs.as_slice());
-        self.obs = obs;
-        self.actions.extend_from_slice(&other.actions);
-        self.rewards.extend_from_slice(&other.rewards);
-        self.dones.extend_from_slice(&other.dones);
-        self.values.extend_from_slice(&other.values);
-        self.returns.extend_from_slice(&other.returns);
-        self.advantages.extend_from_slice(&other.advantages);
-        self.n_envs += other.n_envs;
-        self.reward_sum += other.reward_sum;
-    }
-
     /// Normalizes advantages to zero mean / unit variance (a common
     /// variance-reduction step; optional in the algorithms).
     pub fn normalize_advantages(&mut self) {
@@ -292,43 +260,6 @@ mod tests {
             col.collect(&mut envs, &actor, &critic, 16, 0.99, 0.95, &mut rng)
         };
         assert_eq!(run(), run(), "same seed must reproduce exactly");
-    }
-
-    /// Appending concatenates every per-transition field and keeps
-    /// `mean_reward` consistent with the combined transition count.
-    #[test]
-    fn append_concatenates_rollouts() {
-        let mut envs: Vec<Box<dyn Env>> =
-            vec![Box::new(Corridor::new(4)), Box::new(Corridor::new(6))];
-        let (actor, critic) = actor_critic(1, 2);
-        let mut col = RolloutCollector::new(&mut envs);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut a = col.collect(&mut envs, &actor, &critic, 5, 0.99, 1.0, &mut rng);
-        let b = col.collect(&mut envs, &actor, &critic, 5, 0.99, 1.0, &mut rng);
-        let (a0, b0) = (a.clone(), b.clone());
-        a.append(&b);
-        assert_eq!(a.actions.len(), 20);
-        assert_eq!(a.obs.rows(), 20);
-        assert_eq!(a.n_envs, 4);
-        assert_eq!(a.n_steps, 5);
-        assert_eq!(&a.actions[..10], &a0.actions[..]);
-        assert_eq!(&a.actions[10..], &b0.actions[..]);
-        assert_eq!(a.obs.row(13), b0.obs.row(3));
-        assert_eq!(&a.advantages[10..], &b0.advantages[..]);
-        let combined = (a0.reward_sum + b0.reward_sum) / 20.0;
-        assert!((a.mean_reward() - combined).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "n_steps mismatch")]
-    fn append_rejects_mismatched_steps() {
-        let mut envs: Vec<Box<dyn Env>> = vec![Box::new(Corridor::new(4))];
-        let (actor, critic) = actor_critic(1, 2);
-        let mut col = RolloutCollector::new(&mut envs);
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut a = col.collect(&mut envs, &actor, &critic, 4, 0.99, 1.0, &mut rng);
-        let b = col.collect(&mut envs, &actor, &critic, 6, 0.99, 1.0, &mut rng);
-        a.append(&b);
     }
 
     #[test]

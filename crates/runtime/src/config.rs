@@ -1,229 +1,15 @@
-//! Runtime configuration: execution mode, actor count, channel capacity,
-//! minibatch aggregation, and the policy-staleness bound.
+//! Runtime configuration.
 
-use serde::{Deserialize, Serialize};
-
-/// Execution mode of the actor–learner runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Mode {
-    /// Lockstep: one actor alternates with the learner, circulating the
-    /// agent's RNG with each batch — bit-identical to the serial
-    /// `RolloutCollector` training loop.
-    Sync,
-    /// Overlapped collection and learning: actors stream batches while the
-    /// learner updates, with staleness bounded by
-    /// [`RuntimeConfig::max_staleness`].
-    Async,
-}
-
-impl Mode {
-    /// Lowercase name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mode::Sync => "sync",
-            Mode::Async => "async",
-        }
-    }
-}
-
-/// Configuration of the actor–learner runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RuntimeConfig {
-    /// Execution mode.
-    pub mode: Mode,
-    /// Rollout-actor threads (async mode; sync always runs one actor).
-    /// Clamped to the number of environments at launch.
-    pub n_actors: usize,
-    /// Bounded experience-channel capacity — the backpressure knob: actors
-    /// block in `send` once this many batches are in flight.
-    pub channel_capacity: usize,
-    /// Actor batches the learner aggregates per update (async mode; sync
-    /// mode requires 1).
-    pub minibatch_batches: usize,
-    /// Maximum policy staleness: an upper bound on how many snapshot
-    /// versions the learner may have published after the version a
-    /// consumed batch was collected under. Enforced by the actors' clock
-    /// gate and asserted by the learner at consumption; must be at least
-    /// [`RuntimeConfig::min_staleness_bound`] in async mode.
-    pub max_staleness: u64,
-    /// Base seed for the per-actor RNG streams (async mode; sync mode
-    /// circulates the agent's own RNG instead).
-    pub actor_seed: u64,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            mode: Mode::Async,
-            n_actors: 2,
-            channel_capacity: 4,
-            minibatch_batches: 1,
-            max_staleness: 32,
-            actor_seed: 0x5EED,
-        }
-    }
-}
+/// Configuration of the actor–learner runtime. The runtime has one mode —
+/// lockstep, bit-identical to the serial training loop — and no knobs, so
+/// this type carries nothing; it stays in the signatures of [`crate::train`]
+/// and its siblings so existing callers keep compiling.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RuntimeConfig;
 
 impl RuntimeConfig {
-    /// A sync-mode (lockstep, bit-identical) configuration.
+    /// The lockstep configuration (the only one).
     pub fn sync() -> Self {
-        RuntimeConfig {
-            mode: Mode::Sync,
-            n_actors: 1,
-            ..RuntimeConfig::default()
-        }
-    }
-
-    /// An async-mode configuration with `n_actors` actors and the smallest
-    /// staleness bound this shape can guarantee.
-    pub fn async_with_actors(n_actors: usize) -> Self {
-        let mut cfg = RuntimeConfig {
-            mode: Mode::Async,
-            n_actors,
-            ..RuntimeConfig::default()
-        };
-        cfg.max_staleness = cfg.min_staleness_bound();
-        cfg
-    }
-
-    /// The guaranteed staleness ceiling when actors may run `skew` clock
-    /// rounds apart (see [`RuntimeConfig::round_skew`]).
-    ///
-    /// Derivation sketch: a batch consumed by the learner was collected
-    /// under the snapshot current when its actor passed the clock gate. By
-    /// the gate invariant no actor is then more than `skew + 1` completed
-    /// rounds ahead, so at most `N·(skew + 2)` further batches can already
-    /// be collected or collectable before this batch's round completes,
-    /// plus up to `channel_capacity` batches queued ahead of it. Each
-    /// `minibatch_batches` consumed batches advance the version by one.
-    /// The factor 2 and the trailing +1 are deliberate slack so the bound
-    /// is provable without tight interleaving analysis; the learner
-    /// asserts the *actual* staleness against `max_staleness` on every
-    /// batch it consumes.
-    pub fn guaranteed_staleness(&self, skew: u64) -> u64 {
-        let n = self.n_actors.max(1) as u64;
-        let c = self.channel_capacity.max(1) as u64;
-        let m = self.minibatch_batches.max(1) as u64;
-        (2 * n * (skew + 2) + 2 * c).div_ceil(m) + 1
-    }
-
-    /// The smallest `max_staleness` this configuration shape can enforce
-    /// (its guaranteed bound at zero clock skew).
-    pub fn min_staleness_bound(&self) -> u64 {
-        self.guaranteed_staleness(0)
-    }
-
-    /// The largest clock skew (in collection rounds) the actors' gate may
-    /// allow while still guaranteeing `max_staleness`: actors block before
-    /// collecting round `k` until every live actor has completed round
-    /// `k − skew`.
-    pub fn round_skew(&self) -> u64 {
-        let mut skew = 0;
-        while skew < 1 << 20 && self.guaranteed_staleness(skew + 1) <= self.max_staleness {
-            skew += 1;
-        }
-        skew
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.channel_capacity == 0 {
-            return Err("channel_capacity must be at least 1".into());
-        }
-        if self.minibatch_batches == 0 {
-            return Err("minibatch_batches must be at least 1".into());
-        }
-        match self.mode {
-            Mode::Sync => {
-                if self.minibatch_batches != 1 {
-                    return Err(
-                        "sync mode is lockstep over single batches: minibatch_batches must be 1"
-                            .into(),
-                    );
-                }
-            }
-            Mode::Async => {
-                if self.n_actors == 0 {
-                    return Err("async mode needs at least one actor".into());
-                }
-                let floor = self.min_staleness_bound();
-                if self.max_staleness < floor {
-                    return Err(format!(
-                        "max_staleness {} below the enforceable floor {floor} for \
-                         {} actors / capacity {} / minibatch {}",
-                        self.max_staleness,
-                        self.n_actors,
-                        self.channel_capacity,
-                        self.minibatch_batches
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_validate() {
-        RuntimeConfig::default().validate().unwrap();
-        RuntimeConfig::sync().validate().unwrap();
-        RuntimeConfig::async_with_actors(4).validate().unwrap();
-    }
-
-    #[test]
-    fn rejects_zero_capacity_and_minibatch() {
-        let cfg = RuntimeConfig {
-            channel_capacity: 0,
-            ..RuntimeConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        let cfg = RuntimeConfig {
-            minibatch_batches: 0,
-            ..RuntimeConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn sync_requires_single_batch_minibatches() {
-        let mut cfg = RuntimeConfig::sync();
-        cfg.minibatch_batches = 2;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("lockstep"), "{err}");
-    }
-
-    #[test]
-    fn async_rejects_unenforceable_staleness() {
-        let mut cfg = RuntimeConfig::async_with_actors(2);
-        cfg.max_staleness = 1;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("floor"), "{err}");
-    }
-
-    /// A larger allowed staleness buys the actors a larger clock skew, and
-    /// the skew the gate uses always keeps the guarantee.
-    #[test]
-    fn round_skew_respects_the_bound_and_grows() {
-        let tight = RuntimeConfig::async_with_actors(2);
-        assert_eq!(tight.round_skew(), 0);
-        let mut loose = tight;
-        loose.max_staleness = 4 * tight.max_staleness;
-        loose.validate().unwrap();
-        assert!(loose.round_skew() > 0);
-        assert!(loose.guaranteed_staleness(loose.round_skew()) <= loose.max_staleness);
-    }
-
-    #[test]
-    fn mode_names() {
-        assert_eq!(Mode::Sync.name(), "sync");
-        assert_eq!(Mode::Async.name(), "async");
+        RuntimeConfig
     }
 }

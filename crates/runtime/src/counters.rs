@@ -1,14 +1,14 @@
-//! Runtime counters (atomics shared between actors and learner) and the
-//! serializable report surfaced through the bench plumbing.
+//! Runtime counters (atomics shared between the actor and the learner) and
+//! the serializable report surfaced through the bench plumbing.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shared atomic counters updated by actors and the learner while the
+/// Shared atomic counters updated by the actor and the learner while the
 /// runtime is live; snapshotted into a [`RuntimeReport`] at shutdown.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
-    /// Batches successfully handed to the channel by actors.
+    /// Batches the actor handed to the channel.
     pub(crate) batches_produced: AtomicU64,
     /// Batches the learner consumed into updates.
     pub(crate) batches_consumed: AtomicU64,
@@ -16,20 +16,11 @@ pub(crate) struct Counters {
     pub(crate) batches_drained: AtomicU64,
     /// Policy snapshot versions published by the learner.
     pub(crate) snapshots_published: AtomicU64,
-    /// Sum over consumed batches of (learner version − batch version).
-    pub(crate) staleness_sum: AtomicU64,
-    /// Maximum staleness observed at consumption.
-    pub(crate) staleness_max: AtomicU64,
-    /// `try_send` rejections due to a full channel (each followed by a
-    /// blocking send) — the backpressure signal.
-    pub(crate) channel_full_stalls: AtomicU64,
-    /// Times an actor blocked on the staleness clock gate.
-    pub(crate) gate_waits: AtomicU64,
-    /// Nanoseconds actors spent blocked in full-channel sends.
+    /// Nanoseconds the actor spent in channel sends.
     pub(crate) send_wait_ns: AtomicU64,
     /// Nanoseconds the learner spent waiting to receive batches.
     pub(crate) recv_wait_ns: AtomicU64,
-    /// Nanoseconds spent cloning and publishing policy snapshots.
+    /// Nanoseconds spent cloning policy snapshots.
     pub(crate) publish_ns: AtomicU64,
 }
 
@@ -42,33 +33,16 @@ impl Counters {
         field.fetch_add(ns, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_staleness(&self, staleness: u64) {
-        self.staleness_sum.fetch_add(staleness, Ordering::Relaxed);
-        self.staleness_max.fetch_max(staleness, Ordering::Relaxed);
-    }
-
-    pub(crate) fn report(&self, mode: &str, n_actors: usize, staleness_bound: u64) -> RuntimeReport {
-        let consumed = self.batches_consumed.load(Ordering::Relaxed);
-        let sum = self.staleness_sum.load(Ordering::Relaxed);
+    pub(crate) fn report(&self) -> RuntimeReport {
+        let ms = |field: &AtomicU64| field.load(Ordering::Relaxed) as f64 / 1e6;
         RuntimeReport {
-            mode: mode.to_string(),
-            n_actors,
             batches_produced: self.batches_produced.load(Ordering::Relaxed),
-            batches_consumed: consumed,
+            batches_consumed: self.batches_consumed.load(Ordering::Relaxed),
             batches_in_flight: self.batches_drained.load(Ordering::Relaxed),
             snapshots_published: self.snapshots_published.load(Ordering::Relaxed),
-            mean_staleness: if consumed == 0 {
-                0.0
-            } else {
-                sum as f64 / consumed as f64
-            },
-            max_staleness: self.staleness_max.load(Ordering::Relaxed),
-            staleness_bound,
-            channel_full_stalls: self.channel_full_stalls.load(Ordering::Relaxed),
-            gate_waits: self.gate_waits.load(Ordering::Relaxed),
-            send_wait_ms: self.send_wait_ns.load(Ordering::Relaxed) as f64 / 1e6,
-            recv_wait_ms: self.recv_wait_ns.load(Ordering::Relaxed) as f64 / 1e6,
-            publish_ms: self.publish_ns.load(Ordering::Relaxed) as f64 / 1e6,
+            send_wait_ms: ms(&self.send_wait_ns),
+            recv_wait_ms: ms(&self.recv_wait_ns),
+            publish_ms: ms(&self.publish_ns),
         }
     }
 }
@@ -78,11 +52,7 @@ impl Counters {
 /// runtime has shut down cleanly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeReport {
-    /// Execution mode (`"sync"` / `"async"`).
-    pub mode: String,
-    /// Rollout-actor threads actually launched.
-    pub n_actors: usize,
-    /// Batches successfully enqueued by actors.
+    /// Batches the actor enqueued.
     pub batches_produced: u64,
     /// Batches consumed into learner updates.
     pub batches_consumed: u64,
@@ -90,21 +60,11 @@ pub struct RuntimeReport {
     pub batches_in_flight: u64,
     /// Policy snapshot versions published.
     pub snapshots_published: u64,
-    /// Mean policy staleness over consumed batches (versions).
-    pub mean_staleness: f64,
-    /// Maximum policy staleness observed (versions).
-    pub max_staleness: u64,
-    /// The configured staleness bound the run enforced.
-    pub staleness_bound: u64,
-    /// Full-channel stalls actors hit before blocking sends (backpressure).
-    pub channel_full_stalls: u64,
-    /// Times an actor blocked on the staleness clock gate.
-    pub gate_waits: u64,
-    /// Wall time actors spent blocked in full-channel sends, milliseconds.
+    /// Wall time the actor spent in channel sends, milliseconds.
     pub send_wait_ms: f64,
     /// Wall time the learner spent waiting for batches, milliseconds.
     pub recv_wait_ms: f64,
-    /// Wall time spent cloning and publishing policy snapshots, milliseconds.
+    /// Wall time spent cloning policy snapshots, milliseconds.
     pub publish_ms: f64,
 }
 
@@ -120,24 +80,10 @@ mod tests {
         Counters::inc(&c.batches_consumed);
         Counters::inc(&c.batches_drained);
         Counters::inc(&c.snapshots_published);
-        c.record_staleness(3);
-        let r = c.report("async", 2, 8);
+        let r = c.report();
         assert_eq!(r.batches_produced, 2);
         assert_eq!(r.batches_consumed + r.batches_in_flight, 2);
-        assert_eq!(r.mean_staleness, 3.0);
-        assert_eq!(r.max_staleness, 3);
-        assert_eq!(r.staleness_bound, 8);
-        assert_eq!(r.mode, "async");
-    }
-
-    #[test]
-    fn empty_run_has_zero_mean_staleness() {
-        let r = Counters::default().report("sync", 1, 0);
-        assert_eq!(r.mean_staleness, 0.0);
-        assert_eq!(r.batches_produced, 0);
-        assert_eq!(r.send_wait_ms, 0.0);
-        assert_eq!(r.recv_wait_ms, 0.0);
-        assert_eq!(r.publish_ms, 0.0);
+        assert_eq!(r.snapshots_published, 1);
     }
 
     #[test]
@@ -147,7 +93,7 @@ mod tests {
         Counters::add_ns(&c.send_wait_ns, 500_000);
         Counters::add_ns(&c.recv_wait_ns, 250_000);
         Counters::add_ns(&c.publish_ns, 3_000_000);
-        let r = c.report("async", 2, 8);
+        let r = c.report();
         assert!((r.send_wait_ms - 2.0).abs() < 1e-12);
         assert!((r.recv_wait_ms - 0.25).abs() < 1e-12);
         assert!((r.publish_ms - 3.0).abs() < 1e-12);

@@ -1,38 +1,29 @@
 //! Actor–learner training runtime: channel-based experience transport and
-//! versioned policy broadcast.
+//! versioned policy hand-off.
 //!
 //! The paper trains one logically centralized network over experience
-//! pooled from many per-node agents (Sec. IV-C1), but a serial
-//! `RolloutCollector::collect` → update cycle never overlaps collection
-//! with learning. Following the dataflow designs of MSRL (Zhu et al.,
-//! 2022) and SRL (Mei et al., 2023), this crate decouples the two behind
-//! explicit channel boundaries:
+//! pooled from many per-node agents (Sec. IV-C1). Following the dataflow
+//! designs of MSRL (Zhu et al., 2022) and SRL (Mei et al., 2023), this
+//! crate puts explicit channel boundaries between collection and learning:
 //!
-//! - N **rollout actors**, each owning a shard of the parallel
-//!   environments, stream completed [`dosco_rl::rollout::Rollout`] batches
-//!   over a bounded MPSC channel (`crossbeam::channel::bounded`) — the
-//!   channel capacity is the backpressure knob;
-//! - one **learner** aggregates batches into minibatches, runs the
-//!   A2C/ACKTR/PPO update via the [`Learner`] trait, and publishes
-//!   versioned [`PolicySnapshot`]s through a shared [`snapshot`] slot that
-//!   actors pick up at batch boundaries;
-//! - a configurable **staleness bound** ([`RuntimeConfig::max_staleness`])
-//!   limits how far a batch's collection policy may lag behind the learner,
-//!   enforced by a stale-synchronous-parallel clock gate over the actors.
+//! - one **rollout actor** owns the parallel environments and ships each
+//!   completed [`dosco_rl::rollout::Rollout`] with the agent's RNG over a
+//!   [`dosco_net`] transport channel;
+//! - one **learner** runs the A2C/ACKTR/PPO update via the [`Learner`]
+//!   trait and hands the versioned [`PolicySnapshot`] and the RNG back.
 //!
-//! Two modes ([`Mode`]):
+//! The two run in lockstep, so a run is **bit-identical** to the serial
+//! training loop (proven by test) whether the channels are in-process,
+//! loopback TCP, or span two processes ([`remote`]). An overlapped mode
+//! existed once and lost to lockstep in every measured configuration: the
+//! learner dominates the cycle, so overlapping collection buys little.
 //!
-//! - [`Mode::Sync`]: one actor in lockstep with the learner, circulating
-//!   the agent's RNG with each batch — **bit-identical** to the serial
-//!   training loop (proven by test);
-//! - [`Mode::Async`]: overlapped collection and learning for throughput,
-//!   with per-actor RNG streams and bounded policy staleness.
-//!
-//! Shutdown is graceful in both modes: the learner closes the policy slot
-//! and clock gate, drains the experience channel, joins every actor, and
+//! Shutdown is graceful: the learner drops the reply channel, drains the
+//! experience channel, joins the actor, restores the agent RNG, and
 //! re-raises any actor panic. [`RuntimeReport`] surfaces the runtime
 //! counters (batches produced/consumed/in-flight, snapshots published,
-//! staleness statistics, channel-full stalls) for the bench plumbing.
+//! channel wait times) for the bench plumbing. [`PolicySlot`] is the
+//! broadcast point the serving fabric subscribes to.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -45,10 +36,10 @@ pub mod remote;
 pub mod snapshot;
 pub mod wire;
 
-pub use config::{Mode, RuntimeConfig};
+pub use config::RuntimeConfig;
 pub use counters::RuntimeReport;
 pub use driver::{train, train_cancellable, train_with_transport, RuntimeOutcome};
 pub use dosco_rl::learner::{CollectParams, Learner};
 pub use remote::{run_actor, run_learner_server, LearnerServer};
 pub use snapshot::{PolicySlot, PolicySnapshot, SlotInfo};
-pub use wire::{ActorCtrl, ExperienceBatch, LearnerHello, SyncReply};
+pub use wire::{ExperienceBatch, LearnerHello, SyncReply};

@@ -4,9 +4,9 @@ use dosco_nn::mlp::Mlp;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One immutable, versioned copy of the learner's networks. Published by
-/// the learner after every update; actors pick the latest up at batch
-/// boundaries and collect whole rollouts under one snapshot.
+/// One immutable, versioned copy of the learner's networks. Taken by the
+/// learner after every update and handed to the actor with its reply; the
+/// actor collects each whole rollout under one snapshot.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PolicySnapshot {
     /// Monotonically increasing version: the number of learner updates
@@ -20,11 +20,10 @@ pub struct PolicySnapshot {
 
 /// The single-slot broadcast channel for snapshots: `publish` replaces the
 /// slot's `Arc`, `latest` clones it. Reads never block publishes beyond
-/// the swap itself, and old snapshots stay alive only while an actor still
-/// collects under them.
+/// the swap itself, and old snapshots stay alive only while a reader still
+/// holds them.
 ///
-/// The slot is public API: besides the training runtime's actors, the
-/// `dosco_serve` fabric subscribes its inference shards here, polling
+/// The `dosco_serve` fabric subscribes its inference shards here, polling
 /// [`PolicySlot::version`] at epoch boundaries and hot-swapping to
 /// [`PolicySlot::latest`] when it moved — the hand-off point between the
 /// training plane and the serving plane.
@@ -66,7 +65,7 @@ impl PolicySlot {
 
     /// Introspects the slot for operational surfaces (the `dosco_ctl`
     /// `GET /snapshot` endpoint): the published version, parameter counts
-    /// of the snapshot's networks, and whether the runtime is shutting
+    /// of the snapshot's networks, and whether the publisher is shutting
     /// down — without cloning the networks themselves.
     pub fn info(&self) -> SlotInfo {
         let snap = self.latest();
@@ -78,8 +77,8 @@ impl PolicySlot {
         }
     }
 
-    /// Marks the runtime as shutting down; actors exit at their next batch
-    /// boundary.
+    /// Marks the publisher as shutting down (surfaced by
+    /// [`PolicySlot::info`]).
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
     }

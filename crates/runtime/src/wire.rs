@@ -1,9 +1,9 @@
 //! Wire-format message types of the actor–learner plane.
 //!
 //! These are the typed messages that cross a [`dosco_net`] transport
-//! channel: the experience batch actors ship to the learner, the sync-mode
-//! lockstep reply, and the handshake/control messages of the multi-process
-//! deployment ([`crate::remote`]). All of them serialize through the
+//! channel: the experience batch the actor ships to the learner, the
+//! lockstep reply, and the handshake of the multi-process deployment
+//! ([`crate::remote`]). All of them serialize through the
 //! vendored serde so the socket transport's bit-exact binary codec can
 //! carry them; the circulating [`StdRng`] travels as its four-word
 //! xoshiro256++ state and resumes the identical stream on the other side.
@@ -22,7 +22,8 @@ pub struct ExperienceBatch {
     pub rollout: Rollout,
     /// Snapshot version the rollout was collected under.
     pub version: u64,
-    /// Sync mode only: the circulating agent RNG.
+    /// The circulating agent RNG. Always present in a well-formed batch;
+    /// optional on the wire so the learner can refuse a batch without it.
     pub rng: Option<StdRng>,
 }
 
@@ -53,8 +54,8 @@ impl Deserialize for ExperienceBatch {
     }
 }
 
-/// Sync-mode lockstep reply: the post-update snapshot and the agent RNG
-/// handed back to the single actor for its next collection round.
+/// The lockstep reply: the post-update snapshot and the agent RNG handed
+/// back to the actor for its next collection round.
 #[derive(Debug)]
 pub struct SyncReply {
     /// The snapshot published by the update this reply follows.
@@ -84,40 +85,16 @@ impl Deserialize for SyncReply {
     }
 }
 
-/// The learner's handshake to a connecting remote actor: everything the
-/// actor process needs to mirror an in-process actor thread.
+/// The learner's handshake to the connecting remote actor: everything the
+/// actor process needs to mirror the in-process actor thread.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct LearnerHello {
-    /// Runtime mode (drives lockstep vs overlapped actor behavior).
-    pub mode: crate::config::Mode,
     /// Collection hyperparameters from the algorithm.
     pub params: CollectParams,
-    /// This actor's index (assigned by accept order).
-    pub actor_index: u64,
-    /// Base seed for per-actor RNG streams (async mode).
-    pub actor_seed: u64,
-    /// Version-window the actor may run ahead of the last snapshot it has
-    /// seen (the remote stand-in for the in-process clock gate; 0 in sync
-    /// mode).
-    pub skew: u64,
     /// The initial (version 0) snapshot.
     pub snapshot: PolicySnapshot,
-    /// Sync mode: the agent RNG state the actor starts from.
-    pub rng: Option<[u64; 4]>,
-}
-
-/// Control messages streamed from the learner to a remote actor.
-#[derive(Debug, Serialize, Deserialize)]
-pub enum ActorCtrl {
-    /// Async mode: a freshly published snapshot.
-    Publish(PolicySnapshot),
-    /// Sync mode: the lockstep reply after an update.
-    Reply {
-        /// The post-update snapshot.
-        snapshot: PolicySnapshot,
-        /// The circulating agent RNG state.
-        rng: [u64; 4],
-    },
+    /// The agent RNG state the actor starts from.
+    pub rng: [u64; 4],
 }
 
 #[cfg(test)]
@@ -181,42 +158,25 @@ mod tests {
     }
 
     #[test]
-    fn hello_and_ctrl_round_trip() {
+    fn hello_round_trips() {
         let snap = PolicySnapshot {
             version: 0,
             actor: dosco_nn::mlp::Mlp::new(&[2, 3, 2], dosco_nn::mlp::Activation::Relu, &mut StdRng::seed_from_u64(1)),
             critic: dosco_nn::mlp::Mlp::new(&[2, 3, 1], dosco_nn::mlp::Activation::Relu, &mut StdRng::seed_from_u64(2)),
         };
         let hello = LearnerHello {
-            mode: crate::config::Mode::Sync,
             params: CollectParams {
                 n_steps: 8,
                 gamma: 0.99,
                 gae_lambda: 0.95,
             },
-            actor_index: 0,
-            actor_seed: 0x5EED,
-            skew: 0,
             snapshot: snap.clone(),
-            rng: Some([1, 2, 3, 4]),
+            rng: [1, 2, 3, 4],
         };
         let back: LearnerHello =
             dosco_net::decode_msg(&dosco_net::encode_msg(&hello)).expect("hello");
-        assert_eq!(back.mode, hello.mode);
         assert_eq!(back.params, hello.params);
         assert_eq!(back.snapshot, snap);
-        assert_eq!(back.rng, Some([1, 2, 3, 4]));
-
-        let ctrl = ActorCtrl::Reply {
-            snapshot: snap.clone(),
-            rng: [9, 8, 7, 6],
-        };
-        match dosco_net::decode_msg::<ActorCtrl>(&dosco_net::encode_msg(&ctrl)).expect("ctrl") {
-            ActorCtrl::Reply { snapshot, rng } => {
-                assert_eq!(snapshot, snap);
-                assert_eq!(rng, [9, 8, 7, 6]);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
+        assert_eq!(back.rng, [1, 2, 3, 4]);
     }
 }

@@ -1,12 +1,12 @@
-//! End-to-end tests of the actor–learner runtime: sync-mode bit-identity
-//! with the serial training loops, async-mode staleness/counter
-//! guarantees, and panic propagation out of actor threads.
+//! End-to-end tests of the actor–learner runtime: bit-identity with the
+//! serial training loops, batch conservation, and panic propagation out
+//! of the actor thread.
 
 use dosco_rl::a2c::{A2c, A2cConfig};
 use dosco_rl::acktr::{Acktr, AcktrConfig};
 use dosco_rl::env::{Env, StepResult};
 use dosco_rl::ppo::{Ppo, PpoConfig};
-use dosco_runtime::{train, Mode, RuntimeConfig};
+use dosco_runtime::{train, RuntimeConfig};
 
 /// A deterministic ring walk: position 0..n-1, action 0 steps back, 1
 /// steps forward (wrapping); reward +1 on reaching 0, −0.05 otherwise;
@@ -137,9 +137,6 @@ fn sync_mode_matches_serial_a2c_bit_for_bit() {
         serial.critic().flat_params(),
         "critic weights diverged"
     );
-    assert_eq!(outcome.report.mode, "sync");
-    assert_eq!(outcome.report.n_actors, 1);
-    assert_eq!(outcome.report.max_staleness, 0, "sync mode is never stale");
     assert_eq!(
         outcome.report.batches_produced,
         outcome.report.batches_consumed + outcome.report.batches_in_flight,
@@ -209,71 +206,9 @@ fn sync_mode_matches_serial_ppo_bit_for_bit() {
     assert_eq!(synced.critic().flat_params(), serial.critic().flat_params());
 }
 
-/// Async mode: overlapped actors finish the requested horizon, observed
-/// staleness stays within the configured bound, the counters obey the
-/// conservation invariant, and every spawned thread joined cleanly (the
-/// call returning at all proves the join; counters prove the drain).
-#[test]
-fn async_mode_bounds_staleness_and_conserves_batches() {
-    let total = 600;
-    let mut agent = A2c::new(2, 2, a2c_config(), 3);
-    let mut envs = ring_envs(4);
-    let config = RuntimeConfig {
-        mode: Mode::Async,
-        n_actors: 2,
-        channel_capacity: 2,
-        minibatch_batches: 2,
-        max_staleness: 64,
-        actor_seed: 99,
-    };
-    config.validate().unwrap();
-    let outcome = train(&mut agent, &mut envs, total, &config);
-
-    assert!(outcome.stats.total_steps >= total);
-    let r = &outcome.report;
-    assert_eq!(r.mode, "async");
-    assert_eq!(r.n_actors, 2);
-    assert!(
-        r.max_staleness <= config.max_staleness,
-        "staleness {} exceeded bound {}",
-        r.max_staleness,
-        config.max_staleness
-    );
-    assert!(r.mean_staleness <= r.max_staleness as f64);
-    assert_eq!(
-        r.batches_produced,
-        r.batches_consumed + r.batches_in_flight,
-        "batch conservation violated: {r:?}"
-    );
-    assert_eq!(
-        r.snapshots_published as usize,
-        outcome.stats.mean_rewards.len(),
-        "one snapshot per update"
-    );
-    assert!(
-        r.batches_consumed >= (outcome.stats.mean_rewards.len() as u64),
-        "each update consumed at least one batch"
-    );
-}
-
-/// The actor count is clamped to the number of environments, and the
-/// requested horizon is still reached with more actors than envs asked
-/// for. (Async runs are intentionally timing-dependent — the actor reads
-/// whichever snapshot is latest at each batch boundary — so only
-/// structural properties are asserted here; bit-identity lives in the
-/// sync tests.)
-#[test]
-fn async_clamps_actor_count_to_envs() {
-    let mut agent = A2c::new(2, 2, a2c_config(), 21);
-    let mut envs = ring_envs(3);
-    let config = RuntimeConfig::async_with_actors(8);
-    let outcome = train(&mut agent, &mut envs, 200, &config);
-    assert_eq!(outcome.report.n_actors, 3, "one actor per env at most");
-    assert!(outcome.stats.total_steps >= 200);
-}
-
-/// A panic inside an actor thread (here: an env blowing a fuse mid-
-/// collection) shuts the runtime down and is re-raised on the caller.
+/// A panic inside the actor thread (here: the second of its two envs
+/// blowing a fuse mid-collection) shuts the runtime down and is re-raised
+/// on the caller.
 #[test]
 #[should_panic(expected = "env fuse blew")]
 fn actor_panics_propagate_to_the_caller() {
@@ -285,15 +220,11 @@ fn actor_panics_propagate_to_the_caller() {
             fuse: 35,
         }),
     ];
-    let config = RuntimeConfig {
-        n_actors: 2,
-        ..RuntimeConfig::default()
-    };
-    let _ = train(&mut agent, &mut envs, 100_000, &config);
+    let _ = train(&mut agent, &mut envs, 100_000, &RuntimeConfig::sync());
 }
 
-/// A panic in sync mode (single lockstep actor) also propagates and does
-/// not deadlock the learner.
+/// A panic in the actor's only env, earlier in the run, also propagates
+/// and does not deadlock the learner.
 #[test]
 #[should_panic(expected = "env fuse blew")]
 fn sync_actor_panics_propagate_to_the_caller() {
@@ -303,17 +234,4 @@ fn sync_actor_panics_propagate_to_the_caller() {
         fuse: 12,
     })];
     let _ = train(&mut agent, &mut envs, 100_000, &RuntimeConfig::sync());
-}
-
-/// Invalid configurations are rejected before any thread spawns.
-#[test]
-#[should_panic(expected = "invalid runtime configuration")]
-fn invalid_config_is_rejected_up_front() {
-    let mut agent = A2c::new(2, 2, a2c_config(), 1);
-    let mut envs = ring_envs(1);
-    let config = RuntimeConfig {
-        channel_capacity: 0,
-        ..RuntimeConfig::default()
-    };
-    let _ = train(&mut agent, &mut envs, 10, &config);
 }

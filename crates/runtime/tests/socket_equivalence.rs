@@ -6,16 +6,24 @@
 //! multi-process deployment (learner server + connecting actor, two
 //! independent transports over loopback TCP) is held to the same standard.
 
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
-use dosco_net::{NetConfig, SocketLoopback};
+use dosco_net::{encode_msg, read_frame, write_frame, NetConfig, NetError, SocketLoopback};
+use dosco_nn::matrix::Matrix;
 use dosco_rl::a2c::{A2c, A2cConfig};
 use dosco_rl::env::{Env, StepResult};
 use dosco_rl::ppo::{Ppo, PpoConfig};
+use dosco_rl::rollout::Rollout;
 use dosco_runtime::{
-    train, train_cancellable, train_with_transport, LearnerServer, Mode, RuntimeConfig,
+    train, train_cancellable, train_with_transport, ExperienceBatch, LearnerServer,
+    RuntimeConfig, RuntimeOutcome,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Deterministic ring-walk env (same dynamics as the runtime integration
 /// tests): any divergence in the policy/RNG stream shows up in rewards
@@ -123,7 +131,6 @@ fn sync_over_loopback_socket_is_bit_identical_to_in_process() {
         in_proc.critic().flat_params(),
         "critic weights diverged over TCP"
     );
-    assert_eq!(outcome.report.mode, "sync");
     assert_eq!(
         outcome.report.batches_produced,
         outcome.report.batches_consumed + outcome.report.batches_in_flight,
@@ -176,7 +183,7 @@ fn sync_ppo_over_loopback_socket_is_bit_identical() {
 
 /// The full multi-process deployment path — a learner server accepting a
 /// TCP connection and a separately-constructed actor dialing in, speaking
-/// `LearnerHello`/`ExperienceBatch`/`ActorCtrl` frames — reproduces the
+/// `LearnerHello`/`ExperienceBatch`/`SyncReply` frames — reproduces the
 /// in-process sync run bit for bit (weights, stats, and RNG tail).
 #[test]
 fn remote_learner_and_actor_over_tcp_match_in_process_sync() {
@@ -234,84 +241,6 @@ fn remote_learner_and_actor_over_tcp_match_in_process_sync() {
     assert_eq!(tail_remote, tail_baseline, "RNG diverged across processes");
 }
 
-/// Async mode over the socket transport completes the horizon and keeps
-/// its invariants. (Async interleaving is timing-dependent by design, and
-/// socket queues buffer beyond the nominal channel capacity — so the
-/// staleness budget here has headroom, and only structural properties are
-/// asserted; bit-identity is sync mode's contract.)
-#[test]
-fn async_over_loopback_socket_completes_with_invariants() {
-    let total = 400;
-    let mut agent = A2c::new(2, 2, a2c_config(), 3);
-    let mut envs = ring_envs(4);
-    let config = RuntimeConfig {
-        mode: Mode::Async,
-        n_actors: 2,
-        channel_capacity: 2,
-        minibatch_batches: 2,
-        // Generous: a short run publishes few versions, so observed
-        // staleness stays far below this even with kernel buffering.
-        max_staleness: 512,
-        actor_seed: 99,
-    };
-    config.validate().unwrap();
-    let outcome = train_with_transport(&mut agent, &mut envs, total, &config, &SocketLoopback);
-
-    assert!(outcome.stats.total_steps >= total);
-    let r = &outcome.report;
-    assert_eq!(r.mode, "async");
-    assert!(r.max_staleness <= config.max_staleness);
-    assert_eq!(
-        r.batches_produced,
-        r.batches_consumed + r.batches_in_flight,
-        "batch conservation violated: {r:?}"
-    );
-}
-
-/// A remote async deployment (two actor processes' worth of connections)
-/// also completes and respects the learner-side staleness assertion.
-#[test]
-fn remote_async_two_actors_complete() {
-    let total = 400;
-    let config = RuntimeConfig {
-        mode: Mode::Async,
-        n_actors: 2,
-        channel_capacity: 2,
-        minibatch_batches: 1,
-        max_staleness: 512,
-        actor_seed: 42,
-    };
-    config.validate().unwrap();
-
-    let server = LearnerServer::bind("127.0.0.1:0").expect("bind learner");
-    let addr = server.local_addr();
-    let cfg = a2c_config();
-    let learner_thread = std::thread::spawn(move || {
-        let mut agent = A2c::new(2, 2, cfg, 3);
-        server
-            .run(&mut agent, total, &config, None)
-            .expect("learner server run")
-    });
-    let actors: Vec<_> = (0..2)
-        .map(|i| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let mut envs = ring_envs(2 + i);
-                dosco_runtime::run_actor(&mut envs, &addr, &NetConfig::default())
-                    .expect("actor run")
-            })
-        })
-        .collect();
-
-    let outcome = learner_thread.join().expect("learner thread");
-    for a in actors {
-        assert!(a.join().expect("actor thread") > 0);
-    }
-    assert!(outcome.stats.total_steps >= total);
-    assert_eq!(outcome.report.mode, "async");
-    assert_eq!(outcome.report.n_actors, 2);
-}
-
 /// Cancellation stops a run early and still restores the agent RNG (the
 /// shutdown drain recovers it from wherever it is in flight).
 #[test]
@@ -325,4 +254,110 @@ fn cancelled_training_shuts_down_cleanly_and_restores_rng() {
     // The agent survived with a usable RNG: further training works.
     let tail = agent.train(&mut ring_envs(2), 40);
     assert!(tail.total_steps >= 40);
+}
+
+/// A rollout of zeros shaped like the ring env's `n_envs × n_steps`
+/// batch, for the fake actor below to corrupt.
+fn zero_rollout(n_envs: usize, n_steps: usize) -> Rollout {
+    let rows = n_envs * n_steps;
+    Rollout {
+        obs: Matrix::zeros(rows, 2),
+        actions: vec![0; rows],
+        rewards: vec![0.0; rows],
+        dones: vec![false; rows],
+        values: vec![0.0; rows],
+        returns: vec![0.0; rows],
+        advantages: vec![0.0; rows],
+        n_envs,
+        n_steps,
+        reward_sum: 0.0,
+    }
+}
+
+/// Serves one learner run whose only actor is a raw socket: it reads the
+/// hello, sends `batch`, and keeps the connection open. Returns what
+/// [`LearnerServer::run`] returned; fails the test if the learner panics
+/// or is still running after a minute.
+fn serve_one_hostile_batch(batch: ExperienceBatch) -> Result<RuntimeOutcome, NetError> {
+    let server = LearnerServer::bind("127.0.0.1:0").expect("bind learner");
+    let addr = server.local_addr();
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut agent = A2c::new(2, 2, a2c_config(), 7);
+        let _ = done_tx.send(server.run(&mut agent, 300, &RuntimeConfig::sync(), None));
+    });
+    let mut stream = TcpStream::connect(&addr).expect("dial learner");
+    read_frame(&mut stream).expect("hello frame");
+    write_frame(&mut stream, &encode_msg(&batch)).expect("send batch");
+    let result = match done_rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(result) => result,
+        Err(RecvTimeoutError::Disconnected) => panic!("learner panicked on a hostile batch"),
+        Err(RecvTimeoutError::Timeout) => panic!("learner hung on a hostile batch"),
+    };
+    drop(stream);
+    result
+}
+
+fn assert_protocol_error(result: Result<RuntimeOutcome, NetError>, what: &str) {
+    match result {
+        Err(NetError::Protocol(msg)) => assert!(msg.contains(what), "{msg}"),
+        other => panic!("expected a protocol error naming {what:?}, got {other:?}"),
+    }
+}
+
+/// A remote actor is untrusted input: a batch that lost the circulating
+/// RNG is refused, not unwrapped.
+#[test]
+fn hostile_batch_without_rng_is_a_protocol_error() {
+    let batch = ExperienceBatch {
+        rollout: zero_rollout(1, 5),
+        version: 0,
+        rng: None,
+    };
+    assert_protocol_error(serve_one_hostile_batch(batch), "RNG");
+}
+
+/// A batch claiming a policy version the learner has not published yet
+/// is refused: in lockstep every batch carries the learner's version.
+#[test]
+fn hostile_batch_from_a_future_version_is_a_protocol_error() {
+    let batch = ExperienceBatch {
+        rollout: zero_rollout(1, 5),
+        version: 1,
+        rng: Some(StdRng::seed_from_u64(1)),
+    };
+    assert_protocol_error(serve_one_hostile_batch(batch), "version");
+}
+
+/// A rollout whose per-transition fields disagree in length is refused
+/// before the update indexes them.
+#[test]
+fn hostile_batch_with_ragged_rows_is_a_protocol_error() {
+    let mut rollout = zero_rollout(1, 5);
+    rollout.actions.pop();
+    let batch = ExperienceBatch {
+        rollout,
+        version: 0,
+        rng: Some(StdRng::seed_from_u64(1)),
+    };
+    assert_protocol_error(serve_one_hostile_batch(batch), "rows");
+}
+
+/// A rollout that does not fit the learner's networks — observations of
+/// the wrong width, or an action the policy does not have — is refused
+/// before the forward pass or the update reads it.
+#[test]
+fn hostile_batch_that_does_not_fit_the_policy_is_a_protocol_error() {
+    let mut wide = zero_rollout(1, 5);
+    wide.obs = Matrix::zeros(5, 3);
+    let mut bad_action = zero_rollout(1, 5);
+    bad_action.actions[0] = 2;
+    for rollout in [wide, bad_action] {
+        let batch = ExperienceBatch {
+            rollout,
+            version: 0,
+            rng: Some(StdRng::seed_from_u64(1)),
+        };
+        assert_protocol_error(serve_one_hostile_batch(batch), "policy");
+    }
 }

@@ -1,26 +1,22 @@
 //! Actor–learner training runtime quickstart: train an A2C coordination
-//! policy on the paper's base scenario (Abilene) with overlapped rollout
-//! actors and a central learner, then print the runtime's counters —
-//! batches produced/consumed, policy staleness against its bound, and the
-//! backpressure signals.
+//! policy on the paper's base scenario (Abilene) with a rollout actor and
+//! a central learner in lockstep — bit-identical to the serial training
+//! loop — then print the runtime's counters: batches produced, consumed
+//! and in flight, snapshots published, and channel waits.
 //!
 //! ```text
 //! cargo run --release --example actor_learner
 //! ```
 //!
 //! Set `DOSCO_TRACE=/tmp/run.jsonl` to capture a structured JSONL event
-//! trace (episode samples, batch hand-offs, snapshot publishes). Tracing
-//! switches the runtime to lockstep sync mode so the trace is
-//! byte-identical across runs with the same seed; `DOSCO_SPANS=1`
-//! additionally arms the hot-path span timers.
-//!
-//! For the lockstep variant that is bit-identical to the serial training
-//! loop, swap in `RuntimeConfig::sync()`.
+//! trace (episode samples, batch hand-offs, snapshot publishes); the run
+//! is lockstep, so the trace is byte-identical across runs with the same
+//! seed. `DOSCO_SPANS=1` additionally arms the hot-path span timers.
 
 use dosco::core::{CoordEnv, RewardConfig};
 use dosco::rl::a2c::{A2c, A2cConfig};
 use dosco::rl::Env;
-use dosco::runtime::{train, Mode, RuntimeConfig};
+use dosco::runtime::{train, RuntimeConfig};
 use dosco::simnet::ScenarioConfig;
 use dosco::traffic::ArrivalPattern;
 
@@ -38,7 +34,7 @@ fn main() {
     let degree = scenario.topology.network_degree();
     let (obs_dim, num_actions) = (4 * degree + 4, degree + 1);
 
-    // Four parallel environment copies, sharded across two actor threads.
+    // Four parallel environment copies, stepped by the one actor thread.
     let mut envs: Vec<Box<dyn Env>> = (0..4)
         .map(|i| {
             Box::new(CoordEnv::new(
@@ -49,7 +45,6 @@ fn main() {
             )) as Box<dyn Env>
         })
         .collect();
-
     let agent_cfg = A2cConfig {
         n_steps: 16,
         hidden: [64, 64],
@@ -57,49 +52,24 @@ fn main() {
     };
     let mut agent = A2c::new(obs_dim, num_actions, agent_cfg, 0);
 
-    // Async interleaving is nondeterministic by design, so a trace run
-    // drops to lockstep sync mode: same seed -> byte-identical trace.
-    let mode = if trace_path.is_some() {
-        println!("DOSCO_TRACE set: using sync mode for a deterministic trace");
-        Mode::Sync
-    } else {
-        Mode::Async
-    };
-    let config = RuntimeConfig {
-        mode,
-        n_actors: 2,
-        channel_capacity: 4,
-        minibatch_batches: 1,
-        max_staleness: 32,
-        actor_seed: 0x5EED,
-    };
-    config.validate().expect("valid runtime configuration");
-
-    println!(
-        "training A2C through the actor-learner runtime ({} mode, {} actors) ...",
-        config.mode.name(),
-        config.n_actors
-    );
-    let outcome = train(&mut agent, &mut envs, 8_000, &config);
-
+    println!("training A2C through the actor-learner runtime ...");
+    let outcome = train(&mut agent, &mut envs, 8_000, &RuntimeConfig::sync());
     println!(
         "trained {} transitions over {} updates, final mean reward {:.4}",
         outcome.stats.total_steps,
         outcome.stats.mean_rewards.len(),
         outcome.stats.tail_mean(10),
     );
+
     let r = &outcome.report;
     println!("runtime counters:");
     println!("  batches produced      {}", r.batches_produced);
     println!("  batches consumed      {}", r.batches_consumed);
     println!("  batches in flight     {}", r.batches_in_flight);
     println!("  snapshots published   {}", r.snapshots_published);
-    println!(
-        "  staleness             mean {:.2} / max {} (bound {})",
-        r.mean_staleness, r.max_staleness, r.staleness_bound
-    );
-    println!("  channel-full stalls   {}", r.channel_full_stalls);
-    println!("  clock-gate waits      {}", r.gate_waits);
+    println!("  send wait             {:.2} ms", r.send_wait_ms);
+    println!("  receive wait          {:.2} ms", r.recv_wait_ms);
+    println!("  snapshot cloning      {:.2} ms", r.publish_ms);
     assert_eq!(
         r.batches_produced,
         r.batches_consumed + r.batches_in_flight,

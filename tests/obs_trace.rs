@@ -2,9 +2,9 @@
 //! schema-versioned JSONL event stream in which every line parses, and
 //! two runs with the same seed render byte-identical traces.
 //!
-//! Uses sync (lockstep) runtime mode — async interleaving is
-//! nondeterministic by design — and in-memory `JsonlRecorder::render`
-//! rather than temp files, so the test is hermetic.
+//! The runtime's actor and learner run in lockstep, so the trace is
+//! deterministic; in-memory `JsonlRecorder::render` rather than temp
+//! files keeps the test hermetic.
 
 use dosco::core::{CoordEnv, RewardConfig};
 use dosco::obs::{JsonlRecorder, Stream};
@@ -15,7 +15,7 @@ use dosco::simnet::ScenarioConfig;
 use dosco::traffic::ArrivalPattern;
 use std::sync::Arc;
 
-/// One short sync-mode training run with `recorder` installed; returns
+/// One short runtime training run with `recorder` installed; returns
 /// the rendered trace. The recorder is uninstalled before returning so
 /// the global state never leaks between invocations.
 fn traced_training_run() -> String {
