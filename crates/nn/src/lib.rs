@@ -23,8 +23,9 @@
 //!   vectorises.
 //!
 //! Every kernel here is serial: the workspace spends its cores on whole
-//! training and evaluation seeds (`dosco_rl::trainer::fan_out`), not on
-//! threads inside a GEMM. Only [`simd`] is exempt from this crate's
+//! training and evaluation seeds (`dosco_rl::trainer::fan_out`) and on
+//! the actor and critic halves of an update (`dosco_rl::trainer`), not
+//! on threads inside a GEMM. Only [`simd`] is exempt from this crate's
 //! `deny` on raw-pointer and intrinsic code.
 //!
 //! Models serialize with serde, so trained policies can be copied to every

@@ -8,6 +8,7 @@
 
 use crate::learner::{ActorCritic, CollectParams, UpdateRule};
 use crate::rollout::Rollout;
+use crate::trainer::join_halves;
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::{ForwardCache, Gradients, Mlp};
 use dosco_nn::optim::{Optimizer, RmsProp};
@@ -78,37 +79,42 @@ impl TrainStats {
     }
 }
 
-/// The critic-loss gradient `vf_coef·(v − ret)/B` w.r.t. the value head's
-/// output, for `0.5·vf_coef·(v − ret)²` averaged over the batch.
-pub(crate) fn value_loss_gradient(values: &Matrix, returns: &[f32], vf_coef: f32) -> Matrix {
-    let batch = returns.len() as f32;
-    Matrix::from_fn(returns.len(), 1, |i, _| {
-        vf_coef * (values.get(i, 0) - returns[i]) / batch
-    })
-}
-
-/// Computes actor and critic gradients for one rollout batch — shared by
-/// A2C (RMSprop step) and ACKTR (K-FAC step).
-pub(crate) fn actor_critic_gradients(
+/// The actor's gradient for one rollout batch — shared by A2C (RMSprop
+/// step) and ACKTR (K-FAC step): a cached forward, the policy over its
+/// logits, and the backward of the policy-gradient loss with its entropy
+/// bonus.
+pub(crate) fn policy_gradients(
     actor: &Mlp,
-    critic: &Mlp,
     rollout: &Rollout,
     ent_coef: f32,
-    vf_coef: f32,
-) -> (Gradients, Gradients, ForwardCache, ForwardCache) {
-    // Actor: policy gradient with entropy bonus on the logits.
-    let actor_cache = actor.forward_cached(&rollout.obs);
-    let dist = Categorical::new(&actor_cache.output);
+) -> (Gradients, ForwardCache, Categorical) {
+    let cache = actor.forward_cached(&rollout.obs);
+    let dist = Categorical::new(&cache.output);
     let dlogits = dist.policy_gradient_logits(&rollout.actions, &rollout.advantages, ent_coef);
-    let actor_grads = actor.backward(&actor_cache, &dlogits);
-    let critic_cache = critic.forward_cached(&rollout.obs);
-    let dv = value_loss_gradient(&critic_cache.output, &rollout.returns, vf_coef);
-    let critic_grads = critic.backward(&critic_cache, &dv);
-    (actor_grads, critic_grads, actor_cache, critic_cache)
+    (actor.backward(&cache, &dlogits), cache, dist)
 }
 
-/// The A2C update: the actor–critic gradients, clipped, through one
-/// RMSprop step per network. Draws no randomness.
+/// The critic's gradient for one rollout batch — shared by A2C, ACKTR and
+/// each PPO epoch: a cached forward and the backward of
+/// `0.5·vf_coef·(v − ret)²` averaged over the batch, whose gradient
+/// w.r.t. the value head is `vf_coef·(v − ret)/B`.
+pub(crate) fn value_gradients(
+    critic: &Mlp,
+    rollout: &Rollout,
+    vf_coef: f32,
+) -> (Gradients, ForwardCache) {
+    let cache = critic.forward_cached(&rollout.obs);
+    let returns = &rollout.returns;
+    let batch = returns.len() as f32;
+    let dv = Matrix::from_fn(returns.len(), 1, |i, _| {
+        vf_coef * (cache.output.get(i, 0) - returns[i]) / batch
+    });
+    (critic.backward(&cache, &dv), cache)
+}
+
+/// The A2C update: each network's gradient, clipped, through one RMSprop
+/// step — the actor's and the critic's side by side (`join_halves`).
+/// Draws no randomness.
 #[derive(Debug)]
 pub struct RmsPropStep {
     config: A2cConfig,
@@ -165,17 +171,20 @@ impl UpdateRule for RmsPropStep {
         if self.config.normalize_advantages {
             rollout.normalize_advantages();
         }
-        let (mut actor_grads, mut critic_grads, _, _) = actor_critic_gradients(
-            actor,
-            critic,
-            rollout,
-            self.config.ent_coef,
-            self.config.vf_coef,
+        let (rollout, c) = (&*rollout, self.config);
+        let (actor_opt, critic_opt) = (&mut self.actor_opt, &mut self.critic_opt);
+        join_halves(
+            move || {
+                let (mut grads, _, _) = policy_gradients(actor, rollout, c.ent_coef);
+                grads.clip_global_norm(c.max_grad_norm);
+                actor_opt.step(actor, &grads);
+            },
+            move || {
+                let (mut grads, _) = value_gradients(critic, rollout, c.vf_coef);
+                grads.clip_global_norm(c.max_grad_norm);
+                critic_opt.step(critic, &grads);
+            },
         );
-        actor_grads.clip_global_norm(self.config.max_grad_norm);
-        critic_grads.clip_global_norm(self.config.max_grad_norm);
-        self.actor_opt.step(actor, &actor_grads);
-        self.critic_opt.step(critic, &critic_grads);
     }
 }
 

@@ -8,13 +8,13 @@
 //! from the model's own predictive distribution: categorical sampling for
 //! the actor, unit-Gaussian sampling for the critic's value head.
 
-use crate::a2c::actor_critic_gradients;
+use crate::a2c::{policy_gradients, value_gradients};
 use crate::learner::{ActorCritic, CollectParams, UpdateRule};
 use crate::rollout::Rollout;
+use crate::trainer::join_halves;
 use dosco_nn::kfac::{Kfac, KfacConfig};
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
-use dosco_nn::Categorical;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -87,9 +87,10 @@ impl AcktrConfig {
     }
 }
 
-/// The ACKTR update: the A2C gradients, Fisher-factor statistics from
-/// model-sampled gradients, and one K-FAC natural-gradient step per
-/// network under the KL trust region.
+/// The ACKTR update: per network, the A2C gradient, Fisher-factor
+/// statistics from model-sampled gradients, and one K-FAC
+/// natural-gradient step under the KL trust region — the actor's and the
+/// critic's side by side (`join_halves`).
 #[derive(Debug)]
 pub struct KfacStep {
     config: AcktrConfig,
@@ -148,20 +149,17 @@ impl UpdateRule for KfacStep {
         if self.config.normalize_advantages {
             rollout.normalize_advantages();
         }
-        let (actor_grads, critic_grads, actor_cache, critic_cache) = actor_critic_gradients(
-            actor,
-            critic,
-            rollout,
-            self.config.ent_coef,
-            self.config.vf_coef,
-        );
+        let (rollout, c) = (&*rollout, self.config);
 
-        // Fisher factor statistics from model-sampled gradients.
+        // Every draw is taken here, before the halves part, in the order
+        // of one serial update: the actor's Fisher samples — one
+        // `gen::<f32>()` per row, drawn by the actor half from its copy of
+        // the stream — then the critic's noise.
         let batch = rollout.actions.len();
-        let actor_fisher_out = Categorical::new(&actor_cache.output).fisher_sample_logits(rng);
-        let actor_fisher = actor.backward_preact(&actor_cache, &actor_fisher_out);
-        self.actor_kfac.update_stats(&actor_cache, &actor_fisher);
-
+        let mut actor_rng = rng.clone();
+        for _ in 0..batch {
+            let _: f32 = rng.gen();
+        }
         // Critic value head: Gaussian likelihood ⇒ Fisher gradient is
         // standard normal noise (Wu et al., Sec. 3).
         let critic_fisher_out = Matrix::from_fn(batch, 1, |_, _| {
@@ -169,16 +167,29 @@ impl UpdateRule for KfacStep {
             let u2: f32 = rng.gen();
             ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()) / batch as f32
         });
-        let critic_fisher = critic.backward_preact(&critic_cache, &critic_fisher_out);
-        self.critic_kfac.update_stats(&critic_cache, &critic_fisher);
 
-        // Natural-gradient steps with the trust region.
-        self.actor_kfac
-            .step(actor, &actor_grads)
-            .expect("actor K-FAC inversion failed; increase damping");
-        self.critic_kfac
-            .step(critic, &critic_grads)
-            .expect("critic K-FAC inversion failed; increase damping");
+        // Per network: the gradient, Fisher-factor statistics from
+        // model-sampled gradients, the natural-gradient step with the
+        // trust region.
+        let (actor_kfac, critic_kfac) = (&mut self.actor_kfac, &mut self.critic_kfac);
+        join_halves(
+            move || {
+                let (grads, cache, dist) = policy_gradients(actor, rollout, c.ent_coef);
+                let fisher_out = dist.fisher_sample_logits(&mut actor_rng);
+                actor_kfac.update_stats(&cache, &actor.backward_preact(&cache, &fisher_out));
+                actor_kfac
+                    .step(actor, &grads)
+                    .expect("actor K-FAC inversion failed; increase damping");
+            },
+            move || {
+                let (grads, cache) = value_gradients(critic, rollout, c.vf_coef);
+                critic_kfac
+                    .update_stats(&cache, &critic.backward_preact(&cache, &critic_fisher_out));
+                critic_kfac
+                    .step(critic, &grads)
+                    .expect("critic K-FAC inversion failed; increase damping");
+            },
+        );
     }
 }
 

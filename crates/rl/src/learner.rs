@@ -153,7 +153,12 @@ pub trait UpdateRule: Send + Sized {
     fn set_lr(&mut self, lr: f32);
 
     /// Applies one update to the networks from a collected rollout; `rng`
-    /// is the stream for any update-time sampling.
+    /// is the stream for any update-time sampling. The three rules split
+    /// the update into an actor half and a critic half that share nothing
+    /// and hand both to `trainer::join_halves`, which runs them side by
+    /// side when a core is free; every draw from `rng` is taken before the
+    /// split, in the order one serial update would take it, so the result
+    /// is the same either way.
     fn update(
         &mut self,
         actor: &mut Mlp,

@@ -26,7 +26,8 @@
 //!   continuous rule-update policy,
 //! - [`trainer`]: multi-seed training with best-agent selection
 //!   (Alg. 1 ln. 13) over [`trainer::fan_out`], the scoped-thread
-//!   fork–join every seed-level loop in the workspace shares.
+//!   fork–join every seed-level loop in the workspace shares, and the
+//!   fork–join of one update's actor and critic halves.
 //!
 //! # Example
 //!
@@ -55,6 +56,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod a2c;
 pub mod acktr;

@@ -5,9 +5,10 @@
 //! policy-gradient methods that ACKTR belongs to; this implementation
 //! serves as the ablation alternative to ACKTR's natural gradient.
 
-use crate::a2c::value_loss_gradient;
+use crate::a2c::value_gradients;
 use crate::learner::{ActorCritic, CollectParams, UpdateRule};
 use crate::rollout::Rollout;
+use crate::trainer::join_halves;
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
 use dosco_nn::optim::{Adam, Optimizer};
@@ -57,9 +58,10 @@ impl Default for PpoConfig {
     }
 }
 
-/// The PPO update: `epochs` passes over the rollout, each a clipped-
-/// surrogate Adam step on the actor and a value-loss Adam step on the
-/// critic. Draws no randomness.
+/// The PPO update: `epochs` clipped-surrogate Adam steps on the actor
+/// and, side by side with them (`join_halves`), `epochs` value-loss Adam
+/// steps on the critic, each pass over the whole rollout. Draws no
+/// randomness.
 #[derive(Debug)]
 pub struct ClippedSurrogateEpochs {
     config: PpoConfig,
@@ -155,30 +157,36 @@ impl UpdateRule for ClippedSurrogateEpochs {
         _rng: &mut StdRng,
     ) {
         rollout.normalize_advantages();
-        // Old log-probs under the collection policy.
-        let old_lp = Categorical::new(&actor.forward(&rollout.obs)).log_prob(&rollout.actions);
-        for _ in 0..self.config.epochs {
-            let actor_cache = actor.forward_cached(&rollout.obs);
-            let dist = Categorical::new(&actor_cache.output);
-            let dlogits = ppo_logit_gradients(
-                &dist,
-                &rollout.actions,
-                &rollout.advantages,
-                &old_lp,
-                self.config.clip,
-                self.config.ent_coef,
-            );
-            let mut actor_grads = actor.backward(&actor_cache, &dlogits);
-            actor_grads.clip_global_norm(self.config.max_grad_norm);
-            self.actor_opt.step(actor, &actor_grads);
-
-            let critic_cache = critic.forward_cached(&rollout.obs);
-            let dv =
-                value_loss_gradient(&critic_cache.output, &rollout.returns, self.config.vf_coef);
-            let mut critic_grads = critic.backward(&critic_cache, &dv);
-            critic_grads.clip_global_norm(self.config.max_grad_norm);
-            self.critic_opt.step(critic, &critic_grads);
-        }
+        let (rollout, c) = (&*rollout, self.config);
+        let (actor_opt, critic_opt) = (&mut self.actor_opt, &mut self.critic_opt);
+        join_halves(
+            move || {
+                // Old log-probs under the collection policy.
+                let old_lp =
+                    Categorical::new(&actor.forward(&rollout.obs)).log_prob(&rollout.actions);
+                for _ in 0..c.epochs {
+                    let cache = actor.forward_cached(&rollout.obs);
+                    let dlogits = ppo_logit_gradients(
+                        &Categorical::new(&cache.output),
+                        &rollout.actions,
+                        &rollout.advantages,
+                        &old_lp,
+                        c.clip,
+                        c.ent_coef,
+                    );
+                    let mut grads = actor.backward(&cache, &dlogits);
+                    grads.clip_global_norm(c.max_grad_norm);
+                    actor_opt.step(actor, &grads);
+                }
+            },
+            move || {
+                for _ in 0..c.epochs {
+                    let (mut grads, _) = value_gradients(critic, rollout, c.vf_coef);
+                    grads.clip_global_norm(c.max_grad_norm);
+                    critic_opt.step(critic, &grads);
+                }
+            },
+        );
     }
 }
 

@@ -3,18 +3,36 @@
 //! Random seeds have a significant impact on DRL convergence (Henderson et
 //! al. [43]); the paper therefore trains `k = 10` agents with different
 //! seeds in parallel and deploys the one with the highest reward.
-//! [`fan_out`] is how this workspace uses more than one core for compute:
-//! whole seeds (training or evaluation) spread over the machine's cores,
-//! each running the serial kernels.
+//! This workspace uses more than one core for compute at two grains, both
+//! here: [`fan_out`] spreads whole seeds (training or evaluation) over the
+//! machine's cores, each running the serial kernels, and [`join_halves`]
+//! runs the actor and the critic half of one update side by side — only
+//! while a core is free, because when the seeds fill the cores they keep
+//! them.
 
+use std::cell::Cell;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// The host's core count, read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+thread_local! {
+    /// Set on a [`fan_out`] worker while the workers fill every core.
+    static CORES_FULL: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Applies `f` to every item and returns the results in item order, on
 /// `min(available_parallelism, items.len())` scoped threads that claim
 /// items in index order, one at a time (inline on the calling thread when
 /// that is 1). Meant for coarse, independent work — a training or
-/// evaluation seed — where each item is worth a thread.
+/// evaluation seed — where each item is worth a thread. When the workers
+/// fill every core, the updates they run keep their halves inline
+/// ([`join_halves`]).
 ///
 /// # Panics
 ///
@@ -26,16 +44,16 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, usize::from)
-        .min(items.len());
+    let workers = cores().min(items.len());
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
+    let full = workers == cores();
     // Relaxed: the counter only hands out indices; results travel through
     // the joins below.
     let next = AtomicUsize::new(0);
     let claim = || {
+        CORES_FULL.set(full);
         let mut part = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -63,6 +81,38 @@ where
     }
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Runs the two halves of an actor–critic update — they share nothing —
+/// and returns both results: `critic` on a scoped thread beside `actor`
+/// inline when a core is free for it, else both inline, actor first (on a
+/// one-core host, or on a [`fan_out`] worker while the workers fill every
+/// core). Which way they ran cannot show in a result.
+///
+/// # Panics
+///
+/// Re-raises a panic of either half with its own payload once both are
+/// done: the critic's after the actor half has finished, the actor's
+/// after the critic thread has joined.
+pub(crate) fn join_halves<A, C, RA, RC>(actor: A, critic: C) -> (RA, RC)
+where
+    A: FnOnce() -> RA,
+    C: FnOnce() -> RC + Send,
+    RC: Send,
+{
+    if cores() < 2 || CORES_FULL.get() {
+        return (actor(), critic());
+    }
+    // An actor panic unwinds out of the scope, which joins the critic
+    // thread first.
+    let (a, c) = std::thread::scope(|s| {
+        let critic = s.spawn(critic);
+        (actor(), critic.join())
+    });
+    match c {
+        Ok(c) => (a, c),
+        Err(payload) => resume_unwind(payload),
+    }
 }
 
 /// The outcome of one seed's training run.
@@ -154,6 +204,75 @@ mod tests {
         let payload = result.expect_err("the item's panic must propagate");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 63 exploded"));
         assert_eq!(completed.load(Ordering::SeqCst), 63);
+    }
+
+    /// The halves fork from a free thread on a multi-core host and stay on
+    /// the worker of a `fan_out` that fills the cores.
+    #[test]
+    fn halves_fork_only_when_a_core_is_free() {
+        let here = || std::thread::current().id();
+        let (actor, critic) = join_halves(here, here);
+        assert_eq!(actor, here());
+        assert_eq!(actor != critic, cores() > 1);
+        let workers = vec![(); cores()];
+        for (actor, critic) in fan_out(&workers, |()| join_halves(here, here)) {
+            assert_eq!(actor, critic);
+        }
+    }
+
+    /// The critic half is about to panic before the actor half finishes
+    /// (forked, the actor waits for its word; inline, the actor runs
+    /// first), and its payload surfaces only after the actor half is done.
+    #[test]
+    fn join_halves_re_raises_a_critic_panic_after_the_actor_half() {
+        let actor_done = AtomicUsize::new(0);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            join_halves(
+                || {
+                    if cores() > 1 {
+                        rx.recv().expect("the critic half sends before it panics");
+                    }
+                    actor_done.fetch_add(1, Ordering::SeqCst);
+                },
+                move || {
+                    tx.send(()).expect("the actor half holds the receiver");
+                    panic!("critic half exploded")
+                },
+            )
+        }));
+        let payload = result.expect_err("the critic's panic must propagate");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"critic half exploded")
+        );
+        assert_eq!(actor_done.load(Ordering::SeqCst), 1);
+    }
+
+    /// The actor half panics while the critic thread waits for its word;
+    /// the critic still runs to the end and is joined before the actor's
+    /// payload surfaces. Inline (one core) the critic half never starts.
+    #[test]
+    fn join_halves_joins_the_critic_before_re_raising_an_actor_panic() {
+        let critic_done = AtomicUsize::new(0);
+        let done = &critic_done;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            join_halves(
+                move || {
+                    // An unbounded send never blocks, forked or inline.
+                    tx.send(()).expect("the critic half holds the receiver");
+                    panic!("actor half exploded")
+                },
+                move || {
+                    rx.recv().expect("the actor half sends before it panics");
+                    done.fetch_add(1, Ordering::SeqCst);
+                },
+            )
+        }));
+        let payload = result.expect_err("the actor's panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"actor half exploded"));
+        assert_eq!(critic_done.load(Ordering::SeqCst), usize::from(cores() > 1));
     }
 
     #[test]

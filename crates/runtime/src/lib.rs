@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod config;
 pub mod counters;

@@ -15,6 +15,9 @@ cargo test -q --workspace
 echo "== cargo test (nn + serve, DOSCO_SIMD=off: scalar reference kernels, plain tanh and inversion loops) =="
 DOSCO_SIMD=off cargo test -q -p dosco-nn -p dosco-serve
 
+echo "== cargo test (rl, DOSCO_SIMD=off: forked update halves == inline == the serial update's fingerprints on the scalar kernels) =="
+DOSCO_SIMD=off cargo test -q -p dosco-rl
+
 echo "== training fingerprints (DOSCO_SIMD=off: the 2x256 golden on the scalar kernels, plain tanh and inversion loops) =="
 DOSCO_SIMD=off cargo test -q --test train_goldens
 
