@@ -54,6 +54,12 @@ pub struct PolicyMetadata {
 impl CoordinationPolicy {
     /// Wraps a trained actor.
     ///
+    /// Unlike deserialisation, this does not check that every parameter
+    /// is finite: it is the in-process path, where the actor is a snapshot
+    /// of a network this process trained, and a diverged one is training's
+    /// to report. Outside bytes enter through [`CoordinationPolicy::from_json`]
+    /// and [`CoordinationPolicy::load`], which reject non-finite values.
+    ///
     /// # Panics
     ///
     /// Panics if the actor's input/output dimensions are inconsistent with
@@ -119,7 +125,10 @@ impl CoordinationPolicy {
     ///
     /// # Errors
     ///
-    /// Returns an error for malformed JSON or mismatched shapes.
+    /// Returns an error for malformed JSON, mismatched shapes, or a weight
+    /// or bias that is not finite (a number beyond `f32`'s range reads as
+    /// infinite, `null` as NaN); the message names the first such
+    /// parameter's layer and index.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
     }
@@ -265,9 +274,24 @@ fn check_shapes(actor: &Mlp, degree: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Re-checks [`CoordinationPolicy::new`]'s shape contract, so a damaged
-/// or hand-edited policy is an error at load time rather than a panic at
-/// its first decision.
+/// Why `actor` cannot decide: the first weight or bias that is not finite.
+/// `∞ · 0` is NaN, and observations hold many zeros (the dummy padding of
+/// low-degree nodes), so one such parameter turns a decision's logits into
+/// NaN and `act` panics.
+fn check_finite(actor: &Mlp) -> Result<(), String> {
+    for (i, layer) in actor.layers().iter().enumerate() {
+        for (what, values) in [("weight", layer.weights().as_slice()), ("bias", layer.bias())] {
+            if let Some((j, v)) = values.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+                return Err(format!("actor layer {i} {what} {j} is {v}, not a finite number"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Re-checks [`CoordinationPolicy::new`]'s shape contract, and that every
+/// parameter is finite, so a damaged or hand-edited policy is an error at
+/// load time rather than a panic at its first decision.
 impl Deserialize for CoordinationPolicy {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let obj = v
@@ -276,7 +300,9 @@ impl Deserialize for CoordinationPolicy {
         let actor: Mlp = serde::field(obj, "actor", "CoordinationPolicy")?;
         let degree = serde::field(obj, "degree", "CoordinationPolicy")?;
         let metadata = serde::field(obj, "metadata", "CoordinationPolicy")?;
-        check_shapes(&actor, degree).map_err(serde::Error::new)?;
+        check_shapes(&actor, degree)
+            .and_then(|()| check_finite(&actor))
+            .map_err(serde::Error::new)?;
         Ok(CoordinationPolicy {
             actor,
             degree,
@@ -695,11 +721,9 @@ mod tests {
         );
     }
 
-    /// `load` parses through the same check, behind a header that vouches
-    /// for the bytes.
-    #[test]
-    fn load_rejects_an_inconsistent_policy_with_a_valid_header() {
-        let json = policy(3).to_json().unwrap().replacen(r#""degree":3"#, r#""degree":5"#, 1);
+    /// `load`'s error for `json` saved as `name` behind a header that
+    /// vouches for its bytes.
+    fn load_with_valid_header(name: &str, json: &str) -> io::Error {
         let header = ArtifactHeader {
             format: ARTIFACT_FORMAT.to_string(),
             payload_len: json.len() as u64,
@@ -707,15 +731,82 @@ mod tests {
         };
         let dir = std::env::temp_dir().join("dosco-policy-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("inconsistent.json");
+        let path = dir.join(name);
         let header = serde_json::to_string(&header).unwrap();
         std::fs::write(&path, format!("{header}\n{json}")).unwrap();
-        let err = CoordinationPolicy::load(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let msg = err.to_string();
-        assert!(msg.contains("4·Δ+4"), "must name the broken contract: {msg}");
-        assert!(msg.contains("inconsistent.json"), "must name the path: {msg}");
+        let err = CoordinationPolicy::load(&path).expect_err("the payload must not load");
         std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(name), "must name the path: {err}");
+        err
+    }
+
+    /// `load` parses through the same check, behind a header that vouches
+    /// for the bytes.
+    #[test]
+    fn load_rejects_an_inconsistent_policy_with_a_valid_header() {
+        let json = policy(3).to_json().unwrap().replacen(r#""degree":3"#, r#""degree":5"#, 1);
+        let err = load_with_valid_header("inconsistent.json", &json);
+        assert!(err.to_string().contains("4·Δ+4"), "must name the broken contract: {err}");
+    }
+
+    /// `p`'s JSON with element `index` of actor layer `layer`'s weights
+    /// (`key` `"w"`, row-major) or bias (`"b"`) replaced by `value`.
+    fn with_parameter(
+        p: &CoordinationPolicy,
+        layer: usize,
+        key: &str,
+        index: usize,
+        value: serde::Value,
+    ) -> String {
+        let mut v = serde::Serialize::to_value(p);
+        let slot = layer_field_mut(&mut v, layer, key);
+        let values = if key == "w" { field_mut(slot, "data") } else { slot };
+        match values {
+            serde::Value::Array(values) => values[index] = value,
+            other => panic!("expected an array, found {other:?}"),
+        }
+        serde_json::to_string(&v).unwrap()
+    }
+
+    /// A number beyond `f32`'s range (`1e39`), or `null`, where a weight
+    /// or bias belongs, and what it reads back as.
+    const NON_FINITE: [(serde::Value, &str); 3] = [
+        (serde::Value::Float(1e39), "inf"),
+        (serde::Value::Float(-1e39), "-inf"),
+        (serde::Value::Null, "NaN"),
+    ];
+
+    /// Such a weight used to load, and `act` on an all-zero observation
+    /// (`∞ · 0` is NaN) then panicked in `Categorical::argmax`.
+    #[test]
+    fn from_json_rejects_a_non_finite_weight() {
+        let p = policy(3);
+        for (value, shown) in NON_FINITE {
+            let json = with_parameter(&p, 1, "w", 17, value);
+            let needle = format!("actor layer 1 weight 17 is {shown}");
+            assert_rejected(CoordinationPolicy::from_json(&json), &needle);
+        }
+        // The same edit within range loads and decides.
+        let json = with_parameter(&p, 1, "w", 17, serde::Value::Float(1e38));
+        CoordinationPolicy::from_json(&json).unwrap().act(&[0.0; 16]);
+    }
+
+    #[test]
+    fn from_json_rejects_a_non_finite_bias() {
+        let p = policy(3);
+        for (value, shown) in NON_FINITE {
+            let json = with_parameter(&p, 0, "b", 5, value);
+            let needle = format!("actor layer 0 bias 5 is {shown}");
+            assert_rejected(CoordinationPolicy::from_json(&json), &needle);
+        }
+    }
+
+    #[test]
+    fn load_rejects_a_non_finite_weight_with_a_valid_header() {
+        let json = with_parameter(&policy(3), 0, "w", 3, serde::Value::Float(1e39));
+        let err = load_with_valid_header("non-finite.json", &json);
+        assert!(err.to_string().contains("actor layer 0 weight 3 is inf"), "{err}");
     }
 
     #[test]

@@ -588,6 +588,28 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// `CoordinationPolicy::new` checks shapes only, so an in-process
+    /// policy can carry an infinite weight. Its artifact stores it as
+    /// `null`, which reads back as NaN: publishing's read-back refuses it,
+    /// and the manifest never lists the version.
+    #[test]
+    fn publish_rejects_a_policy_with_a_non_finite_parameter() {
+        let root = temp_root("nonfinite");
+        let mut reg = PolicyRegistry::open(&root).unwrap();
+        let json = serde_json::to_string(policy(1, 10).actor()).unwrap();
+        let first = json.find(r#""data":["#).unwrap() + r#""data":["#.len();
+        let end = first + json[first..].find(',').unwrap();
+        let actor: Mlp =
+            serde_json::from_str(&format!("{}1e39{}", &json[..first], &json[end..])).unwrap();
+        assert!(actor.layers()[0].weights().get(0, 0).is_infinite());
+        let bad = CoordinationPolicy::new(actor, 3, PolicyMetadata::default());
+        let err = reg.publish(&bad).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("actor layer 0 weight 0 is NaN"), "{err}");
+        assert_eq!(reg.versions(), Vec::<u64>::new());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
     #[test]
     fn open_rejects_unknown_manifest_format() {
         let root = temp_root("badformat");

@@ -198,9 +198,13 @@ fn damped_inverse_with(
     let mut inv = Matrix::zeros(n, n);
     let out = inv.as_mut_slice();
     match kernel.best_available() {
-        // `Fma` too: the body never contracts, so there is no fused variant.
+        // `Fma` too: the body never contracts, so there is no fused
+        // variant. And `Avx512`: at eight `f64` lanes a panel row's
+        // sixteen accumulators are two vector chains instead of four, and
+        // the latency-bound solves ran slower (DESIGN.md, *Kept / deleted
+        // / why*).
         #[cfg(target_arch = "x86_64")]
-        GemmKernel::Avx2 | GemmKernel::Fma => {
+        GemmKernel::Avx2 | GemmKernel::Avx512 | GemmKernel::Fma => {
             crate::simd::x86::run_factor_and_solve(&mut l, n, out)?
         }
         _ => factor_and_solve(&mut l, n, out)?,
@@ -314,8 +318,9 @@ mod tests {
     }
 
     /// The plain and the AVX2 instantiation of the `f64` loops return the
-    /// same bits, and fail at the same pivot, whatever `DOSCO_SIMD` says:
-    /// at one panel's tail, and at the paper's 257-wide factor.
+    /// same bits, and fail at the same pivot, whatever `DOSCO_SIMD` says,
+    /// and the 16-lane kernel, forced, runs the AVX2 ones: at one panel's
+    /// tail, and at the paper's 257-wide factor.
     #[test]
     fn plain_and_avx2_loops_agree_bitwise() {
         use rand::{Rng, SeedableRng};
@@ -331,18 +336,19 @@ mod tests {
                 let inv = damped_inverse_with(&m, 0.01, kernel).unwrap();
                 inv.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
-            assert_eq!(bits(GemmKernel::Scalar), bits(GemmKernel::Avx2), "n = {n}");
+            let plain = bits(GemmKernel::Scalar);
+            assert_eq!(plain, bits(GemmKernel::Avx2), "n = {n}");
+            assert_eq!(plain, bits(GemmKernel::Avx512), "n = {n}");
         }
         let mut m = Matrix::identity(5);
         m.set(3, 3, -1.0);
-        assert_eq!(
-            damped_inverse_with(&m, 0.01, GemmKernel::Avx2),
-            Err(LinalgError::NotPositiveDefinite { pivot: 3 })
-        );
-        assert_eq!(
-            damped_inverse_with(&m, 0.01, GemmKernel::Scalar),
-            Err(LinalgError::NotPositiveDefinite { pivot: 3 })
-        );
+        for kernel in [GemmKernel::Scalar, GemmKernel::Avx2, GemmKernel::Avx512] {
+            assert_eq!(
+                damped_inverse_with(&m, 0.01, kernel),
+                Err(LinalgError::NotPositiveDefinite { pivot: 3 }),
+                "{kernel:?}"
+            );
+        }
     }
 
     #[test]

@@ -2,43 +2,49 @@
 //! GEMM hot paths.
 //!
 //! The scalar register-tiled kernels in [`crate::matrix`] remain the
-//! bit-exact reference path; this module adds AVX2 and AVX2+FMA variants
-//! selected at runtime via [`is_x86_feature_detected!`] and the
+//! bit-exact reference path; this module adds AVX2, AVX-512 and AVX2+FMA
+//! variants selected at runtime via [`is_x86_feature_detected!`] and the
 //! `DOSCO_SIMD` environment switch:
 //!
-//! | `DOSCO_SIMD`            | GEMM kernel                    | numerics vs scalar        | `tanh` loop     | `f64` inversion |
-//! |-------------------------|--------------------------------|---------------------------|-----------------|-----------------|
-//! | `off` / `0` / `scalar`  | [`GemmKernel::Scalar`]         | reference                 | plain           | plain           |
-//! | `avx2`                  | [`GemmKernel::Avx2`]           | **bit-identical**         | AVX2, same bits | AVX2, same bits |
-//! | `fma` / `on` / `1`      | [`GemmKernel::Fma`]            | deterministic, not bitwise| AVX2, same bits | AVX2, same bits |
-//! | unset / `auto`          | best **bit-identical** kernel  | bit-identical             | AVX2, same bits | AVX2, same bits |
+//! | `DOSCO_SIMD`            | GEMM kernel                    | numerics vs scalar        | `tanh` loop        | `f64` inversion    |
+//! |-------------------------|--------------------------------|---------------------------|--------------------|--------------------|
+//! | `off` / `0` / `scalar`  | [`GemmKernel::Scalar`]         | reference                 | plain              | plain              |
+//! | `avx2`                  | [`GemmKernel::Avx2`]           | **bit-identical**         | AVX2, same bits    | AVX2, same bits    |
+//! | `fma` / `on` / `1`      | [`GemmKernel::Fma`]            | deterministic, not bitwise| AVX2, same bits    | AVX2, same bits    |
+//! | unset / `auto`          | best **bit-identical** kernel: [`GemmKernel::Avx512`], else `Avx2`, else `Scalar` | bit-identical | AVX-512 or AVX2, same bits | AVX2, same bits |
 //!
-//! The AVX2 kernels vectorize across *independent output columns* with
-//! separate multiply and add steps, so every output element keeps exactly
-//! the scalar kernel's single ascending-`k` `f32` accumulator chain —
-//! bit-identical by construction, which is why `auto` may select them
-//! without breaking the workspace's golden traces or equivalence suites.
-//! The FMA kernels fuse multiply-add with a single rounding per step:
-//! still fully deterministic (fixed order, batch-split invariant), but
-//! not bit-comparable to scalar, so they run only when explicitly
-//! requested. There is one kernel family: `Aᵀ·B` and `A·Bᵀ` pack their
-//! transposed operand and run on the `matmul` kernels (see
-//! [`crate::matrix`]), so every product inherits the same guarantees.
+//! The AVX2 and AVX-512 kernels vectorize across *independent output
+//! columns* (8 and 16 lanes) with separate multiply and add steps, so every
+//! output element keeps exactly the scalar kernel's single ascending-`k`
+//! `f32` accumulator chain — bit-identical by construction, which is why
+//! `auto` may select them without breaking the workspace's golden traces
+//! or equivalence suites. Both are instantiations of one tile source,
+//! generic over the lane width. The FMA kernels fuse multiply-add with a
+//! single rounding per step: still fully deterministic (fixed order,
+//! batch-split invariant), but not bit-comparable to scalar, so they run
+//! only when explicitly requested, and stay 8-lane. There is one kernel
+//! family: `Aᵀ·B` and `A·Bᵀ` pack their transposed operand and run on the
+//! `matmul` kernels (see [`crate::matrix`]), so every product inherits the
+//! same guarantees.
 //!
 //! Tile shapes follow the row panel, because what a tile must hide is the
-//! add latency of its accumulator chains: a 4-row panel runs 4 × 16
-//! columns (eight 8-lane chains), and so that the 2- and 1-row panels —
-//! every batch-1 decision, and the tail of a 13–15-row serve batch — run
-//! eight chains too, they start with 2 × 32 and 1 × 64 column tiles before
-//! narrowing to 16, 8 and a masked tail of fewer than 8 columns. Which
-//! tile covers an element never changes its chain, so none of this is
-//! visible in the results.
+//! add latency of its accumulator chains: every panel runs eight vector
+//! chains. A 4-row panel starts with 4 × 2 vectors of columns (4 × 16 at
+//! 8 lanes, 4 × 32 at 16), and so that the 2- and 1-row panels — every
+//! batch-1 decision, and the tail of a 13–15-row serve batch — run eight
+//! chains too, they start with 2 × 4 and 1 × 8 vectors (2 × 32 and 1 × 64
+//! at 8 lanes, 2 × 64 and 1 × 128 at 16) before narrowing to one vector
+//! and a masked tail of fewer columns than lanes. Which tile covers an
+//! element never changes its chain, so none of this is visible in the
+//! results.
 //!
-//! The module also hosts the AVX2 instantiations of the activation loop
-//! ([`crate::tanh_in_place`]) and of the K-FAC factor inversion's `f64`
-//! loops ([`crate::linalg::damped_inverse`]): the same safe,
-//! contraction-free source as the plain ones, so they return the same bits
-//! in every mode — there is no fused `tanh` and no fused inversion.
+//! The module also hosts the AVX2 and AVX-512 instantiations of the
+//! activation loop ([`crate::tanh_in_place`]) and the AVX2 one of the
+//! K-FAC factor inversion's `f64` loops ([`crate::linalg::damped_inverse`],
+//! which the 16-lane kernel runs too: at that width its solves were
+//! slower): the same safe, contraction-free source as the plain ones, so
+//! they return the same bits in every mode — there is no fused `tanh` and
+//! no fused inversion.
 //!
 //! Requesting a kernel the CPU lacks silently falls back to the best
 //! available one ([`GemmKernel::best_available`]); an unparseable
@@ -52,9 +58,13 @@ use std::sync::OnceLock;
 pub enum GemmKernel {
     /// Portable register-tiled scalar kernels: the bit-exact reference.
     Scalar,
-    /// AVX2 kernels with separate multiply and add rounding steps;
-    /// bit-identical to [`GemmKernel::Scalar`] by construction.
+    /// AVX2 kernels (8 lanes) with separate multiply and add rounding
+    /// steps; bit-identical to [`GemmKernel::Scalar`] by construction.
     Avx2,
+    /// AVX-512 kernels (16 lanes), the same tile as [`GemmKernel::Avx2`]
+    /// at twice the width; bit-identical to [`GemmKernel::Scalar`] by
+    /// construction. Needs AVX-512 F, BW, DQ and VL.
+    Avx512,
     /// AVX2+FMA kernels (fused multiply-add, one rounding per step);
     /// deterministic but **not** bit-identical to scalar.
     Fma,
@@ -73,41 +83,36 @@ impl GemmKernel {
         match self {
             GemmKernel::Scalar => true,
             GemmKernel::Avx2 => avx2_available(),
+            GemmKernel::Avx512 => avx512_available(),
             GemmKernel::Fma => fma_available(),
         }
     }
 
     /// This kernel if the CPU supports it, else the fastest supported
-    /// downgrade (`Fma → Avx2 → Scalar`). Every dispatch site clamps
-    /// through this, so a forced kernel is portable.
+    /// downgrade (`Avx512 → Avx2 → Scalar`, `Fma → Avx2 → Scalar`). Every
+    /// dispatch site clamps through this, so a forced kernel is portable.
     pub fn best_available(self) -> GemmKernel {
+        self.best_where(GemmKernel::is_available)
+    }
+
+    /// [`GemmKernel::best_available`] on a CPU that supports exactly the
+    /// kernels `supported` accepts (`Scalar` always).
+    fn best_where(self, supported: impl Fn(GemmKernel) -> bool) -> GemmKernel {
         match self {
             GemmKernel::Scalar => GemmKernel::Scalar,
-            GemmKernel::Avx2 => {
-                if avx2_available() {
-                    GemmKernel::Avx2
-                } else {
-                    GemmKernel::Scalar
-                }
-            }
-            GemmKernel::Fma => {
-                if fma_available() {
-                    GemmKernel::Fma
-                } else if avx2_available() {
-                    GemmKernel::Avx2
-                } else {
-                    GemmKernel::Scalar
-                }
-            }
+            k if supported(k) => k,
+            GemmKernel::Avx2 => GemmKernel::Scalar,
+            GemmKernel::Avx512 | GemmKernel::Fma => GemmKernel::Avx2.best_where(supported),
         }
     }
 
-    /// Stable lowercase name (`scalar` / `avx2` / `fma`) for logs and
-    /// bench records.
+    /// Stable lowercase name (`scalar` / `avx2` / `avx512` / `fma`) for
+    /// logs and bench records.
     pub fn label(self) -> &'static str {
         match self {
             GemmKernel::Scalar => "scalar",
             GemmKernel::Avx2 => "avx2",
+            GemmKernel::Avx512 => "avx512",
             GemmKernel::Fma => "fma",
         }
     }
@@ -118,6 +123,23 @@ pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// True when the running CPU supports the AVX-512 kernels. The GEMM tile
+/// needs only AVX-512F, but it and the autovectorised `tanh` loop are
+/// compiled for F, BW, DQ and VL, so all four are detected together.
+pub fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512dq")
+            && is_x86_feature_detected!("avx512vl")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -160,14 +182,17 @@ fn parse_requested(raw: Option<&str>) -> Result<Requested, String> {
     }
 }
 
-/// Clamps a request to what the CPU supports. `Auto` selects the best
-/// *bit-identical* kernel so default-environment runs keep every golden
-/// and bitwise-equivalence contract; FMA is explicit opt-in.
-fn resolve(req: Requested) -> GemmKernel {
+/// Clamps a request to what a CPU supporting the kernels `supported`
+/// accepts. `Auto` selects the best *bit-identical* kernel — AVX-512, else
+/// AVX2, else scalar — so default-environment runs keep every golden and
+/// bitwise-equivalence contract; `avx2` pins the 8-lane kernel, and FMA is
+/// explicit opt-in.
+fn resolve_where(req: Requested, supported: impl Fn(GemmKernel) -> bool) -> GemmKernel {
     match req {
         Requested::Off => GemmKernel::Scalar,
-        Requested::Auto | Requested::Avx2 => GemmKernel::Avx2.best_available(),
-        Requested::Fma => GemmKernel::Fma.best_available(),
+        Requested::Auto => GemmKernel::Avx512.best_where(supported),
+        Requested::Avx2 => GemmKernel::Avx2.best_where(supported),
+        Requested::Fma => GemmKernel::Fma.best_where(supported),
     }
 }
 
@@ -182,17 +207,18 @@ pub fn active() -> GemmKernel {
     *ACTIVE.get_or_init(|| {
         let raw = std::env::var("DOSCO_SIMD").ok();
         let req = parse_requested(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"));
-        resolve(req)
+        resolve_where(req, GemmKernel::is_available)
     })
 }
 
 /// The x86-64 kernel bodies. The GEMM panels mirror the scalar kernels
 /// in `matrix.rs` chain for chain; the `run_*` wrappers re-verify CPU
 /// support with a real `assert!` so they are safe to call from any
-/// context (the check is one cached atomic load, noise next to a GEMM
+/// context (the check is a few cached atomic loads, noise next to a GEMM
 /// block).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
+    use super::GemmKernel;
     use crate::matrix::Operands;
     use core::arch::x86_64::*;
 
@@ -204,6 +230,13 @@ pub(crate) mod x86 {
         _mm256_add_ps(acc, _mm256_mul_ps(a, b))
     }
 
+    /// [`vmadd_unfused`] on 16 lanes.
+    #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
+    #[inline]
+    fn vmadd_unfused_512(a: __m512, b: __m512, acc: __m512) -> __m512 {
+        _mm512_add_ps(acc, _mm512_mul_ps(a, b))
+    }
+
     /// Fused `a·b + acc`, one rounding step.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
@@ -211,17 +244,52 @@ pub(crate) mod x86 {
         _mm256_fmadd_ps(a, b, acc)
     }
 
-    /// Expands the `matmul` kernels once per feature set. A macro (rather
-    /// than a `const FMA: bool` generic) keeps each instantiation inside a
-    /// fn carrying exactly the `#[target_feature]` set its intrinsics
-    /// need, so the multiply-add helper stays a safe call and inlines
-    /// cleanly.
+    /// Lanes `0..jt` of an 8-lane tile, as the sign bits `vmaskmovps`
+    /// reads.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn tail_mask_256(jt: usize) -> __m256i {
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(jt as i32), lane)
+    }
+
+    /// Lanes `0..jt` of a 16-lane tile, as an AVX-512 write mask.
+    #[inline]
+    fn tail_mask_512(jt: usize) -> __mmask16 {
+        debug_assert!(jt < 16);
+        (1 << jt) - 1
+    }
+
+    /// `_mm512_maskz_loadu_ps` with `_mm256_maskload_ps`'s argument order:
+    /// the lanes `mask` selects from `p`, zero in the others.
+    ///
+    /// # Safety
+    ///
+    /// Every lane `mask` selects must be readable at `p`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn maskload_512(p: *const f32, mask: __mmask16) -> __m512 {
+        // SAFETY: the caller guarantees the selected lanes are readable,
+        // and a masked load does not access unselected lanes.
+        unsafe { _mm512_maskz_loadu_ps(mask, p) }
+    }
+
+    /// Expands the `matmul` kernels once per feature set and lane width. A
+    /// macro (rather than a generic over the width or a `const FMA: bool`)
+    /// keeps each instantiation inside a fn carrying exactly the
+    /// `#[target_feature]` set its intrinsics need, so the vector helpers
+    /// stay safe calls and inline cleanly.
     macro_rules! define_gemm_kernels {
-        ($feat:literal, $vmadd:ident, $mm_tiles:ident, $mm_tail:ident,
-         $mm_panel:ident, $matmul_block:ident) => {
-            /// Every full `RT` rows × `8·NV` columns tile of `C` from
+        (
+            features: $feat:literal,
+            lanes: $lanes:literal,
+            vector: $zero:ident, $splat:ident, $load:ident, $store:ident, $vmadd:ident,
+            tail: $tail_mask:ident, $load_masked:ident, $store_masked:ident,
+            kernels: $mm_tiles:ident, $mm_tail:ident, $mm_panel:ident, $matmul_block:ident $(,)?
+        ) => {
+            /// Every full `RT` rows × `lanes·NV` columns tile of `C` from
             /// column `j0` on; returns the first column not covered. `out`
-            /// starts at the tile's first row. The `RT·NV` 8-lane
+            /// starts at the tile's first row. The `RT·NV` vector
             /// accumulators live in registers for the whole `k` loop, and
             /// the vector lanes are independent output columns, so each
             /// element keeps one accumulator chain over ascending `k`
@@ -239,20 +307,21 @@ pub(crate) mod x86 {
                 // walked row by row, no bounds check inside the `k` loop.
                 let a_rows: [&[f32]; RT] =
                     core::array::from_fn(|rr| &a[(arow0 + rr) * kk..][..kk]);
-                let width = 8 * NV;
+                let width = $lanes * NV;
                 while j0 + width <= n {
-                    let mut acc = [[_mm256_setzero_ps(); NV]; RT];
+                    let mut acc = [[$zero(); NV]; RT];
                     for (k, b_row) in (0..kk).zip(b.chunks_exact(n)) {
                         let bp = b_row[j0..j0 + width].as_ptr();
-                        let mut bv = [_mm256_setzero_ps(); NV];
-                        for (v, lanes) in bv.iter_mut().enumerate() {
-                            // SAFETY: the slice above proves `8·NV` f32 are
-                            // readable at `bp`; this unaligned load covers
-                            // lanes `8v..8v+8` of them, `v < NV`.
-                            *lanes = unsafe { _mm256_loadu_ps(bp.add(8 * v)) };
+                        let mut bv = [$zero(); NV];
+                        for (v, vector) in bv.iter_mut().enumerate() {
+                            // SAFETY: the slice above proves `lanes·NV` f32
+                            // are readable at `bp`; this unaligned load
+                            // covers lanes `lanes·v..lanes·(v+1)` of them,
+                            // `v < NV`.
+                            *vector = unsafe { $load(bp.add($lanes * v)) };
                         }
                         for rr in 0..RT {
-                            let av = _mm256_set1_ps(a_rows[rr][k]);
+                            let av = $splat(a_rows[rr][k]);
                             for v in 0..NV {
                                 acc[rr][v] = $vmadd(av, bv[v], acc[rr][v]);
                             }
@@ -261,10 +330,11 @@ pub(crate) mod x86 {
                     for rr in 0..RT {
                         let op = out[rr * n + j0..rr * n + j0 + width].as_mut_ptr();
                         for v in 0..NV {
-                            // SAFETY: the slice above proves `8·NV` f32 of
-                            // writable storage at `op`; this unaligned
-                            // store covers lanes `8v..8v+8` of it, `v < NV`.
-                            unsafe { _mm256_storeu_ps(op.add(8 * v), acc[rr][v]) };
+                            // SAFETY: the slice above proves `lanes·NV` f32
+                            // of writable storage at `op`; this unaligned
+                            // store covers lanes `lanes·v..lanes·(v+1)` of
+                            // it, `v < NV`.
+                            unsafe { $store(op.add($lanes * v), acc[rr][v]) };
                         }
                     }
                     j0 += width;
@@ -272,9 +342,9 @@ pub(crate) mod x86 {
                 j0
             }
 
-            /// The last `n − j0 < 8` columns of `RT` rows as one masked
-            /// 8-lane tile: lanes past `n` load as zero and are never
-            /// stored, the live lanes run the same chain as a full tile.
+            /// The last `n − j0 < lanes` columns of `RT` rows as one masked
+            /// tile: lanes past `n` load as zero and are never stored, the
+            /// live lanes run the same chain as a full tile.
             #[target_feature(enable = $feat)]
             #[inline]
             fn $mm_tail<const RT: usize>(ab: Operands<'_>, out: &mut [f32], arow0: usize, j0: usize) {
@@ -282,18 +352,17 @@ pub(crate) mod x86 {
                 let a_rows: [&[f32]; RT] =
                     core::array::from_fn(|rr| &a[(arow0 + rr) * kk..][..kk]);
                 let jt = n - j0;
-                debug_assert!(jt < 8);
-                let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-                let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(jt as i32), lane);
-                let mut acc = [_mm256_setzero_ps(); RT];
+                debug_assert!(jt < $lanes);
+                let mask = $tail_mask(jt);
+                let mut acc = [$zero(); RT];
                 for (k, b_row) in (0..kk).zip(b.chunks_exact(n)) {
                     let bp = b_row[j0..j0 + jt].as_ptr();
                     // SAFETY: `mask` selects lanes `0..jt` only, and the
                     // slice above proves `jt` f32 are readable at `bp`; a
                     // masked load does not access unselected lanes.
-                    let bv = unsafe { _mm256_maskload_ps(bp, mask) };
+                    let bv = unsafe { $load_masked(bp, mask) };
                     for rr in 0..RT {
-                        let av = _mm256_set1_ps(a_rows[rr][k]);
+                        let av = $splat(a_rows[rr][k]);
                         acc[rr] = $vmadd(av, bv, acc[rr]);
                     }
                 }
@@ -302,16 +371,16 @@ pub(crate) mod x86 {
                     // SAFETY: `mask` selects lanes `0..jt` only, and the
                     // slice above proves `jt` f32 of writable storage at
                     // `op`; a masked store does not access unselected lanes.
-                    unsafe { _mm256_maskstore_ps(op, mask, acc[rr]) };
+                    unsafe { $store_masked(op, mask, acc[rr]) };
                 }
             }
 
             /// `RT` rows of `C` from column `j_start` on. The short panels
-            /// start with wider tiles — 1 row × 64 columns, 2 rows × 32 —
+            /// start with wider tiles — 1 row × 8 vectors, 2 rows × 4 —
             /// so that they too run eight independent accumulator chains
             /// and are bound by throughput, not by add latency; every
-            /// panel then narrows to 16- and 8-column tiles and the
-            /// masked tail.
+            /// panel then narrows to 2- and 1-vector tiles and the masked
+            /// tail.
             #[target_feature(enable = $feat)]
             fn $mm_panel<const RT: usize>(
                 ab: Operands<'_>,
@@ -357,20 +426,25 @@ pub(crate) mod x86 {
     }
 
     define_gemm_kernels!(
-        "avx2",
-        vmadd_unfused,
-        mm_tiles_avx2,
-        mm_tail_avx2,
-        mm_panel_avx2,
-        matmul_block_avx2
+        features: "avx2",
+        lanes: 8,
+        vector: _mm256_setzero_ps, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps, vmadd_unfused,
+        tail: tail_mask_256, _mm256_maskload_ps, _mm256_maskstore_ps,
+        kernels: mm_tiles_avx2, mm_tail_avx2, mm_panel_avx2, matmul_block_avx2,
     );
     define_gemm_kernels!(
-        "avx2,fma",
-        vmadd_fused,
-        mm_tiles_fma,
-        mm_tail_fma,
-        mm_panel_fma,
-        matmul_block_fma
+        features: "avx512f,avx512bw,avx512dq,avx512vl",
+        lanes: 16,
+        vector: _mm512_setzero_ps, _mm512_set1_ps, _mm512_loadu_ps, _mm512_storeu_ps, vmadd_unfused_512,
+        tail: tail_mask_512, maskload_512, _mm512_mask_storeu_ps,
+        kernels: mm_tiles_avx512, mm_tail_avx512, mm_panel_avx512, matmul_block_avx512,
+    );
+    define_gemm_kernels!(
+        features: "avx2,fma",
+        lanes: 8,
+        vector: _mm256_setzero_ps, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps, vmadd_fused,
+        tail: tail_mask_256, _mm256_maskload_ps, _mm256_maskstore_ps,
+        kernels: mm_tiles_fma, mm_tail_fma, mm_panel_fma, matmul_block_fma,
     );
 
     /// The AVX2 instantiation of the [`crate::tanh_in_place`] loop: the same
@@ -383,12 +457,29 @@ pub(crate) mod x86 {
         }
     }
 
-    /// [`crate::tanh_in_place`] on the AVX2 instantiation.
-    pub(crate) fn run_tanh_in_place(xs: &mut [f32]) {
-        assert!(super::avx2_available(), "AVX2 tanh dispatched without CPU support");
-        // SAFETY: AVX2 support was just asserted via runtime feature
-        // detection.
-        unsafe { tanh_in_place_avx2(xs) }
+    /// The AVX-512 instantiation of the same loop: 16 lanes, `vrndscaleps`
+    /// and mask-register blends.
+    #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
+    fn tanh_in_place_avx512(xs: &mut [f32]) {
+        for v in xs {
+            *v = crate::tanh::tanh(*v);
+        }
+    }
+
+    /// [`crate::tanh_in_place`] on the AVX-512 instantiation under
+    /// [`GemmKernel::Avx512`], on the AVX2 one under any other kernel.
+    pub(crate) fn run_tanh_in_place(kernel: GemmKernel, xs: &mut [f32]) {
+        if kernel == GemmKernel::Avx512 {
+            assert!(super::avx512_available(), "AVX-512 tanh dispatched without CPU support");
+            // SAFETY: AVX-512 F/BW/DQ/VL support was just asserted via
+            // runtime feature detection.
+            unsafe { tanh_in_place_avx512(xs) }
+        } else {
+            assert!(super::avx2_available(), "AVX2 tanh dispatched without CPU support");
+            // SAFETY: AVX2 support was just asserted via runtime feature
+            // detection.
+            unsafe { tanh_in_place_avx2(xs) }
+        }
     }
 
     /// The AVX2 instantiation of the `f64` inversion loops
@@ -416,25 +507,34 @@ pub(crate) mod x86 {
         unsafe { factor_and_solve_avx2(l, n, inv) }
     }
 
-    /// Dispatches one `matmul` row block to the AVX2 (`fma = false`) or
-    /// AVX2+FMA kernel.
+    /// Dispatches one `matmul` row block to the AVX-512, the AVX2+FMA or
+    /// (under any other kernel) the AVX2 kernel.
     pub(crate) fn run_matmul_block(
-        fma: bool,
+        kernel: GemmKernel,
         ab: Operands<'_>,
         out: &mut [f32],
         row0: usize,
         j_start: usize,
     ) {
-        if fma {
-            assert!(super::fma_available(), "FMA kernel dispatched without CPU support");
-            // SAFETY: AVX2+FMA support was just asserted via runtime
-            // feature detection.
-            unsafe { matmul_block_fma(ab, out, row0, j_start) }
-        } else {
-            assert!(super::avx2_available(), "AVX2 kernel dispatched without CPU support");
-            // SAFETY: AVX2 support was just asserted via runtime feature
-            // detection.
-            unsafe { matmul_block_avx2(ab, out, row0, j_start) }
+        match kernel {
+            GemmKernel::Avx512 => {
+                assert!(super::avx512_available(), "AVX-512 kernel dispatched without CPU support");
+                // SAFETY: AVX-512 F/BW/DQ/VL support was just asserted via
+                // runtime feature detection.
+                unsafe { matmul_block_avx512(ab, out, row0, j_start) }
+            }
+            GemmKernel::Fma => {
+                assert!(super::fma_available(), "FMA kernel dispatched without CPU support");
+                // SAFETY: AVX2+FMA support was just asserted via runtime
+                // feature detection.
+                unsafe { matmul_block_fma(ab, out, row0, j_start) }
+            }
+            _ => {
+                assert!(super::avx2_available(), "AVX2 kernel dispatched without CPU support");
+                // SAFETY: AVX2 support was just asserted via runtime
+                // feature detection.
+                unsafe { matmul_block_avx2(ab, out, row0, j_start) }
+            }
         }
     }
 }
@@ -462,15 +562,32 @@ mod tests {
 
     #[test]
     fn off_always_resolves_to_scalar() {
-        assert_eq!(resolve(Requested::Off), GemmKernel::Scalar);
+        assert_eq!(resolve_where(Requested::Off, |_| true), GemmKernel::Scalar);
     }
 
     #[test]
     fn auto_resolves_to_a_bit_exact_kernel() {
+        let resolve = |req| resolve_where(req, GemmKernel::is_available);
         assert!(resolve(Requested::Auto).bit_exact());
         // And it never selects an unavailable kernel.
         assert!(resolve(Requested::Auto).is_available());
         assert!(resolve(Requested::Fma).is_available());
+    }
+
+    /// `auto` takes the widest bit-exact kernel the CPU has, and nothing
+    /// but `auto` ever takes the 16-lane one.
+    #[test]
+    fn auto_prefers_avx512_then_avx2_then_scalar() {
+        let all = |_: GemmKernel| true;
+        let no_avx512 = |k: GemmKernel| k != GemmKernel::Avx512;
+        let scalar_only = |k: GemmKernel| k == GemmKernel::Scalar;
+        assert_eq!(resolve_where(Requested::Auto, all), GemmKernel::Avx512);
+        assert_eq!(resolve_where(Requested::Auto, no_avx512), GemmKernel::Avx2);
+        assert_eq!(resolve_where(Requested::Auto, scalar_only), GemmKernel::Scalar);
+        assert_eq!(resolve_where(Requested::Avx2, all), GemmKernel::Avx2);
+        assert_eq!(resolve_where(Requested::Fma, all), GemmKernel::Fma);
+        assert_eq!(resolve_where(Requested::Fma, |k| k != GemmKernel::Fma), GemmKernel::Avx2);
+        assert_eq!(resolve_where(Requested::Avx2, scalar_only), GemmKernel::Scalar);
     }
 
     #[test]
@@ -478,7 +595,9 @@ mod tests {
         assert_eq!(GemmKernel::Scalar.best_available(), GemmKernel::Scalar);
         let a = GemmKernel::Avx2.best_available();
         assert!(a == GemmKernel::Avx2 || a == GemmKernel::Scalar);
-        // Fma downgrades through Avx2 before Scalar.
+        // Avx512 and Fma downgrade through Avx2 before Scalar.
+        let w = GemmKernel::Avx512.best_available();
+        assert!(w == GemmKernel::Avx512 || w == a, "{w:?}");
         if !fma_available() && avx2_available() {
             assert_eq!(GemmKernel::Fma.best_available(), GemmKernel::Avx2);
         }
@@ -488,6 +607,7 @@ mod tests {
     fn bit_exactness_is_exactly_non_fma() {
         assert!(GemmKernel::Scalar.bit_exact());
         assert!(GemmKernel::Avx2.bit_exact());
+        assert!(GemmKernel::Avx512.bit_exact());
         assert!(!GemmKernel::Fma.bit_exact());
     }
 
@@ -495,6 +615,7 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(GemmKernel::Scalar.label(), "scalar");
         assert_eq!(GemmKernel::Avx2.label(), "avx2");
+        assert_eq!(GemmKernel::Avx512.label(), "avx512");
         assert_eq!(GemmKernel::Fma.label(), "fma");
     }
 }

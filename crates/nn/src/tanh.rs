@@ -7,8 +7,9 @@
 //! straight-line code over basic IEEE operations (add, multiply, divide,
 //! truncate, integer bit moves — never a fused multiply-add), so the same
 //! source gives the same bits on every target, and a loop over it
-//! vectorises. [`tanh_in_place`] runs that loop, instantiated twice: plainly,
-//! and under AVX2 where [`crate::simd::active`] selects a SIMD kernel.
+//! vectorises. [`tanh_in_place`] runs that loop, instantiated three times:
+//! plainly, under AVX-512 where [`crate::simd::active`] selects the 16-lane
+//! kernel, and under AVX2 where it selects another SIMD kernel.
 //!
 //! The port's source carries this notice:
 //!
@@ -128,12 +129,15 @@ pub fn tanh(x: f32) -> f32 {
 }
 
 /// The slice loop on a given kernel: the plain instantiation here, the
-/// AVX2 one (same body) in `simd::x86`.
+/// AVX2 and AVX-512 ones (same body) in `simd::x86`.
 fn tanh_in_place_with(xs: &mut [f32], kernel: GemmKernel) {
     match kernel.best_available() {
-        // `Fma` too: there is no fused `tanh`, the AVX2 body never contracts.
+        // `Fma` runs the AVX2 loop: there is no fused `tanh`, the body
+        // never contracts.
         #[cfg(target_arch = "x86_64")]
-        GemmKernel::Avx2 | GemmKernel::Fma => crate::simd::x86::run_tanh_in_place(xs),
+        simd @ (GemmKernel::Avx2 | GemmKernel::Avx512 | GemmKernel::Fma) => {
+            crate::simd::x86::run_tanh_in_place(simd, xs)
+        }
         _ => xs.iter_mut().for_each(|v| *v = tanh(*v)),
     }
 }
@@ -192,12 +196,12 @@ mod tests {
     }
 
     /// The function is pinned on every platform, whatever its libm: the
-    /// plain and the AVX2 instantiation agree bit for bit with each other
-    /// and with the scalar form, and the outputs hash to a constant
-    /// (captured from this implementation on x86-64, where it equals
-    /// glibc 2.36's `tanhf` on all 2³² inputs).
+    /// plain, the AVX2 and the AVX-512 instantiation agree bit for bit
+    /// with each other and with the scalar form, and the outputs hash to a
+    /// constant (captured from this implementation on x86-64, where it
+    /// equals glibc 2.36's `tanhf` on all 2³² inputs).
     #[test]
-    fn both_instantiations_agree_and_match_the_pinned_fingerprint() {
+    fn every_instantiation_agrees_and_matches_the_pinned_fingerprint() {
         let xs = strided_inputs();
         let mut plain = xs.clone();
         tanh_in_place_with(&mut plain, GemmKernel::Scalar);
@@ -206,13 +210,17 @@ mod tests {
             None,
             "plain slice vs scalar form"
         );
-        if GemmKernel::Avx2.is_available() {
-            let mut avx2 = xs.clone();
-            tanh_in_place_with(&mut avx2, GemmKernel::Avx2);
+        for kernel in [GemmKernel::Avx2, GemmKernel::Avx512] {
+            if !kernel.is_available() {
+                eprintln!("skipping the {} loop: this CPU lacks its features", kernel.label());
+                continue;
+            }
+            let mut simd = xs.clone();
+            tanh_in_place_with(&mut simd, kernel);
             assert_eq!(
-                first_mismatch(&xs, &avx2, tanh),
+                first_mismatch(&xs, &simd, tanh),
                 None,
-                "AVX2 slice vs scalar form"
+                "{kernel:?} slice vs scalar form"
             );
         }
         assert_eq!(

@@ -23,8 +23,8 @@ fn bits(m: &Matrix) -> Vec<u32> {
 }
 
 /// The dispatched-vs-reference contract, parameterized by the active
-/// `DOSCO_SIMD` kernel: scalar and AVX2 modes must match the naive
-/// reference *bitwise*; the opt-in FMA mode fuses multiply-add (one
+/// `DOSCO_SIMD` kernel: scalar, AVX2 and AVX-512 modes must match the
+/// naive reference *bitwise*; the opt-in FMA mode fuses multiply-add (one
 /// rounding per step) so it gets a tight tolerance instead (±1 ulp per
 /// term over k ≤ 512 stays far below 1e-3 absolute at these magnitudes).
 /// Batch invariance stays bitwise in every mode and is asserted
@@ -46,8 +46,21 @@ fn gemm_matches_under(kernel: GemmKernel, actual: &Matrix, reference: &Matrix) -
     }
 }
 
+/// The bit-exact kernels the forced-kernel tests run: scalar, AVX2 and
+/// AVX-512, minus any this CPU lacks (forcing one would only clamp it to a
+/// kernel already in the list). Each one skipped is named on stderr once.
+fn bit_exact_kernels() -> Vec<GemmKernel> {
+    static SKIPPED: std::sync::Once = std::sync::Once::new();
+    let all = [GemmKernel::Scalar, GemmKernel::Avx2, GemmKernel::Avx512];
+    let (run, skip): (Vec<_>, Vec<_>) = all.into_iter().partition(|k| k.is_available());
+    if !skip.is_empty() {
+        SKIPPED.call_once(|| eprintln!("skipping {skip:?}: this CPU lacks their features"));
+    }
+    run
+}
+
 /// Row counts for the GEMM properties: half the draws are a row tail (1, 2,
-/// 3 or 5 rows — the panels that start with the 64- and 32-column tiles),
+/// 3 or 5 rows — the 1- and 2-row panels, which start with the widest tiles),
 /// the rest anything up to `max`.
 fn rows_biased_to_tails(max: usize) -> impl Strategy<Value = usize> {
     (0..2 * max).prop_map(move |v| if v < max { [1, 2, 3, 5][v % 4] } else { v - max + 1 })
@@ -144,11 +157,13 @@ proptest! {
     }
 
     /// All three GEMM entry points return the bits of their `*_ref` under
-    /// the scalar and the AVX2 kernel, forced — whatever `DOSCO_SIMD` says
-    /// — at shapes off every tile boundary (`n % 16 != 0`, `m % 4 != 0`).
+    /// the scalar, the AVX2 and the AVX-512 kernel, forced — whatever
+    /// `DOSCO_SIMD` says — at shapes off every tile boundary
+    /// (`n % 16 != 0`, `m % 4 != 0`), so that every width of masked tail
+    /// occurs at both 8 and 16 lanes.
     #[test]
     fn forced_bit_exact_kernels_match_references(
-        m in 1usize..40, k in 1usize..70, n in 1usize..40, seed in 0u64..1000
+        m in 1usize..40, k in 1usize..70, n in 1usize..160, seed in 0u64..1000
     ) {
         let (m, n) = (m + usize::from(m % 4 == 0), n + usize::from(n % 16 == 0));
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -156,7 +171,7 @@ proptest! {
         let b = rand_matrix(k, n, &mut rng);
         let at = rand_matrix(k, m, &mut rng);
         let bt = rand_matrix(n, k, &mut rng);
-        for kernel in [GemmKernel::Scalar, GemmKernel::Avx2] {
+        for kernel in bit_exact_kernels() {
             let mut out = Matrix::from_fn(m, n, |_, _| f32::NAN);
             a.matmul_into_with(&b, &mut out, kernel);
             prop_assert_eq!(bits(&out), bits(&a.matmul_ref(&b)), "{:?} matmul", kernel);
@@ -272,11 +287,12 @@ proptest! {
     }
 
     /// The dispatched `matmul` kernel matches the naive reference
-    /// (bitwise in scalar/AVX2 modes, tight tolerance under opt-in FMA —
+    /// (bitwise in the bit-exact modes, tight tolerance under opt-in FMA —
     /// see [`gemm_matches`]) over shapes that cross every block boundary
     /// (1×N, N×1, non-multiples of the 32/64/256 blocks), wide enough
-    /// (`n` to 200) to enter a 64- or 32-column tile and fall out of it
-    /// through the 16- and 8-column tiles into the masked tail.
+    /// (`n` to 200) to enter the widest tile of every row panel at 8 and
+    /// 16 lanes and fall out of it through the narrower tiles into the
+    /// masked tail.
     #[test]
     fn matmul_matches_reference_bitwise(
         m in rows_biased_to_tails(80), k in 1usize..=64, n in 1usize..=200, seed in 0u64..1000
@@ -385,11 +401,12 @@ fn damped_inverse_matches_reference_at_paper_scale() {
     }
 }
 
-/// The serve contract on the paper's actor (16→256→256→4: full 64-, 32-
-/// and 16-column tiles, and the 4-column head in the masked tail), at
-/// batches that end in every row panel: row `r` of the batched forward is
-/// the single-row forward, bit for bit, under every kernel — FMA included
-/// — and the scalar and AVX2 kernels agree bit for bit.
+/// The serve contract on the paper's actor (16→256→256→4: full tiles of
+/// every width at 8 and 16 lanes, and the 4-column head in the masked
+/// tail), at batches that end in every row panel: row `r` of the batched
+/// forward is the single-row forward, bit for bit, under every kernel —
+/// FMA included — and the scalar, AVX2 and AVX-512 kernels agree bit for
+/// bit.
 #[test]
 fn paper_shape_forward_is_batch_split_invariant_under_every_kernel() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -409,9 +426,10 @@ fn paper_shape_forward_is_batch_split_invariant_under_every_kernel() {
         }
         h
     };
+    let bit_exact = bit_exact_kernels();
     for batch in [1usize, 2, 3, 5, 15, 16] {
         let x = rand_matrix(batch, 16, &mut rng);
-        for kernel in [GemmKernel::Scalar, GemmKernel::Avx2, GemmKernel::Fma] {
+        for &kernel in bit_exact.iter().chain(&[GemmKernel::Fma]) {
             let batched = forward(&x, kernel);
             for r in 0..batch {
                 let single = forward(&Matrix::row_vector(x.row(r)), kernel);
@@ -422,11 +440,13 @@ fn paper_shape_forward_is_batch_split_invariant_under_every_kernel() {
                 );
             }
         }
-        assert_eq!(
-            bits(&forward(&x, GemmKernel::Scalar)),
-            bits(&forward(&x, GemmKernel::Avx2)),
-            "scalar vs AVX2 at batch {batch}"
-        );
+        for &kernel in &bit_exact[1..] {
+            assert_eq!(
+                bits(&forward(&x, GemmKernel::Scalar)),
+                bits(&forward(&x, kernel)),
+                "scalar vs {kernel:?} at batch {batch}"
+            );
+        }
         if dosco_nn::simd::active().bit_exact() {
             assert_eq!(bits(&net.forward(&x)), bits(&forward(&x, GemmKernel::Scalar)));
         }
@@ -467,19 +487,20 @@ fn gemm_equivalence_at_paper_scale() {
     }
 
     // Both sides of the former packed-panel rule (≥ 32 rows and `kk` ≥ 192)
-    // on each axis, every tail width of a 16-column tile, and the K-FAC
-    // step's own products — for all three entry points under every
-    // kernel, forced.
+    // on each axis, masked tails of 1–15 columns (9–15 occur at 16 lanes
+    // only), and the K-FAC step's own products — for all three entry
+    // points under every kernel, forced.
     let mut shapes = vec![
         (257usize, 257usize, 256usize), // A⁻¹ · ∇ at the paper's width
         (257, 256, 256),                // (A⁻¹∇) · G⁻¹
         (64, 256, 256),                 // the hidden layer at batch 64
         (257, 257, 4),                  // the actor head's A⁻¹ · ∇
         (257, 191, 1),
+        (33, 65, 249),                  // 16 lanes, 1-row panel: 128 + 64 + 32 + 16 + a tail of 9
     ];
     for m in [31, 32, 33] {
         for k in [191, 192, 257] {
-            for n in [1, 4, 15, 16, 17] {
+            for n in [1, 4, 9, 10, 11, 12, 13, 14, 15, 16, 17, 47] {
                 shapes.push((m, k, n));
             }
         }
@@ -494,7 +515,7 @@ fn gemm_equivalence_at_paper_scale() {
             at.transpose_matmul_ref(&b),
             a.matmul_transpose_ref(&bt),
         ];
-        for kernel in [GemmKernel::Scalar, GemmKernel::Avx2, GemmKernel::Fma] {
+        for kernel in bit_exact_kernels().into_iter().chain([GemmKernel::Fma]) {
             let mut out = Matrix::from_fn(m, n, |_, _| f32::NAN);
             a.matmul_into_with(&b, &mut out, kernel);
             assert!(

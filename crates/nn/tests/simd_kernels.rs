@@ -1,13 +1,16 @@
 //! Forced-kernel SIMD equivalence tests.
 //!
 //! These force specific kernels through the `*_into_with` APIs, so they
-//! exercise the AVX2/FMA paths regardless of `DOSCO_SIMD` (skipping
-//! silently on CPUs without the features). Contracts:
+//! exercise the AVX2/AVX-512/FMA paths regardless of `DOSCO_SIMD`
+//! (skipping, with a line on stderr, on CPUs without the features).
+//! Contracts:
 //!
 //! - AVX2 kernels are **bit-identical** to scalar for `matmul`,
 //!   `transpose_matmul` and `matmul_transpose` (one kernel family: the
-//!   transposed products pack an operand and run the `matmul` kernel).
+//!   transposed products pack an operand and run the `matmul` kernel);
+//!   `tests/properties.rs` forces AVX-512 beside them.
 //! - FMA kernels are deterministic and within tight tolerance of scalar.
+//! - Every SIMD kernel propagates NaN and ∞ from inside its vector lanes.
 
 use dosco_nn::matrix::Matrix;
 use dosco_nn::simd::GemmKernel;
@@ -168,8 +171,9 @@ fn simd_kernels_propagate_nan_and_inf() {
     a_long.set(0, 1, 1.0);
     let mut b_long = Matrix::from_fn(1, 40, |_, _| 1.0);
     b_long.set(0, 0, f32::NAN);
-    for kernel in [GemmKernel::Avx2, GemmKernel::Fma] {
+    for kernel in [GemmKernel::Avx2, GemmKernel::Avx512, GemmKernel::Fma] {
         if !kernel.is_available() {
+            eprintln!("skipping {kernel:?}: this CPU lacks its features");
             continue;
         }
         let mut out = Matrix::zeros(1, 17);

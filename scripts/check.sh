@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: release build, tests, lints, and a benchmark smoke.
 # Each suite runs once; a later step repeats one only under a different
-# configuration (scalar kernels, release + ignored smokes).
+# configuration (scalar kernels, the 8-lane kernel, release + ignored
+# smokes).
 # Usage: scripts/check.sh   (run from anywhere; cd's to the repo root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,6 +21,12 @@ DOSCO_SIMD=off cargo test -q -p dosco-rl
 
 echo "== training fingerprints (DOSCO_SIMD=off: the 2x256 golden on the scalar kernels, plain tanh and inversion loops) =="
 DOSCO_SIMD=off cargo test -q --test train_goldens
+
+echo "== cargo test (nn, DOSCO_SIMD=avx2: the 8-lane kernel and AVX2 tanh loop, which auto skips on an AVX-512 host) =="
+DOSCO_SIMD=avx2 cargo test -q -p dosco-nn
+
+echo "== training fingerprints (DOSCO_SIMD=avx2: the 2x256 golden on the 8-lane kernel) =="
+DOSCO_SIMD=avx2 cargo test -q --test train_goldens
 
 echo "== tanh: all 2^32 inputs equal libm's tanhf bit for bit (release, ~1 min) =="
 cargo test --release -p dosco-nn --lib tanh::tests::all_bit_patterns_equal_libm -- --include-ignored
