@@ -9,8 +9,15 @@
 //! predictive distribution (not the empirical loss gradient). The
 //! preconditioned update is `Δ = A⁻¹ ∇ G⁻¹`, rescaled so the quadratic
 //! KL estimate stays inside a trust region (Sec. IV-C2: KL clip 0.001).
+//!
+//! Both factors are symmetric, and `xᵀx` is symmetric bit for bit, so each
+//! factor keeps only its upper triangle: the moving average blends and
+//! stores that triangle row by row, and [`damped_inverse`] reads nothing
+//! else. The strict lower triangle of a factor is stale and unread. A step
+//! whose natural gradient is not finite is refused with
+//! [`LinalgError::NonFinite`] before any weight moves.
 
-use crate::linalg::{damped_inverse, symmetrize, LinalgError};
+use crate::linalg::{damped_inverse, LinalgError};
 use crate::matrix::Matrix;
 use crate::mlp::{ForwardCache, Gradients, Mlp};
 use serde::{Deserialize, Serialize};
@@ -46,7 +53,8 @@ impl Default for KfacConfig {
     }
 }
 
-/// Per-layer Kronecker factors and their cached inverses.
+/// Per-layer Kronecker factors (upper triangles only) and their cached
+/// inverses.
 #[derive(Debug, Clone)]
 struct LayerFactors {
     /// `A = E[ā āᵀ]`, `(in+1) × (in+1)` with the homogeneous coordinate.
@@ -179,8 +187,6 @@ impl Kfac {
         let _span = dosco_obs::span(dosco_obs::SpanKind::KfacInversion);
         let damping = self.config.damping;
         for f in &mut self.layers {
-            symmetrize(&mut f.a);
-            symmetrize(&mut f.g);
             f.a_inv = Some(damped_inverse(&f.a, damping)?);
             f.g_inv = Some(damped_inverse(&f.g, damping)?);
         }
@@ -196,7 +202,9 @@ impl Kfac {
     /// # Errors
     ///
     /// Propagates [`LinalgError`] if a factor inversion fails (increase
-    /// damping).
+    /// damping), and returns [`LinalgError::NonFinite`] if the natural
+    /// gradient's `Δᵀ∇` is NaN or infinite. Either way `net` is left
+    /// untouched.
     ///
     /// # Panics
     ///
@@ -234,6 +242,11 @@ impl Kfac {
                 quad += f64::from(factors.nat.dot(grad));
             }
         }
+        // `f64::max` would turn a NaN into 0.0 and so skip the trust region
+        // and write NaN into every weight at the full rate.
+        if !quad.is_finite() {
+            return Err(LinalgError::NonFinite);
+        }
         let quad = quad.max(0.0);
         let eta = if quad > 0.0 {
             (f64::from(2.0 * self.config.kl_clip) / quad)
@@ -251,9 +264,10 @@ impl Kfac {
 
 /// One factor's moving average, `factor ← decay·factor + (1 − decay)·
 /// scale·xᵀx` (just the new term while `decay` is `None`: the first batch
-/// replaces the identity). `xᵀx` is symmetric bit for bit, so only its
-/// upper triangle is computed (into `gram`) and blended, and each value is
-/// stored at both `(i, j)` and `(j, i)`.
+/// replaces the identity), on the upper triangle only. `xᵀx` is symmetric
+/// bit for bit, so only its upper triangle is computed (into `gram`),
+/// blended row by row, and stored; the strict lower triangle of `factor`
+/// is never written again, and [`damped_inverse`] never reads it.
 fn blend_second_moment(
     factor: &mut Matrix,
     x: &Matrix,
@@ -265,16 +279,18 @@ fn blend_second_moment(
     assert_eq!((factor.rows(), factor.cols()), (n, n), "factor shape mismatch");
     gram.reshape(n, n);
     x.gram_upper_into(gram);
-    let (f, new) = (factor.as_mut_slice(), gram.as_slice());
-    for i in 0..n {
-        for j in i..n {
-            let fresh = new[i * n + j] * scale;
-            let v = match decay {
-                Some(d) => f[i * n + j] * d + (1.0 - d) * fresh,
+    for (i, (f, new)) in factor
+        .as_mut_slice()
+        .chunks_exact_mut(n)
+        .zip(gram.as_slice().chunks_exact(n))
+        .enumerate()
+    {
+        for (f, &g) in f[i..].iter_mut().zip(&new[i..]) {
+            let fresh = g * scale;
+            *f = match decay {
+                Some(d) => *f * d + (1.0 - d) * fresh,
                 None => fresh,
             };
-            f[i * n + j] = v;
-            f[j * n + i] = v;
         }
     }
 }
@@ -352,12 +368,83 @@ mod tests {
         assert!(delta > 0.0, "step did not move");
     }
 
+    /// A NaN gradient makes `Δᵀ∇` NaN, which `f64::max` turns into 0.0:
+    /// applied, the step would skip the trust region and write NaN into
+    /// every weight at the full rate. It is refused and no weight moves.
+    #[test]
+    fn non_finite_natural_gradient_is_refused_and_weights_stay() {
+        let mut net = Mlp::new(&[2, 3], Activation::Identity, &mut rng());
+        let before: Vec<u32> = net.flat_params().iter().map(|v| v.to_bits()).collect();
+        let mut kfac = Kfac::new(&net, KfacConfig::default());
+        let mut dw = Matrix::zeros(2, 3);
+        dw.set(1, 2, f32::NAN);
+        let grads = Gradients {
+            layers: vec![LayerGrads {
+                dw,
+                db: vec![0.1; 3],
+                preact_grads: Matrix::zeros(0, 0),
+            }],
+        };
+        assert_eq!(kfac.step(&mut net, &grads), Err(LinalgError::NonFinite));
+        let after: Vec<u32> = net.flat_params().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(before, after);
+    }
+
+    /// The blend `blend_second_moment` replaced, kept as its reference: the
+    /// upper triangle of `xᵀx` blended and each value mirrored to `(j, i)`.
+    fn blend_full_symmetric(factor: &mut Matrix, x: &Matrix, scale: f32, decay: Option<f32>) {
+        let n = x.cols();
+        let mut gram = Matrix::zeros(n, n);
+        x.gram_upper_into(&mut gram);
+        let (f, new) = (factor.as_mut_slice(), gram.as_slice());
+        for i in 0..n {
+            for j in i..n {
+                let fresh = new[i * n + j] * scale;
+                let v = match decay {
+                    Some(d) => f[i * n + j] * d + (1.0 - d) * fresh,
+                    None => fresh,
+                };
+                f[i * n + j] = v;
+                f[j * n + i] = v;
+            }
+        }
+    }
+
+    /// Over 25 updates with decay, the upper triangle of the one-triangle
+    /// blend — diagonal included — holds the full symmetric blend's bits,
+    /// at a width off every tile boundary and at the paper's 256 and 257.
+    #[test]
+    fn upper_triangle_blend_matches_the_full_symmetric_blend() {
+        use rand::Rng as _;
+        let mut r = rng();
+        let mut gram = Matrix::zeros(0, 0);
+        for n in [17, 256, 257] {
+            let (mut factor, mut reference) = (Matrix::identity(n), Matrix::identity(n));
+            for update in 0..25 {
+                let x = Matrix::from_fn(16, n, |_, _| r.gen_range(-2.0f32..2.0));
+                let decay = (update > 0).then_some(0.95);
+                blend_second_moment(&mut factor, &x, &mut gram, 1.0 / 16.0, decay);
+                blend_full_symmetric(&mut reference, &x, 1.0 / 16.0, decay);
+                for i in 0..n {
+                    for j in i..n {
+                        assert_eq!(
+                            factor.get(i, j).to_bits(),
+                            reference.get(i, j).to_bits(),
+                            "n = {n}, update {update}, ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// On a pure linear least-squares problem, the Fisher equals the
     /// Gauss-Newton matrix, so preconditioning should accelerate
     /// convergence versus plain SGD at the same nominal step budget.
     #[test]
     fn kfac_beats_sgd_on_ill_conditioned_problem() {
-        use crate::optim::{Optimizer, Sgd};
+        use crate::optim::tests::Sgd;
+        use crate::optim::Optimizer;
         // Ill-conditioned inputs: one feature scaled 10x.
         let x = Matrix::from_rows(&[
             &[10.0, 0.1],

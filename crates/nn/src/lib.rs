@@ -11,7 +11,7 @@
 //! - [`mlp`]: dense MLPs with manual forward/backward passes,
 //! - [`dist`]: categorical policy heads (sampling, entropy, policy-gradient
 //!   and Fisher-sampled logit gradients),
-//! - [`optim`]: SGD / RMSprop / Adam,
+//! - [`optim`]: RMSprop / Adam,
 //! - [`kfac`]: Kronecker-factored natural-gradient preconditioning with a
 //!   KL trust region (the core of ACKTR),
 //! - [`simd`]: runtime-detected AVX2/AVX-512/FMA GEMM micro-kernels behind
@@ -65,6 +65,6 @@ pub use dist::Categorical;
 pub use kfac::{Kfac, KfacConfig};
 pub use matrix::Matrix;
 pub use mlp::{Activation, ForwardCache, Gradients, Mlp};
-pub use optim::{Adam, Optimizer, RmsProp, Sgd};
+pub use optim::{Adam, Optimizer, RmsProp};
 pub use simd::GemmKernel;
 pub use tanh::{tanh, tanh_in_place};

@@ -3,7 +3,9 @@
 //! K-FAC preconditions gradients with the inverses of the (symmetric
 //! positive semi-definite) Kronecker factors `A + λI` and `G + λI`
 //! (Wu et al., NeurIPS 2017). Inversion runs in `f64` via Cholesky for
-//! numerical robustness and returns `f32` matrices.
+//! numerical robustness and returns `f32` matrices. It reads only the
+//! upper triangle of its input, which is all that `dosco_nn::kfac` keeps
+//! up to date, and promotes it row by row, contiguously.
 
 use crate::matrix::Matrix;
 use crate::simd::GemmKernel;
@@ -24,6 +26,10 @@ pub enum LinalgError {
         /// The pivot index where factorization broke down.
         pivot: usize,
     },
+    /// A preconditioned step is NaN or infinite (a gradient or an inverse
+    /// holds a non-finite value), so applying it would corrupt every
+    /// weight.
+    NonFinite,
 }
 
 impl fmt::Display for LinalgError {
@@ -35,6 +41,9 @@ impl fmt::Display for LinalgError {
             LinalgError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix is not positive definite (pivot {pivot})")
             }
+            LinalgError::NonFinite => f.write_str(
+                "natural gradient is not finite (a gradient or an inverse holds NaN or ±inf)",
+            ),
         }
     }
 }
@@ -153,7 +162,8 @@ pub(crate) fn factor_and_solve(
 }
 
 /// Inverts the symmetric positive-definite matrix `m + damping·I`, reading
-/// the lower triangle of `m`.
+/// the upper triangle of `m` (diagonal included) and nothing below it, so
+/// a caller may keep only that triangle up to date.
 ///
 /// This is the K-FAC damped-inverse primitive: the damping both regularizes
 /// the curvature estimate and guarantees positive definiteness for PSD
@@ -185,15 +195,17 @@ fn damped_inverse_with(
             cols: m.cols(),
         });
     }
-    // Promote to f64, transposed (column j of the lower triangle becomes
-    // row j), and add damping on the diagonal.
+    // Promote the upper triangle to f64 row by row — row j of it is column
+    // j of the lower triangle of a symmetric `M`, the layout
+    // `cholesky_in_place` takes — and add damping on the diagonal.
     let src = m.as_slice();
     let mut l = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in 0..=i {
-            l[j * n + i] = f64::from(src[i * n + j]);
+    for j in 0..n {
+        let upper = j * n + j..(j + 1) * n;
+        for (v, &s) in l[upper.clone()].iter_mut().zip(&src[upper]) {
+            *v = f64::from(s);
         }
-        l[i * n + i] += damping;
+        l[j * n + j] += damping;
     }
     let mut inv = Matrix::zeros(n, n);
     let out = inv.as_mut_slice();
@@ -210,26 +222,6 @@ fn damped_inverse_with(
         _ => factor_and_solve(&mut l, n, out)?,
     }
     Ok(inv)
-}
-
-/// Symmetrizes a matrix in place: `m ← (m + mᵀ)/2`. Running covariance
-/// estimates drift slightly asymmetric in `f32`; K-FAC symmetrizes before
-/// inversion.
-///
-/// # Panics
-///
-/// Panics if `m` is not square.
-pub fn symmetrize(m: &mut Matrix) {
-    assert_eq!(m.rows(), m.cols(), "symmetrize requires a square matrix");
-    let n = m.rows();
-    let data = m.as_mut_slice();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let avg = 0.5 * (data[i * n + j] + data[j * n + i]);
-            data[i * n + j] = avg;
-            data[j * n + i] = avg;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -307,8 +299,9 @@ mod tests {
                 Err(LinalgError::NotPositiveDefinite { pivot: 1 }),
                 "diagonal {bad}"
             );
+            // Upper triangle: the only one `damped_inverse` reads.
             let mut m = Matrix::identity(3);
-            m.set(2, 0, bad);
+            m.set(0, 2, bad);
             assert_eq!(
                 damped_inverse(&m, 0.01),
                 Err(LinalgError::NotPositiveDefinite { pivot: 2 }),
@@ -351,13 +344,29 @@ mod tests {
         }
     }
 
+    /// Only the upper triangle is read: NaN written into every element
+    /// below the diagonal changes no bit of the inverse, on whichever loops
+    /// `DOSCO_SIMD` selects (`scripts/check.sh` runs this under auto,
+    /// `avx2` and `off`).
     #[test]
-    fn symmetrize_averages() {
-        let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[4.0, 3.0]]);
-        symmetrize(&mut m);
-        assert_eq!(m.get(0, 1), 3.0);
-        assert_eq!(m.get(1, 0), 3.0);
-        assert_eq!(m.get(0, 0), 1.0);
+    fn reads_only_the_upper_triangle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        for n in [1, 2, 17, 257] {
+            let x = Matrix::from_fn(64, n, |_, _| rng.gen_range(-2.0f32..2.0));
+            let m = x.transpose_matmul(&x).scaled(1.0 / 64.0);
+            let mut poisoned = m.clone();
+            for i in 0..n {
+                for j in 0..i {
+                    poisoned.set(i, j, f32::NAN);
+                }
+            }
+            let bits = |m: &Matrix| {
+                let inv = damped_inverse(m, 0.01).unwrap();
+                inv.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&m), bits(&poisoned), "n = {n}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! First-order optimizers: SGD (+momentum), RMSprop, Adam.
+//! First-order optimizers: RMSprop and Adam (plain SGD with momentum lives
+//! in this module's tests, as the baseline a K-FAC test beats).
 //!
 //! RMSprop is the base optimizer named in the paper's hyperparameters
-//! (Sec. V-A2); SGD and Adam support the ablations. All optimizers are
+//! (Sec. V-A2); Adam supports the ablations. All optimizers are
 //! stateful per-network and apply updates through [`Mlp::apply_update`]'s
 //! additive interface — they construct a preconditioned gradient and step
 //! `θ ← θ − lr · precond(g)`.
@@ -56,74 +57,6 @@ fn check_shapes(slots: &[Slot], grads: &Gradients) {
             (g.dw.rows(), g.dw.cols(), g.db.len()),
             "optimizer state shape mismatch"
         );
-    }
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Option<Vec<Slot>>,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate and momentum (0 disables).
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-finite or negative parameters.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&momentum),
-            "momentum must be in [0, 1), got {momentum}"
-        );
-        Sgd {
-            lr,
-            momentum,
-            velocity: None,
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Mlp, grads: &Gradients) {
-        if self.momentum == 0.0 {
-            net.apply_update(grads, -self.lr);
-            return;
-        }
-        let velocity = self
-            .velocity
-            .get_or_insert_with(|| zero_slots_like(grads));
-        check_shapes(velocity, &grads.clone());
-        let mut update_layers = Vec::with_capacity(grads.layers.len());
-        for (v, g) in velocity.iter_mut().zip(&grads.layers) {
-            v.w.scale_in_place(self.momentum);
-            v.w.add_scaled(&g.dw, 1.0);
-            for (vb, &gb) in v.b.iter_mut().zip(&g.db) {
-                *vb = self.momentum * *vb + gb;
-            }
-            update_layers.push(LayerGrads {
-                dw: v.w.clone(),
-                db: v.b.clone(),
-                preact_grads: Matrix::zeros(0, 0),
-            });
-        }
-        net.apply_update(
-            &Gradients {
-                layers: update_layers,
-            },
-            -self.lr,
-        );
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -308,11 +241,74 @@ impl Optimizer for Adam {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::mlp::Activation;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Stochastic gradient descent with optional momentum: the baseline
+    /// K-FAC's ill-conditioning test beats, and nothing else.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Sgd {
+        lr: f32,
+        momentum: f32,
+        velocity: Option<Vec<Slot>>,
+    }
+
+    impl Sgd {
+        /// SGD with the given learning rate and momentum (0 disables).
+        pub(crate) fn new(lr: f32, momentum: f32) -> Self {
+            assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
+            assert!(
+                (0.0..1.0).contains(&momentum),
+                "momentum must be in [0, 1), got {momentum}"
+            );
+            Sgd {
+                lr,
+                momentum,
+                velocity: None,
+            }
+        }
+    }
+
+    impl Optimizer for Sgd {
+        fn step(&mut self, net: &mut Mlp, grads: &Gradients) {
+            if self.momentum == 0.0 {
+                net.apply_update(grads, -self.lr);
+                return;
+            }
+            let velocity = self.velocity.get_or_insert_with(|| zero_slots_like(grads));
+            check_shapes(velocity, grads);
+            let mut update_layers = Vec::with_capacity(grads.layers.len());
+            for (v, g) in velocity.iter_mut().zip(&grads.layers) {
+                v.w.scale_in_place(self.momentum);
+                v.w.add_scaled(&g.dw, 1.0);
+                for (vb, &gb) in v.b.iter_mut().zip(&g.db) {
+                    *vb = self.momentum * *vb + gb;
+                }
+                update_layers.push(LayerGrads {
+                    dw: v.w.clone(),
+                    db: v.b.clone(),
+                    preact_grads: Matrix::zeros(0, 0),
+                });
+            }
+            net.apply_update(
+                &Gradients {
+                    layers: update_layers,
+                },
+                -self.lr,
+            );
+        }
+
+        fn learning_rate(&self) -> f32 {
+            self.lr
+        }
+
+        fn set_learning_rate(&mut self, lr: f32) {
+            self.lr = lr;
+        }
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(11)

@@ -177,17 +177,17 @@ impl UpdateRule for KfacStep {
                 let (grads, cache, dist) = policy_gradients(actor, rollout, c.ent_coef);
                 let fisher_out = dist.fisher_sample_logits(&mut actor_rng);
                 actor_kfac.update_stats(&cache, &actor.backward_preact(&cache, &fisher_out));
-                actor_kfac
-                    .step(actor, &grads)
-                    .expect("actor K-FAC inversion failed; increase damping");
+                if let Err(e) = actor_kfac.step(actor, &grads) {
+                    panic!("actor K-FAC step failed: {e}");
+                }
             },
             move || {
                 let (grads, cache) = value_gradients(critic, rollout, c.vf_coef);
                 critic_kfac
                     .update_stats(&cache, &critic.backward_preact(&cache, &critic_fisher_out));
-                critic_kfac
-                    .step(critic, &grads)
-                    .expect("critic K-FAC inversion failed; increase damping");
+                if let Err(e) = critic_kfac.step(critic, &grads) {
+                    panic!("critic K-FAC step failed: {e}");
+                }
             },
         );
     }

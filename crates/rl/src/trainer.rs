@@ -8,7 +8,10 @@
 //! machine's cores, each running the serial kernels, and [`join_halves`]
 //! runs the actor and the critic half of one update side by side — only
 //! while a core is free, because when the seeds fill the cores they keep
-//! them.
+//! them. "Free" is judged once, from the core count, so a thread that
+//! waits through the update must park rather than spin: the lockstep
+//! runtime's actor blocks in a channel `recv` that sleeps at once, and
+//! the critic half gets its core.
 
 use std::cell::Cell;
 use std::panic::resume_unwind;

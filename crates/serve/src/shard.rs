@@ -10,8 +10,9 @@
 //! are bitwise identical to per-decision forwards — batching changes
 //! latency, never decisions.
 
+use crossbeam::channel::{RecvError, TryRecvError};
 use dosco_core::{per_node_seed, CoordinationPolicy};
-use dosco_net::{BoxRx, BoxTx};
+use dosco_net::{BoxRx, BoxTx, Rx};
 use dosco_nn::matrix::Matrix;
 use dosco_nn::Categorical;
 use dosco_obs::registry;
@@ -123,7 +124,7 @@ pub(crate) fn run_shard(mut w: ShardWorker) {
     };
     let mut pending: Vec<DecisionRequest> = Vec::new();
     loop {
-        match w.mailbox.recv() {
+        match next_message(&*w.mailbox) {
             Ok(ShardMsg::Request(r)) => {
                 debug_assert_eq!(
                     shard_of(r.node.0, w.num_shards),
@@ -142,6 +143,30 @@ pub(crate) fn run_shard(mut w: ShardWorker) {
             Ok(ShardMsg::Shutdown) | Err(_) => return,
         }
     }
+}
+
+/// Polls of an empty mailbox [`next_message`] makes before it parks in
+/// `recv`: busy rounds first, then rounds that yield the core.
+const SPIN_ROUNDS: u32 = 100;
+const YIELD_ROUNDS: u32 = 100;
+
+/// The shard loop's mailbox wait: the next message, or `Err` once the
+/// mailbox is drained and every sender is gone. Within an epoch the
+/// frontend's next message is a few microseconds away, which costs less
+/// to poll for than a futex sleep and wake-up, so this spins, then
+/// yields, then parks in `recv`. Only this loop polls: every other
+/// receiver — the lockstep actor and learner among them — parks at once
+/// and leaves its core to the work it waits for.
+fn next_message<T>(mailbox: &dyn Rx<T>) -> Result<T, RecvError> {
+    for round in 0..SPIN_ROUNDS + YIELD_ROUNDS {
+        match mailbox.try_recv() {
+            Ok(msg) => return Ok(msg),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Err(TryRecvError::Empty) if round < SPIN_ROUNDS => std::hint::spin_loop(),
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+        }
+    }
+    mailbox.recv()
 }
 
 /// Answers every queued request with one batched forward.
@@ -211,5 +236,30 @@ mod tests {
         assert!(counts.iter().all(|&c| c >= 2), "{counts:?}");
         // Stable: the partition never depends on anything but node id.
         assert_eq!(shard_of(7, 4), 3);
+    }
+
+    /// The mailbox wait hands out queued messages in order, outlasts its
+    /// polling rounds to block until a late send arrives, and reports a
+    /// drained, sender-less mailbox as `Err`.
+    #[test]
+    fn mailbox_wait_is_fifo_blocks_for_a_late_send_and_ends_on_disconnect() {
+        use dosco_net::{InProcess, Transport};
+        let (tx, rx) = <InProcess as Transport<u32>>::channel(&InProcess, 4);
+        for v in [1, 2, 3] {
+            tx.send(v).expect("queue");
+        }
+        assert_eq!(
+            (0..3).map(|_| next_message(&*rx)).collect::<Vec<_>>(),
+            [Ok(1), Ok(2), Ok(3)]
+        );
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                tx.send(4).expect("late send");
+                // The last sender drops here.
+            });
+            assert_eq!(next_message(&*rx), Ok(4));
+        });
+        assert_eq!(next_message(&*rx), Err(RecvError));
     }
 }

@@ -13,6 +13,9 @@ cargo build --release --workspace
 echo "== cargo test (every crate, auto SIMD dispatch) =="
 cargo test -q --workspace
 
+echo "== cargo test (vendored crossbeam channel: vendor/* is outside the workspace, so --workspace skips it) =="
+cargo test -q -p crossbeam
+
 echo "== cargo test (nn + serve, DOSCO_SIMD=off: scalar reference kernels, plain tanh and inversion loops) =="
 DOSCO_SIMD=off cargo test -q -p dosco-nn -p dosco-serve
 
