@@ -45,4 +45,4 @@ pub use canary::{
 pub use http::{CtlConfig, CtlServer};
 pub use jobs::{JobManager, JobView, ServeJobSpec, TrainJobSpec};
 pub use registry::{ArtifactMeta, PolicyRegistry, PromotionAction, PromotionRecord};
-pub use state::{CtlState, HealthResponse, ShardsResponse, SlotView, SnapshotResponse};
+pub use state::{CtlState, HealthResponse, ShardsResponse, SnapshotResponse};

@@ -8,7 +8,7 @@
 
 use crate::jobs::JobManager;
 use crate::registry::{ArtifactMeta, PolicyRegistry};
-use dosco_runtime::PolicySlot;
+use dosco_runtime::{PolicySlot, SlotInfo};
 use dosco_serve::{FabricStatus, StatusBoard};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
@@ -22,25 +22,12 @@ pub struct HealthResponse {
     pub service: String,
 }
 
-/// The published policy slot, as `GET /snapshot` reports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SlotView {
-    /// Version of the currently published snapshot.
-    pub version: u64,
-    /// Parameter count of the snapshot's actor network.
-    pub actor_params: usize,
-    /// Parameter count of the snapshot's critic network.
-    pub critic_params: usize,
-    /// Whether the training runtime is shutting down.
-    pub closed: bool,
-}
-
 /// The `GET /snapshot` response body: the live policy slot and the
 /// registry's promoted head, each `null` while detached.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnapshotResponse {
     /// The attached [`PolicySlot`]'s current state.
-    pub slot: Option<SlotView>,
+    pub slot: Option<SlotInfo>,
     /// The attached registry's promoted head entry.
     pub registry_head: Option<ArtifactMeta>,
 }
@@ -105,15 +92,7 @@ impl CtlState {
             .lock()
             .expect("ctl state poisoned")
             .as_ref()
-            .map(|s| {
-                let info = s.info();
-                SlotView {
-                    version: info.version,
-                    actor_params: info.actor_params,
-                    critic_params: info.critic_params,
-                    closed: info.closed,
-                }
-            });
+            .map(|s| s.info());
         let registry_head = self
             .registry
             .lock()
@@ -174,9 +153,15 @@ mod tests {
         let view = state.snapshot_response().slot.unwrap();
         assert_eq!(view.version, 5);
         assert_eq!(view.actor_params, 17);
-        assert!(!view.closed);
-        slot.close();
-        assert!(state.snapshot_response().slot.unwrap().closed);
+        assert_eq!(
+            serde_json::to_string(&view).unwrap(),
+            r#"{"version":5,"actor_params":17,"critic_params":13}"#
+        );
+        slot.publish(Arc::new(PolicySnapshot {
+            version: 6,
+            ..(*slot.latest()).clone()
+        }));
+        assert_eq!(state.snapshot_response().slot.unwrap().version, 6);
     }
 
     #[test]

@@ -155,7 +155,6 @@ fn ops_endpoints_answer_live_during_a_serving_run() {
     let slot = snap.slot.expect("slot attached");
     assert_eq!(slot.version, 7);
     assert_eq!(slot.actor_params, hub.latest().actor.num_params());
-    assert!(!slot.closed);
     let head = snap.registry_head.expect("registry attached with a head");
     assert_eq!(head.version, 0);
     assert_eq!(head.algorithm, "ops-http-test");

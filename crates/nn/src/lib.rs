@@ -14,11 +14,11 @@
 //! - [`optim`]: RMSprop / Adam,
 //! - [`kfac`]: Kronecker-factored natural-gradient preconditioning with a
 //!   KL trust region (the core of ACKTR),
-//! - [`simd`]: runtime-detected AVX2/AVX-512/FMA GEMM micro-kernels behind
-//!   the `DOSCO_SIMD` switch (scalar kernels stay the bit-exact reference;
-//!   the default `auto` mode only ever picks bit-identical kernels), and
-//!   the AVX2 and AVX-512 builds of the `tanh` loop and the AVX2 build of
-//!   the inversion loops,
+//! - [`simd`]: runtime-detected AVX2/AVX-512 GEMM micro-kernels behind
+//!   the `DOSCO_SIMD` switch (every kernel returns the scalar reference's
+//!   bits, so the switch changes speed, never a result), and the AVX2 and
+//!   AVX-512 builds of the `tanh` loop and the AVX2 build of the inversion
+//!   loops,
 //! - [`tanh()`] / [`tanh_in_place`]: the workspace's one `tanh`, an in-repo
 //!   port of fdlibm's that returns glibc's bits on every host and
 //!   vectorises.

@@ -210,13 +210,12 @@ fn damped_inverse_with(
     let mut inv = Matrix::zeros(n, n);
     let out = inv.as_mut_slice();
     match kernel.best_available() {
-        // `Fma` too: the body never contracts, so there is no fused
-        // variant. And `Avx512`: at eight `f64` lanes a panel row's
-        // sixteen accumulators are two vector chains instead of four, and
-        // the latency-bound solves ran slower (DESIGN.md, *Kept / deleted
-        // / why*).
+        // `Avx512` too: at eight `f64` lanes a panel row's sixteen
+        // accumulators are two vector chains instead of four, and the
+        // latency-bound solves ran slower (DESIGN.md, *Kept / deleted /
+        // why*).
         #[cfg(target_arch = "x86_64")]
-        GemmKernel::Avx2 | GemmKernel::Avx512 | GemmKernel::Fma => {
+        GemmKernel::Avx2 | GemmKernel::Avx512 => {
             crate::simd::x86::run_factor_and_solve(&mut l, n, out)?
         }
         _ => factor_and_solve(&mut l, n, out)?,

@@ -360,7 +360,7 @@ impl Matrix {
     /// [`Matrix::matmul_into`] with an explicitly forced GEMM kernel,
     /// clamped to the best the CPU supports
     /// ([`GemmKernel::best_available`]). Lets benches and equivalence
-    /// tests compare scalar/AVX2/AVX-512/FMA in one process regardless of
+    /// tests compare scalar/AVX2/AVX-512 in one process regardless of
     /// `DOSCO_SIMD`.
     ///
     /// # Panics
@@ -879,7 +879,7 @@ fn matmul_block_dispatch(
     match kernel {
         GemmKernel::Scalar => matmul_block(ab, out, row0, j_start),
         #[cfg(target_arch = "x86_64")]
-        GemmKernel::Avx2 | GemmKernel::Avx512 | GemmKernel::Fma => {
+        GemmKernel::Avx2 | GemmKernel::Avx512 => {
             crate::simd::x86::run_matmul_block(kernel, ab, out, row0, j_start)
         }
         #[cfg(not(target_arch = "x86_64"))]

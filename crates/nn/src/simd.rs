@@ -1,31 +1,27 @@
 //! Runtime-dispatched `std::arch` SIMD micro-kernels for the forward and
 //! GEMM hot paths.
 //!
-//! The scalar register-tiled kernels in [`crate::matrix`] remain the
-//! bit-exact reference path; this module adds AVX2, AVX-512 and AVX2+FMA
-//! variants selected at runtime via [`is_x86_feature_detected!`] and the
-//! `DOSCO_SIMD` environment switch:
+//! The scalar register-tiled kernels in [`crate::matrix`] are the
+//! reference path; this module adds AVX2 and AVX-512 variants selected at
+//! runtime via [`is_x86_feature_detected!`] and the `DOSCO_SIMD`
+//! environment switch. Every kernel returns the scalar kernel's bits, so
+//! the switch changes speed, never a result:
 //!
-//! | `DOSCO_SIMD`            | GEMM kernel                    | numerics vs scalar        | `tanh` loop        | `f64` inversion    |
-//! |-------------------------|--------------------------------|---------------------------|--------------------|--------------------|
-//! | `off` / `0` / `scalar`  | [`GemmKernel::Scalar`]         | reference                 | plain              | plain              |
-//! | `avx2`                  | [`GemmKernel::Avx2`]           | **bit-identical**         | AVX2, same bits    | AVX2, same bits    |
-//! | `fma` / `on` / `1`      | [`GemmKernel::Fma`]            | deterministic, not bitwise| AVX2, same bits    | AVX2, same bits    |
-//! | unset / `auto`          | best **bit-identical** kernel: [`GemmKernel::Avx512`], else `Avx2`, else `Scalar` | bit-identical | AVX-512 or AVX2, same bits | AVX2, same bits |
+//! | `DOSCO_SIMD`   | GEMM kernel                                        | `tanh` loop     | `f64` inversion |
+//! |----------------|----------------------------------------------------|-----------------|-----------------|
+//! | `off`          | [`GemmKernel::Scalar`]                             | plain           | plain           |
+//! | `avx2`         | [`GemmKernel::Avx2`], else `Scalar`                | AVX2            | AVX2            |
+//! | unset / `auto` | [`GemmKernel::Avx512`], else `Avx2`, else `Scalar` | AVX-512 or AVX2 | AVX2            |
 //!
 //! The AVX2 and AVX-512 kernels vectorize across *independent output
 //! columns* (8 and 16 lanes) with separate multiply and add steps, so every
 //! output element keeps exactly the scalar kernel's single ascending-`k`
 //! `f32` accumulator chain — bit-identical by construction, which is why
-//! `auto` may select them without breaking the workspace's golden traces
-//! or equivalence suites. Both are instantiations of one tile source,
-//! generic over the lane width. The FMA kernels fuse multiply-add with a
-//! single rounding per step: still fully deterministic (fixed order,
-//! batch-split invariant), but not bit-comparable to scalar, so they run
-//! only when explicitly requested, and stay 8-lane. There is one kernel
-//! family: `Aᵀ·B` and `A·Bᵀ` pack their transposed operand and run on the
-//! `matmul` kernels (see [`crate::matrix`]), so every product inherits the
-//! same guarantees.
+//! any of them may run without breaking the workspace's golden traces or
+//! equivalence suites. Both are instantiations of one tile source, generic
+//! over the lane width. There is one kernel family: `Aᵀ·B` and `A·Bᵀ` pack
+//! their transposed operand and run on the `matmul` kernels (see
+//! [`crate::matrix`]), so every product inherits the same guarantee.
 //!
 //! Tile shapes follow the row panel, because what a tile must hide is the
 //! add latency of its accumulator chains: every panel runs eight vector
@@ -43,20 +39,21 @@
 //! K-FAC factor inversion's `f64` loops ([`crate::linalg::damped_inverse`],
 //! which the 16-lane kernel runs too: at that width its solves were
 //! slower): the same safe, contraction-free source as the plain ones, so
-//! they return the same bits in every mode — there is no fused `tanh` and
-//! no fused inversion.
+//! they return the same bits in every mode.
 //!
 //! Requesting a kernel the CPU lacks silently falls back to the best
-//! available one ([`GemmKernel::best_available`]); an unparseable
-//! `DOSCO_SIMD` value panics.
+//! available one ([`GemmKernel::best_available`]); any `DOSCO_SIMD` value
+//! other than the three above panics.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::sync::OnceLock;
 
-/// Which GEMM micro-kernel family executes the f32 hot loops.
+/// Which GEMM micro-kernel family executes the f32 hot loops. Every
+/// variant returns the bits of [`GemmKernel::Scalar`]: they differ in
+/// speed and in the CPU features they need, never in a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmKernel {
-    /// Portable register-tiled scalar kernels: the bit-exact reference.
+    /// Portable register-tiled scalar kernels: the reference.
     Scalar,
     /// AVX2 kernels (8 lanes) with separate multiply and add rounding
     /// steps; bit-identical to [`GemmKernel::Scalar`] by construction.
@@ -65,32 +62,21 @@ pub enum GemmKernel {
     /// at twice the width; bit-identical to [`GemmKernel::Scalar`] by
     /// construction. Needs AVX-512 F, BW, DQ and VL.
     Avx512,
-    /// AVX2+FMA kernels (fused multiply-add, one rounding per step);
-    /// deterministic but **not** bit-identical to scalar.
-    Fma,
 }
 
 impl GemmKernel {
-    /// Whether this kernel produces bit-identical results to the scalar
-    /// reference path. Tests use this to decide between bitwise and
-    /// tolerance-based assertions.
-    pub fn bit_exact(self) -> bool {
-        !matches!(self, GemmKernel::Fma)
-    }
-
     /// Whether the running CPU can execute this kernel.
     pub fn is_available(self) -> bool {
         match self {
             GemmKernel::Scalar => true,
             GemmKernel::Avx2 => avx2_available(),
             GemmKernel::Avx512 => avx512_available(),
-            GemmKernel::Fma => fma_available(),
         }
     }
 
     /// This kernel if the CPU supports it, else the fastest supported
-    /// downgrade (`Avx512 → Avx2 → Scalar`, `Fma → Avx2 → Scalar`). Every
-    /// dispatch site clamps through this, so a forced kernel is portable.
+    /// downgrade (`Avx512 → Avx2 → Scalar`). Every dispatch site clamps
+    /// through this, so a forced kernel is portable.
     pub fn best_available(self) -> GemmKernel {
         self.best_where(GemmKernel::is_available)
     }
@@ -102,18 +88,7 @@ impl GemmKernel {
             GemmKernel::Scalar => GemmKernel::Scalar,
             k if supported(k) => k,
             GemmKernel::Avx2 => GemmKernel::Scalar,
-            GemmKernel::Avx512 | GemmKernel::Fma => GemmKernel::Avx2.best_where(supported),
-        }
-    }
-
-    /// Stable lowercase name (`scalar` / `avx2` / `avx512` / `fma`) for
-    /// logs and bench records.
-    pub fn label(self) -> &'static str {
-        match self {
-            GemmKernel::Scalar => "scalar",
-            GemmKernel::Avx2 => "avx2",
-            GemmKernel::Avx512 => "avx512",
-            GemmKernel::Fma => "fma",
+            GemmKernel::Avx512 => GemmKernel::Avx2.best_where(supported),
         }
     }
 }
@@ -147,52 +122,18 @@ pub fn avx512_available() -> bool {
     }
 }
 
-/// True when the running CPU supports the AVX2+FMA kernels.
-pub fn fma_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// What `DOSCO_SIMD` asked for, before clamping to CPU support.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Requested {
-    Auto,
-    Off,
-    Avx2,
-    Fma,
-}
-
-/// Parses a raw `DOSCO_SIMD` value. `None`/empty means `Auto`.
-fn parse_requested(raw: Option<&str>) -> Result<Requested, String> {
+/// Parses a raw `DOSCO_SIMD` value (trimmed, case-insensitive) into the
+/// widest kernel it allows: unset, empty or `auto` → [`GemmKernel::Avx512`],
+/// `avx2` → [`GemmKernel::Avx2`], `off` → [`GemmKernel::Scalar`].
+fn parse_requested(raw: Option<&str>) -> Result<GemmKernel, String> {
     let v = raw.unwrap_or("").trim().to_ascii_lowercase();
     match v.as_str() {
-        "" | "auto" => Ok(Requested::Auto),
-        "off" | "0" | "scalar" | "false" => Ok(Requested::Off),
-        "avx2" => Ok(Requested::Avx2),
-        "fma" | "on" | "1" | "true" => Ok(Requested::Fma),
+        "" | "auto" => Ok(GemmKernel::Avx512),
+        "off" => Ok(GemmKernel::Scalar),
+        "avx2" => Ok(GemmKernel::Avx2),
         other => Err(format!(
-            "DOSCO_SIMD must be one of auto|off|scalar|avx2|fma|on|1|0 (got {other:?})"
+            "DOSCO_SIMD must be one of auto|off|avx2 (got {other:?})"
         )),
-    }
-}
-
-/// Clamps a request to what a CPU supporting the kernels `supported`
-/// accepts. `Auto` selects the best *bit-identical* kernel — AVX-512, else
-/// AVX2, else scalar — so default-environment runs keep every golden and
-/// bitwise-equivalence contract; `avx2` pins the 8-lane kernel, and FMA is
-/// explicit opt-in.
-fn resolve_where(req: Requested, supported: impl Fn(GemmKernel) -> bool) -> GemmKernel {
-    match req {
-        Requested::Off => GemmKernel::Scalar,
-        Requested::Auto => GemmKernel::Avx512.best_where(supported),
-        Requested::Avx2 => GemmKernel::Avx2.best_where(supported),
-        Requested::Fma => GemmKernel::Fma.best_where(supported),
     }
 }
 
@@ -206,8 +147,8 @@ pub fn active() -> GemmKernel {
     static ACTIVE: OnceLock<GemmKernel> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
         let raw = std::env::var("DOSCO_SIMD").ok();
-        let req = parse_requested(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"));
-        resolve_where(req, GemmKernel::is_available)
+        let ceiling = parse_requested(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"));
+        ceiling.best_available()
     })
 }
 
@@ -235,13 +176,6 @@ pub(crate) mod x86 {
     #[inline]
     fn vmadd_unfused_512(a: __m512, b: __m512, acc: __m512) -> __m512 {
         _mm512_add_ps(acc, _mm512_mul_ps(a, b))
-    }
-
-    /// Fused `a·b + acc`, one rounding step.
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    fn vmadd_fused(a: __m256, b: __m256, acc: __m256) -> __m256 {
-        _mm256_fmadd_ps(a, b, acc)
     }
 
     /// Lanes `0..jt` of an 8-lane tile, as the sign bits `vmaskmovps`
@@ -275,10 +209,10 @@ pub(crate) mod x86 {
     }
 
     /// Expands the `matmul` kernels once per feature set and lane width. A
-    /// macro (rather than a generic over the width or a `const FMA: bool`)
-    /// keeps each instantiation inside a fn carrying exactly the
-    /// `#[target_feature]` set its intrinsics need, so the vector helpers
-    /// stay safe calls and inline cleanly.
+    /// macro (rather than a generic over the width) keeps each instantiation
+    /// inside a fn carrying exactly the `#[target_feature]` set its
+    /// intrinsics need, so the vector helpers stay safe calls and inline
+    /// cleanly.
     macro_rules! define_gemm_kernels {
         (
             features: $feat:literal,
@@ -439,13 +373,6 @@ pub(crate) mod x86 {
         tail: tail_mask_512, maskload_512, _mm512_mask_storeu_ps,
         kernels: mm_tiles_avx512, mm_tail_avx512, mm_panel_avx512, matmul_block_avx512,
     );
-    define_gemm_kernels!(
-        features: "avx2,fma",
-        lanes: 8,
-        vector: _mm256_setzero_ps, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps, vmadd_fused,
-        tail: tail_mask_256, _mm256_maskload_ps, _mm256_maskstore_ps,
-        kernels: mm_tiles_fma, mm_tail_fma, mm_panel_fma, matmul_block_fma,
-    );
 
     /// The AVX2 instantiation of the [`crate::tanh_in_place`] loop: the same
     /// safe, contraction-free body as the plain one, compiled where the
@@ -507,8 +434,8 @@ pub(crate) mod x86 {
         unsafe { factor_and_solve_avx2(l, n, inv) }
     }
 
-    /// Dispatches one `matmul` row block to the AVX-512, the AVX2+FMA or
-    /// (under any other kernel) the AVX2 kernel.
+    /// Dispatches one `matmul` row block to the AVX-512 kernel under
+    /// [`GemmKernel::Avx512`], to the AVX2 one under any other kernel.
     pub(crate) fn run_matmul_block(
         kernel: GemmKernel,
         ab: Operands<'_>,
@@ -516,25 +443,16 @@ pub(crate) mod x86 {
         row0: usize,
         j_start: usize,
     ) {
-        match kernel {
-            GemmKernel::Avx512 => {
-                assert!(super::avx512_available(), "AVX-512 kernel dispatched without CPU support");
-                // SAFETY: AVX-512 F/BW/DQ/VL support was just asserted via
-                // runtime feature detection.
-                unsafe { matmul_block_avx512(ab, out, row0, j_start) }
-            }
-            GemmKernel::Fma => {
-                assert!(super::fma_available(), "FMA kernel dispatched without CPU support");
-                // SAFETY: AVX2+FMA support was just asserted via runtime
-                // feature detection.
-                unsafe { matmul_block_fma(ab, out, row0, j_start) }
-            }
-            _ => {
-                assert!(super::avx2_available(), "AVX2 kernel dispatched without CPU support");
-                // SAFETY: AVX2 support was just asserted via runtime
-                // feature detection.
-                unsafe { matmul_block_avx2(ab, out, row0, j_start) }
-            }
+        if kernel == GemmKernel::Avx512 {
+            assert!(super::avx512_available(), "AVX-512 kernel dispatched without CPU support");
+            // SAFETY: AVX-512 F/BW/DQ/VL support was just asserted via
+            // runtime feature detection.
+            unsafe { matmul_block_avx512(ab, out, row0, j_start) }
+        } else {
+            assert!(super::avx2_available(), "AVX2 kernel dispatched without CPU support");
+            // SAFETY: AVX2 support was just asserted via runtime feature
+            // detection.
+            unsafe { matmul_block_avx2(ab, out, row0, j_start) }
         }
     }
 }
@@ -543,51 +461,42 @@ pub(crate) mod x86 {
 mod tests {
     use super::*;
 
+    /// One spelling per value, trimmed and case-insensitive; every other
+    /// spelling — the seven that earlier versions accepted included — is
+    /// refused with a message naming exactly the three values.
     #[test]
     fn parses_every_documented_value() {
-        assert_eq!(parse_requested(None), Ok(Requested::Auto));
-        assert_eq!(parse_requested(Some("")), Ok(Requested::Auto));
-        assert_eq!(parse_requested(Some("auto")), Ok(Requested::Auto));
-        assert_eq!(parse_requested(Some(" AUTO ")), Ok(Requested::Auto));
-        for off in ["off", "0", "scalar", "false", "OFF"] {
-            assert_eq!(parse_requested(Some(off)), Ok(Requested::Off), "{off}");
+        for auto in [None, Some(""), Some("auto"), Some(" AUTO ")] {
+            assert_eq!(parse_requested(auto), Ok(GemmKernel::Avx512), "{auto:?}");
         }
-        assert_eq!(parse_requested(Some("avx2")), Ok(Requested::Avx2));
-        for fma in ["fma", "on", "1", "true", "FMA"] {
-            assert_eq!(parse_requested(Some(fma)), Ok(Requested::Fma), "{fma}");
+        for off in ["off", "OFF", " Off "] {
+            assert_eq!(parse_requested(Some(off)), Ok(GemmKernel::Scalar), "{off}");
         }
-        assert!(parse_requested(Some("avx512")).is_err());
-        assert!(parse_requested(Some("2")).is_err());
+        for avx2 in ["avx2", "AVX2"] {
+            assert_eq!(parse_requested(Some(avx2)), Ok(GemmKernel::Avx2), "{avx2}");
+        }
+        for removed in ["0", "scalar", "false", "fma", "on", "1", "true", "avx512", "2"] {
+            assert_eq!(
+                parse_requested(Some(removed)),
+                Err(format!("DOSCO_SIMD must be one of auto|off|avx2 (got {removed:?})")),
+            );
+        }
     }
 
-    #[test]
-    fn off_always_resolves_to_scalar() {
-        assert_eq!(resolve_where(Requested::Off, |_| true), GemmKernel::Scalar);
-    }
-
-    #[test]
-    fn auto_resolves_to_a_bit_exact_kernel() {
-        let resolve = |req| resolve_where(req, GemmKernel::is_available);
-        assert!(resolve(Requested::Auto).bit_exact());
-        // And it never selects an unavailable kernel.
-        assert!(resolve(Requested::Auto).is_available());
-        assert!(resolve(Requested::Fma).is_available());
-    }
-
-    /// `auto` takes the widest bit-exact kernel the CPU has, and nothing
-    /// but `auto` ever takes the 16-lane one.
+    /// The ceiling clamps to the widest kernel the CPU has below it:
+    /// `auto` takes the 16-lane kernel only where it exists, `avx2` never
+    /// takes it, and `off` is scalar everywhere.
     #[test]
     fn auto_prefers_avx512_then_avx2_then_scalar() {
         let all = |_: GemmKernel| true;
         let no_avx512 = |k: GemmKernel| k != GemmKernel::Avx512;
         let scalar_only = |k: GemmKernel| k == GemmKernel::Scalar;
-        assert_eq!(resolve_where(Requested::Auto, all), GemmKernel::Avx512);
-        assert_eq!(resolve_where(Requested::Auto, no_avx512), GemmKernel::Avx2);
-        assert_eq!(resolve_where(Requested::Auto, scalar_only), GemmKernel::Scalar);
-        assert_eq!(resolve_where(Requested::Avx2, all), GemmKernel::Avx2);
-        assert_eq!(resolve_where(Requested::Fma, all), GemmKernel::Fma);
-        assert_eq!(resolve_where(Requested::Fma, |k| k != GemmKernel::Fma), GemmKernel::Avx2);
-        assert_eq!(resolve_where(Requested::Avx2, scalar_only), GemmKernel::Scalar);
+        assert_eq!(GemmKernel::Avx512.best_where(all), GemmKernel::Avx512);
+        assert_eq!(GemmKernel::Avx512.best_where(no_avx512), GemmKernel::Avx2);
+        assert_eq!(GemmKernel::Avx512.best_where(scalar_only), GemmKernel::Scalar);
+        assert_eq!(GemmKernel::Avx2.best_where(all), GemmKernel::Avx2);
+        assert_eq!(GemmKernel::Avx2.best_where(scalar_only), GemmKernel::Scalar);
+        assert_eq!(GemmKernel::Scalar.best_where(all), GemmKernel::Scalar);
     }
 
     #[test]
@@ -595,27 +504,9 @@ mod tests {
         assert_eq!(GemmKernel::Scalar.best_available(), GemmKernel::Scalar);
         let a = GemmKernel::Avx2.best_available();
         assert!(a == GemmKernel::Avx2 || a == GemmKernel::Scalar);
-        // Avx512 and Fma downgrade through Avx2 before Scalar.
+        // Avx512 downgrades through Avx2 before Scalar.
         let w = GemmKernel::Avx512.best_available();
         assert!(w == GemmKernel::Avx512 || w == a, "{w:?}");
-        if !fma_available() && avx2_available() {
-            assert_eq!(GemmKernel::Fma.best_available(), GemmKernel::Avx2);
-        }
-    }
-
-    #[test]
-    fn bit_exactness_is_exactly_non_fma() {
-        assert!(GemmKernel::Scalar.bit_exact());
-        assert!(GemmKernel::Avx2.bit_exact());
-        assert!(GemmKernel::Avx512.bit_exact());
-        assert!(!GemmKernel::Fma.bit_exact());
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(GemmKernel::Scalar.label(), "scalar");
-        assert_eq!(GemmKernel::Avx2.label(), "avx2");
-        assert_eq!(GemmKernel::Avx512.label(), "avx512");
-        assert_eq!(GemmKernel::Fma.label(), "fma");
+        assert!(active().is_available());
     }
 }

@@ -132,10 +132,8 @@ pub fn tanh(x: f32) -> f32 {
 /// AVX2 and AVX-512 ones (same body) in `simd::x86`.
 fn tanh_in_place_with(xs: &mut [f32], kernel: GemmKernel) {
     match kernel.best_available() {
-        // `Fma` runs the AVX2 loop: there is no fused `tanh`, the body
-        // never contracts.
         #[cfg(target_arch = "x86_64")]
-        simd @ (GemmKernel::Avx2 | GemmKernel::Avx512 | GemmKernel::Fma) => {
+        simd @ (GemmKernel::Avx2 | GemmKernel::Avx512) => {
             crate::simd::x86::run_tanh_in_place(simd, xs)
         }
         _ => xs.iter_mut().for_each(|v| *v = tanh(*v)),
@@ -212,7 +210,7 @@ mod tests {
         );
         for kernel in [GemmKernel::Avx2, GemmKernel::Avx512] {
             if !kernel.is_available() {
-                eprintln!("skipping the {} loop: this CPU lacks its features", kernel.label());
+                eprintln!("skipping the {kernel:?} loop: this CPU lacks its features");
                 continue;
             }
             let mut simd = xs.clone();

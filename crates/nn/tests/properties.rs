@@ -22,34 +22,10 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// The dispatched-vs-reference contract, parameterized by the active
-/// `DOSCO_SIMD` kernel: scalar, AVX2 and AVX-512 modes must match the
-/// naive reference *bitwise*; the opt-in FMA mode fuses multiply-add (one
-/// rounding per step) so it gets a tight tolerance instead (±1 ulp per
-/// term over k ≤ 512 stays far below 1e-3 absolute at these magnitudes).
-/// Batch invariance stays bitwise in every mode and is asserted
-/// separately.
-fn gemm_matches(actual: &Matrix, reference: &Matrix) -> bool {
-    gemm_matches_under(dosco_nn::simd::active(), actual, reference)
-}
-
-/// [`gemm_matches`] for a product run on `kernel` (as clamped to the CPU).
-fn gemm_matches_under(kernel: GemmKernel, actual: &Matrix, reference: &Matrix) -> bool {
-    if kernel.best_available().bit_exact() {
-        bits(actual) == bits(reference)
-    } else {
-        actual
-            .as_slice()
-            .iter()
-            .zip(reference.as_slice())
-            .all(|(a, b)| (a - b).abs() <= 1e-3 + 1e-4 * b.abs() || (a.is_nan() && b.is_nan()))
-    }
-}
-
-/// The bit-exact kernels the forced-kernel tests run: scalar, AVX2 and
-/// AVX-512, minus any this CPU lacks (forcing one would only clamp it to a
-/// kernel already in the list). Each one skipped is named on stderr once.
-fn bit_exact_kernels() -> Vec<GemmKernel> {
+/// The kernels the forced-kernel tests run: scalar, AVX2 and AVX-512,
+/// minus any this CPU lacks (forcing one would only clamp it to a kernel
+/// already in the list). Each one skipped is named on stderr once.
+fn available_kernels() -> Vec<GemmKernel> {
     static SKIPPED: std::sync::Once = std::sync::Once::new();
     let all = [GemmKernel::Scalar, GemmKernel::Avx2, GemmKernel::Avx512];
     let (run, skip): (Vec<_>, Vec<_>) = all.into_iter().partition(|k| k.is_available());
@@ -171,7 +147,7 @@ proptest! {
         let b = rand_matrix(k, n, &mut rng);
         let at = rand_matrix(k, m, &mut rng);
         let bt = rand_matrix(n, k, &mut rng);
-        for kernel in bit_exact_kernels() {
+        for kernel in available_kernels() {
             let mut out = Matrix::from_fn(m, n, |_, _| f32::NAN);
             a.matmul_into_with(&b, &mut out, kernel);
             prop_assert_eq!(bits(&out), bits(&a.matmul_ref(&b)), "{:?} matmul", kernel);
@@ -200,9 +176,7 @@ proptest! {
         x.gram_upper_into(&mut out);
         for i in 0..n {
             for j in i..n {
-                if dosco_nn::simd::active().bit_exact() {
-                    prop_assert_eq!(out.get(i, j).to_bits(), reference.get(i, j).to_bits());
-                }
+                prop_assert_eq!(out.get(i, j).to_bits(), reference.get(i, j).to_bits());
                 prop_assert_eq!(reference.get(j, i).to_bits(), reference.get(i, j).to_bits());
             }
         }
@@ -286,10 +260,10 @@ proptest! {
         prop_assert_eq!(out.clone(), net.forward(&Matrix::row_vector(&obs)));
     }
 
-    /// The dispatched `matmul` kernel matches the naive reference
-    /// (bitwise in the bit-exact modes, tight tolerance under opt-in FMA —
-    /// see [`gemm_matches`]) over shapes that cross every block boundary
-    /// (1×N, N×1, non-multiples of the 32/64/256 blocks), wide enough
+    /// The dispatched `matmul` kernel matches the naive reference bitwise,
+    /// under whichever kernel `DOSCO_SIMD` selects, over shapes that cross
+    /// every block boundary (1×N, N×1, non-multiples of the 32/64/256
+    /// blocks), wide enough
     /// (`n` to 200) to enter the widest tile of every row panel at 8 and
     /// 16 lanes and fall out of it through the narrower tiles into the
     /// masked tail.
@@ -300,8 +274,7 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a = rand_matrix(m, k, &mut rng);
         let b = rand_matrix(k, n, &mut rng);
-        let reference = a.matmul_ref(&b);
-        prop_assert!(gemm_matches(&a.matmul(&b), &reference));
+        prop_assert_eq!(bits(&a.matmul(&b)), bits(&a.matmul_ref(&b)));
     }
 
     /// Same contract for the fused `selfᵀ · other` kernel.
@@ -312,8 +285,7 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a = rand_matrix(k, m, &mut rng); // self is k×m, output m×n
         let b = rand_matrix(k, n, &mut rng);
-        let reference = a.transpose_matmul_ref(&b);
-        prop_assert!(gemm_matches(&a.transpose_matmul(&b), &reference));
+        prop_assert_eq!(bits(&a.transpose_matmul(&b)), bits(&a.transpose_matmul_ref(&b)));
     }
 
     /// Same contract for the fused `self · otherᵀ` kernel.
@@ -324,12 +296,11 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a = rand_matrix(m, k, &mut rng);
         let b = rand_matrix(n, k, &mut rng); // other is n×k, output m×n
-        let reference = a.matmul_transpose_ref(&b);
-        prop_assert!(gemm_matches(&a.matmul_transpose(&b), &reference));
+        prop_assert_eq!(bits(&a.matmul_transpose(&b)), bits(&a.matmul_transpose_ref(&b)));
     }
 
     /// The `*_into` variants overwrite stale output contents completely
-    /// (a leaked stale NaN would fail [`gemm_matches`] in every mode).
+    /// (a leaked stale NaN would fail the bitwise comparison).
     #[test]
     fn into_variants_overwrite_stale_output(seed in 0u64..500) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -337,7 +308,7 @@ proptest! {
         let b = rand_matrix(7, 3, &mut rng);
         let mut out = Matrix::from_fn(5, 3, |_, _| f32::NAN);
         a.matmul_into(&b, &mut out);
-        prop_assert!(gemm_matches(&out, &a.matmul_ref(&b)));
+        prop_assert_eq!(bits(&out), bits(&a.matmul_ref(&b)));
     }
 
     /// A B-row batch forward is *bitwise* identical to B single-row
@@ -404,9 +375,8 @@ fn damped_inverse_matches_reference_at_paper_scale() {
 /// The serve contract on the paper's actor (16→256→256→4: full tiles of
 /// every width at 8 and 16 lanes, and the 4-column head in the masked
 /// tail), at batches that end in every row panel: row `r` of the batched
-/// forward is the single-row forward, bit for bit, under every kernel —
-/// FMA included — and the scalar, AVX2 and AVX-512 kernels agree bit for
-/// bit.
+/// forward is the single-row forward, bit for bit, under every kernel, the
+/// kernels agree bit for bit, and the dispatched forward is the scalar one.
 #[test]
 fn paper_shape_forward_is_batch_split_invariant_under_every_kernel() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -426,10 +396,10 @@ fn paper_shape_forward_is_batch_split_invariant_under_every_kernel() {
         }
         h
     };
-    let bit_exact = bit_exact_kernels();
+    let kernels = available_kernels();
     for batch in [1usize, 2, 3, 5, 15, 16] {
         let x = rand_matrix(batch, 16, &mut rng);
-        for &kernel in bit_exact.iter().chain(&[GemmKernel::Fma]) {
+        for &kernel in &kernels {
             let batched = forward(&x, kernel);
             for r in 0..batch {
                 let single = forward(&Matrix::row_vector(x.row(r)), kernel);
@@ -440,16 +410,17 @@ fn paper_shape_forward_is_batch_split_invariant_under_every_kernel() {
                 );
             }
         }
-        for &kernel in &bit_exact[1..] {
+        for &kernel in &kernels[1..] {
             assert_eq!(
                 bits(&forward(&x, GemmKernel::Scalar)),
                 bits(&forward(&x, kernel)),
                 "scalar vs {kernel:?} at batch {batch}"
             );
         }
-        if dosco_nn::simd::active().bit_exact() {
-            assert_eq!(bits(&net.forward(&x)), bits(&forward(&x, GemmKernel::Scalar)));
-        }
+        assert_eq!(
+            bits(&net.forward(&x)),
+            bits(&forward(&x, GemmKernel::Scalar))
+        );
     }
 }
 
@@ -468,20 +439,23 @@ fn gemm_equivalence_at_paper_scale() {
     ] {
         let a = rand_matrix(m, k, &mut rng);
         let b = rand_matrix(k, n, &mut rng);
-        let reference = a.matmul_ref(&b);
-        assert!(gemm_matches(&a.matmul(&b), &reference), "matmul {m}x{k}x{n}");
+        assert_eq!(
+            bits(&a.matmul(&b)),
+            bits(&a.matmul_ref(&b)),
+            "matmul {m}x{k}x{n}"
+        );
 
         let at = rand_matrix(k, m, &mut rng);
-        let reference = at.transpose_matmul_ref(&b);
-        assert!(
-            gemm_matches(&at.transpose_matmul(&b), &reference),
+        assert_eq!(
+            bits(&at.transpose_matmul(&b)),
+            bits(&at.transpose_matmul_ref(&b)),
             "transpose_matmul {m}x{k}x{n}"
         );
 
         let bt = rand_matrix(n, k, &mut rng);
-        let reference = a.matmul_transpose_ref(&bt);
-        assert!(
-            gemm_matches(&a.matmul_transpose(&bt), &reference),
+        assert_eq!(
+            bits(&a.matmul_transpose(&bt)),
+            bits(&a.matmul_transpose_ref(&bt)),
             "matmul_transpose {m}x{k}x{n}"
         );
     }
@@ -511,25 +485,24 @@ fn gemm_equivalence_at_paper_scale() {
         let at = rand_matrix(k, m, &mut rng);
         let bt = rand_matrix(n, k, &mut rng);
         let references = [
-            a.matmul_ref(&b),
-            at.transpose_matmul_ref(&b),
-            a.matmul_transpose_ref(&bt),
+            bits(&a.matmul_ref(&b)),
+            bits(&at.transpose_matmul_ref(&b)),
+            bits(&a.matmul_transpose_ref(&bt)),
         ];
-        for kernel in bit_exact_kernels().into_iter().chain([GemmKernel::Fma]) {
+        for kernel in available_kernels() {
             let mut out = Matrix::from_fn(m, n, |_, _| f32::NAN);
             a.matmul_into_with(&b, &mut out, kernel);
-            assert!(
-                gemm_matches_under(kernel, &out, &references[0]),
-                "{kernel:?} matmul {m}x{k}x{n}"
-            );
+            assert_eq!(bits(&out), references[0], "{kernel:?} matmul {m}x{k}x{n}");
             at.transpose_matmul_into_with(&b, &mut out, kernel);
-            assert!(
-                gemm_matches_under(kernel, &out, &references[1]),
+            assert_eq!(
+                bits(&out),
+                references[1],
                 "{kernel:?} transpose_matmul {m}x{k}x{n}"
             );
             a.matmul_transpose_into_with(&bt, &mut out, kernel);
-            assert!(
-                gemm_matches_under(kernel, &out, &references[2]),
+            assert_eq!(
+                bits(&out),
+                references[2],
                 "{kernel:?} matmul_transpose {m}x{k}x{n}"
             );
         }

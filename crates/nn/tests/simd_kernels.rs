@@ -1,7 +1,7 @@
 //! Forced-kernel SIMD equivalence tests.
 //!
 //! These force specific kernels through the `*_into_with` APIs, so they
-//! exercise the AVX2/AVX-512/FMA paths regardless of `DOSCO_SIMD`
+//! exercise the AVX2/AVX-512 paths regardless of `DOSCO_SIMD`
 //! (skipping, with a line on stderr, on CPUs without the features).
 //! Contracts:
 //!
@@ -9,7 +9,6 @@
 //!   `transpose_matmul` and `matmul_transpose` (one kernel family: the
 //!   transposed products pack an operand and run the `matmul` kernel);
 //!   `tests/properties.rs` forces AVX-512 beside them.
-//! - FMA kernels are deterministic and within tight tolerance of scalar.
 //! - Every SIMD kernel propagates NaN and ∞ from inside its vector lanes.
 
 use dosco_nn::matrix::Matrix;
@@ -94,68 +93,6 @@ fn avx2_matmul_transpose_is_bit_identical_to_scalar() {
     }
 }
 
-/// FMA fuses multiply-add (one rounding per step): deterministic, within
-/// ~1 ulp/term of scalar, but not bit-comparable — which is exactly why
-/// it is opt-in.
-#[test]
-fn fma_kernels_are_deterministic_and_close_to_scalar() {
-    if !GemmKernel::Fma.is_available() {
-        eprintln!("skipping: no FMA on this CPU");
-        return;
-    }
-    let mut rng = StdRng::seed_from_u64(4);
-    for &(m, k, n) in SHAPES {
-        let a = rand_matrix(m, k, &mut rng);
-        let b = rand_matrix(k, n, &mut rng);
-        let bt = b.transpose();
-        let mut scalar = Matrix::zeros(m, n);
-        let mut fma = Matrix::zeros(m, n);
-        let mut fma2 = Matrix::zeros(m, n);
-        a.matmul_into_with(&b, &mut scalar, GemmKernel::Scalar);
-        a.matmul_into_with(&b, &mut fma, GemmKernel::Fma);
-        a.matmul_into_with(&b, &mut fma2, GemmKernel::Fma);
-        assert_eq!(bits(&fma), bits(&fma2), "fma determinism {m}x{k}x{n}");
-        for (x, y) in fma.as_slice().iter().zip(scalar.as_slice()) {
-            assert!((x - y).abs() <= 1e-3 + 1e-4 * y.abs(), "matmul {m}x{k}x{n}: {x} vs {y}");
-        }
-
-        let mut scalar_t = Matrix::zeros(m, n);
-        let mut fma_t = Matrix::zeros(m, n);
-        a.matmul_transpose_into_with(&bt, &mut scalar_t, GemmKernel::Scalar);
-        a.matmul_transpose_into_with(&bt, &mut fma_t, GemmKernel::Fma);
-        for (x, y) in fma_t.as_slice().iter().zip(scalar_t.as_slice()) {
-            assert!(
-                (x - y).abs() <= 1e-3 + 1e-4 * y.abs(),
-                "matmul_transpose {m}x{k}x{n}: {x} vs {y}"
-            );
-        }
-    }
-}
-
-/// The serving keystone holds for the FMA kernel too: every output row
-/// depends only on its input row, so batched == single-row *bitwise*
-/// even though FMA is not bit-comparable to scalar.
-#[test]
-fn fma_matmul_is_batch_split_invariant() {
-    if !GemmKernel::Fma.is_available() {
-        eprintln!("skipping: no FMA on this CPU");
-        return;
-    }
-    let mut rng = StdRng::seed_from_u64(5);
-    let a = rand_matrix(9, 70, &mut rng);
-    let b = rand_matrix(70, 33, &mut rng);
-    let mut batched = Matrix::zeros(9, 33);
-    a.matmul_into_with(&b, &mut batched, GemmKernel::Fma);
-    for r in 0..a.rows() {
-        let single_in = Matrix::from_rows(&[a.row(r)]);
-        let mut single = Matrix::zeros(1, 33);
-        single_in.matmul_into_with(&b, &mut single, GemmKernel::Fma);
-        let srow: Vec<u32> = single.row(0).iter().map(|v| v.to_bits()).collect();
-        let brow: Vec<u32> = batched.row(r).iter().map(|v| v.to_bits()).collect();
-        assert_eq!(srow, brow, "row {r}");
-    }
-}
-
 /// SIMD kernels must propagate NaN/∞ like the reference (no zero-skip):
 /// `0 · NaN` and `0 · ∞` are NaN, and the poisoned elements sit inside
 /// the vector lanes (col 0 at n = 17), not just the scalar tails (col 16).
@@ -171,7 +108,7 @@ fn simd_kernels_propagate_nan_and_inf() {
     a_long.set(0, 1, 1.0);
     let mut b_long = Matrix::from_fn(1, 40, |_, _| 1.0);
     b_long.set(0, 0, f32::NAN);
-    for kernel in [GemmKernel::Avx2, GemmKernel::Avx512, GemmKernel::Fma] {
+    for kernel in [GemmKernel::Avx2, GemmKernel::Avx512] {
         if !kernel.is_available() {
             eprintln!("skipping {kernel:?}: this CPU lacks its features");
             continue;

@@ -196,8 +196,7 @@ fn trained_fingerprint<R: UpdateRule>(config: R::Config, steps: usize) -> u64 {
 /// weights, bit for bit, and on `golden`, captured from the serial update
 /// (actor, then critic, one RNG stream) before the halves were split — so
 /// a reordering of the update's random draws fails even though it would
-/// move both runs alike. `golden` holds on the bit-exact kernels
-/// (`DOSCO_SIMD=fma` rounds differently by design).
+/// move both runs alike. `golden` holds under every `DOSCO_SIMD` kernel.
 fn assert_forked_equals_inline<R: UpdateRule>(
     name: &str,
     config: R::Config,
@@ -216,12 +215,10 @@ fn assert_forked_equals_inline<R: UpdateRule>(
              the seed alone (halves forked) {alone:#018x}"
         );
     }
-    if dosco_nn::simd::active().bit_exact() {
-        assert_eq!(
-            alone, golden,
-            "{name}: trained weights diverged from the serial update (got {alone:#018x})"
-        );
-    }
+    assert_eq!(
+        alone, golden,
+        "{name}: trained weights diverged from the serial update (got {alone:#018x})"
+    );
 }
 
 /// Three RMSprop updates at 2×256.

@@ -1,7 +1,7 @@
 //! Versioned policy snapshots and the shared broadcast slot.
 
 use dosco_nn::mlp::Mlp;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One immutable, versioned copy of the learner's networks. Taken by the
@@ -31,7 +31,6 @@ pub struct PolicySnapshot {
 pub struct PolicySlot {
     latest: Mutex<Arc<PolicySnapshot>>,
     version: AtomicU64,
-    closed: AtomicBool,
 }
 
 impl PolicySlot {
@@ -40,7 +39,6 @@ impl PolicySlot {
         PolicySlot {
             version: AtomicU64::new(initial.version),
             latest: Mutex::new(Arc::new(initial)),
-            closed: AtomicBool::new(false),
         }
     }
 
@@ -64,34 +62,22 @@ impl PolicySlot {
     }
 
     /// Introspects the slot for operational surfaces (the `dosco_ctl`
-    /// `GET /snapshot` endpoint): the published version, parameter counts
-    /// of the snapshot's networks, and whether the publisher is shutting
-    /// down — without cloning the networks themselves.
+    /// `GET /snapshot` endpoint): the published version and the parameter
+    /// counts of the snapshot's networks, without cloning the networks
+    /// themselves.
     pub fn info(&self) -> SlotInfo {
         let snap = self.latest();
         SlotInfo {
             version: snap.version,
             actor_params: snap.actor.num_params(),
             critic_params: snap.critic.num_params(),
-            closed: self.is_closed(),
         }
-    }
-
-    /// Marks the publisher as shutting down (surfaced by
-    /// [`PolicySlot::info`]).
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-    }
-
-    /// Whether [`PolicySlot::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
     }
 }
 
 /// A cheap description of the slot's current snapshot
-/// ([`PolicySlot::info`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// ([`PolicySlot::info`]); `GET /snapshot` serialises it as is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SlotInfo {
     /// Version of the currently published snapshot.
     pub version: u64,
@@ -99,8 +85,6 @@ pub struct SlotInfo {
     pub actor_params: usize,
     /// Parameter count of the snapshot's critic network.
     pub critic_params: usize,
-    /// Whether [`PolicySlot::close`] was called.
-    pub closed: bool,
 }
 
 #[cfg(test)]
@@ -134,30 +118,14 @@ mod tests {
     }
 
     #[test]
-    fn info_tracks_version_params_and_closed() {
+    fn info_tracks_version_and_params() {
         let slot = PolicySlot::new(snap(0, 1));
         let info = slot.info();
         assert_eq!(info.version, 0);
         // [2,3,2] actor: 2*3+3 + 3*2+2 = 17; [2,3,1] critic: 9 + 4 = 13.
         assert_eq!(info.actor_params, 17);
         assert_eq!(info.critic_params, 13);
-        assert!(!info.closed);
         slot.publish(Arc::new(snap(4, 2)));
-        slot.close();
-        let info = slot.info();
-        assert_eq!(info.version, 4);
-        assert!(info.closed);
-    }
-
-    #[test]
-    fn close_is_sticky() {
-        let slot = PolicySlot::new(snap(0, 3));
-        assert!(!slot.is_closed());
-        slot.close();
-        assert!(slot.is_closed());
-        // Publishing after close still works (drain paths read it).
-        slot.publish(Arc::new(snap(1, 4)));
-        assert!(slot.is_closed());
-        assert_eq!(slot.latest().version, 1);
+        assert_eq!(slot.info().version, 4);
     }
 }

@@ -13,7 +13,7 @@ pub struct IngressSpec {
     pub node: NodeId,
     /// Flow arrival pattern at this ingress.
     pub pattern: ArrivalPattern,
-    /// Requested service for flows from this ingress.
+    /// The service that flows from this ingress request.
     pub service: ServiceId,
     /// Egress node `v^eg` for flows from this ingress.
     pub egress: NodeId,

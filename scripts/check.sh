@@ -2,7 +2,8 @@
 # Full local gate: release build, tests, lints, and a benchmark smoke.
 # Each suite runs once; a later step repeats one only under a different
 # configuration (scalar kernels, the 8-lane kernel, release + ignored
-# smokes).
+# smokes). Every kernel returns the same bits, so the goldens and
+# fingerprints assert under each of them.
 # Usage: scripts/check.sh   (run from anywhere; cd's to the repo root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,6 +28,9 @@ DOSCO_SIMD=off cargo test -q --test train_goldens
 
 echo "== cargo test (nn, DOSCO_SIMD=avx2: the 8-lane kernel and AVX2 tanh loop, which auto skips on an AVX-512 host) =="
 DOSCO_SIMD=avx2 cargo test -q -p dosco-nn
+
+echo "== cargo test (rl, DOSCO_SIMD=avx2: forked update halves == inline == the serial update's fingerprints on the 8-lane kernel) =="
+DOSCO_SIMD=avx2 cargo test -q -p dosco-rl
 
 echo "== training fingerprints (DOSCO_SIMD=avx2: the 2x256 golden on the 8-lane kernel) =="
 DOSCO_SIMD=avx2 cargo test -q --test train_goldens

@@ -7,6 +7,7 @@
 //! See the `README.md` for a tour and `examples/` for runnable scenarios.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub use dosco_baselines as baselines;
 pub use dosco_chaos as chaos;

@@ -8,7 +8,9 @@
 //! trained weights, bit for bit.
 //!
 //! A fingerprint is FNV-1a 64 over the little-endian bits of the networks'
-//! `flat_params()`. On a mismatch the test prints the value it computed;
+//! `flat_params()`. Every `DOSCO_SIMD` kernel returns the same bits, so
+//! each golden holds, and is asserted, under every value. On a mismatch
+//! the test prints the value it computed;
 //! replace a golden only when a change to the numerics is intended and
 //! documented.
 
@@ -34,12 +36,6 @@ fn fingerprint(nets: &[&Mlp]) -> u64 {
         }
     }
     fnv1a64(&bytes)
-}
-
-/// `DOSCO_SIMD=fma` rounds differently by design; the goldens hold for the
-/// bit-exact tiers (scalar, AVX2), which is what `auto` selects.
-fn bit_exact_kernels() -> bool {
-    dosco::nn::simd::active().bit_exact()
 }
 
 fn scenario() -> ScenarioConfig {
@@ -69,9 +65,6 @@ fn check(name: &str, got: u64, golden: u64) {
 
 #[test]
 fn a2c_serial_train_matches_golden() {
-    if !bit_exact_kernels() {
-        return;
-    }
     let (mut envs, obs_dim, num_actions) = envs();
     // lr_decay on (off by default) so the schedule branch is pinned too.
     let config = A2cConfig {
@@ -93,9 +86,6 @@ fn a2c_serial_train_matches_golden() {
 /// tier-1 through `train_distributed`).
 #[test]
 fn acktr_serial_train_matches_golden() {
-    if !bit_exact_kernels() {
-        return;
-    }
     for path in ["serial", "runtime-sync"] {
         let (mut envs, obs_dim, num_actions) = envs();
         let config = AcktrConfig {
@@ -118,9 +108,6 @@ fn acktr_serial_train_matches_golden() {
 
 #[test]
 fn ppo_serial_train_matches_golden() {
-    if !bit_exact_kernels() {
-        return;
-    }
     let (mut envs, obs_dim, num_actions) = envs();
     let config = PpoConfig {
         hidden: HIDDEN,
@@ -142,9 +129,6 @@ fn ppo_serial_train_matches_golden() {
 /// Captured at commit `8236a78`.
 #[test]
 fn acktr_paper_arch_train_matches_golden() {
-    if !bit_exact_kernels() {
-        return;
-    }
     let (mut envs, obs_dim, num_actions) = envs();
     let config = AcktrConfig {
         inverse_period: 2,
@@ -163,9 +147,6 @@ fn acktr_paper_arch_train_matches_golden() {
 /// is fingerprinted.
 #[test]
 fn train_distributed_matches_golden() {
-    if !bit_exact_kernels() {
-        return;
-    }
     let scenario = scenario();
     for (algorithm, golden) in [
         (Algorithm::A2c, A2C_DISTRIBUTED),
@@ -210,9 +191,6 @@ fn train_distributed_matches_golden() {
 /// run here: the last forward's hop penalty — no terminal event).
 #[test]
 fn train_per_node_matches_golden() {
-    if !bit_exact_kernels() {
-        return;
-    }
     let scenario = ScenarioConfig::paper_base(2)
         .with_pattern(dosco::traffic::ArrivalPattern::paper_poisson())
         .with_horizon(600.0);
