@@ -1,7 +1,8 @@
 //! Prints the training curve of one agent — the diagnostic behind
-//! ROADMAP's "training collapses" item. The agent trains in **one**
-//! `train_serial_with` call (one collector, one learning-rate schedule,
-//! episodes never truncated) and reports from its hook every 4 000 steps:
+//! ROADMAP's "training collapses" item. The agent trains in the figure
+//! harness's per-seed loop, `train_seed` (one collector, the learner's own
+//! learning-rate schedule, episodes never truncated), and reports from its
+//! hook every 4 000 steps:
 //! what the window's rollouts say about the policy (entropy, action mix,
 //! explained variance of the critic), how the training episodes that
 //! ended in the window went, and a greedy evaluation episode with the
@@ -11,11 +12,11 @@ use dosco_bench::report::{bad_flag, flag_value, parsed_flag};
 use dosco_bench::scenarios::{base_scenario, pattern_by_name};
 use dosco_core::eval::{evaluate_under_churn, success_mean_std};
 use dosco_core::policy::{CoordinationPolicy, PolicyMetadata};
-use dosco_core::train::{Algorithm, TrainConfig};
+use dosco_core::train::{train_seed, Algorithm, TrainConfig};
 use dosco_core::{CoordEnv, RewardConfig};
 use dosco_nn::Categorical;
 use dosco_rl::rollout::Rollout;
-use dosco_rl::{train_serial_with, A2cConfig, AcktrConfig, Env, PpoConfig, StepResult};
+use dosco_rl::{A2cConfig, AcktrConfig, Env, PpoConfig, StepResult};
 use dosco_simnet::journey::{Journey, JourneyLog};
 use dosco_simnet::{ChurnTimeline, DropReason, Metrics};
 use std::sync::mpsc::{channel, Sender};
@@ -107,6 +108,7 @@ fn main() {
     };
     let config = TrainConfig {
         algorithm,
+        total_steps: steps,
         acktr: AcktrConfig {
             lr,
             ent_coef,
@@ -142,11 +144,10 @@ fn main() {
             }) as Box<dyn Env>
         })
         .collect();
-    let mut agent = config.learner(4 * degree + 4, degree + 1, seed);
 
     let mut window = Window::default();
     let mut reported = 0;
-    train_serial_with(&mut *agent, &mut envs, steps, |agent, rollout, stats| {
+    train_seed(&config, &mut envs, seed, |agent, rollout, stats| {
         window.add(agent.actor(), rollout);
         if stats.total_steps / WINDOW == reported {
             return;

@@ -11,14 +11,19 @@ use crate::gymenv::CoordEnv;
 use dosco_chaos::ChurnSchedule;
 use crate::policy::{CoordinationPolicy, PolicyMetadata};
 use crate::reward::RewardConfig;
-use dosco_rl::a2c::{A2c, A2cConfig};
+use dosco_nn::Mlp;
+use dosco_rl::a2c::{A2c, A2cConfig, TrainStats};
 use dosco_rl::acktr::{Acktr, AcktrConfig};
 use dosco_rl::env::Env;
-use dosco_rl::learner::{decayed_lr, train_serial, Learner};
+use dosco_rl::learner::{train_serial_with, Learner};
 use dosco_rl::ppo::{Ppo, PpoConfig};
+use dosco_rl::rollout::Rollout;
 use dosco_rl::trainer::train_multi_seed;
 use dosco_simnet::ScenarioConfig;
 use serde::{Deserialize, Serialize};
+
+/// Seed of the first of the three capacity draws a checkpoint is scored on.
+const EVAL_SEED: u64 = 0xE7A1;
 
 /// The training algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,17 +70,15 @@ pub struct TrainConfig {
     /// Pad observation/action spaces to this degree instead of the
     /// training topology's (for cross-topology transfer).
     pub degree_override: Option<usize>,
-    /// Horizon of the post-training evaluation episode used to score and
-    /// select the best seed.
+    /// Horizon of the held-out evaluation episodes that score every
+    /// checkpoint, and so select the best seed.
     pub eval_horizon: f64,
-    /// Seed for the evaluation episode.
-    pub eval_seed: u64,
-    /// Number of training checkpoints per seed: training pauses this many
-    /// times for a greedy evaluation, and the best checkpoint is kept
-    /// (on-policy DRL can peak before the end of the budget; cf. the
-    /// best-model callbacks of stable-baselines [46]). 1 disables
-    /// checkpointing. The learning rate decays linearly to 10 % across
-    /// checkpoints.
+    /// Number of greedy evaluations per seed, at evenly spaced update
+    /// boundaries, the last after the final update; the best-scoring one
+    /// is kept (on-policy DRL can peak before the end of the budget; cf.
+    /// the best-model callbacks of stable-baselines [46]). Evaluation
+    /// never touches the learner or the training envs, so the trained
+    /// weights do not depend on it. 1 keeps the final policy.
     pub checkpoints: usize,
     /// Train on the scenario's canonical capacity draw only, instead of
     /// re-drawing capacities per episode. Narrower distribution: easier
@@ -102,32 +105,9 @@ impl Default for TrainConfig {
             ppo: PpoConfig::default(),
             degree_override: None,
             eval_horizon: 2_000.0,
-            eval_seed: 0xE7A1,
             checkpoints: 8,
             fixed_capacity_training: false,
             churn: None,
-        }
-    }
-}
-
-impl TrainConfig {
-    /// The agent `self.algorithm` names, built from that algorithm's
-    /// hyperparameter block — the one place an [`Algorithm`] becomes a
-    /// [`Learner`].
-    pub fn learner(&self, obs_dim: usize, num_actions: usize, seed: u64) -> Box<dyn Learner> {
-        match self.algorithm {
-            Algorithm::Acktr => Box::new(Acktr::new(obs_dim, num_actions, self.acktr, seed)),
-            Algorithm::A2c => Box::new(A2c::new(obs_dim, num_actions, self.a2c, seed)),
-            Algorithm::Ppo => Box::new(Ppo::new(obs_dim, num_actions, self.ppo, seed)),
-        }
-    }
-
-    /// The initial learning rate of `self.algorithm`.
-    fn base_lr(&self) -> f32 {
-        match self.algorithm {
-            Algorithm::Acktr => self.acktr.lr,
-            Algorithm::A2c => self.a2c.lr,
-            Algorithm::Ppo => self.ppo.lr,
         }
     }
 }
@@ -142,32 +122,121 @@ pub struct TrainedPolicy {
     pub seed_scores: Vec<(u64, f32)>,
 }
 
-fn make_envs(
-    scenario: &ScenarioConfig,
-    reward: RewardConfig,
-    n_envs: usize,
-    seed: u64,
-    degree_override: Option<usize>,
-    fixed_capacities: bool,
-    churn: Option<&ChurnSchedule>,
-) -> Vec<Box<dyn Env>> {
-    (0..n_envs)
+fn make_envs(scenario: &ScenarioConfig, config: &TrainConfig, seed: u64) -> Vec<Box<dyn Env>> {
+    (0..config.n_envs)
         .map(|i| {
             let mut env = CoordEnv::new(
                 scenario.clone(),
-                reward,
+                config.reward,
                 seed.wrapping_mul(1_000_003).wrapping_add(i as u64),
-                degree_override,
+                config.degree_override,
             );
-            if fixed_capacities {
+            if config.fixed_capacity_training {
                 env = env.with_fixed_capacities();
             }
-            if let Some(schedule) = churn {
+            if let Some(schedule) = &config.churn {
                 env = env.with_churn(schedule.clone());
             }
             Box::new(env) as Box<dyn Env>
         })
         .collect()
+}
+
+/// Trains one seed's agent on `envs` for `config.total_steps` in one
+/// [`train_serial_with`] call (one collector, so no episode is cut short,
+/// and the learner's own schedule), handing it to `on_update` after every
+/// update. The agent is `config.algorithm`'s, built from its block of
+/// `config` for the envs' dimensions and `seed`: the one place an
+/// [`Algorithm`] becomes a [`Learner`]. The per-seed loop of
+/// [`train_distributed`] and of the `traincurve` diagnostic.
+///
+/// # Panics
+///
+/// Panics if `envs` is empty or the envs' dimensions differ.
+pub fn train_seed(
+    config: &TrainConfig,
+    envs: &mut [Box<dyn Env>],
+    seed: u64,
+    mut on_update: impl FnMut(&dyn Learner, &Rollout, &TrainStats),
+) -> (Box<dyn Learner>, TrainStats) {
+    let env = envs.first().expect("need at least one env");
+    let (obs, actions) = (env.obs_dim(), env.num_actions());
+    let mut learner: Box<dyn Learner> = match config.algorithm {
+        Algorithm::Acktr => Box::new(Acktr::new(obs, actions, config.acktr, seed)),
+        Algorithm::A2c => Box::new(A2c::new(obs, actions, config.a2c, seed)),
+        Algorithm::Ppo => Box::new(Ppo::new(obs, actions, config.ppo, seed)),
+    };
+    let stats = train_serial_with(&mut *learner, envs, config.total_steps, |l, r, s| {
+        on_update(l, r, s)
+    });
+    (learner, stats)
+}
+
+/// Trains seed `seed` of [`train_distributed`] and returns its greedy
+/// policy at `config.checkpoints` evenly spaced update boundaries, the last
+/// after the final update, in training order. Each carries its score: the
+/// deployed success ratio over three capacity draws of the held-out
+/// episode, averaged by [`eval::success_mean_std`] (a draw in which no flow
+/// terminated is skipped; `NaN` if every draw is such).
+fn train_checkpoints(
+    scenario: &ScenarioConfig,
+    config: &TrainConfig,
+    seed: u64,
+) -> Vec<CoordinationPolicy> {
+    let degree = config
+        .degree_override
+        .unwrap_or_else(|| scenario.topology.network_degree());
+    let eval_scenario = scenario.clone().with_horizon(config.eval_horizon);
+    let ingresses = scenario.ingresses.len();
+    let metadata = PolicyMetadata {
+        scenario: format!("{} / {ingresses} ingress", scenario.topology.name()),
+        algorithm: config.algorithm.name().to_string(),
+        seed,
+        ..PolicyMetadata::default()
+    };
+    let checkpoint = |actor: &Mlp, total_steps: usize| {
+        let metadata = PolicyMetadata {
+            total_steps,
+            ..metadata.clone()
+        };
+        let mut policy = CoordinationPolicy::new(actor.clone(), degree, metadata);
+        let draws: Vec<_> = (0..3)
+            .map(|i| eval::evaluate_with_capacity_draw(&policy, &eval_scenario, EVAL_SEED + i))
+            .collect();
+        policy.metadata.score = eval::success_mean_std(&draws).0 as f32;
+        policy
+    };
+
+    let mut envs = make_envs(scenario, config, seed);
+    let n_envs = envs.len();
+    let k = config.checkpoints.max(1);
+    let mut checkpoints = Vec::with_capacity(k);
+    let (learner, stats) = train_seed(config, &mut envs, seed, |agent, _, stats| {
+        let updates = config
+            .total_steps
+            .div_ceil(agent.collect_params().n_steps * n_envs);
+        // Score when update `done` reaches the next of `k` evenly spaced
+        // marks; the mark at the final update is scored after training.
+        let done = stats.mean_rewards.len();
+        if done < updates && done * k / updates > (done - 1) * k / updates {
+            checkpoints.push(checkpoint(agent.actor(), stats.total_steps));
+        }
+    });
+    checkpoints.push(checkpoint(learner.actor(), stats.total_steps));
+    checkpoints
+}
+
+/// The best-scoring checkpoint, the earliest on ties; a `NaN` score never
+/// displaces a defined one (the order [`train_multi_seed`] ranks seeds by).
+fn select(checkpoints: Vec<CoordinationPolicy>) -> CoordinationPolicy {
+    let score = |p: &CoordinationPolicy| p.metadata.score;
+    checkpoints
+        .into_iter()
+        .min_by(|a, b| {
+            let nan_last = score(a).is_nan().cmp(&score(b).is_nan());
+            nan_last.then_with(|| score(b).total_cmp(&score(a)))
+        })
+        .expect("at least one checkpoint")
 }
 
 /// Trains the distributed coordination policy on `scenario` (Alg. 1):
@@ -181,86 +250,14 @@ fn make_envs(
 /// Panics if the scenario is invalid or `config.seeds` is empty.
 pub fn train_distributed(scenario: &ScenarioConfig, config: &TrainConfig) -> TrainedPolicy {
     scenario.validate().expect("scenario must be valid");
-    let degree = config
-        .degree_override
-        .unwrap_or_else(|| scenario.topology.network_degree());
-    let obs_dim = 4 * degree + 4;
-    let num_actions = degree + 1;
-
-    let eval_scenario = scenario.clone().with_horizon(config.eval_horizon);
-    let checkpoints = config.checkpoints.max(1);
-    let chunk = (config.total_steps / checkpoints).max(1);
-
-    // The checkpoint loop below owns the schedule, so the agents'
-    // internal decay is off.
-    let mut undecayed = config.clone();
-    undecayed.acktr.lr_decay = false;
-    undecayed.a2c.lr_decay = false;
-    let base_lr = config.base_lr();
-
     let results = train_multi_seed(&config.seeds, |seed| {
-        let mut envs = make_envs(
-            scenario,
-            config.reward,
-            config.n_envs,
-            seed,
-            config.degree_override,
-            config.fixed_capacity_training,
-            config.churn.as_ref(),
-        );
-        let mut agent = undecayed.learner(obs_dim, num_actions, seed);
-        let mut best: Option<(f32, CoordinationPolicy)> = None;
-        for ck in 0..checkpoints {
-            agent.set_lr(decayed_lr(base_lr, ck, checkpoints));
-            train_serial(&mut *agent, &mut envs, chunk);
-            let actor = agent.actor().clone();
-            let policy = CoordinationPolicy::new(
-                actor,
-                degree,
-                PolicyMetadata {
-                    scenario: format!(
-                        "{} / {} ingress",
-                        scenario.topology.name(),
-                        scenario.ingresses.len()
-                    ),
-                    algorithm: config.algorithm.name().to_string(),
-                    seed,
-                    score: 0.0,
-                    total_steps: (ck + 1) * chunk,
-                },
-            );
-            // Score by deployed (greedy, distributed) success ratio,
-            // averaged over a few random capacity draws to match the
-            // evaluation protocol.
-            let score = (0..3)
-                .map(|i| {
-                    eval::evaluate_with_capacity_draw(
-                        &policy,
-                        &eval_scenario,
-                        config.eval_seed + i,
-                    )
-                    .success_ratio() as f32
-                })
-                .sum::<f32>()
-                / 3.0;
-            if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                best = Some((score, policy));
-            }
-        }
-        let (score, policy) = best.expect("at least one checkpoint");
+        let policy = select(train_checkpoints(scenario, config, seed));
+        let score = policy.metadata.score;
         (policy, score)
     });
-
-    let seed_scores: Vec<(u64, f32)> = results.iter().map(|r| (r.seed, r.score)).collect();
-    let best = results
-        .into_iter()
-        .next()
-        .expect("at least one seed result");
-    let mut policy = best.agent;
-    policy.metadata.score = best.score;
     TrainedPolicy {
-        policy,
-        seed_scores,
+        seed_scores: results.iter().map(|r| (r.seed, r.score)).collect(),
+        policy: results.into_iter().next().expect("at least one seed").agent,
     }
 }
 
@@ -314,6 +311,69 @@ mod tests {
         };
         let trained = train_distributed(&scenario, &config);
         assert_eq!(trained.policy.metadata.algorithm, "acktr");
+    }
+
+    fn small_a2c(checkpoints: usize, eval_horizon: f64) -> TrainConfig {
+        TrainConfig {
+            algorithm: Algorithm::A2c,
+            total_steps: 640,
+            n_envs: 2,
+            seeds: vec![5],
+            a2c: A2cConfig {
+                hidden: [8, 8],
+                ..A2cConfig::default()
+            },
+            eval_horizon,
+            checkpoints,
+            ..TrainConfig::default()
+        }
+    }
+
+    /// Scoring checkpoints reads the actor and nothing else: the weights
+    /// after the final update are the same with four checkpoints as with
+    /// one, and the checkpoints sit at evenly spaced update boundaries.
+    #[test]
+    fn evaluation_does_not_perturb_training() {
+        let scenario = ScenarioConfig::paper_base(1).with_horizon(300.0);
+        let four = train_checkpoints(&scenario, &small_a2c(4, 200.0), 5);
+        let one = train_checkpoints(&scenario, &small_a2c(1, 200.0), 5);
+        // 640 steps of 2 envs × 16 steps: 20 updates, a checkpoint every 5.
+        let steps = |cks: &[CoordinationPolicy]| -> Vec<usize> {
+            cks.iter().map(|p| p.metadata.total_steps).collect()
+        };
+        assert_eq!(steps(&four), [160, 320, 480, 640]);
+        assert_eq!(steps(&one), [640]);
+        assert_eq!(four[3], one[0]);
+
+        // The best-scoring checkpoint is kept, the earliest on ties, and a
+        // NaN (no flow terminated) never displaces a defined score.
+        let selected = |scores: [f32; 4]| {
+            let mut cks = four.clone();
+            for (p, score) in cks.iter_mut().zip(scores) {
+                p.metadata.score = score;
+            }
+            select(cks).metadata.total_steps
+        };
+        assert_eq!(selected([f32::NAN, 0.5, 0.5, 0.2]), 320);
+        assert_eq!(selected([0.1, f32::NAN, 0.3, 0.3]), 480);
+        assert_eq!(selected([0.0; 4]), 160);
+        assert_eq!(selected([f32::NAN; 4]), 160);
+        let best = select(four.clone());
+        let (top, at) = (best.metadata.score, best.metadata.total_steps / 160 - 1);
+        // Every earlier checkpoint scored less, and no later one more.
+        let scores = four.iter().map(|p| p.metadata.score);
+        assert!(scores.clone().take(at).all(|s| s < top || s.is_nan()));
+        assert!(scores.skip(at).all(|s| s <= top || s.is_nan()));
+    }
+
+    /// A selection episode too short for any flow to terminate scores NaN
+    /// (no data), not the vacuous 1.0 of `Metrics::success_ratio`.
+    #[test]
+    fn vacuous_selection_episodes_score_nan() {
+        let scenario = ScenarioConfig::paper_base(1).with_horizon(300.0);
+        let trained = train_distributed(&scenario, &small_a2c(2, 5.0));
+        assert!(trained.seed_scores[0].1.is_nan());
+        assert_eq!(trained.policy.metadata.total_steps, 320);
     }
 
     #[test]

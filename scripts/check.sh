@@ -56,6 +56,15 @@ cargo run -q --release --example distributed
 echo "== example actor_learner: lockstep runtime on Abilene, batch conservation =="
 cargo run -q --release --example actor_learner
 
+echo "== dosco train + eval: the figures' training path writes a policy that loads and evaluates =="
+policy_dir=$(mktemp -d)
+trap 'rm -rf "$policy_dir"' EXIT
+./target/release/dosco train --ingress 2 --steps 4000 --seeds 2 --out "$policy_dir/policy.json"
+./target/release/dosco eval --policy "$policy_dir/policy.json" --seeds 2
+
+echo "== traincurve: the training diagnostic over the same per-seed loop, two report windows =="
+./target/release/traincurve --steps 8000
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
