@@ -106,6 +106,34 @@ fn acktr_serial_train_matches_golden() {
     }
 }
 
+/// 45 updates at the default `inverse_period` of 20: the factors are
+/// inverted at updates 0, 20 and 40, so the statistics blended between
+/// refreshes — 19 batches each — reach three inversions. The ten-update
+/// golden above sees one. Serial loop and sync runtime, one golden.
+/// Captured at commit `753f8ab`.
+#[test]
+fn acktr_three_refreshes_match_golden() {
+    for path in ["serial", "runtime-sync"] {
+        let (mut envs, obs_dim, num_actions) = envs();
+        let config = AcktrConfig {
+            hidden: HIDDEN,
+            ..AcktrConfig::default()
+        };
+        let mut agent = Acktr::new(obs_dim, num_actions, config, AGENT_SEED);
+        let steps = 45 * 2 * config.n_steps;
+        if path == "serial" {
+            agent.train(&mut envs, steps);
+        } else {
+            dosco::runtime::train(&mut agent, &mut envs, steps, &RuntimeConfig::sync());
+        }
+        check(
+            &format!("acktr/three-refreshes/{path}"),
+            fingerprint(&[agent.actor(), agent.critic()]),
+            ACKTR_THREE_REFRESHES,
+        );
+    }
+}
+
 #[test]
 fn ppo_serial_train_matches_golden() {
     let (mut envs, obs_dim, num_actions) = envs();
@@ -261,6 +289,7 @@ fn train_per_node_matches_golden() {
 
 const A2C_SERIAL: u64 = 0x61c4_c13e_e315_cfe3;
 const ACKTR_SERIAL: u64 = 0xcca7_a076_1197_56b5;
+const ACKTR_THREE_REFRESHES: u64 = 0xa610_08f1_3cfb_9a4f;
 const ACKTR_PAPER_ARCH: u64 = 0x4e77_d7a2_741f_2fb5;
 const PPO_SERIAL: u64 = 0x349d_3287_a0e3_3335;
 const A2C_DISTRIBUTED: u64 = 0xe39c_1cb5_e69c_1171;
