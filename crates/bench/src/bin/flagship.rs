@@ -8,7 +8,7 @@
 use dosco_bench::report::flag_value;
 use dosco_bench::runner::{Algo, ExpBudget};
 use dosco_bench::scenarios::{base_scenario, pattern_by_name};
-use dosco_core::eval::evaluate;
+use dosco_core::eval::{evaluate, success_mean_std};
 use dosco_core::train::train_distributed;
 use dosco_rl::trainer::fan_out;
 use dosco_simnet::{Metrics, Simulation};
@@ -41,8 +41,7 @@ fn main() {
     // out over the cores; results stay in seed order).
     let in_dist: Vec<Metrics> =
         fan_out(&budget.eval_seeds, |&s| evaluate(&trained.policy, &scenario, s));
-    let mean_in =
-        in_dist.iter().map(Metrics::success_ratio).sum::<f64>() / in_dist.len() as f64;
+    let (mean_in, _, _) = success_mean_std(&in_dist);
 
     // Transfer: the figure protocol with re-drawn capacities.
     let transfer = Algo::DistDrl(trained.policy.clone()).evaluate(&scenario, &budget.eval_seeds);
@@ -53,8 +52,7 @@ fn main() {
         let mut sim = Simulation::new(scenario.clone(), s);
         sim.run(&mut c).clone()
     });
-    let mean_gcasp =
-        gcasp.iter().map(Metrics::success_ratio).sum::<f64>() / gcasp.len() as f64;
+    let (mean_gcasp, _, _) = success_mean_std(&gcasp);
 
     println!("flagship (single-draw training, {} steps):", cfg.total_steps);
     println!("  DistDRL in-distribution (canonical draw):   {mean_in:.3}");

@@ -4,9 +4,10 @@
 
 use dosco_bench::report::{bad_flag, flag_value, parsed_flag};
 use dosco_bench::scenarios::{base_scenario, pattern_by_name};
+use dosco_core::eval::success_mean_std;
 use dosco_core::policy::CoordinationPolicy;
 use dosco_core::DistributedAgents;
-use dosco_simnet::Simulation;
+use dosco_simnet::{Metrics, Simulation};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -19,7 +20,7 @@ fn main() {
     let policy = CoordinationPolicy::load(&path).expect("readable policy JSON");
     let scenario = base_scenario(ingress, pattern, 5_000.0);
     for mode in ["greedy", "stochastic"] {
-        let mut ratios = Vec::new();
+        let mut episodes = Vec::new();
         for seed in 100..105u64 {
             let s = scenario.clone().with_capacity_draw(seed);
             let mut agents = if mode == "greedy" {
@@ -28,9 +29,12 @@ fn main() {
                 DistributedAgents::deploy_stochastic(&policy, s.topology.num_nodes(), seed)
             };
             let mut sim = Simulation::new(s, seed);
-            ratios.push(sim.run(&mut agents).success_ratio());
+            episodes.push(sim.run(&mut agents).clone());
         }
-        let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
+        // An episode in which no flow terminated has no ratio: it is
+        // shown as `None` and left out of the mean.
+        let (mean, _, _) = success_mean_std(&episodes);
+        let ratios: Vec<Option<f64>> = episodes.iter().map(Metrics::success_ratio_opt).collect();
         println!("{mode:<11} mean success {mean:.3}  ({ratios:.2?})");
     }
 }

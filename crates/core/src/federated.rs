@@ -32,6 +32,7 @@ use dosco_nn::mlp::Mlp;
 use dosco_nn::{Activation, Categorical};
 use dosco_rl::a2c::{A2cConfig, RmsPropStep};
 use dosco_rl::rollout::Rollout;
+use dosco_rl::trainer::Helper;
 use dosco_rl::UpdateRule;
 use dosco_simnet::{Action, Coordinator, DecisionPoint, FlowId, ScenarioConfig, SimEvent, Simulation};
 use dosco_topology::NodeId;
@@ -125,8 +126,9 @@ impl NodeLearner {
     }
 
     /// One A2C update over the buffered transitions, as a rollout of
-    /// 1-step TD targets with per-flow credit.
-    fn update(&mut self, cfg: &FederatedConfig, rng: &mut StdRng) {
+    /// 1-step TD targets with per-flow credit, its critic half on
+    /// `helper`.
+    fn update(&mut self, cfg: &FederatedConfig, rng: &mut StdRng, helper: &mut Helper) {
         let batch = self.buffer.len();
         if batch == 0 {
             return;
@@ -161,8 +163,15 @@ impl NodeLearner {
             n_envs: 1,
             n_steps: batch,
         };
-        self.rule
-            .update(&mut self.actor, &mut self.critic, &mut rollout, rng);
+        // The rule takes the critic by value, to lend its half to the
+        // helper thread; a node's critic is small, so it gets a copy.
+        self.critic = self.rule.update(
+            &mut self.actor,
+            self.critic.clone(),
+            &mut rollout,
+            rng,
+            helper,
+        );
         self.buffer.clear();
     }
 }
@@ -253,6 +262,8 @@ pub fn train_per_node(
     let mut learners: Vec<NodeLearner> = (0..num_nodes)
         .map(|_| NodeLearner::new(obs_dim, num_actions, config, &mut rng))
         .collect();
+    // The learners update one at a time, so one helper serves them all.
+    let mut helper = Helper::default();
 
     // Pending transition per flow: the node that last acted on it, its
     // observation/action, and the reward accumulated since. Ordered, so
@@ -326,7 +337,7 @@ pub fn train_per_node(
 
         // Local updates when a node's buffer fills.
         if learners[dp.node.0].buffer.len() >= config.batch_size {
-            learners[dp.node.0].update(config, &mut rng);
+            learners[dp.node.0].update(config, &mut rng, &mut helper);
         }
         // Periodic federated synchronization.
         if let Some(interval) = config.sync_interval {

@@ -13,10 +13,10 @@
 //! An in-process `recv` on an empty channel parks its thread at once. In
 //! the lockstep training runtime the actor waits for its reply through a
 //! whole learner update, and parked it leaves its core to the update's
-//! second half (`dosco_rl::trainer::join_halves`); a spinning wait there
-//! cost a core. A consumer that gains from polling — the serve shard
-//! loop, whose next message is microseconds away — spins on `try_recv`
-//! itself before it calls `recv`.
+//! critic half (on the learner's `dosco_rl::trainer::Helper`); a spinning
+//! wait there cost a core. A consumer that gains from polling — the serve
+//! shard loop, whose next message is microseconds away — spins on
+//! `try_recv` itself before it calls `recv`.
 //!
 //! Error types are re-used from the vendored crossbeam so generic driver
 //! code matches on exactly the arms it matched on before.

@@ -12,12 +12,13 @@
 //!
 //! Both factors are symmetric, and `xᵀx` is symmetric bit for bit, so each
 //! factor keeps only its upper triangle: the moving average blends and
-//! stores that triangle row by row, and [`damped_inverse`] reads nothing
-//! else. The strict lower triangle of a factor is stale and unread. A step
+//! stores that triangle row by row, and
+//! [`crate::linalg::damped_inverse`] reads nothing else. The strict lower
+//! triangle of a factor is stale and unread. A step
 //! whose natural gradient is not finite is refused with
 //! [`LinalgError::NonFinite`] before any weight moves.
 
-use crate::linalg::{damped_inverse, LinalgError};
+use crate::linalg::{damped_inverse_into, LinalgError};
 use crate::matrix::Matrix;
 use crate::mlp::{ForwardCache, Gradients, Mlp};
 use serde::{Deserialize, Serialize};
@@ -61,8 +62,10 @@ struct LayerFactors {
     a: Matrix,
     /// `G = E[g gᵀ]`, `out × out`.
     g: Matrix,
-    a_inv: Option<Matrix>,
-    g_inv: Option<Matrix>,
+    /// `(A + λI)⁻¹` as of the last refresh, inverted in place.
+    a_inv: Matrix,
+    /// `(G + λI)⁻¹` as of the last refresh, inverted in place.
+    g_inv: Matrix,
     initialized: bool,
     /// This layer's natural gradient `A⁻¹ ∇ G⁻¹` in the homogeneous
     /// `(in+1) × out` layout: written by the preconditioning half of
@@ -81,7 +84,12 @@ struct LayerFactors {
 ///
 /// The intermediates of both are as large as a factor (264 KB at the
 /// paper's width), so they live here and are reused by every layer and
-/// every update instead of being allocated per product.
+/// every update instead of being allocated per product; a refresh inverts
+/// into the inverses it already holds.
+///
+/// Only a refreshing step reads the factors ([`Kfac::step_refreshes`]),
+/// so before any other step the statistics of its batch may as well be
+/// blended after it: the same bits either way.
 #[derive(Debug, Clone)]
 pub struct Kfac {
     config: KfacConfig,
@@ -95,6 +103,8 @@ pub struct Kfac {
     grad: Matrix,
     /// `A⁻¹ · grad`.
     half: Matrix,
+    /// The `f64` work of one inversion ([`damped_inverse_into`]).
+    work: Vec<f64>,
 }
 
 impl Kfac {
@@ -115,8 +125,8 @@ impl Kfac {
             .map(|l| LayerFactors {
                 a: Matrix::identity(l.inputs() + 1),
                 g: Matrix::identity(l.outputs()),
-                a_inv: None,
-                g_inv: None,
+                a_inv: Matrix::default(),
+                g_inv: Matrix::default(),
                 initialized: false,
                 nat: Matrix::zeros(l.inputs() + 1, l.outputs()),
             })
@@ -130,6 +140,7 @@ impl Kfac {
             gram: scratch(),
             grad: scratch(),
             half: scratch(),
+            work: Vec::new(),
         }
     }
 
@@ -141,6 +152,13 @@ impl Kfac {
     /// Overwrites the base learning rate (for decay schedules).
     pub fn set_lr(&mut self, lr: f32) {
         self.config.lr = lr;
+    }
+
+    /// Whether the next [`Kfac::step`] recomputes the inverses from the
+    /// factors — the first step and every `inverse_period`-th after it,
+    /// the only steps that read the factors.
+    pub fn step_refreshes(&self) -> bool {
+        self.steps.is_multiple_of(self.config.inverse_period)
     }
 
     /// Updates the running Kronecker factors from one batch: `A` from the
@@ -185,10 +203,15 @@ impl Kfac {
 
     fn refresh_inverses(&mut self) -> Result<(), LinalgError> {
         let _span = dosco_obs::span(dosco_obs::SpanKind::KfacInversion);
-        let damping = self.config.damping;
-        for f in &mut self.layers {
-            f.a_inv = Some(damped_inverse(&f.a, damping)?);
-            f.g_inv = Some(damped_inverse(&f.g, damping)?);
+        let Kfac {
+            config,
+            layers,
+            work,
+            ..
+        } = self;
+        for f in layers {
+            damped_inverse_into(&f.a, config.damping, &mut f.a_inv, work)?;
+            damped_inverse_into(&f.g, config.damping, &mut f.g_inv, work)?;
         }
         Ok(())
     }
@@ -212,8 +235,9 @@ impl Kfac {
     pub fn step(&mut self, net: &mut Mlp, grads: &Gradients) -> Result<(), LinalgError> {
         assert_eq!(grads.layers.len(), self.layers.len(), "layer count mismatch");
         let clip = grads.clip_factor(self.config.max_grad_norm);
-        if self.steps.is_multiple_of(self.config.inverse_period) || self.layers[0].a_inv.is_none()
-        {
+        // A failed refresh leaves `steps` where it was, so the next step
+        // refreshes again.
+        if self.step_refreshes() {
             self.refresh_inverses()?;
         }
         self.steps += 1;
@@ -225,8 +249,6 @@ impl Kfac {
             let _span = dosco_obs::span(dosco_obs::SpanKind::KfacPrecondition);
             let Kfac { layers, grad, half, .. } = self;
             for (factors, g) in layers.iter_mut().zip(&grads.layers) {
-                let a_inv = factors.a_inv.as_ref().expect("inverses refreshed");
-                let g_inv = factors.g_inv.as_ref().expect("inverses refreshed");
                 // Homogeneous gradient: (in+1) × out with db as the last row.
                 let (rows, cols) = (g.dw.rows() + 1, g.dw.cols());
                 grad.reshape(rows, cols);
@@ -237,8 +259,8 @@ impl Kfac {
                     grad.scale_in_place(factor);
                 }
                 half.reshape(rows, cols);
-                a_inv.matmul_into(grad, half);
-                half.matmul_into(g_inv, &mut factors.nat);
+                factors.a_inv.matmul_into(grad, half);
+                half.matmul_into(&factors.g_inv, &mut factors.nat);
                 quad += f64::from(factors.nat.dot(grad));
             }
         }
@@ -267,7 +289,8 @@ impl Kfac {
 /// replaces the identity), on the upper triangle only. `xᵀx` is symmetric
 /// bit for bit, so only its upper triangle is computed (into `gram`),
 /// blended row by row, and stored; the strict lower triangle of `factor`
-/// is never written again, and [`damped_inverse`] never reads it.
+/// is never written again, and [`crate::linalg::damped_inverse`] never
+/// reads it.
 fn blend_second_moment(
     factor: &mut Matrix,
     x: &Matrix,
@@ -514,6 +537,43 @@ mod tests {
                 ..KfacConfig::default()
             },
         );
+    }
+
+    /// Only a refreshing step reads the factors, so blending a batch's
+    /// statistics after any other step — as ACKTR does, behind the next
+    /// rollout — moves no bit: 45 updates at the default period cross
+    /// three refreshes, with every kept buffer reused throughout.
+    #[test]
+    fn statistics_blended_after_a_non_refreshing_step_move_no_bit() {
+        use rand::Rng as _;
+        let x = Matrix::from_fn(16, 5, |r, c| ((r * 7 + c * 3) % 11) as f32 / 5.0 - 1.0);
+        let train = |after: bool| {
+            let mut net = Mlp::new(&[5, 9, 3], Activation::Tanh, &mut rng());
+            let mut kfac = Kfac::new(&net, KfacConfig::default());
+            let mut r = rng();
+            let mut refreshes = 0;
+            for _ in 0..45 {
+                let cache = net.forward_cached(&x);
+                let grads = net.backward(&cache, &cache.output.scaled(1.0 / 16.0));
+                let fisher_out = Matrix::from_fn(16, 3, |_, _| r.gen_range(-0.1f32..0.1));
+                let fisher = net.backward_preact(&cache, &fisher_out);
+                let blend_first = !after || kfac.step_refreshes();
+                refreshes += usize::from(kfac.step_refreshes());
+                if blend_first {
+                    kfac.update_stats(&cache, &fisher);
+                }
+                kfac.step(&mut net, &grads).unwrap();
+                if !blend_first {
+                    kfac.update_stats(&cache, &fisher);
+                }
+            }
+            assert_eq!(refreshes, 3);
+            net.flat_params()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(train(false), train(true));
     }
 
     #[test]

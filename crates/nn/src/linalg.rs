@@ -134,23 +134,26 @@ fn solve_panel(l: &[f64], n: usize, c0: usize, z: &mut [f64]) {
     }
 }
 
-/// `(L Lᵀ)⁻¹` into `inv` (`n × n`, as `f32`) from `l`, which holds the
-/// lower triangle of the damped `M` as [`cholesky_in_place`] takes it:
-/// every `f64` loop of [`damped_inverse`], in one body so that it can be
-/// instantiated twice — plainly here, and under AVX2 in `simd::x86`. The
-/// body is safe code with no fused multiply-add, and each element's
-/// operations and their order are fixed by the source, so the two
-/// instantiations return the same bits.
+/// `(L Lᵀ)⁻¹` into `inv` (`n × n`, as `f32`) from `work`, whose first
+/// `n²` elements hold the lower triangle of the damped `M` as
+/// [`cholesky_in_place`] takes it and whose next `n · PANEL` are the
+/// panel solutions' room: every `f64` loop of [`damped_inverse`], in one
+/// body so that it can be instantiated twice — plainly here, and under
+/// AVX2 in `simd::x86`. The body is safe code with no fused multiply-add,
+/// and each element's operations and their order are fixed by the source,
+/// so the two instantiations return the same bits. No element of `work`
+/// is read before this call writes it, so it may hold anything on entry.
 #[inline(always)]
 pub(crate) fn factor_and_solve(
-    l: &mut [f64],
+    work: &mut [f64],
     n: usize,
     inv: &mut [f32],
 ) -> Result<(), LinalgError> {
+    let (l, z) = work.split_at_mut(n * n);
+    let z = &mut z[..n * PANEL];
     cholesky_in_place(l, n)?;
-    let mut z = vec![0.0f64; n * PANEL];
     for c0 in (0..n).step_by(PANEL) {
-        solve_panel(l, n, c0, &mut z);
+        solve_panel(l, n, c0, z);
         let width = PANEL.min(n - c0);
         for (out, row) in inv.chunks_exact_mut(n).zip(z.chunks_exact(PANEL)) {
             for (o, &v) in out[c0..c0 + width].iter_mut().zip(row) {
@@ -181,13 +184,44 @@ pub fn damped_inverse(m: &Matrix, damping: f64) -> Result<Matrix, LinalgError> {
     damped_inverse_with(m, damping, crate::simd::active())
 }
 
-/// [`damped_inverse`] on a given kernel: the loops' AVX2 instantiation
-/// wherever a SIMD kernel is selected, the plain one otherwise.
+/// [`damped_inverse`] into `inv`, with `work` for the `f64` loops: both
+/// keep their allocations from one call to the next, so a K-FAC refresh
+/// allocates nothing after its first. The same bits as
+/// [`damped_inverse`]; on an error `inv` keeps its contents.
+///
+/// # Errors
+///
+/// As [`damped_inverse`].
+pub(crate) fn damped_inverse_into(
+    m: &Matrix,
+    damping: f64,
+    inv: &mut Matrix,
+    work: &mut Vec<f64>,
+) -> Result<(), LinalgError> {
+    invert_into(m, damping, inv, work, crate::simd::active())
+}
+
+/// [`damped_inverse`] on a given kernel.
 fn damped_inverse_with(
     m: &Matrix,
     damping: f64,
     kernel: GemmKernel,
 ) -> Result<Matrix, LinalgError> {
+    let mut inv = Matrix::zeros(0, 0);
+    invert_into(m, damping, &mut inv, &mut Vec::new(), kernel)?;
+    Ok(inv)
+}
+
+/// [`damped_inverse_into`] on a given kernel: the loops' AVX2
+/// instantiation wherever a SIMD kernel is selected, the plain one
+/// otherwise.
+fn invert_into(
+    m: &Matrix,
+    damping: f64,
+    inv: &mut Matrix,
+    work: &mut Vec<f64>,
+    kernel: GemmKernel,
+) -> Result<(), LinalgError> {
     let n = m.rows();
     if m.rows() != m.cols() {
         return Err(LinalgError::NotSquare {
@@ -195,19 +229,24 @@ fn damped_inverse_with(
             cols: m.cols(),
         });
     }
+    let len = n * n + n * PANEL;
+    if work.len() < len {
+        work.resize(len, 0.0);
+    }
+    let work = &mut work[..len];
     // Promote the upper triangle to f64 row by row — row j of it is column
     // j of the lower triangle of a symmetric `M`, the layout
     // `cholesky_in_place` takes — and add damping on the diagonal.
     let src = m.as_slice();
-    let mut l = vec![0.0f64; n * n];
     for j in 0..n {
         let upper = j * n + j..(j + 1) * n;
-        for (v, &s) in l[upper.clone()].iter_mut().zip(&src[upper]) {
+        for (v, &s) in work[upper.clone()].iter_mut().zip(&src[upper]) {
             *v = f64::from(s);
         }
-        l[j * n + j] += damping;
+        work[j * n + j] += damping;
     }
-    let mut inv = Matrix::zeros(n, n);
+    // Both loops write `inv` only once the factorization has succeeded.
+    inv.reshape(n, n);
     let out = inv.as_mut_slice();
     match kernel.best_available() {
         // `Avx512` too: at eight `f64` lanes a panel row's sixteen
@@ -216,11 +255,10 @@ fn damped_inverse_with(
         // why*).
         #[cfg(target_arch = "x86_64")]
         GemmKernel::Avx2 | GemmKernel::Avx512 => {
-            crate::simd::x86::run_factor_and_solve(&mut l, n, out)?
+            crate::simd::x86::run_factor_and_solve(work, n, out)
         }
-        _ => factor_and_solve(&mut l, n, out)?,
+        _ => factor_and_solve(work, n, out),
     }
-    Ok(inv)
 }
 
 #[cfg(test)]

@@ -22,11 +22,38 @@ use std::ops::{Deref, DerefMut};
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: AlignedBuf,
+}
+
+/// The empty `0 × 0` matrix, which allocates nothing: a buffer's state
+/// before its first use.
+impl Default for Matrix {
+    fn default() -> Self {
+        Matrix::zeros(0, 0)
+    }
+}
+
+/// `clone_from` copies into the allocation it already has whenever that is
+/// large enough: what a buffer kept from one update to the next, or a
+/// snapshot's weights, is overwritten with.
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 /// A matrix's `f32` storage, starting on a 64-byte boundary: a row of a
@@ -125,6 +152,11 @@ impl DerefMut for AlignedBuf {
 impl Clone for AlignedBuf {
     fn clone(&self) -> Self {
         Self::collect(self.len(), self.iter().copied())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.resize(source.len());
+        self.copy_from_slice(source);
     }
 }
 
@@ -662,13 +694,20 @@ impl Matrix {
 
     /// Column sums (length `cols`) — e.g. bias gradients from a batch.
     pub fn column_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.cols];
+        let mut out = Vec::new();
+        self.column_sums_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::column_sums`] into `out`, reusing its allocation.
+    pub(crate) fn column_sums_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(self.cols, 0.0);
         for r in 0..self.rows {
             for (o, &v) in out.iter_mut().zip(self.row(r)) {
                 *o += v;
             }
         }
-        out
     }
 
     /// Sum of element-wise products — the Frobenius inner product
@@ -1007,6 +1046,23 @@ mod tests {
 
     /// Every way a matrix comes to own storage starts it on a cache line,
     /// at sizes on both sides of glibc's 128 KiB `mmap` threshold.
+    /// `clone_from` copies shape and contents, and writes into the
+    /// allocation it has whenever that is large enough.
+    #[test]
+    fn clone_from_copies_into_the_allocation_it_has() {
+        let big = Matrix::from_fn(64, 65, |r, c| (r * 65 + c) as f32);
+        let small = Matrix::from_fn(3, 2, |r, c| (r + c) as f32 - 1.5);
+        let mut kept = Matrix::zeros(0, 0);
+        kept.clone_from(&big);
+        assert_eq!(kept, big);
+        let start = kept.as_slice().as_ptr();
+        for source in [&small, &big, &small] {
+            kept.clone_from(source);
+            assert_eq!(&kept, source);
+            assert_eq!(kept.as_slice().as_ptr(), start);
+        }
+    }
+
     #[test]
     fn every_matrix_starts_on_a_cache_line() {
         fn check(m: &Matrix, what: &str) {
@@ -1042,6 +1098,9 @@ mod tests {
             let mut grown = Matrix::row_vector(&values[..cols]);
             grown.reshape(rows + 1, cols + 1);
             check(&grown, "reshape");
+            let mut copied = Matrix::row_vector(&values[..1]);
+            copied.clone_from(&m);
+            check(&copied, "clone_from");
             with_packed_transpose(&m, |packed| {
                 assert_eq!(packed.as_ptr() as usize % 64, 0, "packed {rows}x{cols}");
             });

@@ -54,10 +54,25 @@ impl Activation {
 }
 
 /// One dense (fully connected) layer: `z = x·W + b` with `W: in × out`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Dense {
     pub(crate) w: Matrix,
     pub(crate) b: Vec<f32>,
+}
+
+/// `clone_from` copies into the allocations it already has.
+impl Clone for Dense {
+    fn clone(&self) -> Self {
+        Dense {
+            w: self.w.clone(),
+            b: self.b.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.w.clone_from(&source.w);
+        self.b.clone_from(&source.b);
+    }
 }
 
 impl Dense {
@@ -98,7 +113,7 @@ impl Dense {
 
 /// Gradients for one dense layer, plus the per-sample pre-activation
 /// gradients K-FAC needs for its `G` factor.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LayerGrads {
     /// `∂L/∂W` (same shape as the weights).
     pub dw: Matrix,
@@ -110,7 +125,8 @@ pub struct LayerGrads {
 }
 
 /// Gradients for a whole [`Mlp`], one entry per layer (input-side first).
-#[derive(Debug, Clone, PartialEq)]
+/// The default is empty; [`Mlp::backward_into`] shapes it.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Gradients {
     /// Per-layer gradients.
     pub layers: Vec<LayerGrads>,
@@ -166,8 +182,9 @@ impl Gradients {
 }
 
 /// Intermediate activations stored by [`Mlp::forward_cached`], needed for
-/// backpropagation and the K-FAC `A` factors.
-#[derive(Debug, Clone, PartialEq)]
+/// backpropagation and the K-FAC `A` factors. The default is empty;
+/// [`Mlp::forward_cached_into`] shapes it.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ForwardCache {
     /// `inputs[i]`: the input batch fed to layer `i` (the activation output
     /// of layer `i−1`, or the network input for `i = 0`).
@@ -191,10 +208,26 @@ pub struct ForwardCache {
 /// let logits = net.forward(&obs);
 /// assert_eq!((logits.rows(), logits.cols()), (1, 4));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Dense>,
     activation: Activation,
+}
+
+/// `clone_from` copies every layer into the allocations it already has —
+/// how the runtime writes a network into a snapshot it reuses.
+impl Clone for Mlp {
+    fn clone(&self) -> Self {
+        Mlp {
+            layers: self.layers.clone(),
+            activation: self.activation,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.layers.clone_from(&source.layers);
+        self.activation = source.activation;
+    }
 }
 
 impl Mlp {
@@ -274,21 +307,28 @@ impl Mlp {
 
     /// Forward pass that records the per-layer inputs for backpropagation.
     pub fn forward_cached(&self, x: &Matrix) -> ForwardCache {
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
+        let mut cache = ForwardCache::default();
+        self.forward_cached_into(x, &mut cache);
+        cache
+    }
+
+    /// [`Mlp::forward_cached`] into `cache`, reusing its buffers: a cache
+    /// kept from one update to the next allocates nothing once shaped.
+    pub fn forward_cached_into(&self, x: &Matrix, cache: &mut ForwardCache) {
+        let n = self.layers.len();
+        cache.inputs.resize_with(n, Matrix::default);
+        cache.inputs[0].clone_from(x);
         for (i, layer) in self.layers.iter().enumerate() {
-            let mut z = Matrix::zeros(h.rows(), layer.outputs());
-            layer.forward_into(&h, &mut z);
-            if i != last {
-                self.activation.apply_in_place(&mut z);
+            // Layer `i` reads input `i` and writes input `i + 1`, or the
+            // output after the last layer.
+            let (done, next) = cache.inputs.split_at_mut(i + 1);
+            let z = next.first_mut().unwrap_or(&mut cache.output);
+            z.reshape(done[i].rows(), layer.outputs());
+            layer.forward_into(&done[i], z);
+            if i + 1 != n {
+                self.activation.apply_in_place(z);
             }
-            // Move `h` into the cache instead of cloning it; `z` becomes
-            // the next layer's input (and is cached by the next turn).
-            inputs.push(h);
-            h = z;
         }
-        ForwardCache { inputs, output: h }
     }
 
     /// Backpropagates `dout = ∂L/∂output` (`batch × outputs`, already
@@ -299,7 +339,28 @@ impl Mlp {
     ///
     /// Panics if `dout`'s shape does not match the cached output.
     pub fn backward(&self, cache: &ForwardCache, dout: &Matrix) -> Gradients {
-        self.backward_with(cache, dout, false).0
+        let mut grads = Gradients::default();
+        self.backward_into(cache, dout, &mut grads);
+        grads
+    }
+
+    /// [`Mlp::backward`] into `grads`, reusing its buffers: at the paper's
+    /// width each hidden layer's `dW` is 256 KiB, which gradients kept
+    /// from one update to the next allocate once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dout`'s shape does not match the cached output.
+    pub fn backward_into(&self, cache: &ForwardCache, dout: &Matrix, grads: &mut Gradients) {
+        grads
+            .layers
+            .resize_with(self.layers.len(), LayerGrads::default);
+        self.preact_deltas_into(cache, dout, &mut grads.layers, |l| &mut l.preact_grads);
+        for (l, input) in grads.layers.iter_mut().zip(&cache.inputs) {
+            l.dw.reshape(input.cols(), l.preact_grads.cols());
+            input.transpose_matmul_into(&l.preact_grads, &mut l.dw);
+            l.preact_grads.column_sums_into(&mut l.db);
+        }
     }
 
     /// Like [`Mlp::backward`], additionally returning `∂L/∂input`
@@ -314,27 +375,12 @@ impl Mlp {
         cache: &ForwardCache,
         dout: &Matrix,
     ) -> (Gradients, Matrix) {
-        let (grads, dinput) = self.backward_with(cache, dout, true);
-        (grads, dinput.expect("input gradient requested"))
-    }
-
-    fn backward_with(
-        &self,
-        cache: &ForwardCache,
-        dout: &Matrix,
-        input_grad: bool,
-    ) -> (Gradients, Option<Matrix>) {
-        let (deltas, dinput) = self.preact_deltas(cache, dout, input_grad);
-        let layers = deltas
-            .into_iter()
-            .zip(&cache.inputs)
-            .map(|(delta, input)| LayerGrads {
-                dw: input.transpose_matmul(&delta),
-                db: delta.column_sums(),
-                preact_grads: delta,
-            })
-            .collect();
-        (Gradients { layers }, dinput)
+        let grads = self.backward(cache, dout);
+        // `δ_0 · W_0ᵀ`: one more step of the recursion.
+        let dinput = grads.layers[0]
+            .preact_grads
+            .matmul_transpose(&self.layers[0].w);
+        (grads, dinput)
     }
 
     /// The per-sample pre-activation gradients of every layer (input-side
@@ -346,43 +392,56 @@ impl Mlp {
     ///
     /// Panics if `dout`'s shape does not match the cached output.
     pub fn backward_preact(&self, cache: &ForwardCache, dout: &Matrix) -> Vec<Matrix> {
-        self.preact_deltas(cache, dout, false).0
+        let mut deltas = Vec::new();
+        self.backward_preact_into(cache, dout, &mut deltas);
+        deltas
     }
 
-    /// The backward recursion itself: `δ_last = dout`, `δ_{i−1} = (δ_i ·
-    /// W_iᵀ) ⊙ act′`. `∂L/∂input` (`δ_0 · W_0ᵀ`) is one more product that
-    /// only callers chaining into another network need.
-    fn preact_deltas(
+    /// [`Mlp::backward_preact`] into `deltas`, reusing its buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dout`'s shape does not match the cached output.
+    pub fn backward_preact_into(
         &self,
         cache: &ForwardCache,
         dout: &Matrix,
-        input_grad: bool,
-    ) -> (Vec<Matrix>, Option<Matrix>) {
+        deltas: &mut Vec<Matrix>,
+    ) {
+        deltas.resize_with(self.layers.len(), Matrix::default);
+        self.preact_deltas_into(cache, dout, deltas, |d| d);
+    }
+
+    /// The backward recursion itself, `δ_last = dout`, `δ_{i−1} = (δ_i ·
+    /// W_iᵀ) ⊙ act′`, into the matrix `delta` picks out of each of `out`'s
+    /// per-layer entries.
+    fn preact_deltas_into<T>(
+        &self,
+        cache: &ForwardCache,
+        dout: &Matrix,
+        out: &mut [T],
+        delta: fn(&mut T) -> &mut Matrix,
+    ) {
         assert_eq!(
             (dout.rows(), dout.cols()),
             (cache.output.rows(), cache.output.cols()),
             "dout shape mismatch"
         );
-        let mut deltas = vec![dout.clone()];
+        let last = self.layers.len() - 1;
+        delta(&mut out[last]).clone_from(dout);
         for i in (1..self.layers.len()).rev() {
-            let mut dinput = deltas.last().expect("seeded").matmul_transpose(&self.layers[i].w);
+            let (below, from) = out.split_at_mut(i);
+            let (from, to) = (delta(&mut from[0]), delta(&mut below[i - 1]));
+            to.reshape(from.rows(), self.layers[i].inputs());
+            from.matmul_transpose_into(&self.layers[i].w, to);
             // cache.inputs[i] is the activation output of layer i-1:
             // chain through the activation derivative, in place on the
             // input gradient (no intermediate derivative matrix).
             let act = self.activation;
-            for (d, &a) in dinput
-                .as_mut_slice()
-                .iter_mut()
-                .zip(cache.inputs[i].as_slice())
-            {
+            for (d, &a) in to.as_mut_slice().iter_mut().zip(cache.inputs[i].as_slice()) {
                 *d *= act.derivative_from_output(a);
             }
-            deltas.push(dinput);
         }
-        let dinput =
-            input_grad.then(|| deltas.last().expect("seeded").matmul_transpose(&self.layers[0].w));
-        deltas.reverse();
-        (deltas, dinput)
     }
 
     /// Polyak averaging toward `source`: `θ ← τ·θ_source + (1−τ)·θ`.
@@ -540,6 +599,35 @@ mod tests {
                 "layer {li} b[0]: numeric {numeric} vs analytic {analytic}"
             );
         }
+    }
+
+    /// The `_into` forms return the allocating forms' bits into buffers
+    /// kept across calls — of another batch size in between — and a
+    /// same-shaped call writes into the allocations the last one left.
+    #[test]
+    fn into_forms_match_and_reuse_their_buffers() {
+        let net = Mlp::new(&[3, 16, 16, 2], Activation::Tanh, &mut rng());
+        let batch = |rows: usize| {
+            Matrix::from_fn(rows, 3, |r, c| ((r * 5 + c) % 7) as f32 / 3.0 - 1.0)
+        };
+        let (mut cache, mut grads, mut deltas) = Default::default();
+        let mut starts = Vec::new();
+        for rows in [8, 3, 8, 8] {
+            let x = batch(rows);
+            net.forward_cached_into(&x, &mut cache);
+            assert_eq!(cache, net.forward_cached(&x));
+            let dout = cache.output.scaled(0.5);
+            net.backward_into(&cache, &dout, &mut grads);
+            assert_eq!(grads, net.backward(&cache, &dout));
+            net.backward_preact_into(&cache, &dout, &mut deltas);
+            assert_eq!(deltas, net.backward_preact(&cache, &dout));
+            starts.push([
+                cache.inputs[1].as_slice().as_ptr(),
+                grads.layers[1].dw.as_slice().as_ptr(),
+                deltas[1].as_slice().as_ptr(),
+            ]);
+        }
+        assert_eq!(starts[2], starts[3]);
     }
 
     #[test]

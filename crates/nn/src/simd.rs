@@ -415,23 +415,23 @@ pub(crate) mod x86 {
     /// `f64` lanes instead of two.
     #[target_feature(enable = "avx2")]
     fn factor_and_solve_avx2(
-        l: &mut [f64],
+        work: &mut [f64],
         n: usize,
         inv: &mut [f32],
     ) -> Result<(), crate::linalg::LinalgError> {
-        crate::linalg::factor_and_solve(l, n, inv)
+        crate::linalg::factor_and_solve(work, n, inv)
     }
 
     /// [`crate::linalg::factor_and_solve`] on the AVX2 instantiation.
     pub(crate) fn run_factor_and_solve(
-        l: &mut [f64],
+        work: &mut [f64],
         n: usize,
         inv: &mut [f32],
     ) -> Result<(), crate::linalg::LinalgError> {
         assert!(super::avx2_available(), "AVX2 inversion dispatched without CPU support");
         // SAFETY: AVX2 support was just asserted via runtime feature
         // detection.
-        unsafe { factor_and_solve_avx2(l, n, inv) }
+        unsafe { factor_and_solve_avx2(work, n, inv) }
     }
 
     /// Dispatches one `matmul` row block to the AVX-512 kernel under

@@ -13,7 +13,7 @@
 //!    line, byte-identical across same-seed runs. Timestamps are sim-time
 //!    or caller ticks only — never wall clock.
 //! 2. **Metrics registry** ([`registry`]): fixed counters, gauges, and
-//!    fixed-bucket histograms (e.g. observed policy staleness), all
+//!    fixed-bucket histograms (e.g. serve batch sizes), all
 //!    lock-free atomics.
 //! 3. **Span timers** ([`span`]): scoped wall-clock timers on training hot
 //!    paths (GEMM, K-FAC inversion, rollout collection, channel waits,

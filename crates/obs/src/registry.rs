@@ -173,8 +173,6 @@ impl GaugeKind {
 /// Fixed-bucket histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistKind {
-    /// Policy staleness observed at batch consumption (versions).
-    Staleness,
     /// Node utilization at episode samples.
     NodeUtil,
     /// Link utilization at episode samples.
@@ -183,20 +181,17 @@ pub enum HistKind {
     ServeBatchSize,
 }
 
-/// Upper bucket bounds for staleness (versions); a final overflow bucket
-/// catches everything larger.
-const STALENESS_BOUNDS: [f64; 7] = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
-/// Upper bucket bounds for utilizations (fractions of capacity).
+/// Upper bucket bounds for utilizations (fractions of capacity); a final
+/// overflow bucket catches everything larger.
 const UTIL_BOUNDS: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
 /// Upper bucket bounds for serve batch sizes (rows per forward).
 const BATCH_BOUNDS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 /// Largest bucket count of any histogram (bounds + overflow).
-const MAX_BUCKETS: usize = STALENESS_BOUNDS.len() + 1;
+const MAX_BUCKETS: usize = BATCH_BOUNDS.len() + 1;
 
 impl HistKind {
     /// All histograms, in report order.
-    pub const ALL: [HistKind; 4] = [
-        HistKind::Staleness,
+    pub const ALL: [HistKind; 3] = [
         HistKind::NodeUtil,
         HistKind::LinkUtil,
         HistKind::ServeBatchSize,
@@ -205,7 +200,6 @@ impl HistKind {
     /// Stable snake_case name used in reports.
     pub fn name(self) -> &'static str {
         match self {
-            HistKind::Staleness => "staleness",
             HistKind::NodeUtil => "node_util",
             HistKind::LinkUtil => "link_util",
             HistKind::ServeBatchSize => "serve_batch_size",
@@ -216,7 +210,6 @@ impl HistKind {
     /// the last bound land in an overflow bucket.
     pub fn bounds(self) -> &'static [f64] {
         match self {
-            HistKind::Staleness => &STALENESS_BOUNDS,
             HistKind::NodeUtil | HistKind::LinkUtil => &UTIL_BOUNDS,
             HistKind::ServeBatchSize => &BATCH_BOUNDS,
         }
@@ -504,15 +497,15 @@ pub(crate) mod tests {
     fn histogram_buckets_fixed_bounds() {
         let _guard = REGISTRY_TEST_LOCK.lock();
         reset();
-        // Staleness bounds: 0,1,2,4,8,16,32 + overflow.
-        observe(HistKind::Staleness, 0.0); // bucket 0
-        observe(HistKind::Staleness, 1.0); // bucket 1 (inclusive upper)
-        observe(HistKind::Staleness, 3.0); // bucket 3 (<=4)
-        observe(HistKind::Staleness, 100.0); // overflow
-        let (buckets, count, sum) = histogram_snapshot(HistKind::Staleness);
-        assert_eq!(buckets, vec![1, 1, 0, 1, 0, 0, 0, 1]);
+        // Serve batch bounds: 1,2,4,8,16,32 + overflow.
+        observe(HistKind::ServeBatchSize, 1.0); // bucket 0 (inclusive upper)
+        observe(HistKind::ServeBatchSize, 2.0); // bucket 1
+        observe(HistKind::ServeBatchSize, 3.0); // bucket 2 (<=4)
+        observe(HistKind::ServeBatchSize, 100.0); // overflow
+        let (buckets, count, sum) = histogram_snapshot(HistKind::ServeBatchSize);
+        assert_eq!(buckets, vec![1, 1, 1, 0, 0, 0, 1]);
         assert_eq!(count, 4);
-        assert!((sum - 104.0).abs() < 1e-12);
+        assert!((sum - 106.0).abs() < 1e-12);
     }
 
     #[test]
@@ -543,7 +536,7 @@ pub(crate) mod tests {
         assert_eq!(GaugeKind::TopoVersion.name(), "topo_version");
         assert_eq!(GaugeKind::WindowedSuccessRatio.name(), "windowed_success_ratio");
         assert_eq!(HistKind::NodeUtil.name(), "node_util");
-        assert_eq!(HistKind::Staleness.bounds().len() + 1, 8);
+        assert_eq!(HistKind::ServeBatchSize.bounds().len() + 1, 7);
         // Every histogram fits the shared fixed-size bucket arrays.
         for h in HistKind::ALL {
             assert!(h.bounds().len() < MAX_BUCKETS, "{} overflows", h.name());

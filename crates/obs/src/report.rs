@@ -165,7 +165,7 @@ mod tests {
         let _guard = REGISTRY_TEST_LOCK.lock();
         reset();
         count(CounterKind::TraceEvents, 5);
-        observe(HistKind::Staleness, 2.0);
+        observe(HistKind::ServeBatchSize, 2.0);
         record_span_ns(SpanKind::Gemm, 1_500_000);
         record_span_ns(SpanKind::KfacPrecondition, 250_000);
         let r = ObsReport::capture();
@@ -186,7 +186,11 @@ mod tests {
         );
         assert_eq!(r.span("kfac_precondition").unwrap().count, 1);
         // Overflow bucket is the null-bounded last one.
-        let h = r.histograms.iter().find(|h| h.name == "staleness").unwrap();
+        let h = r
+            .histograms
+            .iter()
+            .find(|h| h.name == "serve_batch_size")
+            .unwrap();
         assert_eq!(h.buckets.last().unwrap().le, None);
         assert_eq!(h.count, 1);
         let json = serde_json::to_string(&r).unwrap();
@@ -208,7 +212,7 @@ mod tests {
             count(CounterKind::ServeSwaps, 3);
             crate::registry::set_gauge(crate::registry::GaugeKind::LastSuccessRatio, 0.875);
             observe(HistKind::ServeBatchSize, 4.0);
-            observe(HistKind::Staleness, 2.0);
+            observe(HistKind::NodeUtil, 0.5);
             record_span_ns(SpanKind::ServeBatchForward, 2_000_000);
             ObsReport::capture().to_json()
         };

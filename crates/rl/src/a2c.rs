@@ -8,7 +8,7 @@
 
 use crate::learner::{ActorCritic, CollectParams, UpdateRule};
 use crate::rollout::Rollout;
-use crate::trainer::join_halves;
+use crate::trainer::Helper;
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::{ForwardCache, Gradients, Mlp};
 use dosco_nn::optim::{Optimizer, RmsProp};
@@ -79,47 +79,101 @@ impl TrainStats {
     }
 }
 
+/// What one network's half of an update reuses from one update to the
+/// next: its forward cache and its gradients (at the paper's width a
+/// 256 KiB `dW` per hidden layer), shaped by the first update.
+#[derive(Debug, Default)]
+pub(crate) struct Buffers {
+    pub(crate) cache: ForwardCache,
+    pub(crate) grads: Gradients,
+}
+
+/// The critic's copy of what it reads of a batch: its half runs on the
+/// learner's helper thread, which cannot borrow the rollout.
+#[derive(Debug, Default)]
+pub(crate) struct ValueBatch {
+    obs: Matrix,
+    returns: Vec<f32>,
+}
+
+impl ValueBatch {
+    /// Copies `rollout`'s observations and returns into the buffers this
+    /// batch already has.
+    pub(crate) fn copy_from(&mut self, rollout: &Rollout) {
+        self.obs.clone_from(&rollout.obs);
+        self.returns.clone_from(&rollout.returns);
+    }
+}
+
+/// The critic's side of an A2C or PPO update, which travels to the helper
+/// thread and back with the critic: its optimizer, its buffers and its
+/// batch.
+#[derive(Debug)]
+pub(crate) struct CriticSide<O> {
+    pub(crate) opt: O,
+    pub(crate) buf: Buffers,
+    pub(crate) batch: ValueBatch,
+}
+
+impl<O: Optimizer> CriticSide<O> {
+    pub(crate) fn new(opt: O) -> Self {
+        CriticSide {
+            opt,
+            buf: Buffers::default(),
+            batch: ValueBatch::default(),
+        }
+    }
+
+    /// One value-loss step on `critic` for this side's batch, its
+    /// gradient clipped to `max_grad_norm`.
+    pub(crate) fn value_step(&mut self, critic: &mut Mlp, vf_coef: f32, max_grad_norm: f32) {
+        value_gradients(critic, &self.batch, vf_coef, &mut self.buf);
+        self.buf.grads.clip_global_norm(max_grad_norm);
+        self.opt.step(critic, &self.buf.grads);
+    }
+}
+
 /// The actor's gradient for one rollout batch — shared by A2C (RMSprop
 /// step) and ACKTR (K-FAC step): a cached forward, the policy over its
 /// logits, and the backward of the policy-gradient loss with its entropy
-/// bonus.
+/// bonus, into `buf`. Returns the policy.
 pub(crate) fn policy_gradients(
     actor: &Mlp,
     rollout: &Rollout,
     ent_coef: f32,
-) -> (Gradients, ForwardCache, Categorical) {
-    let cache = actor.forward_cached(&rollout.obs);
-    let dist = Categorical::new(&cache.output);
+    buf: &mut Buffers,
+) -> Categorical {
+    actor.forward_cached_into(&rollout.obs, &mut buf.cache);
+    let dist = Categorical::new(&buf.cache.output);
     let dlogits = dist.policy_gradient_logits(&rollout.actions, &rollout.advantages, ent_coef);
-    (actor.backward(&cache, &dlogits), cache, dist)
+    actor.backward_into(&buf.cache, &dlogits, &mut buf.grads);
+    dist
 }
 
-/// The critic's gradient for one rollout batch — shared by A2C, ACKTR and
-/// each PPO epoch: a cached forward and the backward of
+/// The critic's gradient for one batch — shared by A2C, ACKTR and each
+/// PPO epoch: a cached forward and the backward of
 /// `0.5·vf_coef·(v − ret)²` averaged over the batch, whose gradient
-/// w.r.t. the value head is `vf_coef·(v − ret)/B`.
-pub(crate) fn value_gradients(
-    critic: &Mlp,
-    rollout: &Rollout,
-    vf_coef: f32,
-) -> (Gradients, ForwardCache) {
-    let cache = critic.forward_cached(&rollout.obs);
-    let returns = &rollout.returns;
-    let batch = returns.len() as f32;
+/// w.r.t. the value head is `vf_coef·(v − ret)/B`, into `buf`.
+pub(crate) fn value_gradients(critic: &Mlp, batch: &ValueBatch, vf_coef: f32, buf: &mut Buffers) {
+    critic.forward_cached_into(&batch.obs, &mut buf.cache);
+    let (output, returns) = (&buf.cache.output, &batch.returns);
+    let rows = returns.len() as f32;
     let dv = Matrix::from_fn(returns.len(), 1, |i, _| {
-        vf_coef * (cache.output.get(i, 0) - returns[i]) / batch
+        vf_coef * (output.get(i, 0) - returns[i]) / rows
     });
-    (critic.backward(&cache, &dv), cache)
+    critic.backward_into(&buf.cache, &dv, &mut buf.grads);
 }
 
 /// The A2C update: each network's gradient, clipped, through one RMSprop
-/// step — the actor's and the critic's side by side (`join_halves`).
-/// Draws no randomness.
+/// step — the critic's on the learner's helper thread beside the actor's
+/// (`Helper::join`). Draws no randomness.
 #[derive(Debug)]
 pub struct RmsPropStep {
     config: A2cConfig,
     actor_opt: RmsProp,
-    critic_opt: RmsProp,
+    actor_buf: Buffers,
+    /// `None` only while the critic half runs.
+    critic: Option<CriticSide<RmsProp>>,
 }
 
 /// The A2C agent.
@@ -132,7 +186,8 @@ impl UpdateRule for RmsPropStep {
         RmsPropStep {
             config,
             actor_opt: RmsProp::with_lr(config.lr),
-            critic_opt: RmsProp::with_lr(config.lr),
+            actor_buf: Buffers::default(),
+            critic: Some(CriticSide::new(RmsProp::with_lr(config.lr))),
         }
     }
 
@@ -158,33 +213,44 @@ impl UpdateRule for RmsPropStep {
 
     fn set_lr(&mut self, lr: f32) {
         self.actor_opt.set_learning_rate(lr);
-        self.critic_opt.set_learning_rate(lr);
+        self.critic
+            .as_mut()
+            .expect("the critic side is back once an update returns")
+            .opt
+            .set_learning_rate(lr);
     }
 
     fn update(
         &mut self,
         actor: &mut Mlp,
-        critic: &mut Mlp,
+        mut critic: Mlp,
         rollout: &mut Rollout,
         _rng: &mut StdRng,
-    ) {
+        helper: &mut Helper,
+    ) -> Mlp {
         if self.config.normalize_advantages {
             rollout.normalize_advantages();
         }
         let (rollout, c) = (&*rollout, self.config);
-        let (actor_opt, critic_opt) = (&mut self.actor_opt, &mut self.critic_opt);
-        join_halves(
-            move || {
-                let (mut grads, _, _) = policy_gradients(actor, rollout, c.ent_coef);
-                grads.clip_global_norm(c.max_grad_norm);
-                actor_opt.step(actor, &grads);
+        let mut side = self
+            .critic
+            .take()
+            .expect("the critic side is back once an update returns");
+        side.batch.copy_from(rollout);
+        let (actor_opt, buf) = (&mut self.actor_opt, &mut self.actor_buf);
+        let ((), (critic, side)) = helper.join(
+            || {
+                policy_gradients(actor, rollout, c.ent_coef, buf);
+                buf.grads.clip_global_norm(c.max_grad_norm);
+                actor_opt.step(actor, &buf.grads);
             },
             move || {
-                let (mut grads, _) = value_gradients(critic, rollout, c.vf_coef);
-                grads.clip_global_norm(c.max_grad_norm);
-                critic_opt.step(critic, &grads);
+                side.value_step(&mut critic, c.vf_coef, c.max_grad_norm);
+                (critic, side)
             },
         );
+        self.critic = Some(side);
+        critic
     }
 }
 

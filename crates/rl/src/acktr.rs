@@ -8,10 +8,10 @@
 //! from the model's own predictive distribution: categorical sampling for
 //! the actor, unit-Gaussian sampling for the critic's value head.
 
-use crate::a2c::{policy_gradients, value_gradients};
+use crate::a2c::{policy_gradients, value_gradients, Buffers, ValueBatch};
 use crate::learner::{ActorCritic, CollectParams, UpdateRule};
 use crate::rollout::Rollout;
-use crate::trainer::join_halves;
+use crate::trainer::Helper;
 use dosco_nn::kfac::{Kfac, KfacConfig};
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
@@ -87,15 +87,84 @@ impl AcktrConfig {
     }
 }
 
+/// One network's K-FAC state and the buffers its half of every update
+/// reuses: the loss gradient's forward cache and gradients, and the
+/// pre-activation gradients of the Fisher sample. The cache's layer inputs
+/// and those gradients are the statistics' input, which the half keeps
+/// until they are blended. The loss's own pre-activation gradients are
+/// spent once `dW` and `db` are formed, so the Fisher sample's borrow
+/// their buffers and hand them back when blended.
+#[derive(Debug)]
+struct KfacSide {
+    kfac: Kfac,
+    buf: Buffers,
+    fisher: Vec<Matrix>,
+}
+
+impl KfacSide {
+    fn new(net: &Mlp, config: KfacConfig) -> Self {
+        KfacSide {
+            kfac: Kfac::new(net, config),
+            buf: Buffers::default(),
+            fisher: Vec::new(),
+        }
+    }
+
+    /// Blends the kept batch's Fisher statistics into the factors.
+    fn blend(&mut self) {
+        self.kfac.update_stats(&self.buf.cache, &self.fisher);
+        for (layer, fisher) in self.buf.grads.layers.iter_mut().zip(self.fisher.drain(..)) {
+            layer.preact_grads = fisher;
+        }
+    }
+
+    /// The Fisher backward of `fisher_out` (`∂L/∂output` sampled from the
+    /// model) and the natural-gradient step for the kept loss gradients —
+    /// with the statistics blended first when `blend` is set.
+    fn fisher_and_step(&mut self, net: &mut Mlp, fisher_out: &Matrix, blend: bool, which: &str) {
+        let spent = self.buf.grads.layers.iter_mut();
+        self.fisher
+            .extend(spent.map(|layer| std::mem::take(&mut layer.preact_grads)));
+        net.backward_preact_into(&self.buf.cache, fisher_out, &mut self.fisher);
+        if blend {
+            self.blend();
+        }
+        if let Err(e) = self.kfac.step(net, &self.buf.grads) {
+            panic!("{which} K-FAC step failed: {e}");
+        }
+    }
+}
+
+/// Both networks' K-FAC sides and the critic's batch: home between
+/// updates, or on the learner's helper thread while the statistics of the
+/// last update blend there.
+#[derive(Debug)]
+struct Sides {
+    actor: KfacSide,
+    critic: KfacSide,
+    batch: ValueBatch,
+}
+
 /// The ACKTR update: per network, the A2C gradient, Fisher-factor
 /// statistics from model-sampled gradients, and one K-FAC
-/// natural-gradient step under the KL trust region — the actor's and the
-/// critic's side by side (`join_halves`).
+/// natural-gradient step under the KL trust region — the critic's on the
+/// learner's helper thread beside the actor's (`Helper::join`).
+///
+/// Only a step that refreshes the inverses reads the factors
+/// ([`Kfac::step_refreshes`]; 1 update in `inverse_period`). On every
+/// other update both networks' statistics are blended after the steps, as
+/// one job left on the helper while the next batch is collected; the next
+/// update collects it before it touches either `Kfac`. The Fisher sample
+/// and its backward still run before the step, because they read the
+/// pre-step weights.
 #[derive(Debug)]
 pub struct KfacStep {
     config: AcktrConfig,
-    actor_kfac: Kfac,
-    critic_kfac: Kfac,
+    /// The learning rate of the next step; it reaches the two `Kfac`s when
+    /// the update has them back.
+    lr: f32,
+    /// `None` while an update or the statistics have them.
+    sides: Option<Sides>,
 }
 
 /// The ACKTR agent.
@@ -107,8 +176,12 @@ impl UpdateRule for KfacStep {
     fn new(config: AcktrConfig, actor: &Mlp, critic: &Mlp) -> Self {
         KfacStep {
             config,
-            actor_kfac: Kfac::new(actor, config.kfac()),
-            critic_kfac: Kfac::new(critic, config.kfac()),
+            lr: config.lr,
+            sides: Some(Sides {
+                actor: KfacSide::new(actor, config.kfac()),
+                critic: KfacSide::new(critic, config.kfac()),
+                batch: ValueBatch::default(),
+            }),
         }
     }
 
@@ -133,8 +206,7 @@ impl UpdateRule for KfacStep {
     }
 
     fn set_lr(&mut self, lr: f32) {
-        self.actor_kfac.set_lr(lr);
-        self.critic_kfac.set_lr(lr);
+        self.lr = lr;
     }
 
     /// `rng` drives the Fisher-factor sampling; for bit-identical training
@@ -142,10 +214,24 @@ impl UpdateRule for KfacStep {
     fn update(
         &mut self,
         actor: &mut Mlp,
-        critic: &mut Mlp,
+        mut critic: Mlp,
         rollout: &mut Rollout,
         rng: &mut StdRng,
-    ) {
+        helper: &mut Helper,
+    ) -> Mlp {
+        if let Some(sides) = helper.finish::<Sides>() {
+            self.sides = Some(sides);
+        }
+        let Sides {
+            actor: mut actor_side,
+            critic: mut critic_side,
+            mut batch,
+        } = self
+            .sides
+            .take()
+            .expect("the K-FAC sides are back once the statistics are blended");
+        actor_side.kfac.set_lr(self.lr);
+        critic_side.kfac.set_lr(self.lr);
         if self.config.normalize_advantages {
             rollout.normalize_advantages();
         }
@@ -155,41 +241,52 @@ impl UpdateRule for KfacStep {
         // of one serial update: the actor's Fisher samples — one
         // `gen::<f32>()` per row, drawn by the actor half from its copy of
         // the stream — then the critic's noise.
-        let batch = rollout.actions.len();
+        let rows = rollout.actions.len();
         let mut actor_rng = rng.clone();
-        for _ in 0..batch {
+        for _ in 0..rows {
             let _: f32 = rng.gen();
         }
         // Critic value head: Gaussian likelihood ⇒ Fisher gradient is
         // standard normal noise (Wu et al., Sec. 3).
-        let critic_fisher_out = Matrix::from_fn(batch, 1, |_, _| {
+        let critic_fisher_out = Matrix::from_fn(rows, 1, |_, _| {
             let u1: f32 = rng.gen_range(1e-6..1.0f32);
             let u2: f32 = rng.gen();
-            ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()) / batch as f32
+            ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()) / rows as f32
         });
 
-        // Per network: the gradient, Fisher-factor statistics from
-        // model-sampled gradients, the natural-gradient step with the
-        // trust region.
-        let (actor_kfac, critic_kfac) = (&mut self.actor_kfac, &mut self.critic_kfac);
-        join_halves(
-            move || {
-                let (grads, cache, dist) = policy_gradients(actor, rollout, c.ent_coef);
+        // A refreshing step reads this batch's statistics, so they blend
+        // inline, before it. The two `Kfac`s step in lockstep.
+        let blend = actor_side.kfac.step_refreshes();
+        debug_assert_eq!(blend, critic_side.kfac.step_refreshes());
+        batch.copy_from(rollout);
+        let (actor_side, (critic, critic_side, batch)) = helper.join(
+            || {
+                let dist = policy_gradients(actor, rollout, c.ent_coef, &mut actor_side.buf);
                 let fisher_out = dist.fisher_sample_logits(&mut actor_rng);
-                actor_kfac.update_stats(&cache, &actor.backward_preact(&cache, &fisher_out));
-                if let Err(e) = actor_kfac.step(actor, &grads) {
-                    panic!("actor K-FAC step failed: {e}");
-                }
+                actor_side.fisher_and_step(actor, &fisher_out, blend, "actor");
+                actor_side
             },
             move || {
-                let (grads, cache) = value_gradients(critic, rollout, c.vf_coef);
-                critic_kfac
-                    .update_stats(&cache, &critic.backward_preact(&cache, &critic_fisher_out));
-                if let Err(e) = critic_kfac.step(critic, &grads) {
-                    panic!("critic K-FAC step failed: {e}");
-                }
+                value_gradients(&critic, &batch, c.vf_coef, &mut critic_side.buf);
+                critic_side.fisher_and_step(&mut critic, &critic_fisher_out, blend, "critic");
+                (critic, critic_side, batch)
             },
         );
+        let mut sides = Sides {
+            actor: actor_side,
+            critic: critic_side,
+            batch,
+        };
+        if blend {
+            self.sides = Some(sides);
+        } else {
+            helper.start(move || {
+                sides.actor.blend();
+                sides.critic.blend();
+                sides
+            });
+        }
+        critic
     }
 }
 

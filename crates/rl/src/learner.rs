@@ -9,6 +9,7 @@
 use crate::a2c::TrainStats;
 use crate::env::Env;
 use crate::rollout::{Rollout, RolloutCollector};
+use crate::trainer::Helper;
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
 use dosco_nn::{Activation, Categorical};
@@ -155,17 +156,22 @@ pub trait UpdateRule: Send + Sized {
     /// Applies one update to the networks from a collected rollout; `rng`
     /// is the stream for any update-time sampling. The three rules split
     /// the update into an actor half and a critic half that share nothing
-    /// and hand both to `trainer::join_halves`, which runs them side by
-    /// side when a core is free; every draw from `rng` is taken before the
-    /// split, in the order one serial update would take it, so the result
-    /// is the same either way.
+    /// and hand both to `Helper::join`, which runs the critic half on the
+    /// learner's helper thread when a core is free — so the critic, and
+    /// the rule's state for it, go there by value and come back, which is
+    /// why the critic is passed in and returned. Every draw from `rng` is
+    /// taken before the split, in the order one serial update would take
+    /// it, so the result is the same either way. A rule may leave one job
+    /// pending on `helper` after the update (ACKTR's Fisher statistics)
+    /// and must collect it before it next touches that state.
     fn update(
         &mut self,
         actor: &mut Mlp,
-        critic: &mut Mlp,
+        critic: Mlp,
         rollout: &mut Rollout,
         rng: &mut StdRng,
-    );
+        helper: &mut Helper,
+    ) -> Mlp;
 }
 
 /// An actor and a critic MLP, the RNG stream that samples actions, and
@@ -174,9 +180,13 @@ pub trait UpdateRule: Send + Sized {
 #[derive(Debug)]
 pub struct ActorCritic<R> {
     actor: Mlp,
-    critic: Mlp,
+    /// `None` only while an update has the critic.
+    critic: Option<Mlp>,
     rule: R,
     rng: StdRng,
+    /// The thread the critic half of every update runs on: started by the
+    /// first update that forks, joined when the agent drops.
+    helper: Helper,
 }
 
 impl<R: UpdateRule> ActorCritic<R> {
@@ -191,9 +201,10 @@ impl<R: UpdateRule> ActorCritic<R> {
         let rule = R::new(config, &actor, &critic);
         ActorCritic {
             actor,
-            critic,
+            critic: Some(critic),
             rule,
             rng,
+            helper: Helper::default(),
         }
     }
 
@@ -204,7 +215,9 @@ impl<R: UpdateRule> ActorCritic<R> {
 
     /// The critic network.
     pub fn critic(&self) -> &Mlp {
-        &self.critic
+        self.critic
+            .as_ref()
+            .expect("the critic is back once an update returns")
     }
 
     /// The configuration.
@@ -244,8 +257,14 @@ impl<R: UpdateRule> ActorCritic<R> {
     /// factors; A2C and PPO draw nothing); for bit-identical training it
     /// must be the stream that collected the rollout.
     pub fn update_batch(&mut self, rollout: &mut Rollout, rng: &mut StdRng) {
-        self.rule
-            .update(&mut self.actor, &mut self.critic, rollout, rng);
+        let critic = self
+            .critic
+            .take()
+            .expect("the critic is back once an update returns");
+        let critic = self
+            .rule
+            .update(&mut self.actor, critic, rollout, rng, &mut self.helper);
+        self.critic = Some(critic);
     }
 
     /// Moves the sampling RNG out of the agent so an external collection
@@ -272,7 +291,7 @@ impl<R: UpdateRule> Learner for ActorCritic<R> {
     }
 
     fn critic(&self) -> &Mlp {
-        &self.critic
+        ActorCritic::critic(self)
     }
 
     fn take_rng(&mut self) -> StdRng {

@@ -5,10 +5,10 @@
 //! policy-gradient methods that ACKTR belongs to; this implementation
 //! serves as the ablation alternative to ACKTR's natural gradient.
 
-use crate::a2c::value_gradients;
+use crate::a2c::{Buffers, CriticSide};
 use crate::learner::{ActorCritic, CollectParams, UpdateRule};
 use crate::rollout::Rollout;
-use crate::trainer::join_halves;
+use crate::trainer::Helper;
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
 use dosco_nn::optim::{Adam, Optimizer};
@@ -59,14 +59,16 @@ impl Default for PpoConfig {
 }
 
 /// The PPO update: `epochs` clipped-surrogate Adam steps on the actor
-/// and, side by side with them (`join_halves`), `epochs` value-loss Adam
-/// steps on the critic, each pass over the whole rollout. Draws no
-/// randomness.
+/// and, side by side with them on the learner's helper thread
+/// (`Helper::join`), `epochs` value-loss Adam steps on the critic, each
+/// pass over the whole rollout. Draws no randomness.
 #[derive(Debug)]
 pub struct ClippedSurrogateEpochs {
     config: PpoConfig,
     actor_opt: Adam,
-    critic_opt: Adam,
+    actor_buf: Buffers,
+    /// `None` only while the critic half runs.
+    critic: Option<CriticSide<Adam>>,
 }
 
 /// The PPO agent.
@@ -120,7 +122,8 @@ impl UpdateRule for ClippedSurrogateEpochs {
         ClippedSurrogateEpochs {
             config,
             actor_opt: Adam::with_lr(config.lr),
-            critic_opt: Adam::with_lr(config.lr),
+            actor_buf: Buffers::default(),
+            critic: Some(CriticSide::new(Adam::with_lr(config.lr))),
         }
     }
 
@@ -146,47 +149,58 @@ impl UpdateRule for ClippedSurrogateEpochs {
 
     fn set_lr(&mut self, lr: f32) {
         self.actor_opt.set_learning_rate(lr);
-        self.critic_opt.set_learning_rate(lr);
+        self.critic
+            .as_mut()
+            .expect("the critic side is back once an update returns")
+            .opt
+            .set_learning_rate(lr);
     }
 
     fn update(
         &mut self,
         actor: &mut Mlp,
-        critic: &mut Mlp,
+        mut critic: Mlp,
         rollout: &mut Rollout,
         _rng: &mut StdRng,
-    ) {
+        helper: &mut Helper,
+    ) -> Mlp {
         rollout.normalize_advantages();
         let (rollout, c) = (&*rollout, self.config);
-        let (actor_opt, critic_opt) = (&mut self.actor_opt, &mut self.critic_opt);
-        join_halves(
-            move || {
+        let mut side = self
+            .critic
+            .take()
+            .expect("the critic side is back once an update returns");
+        side.batch.copy_from(rollout);
+        let (actor_opt, buf) = (&mut self.actor_opt, &mut self.actor_buf);
+        let ((), (critic, side)) = helper.join(
+            || {
                 // Old log-probs under the collection policy.
-                let old_lp =
-                    Categorical::new(&actor.forward(&rollout.obs)).log_prob(&rollout.actions);
+                actor.forward_cached_into(&rollout.obs, &mut buf.cache);
+                let old_lp = Categorical::new(&buf.cache.output).log_prob(&rollout.actions);
                 for _ in 0..c.epochs {
-                    let cache = actor.forward_cached(&rollout.obs);
+                    actor.forward_cached_into(&rollout.obs, &mut buf.cache);
                     let dlogits = ppo_logit_gradients(
-                        &Categorical::new(&cache.output),
+                        &Categorical::new(&buf.cache.output),
                         &rollout.actions,
                         &rollout.advantages,
                         &old_lp,
                         c.clip,
                         c.ent_coef,
                     );
-                    let mut grads = actor.backward(&cache, &dlogits);
-                    grads.clip_global_norm(c.max_grad_norm);
-                    actor_opt.step(actor, &grads);
+                    actor.backward_into(&buf.cache, &dlogits, &mut buf.grads);
+                    buf.grads.clip_global_norm(c.max_grad_norm);
+                    actor_opt.step(actor, &buf.grads);
                 }
             },
             move || {
                 for _ in 0..c.epochs {
-                    let (mut grads, _) = value_gradients(critic, rollout, c.vf_coef);
-                    grads.clip_global_norm(c.max_grad_norm);
-                    critic_opt.step(critic, &grads);
+                    side.value_step(&mut critic, c.vf_coef, c.max_grad_norm);
                 }
+                (critic, side)
             },
         );
+        self.critic = Some(side);
+        critic
     }
 }
 

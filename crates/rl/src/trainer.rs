@@ -5,18 +5,21 @@
 //! seeds in parallel and deploys the one with the highest reward.
 //! This workspace uses more than one core for compute at two grains, both
 //! here: [`fan_out`] spreads whole seeds (training or evaluation) over the
-//! machine's cores, each running the serial kernels, and [`join_halves`]
-//! runs the actor and the critic half of one update side by side — only
-//! while a core is free, because when the seeds fill the cores they keep
-//! them. "Free" is judged once, from the core count, so a thread that
+//! machine's cores, each running the serial kernels, and a learner's
+//! [`Helper`] runs the critic half of each update beside the actor half —
+//! only while a core is free, because when the seeds fill the cores they
+//! keep them. "Free" is judged once, from the core count, so a thread that
 //! waits through the update must park rather than spin: the lockstep
 //! runtime's actor blocks in a channel `recv` that sleeps at once, and
 //! the critic half gets its core.
 
+use crossbeam::channel::{bounded, Receiver, Sender};
+use std::any::Any;
 use std::cell::Cell;
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::thread::JoinHandle;
 
 /// The host's core count, read once.
 fn cores() -> usize {
@@ -34,8 +37,8 @@ thread_local! {
 /// items in index order, one at a time (inline on the calling thread when
 /// that is 1). Meant for coarse, independent work — a training or
 /// evaluation seed — where each item is worth a thread. When the workers
-/// fill every core, the updates they run keep their halves inline
-/// ([`join_halves`]).
+/// fill every core, the learners they run keep their update halves
+/// inline ([`Helper`]).
 ///
 /// # Panics
 ///
@@ -86,35 +89,177 @@ where
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Runs the two halves of an actor–critic update — they share nothing —
-/// and returns both results: `critic` on a scoped thread beside `actor`
-/// inline when a core is free for it, else both inline, actor first (on a
-/// one-core host, or on a [`fan_out`] worker while the workers fill every
-/// core). Which way they ran cannot show in a result.
+/// A job for the helper thread; it returns the state it was handed.
+type Job = Box<dyn FnOnce() -> Box<dyn Any + Send> + Send>;
+
+/// A finished job: its returned state, or its panic's payload.
+type Done = std::thread::Result<Box<dyn Any + Send>>;
+
+/// The second core of one learner's updates: one thread, named
+/// `dosco-learner-helper`, that the learner's first job starts and that
+/// dropping the learner joins. A job takes the state it works on by value
+/// and returns it — the critic half of an update (its network, optimizer
+/// and kept buffers), or ACKTR's Fisher statistics, which blend here
+/// while the next batch is collected. The thread keeps what a thread
+/// keeps between jobs (its stack, its GEMM transpose scratch), so an
+/// update starts no thread and allocates no buffer.
 ///
-/// # Panics
-///
-/// Re-raises a panic of either half with its own payload once both are
-/// done: the critic's after the actor half has finished, the actor's
-/// after the critic thread has joined.
-pub(crate) fn join_halves<A, C, RA, RC>(actor: A, critic: C) -> (RA, RC)
-where
-    A: FnOnce() -> RA,
-    C: FnOnce() -> RC + Send,
-    RC: Send,
-{
-    if cores() < 2 || CORES_FULL.get() {
-        return (actor(), critic());
+/// A job runs on the thread only when a core is free for it: not on a
+/// one-core host, and not on a [`fan_out`] worker while the workers fill
+/// every core. There it runs inline, and which way it ran cannot show in
+/// its result. One job is pending at a time.
+#[derive(Default)]
+pub struct Helper {
+    thread: Option<HelperThread>,
+    pending: Option<Pending>,
+}
+
+/// A job [`Helper::start`] started and [`Helper::finish`] has not
+/// collected.
+enum Pending {
+    /// It ran inline at the start; its result.
+    Ran(Box<dyn Any + Send>),
+    /// It is on the helper thread.
+    Away,
+}
+
+struct HelperThread {
+    jobs: Sender<Job>,
+    done: Receiver<Done>,
+    handle: JoinHandle<()>,
+}
+
+impl HelperThread {
+    fn spawn() -> Self {
+        let (jobs, rx) = bounded::<Job>(1);
+        let (tx, done) = bounded::<Done>(1);
+        let handle = std::thread::Builder::new()
+            .name("dosco-learner-helper".into())
+            .spawn(move || {
+                while let Ok(job) = rx.recv() {
+                    if tx.send(catch_unwind(AssertUnwindSafe(job))).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawning the learner's helper thread");
+        HelperThread { jobs, done, handle }
     }
-    // An actor panic unwinds out of the scope, which joins the critic
-    // thread first.
-    let (a, c) = std::thread::scope(|s| {
-        let critic = s.spawn(critic);
-        (actor(), critic.join())
-    });
-    match c {
-        Ok(c) => (a, c),
-        Err(payload) => resume_unwind(payload),
+}
+
+impl Helper {
+    /// Whether a job may take a core of its own.
+    fn forks() -> bool {
+        cores() > 1 && !CORES_FULL.get()
+    }
+
+    /// Starts `job`: on the helper thread when a core is free for it
+    /// (spawning the thread for the first job), else right here.
+    /// [`Helper::finish`] hands its result back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job is pending, and re-raises the job's own panic when
+    /// it runs inline.
+    pub(crate) fn start<S: Send + 'static>(&mut self, job: impl FnOnce() -> S + Send + 'static) {
+        assert!(self.pending.is_none(), "the helper runs one job at a time");
+        let pending = if Self::forks() {
+            self.send(job);
+            Pending::Away
+        } else {
+            Pending::Ran(Box::new(job()))
+        };
+        self.pending = Some(pending);
+    }
+
+    /// The result of the pending job once it is done, or `None` if no job
+    /// is pending.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the job's panic with its own payload; panics if `S` is
+    /// not the type the job returned.
+    pub(crate) fn finish<S: 'static>(&mut self) -> Option<S> {
+        let result = match self.pending.take()? {
+            Pending::Ran(result) => result,
+            Pending::Away => self.wait().unwrap_or_else(|payload| resume_unwind(payload)),
+        };
+        Some(unbox(result))
+    }
+
+    /// Runs `inline` here and `job` beside it — on the helper thread when a
+    /// core is free for it, else after `inline` — and returns both results.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job is pending. Re-raises a panic of either with its
+    /// own payload once both are done: `job`'s after `inline` has
+    /// finished, `inline`'s after `job` has. Inline, a panicking `inline`
+    /// means `job` never starts.
+    pub(crate) fn join<A, C>(
+        &mut self,
+        inline: impl FnOnce() -> A,
+        job: impl FnOnce() -> C + Send + 'static,
+    ) -> (A, C)
+    where
+        C: Send + 'static,
+    {
+        assert!(self.pending.is_none(), "the helper runs one job at a time");
+        if !Self::forks() {
+            let a = inline();
+            return (a, job());
+        }
+        self.send(job);
+        let a = catch_unwind(AssertUnwindSafe(inline));
+        let c = self.wait();
+        let a = a.unwrap_or_else(|payload| resume_unwind(payload));
+        let c = c.unwrap_or_else(|payload| resume_unwind(payload));
+        (a, unbox(c))
+    }
+
+    /// Hands `job` to the helper thread, spawning the thread for the first.
+    fn send<S: Send + 'static>(&mut self, job: impl FnOnce() -> S + Send + 'static) {
+        let job: Job = Box::new(move || Box::new(job()));
+        let thread = self.thread.get_or_insert_with(HelperThread::spawn);
+        let sent = thread.jobs.send(job).is_ok();
+        assert!(sent, "the helper thread lives as long as the helper");
+    }
+
+    /// Blocks until the job on the helper thread is done.
+    fn wait(&self) -> Done {
+        let thread = self.thread.as_ref().expect("a job on the helper thread");
+        thread
+            .done
+            .recv()
+            .expect("the helper thread answers every job")
+    }
+}
+
+/// A job's result as the type the job returned.
+fn unbox<S: 'static>(result: Box<dyn Any + Send>) -> S {
+    *result
+        .downcast()
+        .expect("a job's result is collected as its own type")
+}
+
+impl std::fmt::Debug for Helper {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Helper")
+            .field("started", &self.thread.is_some())
+            .field("pending", &self.pending.is_some())
+            .finish()
+    }
+}
+
+/// Joins the helper thread once its job, if one is running, is done; the
+/// job's result is dropped there.
+impl Drop for Helper {
+    fn drop(&mut self) {
+        if let Some(HelperThread { jobs, done, handle }) = self.thread.take() {
+            drop((jobs, done));
+            // Jobs run under `catch_unwind`, so the thread cannot panic.
+            let _ = handle.join();
+        }
     }
 }
 
@@ -172,6 +317,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// More items than any host has workers: every item runs exactly once
     /// and the output is the serial `map`, in item order.
@@ -209,16 +355,19 @@ mod tests {
         assert_eq!(completed.load(Ordering::SeqCst), 63);
     }
 
-    /// The halves fork from a free thread on a multi-core host and stay on
-    /// the worker of a `fan_out` that fills the cores.
+    /// The critic half forks from a free thread on a multi-core host, to
+    /// the same helper thread update after update, and stays on the worker
+    /// of a `fan_out` that fills the cores.
     #[test]
     fn halves_fork_only_when_a_core_is_free() {
         let here = || std::thread::current().id();
-        let (actor, critic) = join_halves(here, here);
+        let mut helper = Helper::default();
+        let (actor, critic) = helper.join(here, here);
         assert_eq!(actor, here());
         assert_eq!(actor != critic, cores() > 1);
+        assert_eq!(helper.join(here, here), (actor, critic));
         let workers = vec![(); cores()];
-        for (actor, critic) in fan_out(&workers, |()| join_halves(here, here)) {
+        for (actor, critic) in fan_out(&workers, |()| Helper::default().join(here, here)) {
             assert_eq!(actor, critic);
         }
     }
@@ -227,11 +376,12 @@ mod tests {
     /// (forked, the actor waits for its word; inline, the actor runs
     /// first), and its payload surfaces only after the actor half is done.
     #[test]
-    fn join_halves_re_raises_a_critic_panic_after_the_actor_half() {
+    fn helper_re_raises_a_critic_panic_after_the_actor_half() {
         let actor_done = AtomicUsize::new(0);
         let (tx, rx) = std::sync::mpsc::channel();
+        let mut helper = Helper::default();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            join_halves(
+            helper.join(
                 || {
                     if cores() > 1 {
                         rx.recv().expect("the critic half sends before it panics");
@@ -252,16 +402,17 @@ mod tests {
         assert_eq!(actor_done.load(Ordering::SeqCst), 1);
     }
 
-    /// The actor half panics while the critic thread waits for its word;
+    /// The actor half panics while the critic half waits for its word;
     /// the critic still runs to the end and is joined before the actor's
     /// payload surfaces. Inline (one core) the critic half never starts.
     #[test]
-    fn join_halves_joins_the_critic_before_re_raising_an_actor_panic() {
-        let critic_done = AtomicUsize::new(0);
-        let done = &critic_done;
+    fn helper_joins_the_critic_before_re_raising_an_actor_panic() {
+        let critic_done = Arc::new(AtomicUsize::new(0));
+        let done = Arc::clone(&critic_done);
         let (tx, rx) = std::sync::mpsc::channel();
+        let mut helper = Helper::default();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            join_halves(
+            helper.join(
                 move || {
                     // An unbounded send never blocks, forked or inline.
                     tx.send(()).expect("the critic half holds the receiver");
@@ -276,6 +427,23 @@ mod tests {
         let payload = result.expect_err("the actor's panic must propagate");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"actor half exploded"));
         assert_eq!(critic_done.load(Ordering::SeqCst), usize::from(cores() > 1));
+    }
+
+    /// A started job hands its state back by value, and a job still
+    /// running when the helper drops finishes before the drop returns.
+    #[test]
+    fn a_started_job_returns_its_state_and_drop_waits_for_it() {
+        let mut helper = Helper::default();
+        assert_eq!(helper.finish::<Vec<u32>>(), None);
+        helper.start(|| vec![1u32, 2, 3]);
+        assert_eq!(helper.finish::<Vec<u32>>(), Some(vec![1, 2, 3]));
+        let (tx, rx) = std::sync::mpsc::channel();
+        helper.start(move || {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            tx.send(()).expect("the test holds the receiver");
+        });
+        drop(helper);
+        assert_eq!(rx.try_recv(), Ok(()));
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub(crate) struct Counters {
     pub(crate) send_wait_ns: AtomicU64,
     /// Nanoseconds the learner spent waiting to receive batches.
     pub(crate) recv_wait_ns: AtomicU64,
-    /// Nanoseconds spent cloning policy snapshots.
+    /// Nanoseconds spent copying the networks into policy snapshots.
     pub(crate) publish_ns: AtomicU64,
 }
 
@@ -64,7 +64,8 @@ pub struct RuntimeReport {
     pub send_wait_ms: f64,
     /// Wall time the learner spent waiting for batches, milliseconds.
     pub recv_wait_ms: f64,
-    /// Wall time spent cloning policy snapshots, milliseconds.
+    /// Wall time spent copying the networks into policy snapshots,
+    /// milliseconds.
     pub publish_ms: f64,
 }
 

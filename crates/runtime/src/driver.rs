@@ -11,10 +11,11 @@
 //! ```
 //!
 //! The two run in lockstep: the actor collects one batch under the
-//! snapshot it holds and ships it with the agent's RNG; the learner
-//! updates, and hands the next snapshot and the RNG back. At most one
-//! batch is ever in flight, so both channels have capacity 1, and every
-//! batch is collected under the learner's current version.
+//! snapshot it holds, lets go of the snapshot, and ships the batch with
+//! the agent's RNG; the learner updates, copies the next version into
+//! that same snapshot, and hands it and the RNG back. At most one batch is
+//! ever in flight, so both channels have capacity 1, and every batch is
+//! collected under the learner's current version.
 //!
 //! The channels are [`dosco_net`] transport channels: [`train`] wires
 //! them over [`InProcess`] (bounded crossbeam channels), while
@@ -82,6 +83,9 @@ pub(crate) fn actor_loop(
             &mut rng,
         );
         let version = snap.version;
+        // Let go of the snapshot before the batch leaves, so the learner
+        // can copy the next version into it.
+        drop(snap);
         let wait = Instant::now();
         let sent = tx.send(ExperienceBatch {
             rollout,
@@ -180,6 +184,10 @@ pub(crate) fn run_learner_loop<L: Learner + ?Sized>(
     let base_lr = learner.lr_schedule();
     let mut stats = TrainStats::default();
     let mut version = 0u64;
+    // The snapshot last sent: the actor lets go of it before it ships the
+    // batch that next reaches this loop, so each version is copied into
+    // it and a steady cycle allocates no snapshot.
+    let mut sent = None;
     while stats.total_steps < total_steps {
         if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
             break;
@@ -193,7 +201,6 @@ pub(crate) fn run_learner_loop<L: Learner + ?Sized>(
         let Ok(batch) = received else { break };
         check_batch(&batch, version, learner)?;
         Counters::inc(&counters.batches_consumed);
-        dosco_obs::registry::observe(dosco_obs::HistKind::Staleness, 0.0);
         dosco_obs::emit(dosco_obs::Stream::learner(), || {
             dosco_obs::Event::BatchConsumed {
                 version,
@@ -214,11 +221,7 @@ pub(crate) fn run_learner_loop<L: Learner + ?Sized>(
         stats.mean_rewards.push(rollout.mean_reward());
         stats.total_steps += rollout.actions.len();
         let publish_start = Instant::now();
-        let snapshot = Arc::new(PolicySnapshot {
-            version,
-            actor: learner.actor().clone(),
-            critic: learner.critic().clone(),
-        });
+        let snapshot = publish(learner, version, sent.take());
         let publish_ns = elapsed_ns(publish_start);
         Counters::add_ns(&counters.publish_ns, publish_ns);
         dosco_obs::registry::record_span_ns(dosco_obs::SpanKind::SnapshotPublish, publish_ns);
@@ -233,11 +236,38 @@ pub(crate) fn run_learner_loop<L: Learner + ?Sized>(
         if stats.total_steps >= total_steps {
             return Ok((stats, Some(rng)));
         }
-        if let Err(SendError(reply)) = ret.send(SyncReply { snapshot, rng }) {
+        let reply = SyncReply {
+            snapshot: Arc::clone(&snapshot),
+            rng,
+        };
+        if let Err(SendError(reply)) = ret.send(reply) {
             return Ok((stats, Some(reply.rng)));
         }
+        sent = Some(snapshot);
     }
     Ok((stats, None))
+}
+
+/// `learner`'s networks at `version` as a snapshot, copied into `old`
+/// when nothing else holds it, else into a fresh one.
+fn publish<L: Learner + ?Sized>(
+    learner: &L,
+    version: u64,
+    old: Option<Arc<PolicySnapshot>>,
+) -> Arc<PolicySnapshot> {
+    if let Some(mut snapshot) = old {
+        if let Some(free) = Arc::get_mut(&mut snapshot) {
+            free.version = version;
+            free.actor.clone_from(learner.actor());
+            free.critic.clone_from(learner.critic());
+            return snapshot;
+        }
+    }
+    Arc::new(PolicySnapshot {
+        version,
+        actor: learner.actor().clone(),
+        critic: learner.critic().clone(),
+    })
 }
 
 /// Consumes the batches still in flight until the actor disconnects,

@@ -69,7 +69,7 @@ fn main() {
     println!("  snapshots published   {}", r.snapshots_published);
     println!("  send wait             {:.2} ms", r.send_wait_ms);
     println!("  receive wait          {:.2} ms", r.recv_wait_ms);
-    println!("  snapshot cloning      {:.2} ms", r.publish_ms);
+    println!("  snapshot publish      {:.2} ms", r.publish_ms);
     assert_eq!(
         r.batches_produced,
         r.batches_consumed + r.batches_in_flight,

@@ -56,6 +56,9 @@ cargo run -q --release --example distributed
 echo "== example actor_learner: lockstep runtime on Abilene, batch conservation =="
 cargo run -q --release --example actor_learner
 
+echo "== example serve: hot swap and a shard kill window under traffic, conservation =="
+cargo run -q --release --example serve
+
 echo "== dosco train + eval: the figures' training path writes a policy that loads and evaluates =="
 policy_dir=$(mktemp -d)
 trap 'rm -rf "$policy_dir"' EXIT
