@@ -1,4 +1,4 @@
-//! The centralized DRL baseline (Sec. V-A3, ref [10]).
+//! The centralized DRL baseline (Sec. V-A3, ref \[10\]).
 //!
 //! A single, logically centralized agent periodically observes the global
 //! network state **through monitoring, and therefore delayed by one
@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CentralConfig {
     /// Monitoring period: rules are refreshed this often, from data this
-    /// stale (cf. Prometheus' default 1 min scrape interval [29]).
+    /// stale (cf. Prometheus' default 1 min scrape interval \[29\]).
     pub monitor_interval: f64,
     /// DDPG hyperparameters for rule training.
     pub ddpg: DdpgConfig,

@@ -1,4 +1,4 @@
-//! GCASP: the fully distributed heuristic of ref [11]
+//! GCASP: the fully distributed heuristic of ref \[11\]
 //! ("Every node for itself: fully distributed service coordination").
 //!
 //! Like the distributed DRL approach, GCASP observes and controls flows

@@ -3,10 +3,10 @@
 //! - [`sp::ShortestPath`] — the greedy "SP" baseline that processes every
 //!   flow along the shortest path from ingress to egress,
 //! - [`gcasp::Gcasp`] — a reimplementation of the fully distributed
-//!   heuristic of ref [11] ("every node for itself"): local-first
+//!   heuristic of ref \[11\] ("every node for itself"): local-first
 //!   processing, shortest-path orientation, dynamic rerouting around
 //!   saturated nodes and links,
-//! - [`central`] — the centralized DRL approach of ref [10]: a single
+//! - [`central`] — the centralized DRL approach of ref \[10\]: a single
 //!   agent observing *delayed* global monitoring snapshots, periodically
 //!   emitting coarse forwarding/placement rules that all flows follow
 //!   along shortest paths, trained with DDPG.

@@ -6,7 +6,7 @@
 //! by flows would barely be trained at all, possibly leading to bad
 //! policies for these nodes", and instead proposes centralized training
 //! with pooled experience. It also sketches the remedy from federated
-//! learning [36], [37]: train locally, periodically synchronize updates.
+//! learning \[36\], \[37\]: train locally, periodically synchronize updates.
 //! This module implements both points so the claim can be measured:
 //!
 //! - [`train_per_node`] trains one actor-critic per node on that node's

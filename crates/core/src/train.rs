@@ -76,7 +76,7 @@ pub struct TrainConfig {
     /// Number of greedy evaluations per seed, at evenly spaced update
     /// boundaries, the last after the final update; the best-scoring one
     /// is kept (on-policy DRL can peak before the end of the budget; cf.
-    /// the best-model callbacks of stable-baselines [46]). Evaluation
+    /// the best-model callbacks of stable-baselines \[46\]). Evaluation
     /// never touches the learner or the training envs, so the trained
     /// weights do not depend on it. 1 keeps the final policy.
     pub checkpoints: usize,

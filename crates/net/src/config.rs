@@ -1,76 +1,29 @@
 //! Validated `DOSCO_NET_*` environment configuration and connection
 //! establishment (bounded exponential-backoff retry + connect timeout).
 //!
-//! | variable               | meaning                                  | default |
-//! |------------------------|------------------------------------------|---------|
-//! | `DOSCO_NET_ROLE`       | `actor` / `learner` / `shard` / `frontend` | unset |
-//! | `DOSCO_NET_ADDR`       | `host:port` the role connects or binds to  | unset |
-//! | `DOSCO_NET_RETRIES`    | extra connect attempts after the first     | `5`   |
-//! | `DOSCO_NET_TIMEOUT_MS` | per-attempt connect timeout (ms), ≥ 1      | `2000`|
-//! | `DOSCO_NET_CAPACITY`   | in-flight messages per channel, ≥ 1        | `8`   |
+//! | variable               | meaning                                      | default |
+//! |------------------------|----------------------------------------------|---------|
+//! | `DOSCO_NET_ADDR`       | `host:port` the process connects or binds to | unset   |
+//! | `DOSCO_NET_RETRIES`    | extra connect attempts after the first       | `5`     |
+//! | `DOSCO_NET_TIMEOUT_MS` | per-attempt connect timeout (ms), ≥ 1        | `2000`  |
+//! | `DOSCO_NET_CAPACITY`   | in-flight messages per channel, ≥ 1          | `8`     |
 //!
 //! Parsing goes through [`dosco_obs::env::parse_lookup`]: unset or blank
 //! means default, malformed raises an [`EnvParseError`] naming the
-//! variable, the offending value, and what was expected.
+//! variable, the offending value, and what was expected. Which role a
+//! process plays is its binary's business (`examples/distributed.rs`
+//! reads `DOSCO_NET_ROLE` itself).
 
 use std::fmt;
 use std::io;
 use std::net::TcpStream;
-use std::str::FromStr;
 use std::time::Duration;
 
 use dosco_obs::env::{parse_lookup, EnvParseError};
 
-/// Which process of a distributed deployment this is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// Collects rollouts and ships experience batches to the learner.
-    Actor,
-    /// Consumes batches, updates the policy, broadcasts snapshots.
-    Learner,
-    /// Answers batched decision requests for its node partition.
-    Shard,
-    /// Drives serve episodes and routes decisions to shards.
-    Frontend,
-}
-
-impl Role {
-    /// Stable lowercase name (the accepted `DOSCO_NET_ROLE` spelling).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Role::Actor => "actor",
-            Role::Learner => "learner",
-            Role::Shard => "shard",
-            Role::Frontend => "frontend",
-        }
-    }
-}
-
-impl FromStr for Role {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "actor" => Ok(Role::Actor),
-            "learner" => Ok(Role::Learner),
-            "shard" => Ok(Role::Shard),
-            "frontend" => Ok(Role::Frontend),
-            other => Err(format!("unknown role {other:?}")),
-        }
-    }
-}
-
-impl fmt::Display for Role {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Validated network configuration for one process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
-    /// This process's role, if `DOSCO_NET_ROLE` is set.
-    pub role: Option<Role>,
     /// Peer (or bind) address, if `DOSCO_NET_ADDR` is set.
     pub addr: Option<String>,
     /// Extra connect attempts after the first (total = retries + 1).
@@ -84,7 +37,6 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            role: None,
             addr: None,
             retries: 5,
             timeout: Duration::from_millis(2000),
@@ -111,12 +63,6 @@ impl NetConfig {
     /// [`EnvParseError`] naming the first malformed variable.
     pub fn from_lookup(get: &dyn Fn(&str) -> Option<String>) -> Result<Self, EnvParseError> {
         let defaults = NetConfig::default();
-        let role = parse_lookup::<Role>(
-            get,
-            "DOSCO_NET_ROLE",
-            "one of actor|learner|shard|frontend",
-            |_| true,
-        )?;
         let addr = match get("DOSCO_NET_ADDR") {
             None => None,
             Some(raw) if raw.trim().is_empty() => None,
@@ -139,7 +85,6 @@ impl NetConfig {
         )?
         .unwrap_or(defaults.capacity);
         Ok(NetConfig {
-            role,
             addr,
             retries,
             timeout: timeout_ms,
@@ -148,7 +93,7 @@ impl NetConfig {
     }
 
     /// The configured address, or an error naming the variable if unset
-    /// (roles that must dial or bind call this).
+    /// (a process that must dial or bind calls this).
     ///
     /// # Errors
     ///
@@ -268,18 +213,6 @@ pub fn connect_with_retry(
     })
 }
 
-/// Dials using the retry/timeout policy carried in `cfg`, against
-/// `cfg.addr`.
-///
-/// # Errors
-///
-/// [`NetError::MissingAddr`] if no address is configured, else as
-/// [`connect_with_retry`].
-pub fn connect_from(cfg: &NetConfig) -> Result<TcpStream, NetError> {
-    let addr = cfg.require_addr()?.to_owned();
-    connect_with_retry(&addr, cfg.retries, cfg.timeout)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,14 +236,12 @@ mod tests {
     #[test]
     fn full_parse() {
         let cfg = NetConfig::from_lookup(&lookup(&[
-            ("DOSCO_NET_ROLE", "learner"),
             ("DOSCO_NET_ADDR", "127.0.0.1:7171"),
             ("DOSCO_NET_RETRIES", "2"),
             ("DOSCO_NET_TIMEOUT_MS", "250"),
             ("DOSCO_NET_CAPACITY", "16"),
         ]))
         .expect("parse");
-        assert_eq!(cfg.role, Some(Role::Learner));
         assert_eq!(cfg.addr.as_deref(), Some("127.0.0.1:7171"));
         assert_eq!(cfg.retries, 2);
         assert_eq!(cfg.timeout, Duration::from_millis(250));
@@ -319,10 +250,6 @@ mod tests {
 
     #[test]
     fn malformed_values_name_the_variable() {
-        let err = NetConfig::from_lookup(&lookup(&[("DOSCO_NET_ROLE", "manager")]))
-            .expect_err("bad role");
-        assert!(err.to_string().contains("DOSCO_NET_ROLE"), "{err}");
-
         let err = NetConfig::from_lookup(&lookup(&[("DOSCO_NET_TIMEOUT_MS", "0")]))
             .expect_err("zero timeout");
         assert!(err.to_string().contains("DOSCO_NET_TIMEOUT_MS"), "{err}");
@@ -330,14 +257,6 @@ mod tests {
         let err = NetConfig::from_lookup(&lookup(&[("DOSCO_NET_CAPACITY", "zero")]))
             .expect_err("non-numeric");
         assert!(err.to_string().contains("DOSCO_NET_CAPACITY"), "{err}");
-    }
-
-    #[test]
-    fn role_names_round_trip() {
-        for role in [Role::Actor, Role::Learner, Role::Shard, Role::Frontend] {
-            assert_eq!(role.name().parse::<Role>().expect("round trip"), role);
-        }
-        assert!("".parse::<Role>().is_err());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod socket;
 pub mod transport;
 
 pub use codec::{decode_msg, encode_msg, CodecError};
-pub use config::{backoff_delay, connect_from, connect_with_retry, NetConfig, NetError, Role};
+pub use config::{backoff_delay, connect_with_retry, NetConfig, NetError};
 pub use frame::{read_frame, write_frame, FrameError};
 pub use socket::{receiver_on, sender_on, SocketLoopback, Wire};
-pub use transport::{rx_from_channel, tx_from_channel, BoxRx, BoxTx, InProcess, Rx, Transport, Tx};
+pub use transport::{BoxRx, BoxTx, InProcess, Rx, Transport, Tx};

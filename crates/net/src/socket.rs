@@ -5,9 +5,9 @@
 //! - [`sender_on`] wraps the write half. Senders enqueue into a bounded
 //!   in-process queue; a dedicated writer thread drains it, encoding each
 //!   message with [`crate::codec`] and framing it with [`crate::frame`].
-//!   When the last sender clone drops, the writer drains what is queued,
-//!   then shuts down the write half — the peer sees a clean EOF at a frame
-//!   boundary, exactly like the last crossbeam `Sender` dropping.
+//!   When the sender drops, the writer drains what is queued, then shuts
+//!   down the write half — the peer sees a clean EOF at a frame boundary,
+//!   exactly like the last crossbeam `Sender` dropping.
 //! - [`receiver_on`] wraps the read half. A reader thread decodes frames
 //!   into a bounded queue; `recv` drains buffered messages before it
 //!   reports disconnect, mirroring crossbeam's drain-then-error semantics.
@@ -15,7 +15,7 @@
 //! Backpressure is end-to-end: a slow receiver fills its bounded queue,
 //! which parks the reader thread, which fills the kernel TCP window, which
 //! parks the peer's writer thread, which fills the sender-side queue, at
-//! which point `send` blocks (and `try_send` returns `Full`, counted as
+//! which point `send` blocks (each such stall counted as
 //! `net_socket_stalls`).
 
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -38,15 +38,11 @@ impl<T: Serialize + Deserialize + Send + 'static> Wire for T {}
 // Sender half.
 // ---------------------------------------------------------------------------
 
-struct TxShared {
-    writer: Mutex<Option<JoinHandle<()>>>,
-}
-
 struct SocketTx<T> {
-    /// `Some` until drop; dropping the last clone's sender disconnects the
-    /// writer thread's receiver, which triggers drain + FIN.
+    /// `Some` until drop; dropping it disconnects the writer thread's
+    /// receiver, which triggers drain + FIN.
     queue: Option<channel::Sender<T>>,
-    shared: Arc<TxShared>,
+    writer: Option<JoinHandle<()>>,
 }
 
 impl<T: Wire> Tx<T> for SocketTx<T> {
@@ -61,38 +57,18 @@ impl<T: Wire> Tx<T> for SocketTx<T> {
             }
         }
     }
-
-    fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-        let q = self.queue.as_ref().expect("live sender");
-        let res = q.try_send(msg);
-        if matches!(res, Err(TrySendError::Full(_))) {
-            count(CounterKind::NetSocketStalls, 1);
-        }
-        res
-    }
-
-    fn clone_box(&self) -> BoxTx<T> {
-        Box::new(SocketTx {
-            queue: self.queue.clone(),
-            shared: Arc::clone(&self.shared),
-        })
-    }
 }
 
 impl<T> Drop for SocketTx<T> {
     fn drop(&mut self) {
-        // Release our queue sender first: once the last clone does this, the
-        // writer thread's `recv` drains the queue and then errors out.
+        // Release the queue first: the writer thread's `recv` then drains
+        // what is queued and errors out. Joining it means the frames for
+        // everything sent before drop are on the wire when drop returns —
+        // matching the "drop sender, receiver still drains all in-flight
+        // messages" crossbeam contract.
         self.queue.take();
-        // Join the writer only from the last clone (sole Arc holder), so the
-        // frames for everything sent before drop are on the wire when drop
-        // returns — matching the "drop sender, receiver still drains all
-        // in-flight messages" crossbeam contract.
-        if let Some(shared) = Arc::get_mut(&mut self.shared) {
-            let handle = shared.writer.get_mut().expect("writer lock").take();
-            if let Some(h) = handle {
-                let _ = h.join();
-            }
+        if let Some(h) = self.writer.take() {
+            let _ = h.join();
         }
     }
 }
@@ -125,9 +101,7 @@ pub fn sender_on<T: Wire>(stream: TcpStream, capacity: usize) -> BoxTx<T> {
         .expect("spawn dosco-net-writer");
     Box::new(SocketTx {
         queue: Some(tx),
-        shared: Arc::new(TxShared {
-            writer: Mutex::new(Some(writer)),
-        }),
+        writer: Some(writer),
     })
 }
 
@@ -324,21 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn clone_keeps_channel_open_until_last_drop() {
-        let (tx, rx) = loopback_channel(8);
-        let tx2 = tx.clone_box();
-        drop(tx);
-        tx2.send(Msg {
-            seq: 99,
-            body: vec![1.0],
-        })
-        .expect("clone sends");
-        drop(tx2);
-        assert_eq!(rx.recv().expect("recv").seq, 99);
-        assert!(rx.recv().is_err());
-    }
-
-    #[test]
     fn dropping_receiver_does_not_hang_sender_side() {
         let (tx, rx) = loopback_channel(2);
         drop(rx);
@@ -378,28 +337,36 @@ mod tests {
         drop(tx);
     }
 
+    /// A sender blocked on a full channel counts one `net_socket_stalls`
+    /// and completes once the receiver drains.
     #[test]
-    fn backpressure_try_send_reports_full() {
+    fn backpressure_blocks_send_until_the_receiver_drains() {
+        const MSGS: u64 = 256;
+        let stalls = || dosco_obs::registry::counter_value(CounterKind::NetSocketStalls);
+        let before = stalls();
         let (tx, rx) = loopback_channel(1);
-        // Fill sender queue + reader queue + TCP buffers until Full appears.
-        let big = Msg {
-            seq: 0,
-            body: vec![1.0; 16384],
-        };
-        let mut full_seen = false;
-        for _ in 0..512 {
-            match tx.try_send(big.clone()) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    full_seen = true;
-                    break;
-                }
-                Err(TrySendError::Disconnected(_)) => panic!("receiver alive"),
+        // Nothing reads yet: the sender queue, the reader queue and the
+        // TCP buffers fill, and `send` blocks.
+        let sender = thread::spawn(move || {
+            for seq in 0..MSGS {
+                tx.send(Msg {
+                    seq,
+                    body: vec![1.0; 16384],
+                })
+                .expect("receiver alive");
             }
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while stalls() == before {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "bounded socket channel never stalled its sender"
+            );
+            thread::sleep(std::time::Duration::from_millis(5));
         }
-        assert!(full_seen, "bounded socket channel never reported Full");
-        // Drain so the writer can finish and drop cleanly.
-        drop(tx);
-        while rx.recv().is_ok() {}
+        for seq in 0..MSGS {
+            assert_eq!(rx.recv().expect("drain").seq, seq);
+        }
+        sender.join().expect("sender completes once drained");
     }
 }

@@ -6,7 +6,6 @@
 //!
 //! - `send` blocks while `capacity` messages are in flight (backpressure)
 //!   and fails only when the receiving side is gone;
-//! - `try_send` never blocks and distinguishes `Full` from `Disconnected`;
 //! - `recv` drains every in-flight message before it reports disconnect;
 //! - dropping all senders is the clean shutdown signal for the receiver.
 //!
@@ -21,10 +20,10 @@
 //! Error types are re-used from the vendored crossbeam so generic driver
 //! code matches on exactly the arms it matched on before.
 
-use crossbeam::channel::{self, RecvError, SendError, TryRecvError, TrySendError};
+use crossbeam::channel::{self, RecvError, SendError, TryRecvError};
 
-/// Sending half of a transport channel. Cloneable via [`Tx::clone_box`]
-/// (multi-producer, mirroring `crossbeam::channel::Sender`).
+/// Sending half of a transport channel (single-producer: every channel
+/// in the workspace has one sender).
 pub trait Tx<T>: Send {
     /// Blocks until the message is accepted or the receiver is gone.
     ///
@@ -32,16 +31,6 @@ pub trait Tx<T>: Send {
     ///
     /// Returns the message if the receiving side disconnected.
     fn send(&self, msg: T) -> Result<(), SendError<T>>;
-
-    /// Enqueues without blocking.
-    ///
-    /// # Errors
-    ///
-    /// `Full` if at capacity, `Disconnected` if the receiver is gone.
-    fn try_send(&self, msg: T) -> Result<(), TrySendError<T>>;
-
-    /// Clones this sender (another producer onto the same channel).
-    fn clone_box(&self) -> BoxTx<T>;
 }
 
 /// Receiving half of a transport channel (single-consumer).
@@ -97,12 +86,6 @@ impl<T: Send + 'static> Tx<T> for ChanTx<T> {
     fn send(&self, msg: T) -> Result<(), SendError<T>> {
         self.0.send(msg)
     }
-    fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-        self.0.try_send(msg)
-    }
-    fn clone_box(&self) -> BoxTx<T> {
-        Box::new(ChanTx(self.0.clone()))
-    }
 }
 
 impl<T: Send + 'static> Rx<T> for ChanRx<T> {
@@ -121,17 +104,6 @@ impl<T: Send + 'static> Transport<T> for InProcess {
     }
 }
 
-/// Wraps an existing crossbeam sender as a [`BoxTx`] (for plumbing a
-/// transport end into code that already owns the raw channel).
-pub fn tx_from_channel<T: Send + 'static>(tx: channel::Sender<T>) -> BoxTx<T> {
-    Box::new(ChanTx(tx))
-}
-
-/// Wraps an existing crossbeam receiver as a [`BoxRx`].
-pub fn rx_from_channel<T: Send + 'static>(rx: channel::Receiver<T>) -> BoxRx<T> {
-    Box::new(ChanRx(rx))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,15 +112,12 @@ mod tests {
     fn in_process_matches_crossbeam_contract() {
         let (tx, rx) = <InProcess as Transport<u32>>::channel(&InProcess, 2);
         tx.send(1).expect("send");
-        tx.try_send(2).expect("try_send");
-        assert!(matches!(tx.try_send(3), Err(TrySendError::Full(3))));
+        tx.send(2).expect("send");
         assert_eq!(rx.recv().expect("recv"), 1);
-        let tx2 = tx.clone_box();
+        tx.send(4).expect("send");
+        assert!(matches!(rx.try_recv(), Ok(2)));
         drop(tx);
-        tx2.send(4).expect("clone still connected");
-        drop(tx2);
         // Drain-then-disconnect: in-flight messages first, then the error.
-        assert_eq!(rx.recv().expect("drain 2"), 2);
         assert_eq!(rx.recv().expect("drain 4"), 4);
         assert!(rx.recv().is_err());
         assert!(matches!(rx.try_recv(), Err(TryRecvError::Disconnected)));
@@ -158,7 +127,6 @@ mod tests {
     fn dropping_receiver_fails_sends() {
         let (tx, rx) = <InProcess as Transport<u8>>::channel(&InProcess, 1);
         drop(rx);
-        assert!(tx.send(7).is_err());
-        assert!(matches!(tx.try_send(8), Err(TrySendError::Disconnected(8))));
+        assert!(matches!(tx.send(7), Err(SendError(7))));
     }
 }

@@ -1,6 +1,6 @@
 //! Kronecker-factored approximate curvature (K-FAC) preconditioning.
 //!
-//! ACKTR (Wu et al., NeurIPS 2017 [38]) trains actor and critic with a
+//! ACKTR (Wu et al., NeurIPS 2017 \[38\]) trains actor and critic with a
 //! natural-gradient step: per dense layer, the Fisher information matrix is
 //! approximated as the Kronecker product `F ≈ A ⊗ G` of the input
 //! second-moment matrix `A = E[ā āᵀ]` (with a homogeneous coordinate

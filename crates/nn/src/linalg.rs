@@ -171,7 +171,7 @@ pub(crate) fn factor_and_solve(
 /// This is the K-FAC damped-inverse primitive: the damping both regularizes
 /// the curvature estimate and guarantees positive definiteness for PSD
 /// inputs. `M⁻¹ = L⁻ᵀ L⁻¹` from an `f64` Cholesky factor, solved for
-/// [`PANEL`] unit vectors at a time, on the loops `DOSCO_SIMD` selects
+/// `PANEL` unit vectors at a time, on the loops `DOSCO_SIMD` selects
 /// (plain under `off`, AVX2 otherwise) — the same bits either way.
 ///
 /// # Errors

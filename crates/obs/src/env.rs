@@ -66,19 +66,6 @@ pub fn parse_lookup<T: FromStr>(
     }
 }
 
-/// [`parse_lookup`] over the process environment.
-///
-/// # Errors
-///
-/// See [`parse_lookup`].
-pub fn parse_env<T: FromStr>(
-    var: &'static str,
-    expected: &'static str,
-    valid: impl Fn(&T) -> bool,
-) -> Result<Option<T>, EnvParseError> {
-    parse_lookup(&|v| std::env::var(v).ok(), var, expected, valid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

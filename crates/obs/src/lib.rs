@@ -15,12 +15,12 @@
 //! 2. **Metrics registry** ([`registry`]): fixed counters, gauges, and
 //!    fixed-bucket histograms (e.g. serve batch sizes), all
 //!    lock-free atomics.
-//! 3. **Span timers** ([`span`]): scoped wall-clock timers on training hot
+//! 3. **Span timers** ([`span()`]): scoped wall-clock timers on training hot
 //!    paths (GEMM, K-FAC inversion, rollout collection, channel waits,
 //!    snapshot publishes). Disabled by default; when enabled they feed the
 //!    registry, never the trace.
 //!
-//! [`report`] snapshots everything as a serializable [`ObsReport`].
+//! [`report()`] snapshots everything as a serializable [`ObsReport`].
 //!
 //! ## Environment variables
 //!
@@ -207,9 +207,10 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Global-state tests (recorder slot + registry) serialized here.
-    static GLOBAL_TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    // Global-state tests (recorder slot + registry) take the one lock
+    // every registry test in the crate takes: a `reset` here must not
+    // land inside another module's capture.
+    use crate::registry::tests::REGISTRY_TEST_LOCK as GLOBAL_TEST_LOCK;
 
     #[test]
     fn emit_routes_to_installed_recorder_and_counts() {

@@ -1,6 +1,6 @@
 //! The global metrics registry: a fixed set of counters, gauges,
 //! fixed-bucket histograms, and span-timing accumulators, all lock-free
-//! atomics. Snapshot with [`crate::report`], zero with [`crate::reset`].
+//! atomics. Snapshot with [`crate::report()`], zero with [`crate::reset`].
 //!
 //! The registry is deliberately *not* part of the trace: span durations
 //! are wall-clock and would break trace determinism, so they only surface
@@ -220,7 +220,7 @@ impl HistKind {
     }
 }
 
-/// Instrumented hot-path sections timed by [`crate::span`].
+/// Instrumented hot-path sections timed by [`crate::span()`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     /// Blocked GEMM kernels (`matmul*_into` in `dosco_nn`).
@@ -426,7 +426,7 @@ pub fn histogram_snapshot(kind: HistKind) -> (Vec<u64>, u64, f64) {
 }
 
 /// Adds one timed section of `ns` nanoseconds to a span accumulator. This
-/// is the raw entry point behind [`crate::span`]; callers that already
+/// is the raw entry point behind [`crate::span()`]; callers that already
 /// hold a duration (e.g. the runtime's counters) call it directly.
 #[inline]
 pub fn record_span_ns(kind: SpanKind, ns: u64) {

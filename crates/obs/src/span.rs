@@ -3,13 +3,13 @@
 use crate::registry::{record_span_ns, SpanKind};
 use std::time::Instant;
 
-/// A scoped timer: created by [`crate::span`], records its elapsed wall
+/// A scoped timer: created by [`crate::span()`], records its elapsed wall
 /// time into the global registry when dropped. When span timing is
 /// disabled (the default) the guard holds no clock and drop is a no-op —
 /// the whole round trip costs one relaxed atomic load.
 ///
 /// Span durations never enter the trace file (wall clock would break
-/// byte-determinism); they surface only through [`crate::report`].
+/// byte-determinism); they surface only through [`crate::report()`].
 #[derive(Debug)]
 #[must_use = "a span timer records on drop; binding it to `_` drops immediately"]
 pub struct SpanTimer {

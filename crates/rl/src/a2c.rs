@@ -1,6 +1,6 @@
 //! Synchronous advantage actor-critic (A2C) with RMSprop.
 //!
-//! A2C is the synchronous variant of A3C (Mnih et al. [39]) that ACKTR
+//! A2C is the synchronous variant of A3C (Mnih et al. \[39\]) that ACKTR
 //! extends: n-step rollouts from `l` parallel environments, a categorical
 //! actor, a state-value critic trained by temporal difference, and an
 //! entropy bonus. This is the "plain gradient" half of the paper's

@@ -1,5 +1,5 @@
 //! ACKTR: actor-critic using Kronecker-factored trust regions
-//! (Wu et al., NeurIPS 2017 [38]) — the paper's training algorithm
+//! (Wu et al., NeurIPS 2017 \[38\]) — the paper's training algorithm
 //! (Sec. IV-C2).
 //!
 //! The update is the A2C gradient preconditioned per layer by K-FAC

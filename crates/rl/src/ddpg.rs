@@ -1,7 +1,7 @@
 //! Deep deterministic policy gradient (Lillicrap et al.) for continuous
 //! action spaces.
 //!
-//! Used by the centralized DRL baseline (Sec. V-A3, ref [10]): its rule
+//! Used by the centralized DRL baseline (Sec. V-A3, ref \[10\]): its rule
 //! updates are continuous scheduling/placement weights, learned here with
 //! a deterministic actor, a Q critic over `(s, a)`, target networks with
 //! Polyak averaging, a uniform replay buffer, and Ornstein-Uhlenbeck

@@ -1,12 +1,12 @@
 //! Reinforcement-learning algorithms on the [`dosco_nn`] substrate.
 //!
 //! The paper trains its distributed agents with **ACKTR** (actor-critic
-//! using Kronecker-factored trust regions, Wu et al. [38]) over `l`
+//! using Kronecker-factored trust regions, Wu et al. \[38\]) over `l`
 //! parallel environment copies, selecting the best of `k` random seeds
 //! (Sec. IV-C2, Alg. 1). This crate implements that pipeline plus the
 //! algorithms needed by the baselines and ablations:
 //!
-//! - [`env`]: Gym-style [`env::Env`] (discrete actions) and
+//! - [`env`](mod@env): Gym-style [`env::Env`] (discrete actions) and
 //!   [`env::ContinuousEnv`] traits,
 //! - [`rollout`]: n-step rollout collection across parallel envs with
 //!   bootstrapped returns and GAE,
@@ -16,7 +16,7 @@
 //!   [`train_serial`], the one serial collect → update loop behind
 //!   `train`,
 //! - [`a2c`], [`acktr`], [`ppo`]: each algorithm's hyperparameters and
-//!   its rule — a clipped RMSprop step (the A3C update of [39],
+//!   its rule — a clipped RMSprop step (the A3C update of \[39\],
 //!   synchronous variant); that gradient through K-FAC natural-gradient
 //!   steps under a KL trust region, the paper's training algorithm; PPO's
 //!   clipped-surrogate epochs, as an ablation alternative. [`A2c`],

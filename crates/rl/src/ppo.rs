@@ -1,5 +1,5 @@
 //! Proximal policy optimization with a clipped surrogate objective
-//! (Schulman et al. [41]).
+//! (Schulman et al. \[41\]).
 //!
 //! The paper cites PPO alongside TRPO as the family of gradual-update
 //! policy-gradient methods that ACKTR belongs to; this implementation

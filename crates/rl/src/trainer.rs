@@ -1,7 +1,7 @@
 //! Multi-seed training with best-agent selection (Alg. 1 ln. 13).
 //!
 //! Random seeds have a significant impact on DRL convergence (Henderson et
-//! al. [43]); the paper therefore trains `k = 10` agents with different
+//! al. \[43\]); the paper therefore trains `k = 10` agents with different
 //! seeds in parallel and deploys the one with the highest reward.
 //! This workspace uses more than one core for compute at two grains, both
 //! here: [`fan_out`] spreads whole seeds (training or evaluation) over the

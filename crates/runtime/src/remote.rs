@@ -3,7 +3,7 @@
 //! One learner process runs [`run_learner_server`]: it binds, accepts the
 //! actor's TCP connection, hands it a [`LearnerHello`] (collect params,
 //! initial snapshot, agent RNG state), and then runs the *same*
-//! [`crate::driver::run_learner_loop`] the in-process driver uses — only
+//! `run_learner_loop` the in-process driver uses — only
 //! the transport differs, so the arithmetic cannot drift. The actor
 //! process runs [`run_actor`]: connect (with the `dosco_net` retry
 //! policy), then the in-process actor loop over the socket.

@@ -14,7 +14,7 @@
 //!    the node — or answer immediately with the shortest-path fallback
 //!    if that shard is down.
 //! 3. **Flush**: send the epoch barrier; each shard answers its queued
-//!    requests from one batched forward.
+//!    requests from one batched forward on its own response channel.
 //! 4. **Apply**: apply every answer in episode order and account for
 //!    every decision (batched + fallback == total, always).
 //!
@@ -31,12 +31,14 @@ use crate::shard::{
 use crate::status::{FabricStatus, StatusBoard};
 use crossbeam::channel::TryRecvError;
 use dosco_core::policy::PolicyMetadata;
-use dosco_core::CoordinationPolicy;
-use dosco_net::{BoxTx, InProcess, Rx, Transport};
+use dosco_core::{CoordinationPolicy, ObservationAdapter};
+use dosco_net::{BoxRx, BoxTx, InProcess, Transport};
 use dosco_obs::registry;
 use dosco_obs::{CounterKind, SpanKind};
 use dosco_runtime::{PolicySlot, PolicySnapshot};
-use dosco_simnet::{Action, ChurnTimeline, Metrics, ScenarioConfig, Simulation};
+use dosco_simnet::{
+    Action, ChurnTimeline, DecisionPoint, Metrics, ScenarioConfig, SimEvent, Simulation,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -89,31 +91,6 @@ pub struct ServeConfig {
     /// substrate, bit-identical to the pre-churn fabric.
     pub churn: Option<ChurnTimeline>,
 }
-
-/// Attachments compare by identity: two configs are equal when they
-/// point at the *same* queue/board (or both at none).
-impl PartialEq for ServeConfig {
-    fn eq(&self, other: &Self) -> bool {
-        fn same<T>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
-            match (a, b) {
-                (None, None) => true,
-                (Some(x), Some(y)) => Arc::ptr_eq(x, y),
-                _ => false,
-            }
-        }
-        self.num_shards == other.num_shards
-            && self.mailbox_capacity == other.mailbox_capacity
-            && self.stochastic_seed == other.stochastic_seed
-            && self.faults == other.faults
-            && same(&self.control, &other.control)
-            && same(&self.status, &other.status)
-            && same(&self.cancel, &other.cancel)
-            && self.gather_stall == other.gather_stall
-            && self.churn == other.churn
-    }
-}
-
-impl Eq for ServeConfig {}
 
 impl ServeConfig {
     /// A greedy, fault-free configuration with `num_shards` shards.
@@ -173,13 +150,32 @@ impl ServeConfig {
         self
     }
 
-    /// Builds one episode simulator, applying the configured churn
-    /// timeline if any.
-    pub(crate) fn build_sim(&self, scenario: &ScenarioConfig, seed: u64) -> Simulation {
-        match &self.churn {
-            Some(tl) => Simulation::with_churn(scenario.clone(), seed, tl.clone()),
-            None => Simulation::new(scenario.clone(), seed),
-        }
+    /// Validates the configuration and builds one episode simulator per
+    /// seed, each under the configured churn timeline if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid or `episode_seeds` is empty.
+    pub(crate) fn episodes(
+        &self,
+        scenario: &ScenarioConfig,
+        episode_seeds: &[u64],
+    ) -> Vec<Simulation> {
+        self.validate().expect("serve configuration must be valid");
+        assert!(!episode_seeds.is_empty(), "need at least one episode");
+        episode_seeds
+            .iter()
+            .map(|&seed| match &self.churn {
+                Some(tl) => Simulation::with_churn(scenario.clone(), seed, tl.clone()),
+                None => Simulation::new(scenario.clone(), seed),
+            })
+            .collect()
+    }
+
+    /// The shards a topology of `num_nodes` nodes is served by:
+    /// [`ServeConfig::num_shards`], clamped to the node count.
+    pub(crate) fn shards_over(&self, num_nodes: usize) -> usize {
+        self.num_shards.min(num_nodes)
     }
 
     /// Checks the configuration is usable.
@@ -319,46 +315,86 @@ fn policy_from_snapshot(snap: &PolicySnapshot, degree: usize) -> CoordinationPol
 
 /// One shard as the frontend sees it.
 pub(crate) struct ShardHandle<'scope> {
-    /// Mailbox sender; `None` while the shard is killed.
-    pub(crate) tx: Option<BoxTx<ShardMsg>>,
+    /// The shard's mailbox sender and its own response receiver; `None`
+    /// while the shard is down.
+    link: Option<(BoxTx<ShardMsg>, BoxRx<Vec<DecisionResponse>>)>,
     /// Worker thread for locally-launched shards; `None` for shards that
     /// live in another process (their lifecycle is the connection's).
-    pub(crate) join: Option<ScopedJoinHandle<'scope, ()>>,
-    /// The shard's transport died (send failure, launch failure, or a
-    /// stalled barrier). A dead shard is never respawned: the peer is
-    /// gone, not scripted to come back like a fault-window kill.
-    pub(crate) dead: bool,
+    join: Option<ScopedJoinHandle<'scope, ()>>,
+    /// The shard was written off (launch failure, a closed channel, a
+    /// batch that broke the protocol, or a stalled barrier). A dead shard
+    /// is never respawned: the peer is gone, not scripted to come back
+    /// like a fault-window kill.
+    dead: bool,
 }
 
-impl ShardHandle<'_> {
-    fn alive(&self) -> bool {
-        self.tx.is_some()
+impl<'scope> ShardHandle<'scope> {
+    /// A live shard reached through `tx`, answering on `rx`.
+    pub(crate) fn new(
+        tx: BoxTx<ShardMsg>,
+        rx: BoxRx<Vec<DecisionResponse>>,
+        join: Option<ScopedJoinHandle<'scope, ()>>,
+    ) -> Self {
+        ShardHandle {
+            link: Some((tx, rx)),
+            join,
+            dead: false,
+        }
     }
 
-    /// A handle for a shard that could not be launched or whose
-    /// transport failed: routes fall back immediately, never respawns.
+    /// A handle for a shard that could not be launched: routes fall back
+    /// immediately, never respawns.
     pub(crate) fn dead() -> Self {
         ShardHandle {
-            tx: None,
+            link: None,
             join: None,
             dead: true,
         }
     }
-}
 
-/// Marks a shard's transport as dead: drops the mailbox (so routing
-/// falls back), suppresses respawn, and counts the disconnect.
-fn disconnect(h: &mut ShardHandle<'_>, report: &mut ServeReport) {
-    h.tx = None;
-    h.dead = true;
-    report.shard_disconnects += 1;
+    fn alive(&self) -> bool {
+        self.link.is_some()
+    }
+
+    /// Sends `msg` to a live shard; `false` if the shard is down or its
+    /// mailbox is gone.
+    fn send(&self, msg: ShardMsg) -> bool {
+        self.link.as_ref().is_some_and(|(tx, _)| tx.send(msg).is_ok())
+    }
+
+    /// The shard's answer batch if one has arrived; `Disconnected` once
+    /// its channel closed or the shard is down.
+    fn poll(&self) -> Result<Vec<DecisionResponse>, TryRecvError> {
+        self.link
+            .as_ref()
+            .map_or(Err(TryRecvError::Disconnected), |(_, rx)| rx.try_recv())
+    }
+
+    /// Sends a live shard `Shutdown` and drops its channel ends, the
+    /// mailbox first: a socket sender's drop puts `Shutdown` on the wire.
+    fn stop(&mut self) {
+        if let Some((tx, rx)) = self.link.take() {
+            let _ = tx.send(ShardMsg::Shutdown);
+            drop(tx);
+            drop(rx);
+        }
+    }
+
+    /// Joins a local shard's thread, re-raising any panic from it.
+    fn join(&mut self) {
+        if let Some(j) = self.join.take() {
+            if let Err(payload) = j.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    }
 }
 
 /// How the frontend brings shard `index` up with a starting policy:
-/// locally (spawn a worker thread over a transport channel) or remotely
+/// locally (spawn a worker thread over in-process channels) or remotely
 /// (hand an accepted connection its `ShardInit`). The epoch loop is
-/// launcher-agnostic — this is what keeps the in-process, loopback-TCP,
-/// and multi-process serve paths on the *same* decision arithmetic.
+/// launcher-agnostic — this is what keeps the in-process and
+/// multi-process serve paths on the *same* decision arithmetic.
 pub(crate) trait ShardLauncher<'scope> {
     fn launch(
         &mut self,
@@ -368,28 +404,25 @@ pub(crate) trait ShardLauncher<'scope> {
     ) -> ShardHandle<'scope>;
 }
 
-/// Launches shard workers on scoped threads, wired over any transport.
-struct LocalLauncher<'a, 'scope, 'env, Tr> {
+/// Launches shard workers on scoped threads, each with an in-process
+/// mailbox and response channel of its own.
+struct LocalLauncher<'a, 'scope, 'env> {
     scope: &'scope Scope<'scope, 'env>,
-    transport: &'a Tr,
     cfg: &'a ServeConfig,
     num_shards: usize,
     num_nodes: usize,
-    resp_tx: &'a BoxTx<Vec<DecisionResponse>>,
 }
 
-impl<'scope, Tr> ShardLauncher<'scope> for LocalLauncher<'_, 'scope, '_, Tr>
-where
-    Tr: Transport<ShardMsg> + Transport<Vec<DecisionResponse>>,
-{
+impl<'scope> ShardLauncher<'scope> for LocalLauncher<'_, 'scope, '_> {
     fn launch(
         &mut self,
         index: usize,
         policy: Arc<CoordinationPolicy>,
         version: u64,
     ) -> ShardHandle<'scope> {
-        let (tx, rx) = Transport::<ShardMsg>::channel(self.transport, self.cfg.mailbox_capacity);
-        let responses = self.resp_tx.clone_box();
+        let (tx, mailbox) = Transport::<ShardMsg>::channel(&InProcess, self.cfg.mailbox_capacity);
+        // One batch per barrier, and the frontend takes it before the next.
+        let (responses, rx) = Transport::<Vec<DecisionResponse>>::channel(&InProcess, 1);
         let stochastic_seed = self.cfg.stochastic_seed;
         let (num_shards, num_nodes) = (self.num_shards, self.num_nodes);
         let join = self.scope.spawn(move || {
@@ -400,38 +433,11 @@ where
                 stochastic_seed,
                 policy,
                 version,
-                mailbox: rx,
+                mailbox,
                 responses,
             });
         });
-        ShardHandle {
-            tx: Some(tx),
-            join: Some(join),
-            dead: false,
-        }
-    }
-}
-
-/// Falls back every still-unanswered decision routed to `shard` this
-/// epoch: its transport died between route and response, so the stored
-/// decision points are answered by shortest-path coordination instead.
-fn fall_back_routed(
-    shard: usize,
-    sims: &[Simulation],
-    dps: &mut [Option<dosco_simnet::DecisionPoint>],
-    routed_to: &mut [Option<usize>],
-    actions: &mut [Option<Action>],
-    report: &mut ServeReport,
-    expected: &mut usize,
-) {
-    for e in 0..sims.len() {
-        if routed_to[e] == Some(shard) && actions[e].is_none() {
-            let dp = dps[e].take().expect("routed episode has a decision point");
-            routed_to[e] = None;
-            actions[e] = Some(dosco_baselines::sp_action(&sims[e], &dp));
-            report.count_fallback(shard);
-            *expected -= 1;
-        }
+        ShardHandle::new(tx, rx, Some(join))
     }
 }
 
@@ -452,15 +458,6 @@ fn status_of(
         flows_arrived: total(|m| m.arrived),
         flows_completed: total(|m| m.completed),
         flows_dropped: total(Metrics::dropped_total),
-    }
-}
-
-/// Joins a shard thread, re-raising any panic from it.
-fn join_shard(h: &mut ShardHandle<'_>) {
-    if let Some(j) = h.join.take() {
-        if let Err(payload) = j.join() {
-            std::panic::resume_unwind(payload);
-        }
     }
 }
 
@@ -491,6 +488,11 @@ pub fn serve(
 /// the observation contract (padded degree). Without a hub, `policy`
 /// itself is served at version 0.
 ///
+/// The shards run on scoped threads of this process. The multi-process
+/// deployment, whose shards dial in over TCP, is
+/// [`FrontendServer`](crate::FrontendServer), built on the same epoch
+/// loop.
+///
 /// # Panics
 ///
 /// Panics if `episode_seeds` is empty, the configuration is invalid,
@@ -502,394 +504,380 @@ pub fn serve_with(
     scenario: &ScenarioConfig,
     episode_seeds: &[u64],
     cfg: &ServeConfig,
-    on_epoch: impl FnMut(u64),
-) -> ServeOutcome {
-    serve_with_transport(policy, hub, scenario, episode_seeds, cfg, &InProcess, on_epoch)
-}
-
-/// Like [`serve_with`], but every mailbox and response channel is opened
-/// by `transport`: with [`InProcess`] this *is* [`serve_with`]; with
-/// `dosco_net::SocketLoopback` every request, flush barrier, swap, and
-/// response crosses a framed, checksummed TCP stream — and the served
-/// decisions are bit-identical (pinned by test). The truly multi-process
-/// deployment (shards in other OS processes) is [`crate::remote`], built
-/// on the same epoch loop.
-///
-/// # Panics
-///
-/// As [`serve_with`].
-pub fn serve_with_transport<Tr>(
-    policy: &CoordinationPolicy,
-    hub: Option<&PolicySlot>,
-    scenario: &ScenarioConfig,
-    episode_seeds: &[u64],
-    cfg: &ServeConfig,
-    transport: &Tr,
     mut on_epoch: impl FnMut(u64),
-) -> ServeOutcome
-where
-    Tr: Transport<ShardMsg> + Transport<Vec<DecisionResponse>>,
-{
-    cfg.validate().expect("serve configuration must be valid");
-    assert!(!episode_seeds.is_empty(), "need at least one episode");
+) -> ServeOutcome {
+    let mut sims = cfg.episodes(scenario, episode_seeds);
     let num_nodes = scenario.topology.num_nodes();
-    let num_shards = cfg.num_shards.min(num_nodes);
-
-    let mut sims: Vec<Simulation> = episode_seeds
-        .iter()
-        .map(|&s| cfg.build_sim(scenario, s))
-        .collect();
-
-    let (resp_tx, resp_rx) = Transport::<Vec<DecisionResponse>>::channel(transport, num_shards + 1);
-
     let (metrics, report) = std::thread::scope(|s| {
         let mut launcher = LocalLauncher {
             scope: s,
-            transport,
             cfg,
-            num_shards,
+            num_shards: cfg.shards_over(num_nodes),
             num_nodes,
-            resp_tx: &resp_tx,
         };
-        serve_core(
-            policy,
-            hub,
-            &mut sims,
-            num_shards,
-            cfg,
-            &mut launcher,
-            resp_rx.as_ref(),
-            &mut on_epoch,
-        )
+        serve_core(policy, hub, &mut sims, cfg, &mut launcher, &mut on_epoch)
     });
     ServeOutcome { metrics, report }
 }
 
-/// The launcher-agnostic epoch loop (see module docs for the four
-/// phases). Shared verbatim by every serve entry point — in-process,
-/// loopback-TCP, and multi-process — so transport and process topology
+/// The launcher-agnostic epoch loop: the four phases of the module
+/// docs, one `Frontend` method each. Shared verbatim by the
+/// in-process and the multi-process entry points, so process topology
 /// cannot change decision arithmetic.
 ///
 /// # Panics
 ///
 /// Panics if the returned report is not [`ServeReport::conserved`].
-#[allow(clippy::too_many_lines)]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn serve_core<'scope>(
     policy: &CoordinationPolicy,
     hub: Option<&PolicySlot>,
     sims: &mut [Simulation],
-    num_shards: usize,
     cfg: &ServeConfig,
     launcher: &mut dyn ShardLauncher<'scope>,
-    resp_rx: &dyn Rx<Vec<DecisionResponse>>,
     on_epoch: &mut dyn FnMut(u64),
 ) -> (Vec<Metrics>, ServeReport) {
-    let degree = policy.degree();
-    let adapter = policy.adapter();
-    let episodes = sims.len();
-
-    // The policy being served: the hub's latest snapshot when attached,
-    // else the caller's policy at version 0.
-    let (mut current, version) = match hub {
-        Some(h) => {
-            let snap = h.latest();
-            (Arc::new(policy_from_snapshot(&snap, degree)), snap.version)
-        }
-        None => (Arc::new(policy.clone()), 0),
-    };
-
-    let mut shards: Vec<ShardHandle> = (0..num_shards)
-        .map(|i| launcher.launch(i, Arc::clone(&current), version))
-        .collect();
-
-    // The running tally, current at every boundary: `epochs` is the loop
-    // counter, `final_version` the fabric-wide current version and
-    // `shard_versions` what each shard was last delivered.
-    let mut report = ServeReport {
-        final_version: version,
-        shard_versions: vec![version; num_shards],
-        shard_batched: vec![0; num_shards],
-        shard_fallback: vec![0; num_shards],
-        ..ServeReport::default()
-    };
-    let mut live = vec![true; episodes];
-    let mut actions: Vec<Option<Action>> = vec![None; episodes];
-    let mut starts: Vec<Option<Instant>> = vec![None; episodes];
-    let mut routed = vec![false; num_shards];
-    // Per-epoch record of what was routed where: enough to answer any
-    // routed decision with the shortest-path fallback if the owning
-    // shard's transport dies between route and response.
-    let mut dps: Vec<Option<dosco_simnet::DecisionPoint>> = vec![None; episodes];
-    let mut routed_to: Vec<Option<usize>> = vec![None; episodes];
-    let mut events_scratch = Vec::new();
-    // The policy each shard *should* run. Hub publishes and All-scope
-    // directives set every entry; targeted directives set a subset —
-    // respawns and lag re-syncs always converge a shard onto its own
-    // entry, so a killed canary shard comes back as a canary.
-    let mut desired: Vec<(Arc<CoordinationPolicy>, u64)> =
-        vec![(Arc::clone(&current), version); num_shards];
-    let mut next_id: u64 = 0;
-
+    let mut f = Frontend::launch(policy, hub, sims, cfg, launcher);
     loop {
-        let epoch = report.epochs;
+        let epoch = f.report.epochs;
         if cfg
             .cancel
             .as_ref()
             .is_some_and(|c| c.load(Ordering::Relaxed))
         {
-            report.epochs += 1;
+            f.report.epochs += 1;
             break;
         }
         on_epoch(epoch);
+        f.boundary(epoch);
+        let decided = f.collect();
+        if decided {
+            f.gather(epoch);
+            f.apply();
+        }
+        // The last epoch, in which every episode reached its horizon,
+        // counts too.
+        f.report.epochs += 1;
+        if !decided {
+            break;
+        }
+    }
+    f.finish()
+}
 
-        // -- Epoch-boundary work: hot-swap poll, control directives,
-        // fault transitions.
-        if let Some(h) = hub {
-            if h.version() != report.final_version {
+/// The epoch loop's state: the shards, the running tally, and this
+/// epoch's record of every episode's decision.
+struct Frontend<'a, 'scope> {
+    cfg: &'a ServeConfig,
+    hub: Option<&'a PolicySlot>,
+    launcher: &'a mut dyn ShardLauncher<'scope>,
+    degree: usize,
+    adapter: ObservationAdapter,
+    sims: &'a mut [Simulation],
+    shards: Vec<ShardHandle<'scope>>,
+    /// The running tally, current at every boundary: `epochs` is the
+    /// loop counter, `final_version` the fabric-wide current version and
+    /// `shard_versions` what each shard was last delivered.
+    report: ServeReport,
+    /// The policy each shard *should* run. Hub publishes and All-scope
+    /// directives set every entry; targeted directives set a subset —
+    /// respawns and lag re-syncs always converge a shard onto its own
+    /// entry, so a killed canary shard comes back as a canary.
+    desired: Vec<(Arc<CoordinationPolicy>, u64)>,
+    /// Each shard's fault-script state this epoch.
+    faults: Vec<Option<FaultKind>>,
+    /// Batch rows each shard owes this epoch.
+    owed: Vec<usize>,
+    live: Vec<bool>,
+    /// This epoch's routed decisions: the shard each went to and its
+    /// decision point, enough to answer it with the shortest-path
+    /// fallback if that shard is written off before it answers.
+    routed: Vec<Option<(usize, DecisionPoint)>>,
+    actions: Vec<Option<Action>>,
+    starts: Vec<Option<Instant>>,
+    next_id: u64,
+    events_scratch: Vec<SimEvent>,
+}
+
+impl<'a, 'scope> Frontend<'a, 'scope> {
+    /// Launches every shard on the starting policy: the hub's latest
+    /// snapshot when attached, else the caller's policy at version 0.
+    fn launch(
+        policy: &CoordinationPolicy,
+        hub: Option<&'a PolicySlot>,
+        sims: &'a mut [Simulation],
+        cfg: &'a ServeConfig,
+        launcher: &'a mut dyn ShardLauncher<'scope>,
+    ) -> Self {
+        let degree = policy.degree();
+        let (current, version) = match hub {
+            Some(h) => {
                 let snap = h.latest();
-                current = Arc::new(policy_from_snapshot(&snap, degree));
-                report.final_version = snap.version;
-                desired.fill((Arc::clone(&current), snap.version));
-                report.swaps += 1;
+                (Arc::new(policy_from_snapshot(&snap, degree)), snap.version)
+            }
+            None => (Arc::new(policy.clone()), 0),
+        };
+        let num_shards = cfg.shards_over(sims[0].topology().num_nodes());
+        let shards = (0..num_shards)
+            .map(|i| launcher.launch(i, Arc::clone(&current), version))
+            .collect();
+        let episodes = sims.len();
+        Frontend {
+            cfg,
+            hub,
+            launcher,
+            degree,
+            adapter: policy.adapter(),
+            sims,
+            shards,
+            report: ServeReport {
+                final_version: version,
+                shard_versions: vec![version; num_shards],
+                shard_batched: vec![0; num_shards],
+                shard_fallback: vec![0; num_shards],
+                ..ServeReport::default()
+            },
+            desired: vec![(current, version); num_shards],
+            faults: vec![None; num_shards],
+            owed: vec![0; num_shards],
+            live: vec![true; episodes],
+            routed: vec![None; episodes],
+            actions: vec![None; episodes],
+            starts: vec![None; episodes],
+            next_id: 0,
+            events_scratch: Vec::new(),
+        }
+    }
+
+    /// Phase 1, the boundary: hot-swap poll, control directives, fault
+    /// transitions, then one status publish when a board is attached.
+    fn boundary(&mut self, epoch: u64) {
+        if let Some(h) = self.hub {
+            if h.version() != self.report.final_version {
+                let snap = h.latest();
+                let policy = Arc::new(policy_from_snapshot(&snap, self.degree));
+                self.report.final_version = snap.version;
+                self.desired.fill((policy, snap.version));
+                self.report.swaps += 1;
                 registry::count(CounterKind::ServeSwaps, 1);
             }
         }
-        if let Some(q) = cfg.control.as_ref() {
-            if q.is_pending() {
-                for cmd in q.drain() {
-                    let policy = Arc::new(policy_from_snapshot(&cmd.snapshot, degree));
-                    let version = cmd.snapshot.version;
-                    match &cmd.scope {
-                        PublishScope::All => {
-                            // `desired` is the source of truth for swaps
-                            // and respawns; `current` itself is only read
-                            // when rebuilt from a hub snapshot.
-                            report.final_version = version;
-                            desired.fill((Arc::clone(&policy), version));
-                        }
-                        PublishScope::Shards(targets) => {
-                            for &t in targets {
-                                if t < num_shards {
-                                    desired[t] = (Arc::clone(&policy), version);
-                                }
-                            }
+        if let Some(q) = self.cfg.control.as_ref().filter(|q| q.is_pending()) {
+            for cmd in q.drain() {
+                let policy = Arc::new(policy_from_snapshot(&cmd.snapshot, self.degree));
+                let version = cmd.snapshot.version;
+                match &cmd.scope {
+                    PublishScope::All => {
+                        self.report.final_version = version;
+                        self.desired.fill((policy, version));
+                    }
+                    PublishScope::Shards(targets) => {
+                        for &t in targets.iter().filter(|&&t| t < self.shards.len()) {
+                            self.desired[t] = (Arc::clone(&policy), version);
                         }
                     }
-                    report.directed_publishes += 1;
                 }
+                self.report.directed_publishes += 1;
             }
         }
-        let states: Vec<Option<FaultKind>> =
-            (0..num_shards).map(|i| cfg.faults.state(i, epoch)).collect();
-        for i in 0..num_shards {
-            let h = &mut shards[i];
-            if states[i] == Some(FaultKind::Kill) && h.alive() {
-                // Window start: take the worker down for real.
-                let tx = h.tx.take().expect("alive shard has a mailbox");
-                let _ = tx.send(ShardMsg::Shutdown);
-                drop(tx);
-                join_shard(h);
-                report.shard_kills += 1;
-            } else if states[i].is_none() {
-                let (want, want_version) = &desired[i];
-                if !h.alive() {
-                    // Window end: respawn, re-synced to the shard's
-                    // desired policy (fresh mailbox, fresh state). A
-                    // *disconnected* shard is not respawned — the peer
-                    // is gone, not scripted to return.
-                    if !h.dead {
-                        *h = launcher.launch(i, Arc::clone(want), *want_version);
-                        report.shard_versions[i] = *want_version;
-                        report.shard_respawns += 1;
-                    }
-                } else if report.shard_versions[i] != *want_version {
-                    // Reachable shard lagging its desired policy:
-                    // deliver the swap at this boundary (covers the
-                    // global broadcast, targeted publishes, rollback
-                    // republishes, and post-delay re-sync).
-                    let tx = h.tx.as_ref().expect("alive shard has a mailbox");
-                    if tx
-                        .send(ShardMsg::Swap {
-                            policy: Arc::clone(want),
-                            version: *want_version,
-                        })
-                        .is_ok()
-                    {
-                        report.shard_versions[i] = *want_version;
-                    } else {
-                        // Dead peer mid-swap: degrade, don't panic.
-                        disconnect(h, &mut report);
-                    }
+        for i in 0..self.shards.len() {
+            self.faults[i] = self.cfg.faults.state(i, epoch);
+            self.converge(i);
+        }
+        if let Some(board) = self.cfg.status.as_ref() {
+            let live_episodes = self.live.iter().filter(|&&l| l).count() as u64;
+            board.publish(status_of(&self.report, live_episodes, &self.shards, self.sims));
+        }
+    }
+
+    /// Brings shard `i` to its fault state and desired policy: a kill
+    /// window's start takes the worker down for real, its end respawns
+    /// it on its desired policy (fresh mailbox, fresh state), and a
+    /// reachable shard lagging its desired policy gets the swap at this
+    /// boundary (the global broadcast, targeted publishes, rollback
+    /// republishes, and post-delay re-sync). A written-off shard stays
+    /// down.
+    fn converge(&mut self, i: usize) {
+        let h = &mut self.shards[i];
+        let (want, version) = &self.desired[i];
+        match self.faults[i] {
+            Some(FaultKind::Kill) if h.alive() => {
+                h.stop();
+                h.join();
+                self.report.shard_kills += 1;
+            }
+            None if !h.alive() && !h.dead => {
+                *h = self.launcher.launch(i, Arc::clone(want), *version);
+                self.report.shard_versions[i] = *version;
+                self.report.shard_respawns += 1;
+            }
+            None if h.alive() && self.report.shard_versions[i] != *version => {
+                let swap = ShardMsg::Swap {
+                    policy: Arc::clone(want),
+                    version: *version,
+                };
+                if h.send(swap) {
+                    self.report.shard_versions[i] = *version;
+                } else {
+                    self.write_off(i);
                 }
             }
+            _ => {}
         }
+    }
 
-        // -- Status publish: one snapshot per boundary, only when a
-        // board is attached (detached fabrics skip in one branch).
-        if let Some(board) = cfg.status.as_ref() {
-            let live_episodes = live.iter().filter(|&&l| l).count() as u64;
-            board.publish(status_of(&report, live_episodes, &shards, sims));
-        }
-
-        // -- Collect one pending decision per live episode.
+    /// Phase 2, collect: advances every live episode to its next
+    /// decision point and routes it to the shard owning the node — or
+    /// answers it at once with the shortest-path fallback if that shard
+    /// is down. Returns whether any episode had a decision.
+    fn collect(&mut self) -> bool {
         let spans_on = dosco_obs::spans_enabled();
-        let mut expected = 0usize;
-        let mut fell_back = 0u64;
-        routed.fill(false);
-        dps.fill(None);
-        routed_to.fill(None);
-        for e in 0..episodes {
-            if !live[e] {
+        let mut decided = false;
+        for e in 0..self.sims.len() {
+            if !self.live[e] {
                 continue;
             }
-            let sim = &mut sims[e];
+            let sim = &mut self.sims[e];
             // Coordinator events are dropped, as the in-process
-            // deployment's no-op `observe` does. Drained into a
-            // recycled scratch buffer: no per-epoch allocation.
-            sim.drain_events_into(&mut events_scratch);
+            // deployment's no-op `observe` does. Drained into a recycled
+            // scratch buffer: no per-epoch allocation.
+            sim.drain_events_into(&mut self.events_scratch);
             let Some(dp) = sim.next_decision() else {
-                live[e] = false;
+                self.live[e] = false;
                 continue;
             };
+            decided = true;
             if spans_on {
-                starts[e] = Some(Instant::now());
+                self.starts[e] = Some(Instant::now());
             }
-            let owner = shard_of(dp.node.0, num_shards);
-            let mut fall_back = states[owner].is_some() || !shards[owner].alive();
-            if !fall_back {
-                let obs = adapter.observe(sim, &dp);
-                let tx = shards[owner].tx.as_ref().expect("alive shard has a mailbox");
-                if tx
-                    .send(ShardMsg::Request(DecisionRequest {
-                        id: next_id,
-                        episode: e,
-                        node: dp.node,
-                        obs,
-                    }))
-                    .is_ok()
-                {
-                    next_id += 1;
-                    expected += 1;
-                    routed[owner] = true;
-                    dps[e] = Some(dp);
-                    routed_to[e] = Some(owner);
-                } else {
-                    // Dead peer discovered on route: degrade this (and
-                    // every later) decision for the shard, don't panic.
-                    disconnect(&mut shards[owner], &mut report);
-                    fall_back = true;
+            let owner = shard_of(dp.node.0, self.shards.len());
+            if self.faults[owner].is_none() && self.shards[owner].alive() {
+                let request = ShardMsg::Request(DecisionRequest {
+                    id: self.next_id,
+                    episode: e,
+                    node: dp.node,
+                    obs: self.adapter.observe(sim, &dp),
+                });
+                if self.shards[owner].send(request) {
+                    self.next_id += 1;
+                    self.owed[owner] += 1;
+                    self.routed[e] = Some((owner, dp));
+                    continue;
                 }
+                // Dead peer discovered on route: degrade this and every
+                // later decision for the shard, don't panic.
+                self.write_off(owner);
             }
-            if fall_back {
-                // Graceful degradation: the decision is answered now
-                // by shortest-path coordination and counted — never
-                // silently dropped.
-                actions[e] = Some(dosco_baselines::sp_action(sim, &dp));
-                report.count_fallback(owner);
-                fell_back += 1;
-            }
+            // Graceful degradation: the decision is answered now by
+            // shortest-path coordination and counted — never silently
+            // dropped.
+            self.actions[e] = Some(dosco_baselines::sp_action(&self.sims[e], &dp));
+            self.report.count_fallback(owner);
         }
-        if expected == 0 && fell_back == 0 {
-            // Every episode reached its horizon.
-            report.epochs += 1;
-            break;
-        }
+        decided
+    }
 
-        // -- Flush barriers, then gather one answer batch per routed
-        // shard (exactly `expected` responses in total). A shard whose
-        // transport dies at the barrier — or that never answers within
-        // the stall deadline — is marked dead and its routed decisions
-        // fall back to shortest-path; the epoch still completes.
-        for i in 0..num_shards {
-            if routed[i] {
-                let ok = shards[i]
-                    .tx
-                    .as_ref()
-                    .is_some_and(|tx| tx.send(ShardMsg::Flush { epoch }).is_ok());
-                if !ok {
-                    disconnect(&mut shards[i], &mut report);
-                    routed[i] = false;
-                    fall_back_routed(
-                        i,
-                        sims,
-                        &mut dps,
-                        &mut routed_to,
-                        &mut actions,
-                        &mut report,
-                        &mut expected,
-                    );
-                }
+    /// Phase 3, flush: the barrier to every shard that owes a batch,
+    /// then one batch from each, polling only the shards that still owe
+    /// one. A shard whose channel closes, or whose batch does not answer
+    /// exactly what was routed to it, is written off at once. Nothing but
+    /// silence tells a shard that hangs after its barrier from one still
+    /// computing, so one that stays silent for
+    /// [`ServeConfig::gather_stall`] is written off then.
+    fn gather(&mut self, epoch: u64) {
+        for i in 0..self.shards.len() {
+            if self.owed[i] > 0 && !self.shards[i].send(ShardMsg::Flush { epoch }) {
+                self.write_off(i);
             }
         }
-        let mut received = 0usize;
-        let mut waiting = routed.iter().filter(|&&r| r).count();
         let mut last_progress = Instant::now();
         let mut idle = 0u32;
-        while waiting > 0 {
-            match resp_rx.try_recv() {
-                Ok(answers) => {
-                    last_progress = Instant::now();
-                    idle = 0;
-                    // One batch per routed shard per barrier. A batch
-                    // from a shard no longer waited on is a straggler
-                    // from a barrier that already fell back (the shard
-                    // is dead; its decisions were answered) — dropped.
-                    if !answers.first().is_some_and(|r| routed[r.shard]) {
-                        continue;
-                    }
-                    routed[answers[0].shard] = false;
-                    waiting -= 1;
-                    received += answers.len();
-                    for resp in answers {
-                        actions[resp.episode] = Some(Action::from_index(resp.action_index));
-                        report.count_batched(resp.shard, resp.version, resp.batch_rows);
+        while self.owed.iter().any(|&n| n > 0) {
+            let mut progressed = false;
+            for i in 0..self.shards.len() {
+                if self.owed[i] == 0 {
+                    continue;
+                }
+                match self.shards[i].poll() {
+                    Err(TryRecvError::Empty) => continue,
+                    Ok(batch) if self.answers_exactly(i, &batch) => self.accept(i, &batch),
+                    _ => self.write_off(i),
+                }
+                progressed = true;
+            }
+            if progressed {
+                last_progress = Instant::now();
+                idle = 0;
+            } else if last_progress.elapsed() >= self.cfg.gather_stall {
+                for i in 0..self.shards.len() {
+                    if self.owed[i] > 0 {
+                        self.write_off(i);
                     }
                 }
-                Err(e) => {
-                    let stalled = matches!(e, TryRecvError::Disconnected)
-                        || last_progress.elapsed() >= cfg.gather_stall;
-                    if stalled {
-                        // Residual window: a shard that dies *after* its
-                        // flush was delivered leaves nothing to read, so
-                        // the only signal is silence. Declare every
-                        // still-unanswered shard dead and degrade.
-                        for i in 0..num_shards {
-                            if routed[i] {
-                                disconnect(&mut shards[i], &mut report);
-                                routed[i] = false;
-                                fall_back_routed(
-                                    i,
-                                    sims,
-                                    &mut dps,
-                                    &mut routed_to,
-                                    &mut actions,
-                                    &mut report,
-                                    &mut expected,
-                                );
-                            }
-                        }
-                        waiting = 0;
-                    } else if idle < 1024 {
-                        // Yield first: on a loaded machine the shard
-                        // thread needs this core to compute the batch.
-                        idle += 1;
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                }
+            } else if idle < 1024 {
+                // Yield first: on a loaded machine the shard thread needs
+                // this core to compute the batch.
+                idle += 1;
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(Duration::from_micros(200));
             }
         }
-        debug_assert_eq!(received, expected, "every routed request answered once");
+    }
 
-        // -- Apply in episode order.
-        for e in 0..episodes {
-            if let Some(a) = actions[e].take() {
-                sims[e].apply(a);
-                report.decisions += 1;
+    /// Whether `batch` answers exactly the decisions routed to shard `i`
+    /// this epoch, once each: as many rows as it owes, each for an
+    /// episode routed to it, in strictly ascending episode order (the
+    /// order of their request ids).
+    fn answers_exactly(&self, i: usize, batch: &[DecisionResponse]) -> bool {
+        batch.len() == self.owed[i]
+            && batch.windows(2).all(|w| w[0].episode < w[1].episode)
+            && batch
+                .iter()
+                .all(|r| matches!(self.routed.get(r.episode), Some(Some((s, _))) if *s == i))
+    }
+
+    /// Takes shard `i`'s batch as this epoch's answers for its episodes.
+    fn accept(&mut self, i: usize, batch: &[DecisionResponse]) {
+        for r in batch {
+            self.actions[r.episode] = Some(Action::from_index(r.action_index));
+            self.report.count_batched(i, r.version, batch.len());
+        }
+        self.owed[i] = 0;
+    }
+
+    /// Writes shard `i` off for the rest of the run: drops both its
+    /// channel ends, never respawns it, and answers every decision routed
+    /// to it this epoch with the shortest-path fallback.
+    fn write_off(&mut self, i: usize) {
+        let h = &mut self.shards[i];
+        if let Some((tx, rx)) = h.link.take() {
+            // The receiver first: on a socket its drop shuts the
+            // connection, so a writer blocked on a peer that stopped
+            // reading fails, and the sender's drop does not wait on it.
+            drop(rx);
+            drop(tx);
+        }
+        h.dead = true;
+        self.report.shard_disconnects += 1;
+        self.owed[i] = 0;
+        for (e, slot) in self.routed.iter_mut().enumerate() {
+            if let Some((_, dp)) = slot.take_if(|(s, _)| *s == i) {
+                self.actions[e] = Some(dosco_baselines::sp_action(&self.sims[e], &dp));
+                self.report.count_fallback(i);
+            }
+        }
+    }
+
+    /// Phase 4, apply: every answer in episode order, each decision
+    /// counted once (batched + fallback == total, always).
+    fn apply(&mut self) {
+        for (e, sim) in self.sims.iter_mut().enumerate() {
+            self.routed[e] = None;
+            if let Some(a) = self.actions[e].take() {
+                sim.apply(a);
+                self.report.decisions += 1;
                 registry::count(CounterKind::ServeDecisions, 1);
-                if let Some(t0) = starts[e].take() {
+                if let Some(t0) = self.starts[e].take() {
                     registry::record_span_ns(
                         SpanKind::ServeDecision,
                         u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -897,28 +885,32 @@ pub(crate) fn serve_core<'scope>(
                 }
             }
         }
-        report.epochs += 1;
     }
 
-    // Final status so post-run snapshots show the completed totals (and
-    // which shards were up when the run ended).
-    if let Some(board) = cfg.status.as_ref() {
-        board.publish(status_of(&report, 0, &shards, sims));
-    }
-
-    // -- Graceful shutdown: barrier-free mailboxes are empty here.
-    for h in &mut shards {
-        if let Some(tx) = h.tx.take() {
-            let _ = tx.send(ShardMsg::Shutdown);
+    /// Publishes the final status, shuts every shard down, and returns
+    /// each episode's metrics with the report.
+    fn finish(mut self) -> (Vec<Metrics>, ServeReport) {
+        // Final status so post-run snapshots show the completed totals
+        // (and which shards were up when the run ended).
+        if let Some(board) = self.cfg.status.as_ref() {
+            board.publish(status_of(&self.report, 0, &self.shards, self.sims));
         }
+        // Barrier-free mailboxes are empty here. Every shard hears
+        // `Shutdown` before the first is joined.
+        for h in &mut self.shards {
+            h.stop();
+        }
+        for h in &mut self.shards {
+            h.join();
+        }
+        assert!(
+            self.report.conserved(),
+            "decision conservation violated: {:?}",
+            self.report
+        );
+        let metrics = self.sims.iter().map(|sim| sim.metrics().clone()).collect();
+        (metrics, self.report)
     }
-    for h in &mut shards {
-        join_shard(h);
-    }
-
-    assert!(report.conserved(), "decision conservation violated: {report:?}");
-    let metrics = sims.iter().map(|sim| sim.metrics().clone()).collect();
-    (metrics, report)
 }
 
 #[cfg(test)]
@@ -978,29 +970,25 @@ mod tests {
     }
 
     /// Drives `serve_core` directly with a custom launcher (the trait is
-    /// crate-private), mirroring `serve_with_transport`'s wiring.
+    /// crate-private), mirroring `serve_with`'s wiring.
     fn run_core(
         launcher: &mut dyn ShardLauncher<'static>,
         cfg: &ServeConfig,
-        num_shards: usize,
     ) -> (Vec<Metrics>, ServeReport) {
         let scenario = ScenarioConfig::paper_base(2).with_horizon(200.0);
         let p = policy(scenario.topology.network_degree());
-        let mut sims: Vec<Simulation> = [1u64, 2]
-            .iter()
-            .map(|&s| Simulation::new(scenario.clone(), s))
-            .collect();
-        let (_resp_tx, resp_rx) =
-            Transport::<Vec<DecisionResponse>>::channel(&InProcess, num_shards + 1);
-        serve_core(
-            &p,
-            None,
-            &mut sims,
-            num_shards,
-            cfg,
-            launcher,
-            resp_rx.as_ref(),
-            &mut |_| {},
+        let mut sims = cfg.episodes(&scenario, &[1, 2]);
+        serve_core(&p, None, &mut sims, cfg, launcher, &mut |_| {})
+    }
+
+    type Channel<T> = (BoxTx<T>, BoxRx<T>);
+
+    /// A mailbox and a response channel, the two ends of a shard the
+    /// launchers below play.
+    fn shard_channels() -> (Channel<ShardMsg>, Channel<Vec<DecisionResponse>>) {
+        (
+            Transport::<ShardMsg>::channel(&InProcess, 64),
+            Transport::<Vec<DecisionResponse>>::channel(&InProcess, 1),
         )
     }
 
@@ -1020,7 +1008,7 @@ mod tests {
                 ShardHandle::dead()
             }
         }
-        let (metrics, report) = run_core(&mut DeadLauncher, &ServeConfig::new(2), 2);
+        let (metrics, report) = run_core(&mut DeadLauncher, &ServeConfig::new(2));
         assert!(report.decisions > 0);
         assert!(report.conserved());
         assert_eq!(report.batched_decisions, 0);
@@ -1043,16 +1031,12 @@ mod tests {
                 _policy: Arc<CoordinationPolicy>,
                 _version: u64,
             ) -> ShardHandle<'static> {
-                let (tx, rx) = Transport::<ShardMsg>::channel(&InProcess, 4);
+                let ((tx, rx), (_, responses)) = shard_channels();
                 drop(rx);
-                ShardHandle {
-                    tx: Some(tx),
-                    join: None,
-                    dead: false,
-                }
+                ShardHandle::new(tx, responses, None)
             }
         }
-        let (_, report) = run_core(&mut DroppedRxLauncher, &ServeConfig::new(2), 2);
+        let (_, report) = run_core(&mut DroppedRxLauncher, &ServeConfig::new(2));
         assert!(report.conserved());
         assert_eq!(report.batched_decisions, 0);
         assert_eq!(report.fallback_decisions, report.decisions);
@@ -1073,25 +1057,122 @@ mod tests {
                 _policy: Arc<CoordinationPolicy>,
                 _version: u64,
             ) -> ShardHandle<'static> {
-                let (tx, rx) = Transport::<ShardMsg>::channel(&InProcess, 64);
-                // Consume everything, answer nothing: the frontend's
-                // only signal is silence at the barrier.
-                std::thread::spawn(move || while rx.recv().is_ok() {});
-                ShardHandle {
-                    tx: Some(tx),
-                    join: None,
-                    dead: false,
-                }
+                let ((tx, rx), (resp_tx, responses)) = shard_channels();
+                // Consume everything, answer nothing, and keep the
+                // response channel open: the frontend's only signal is
+                // silence at the barrier.
+                std::thread::spawn(move || {
+                    let _open = resp_tx;
+                    while rx.recv().is_ok() {}
+                });
+                ShardHandle::new(tx, responses, None)
             }
         }
         let mut cfg = ServeConfig::new(1);
         cfg.gather_stall = Duration::from_millis(200);
-        let (_, report) = run_core(&mut SilentLauncher, &cfg, 1);
+        let (_, report) = run_core(&mut SilentLauncher, &cfg);
         assert!(report.conserved());
         assert_eq!(report.batched_decisions, 0);
         assert_eq!(report.fallback_decisions, report.decisions);
         assert_eq!(report.shard_disconnects, 1);
         assert_eq!(report.shard_respawns, 0);
+    }
+
+    /// A shard that goes away after its first barrier closes both of
+    /// its channel ends: the frontend writes it off at once instead of
+    /// waiting out the stall deadline.
+    #[test]
+    fn departed_shard_is_written_off_without_waiting_out_the_stall() {
+        struct DepartingLauncher;
+        impl ShardLauncher<'static> for DepartingLauncher {
+            fn launch(
+                &mut self,
+                _index: usize,
+                _policy: Arc<CoordinationPolicy>,
+                _version: u64,
+            ) -> ShardHandle<'static> {
+                let ((tx, rx), (resp_tx, responses)) = shard_channels();
+                std::thread::spawn(move || {
+                    let _answers_nothing = resp_tx;
+                    while let Ok(msg) = rx.recv() {
+                        if matches!(msg, ShardMsg::Flush { .. }) {
+                            break;
+                        }
+                    }
+                });
+                ShardHandle::new(tx, responses, None)
+            }
+        }
+        let mut cfg = ServeConfig::new(1);
+        cfg.gather_stall = Duration::from_secs(30);
+        let start = Instant::now();
+        let (_, report) = run_core(&mut DepartingLauncher, &cfg);
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "waited {:?} for a shard that had gone",
+            start.elapsed()
+        );
+        assert_eq!(report.shard_disconnects, 1);
+        assert_eq!(report.batched_decisions, 0);
+        assert!(report.conserved());
+    }
+
+    /// A batch that does not answer exactly the episodes routed to its
+    /// shard — an episode it was not sent, an answer given twice, a row
+    /// repeated in place of another — writes the shard off, and every
+    /// decision it owed falls back. None of them panics the frontend.
+    #[test]
+    fn misaddressed_batches_write_the_shard_off() {
+        type Answer = fn(&[DecisionRequest]) -> Vec<DecisionResponse>;
+        struct MisbehavingLauncher(Answer);
+        impl ShardLauncher<'static> for MisbehavingLauncher {
+            fn launch(
+                &mut self,
+                _index: usize,
+                _policy: Arc<CoordinationPolicy>,
+                _version: u64,
+            ) -> ShardHandle<'static> {
+                let answer = self.0;
+                let ((tx, rx), (resp_tx, responses)) = shard_channels();
+                std::thread::spawn(move || {
+                    let mut requests = Vec::new();
+                    while let Ok(msg) = rx.recv() {
+                        match msg {
+                            ShardMsg::Request(r) => requests.push(r),
+                            ShardMsg::Flush { .. } => {
+                                let _ = resp_tx.send(answer(&requests));
+                                requests.clear();
+                            }
+                            ShardMsg::Swap { .. } | ShardMsg::Shutdown => {}
+                        }
+                    }
+                });
+                ShardHandle::new(tx, responses, None)
+            }
+        }
+        fn answer(episode: usize) -> DecisionResponse {
+            DecisionResponse {
+                episode,
+                action_index: 0,
+                version: 0,
+            }
+        }
+        let cases: [(&str, Answer); 3] = [
+            ("an episode it was not sent", |_| vec![answer(999)]),
+            ("every answer twice", |reqs| {
+                reqs.iter().chain(reqs).map(|r| answer(r.episode)).collect()
+            }),
+            ("the first answer in every row", |reqs| {
+                reqs.iter().map(|_| answer(reqs[0].episode)).collect()
+            }),
+        ];
+        for (what, bad) in cases {
+            let (_, report) = run_core(&mut MisbehavingLauncher(bad), &ServeConfig::new(1));
+            assert_eq!(report.shard_disconnects, 1, "{what}");
+            assert_eq!(report.batched_decisions, 0, "{what}");
+            assert_eq!(report.fallback_decisions, report.decisions, "{what}");
+            assert!(report.conserved(), "{what}");
+        }
     }
 
     #[test]

@@ -49,9 +49,7 @@ pub mod shard;
 pub mod status;
 
 pub use control::{ControlQueue, PublishCmd, PublishScope};
-pub use fabric::{
-    serve, serve_with, serve_with_transport, ServeConfig, ServeOutcome, ServeReport, GATHER_STALL,
-};
+pub use fabric::{serve, serve_with, ServeConfig, ServeOutcome, ServeReport, GATHER_STALL};
 pub use fault::{FaultKind, FaultScript, FaultWindow};
 pub use remote::{run_remote_shard, FrontendServer, ShardInit};
 pub use shard::{shard_of, DecisionRequest, DecisionResponse, ShardMsg};

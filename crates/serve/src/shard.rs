@@ -73,22 +73,17 @@ pub enum ShardMsg {
     Shutdown,
 }
 
-/// A shard's answer to one request.
+/// A shard's answer to one request: only what the frontend cannot tell
+/// for itself. The receiver a batch arrives on names the shard, and a
+/// batch's length is its row count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DecisionResponse {
-    /// The request id being answered.
-    pub id: u64,
-    /// The shard that answered (for per-shard accounting on the status
-    /// board).
-    pub shard: usize,
     /// Episode the decision belongs to (copied from the request).
     pub episode: usize,
     /// Chosen action as a flat index (`Action::from_index`).
     pub action_index: usize,
     /// Policy version the decision was computed under.
     pub version: u64,
-    /// Rows in the batched forward that produced this answer.
-    pub batch_rows: usize,
 }
 
 /// Everything a shard worker owns. Responses travel as one `Vec` per
@@ -107,7 +102,17 @@ pub(crate) struct ShardWorker {
     pub responses: BoxTx<Vec<DecisionResponse>>,
 }
 
+impl ShardWorker {
+    /// Whether `node` is in this shard's part of the partition.
+    fn owns(&self, node: usize) -> bool {
+        node < self.num_nodes && shard_of(node, self.num_shards) == self.index
+    }
+}
+
 /// The shard thread body: drain the mailbox, batch at flush barriers.
+/// A request for a node the shard does not own, or an observation whose
+/// width is not the actor's input, breaks the protocol: the loop ends,
+/// which closes both channel ends, and the frontend writes the shard off.
 pub(crate) fn run_shard(mut w: ShardWorker) {
     // Per-node RNG streams for the nodes this shard owns. Seeded by
     // `per_node_seed`, the same derivation `DistributedAgents` uses, so
@@ -116,7 +121,7 @@ pub(crate) fn run_shard(mut w: ShardWorker) {
     let mut rngs: Vec<Option<StdRng>> = match w.stochastic_seed {
         Some(seed) => (0..w.num_nodes)
             .map(|v| {
-                (shard_of(v, w.num_shards) == w.index)
+                w.owns(v)
                     .then(|| StdRng::seed_from_u64(per_node_seed(seed, v)))
             })
             .collect(),
@@ -124,23 +129,24 @@ pub(crate) fn run_shard(mut w: ShardWorker) {
     };
     let mut pending: Vec<DecisionRequest> = Vec::new();
     loop {
-        match next_message(&*w.mailbox) {
+        let serving = match next_message(&*w.mailbox) {
             Ok(ShardMsg::Request(r)) => {
-                debug_assert_eq!(
-                    shard_of(r.node.0, w.num_shards),
-                    w.index,
-                    "request routed to the wrong shard"
-                );
+                let owned = w.owns(r.node.0);
                 pending.push(r);
+                owned
             }
             Ok(ShardMsg::Flush { .. }) => flush(&w, &mut pending, &mut rngs),
             Ok(ShardMsg::Swap { policy, version }) => {
                 w.policy = policy;
                 w.version = version;
+                true
             }
             // Disconnect means the frontend dropped the mailbox: treat
             // like a shutdown (nothing can be pending past a flush).
-            Ok(ShardMsg::Shutdown) | Err(_) => return,
+            Ok(ShardMsg::Shutdown) | Err(_) => false,
+        };
+        if !serving {
+            return;
         }
     }
 }
@@ -169,10 +175,20 @@ fn next_message<T>(mailbox: &dyn Rx<T>) -> Result<T, RecvError> {
     mailbox.recv()
 }
 
-/// Answers every queued request with one batched forward.
-fn flush(w: &ShardWorker, pending: &mut Vec<DecisionRequest>, rngs: &mut [Option<StdRng>]) {
+/// Answers every queued request with one batched forward. Returns
+/// `false`, answering nothing, if an observation's width is not the
+/// actor's input.
+fn flush(
+    w: &ShardWorker,
+    pending: &mut Vec<DecisionRequest>,
+    rngs: &mut [Option<StdRng>],
+) -> bool {
+    let obs_dim = w.policy.actor().inputs();
+    if pending.iter().any(|r| r.obs.len() != obs_dim) {
+        return false;
+    }
     if pending.is_empty() {
-        return;
+        return true;
     }
     // Deterministic batch order: ascending request id. The mailbox is
     // FIFO from the single frontend producer, so this is a no-op sort in
@@ -185,7 +201,6 @@ fn flush(w: &ShardWorker, pending: &mut Vec<DecisionRequest>, rngs: &mut [Option
 
     let actions: Vec<usize> = {
         let _span = dosco_obs::span(SpanKind::ServeBatchForward);
-        let obs_dim = w.policy.actor().inputs();
         let batch = Matrix::from_fn(rows, obs_dim, |r, c| pending[r].obs[c]);
         let logits = w.policy.actor().forward(&batch);
         let dist = Categorical::new(&logits);
@@ -207,18 +222,16 @@ fn flush(w: &ShardWorker, pending: &mut Vec<DecisionRequest>, rngs: &mut [Option
 
     let answers: Vec<DecisionResponse> = pending
         .drain(..)
-        .enumerate()
-        .map(|(row, req)| DecisionResponse {
-            id: req.id,
-            shard: w.index,
+        .zip(actions)
+        .map(|(req, action_index)| DecisionResponse {
             episode: req.episode,
-            action_index: actions[row],
+            action_index,
             version: w.version,
-            batch_rows: rows,
         })
         .collect();
     // A send error means the frontend is gone; responses are moot.
     let _ = w.responses.send(answers);
+    true
 }
 
 #[cfg(test)]
@@ -261,5 +274,47 @@ mod tests {
             assert_eq!(next_message(&*rx), Ok(4));
         });
         assert_eq!(next_message(&*rx), Err(RecvError));
+    }
+
+    /// A request for a node the shard does not own, or an observation
+    /// of the wrong width, ends the shard loop: no answer is sent and
+    /// the response channel closes, which is what the frontend writes the
+    /// shard off on. Stochastic serving, so the old unchecked lookup of
+    /// the node's RNG stream would have panicked.
+    #[test]
+    fn protocol_violations_end_the_loop_without_answering() {
+        use dosco_core::policy::PolicyMetadata;
+        use dosco_net::{InProcess, Transport};
+        use dosco_nn::mlp::{Activation, Mlp};
+        let actor = Mlp::new(&[8, 4, 2], Activation::Tanh, &mut StdRng::seed_from_u64(3));
+        let policy = Arc::new(CoordinationPolicy::new(actor, 1, PolicyMetadata::default()));
+        let cases = [
+            ("a node of shard 1", 1, vec![0.0; 8]),
+            ("a node outside the topology", 4, vec![0.0; 8]),
+            ("an observation of the wrong width", 0, vec![0.0; 7]),
+        ];
+        for (what, node, obs) in cases {
+            let (tx, mailbox) = Transport::<ShardMsg>::channel(&InProcess, 4);
+            let (responses, rx) = Transport::<Vec<DecisionResponse>>::channel(&InProcess, 1);
+            let request = DecisionRequest {
+                id: 0,
+                episode: 0,
+                node: NodeId(node),
+                obs,
+            };
+            tx.send(ShardMsg::Request(request)).expect("queue");
+            tx.send(ShardMsg::Flush { epoch: 0 }).expect("queue");
+            run_shard(ShardWorker {
+                index: 0,
+                num_shards: 2,
+                num_nodes: 4,
+                stochastic_seed: Some(1),
+                policy: Arc::clone(&policy),
+                version: 0,
+                mailbox,
+                responses,
+            });
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "{what}");
+        }
     }
 }

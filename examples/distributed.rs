@@ -14,14 +14,16 @@
 //! two-process sync run reproduced the in-process baseline **bit for
 //! bit**: same `TrainStats`, same final weights.
 //!
-//! The role entrypoints read the standard `DOSCO_NET_*` environment
-//! contract ([`dosco::net::NetConfig`]): `DOSCO_NET_ROLE`,
-//! `DOSCO_NET_ADDR`, and optionally `DOSCO_NET_RETRIES` /
-//! `DOSCO_NET_TIMEOUT_MS` / `DOSCO_NET_CAPACITY` for the dial policy —
-//! exactly what a real deployment would set per container.
+//! This binary picks its role from `DOSCO_NET_ROLE` (`learner`, `actor`,
+//! or unset for the orchestrator). The role entrypoints read the
+//! standard `DOSCO_NET_*` environment contract
+//! ([`dosco::net::NetConfig`]): `DOSCO_NET_ADDR`, and optionally
+//! `DOSCO_NET_RETRIES` / `DOSCO_NET_TIMEOUT_MS` / `DOSCO_NET_CAPACITY`
+//! for the dial policy — exactly what a real deployment would set per
+//! container.
 
 use dosco::core::{CoordEnv, RewardConfig};
-use dosco::net::{NetConfig, Role};
+use dosco::net::NetConfig;
 use dosco::rl::a2c::{A2c, A2cConfig};
 use dosco::rl::Env;
 use dosco::runtime::{train, LearnerServer, RuntimeConfig};
@@ -132,7 +134,7 @@ fn orchestrate() {
     println!("== spawning learner + actor as separate OS processes ==");
     let exe = std::env::current_exe().expect("own executable path");
     let mut learner = Command::new(&exe)
-        .env("DOSCO_NET_ROLE", Role::Learner.name())
+        .env("DOSCO_NET_ROLE", "learner")
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn learner process");
@@ -150,7 +152,7 @@ fn orchestrate() {
     println!("learner is listening on {addr}");
 
     let actor = Command::new(&exe)
-        .env("DOSCO_NET_ROLE", Role::Actor.name())
+        .env("DOSCO_NET_ROLE", "actor")
         .env("DOSCO_NET_ADDR", &addr)
         .output()
         .expect("run actor process");

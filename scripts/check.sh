@@ -65,14 +65,21 @@ trap 'rm -rf "$policy_dir"' EXIT
 ./target/release/dosco train --ingress 2 --steps 4000 --seeds 2 --out "$policy_dir/policy.json"
 ./target/release/dosco eval --policy "$policy_dir/policy.json" --seeds 2
 
+echo "== probe_inference: greedy against stochastic deployment of that same policy =="
+./target/release/probe_inference --policy "$policy_dir/policy.json"
+
 echo "== traincurve: the training diagnostic over the same per-seed loop, two report windows =="
 ./target/release/traincurve --steps 8000
+
+echo "== calibrate: all four coordinators side by side on one scenario, tiny budget =="
+DOSCO_TRAIN_STEPS=2000 DOSCO_SEEDS=1 DOSCO_EVAL_SEEDS=1 DOSCO_HORIZON=500 DOSCO_CENTRAL_STEPS=50 \
+  ./target/release/calibrate
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo doc (runtime crate, deny missing docs) =="
-cargo doc --no-deps -p dosco-runtime
+echo "== cargo doc (every workspace crate, warnings denied: missing docs, broken and private links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== benchmark package: contract tests =="
 (cd benchmark && cargo test --offline -q)
