@@ -252,11 +252,18 @@ pub enum SpanKind {
     /// One layer's hidden activation (`tanh` over its batch) in a
     /// `dosco_nn` forward pass: the forward's other half, next to `Gemm`.
     Activation,
+    /// The serve frontend's collect phase of one epoch that routed a
+    /// decision: stepping every live episode to its next decision and
+    /// routing it.
+    ServeCollect,
+    /// The serve frontend's barrier of one epoch that routed a decision:
+    /// from the first flush sent to the last answer batch accepted.
+    ServeBarrier,
 }
 
 impl SpanKind {
     /// All spans, in report order.
-    pub const ALL: [SpanKind; 14] = [
+    pub const ALL: [SpanKind; 16] = [
         SpanKind::Gemm,
         SpanKind::KfacStats,
         SpanKind::KfacInversion,
@@ -271,6 +278,8 @@ impl SpanKind {
         SpanKind::NetEncode,
         SpanKind::NetDecode,
         SpanKind::Activation,
+        SpanKind::ServeCollect,
+        SpanKind::ServeBarrier,
     ];
 
     /// Stable snake_case name used in reports.
@@ -290,6 +299,8 @@ impl SpanKind {
             SpanKind::NetEncode => "net_encode",
             SpanKind::NetDecode => "net_decode",
             SpanKind::Activation => "activation",
+            SpanKind::ServeCollect => "serve_collect",
+            SpanKind::ServeBarrier => "serve_barrier",
         }
     }
 
@@ -523,6 +534,8 @@ pub(crate) mod tests {
     fn names_are_stable() {
         assert_eq!(SpanKind::SnapshotPublish.name(), "snapshot_publish");
         assert_eq!(SpanKind::ServeDecision.name(), "serve_decision");
+        assert_eq!(SpanKind::ServeCollect.name(), "serve_collect");
+        assert_eq!(SpanKind::ServeBarrier.name(), "serve_barrier");
         assert_eq!(CounterKind::EpisodesTraced.name(), "episodes_traced");
         assert_eq!(CounterKind::ServeFallbacks.name(), "serve_fallbacks");
         assert_eq!(CounterKind::NetBytesSent.name(), "net_bytes_sent");

@@ -13,15 +13,23 @@
 //!    point, observe locally, and route the request to the shard owning
 //!    the node — or answer immediately with the shortest-path fallback
 //!    if that shard is down.
-//! 3. **Flush**: send the epoch barrier; each shard answers its queued
-//!    requests from one batched forward on its own response channel.
+//! 3. **Flush**: send the epoch barrier; each shard forwards the rows it
+//!    has not yet forwarded (it forwards rows whenever its mailbox runs
+//!    dry, so most of an epoch's GEMM overlaps the collect phase) and
+//!    answers the whole epoch as one batch on its own response channel.
 //! 4. **Apply**: apply every answer in episode order and account for
 //!    every decision (batched + fallback == total, always).
 //!
 //! Determinism: each episode's simulation consumes exactly the decision
 //! sequence a per-decision run would produce, batch order is fixed by
-//! request id, and per-node RNG streams live with the owning shard —
-//! so shard count cannot change any decision.
+//! request id, every row's answer is independent of the forward it sat
+//! in, and per-node RNG streams live with the owning shard — so neither
+//! shard count nor how a shard splits an epoch into forwards can change
+//! any decision.
+//!
+//! Under `DOSCO_SPANS`, the collect phase and the barrier (first flush
+//! sent to last batch accepted) of every epoch that routed a decision are
+//! the `serve_collect` and `serve_barrier` spans.
 
 use crate::control::{ControlQueue, PublishScope};
 use crate::fault::{FaultKind, FaultScript};
@@ -230,7 +238,8 @@ pub struct ServeReport {
     /// a disconnected shard is never respawned — its decisions fall
     /// back to shortest-path for the rest of the run.
     pub shard_disconnects: u64,
-    /// Largest batched forward, in rows.
+    /// Largest answer batch a shard sent for one epoch, in rows. A shard
+    /// may have computed it in several forwards.
     pub max_batch_rows: u64,
     /// Policy version the fabric ended on; during a run, the fabric-wide
     /// current version (what respawns re-sync to).
@@ -564,6 +573,14 @@ pub(crate) fn serve_core<'scope>(
     f.finish()
 }
 
+/// Records the time since `t0` as one `kind` span.
+fn record_span_since(kind: SpanKind, t0: Instant) {
+    registry::record_span_ns(
+        kind,
+        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+    );
+}
+
 /// The epoch loop's state: the shards, the running tally, and this
 /// epoch's record of every episode's decision.
 struct Frontend<'a, 'scope> {
@@ -731,6 +748,7 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
     /// is down. Returns whether any episode had a decision.
     fn collect(&mut self) -> bool {
         let spans_on = dosco_obs::spans_enabled();
+        let t0 = spans_on.then(Instant::now);
         let mut decided = false;
         for e in 0..self.sims.len() {
             if !self.live[e] {
@@ -773,7 +791,15 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
             self.actions[e] = Some(dosco_baselines::sp_action(&self.sims[e], &dp));
             self.report.count_fallback(owner);
         }
+        if let Some(t0) = t0.filter(|_| self.routes()) {
+            record_span_since(SpanKind::ServeCollect, t0);
+        }
         decided
+    }
+
+    /// Whether some decision of this epoch waits on a shard's answer.
+    fn routes(&self) -> bool {
+        self.owed.iter().any(|&n| n > 0)
     }
 
     /// Phase 3, flush: the barrier to every shard that owes a batch,
@@ -784,6 +810,7 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
     /// computing, so one that stays silent for
     /// [`ServeConfig::gather_stall`] is written off then.
     fn gather(&mut self, epoch: u64) {
+        let t0 = (dosco_obs::spans_enabled() && self.routes()).then(Instant::now);
         for i in 0..self.shards.len() {
             if self.owed[i] > 0 && !self.shards[i].send(ShardMsg::Flush { epoch }) {
                 self.write_off(i);
@@ -791,7 +818,7 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
         }
         let mut last_progress = Instant::now();
         let mut idle = 0u32;
-        while self.owed.iter().any(|&n| n > 0) {
+        while self.routes() {
             let mut progressed = false;
             for i in 0..self.shards.len() {
                 if self.owed[i] == 0 {
@@ -821,6 +848,9 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
             } else {
                 std::thread::sleep(Duration::from_micros(200));
             }
+        }
+        if let Some(t0) = t0 {
+            record_span_since(SpanKind::ServeBarrier, t0);
         }
     }
 
@@ -878,10 +908,7 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
                 self.report.decisions += 1;
                 registry::count(CounterKind::ServeDecisions, 1);
                 if let Some(t0) = self.starts[e].take() {
-                    registry::record_span_ns(
-                        SpanKind::ServeDecision,
-                        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    );
+                    record_span_since(SpanKind::ServeDecision, t0);
                 }
             }
         }
@@ -1190,6 +1217,34 @@ mod tests {
             out.report.decisions_by_version,
             vec![(0, out.report.batched_decisions)]
         );
+    }
+
+    /// A policy with a non-finite parameter (one diverged publish) has
+    /// no answer for any row: each shard ends its loop without answering,
+    /// the frontend writes it off, and every decision falls back. Greedy
+    /// on two shards and stochastic on one; neither panics the caller.
+    #[test]
+    fn diverged_policy_falls_back_instead_of_panicking() {
+        use dosco_nn::matrix::Matrix;
+        let scenario = ScenarioConfig::paper_base(2).with_horizon(200.0);
+        let degree = scenario.topology.network_degree();
+        let mut actor = policy(degree).actor().clone();
+        let x = Matrix::from_fn(1, actor.inputs(), |_, c| 0.1 * c as f32);
+        let cache = actor.forward_cached(&x);
+        let grads = actor.backward(&cache, &Matrix::from_fn(1, degree + 1, |_, _| 1.0));
+        actor.apply_update(&grads, f32::INFINITY);
+        let diverged = CoordinationPolicy::new(actor, degree, PolicyMetadata::default());
+        for cfg in [
+            ServeConfig::new(2),
+            ServeConfig::new(1).with_stochastic_seed(7),
+        ] {
+            let out = serve(&diverged, None, &scenario, &[1, 2], &cfg);
+            let r = &out.report;
+            assert!(r.decisions > 0, "{cfg:?}");
+            assert!(r.conserved(), "{cfg:?}");
+            assert_eq!(r.batched_decisions, 0, "{cfg:?}");
+            assert_eq!(r.fallback_decisions, r.decisions, "{cfg:?}");
+        }
     }
 
     #[test]

@@ -197,12 +197,14 @@ impl FrontendServer {
 
 /// The shard-process entrypoint: dial the frontend (with the configured
 /// retry/backoff), read the [`ShardInit`], and run the exact worker body
-/// the in-process fabric runs — batching every flush into one forward,
-/// answering over the socket, swapping policies at epoch boundaries.
+/// the in-process fabric runs — forwarding requests in batches as they
+/// arrive, answering each flush with one batch over the socket, swapping
+/// policies at epoch boundaries.
 ///
 /// Returns when the frontend sends [`ShardMsg::Shutdown`](crate::ShardMsg::Shutdown), closes the
 /// connection, or breaks the protocol mid-run (a request for a node this
-/// shard does not own, an observation of the wrong width).
+/// shard does not own, an observation of the wrong width, a request id
+/// that does not ascend, or a policy whose logits are not finite).
 ///
 /// # Errors
 ///

@@ -1,13 +1,18 @@
-//! Shard workers: the mailbox protocol and the batched-inference loop.
+//! Shard workers: the mailbox protocol and the streamed batched-inference
+//! loop.
 //!
 //! Each shard owns a fixed subset of the topology's nodes
 //! ([`shard_of`]), one bounded mailbox, and — under stochastic serving —
-//! one RNG stream per owned node. At every [`ShardMsg::Flush`] barrier
-//! the shard stacks all queued observations into one matrix, runs a
-//! single `Mlp::forward`, and answers each request from its row of the
-//! batch. Because the blocked GEMM computes every output element
-//! independently (ascending-k, single accumulator), the batched answers
-//! are bitwise identical to per-decision forwards — batching changes
+//! one RNG stream per owned node. Whenever its mailbox runs dry within an
+//! epoch, the shard stacks the requests that have arrived into one matrix
+//! and runs one `Mlp::forward` over them, so the GEMM for early episodes
+//! runs while the frontend is still stepping the later ones. At the
+//! [`ShardMsg::Flush`] barrier it forwards whatever is left and sends the
+//! epoch's answers as one batch. Because the blocked GEMM computes every
+//! output element independently (ascending-k, single accumulator), each
+//! row's answer is bitwise identical to a per-decision forward whatever
+//! batch it sat in, and stochastic draws come from each node's stream in
+//! request-id order — so how an epoch's rows split into forwards changes
 //! latency, never decisions.
 
 use crossbeam::channel::{RecvError, TryRecvError};
@@ -109,46 +114,84 @@ impl ShardWorker {
     }
 }
 
-/// The shard thread body: drain the mailbox, batch at flush barriers.
-/// A request for a node the shard does not own, or an observation whose
-/// width is not the actor's input, breaks the protocol: the loop ends,
-/// which closes both channel ends, and the frontend writes the shard off.
+/// The shard thread body: drain the mailbox, forwarding the rows that
+/// have arrived whenever it runs dry, and answer the epoch at its flush
+/// barrier. A request for a node the shard does not own, an observation
+/// whose width is not the actor's input, a request id that does not
+/// ascend, or a row whose logits are not finite breaks the protocol: the
+/// loop ends, which closes both channel ends, and the frontend writes the
+/// shard off.
 pub(crate) fn run_shard(mut w: ShardWorker) {
-    // Per-node RNG streams for the nodes this shard owns. Seeded by
-    // `per_node_seed`, the same derivation `DistributedAgents` uses, so
-    // stochastic serving draws the exact stream the in-process
-    // deployment would.
-    let mut rngs: Vec<Option<StdRng>> = match w.stochastic_seed {
-        Some(seed) => (0..w.num_nodes)
-            .map(|v| {
-                w.owns(v)
-                    .then(|| StdRng::seed_from_u64(per_node_seed(seed, v)))
-            })
-            .collect(),
-        None => Vec::new(),
-    };
+    let mut rngs = node_streams(&w);
+    // Requests not yet forwarded, and this epoch's answers so far.
     let mut pending: Vec<DecisionRequest> = Vec::new();
+    let mut answers: Vec<DecisionResponse> = Vec::new();
+    let mut last_id = None;
     loop {
-        let serving = match next_message(&*w.mailbox) {
-            Ok(ShardMsg::Request(r)) => {
-                let owned = w.owns(r.node.0);
-                pending.push(r);
-                owned
+        let msg = match w.mailbox.try_recv() {
+            Ok(msg) => Ok(msg),
+            // The mailbox ran dry mid-epoch: forward what has arrived
+            // while the frontend steps the episodes still to come.
+            Err(TryRecvError::Empty) if !pending.is_empty() => {
+                if !forward(&w, &mut pending, rngs.as_deref_mut(), &mut answers) {
+                    return;
+                }
+                continue;
             }
-            Ok(ShardMsg::Flush { .. }) => flush(&w, &mut pending, &mut rngs),
+            Err(TryRecvError::Empty) => next_message(&*w.mailbox),
+            Err(TryRecvError::Disconnected) => Err(RecvError),
+        };
+        let serving = match msg {
+            Ok(ShardMsg::Request(r)) => {
+                let valid = w.owns(r.node.0)
+                    && r.obs.len() == w.policy.actor().inputs()
+                    && last_id.is_none_or(|last| r.id > last);
+                last_id = Some(r.id);
+                pending.push(r);
+                valid
+            }
+            Ok(ShardMsg::Flush { .. }) => {
+                let forwarded = forward(&w, &mut pending, rngs.as_deref_mut(), &mut answers);
+                if forwarded && !answers.is_empty() {
+                    let rows = answers.len() as f64;
+                    registry::set_gauge(GaugeKind::LastServeQueueDepth, rows);
+                    registry::max_gauge(GaugeKind::PeakServeQueueDepth, rows);
+                    // A send error means the frontend is gone; the
+                    // answers are moot.
+                    let _ = w.responses.send(std::mem::take(&mut answers));
+                }
+                forwarded
+            }
             Ok(ShardMsg::Swap { policy, version }) => {
+                // No batch mixes two policy versions.
+                let forwarded = forward(&w, &mut pending, rngs.as_deref_mut(), &mut answers);
                 w.policy = policy;
                 w.version = version;
-                true
+                forwarded
             }
             // Disconnect means the frontend dropped the mailbox: treat
-            // like a shutdown (nothing can be pending past a flush).
+            // like a shutdown.
             Ok(ShardMsg::Shutdown) | Err(_) => false,
         };
         if !serving {
             return;
         }
     }
+}
+
+/// Under stochastic serving, the RNG stream of each node the shard owns
+/// (`None` for the others). Seeded by `per_node_seed`, the same
+/// derivation `DistributedAgents` uses, so stochastic serving draws the
+/// exact stream the in-process deployment would. `None` serves greedy.
+fn node_streams(w: &ShardWorker) -> Option<Vec<Option<StdRng>>> {
+    w.stochastic_seed.map(|seed| {
+        (0..w.num_nodes)
+            .map(|v| {
+                w.owns(v)
+                    .then(|| StdRng::seed_from_u64(per_node_seed(seed, v)))
+            })
+            .collect()
+    })
 }
 
 /// Polls of an empty mailbox [`next_message`] makes before it parks in
@@ -175,62 +218,55 @@ fn next_message<T>(mailbox: &dyn Rx<T>) -> Result<T, RecvError> {
     mailbox.recv()
 }
 
-/// Answers every queued request with one batched forward. Returns
-/// `false`, answering nothing, if an observation's width is not the
-/// actor's input.
-fn flush(
+/// The forward step: answers every row of `pending` from one batched
+/// forward under the shard's current policy, appends the answers to
+/// `answers` in request order, and empties `pending`. Greedy when `rngs`
+/// is `None`; otherwise one draw per row, in request order, from the
+/// owning node's stream. Returns `false`, answering nothing, if a row's
+/// logits are not finite (a diverged policy): argmax and sampling have
+/// no answer for such a row.
+fn forward(
     w: &ShardWorker,
     pending: &mut Vec<DecisionRequest>,
-    rngs: &mut [Option<StdRng>],
+    rngs: Option<&mut [Option<StdRng>]>,
+    answers: &mut Vec<DecisionResponse>,
 ) -> bool {
-    let obs_dim = w.policy.actor().inputs();
-    if pending.iter().any(|r| r.obs.len() != obs_dim) {
-        return false;
-    }
     if pending.is_empty() {
         return true;
     }
-    // Deterministic batch order: ascending request id. The mailbox is
-    // FIFO from the single frontend producer, so this is a no-op sort in
-    // practice — it pins the contract rather than trusting transport.
-    pending.sort_by_key(|r| r.id);
     let rows = pending.len();
-    registry::set_gauge(GaugeKind::LastServeQueueDepth, rows as f64);
-    registry::max_gauge(GaugeKind::PeakServeQueueDepth, rows as f64);
     registry::observe(HistKind::ServeBatchSize, rows as f64);
-
-    let actions: Vec<usize> = {
-        let _span = dosco_obs::span(SpanKind::ServeBatchForward);
-        let batch = Matrix::from_fn(rows, obs_dim, |r, c| pending[r].obs[c]);
-        let logits = w.policy.actor().forward(&batch);
-        let dist = Categorical::new(&logits);
-        if w.stochastic_seed.is_some() {
-            // One draw per row, in id order, from the owning node's
-            // stream — the exact draws a per-decision deployment makes.
-            (0..rows)
-                .map(|r| {
-                    let rng = rngs[pending[r].node.0]
-                        .as_mut()
-                        .expect("request for a node this shard owns");
-                    dist.sample_row(r, rng)
-                })
-                .collect()
-        } else {
-            dist.argmax()
-        }
+    let _span = dosco_obs::span(SpanKind::ServeBatchForward);
+    let obs_dim = w.policy.actor().inputs();
+    let batch = Matrix::from_fn(rows, obs_dim, |r, c| pending[r].obs[c]);
+    let logits = w.policy.actor().forward(&batch);
+    if !logits.as_slice().iter().all(|l| l.is_finite()) {
+        return false;
+    }
+    let dist = Categorical::new(&logits);
+    let actions = match rngs {
+        // One draw per row, in id order, from the owning node's stream —
+        // the exact draws a per-decision deployment makes.
+        Some(rngs) => (0..rows)
+            .map(|r| {
+                let rng = rngs[pending[r].node.0]
+                    .as_mut()
+                    .expect("request for a node this shard owns");
+                dist.sample_row(r, rng)
+            })
+            .collect(),
+        None => dist.argmax(),
     };
-
-    let answers: Vec<DecisionResponse> = pending
-        .drain(..)
-        .zip(actions)
-        .map(|(req, action_index)| DecisionResponse {
-            episode: req.episode,
-            action_index,
-            version: w.version,
-        })
-        .collect();
-    // A send error means the frontend is gone; responses are moot.
-    let _ = w.responses.send(answers);
+    answers.extend(
+        pending
+            .drain(..)
+            .zip(actions)
+            .map(|(req, action_index)| DecisionResponse {
+                episode: req.episode,
+                action_index,
+                version: w.version,
+            }),
+    );
     true
 }
 
@@ -276,45 +312,156 @@ mod tests {
         assert_eq!(next_message(&*rx), Err(RecvError));
     }
 
-    /// A request for a node the shard does not own, or an observation
-    /// of the wrong width, ends the shard loop: no answer is sent and
-    /// the response channel closes, which is what the frontend writes the
-    /// shard off on. Stochastic serving, so the old unchecked lookup of
-    /// the node's RNG stream would have panicked.
-    #[test]
-    fn protocol_violations_end_the_loop_without_answering() {
-        use dosco_core::policy::PolicyMetadata;
+    /// A worker of shard 0 of `num_shards` over four nodes, serving
+    /// `policy`, with the frontend's ends of its mailbox and response
+    /// channel.
+    fn worker(
+        policy: &Arc<CoordinationPolicy>,
+        num_shards: usize,
+        stochastic_seed: Option<u64>,
+    ) -> (ShardWorker, BoxTx<ShardMsg>, BoxRx<Vec<DecisionResponse>>) {
         use dosco_net::{InProcess, Transport};
+        let (tx, mailbox) = Transport::<ShardMsg>::channel(&InProcess, 8);
+        let (responses, rx) = Transport::<Vec<DecisionResponse>>::channel(&InProcess, 1);
+        let w = ShardWorker {
+            index: 0,
+            num_shards,
+            num_nodes: 4,
+            stochastic_seed,
+            policy: Arc::clone(policy),
+            version: 0,
+            mailbox,
+            responses,
+        };
+        (w, tx, rx)
+    }
+
+    /// A random policy of degree 1: eight inputs, two actions.
+    fn policy() -> Arc<CoordinationPolicy> {
+        use dosco_core::policy::PolicyMetadata;
         use dosco_nn::mlp::{Activation, Mlp};
         let actor = Mlp::new(&[8, 4, 2], Activation::Tanh, &mut StdRng::seed_from_u64(3));
-        let policy = Arc::new(CoordinationPolicy::new(actor, 1, PolicyMetadata::default()));
-        let cases = [
-            ("a node of shard 1", 1, vec![0.0; 8]),
-            ("a node outside the topology", 4, vec![0.0; 8]),
-            ("an observation of the wrong width", 0, vec![0.0; 7]),
-        ];
-        for (what, node, obs) in cases {
-            let (tx, mailbox) = Transport::<ShardMsg>::channel(&InProcess, 4);
-            let (responses, rx) = Transport::<Vec<DecisionResponse>>::channel(&InProcess, 1);
-            let request = DecisionRequest {
-                id: 0,
-                episode: 0,
-                node: NodeId(node),
-                obs,
+        Arc::new(CoordinationPolicy::new(actor, 1, PolicyMetadata::default()))
+    }
+
+    fn request(id: u64, node: usize, obs: Vec<f32>) -> DecisionRequest {
+        DecisionRequest {
+            id,
+            episode: id as usize,
+            node: NodeId(node),
+            obs,
+        }
+    }
+
+    /// Forwarding an epoch's rows in three chunks answers exactly what one
+    /// forward over all of them does, and both equal the per-decision
+    /// policy: `act` greedy, `act_sampled` on each node's `per_node_seed`
+    /// stream in request-id order when stochastic.
+    #[test]
+    fn chunked_forwarding_equals_one_batch_equals_per_row_decisions() {
+        use rand::Rng;
+        let policy = policy();
+        let mut obs_rng = StdRng::seed_from_u64(11);
+        let n = 13;
+        let requests: Vec<DecisionRequest> = (0..n)
+            .map(|i| {
+                let obs = (0..8).map(|_| obs_rng.gen_range(-2.0f32..2.0)).collect();
+                request(i as u64, i % 4, obs)
+            })
+            .collect();
+        for seed in [None, Some(5)] {
+            let (w, _tx, _rx) = worker(&policy, 1, seed);
+            // Forwards `requests[0..ends[0]]`, then `[ends[0]..ends[1]]`, ….
+            let run = |ends: &[usize]| {
+                let mut rngs = node_streams(&w);
+                let mut answers = Vec::new();
+                let mut start = 0;
+                for &end in ends {
+                    let mut pending = requests[start..end].to_vec();
+                    assert!(forward(&w, &mut pending, rngs.as_deref_mut(), &mut answers));
+                    assert!(pending.is_empty());
+                    start = end;
+                }
+                answers
             };
-            tx.send(ShardMsg::Request(request)).expect("queue");
+            let chunked = run(&[1, 4, n]);
+            assert_eq!(chunked, run(&[n]), "seed {seed:?}");
+            let mut streams: Vec<StdRng> = (0..4)
+                .map(|v| StdRng::seed_from_u64(per_node_seed(seed.unwrap_or(0), v)))
+                .collect();
+            let per_row: Vec<usize> = requests
+                .iter()
+                .map(|r| match seed {
+                    Some(_) => policy.act_sampled(&r.obs, &mut streams[r.node.0]),
+                    None => policy.act(&r.obs),
+                })
+                .collect();
+            let actions: Vec<usize> = chunked.iter().map(|a| a.action_index).collect();
+            assert_eq!(actions, per_row, "seed {seed:?}");
+            assert!(chunked
+                .iter()
+                .zip(&requests)
+                .all(|(a, r)| a.episode == r.episode && a.version == 0));
+        }
+    }
+
+    /// A request for a node the shard does not own, an observation of the
+    /// wrong width, or a request id that does not ascend ends the shard
+    /// loop: no answer is sent and the response channel closes, which is
+    /// what the frontend writes the shard off on. Stochastic serving, so
+    /// an unchecked lookup of the node's RNG stream would panic.
+    #[test]
+    fn protocol_violations_end_the_loop_without_answering() {
+        let policy = policy();
+        let cases = [
+            ("a node of shard 1", vec![request(0, 1, vec![0.0; 8])]),
+            ("a node outside the topology", vec![request(0, 4, vec![0.0; 8])]),
+            ("an observation of the wrong width", vec![request(0, 0, vec![0.0; 7])]),
+            (
+                "a repeated request id",
+                vec![request(3, 0, vec![0.0; 8]), request(3, 2, vec![0.0; 8])],
+            ),
+            (
+                "a descending request id",
+                vec![request(3, 0, vec![0.0; 8]), request(2, 2, vec![0.0; 8])],
+            ),
+        ];
+        for (what, requests) in cases {
+            let (w, tx, rx) = worker(&policy, 2, Some(1));
+            for r in requests {
+                tx.send(ShardMsg::Request(r)).expect("queue");
+            }
             tx.send(ShardMsg::Flush { epoch: 0 }).expect("queue");
-            run_shard(ShardWorker {
-                index: 0,
-                num_shards: 2,
-                num_nodes: 4,
-                stochastic_seed: Some(1),
-                policy: Arc::clone(&policy),
-                version: 0,
-                mailbox,
-                responses,
-            });
+            run_shard(w);
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "{what}");
         }
+    }
+
+    /// Requests that trickle in are forwarded as they arrive, and the
+    /// flush still answers the epoch as one batch in request order.
+    #[test]
+    fn trickled_requests_are_answered_as_one_batch_at_the_flush() {
+        let policy = policy();
+        let (w, tx, rx) = worker(&policy, 1, None);
+        let requests: Vec<DecisionRequest> = (0..4)
+            .map(|i| request(i, i as usize, vec![0.25 * i as f32; 8]))
+            .collect();
+        let expected: Vec<usize> = requests.iter().map(|r| policy.act(&r.obs)).collect();
+        std::thread::scope(|s| {
+            s.spawn(move || run_shard(w));
+            for r in requests {
+                tx.send(ShardMsg::Request(r)).expect("queue");
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            tx.send(ShardMsg::Flush { epoch: 0 }).expect("queue");
+            let answers = rx.recv().expect("one batch");
+            let actions: Vec<usize> = answers.iter().map(|a| a.action_index).collect();
+            assert_eq!(actions, expected);
+            assert_eq!(
+                answers.iter().map(|a| a.episode).collect::<Vec<_>>(),
+                [0, 1, 2, 3]
+            );
+            tx.send(ShardMsg::Shutdown).expect("queue");
+        });
     }
 }

@@ -17,6 +17,9 @@ cargo test -q --workspace
 echo "== cargo test (vendored crossbeam channel: vendor/* is outside the workspace, so --workspace skips it) =="
 cargo test -q -p crossbeam
 
+echo "== crossbeam wake rule: no lost wake-up over a million messages per case, each under a 30 s watchdog (release) =="
+cargo test -q --release -p crossbeam -- --include-ignored
+
 echo "== cargo test (nn + serve, DOSCO_SIMD=off: scalar reference kernels, plain tanh and inversion loops) =="
 DOSCO_SIMD=off cargo test -q -p dosco-nn -p dosco-serve
 
