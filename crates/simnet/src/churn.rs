@@ -132,6 +132,67 @@ impl fmt::Display for ChurnAction {
     }
 }
 
+/// A [`ChurnAction`] as the event queue carries it: 16 bytes where the
+/// action is 24, so a scheduled churn entry is no larger than the other
+/// queued events. [`PackedAction::unpack`] returns the packed action bit
+/// for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PackedAction {
+    /// The action's factor, `0.0` for the kinds that carry none.
+    factor: f64,
+    /// The node or link index: the simulation admits only topologies whose
+    /// ids fit in `u32`.
+    target: u32,
+    kind: ActionKind,
+}
+
+/// [`ChurnAction`]'s variants without their fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ActionKind {
+    LinkDown,
+    LinkUp,
+    NodeDown,
+    NodeUp,
+    DegradeLinkCapacity,
+    DegradeNodeCapacity,
+    DelaySpike,
+}
+
+impl PackedAction {
+    /// Packs `action`, whose target must fit in `u32`.
+    pub(crate) fn pack(action: ChurnAction) -> Self {
+        let kind = match action {
+            ChurnAction::LinkDown(_) => ActionKind::LinkDown,
+            ChurnAction::LinkUp(_) => ActionKind::LinkUp,
+            ChurnAction::NodeDown(_) => ActionKind::NodeDown,
+            ChurnAction::NodeUp(_) => ActionKind::NodeUp,
+            ChurnAction::DegradeLinkCapacity { .. } => ActionKind::DegradeLinkCapacity,
+            ChurnAction::DegradeNodeCapacity { .. } => ActionKind::DegradeNodeCapacity,
+            ChurnAction::DelaySpike { .. } => ActionKind::DelaySpike,
+        };
+        PackedAction {
+            factor: action.factor().unwrap_or(0.0),
+            target: action.target() as u32,
+            kind,
+        }
+    }
+
+    /// The action [`PackedAction::pack`] was given.
+    pub(crate) fn unpack(self) -> ChurnAction {
+        let (link, node) = (LinkId(self.target as usize), NodeId(self.target as usize));
+        let factor = self.factor;
+        match self.kind {
+            ActionKind::LinkDown => ChurnAction::LinkDown(link),
+            ActionKind::LinkUp => ChurnAction::LinkUp(link),
+            ActionKind::NodeDown => ChurnAction::NodeDown(node),
+            ActionKind::NodeUp => ChurnAction::NodeUp(node),
+            ActionKind::DegradeLinkCapacity => ChurnAction::DegradeLinkCapacity { link, factor },
+            ActionKind::DegradeNodeCapacity => ChurnAction::DegradeNodeCapacity { node, factor },
+            ActionKind::DelaySpike => ChurnAction::DelaySpike { link, factor },
+        }
+    }
+}
+
 /// What happens to flows whose head is in transit on a link when it
 /// fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -316,6 +377,25 @@ impl ChurnStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_packed_action_unpacks_to_itself() {
+        let actions = [
+            ChurnAction::LinkDown(LinkId(7)),
+            ChurnAction::LinkUp(LinkId(0)),
+            ChurnAction::NodeDown(NodeId(3)),
+            ChurnAction::NodeUp(NodeId(u32::MAX as usize - 1)),
+            ChurnAction::DegradeLinkCapacity { link: LinkId(2), factor: 0.1 },
+            ChurnAction::DegradeNodeCapacity { node: NodeId(5), factor: 0.0 },
+            ChurnAction::DelaySpike { link: LinkId(1), factor: 1e-300 },
+        ];
+        for action in actions {
+            let back = PackedAction::pack(action).unpack();
+            assert_eq!(back, action);
+            assert_eq!(back.factor().map(f64::to_bits), action.factor().map(f64::to_bits));
+        }
+        assert_eq!(std::mem::size_of::<PackedAction>(), 16);
+    }
 
     #[test]
     fn timeline_sorts_and_builds() {

@@ -179,39 +179,65 @@ impl SimEvent {
     }
 }
 
-/// Internal scheduler events. Flow-addressed events carry the dense
-/// [`FlowKey`] (slab handle), not the public [`FlowId`], so dispatching
-/// them is a bounds check plus a generation compare — no hashing.
-#[derive(Debug, Clone, PartialEq)]
+/// A component instance's place, as queued events carry it: the node id
+/// narrowed to `u32` and the component id to `u16`. The simulation checks
+/// that its scenario's ids fit once, when it accepts the scenario.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct InstanceAt {
+    node: u32,
+    component: u16,
+}
+
+impl InstanceAt {
+    /// The instance of `component` at `node`.
+    pub(crate) fn new(node: NodeId, component: ComponentId) -> Self {
+        InstanceAt {
+            node: node.0 as u32,
+            component: component.0 as u16,
+        }
+    }
+
+    /// The hosting node.
+    pub(crate) fn node(self) -> NodeId {
+        NodeId(self.node as usize)
+    }
+
+    /// The component.
+    pub(crate) fn component(self) -> ComponentId {
+        ComponentId(self.component.into())
+    }
+}
+
+/// Internal scheduler events, 24 bytes each, so a queue slot is 32.
+/// Flow-addressed events carry the dense [`FlowKey`] (slab handle), not
+/// the public [`FlowId`], so dispatching them is a bounds check plus a
+/// generation compare — no hashing. Link ids and ingress indices are
+/// `u32`, narrowed like [`InstanceAt`]'s ids.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum QueuedEvent {
     /// The `idx`-th ingress spec generates its next flow.
-    Arrival { ingress_idx: usize },
+    Arrival { ingress_idx: u32 },
     /// A flow's head is at a node and needs a coordination decision.
     Decision { flow: FlowKey },
     /// A flow finishes processing its current component.
-    ProcessingDone {
-        flow: FlowKey,
-        node: NodeId,
-        component: ComponentId,
-    },
+    ProcessingDone { flow: FlowKey, at: InstanceAt },
     /// Node resources reserved for a flow's processing are released (the
     /// flow's tail has left the instance). `epoch` is the node's churn
     /// epoch at reservation time: if the node failed in between, the
     /// release is stale (its capacity was already reclaimed wholesale)
     /// and is skipped.
     ReleaseNode {
-        node: NodeId,
-        component: ComponentId,
+        at: InstanceAt,
         amount: f64,
-        epoch: u64,
+        epoch: u32,
     },
     /// Link capacity reserved for a flow traversal is released. `epoch`
     /// guards staleness across link failures, like `ReleaseNode`.
-    ReleaseLink { link: LinkId, amount: f64, epoch: u64 },
+    ReleaseLink { link: u32, amount: f64, epoch: u32 },
     /// Check whether an instance has been idle for its full timeout.
-    InstanceTimeout { node: NodeId, component: ComponentId },
+    InstanceTimeout { at: InstanceAt },
     /// Apply one entry of the churn timeline.
-    Churn { action: crate::churn::ChurnAction },
+    Churn { action: crate::churn::PackedAction },
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@ use crate::service::ServiceId;
 use dosco_topology::{LinkId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// Identifier of a flow `f ∈ F`, unique within one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -42,7 +43,11 @@ impl fmt::Display for FlowKey {
 
 /// A live flow: `f = (s_f, c_f, v_f^in, v_f^eg, λ_f, t_f^in, δ_f, τ_f)`
 /// plus its runtime position (current node and progress within the chain).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A by-value view: the simulator stores a 32-byte record per live flow
+/// and builds this from it, its ingress spec and the catalog on each
+/// [`crate::Simulation::flow`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Flow {
     /// Unique id.
     pub id: FlowId,
@@ -70,9 +75,68 @@ pub struct Flow {
     pub location: NodeId,
     /// Dense index of the link the head is crossing towards
     /// [`Flow::location`]; `None` while it waits or is processed there.
-    /// Together with `location` this is all a failure needs to find its
-    /// victims, at 8 bytes per live flow.
     pub(crate) in_transit: Option<u32>,
+}
+
+/// What the simulator's flow slab keeps per live flow: the fields that
+/// vary, and the ingress spec the constant ones come from. 32 bytes where
+/// a [`Flow`] is 96, and `Option<FlowRecord>` is free through the spec
+/// index's niche.
+///
+/// Every `u32` here was bounded once, when the simulation accepted its
+/// scenario: node and link ids, chain positions and spec indices all fit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FlowRecord {
+    pub(crate) id: FlowId,
+    /// Arrival time `t_f^in`.
+    pub(crate) arrival: f64,
+    /// [`Flow::location`].
+    pub(crate) location: u32,
+    /// The link the head is crossing, [`FlowRecord::NOT_IN_TRANSIT`] while
+    /// it waits or is processed at `location`. Together with `location`
+    /// this is all a failure needs to find its victims.
+    pub(crate) in_transit: u32,
+    /// [`Flow::chain_pos`].
+    pub(crate) chain_pos: u32,
+    /// Index of the flow's ingress spec, plus one.
+    spec: NonZeroU32,
+}
+
+impl FlowRecord {
+    /// `in_transit` of a head that is not crossing a link.
+    pub(crate) const NOT_IN_TRANSIT: u32 = u32::MAX;
+
+    /// A flow just spawned by ingress spec `spec` at `location`.
+    pub(crate) fn new(id: FlowId, arrival: f64, location: u32, spec: u32) -> Self {
+        FlowRecord {
+            id,
+            arrival,
+            location,
+            in_transit: Self::NOT_IN_TRANSIT,
+            chain_pos: 0,
+            spec: NonZeroU32::MIN.saturating_add(spec),
+        }
+    }
+
+    /// Index of the flow's ingress spec in [`crate::ScenarioConfig::ingresses`].
+    pub(crate) fn spec(&self) -> usize {
+        self.spec.get() as usize - 1
+    }
+
+    /// The node the head is at, or headed to.
+    pub(crate) fn location(&self) -> NodeId {
+        NodeId(self.location as usize)
+    }
+
+    /// The link the head is crossing, if any.
+    pub(crate) fn in_transit(&self) -> Option<u32> {
+        (self.in_transit != Self::NOT_IN_TRANSIT).then_some(self.in_transit)
+    }
+
+    /// Whether the flow's head is crossing link `l` right now.
+    pub(crate) fn in_transit_on(&self, l: LinkId) -> bool {
+        self.in_transit as usize == l.0
+    }
 }
 
 impl Flow {
@@ -104,11 +168,6 @@ impl Flow {
         } else {
             (self.remaining_time(t) / self.deadline).clamp(0.0, 1.0)
         }
-    }
-
-    /// Whether the flow's head is crossing link `l` right now.
-    pub(crate) fn in_transit_on(&self, l: LinkId) -> bool {
-        self.in_transit.is_some_and(|i| i as usize == l.0)
     }
 
     /// Whether the deadline has expired at time `t`.

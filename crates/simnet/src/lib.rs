@@ -53,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod churn;
 pub mod config;

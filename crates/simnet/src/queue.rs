@@ -222,6 +222,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes one event slot takes, live or free.
+    #[cfg(test)]
+    pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Slot<E>>();
+
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
@@ -256,6 +260,7 @@ impl<E> EventQueue<E> {
                 (slot, s.generation)
             }
             None => {
+                #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
                 let slot =
                     u32::try_from(self.slots.len()).expect("event queue exceeds u32::MAX slots");
                 self.slots.push(Slot {
@@ -294,7 +299,10 @@ impl<E> EventQueue<E> {
             self.head0 += 1;
             (node.key, node.slot)
         };
-        Some((key_time(key), self.release(slot)))
+        // The head is live (its generation matched), so its slot holds an
+        // event.
+        let event = self.release(slot)?;
+        Some((key_time(key), event))
     }
 
     /// Cancels a scheduled event in O(1): its slot is freed at once and
@@ -303,10 +311,10 @@ impl<E> EventQueue<E> {
     /// already popped or was cancelled) — the same generation compare.
     pub fn cancel(&mut self, key: EventKey) -> Option<E> {
         let s = self.slots.get(key.slot as usize)?;
-        if s.generation != key.generation || s.event.is_none() {
+        if s.generation != key.generation {
             return None;
         }
-        Some(self.release(key.slot))
+        self.release(key.slot)
     }
 
     /// The time of the earliest scheduled event.
@@ -352,13 +360,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Detaches the live entry in `slot`: bumps its generation, which
-    /// turns its node and its handle stale, and frees the slot.
-    fn release(&mut self, slot: u32) -> E {
+    /// turns its node and its handle stale, and frees the slot. An empty
+    /// slot returns `None` and changes nothing.
+    fn release(&mut self, slot: u32) -> Option<E> {
         let s = &mut self.slots[slot as usize];
+        let event = s.event.take()?;
         s.generation = s.generation.wrapping_add(1);
         self.free.push(slot);
         self.live -= 1;
-        s.event.take().expect("live slot holds an event")
+        Some(event)
     }
 
     /// The earliest live late entry as `(key, slot)`, after dropping the

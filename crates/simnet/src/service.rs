@@ -198,6 +198,7 @@ impl ServiceCatalog {
             name: "video-streaming".into(),
             chain: vec![ComponentId(0), ComponentId(1), ComponentId(2)],
         }];
+        #[allow(clippy::expect_used, reason = "a fixed, valid catalog, built by every test that uses the paper scenario")]
         ServiceCatalog::new(components, services).expect("paper service is valid")
     }
 

@@ -1,17 +1,17 @@
 //! The discrete-event simulation engine.
 
-use crate::churn::{ChurnAction, ChurnStats, ChurnTimeline, TransitPolicy};
+use crate::churn::{ChurnAction, ChurnStats, ChurnTimeline, PackedAction, TransitPolicy};
 use crate::config::ScenarioConfig;
 use crate::coordinator::{Action, Coordinator, DecisionPoint};
-use crate::event::{DropReason, QueuedEvent, SimEvent};
-use crate::flow::{Flow, FlowId, FlowKey};
+use crate::event::{DropReason, InstanceAt, QueuedEvent, SimEvent};
+use crate::flow::{Flow, FlowId, FlowKey, FlowRecord};
 use crate::metrics::{Metrics, WindowedStats};
 use crate::queue::{EventKey, EventQueue};
 use crate::service::ComponentId;
 use crate::slab::Slab;
 use crate::substrate::Substrate;
 use dosco_topology::{LinkId, NodeId, ShortestPaths};
-use dosco_traffic::ArrivalProcess;
+use dosco_traffic::{ArrivalProcess, FlowProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -47,6 +47,35 @@ struct Instance {
     timeout: Option<EventKey>,
 }
 
+/// Checks that `config` and `timeline` fit the simulator's compact
+/// records ([`FlowRecord`], the queued events, the failure epochs), so
+/// that every narrowing to `u32` or `u16` afterwards is exact.
+///
+/// # Panics
+///
+/// Panics if one does not: see [`Simulation::with_churn`].
+fn assert_compact(config: &ScenarioConfig, timeline: &ChurnTimeline) {
+    let fits_u32 = |n: usize| n < u32::MAX as usize;
+    let topo = &config.topology;
+    assert!(
+        fits_u32(topo.num_nodes()) && fits_u32(topo.num_links()),
+        "node and link ids must fit in u32"
+    );
+    assert!(
+        config.catalog.num_components() <= usize::from(u16::MAX) + 1,
+        "component ids must fit in u16"
+    );
+    assert!(fits_u32(config.ingresses.len()), "ingress indices must fit in u32");
+    assert!(
+        config.catalog.services().iter().all(|s| s.len() <= u32::MAX as usize),
+        "chain lengths must fit in u32"
+    );
+    assert!(
+        timeline.len() <= u32::MAX as usize,
+        "a timeline holds at most u32::MAX entries"
+    );
+}
+
 /// The discrete-event simulator. See the [crate docs](crate) for the model.
 ///
 /// Drive it either with [`Simulation::run`] and a [`Coordinator`], or
@@ -63,17 +92,21 @@ pub struct Simulation {
     arrivals: Vec<Box<dyn ArrivalProcess>>,
     /// Live flows in a generational slab: freed slots are recycled, so the
     /// footprint is the concurrent high-water mark, not the arrival count.
-    flows: Slab<Flow>,
+    /// A slot holds a 32-byte [`FlowRecord`]; [`Simulation::flow`] builds
+    /// the public [`Flow`] from it.
+    flows: Slab<FlowRecord>,
     next_flow_id: u64,
     substrate: Substrate,
     /// Dense NodeId-major instance table (`node.0 * num_components + c.0`).
     instances: Vec<Option<Instance>>,
     num_components: usize,
-    pending: Option<DecisionPoint>,
-    /// Slab handle of the pending decision's flow, kept alongside
-    /// [`Simulation::pending`] so `flow(dp.flow)` on the decision hot path
-    /// resolves without hashing or scanning.
-    pending_key: Option<FlowKey>,
+    /// The decision awaiting [`Simulation::apply`], with the slab handle of
+    /// its flow, so `flow(dp.flow)` on the decision hot path resolves
+    /// without hashing or scanning.
+    pending: Option<(DecisionPoint, FlowKey)>,
+    /// The victims of the last fault, kept so that a fault allocates
+    /// nothing once the buffer has grown to the largest one.
+    victims: Vec<(FlowId, FlowKey, NodeId)>,
     /// Events emitted since the last drain. Per-step draining via
     /// [`Simulation::drain_events_into`] recycles this buffer, so memory
     /// does not grow with episode length.
@@ -111,13 +144,19 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`ScenarioConfig::validate`], or
-    /// if a timeline entry targets a node/link outside the topology or
-    /// carries a non-finite/negative factor.
+    /// Panics if the configuration fails [`ScenarioConfig::validate`], if
+    /// a timeline entry targets a node/link outside the topology or
+    /// carries a non-finite/negative factor, or if the scenario does not
+    /// fit the simulator's compact records: node and link ids, ingress
+    /// indices, chain lengths and the timeline's length must fit in `u32`
+    /// (`u32::MAX` itself excluded for ids and indices), component ids in
+    /// `u16`.
     pub fn with_churn(config: ScenarioConfig, seed: u64, timeline: ChurnTimeline) -> Self {
+        #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
         config
             .validate()
             .expect("scenario configuration must be valid");
+        assert_compact(&config, &timeline);
         let sp = ShortestPaths::compute(&config.topology);
         let network_degree = config.topology.network_degree();
         let diameter = sp.diameter();
@@ -142,7 +181,7 @@ impl Simulation {
             instances,
             num_components,
             pending: None,
-            pending_key: None,
+            victims: Vec::new(),
             events: Vec::new(),
             metrics: Metrics::new(),
             finished: false,
@@ -160,6 +199,7 @@ impl Simulation {
         // nothing from the traffic RNG stream.
         for &(t, action) in timeline.entries() {
             if t <= sim.config.horizon {
+                let action = PackedAction::pack(action);
                 sim.schedule(t, QueuedEvent::Churn { action });
             }
         }
@@ -292,19 +332,39 @@ impl Simulation {
         (self.metrics.instances_started - self.metrics.instances_stopped) as usize
     }
 
-    /// The live flow `f`, if it has neither completed nor been dropped.
+    /// The live flow `f`, if it has neither completed nor been dropped,
+    /// built from the simulator's record of it, its ingress spec and the
+    /// catalog.
     ///
     /// The pending decision's flow — the only flow observation adapters
     /// and coordinators query — resolves in O(1) via the cached slab
     /// handle; any other id falls back to a scan over live flows
     /// (diagnostics only).
-    pub fn flow(&self, f: FlowId) -> Option<&Flow> {
-        if let (Some(dp), Some(key)) = (&self.pending, self.pending_key) {
-            if dp.flow == f {
-                return self.flows.get(key.0);
-            }
+    pub fn flow(&self, f: FlowId) -> Option<Flow> {
+        let record = match self.pending {
+            Some((dp, key)) if dp.flow == f => self.flows.get(key.0),
+            _ => self.flows.iter().map(|(_, r)| r).find(|r| r.id == f),
+        };
+        record.map(|r| self.view(r))
+    }
+
+    /// The public view of a live flow's record.
+    fn view(&self, r: &FlowRecord) -> Flow {
+        let spec = &self.config.ingresses[r.spec()];
+        Flow {
+            id: r.id,
+            service: spec.service,
+            ingress: spec.node,
+            egress: spec.egress,
+            rate: spec.profile.rate,
+            arrival: r.arrival,
+            duration: spec.profile.duration,
+            deadline: spec.profile.deadline,
+            chain_pos: r.chain_pos as usize,
+            chain_len: self.config.catalog.service(spec.service).len(),
+            location: r.location(),
+            in_transit: r.in_transit(),
         }
-        self.flows.iter().map(|(_, fl)| fl).find(|fl| fl.id == f)
     }
 
     /// Number of flows currently in the network.
@@ -379,7 +439,7 @@ impl Simulation {
     /// applying — the idempotent pending state is what makes that split
     /// safe.
     pub fn next_decision(&mut self) -> Option<DecisionPoint> {
-        if let Some(dp) = self.pending {
+        if let Some((dp, _)) = self.pending {
             return Some(dp);
         }
         if self.finished {
@@ -387,14 +447,13 @@ impl Simulation {
         }
         // The peek settles the queue on its minimum; the pop that follows
         // finds that done and takes the head.
-        while let Some(t) = self.queue.peek_time() {
-            if t > self.config.horizon {
+        while self.queue.peek_time().is_some_and(|t| t <= self.config.horizon) {
+            let Some((t, ev)) = self.queue.pop() else {
                 break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event exists");
+            };
             self.time = t;
-            if let Some(dp) = self.handle(ev) {
-                self.pending = Some(dp);
+            if let Some((dp, key)) = self.handle(ev) {
+                self.pending = Some((dp, key));
                 return Some(dp);
             }
         }
@@ -411,20 +470,25 @@ impl Simulation {
     /// Panics if there is no pending decision (i.e.
     /// [`Simulation::next_decision`] was not called, or returned `None`).
     pub fn apply(&mut self, action: Action) {
-        let dp = self
+        #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
+        let (dp, key) = self
             .pending
             .take()
             .expect("apply() requires a pending decision from next_decision()");
-        let key = self
-            .pending_key
-            .take()
-            .expect("pending key accompanies the pending decision");
+        // `handle_decision` resolved the key as it set `pending`, and no
+        // flow ends between a decision and its `apply`.
+        #[allow(clippy::expect_used, reason = "a pending decision's flow is live")]
+        let spec = self
+            .flows
+            .get(key.0)
+            .expect("pending decision refers to a live flow")
+            .spec();
         // Hand-counted: a decision emits no event of its own (its outcome
         // does), so this is the one counter `emit` cannot fold.
         self.metrics.decisions += 1;
         match action {
-            Action::Local => self.apply_local(dp, key),
-            Action::Forward(i) => self.apply_forward(dp, key, i),
+            Action::Local => self.apply_local(dp, key, spec),
+            Action::Forward(i) => self.apply_forward(dp, key, spec, i),
         }
         if self.obs_stream.is_some() && self.metrics.decisions.is_multiple_of(self.obs_stride) {
             self.emit_sample();
@@ -594,33 +658,32 @@ impl Simulation {
     fn schedule_next_arrival(&mut self, idx: usize, now: f64) {
         let t = self.arrivals[idx].next_arrival(now, &mut self.rng);
         if t.is_finite() && t <= self.config.horizon {
-            self.schedule(t, QueuedEvent::Arrival { ingress_idx: idx });
+            let ingress_idx = idx as u32; // `assert_compact` bounds it
+            self.schedule(t, QueuedEvent::Arrival { ingress_idx });
         }
     }
 
-    /// Handles one internal event; returns a decision point if the
-    /// coordinator must act now.
-    fn handle(&mut self, ev: QueuedEvent) -> Option<DecisionPoint> {
+    /// Handles one internal event; returns a decision point and its flow's
+    /// key if the coordinator must act now.
+    fn handle(&mut self, ev: QueuedEvent) -> Option<(DecisionPoint, FlowKey)> {
         match ev {
             QueuedEvent::Arrival { ingress_idx } => {
-                self.spawn_flow(ingress_idx);
-                self.schedule_next_arrival(ingress_idx, self.time);
+                let idx = ingress_idx as usize;
+                self.spawn_flow(idx);
+                self.schedule_next_arrival(idx, self.time);
                 None
             }
             QueuedEvent::Decision { flow } => self.handle_decision(flow),
-            QueuedEvent::ProcessingDone {
-                flow,
-                node,
-                component,
-            } => {
+            QueuedEvent::ProcessingDone { flow, at } => {
                 if let Some(f) = self.flows.get_mut(flow.0) {
                     f.chain_pos += 1;
-                    let id = f.id;
-                    let service_len = f.chain_len;
+                    let (id, spec) = (f.id, f.spec());
+                    let service = self.config.ingresses[spec].service;
+                    let service_len = self.config.catalog.service(service).len();
                     self.emit(SimEvent::InstanceTraversed {
                         flow: id,
-                        node,
-                        component,
+                        node: at.node(),
+                        component: at.component(),
                         service_len,
                         time: self.time,
                     });
@@ -628,12 +691,8 @@ impl Simulation {
                 }
                 None
             }
-            QueuedEvent::ReleaseNode {
-                node,
-                component,
-                amount,
-                epoch,
-            } => {
+            QueuedEvent::ReleaseNode { at, amount, epoch } => {
+                let (node, component) = (at.node(), at.component());
                 if self.substrate.node_epoch[node.0] != epoch {
                     // The node failed after this reservation was made: its
                     // usage was reclaimed wholesale with the failure and
@@ -654,25 +713,26 @@ impl Simulation {
                 });
                 if went_idle {
                     let timeout = self.config.catalog.component(component).idle_timeout;
-                    let probe = self.schedule(
-                        self.time + timeout,
-                        QueuedEvent::InstanceTimeout { node, component },
-                    );
-                    let inst = self.instances[idx].as_mut().expect("instance went idle");
-                    debug_assert!(inst.timeout.is_none(), "one probe per instance");
-                    inst.timeout = Some(probe);
+                    let probe =
+                        self.schedule(self.time + timeout, QueuedEvent::InstanceTimeout { at });
+                    if let Some(inst) = self.instances[idx].as_mut() {
+                        debug_assert!(inst.timeout.is_none(), "one probe per instance");
+                        inst.timeout = Some(probe);
+                    }
                 }
                 None
             }
             QueuedEvent::ReleaseLink { link, amount, epoch } => {
-                if self.substrate.link_epoch[link.0] != epoch {
+                let link = link as usize;
+                if self.substrate.link_epoch[link] != epoch {
                     return None; // stale: the link failed in between
                 }
-                let used = &mut self.substrate.link_used[link.0];
+                let used = &mut self.substrate.link_used[link];
                 *used = (*used - amount).max(0.0);
                 None
             }
-            QueuedEvent::InstanceTimeout { node, component } => {
+            QueuedEvent::InstanceTimeout { at } => {
+                let (node, component) = (at.node(), at.component());
                 // A probe only fires if it was never cancelled, i.e. the
                 // instance stayed idle for its full timeout; the guard is
                 // kept for defense in depth (and matches the lazy-check
@@ -693,7 +753,7 @@ impl Simulation {
                 None
             }
             QueuedEvent::Churn { action } => {
-                self.apply_churn(action);
+                self.apply_churn(action.unpack());
                 None
             }
         }
@@ -712,7 +772,7 @@ impl Simulation {
             }
             ChurnAction::NodeDown(v) => {
                 self.kill_flows(DropReason::NodeFailure, |f| {
-                    f.location == v && f.in_transit.is_none()
+                    f.location() == v && f.in_transit().is_none()
                 });
                 self.lose_instances(v)
             }
@@ -750,18 +810,23 @@ impl Simulation {
     }
 
     /// Drops every live flow that is `doomed`, in [`FlowId`] (arrival)
-    /// order — deterministic regardless of slab slot recycling.
-    fn kill_flows(&mut self, reason: DropReason, doomed: impl Fn(&Flow) -> bool) {
-        let mut victims: Vec<(FlowId, FlowKey, NodeId)> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| doomed(f))
-            .map(|(key, f)| (f.id, FlowKey(key), f.location))
-            .collect();
+    /// order — deterministic regardless of slab slot recycling. Collects
+    /// into the kept `victims` buffer, so a fault allocates nothing once it
+    /// has grown to the largest fault's count.
+    fn kill_flows(&mut self, reason: DropReason, doomed: impl Fn(&FlowRecord) -> bool) {
+        let mut victims = std::mem::take(&mut self.victims);
+        victims.clear();
+        victims.extend(
+            self.flows
+                .iter()
+                .filter(|(_, f)| doomed(f))
+                .map(|(key, f)| (f.id, FlowKey(key), f.location())),
+        );
         victims.sort_unstable_by_key(|&(id, ..)| id);
-        for (_, key, node) in victims {
+        for &(_, key, node) in &victims {
             self.drop_flow(key, reason, node);
         }
+        self.victims = victims;
     }
 
     /// Instances die with their node `v`; their reserved capacity was
@@ -791,25 +856,11 @@ impl Simulation {
     }
 
     fn spawn_flow(&mut self, ingress_idx: usize) {
-        let spec = &self.config.ingresses[ingress_idx];
+        let node = self.config.ingresses[ingress_idx].node;
         let id = FlowId(self.next_flow_id);
         self.next_flow_id += 1;
-        let chain_len = self.config.catalog.service(spec.service).len();
-        let node = spec.node;
-        let flow = Flow {
-            id,
-            service: spec.service,
-            ingress: spec.node,
-            egress: spec.egress,
-            rate: spec.profile.rate,
-            arrival: self.time,
-            duration: spec.profile.duration,
-            deadline: spec.profile.deadline,
-            chain_pos: 0,
-            chain_len,
-            location: spec.node,
-            in_transit: None,
-        };
+        // `assert_compact` bounds both narrowings.
+        let flow = FlowRecord::new(id, self.time, node.0 as u32, ingress_idx as u32);
         let key = FlowKey(self.flows.insert(flow));
         self.emit(SimEvent::FlowArrived {
             flow: id,
@@ -819,11 +870,13 @@ impl Simulation {
         self.schedule(self.time, QueuedEvent::Decision { flow: key });
     }
 
-    fn handle_decision(&mut self, key: FlowKey) -> Option<DecisionPoint> {
+    fn handle_decision(&mut self, key: FlowKey) -> Option<(DecisionPoint, FlowKey)> {
         let Some(f) = self.flows.get_mut(key.0) else {
             return None; // flow already terminated (defensive)
         };
-        f.in_transit = None; // the head is at `location` now
+        f.in_transit = FlowRecord::NOT_IN_TRANSIT; // the head is at `location` now
+        let record = *f;
+        let f = self.view(&record);
         let id = f.id;
         let node = f.location;
         let expired = f.expired(self.time);
@@ -845,34 +898,40 @@ impl Simulation {
             return None;
         }
         let component = self.config.catalog.component_at(service, chain_pos);
-        self.pending_key = Some(key);
-        Some(DecisionPoint {
+        let dp = DecisionPoint {
             flow: id,
             node,
             time: self.time,
             component,
-        })
+        };
+        Some((dp, key))
     }
 
+    /// Completes the flow behind `key`, which every caller has just
+    /// resolved; a stale key completes nothing.
     fn complete_flow(&mut self, key: FlowKey, node: NodeId) {
-        let f = self.flows.remove(key.0).expect("completing a live flow");
-        let e2e = self.time - f.arrival;
-        self.emit(SimEvent::FlowCompleted {
-            flow: f.id,
-            time: self.time,
-            e2e_delay: e2e,
-            node,
-        });
+        if let Some(f) = self.flows.remove(key.0) {
+            let e2e = self.time - f.arrival;
+            self.emit(SimEvent::FlowCompleted {
+                flow: f.id,
+                time: self.time,
+                e2e_delay: e2e,
+                node,
+            });
+        }
     }
 
+    /// Drops the flow behind `key`, which every caller has just resolved;
+    /// a stale key drops nothing.
     fn drop_flow(&mut self, key: FlowKey, reason: DropReason, node: NodeId) {
-        let f = self.flows.remove(key.0).expect("dropping a live flow");
-        self.emit(SimEvent::FlowDropped {
-            flow: f.id,
-            time: self.time,
-            reason,
-            node,
-        });
+        if let Some(f) = self.flows.remove(key.0) {
+            self.emit(SimEvent::FlowDropped {
+                flow: f.id,
+                time: self.time,
+                reason,
+                node,
+            });
+        }
     }
 
     /// The registry counter backing the `/metrics` drop-cause series.
@@ -887,11 +946,8 @@ impl Simulation {
         }
     }
 
-    fn apply_local(&mut self, dp: DecisionPoint, key: FlowKey) {
-        let f = self
-            .flows
-            .get(key.0)
-            .expect("pending decision refers to a live flow");
+    /// Processes the pending flow at its node; `spec` is its ingress spec.
+    fn apply_local(&mut self, dp: DecisionPoint, key: FlowKey, spec: usize) {
         let Some(component) = dp.component else {
             // Fully processed flow kept at the node: hold one time step
             // (Sec. IV-B2) and ask again.
@@ -906,55 +962,45 @@ impl Simulation {
             );
             return;
         };
+        let profile = self.config.ingresses[spec].profile;
         let comp = self.config.catalog.component(component);
-        let demand = comp.resources(f.rate);
+        let demand = comp.resources(profile.rate);
         let capacity = self.node_capacity(dp.node);
         if self.node_used(dp.node) + demand > capacity + CAP_EPS {
             self.drop_flow(key, DropReason::NodeCapacity, dp.node);
             return;
         }
-        let (duration, processing_delay) = (f.duration, comp.processing_delay);
+        let (duration, processing_delay) = (profile.duration, comp.processing_delay);
         // Scaling/placement derived from scheduling (Sec. IV-A): ensure an
         // instance exists, starting one (with startup delay) if needed.
         let idx = self.inst_idx(dp.node, component);
-        let available_at = match &self.instances[idx] {
-            Some(inst) => inst.available_at,
-            None => {
-                let available_at = self.time + comp.startup_delay;
-                self.instances[idx] = Some(Instance {
-                    available_at,
-                    active: 0,
-                    last_release: self.time,
-                    timeout: None,
-                });
-                self.emit(SimEvent::InstanceStarted {
-                    node: dp.node,
-                    component,
-                    time: self.time,
-                });
-                available_at
-            }
-        };
-        let start = self.time.max(available_at);
-        let done = start + processing_delay;
-        self.substrate.node_used[dp.node.0] += demand;
-        let inst = self.instances[idx].as_mut().expect("instance just ensured");
+        let started = self.instances[idx].is_none();
+        let inst = self.instances[idx].get_or_insert(Instance {
+            available_at: self.time + comp.startup_delay,
+            active: 0,
+            last_release: self.time,
+            timeout: None,
+        });
+        let start = self.time.max(inst.available_at);
         inst.active += 1;
         // The instance is busy again: its outstanding idle-timeout probe
         // (if any) can no longer fire meaningfully — remove it from the
         // queue instead of letting it pop as a dead entry.
         let stale_probe = inst.timeout.take();
+        if started {
+            self.emit(SimEvent::InstanceStarted {
+                node: dp.node,
+                component,
+                time: self.time,
+            });
+        }
+        let done = start + processing_delay;
+        self.substrate.node_used[dp.node.0] += demand;
         if let Some(probe) = stale_probe {
             self.queue.cancel(probe);
         }
-        self.schedule(
-            done,
-            QueuedEvent::ProcessingDone {
-                flow: key,
-                node: dp.node,
-                component,
-            },
-        );
+        let at = InstanceAt::new(dp.node, component);
+        self.schedule(done, QueuedEvent::ProcessingDone { flow: key, at });
         // Fluid/pipelined model (Sec. III-A): the instance handles the
         // flow's data *rate* while the stream passes through, i.e. for the
         // flow duration δ_f starting at processing start; the processing
@@ -963,15 +1009,16 @@ impl Simulation {
         self.schedule(
             start + duration,
             QueuedEvent::ReleaseNode {
-                node: dp.node,
-                component,
+                at,
                 amount: demand,
                 epoch: self.substrate.node_epoch[dp.node.0],
             },
         );
     }
 
-    fn apply_forward(&mut self, dp: DecisionPoint, key: FlowKey, neighbor_idx: usize) {
+    /// Forwards the pending flow to its node's `neighbor_idx`-th
+    /// neighbour; `spec` is its ingress spec.
+    fn apply_forward(&mut self, dp: DecisionPoint, key: FlowKey, spec: usize, neighbor_idx: usize) {
         let neighbors = self.config.topology.neighbors(dp.node);
         let Some(&(to, link)) = neighbors.get(neighbor_idx) else {
             // Non-existing neighbor: invalid action, flow dropped with a
@@ -986,18 +1033,16 @@ impl Simulation {
         }
         let (delay, capacity) = (self.link_delay(link), self.link_capacity(link));
         let used = self.link_used(link);
-        let f = self
-            .flows
-            .get_mut(key.0)
-            .expect("pending decision refers to a live flow");
-        let rate = f.rate;
-        let duration = f.duration;
+        let FlowProfile { rate, duration, .. } = self.config.ingresses[spec].profile;
         if used + rate > capacity + CAP_EPS {
             self.drop_flow(key, DropReason::LinkCapacity, dp.node);
             return;
         }
-        f.location = to;
-        f.in_transit = Some(u32::try_from(link.0).expect("link ids fit in u32"));
+        if let Some(f) = self.flows.get_mut(key.0) {
+            // `assert_compact` bounds the node and link ids.
+            f.location = to.0 as u32;
+            f.in_transit = link.0 as u32;
+        }
         self.substrate.link_used[link.0] += rate;
         self.emit(SimEvent::Forwarded {
             flow: dp.flow,
@@ -1012,7 +1057,7 @@ impl Simulation {
         self.schedule(
             self.time + duration,
             QueuedEvent::ReleaseLink {
-                link,
+                link: link.0 as u32,
                 amount: rate,
                 epoch: self.substrate.link_epoch[link.0],
             },
@@ -1029,6 +1074,83 @@ mod tests {
     use crate::service::{Component, Service, ServiceCatalog, ServiceId};
     use dosco_topology::generators;
     use dosco_traffic::{ArrivalPattern, FlowProfile};
+
+    /// A live flow costs one 40-byte slab slot and a queued event one
+    /// 32-byte queue slot: a new field must not quietly grow either back.
+    #[test]
+    fn flow_and_event_slots_stay_compact() {
+        let (flow_slot, queue_slot) = (
+            Slab::<FlowRecord>::SLOT_BYTES,
+            EventQueue::<QueuedEvent>::SLOT_BYTES,
+        );
+        assert!(flow_slot <= 40, "a flow slot takes {flow_slot} bytes");
+        assert!(queue_slot <= 32, "a queue slot takes {queue_slot} bytes");
+    }
+
+    /// The view `flow` builds from a record is the flow its ingress spec
+    /// and the catalog define, at every decision of an episode with two
+    /// services of different lengths, three ingresses that differ in
+    /// every constant, and random forwarding.
+    #[test]
+    fn flow_views_carry_their_specs_constants() {
+        let mut cfg = ScenarioConfig::paper_base(3).with_horizon(3_000.0);
+        cfg.catalog = ServiceCatalog::new(
+            ["FW", "IDS", "Video"].map(Component::paper_default).to_vec(),
+            vec![
+                Service {
+                    name: "video".into(),
+                    chain: vec![ComponentId(0), ComponentId(1), ComponentId(2)],
+                },
+                Service {
+                    name: "short".into(),
+                    chain: vec![ComponentId(2), ComponentId(0)],
+                },
+            ],
+        )
+        .unwrap();
+        let egresses = [NodeId(7), NodeId(2), NodeId(9)];
+        for (i, spec) in cfg.ingresses.iter_mut().enumerate() {
+            spec.service = ServiceId(i % 2);
+            spec.egress = egresses[i];
+            let i = i as f64;
+            spec.profile = FlowProfile::new(0.5 + i / 4.0, 1.0 + i, 60.0 + 7.0 * i);
+        }
+        let specs = cfg.ingresses.clone();
+        let mut sim = Simulation::new(cfg, 4);
+        let mut rc = RandomCoordinator::new(8);
+        let mut arrived = std::collections::HashMap::new();
+        let (mut events, mut checked) = (Vec::new(), [0; 3]);
+        while let Some(dp) = sim.next_decision() {
+            sim.drain_events_into(&mut events);
+            for ev in &events {
+                if let SimEvent::FlowArrived { flow, node, time } = *ev {
+                    arrived.insert(flow, (node, time));
+                }
+            }
+            let f = sim.flow(dp.flow).expect("the pending flow is live");
+            let (ingress, arrival) = arrived[&dp.flow];
+            let i = specs.iter().position(|s| s.node == ingress).unwrap();
+            let spec = &specs[i];
+            assert_eq!(
+                (f.id, f.service, f.ingress, f.egress, f.arrival, f.location),
+                (dp.flow, spec.service, spec.node, spec.egress, arrival, dp.node)
+            );
+            let bits = |x: f64| x.to_bits();
+            assert_eq!(bits(f.rate), bits(spec.profile.rate));
+            assert_eq!(bits(f.duration), bits(spec.profile.duration));
+            assert_eq!(bits(f.deadline), bits(spec.profile.deadline));
+            assert_eq!(f.chain_len, sim.config().catalog.service(spec.service).len());
+            assert!(f.chain_pos <= f.chain_len && f.in_transit.is_none());
+            assert_eq!(
+                sim.config().catalog.component_at(f.service, f.chain_pos),
+                dp.component
+            );
+            checked[i] += 1;
+            let a = rc.decide(&sim, &dp);
+            sim.apply(a);
+        }
+        assert!(checked.iter().all(|&c| c > 100), "{checked:?}");
+    }
 
     /// The path table advances its rows behind a `RefCell`, so a
     /// simulation moves between threads but is not shared by them.

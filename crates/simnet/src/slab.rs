@@ -56,6 +56,10 @@ pub struct Slab<T> {
 }
 
 impl<T> Slab<T> {
+    /// Bytes one slot takes, live or free.
+    #[cfg(test)]
+    pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Slot<T>>();
+
     /// Creates an empty slab.
     pub fn new() -> Self {
         Slab {
@@ -114,6 +118,7 @@ impl<T> Slab<T> {
                 generation: slot.generation,
             };
         }
+        #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
         let index = u32::try_from(self.slots.len()).expect("slab exceeds u32::MAX slots");
         self.slots.push(Slot {
             generation: 0,

@@ -23,9 +23,11 @@ pub(crate) struct Substrate {
     pub(crate) link_up: Vec<bool>,
     /// Failure epochs: bumped when an entity fails, so resource releases
     /// reserved *before* the failure are recognized as stale — their
-    /// capacity was already reclaimed wholesale with the failure.
-    pub(crate) node_epoch: Vec<u64>,
-    pub(crate) link_epoch: Vec<u64>,
+    /// capacity was already reclaimed wholesale with the failure. One bump
+    /// per timeline entry at most, and a simulation admits no timeline
+    /// longer than `u32::MAX` entries.
+    pub(crate) node_epoch: Vec<u32>,
+    pub(crate) link_epoch: Vec<u32>,
     /// Churn actions applied so far (the topology version).
     pub(crate) version: u64,
     /// What a link failure does to the flows in transit on it.
@@ -62,7 +64,7 @@ impl Substrate {
                 self.link_cap[l.0] = 0.0;
                 if self.transit == TransitPolicy::Drop {
                     // Reservations on the link die with it.
-                    self.link_epoch[l.0] += 1;
+                    bump(&mut self.link_epoch[l.0]);
                     self.link_used[l.0] = 0.0;
                 }
             }
@@ -74,7 +76,7 @@ impl Substrate {
             ChurnAction::NodeDown(v) => {
                 self.node_up[v.0] = false;
                 self.node_cap[v.0] = 0.0;
-                self.node_epoch[v.0] += 1;
+                bump(&mut self.node_epoch[v.0]);
                 self.node_used[v.0] = 0.0;
             }
             ChurnAction::NodeUp(v) => {
@@ -97,4 +99,19 @@ impl Substrate {
         }
         self.version += 1;
     }
+}
+
+/// Advances a failure epoch.
+///
+/// # Panics
+///
+/// Panics if the epoch would wrap, which a timeline of at most `u32::MAX`
+/// entries cannot make it do.
+fn bump(epoch: &mut u32) {
+    #[allow(
+        clippy::expect_used,
+        reason = "Simulation::with_churn admits at most u32::MAX timeline entries, one bump each"
+    )]
+    let next = epoch.checked_add(1).expect("failure epoch overflows u32");
+    *epoch = next;
 }

@@ -6,11 +6,13 @@
 //!
 //! Under substrate churn the table is kept per source, and a source's row
 //! is a *resumable* Dijkstra: a fault [re-masks](ShortestPaths::remask)
-//! the link weights and marks every row unstarted, and a read of `(s, t)`
-//! afterwards runs `s`'s search only until `t` is final, leaving the heap
-//! in place for the next, farther target. Rows that nobody reads between
-//! two faults are never started, a row whose reads all fall near its
-//! source never finishes, and no row allocates after construction.
+//! the link weights and marks unstarted the rows that have settled an
+//! endpoint of a changed link, and a read of `(s, t)` afterwards runs
+//! `s`'s search only until `t` is final, leaving the heap in place for the
+//! next, farther target. Rows that nobody reads between two faults are
+//! never started, a row whose reads all fall near its source never
+//! finishes, a row the fault did not reach keeps its search, and no row
+//! allocates after construction.
 //!
 //! What makes a partial row exact is its `radius`, the distance of the
 //! last node it settled. Link weights are non-negative and a relaxation
@@ -65,6 +67,9 @@ pub struct ShortestPaths {
     /// either endpoint is down, which no relaxation can ever accept.
     weight: Vec<f64>,
     rows: Vec<RefCell<Row>>,
+    /// `remask`'s scratch: both endpoints of every link whose weight it
+    /// changed, sized at construction for every link to change once.
+    touched: Vec<NodeId>,
 }
 
 /// The Dijkstra search from one source, paused after any settled node.
@@ -208,15 +213,25 @@ impl ShortestPaths {
             arcs,
             weight,
             rows,
+            touched: Vec::with_capacity(2 * topo.num_links()),
         }
     }
 
     /// Switches the table to a new masked view of its topology — the
     /// arguments mean what they mean to [`ShortestPaths::compute_masked`]
-    /// — and, if that changed any link's effective weight, marks every row
-    /// unstarted. Nothing is recomputed here: a row restarts in place on
-    /// the first [`ShortestPaths::delay`] or [`ShortestPaths::next_hop`]
-    /// that reads it, and answers what `compute_masked` would have.
+    /// — and marks unstarted every row that has settled an endpoint of a
+    /// link whose effective weight changed. Nothing is recomputed here: a
+    /// row restarts in place on the first [`ShortestPaths::delay`] or
+    /// [`ShortestPaths::next_hop`] that reads it, and answers what
+    /// `compute_masked` would have.
+    ///
+    /// A row reads a link's weight only when it settles one of the link's
+    /// endpoints. A row that has settled neither endpoint of any changed
+    /// link has therefore run exactly the pops and relaxations a fresh
+    /// search under the new weights runs up to its `radius`, and keeps its
+    /// `dist`, `next_hop`, heap and `radius`. `dist[v] <= radius` counts
+    /// as settled, which also covers a node still queued at the radius,
+    /// and every node of a finished row.
     ///
     /// # Panics
     ///
@@ -229,19 +244,22 @@ impl ShortestPaths {
         assert!(node_up.len() >= n, "node mask covers every node");
         assert!(link_up.len() >= m, "link mask covers every link");
         assert!(delays.len() >= m, "delays cover every link");
-        let mut changed = false;
+        self.touched.clear();
         for v in 0..n {
             for &(w, l) in &self.arcs[self.starts[v]..self.starts[v + 1]] {
                 let usable = link_up[l.0] && node_up[v] && node_up[w.0];
                 let weight = if usable { delays[l.0] } else { f64::INFINITY };
                 assert!(weight >= 0.0, "usable link delays are non-negative");
-                changed |= weight.to_bits() != self.weight[l.0].to_bits();
-                self.weight[l.0] = weight;
+                if weight.to_bits() != self.weight[l.0].to_bits() {
+                    self.weight[l.0] = weight;
+                    self.touched.extend([NodeId(v), w]);
+                }
             }
         }
-        if changed {
-            for row in &mut self.rows {
-                row.get_mut().radius = UNSTARTED;
+        for row in &mut self.rows {
+            let row = row.get_mut();
+            if self.touched.iter().any(|v| row.dist[v.0] <= row.radius) {
+                row.radius = UNSTARTED;
             }
         }
     }
@@ -601,14 +619,23 @@ mod tests {
         sp.remask(&node_up, &link_up, &delays);
         assert_eq!(settled(&sp), counts);
 
-        // One live link's delay moves: every row restarts.
-        let live = t
-            .link_between(NodeId(0), t.neighbors(NodeId(0))[0].0)
-            .unwrap();
+        // One live link's delay moves: exactly the rows that had settled
+        // one of its endpoints restart, and the others keep their counts.
+        let (a, b) = (NodeId(0), t.neighbors(NodeId(0))[0].0);
+        let live = t.link_between(a, b).unwrap();
         assert!(sp.weight[live.0].is_finite());
+        let reached = |s: usize| {
+            let row = sp.rows[s].borrow();
+            row.dist[a.0] <= row.radius || row.dist[b.0] <= row.radius
+        };
+        let expected: Vec<usize> = (0..n)
+            .map(|s| if reached(s) { 0 } else { counts[s] })
+            .collect();
+        assert_eq!(expected[7], 0, "row 7 settled node 0");
+        assert!(expected[4] > 0, "row 4 never got past its first neighbour");
         delays[live.0] *= 2.0;
         sp.remask(&node_up, &link_up, &delays);
-        assert_eq!(settled(&sp), vec![0; n]);
+        assert_eq!(settled(&sp), expected);
         assert_eq!(
             sp,
             ShortestPaths::compute_masked(&t, &node_up, &link_up, &delays)

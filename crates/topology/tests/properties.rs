@@ -241,4 +241,45 @@ proptest! {
             }
         }
     }
+    /// Fault-local re-masks: whichever rows a fault keeps, every read
+    /// between faults answers exactly what an eager `compute_masked` of
+    /// the masks in force at that moment answers — the delay to the bit
+    /// and the next hop — on grids (equal delays, so ties everywhere),
+    /// rings, lines, stars and geometric graphs.
+    #[test]
+    fn every_read_between_faults_equals_compute_masked_of_the_current_masks(
+        shape in 0u64..5,
+        seed in 0u64..30,
+        ops in proptest::collection::vec(0u64..1_000_000, 1..32),
+    ) {
+        let size = 4 + (seed % 5) as usize;
+        let topo = match shape {
+            0 => generators::grid(3, size, 1.0, 1.0),
+            1 => generators::ring(size + 2, 2.0, 1.0),
+            2 => generators::line(size, 1.5, 1.0),
+            3 => generators::star(size, 1.0, 1.0),
+            _ => generators::random_geometric(size + 4, 300.0, 120.0, seed).unwrap(),
+        };
+        let n = topo.num_nodes();
+        let mut node_up = vec![true; n];
+        let mut link_up = vec![true; topo.num_links()];
+        let mut delays: Vec<f64> = topo.link_ids().map(|l| topo.link(l).delay).collect();
+        let mut sp = ShortestPaths::compute(&topo);
+        for &op in &ops {
+            // Three ops in four change the masks; every op then reads
+            // 1–4 pairs, each checked against the masks in force.
+            if op % 4 != 0 {
+                churn_op(&topo, op / 4, &mut node_up, &mut link_up, &mut delays);
+                sp.remask(&node_up, &link_up, &delays);
+            }
+            let eager = ShortestPaths::compute_masked(&topo, &node_up, &link_up, &delays);
+            for read in 0..1 + (op / 1_000) % 4 {
+                let pair = (op / 5 + 17 * read) as usize;
+                let (s, t) = (NodeId(pair % n), NodeId(pair / n % n));
+                let (got, want) = (sp.delay(s, t), eager.delay(s, t));
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "delay({}, {}): {} vs {}", s, t, got, want);
+                prop_assert_eq!(sp.next_hop(s, t), eager.next_hop(s, t), "next_hop({}, {})", s, t);
+            }
+        }
+    }
 }
