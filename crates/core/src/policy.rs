@@ -339,16 +339,17 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The fully distributed deployment: one agent per node, each holding its
-/// own copy of the trained network (Fig. 4b) and deciding from local
-/// observations only.
+/// The fully distributed deployment in one process: one agent per node,
+/// all sharing the one trained network (Fig. 4b), each deciding from
+/// local observations only.
 ///
-/// Functionally every copy is identical — the value of materializing the
-/// copies is architectural fidelity and honest per-agent inference-latency
-/// measurements (Fig. 9b).
+/// Every node's agent is the same policy, so the deployment holds it
+/// once; what is per node is the sampling stream and the decision
+/// counter. Per-agent inference latency (Fig. 9b) is timed on
+/// [`CoordinationPolicy::act`] directly.
 #[derive(Debug, Clone)]
 pub struct DistributedAgents {
-    agents: Vec<CoordinationPolicy>,
+    policy: CoordinationPolicy,
     adapter: ObservationAdapter,
     /// Count of decisions taken per node (diagnostics).
     decisions: Vec<u64>,
@@ -361,8 +362,8 @@ pub struct DistributedAgents {
 }
 
 impl DistributedAgents {
-    /// Deploys a copy of `policy` at each of `num_nodes` nodes, deciding
-    /// greedily (argmax).
+    /// Deploys `policy` at each of `num_nodes` nodes, deciding greedily
+    /// (argmax).
     ///
     /// # Panics
     ///
@@ -370,7 +371,7 @@ impl DistributedAgents {
     pub fn deploy(policy: &CoordinationPolicy, num_nodes: usize) -> Self {
         assert!(num_nodes > 0, "need at least one node");
         DistributedAgents {
-            agents: vec![policy.clone(); num_nodes],
+            policy: policy.clone(),
             adapter: policy.adapter(),
             decisions: vec![0; num_nodes],
             samplers: None,
@@ -411,10 +412,10 @@ impl DistributedAgents {
     /// Panics if `node` is out of range or `obs` mismatches the policy's
     /// input dimension.
     pub fn sample_action(&mut self, node: NodeId, obs: &[f32]) -> usize {
-        let agent = &self.agents[node.0];
+        assert!(node.0 < self.decisions.len(), "node {} out of range", node.0);
         match &mut self.samplers {
-            Some(rngs) => agent.act_sampled(obs, &mut rngs[node.0]),
-            None => agent.act(obs),
+            Some(rngs) => self.policy.act_sampled(obs, &mut rngs[node.0]),
+            None => self.policy.act(obs),
         }
     }
 
@@ -422,22 +423,13 @@ impl DistributedAgents {
     pub fn decisions_per_node(&self) -> &[u64] {
         &self.decisions
     }
-
-    /// The local agent at `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn agent(&self, node: NodeId) -> &CoordinationPolicy {
-        &self.agents[node.0]
-    }
 }
 
 impl Coordinator for DistributedAgents {
     fn decide(&mut self, sim: &Simulation, dp: &DecisionPoint) -> Action {
         let obs = self.adapter.observe(sim, dp);
         self.decisions[dp.node.0] += 1;
-        // Only the node's own agent (and its own RNG stream) is
+        // Only the node's own observation (and its own RNG stream) is
         // consulted: fully local inference.
         Action::from_index(self.sample_action(dp.node, &obs))
     }

@@ -28,8 +28,7 @@ use dosco_core::policy::PolicyMetadata;
 use dosco_core::CoordinationPolicy;
 use dosco_runtime::{PolicySlot, PolicySnapshot};
 use dosco_serve::{
-    serve_with, ControlQueue, FabricStatus, PublishCmd, PublishScope, ServeConfig, ServeOutcome,
-    StatusBoard,
+    serve_with, ControlQueue, FabricStatus, PublishCmd, ServeConfig, ServeOutcome, StatusBoard,
 };
 use dosco_simnet::ScenarioConfig;
 use serde::{Deserialize, Serialize};
@@ -217,7 +216,7 @@ pub struct CanaryOutcome {
 /// then continues to episode completion so the verdict's effect is
 /// visible in the final report.
 ///
-/// `base_cfg` supplies shards/mailbox/stochastic/fault settings. A
+/// `base_cfg` supplies shards/stochastic/fault/churn settings. A
 /// status board already attached there is *reused* — attach the same
 /// board to a [`CtlState`](crate::CtlState) and `GET /shards` watches
 /// the canary live. Any control-queue attachment is replaced by the
@@ -225,9 +224,11 @@ pub struct CanaryOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `canary` fails [`CanaryConfig::validate`], if the candidate
-/// does not carry a version distinct from the incumbent (version
-/// accounting could not separate them), or for any reason
+/// Panics if `canary` fails [`CanaryConfig::validate`], if a canary shard
+/// is not one the fabric has (at or above `base_cfg.num_shards` clamped
+/// to the node count: it would serve no candidate decision), if the
+/// candidate does not carry a version distinct from the incumbent
+/// (version accounting could not separate them), or for any reason
 /// [`serve_with`] panics.
 pub fn run_canary(
     incumbent: Arc<PolicySnapshot>,
@@ -241,6 +242,10 @@ pub fn run_canary(
     canary
         .validate()
         .expect("canary configuration must be valid");
+    let shards = base_cfg.num_shards.min(scenario.topology.num_nodes());
+    if let Some(s) = canary.canary_shards.iter().find(|&&s| s >= shards) {
+        panic!("canary shard {s} is not one of the fabric's {shards} shards");
+    }
     assert_ne!(
         incumbent.version, candidate.version,
         "candidate must carry a version distinct from the incumbent"
@@ -280,7 +285,7 @@ pub fn run_canary(
             window_start = Some(board.snapshot());
             control.push(PublishCmd {
                 snapshot: Arc::clone(&candidate),
-                scope: PublishScope::Shards(canary.canary_shards.clone()),
+                shards: canary.canary_shards.clone(),
             });
         } else if epoch == decide_epoch {
             let stats = CanaryStats {
@@ -291,15 +296,14 @@ pub fn run_canary(
             };
             let verdict = judge(&stats);
             match verdict {
-                // Promote through the hub: with a hub attached, the hub
-                // is the fabric's source of truth for the "current"
-                // policy, and its publish is the same epoch-boundary
-                // swap. (An All-scope control publish would be reverted
-                // by the next hub poll.)
+                // Promote through the hub, the one door for a
+                // fabric-wide publish: its publish is the same
+                // epoch-boundary swap, and it sets the policy respawned
+                // shards come back on.
                 CanaryDecision::Promote => hub.publish(Arc::clone(&candidate)),
                 CanaryDecision::Rollback => control.push(PublishCmd {
                     snapshot: Arc::clone(&incumbent),
-                    scope: PublishScope::Shards(canary.canary_shards.clone()),
+                    shards: canary.canary_shards.clone(),
                 }),
             }
             stats_out = Some(stats);

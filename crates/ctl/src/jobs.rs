@@ -278,7 +278,7 @@ impl JobManager {
         let flag = Arc::clone(&cancel);
         let handle = std::thread::Builder::new()
             .name("dosco-ctl-job-serve".to_string())
-            .spawn(move || run_serve_job(&spec, &flag))
+            .spawn(move || run_serve_job(&spec, flag))
             .expect("spawning serve job thread");
         self.register(Job {
             kind: "serve",
@@ -372,8 +372,9 @@ fn run_train_job(spec: &TrainJobSpec, cancel: &AtomicBool) -> String {
 }
 
 /// The serving-job body: a fresh (random-init) policy served over
-/// concurrent episodes through the cancellable fabric.
-fn run_serve_job(spec: &ServeJobSpec, cancel: &AtomicBool) -> String {
+/// concurrent episodes through the cancellable fabric, which checks the
+/// job's own flag at every epoch boundary.
+fn run_serve_job(spec: &ServeJobSpec, cancel: Arc<AtomicBool>) -> String {
     let scenario = ScenarioConfig::paper_base(2).with_horizon(spec.horizon);
     let degree = scenario.topology.network_degree();
     let mut rng = StdRng::seed_from_u64(spec.seed);
@@ -382,19 +383,11 @@ fn run_serve_job(spec: &ServeJobSpec, cancel: &AtomicBool) -> String {
     let seeds: Vec<u64> = (0..spec.episodes)
         .map(|i| spec.seed.wrapping_add(i as u64 + 1))
         .collect();
-    // The fabric polls its own `Arc` flag; the epoch hook mirrors the
-    // job's flag into it (the hook runs at every epoch boundary, exactly
-    // where the fabric checks).
-    let shared = Arc::new(AtomicBool::new(cancel.load(Ordering::Relaxed)));
-    let mut cfg = ServeConfig::new(spec.num_shards).with_cancel(Arc::clone(&shared));
+    let mut cfg = ServeConfig::new(spec.num_shards).with_cancel(cancel);
     if let Some(s) = spec.stochastic_seed {
         cfg = cfg.with_stochastic_seed(s);
     }
-    let outcome = dosco_serve::serve_with(&policy, None, &scenario, &seeds, &cfg, |_| {
-        if cancel.load(Ordering::Relaxed) {
-            shared.store(true, Ordering::Relaxed);
-        }
-    });
+    let outcome = dosco_serve::serve(&policy, None, &scenario, &seeds, &cfg);
     format!(
         "served {} episodes over {} epochs: {} decisions ({} batched, {} fallback)",
         seeds.len(),
@@ -452,13 +445,21 @@ mod tests {
             seed: 1,
             horizon: 100.0,
         });
+        let serve_id = mgr.spawn_serve(ServeJobSpec {
+            horizon: 1e12, // far beyond the test's patience
+            ..ServeJobSpec::default()
+        });
+        // Let the serve job get into its epoch loop, so its stop lands
+        // mid-run.
+        std::thread::sleep(std::time::Duration::from_millis(100));
         assert!(mgr.stop(id), "known id stops");
-        assert!(!mgr.stop(id + 999), "unknown id does not");
+        assert!(mgr.stop(serve_id), "known id stops");
+        assert!(!mgr.stop(serve_id + 999), "unknown id does not");
         mgr.shutdown();
         let jobs = mgr.list();
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].state, "done");
-        assert!(jobs[0].stop_requested);
+        assert_eq!(jobs.len(), 2);
+        assert!(jobs.iter().all(|j| j.state == "done" && j.stop_requested));
         assert!(jobs[0].summary.as_deref().unwrap_or("").contains("trained"));
+        assert!(jobs[1].summary.as_deref().unwrap_or("").contains("served"));
     }
 }

@@ -228,3 +228,21 @@ fn rejects_version_collisions() {
         |_| CanaryDecision::Promote,
     );
 }
+
+/// A canary on a shard the fabric does not have would route no candidate
+/// decision and be judged on nothing: the driver rejects it up front.
+#[test]
+#[should_panic(expected = "canary shard 4 is not one of the fabric's 4 shards")]
+fn rejects_canary_shards_the_fabric_does_not_have() {
+    let scenario = scenario();
+    let degree = scenario.topology.network_degree();
+    run_canary(
+        snapshot(INCUMBENT, actor(degree, 1), degree),
+        snapshot(CANDIDATE, actor(degree, 1), degree),
+        &scenario,
+        SEEDS,
+        &ServeConfig::new(SHARDS),
+        &CanaryConfig::new(vec![SHARDS], 10, 30),
+        |_| CanaryDecision::Promote,
+    );
+}

@@ -20,7 +20,7 @@ pub enum CounterKind {
     /// Decisions answered by the serving fabric (batched + fallback).
     ServeDecisions,
     /// Serve decisions degraded to the shortest-path fallback because the
-    /// owning shard was down or delayed.
+    /// owning shard was down.
     ServeFallbacks,
     /// Policy hot-swaps broadcast to serving shards.
     ServeSwaps,

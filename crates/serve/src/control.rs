@@ -1,42 +1,33 @@
 //! Control-plane directives for the serving fabric: targeted policy
 //! publishes applied at epoch boundaries.
 //!
-//! The [`PolicySlot`](dosco_runtime::PolicySlot) hub broadcasts to
-//! *every* shard — the right semantics for following a live learner, but
-//! too coarse for operational workflows: a canary wants a candidate on a
-//! *subset* of shards while the rest keep serving the incumbent, and a
-//! rollback wants the incumbent republished to exactly the shards that
-//! diverged. A [`ControlQueue`] carries those directives. The frontend
-//! drains it at every epoch boundary (after the hub poll, so explicit
-//! directives win over the broadcast within a boundary) and delivers the
-//! swaps with the same epoch-pinned mechanism as a hub publish — one
-//! code path, identical determinism guarantees.
+//! The [`PolicySlot`](dosco_runtime::PolicySlot) hub is the one door for
+//! a fabric-wide publish: it broadcasts to *every* shard — the right
+//! semantics for following a live learner, but too coarse for
+//! operational workflows: a canary wants a candidate on a *subset* of
+//! shards while the rest keep serving the incumbent, and a rollback
+//! wants the incumbent republished to exactly the shards that diverged.
+//! A [`ControlQueue`] carries those directives. The frontend drains it
+//! at every epoch boundary (after the hub poll, so explicit directives
+//! win over the broadcast within a boundary) and delivers the swaps with
+//! the same epoch-pinned mechanism as a hub publish — one code path,
+//! identical determinism guarantees.
 
 use dosco_runtime::PolicySnapshot;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Which shards a [`PublishCmd`] applies to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PublishScope {
-    /// Every shard; also updates the fabric's notion of the "current"
-    /// policy, which respawned shards and future global publishes follow.
-    All,
-    /// Only the listed shard indices (out-of-range indices are ignored);
-    /// the rest keep their current policy.
-    Shards(Vec<usize>),
-}
-
-/// One control directive: publish `snapshot` to `scope` at the next
+/// One control directive: publish `snapshot` to `shards` at the next
 /// epoch boundary.
 #[derive(Debug, Clone)]
 pub struct PublishCmd {
     /// The snapshot to deploy (validated against the observation
     /// contract by the frontend, exactly like a hub publish).
     pub snapshot: Arc<PolicySnapshot>,
-    /// The shards it lands on.
-    pub scope: PublishScope,
+    /// The shard indices it lands on (out-of-range indices are
+    /// ignored); the rest keep their current policy.
+    pub shards: Vec<usize>,
 }
 
 /// A FIFO queue of control directives, drained by the fabric at every
@@ -60,9 +51,15 @@ impl ControlQueue {
         ControlQueue::default()
     }
 
+    /// The queue itself. A panic while the lock was held cannot leave a
+    /// `VecDeque` half-pushed, so a poisoned lock is recovered.
+    fn cmds(&self) -> MutexGuard<'_, VecDeque<PublishCmd>> {
+        self.cmds.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Enqueues a directive for the next epoch boundary.
     pub fn push(&self, cmd: PublishCmd) {
-        self.cmds.lock().expect("control queue poisoned").push_back(cmd);
+        self.cmds().push_back(cmd);
         self.pushed.fetch_add(1, Ordering::Release);
     }
 
@@ -74,7 +71,7 @@ impl ControlQueue {
 
     /// Removes and returns every queued directive, in push order.
     pub(crate) fn drain(&self) -> Vec<PublishCmd> {
-        let mut q = self.cmds.lock().expect("control queue poisoned");
+        let mut q = self.cmds();
         let cmds: Vec<PublishCmd> = q.drain(..).collect();
         self.drained.fetch_add(cmds.len() as u64, Ordering::Relaxed);
         cmds
@@ -101,13 +98,13 @@ mod tests {
     fn drains_in_push_order() {
         let q = ControlQueue::new();
         assert!(!q.is_pending());
-        q.push(PublishCmd { snapshot: snap(1), scope: PublishScope::All });
-        q.push(PublishCmd { snapshot: snap(2), scope: PublishScope::Shards(vec![0]) });
+        q.push(PublishCmd { snapshot: snap(1), shards: vec![1] });
+        q.push(PublishCmd { snapshot: snap(2), shards: vec![0] });
         assert!(q.is_pending());
         let cmds = q.drain();
         assert_eq!(cmds.len(), 2);
         assert_eq!(cmds[0].snapshot.version, 1);
-        assert_eq!(cmds[0].scope, PublishScope::All);
+        assert_eq!(cmds[0].shards, vec![1]);
         assert_eq!(cmds[1].snapshot.version, 2);
         assert!(!q.is_pending());
         assert!(q.drain().is_empty());

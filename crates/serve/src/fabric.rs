@@ -31,8 +31,8 @@
 //! sent to last batch accepted) of every epoch that routed a decision are
 //! the `serve_collect` and `serve_barrier` spans.
 
-use crate::control::{ControlQueue, PublishScope};
-use crate::fault::{FaultKind, FaultScript};
+use crate::control::ControlQueue;
+use crate::fault::FaultScript;
 use crate::shard::{
     run_shard, shard_of, DecisionRequest, DecisionResponse, ShardMsg, ShardWorker,
 };
@@ -60,19 +60,22 @@ use std::time::{Duration, Instant};
 /// silence means the peer is gone.
 pub const GATHER_STALL: Duration = Duration::from_secs(10);
 
+/// Bounded mailbox capacity per shard, local or remote. Shards drain
+/// continuously, so a small capacity only adds backpressure, never
+/// deadlock.
+pub(crate) const MAILBOX_CAPACITY: usize = 64;
+
 /// Configuration of the serving fabric.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker shards the nodes are partitioned across (clamped to the
     /// node count).
     pub num_shards: usize,
-    /// Bounded mailbox capacity per shard. Shards drain continuously,
-    /// so a small capacity only adds backpressure, never deadlock.
-    pub mailbox_capacity: usize,
     /// `Some(seed)` samples actions from per-node RNG streams
     /// (`per_node_seed(seed, node)`); `None` serves greedy argmax.
     pub stochastic_seed: Option<u64>,
-    /// Epoch-scripted fault injection.
+    /// Epoch-scripted shard outages. Every shard it names must be one
+    /// the fabric has (below [`ServeConfig::num_shards`] after clamping).
     pub faults: FaultScript,
     /// Control-plane directive queue, drained at every epoch boundary
     /// (subset-targeted publishes for canary/rollback). `None` (the
@@ -95,9 +98,9 @@ pub struct ServeConfig {
     pub gather_stall: Duration,
     /// Substrate churn timeline applied to every served episode (each
     /// episode seed runs the same timeline, like the seeded evaluation
-    /// protocol). `None` — and the empty timeline — serve a static
-    /// substrate, bit-identical to the pre-churn fabric.
-    pub churn: Option<ChurnTimeline>,
+    /// protocol). The empty timeline (the default) serves a static
+    /// substrate.
+    pub churn: ChurnTimeline,
 }
 
 impl ServeConfig {
@@ -105,14 +108,13 @@ impl ServeConfig {
     pub fn new(num_shards: usize) -> Self {
         ServeConfig {
             num_shards,
-            mailbox_capacity: 64,
             stochastic_seed: None,
             faults: FaultScript::new(),
             control: None,
             status: None,
             cancel: None,
             gather_stall: GATHER_STALL,
-            churn: None,
+            churn: ChurnTimeline::none(),
         }
     }
 
@@ -154,29 +156,34 @@ impl ServeConfig {
     /// Applies a substrate churn timeline to every served episode.
     #[must_use]
     pub fn with_churn(mut self, churn: ChurnTimeline) -> Self {
-        self.churn = Some(churn);
+        self.churn = churn;
         self
     }
 
-    /// Validates the configuration and builds one episode simulator per
-    /// seed, each under the configured churn timeline if any.
+    /// Validates the configuration against `scenario` and builds one
+    /// episode simulator per seed, each under the configured churn
+    /// timeline.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or `episode_seeds` is empty.
+    /// Panics if the configuration is invalid, the fault script names a
+    /// shard the fabric over `scenario` does not have, or `episode_seeds`
+    /// is empty.
     pub(crate) fn episodes(
         &self,
         scenario: &ScenarioConfig,
         episode_seeds: &[u64],
     ) -> Vec<Simulation> {
+        #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
         self.validate().expect("serve configuration must be valid");
+        let shards = self.shards_over(scenario.topology.num_nodes());
+        if let Some(s) = self.faults.shard_outside(shards) {
+            panic!("fault script names shard {s}, but the fabric has {shards} shards");
+        }
         assert!(!episode_seeds.is_empty(), "need at least one episode");
         episode_seeds
             .iter()
-            .map(|&seed| match &self.churn {
-                Some(tl) => Simulation::with_churn(scenario.clone(), seed, tl.clone()),
-                None => Simulation::new(scenario.clone(), seed),
-            })
+            .map(|&seed| Simulation::with_churn(scenario.clone(), seed, self.churn.clone()))
             .collect()
     }
 
@@ -194,9 +201,6 @@ impl ServeConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.num_shards == 0 {
             return Err("num_shards must be at least 1".into());
-        }
-        if self.mailbox_capacity < 2 {
-            return Err("mailbox_capacity must be at least 2".into());
         }
         if self.gather_stall.is_zero() {
             return Err("gather_stall must be non-zero".into());
@@ -225,8 +229,7 @@ pub struct ServeReport {
     pub fallback_decisions: u64,
     /// Policy hot-swaps broadcast (version changes observed on the hub).
     pub swaps: u64,
-    /// Control-queue publishes applied at epoch boundaries (targeted or
-    /// fabric-wide).
+    /// Control-queue publishes applied at epoch boundaries.
     pub directed_publishes: u64,
     /// Shards shut down by kill windows.
     pub shard_kills: u64,
@@ -248,7 +251,7 @@ pub struct ServeReport {
     pub shard_versions: Vec<u64>,
     /// Batched decisions answered by each shard.
     pub shard_batched: Vec<u64>,
-    /// Fallback decisions attributed to each (down/delayed) shard.
+    /// Fallback decisions attributed to each (down) shard.
     pub shard_fallback: Vec<u64>,
     /// Batched decisions per policy version, ascending by version.
     pub decisions_by_version: Vec<(u64, u64)>,
@@ -429,7 +432,7 @@ impl<'scope> ShardLauncher<'scope> for LocalLauncher<'_, 'scope, '_> {
         policy: Arc<CoordinationPolicy>,
         version: u64,
     ) -> ShardHandle<'scope> {
-        let (tx, mailbox) = Transport::<ShardMsg>::channel(&InProcess, self.cfg.mailbox_capacity);
+        let (tx, mailbox) = Transport::<ShardMsg>::channel(&InProcess, MAILBOX_CAPACITY);
         // One batch per barrier, and the frontend takes it before the next.
         let (responses, rx) = Transport::<Vec<DecisionResponse>>::channel(&InProcess, 1);
         let stochastic_seed = self.cfg.stochastic_seed;
@@ -505,8 +508,10 @@ pub fn serve(
 /// # Panics
 ///
 /// Panics if `episode_seeds` is empty, the configuration is invalid,
-/// the scenario is invalid, or a hub snapshot's actor does not match
-/// the policy's observation contract (`4·Δ+4` in, `Δ+1` out).
+/// the fault script names a shard the fabric does not have (one at or
+/// above [`ServeConfig::num_shards`] clamped to the node count), the
+/// scenario is invalid, or a hub snapshot's actor does not match the
+/// policy's observation contract (`4·Δ+4` in, `Δ+1` out).
 pub fn serve_with(
     policy: &CoordinationPolicy,
     hub: Option<&PolicySlot>,
@@ -595,13 +600,11 @@ struct Frontend<'a, 'scope> {
     /// loop counter, `final_version` the fabric-wide current version and
     /// `shard_versions` what each shard was last delivered.
     report: ServeReport,
-    /// The policy each shard *should* run. Hub publishes and All-scope
-    /// directives set every entry; targeted directives set a subset —
-    /// respawns and lag re-syncs always converge a shard onto its own
-    /// entry, so a killed canary shard comes back as a canary.
+    /// The policy each shard *should* run. Hub publishes set every
+    /// entry; control directives set a subset — respawns and lag
+    /// re-syncs always converge a shard onto its own entry, so a killed
+    /// canary shard comes back as a canary.
     desired: Vec<(Arc<CoordinationPolicy>, u64)>,
-    /// Each shard's fault-script state this epoch.
-    faults: Vec<Option<FaultKind>>,
     /// Batch rows each shard owes this epoch.
     owed: Vec<usize>,
     live: Vec<bool>,
@@ -654,7 +657,6 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
                 ..ServeReport::default()
             },
             desired: vec![(current, version); num_shards],
-            faults: vec![None; num_shards],
             owed: vec![0; num_shards],
             live: vec![true; episodes],
             routed: vec![None; episodes],
@@ -682,23 +684,14 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
             for cmd in q.drain() {
                 let policy = Arc::new(policy_from_snapshot(&cmd.snapshot, self.degree));
                 let version = cmd.snapshot.version;
-                match &cmd.scope {
-                    PublishScope::All => {
-                        self.report.final_version = version;
-                        self.desired.fill((policy, version));
-                    }
-                    PublishScope::Shards(targets) => {
-                        for &t in targets.iter().filter(|&&t| t < self.shards.len()) {
-                            self.desired[t] = (Arc::clone(&policy), version);
-                        }
-                    }
+                for &t in cmd.shards.iter().filter(|&&t| t < self.shards.len()) {
+                    self.desired[t] = (Arc::clone(&policy), version);
                 }
                 self.report.directed_publishes += 1;
             }
         }
         for i in 0..self.shards.len() {
-            self.faults[i] = self.cfg.faults.state(i, epoch);
-            self.converge(i);
+            self.converge(i, epoch);
         }
         if let Some(board) = self.cfg.status.as_ref() {
             let live_episodes = self.live.iter().filter(|&&l| l).count() as u64;
@@ -706,28 +699,28 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
         }
     }
 
-    /// Brings shard `i` to its fault state and desired policy: a kill
-    /// window's start takes the worker down for real, its end respawns
-    /// it on its desired policy (fresh mailbox, fresh state), and a
-    /// reachable shard lagging its desired policy gets the swap at this
-    /// boundary (the global broadcast, targeted publishes, rollback
-    /// republishes, and post-delay re-sync). A written-off shard stays
+    /// Brings shard `i` to its scripted state at `epoch` and to its
+    /// desired policy: a kill window's start takes the worker down for
+    /// real, its end respawns it on its desired policy (fresh mailbox,
+    /// fresh state), and a live shard lagging its desired policy gets
+    /// the swap at this boundary (the global broadcast, targeted
+    /// publishes and rollback republishes). A written-off shard stays
     /// down.
-    fn converge(&mut self, i: usize) {
+    fn converge(&mut self, i: usize, epoch: u64) {
         let h = &mut self.shards[i];
         let (want, version) = &self.desired[i];
-        match self.faults[i] {
-            Some(FaultKind::Kill) if h.alive() => {
+        match self.cfg.faults.down(i, epoch) {
+            true if h.alive() => {
                 h.stop();
                 h.join();
                 self.report.shard_kills += 1;
             }
-            None if !h.alive() && !h.dead => {
+            false if !h.alive() && !h.dead => {
                 *h = self.launcher.launch(i, Arc::clone(want), *version);
                 self.report.shard_versions[i] = *version;
                 self.report.shard_respawns += 1;
             }
-            None if h.alive() && self.report.shard_versions[i] != *version => {
+            false if h.alive() && self.report.shard_versions[i] != *version => {
                 let swap = ShardMsg::Swap {
                     policy: Arc::clone(want),
                     version: *version,
@@ -768,7 +761,7 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
                 self.starts[e] = Some(Instant::now());
             }
             let owner = shard_of(dp.node.0, self.shards.len());
-            if self.faults[owner].is_none() && self.shards[owner].alive() {
+            if self.shards[owner].alive() {
                 let request = ShardMsg::Request(DecisionRequest {
                     id: self.next_id,
                     episode: e,
@@ -956,9 +949,6 @@ mod tests {
     fn config_validation() {
         assert!(ServeConfig::new(1).validate().is_ok());
         assert!(ServeConfig::new(0).validate().is_err());
-        let mut c = ServeConfig::new(2);
-        c.mailbox_capacity = 1;
-        assert!(c.validate().is_err());
         let mut c = ServeConfig::new(2);
         c.gather_stall = Duration::ZERO;
         assert!(c.validate().is_err());
@@ -1253,6 +1243,17 @@ mod tests {
         let scenario = ScenarioConfig::paper_base(1);
         let p = policy(scenario.topology.network_degree());
         serve(&p, None, &scenario, &[], &ServeConfig::new(1));
+    }
+
+    /// A fault window on a shard the fabric does not have would never
+    /// fire; the shard count it is checked against is the clamped one.
+    #[test]
+    #[should_panic(expected = "fault script names shard 11, but the fabric has 11 shards")]
+    fn rejects_fault_windows_on_shards_the_fabric_does_not_have() {
+        let scenario = ScenarioConfig::paper_base(1).with_horizon(100.0);
+        let p = policy(scenario.topology.network_degree());
+        let cfg = ServeConfig::new(20).with_faults(FaultScript::new().kill(11, 0, 5));
+        serve(&p, None, &scenario, &[3], &cfg);
     }
 
     /// More shards than nodes is clamped, not an error.

@@ -1,41 +1,18 @@
-//! Epoch-scripted fault injection for the serving fabric.
+//! Epoch-scripted shard outages for the serving fabric.
 //!
-//! Faults are indexed by the frontend's epoch counter rather than wall
+//! Outages are indexed by the frontend's epoch counter rather than wall
 //! clock, so a chaos scenario degrades the same way on every run — the
 //! fault tests are ordinary deterministic tests.
 
-/// What a fault window does to its shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The shard thread is shut down at the window start and respawned —
-    /// re-synced to the latest published policy version — at the window
-    /// end. Models a crashed inference worker.
-    Kill,
-    /// The shard stays alive but stops answering within the epoch; the
-    /// frontend routes around it until the window ends, then re-syncs
-    /// its policy if a swap happened meanwhile. Models a straggler.
-    Delay,
-}
+use std::ops::Range;
 
-/// One scripted fault: `shard` is unavailable for every epoch in
-/// `[from_epoch, until_epoch)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultWindow {
-    /// The shard index the fault applies to.
-    pub shard: usize,
-    /// Kill or delay.
-    pub kind: FaultKind,
-    /// First epoch the shard is down (inclusive).
-    pub from_epoch: u64,
-    /// Recovery epoch (exclusive): the shard serves again from here.
-    pub until_epoch: u64,
-}
-
-/// A deterministic fault script: a set of [`FaultWindow`]s the frontend
-/// consults at every epoch boundary.
+/// A deterministic outage script: the epochs each shard is down for.
+/// A scripted window takes its shard down for real — the worker is shut
+/// down at the window start and respawned, on the policy it should run,
+/// at the window end — so the fabric has one way for a shard to be down.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultScript {
-    windows: Vec<FaultWindow>,
+    windows: Vec<(usize, Range<u64>)>,
 }
 
 impl FaultScript {
@@ -44,42 +21,32 @@ impl FaultScript {
         Self::default()
     }
 
-    /// Adds a kill window for `shard` over `[from_epoch, until_epoch)`.
+    /// Adds a kill window: `shard` is down for every epoch in
+    /// `[from_epoch, until_epoch)`.
     #[must_use]
     pub fn kill(mut self, shard: usize, from_epoch: u64, until_epoch: u64) -> Self {
-        self.windows.push(FaultWindow {
-            shard,
-            kind: FaultKind::Kill,
-            from_epoch,
-            until_epoch,
-        });
+        self.windows.push((shard, from_epoch..until_epoch));
         self
     }
 
-    /// Adds a delay window for `shard` over `[from_epoch, until_epoch)`.
-    #[must_use]
-    pub fn delay(mut self, shard: usize, from_epoch: u64, until_epoch: u64) -> Self {
-        self.windows.push(FaultWindow {
-            shard,
-            kind: FaultKind::Delay,
-            from_epoch,
-            until_epoch,
-        });
-        self
-    }
-
-    /// The fault affecting `shard` at `epoch`, if any. When windows
-    /// overlap, the earliest-added wins (scripts are small; first match).
-    pub fn state(&self, shard: usize, epoch: u64) -> Option<FaultKind> {
+    /// Whether a window takes `shard` down at `epoch`.
+    pub fn down(&self, shard: usize, epoch: u64) -> bool {
         self.windows
             .iter()
-            .find(|w| w.shard == shard && (w.from_epoch..w.until_epoch).contains(&epoch))
-            .map(|w| w.kind)
+            .any(|(s, w)| *s == shard && w.contains(&epoch))
     }
 
-    /// All scripted windows.
-    pub fn windows(&self) -> &[FaultWindow] {
-        &self.windows
+    /// Whether the script has no window.
+    pub fn is_empty(&self) -> bool {
+        self.windows.is_empty()
+    }
+
+    /// The first scripted shard index outside `0..num_shards`, if any.
+    pub(crate) fn shard_outside(&self, num_shards: usize) -> Option<usize> {
+        self.windows
+            .iter()
+            .map(|&(s, _)| s)
+            .find(|&s| s >= num_shards)
     }
 }
 
@@ -89,13 +56,15 @@ mod tests {
 
     #[test]
     fn windows_are_half_open() {
-        let s = FaultScript::new().kill(1, 5, 8).delay(0, 2, 3);
-        assert_eq!(s.state(1, 4), None);
-        assert_eq!(s.state(1, 5), Some(FaultKind::Kill));
-        assert_eq!(s.state(1, 7), Some(FaultKind::Kill));
-        assert_eq!(s.state(1, 8), None, "recovery epoch is exclusive");
-        assert_eq!(s.state(0, 2), Some(FaultKind::Delay));
-        assert_eq!(s.state(2, 2), None);
-        assert_eq!(s.windows().len(), 2);
+        let s = FaultScript::new().kill(1, 5, 8);
+        assert!(!s.down(1, 4));
+        assert!(s.down(1, 5));
+        assert!(s.down(1, 7));
+        assert!(!s.down(1, 8), "recovery epoch is exclusive");
+        assert!(!s.down(0, 5));
+        assert!(!s.is_empty());
+        assert!(FaultScript::new().is_empty());
+        assert_eq!(s.shard_outside(2), None);
+        assert_eq!(s.shard_outside(1), Some(1));
     }
 }

@@ -12,15 +12,18 @@
 //!
 //! - **Policy hot-swap** ([`fabric`]): the fabric subscribes to the
 //!   training runtime's versioned
-//!   [`PolicySlot`](dosco_runtime::PolicySlot). The frontend polls the
-//!   slot version at every epoch boundary and broadcasts the new weights
-//!   to all shards at that boundary, so every shard switches at the same
-//!   epoch and version accounting stays exact
-//!   ([`ServeReport::decisions_by_version`]).
-//! - **Graceful degradation** ([`fault`]): an epoch-scripted fault hook
-//!   kills or delays a shard. Decisions for its nodes fall back to the
-//!   [`dosco_baselines`] shortest-path coordinator until the shard
-//!   recovers and re-syncs to the latest published snapshot — every
+//!   [`PolicySlot`](dosco_runtime::PolicySlot), the one door for a
+//!   fabric-wide publish. The frontend polls the slot version at every
+//!   epoch boundary and broadcasts the new weights to all shards at that
+//!   boundary, so every shard switches at the same epoch and version
+//!   accounting stays exact ([`ServeReport::decisions_by_version`]).
+//!   A [`ControlQueue`] lands a snapshot on a subset of shards (canary,
+//!   rollback) through the same boundary swap.
+//! - **Graceful degradation** ([`fault`]): a shard is down when an
+//!   epoch-scripted window kills it or when its peer is gone (written
+//!   off). Decisions for its nodes fall back to the [`dosco_baselines`]
+//!   shortest-path coordinator — a killed shard until its window ends
+//!   and it respawns on the latest snapshot published to it — and every
 //!   decision is counted as batched or fallback, never silently lost
 //!   ([`ServeReport::conserved`]).
 //! - **Determinism contract**: per-node RNG streams
@@ -39,6 +42,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 #![warn(missing_debug_implementations)]
 
 pub mod control;
@@ -48,9 +52,9 @@ pub mod remote;
 pub mod shard;
 pub mod status;
 
-pub use control::{ControlQueue, PublishCmd, PublishScope};
+pub use control::{ControlQueue, PublishCmd};
 pub use fabric::{serve, serve_with, ServeConfig, ServeOutcome, ServeReport, GATHER_STALL};
-pub use fault::{FaultKind, FaultScript, FaultWindow};
+pub use fault::FaultScript;
 pub use remote::{run_remote_shard, FrontendServer, ShardInit};
 pub use shard::{shard_of, DecisionRequest, DecisionResponse, ShardMsg};
 pub use status::{FabricStatus, StatusBoard};

@@ -18,7 +18,9 @@
 //! [`FaultScript`](crate::FaultScript) returns an error instead of
 //! silently degrading.
 
-use crate::fabric::{serve_core, ServeConfig, ServeOutcome, ShardHandle, ShardLauncher};
+use crate::fabric::{
+    serve_core, ServeConfig, ServeOutcome, ShardHandle, ShardLauncher, MAILBOX_CAPACITY,
+};
 use crate::shard::{run_shard, ShardWorker};
 use dosco_core::CoordinationPolicy;
 use dosco_net::{
@@ -59,7 +61,6 @@ pub struct ShardInit {
 /// response channel.
 struct RemoteLauncher {
     conns: Vec<Option<TcpStream>>,
-    capacity: usize,
     num_shards: usize,
     num_nodes: usize,
     stochastic_seed: Option<u64>,
@@ -95,8 +96,8 @@ impl ShardLauncher<'static> for RemoteLauncher {
             return ShardHandle::dead();
         }
         ShardHandle::new(
-            sender_on(stream, self.capacity),
-            receiver_on(read_half, self.capacity),
+            sender_on(stream, MAILBOX_CAPACITY),
+            receiver_on(read_half, MAILBOX_CAPACITY),
             None,
         )
     }
@@ -129,6 +130,7 @@ impl FrontendServer {
     ///
     /// Panics if the OS cannot report the local address of a bound socket.
     #[must_use]
+    #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
     pub fn local_addr(&self) -> String {
         self.listener
             .local_addr()
@@ -164,14 +166,14 @@ impl FrontendServer {
         episode_seeds: &[u64],
         cfg: &ServeConfig,
     ) -> Result<ServeOutcome, NetError> {
-        let mut sims = cfg.episodes(scenario, episode_seeds);
-        if !cfg.faults.windows().is_empty() {
+        if !cfg.faults.is_empty() {
             return Err(NetError::Protocol(
                 "fault injection requires locally-launched shards \
                  (a shard process cannot be respawned by the frontend)"
                     .into(),
             ));
         }
+        let mut sims = cfg.episodes(scenario, episode_seeds);
         let num_nodes = scenario.topology.num_nodes();
         let num_shards = cfg.shards_over(num_nodes);
         let mut conns = Vec::with_capacity(num_shards);
@@ -185,7 +187,6 @@ impl FrontendServer {
         }
         let mut launcher = RemoteLauncher {
             conns,
-            capacity: cfg.mailbox_capacity,
             num_shards,
             num_nodes,
             stochastic_seed: cfg.stochastic_seed,

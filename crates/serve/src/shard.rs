@@ -223,8 +223,8 @@ fn next_message<T>(mailbox: &dyn Rx<T>) -> Result<T, RecvError> {
 /// `answers` in request order, and empties `pending`. Greedy when `rngs`
 /// is `None`; otherwise one draw per row, in request order, from the
 /// owning node's stream. Returns `false`, answering nothing, if a row's
-/// logits are not finite (a diverged policy): argmax and sampling have
-/// no answer for such a row.
+/// logits are not finite (a diverged policy) or, when sampling, its node
+/// has no stream here: argmax and sampling have no answer for such a row.
 fn forward(
     w: &ShardWorker,
     pending: &mut Vec<DecisionRequest>,
@@ -249,13 +249,14 @@ fn forward(
         // the exact draws a per-decision deployment makes.
         Some(rngs) => (0..rows)
             .map(|r| {
-                let rng = rngs[pending[r].node.0]
-                    .as_mut()
-                    .expect("request for a node this shard owns");
-                dist.sample_row(r, rng)
+                let rng = rngs.get_mut(pending[r].node.0)?.as_mut()?;
+                Some(dist.sample_row(r, rng))
             })
-            .collect(),
-        None => dist.argmax(),
+            .collect::<Option<Vec<_>>>(),
+        None => Some(dist.argmax()),
+    };
+    let Some(actions) = actions else {
+        return false;
     };
     answers.extend(
         pending

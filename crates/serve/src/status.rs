@@ -17,7 +17,7 @@
 
 use crate::fabric::ServeReport;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A whole-fabric snapshot published at an epoch boundary.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -63,14 +63,20 @@ impl StatusBoard {
         StatusBoard::default()
     }
 
+    /// The published snapshot. It is replaced whole, never edited in
+    /// place, so a poisoned lock still guards a complete one.
+    fn inner(&self) -> MutexGuard<'_, FabricStatus> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The most recently published snapshot.
     pub fn snapshot(&self) -> FabricStatus {
-        self.inner.lock().expect("status board poisoned").clone()
+        self.inner().clone()
     }
 
     /// Replaces the published snapshot (fabric-side).
     pub(crate) fn publish(&self, status: FabricStatus) {
-        *self.inner.lock().expect("status board poisoned") = status;
+        *self.inner() = status;
     }
 }
 

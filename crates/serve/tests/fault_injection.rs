@@ -88,24 +88,6 @@ fn killed_shard_falls_back_and_recovers_at_published_version() {
     assert_eq!(by_version, r.batched_decisions);
 }
 
-/// A delayed shard is routed around (fallbacks, no kill/respawn) and the
-/// fabric's outcome is otherwise healthy.
-#[test]
-fn delayed_shard_is_routed_around_without_restart() {
-    let scenario = scenario();
-    let p = policy(scenario.topology.network_degree(), 11);
-    let cfg = ServeConfig::new(3).with_faults(FaultScript::new().delay(0, 5, 15));
-    let out = serve(&p, None, &scenario, &[1, 2], &cfg);
-
-    let r = &out.report;
-    assert!(r.conserved(), "{r:?}");
-    assert!(r.fallback_decisions > 0, "{r:?}");
-    assert_eq!(r.shard_kills, 0);
-    assert_eq!(r.shard_respawns, 0);
-    assert_eq!(r.swaps, 0);
-    assert_eq!(out.metrics.len(), 2);
-}
-
 /// A fault-free run with a hub serves the hub's snapshot — and an
 /// untouched hub means zero swaps and a single version bucket.
 #[test]

@@ -15,8 +15,7 @@ use dosco_core::CoordinationPolicy;
 use dosco_nn::mlp::{Activation, Mlp};
 use dosco_runtime::{PolicySlot, PolicySnapshot};
 use dosco_serve::{
-    serve_with, ControlQueue, FabricStatus, FaultScript, PublishCmd, PublishScope, ServeConfig,
-    StatusBoard,
+    serve_with, ControlQueue, FabricStatus, FaultScript, PublishCmd, ServeConfig, StatusBoard,
 };
 use dosco_simnet::ScenarioConfig;
 use rand::rngs::StdRng;
@@ -162,7 +161,7 @@ fn mid_canary_shard_kill_conserves_and_respawns_at_candidate() {
             if epoch == 6 {
                 control.push(PublishCmd {
                     snapshot: snap(degree, CANDIDATE, 77),
-                    scope: PublishScope::Shards(vec![CANARY]),
+                    shards: vec![CANARY],
                 });
             }
         },

@@ -62,6 +62,9 @@ cargo run -q --release --example actor_learner
 echo "== example serve: hot swap and a shard kill window under traffic, conservation =="
 cargo run -q --release --example serve
 
+echo "== example ctl: canary lifecycle over the control queue and the hub, ops surface over TCP =="
+cargo run -q --release --example ctl
+
 echo "== dosco train + eval: the figures' training path writes a policy that loads and evaluates =="
 policy_dir=$(mktemp -d)
 trap 'rm -rf "$policy_dir"' EXIT
