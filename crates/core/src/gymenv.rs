@@ -34,9 +34,9 @@ pub struct CoordEnv {
     /// Re-draw node/link capacities each episode (curriculum over
     /// scenario draws; harder but matches the seeded evaluation protocol).
     resample_capacities: bool,
-    /// Substrate churn injected into every episode; `None` trains on a
-    /// static substrate (bit-identical to the pre-churn environment).
-    churn: Option<ChurnSchedule>,
+    /// Substrate churn injected into every episode;
+    /// [`ChurnSchedule::none`] trains on a static substrate.
+    churn: ChurnSchedule,
     /// Final metrics of the last episode that ran to its end.
     finished: Option<Metrics>,
 }
@@ -75,7 +75,7 @@ impl CoordEnv {
             diameter,
             events_buf: Vec::new(),
             resample_capacities: true,
-            churn: None,
+            churn: ChurnSchedule::none(),
             finished: None,
         }
     }
@@ -103,7 +103,7 @@ impl CoordEnv {
         if let Err(e) = churn.compile(&self.scenario.topology, self.scenario.horizon, 0) {
             panic!("invalid churn schedule: {e}");
         }
-        self.churn = Some(churn);
+        self.churn = churn;
         self
     }
 
@@ -144,17 +144,14 @@ impl CoordEnv {
         if self.resample_capacities {
             scenario = scenario.with_capacity_draw(seed);
         }
-        self.sim = match &self.churn {
-            Some(schedule) => {
-                // A distinct stream from the traffic/capacity seeds, so
-                // enabling churn never perturbs arrivals or capacities.
-                let timeline = schedule
-                    .compile(&scenario.topology, scenario.horizon, seed ^ 0xC0A5)
-                    .expect("schedule validated in with_churn");
-                Simulation::with_churn(scenario, seed, timeline)
-            }
-            None => Simulation::new(scenario, seed),
-        };
+        // A distinct stream from the traffic/capacity seeds, so enabling
+        // churn never perturbs arrivals or capacities; an empty timeline
+        // is a static substrate.
+        let timeline = self
+            .churn
+            .compile(&scenario.topology, scenario.horizon, seed ^ 0xC0A5)
+            .expect("schedule validated in with_churn");
+        self.sim = Simulation::with_churn(scenario, seed, timeline);
         self.sim.drain_events_into(&mut self.events_buf);
         let dp = self
             .sim

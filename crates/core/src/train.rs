@@ -88,8 +88,9 @@ pub struct TrainConfig {
     /// compiles this schedule against the scenario topology with a
     /// churn-private seed stream, so the policy learns under link/node
     /// failures and degradations. The held-out selection episode stays on
-    /// the clean substrate. `None` trains exactly as before.
-    pub churn: Option<ChurnSchedule>,
+    /// the clean substrate. [`ChurnSchedule::none`] (the default) trains
+    /// on a static substrate.
+    pub churn: ChurnSchedule,
 }
 
 impl Default for TrainConfig {
@@ -107,7 +108,7 @@ impl Default for TrainConfig {
             eval_horizon: 2_000.0,
             checkpoints: 8,
             fixed_capacity_training: false,
-            churn: None,
+            churn: ChurnSchedule::none(),
         }
     }
 }
@@ -134,10 +135,7 @@ fn make_envs(scenario: &ScenarioConfig, config: &TrainConfig, seed: u64) -> Vec<
             if config.fixed_capacity_training {
                 env = env.with_fixed_capacities();
             }
-            if let Some(schedule) = &config.churn {
-                env = env.with_churn(schedule.clone());
-            }
-            Box::new(env) as Box<dyn Env>
+            Box::new(env.with_churn(config.churn.clone())) as Box<dyn Env>
         })
         .collect()
 }

@@ -6,7 +6,6 @@
 //! | `DOSCO_NET_ADDR`       | `host:port` the process connects or binds to | unset   |
 //! | `DOSCO_NET_RETRIES`    | extra connect attempts after the first       | `5`     |
 //! | `DOSCO_NET_TIMEOUT_MS` | per-attempt connect timeout (ms), ≥ 1        | `2000`  |
-//! | `DOSCO_NET_CAPACITY`   | in-flight messages per channel, ≥ 1          | `8`     |
 //!
 //! Parsing goes through [`dosco_obs::env::parse_lookup`]: unset or blank
 //! means default, malformed raises an [`EnvParseError`] naming the
@@ -30,8 +29,6 @@ pub struct NetConfig {
     pub retries: u32,
     /// Per-attempt connect timeout.
     pub timeout: Duration,
-    /// Bounded in-flight message capacity per channel.
-    pub capacity: usize,
 }
 
 impl Default for NetConfig {
@@ -40,7 +37,6 @@ impl Default for NetConfig {
             addr: None,
             retries: 5,
             timeout: Duration::from_millis(2000),
-            capacity: 8,
         }
     }
 }
@@ -77,18 +73,10 @@ impl NetConfig {
             |&v| v >= 1,
         )?
         .map_or(defaults.timeout, Duration::from_millis);
-        let capacity = parse_lookup::<usize>(
-            get,
-            "DOSCO_NET_CAPACITY",
-            "a positive channel capacity",
-            |&v| v >= 1,
-        )?
-        .unwrap_or(defaults.capacity);
         Ok(NetConfig {
             addr,
             retries,
             timeout: timeout_ms,
-            capacity,
         })
     }
 
@@ -239,13 +227,11 @@ mod tests {
             ("DOSCO_NET_ADDR", "127.0.0.1:7171"),
             ("DOSCO_NET_RETRIES", "2"),
             ("DOSCO_NET_TIMEOUT_MS", "250"),
-            ("DOSCO_NET_CAPACITY", "16"),
         ]))
         .expect("parse");
         assert_eq!(cfg.addr.as_deref(), Some("127.0.0.1:7171"));
         assert_eq!(cfg.retries, 2);
         assert_eq!(cfg.timeout, Duration::from_millis(250));
-        assert_eq!(cfg.capacity, 16);
     }
 
     #[test]
@@ -254,9 +240,9 @@ mod tests {
             .expect_err("zero timeout");
         assert!(err.to_string().contains("DOSCO_NET_TIMEOUT_MS"), "{err}");
 
-        let err = NetConfig::from_lookup(&lookup(&[("DOSCO_NET_CAPACITY", "zero")]))
+        let err = NetConfig::from_lookup(&lookup(&[("DOSCO_NET_RETRIES", "many")]))
             .expect_err("non-numeric");
-        assert!(err.to_string().contains("DOSCO_NET_CAPACITY"), "{err}");
+        assert!(err.to_string().contains("DOSCO_NET_RETRIES"), "{err}");
     }
 
     #[test]

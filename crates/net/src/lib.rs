@@ -14,6 +14,8 @@
 //!   thread per sender, a reader thread + bounded queue per receiver, and
 //!   the [`SocketLoopback`] transport that pairs them over `127.0.0.1` for
 //!   equivalence testing.
+//! - [`open_session`] / [`dial_session`] — the one TCP session of both
+//!   multi-process deployments: a hello frame, then a typed channel each way.
 //! - [`frame`] — the length-prefixed, FNV-1a-checksummed wire frame.
 //! - [`codec`] — a bit-exact binary encoding of the vendored serde
 //!   [`serde::Value`] tree (floats travel as raw IEEE-754 bits).
@@ -31,11 +33,13 @@
 pub mod codec;
 pub mod config;
 pub mod frame;
+mod session;
 pub mod socket;
 pub mod transport;
 
 pub use codec::{decode_msg, encode_msg, CodecError};
 pub use config::{backoff_delay, connect_with_retry, NetConfig, NetError};
 pub use frame::{read_frame, write_frame, FrameError};
+pub use session::{dial_session, open_session};
 pub use socket::{receiver_on, sender_on, SocketLoopback, Wire};
 pub use transport::{BoxRx, BoxTx, InProcess, Rx, Transport, Tx};

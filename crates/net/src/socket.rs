@@ -74,13 +74,14 @@ impl<T> Drop for SocketTx<T> {
 }
 
 /// Wraps the write half of `stream` as a typed transport sender with room
-/// for `capacity` in-flight messages.
+/// for `capacity` in-flight messages. Set `TCP_NODELAY` on `stream` first
+/// (the session functions and [`crate::connect_with_retry`] do), or small
+/// frames wait out Nagle's algorithm.
 ///
 /// # Panics
 ///
 /// Panics if the writer thread cannot be spawned or `capacity == 0`.
 pub fn sender_on<T: Wire>(stream: TcpStream, capacity: usize) -> BoxTx<T> {
-    let _ = stream.set_nodelay(true);
     let (tx, rx) = channel::bounded::<T>(capacity);
     let writer = thread::Builder::new()
         .name("dosco-net-writer".into())
@@ -159,7 +160,6 @@ impl<T> Drop for SocketRx<T> {
 /// Panics if the reader thread cannot be spawned, the stream cannot be
 /// cloned, or `capacity == 0`.
 pub fn receiver_on<T: Wire>(stream: TcpStream, capacity: usize) -> BoxRx<T> {
-    let _ = stream.set_nodelay(true);
     let (tx, rx) = channel::bounded::<T>(capacity);
     let fault: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
     let fault_in = Arc::clone(&fault);
@@ -237,6 +237,7 @@ impl<T: Wire> Transport<T> for SocketLoopback {
             .spawn(move || listener.accept().expect("accept loopback peer").0)
             .expect("spawn dosco-net-accept");
         let tx_stream = TcpStream::connect(addr).expect("connect loopback");
+        let _ = tx_stream.set_nodelay(true);
         let rx_stream = accept.join().expect("join accept thread");
         (sender_on(tx_stream, capacity), receiver_on(rx_stream, capacity))
     }

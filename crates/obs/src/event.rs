@@ -2,7 +2,7 @@
 //! to a `DOSCO_TRACE` file.
 //!
 //! Every event belongs to a [`Stream`] — one logical emitter (a simulation
-//! episode, a rollout actor, the learner) whose events are sequential and
+//! episode, the rollout actor, the learner) whose events are sequential and
 //! deterministic under a fixed seed. The JSONL writer buffers per stream
 //! and flushes streams in sorted order, so the file bytes do not depend on
 //! thread scheduling (see [`crate::recorder::JsonlRecorder`]).
@@ -15,16 +15,14 @@ use serde::{Deserialize, Serialize};
 
 /// Version of the trace schema, written in the header line. Bump on any
 /// change to [`Event`] field names, order, or meaning.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The kind of logical emitter behind a [`Stream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum StreamKind {
-    /// Run-level events (one per process/run).
-    Run,
     /// One simulation episode, identified by its traffic seed.
     Sim,
-    /// One rollout actor thread, identified by its actor index.
+    /// The rollout actor.
     Actor,
     /// The learner loop.
     Learner,
@@ -33,7 +31,6 @@ pub enum StreamKind {
 impl StreamKind {
     fn tag(self) -> &'static str {
         match self {
-            StreamKind::Run => "run",
             StreamKind::Sim => "sim",
             StreamKind::Actor => "actor",
             StreamKind::Learner => "learner",
@@ -48,24 +45,19 @@ impl StreamKind {
 pub struct Stream {
     /// The emitter kind.
     pub kind: StreamKind,
-    /// Emitter identity within the kind (sim seed, actor index, 0).
+    /// Emitter identity within the kind (sim seed, else 0).
     pub id: u64,
 }
 
 impl Stream {
-    /// The run-level stream.
-    pub fn run() -> Self {
-        Stream { kind: StreamKind::Run, id: 0 }
-    }
-
     /// The stream of the simulation episode seeded with `seed`.
     pub fn sim(seed: u64) -> Self {
         Stream { kind: StreamKind::Sim, id: seed }
     }
 
-    /// The stream of rollout actor `idx`.
-    pub fn actor(idx: u64) -> Self {
-        Stream { kind: StreamKind::Actor, id: idx }
+    /// The rollout actor's stream.
+    pub fn actor() -> Self {
+        Stream { kind: StreamKind::Actor, id: 0 }
     }
 
     /// The learner stream.
@@ -149,10 +141,8 @@ pub enum Event {
         /// Component instances stopped.
         instances_stopped: u64,
     },
-    /// A rollout actor handed a batch to the experience channel.
+    /// The rollout actor handed a batch to the experience channel.
     BatchProduced {
-        /// Actor index.
-        actor: u64,
         /// Policy snapshot version the batch was collected under.
         version: u64,
         /// Transitions in the batch.
@@ -160,12 +150,9 @@ pub enum Event {
     },
     /// The learner consumed a batch into an update.
     BatchConsumed {
-        /// Snapshot version the batch was collected under.
+        /// Snapshot version the batch was collected under (in lockstep,
+        /// the learner's own).
         version: u64,
-        /// Learner version at consumption time.
-        learner_version: u64,
-        /// Observed staleness (`learner_version - version`).
-        staleness: u64,
     },
     /// The learner published a new policy snapshot.
     SnapshotPublished {
@@ -175,8 +162,6 @@ pub enum Event {
         total_steps: u64,
     },
     /// A substrate churn action was applied to a simulation episode.
-    /// Additive variant: existing event lines are byte-unchanged, so the
-    /// schema version stays at 1.
     ChurnApplied {
         /// Simulation time the action took effect.
         time: f64,
@@ -198,28 +183,23 @@ mod tests {
     #[test]
     fn stream_labels() {
         assert_eq!(Stream::sim(42).label(), "sim:42");
-        assert_eq!(Stream::actor(1).label(), "actor:1");
+        assert_eq!(Stream::actor().label(), "actor:0");
         assert_eq!(Stream::learner().label(), "learner:0");
-        assert_eq!(Stream::run().label(), "run:0");
     }
 
     #[test]
     fn streams_order_deterministically() {
-        let mut v = vec![Stream::sim(7), Stream::actor(0), Stream::learner(), Stream::sim(3)];
+        let mut v = vec![Stream::sim(7), Stream::actor(), Stream::learner(), Stream::sim(3)];
         v.sort();
         assert_eq!(
             v,
-            vec![Stream::sim(3), Stream::sim(7), Stream::actor(0), Stream::learner()]
+            vec![Stream::sim(3), Stream::sim(7), Stream::actor(), Stream::learner()]
         );
     }
 
     #[test]
     fn event_serialization_is_deterministic_and_round_trips() {
-        let e = Event::BatchConsumed {
-            version: 3,
-            learner_version: 5,
-            staleness: 2,
-        };
+        let e = Event::BatchConsumed { version: 3 };
         let a = serde_json::to_string(&e).unwrap();
         let b = serde_json::to_string(&e.clone()).unwrap();
         assert_eq!(a, b);

@@ -173,12 +173,12 @@ mod tests {
     fn every_line_parses_and_header_counts() {
         let r = JsonlRecorder::new("/tmp/unused-c.jsonl");
         r.record(Stream::learner(), &Event::SnapshotPublished { version: 1, total_steps: 64 });
-        r.record(Stream::actor(0), &Event::BatchProduced { actor: 0, version: 0, transitions: 64 });
+        r.record(Stream::actor(), &Event::BatchProduced { version: 0, transitions: 64 });
         let text = r.render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         let header: Value = serde_json::from_str(lines[0]).unwrap();
-        assert_eq!(header.get("schema").and_then(Value::as_u64), Some(1));
+        assert_eq!(header.get("schema").and_then(Value::as_u64), Some(2));
         assert_eq!(header.get("streams").and_then(Value::as_u64), Some(2));
         assert_eq!(header.get("events").and_then(Value::as_u64), Some(2));
         for line in &lines[1..] {

@@ -99,9 +99,8 @@ pub(crate) fn actor_loop(
             return batch.rng;
         }
         Counters::inc(&counters.batches_produced);
-        dosco_obs::emit(dosco_obs::Stream::actor(0), || {
+        dosco_obs::emit(dosco_obs::Stream::actor(), || {
             dosco_obs::Event::BatchProduced {
-                actor: 0,
                 version,
                 transitions: (params.n_steps * envs.len()) as u64,
             }
@@ -129,9 +128,6 @@ fn check_batch<L: Learner + ?Sized>(
             "batch collected under version {} arrived at learner version {version}",
             batch.version
         ));
-    }
-    if batch.rng.is_none() {
-        return Err("batch carried no agent RNG".into());
     }
     let r = &batch.rollout;
     let rows = r.n_envs.checked_mul(r.n_steps).filter(|&n| n > 0);
@@ -172,7 +168,7 @@ fn check_batch<L: Learner + ?Sized>(
 /// # Errors
 ///
 /// A description of the first batch that breaks the lockstep protocol
-/// ([`check_batch`]); the loop stops there.
+/// ([`check_batch`], or no agent RNG); the loop stops there.
 pub(crate) fn run_learner_loop<L: Learner + ?Sized>(
     learner: &mut L,
     rx: &dyn Rx<ExperienceBatch>,
@@ -200,15 +196,13 @@ pub(crate) fn run_learner_loop<L: Learner + ?Sized>(
         // The actor exited (shutdown race or panic): stop.
         let Ok(batch) = received else { break };
         check_batch(&batch, version, learner)?;
+        let (mut rollout, Some(mut rng)) = (batch.rollout, batch.rng) else {
+            return Err("batch carried no agent RNG".into());
+        };
         Counters::inc(&counters.batches_consumed);
         dosco_obs::emit(dosco_obs::Stream::learner(), || {
-            dosco_obs::Event::BatchConsumed {
-                version,
-                learner_version: version,
-                staleness: 0,
-            }
+            dosco_obs::Event::BatchConsumed { version }
         });
-        let (mut rollout, mut rng) = (batch.rollout, batch.rng.expect("checked above"));
         if let Some(base) = base_lr {
             learner.set_lr(decayed_lr(base, stats.total_steps, total_steps));
         }
@@ -290,7 +284,8 @@ pub(crate) fn drain(rx: &dyn Rx<ExperienceBatch>, counters: &Counters) -> Option
 /// # Panics
 ///
 /// Panics if `envs` is empty or the actor thread panics (the panic is
-/// re-raised after shutdown).
+/// re-raised after shutdown), or if the transport loses the message that
+/// carries the agent RNG (the in-process channels never do).
 pub fn train<L: Learner + ?Sized>(
     learner: &mut L,
     envs: &mut [Box<dyn Env>],
@@ -389,6 +384,7 @@ where
         (stats, final_rng)
     });
 
+    #[allow(clippy::expect_used, reason = "the documented # Panics contract of train")]
     learner.restore_rng(final_rng.expect("the runtime recovers the agent RNG at shutdown"));
     RuntimeOutcome {
         report: counters.report(),

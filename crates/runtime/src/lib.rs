@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod config;
 pub mod counters;
@@ -41,6 +42,6 @@ pub use config::RuntimeConfig;
 pub use counters::RuntimeReport;
 pub use driver::{train, train_cancellable, train_with_transport, RuntimeOutcome};
 pub use dosco_rl::learner::{CollectParams, Learner};
-pub use remote::{run_actor, run_learner_server, LearnerServer};
+pub use remote::{run_actor, run_learner};
 pub use snapshot::{PolicySlot, PolicySnapshot, SlotInfo};
 pub use wire::{ExperienceBatch, LearnerHello, SyncReply};

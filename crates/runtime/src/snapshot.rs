@@ -2,7 +2,7 @@
 
 use dosco_nn::mlp::Mlp;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One immutable, versioned copy of the learner's networks. Taken by the
 /// learner after every update and handed to the actor with its reply; the
@@ -26,7 +26,9 @@ pub struct PolicySnapshot {
 /// The `dosco_serve` fabric subscribes its inference shards here, polling
 /// [`PolicySlot::version`] at epoch boundaries and hot-swapping to
 /// [`PolicySlot::latest`] when it moved — the hand-off point between the
-/// training plane and the serving plane.
+/// training plane and the serving plane. The slot holds a plain `Arc`, so
+/// a thread that panicked holding the lock left no torn state behind: a
+/// poisoned lock is recovered, not re-raised.
 #[derive(Debug)]
 pub struct PolicySlot {
     latest: Mutex<Arc<PolicySnapshot>>,
@@ -45,13 +47,13 @@ impl PolicySlot {
     /// Replaces the slot content with a newer snapshot.
     pub fn publish(&self, snapshot: Arc<PolicySnapshot>) {
         let version = snapshot.version;
-        *self.latest.lock().expect("policy slot poisoned") = snapshot;
+        *self.latest.lock().unwrap_or_else(PoisonError::into_inner) = snapshot;
         self.version.store(version, Ordering::Release);
     }
 
     /// The most recently published snapshot.
     pub fn latest(&self) -> Arc<PolicySnapshot> {
-        Arc::clone(&self.latest.lock().expect("policy slot poisoned"))
+        Arc::clone(&self.latest.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// The version of the most recently published snapshot (cheap read —

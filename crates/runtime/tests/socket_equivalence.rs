@@ -6,7 +6,7 @@
 //! multi-process deployment (learner server + connecting actor, two
 //! independent transports over loopback TCP) is held to the same standard.
 
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -19,8 +19,8 @@ use dosco_rl::env::{Env, StepResult};
 use dosco_rl::ppo::{Ppo, PpoConfig};
 use dosco_rl::rollout::Rollout;
 use dosco_runtime::{
-    train, train_cancellable, train_with_transport, ExperienceBatch, LearnerServer,
-    RuntimeConfig, RuntimeOutcome,
+    run_learner, train, train_cancellable, train_with_transport, ExperienceBatch, Learner,
+    LearnerHello, PolicySnapshot, RuntimeConfig, RuntimeOutcome,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -194,14 +194,12 @@ fn remote_learner_and_actor_over_tcp_match_in_process_sync() {
     let mut in_proc_envs = ring_envs(3);
     let baseline = train(&mut in_proc, &mut in_proc_envs, total, &RuntimeConfig::sync());
 
-    let server = LearnerServer::bind("127.0.0.1:0").expect("bind learner");
-    let addr = server.local_addr();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind learner");
+    let addr = listener.local_addr().expect("learner address").to_string();
 
     let learner_thread = std::thread::spawn(move || {
         let mut agent = A2c::new(2, 2, cfg, 7);
-        let outcome = server
-            .run(&mut agent, total, &RuntimeConfig::sync(), None)
-            .expect("learner server run");
+        let outcome = run_learner(&listener, &mut agent, total, None).expect("learner server run");
         (agent, outcome)
     });
 
@@ -276,17 +274,17 @@ fn zero_rollout(n_envs: usize, n_steps: usize) -> Rollout {
 
 /// Serves one learner run whose only actor is a raw socket: it reads the
 /// hello, sends `batch`, and keeps the connection open. Returns what
-/// [`LearnerServer::run`] returned; fails the test if the learner panics
-/// or is still running after a minute.
+/// [`run_learner`] returned; fails the test if the learner panics or is
+/// still running after a minute.
 fn serve_one_hostile_batch(batch: ExperienceBatch) -> Result<RuntimeOutcome, NetError> {
-    let server = LearnerServer::bind("127.0.0.1:0").expect("bind learner");
-    let addr = server.local_addr();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind learner");
+    let addr = listener.local_addr().expect("learner address");
     let (done_tx, done_rx) = mpsc::channel();
     std::thread::spawn(move || {
         let mut agent = A2c::new(2, 2, a2c_config(), 7);
-        let _ = done_tx.send(server.run(&mut agent, 300, &RuntimeConfig::sync(), None));
+        let _ = done_tx.send(run_learner(&listener, &mut agent, 300, None));
     });
-    let mut stream = TcpStream::connect(&addr).expect("dial learner");
+    let mut stream = TcpStream::connect(addr).expect("dial learner");
     read_frame(&mut stream).expect("hello frame");
     write_frame(&mut stream, &encode_msg(&batch)).expect("send batch");
     let result = match done_rx.recv_timeout(Duration::from_secs(60)) {
@@ -359,5 +357,35 @@ fn hostile_batch_that_does_not_fit_the_policy_is_a_protocol_error() {
             rng: Some(StdRng::seed_from_u64(1)),
         };
         assert_protocol_error(serve_one_hostile_batch(batch), "policy");
+    }
+}
+
+/// A learner is untrusted input to the actor too: a hello whose actor
+/// reads observations of the wrong width, offers more actions than the
+/// environments have, or whose critic does not fit, is refused before the
+/// collector or the environment sees it.
+#[test]
+fn hello_that_does_not_fit_the_envs_is_a_protocol_error() {
+    let net = |obs: usize, acts: usize| A2c::new(obs, acts, a2c_config(), 7);
+    let (fits, wide, many) = (net(2, 2), net(3, 2), net(2, 3));
+    for (actor, critic) in [(&wide, &wide), (&many, &many), (&fits, &wide)] {
+        let hello = LearnerHello {
+            params: fits.collect_params(),
+            snapshot: PolicySnapshot {
+                version: 0,
+                actor: actor.actor().clone(),
+                critic: critic.critic().clone(),
+            },
+            rng: [1, 2, 3, 4],
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake learner");
+        let addr = listener.local_addr().expect("learner address").to_string();
+        let net = NetConfig::default();
+        let actor_run =
+            std::thread::spawn(move || dosco_runtime::run_actor(&mut ring_envs(2), &addr, &net));
+        let (mut stream, _) = listener.accept().expect("actor dials in");
+        write_frame(&mut stream, &encode_msg(&hello)).expect("send hello");
+        let result = actor_run.join().expect("the actor panicked");
+        assert!(matches!(result, Err(NetError::Protocol(_))), "{result:?}");
     }
 }

@@ -60,7 +60,8 @@ use std::time::{Duration, Instant};
 /// silence means the peer is gone.
 pub const GATHER_STALL: Duration = Duration::from_secs(10);
 
-/// Bounded mailbox capacity per shard, local or remote. Shards drain
+/// Bounded mailbox capacity per shard, local or remote (a remote session
+/// sizes both directions with it, on both ends). Shards drain
 /// continuously, so a small capacity only adds backpressure, never
 /// deadlock.
 pub(crate) const MAILBOX_CAPACITY: usize = 64;
@@ -502,8 +503,7 @@ pub fn serve(
 ///
 /// The shards run on scoped threads of this process. The multi-process
 /// deployment, whose shards dial in over TCP, is
-/// [`FrontendServer`](crate::FrontendServer), built on the same epoch
-/// loop.
+/// [`serve_remote`](crate::serve_remote), built on the same epoch loop.
 ///
 /// # Panics
 ///

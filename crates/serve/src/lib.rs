@@ -55,6 +55,6 @@ pub mod status;
 pub use control::{ControlQueue, PublishCmd};
 pub use fabric::{serve, serve_with, ServeConfig, ServeOutcome, ServeReport, GATHER_STALL};
 pub use fault::FaultScript;
-pub use remote::{run_remote_shard, FrontendServer, ShardInit};
+pub use remote::{run_remote_shard, serve_remote, ShardInit};
 pub use shard::{shard_of, DecisionRequest, DecisionResponse, ShardMsg};
 pub use status::{FabricStatus, StatusBoard};

@@ -1,14 +1,14 @@
 //! Serve-plane socket equivalence: the true multi-process deployment (a
-//! `FrontendServer` plus separately-dialing shard workers, every request,
-//! flush barrier and response framed, checksummed and serialized through
-//! the binary codec) produces *exactly* the same `Metrics` and decision
-//! accounting as the in-process fabric.
+//! `serve_remote` frontend plus separately-dialing shard workers, every
+//! request, flush barrier and response framed, checksummed and serialized
+//! through the binary codec) produces *exactly* the same `Metrics` and
+//! decision accounting as the in-process fabric.
 
 use dosco_core::policy::PolicyMetadata;
 use dosco_core::CoordinationPolicy;
 use dosco_net::{encode_msg, write_frame, NetConfig, NetError};
 use dosco_nn::mlp::{Activation, Mlp};
-use dosco_serve::{run_remote_shard, serve, FaultScript, FrontendServer, ServeConfig, ShardInit};
+use dosco_serve::{run_remote_shard, serve, serve_remote, FaultScript, ServeConfig, ShardInit};
 use dosco_simnet::ScenarioConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,8 +47,8 @@ fn remote_shard_deployment_matches_in_process() {
     ] {
         let in_proc = serve(&p, None, &scenario, seeds, &cfg);
 
-        let server = FrontendServer::bind("127.0.0.1:0").expect("bind frontend");
-        let addr = server.local_addr();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind frontend");
+        let addr = listener.local_addr().expect("frontend address").to_string();
         let shards: Vec<_> = (0..cfg.num_shards)
             .map(|_| {
                 let addr = addr.clone();
@@ -58,9 +58,8 @@ fn remote_shard_deployment_matches_in_process() {
             })
             .collect();
 
-        let remote = server
-            .serve(&p, None, &scenario, seeds, &cfg)
-            .expect("remote serve");
+        let remote =
+            serve_remote(&listener, &p, None, &scenario, seeds, &cfg).expect("remote serve");
         for s in shards {
             s.join().expect("shard thread");
         }
@@ -85,9 +84,8 @@ fn remote_serve_rejects_fault_scripts() {
     let p = policy(scenario.topology.network_degree());
     let cfg = ServeConfig::new(2).with_faults(FaultScript::new().kill(0, 1, 2));
 
-    let server = FrontendServer::bind("127.0.0.1:0").expect("bind frontend");
-    let err = server
-        .serve(&p, None, &scenario, &[3], &cfg)
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind frontend");
+    let err = serve_remote(&listener, &p, None, &scenario, &[3], &cfg)
         .expect_err("fault script must be rejected");
     assert!(
         err.to_string().contains("fault injection"),

@@ -51,7 +51,7 @@ fn main() {
         n_envs: 4,
         seeds: vec![0, 1],
         eval_horizon: 1_000.0,
-        churn: Some(churn),
+        churn,
         fixed_capacity_training: true,
         ..TrainConfig::default()
     };

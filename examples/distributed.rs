@@ -7,28 +7,32 @@
 //!
 //! Run plainly, it is the **orchestrator**: it trains an in-process
 //! baseline, then re-spawns itself twice — once with
-//! `DOSCO_NET_ROLE=learner` (binds an ephemeral loopback port, accepts
-//! the actor, runs the learner loop) and once with
-//! `DOSCO_NET_ROLE=actor` (dials the learner, collects rollouts, ships
-//! `ExperienceBatch` frames, receives policy replies) — and verifies the
-//! two-process sync run reproduced the in-process baseline **bit for
-//! bit**: same `TrainStats`, same final weights.
+//! `DOSCO_NET_ROLE=learner` (binds an ephemeral loopback port with
+//! `std::net::TcpListener`, then `run_learner` accepts the actor, sends
+//! the `LearnerHello` and runs the learner loop) and once with
+//! `DOSCO_NET_ROLE=actor` (`run_actor` dials the learner, reads the
+//! hello, collects rollouts, ships `ExperienceBatch` frames, receives
+//! policy replies) — and verifies the two-process sync run reproduced
+//! the in-process baseline **bit for bit**: same `TrainStats`, same
+//! final weights.
 //!
 //! This binary picks its role from `DOSCO_NET_ROLE` (`learner`, `actor`,
 //! or unset for the orchestrator). The role entrypoints read the
 //! standard `DOSCO_NET_*` environment contract
 //! ([`dosco::net::NetConfig`]): `DOSCO_NET_ADDR`, and optionally
-//! `DOSCO_NET_RETRIES` / `DOSCO_NET_TIMEOUT_MS` / `DOSCO_NET_CAPACITY`
-//! for the dial policy — exactly what a real deployment would set per
-//! container.
+//! `DOSCO_NET_RETRIES` / `DOSCO_NET_TIMEOUT_MS` for the dial policy —
+//! exactly what a real deployment would set per container. Both ends of
+//! the lockstep session hold one message in flight each way.
 
+use dosco::core::policy::fnv1a64;
 use dosco::core::{CoordEnv, RewardConfig};
 use dosco::net::NetConfig;
 use dosco::rl::a2c::{A2c, A2cConfig};
 use dosco::rl::Env;
-use dosco::runtime::{train, LearnerServer, RuntimeConfig};
+use dosco::runtime::{train, RuntimeConfig};
 use dosco::simnet::ScenarioConfig;
 use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 use std::process::{Command, Stdio};
 
 const TOTAL_STEPS: usize = 400;
@@ -69,18 +73,13 @@ fn agent() -> A2c {
 /// FNV-1a over the exact bit patterns of the weights: any single-bit
 /// divergence between deployments changes this.
 fn weight_fingerprint(agent: &A2c) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in agent
-        .actor()
-        .flat_params()
+    let (actor, critic) = (agent.actor().flat_params(), agent.critic().flat_params());
+    let bytes: Vec<u8> = actor
         .iter()
-        .chain(agent.critic().flat_params().iter())
-    {
-        for b in w.to_bits().to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+        .chain(&critic)
+        .flat_map(|w| w.to_bits().to_le_bytes())
+        .collect();
+    fnv1a64(&bytes)
 }
 
 /// `DOSCO_NET_ROLE=learner`: bind, announce the resolved port on stdout,
@@ -88,14 +87,13 @@ fn weight_fingerprint(agent: &A2c) -> u64 {
 fn run_learner() {
     let net = NetConfig::from_env().expect("valid DOSCO_NET_* environment");
     let addr = net.addr.as_deref().unwrap_or("127.0.0.1:0");
-    let server = LearnerServer::bind(addr).expect("bind learner");
+    let listener = TcpListener::bind(addr).expect("bind learner");
     // The orchestrator reads this line to learn the ephemeral port.
-    println!("ADDR {}", server.local_addr());
+    println!("ADDR {}", listener.local_addr().expect("bound address"));
     std::io::stdout().flush().expect("announce address");
 
     let mut agent = agent();
-    let outcome = server
-        .run(&mut agent, TOTAL_STEPS, &RuntimeConfig::sync(), None)
+    let outcome = dosco::runtime::run_learner(&listener, &mut agent, TOTAL_STEPS, None)
         .expect("learner run");
     println!(
         "RESULT steps={} updates={} tail={:.6} weights={:#018x}",

@@ -93,7 +93,7 @@ fn drl_and_baselines_degrade_and_recover_around_pinned_fault() {
         eval_horizon: 400.0,
         checkpoints: 2,
         fixed_capacity_training: true,
-        churn: Some(churn),
+        churn,
         ..TrainConfig::default()
     };
     let trained = train_distributed(&scenario, &config);
