@@ -148,8 +148,10 @@ fn capture() -> Goldens {
         }
     }
     // DOSCO_TRACE byte-identity: one traced episode, hashing the JSONL
-    // recorder's output bytes (the acceptance criterion is byte-identical
-    // trace output across the storage/scheduling refactor).
+    // recorder's event lines (the acceptance criterion is byte-identical
+    // trace output across the storage/scheduling refactor). The header
+    // line is left out: it carries `SCHEMA_VERSION`, which is about the
+    // trace format, not the simulator.
     {
         let cfg = ScenarioConfig::paper_base(3)
             .with_pattern(ArrivalPattern::paper_poisson())
@@ -159,9 +161,10 @@ fn capture() -> Goldens {
         dosco::obs::install_recorder(recorder.clone());
         let mut case = run_case("trace-poisson-i3-gcasp", cfg, 60, &mut Gcasp::new());
         dosco::obs::uninstall_recorder();
-        let bytes = recorder.render();
-        case.event_hash = format!("{:016x}", fnv1a64(bytes.as_bytes()));
-        case.events = bytes.len() as u64; // trace case: byte count, not events
+        let rendered = recorder.render();
+        let (_header, lines) = rendered.split_once('\n').expect("trace has a header line");
+        case.event_hash = format!("{:016x}", fnv1a64(lines.as_bytes()));
+        case.events = lines.len() as u64; // trace case: byte count, not events
         cases.push(case);
     }
     // Fig. 7 family: tight vs paper-default deadlines, SP + GCASP.
@@ -181,6 +184,23 @@ fn capture() -> Goldens {
             cfg,
             90,
             &mut Gcasp::new(),
+        ));
+    }
+    // The two stateful patterns: MMPP's modulation and switch checks,
+    // and trace playback across its rate bins.
+    for (pat_name, pattern) in [
+        ("mmpp", ArrivalPattern::paper_mmpp()),
+        ("trace", ArrivalPattern::paper_trace()),
+    ] {
+        let cfg = ScenarioConfig::paper_base(3)
+            .with_pattern(pattern)
+            .with_horizon(4_000.0);
+        cases.push(run_case(&format!("{pat_name}-i3-gcasp"), cfg.clone(), 110, &mut Gcasp::new()));
+        cases.push(run_case(
+            &format!("{pat_name}-i3-random"),
+            cfg,
+            110,
+            &mut RandomCoordinator::new(17),
         ));
     }
     Goldens { version: 1, cases }
