@@ -17,7 +17,7 @@
 //!
 //! Configuration follows the workspace env contract
 //! ([`dosco_obs::env`]): `DOSCO_CTL_ADDR` (a socket address; defaults to
-//! an ephemeral loopback port) and `DOSCO_CTL_THREADS` (worker count).
+//! an ephemeral loopback port). Two worker threads answer requests.
 
 use crate::jobs::{ServeJobSpec, TrainJobSpec};
 use crate::state::CtlState;
@@ -43,35 +43,35 @@ const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
 /// request within this window is cut off with a 400.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
+/// Worker threads answering requests (the acceptor is separate).
+const WORKERS: usize = 2;
+
 /// Ops server configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtlConfig {
     /// Bind address. The default `127.0.0.1:0` binds an ephemeral
     /// loopback port (read it back from [`CtlServer::addr`]).
     pub addr: String,
-    /// Worker threads answering requests (the acceptor is separate).
-    pub threads: usize,
 }
 
 impl Default for CtlConfig {
     fn default() -> Self {
         CtlConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: 2,
         }
     }
 }
 
 impl CtlConfig {
-    /// Applies `DOSCO_CTL_ADDR` / `DOSCO_CTL_THREADS` overrides through
-    /// an injectable lookup (tests pass a closure; [`CtlConfig::from_env`]
-    /// passes the process environment). Unset or blank variables keep the
-    /// defaults; malformed values are hard errors naming the variable.
+    /// Applies a `DOSCO_CTL_ADDR` override through an injectable lookup
+    /// (tests pass a closure; [`CtlConfig::from_env`] passes the process
+    /// environment). An unset or blank variable keeps the default; a
+    /// malformed value is a hard error naming the variable.
     ///
     /// # Errors
     ///
     /// Returns [`EnvParseError`] for a value that does not parse as a
-    /// socket address / thread count in `1..=64`.
+    /// socket address.
     pub fn from_lookup(get: &dyn Fn(&str) -> Option<String>) -> Result<Self, EnvParseError> {
         let mut cfg = CtlConfig::default();
         if let Some(addr) = parse_lookup::<SocketAddr>(
@@ -81,14 +81,6 @@ impl CtlConfig {
             |_| true,
         )? {
             cfg.addr = addr.to_string();
-        }
-        if let Some(threads) = parse_lookup::<usize>(
-            get,
-            "DOSCO_CTL_THREADS",
-            "a worker thread count in 1..=64",
-            |&t| (1..=64).contains(&t),
-        )? {
-            cfg.threads = threads;
         }
         Ok(cfg)
     }
@@ -115,8 +107,8 @@ pub struct CtlServer {
 }
 
 impl CtlServer {
-    /// Binds `cfg.addr` and starts the acceptor plus `cfg.threads`
-    /// workers, all answering from `state`.
+    /// Binds `cfg.addr` and starts the acceptor plus two workers, all
+    /// answering from `state`.
     ///
     /// # Errors
     ///
@@ -129,13 +121,13 @@ impl CtlServer {
         let stop = Arc::new(AtomicBool::new(false));
         // Bounded hand-off: a burst beyond the workers' capacity
         // backpressures the acceptor instead of queueing unboundedly.
-        let (tx, rx) = channel::bounded::<TcpStream>(cfg.threads * 8);
+        let (tx, rx) = channel::bounded::<TcpStream>(WORKERS * 8);
         // The vendored channel has a single-consumer receiver; the pool
         // shares it behind a mutex (held only for the dequeue, never
         // while a request is being answered).
         let rx = Arc::new(std::sync::Mutex::new(rx));
 
-        let workers = (0..cfg.threads.max(1))
+        let workers = (0..WORKERS)
             .map(|i| {
                 let rx = Arc::clone(&rx);
                 let state = Arc::clone(&state);
@@ -456,18 +448,13 @@ mod tests {
         let cfg = CtlConfig::from_lookup(&env_of(&[])).unwrap();
         assert_eq!(cfg, CtlConfig::default());
         assert_eq!(cfg.addr, "127.0.0.1:0");
-        assert_eq!(cfg.threads, 2);
     }
 
     #[test]
     fn config_applies_valid_overrides() {
-        let get = env_of(&[
-            ("DOSCO_CTL_ADDR", " 0.0.0.0:9090 "),
-            ("DOSCO_CTL_THREADS", "8"),
-        ]);
+        let get = env_of(&[("DOSCO_CTL_ADDR", " 0.0.0.0:9090 ")]);
         let cfg = CtlConfig::from_lookup(&get).unwrap();
         assert_eq!(cfg.addr, "0.0.0.0:9090");
-        assert_eq!(cfg.threads, 8);
     }
 
     #[test]
@@ -477,15 +464,6 @@ mod tests {
         assert_eq!(err.var, "DOSCO_CTL_ADDR");
         assert_eq!(err.value, "not-an-addr");
         assert!(err.to_string().contains("socket address"), "{err}");
-    }
-
-    #[test]
-    fn config_rejects_out_of_range_threads() {
-        for bad in ["0", "65", "minus"] {
-            let pairs = [("DOSCO_CTL_THREADS", bad)];
-            let err = CtlConfig::from_lookup(&env_of(&pairs)).unwrap_err();
-            assert_eq!(err.var, "DOSCO_CTL_THREADS", "{bad}");
-        }
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! 1. **Trace events** ([`Event`]): schema-versioned structured events —
 //!    per-episode success/utilization time series from the simulator,
 //!    batch/snapshot lifecycle from the actor–learner runtime — recorded
-//!    through a global [`Recorder`]. The default [`NullRecorder`] discards
-//!    everything behind a single relaxed atomic check; [`JsonlRecorder`]
-//!    (installed by [`init_from_env`] when `DOSCO_TRACE` names a file)
-//!    buffers per deterministic [`Stream`] and writes one JSON object per
-//!    line, byte-identical across same-seed runs. Timestamps are sim-time
+//!    through one global slot. While it is empty (the default) [`emit`]
+//!    discards everything behind a single relaxed atomic check; the one
+//!    sink, [`JsonlRecorder`] (installed by [`init_from_env`] when
+//!    `DOSCO_TRACE` names a file, or by [`install_recorder`]), buffers per
+//!    deterministic [`Stream`] and writes one JSON object per line,
+//!    byte-identical across same-seed runs. Timestamps are sim-time
 //!    or caller ticks only — never wall clock.
 //! 2. **Metrics registry** ([`registry`]): fixed counters, gauges, and
 //!    fixed-bucket histograms (e.g. serve batch sizes), all
@@ -42,6 +43,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 #![warn(missing_debug_implementations)]
 
 pub mod env;
@@ -53,14 +55,14 @@ pub mod span;
 
 pub use env::EnvParseError;
 pub use event::{Event, Stream, StreamKind, SCHEMA_VERSION};
-pub use recorder::{JsonlRecorder, NullRecorder, Recorder};
+pub use recorder::JsonlRecorder;
 pub use registry::{CounterKind, GaugeKind, HistKind, SpanKind};
 pub use report::ObsReport;
 pub use span::SpanTimer;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Fast-path gate for [`emit`]: true iff a recorder is installed.
 static TRACE_ON: AtomicBool = AtomicBool::new(false);
@@ -69,8 +71,10 @@ static SPANS_ON: AtomicBool = AtomicBool::new(false);
 /// Decision-sampling stride for mid-episode samples.
 static SAMPLE_STRIDE: AtomicU64 = AtomicU64::new(DEFAULT_SAMPLE_STRIDE);
 /// The installed recorder (std `RwLock`: const-constructible, and the
-/// write lock is only taken at install/uninstall).
-static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
+/// write lock is only taken at install/uninstall). Every writer replaces
+/// the slot whole, so a lock poisoned by a panicking holder still guards
+/// a consistent value and is recovered, not propagated.
+static RECORDER: RwLock<Option<Arc<JsonlRecorder>>> = RwLock::new(None);
 
 /// Default mid-episode sampling stride (decisions between samples).
 pub const DEFAULT_SAMPLE_STRIDE: u64 = 64;
@@ -90,17 +94,17 @@ pub fn spans_enabled() -> bool {
 
 /// Installs `recorder` as the global trace sink and enables tracing.
 /// Replaces (and returns) any previous recorder without flushing it.
-pub fn install_recorder(recorder: Arc<dyn Recorder>) -> Option<Arc<dyn Recorder>> {
-    let mut slot = RECORDER.write().expect("recorder lock poisoned");
+pub fn install_recorder(recorder: Arc<JsonlRecorder>) -> Option<Arc<JsonlRecorder>> {
+    let mut slot = RECORDER.write().unwrap_or_else(PoisonError::into_inner);
     let old = slot.replace(recorder);
     TRACE_ON.store(true, Ordering::Release);
     old
 }
 
 /// Disables tracing and removes the recorder (unflushed), returning it.
-pub fn uninstall_recorder() -> Option<Arc<dyn Recorder>> {
+pub fn uninstall_recorder() -> Option<Arc<JsonlRecorder>> {
     TRACE_ON.store(false, Ordering::Release);
-    RECORDER.write().expect("recorder lock poisoned").take()
+    RECORDER.write().unwrap_or_else(PoisonError::into_inner).take()
 }
 
 /// Arms or disarms the span timers.
@@ -154,7 +158,7 @@ pub fn emit(stream: Stream, event: impl FnOnce() -> Event) {
 
 #[cold]
 fn emit_cold(stream: Stream, event: Event) {
-    let slot = RECORDER.read().expect("recorder lock poisoned");
+    let slot = RECORDER.read().unwrap_or_else(PoisonError::into_inner);
     if let Some(recorder) = slot.as_ref() {
         recorder.record(stream, &event);
         registry::count(CounterKind::TraceEvents, 1);
@@ -167,7 +171,7 @@ fn emit_cold(stream: Stream, event: Event) {
 ///
 /// Propagates the recorder's I/O error.
 pub fn flush() -> std::io::Result<()> {
-    let slot = RECORDER.read().expect("recorder lock poisoned");
+    let slot = RECORDER.read().unwrap_or_else(PoisonError::into_inner);
     match slot.as_ref() {
         Some(recorder) => recorder.flush(),
         None => Ok(()),
@@ -250,6 +254,27 @@ mod tests {
         set_sample_stride(0);
         assert_eq!(sample_stride(), 1);
         set_sample_stride(before);
+    }
+
+    /// A holder that panics poisons the slot; install, emit, flush and
+    /// uninstall still work, since the slot is only ever replaced whole.
+    #[test]
+    fn a_poisoned_recorder_slot_is_recovered() {
+        let _guard = GLOBAL_TEST_LOCK.lock();
+        let _ = std::thread::spawn(|| {
+            let _slot = RECORDER.write().unwrap_or_else(PoisonError::into_inner);
+            panic!("poisoning the recorder slot on purpose");
+        })
+        .join();
+        assert!(RECORDER.is_poisoned());
+        let rec = Arc::new(JsonlRecorder::new("/tmp/unused-poison-test.jsonl"));
+        install_recorder(rec.clone());
+        emit(Stream::sim(1), || Event::SnapshotPublished { version: 1, total_steps: 2 });
+        assert_eq!(rec.len(), 1);
+        assert!(Arc::ptr_eq(&uninstall_recorder().unwrap(), &rec));
+        flush().unwrap();
+        RECORDER.clear_poison();
+        reset();
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Trace sinks: the [`Recorder`] trait, the no-op [`NullRecorder`], and
-//! the deterministic [`JsonlRecorder`].
+//! The trace sink: the deterministic [`JsonlRecorder`].
 
 use crate::event::{Event, Stream, SCHEMA_VERSION};
 use parking_lot::Mutex;
@@ -7,37 +6,6 @@ use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// A sink for trace events. Implementations must be cheap to call from hot
-/// paths and safe to share across threads.
-pub trait Recorder: Send + Sync + std::fmt::Debug {
-    /// Records one event on `stream`. Events within one stream arrive in
-    /// emission order (the emitter is sequential); different streams may
-    /// record concurrently.
-    fn record(&self, stream: Stream, event: &Event);
-
-    /// Persists everything recorded so far.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the sink.
-    fn flush(&self) -> io::Result<()>;
-}
-
-/// The default sink: discards everything. Kept trivially inlinable so the
-/// disabled path costs nothing beyond the enabled-check in [`crate::emit`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    #[inline(always)]
-    fn record(&self, _stream: Stream, _event: &Event) {}
-
-    #[inline(always)]
-    fn flush(&self) -> io::Result<()> {
-        Ok(())
-    }
-}
 
 /// Per-stream line buffer: a sequence counter plus rendered JSONL lines.
 #[derive(Debug, Default)]
@@ -50,7 +18,8 @@ struct StreamBuf {
 ///
 /// Lines are buffered per [`Stream`] as they are recorded (each stream is
 /// fed by sequential code, so within-stream order is deterministic) and
-/// written grouped by stream in sorted stream order on [`Recorder::flush`].
+/// written grouped by stream in sorted stream order on
+/// [`JsonlRecorder::flush`].
 /// The file bytes therefore depend only on what was emitted — not on how
 /// the OS scheduled the emitting threads. Two runs with the same seeds
 /// produce byte-identical files.
@@ -90,6 +59,10 @@ impl JsonlRecorder {
 
     /// Renders the full JSONL contents (header plus all lines) without
     /// touching the filesystem. Exposed for tests.
+    ///
+    /// # Panics
+    ///
+    /// Never: the vendored serializer cannot fail on its in-memory model.
     pub fn render(&self) -> String {
         let streams = self.streams.lock();
         let events: usize = streams.values().map(|b| b.lines.len()).sum();
@@ -99,6 +72,7 @@ impl JsonlRecorder {
             ("streams".to_string(), Value::UInt(streams.len() as u64)),
             ("events".to_string(), Value::UInt(events as u64)),
         ]);
+        #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
         let mut out = serde_json::to_string(&header).expect("header serializes");
         out.push('\n');
         for buf in streams.values() {
@@ -109,10 +83,15 @@ impl JsonlRecorder {
         }
         out
     }
-}
 
-impl Recorder for JsonlRecorder {
-    fn record(&self, stream: Stream, event: &Event) {
+    /// Records one event on `stream`. Events within one stream arrive in
+    /// emission order (the emitter is sequential); different streams may
+    /// record concurrently.
+    ///
+    /// # Panics
+    ///
+    /// Never: the vendored serializer cannot fail on its in-memory model.
+    pub fn record(&self, stream: Stream, event: &Event) {
         let mut streams = self.streams.lock();
         let buf = streams.entry(stream).or_default();
         let line = Value::Object(vec![
@@ -121,11 +100,17 @@ impl Recorder for JsonlRecorder {
             ("event".to_string(), event.to_value()),
         ]);
         buf.seq += 1;
-        buf.lines
-            .push(serde_json::to_string(&line).expect("trace line serializes"));
+        #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
+        let line = serde_json::to_string(&line).expect("trace line serializes");
+        buf.lines.push(line);
     }
 
-    fn flush(&self) -> io::Result<()> {
+    /// Writes everything recorded so far to the output path.
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from writing the file.
+    pub fn flush(&self) -> io::Result<()> {
         std::fs::write(&self.path, self.render())
     }
 }
@@ -142,13 +127,6 @@ mod tests {
             links: 14,
             ingresses: 2,
         }
-    }
-
-    #[test]
-    fn null_recorder_discards() {
-        let r = NullRecorder;
-        r.record(Stream::sim(1), &sample(1, 10.0));
-        r.flush().unwrap();
     }
 
     #[test]

@@ -65,7 +65,8 @@ pub enum ConfigError {
     UnknownNode(NodeId),
     /// An ingress references an unknown service.
     UnknownService(ServiceId),
-    /// The horizon or hold delay is not finite and positive.
+    /// A parameter is out of range: the horizon or hold delay, or an
+    /// ingress's arrival pattern or flow profile.
     InvalidValue(String),
     /// There are no ingresses.
     NoIngress,
@@ -167,7 +168,9 @@ impl ScenarioConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for out-of-range nodes or services, a
-    /// non-positive horizon/hold delay, or an empty ingress list.
+    /// non-positive horizon/hold delay, an arrival pattern or flow profile
+    /// parameter out of range ([`ArrivalPattern::validate`],
+    /// [`FlowProfile::validate`]), or an empty ingress list.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.ingresses.is_empty() {
             return Err(ConfigError::NoIngress);
@@ -185,7 +188,10 @@ impl ScenarioConfig {
             )));
         }
         let n = self.topology.num_nodes();
-        for ing in &self.ingresses {
+        for (i, ing) in self.ingresses.iter().enumerate() {
+            if let Err(e) = ing.pattern.validate().and_then(|()| ing.profile.validate()) {
+                return Err(ConfigError::InvalidValue(format!("ingress {i}: {e}")));
+            }
             if ing.node.0 >= n {
                 return Err(ConfigError::UnknownNode(ing.node));
             }
@@ -267,5 +273,66 @@ mod tests {
         let mut cfg = ScenarioConfig::paper_base(1);
         cfg.ingresses.clear();
         assert_eq!(cfg.validate(), Err(ConfigError::NoIngress));
+    }
+
+    /// Every parameter the simulator's arrival playback and flow spawning
+    /// rely on is a typed error here, not a panic (or a hang) later in
+    /// `Simulation::new`.
+    #[test]
+    fn validation_catches_bad_arrival_and_profile_parameters() {
+        let mmpp = |mean0, mean1, period, prob| ArrivalPattern::Mmpp {
+            mean0,
+            mean1,
+            period,
+            prob,
+        };
+        let patterns = [
+            ArrivalPattern::Fixed { interval: 0.0 },
+            ArrivalPattern::Fixed { interval: f64::NAN },
+            ArrivalPattern::Poisson { mean: -10.0 },
+            mmpp(f64::INFINITY, 8.0, 100.0, 0.05),
+            mmpp(12.0, 0.0, 100.0, 0.05),
+            mmpp(12.0, 8.0, -100.0, 0.05),
+            mmpp(12.0, 8.0, 100.0, 2.0),
+            ArrivalPattern::Trace {
+                trace: dosco_traffic::Trace::synthetic_abilene(),
+                scale: 0.0,
+            },
+        ];
+        for pattern in patterns {
+            let cfg = ScenarioConfig::paper_base(2).with_pattern(pattern.clone());
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                matches!(&err, ConfigError::InvalidValue(w) if w.starts_with("ingress 0")),
+                "{pattern:?}: {err}"
+            );
+        }
+        let profile = FlowProfile::paper_default();
+        for bad in [
+            FlowProfile { rate: f64::NAN, ..profile },
+            FlowProfile { duration: -1.0, ..profile },
+            FlowProfile { deadline: 0.0, ..profile },
+        ] {
+            let mut cfg = ScenarioConfig::paper_base(2);
+            cfg.ingresses[1].profile = bad;
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                matches!(&err, ConfigError::InvalidValue(w) if w.starts_with("ingress 1")),
+                "{bad:?}: {err}"
+            );
+        }
+    }
+
+    /// A scenario read from JSON cannot smuggle in an empty or zero-width
+    /// trace: it fails to parse instead of running with no traffic.
+    #[test]
+    fn config_with_empty_trace_does_not_deserialize() {
+        let cfg = ScenarioConfig::paper_base(1).with_pattern(ArrivalPattern::paper_trace());
+        let json = serde_json::to_string(&cfg).unwrap();
+        assert!(serde_json::from_str::<ScenarioConfig>(&json).is_ok());
+        let rates = json.find("\"rates\":[").unwrap() + "\"rates\":[".len();
+        let close = rates + json[rates..].find(']').unwrap();
+        let empty = format!("{}{}", &json[..rates], &json[close..]);
+        assert!(serde_json::from_str::<ScenarioConfig>(&empty).is_err());
     }
 }

@@ -11,7 +11,7 @@ use crate::service::ComponentId;
 use crate::slab::Slab;
 use crate::substrate::Substrate;
 use dosco_topology::{LinkId, NodeId, ShortestPaths};
-use dosco_traffic::{ArrivalProcess, FlowProfile};
+use dosco_traffic::{ArrivalCursor, FlowProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -89,7 +89,9 @@ pub struct Simulation {
     time: f64,
     queue: EventQueue<QueuedEvent>,
     rng: StdRng,
-    arrivals: Vec<Box<dyn ArrivalProcess>>,
+    /// Playback state of each ingress's arrival pattern, by ingress index;
+    /// the pattern itself is read from `config`.
+    arrivals: Vec<ArrivalCursor>,
     /// Live flows in a generational slab: freed slots are recycled, so the
     /// footprint is the concurrent high-water mark, not the arrival count.
     /// A slot holds a 32-byte [`FlowRecord`]; [`Simulation::flow`] builds
@@ -160,8 +162,7 @@ impl Simulation {
         let sp = ShortestPaths::compute(&config.topology);
         let network_degree = config.topology.network_degree();
         let diameter = sp.diameter();
-        let arrivals: Vec<Box<dyn ArrivalProcess>> =
-            config.ingresses.iter().map(|i| i.pattern.build()).collect();
+        let arrivals = config.ingresses.iter().map(|i| i.pattern.cursor()).collect();
         timeline.assert_fits(&config.topology);
         let substrate = Substrate::new(&config.topology, timeline.transit());
         let num_components = config.catalog.components().len();
@@ -656,7 +657,8 @@ impl Simulation {
     }
 
     fn schedule_next_arrival(&mut self, idx: usize, now: f64) {
-        let t = self.arrivals[idx].next_arrival(now, &mut self.rng);
+        let pattern = &self.config.ingresses[idx].pattern;
+        let t = pattern.next_arrival(&mut self.arrivals[idx], now, &mut self.rng);
         if t.is_finite() && t <= self.config.horizon {
             let ingress_idx = idx as u32; // `assert_compact` bounds it
             self.schedule(t, QueuedEvent::Arrival { ingress_idx });

@@ -1,339 +1,44 @@
 //! Flow arrival processes (Sec. V-B).
+//!
+//! An [`ArrivalPattern`] is the whole description of an arrival process.
+//! What a process remembers between two arrivals — the fixed grid's
+//! index, MMPP's modulation state — is an [`ArrivalCursor`] that the
+//! caller keeps per source, so a pattern (and its trace) is read in place
+//! by every simulation that plays it.
 
 use crate::trace::Trace;
-use rand::RngCore;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
-/// A stochastic (or deterministic) point process generating flow arrival
-/// times at one ingress node.
-///
-/// Implementations are stateful (MMPP keeps its modulation state, traces
-/// keep their playback position); call [`ArrivalProcess::reset`] to restart
-/// an episode.
-pub trait ArrivalProcess: fmt::Debug + Send {
-    /// Returns the absolute time of the next arrival strictly after `now`.
-    ///
-    /// Returns `f64::INFINITY` if no further arrivals occur.
-    fn next_arrival(&mut self, now: f64, rng: &mut dyn RngCore) -> f64;
-
-    /// Restores the process to its initial state (e.g. for a new episode).
-    fn reset(&mut self);
-
-    /// Long-run mean arrival rate in flows per time unit, if defined.
-    /// Used for sanity checks and load reporting.
-    fn mean_rate(&self) -> Option<f64> {
-        None
-    }
-}
-
-/// Deterministic arrivals every `interval` time units: `interval`,
-/// `2·interval`, … (the paper's *fixed* pattern, interval 10).
-///
-/// The arrival index is tracked as an integer, so every returned time is
-/// exactly `k · interval` in one multiplication — long sequential runs
-/// cannot drift off the grid the way repeated `t + interval` float sums
-/// (or re-deriving `k` from an already-rounded `t`) can.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FixedInterval {
-    interval: f64,
-    /// Index of the next scheduled arrival: arrival `k` occurs at
-    /// `k · interval`. Purely derived playback state — not serialized,
-    /// rewound to 1 by [`ArrivalProcess::reset`].
-    next_k: u64,
-}
-
-impl FixedInterval {
-    /// Creates a fixed-interval process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is not finite and positive.
-    pub fn new(interval: f64) -> Self {
-        assert!(
-            interval.is_finite() && interval > 0.0,
-            "interval must be finite and positive, got {interval}"
-        );
-        FixedInterval { interval, next_k: 1 }
-    }
-
-    /// Grid point of arrival index `k` (`k · interval`, one rounding).
-    fn grid(&self, k: u64) -> f64 {
-        k as f64 * self.interval
-    }
-}
-
-impl ArrivalProcess for FixedInterval {
-    fn next_arrival(&mut self, now: f64, _rng: &mut dyn RngCore) -> f64 {
-        // Fast path: sequential playback. `now` sits in the window
-        // [previous arrival, next arrival): hand out the scheduled grid
-        // point and advance the integer index — no division, no drift.
-        if self.grid(self.next_k) > now && self.grid(self.next_k - 1) <= now {
-            let t = self.grid(self.next_k);
-            self.next_k += 1;
-            return t;
-        }
-        // Resync: the caller jumped (or rewound) in time. Find the minimal
-        // k with k·interval strictly after `now`, starting from the float
-        // estimate and correcting both ways so division rounding can
-        // neither skip nor double-count a grid point.
-        let mut k = ((now / self.interval).floor().max(0.0) as u64).saturating_add(1);
-        while k > 1 && self.grid(k - 1) > now {
-            k -= 1;
-        }
-        while self.grid(k) <= now {
-            k += 1;
-        }
-        self.next_k = k + 1;
-        self.grid(k)
-    }
-
-    fn reset(&mut self) {
-        self.next_k = 1;
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        Some(1.0 / self.interval)
-    }
-}
-
-// Manual impls: only `interval` is configuration; `next_k` is playback
-// state that must not leak into (or be required from) serialized configs.
-impl Serialize for FixedInterval {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![(
-            "interval".to_string(),
-            serde::Value::Float(self.interval),
-        )])
-    }
-}
-
-impl Deserialize for FixedInterval {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| serde::Error::new("FixedInterval: expected object"))?;
-        let interval: f64 = serde::field(obj, "interval", "f64")?;
-        if !(interval.is_finite() && interval > 0.0) {
-            return Err(serde::Error::new(format!(
-                "FixedInterval: interval must be finite and positive, got {interval}"
-            )));
-        }
-        Ok(FixedInterval { interval, next_k: 1 })
-    }
-}
-
-/// Samples an exponential inter-arrival time with the given mean.
-fn sample_exp(mean: f64, rng: &mut dyn RngCore) -> f64 {
-    // Inverse-CDF sampling; `gen` yields [0,1), so `1 - u` is in (0,1].
-    let u: f64 = rng.gen();
-    -mean * (1.0 - u).ln()
-}
-
-/// Poisson arrivals: i.i.d. exponential inter-arrival times with the given
-/// mean (the paper uses mean 10).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Poisson {
-    mean_interarrival: f64,
-}
-
-impl Poisson {
-    /// Creates a Poisson process with the given mean inter-arrival time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_interarrival` is not finite and positive.
-    pub fn new(mean_interarrival: f64) -> Self {
-        assert!(
-            mean_interarrival.is_finite() && mean_interarrival > 0.0,
-            "mean inter-arrival must be finite and positive, got {mean_interarrival}"
-        );
-        Poisson { mean_interarrival }
-    }
-}
-
-impl ArrivalProcess for Poisson {
-    fn next_arrival(&mut self, now: f64, rng: &mut dyn RngCore) -> f64 {
-        now + sample_exp(self.mean_interarrival, rng)
-    }
-
-    fn reset(&mut self) {}
-
-    fn mean_rate(&self) -> Option<f64> {
-        Some(1.0 / self.mean_interarrival)
-    }
-}
-
-/// Two-state Markov-modulated Poisson process (Sec. V-B, Fig. 6c):
-/// exponential arrivals whose mean switches between `mean0` and `mean1`;
-/// every `switch_period` time units the state flips with probability
-/// `switch_prob` (paper: means 12/8, period 100, probability 5 %).
-///
-/// Thanks to the memorylessness of the exponential distribution, sampling
-/// piecewise per modulation segment is exact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Mmpp {
-    mean0: f64,
-    mean1: f64,
-    switch_period: f64,
-    switch_prob: f64,
-    /// Current state: false = state 0, true = state 1.
-    state: bool,
-    /// Time of the next switch check.
-    next_check: f64,
-}
-
-impl Mmpp {
-    /// Creates an MMPP with the paper's parameterization style.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any mean or the period is not finite/positive, or the
-    /// probability is outside `[0, 1]`.
-    pub fn new(mean0: f64, mean1: f64, switch_period: f64, switch_prob: f64) -> Self {
-        assert!(mean0.is_finite() && mean0 > 0.0, "mean0 must be positive");
-        assert!(mean1.is_finite() && mean1 > 0.0, "mean1 must be positive");
-        assert!(
-            switch_period.is_finite() && switch_period > 0.0,
-            "switch period must be positive"
-        );
-        assert!(
-            (0.0..=1.0).contains(&switch_prob),
-            "switch probability must be in [0,1], got {switch_prob}"
-        );
-        Mmpp {
-            mean0,
-            mean1,
-            switch_period,
-            switch_prob,
-            state: false,
-            next_check: switch_period,
-        }
-    }
-
-    /// The paper's MMPP: means 12 and 8, switching every 100 steps with 5 %.
-    pub fn paper_default() -> Self {
-        Mmpp::new(12.0, 8.0, 100.0, 0.05)
-    }
-
-    fn current_mean(&self) -> f64 {
-        if self.state {
-            self.mean1
-        } else {
-            self.mean0
-        }
-    }
-}
-
-impl ArrivalProcess for Mmpp {
-    fn next_arrival(&mut self, now: f64, rng: &mut dyn RngCore) -> f64 {
-        let mut t = now;
-        loop {
-            // Catch up on missed switch checks (e.g. long silent stretch).
-            while t >= self.next_check {
-                if rng.gen::<f64>() < self.switch_prob {
-                    self.state = !self.state;
-                }
-                self.next_check += self.switch_period;
-            }
-            let candidate = t + sample_exp(self.current_mean(), rng);
-            if candidate < self.next_check {
-                return candidate;
-            }
-            // Arrival would land beyond the next potential switch: advance
-            // to the boundary and resample (exact due to memorylessness).
-            t = self.next_check;
-        }
-    }
-
-    fn reset(&mut self) {
-        self.state = false;
-        self.next_check = self.switch_period;
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        // Symmetric switching => 50/50 stationary distribution.
-        Some(0.5 / self.mean0 + 0.5 / self.mean1)
-    }
-}
-
-/// Trace-driven arrivals: an inhomogeneous Poisson process whose rate
-/// follows a [`Trace`] (piecewise-constant rate bins), wrapping around at
-/// the end of the trace. Substitutes for the paper's real-world Abilene
-/// traces (Fig. 6d); load a real rate series with [`Trace::from_csv`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceDriven {
-    trace: Trace,
-    /// Scales all trace rates (e.g. to calibrate mean load).
-    rate_scale: f64,
-}
-
-impl TraceDriven {
-    /// Creates a trace-driven process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate_scale` is not finite and positive.
-    pub fn new(trace: Trace, rate_scale: f64) -> Self {
-        assert!(
-            rate_scale.is_finite() && rate_scale > 0.0,
-            "rate scale must be finite and positive, got {rate_scale}"
-        );
-        TraceDriven { trace, rate_scale }
-    }
-
-    /// The trace being played back.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-}
-
-impl ArrivalProcess for TraceDriven {
-    fn next_arrival(&mut self, now: f64, rng: &mut dyn RngCore) -> f64 {
-        let mut t = now;
-        // Bound the search to a generous number of cycles: an all-zero
-        // trace yields no arrivals.
-        let horizon = t + 1000.0 * self.trace.duration();
-        while t < horizon {
-            let rate = self.trace.rate_at(t) * self.rate_scale;
-            let bin_end = self.trace.bin_end(t);
-            if rate <= 0.0 {
-                t = bin_end;
-                continue;
-            }
-            let candidate = t + sample_exp(1.0 / rate, rng);
-            if candidate < bin_end {
-                return candidate;
-            }
-            t = bin_end;
-        }
-        f64::INFINITY
-    }
-
-    fn reset(&mut self) {}
-
-    fn mean_rate(&self) -> Option<f64> {
-        Some(self.trace.mean_rate() * self.rate_scale)
-    }
-}
-
-/// The four arrival patterns of the evaluation, as a serializable
-/// configuration enum. [`ArrivalPattern::build`] instantiates the matching
-/// [`ArrivalProcess`].
+/// The four arrival patterns of the evaluation, as serializable data.
+/// Play one with [`ArrivalPattern::cursor`] and
+/// [`ArrivalPattern::next_arrival`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalPattern {
-    /// Fixed inter-arrival time.
+    /// Deterministic arrivals every `interval` time units: `interval`,
+    /// `2·interval`, … (the paper's *fixed* pattern, interval 10).
+    ///
+    /// The cursor tracks the arrival index as an integer, so every
+    /// returned time is exactly `k · interval` in one multiplication —
+    /// long sequential runs cannot drift off the grid the way repeated
+    /// `t + interval` float sums (or re-deriving `k` from an
+    /// already-rounded `t`) can.
     Fixed {
         /// Inter-arrival interval.
         interval: f64,
     },
-    /// Poisson process.
+    /// Poisson arrivals: i.i.d. exponential inter-arrival times (the paper
+    /// uses mean 10).
     Poisson {
         /// Mean inter-arrival time.
         mean: f64,
     },
-    /// Two-state MMPP.
+    /// Two-state Markov-modulated Poisson process (Fig. 6c): exponential
+    /// arrivals whose mean switches between `mean0` and `mean1`; every
+    /// `period` time units the state flips with probability `prob` (paper:
+    /// means 12/8, period 100, probability 5 %). Thanks to the
+    /// memorylessness of the exponential distribution, sampling piecewise
+    /// per modulation segment is exact.
     Mmpp {
         /// Mean inter-arrival time in state 0.
         mean0: f64,
@@ -344,13 +49,39 @@ pub enum ArrivalPattern {
         /// Switch probability per check.
         prob: f64,
     },
-    /// Trace-driven inhomogeneous Poisson.
+    /// Trace-driven arrivals: an inhomogeneous Poisson process whose rate
+    /// follows `trace` (piecewise-constant rate bins) times `scale`,
+    /// wrapping around at the end of the trace. Substitutes for the
+    /// paper's real-world Abilene traces (Fig. 6d); load a real rate
+    /// series with [`Trace::from_csv`].
     Trace {
         /// The rate trace to follow.
         trace: Trace,
-        /// Rate scale factor.
+        /// Scales all trace rates (e.g. to calibrate mean load).
         scale: f64,
     },
+}
+
+/// Where one source is in the playback of its [`ArrivalPattern`]: the
+/// fixed grid's next index and MMPP's modulation state. Poisson and
+/// trace-driven arrivals are memoryless and leave it untouched. Start one
+/// with [`ArrivalPattern::cursor`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ArrivalCursor {
+    /// Fixed: index of the next scheduled arrival; arrival `k` occurs at
+    /// `k · interval`.
+    next_k: u64,
+    /// MMPP: in state 1 (mean `mean1`) rather than state 0.
+    high: bool,
+    /// MMPP: time of the next switch check.
+    next_check: f64,
+}
+
+/// Samples an exponential inter-arrival time with the given mean.
+fn sample_exp<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> f64 {
+    // Inverse-CDF sampling; `gen` yields [0,1), so `1 - u` is in (0,1].
+    let u: f64 = rng.gen();
+    -mean * (1.0 - u).ln()
 }
 
 impl ArrivalPattern {
@@ -394,19 +125,150 @@ impl ArrivalPattern {
         }
     }
 
-    /// Instantiates the configured arrival process.
-    pub fn build(&self) -> Box<dyn ArrivalProcess> {
+    /// Checks the parameters: the interval, means, switch period and trace
+    /// scale finite and positive, the switch probability in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first parameter out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |what: &str, v: f64| {
+            if v.is_finite() && v > 0.0 {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{} arrivals: {what} {v} must be finite and > 0",
+                    self.name()
+                ))
+            }
+        };
         match self {
-            ArrivalPattern::Fixed { interval } => Box::new(FixedInterval::new(*interval)),
-            ArrivalPattern::Poisson { mean } => Box::new(Poisson::new(*mean)),
+            ArrivalPattern::Fixed { interval } => positive("interval", *interval),
+            ArrivalPattern::Poisson { mean } => positive("mean", *mean),
             ArrivalPattern::Mmpp {
                 mean0,
                 mean1,
                 period,
                 prob,
-            } => Box::new(Mmpp::new(*mean0, *mean1, *period, *prob)),
-            ArrivalPattern::Trace { trace, scale } => {
-                Box::new(TraceDriven::new(trace.clone(), *scale))
+            } => {
+                positive("mean0", *mean0)?;
+                positive("mean1", *mean1)?;
+                positive("switch period", *period)?;
+                if (0.0..=1.0).contains(prob) {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "mmpp arrivals: switch probability {prob} must be in [0, 1]"
+                    ))
+                }
+            }
+            ArrivalPattern::Trace { scale, .. } => positive("scale", *scale),
+        }
+    }
+
+    /// A cursor at the start of playback (time 0, MMPP in state 0).
+    pub fn cursor(&self) -> ArrivalCursor {
+        ArrivalCursor {
+            next_k: 1,
+            high: false,
+            next_check: match self {
+                ArrivalPattern::Mmpp { period, .. } => *period,
+                _ => f64::INFINITY,
+            },
+        }
+    }
+
+    /// Returns the absolute time of the next arrival strictly after `now`,
+    /// advancing `cursor`; `f64::INFINITY` if no further arrival occurs
+    /// (an all-zero trace).
+    ///
+    /// `now` may jump backwards or forwards between calls: the fixed grid
+    /// resyncs, and MMPP first takes every switch check it missed.
+    /// `self` must pass [`ArrivalPattern::validate`] (a zero interval, for
+    /// one, never yields an arrival), and `cursor` must come from
+    /// [`ArrivalPattern::cursor`] on the same pattern.
+    pub fn next_arrival<R: Rng + ?Sized>(
+        &self,
+        cursor: &mut ArrivalCursor,
+        now: f64,
+        rng: &mut R,
+    ) -> f64 {
+        debug_assert!(self.validate().is_ok(), "{:?}", self.validate());
+        match *self {
+            ArrivalPattern::Fixed { interval } => {
+                // Grid point of arrival index `k` (one rounding).
+                let grid = |k: u64| k as f64 * interval;
+                // Fast path: sequential playback. `now` sits in the window
+                // [previous arrival, next arrival): hand out the scheduled
+                // grid point and advance the integer index — no division,
+                // no drift.
+                let next = cursor.next_k;
+                if grid(next) > now && grid(next - 1) <= now {
+                    cursor.next_k += 1;
+                    return grid(next);
+                }
+                // Resync: the caller jumped (or rewound) in time. Find the
+                // minimal k with k·interval strictly after `now`, starting
+                // from the float estimate and correcting both ways so
+                // division rounding can neither skip nor double-count a
+                // grid point.
+                let mut k = ((now / interval).floor().max(0.0) as u64).saturating_add(1);
+                while k > 1 && grid(k - 1) > now {
+                    k -= 1;
+                }
+                while grid(k) <= now {
+                    k += 1;
+                }
+                cursor.next_k = k + 1;
+                grid(k)
+            }
+            ArrivalPattern::Poisson { mean } => now + sample_exp(mean, rng),
+            ArrivalPattern::Mmpp {
+                mean0,
+                mean1,
+                period,
+                prob,
+            } => {
+                let mut t = now;
+                loop {
+                    // Catch up on missed switch checks (e.g. long silent
+                    // stretch).
+                    while t >= cursor.next_check {
+                        if rng.gen::<f64>() < prob {
+                            cursor.high = !cursor.high;
+                        }
+                        cursor.next_check += period;
+                    }
+                    let mean = if cursor.high { mean1 } else { mean0 };
+                    let candidate = t + sample_exp(mean, rng);
+                    if candidate < cursor.next_check {
+                        return candidate;
+                    }
+                    // Arrival would land beyond the next potential switch:
+                    // advance to the boundary and resample (exact due to
+                    // memorylessness).
+                    t = cursor.next_check;
+                }
+            }
+            ArrivalPattern::Trace { ref trace, scale } => {
+                let mut t = now;
+                // Bound the search to a generous number of cycles: an
+                // all-zero trace yields no arrivals.
+                let horizon = t + 1000.0 * trace.duration();
+                while t < horizon {
+                    let rate = trace.rate_at(t) * scale;
+                    let bin_end = trace.bin_end(t);
+                    if rate <= 0.0 {
+                        t = bin_end;
+                        continue;
+                    }
+                    let candidate = t + sample_exp(1.0 / rate, rng);
+                    if candidate < bin_end {
+                        return candidate;
+                    }
+                    t = bin_end;
+                }
+                f64::INFINITY
             }
         }
     }
@@ -422,33 +284,45 @@ mod tests {
         StdRng::seed_from_u64(42)
     }
 
+    /// Plays `pattern` sequentially from `start` for `n` arrivals.
+    fn sequence(pattern: &ArrivalPattern, start: f64, n: usize) -> Vec<f64> {
+        let mut cursor = pattern.cursor();
+        let mut r = rng();
+        let mut t = start;
+        (0..n)
+            .map(|_| {
+                t = pattern.next_arrival(&mut cursor, t, &mut r);
+                t
+            })
+            .collect()
+    }
+
+    fn fixed(interval: f64) -> ArrivalPattern {
+        ArrivalPattern::Fixed { interval }
+    }
+
+    fn trace(rates: Vec<f64>, bin_width: f64) -> ArrivalPattern {
+        ArrivalPattern::Trace {
+            trace: Trace::new(rates, bin_width).unwrap(),
+            scale: 1.0,
+        }
+    }
+
     #[test]
     fn fixed_interval_hits_multiples() {
-        let mut p = FixedInterval::new(10.0);
+        let p = fixed(10.0);
+        let mut c = p.cursor();
         let mut r = rng();
-        assert_eq!(p.next_arrival(0.0, &mut r), 10.0);
-        assert_eq!(p.next_arrival(10.0, &mut r), 20.0);
-        assert_eq!(p.next_arrival(14.5, &mut r), 20.0);
-        assert_eq!(p.mean_rate(), Some(0.1));
+        assert_eq!(p.next_arrival(&mut c, 0.0, &mut r), 10.0);
+        assert_eq!(p.next_arrival(&mut c, 10.0, &mut r), 20.0);
+        assert_eq!(p.next_arrival(&mut c, 14.5, &mut r), 20.0);
     }
 
     #[test]
     fn fixed_interval_strictly_advances() {
-        let mut p = FixedInterval::new(3.0);
-        let mut r = rng();
-        let mut t = 0.0;
-        for _ in 0..100 {
-            let n = p.next_arrival(t, &mut r);
-            assert!(n > t);
-            t = n;
-        }
-        assert!((t - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn fixed_rejects_zero_interval() {
-        FixedInterval::new(0.0);
+        let ts = sequence(&fixed(3.0), 0.0, 100);
+        assert!(ts.windows(2).all(|w| w[1] > w[0]));
+        assert!((ts[99] - 300.0).abs() < 1e-9);
     }
 
     /// Regression: with a binary-unrepresentable interval (0.1), 1000
@@ -457,18 +331,15 @@ mod tests {
     /// `t + interval` float drift.
     #[test]
     fn fixed_interval_no_drift_on_unrepresentable_interval() {
-        let mut p = FixedInterval::new(0.1);
-        let mut r = rng();
-        let mut t = 0.0;
-        for k in 1..=1000u64 {
-            t = p.next_arrival(t, &mut r);
+        let ts = sequence(&fixed(0.1), 0.0, 1000);
+        for (k, t) in (1..=1000u64).zip(&ts) {
             assert_eq!(
                 t.to_bits(),
                 (k as f64 * 0.1).to_bits(),
                 "arrival {k} drifted off the grid: got {t}"
             );
         }
-        assert!((t - 100.0).abs() < 1e-9);
+        assert!((ts[999] - 100.0).abs() < 1e-9);
     }
 
     /// Regression: querying exactly at a grid point must return the next
@@ -476,98 +347,58 @@ mod tests {
     /// never `t + interval` drift — including far from zero.
     #[test]
     fn fixed_interval_exact_boundary_values() {
-        let mut p = FixedInterval::new(0.1);
+        let p = fixed(0.1);
+        let mut c = p.cursor();
         let mut r = rng();
         // Jump straight to a large exact-ish boundary.
         let boundary = 700.0 * 0.1;
-        let next = p.next_arrival(boundary, &mut r);
+        let next = p.next_arrival(&mut c, boundary, &mut r);
         assert!(next > boundary);
         assert_eq!(next.to_bits(), (701.0_f64 * 0.1).to_bits());
         // Rewinding mid-grid re-serves the strictly-next point.
-        assert_eq!(p.next_arrival(14.55, &mut r), 146.0 * 0.1);
+        assert_eq!(p.next_arrival(&mut c, 14.55, &mut r), 146.0 * 0.1);
         // A hair below a grid point still yields that grid point.
         let just_below = 700.0 * 0.1 - 1e-12;
         assert_eq!(
-            p.next_arrival(just_below, &mut r).to_bits(),
+            p.next_arrival(&mut c, just_below, &mut r).to_bits(),
             (700.0_f64 * 0.1).to_bits()
         );
     }
 
-    /// `reset` rewinds the internal arrival index so a reused process
-    /// replays the same sequence from the start.
+    /// A fresh cursor replays the same sequence from the start; the
+    /// pattern itself holds no playback state.
     #[test]
-    fn fixed_interval_reset_replays_sequence() {
-        let mut p = FixedInterval::new(3.0);
-        let mut r = rng();
-        let first: Vec<f64> = (0..5)
-            .scan(0.0, |t, _| {
-                *t = p.next_arrival(*t, &mut r);
-                Some(*t)
-            })
-            .collect();
-        p.reset();
-        let second: Vec<f64> = (0..5)
-            .scan(0.0, |t, _| {
-                *t = p.next_arrival(*t, &mut r);
-                Some(*t)
-            })
-            .collect();
-        assert_eq!(first, second);
+    fn fresh_cursor_replays_sequence() {
+        let p = fixed(3.0);
+        let first = sequence(&p, 0.0, 5);
+        assert_eq!(first, sequence(&p, 0.0, 5));
         assert_eq!(first, vec![3.0, 6.0, 9.0, 12.0, 15.0]);
     }
 
-    /// Serialization carries only the configuration, not playback state:
-    /// a mid-playback process round-trips to a fresh one.
+    /// The per-source state stays three words, whatever the pattern.
     #[test]
-    fn fixed_interval_serde_skips_playback_state() {
-        let mut p = FixedInterval::new(10.0);
-        let mut r = rng();
-        p.next_arrival(0.0, &mut r);
-        p.next_arrival(10.0, &mut r);
-        let json = serde_json::to_string(&p).unwrap();
-        assert_eq!(json, r#"{"interval":10.0}"#);
-        let back: FixedInterval = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, FixedInterval::new(10.0));
-        // Missing/invalid intervals are rejected, not defaulted.
-        assert!(serde_json::from_str::<FixedInterval>(r#"{"interval":-1.0}"#).is_err());
-        assert!(serde_json::from_str::<FixedInterval>(r#"{}"#).is_err());
+    fn cursor_is_small() {
+        assert!(std::mem::size_of::<ArrivalCursor>() <= 24);
     }
 
     #[test]
     fn poisson_mean_close_to_target() {
-        let mut p = Poisson::new(10.0);
-        let mut r = rng();
-        let mut t = 0.0;
-        let n = 20_000;
-        for _ in 0..n {
-            t = p.next_arrival(t, &mut r);
-        }
-        let mean = t / n as f64;
+        let ts = sequence(&ArrivalPattern::paper_poisson(), 0.0, 20_000);
+        let mean = ts[19_999] / 20_000.0;
         assert!((mean - 10.0).abs() < 0.3, "empirical mean {mean}");
     }
 
     #[test]
     fn poisson_interarrivals_strictly_positive() {
-        let mut p = Poisson::new(1.0);
-        let mut r = rng();
-        let mut t = 5.0;
-        for _ in 0..1000 {
-            let n = p.next_arrival(t, &mut r);
-            assert!(n > t);
-            t = n;
-        }
+        let ts = sequence(&ArrivalPattern::Poisson { mean: 1.0 }, 5.0, 1000);
+        assert!(ts[0] > 5.0);
+        assert!(ts.windows(2).all(|w| w[1] > w[0]));
     }
 
     #[test]
     fn mmpp_rate_between_state_rates() {
-        let mut p = Mmpp::paper_default();
-        let mut r = rng();
-        let mut t = 0.0;
-        let n = 20_000;
-        for _ in 0..n {
-            t = p.next_arrival(t, &mut r);
-        }
-        let mean = t / n as f64;
+        let ts = sequence(&ArrivalPattern::paper_mmpp(), 0.0, 20_000);
+        let mean = ts[19_999] / 20_000.0;
         // Stationary mean inter-arrival is the harmonic-ish mixture of 12
         // and 8: strictly inside (8, 12).
         assert!(mean > 8.0 && mean < 12.0, "empirical mean {mean}");
@@ -575,48 +406,50 @@ mod tests {
 
     #[test]
     fn mmpp_actually_switches_state() {
-        let mut p = Mmpp::new(100.0, 0.1, 10.0, 0.5);
+        let p = ArrivalPattern::Mmpp {
+            mean0: 100.0,
+            mean1: 0.1,
+            period: 10.0,
+            prob: 0.5,
+        };
+        let mut c = p.cursor();
+        assert_eq!((c.high, c.next_check), (false, 10.0));
         let mut r = rng();
         let mut t = 0.0;
         let mut saw_state1 = false;
         for _ in 0..200 {
-            t = p.next_arrival(t, &mut r);
-            if p.state {
-                saw_state1 = true;
-            }
+            t = p.next_arrival(&mut c, t, &mut r);
+            saw_state1 |= c.high;
         }
         assert!(saw_state1, "MMPP never left state 0");
-        p.reset();
-        assert!(!p.state);
-        assert_eq!(p.next_check, 10.0);
     }
 
     #[test]
     fn mmpp_zero_switch_prob_behaves_like_poisson() {
-        let mut p = Mmpp::new(10.0, 1.0, 100.0, 0.0);
-        let mut r = rng();
-        let mut t = 0.0;
-        let n = 10_000;
-        for _ in 0..n {
-            t = p.next_arrival(t, &mut r);
-        }
-        let mean = t / n as f64;
+        let p = ArrivalPattern::Mmpp {
+            mean0: 10.0,
+            mean1: 1.0,
+            period: 100.0,
+            prob: 0.0,
+        };
+        let ts = sequence(&p, 0.0, 10_000);
+        let mean = ts[9_999] / 10_000.0;
         assert!((mean - 10.0).abs() < 0.4, "empirical mean {mean}");
     }
 
     #[test]
     fn trace_driven_follows_rate_changes() {
         // Two bins: silent then busy.
-        let trace = Trace::new(vec![0.0, 1.0], 100.0).unwrap();
-        let mut p = TraceDriven::new(trace, 1.0);
+        let p = trace(vec![0.0, 1.0], 100.0);
+        let mut c = p.cursor();
         let mut r = rng();
-        let first = p.next_arrival(0.0, &mut r);
+        let first = p.next_arrival(&mut c, 0.0, &mut r);
         assert!(first >= 100.0, "no arrivals in the silent bin, got {first}");
         let mut count_busy = 0;
         let mut t = first;
         while t < 200.0 {
             count_busy += 1;
-            t = p.next_arrival(t, &mut r);
+            t = p.next_arrival(&mut c, t, &mut r);
         }
         // Rate 1.0 over 100 time units -> ~100 arrivals.
         assert!((60..150).contains(&count_busy), "{count_busy}");
@@ -624,34 +457,63 @@ mod tests {
 
     #[test]
     fn trace_driven_wraps_around() {
-        let trace = Trace::new(vec![1.0], 10.0).unwrap();
-        let mut p = TraceDriven::new(trace, 1.0);
-        let mut r = rng();
-        let t = p.next_arrival(25.0, &mut r);
+        let t = sequence(&trace(vec![1.0], 10.0), 25.0, 1)[0];
         assert!(t > 25.0 && t.is_finite());
     }
 
     #[test]
     fn all_zero_trace_yields_no_arrivals() {
-        let trace = Trace::new(vec![0.0, 0.0], 1.0).unwrap();
-        let mut p = TraceDriven::new(trace, 1.0);
-        let mut r = rng();
-        assert_eq!(p.next_arrival(0.0, &mut r), f64::INFINITY);
+        assert_eq!(
+            sequence(&trace(vec![0.0, 0.0], 1.0), 0.0, 1),
+            vec![f64::INFINITY]
+        );
     }
 
     #[test]
-    fn pattern_builds_matching_process() {
-        let mut r = rng();
+    fn every_paper_pattern_arrives_after_zero() {
         for pattern in [
             ArrivalPattern::paper_fixed(),
             ArrivalPattern::paper_poisson(),
             ArrivalPattern::paper_mmpp(),
             ArrivalPattern::paper_trace(),
         ] {
-            let mut p = pattern.build();
-            let t = p.next_arrival(0.0, &mut r);
+            pattern.validate().unwrap();
+            let t = sequence(&pattern, 0.0, 1)[0];
             assert!(t > 0.0 && t.is_finite(), "{}", pattern.name());
         }
+    }
+
+    #[test]
+    fn validate_rejects_each_bad_parameter() {
+        let mmpp = |mean0, mean1, period, prob| ArrivalPattern::Mmpp {
+            mean0,
+            mean1,
+            period,
+            prob,
+        };
+        let scaled = |scale| ArrivalPattern::Trace {
+            trace: Trace::synthetic_abilene(),
+            scale,
+        };
+        for (bad, name) in [
+            (fixed(0.0), "interval"),
+            (fixed(f64::INFINITY), "interval"),
+            (ArrivalPattern::Poisson { mean: -1.0 }, "mean"),
+            (ArrivalPattern::Poisson { mean: f64::NAN }, "mean"),
+            (mmpp(0.0, 8.0, 100.0, 0.05), "mean0"),
+            (mmpp(12.0, f64::NAN, 100.0, 0.05), "mean1"),
+            (mmpp(12.0, 8.0, 0.0, 0.05), "switch period"),
+            (mmpp(12.0, 8.0, 100.0, 1.5), "switch probability"),
+            (mmpp(12.0, 8.0, 100.0, -0.1), "switch probability"),
+            (mmpp(12.0, 8.0, 100.0, f64::NAN), "switch probability"),
+            (scaled(0.0), "scale"),
+            (scaled(f64::INFINITY), "scale"),
+        ] {
+            let err = bad.validate().unwrap_err();
+            assert!(err.contains(name), "{bad:?}: {err}");
+        }
+        mmpp(12.0, 8.0, 100.0, 0.0).validate().unwrap();
+        mmpp(12.0, 8.0, 100.0, 1.0).validate().unwrap();
     }
 
     #[test]

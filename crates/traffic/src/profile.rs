@@ -29,23 +29,43 @@ impl FlowProfile {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is non-finite, or rate/duration are
-    /// negative, or the deadline is not positive.
+    /// Panics if [`FlowProfile::validate`] rejects the parameters.
     pub fn new(rate: f64, duration: f64, deadline: f64) -> Self {
-        assert!(rate.is_finite() && rate >= 0.0, "rate must be ≥ 0");
-        assert!(
-            duration.is_finite() && duration >= 0.0,
-            "duration must be ≥ 0"
-        );
-        assert!(
-            deadline.is_finite() && deadline > 0.0,
-            "deadline must be > 0"
-        );
-        FlowProfile {
+        let profile = FlowProfile {
             rate,
             duration,
             deadline,
+        };
+        if let Err(e) = profile.validate() {
+            panic!("{e}");
         }
+        profile
+    }
+
+    /// Checks the parameters: rate and duration finite and ≥ 0, the
+    /// deadline finite and > 0. The fields are public, so a profile built
+    /// as a struct literal or read from a config is checked here, not in
+    /// [`FlowProfile::new`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first parameter out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        let FlowProfile {
+            rate,
+            duration,
+            deadline,
+        } = *self;
+        if !(rate.is_finite() && rate >= 0.0) {
+            return Err(format!("flow rate {rate} must be finite and ≥ 0"));
+        }
+        if !(duration.is_finite() && duration >= 0.0) {
+            return Err(format!("flow duration {duration} must be finite and ≥ 0"));
+        }
+        if !(deadline.is_finite() && deadline > 0.0) {
+            return Err(format!("flow deadline {deadline} must be finite and > 0"));
+        }
+        Ok(())
     }
 
     /// The paper's base scenario: unit rate and duration, deadline 100.
@@ -102,5 +122,23 @@ mod tests {
     #[should_panic(expected = "rate")]
     fn rejects_nan_rate() {
         FlowProfile::new(f64::NAN, 1.0, 1.0);
+    }
+
+    #[test]
+    fn validate_names_each_bad_field() {
+        for (rate, duration, deadline, name) in [
+            (-1.0, 1.0, 100.0, "rate"),
+            (f64::INFINITY, 1.0, 100.0, "rate"),
+            (1.0, -0.5, 100.0, "duration"),
+            (1.0, f64::NAN, 100.0, "duration"),
+            (1.0, 1.0, 0.0, "deadline"),
+            (1.0, 1.0, f64::INFINITY, "deadline"),
+        ] {
+            let bad = FlowProfile { rate, duration, deadline };
+            let err = bad.validate().unwrap_err();
+            assert!(err.contains(name), "{bad:?}: {err}");
+        }
+        // Zero rate and duration are allowed (a flow that loads nothing).
+        FlowProfile::new(0.0, 0.0, 1.0);
     }
 }

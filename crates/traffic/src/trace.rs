@@ -53,10 +53,23 @@ impl std::error::Error for TraceError {}
 
 /// A piecewise-constant arrival-rate series: `rates[i]` holds for
 /// `t ∈ [i·bin_width, (i+1)·bin_width)`; playback wraps cyclically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Trace {
     rates: Vec<f64>,
     bin_width: f64,
+}
+
+// Deserialization goes through `Trace::new`, so a trace read from a
+// config holds the same invariants as one built in code.
+impl Deserialize for Trace {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let obj = value
+            .as_object()
+            .ok_or_else(|| serde::Error::new("Trace: expected object"))?;
+        let rates = serde::field(obj, "rates", "Trace")?;
+        let bin_width = serde::field(obj, "bin_width", "Trace")?;
+        Trace::new(rates, bin_width).map_err(|e| serde::Error::new(format!("Trace: {e}")))
+    }
 }
 
 impl Trace {
@@ -128,6 +141,10 @@ impl Trace {
     /// 200 bins of width 100 time units (two "days" of 10 000 steps each)
     /// with a diurnal sinusoid around mean rate 0.1 (mean inter-arrival 10,
     /// matching the other patterns' load) plus recurring short bursts.
+    ///
+    /// # Panics
+    ///
+    /// Never: every bin is finite and non-negative by construction.
     pub fn synthetic_abilene() -> Self {
         let bins = 200usize;
         let day = 100.0; // bins per synthetic day
@@ -146,6 +163,7 @@ impl Trace {
             }
             rates.push(rate);
         }
+        #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
         Trace::new(rates, 100.0).expect("synthetic trace is valid by construction")
     }
 
@@ -360,6 +378,23 @@ mod tests {
         let t = Trace::new(vec![1.0, 2.0], 1.0).unwrap().scaled(0.5);
         assert_eq!(t.rates(), &[0.5, 1.0]);
         assert_eq!(t.mean_rate(), 0.75);
+    }
+
+    /// A trace read from JSON passes `Trace::new`'s checks: an empty or
+    /// zero-width one is an error, not a trace that never arrives.
+    #[test]
+    fn deserialization_rejects_what_new_rejects() {
+        for (json, want) in [
+            (r#"{"rates":[],"bin_width":10.0}"#, "no bins"),
+            (r#"{"rates":[1.0],"bin_width":0.0}"#, "bin width"),
+            (r#"{"rates":[1.0,-2.0],"bin_width":1.0}"#, "rate -2"),
+            (r#"{"rates":[1.0]}"#, "bin_width"),
+        ] {
+            let err = serde_json::from_str::<Trace>(json).unwrap_err();
+            assert!(err.to_string().contains(want), "{json}: {err}");
+        }
+        let t: Trace = serde_json::from_str(r#"{"rates":[1.0,2.0],"bin_width":5.0}"#).unwrap();
+        assert_eq!(t, Trace::new(vec![1.0, 2.0], 5.0).unwrap());
     }
 
     #[test]

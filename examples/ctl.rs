@@ -7,8 +7,8 @@
 //! cargo run --release --example ctl
 //! ```
 //!
-//! `DOSCO_CTL_ADDR` / `DOSCO_CTL_THREADS` override the server binding
-//! (default: an ephemeral loopback port, 2 workers).
+//! `DOSCO_CTL_ADDR` overrides the server binding (default: an ephemeral
+//! loopback port); two worker threads answer requests.
 //!
 //! What to look for in the output:
 //! - the registry assigns versions, records lineage, and survives the
