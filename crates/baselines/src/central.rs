@@ -279,8 +279,8 @@ impl ContinuousEnv for CentralRuleEnv {
             }
         }
         // Normalize so rewards stay O(1) regardless of the interval.
-        let expected_arrivals = (self.monitor_interval / 10.0) as f32
-            * self.scenario.ingresses.len() as f32;
+        let expected_arrivals =
+            (self.monitor_interval / 10.0) as f32 * self.scenario.ingresses.len() as f32;
         reward /= expected_arrivals.max(1.0);
         let obs = if done { self.fresh() } else { stale_obs };
         StepResult { obs, reward, done }
@@ -408,7 +408,11 @@ mod tests {
         let mut sim = Simulation::new(scenario, 9);
         let m = sim.run(&mut coord).clone();
         assert!(m.arrived > 0);
-        assert!(coord.rule_updates >= 3, "{} rule updates", coord.rule_updates);
+        assert!(
+            coord.rule_updates >= 3,
+            "{} rule updates",
+            coord.rule_updates
+        );
         assert_eq!(coord.targets().len(), 3);
     }
 
@@ -457,9 +461,6 @@ mod tests {
         let mut coord = CentralizedCoordinator::new(policy);
         let mut sim = Simulation::new(scenario, 5);
         let m = sim.run(&mut coord).clone();
-        assert_eq!(
-            m.dropped_for(dosco_simnet::DropReason::InvalidAction),
-            0
-        );
+        assert_eq!(m.dropped_for(dosco_simnet::DropReason::InvalidAction), 0);
     }
 }

@@ -54,10 +54,7 @@ impl Gcasp {
             let delay = sim.link_delay(l) + sp.delay(n, egress);
             // Sort key (max-better): (can_process, !bounce, -delay).
             let key = (can_process, !bounce, -delay);
-            if best
-                .as_ref()
-                .is_none_or(|(_, bk)| key > *bk)
-            {
+            if best.as_ref().is_none_or(|(_, bk)| key > *bk) {
                 best = Some((idx, key));
             }
         }

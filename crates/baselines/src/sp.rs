@@ -21,7 +21,11 @@ impl ShortestPath {
     }
 
     /// Index of `hop` in `node`'s neighbor list, as a forward action.
-    fn forward_to(sim: &Simulation, node: dosco_topology::NodeId, hop: dosco_topology::NodeId) -> Action {
+    fn forward_to(
+        sim: &Simulation,
+        node: dosco_topology::NodeId,
+        hop: dosco_topology::NodeId,
+    ) -> Action {
         let idx = sim
             .topology()
             .neighbor_index(node, hop)

@@ -38,7 +38,11 @@ fn main() {
             stats.mean_success, stats.std_success
         );
         points.push(SeriesPoint {
-            algo: if label == "shaped" { "reward:shaped" } else { "reward:sparse" },
+            algo: if label == "shaped" {
+                "reward:shaped"
+            } else {
+                "reward:sparse"
+            },
             x: "poisson-2ingress".into(),
             stats,
         });
@@ -97,7 +101,11 @@ fn main() {
             stats.mean_success, stats.std_success
         );
         points.push(SeriesPoint {
-            algo: if sync.is_some() { "arch:per-node+fedavg" } else { "arch:per-node" },
+            algo: if sync.is_some() {
+                "arch:per-node+fedavg"
+            } else {
+                "arch:per-node"
+            },
             x: "poisson-2ingress".into(),
             stats,
         });

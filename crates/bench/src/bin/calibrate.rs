@@ -10,7 +10,9 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let pattern = pattern_by_name(
-        flag_value(&args, "--pattern").as_deref().unwrap_or("poisson"),
+        flag_value(&args, "--pattern")
+            .as_deref()
+            .unwrap_or("poisson"),
     );
     let ingress: usize = parsed_flag(&args, "--ingress", "an integer").unwrap_or(2);
     let mut budget = ExpBudget::from_env();

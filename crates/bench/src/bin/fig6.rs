@@ -15,9 +15,7 @@
 //! DOSCO_SEEDS, DOSCO_EVAL_SEEDS, DOSCO_HORIZON (see EXPERIMENTS.md).
 
 use dosco_bench::report::{flag_value, print_series, SeriesPoint};
-use dosco_bench::runner::{
-    train_central_drl, train_dist_drl_cached, Algo, ExpBudget,
-};
+use dosco_bench::runner::{train_central_drl, train_dist_drl_cached, Algo, ExpBudget};
 use dosco_bench::scenarios::{base_scenario, pattern_by_name};
 
 fn run_pattern(pattern_name: &str, budget: &ExpBudget, retrain: bool) -> Vec<SeriesPoint> {

@@ -21,11 +21,8 @@ fn main() {
     for &deadline in &[20.0f64, 30.0, 40.0, 50.0] {
         let scenario = base_scenario(2, ArrivalPattern::paper_poisson(), budget.horizon)
             .with_deadline(deadline);
-        let dist = train_dist_drl_cached(
-            &format!("fig7-ddl{}", deadline as u64),
-            &scenario,
-            &budget,
-        );
+        let dist =
+            train_dist_drl_cached(&format!("fig7-ddl{}", deadline as u64), &scenario, &budget);
         let central = train_central_drl(&scenario, &budget);
         for algo in [
             Algo::DistDrl(dist),

@@ -55,7 +55,10 @@ fn part_traffic(budget: &ExpBudget) {
         ("SP", Algo::Sp),
     ] {
         let stats = algo.evaluate(&trace_scenario, &budget.eval_seeds);
-        eprintln!("[fig8a] {name}: {:.3} ± {:.3}", stats.mean_success, stats.std_success);
+        eprintln!(
+            "[fig8a] {name}: {:.3} ± {:.3}",
+            stats.mean_success, stats.std_success
+        );
         points.push(SeriesPoint {
             algo: name,
             x: "trace".into(),
@@ -78,11 +81,8 @@ fn part_load(budget: &ExpBudget) {
     let mut points = Vec::new();
     for ingress in 1..=5usize {
         let scenario = base_scenario(ingress, pattern.clone(), budget.horizon);
-        let retrained = train_dist_drl_cached(
-            &format!("fig8b-poisson-i{ingress}"),
-            &scenario,
-            budget,
-        );
+        let retrained =
+            train_dist_drl_cached(&format!("fig8b-poisson-i{ingress}"), &scenario, budget);
         for (name, algo) in [
             ("Gen.", Algo::DistDrl(generalist.clone())),
             ("Retr.", Algo::DistDrl(retrained)),
@@ -102,7 +102,12 @@ fn part_load(budget: &ExpBudget) {
             });
         }
     }
-    print_series("Fig 8b", "generalization to unseen load levels", &points, false);
+    print_series(
+        "Fig 8b",
+        "generalization to unseen load levels",
+        &points,
+        false,
+    );
 }
 
 fn main() {

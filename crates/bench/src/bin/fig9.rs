@@ -47,7 +47,12 @@ fn part_success(budget: &ExpBudget) {
             });
         }
     }
-    print_series("Fig 9a", "successful flows on large topologies", &points, false);
+    print_series(
+        "Fig 9a",
+        "successful flows on large topologies",
+        &points,
+        false,
+    );
 }
 
 /// Measures per-decision wall-clock times by timing repeated inference
@@ -90,9 +95,7 @@ fn part_latency(budget: &ExpBudget) {
         let central_ms = t.elapsed().as_secs_f64() * 1000.0 / f64::from(reps);
         std::hint::black_box(sink);
 
-        println!(
-            "{name:<14} {nodes:>8} {degree:>6} {dist_ms:>14.4} {central_ms:>14.4}"
-        );
+        println!("{name:<14} {nodes:>8} {degree:>6} {dist_ms:>14.4} {central_ms:>14.4}");
         println!("csv: fig9b,{name},{nodes},{degree},{dist_ms:.5},{central_ms:.5}");
     }
 }

@@ -17,7 +17,9 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let budget = ExpBudget::from_env();
     let pattern = pattern_by_name(
-        flag_value(&args, "--pattern").as_deref().unwrap_or("poisson"),
+        flag_value(&args, "--pattern")
+            .as_deref()
+            .unwrap_or("poisson"),
     );
     let scenario = base_scenario(2, pattern, budget.horizon);
 
@@ -39,8 +41,9 @@ fn main() {
 
     // In-distribution: the canonical draw, traffic seeds only (seeds fan
     // out over the cores; results stay in seed order).
-    let in_dist: Vec<Metrics> =
-        fan_out(&budget.eval_seeds, |&s| evaluate(&trained.policy, &scenario, s));
+    let in_dist: Vec<Metrics> = fan_out(&budget.eval_seeds, |&s| {
+        evaluate(&trained.policy, &scenario, s)
+    });
     let (mean_in, _, _) = success_mean_std(&in_dist);
 
     // Transfer: the figure protocol with re-drawn capacities.
@@ -54,7 +57,10 @@ fn main() {
     });
     let (mean_gcasp, _, _) = success_mean_std(&gcasp);
 
-    println!("flagship (single-draw training, {} steps):", cfg.total_steps);
+    println!(
+        "flagship (single-draw training, {} steps):",
+        cfg.total_steps
+    );
     println!("  DistDRL in-distribution (canonical draw):   {mean_in:.3}");
     println!(
         "  DistDRL transfer (re-drawn capacities):     {:.3} ± {:.3}",

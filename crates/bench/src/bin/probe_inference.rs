@@ -14,7 +14,9 @@ fn main() {
     let path = flag_value(&args, "--policy")
         .unwrap_or_else(|| bad_flag("--policy", "a policy JSON path", ""));
     let pattern = pattern_by_name(
-        flag_value(&args, "--pattern").as_deref().unwrap_or("poisson"),
+        flag_value(&args, "--pattern")
+            .as_deref()
+            .unwrap_or("poisson"),
     );
     let ingress: usize = parsed_flag(&args, "--ingress", "an integer").unwrap_or(2);
     let policy = CoordinationPolicy::load(&path).expect("readable policy JSON");

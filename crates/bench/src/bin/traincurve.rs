@@ -47,7 +47,10 @@ impl Env for Tracked {
     fn step(&mut self, action: usize) -> StepResult {
         let result = self.env.step(action);
         if result.done {
-            let m = self.env.finished_metrics().expect("a done step records its episode");
+            let m = self
+                .env
+                .finished_metrics()
+                .expect("a done step records its episode");
             // The receiver lives as long as training does.
             let _ = self.finished.send(m.clone());
         }
@@ -75,7 +78,11 @@ impl Window {
             self.actions[a] += 1;
             let ret = f64::from(rollout.returns[i]);
             let res = ret - f64::from(rollout.values[i]);
-            for (m, x) in self.moments.iter_mut().zip([ret, ret * ret, res, res * res]) {
+            for (m, x) in self
+                .moments
+                .iter_mut()
+                .zip([ret, ret * ret, res, res * res])
+            {
                 *m += x;
             }
         }
@@ -91,7 +98,11 @@ impl Window {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let pattern = pattern_by_name(flag_value(&args, "--pattern").as_deref().unwrap_or("poisson"));
+    let pattern = pattern_by_name(
+        flag_value(&args, "--pattern")
+            .as_deref()
+            .unwrap_or("poisson"),
+    );
     let ingress: usize = parsed_flag(&args, "--ingress", "an integer").unwrap_or(2);
     let steps: usize = parsed_flag(&args, "--steps", "an integer").unwrap_or(50_000);
     let lr: f32 = parsed_flag(&args, "--lr", "a number").unwrap_or(0.25);

@@ -1,6 +1,8 @@
 //! Algorithm registry, training orchestration, and evaluation runs.
 
-use dosco_baselines::central::{train_central, CentralConfig, CentralPolicy, CentralizedCoordinator};
+use dosco_baselines::central::{
+    train_central, CentralConfig, CentralPolicy, CentralizedCoordinator,
+};
 use dosco_baselines::gcasp::Gcasp;
 use dosco_baselines::sp::ShortestPath;
 use dosco_core::eval::success_mean_std;
@@ -85,12 +87,9 @@ impl ExpBudget {
     /// See [`ExpBudget::try_from_env`].
     pub fn from_lookup(get: &dyn Fn(&str) -> Option<String>) -> Result<Self, BudgetEnvError> {
         let mut b = ExpBudget::default();
-        if let Some(v) = parse_override::<usize>(
-            get,
-            "DOSCO_TRAIN_STEPS",
-            "a positive integer",
-            |&v| v >= 1,
-        )? {
+        if let Some(v) =
+            parse_override::<usize>(get, "DOSCO_TRAIN_STEPS", "a positive integer", |&v| v >= 1)?
+        {
             b.train_steps = v;
         }
         if let Some(k) =
@@ -103,20 +102,18 @@ impl ExpBudget {
         {
             b.eval_seeds = (100..100 + k).collect();
         }
-        if let Some(v) = parse_override::<f64>(
-            get,
-            "DOSCO_HORIZON",
-            "a finite positive number",
-            |&v| v.is_finite() && v > 0.0,
-        )? {
+        if let Some(v) =
+            parse_override::<f64>(get, "DOSCO_HORIZON", "a finite positive number", |&v| {
+                v.is_finite() && v > 0.0
+            })?
+        {
             b.horizon = v;
         }
-        if let Some(v) = parse_override::<usize>(
-            get,
-            "DOSCO_CENTRAL_STEPS",
-            "a positive integer",
-            |&v| v >= 1,
-        )? {
+        if let Some(v) =
+            parse_override::<usize>(get, "DOSCO_CENTRAL_STEPS", "a positive integer", |&v| {
+                v >= 1
+            })?
+        {
             b.central_steps = v;
         }
         Ok(b)
@@ -177,10 +174,9 @@ impl Algo {
     /// A fresh coordinator instance for one evaluation episode.
     pub fn coordinator(&self, scenario: &ScenarioConfig) -> Box<dyn Coordinator> {
         match self {
-            Algo::DistDrl(p) => Box::new(DistributedAgents::deploy(
-                p,
-                scenario.topology.num_nodes(),
-            )),
+            Algo::DistDrl(p) => {
+                Box::new(DistributedAgents::deploy(p, scenario.topology.num_nodes()))
+            }
             Algo::CentralDrl(p) => Box::new(CentralizedCoordinator::new(p.clone())),
             Algo::Gcasp => Box::new(Gcasp::new()),
             Algo::Sp => Box::new(ShortestPath::new()),
@@ -405,8 +401,8 @@ mod tests {
     fn budget_lookup_rejects_bad_values_with_context() {
         let cases: [(&str, &str); 4] = [
             ("DOSCO_TRAIN_STEPS", "lots"),
-            ("DOSCO_SEEDS", "0"),        // validated, not just parsed
-            ("DOSCO_HORIZON", "inf"),    // must be finite
+            ("DOSCO_SEEDS", "0"),     // validated, not just parsed
+            ("DOSCO_HORIZON", "inf"), // must be finite
             ("DOSCO_CENTRAL_STEPS", "-3"),
         ];
         for (var, value) in cases {

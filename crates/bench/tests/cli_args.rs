@@ -7,9 +7,15 @@ use std::process::Command;
 #[test]
 fn bad_flag_values_exit_2_with_one_line_and_no_panic() {
     for (args, message) in [
-        (&["--steps", "x"][..], "--steps must be an integer, got \"x\""),
+        (
+            &["--steps", "x"][..],
+            "--steps must be an integer, got \"x\"",
+        ),
         (&["--algo", "dqn"][..], "--algo must be acktr|a2c|ppo"),
-        (&["--pattern", "bursty"][..], "--pattern must be fixed|poisson|mmpp|trace"),
+        (
+            &["--pattern", "bursty"][..],
+            "--pattern must be fixed|poisson|mmpp|trace",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_traincurve"))
             .args(args)

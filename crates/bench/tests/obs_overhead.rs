@@ -48,7 +48,10 @@ fn disabled_observability_costs_under_one_percent_per_decision() {
         decisions = sim.run(&mut g).decisions;
         decisions
     });
-    assert!(decisions > 100, "workload too small to measure: {decisions}");
+    assert!(
+        decisions > 100,
+        "workload too small to measure: {decisions}"
+    );
     let ns_per_decision = episode_ns / decisions as f64;
 
     // Cost of the disabled instrumentation per decision. The episode path

@@ -143,7 +143,11 @@ mod tests {
     }
 
     fn churn(action: ChurnAction, time: f64) -> SimEvent {
-        SimEvent::ChurnApplied { action, topo_version: 1, time }
+        SimEvent::ChurnApplied {
+            action,
+            topo_version: 1,
+            time,
+        }
     }
 
     #[test]
@@ -204,9 +208,18 @@ mod tests {
     #[test]
     fn non_fault_actions_are_ignored() {
         let events = vec![
-            churn(ChurnAction::DelaySpike { link: LinkId(0), factor: 3.0 }, 1.0),
             churn(
-                ChurnAction::DegradeNodeCapacity { node: NodeId(0), factor: 0.5 },
+                ChurnAction::DelaySpike {
+                    link: LinkId(0),
+                    factor: 3.0,
+                },
+                1.0,
+            ),
+            churn(
+                ChurnAction::DegradeNodeCapacity {
+                    node: NodeId(0),
+                    factor: 0.5,
+                },
                 2.0,
             ),
             done(0),

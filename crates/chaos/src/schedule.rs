@@ -66,10 +66,16 @@ impl fmt::Display for ChurnError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ChurnError::UnknownNode { node, num_nodes } => {
-                write!(f, "churn targets {node} but the topology has {num_nodes} nodes")
+                write!(
+                    f,
+                    "churn targets {node} but the topology has {num_nodes} nodes"
+                )
             }
             ChurnError::UnknownLink { link, num_links } => {
-                write!(f, "churn targets {link} but the topology has {num_links} links")
+                write!(
+                    f,
+                    "churn targets {link} but the topology has {num_links} links"
+                )
             }
             ChurnError::BadTime { time } => {
                 write!(f, "churn event time {time} is not finite and non-negative")
@@ -78,10 +84,16 @@ impl fmt::Display for ChurnError {
                 write!(f, "churn factor {factor} is not finite and non-negative")
             }
             ChurnError::BadProcess { param, value } => {
-                write!(f, "stochastic churn parameter {param} = {value} must be positive and finite")
+                write!(
+                    f,
+                    "stochastic churn parameter {param} = {value} must be positive and finite"
+                )
             }
             ChurnError::BadFactorRange { min, max } => {
-                write!(f, "stochastic churn factor range [{min}, {max}] is inverted")
+                write!(
+                    f,
+                    "stochastic churn factor range [{min}, {max}] is inverted"
+                )
             }
         }
     }
@@ -486,12 +498,24 @@ mod tests {
             .at(1.0, ChurnAction::LinkDown(LinkId(3)))
             .compile(&t, 10.0, 0)
             .unwrap_err();
-        assert_eq!(e, ChurnError::UnknownLink { link: LinkId(3), num_links: 3 });
+        assert_eq!(
+            e,
+            ChurnError::UnknownLink {
+                link: LinkId(3),
+                num_links: 3
+            }
+        );
         let e = ChurnSchedule::none()
             .at(1.0, ChurnAction::NodeDown(NodeId(4)))
             .compile(&t, 10.0, 0)
             .unwrap_err();
-        assert_eq!(e, ChurnError::UnknownNode { node: NodeId(4), num_nodes: 4 });
+        assert_eq!(
+            e,
+            ChurnError::UnknownNode {
+                node: NodeId(4),
+                num_nodes: 4
+            }
+        );
         assert!(e.to_string().contains("4 nodes"));
     }
 
@@ -506,7 +530,10 @@ mod tests {
         let e = ChurnSchedule::none()
             .at(
                 1.0,
-                ChurnAction::DelaySpike { link: LinkId(0), factor: f64::NAN },
+                ChurnAction::DelaySpike {
+                    link: LinkId(0),
+                    factor: f64::NAN,
+                },
             )
             .compile(&t, 10.0, 0)
             .unwrap_err();
@@ -519,16 +546,22 @@ mod tests {
         let s = ChurnSchedule::none()
             .with_stochastic(StochasticChurn::default().with_link_failures(0.0, 5.0));
         let e = s.compile(&t, 10.0, 0).unwrap_err();
-        assert_eq!(e, ChurnError::BadProcess { param: "link_failures.mtbf", value: 0.0 });
+        assert_eq!(
+            e,
+            ChurnError::BadProcess {
+                param: "link_failures.mtbf",
+                value: 0.0
+            }
+        );
 
-        let s = ChurnSchedule::none().with_stochastic(StochasticChurn::default().with_delay_spikes(
-            DegradeProcess {
+        let s = ChurnSchedule::none().with_stochastic(
+            StochasticChurn::default().with_delay_spikes(DegradeProcess {
                 mean_interval: 10.0,
                 duration: 1.0,
                 factor_min: 3.0,
                 factor_max: 2.0,
-            },
-        ));
+            }),
+        );
         let e = s.compile(&t, 10.0, 0).unwrap_err();
         assert_eq!(e, ChurnError::BadFactorRange { min: 3.0, max: 2.0 });
     }

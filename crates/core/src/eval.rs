@@ -99,11 +99,7 @@ mod tests {
 
     fn random_policy(degree: usize, seed: u64) -> CoordinationPolicy {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let actor = Mlp::new(
-            &[4 * degree + 4, 8, degree + 1],
-            Activation::Tanh,
-            &mut rng,
-        );
+        let actor = Mlp::new(&[4 * degree + 4, 8, degree + 1], Activation::Tanh, &mut rng);
         CoordinationPolicy::new(actor, degree, PolicyMetadata::default())
     }
 
@@ -128,8 +124,7 @@ mod tests {
         assert!((0.0..=1.0).contains(&mean));
         assert!(std >= 0.0);
         // Mean really is the mean of the per-seed ratios.
-        let expect: f64 =
-            metrics.iter().map(Metrics::success_ratio).sum::<f64>() / 4.0;
+        let expect: f64 = metrics.iter().map(Metrics::success_ratio).sum::<f64>() / 4.0;
         assert!((mean - expect).abs() < 1e-12);
     }
 

@@ -34,7 +34,9 @@ use dosco_rl::a2c::{A2cConfig, RmsPropStep};
 use dosco_rl::rollout::Rollout;
 use dosco_rl::trainer::Helper;
 use dosco_rl::UpdateRule;
-use dosco_simnet::{Action, Coordinator, DecisionPoint, FlowId, ScenarioConfig, SimEvent, Simulation};
+use dosco_simnet::{
+    Action, Coordinator, DecisionPoint, FlowId, ScenarioConfig, SimEvent, Simulation,
+};
 use dosco_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -455,8 +457,9 @@ mod tests {
             ..FederatedConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(7);
-        let mut learners: Vec<NodeLearner> =
-            (0..3).map(|_| NodeLearner::new(3, 2, &cfg, &mut rng)).collect();
+        let mut learners: Vec<NodeLearner> = (0..3)
+            .map(|_| NodeLearner::new(3, 2, &cfg, &mut rng))
+            .collect();
         let n = learners.len() as f32;
         let mut expected_actor = vec![0.0f32; learners[0].actor.flat_params().len()];
         let mut expected_critic = vec![0.0f32; learners[0].critic.flat_params().len()];

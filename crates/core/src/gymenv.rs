@@ -306,8 +306,14 @@ mod tests {
     fn churn_episodes_run_and_expose_stats() {
         use dosco_chaos::StochasticChurn;
         let schedule = ChurnSchedule::none()
-            .at(100.0, dosco_chaos::ChurnAction::LinkDown(dosco_topology::LinkId(0)))
-            .at(200.0, dosco_chaos::ChurnAction::LinkUp(dosco_topology::LinkId(0)))
+            .at(
+                100.0,
+                dosco_chaos::ChurnAction::LinkDown(dosco_topology::LinkId(0)),
+            )
+            .at(
+                200.0,
+                dosco_chaos::ChurnAction::LinkUp(dosco_topology::LinkId(0)),
+            )
             .with_stochastic(StochasticChurn::default().with_node_failures(2_000.0, 100.0));
         let mut e = env().with_churn(schedule);
         assert!(e.churn_stats().is_none(), "pre-reset sim is churn-free");

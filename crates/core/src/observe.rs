@@ -131,7 +131,11 @@ impl ObservationAdapter {
         // the flow is fully processed.
         match dp.component {
             Some(c) => {
-                obs.push(if sim.has_instance(dp.node, c) { 1.0 } else { 0.0 });
+                obs.push(if sim.has_instance(dp.node, c) {
+                    1.0
+                } else {
+                    0.0
+                });
                 for &(n, _) in neighbors {
                     obs.push(if sim.has_instance(n, c) { 1.0 } else { 0.0 });
                 }

@@ -164,7 +164,10 @@ impl CoordinationPolicy {
             )
         })?;
         std::fs::write(path, format!("{header_json}\n{json}")).map_err(|e| {
-            io::Error::new(e.kind(), format!("writing policy file {}: {e}", path.display()))
+            io::Error::new(
+                e.kind(),
+                format!("writing policy file {}: {e}", path.display()),
+            )
         })
     }
 
@@ -182,7 +185,10 @@ impl CoordinationPolicy {
     pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref();
         let content = std::fs::read_to_string(path).map_err(|e| {
-            io::Error::new(e.kind(), format!("reading policy file {}: {e}", path.display()))
+            io::Error::new(
+                e.kind(),
+                format!("reading policy file {}: {e}", path.display()),
+            )
         })?;
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let (first, payload) = content.split_once('\n').ok_or_else(|| {
@@ -223,9 +229,8 @@ impl CoordinationPolicy {
                 actual
             )));
         }
-        Self::from_json(payload).map_err(|e| {
-            invalid(format!("parsing policy file {}: {e}", path.display()))
-        })
+        Self::from_json(payload)
+            .map_err(|e| invalid(format!("parsing policy file {}: {e}", path.display())))
     }
 }
 
@@ -280,9 +285,14 @@ fn check_shapes(actor: &Mlp, degree: usize) -> Result<(), String> {
 /// NaN and `act` panics.
 fn check_finite(actor: &Mlp) -> Result<(), String> {
     for (i, layer) in actor.layers().iter().enumerate() {
-        for (what, values) in [("weight", layer.weights().as_slice()), ("bias", layer.bias())] {
+        for (what, values) in [
+            ("weight", layer.weights().as_slice()),
+            ("bias", layer.bias()),
+        ] {
             if let Some((j, v)) = values.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-                return Err(format!("actor layer {i} {what} {j} is {v}, not a finite number"));
+                return Err(format!(
+                    "actor layer {i} {what} {j} is {v}, not a finite number"
+                ));
             }
         }
     }
@@ -388,11 +398,7 @@ impl DistributedAgents {
     /// # Panics
     ///
     /// Panics if `num_nodes == 0`.
-    pub fn deploy_stochastic(
-        policy: &CoordinationPolicy,
-        num_nodes: usize,
-        seed: u64,
-    ) -> Self {
+    pub fn deploy_stochastic(policy: &CoordinationPolicy, num_nodes: usize, seed: u64) -> Self {
         use rand::SeedableRng;
         let mut agents = Self::deploy(policy, num_nodes);
         agents.samplers = Some(
@@ -412,7 +418,11 @@ impl DistributedAgents {
     /// Panics if `node` is out of range or `obs` mismatches the policy's
     /// input dimension.
     pub fn sample_action(&mut self, node: NodeId, obs: &[f32]) -> usize {
-        assert!(node.0 < self.decisions.len(), "node {} out of range", node.0);
+        assert!(
+            node.0 < self.decisions.len(),
+            "node {} out of range",
+            node.0
+        );
         match &mut self.samplers {
             Some(rngs) => self.policy.act_sampled(obs, &mut rngs[node.0]),
             None => self.policy.act(obs),
@@ -624,8 +634,14 @@ mod tests {
         let err = CoordinationPolicy::load(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let msg = err.to_string();
-        assert!(msg.contains("dosco-policy-v0"), "must name the format found: {msg}");
-        assert!(msg.contains("wrong-format.json"), "must name the path: {msg}");
+        assert!(
+            msg.contains("dosco-policy-v0"),
+            "must name the format found: {msg}"
+        );
+        assert!(
+            msg.contains("wrong-format.json"),
+            "must name the path: {msg}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -642,7 +658,9 @@ mod tests {
     /// Object field `key` of `v`.
     fn field_mut<'a>(v: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
         match v {
-            serde::Value::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            serde::Value::Object(fields) => {
+                &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1
+            }
             other => panic!("expected an object, found {other:?}"),
         }
     }
@@ -657,15 +675,20 @@ mod tests {
 
     fn assert_rejected(parsed: Result<CoordinationPolicy, serde_json::Error>, needle: &str) {
         let err = parsed.expect_err("an inconsistent policy must not parse");
-        assert!(err.to_string().contains(needle), "error must say {needle:?}: {err}");
+        assert!(
+            err.to_string().contains(needle),
+            "error must say {needle:?}: {err}"
+        );
     }
 
     #[test]
     fn from_json_rejects_weights_of_the_wrong_length() {
         assert_rejected(
-            reparse(&policy(3), |v| match field_mut(layer_field_mut(v, 0, "w"), "data") {
-                serde::Value::Array(data) => drop(data.pop()),
-                other => panic!("expected an array, found {other:?}"),
+            reparse(&policy(3), |v| {
+                match field_mut(layer_field_mut(v, 0, "w"), "data") {
+                    serde::Value::Array(data) => drop(data.pop()),
+                    other => panic!("expected an array, found {other:?}"),
+                }
             }),
             "needs",
         );
@@ -686,7 +709,9 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let five_heads = Mlp::new(&[16, 16, 5], Activation::Tanh, &mut rng);
         assert_rejected(
-            reparse(&policy(3), |v| *field_mut(v, "actor") = serde::Serialize::to_value(&five_heads)),
+            reparse(&policy(3), |v| {
+                *field_mut(v, "actor") = serde::Serialize::to_value(&five_heads)
+            }),
             "Δ+1",
         );
     }
@@ -694,7 +719,9 @@ mod tests {
     #[test]
     fn from_json_rejects_a_bias_of_the_wrong_length() {
         assert_rejected(
-            reparse(&policy(3), |v| *layer_field_mut(v, 0, "b") = serde::Value::Array(Vec::new())),
+            reparse(&policy(3), |v| {
+                *layer_field_mut(v, 0, "b") = serde::Value::Array(Vec::new())
+            }),
             "bias",
         );
     }
@@ -705,9 +732,11 @@ mod tests {
         let eight_wide = Mlp::new(&[8, 4], Activation::Tanh, &mut rng);
         let layer = serde::Serialize::to_value(&eight_wide.layers()[0]);
         assert_rejected(
-            reparse(&policy(3), |v| match field_mut(field_mut(v, "actor"), "layers") {
-                serde::Value::Array(layers) => layers[1] = layer,
-                other => panic!("expected an array, found {other:?}"),
+            reparse(&policy(3), |v| {
+                match field_mut(field_mut(v, "actor"), "layers") {
+                    serde::Value::Array(layers) => layers[1] = layer,
+                    other => panic!("expected an array, found {other:?}"),
+                }
             }),
             "layer 1 takes 8 inputs",
         );
@@ -737,9 +766,15 @@ mod tests {
     /// for the bytes.
     #[test]
     fn load_rejects_an_inconsistent_policy_with_a_valid_header() {
-        let json = policy(3).to_json().unwrap().replacen(r#""degree":3"#, r#""degree":5"#, 1);
+        let json = policy(3)
+            .to_json()
+            .unwrap()
+            .replacen(r#""degree":3"#, r#""degree":5"#, 1);
         let err = load_with_valid_header("inconsistent.json", &json);
-        assert!(err.to_string().contains("4·Δ+4"), "must name the broken contract: {err}");
+        assert!(
+            err.to_string().contains("4·Δ+4"),
+            "must name the broken contract: {err}"
+        );
     }
 
     /// `p`'s JSON with element `index` of actor layer `layer`'s weights
@@ -753,7 +788,11 @@ mod tests {
     ) -> String {
         let mut v = serde::Serialize::to_value(p);
         let slot = layer_field_mut(&mut v, layer, key);
-        let values = if key == "w" { field_mut(slot, "data") } else { slot };
+        let values = if key == "w" {
+            field_mut(slot, "data")
+        } else {
+            slot
+        };
         match values {
             serde::Value::Array(values) => values[index] = value,
             other => panic!("expected an array, found {other:?}"),
@@ -781,7 +820,9 @@ mod tests {
         }
         // The same edit within range loads and decides.
         let json = with_parameter(&p, 1, "w", 17, serde::Value::Float(1e38));
-        CoordinationPolicy::from_json(&json).unwrap().act(&[0.0; 16]);
+        CoordinationPolicy::from_json(&json)
+            .unwrap()
+            .act(&[0.0; 16]);
     }
 
     #[test]
@@ -798,7 +839,10 @@ mod tests {
     fn load_rejects_a_non_finite_weight_with_a_valid_header() {
         let json = with_parameter(&policy(3), 0, "w", 3, serde::Value::Float(1e39));
         let err = load_with_valid_header("non-finite.json", &json);
-        assert!(err.to_string().contains("actor layer 0 weight 3 is inf"), "{err}");
+        assert!(
+            err.to_string().contains("actor layer 0 weight 3 is inf"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -58,9 +58,7 @@ impl RewardConfig {
             SimEvent::InstanceTraversed { service_len, .. } => {
                 self.traversal_scale / (*service_len).max(1) as f32
             }
-            SimEvent::Forwarded { link_delay, .. } => {
-                -self.hop_scale * (*link_delay as f32) / d
-            }
+            SimEvent::Forwarded { link_delay, .. } => -self.hop_scale * (*link_delay as f32) / d,
             SimEvent::Held { .. } => -self.hold_scale / d,
             SimEvent::FlowArrived { .. }
             | SimEvent::InstanceStarted { .. }

@@ -8,9 +8,9 @@
 
 use crate::eval;
 use crate::gymenv::CoordEnv;
-use dosco_chaos::ChurnSchedule;
 use crate::policy::{CoordinationPolicy, PolicyMetadata};
 use crate::reward::RewardConfig;
+use dosco_chaos::ChurnSchedule;
 use dosco_nn::Mlp;
 use dosco_rl::a2c::{A2c, A2cConfig, TrainStats};
 use dosco_rl::acktr::{Acktr, AcktrConfig};

@@ -105,14 +105,24 @@ pub struct CanaryStats {
 impl CanaryStats {
     /// Batched decisions the candidate answered during the window.
     pub fn candidate_decisions(&self) -> u64 {
-        self.window_end.report.decisions_at_version(self.candidate_version)
-            - self.window_start.report.decisions_at_version(self.candidate_version)
+        self.window_end
+            .report
+            .decisions_at_version(self.candidate_version)
+            - self
+                .window_start
+                .report
+                .decisions_at_version(self.candidate_version)
     }
 
     /// Batched decisions the incumbent answered during the window.
     pub fn incumbent_decisions(&self) -> u64 {
-        self.window_end.report.decisions_at_version(self.incumbent_version)
-            - self.window_start.report.decisions_at_version(self.incumbent_version)
+        self.window_end
+            .report
+            .decisions_at_version(self.incumbent_version)
+            - self
+                .window_start
+                .report
+                .decisions_at_version(self.incumbent_version)
     }
 
     /// Total decisions applied during the window (batched + fallback).
@@ -277,39 +287,48 @@ pub fn run_canary(
     let mut decision: Option<CanaryDecision> = None;
     let mut stats_out: Option<CanaryStats> = None;
 
-    let serve = serve_with(&contract, Some(&hub), scenario, episode_seeds, &cfg, |epoch| {
-        if epoch == canary.start_epoch {
-            // The board holds the previous boundary's state; the
-            // candidate's publish below lands at *this* boundary, so the
-            // snapshot cleanly precedes all candidate traffic.
-            window_start = Some(board.snapshot());
-            control.push(PublishCmd {
-                snapshot: Arc::clone(&candidate),
-                shards: canary.canary_shards.clone(),
-            });
-        } else if epoch == decide_epoch {
-            let stats = CanaryStats {
-                incumbent_version: incumbent.version,
-                candidate_version: candidate.version,
-                window_start: window_start.take().expect("window start precedes window end"),
-                window_end: board.snapshot(),
-            };
-            let verdict = judge(&stats);
-            match verdict {
-                // Promote through the hub, the one door for a
-                // fabric-wide publish: its publish is the same
-                // epoch-boundary swap, and it sets the policy respawned
-                // shards come back on.
-                CanaryDecision::Promote => hub.publish(Arc::clone(&candidate)),
-                CanaryDecision::Rollback => control.push(PublishCmd {
-                    snapshot: Arc::clone(&incumbent),
+    let serve = serve_with(
+        &contract,
+        Some(&hub),
+        scenario,
+        episode_seeds,
+        &cfg,
+        |epoch| {
+            if epoch == canary.start_epoch {
+                // The board holds the previous boundary's state; the
+                // candidate's publish below lands at *this* boundary, so the
+                // snapshot cleanly precedes all candidate traffic.
+                window_start = Some(board.snapshot());
+                control.push(PublishCmd {
+                    snapshot: Arc::clone(&candidate),
                     shards: canary.canary_shards.clone(),
-                }),
+                });
+            } else if epoch == decide_epoch {
+                let stats = CanaryStats {
+                    incumbent_version: incumbent.version,
+                    candidate_version: candidate.version,
+                    window_start: window_start
+                        .take()
+                        .expect("window start precedes window end"),
+                    window_end: board.snapshot(),
+                };
+                let verdict = judge(&stats);
+                match verdict {
+                    // Promote through the hub, the one door for a
+                    // fabric-wide publish: its publish is the same
+                    // epoch-boundary swap, and it sets the policy respawned
+                    // shards come back on.
+                    CanaryDecision::Promote => hub.publish(Arc::clone(&candidate)),
+                    CanaryDecision::Rollback => control.push(PublishCmd {
+                        snapshot: Arc::clone(&incumbent),
+                        shards: canary.canary_shards.clone(),
+                    }),
+                }
+                stats_out = Some(stats);
+                decision = Some(verdict);
             }
-            stats_out = Some(stats);
-            decision = Some(verdict);
-        }
-    });
+        },
+    );
 
     CanaryOutcome {
         serve,
@@ -327,7 +346,12 @@ mod tests {
     use super::*;
     use dosco_serve::ServeReport;
 
-    fn status(decisions: u64, by_version: Vec<(u64, u64)>, completed: u64, dropped: u64) -> FabricStatus {
+    fn status(
+        decisions: u64,
+        by_version: Vec<(u64, u64)>,
+        completed: u64,
+        dropped: u64,
+    ) -> FabricStatus {
         FabricStatus {
             report: ServeReport {
                 decisions,

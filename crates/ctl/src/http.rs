@@ -208,16 +208,22 @@ fn handle_connection(mut stream: TcpStream, state: &CtlState) {
     let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     let Some((head, body)) = read_request(&mut stream) else {
-        respond(&mut stream, 400, "Bad Request", r#"{"error":"bad request"}"#);
+        respond(
+            &mut stream,
+            400,
+            "Bad Request",
+            r#"{"error":"bad request"}"#,
+        );
         return;
     };
-    let mut parts = head
-        .lines()
-        .next()
-        .unwrap_or("")
-        .split_whitespace();
+    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-        respond(&mut stream, 400, "Bad Request", r#"{"error":"bad request"}"#);
+        respond(
+            &mut stream,
+            400,
+            "Bad Request",
+            r#"{"error":"bad request"}"#,
+        );
         return;
     };
     // The ops routes take no query parameters; tolerate and strip them.
@@ -240,7 +246,10 @@ fn handle_connection(mut stream: TcpStream, state: &CtlState) {
             &mut stream,
             405,
             "Method Not Allowed",
-            &format!(r#"{{"error":"method not allowed","method":{}}}"#, json_str(method)),
+            &format!(
+                r#"{{"error":"method not allowed","method":{}}}"#,
+                json_str(method)
+            ),
         ),
     }
 }
@@ -554,9 +563,7 @@ mod tests {
     #[test]
     fn read_request_rejects_hard_errors() {
         let mut stream = DribbleStream::of(b"GET / HTTP/1.1\r\n\r\n", &[]);
-        stream
-            .steps
-            .push_front(Err(io::ErrorKind::ConnectionReset));
+        stream.steps.push_front(Err(io::ErrorKind::ConnectionReset));
         assert!(read_request(&mut stream).is_none());
     }
 

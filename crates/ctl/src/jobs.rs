@@ -15,8 +15,8 @@
 //! are rejected so a typo'd knob fails loudly instead of silently running
 //! the default.
 
-use dosco_core::{CoordEnv, CoordinationPolicy, RewardConfig};
 use dosco_core::policy::PolicyMetadata;
+use dosco_core::{CoordEnv, CoordinationPolicy, RewardConfig};
 use dosco_nn::mlp::{Activation, Mlp};
 use dosco_rl::a2c::{A2c, A2cConfig};
 use dosco_rl::env::Env;
@@ -147,7 +147,13 @@ impl ServeJobSpec {
     pub fn from_json(spec: &Value) -> Result<Self, String> {
         check_keys(
             spec,
-            &["episodes", "num_shards", "stochastic_seed", "seed", "horizon"],
+            &[
+                "episodes",
+                "num_shards",
+                "stochastic_seed",
+                "seed",
+                "horizon",
+            ],
         )?;
         let mut out = ServeJobSpec::default();
         if let Some(v) = spec_u64(spec, "episodes")? {
@@ -217,7 +223,12 @@ impl Job {
         JobView {
             id,
             kind: self.kind.to_string(),
-            state: if self.handle.is_some() { "running" } else { "done" }.to_string(),
+            state: if self.handle.is_some() {
+                "running"
+            } else {
+                "done"
+            }
+            .to_string(),
             stop_requested: self.cancel.load(Ordering::Relaxed),
             summary: self.summary.clone(),
         }
@@ -378,7 +389,11 @@ fn run_serve_job(spec: &ServeJobSpec, cancel: Arc<AtomicBool>) -> String {
     let scenario = ScenarioConfig::paper_base(2).with_horizon(spec.horizon);
     let degree = scenario.topology.network_degree();
     let mut rng = StdRng::seed_from_u64(spec.seed);
-    let actor = Mlp::new(&[4 * degree + 4, 32, degree + 1], Activation::Tanh, &mut rng);
+    let actor = Mlp::new(
+        &[4 * degree + 4, 32, degree + 1],
+        Activation::Tanh,
+        &mut rng,
+    );
     let policy = CoordinationPolicy::new(actor, degree, PolicyMetadata::default());
     let seeds: Vec<u64> = (0..spec.episodes)
         .map(|i| spec.seed.wrapping_add(i as u64 + 1))
@@ -410,10 +425,7 @@ mod tests {
     fn specs_default_and_override() {
         let t = TrainJobSpec::from_json(&json("{}")).unwrap();
         assert_eq!(t, TrainJobSpec::default());
-        let t = TrainJobSpec::from_json(&json(
-            r#"{"total_steps": 500, "seed": 9}"#,
-        ))
-        .unwrap();
+        let t = TrainJobSpec::from_json(&json(r#"{"total_steps": 500, "seed": 9}"#)).unwrap();
         assert_eq!(t.total_steps, 500);
         assert_eq!(t.seed, 9);
 

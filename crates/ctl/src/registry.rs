@@ -186,7 +186,9 @@ impl PolicyRegistry {
 
     /// Path of the artifact file for `version`.
     fn artifact_path(&self, version: u64) -> PathBuf {
-        self.root.join(POLICIES_DIR).join(format!("v{version}.json"))
+        self.root
+            .join(POLICIES_DIR)
+            .join(format!("v{version}.json"))
     }
 
     /// Writes the manifest via a temp file + rename, so a crash mid-write
@@ -256,9 +258,9 @@ impl PolicyRegistry {
     /// artifact is read back and verified before the manifest records it.
     pub fn publish(&mut self, policy: &CoordinationPolicy) -> io::Result<ArtifactMeta> {
         let version = self.manifest.entries.last().map_or(0, |e| e.version + 1);
-        let json = policy.to_json().map_err(|e| {
-            invalid(format!("serializing policy for registry v{version}: {e}"))
-        })?;
+        let json = policy
+            .to_json()
+            .map_err(|e| invalid(format!("serializing policy for registry v{version}: {e}")))?;
         let path = self.artifact_path(version);
         policy.save(&path)?;
         // Read-back verification: the artifact on disk must parse and
@@ -382,7 +384,10 @@ impl PolicyRegistry {
         let last = self.promotion_log()?.pop().ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("registry {} has an empty promotion log", self.root.display()),
+                format!(
+                    "registry {} has an empty promotion log",
+                    self.root.display()
+                ),
             )
         })?;
         let target = last.previous.ok_or_else(|| {
@@ -399,9 +404,7 @@ impl PolicyRegistry {
 
     /// The currently promoted head's manifest entry, if any.
     pub fn head(&self) -> Option<&ArtifactMeta> {
-        self.manifest
-            .head
-            .and_then(|version| self.meta(version))
+        self.manifest.head.and_then(|version| self.meta(version))
     }
 
     /// The manifest entry for `version`, if published.
@@ -488,10 +491,8 @@ mod tests {
     }
 
     fn temp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "dosco-registry-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("dosco-registry-test-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         dir
     }
@@ -605,7 +606,10 @@ mod tests {
         let bad = CoordinationPolicy::new(actor, 3, PolicyMetadata::default());
         let err = reg.publish(&bad).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("actor layer 0 weight 0 is NaN"), "{err}");
+        assert!(
+            err.to_string().contains("actor layer 0 weight 0 is NaN"),
+            "{err}"
+        );
         assert_eq!(reg.versions(), Vec::<u64>::new());
         std::fs::remove_dir_all(&root).ok();
     }

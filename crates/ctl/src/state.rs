@@ -123,8 +123,8 @@ impl CtlState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dosco_runtime::PolicySnapshot;
     use dosco_nn::mlp::{Activation, Mlp};
+    use dosco_runtime::PolicySnapshot;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

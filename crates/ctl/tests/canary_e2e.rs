@@ -29,7 +29,11 @@ fn scenario() -> ScenarioConfig {
 
 fn actor(degree: usize, seed: u64) -> Mlp {
     let mut rng = StdRng::seed_from_u64(seed);
-    Mlp::new(&[4 * degree + 4, 24, degree + 1], Activation::Tanh, &mut rng)
+    Mlp::new(
+        &[4 * degree + 4, 24, degree + 1],
+        Activation::Tanh,
+        &mut rng,
+    )
 }
 
 fn critic(degree: usize, seed: u64) -> Mlp {
@@ -47,8 +51,7 @@ fn snapshot(version: u64, actor: Mlp, degree: usize) -> Arc<PolicySnapshot> {
 
 /// The no-canary baseline: the same weights served hub-less.
 fn baseline(degree: usize) -> dosco_serve::ServeOutcome {
-    let policy =
-        CoordinationPolicy::new(actor(degree, 1), degree, PolicyMetadata::default());
+    let policy = CoordinationPolicy::new(actor(degree, 1), degree, PolicyMetadata::default());
     serve(&policy, None, &scenario(), SEEDS, &ServeConfig::new(SHARDS))
 }
 

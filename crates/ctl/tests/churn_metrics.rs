@@ -48,7 +48,11 @@ fn metrics_expose_drop_causes_and_windowed_success_ratio_under_churn() {
     let scenario = ScenarioConfig::paper_base(2).with_horizon(400.0);
     let degree = scenario.topology.network_degree();
     let mut rng = StdRng::seed_from_u64(11);
-    let actor = Mlp::new(&[4 * degree + 4, 24, degree + 1], Activation::Tanh, &mut rng);
+    let actor = Mlp::new(
+        &[4 * degree + 4, 24, degree + 1],
+        Activation::Tanh,
+        &mut rng,
+    );
     let policy = CoordinationPolicy::new(actor, degree, PolicyMetadata::default());
 
     // Kill ingress v0 at t=120 with no repair: every later arrival there

@@ -59,7 +59,11 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 
 fn actor(degree: usize, seed: u64) -> Mlp {
     let mut rng = StdRng::seed_from_u64(seed);
-    Mlp::new(&[4 * degree + 4, 24, degree + 1], Activation::Tanh, &mut rng)
+    Mlp::new(
+        &[4 * degree + 4, 24, degree + 1],
+        Activation::Tanh,
+        &mut rng,
+    )
 }
 
 fn critic(degree: usize, seed: u64) -> Mlp {
@@ -111,8 +115,7 @@ fn ops_endpoints_answer_live_during_a_serving_run() {
     let outcome = std::thread::scope(|s| {
         let cfg = ServeConfig::new(3).with_status(Arc::clone(&board));
         let (policy, hub, scenario) = (&policy, &hub, &scenario);
-        let serve_handle =
-            s.spawn(move || serve(policy, Some(hub), scenario, &[3, 7, 13], &cfg));
+        let serve_handle = s.spawn(move || serve(policy, Some(hub), scenario, &[3, 7, 13], &cfg));
 
         // Query the live endpoints while (or right after) the fabric
         // runs; every response must parse regardless of timing.

@@ -290,8 +290,14 @@ mod tests {
             decode_value(&buf[..buf.len() - 1]),
             Err(CodecError::Truncated)
         ));
-        assert!(matches!(decode_value(&[0xff]), Err(CodecError::BadTag(0xff))));
-        assert!(matches!(decode_value(&[6, 2, 0, 0, 0, 0xc3]), Err(CodecError::Truncated)));
+        assert!(matches!(
+            decode_value(&[0xff]),
+            Err(CodecError::BadTag(0xff))
+        ));
+        assert!(matches!(
+            decode_value(&[6, 2, 0, 0, 0, 0xc3]),
+            Err(CodecError::Truncated)
+        ));
     }
 
     #[test]

@@ -169,7 +169,10 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
         return Err(FrameError::ChecksumMismatch { expected, actual });
     }
     count(CounterKind::NetFramesReceived, 1);
-    count(CounterKind::NetBytesReceived, (HEADER_LEN + payload.len()) as u64);
+    count(
+        CounterKind::NetBytesReceived,
+        (HEADER_LEN + payload.len()) as u64,
+    );
     Ok(payload)
 }
 
@@ -366,7 +369,10 @@ mod tests {
             Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
             other => panic!("expected retryable Io, got {other:?}"),
         }
-        assert_eq!(read_frame(&mut r).expect("retry decodes"), b"after the idle tick");
+        assert_eq!(
+            read_frame(&mut r).expect("retry decodes"),
+            b"after the idle tick"
+        );
     }
 
     /// Regression: a timeout between payload bytes must resume the read
@@ -375,8 +381,7 @@ mod tests {
     #[test]
     fn timeout_mid_payload_resumes() {
         let bytes = encode_frame(b"split payload");
-        let mut steps: Vec<Result<u8, io::ErrorKind>> =
-            bytes.iter().map(|&b| Ok(b)).collect();
+        let mut steps: Vec<Result<u8, io::ErrorKind>> = bytes.iter().map(|&b| Ok(b)).collect();
         // Stall right after the first payload byte.
         steps.insert(HEADER_LEN + 1, Err(io::ErrorKind::WouldBlock));
         steps.insert(HEADER_LEN + 2, Err(io::ErrorKind::TimedOut));

@@ -239,7 +239,10 @@ impl<T: Wire> Transport<T> for SocketLoopback {
         let tx_stream = TcpStream::connect(addr).expect("connect loopback");
         let _ = tx_stream.set_nodelay(true);
         let rx_stream = accept.join().expect("join accept thread");
-        (sender_on(tx_stream, capacity), receiver_on(rx_stream, capacity))
+        (
+            sender_on(tx_stream, capacity),
+            receiver_on(rx_stream, capacity),
+        )
     }
 }
 

@@ -109,6 +109,10 @@ fn receiver_channel_survives_a_dribbling_peer() {
         assert_eq!(&rx.recv().expect("recv"), expected);
     }
     assert!(rx.recv().is_err(), "clean EOF disconnects after draining");
-    assert!(rx.fault().is_none(), "timeouts are not faults: {:?}", rx.fault());
+    assert!(
+        rx.fault().is_none(),
+        "timeouts are not faults: {:?}",
+        rx.fault()
+    );
     writer.join().expect("writer");
 }

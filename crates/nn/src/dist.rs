@@ -7,11 +7,7 @@ use rand::Rng;
 /// Numerically stable per-row log-softmax.
 pub fn log_softmax_row(logits: &[f32]) -> Vec<f32> {
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let log_sum: f32 = logits
-        .iter()
-        .map(|&l| (l - max).exp())
-        .sum::<f32>()
-        .ln();
+    let log_sum: f32 = logits.iter().map(|&l| (l - max).exp()).sum::<f32>().ln();
     logits.iter().map(|&l| l - max - log_sum).collect()
 }
 
@@ -157,7 +153,11 @@ impl Categorical {
         entropy_coef: f32,
     ) -> Matrix {
         assert_eq!(actions.len(), self.batch(), "one action per row required");
-        assert_eq!(advantages.len(), self.batch(), "one advantage per row required");
+        assert_eq!(
+            advantages.len(),
+            self.batch(),
+            "one advantage per row required"
+        );
         let b = self.batch() as f32;
         let entropies = self.entropy();
         let mut out = Matrix::zeros(self.batch(), self.num_actions());

@@ -176,7 +176,9 @@ impl Kfac {
             "one Fisher gradient batch per layer required"
         );
         let _span = dosco_obs::span(dosco_obs::SpanKind::KfacStats);
-        let Kfac { layers, xe, gram, .. } = self;
+        let Kfac {
+            layers, xe, gram, ..
+        } = self;
         for ((factors, x), g) in layers.iter_mut().zip(&cache.inputs).zip(fisher_grads) {
             let batch = x.rows() as f32;
             assert!(batch > 0.0, "empty batch");
@@ -233,7 +235,11 @@ impl Kfac {
     ///
     /// Panics on shape mismatches between `net`, `grads`, and this state.
     pub fn step(&mut self, net: &mut Mlp, grads: &Gradients) -> Result<(), LinalgError> {
-        assert_eq!(grads.layers.len(), self.layers.len(), "layer count mismatch");
+        assert_eq!(
+            grads.layers.len(),
+            self.layers.len(),
+            "layer count mismatch"
+        );
         let clip = grads.clip_factor(self.config.max_grad_norm);
         // A failed refresh leaves `steps` where it was, so the next step
         // refreshes again.
@@ -247,7 +253,9 @@ impl Kfac {
         let mut quad = 0.0f64;
         {
             let _span = dosco_obs::span(dosco_obs::SpanKind::KfacPrecondition);
-            let Kfac { layers, grad, half, .. } = self;
+            let Kfac {
+                layers, grad, half, ..
+            } = self;
             for (factors, g) in layers.iter_mut().zip(&grads.layers) {
                 // Homogeneous gradient: (in+1) × out with db as the last row.
                 let (rows, cols) = (g.dw.rows() + 1, g.dw.cols());
@@ -299,7 +307,11 @@ fn blend_second_moment(
     decay: Option<f32>,
 ) {
     let n = x.cols();
-    assert_eq!((factor.rows(), factor.cols()), (n, n), "factor shape mismatch");
+    assert_eq!(
+        (factor.rows(), factor.cols()),
+        (n, n),
+        "factor shape mismatch"
+    );
     gram.reshape(n, n);
     x.gram_upper_into(gram);
     for (i, (f, new)) in factor
@@ -335,12 +347,7 @@ mod tests {
     #[test]
     fn kfac_descends_regression_loss() {
         let mut net = Mlp::new(&[2, 16, 1], Activation::Tanh, &mut rng());
-        let x = Matrix::from_rows(&[
-            &[0.0, 0.1],
-            &[0.5, -0.5],
-            &[-0.8, 0.3],
-            &[0.9, 0.9],
-        ]);
+        let x = Matrix::from_rows(&[&[0.0, 0.1], &[0.5, -0.5], &[-0.8, 0.3], &[0.9, 0.9]]);
         let y = Matrix::from_rows(&[&[0.2], &[-0.3], &[0.5], &[0.9]]);
         let loss = |net: &Mlp| {
             let d = net.forward(&x).sub(&y);
@@ -469,12 +476,7 @@ mod tests {
         use crate::optim::tests::Sgd;
         use crate::optim::Optimizer;
         // Ill-conditioned inputs: one feature scaled 10x.
-        let x = Matrix::from_rows(&[
-            &[10.0, 0.1],
-            &[-10.0, 0.2],
-            &[10.0, -0.3],
-            &[-10.0, -0.1],
-        ]);
+        let x = Matrix::from_rows(&[&[10.0, 0.1], &[-10.0, 0.2], &[10.0, -0.3], &[-10.0, -0.1]]);
         let y = Matrix::from_rows(&[&[1.1], &[-0.8], &[0.7], &[-1.2]]);
         let train = |use_kfac: bool| -> f32 {
             let mut net = Mlp::new(&[2, 1], Activation::Identity, &mut rng());
@@ -503,8 +505,7 @@ mod tests {
                     let fisher_out = Matrix::from_fn(x.rows(), 1, |_, _| {
                         let u1: f32 = r.gen_range(1e-6..1.0);
                         let u2: f32 = r.gen();
-                        ((-2.0 * u1.ln()).sqrt()
-                            * (2.0 * std::f32::consts::PI * u2).cos())
+                        ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos())
                             / x.rows() as f32
                     });
                     kfac.update_stats(&cache, &net.backward_preact(&cache, &fisher_out));

@@ -116,7 +116,11 @@ fn solve_panel(l: &[f64], n: usize, c0: usize, z: &mut [f64]) {
         if i - c0 < PANEL {
             acc[i - c0] = 1.0;
         }
-        eliminate(&mut acc, &l[i * n + c0..i * n + i], &z[c0 * PANEL..i * PANEL]);
+        eliminate(
+            &mut acc,
+            &l[i * n + c0..i * n + i],
+            &z[c0 * PANEL..i * PANEL],
+        );
         let d = l[i * n + i];
         for (o, a) in z[i * PANEL..(i + 1) * PANEL].iter_mut().zip(acc) {
             *o = a / d;
@@ -278,11 +282,7 @@ mod tests {
     #[test]
     fn inverse_round_trip_spd() {
         // Build SPD matrix M = B Bᵀ + I.
-        let b = Matrix::from_rows(&[
-            &[1.0, 2.0, 0.5],
-            &[-1.0, 0.3, 2.0],
-            &[0.7, -0.2, 1.5],
-        ]);
+        let b = Matrix::from_rows(&[&[1.0, 2.0, 0.5], &[-1.0, 0.3, 2.0], &[0.7, -0.2, 1.5]]);
         let m = b.matmul_transpose(&b).add(&Matrix::identity(3));
         let inv = damped_inverse(&m, 0.0).unwrap();
         let prod = m.matmul(&inv);
@@ -364,7 +364,10 @@ mod tests {
             let m = x.transpose_matmul(&x).scaled(1.0 / 64.0);
             let bits = |kernel| {
                 let inv = damped_inverse_with(&m, 0.01, kernel).unwrap();
-                inv.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                inv.as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
             };
             let plain = bits(GemmKernel::Scalar);
             assert_eq!(plain, bits(GemmKernel::Avx2), "n = {n}");
@@ -400,7 +403,10 @@ mod tests {
             }
             let bits = |m: &Matrix| {
                 let inv = damped_inverse(m, 0.01).unwrap();
-                inv.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                inv.as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
             };
             assert_eq!(bits(&m), bits(&poisoned), "n = {n}");
         }

@@ -311,7 +311,10 @@ impl Matrix {
     /// Panics if out of bounds.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
-        assert!(r < self.rows && c < self.cols, "index ({r},{c}) out of bounds");
+        assert!(
+            r < self.rows && c < self.cols,
+            "index ({r},{c}) out of bounds"
+        );
         self.data[r * self.cols + c]
     }
 
@@ -322,7 +325,10 @@ impl Matrix {
     /// Panics if out of bounds.
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        assert!(r < self.rows && c < self.cols, "index ({r},{c}) out of bounds");
+        assert!(
+            r < self.rows && c < self.cols,
+            "index ({r},{c}) out of bounds"
+        );
         self.data[r * self.cols + c] = v;
     }
 
@@ -453,7 +459,9 @@ impl Matrix {
             (self.cols, other.cols),
             "transpose_matmul output shape mismatch"
         );
-        with_packed_transpose(self, |at| gemm(at, &other.data, self.rows, out, false, kernel));
+        with_packed_transpose(self, |at| {
+            gemm(at, &other.data, self.rows, out, false, kernel)
+        });
     }
 
     /// The upper triangle of the Gram matrix `selfᵀ · self` into a
@@ -473,7 +481,9 @@ impl Matrix {
             "gram output shape mismatch"
         );
         let kernel = crate::simd::active();
-        with_packed_transpose(self, |at| gemm(at, &self.data, self.rows, out, true, kernel));
+        with_packed_transpose(self, |at| {
+            gemm(at, &self.data, self.rows, out, true, kernel)
+        });
     }
 
     /// `self · otherᵀ`.
@@ -517,7 +527,9 @@ impl Matrix {
             (self.rows, other.rows),
             "matmul_transpose output shape mismatch"
         );
-        with_packed_transpose(other, |bt| gemm(&self.data, bt, self.cols, out, false, kernel));
+        with_packed_transpose(other, |bt| {
+            gemm(&self.data, bt, self.cols, out, false, kernel)
+        });
     }
 
     /// Reference (naive triple-loop) `self · other`: the specification the
@@ -747,7 +759,11 @@ impl Matrix {
 fn transpose_into(src: &Matrix, dst: &mut [f32]) {
     const TB: usize = 32;
     let (rows, cols) = (src.rows, src.cols);
-    assert_eq!(dst.len(), rows * cols, "transpose destination size mismatch");
+    assert_eq!(
+        dst.len(),
+        rows * cols,
+        "transpose destination size mismatch"
+    );
     for c0 in (0..cols).step_by(TB) {
         let c1 = (c0 + TB).min(cols);
         for r0 in (0..rows).step_by(TB) {
@@ -1067,7 +1083,13 @@ mod tests {
     fn every_matrix_starts_on_a_cache_line() {
         fn check(m: &Matrix, what: &str) {
             let addr = m.as_slice().as_ptr() as usize;
-            assert_eq!(addr % 64, 0, "{what} {}x{} starts at {addr:#x}", m.rows, m.cols);
+            assert_eq!(
+                addr % 64,
+                0,
+                "{what} {}x{} starts at {addr:#x}",
+                m.rows,
+                m.cols
+            );
         }
         let mut rng = StdRng::seed_from_u64(3);
         for (rows, cols) in [(1, 16), (1, 256), (256, 256), (257, 257)] {
@@ -1082,9 +1104,15 @@ mod tests {
                 (m.clone(), "from_rows"),
                 (Matrix::from_vec(rows, cols, values.clone()), "from_vec"),
                 (Matrix::row_vector(&values), "row_vector"),
-                (Matrix::xavier_uniform(rows, cols, &mut rng), "xavier_uniform"),
+                (
+                    Matrix::xavier_uniform(rows, cols, &mut rng),
+                    "xavier_uniform",
+                ),
                 (m.clone(), "clone"),
-                (serde_json::from_str(&serde_json::to_string(&m).unwrap()).unwrap(), "serde"),
+                (
+                    serde_json::from_str(&serde_json::to_string(&m).unwrap()).unwrap(),
+                    "serde",
+                ),
                 (m.map(f32::abs), "map"),
                 (m.scaled(0.5), "scaled"),
                 (m.add(&other), "add"),

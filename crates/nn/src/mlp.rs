@@ -171,7 +171,11 @@ impl Gradients {
     ///
     /// Panics on layer-shape mismatch.
     pub fn add(&mut self, other: &Gradients) {
-        assert_eq!(self.layers.len(), other.layers.len(), "layer count mismatch");
+        assert_eq!(
+            self.layers.len(),
+            other.layers.len(),
+            "layer count mismatch"
+        );
         for (a, b) in self.layers.iter_mut().zip(&other.layers) {
             a.dw.add_scaled(&b.dw, 1.0);
             for (x, y) in a.db.iter_mut().zip(&b.db) {
@@ -238,7 +242,10 @@ impl Mlp {
     ///
     /// Panics if fewer than two sizes are given or any size is zero.
     pub fn new<R: Rng + ?Sized>(sizes: &[usize], activation: Activation, rng: &mut R) -> Self {
-        assert!(sizes.len() >= 2, "an MLP needs at least input and output sizes");
+        assert!(
+            sizes.len() >= 2,
+            "an MLP needs at least input and output sizes"
+        );
         assert!(sizes.iter().all(|&s| s > 0), "layer sizes must be positive");
         let layers = sizes
             .windows(2)
@@ -508,7 +515,11 @@ impl Mlp {
     ///
     /// Panics on shape mismatch.
     pub fn apply_update(&mut self, grads: &Gradients, scale: f32) {
-        assert_eq!(grads.layers.len(), self.layers.len(), "layer count mismatch");
+        assert_eq!(
+            grads.layers.len(),
+            self.layers.len(),
+            "layer count mismatch"
+        );
         for (layer, g) in self.layers.iter_mut().zip(&grads.layers) {
             layer.w.add_scaled(&g.dw, scale);
             for (b, &d) in layer.b.iter_mut().zip(&g.db) {
@@ -563,7 +574,11 @@ mod tests {
 
         let loss = |net: &Mlp| -> f64 {
             let out = net.forward(&x);
-            0.5 * out.as_slice().iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>()
+            0.5 * out
+                .as_slice()
+                .iter()
+                .map(|&v| f64::from(v) * f64::from(v))
+                .sum::<f64>()
         };
         let eps = 1e-3f32;
         // Check a sample of weight coordinates in every layer.
@@ -607,9 +622,8 @@ mod tests {
     #[test]
     fn into_forms_match_and_reuse_their_buffers() {
         let net = Mlp::new(&[3, 16, 16, 2], Activation::Tanh, &mut rng());
-        let batch = |rows: usize| {
-            Matrix::from_fn(rows, 3, |r, c| ((r * 5 + c) % 7) as f32 / 3.0 - 1.0)
-        };
+        let batch =
+            |rows: usize| Matrix::from_fn(rows, 3, |r, c| ((r * 5 + c) % 7) as f32 / 3.0 - 1.0);
         let (mut cache, mut grads, mut deltas) = Default::default();
         let mut starts = Vec::new();
         for rows in [8, 3, 8, 8] {
@@ -634,18 +648,8 @@ mod tests {
     fn gradient_descent_reduces_loss() {
         // Fit y = [x0 + x1, x0 - x1] with a small tanh net.
         let mut net = Mlp::new(&[2, 16, 2], Activation::Tanh, &mut rng());
-        let x = Matrix::from_rows(&[
-            &[0.1, 0.2],
-            &[-0.3, 0.5],
-            &[0.7, -0.1],
-            &[0.0, 0.4],
-        ]);
-        let y = Matrix::from_rows(&[
-            &[0.3, -0.1],
-            &[0.2, -0.8],
-            &[0.6, 0.8],
-            &[0.4, -0.4],
-        ]);
+        let x = Matrix::from_rows(&[&[0.1, 0.2], &[-0.3, 0.5], &[0.7, -0.1], &[0.0, 0.4]]);
+        let y = Matrix::from_rows(&[&[0.3, -0.1], &[0.2, -0.8], &[0.6, 0.8], &[0.4, -0.4]]);
         let loss = |net: &Mlp| {
             let d = net.forward(&x).sub(&y);
             d.dot(&d) / (2.0 * x.rows() as f32)

@@ -7,8 +7,8 @@
 //! additive interface — they construct a preconditioned gradient and step
 //! `θ ← θ − lr · precond(g)`.
 
-use crate::mlp::{Gradients, LayerGrads, Mlp};
 use crate::matrix::Matrix;
+use crate::mlp::{Gradients, LayerGrads, Mlp};
 use serde::{Deserialize, Serialize};
 
 /// A first-order optimizer over an [`Mlp`]'s parameters.
@@ -50,7 +50,11 @@ fn zero_slots_like(grads: &Gradients) -> Vec<Slot> {
 }
 
 fn check_shapes(slots: &[Slot], grads: &Gradients) {
-    assert_eq!(slots.len(), grads.layers.len(), "optimizer/layer count mismatch");
+    assert_eq!(
+        slots.len(),
+        grads.layers.len(),
+        "optimizer/layer count mismatch"
+    );
     for (s, g) in slots.iter().zip(&grads.layers) {
         assert_eq!(
             (s.w.rows(), s.w.cols(), s.b.len()),
@@ -104,12 +108,11 @@ impl Optimizer for RmsProp {
         let mut update_layers = Vec::with_capacity(grads.layers.len());
         for (m, g) in ms.iter_mut().zip(&grads.layers) {
             let mut dw = Matrix::zeros(g.dw.rows(), g.dw.cols());
-            for ((mv, &gv), out) in m
-                .w
-                .as_mut_slice()
-                .iter_mut()
-                .zip(g.dw.as_slice())
-                .zip(dw.as_mut_slice())
+            for ((mv, &gv), out) in
+                m.w.as_mut_slice()
+                    .iter_mut()
+                    .zip(g.dw.as_slice())
+                    .zip(dw.as_mut_slice())
             {
                 *mv = self.decay * *mv + (1.0 - self.decay) * gv * gv;
                 *out = gv / (mv.sqrt() + self.eps);
@@ -193,25 +196,23 @@ impl Optimizer for Adam {
         let mut update_layers = Vec::with_capacity(grads.layers.len());
         for ((ms, vs), g) in m.iter_mut().zip(v.iter_mut()).zip(&grads.layers) {
             let mut dw = Matrix::zeros(g.dw.rows(), g.dw.cols());
-            for (((mv, vv), &gv), out) in ms
-                .w
-                .as_mut_slice()
-                .iter_mut()
-                .zip(vs.w.as_mut_slice())
-                .zip(g.dw.as_slice())
-                .zip(dw.as_mut_slice())
+            for (((mv, vv), &gv), out) in
+                ms.w.as_mut_slice()
+                    .iter_mut()
+                    .zip(vs.w.as_mut_slice())
+                    .zip(g.dw.as_slice())
+                    .zip(dw.as_mut_slice())
             {
                 *mv = self.beta1 * *mv + (1.0 - self.beta1) * gv;
                 *vv = self.beta2 * *vv + (1.0 - self.beta2) * gv * gv;
                 *out = (*mv / bc1) / ((*vv / bc2).sqrt() + self.eps);
             }
             let mut db = vec![0.0; g.db.len()];
-            for (((mv, vv), &gv), out) in ms
-                .b
-                .iter_mut()
-                .zip(vs.b.iter_mut())
-                .zip(&g.db)
-                .zip(db.iter_mut())
+            for (((mv, vv), &gv), out) in
+                ms.b.iter_mut()
+                    .zip(vs.b.iter_mut())
+                    .zip(&g.db)
+                    .zip(db.iter_mut())
             {
                 *mv = self.beta1 * *mv + (1.0 - self.beta1) * gv;
                 *vv = self.beta2 * *vv + (1.0 - self.beta2) * gv * gv;

@@ -239,8 +239,7 @@ pub(crate) mod x86 {
                 let Operands { a, kk, b, n } = ab;
                 // As in the scalar tile: rows of `A` sliced once, `B`
                 // walked row by row, no bounds check inside the `k` loop.
-                let a_rows: [&[f32]; RT] =
-                    core::array::from_fn(|rr| &a[(arow0 + rr) * kk..][..kk]);
+                let a_rows: [&[f32]; RT] = core::array::from_fn(|rr| &a[(arow0 + rr) * kk..][..kk]);
                 let width = $lanes * NV;
                 while j0 + width <= n {
                     let mut acc = [[$zero(); NV]; RT];
@@ -281,10 +280,14 @@ pub(crate) mod x86 {
             /// live lanes run the same chain as a full tile.
             #[target_feature(enable = $feat)]
             #[inline]
-            fn $mm_tail<const RT: usize>(ab: Operands<'_>, out: &mut [f32], arow0: usize, j0: usize) {
+            fn $mm_tail<const RT: usize>(
+                ab: Operands<'_>,
+                out: &mut [f32],
+                arow0: usize,
+                j0: usize,
+            ) {
                 let Operands { a, kk, b, n } = ab;
-                let a_rows: [&[f32]; RT] =
-                    core::array::from_fn(|rr| &a[(arow0 + rr) * kk..][..kk]);
+                let a_rows: [&[f32]; RT] = core::array::from_fn(|rr| &a[(arow0 + rr) * kk..][..kk]);
                 let jt = n - j0;
                 debug_assert!(jt < $lanes);
                 let mask = $tail_mask(jt);
@@ -397,12 +400,18 @@ pub(crate) mod x86 {
     /// [`GemmKernel::Avx512`], on the AVX2 one under any other kernel.
     pub(crate) fn run_tanh_in_place(kernel: GemmKernel, xs: &mut [f32]) {
         if kernel == GemmKernel::Avx512 {
-            assert!(super::avx512_available(), "AVX-512 tanh dispatched without CPU support");
+            assert!(
+                super::avx512_available(),
+                "AVX-512 tanh dispatched without CPU support"
+            );
             // SAFETY: AVX-512 F/BW/DQ/VL support was just asserted via
             // runtime feature detection.
             unsafe { tanh_in_place_avx512(xs) }
         } else {
-            assert!(super::avx2_available(), "AVX2 tanh dispatched without CPU support");
+            assert!(
+                super::avx2_available(),
+                "AVX2 tanh dispatched without CPU support"
+            );
             // SAFETY: AVX2 support was just asserted via runtime feature
             // detection.
             unsafe { tanh_in_place_avx2(xs) }
@@ -428,7 +437,10 @@ pub(crate) mod x86 {
         n: usize,
         inv: &mut [f32],
     ) -> Result<(), crate::linalg::LinalgError> {
-        assert!(super::avx2_available(), "AVX2 inversion dispatched without CPU support");
+        assert!(
+            super::avx2_available(),
+            "AVX2 inversion dispatched without CPU support"
+        );
         // SAFETY: AVX2 support was just asserted via runtime feature
         // detection.
         unsafe { factor_and_solve_avx2(work, n, inv) }
@@ -444,12 +456,18 @@ pub(crate) mod x86 {
         j_start: usize,
     ) {
         if kernel == GemmKernel::Avx512 {
-            assert!(super::avx512_available(), "AVX-512 kernel dispatched without CPU support");
+            assert!(
+                super::avx512_available(),
+                "AVX-512 kernel dispatched without CPU support"
+            );
             // SAFETY: AVX-512 F/BW/DQ/VL support was just asserted via
             // runtime feature detection.
             unsafe { matmul_block_avx512(ab, out, row0, j_start) }
         } else {
-            assert!(super::avx2_available(), "AVX2 kernel dispatched without CPU support");
+            assert!(
+                super::avx2_available(),
+                "AVX2 kernel dispatched without CPU support"
+            );
             // SAFETY: AVX2 support was just asserted via runtime feature
             // detection.
             unsafe { matmul_block_avx2(ab, out, row0, j_start) }
@@ -475,10 +493,14 @@ mod tests {
         for avx2 in ["avx2", "AVX2"] {
             assert_eq!(parse_requested(Some(avx2)), Ok(GemmKernel::Avx2), "{avx2}");
         }
-        for removed in ["0", "scalar", "false", "fma", "on", "1", "true", "avx512", "2"] {
+        for removed in [
+            "0", "scalar", "false", "fma", "on", "1", "true", "avx512", "2",
+        ] {
             assert_eq!(
                 parse_requested(Some(removed)),
-                Err(format!("DOSCO_SIMD must be one of auto|off|avx2 (got {removed:?})")),
+                Err(format!(
+                    "DOSCO_SIMD must be one of auto|off|avx2 (got {removed:?})"
+                )),
             );
         }
     }
@@ -493,7 +515,10 @@ mod tests {
         let scalar_only = |k: GemmKernel| k == GemmKernel::Scalar;
         assert_eq!(GemmKernel::Avx512.best_where(all), GemmKernel::Avx512);
         assert_eq!(GemmKernel::Avx512.best_where(no_avx512), GemmKernel::Avx2);
-        assert_eq!(GemmKernel::Avx512.best_where(scalar_only), GemmKernel::Scalar);
+        assert_eq!(
+            GemmKernel::Avx512.best_where(scalar_only),
+            GemmKernel::Scalar
+        );
         assert_eq!(GemmKernel::Avx2.best_where(all), GemmKernel::Avx2);
         assert_eq!(GemmKernel::Avx2.best_where(scalar_only), GemmKernel::Scalar);
         assert_eq!(GemmKernel::Scalar.best_where(all), GemmKernel::Scalar);

@@ -39,7 +39,13 @@ fn available_kernels() -> Vec<GemmKernel> {
 /// 3 or 5 rows — the 1- and 2-row panels, which start with the widest tiles),
 /// the rest anything up to `max`.
 fn rows_biased_to_tails(max: usize) -> impl Strategy<Value = usize> {
-    (0..2 * max).prop_map(move |v| if v < max { [1, 2, 3, 5][v % 4] } else { v - max + 1 })
+    (0..2 * max).prop_map(move |v| {
+        if v < max {
+            [1, 2, 3, 5][v % 4]
+        } else {
+            v - max + 1
+        }
+    })
 }
 
 /// The inversion `damped_inverse` replaced, kept as its specification: a
@@ -405,7 +411,11 @@ fn paper_shape_forward_is_batch_split_invariant_under_every_kernel() {
                 let single = forward(&Matrix::row_vector(x.row(r)), kernel);
                 assert_eq!(
                     bits(&single),
-                    batched.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    batched
+                        .row(r)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>(),
                     "{kernel:?}: row {r} of batch {batch}"
                 );
             }
@@ -470,7 +480,7 @@ fn gemm_equivalence_at_paper_scale() {
         (64, 256, 256),                 // the hidden layer at batch 64
         (257, 257, 4),                  // the actor head's A⁻¹ · ∇
         (257, 191, 1),
-        (33, 65, 249),                  // 16 lanes, 1-row panel: 128 + 64 + 32 + 16 + a tail of 9
+        (33, 65, 249), // 16 lanes, 1-row panel: 128 + 64 + 32 + 16 + a tail of 9
     ];
     for m in [31, 32, 33] {
         for k in [191, 192, 257] {
@@ -531,4 +541,3 @@ fn gemm_propagates_nan_and_inf_through_zero_rows() {
     assert!(c.get(0, 0).is_nan(), "0·NaN + 1·1 must be NaN");
     assert_eq!(bits(&c), bits(&a.matmul_transpose_ref(&bt)));
 }
-

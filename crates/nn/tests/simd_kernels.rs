@@ -121,11 +121,20 @@ fn simd_kernels_propagate_nan_and_inf() {
         let at = a.transpose(); // 2×1, so atᵀ·b == a·b
         let mut out_t = Matrix::zeros(1, 17);
         at.transpose_matmul_into_with(&b, &mut out_t, kernel);
-        assert!(out_t.get(0, 0).is_nan(), "{kernel:?}: transpose_matmul 0·NaN");
-        assert!(out_t.get(0, 16).is_nan(), "{kernel:?}: transpose_matmul 0·∞");
+        assert!(
+            out_t.get(0, 0).is_nan(),
+            "{kernel:?}: transpose_matmul 0·NaN"
+        );
+        assert!(
+            out_t.get(0, 16).is_nan(),
+            "{kernel:?}: transpose_matmul 0·∞"
+        );
 
         let mut out_mt = Matrix::zeros(1, 1);
         a_long.matmul_transpose_into_with(&b_long, &mut out_mt, kernel);
-        assert!(out_mt.get(0, 0).is_nan(), "{kernel:?}: matmul_transpose 0·NaN");
+        assert!(
+            out_mt.get(0, 0).is_nan(),
+            "{kernel:?}: matmul_transpose 0·NaN"
+        );
     }
 }

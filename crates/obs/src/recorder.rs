@@ -68,7 +68,10 @@ impl JsonlRecorder {
         let events: usize = streams.values().map(|b| b.lines.len()).sum();
         let header = Value::Object(vec![
             ("schema".to_string(), Value::UInt(u64::from(SCHEMA_VERSION))),
-            ("generated_by".to_string(), Value::Str("dosco_obs".to_string())),
+            (
+                "generated_by".to_string(),
+                Value::Str("dosco_obs".to_string()),
+            ),
             ("streams".to_string(), Value::UInt(streams.len() as u64)),
             ("events".to_string(), Value::UInt(events as u64)),
         ]);
@@ -150,8 +153,20 @@ mod tests {
     #[test]
     fn every_line_parses_and_header_counts() {
         let r = JsonlRecorder::new("/tmp/unused-c.jsonl");
-        r.record(Stream::learner(), &Event::SnapshotPublished { version: 1, total_steps: 64 });
-        r.record(Stream::actor(), &Event::BatchProduced { version: 0, transitions: 64 });
+        r.record(
+            Stream::learner(),
+            &Event::SnapshotPublished {
+                version: 1,
+                total_steps: 64,
+            },
+        );
+        r.record(
+            Stream::actor(),
+            &Event::BatchProduced {
+                version: 0,
+                transitions: 64,
+            },
+        );
         let text = r.render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);

@@ -143,12 +143,7 @@ impl Ddpg {
             &mut rng,
         );
         let critic = Mlp::new(
-            &[
-                obs_dim + action_dim,
-                config.hidden[0],
-                config.hidden[1],
-                1,
-            ],
+            &[obs_dim + action_dim, config.hidden[0], config.hidden[1], 1],
             dosco_nn::Activation::Tanh,
             &mut rng,
         );
@@ -266,8 +261,7 @@ impl Ddpg {
         let critic_cache = self.critic.forward_cached(&sa);
         let mut dq = Matrix::zeros(n, 1);
         for r in 0..n {
-            let y = rewards[r]
-                + self.config.gamma * if dones[r] { 0.0 } else { next_q.get(r, 0) };
+            let y = rewards[r] + self.config.gamma * if dones[r] { 0.0 } else { next_q.get(r, 0) };
             dq.set(r, 0, (critic_cache.output.get(r, 0) - y) / n as f32);
         }
         let critic_grads = self.critic.backward(&critic_cache, &dq);
@@ -297,7 +291,8 @@ impl Ddpg {
         self.actor_opt.step(&mut self.actor, &actor_grads);
 
         // Target network Polyak updates.
-        self.target_actor.soft_update_from(&self.actor, self.config.tau);
+        self.target_actor
+            .soft_update_from(&self.actor, self.config.tau);
         self.target_critic
             .soft_update_from(&self.critic, self.config.tau);
     }

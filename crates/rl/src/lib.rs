@@ -71,6 +71,8 @@ pub use a2c::{A2c, A2cConfig};
 pub use acktr::{Acktr, AcktrConfig};
 pub use ddpg::{Ddpg, DdpgConfig};
 pub use env::{ContinuousEnv, Env, StepResult};
-pub use learner::{train_serial, train_serial_with, ActorCritic, CollectParams, Learner, UpdateRule};
+pub use learner::{
+    train_serial, train_serial_with, ActorCritic, CollectParams, Learner, UpdateRule,
+};
 pub use ppo::{Ppo, PpoConfig};
 pub use trainer::{train_multi_seed, SeedResult};

@@ -105,7 +105,11 @@ pub(crate) fn ppo_logit_gradients(
             let p = probs.get(r, j);
             let onehot = if j == actions[r] { 1.0 } else { 0.0 };
             // ∇logits of −ρ·A·log-prob term: ρ·A·(π − onehot).
-            let pg = if active { ratio * adv * (p - onehot) } else { 0.0 };
+            let pg = if active {
+                ratio * adv * (p - onehot)
+            } else {
+                0.0
+            };
             // Entropy ascent (loss includes −β·H): β·π(logπ + H).
             let lpj = if p > 0.0 { p.ln() } else { 0.0 };
             let ent = ent_coef * p * (lpj + h);

@@ -90,7 +90,8 @@ impl RolloutCollector {
             for (e, env) in envs.iter_mut().enumerate() {
                 let r = env.step(acts[e]);
                 let idx = t * n_envs + e;
-                obs.row_mut(idx).copy_from_slice(self.current_obs[e].as_slice());
+                obs.row_mut(idx)
+                    .copy_from_slice(self.current_obs[e].as_slice());
                 actions.push(acts[e]);
                 rewards.push(r.reward);
                 reward_sum += r.reward;

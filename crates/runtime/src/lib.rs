@@ -40,8 +40,8 @@ pub mod wire;
 
 pub use config::RuntimeConfig;
 pub use counters::RuntimeReport;
-pub use driver::{train, train_cancellable, train_with_transport, RuntimeOutcome};
 pub use dosco_rl::learner::{CollectParams, Learner};
+pub use driver::{train, train_cancellable, train_with_transport, RuntimeOutcome};
 pub use remote::{run_actor, run_learner};
 pub use snapshot::{PolicySlot, PolicySnapshot, SlotInfo};
 pub use wire::{ExperienceBatch, LearnerHello, SyncReply};

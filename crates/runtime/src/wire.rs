@@ -144,8 +144,16 @@ mod tests {
     fn sync_reply_round_trips() {
         let snap = PolicySnapshot {
             version: 7,
-            actor: dosco_nn::mlp::Mlp::new(&[3, 4, 2], dosco_nn::mlp::Activation::Tanh, &mut StdRng::seed_from_u64(11)),
-            critic: dosco_nn::mlp::Mlp::new(&[3, 4, 1], dosco_nn::mlp::Activation::Tanh, &mut StdRng::seed_from_u64(12)),
+            actor: dosco_nn::mlp::Mlp::new(
+                &[3, 4, 2],
+                dosco_nn::mlp::Activation::Tanh,
+                &mut StdRng::seed_from_u64(11),
+            ),
+            critic: dosco_nn::mlp::Mlp::new(
+                &[3, 4, 1],
+                dosco_nn::mlp::Activation::Tanh,
+                &mut StdRng::seed_from_u64(12),
+            ),
         };
         let reply = SyncReply {
             snapshot: Arc::new(snap.clone()),
@@ -161,8 +169,16 @@ mod tests {
     fn hello_round_trips() {
         let snap = PolicySnapshot {
             version: 0,
-            actor: dosco_nn::mlp::Mlp::new(&[2, 3, 2], dosco_nn::mlp::Activation::Relu, &mut StdRng::seed_from_u64(1)),
-            critic: dosco_nn::mlp::Mlp::new(&[2, 3, 1], dosco_nn::mlp::Activation::Relu, &mut StdRng::seed_from_u64(2)),
+            actor: dosco_nn::mlp::Mlp::new(
+                &[2, 3, 2],
+                dosco_nn::mlp::Activation::Relu,
+                &mut StdRng::seed_from_u64(1),
+            ),
+            critic: dosco_nn::mlp::Mlp::new(
+                &[2, 3, 1],
+                dosco_nn::mlp::Activation::Relu,
+                &mut StdRng::seed_from_u64(2),
+            ),
         };
         let hello = LearnerHello {
             params: CollectParams {

@@ -108,7 +108,12 @@ fn sync_over_loopback_socket_is_bit_identical_to_in_process() {
 
     let mut in_proc = A2c::new(2, 2, cfg, 7);
     let mut in_proc_envs = ring_envs(3);
-    let baseline = train(&mut in_proc, &mut in_proc_envs, total, &RuntimeConfig::sync());
+    let baseline = train(
+        &mut in_proc,
+        &mut in_proc_envs,
+        total,
+        &RuntimeConfig::sync(),
+    );
 
     let mut socketed = A2c::new(2, 2, cfg, 7);
     let mut socket_envs = ring_envs(3);
@@ -174,7 +179,10 @@ fn sync_ppo_over_loopback_socket_is_bit_identical() {
     );
 
     assert_eq!(outcome.stats, baseline.stats);
-    assert_eq!(socketed.actor().flat_params(), in_proc.actor().flat_params());
+    assert_eq!(
+        socketed.actor().flat_params(),
+        in_proc.actor().flat_params()
+    );
     assert_eq!(
         socketed.critic().flat_params(),
         in_proc.critic().flat_params()
@@ -192,7 +200,12 @@ fn remote_learner_and_actor_over_tcp_match_in_process_sync() {
 
     let mut in_proc = A2c::new(2, 2, cfg, 7);
     let mut in_proc_envs = ring_envs(3);
-    let baseline = train(&mut in_proc, &mut in_proc_envs, total, &RuntimeConfig::sync());
+    let baseline = train(
+        &mut in_proc,
+        &mut in_proc_envs,
+        total,
+        &RuntimeConfig::sync(),
+    );
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind learner");
     let addr = listener.local_addr().expect("learner address").to_string();
@@ -247,7 +260,13 @@ fn cancelled_training_shuts_down_cleanly_and_restores_rng() {
     let mut agent = A2c::new(2, 2, a2c_config(), 17);
     let mut envs = ring_envs(2);
     cancel.store(true, Ordering::Relaxed); // cancel before the first update
-    let outcome = train_cancellable(&mut agent, &mut envs, 1_000_000, &RuntimeConfig::sync(), &cancel);
+    let outcome = train_cancellable(
+        &mut agent,
+        &mut envs,
+        1_000_000,
+        &RuntimeConfig::sync(),
+        &cancel,
+    );
     assert_eq!(outcome.stats.total_steps, 0, "cancel preempted all updates");
     // The agent survived with a usable RNG: further training works.
     let tail = agent.train(&mut ring_envs(2), 40);

@@ -98,8 +98,14 @@ mod tests {
     fn drains_in_push_order() {
         let q = ControlQueue::new();
         assert!(!q.is_pending());
-        q.push(PublishCmd { snapshot: snap(1), shards: vec![1] });
-        q.push(PublishCmd { snapshot: snap(2), shards: vec![0] });
+        q.push(PublishCmd {
+            snapshot: snap(1),
+            shards: vec![1],
+        });
+        q.push(PublishCmd {
+            snapshot: snap(2),
+            shards: vec![0],
+        });
         assert!(q.is_pending());
         let cmds = q.drain();
         assert_eq!(cmds.len(), 2);

@@ -416,8 +416,14 @@ mod tests {
         let policy = policy();
         let cases = [
             ("a node of shard 1", vec![request(0, 1, vec![0.0; 8])]),
-            ("a node outside the topology", vec![request(0, 4, vec![0.0; 8])]),
-            ("an observation of the wrong width", vec![request(0, 0, vec![0.0; 7])]),
+            (
+                "a node outside the topology",
+                vec![request(0, 4, vec![0.0; 8])],
+            ),
+            (
+                "an observation of the wrong width",
+                vec![request(0, 0, vec![0.0; 7])],
+            ),
             (
                 "a repeated request id",
                 vec![request(3, 0, vec![0.0; 8]), request(3, 2, vec![0.0; 8])],

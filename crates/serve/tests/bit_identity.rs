@@ -15,7 +15,11 @@ use rand::SeedableRng;
 
 fn policy(degree: usize) -> CoordinationPolicy {
     let mut rng = StdRng::seed_from_u64(11);
-    let actor = Mlp::new(&[4 * degree + 4, 24, degree + 1], Activation::Tanh, &mut rng);
+    let actor = Mlp::new(
+        &[4 * degree + 4, 24, degree + 1],
+        Activation::Tanh,
+        &mut rng,
+    );
     CoordinationPolicy::new(actor, degree, PolicyMetadata::default())
 }
 
@@ -70,8 +74,7 @@ fn stochastic_serving_is_shard_count_invariant_and_matches_in_process() {
         "stochastic serving must be shard-count invariant"
     );
 
-    let mut agents =
-        DistributedAgents::deploy_stochastic(&p, scenario.topology.num_nodes(), seed);
+    let mut agents = DistributedAgents::deploy_stochastic(&p, scenario.topology.num_nodes(), seed);
     let mut sim = Simulation::new(scenario.clone(), 5);
     sim.run(&mut agents);
     assert_eq!(
@@ -128,8 +131,7 @@ fn churn_serving_is_deterministic_and_shard_count_invariant() {
     assert_eq!(four.metrics, again.metrics, "same seed, same timeline");
 
     // Empty timeline == no churn, bit for bit.
-    let empty =
-        ServeConfig::new(2).with_churn(dosco_chaos::ChurnTimeline::none());
+    let empty = ServeConfig::new(2).with_churn(dosco_chaos::ChurnTimeline::none());
     let plain = serve(&p, None, &scenario, &seeds, &ServeConfig::new(2));
     let with_empty = serve(&p, None, &scenario, &seeds, &empty);
     assert_eq!(plain.metrics, with_empty.metrics);

@@ -21,7 +21,11 @@ fn scenario() -> ScenarioConfig {
 
 fn actor(degree: usize, seed: u64) -> Mlp {
     let mut rng = StdRng::seed_from_u64(seed);
-    Mlp::new(&[4 * degree + 4, 24, degree + 1], Activation::Tanh, &mut rng)
+    Mlp::new(
+        &[4 * degree + 4, 24, degree + 1],
+        Activation::Tanh,
+        &mut rng,
+    )
 }
 
 fn critic(degree: usize, seed: u64) -> Mlp {
@@ -100,7 +104,14 @@ fn hub_without_publishes_serves_initial_snapshot() {
         actor: actor(degree, 11),
         critic: critic(degree, 12),
     });
-    let out = serve_with(&p, Some(&hub), &scenario, &[3], &ServeConfig::new(2), |_| {});
+    let out = serve_with(
+        &p,
+        Some(&hub),
+        &scenario,
+        &[3],
+        &ServeConfig::new(2),
+        |_| {},
+    );
     let r = &out.report;
     assert_eq!(r.swaps, 0);
     assert_eq!(r.final_version, 5);
@@ -115,8 +126,11 @@ fn hub_without_publishes_serves_initial_snapshot() {
 fn total_outage_serves_entirely_from_fallback() {
     let scenario = scenario();
     let p = policy(scenario.topology.network_degree(), 11);
-    let cfg = ServeConfig::new(2)
-        .with_faults(FaultScript::new().kill(0, 0, u64::MAX).kill(1, 0, u64::MAX));
+    let cfg = ServeConfig::new(2).with_faults(FaultScript::new().kill(0, 0, u64::MAX).kill(
+        1,
+        0,
+        u64::MAX,
+    ));
     let out = serve(&p, None, &scenario, &[4], &cfg);
     let r = &out.report;
     assert!(r.conserved());

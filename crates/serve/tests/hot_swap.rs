@@ -28,7 +28,11 @@ fn scenario() -> ScenarioConfig {
 
 fn actor(degree: usize, seed: u64) -> Mlp {
     let mut rng = StdRng::seed_from_u64(seed);
-    Mlp::new(&[4 * degree + 4, 24, degree + 1], Activation::Tanh, &mut rng)
+    Mlp::new(
+        &[4 * degree + 4, 24, degree + 1],
+        Activation::Tanh,
+        &mut rng,
+    )
 }
 
 fn critic(degree: usize, seed: u64) -> Mlp {
@@ -120,8 +124,16 @@ fn rapid_hub_publishes_conserve_decisions_and_stay_monotone() {
     assert!(versions.iter().all(|&v| v <= K), "{versions:?}");
     // The first and last published versions certainly served decisions
     // (epochs 0..4 ran v0; everything after the burst ran vK).
-    assert!(out.report.decisions_by_version.iter().any(|&(v, n)| v == 0 && n > 0));
-    assert!(out.report.decisions_by_version.iter().any(|&(v, n)| v == K && n > 0));
+    assert!(out
+        .report
+        .decisions_by_version
+        .iter()
+        .any(|&(v, n)| v == 0 && n > 0));
+    assert!(out
+        .report
+        .decisions_by_version
+        .iter()
+        .any(|&(v, n)| v == K && n > 0));
     assert_monotone_versions(&samples);
 }
 
@@ -189,7 +201,10 @@ fn mid_canary_shard_kill_conserves_and_respawns_at_candidate() {
     assert_eq!(r.final_version, 3);
     // Both versions served decisions, summing to the batched total.
     assert!(r.decisions_by_version.iter().any(|&(v, n)| v == 3 && n > 0));
-    assert!(r.decisions_by_version.iter().any(|&(v, n)| v == CANDIDATE && n > 0));
+    assert!(r
+        .decisions_by_version
+        .iter()
+        .any(|&(v, n)| v == CANDIDATE && n > 0));
     let by_version: u64 = r.decisions_by_version.iter().map(|&(_, n)| n).sum();
     assert_eq!(by_version, r.batched_decisions);
     assert_eq!(r.decisions, r.batched_decisions + r.fallback_decisions);

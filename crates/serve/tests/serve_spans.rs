@@ -21,7 +21,11 @@ fn phase_spans_count_the_epochs_that_routed_a_decision() {
     let scenario = ScenarioConfig::paper_base(2).with_horizon(300.0);
     let degree = scenario.topology.network_degree();
     let mut rng = StdRng::seed_from_u64(5);
-    let actor = Mlp::new(&[4 * degree + 4, 16, degree + 1], Activation::Tanh, &mut rng);
+    let actor = Mlp::new(
+        &[4 * degree + 4, 16, degree + 1],
+        Activation::Tanh,
+        &mut rng,
+    );
     let policy = CoordinationPolicy::new(actor, degree, PolicyMetadata::default());
     let (from, until) = (2, 5);
     let cfg = ServeConfig::new(1).with_faults(FaultScript::new().kill(0, from, until));

@@ -230,7 +230,10 @@ impl ChurnTimeline {
     /// Panics if any entry time is NaN or negative.
     pub fn new(mut entries: Vec<(f64, ChurnAction)>) -> Self {
         for (t, a) in &entries {
-            assert!(t.is_finite() && *t >= 0.0, "churn time {t} for {a} must be finite and ≥ 0");
+            assert!(
+                t.is_finite() && *t >= 0.0,
+                "churn time {t} for {a} must be finite and ≥ 0"
+            );
         }
         entries.sort_by(|a, b| a.0.total_cmp(&b.0));
         ChurnTimeline {
@@ -367,8 +370,14 @@ impl ChurnStats {
                 self.events_applied += 1;
                 self.sp_recomputes += u64::from(action.affects_routing());
             }
-            SimEvent::FlowDropped { reason: DropReason::LinkFailure, .. } => self.flows_killed_link += 1,
-            SimEvent::FlowDropped { reason: DropReason::NodeFailure, .. } => self.flows_killed_node += 1,
+            SimEvent::FlowDropped {
+                reason: DropReason::LinkFailure,
+                ..
+            } => self.flows_killed_link += 1,
+            SimEvent::FlowDropped {
+                reason: DropReason::NodeFailure,
+                ..
+            } => self.flows_killed_node += 1,
             _ => {}
         }
     }
@@ -385,14 +394,26 @@ mod tests {
             ChurnAction::LinkUp(LinkId(0)),
             ChurnAction::NodeDown(NodeId(3)),
             ChurnAction::NodeUp(NodeId(u32::MAX as usize - 1)),
-            ChurnAction::DegradeLinkCapacity { link: LinkId(2), factor: 0.1 },
-            ChurnAction::DegradeNodeCapacity { node: NodeId(5), factor: 0.0 },
-            ChurnAction::DelaySpike { link: LinkId(1), factor: 1e-300 },
+            ChurnAction::DegradeLinkCapacity {
+                link: LinkId(2),
+                factor: 0.1,
+            },
+            ChurnAction::DegradeNodeCapacity {
+                node: NodeId(5),
+                factor: 0.0,
+            },
+            ChurnAction::DelaySpike {
+                link: LinkId(1),
+                factor: 1e-300,
+            },
         ];
         for action in actions {
             let back = PackedAction::pack(action).unpack();
             assert_eq!(back, action);
-            assert_eq!(back.factor().map(f64::to_bits), action.factor().map(f64::to_bits));
+            assert_eq!(
+                back.factor().map(f64::to_bits),
+                action.factor().map(f64::to_bits)
+            );
         }
         assert_eq!(std::mem::size_of::<PackedAction>(), 16);
     }
@@ -444,14 +465,24 @@ mod tests {
         assert_eq!(b.target(), 2);
         assert_eq!(b.factor(), None);
         assert!(b.affects_routing());
-        assert!(ChurnAction::DelaySpike { link: LinkId(0), factor: 2.0 }.affects_routing());
+        assert!(ChurnAction::DelaySpike {
+            link: LinkId(0),
+            factor: 2.0
+        }
+        .affects_routing());
         assert_eq!(b.to_string(), "node-down v2");
     }
 
     #[test]
     fn serde_round_trip() {
-        let t = ChurnTimeline::new(vec![(1.0, ChurnAction::DelaySpike { link: LinkId(1), factor: 3.0 })])
-            .with_transit(TransitPolicy::Deliver);
+        let t = ChurnTimeline::new(vec![(
+            1.0,
+            ChurnAction::DelaySpike {
+                link: LinkId(1),
+                factor: 3.0,
+            },
+        )])
+        .with_transit(TransitPolicy::Deliver);
         let json = serde_json::to_string(&t).unwrap();
         let back: ChurnTimeline = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);

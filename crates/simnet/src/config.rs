@@ -264,7 +264,10 @@ mod tests {
 
         let mut cfg = ScenarioConfig::paper_base(1);
         cfg.ingresses[0].service = ServiceId(5);
-        assert_eq!(cfg.validate(), Err(ConfigError::UnknownService(ServiceId(5))));
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::UnknownService(ServiceId(5)))
+        );
 
         let mut cfg = ScenarioConfig::paper_base(1);
         cfg.horizon = -1.0;
@@ -309,9 +312,18 @@ mod tests {
         }
         let profile = FlowProfile::paper_default();
         for bad in [
-            FlowProfile { rate: f64::NAN, ..profile },
-            FlowProfile { duration: -1.0, ..profile },
-            FlowProfile { deadline: 0.0, ..profile },
+            FlowProfile {
+                rate: f64::NAN,
+                ..profile
+            },
+            FlowProfile {
+                duration: -1.0,
+                ..profile
+            },
+            FlowProfile {
+                deadline: 0.0,
+                ..profile
+            },
         ] {
             let mut cfg = ScenarioConfig::paper_base(2);
             cfg.ingresses[1].profile = bad;

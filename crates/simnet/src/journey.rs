@@ -149,7 +149,11 @@ impl JourneyLog {
                     }
                 }
                 SimEvent::Forwarded {
-                    flow, from, to, time, ..
+                    flow,
+                    from,
+                    to,
+                    time,
+                    ..
                 } => {
                     if let Some(j) = self.journeys.get_mut(&flow) {
                         j.legs.push(Leg::Forwarded { from, to, time });

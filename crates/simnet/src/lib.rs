@@ -75,6 +75,6 @@ pub use event::{DropReason, SimEvent};
 pub use flow::{Flow, FlowId, FlowKey};
 pub use metrics::{Metrics, WindowedStats};
 pub use queue::{EventKey, EventQueue};
-pub use slab::{Slab, SlotKey};
 pub use service::{Component, ComponentId, Service, ServiceCatalog, ServiceId};
 pub use sim::Simulation;
+pub use slab::{Slab, SlotKey};

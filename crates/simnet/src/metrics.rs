@@ -329,7 +329,9 @@ mod tests {
         let mut w = WindowedStats::new(3);
         assert_eq!(w.success_ratio(), None);
         assert!(w.is_empty());
-        [completed(4.0), completed(6.0), dropped()].iter().for_each(|e| w.observe(e));
+        [completed(4.0), completed(6.0), dropped()]
+            .iter()
+            .for_each(|e| w.observe(e));
         assert_eq!(w.len(), 3);
         assert_eq!(w.success_ratio(), Some(2.0 / 3.0));
         assert_eq!(w.avg_e2e_delay(), Some(5.0));

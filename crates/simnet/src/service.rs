@@ -198,7 +198,10 @@ impl ServiceCatalog {
             name: "video-streaming".into(),
             chain: vec![ComponentId(0), ComponentId(1), ComponentId(2)],
         }];
-        #[allow(clippy::expect_used, reason = "a fixed, valid catalog, built by every test that uses the paper scenario")]
+        #[allow(
+            clippy::expect_used,
+            reason = "a fixed, valid catalog, built by every test that uses the paper scenario"
+        )]
         ServiceCatalog::new(components, services).expect("paper service is valid")
     }
 
@@ -317,7 +320,10 @@ mod tests {
             }],
         )
         .unwrap_err();
-        assert_eq!(err, CatalogError::UnknownComponent(ServiceId(0), ComponentId(5)));
+        assert_eq!(
+            err,
+            CatalogError::UnknownComponent(ServiceId(0), ComponentId(5))
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use dosco_simnet::coordinator::AlwaysLocal;
 use dosco_simnet::{
-    Action, Component, ComponentId, Coordinator, DropReason, IngressSpec, ScenarioConfig,
-    Service, ServiceCatalog, ServiceId, Simulation,
+    Action, Component, ComponentId, Coordinator, DropReason, IngressSpec, ScenarioConfig, Service,
+    ServiceCatalog, ServiceId, Simulation,
 };
 use dosco_topology::{generators, NodeId};
 use dosco_traffic::{ArrivalPattern, FlowProfile};

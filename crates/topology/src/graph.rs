@@ -215,10 +215,7 @@ impl Topology {
 
     /// The link between `a` and `b`, if any.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.adj[a.0]
-            .iter()
-            .find(|(n, _)| *n == b)
-            .map(|&(_, l)| l)
+        self.adj[a.0].iter().find(|(n, _)| *n == b).map(|&(_, l)| l)
     }
 
     /// Maximum link capacity over the outgoing links `L_v` of `v`.
@@ -557,7 +554,10 @@ mod tests {
     fn rejects_self_loop() {
         let mut b = TopologyBuilder::new("t");
         let v0 = b.add_node("a", 1.0);
-        assert_eq!(b.add_link(v0, v0, 1.0, 1.0), Err(TopologyError::SelfLoop(v0)));
+        assert_eq!(
+            b.add_link(v0, v0, 1.0, 1.0),
+            Err(TopologyError::SelfLoop(v0))
+        );
     }
 
     #[test]

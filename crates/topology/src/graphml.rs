@@ -275,9 +275,7 @@ pub fn parse(xml: &str, name: &str) -> Result<Topology, GraphmlError> {
             } => match tag.as_str() {
                 "graph" => saw_graph = true,
                 "key" if attrs.get("for").map(String::as_str) == Some("node") => {
-                    if let (Some(id), Some(attr_name)) =
-                        (attrs.get("id"), attrs.get("attr.name"))
-                    {
+                    if let (Some(id), Some(attr_name)) = (attrs.get("id"), attrs.get("attr.name")) {
                         node_keys.insert(id.clone(), attr_name.clone());
                     }
                 }
@@ -370,8 +368,10 @@ pub fn parse(xml: &str, name: &str) -> Result<Topology, GraphmlError> {
             continue; // parallel edges collapse to one
         }
         seen.push(key);
-        let both_positioned =
-            positions[s.0].0.is_some() && positions[s.0].1.is_some() && positions[t.0].0.is_some() && positions[t.0].1.is_some();
+        let both_positioned = positions[s.0].0.is_some()
+            && positions[s.0].1.is_some()
+            && positions[t.0].0.is_some()
+            && positions[t.0].1.is_some();
         if both_positioned {
             b.add_link_geo(s, t, 1.0, US_PER_KM)?;
         } else {
@@ -395,12 +395,8 @@ pub fn write(topo: &Topology) -> String {
     let mut out = String::new();
     out.push_str("<?xml version=\"1.0\" encoding=\"utf-8\"?>\n");
     out.push_str("<graphml xmlns=\"http://graphml.graphdrawing.org/xmlns\">\n");
-    out.push_str(
-        "  <key attr.name=\"Latitude\" attr.type=\"double\" for=\"node\" id=\"d29\"/>\n",
-    );
-    out.push_str(
-        "  <key attr.name=\"Longitude\" attr.type=\"double\" for=\"node\" id=\"d32\"/>\n",
-    );
+    out.push_str("  <key attr.name=\"Latitude\" attr.type=\"double\" for=\"node\" id=\"d29\"/>\n");
+    out.push_str("  <key attr.name=\"Longitude\" attr.type=\"double\" for=\"node\" id=\"d32\"/>\n");
     out.push_str("  <key attr.name=\"label\" attr.type=\"string\" for=\"node\" id=\"d33\"/>\n");
     out.push_str("  <graph edgedefault=\"undirected\">\n");
     for v in topo.node_ids() {
@@ -479,7 +475,8 @@ mod tests {
 
     #[test]
     fn rejects_unknown_edge_ref() {
-        let xml = r#"<graphml><graph><node id="0"/><edge source="0" target="9"/></graph></graphml>"#;
+        let xml =
+            r#"<graphml><graph><node id="0"/><edge source="0" target="9"/></graph></graphml>"#;
         assert_eq!(
             parse(xml, "x"),
             Err(GraphmlError::UnknownNodeRef("9".into()))
@@ -488,7 +485,10 @@ mod tests {
 
     #[test]
     fn rejects_document_without_graph() {
-        assert_eq!(parse("<graphml></graphml>", "x"), Err(GraphmlError::NoGraph));
+        assert_eq!(
+            parse("<graphml></graphml>", "x"),
+            Err(GraphmlError::NoGraph)
+        );
     }
 
     #[test]

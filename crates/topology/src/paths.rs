@@ -405,7 +405,10 @@ mod tests {
         let sp = ShortestPaths::compute(&t);
         assert_eq!(sp.delay(NodeId(0), NodeId(2)), 2.0);
         assert_eq!(sp.next_hop(NodeId(0), NodeId(2)), Some(NodeId(1)));
-        assert_eq!(sp.path(NodeId(0), NodeId(2)), Some(vec![NodeId(1), NodeId(2)]));
+        assert_eq!(
+            sp.path(NodeId(0), NodeId(2)),
+            Some(vec![NodeId(1), NodeId(2)])
+        );
     }
 
     #[test]
@@ -479,12 +482,7 @@ mod tests {
     fn masked_dead_node_isolates_it_but_keeps_self_delay() {
         let t = detour();
         let delays: Vec<f64> = t.link_ids().map(|l| t.link(l).delay).collect();
-        let sp = ShortestPaths::compute_masked(
-            &t,
-            &[true, false, true],
-            &[true; 3],
-            &delays,
-        );
+        let sp = ShortestPaths::compute_masked(&t, &[true, false, true], &[true; 3], &delays);
         assert!(!sp.delay(NodeId(0), NodeId(1)).is_finite());
         assert_eq!(sp.delay(NodeId(1), NodeId(1)), 0.0);
         // 0→2 survives via the direct link, not through the dead node.

@@ -213,12 +213,21 @@ mod tests {
         // v1 (Chicago) transits New York (v3): overlapping resources in
         // the north-east cluster.
         let p1 = sp.path(NodeId(0), ABILENE_EGRESS).unwrap();
-        assert!(p1.contains(&NodeId(2)), "Chicago should transit NY, got {p1:?}");
+        assert!(
+            p1.contains(&NodeId(2)),
+            "Chicago should transit NY, got {p1:?}"
+        );
         // v3 (New York) is one hop from the egress (Washington DC).
-        assert_eq!(sp.path(NodeId(2), ABILENE_EGRESS), Some(vec![ABILENE_EGRESS]));
+        assert_eq!(
+            sp.path(NodeId(2), ABILENE_EGRESS),
+            Some(vec![ABILENE_EGRESS])
+        );
         // v4 (Houston) goes the disjoint southern way via Atlanta.
         let p4 = sp.path(NodeId(3), ABILENE_EGRESS).unwrap();
-        assert!(p4.contains(&NodeId(9)), "Houston should transit Atlanta, got {p4:?}");
+        assert!(
+            p4.contains(&NodeId(9)),
+            "Houston should transit Atlanta, got {p4:?}"
+        );
         assert!(!p4.contains(&NodeId(2)));
         // v5 (Seattle) is far away.
         let d5 = sp.delay(NodeId(4), ABILENE_EGRESS);

@@ -36,34 +36,42 @@ fn missing_coordinates_fall_back_to_default_delay() {
     assert_eq!(topo.num_nodes(), 3);
     assert_eq!(topo.num_links(), 3);
     assert_eq!(topo.node(NodeId(1)).position, None);
-    assert_eq!(topo.node(NodeId(2)).position, None, "lat without lon is no position");
+    assert_eq!(
+        topo.node(NodeId(2)).position,
+        None,
+        "lat without lon is no position"
+    );
     for l in topo.links() {
         assert!(l.delay.is_finite() && l.delay > 0.0);
     }
-    assert_eq!(topo.link(topo.link_between(NodeId(0), NodeId(1)).unwrap()).delay, 1.0);
+    assert_eq!(
+        topo.link(topo.link_between(NodeId(0), NodeId(1)).unwrap())
+            .delay,
+        1.0
+    );
 }
 
 #[test]
 fn duplicate_edges_and_self_loops_collapse() {
-    let xml = doc(
-        r#"    <node id="a"/>
+    let xml = doc(r#"    <node id="a"/>
     <node id="b"/>
     <edge source="a" target="b"/>
     <edge source="b" target="a"/>
     <edge source="a" target="b"/>
-    <edge source="a" target="a"/>"#,
-    );
+    <edge source="a" target="a"/>"#);
     let topo = graphml::parse(&xml, "dupes").unwrap();
     assert_eq!(topo.num_nodes(), 2);
-    assert_eq!(topo.num_links(), 1, "parallel edges and self-loops collapse");
+    assert_eq!(
+        topo.num_links(),
+        1,
+        "parallel edges and self-loops collapse"
+    );
 }
 
 #[test]
 fn edge_to_unknown_node_is_a_typed_error() {
-    let xml = doc(
-        r#"    <node id="a"/>
-    <edge source="a" target="ghost"/>"#,
-    );
+    let xml = doc(r#"    <node id="a"/>
+    <edge source="a" target="ghost"/>"#);
     let err = graphml::parse(&xml, "ghost").unwrap_err();
     assert_eq!(err, GraphmlError::UnknownNodeRef("ghost".into()));
     assert!(err.to_string().contains("ghost"));
@@ -71,7 +79,11 @@ fn edge_to_unknown_node_is_a_typed_error() {
 
 #[test]
 fn truncated_or_non_xml_input_is_a_typed_error() {
-    for src in ["<graphml><graph><node id=", "not xml at all <", "<graphml></graphml>"] {
+    for src in [
+        "<graphml><graph><node id=",
+        "not xml at all <",
+        "<graphml></graphml>",
+    ] {
         match graphml::parse(src, "bad") {
             Err(GraphmlError::Syntax(..)) | Err(GraphmlError::NoGraph) => {}
             other => panic!("{src:?} parsed to {other:?}"),
@@ -91,14 +103,12 @@ fn disconnected_zoo_file_loads_but_fails_require_connected() {
     // Two islands: {a, b} and {c, d}. Parsing succeeds (the file is
     // well-formed), but scenario loading must reject it with the typed
     // Disconnected error before a simulation ever sees it.
-    let xml = doc(
-        r#"    <node id="a"/>
+    let xml = doc(r#"    <node id="a"/>
     <node id="b"/>
     <node id="c"/>
     <node id="d"/>
     <edge source="a" target="b"/>
-    <edge source="c" target="d"/>"#,
-    );
+    <edge source="c" target="d"/>"#);
     let topo = graphml::parse(&xml, "islands").unwrap();
     assert!(!topo.is_connected());
     assert_eq!(topo.require_connected(), Err(TopologyError::Disconnected));

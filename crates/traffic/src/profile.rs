@@ -134,7 +134,11 @@ mod tests {
             (1.0, 1.0, 0.0, "deadline"),
             (1.0, 1.0, f64::INFINITY, "deadline"),
         ] {
-            let bad = FlowProfile { rate, duration, deadline };
+            let bad = FlowProfile {
+                rate,
+                duration,
+                deadline,
+            };
             let err = bad.validate().unwrap_err();
             assert!(err.contains(name), "{bad:?}: {err}");
         }

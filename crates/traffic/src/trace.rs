@@ -39,7 +39,11 @@ impl fmt::Display for TraceError {
             TraceError::InvalidBinWidth(w) => {
                 write!(f, "invalid bin width {w}: must be finite and > 0")
             }
-            TraceError::Parse { line, field, content } => {
+            TraceError::Parse {
+                line,
+                field,
+                content,
+            } => {
                 write!(
                     f,
                     "cannot parse rate field {field:?} on trace line {line}: {content:?}"

@@ -40,7 +40,11 @@ fn play(pattern: &ArrivalPattern, seed: u64, script: &[(f64, usize)]) -> (String
         let mut t = start;
         for _ in 0..n {
             let after = next(t, &mut rng);
-            assert!(after > t && after.is_finite(), "{}: {after} after {t}", pattern.name());
+            assert!(
+                after > t && after.is_finite(),
+                "{}: {after} after {t}",
+                pattern.name()
+            );
             t = after;
             hash = fnv(hash, t);
             count += 1;
@@ -68,7 +72,11 @@ fn fixed_sequence_with_jumps_matches_golden() {
 
 #[test]
 fn poisson_sequence_matches_golden() {
-    let (hash, n) = play(&ArrivalPattern::paper_poisson(), 2, &[(0.0, 10_000), (1e6, 2_000)]);
+    let (hash, n) = play(
+        &ArrivalPattern::paper_poisson(),
+        2,
+        &[(0.0, 10_000), (1e6, 2_000)],
+    );
     assert_eq!(n, 12_000);
     assert_eq!(hash, "e3234148b064d8c7");
 }
@@ -92,7 +100,11 @@ fn mmpp_sequence_with_silent_stretches_matches_golden() {
 fn trace_sequence_matches_golden() {
     // Mean rate ≈ 0.1 over a 20 000-unit cycle: 10 000 arrivals wrap the
     // bundled trace about five times; the jump lands mid-bin far ahead.
-    let (hash, n) = play(&ArrivalPattern::paper_trace(), 4, &[(0.0, 10_000), (987_654.3, 2_000)]);
+    let (hash, n) = play(
+        &ArrivalPattern::paper_trace(),
+        4,
+        &[(0.0, 10_000), (987_654.3, 2_000)],
+    );
     assert_eq!(n, 12_000);
     assert_eq!(hash, "8302dfbceace4b96");
 }

@@ -105,16 +105,32 @@ fn main() {
                     SimEvent::FlowArrived { flow, node, time } => {
                         println!("[{time:7.2} ms] {flow} arrived at {node}");
                     }
-                    SimEvent::InstanceStarted { node, component, time } => {
+                    SimEvent::InstanceStarted {
+                        node,
+                        component,
+                        time,
+                    } => {
                         println!("[{time:7.2} ms] instance of {component} placed at {node}");
                     }
-                    SimEvent::InstanceTraversed { flow, node, component, .. } => {
+                    SimEvent::InstanceTraversed {
+                        flow,
+                        node,
+                        component,
+                        ..
+                    } => {
                         println!("             {flow} processed {component} at {node}");
                     }
-                    SimEvent::FlowCompleted { flow, e2e_delay, time, .. } => {
+                    SimEvent::FlowCompleted {
+                        flow,
+                        e2e_delay,
+                        time,
+                        ..
+                    } => {
                         println!("[{time:7.2} ms] {flow} completed, e2e {e2e_delay:.2} ms");
                     }
-                    SimEvent::FlowDropped { flow, reason, time, .. } => {
+                    SimEvent::FlowDropped {
+                        flow, reason, time, ..
+                    } => {
                         println!("[{time:7.2} ms] {flow} dropped ({reason})");
                     }
                     _ => continue,

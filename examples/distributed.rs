@@ -93,8 +93,8 @@ fn run_learner() {
     std::io::stdout().flush().expect("announce address");
 
     let mut agent = agent();
-    let outcome = dosco::runtime::run_learner(&listener, &mut agent, TOTAL_STEPS, None)
-        .expect("learner run");
+    let outcome =
+        dosco::runtime::run_learner(&listener, &mut agent, TOTAL_STEPS, None).expect("learner run");
     println!(
         "RESULT steps={} updates={} tail={:.6} weights={:#018x}",
         outcome.stats.total_steps,

@@ -77,9 +77,7 @@ fn main() {
 
 /// Poisson traffic between the two lowest-degree... simply the first two
 /// nodes, egress at the last node.
-fn dosco_bench_like_scenario(
-    topology: dosco::topology::Topology,
-) -> dosco::simnet::ScenarioConfig {
+fn dosco_bench_like_scenario(topology: dosco::topology::Topology) -> dosco::simnet::ScenarioConfig {
     use dosco::simnet::{IngressSpec, ScenarioConfig, ServiceCatalog, ServiceId};
     use dosco::topology::NodeId;
     use dosco::traffic::{ArrivalPattern, FlowProfile};

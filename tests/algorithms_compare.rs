@@ -90,7 +90,10 @@ fn sp_e2e_delay_is_deadline_invariant() {
         max - min < 2.0,
         "SP delay should be deadline-invariant, got {delays:?}"
     );
-    assert!((15.0..27.0).contains(&min), "SP e2e ≈ 21 ms, got {delays:?}");
+    assert!(
+        (15.0..27.0).contains(&min),
+        "SP e2e ≈ 21 ms, got {delays:?}"
+    );
 }
 
 #[test]
@@ -115,7 +118,10 @@ fn central_baseline_full_pipeline() {
     let m = run(&mut coordinator, &scenario, 8);
     assert!(m.arrived > 0);
     assert_eq!(m.dropped_for(DropReason::InvalidAction), 0);
-    assert!(coordinator.rule_updates > 5, "rules must refresh periodically");
+    assert!(
+        coordinator.rule_updates > 5,
+        "rules must refresh periodically"
+    );
 }
 
 #[test]

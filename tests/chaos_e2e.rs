@@ -104,8 +104,12 @@ fn drl_and_baselines_degrade_and_recover_around_pinned_fault() {
     let agents =
         dosco::core::DistributedAgents::deploy(&trained.policy, scenario.topology.num_nodes());
     let (drl_metrics, drl_events, drl_live) = run_coordinator(&scenario, agents);
-    let (drl_metrics2, drl_events2) =
-        evaluate_under_churn(&trained.policy, &scenario, EVAL_SEED, fault_timeline(&scenario));
+    let (drl_metrics2, drl_events2) = evaluate_under_churn(
+        &trained.policy,
+        &scenario,
+        EVAL_SEED,
+        fault_timeline(&scenario),
+    );
     assert_eq!(drl_metrics, drl_metrics2);
     assert_eq!(drl_events, drl_events2);
 
@@ -149,7 +153,10 @@ impl Coordinator for SettleEveryRow {
     }
 
     fn observe(&mut self, sim: &Simulation, events: &[SimEvent]) {
-        if events.iter().any(|e| matches!(e, SimEvent::ChurnApplied { .. })) {
+        if events
+            .iter()
+            .any(|e| matches!(e, SimEvent::ChurnApplied { .. }))
+        {
             sim.shortest_paths().diameter();
         }
     }
@@ -194,7 +201,12 @@ fn partial_path_rows_run_the_same_episode_as_forced_rows() {
             .iter()
             .map(|e| serde_json::to_string(e).expect("event serializes") + "\n")
             .collect();
-        (metrics, stats, log.events().len(), fnv1a64(stream.as_bytes()))
+        (
+            metrics,
+            stats,
+            log.events().len(),
+            fnv1a64(stream.as_bytes()),
+        )
     }
 
     let partial = episode(&scenario, &timeline, ShortestPath::new());
@@ -202,7 +214,10 @@ fn partial_path_rows_run_the_same_episode_as_forced_rows() {
     assert_eq!(partial, forced);
 
     let (metrics, stats, ..) = partial;
-    assert!(stats.sp_recomputes > 50, "failures affect routing: {stats:?}");
+    assert!(
+        stats.sp_recomputes > 50,
+        "failures affect routing: {stats:?}"
+    );
     assert!(stats.flows_killed_link > 0, "in-transit victims exist");
     assert!(metrics.completed > 1_000, "service survives between faults");
 }

@@ -105,7 +105,11 @@ fn observations_track_the_requested_component_per_service() {
     while let Some(dp) = sim.next_decision() {
         let obs = adapter.observe(&sim, &dp);
         if let Some(c) = dp.component {
-            let expect = if sim.has_instance(dp.node, c) { 1.0 } else { 0.0 };
+            let expect = if sim.has_instance(dp.node, c) {
+                1.0
+            } else {
+                0.0
+            };
             assert_eq!(obs[x_self], expect);
             checked += 1;
         }

@@ -3,8 +3,8 @@
 use dosco::core::observe::ObservationAdapter;
 use dosco::core::policy::{CoordinationPolicy, PolicyMetadata};
 use dosco::core::{CoordEnv, RewardConfig};
-use dosco::rl::Env;
 use dosco::nn::{Activation, Mlp};
+use dosco::rl::Env;
 use dosco::simnet::{Action, ScenarioConfig, SimEvent, Simulation};
 use dosco::traffic::ArrivalPattern;
 use proptest::prelude::*;
@@ -12,7 +12,11 @@ use rand::SeedableRng;
 
 fn random_policy(degree: usize, seed: u64) -> CoordinationPolicy {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let actor = Mlp::new(&[4 * degree + 4, 12, degree + 1], Activation::Tanh, &mut rng);
+    let actor = Mlp::new(
+        &[4 * degree + 4, 12, degree + 1],
+        Activation::Tanh,
+        &mut rng,
+    );
     CoordinationPolicy::new(actor, degree, PolicyMetadata::default())
 }
 
@@ -137,7 +141,9 @@ fn counters_are_a_fold_over_the_event_stream() {
     for seed in 0..5u64 {
         for churned in [false, true] {
             let timeline = if churned {
-                schedule.compile(&scenario.topology, scenario.horizon, seed).unwrap()
+                schedule
+                    .compile(&scenario.topology, scenario.horizon, seed)
+                    .unwrap()
             } else {
                 dosco::simnet::ChurnTimeline::none()
             };
@@ -172,7 +178,10 @@ fn counters_are_a_fold_over_the_event_stream() {
             }
         }
     }
-    assert!(drops > 0 && churn_events > 20, "{drops} drops, {churn_events} churn events");
+    assert!(
+        drops > 0 && churn_events > 20,
+        "{drops} drops, {churn_events} churn events"
+    );
 }
 
 /// The reward-conservation law: over one full episode the step rewards
@@ -226,7 +235,10 @@ fn episode_rewards_add_up_to_the_episode_metrics() {
                         // The video service chains three components.
                         let expected =
                             terminal + m.processings as f64 / 3.0 - m.holds as f64 / diameter;
-                        assert!((total - expected).abs() < 1e-3, "{total} vs {expected}, {label}");
+                        assert!(
+                            (total - expected).abs() < 1e-3,
+                            "{total} vs {expected}, {label}"
+                        );
                     }
                 }
             }

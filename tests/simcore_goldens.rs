@@ -195,7 +195,12 @@ fn capture() -> Goldens {
         let cfg = ScenarioConfig::paper_base(3)
             .with_pattern(pattern)
             .with_horizon(4_000.0);
-        cases.push(run_case(&format!("{pat_name}-i3-gcasp"), cfg.clone(), 110, &mut Gcasp::new()));
+        cases.push(run_case(
+            &format!("{pat_name}-i3-gcasp"),
+            cfg.clone(),
+            110,
+            &mut Gcasp::new(),
+        ));
         cases.push(run_case(
             &format!("{pat_name}-i3-random"),
             cfg,

@@ -49,8 +49,12 @@ fn envs() -> (Vec<Box<dyn Env>>, usize, usize) {
     let degree = scenario.topology.network_degree();
     let envs = (0..2)
         .map(|i| {
-            Box::new(CoordEnv::new(scenario.clone(), RewardConfig::default(), 500 + i, None))
-                as Box<dyn Env>
+            Box::new(CoordEnv::new(
+                scenario.clone(),
+                RewardConfig::default(),
+                500 + i,
+                None,
+            )) as Box<dyn Env>
         })
         .collect();
     (envs, 4 * degree + 4, degree + 1)
