@@ -22,9 +22,11 @@ use dosco::traffic::ArrivalPattern;
 
 fn main() {
     // Observability from the environment: DOSCO_TRACE installs a JSONL
-    // recorder, DOSCO_SPANS arms span timers, DOSCO_TRACE_SAMPLE sets the
-    // mid-episode sampling stride.
-    let trace_path = dosco::obs::init_from_env();
+    // recorder, DOSCO_SPANS=1 arms span timers; a malformed value exits 2.
+    let trace_path = dosco::obs::init_from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
 
     // The paper's base scenario: Abilene, 2 ingress nodes, Poisson
     // arrivals, the FW -> IDS -> Video service chain.

@@ -8,6 +8,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== cargo fmt --check (every workspace crate formatted) =="
+cargo fmt --all --check
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 
