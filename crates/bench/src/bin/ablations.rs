@@ -77,7 +77,6 @@ fn main() {
     // with/without FedAvg sync, deployed as genuinely different per-node
     // networks.
     use dosco_core::federated::{train_per_node, FederatedConfig};
-    use dosco_simnet::Simulation;
     for (label, sync) in [("per-node+fedavg", Some(2_000)), ("per-node", None)] {
         let fed_cfg = FederatedConfig {
             total_decisions: budget.train_steps,
@@ -85,17 +84,9 @@ fn main() {
             ..FederatedConfig::default()
         };
         let policies = train_per_node(&scenario, &fed_cfg, 0);
-        let metrics: Vec<dosco_simnet::Metrics> = budget
-            .eval_seeds
-            .iter()
-            .map(|&seed| {
-                let s = scenario.clone().with_capacity_draw(seed);
-                let mut c = policies.clone();
-                let mut sim = Simulation::new(s, seed);
-                sim.run(&mut c).clone()
-            })
-            .collect();
-        let stats = dosco_bench::runner::EvalStats::from_metrics(metrics);
+        let stats = dosco_core::eval::evaluate_draws(&scenario, &budget.eval_seeds, |_, _| {
+            Box::new(policies.clone())
+        });
         eprintln!(
             "[ablation] arch={label}: {:.3} ± {:.3}",
             stats.mean_success, stats.std_success

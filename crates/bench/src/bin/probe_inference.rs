@@ -4,10 +4,10 @@
 
 use dosco_bench::report::{bad_flag, flag_value, parsed_flag};
 use dosco_bench::scenarios::{base_scenario, pattern_by_name};
-use dosco_core::eval::success_mean_std;
+use dosco_core::eval::{eval_seeds, evaluate_draws};
 use dosco_core::policy::CoordinationPolicy;
 use dosco_core::DistributedAgents;
-use dosco_simnet::{Metrics, Simulation};
+use dosco_simnet::Metrics;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -22,21 +22,21 @@ fn main() {
     let policy = CoordinationPolicy::load(&path).expect("readable policy JSON");
     let scenario = base_scenario(ingress, pattern, 5_000.0);
     for mode in ["greedy", "stochastic"] {
-        let mut episodes = Vec::new();
-        for seed in 100..105u64 {
-            let s = scenario.clone().with_capacity_draw(seed);
-            let mut agents = if mode == "greedy" {
-                DistributedAgents::deploy(&policy, s.topology.num_nodes())
-            } else {
-                DistributedAgents::deploy_stochastic(&policy, s.topology.num_nodes(), seed)
-            };
-            let mut sim = Simulation::new(s, seed);
-            episodes.push(sim.run(&mut agents).clone());
-        }
+        let stats = evaluate_draws(&scenario, &eval_seeds(5), |s, seed| {
+            let nodes = s.topology.num_nodes();
+            Box::new(match mode {
+                "greedy" => DistributedAgents::deploy(&policy, nodes),
+                _ => DistributedAgents::deploy_stochastic(&policy, nodes, seed),
+            })
+        });
         // An episode in which no flow terminated has no ratio: it is
         // shown as `None` and left out of the mean.
-        let (mean, _, _) = success_mean_std(&episodes);
-        let ratios: Vec<Option<f64>> = episodes.iter().map(Metrics::success_ratio_opt).collect();
+        let ratios: Vec<_> = stats
+            .metrics
+            .iter()
+            .map(Metrics::success_ratio_opt)
+            .collect();
+        let mean = stats.mean_success;
         println!("{mode:<11} mean success {mean:.3}  ({ratios:.2?})");
     }
 }

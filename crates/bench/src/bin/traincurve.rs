@@ -10,7 +10,7 @@
 
 use dosco_bench::report::{bad_flag, flag_value, parsed_flag};
 use dosco_bench::scenarios::{base_scenario, pattern_by_name};
-use dosco_core::eval::{evaluate_under_churn, success_mean_std};
+use dosco_core::eval::{evaluate_under_churn, EvalStats};
 use dosco_core::policy::{CoordinationPolicy, PolicyMetadata};
 use dosco_core::train::{train_seed, Algorithm, TrainConfig};
 use dosco_core::{CoordEnv, RewardConfig};
@@ -170,7 +170,7 @@ fn main() {
             .iter()
             .map(|&n| format!("{:.2}", n as f64 / w.rows))
             .collect();
-        let trained: Vec<Metrics> = episodes.try_iter().collect();
+        let trained = EvalStats::from_metrics(episodes.try_iter().collect());
         print!(
             "steps {:>7}  mean_reward {:>7.3}  entropy {:.3}  expl_var {:>6.3}  actions [{}]  train_episodes {} success {:.3}",
             stats.total_steps,
@@ -178,8 +178,8 @@ fn main() {
             w.entropy / w.rows,
             w.explained_variance(),
             mix.join(" "),
-            trained.len(),
-            success_mean_std(&trained).0,
+            trained.metrics.len(),
+            trained.mean_success,
         );
         // One greedy episode, with the journeys of the flows the deadline
         // killed: many hops and no processing is "forward until it dies".

@@ -18,5 +18,5 @@ pub mod runner;
 pub mod scenarios;
 
 pub use report::{print_series, SeriesPoint};
-pub use runner::{Algo, EvalStats, ExpBudget};
+pub use runner::{Algo, ExpBudget};
 pub use scenarios::base_scenario;

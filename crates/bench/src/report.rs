@@ -1,7 +1,7 @@
 //! Table/series printing: every experiment binary prints the same rows or
 //! series the paper's figures report, as aligned text plus CSV.
 
-use crate::runner::EvalStats;
+use dosco_core::eval::EvalStats;
 
 /// One point of a figure series: an x value (e.g. ingress count, deadline)
 /// and the aggregated result for one algorithm.

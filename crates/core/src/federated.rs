@@ -252,6 +252,7 @@ pub fn train_per_node(
     config: &FederatedConfig,
     seed: u64,
 ) -> PerNodePolicies {
+    #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
     scenario.validate().expect("scenario must be valid");
     let degree = scenario.topology.network_degree();
     let adapter = ObservationAdapter::new(degree);

@@ -130,6 +130,9 @@ impl CoordEnv {
         self.finished.as_ref()
     }
 
+    /// Starts the next episode and returns its first observation.
+    /// Panics if the episode's horizon ends before its first decision.
+    #[allow(clippy::expect_used, reason = "an episode needs a first decision")]
     fn fresh_sim(&mut self) -> Vec<f32> {
         self.episode += 1;
         // Spread episode seeds deterministically.

@@ -62,6 +62,7 @@ impl ObservationAdapter {
     /// Panics if the node's degree exceeds the adapter's padding degree,
     /// or if the decision's flow is no longer live.
     pub fn observe(&self, sim: &Simulation, dp: &DecisionPoint) -> Vec<f32> {
+        #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
         let flow = sim
             .flow(dp.flow)
             .expect("decision points refer to live flows");

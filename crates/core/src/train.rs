@@ -8,7 +8,7 @@
 
 use crate::eval;
 use crate::gymenv::CoordEnv;
-use crate::policy::{CoordinationPolicy, PolicyMetadata};
+use crate::policy::{CoordinationPolicy, DistributedAgents, PolicyMetadata};
 use crate::reward::RewardConfig;
 use dosco_chaos::ChurnSchedule;
 use dosco_nn::Mlp;
@@ -22,8 +22,12 @@ use dosco_rl::trainer::train_multi_seed;
 use dosco_simnet::ScenarioConfig;
 use serde::{Deserialize, Serialize};
 
-/// Seed of the first of the three capacity draws a checkpoint is scored on.
-const EVAL_SEED: u64 = 0xE7A1;
+/// The training code's revision, part of a cached policy's identity: bumped
+/// with every re-capture of the fingerprints in `tests/train_goldens.rs`.
+pub const TRAINING_REVISION: u32 = 1;
+
+/// The three capacity draws a checkpoint is scored on.
+const EVAL_SEEDS: [u64; 3] = [0xE7A1, 0xE7A2, 0xE7A3];
 
 /// The training algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -151,6 +155,7 @@ fn make_envs(scenario: &ScenarioConfig, config: &TrainConfig, seed: u64) -> Vec<
 /// # Panics
 ///
 /// Panics if `envs` is empty or the envs' dimensions differ.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn train_seed(
     config: &TrainConfig,
     envs: &mut [Box<dyn Env>],
@@ -174,7 +179,7 @@ pub fn train_seed(
 /// policy at `config.checkpoints` evenly spaced update boundaries, the last
 /// after the final update, in training order. Each carries its score: the
 /// deployed success ratio over three capacity draws of the held-out
-/// episode, averaged by [`eval::success_mean_std`] (a draw in which no flow
+/// episode, [`eval::evaluate_draws`]' mean (a draw in which no flow
 /// terminated is skipped; `NaN` if every draw is such).
 fn train_checkpoints(
     scenario: &ScenarioConfig,
@@ -198,10 +203,10 @@ fn train_checkpoints(
             ..metadata.clone()
         };
         let mut policy = CoordinationPolicy::new(actor.clone(), degree, metadata);
-        let draws: Vec<_> = (0..3)
-            .map(|i| eval::evaluate_with_capacity_draw(&policy, &eval_scenario, EVAL_SEED + i))
-            .collect();
-        policy.metadata.score = eval::success_mean_std(&draws).0 as f32;
+        let draws = eval::evaluate_draws(&eval_scenario, &EVAL_SEEDS, |s, _| {
+            Box::new(DistributedAgents::deploy(&policy, s.topology.num_nodes()))
+        });
+        policy.metadata.score = draws.mean_success as f32;
         policy
     };
 
@@ -228,6 +233,7 @@ fn train_checkpoints(
 /// displaces a defined one (the order [`train_multi_seed`] ranks seeds by).
 fn select(checkpoints: Vec<CoordinationPolicy>) -> CoordinationPolicy {
     let score = |p: &CoordinationPolicy| p.metadata.score;
+    #[allow(clippy::expect_used, reason = "the final policy is a checkpoint")]
     checkpoints
         .into_iter()
         .min_by(|a, b| {
@@ -246,6 +252,7 @@ fn select(checkpoints: Vec<CoordinationPolicy>) -> CoordinationPolicy {
 /// # Panics
 ///
 /// Panics if the scenario is invalid or `config.seeds` is empty.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn train_distributed(scenario: &ScenarioConfig, config: &TrainConfig) -> TrainedPolicy {
     scenario.validate().expect("scenario must be valid");
     let results = train_multi_seed(&config.seeds, |seed| {

@@ -37,8 +37,10 @@ thread_local! {
 /// items in index order, one at a time (inline on the calling thread when
 /// that is 1). Meant for coarse, independent work — a training or
 /// evaluation seed — where each item is worth a thread. When the workers
-/// fill every core, the learners they run keep their update halves
-/// inline ([`Helper`]).
+/// fill every core, what they run stays on their own threads: a nested
+/// `fan_out` (a checkpoint's evaluation seeds inside a training seed)
+/// maps inline, and a learner keeps its update halves inline
+/// ([`Helper`]).
 ///
 /// # Panics
 ///
@@ -51,7 +53,7 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let workers = cores().min(items.len());
-    if workers <= 1 {
+    if workers <= 1 || CORES_FULL.get() {
         return items.iter().map(f).collect();
     }
     let full = workers == cores();
@@ -333,6 +335,22 @@ mod tests {
         assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
         assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
         assert_eq!(fan_out(&[] as &[u64], |&x| x), Vec::<u64>::new());
+    }
+
+    /// Inside a `fan_out` whose workers fill every core, a nested
+    /// `fan_out` runs on the worker's own thread instead of starting
+    /// threads of its own.
+    #[test]
+    fn a_fan_out_nested_in_a_saturating_fan_out_stays_on_the_worker() {
+        let here = || std::thread::current().id();
+        let workers = vec![(); cores()];
+        let inner = vec![(); 2 * cores()];
+        for (worker, nested) in fan_out(&workers, |()| (here(), fan_out(&inner, |()| here()))) {
+            assert!(
+                nested.iter().all(|&t| t == worker),
+                "{nested:?} off {worker:?}"
+            );
+        }
     }
 
     /// The last item is claimed after every other one, so whichever worker

@@ -74,6 +74,9 @@ trap 'rm -rf "$policy_dir"' EXIT
 ./target/release/dosco train --ingress 2 --steps 4000 --seeds 2 --out "$policy_dir/policy.json"
 ./target/release/dosco eval --policy "$policy_dir/policy.json" --seeds 2
 
+echo "== dosco run: a heuristic scored on the same capacity draws as dosco eval =="
+./target/release/dosco run --algo gcasp --seeds 2
+
 echo "== probe_inference: greedy against stochastic deployment of that same policy =="
 ./target/release/probe_inference --policy "$policy_dir/policy.json"
 

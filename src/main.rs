@@ -4,15 +4,16 @@
 //! ```text
 //! dosco train --ingress 2 --pattern poisson --steps 40000 --out policy.json
 //! dosco eval  --policy policy.json --ingress 3 --pattern mmpp --seeds 5
-//! dosco run   --algo gcasp --ingress 4 --pattern trace
+//! dosco run   --algo gcasp --ingress 4 --pattern trace --seeds 5
 //! dosco topo  --list
 //! ```
 
 use dosco::baselines::{Gcasp, ShortestPath};
-use dosco::core::eval::{evaluate_with_capacity_draw, success_mean_std};
+use dosco::core::eval::{eval_seeds, evaluate_draws};
 use dosco::core::policy::CoordinationPolicy;
 use dosco::core::train::{train_distributed, Algorithm, TrainConfig};
-use dosco::simnet::{Coordinator, Metrics, ScenarioConfig, Simulation};
+use dosco::core::DistributedAgents;
+use dosco::simnet::{Coordinator, ScenarioConfig};
 use dosco::topology::{stats::TopologyRow, zoo};
 use dosco::traffic::ArrivalPattern;
 use std::process::ExitCode;
@@ -44,6 +45,8 @@ fn parsed<T: std::str::FromStr>(
 }
 
 /// `--seeds K`: how many seeds to train or evaluate, at least one.
+/// `eval` and `run` score seeds `eval_seeds(K)`, each on its own
+/// capacity draw, so their numbers compare.
 fn seed_count(args: &[String], default: u64) -> u64 {
     parsed(args, "--seeds", "a positive integer", |&k| k > 0).unwrap_or(default)
 }
@@ -74,18 +77,6 @@ fn scenario(args: &[String]) -> ScenarioConfig {
         cfg = cfg.with_deadline(d);
     }
     cfg
-}
-
-fn print_metrics(label: &str, m: &Metrics) {
-    println!(
-        "{label}: success {:.3} ({} completed / {} dropped / {} in flight), avg e2e {}",
-        m.success_ratio(),
-        m.completed,
-        m.dropped_total(),
-        m.in_flight(),
-        m.avg_e2e_delay()
-            .map_or("-".to_string(), |d| format!("{d:.1} ms")),
-    );
 }
 
 fn cmd_train(args: &[String]) -> ExitCode {
@@ -126,8 +117,40 @@ fn cmd_train(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Scores what `deploy` builds over `seeds` by the evaluation protocol and
+/// prints one line per seed, then the mean over the seeds in which a flow
+/// terminated (the others have no success ratio and are skipped rather
+/// than averaged in as 1.0).
+fn score_draws(
+    scenario: &ScenarioConfig,
+    seeds: &[u64],
+    deploy: impl Fn(&ScenarioConfig, u64) -> Box<dyn Coordinator> + Sync,
+) {
+    let stats = evaluate_draws(scenario, seeds, deploy);
+    for (seed, m) in seeds.iter().zip(&stats.metrics) {
+        let e2e = m
+            .avg_e2e_delay()
+            .map_or("-".into(), |d| format!("{d:.1} ms"));
+        println!(
+            "seed {seed}: success {:.3} ({} completed / {} dropped / {} in flight), avg e2e {e2e}",
+            m.success_ratio(),
+            m.completed,
+            m.dropped_total(),
+            m.in_flight(),
+        );
+    }
+    let (k, mean) = (seeds.len(), stats.mean_success);
+    match (stats.scored, k - stats.scored) {
+        (0, _) => println!("mean success over {k} seeds: n/a (no flow terminated)"),
+        (_, 0) => println!("mean success over {k} seeds: {mean:.3}"),
+        (_, n) => {
+            println!("mean success over {k} seeds: {mean:.3} ({n} with no terminated flow skipped)")
+        }
+    }
+}
+
 fn cmd_eval(args: &[String]) -> ExitCode {
-    let seeds = seed_count(args, 5);
+    let seeds = eval_seeds(seed_count(args, 5));
     let Some(path) = flag(args, "--policy") else {
         eprintln!("--policy <file> required");
         return ExitCode::from(2);
@@ -139,44 +162,25 @@ fn cmd_eval(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let scenario = scenario(args);
-    let metrics: Vec<Metrics> = (100..100 + seeds)
-        .map(|seed| {
-            let m = evaluate_with_capacity_draw(&policy, &scenario, seed);
-            print_metrics(&format!("seed {seed}"), &m);
-            m
-        })
-        .collect();
-    // Episodes in which no flow terminated have no success ratio; the fold
-    // skips them rather than averaging them in as 1.0.
-    match success_mean_std(&metrics) {
-        (_, _, 0) => println!("mean success over {seeds} seeds: n/a (no flow terminated)"),
-        (mean, _, defined) => {
-            print!("mean success over {seeds} seeds: {mean:.3}");
-            match seeds as usize - defined {
-                0 => println!(),
-                skipped => println!(" ({skipped} with no terminated flow skipped)"),
-            }
-        }
-    }
+    score_draws(&scenario(args), &seeds, |s, _| {
+        Box::new(DistributedAgents::deploy(&policy, s.topology.num_nodes()))
+    });
     ExitCode::SUCCESS
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
+    let seeds = eval_seeds(seed_count(args, 5));
     let algo = flag(args, "--algo").unwrap_or_else(|| "gcasp".into());
-    let seed: u64 = parsed(args, "--seed", "a non-negative integer", |_| true).unwrap_or(1);
     let scenario = scenario(args);
-    let mut coordinator: Box<dyn Coordinator> = match algo.as_str() {
-        "gcasp" => Box::new(Gcasp::new()),
-        "sp" => Box::new(ShortestPath::new()),
+    let heuristic: fn() -> Box<dyn Coordinator> = match algo.as_str() {
+        "gcasp" => || Box::new(Gcasp::new()),
+        "sp" => || Box::new(ShortestPath::new()),
         other => {
             eprintln!("unknown algorithm {other:?}; use gcasp|sp (DRL: `dosco eval`)");
             return ExitCode::from(2);
         }
     };
-    let mut sim = Simulation::new(scenario, seed);
-    let m = sim.run(coordinator.as_mut()).clone();
-    print_metrics(&algo, &m);
+    score_draws(&scenario, &seeds, |_, _| heuristic());
     ExitCode::SUCCESS
 }
 
@@ -204,7 +208,7 @@ fn main() -> ExitCode {
                  \n\
                  train --ingress N --pattern P --steps S --seeds K --algo acktr|a2c|ppo --out FILE\n\
                  eval  --policy FILE --ingress N --pattern P --seeds K [--deadline D]\n\
-                 run   --algo gcasp|sp --ingress N --pattern P [--seed S]\n\
+                 run   --algo gcasp|sp --ingress N --pattern P --seeds K [--deadline D]\n\
                  topo  (list bundled topologies)\n\
                  \n\
                  common: --pattern fixed|poisson|mmpp|trace  --horizon T  --deadline D"

@@ -1,7 +1,7 @@
 //! End-to-end integration: train → persist → reload → deploy → evaluate,
 //! across all crates, at toy scale.
 
-use dosco::core::eval::{evaluate, evaluate_seeds};
+use dosco::core::eval::{evaluate, evaluate_draws};
 use dosco::core::policy::CoordinationPolicy;
 use dosco::core::train::{train_distributed, Algorithm, TrainConfig};
 use dosco::core::DistributedAgents;
@@ -62,8 +62,17 @@ fn seed_aggregation_is_reproducible() {
         .with_pattern(ArrivalPattern::paper_mmpp())
         .with_horizon(400.0);
     let trained = train_distributed(&scenario, &toy_train_config());
-    let (m1, s1, _) = evaluate_seeds(&trained.policy, &scenario, &[1, 2, 3]);
-    let (m2, s2, _) = evaluate_seeds(&trained.policy, &scenario, &[1, 2, 3]);
+    let run = || {
+        let stats = evaluate_draws(&scenario, &[1, 2, 3], |s, _| {
+            Box::new(DistributedAgents::deploy(
+                &trained.policy,
+                s.topology.num_nodes(),
+            ))
+        });
+        (stats.mean_success, stats.std_success)
+    };
+    let (m1, s1) = run();
+    let (m2, s2) = run();
     assert_eq!(m1, m2);
     assert_eq!(s1, s2);
 }

@@ -12,7 +12,9 @@
 //! each golden holds, and is asserted, under every value. On a mismatch
 //! the test prints the value it computed;
 //! replace a golden only when a change to the numerics is intended and
-//! documented.
+//! documented. Every such re-capture also bumps
+//! `dosco::core::train::TRAINING_REVISION`, so the figures' policy cache
+//! stops serving policies the old code trained.
 
 use dosco::core::federated::{train_per_node, FederatedConfig};
 use dosco::core::policy::fnv1a64;
