@@ -86,7 +86,11 @@ fn decode_targets(weights: &[f32], num_nodes: usize, num_components: usize) -> V
 /// component's target node, process there, repeat; fully processed flows
 /// walk the shortest path to their egress. No capacity awareness.
 fn rule_decide(sim: &Simulation, dp: &DecisionPoint, targets: &[NodeId]) -> Action {
-    let flow = sim.flow(dp.flow).expect("decision refers to a live flow");
+    // The simulator decides only for live flows; a decision point whose
+    // flow is gone is answered in place.
+    let Some(flow) = sim.flow(dp.flow) else {
+        return Action::Local;
+    };
     let destination = match dp.component {
         Some(c) => targets[c.0],
         None => flow.egress,
@@ -94,16 +98,12 @@ fn rule_decide(sim: &Simulation, dp: &DecisionPoint, targets: &[NodeId]) -> Acti
     if destination == dp.node {
         return Action::Local;
     }
-    match sim.shortest_paths().next_hop(dp.node, destination) {
-        Some(hop) => {
-            let idx = sim
-                .topology()
-                .neighbor_index(dp.node, hop)
-                .expect("next hop is a neighbor");
-            Action::Forward(idx)
-        }
-        None => Action::Local, // unreachable target: fail in place
-    }
+    // A next hop is always a neighbor; an unreachable target fails in
+    // place.
+    sim.shortest_paths()
+        .next_hop(dp.node, destination)
+        .and_then(|hop| sim.topology().neighbor_index(dp.node, hop))
+        .map_or(Action::Local, Action::Forward)
 }
 
 /// The trained centralized rule policy.
@@ -294,6 +294,7 @@ impl ContinuousEnv for CentralRuleEnv {
 ///
 /// Panics if the scenario is invalid.
 pub fn train_central(scenario: &ScenarioConfig, config: &CentralConfig) -> CentralPolicy {
+    #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
     scenario.validate().expect("scenario must be valid");
     let mut env = CentralRuleEnv::new(scenario.clone(), config.monitor_interval, config.seed);
     let mut agent = Ddpg::new(env.obs_dim(), env.action_dim(), config.ddpg, config.seed);

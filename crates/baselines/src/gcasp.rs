@@ -64,7 +64,11 @@ impl Gcasp {
 
 impl Coordinator for Gcasp {
     fn decide(&mut self, sim: &Simulation, dp: &DecisionPoint) -> Action {
-        let flow = sim.flow(dp.flow).expect("decision refers to a live flow");
+        // The simulator decides only for live flows; a decision point
+        // whose flow is gone is answered in place.
+        let Some(flow) = sim.flow(dp.flow) else {
+            return Action::Local;
+        };
         let egress = flow.egress;
         let rate = flow.rate;
         if dp.component.is_some() {

@@ -20,17 +20,17 @@ impl ShortestPath {
         ShortestPath
     }
 
-    /// Index of `hop` in `node`'s neighbor list, as a forward action.
+    /// Index of `hop` in `node`'s neighbor list, as a forward action. A
+    /// shortest-path next hop is always a neighbor; were it not, the flow
+    /// would be processed in place.
     fn forward_to(
         sim: &Simulation,
         node: dosco_topology::NodeId,
         hop: dosco_topology::NodeId,
     ) -> Action {
-        let idx = sim
-            .topology()
+        sim.topology()
             .neighbor_index(node, hop)
-            .expect("next hop is a neighbor");
-        Action::Forward(idx)
+            .map_or(Action::Local, Action::Forward)
     }
 }
 
@@ -45,7 +45,11 @@ pub fn sp_action(sim: &Simulation, dp: &DecisionPoint) -> Action {
 
 impl Coordinator for ShortestPath {
     fn decide(&mut self, sim: &Simulation, dp: &DecisionPoint) -> Action {
-        let flow = sim.flow(dp.flow).expect("decision refers to a live flow");
+        // The simulator decides only for live flows; a decision point
+        // whose flow is gone is answered in place.
+        let Some(flow) = sim.flow(dp.flow) else {
+            return Action::Local;
+        };
         if dp.component.is_some() {
             // Process here if the node can take it; otherwise continue
             // along the shortest path and try the next node.

@@ -119,6 +119,9 @@ pub struct Simulation {
     /// The victims of the last fault, kept so that a fault allocates
     /// nothing once the buffer has grown to the largest one.
     victims: Vec<(FlowId, FlowKey, NodeId)>,
+    /// Live flows whose head is crossing each link, by link id: a link
+    /// failure that finds none skips the scan for victims.
+    in_transit: Vec<u32>,
     /// Events emitted since the last drain. Per-step draining via
     /// [`Simulation::drain_events_into`] recycles this buffer, so memory
     /// does not grow with episode length.
@@ -179,6 +182,7 @@ impl Simulation {
         let substrate = Substrate::new(&config.topology, timeline.transit());
         let num_components = config.catalog.components().len();
         let instances = vec![None; config.topology.num_nodes() * num_components];
+        let in_transit = vec![0; config.topology.num_links()];
         let mut sim = Simulation {
             config,
             sp,
@@ -195,6 +199,7 @@ impl Simulation {
             num_components,
             pending: None,
             victims: Vec::new(),
+            in_transit,
             events: Vec::new(),
             metrics: Metrics::new(),
             finished: false,
@@ -765,7 +770,18 @@ impl Simulation {
         self.substrate.apply(&self.config.topology, action);
         let instances_lost = match action {
             ChurnAction::LinkDown(l) if self.substrate.transit == TransitPolicy::Drop => {
-                self.kill_flows(DropReason::LinkFailure, |f| f.in_transit_on(l));
+                debug_assert_eq!(
+                    self.in_transit[l.0] as usize,
+                    self.flows
+                        .iter()
+                        .filter(|(_, f)| f.in_transit_on(l))
+                        .count(),
+                    "in-transit count of link {l:?}"
+                );
+                if self.in_transit[l.0] > 0 {
+                    self.kill_flows(DropReason::LinkFailure, |f| f.in_transit_on(l));
+                    self.in_transit[l.0] = 0;
+                }
                 0
             }
             ChurnAction::NodeDown(v) => {
@@ -874,6 +890,9 @@ impl Simulation {
         let Some(f) = self.flows.get_mut(key.0) else {
             return None; // flow already terminated (defensive)
         };
+        if let Some(l) = f.in_transit() {
+            self.in_transit[l as usize] -= 1;
+        }
         f.in_transit = FlowRecord::NOT_IN_TRANSIT; // the head is at `location` now
         let record = *f;
         let f = self.view(&record);
@@ -1030,6 +1049,7 @@ impl Simulation {
             // `assert_compact` bounds the node and link ids.
             f.location = to.0 as u32;
             f.in_transit = link.0 as u32;
+            self.in_transit[link.0] += 1;
         }
         self.substrate.link_used[link.0] += rate;
         self.emit(SimEvent::Forwarded {

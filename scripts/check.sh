@@ -47,6 +47,9 @@ cargo test --release -p dosco-nn --lib tanh::tests::all_bit_patterns_equal_libm 
 echo "== event queue: radix heap vs the indexed-heap oracle, 1 M operations with and without peeks (release) =="
 cargo test --release -p dosco-simnet --lib queue::tests::matches_reference_heap_on_a_million_operations -- --include-ignored
 
+echo "== event queue: the same oracle at the simulator's depth, 1.7e5 resident, pushes and cancels inside the sorted run (release) =="
+cargo test --release -p dosco-simnet --lib queue::tests::matches_reference_heap_at_grid_depth -- --include-ignored
+
 echo "== simcore 100k-flow churn smoke (release, bounded time + flat memory) =="
 cargo test --release -p dosco-bench --test churn_smoke -- --include-ignored
 
