@@ -2,24 +2,28 @@
 //!
 //! A plain `std::net::TcpListener` with one acceptor thread and a small
 //! bounded pool of worker threads — no async runtime, no external HTTP
-//! crate. It speaks just enough HTTP/1.1 for an ops surface: `GET` with
+//! crate. It speaks just enough HTTP/1.1 for an ops surface:
 //! `Content-Length`-framed JSON responses and `Connection: close` (one
-//! request per connection). Four routes:
+//! request per connection). The routes:
 //!
-//! | Route           | Body                                              |
-//! |-----------------|---------------------------------------------------|
-//! | `GET /healthz`  | liveness + service name                           |
-//! | `GET /metrics`  | the full `dosco_obs` registry, deterministic JSON |
-//! | `GET /snapshot` | published policy version + registry head          |
-//! | `GET /shards`   | the fabric's live [`FabricStatus`] snapshot       |
+//! | Route                  | Body                                              |
+//! |------------------------|---------------------------------------------------|
+//! | `GET /healthz`         | liveness + service name                           |
+//! | `GET /metrics`         | the full `dosco_obs` registry, deterministic JSON |
+//! | `GET /snapshot`        | published policy version + registry head          |
+//! | `GET /shards`          | the fabric's live [`FabricStatus`] snapshot       |
+//! | `GET /jobs`            | every training job's [`JobView`]                  |
+//! | `POST /jobs/train`     | starts a training job from a JSON spec            |
+//! | `POST /jobs/{id}/stop` | requests that job's cooperative stop              |
 //!
+//! [`JobView`]: crate::JobView
 //! [`FabricStatus`]: dosco_serve::FabricStatus
 //!
 //! Configuration follows the workspace env contract
 //! ([`dosco_obs::env`]): `DOSCO_CTL_ADDR` (a socket address; defaults to
 //! an ephemeral loopback port). Two worker threads answer requests.
 
-use crate::jobs::{ServeJobSpec, TrainJobSpec};
+use crate::jobs::TrainJobSpec;
 use crate::state::CtlState;
 use crossbeam::channel::{self, Receiver};
 use dosco_obs::env::{parse_lookup, EnvParseError};
@@ -266,9 +270,9 @@ fn route(state: &CtlState, path: &str) -> Option<String> {
     }
 }
 
-/// The `POST` route table: job control. `/jobs/train` and `/jobs/serve`
-/// take a JSON spec body (empty body = all defaults) and answer with the
-/// new job id; `/jobs/{id}/stop` requests a cooperative stop.
+/// The `POST` route table: job control. `/jobs/train` takes a JSON spec
+/// body (empty body = all defaults) and answers with the new job id;
+/// `/jobs/{id}/stop` requests a cooperative stop.
 fn route_post(state: &CtlState, path: &str, body: &str) -> (u16, &'static str, String) {
     let parse_spec = |body: &str| -> Result<serde::Value, String> {
         if body.trim().is_empty() {
@@ -289,13 +293,6 @@ fn route_post(state: &CtlState, path: &str, body: &str) -> (u16, &'static str, S
             Ok(spec) => {
                 let id = state.jobs().spawn_train(spec);
                 (200, "OK", format!(r#"{{"id":{id},"kind":"train"}}"#))
-            }
-            Err(e) => bad(&e),
-        },
-        "/jobs/serve" => match parse_spec(body).and_then(|v| ServeJobSpec::from_json(&v)) {
-            Ok(spec) => {
-                let id = state.jobs().spawn_serve(spec);
-                (200, "OK", format!(r#"{{"id":{id},"kind":"serve"}}"#))
             }
             Err(e) => bad(&e),
         },

@@ -1,30 +1,22 @@
-//! Background job control: spawn, observe, and stop training-runtime and
-//! serving-fabric runs from the ops surface.
+//! Background job control: spawn, observe, and stop training runs from
+//! the ops surface.
 //!
-//! A job is one background thread driving either
+//! A job is one background thread driving
 //! [`dosco_runtime::train_cancellable`] (a fresh A2C agent over
-//! [`CoordEnv`] copies of the paper's base scenario) or a cancellable
-//! [`dosco_serve::serve`] run (a fresh policy over concurrent episodes).
-//! Both planes already expose cooperative cancellation — the runtime
-//! checks its flag at every batch boundary, the fabric at every epoch
-//! boundary — so `stop` is a flag store, never a kill: the job drains
-//! out with its invariants intact (batch conservation, decision
-//! accounting) and reports a partial summary.
+//! [`CoordEnv`] copies of the paper's base scenario). The runtime checks
+//! its flag at every batch boundary, so `stop` is a flag store, never a
+//! kill: the job drains out with batch conservation intact and reports a
+//! partial summary. Its episodes fold into `GET /metrics` as they end.
 //!
 //! Specs arrive as JSON bodies with every field optional; unknown fields
 //! are rejected so a typo'd knob fails loudly instead of silently running
 //! the default.
 
-use dosco_core::policy::PolicyMetadata;
-use dosco_core::{CoordEnv, CoordinationPolicy, RewardConfig};
-use dosco_nn::mlp::{Activation, Mlp};
+use dosco_core::{CoordEnv, RewardConfig};
 use dosco_rl::a2c::{A2c, A2cConfig};
 use dosco_rl::env::Env;
 use dosco_runtime::{train_cancellable, RuntimeConfig};
-use dosco_serve::ServeConfig;
 use dosco_simnet::ScenarioConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,33 +38,6 @@ impl Default for TrainJobSpec {
     fn default() -> Self {
         TrainJobSpec {
             total_steps: 2_000,
-            seed: 0,
-            horizon: 300.0,
-        }
-    }
-}
-
-/// A serving-job spec, with defaults sized for an ops smoke run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeJobSpec {
-    /// Concurrent episodes to serve.
-    pub episodes: usize,
-    /// Worker shards (clamped to the node count by the fabric).
-    pub num_shards: usize,
-    /// `Some(seed)` for stochastic serving, `None` for greedy.
-    pub stochastic_seed: Option<u64>,
-    /// Policy-init / episode seed base.
-    pub seed: u64,
-    /// Simulated-time horizon of each served episode.
-    pub horizon: f64,
-}
-
-impl Default for ServeJobSpec {
-    fn default() -> Self {
-        ServeJobSpec {
-            episodes: 2,
-            num_shards: 2,
-            stochastic_seed: None,
             seed: 0,
             horizon: 300.0,
         }
@@ -138,58 +103,12 @@ impl TrainJobSpec {
     }
 }
 
-impl ServeJobSpec {
-    /// Parses a JSON body (`{}` and missing fields take defaults).
-    ///
-    /// # Errors
-    ///
-    /// A message naming the offending field.
-    pub fn from_json(spec: &Value) -> Result<Self, String> {
-        check_keys(
-            spec,
-            &[
-                "episodes",
-                "num_shards",
-                "stochastic_seed",
-                "seed",
-                "horizon",
-            ],
-        )?;
-        let mut out = ServeJobSpec::default();
-        if let Some(v) = spec_u64(spec, "episodes")? {
-            if v == 0 {
-                return Err(r#"field "episodes" must be at least 1"#.to_string());
-            }
-            out.episodes = usize::try_from(v).map_err(|_| "episodes too large")?;
-        }
-        if let Some(v) = spec_u64(spec, "num_shards")? {
-            if v == 0 {
-                return Err(r#"field "num_shards" must be at least 1"#.to_string());
-            }
-            out.num_shards = usize::try_from(v).map_err(|_| "num_shards too large")?;
-        }
-        if let Some(v) = spec_u64(spec, "stochastic_seed")? {
-            out.stochastic_seed = Some(v);
-        }
-        if let Some(v) = spec_u64(spec, "seed")? {
-            out.seed = v;
-        }
-        if let Some(v) = spec_f64(spec, "horizon")? {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(r#"field "horizon" must be a positive number"#.to_string());
-            }
-            out.horizon = v;
-        }
-        Ok(out)
-    }
-}
-
 /// One job as `GET /jobs` reports it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct JobView {
-    /// The id `POST /jobs/{kind}` returned.
+    /// The id `POST /jobs/train` returned.
     pub id: u64,
-    /// `"train"` or `"serve"`.
+    /// `"train"`, the one job kind.
     pub kind: String,
     /// `"running"` or `"done"`.
     pub state: String,
@@ -200,7 +119,6 @@ pub struct JobView {
 }
 
 struct Job {
-    kind: &'static str,
     cancel: Arc<AtomicBool>,
     handle: Option<JoinHandle<String>>,
     summary: Option<String>,
@@ -222,7 +140,7 @@ impl Job {
     fn view(&self, id: u64) -> JobView {
         JobView {
             id,
-            kind: self.kind.to_string(),
+            kind: "train".to_string(),
             state: if self.handle.is_some() {
                 "running"
             } else {
@@ -258,15 +176,6 @@ impl JobManager {
         JobManager::default()
     }
 
-    fn register(&self, job: Job) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        self.jobs
-            .lock()
-            .expect("job table poisoned")
-            .insert(id, job);
-        id
-    }
-
     /// Spawns a cancellable training run and returns its job id.
     pub fn spawn_train(&self, spec: TrainJobSpec) -> u64 {
         let cancel = Arc::new(AtomicBool::new(false));
@@ -275,28 +184,17 @@ impl JobManager {
             .name("dosco-ctl-job-train".to_string())
             .spawn(move || run_train_job(&spec, &flag))
             .expect("spawning train job thread");
-        self.register(Job {
-            kind: "train",
+        let job = Job {
             cancel,
             handle: Some(handle),
             summary: None,
-        })
-    }
-
-    /// Spawns a cancellable serving run and returns its job id.
-    pub fn spawn_serve(&self, spec: ServeJobSpec) -> u64 {
-        let cancel = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&cancel);
-        let handle = std::thread::Builder::new()
-            .name("dosco-ctl-job-serve".to_string())
-            .spawn(move || run_serve_job(&spec, flag))
-            .expect("spawning serve job thread");
-        self.register(Job {
-            kind: "serve",
-            cancel,
-            handle: Some(handle),
-            summary: None,
-        })
+        };
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
+        self.jobs
+            .lock()
+            .expect("job table poisoned")
+            .insert(id, job);
+        id
     }
 
     /// Requests a cooperative stop. Returns `false` for an unknown id.
@@ -382,37 +280,6 @@ fn run_train_job(spec: &TrainJobSpec, cancel: &AtomicBool) -> String {
     )
 }
 
-/// The serving-job body: a fresh (random-init) policy served over
-/// concurrent episodes through the cancellable fabric, which checks the
-/// job's own flag at every epoch boundary.
-fn run_serve_job(spec: &ServeJobSpec, cancel: Arc<AtomicBool>) -> String {
-    let scenario = ScenarioConfig::paper_base(2).with_horizon(spec.horizon);
-    let degree = scenario.topology.network_degree();
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let actor = Mlp::new(
-        &[4 * degree + 4, 32, degree + 1],
-        Activation::Tanh,
-        &mut rng,
-    );
-    let policy = CoordinationPolicy::new(actor, degree, PolicyMetadata::default());
-    let seeds: Vec<u64> = (0..spec.episodes)
-        .map(|i| spec.seed.wrapping_add(i as u64 + 1))
-        .collect();
-    let mut cfg = ServeConfig::new(spec.num_shards).with_cancel(cancel);
-    if let Some(s) = spec.stochastic_seed {
-        cfg = cfg.with_stochastic_seed(s);
-    }
-    let outcome = dosco_serve::serve(&policy, None, &scenario, &seeds, &cfg);
-    format!(
-        "served {} episodes over {} epochs: {} decisions ({} batched, {} fallback)",
-        seeds.len(),
-        outcome.report.epochs,
-        outcome.report.decisions,
-        outcome.report.batched_decisions,
-        outcome.report.fallback_decisions,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,10 +295,6 @@ mod tests {
         let t = TrainJobSpec::from_json(&json(r#"{"total_steps": 500, "seed": 9}"#)).unwrap();
         assert_eq!(t.total_steps, 500);
         assert_eq!(t.seed, 9);
-
-        let s = ServeJobSpec::from_json(&json(r#"{"episodes": 3, "stochastic_seed": 7}"#)).unwrap();
-        assert_eq!(s.episodes, 3);
-        assert_eq!(s.stochastic_seed, Some(7));
     }
 
     #[test]
@@ -443,9 +306,9 @@ mod tests {
             let err = TrainJobSpec::from_json(&json(retired)).unwrap_err();
             assert!(err.contains("unknown field"), "{err}");
         }
-        let err = ServeJobSpec::from_json(&json(r#"{"episodes": 0}"#)).unwrap_err();
-        assert!(err.contains("episodes"), "{err}");
-        let err = ServeJobSpec::from_json(&json(r#"[1,2]"#)).unwrap_err();
+        let err = TrainJobSpec::from_json(&json(r#"{"horizon": 0}"#)).unwrap_err();
+        assert!(err.contains("horizon"), "{err}");
+        let err = TrainJobSpec::from_json(&json(r#"[1,2]"#)).unwrap_err();
         assert!(err.contains("object"), "{err}");
     }
 
@@ -457,21 +320,12 @@ mod tests {
             seed: 1,
             horizon: 100.0,
         });
-        let serve_id = mgr.spawn_serve(ServeJobSpec {
-            horizon: 1e12, // far beyond the test's patience
-            ..ServeJobSpec::default()
-        });
-        // Let the serve job get into its epoch loop, so its stop lands
-        // mid-run.
-        std::thread::sleep(std::time::Duration::from_millis(100));
         assert!(mgr.stop(id), "known id stops");
-        assert!(mgr.stop(serve_id), "known id stops");
-        assert!(!mgr.stop(serve_id + 999), "unknown id does not");
+        assert!(!mgr.stop(id + 999), "unknown id does not");
         mgr.shutdown();
         let jobs = mgr.list();
-        assert_eq!(jobs.len(), 2);
+        assert_eq!(jobs.len(), 1);
         assert!(jobs.iter().all(|j| j.state == "done" && j.stop_requested));
         assert!(jobs[0].summary.as_deref().unwrap_or("").contains("trained"));
-        assert!(jobs[1].summary.as_deref().unwrap_or("").contains("served"));
     }
 }

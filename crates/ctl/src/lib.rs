@@ -8,7 +8,9 @@
 //!   exposing `GET /metrics` (the full `dosco_obs` registry as
 //!   deterministic JSON), `GET /snapshot` (published policy version and
 //!   registry head), `GET /shards` (the fabric's live
-//!   [`FabricStatus`](dosco_serve::FabricStatus)), and `GET /healthz`.
+//!   [`FabricStatus`](dosco_serve::FabricStatus)), `GET /healthz`, and
+//!   background training jobs ([`jobs`]: `POST /jobs/train`, `GET /jobs`,
+//!   `POST /jobs/{id}/stop`) whose episodes fold into `/metrics`.
 //! - **Versioned policy registry** ([`registry`]): an on-disk store of
 //!   [`CoordinationPolicy`](dosco_core::CoordinationPolicy) artifacts
 //!   with a manifest (version, parent, algorithm, checksum, creation
@@ -43,6 +45,6 @@ pub use canary::{
     ThresholdJudge,
 };
 pub use http::{CtlConfig, CtlServer};
-pub use jobs::{JobManager, JobView, ServeJobSpec, TrainJobSpec};
-pub use registry::{ArtifactMeta, PolicyRegistry, PromotionAction, PromotionRecord};
+pub use jobs::{JobManager, JobView, TrainJobSpec};
+pub use registry::{ArtifactMeta, PolicyRegistry, PromotionRecord};
 pub use state::{CtlState, HealthResponse, ShardsResponse, SnapshotResponse};

@@ -6,7 +6,7 @@
 //! ```text
 //! root/
 //!   manifest.json        # versions, parents, checksums, promoted head
-//!   promotions.log       # append-only JSON lines (promote / rollback)
+//!   promotions.log       # append-only JSON lines, one per promotion
 //!   policies/v{N}.json   # integrity-checked CoordinationPolicy artifacts
 //! ```
 //!
@@ -55,22 +55,11 @@ pub struct ArtifactMeta {
     pub fnv64: String,
 }
 
-/// What a promotion-log record did to the head pointer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PromotionAction {
-    /// `promote(version)`: the head moved forward to `version`.
-    Promote,
-    /// `rollback()`: the head moved back to the previous promotion.
-    Rollback,
-}
-
 /// One line of the append-only promotion log.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PromotionRecord {
     /// Position in the log (dense, starting at 0).
     pub seq: u64,
-    /// Whether this was a promotion or a rollback.
-    pub action: PromotionAction,
     /// The version the head moved *to*.
     pub version: u64,
     /// The head the move replaced.
@@ -212,14 +201,12 @@ impl PolicyRegistry {
     /// Appends one record to the promotion log.
     fn append_promotion(
         &mut self,
-        action: PromotionAction,
         version: u64,
         previous: Option<u64>,
         reason: &str,
     ) -> io::Result<()> {
         let record = PromotionRecord {
             seq: self.promotions,
-            action,
             version,
             previous,
             reason: reason.to_string(),
@@ -335,8 +322,8 @@ impl PolicyRegistry {
         self.load(head)
     }
 
-    /// Moves the promoted head to `version` and appends a `Promote`
-    /// record to the log.
+    /// Moves the promoted head to `version` and appends a record to the
+    /// log.
     ///
     /// # Errors
     ///
@@ -362,44 +349,7 @@ impl PolicyRegistry {
         let previous = self.manifest.head;
         self.manifest.head = Some(version);
         self.write_manifest()?;
-        self.append_promotion(PromotionAction::Promote, version, previous, reason)
-    }
-
-    /// Moves the head back to the version the last log record replaced
-    /// and appends a `Rollback` record. Rolling back a rollback returns
-    /// to the version the rollback left (the log is the full history).
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidInput`] when there is no promotion to roll
-    /// back, or the last move replaced nothing (no earlier head), plus
-    /// I/O errors from persisting the move.
-    pub fn rollback(&mut self, reason: &str) -> io::Result<u64> {
-        let head = self.manifest.head.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("registry {} has no promoted head", self.root.display()),
-            )
-        })?;
-        let last = self.promotion_log()?.pop().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "registry {} has an empty promotion log",
-                    self.root.display()
-                ),
-            )
-        })?;
-        let target = last.previous.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("v{head} was the first promotion: no previous head to roll back to"),
-            )
-        })?;
-        self.manifest.head = Some(target);
-        self.write_manifest()?;
-        self.append_promotion(PromotionAction::Rollback, target, Some(head), reason)?;
-        Ok(target)
+        self.append_promotion(version, previous, reason)
     }
 
     /// The currently promoted head's manifest entry, if any.
@@ -498,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_load_promote_rollback_lifecycle() {
+    fn publish_load_promote_lifecycle() {
         let root = temp_root("lifecycle");
         let mut reg = PolicyRegistry::open(&root).unwrap();
         assert!(reg.head().is_none());
@@ -533,19 +483,12 @@ mod tests {
             io::ErrorKind::InvalidInput
         );
 
-        let restored = reg.rollback("latency regression").unwrap();
-        assert_eq!(restored, 0);
-        assert_eq!(reg.head().unwrap().version, 0);
-
         let log = reg.promotion_log().unwrap();
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.len(), 2);
         assert_eq!(log[0].seq, 0);
-        assert_eq!(log[0].action, PromotionAction::Promote);
         assert_eq!((log[0].version, log[0].previous), (0, None));
         assert_eq!((log[1].version, log[1].previous), (2, Some(0)));
-        assert_eq!(log[2].action, PromotionAction::Rollback);
-        assert_eq!((log[2].version, log[2].previous), (0, Some(2)));
-        assert_eq!(log[2].reason, "latency regression");
+        assert_eq!(log[1].reason, "canary passed");
 
         std::fs::remove_dir_all(&root).ok();
     }
@@ -626,24 +569,6 @@ mod tests {
         let err = PolicyRegistry::open(&root).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("dosco-registry-v999"), "{err}");
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn rollback_without_history_is_rejected() {
-        let root = temp_root("nohistory");
-        let mut reg = PolicyRegistry::open(&root).unwrap();
-        assert_eq!(
-            reg.rollback("nope").unwrap_err().kind(),
-            io::ErrorKind::InvalidInput
-        );
-        reg.publish(&policy(1, 10)).unwrap();
-        reg.promote(0, "first").unwrap();
-        // The first promotion replaced nothing: no target to restore.
-        assert_eq!(
-            reg.rollback("nope").unwrap_err().kind(),
-            io::ErrorKind::InvalidInput
-        );
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -60,7 +60,7 @@ fn post_body_dribbled_one_byte_at_a_time_is_read_completely() {
     let server = start_server();
     let body = "{\"horizon\": \"not a number\"}";
     let request = format!(
-        "POST /jobs/serve HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\
+        "POST /jobs/train HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\
          Connection: close\r\n\r\n{body}",
         body.len()
     );

@@ -247,20 +247,14 @@ fn http_post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
     (status, body)
 }
 
-/// Job control end to end over real HTTP: spawn a training job and a
-/// serving job, list them, stop the long one, and watch both drain to
-/// `done` with honest summaries. Malformed specs fail with 400 naming
-/// the offending field.
+/// Job control end to end over real HTTP: spawn a training job, list
+/// it, stop it, and watch it drain to `done`. Malformed specs fail with
+/// 400 naming the offending field.
 #[test]
 fn job_control_routes_spawn_stop_and_report() {
     let state = Arc::new(CtlState::new());
     let server = CtlServer::start(&CtlConfig::default(), Arc::clone(&state)).unwrap();
     let addr = server.addr();
-
-    // A quick serve job: finishes on its own.
-    let (code, body) = http_post(addr, "/jobs/serve", r#"{"episodes": 1, "horizon": 60.0}"#);
-    assert_eq!(code, 200, "{body}");
-    assert!(body.contains(r#""kind":"serve""#), "{body}");
 
     // A training job sized to outlive the test unless stopped.
     let (code, body) = http_post(
@@ -295,17 +289,12 @@ fn job_control_routes_spawn_stop_and_report() {
     let (code, body) = http_post(addr, "/jobs/train", r#"{"mode": "async"}"#);
     assert_eq!(code, 400);
     assert!(body.contains("mode"), "{body}");
-    let (code, body) = http_post(addr, "/jobs/serve", r#"{"episodes": 0}"#);
-    assert_eq!(code, 400);
-    assert!(body.contains("episodes"), "{body}");
 
-    // Both jobs drain to done (the stopped trainer cooperatively, the
-    // serve job by finishing its episode).
+    // The stopped trainer drains to done cooperatively.
     state.jobs().shutdown();
     let (code, body) = http_get(addr, "/jobs");
     assert_eq!(code, 200);
     assert!(!body.contains(r#""state":"running""#), "{body}");
-    assert!(body.contains("served 1 episodes"), "{body}");
 
     server.shutdown();
 }

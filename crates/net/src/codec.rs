@@ -131,9 +131,17 @@ fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], Code
     Ok(s)
 }
 
+fn take_array<const N: usize>(bytes: &[u8], pos: &mut usize) -> Result<[u8; N], CodecError> {
+    let (head, _) = bytes
+        .get(*pos..)
+        .and_then(<[u8]>::split_first_chunk::<N>)
+        .ok_or(CodecError::Truncated)?;
+    *pos += N;
+    Ok(*head)
+}
+
 fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, CodecError> {
-    let s = take(bytes, pos, 4)?;
-    Ok(u32::from_le_bytes(s.try_into().expect("4-byte slice")))
+    take_array(bytes, pos).map(u32::from_le_bytes)
 }
 
 fn decode_node(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, CodecError> {
@@ -145,24 +153,11 @@ fn decode_node(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Cod
         0 => Ok(Value::Null),
         1 => Ok(Value::Bool(false)),
         2 => Ok(Value::Bool(true)),
-        3 => {
-            let s = take(bytes, pos, 8)?;
-            Ok(Value::Int(i64::from_le_bytes(
-                s.try_into().expect("8-byte slice"),
-            )))
-        }
-        4 => {
-            let s = take(bytes, pos, 8)?;
-            Ok(Value::UInt(u64::from_le_bytes(
-                s.try_into().expect("8-byte slice"),
-            )))
-        }
-        5 => {
-            let s = take(bytes, pos, 8)?;
-            Ok(Value::Float(f64::from_bits(u64::from_le_bytes(
-                s.try_into().expect("8-byte slice"),
-            ))))
-        }
+        3 => Ok(Value::Int(i64::from_le_bytes(take_array(bytes, pos)?))),
+        4 => Ok(Value::UInt(u64::from_le_bytes(take_array(bytes, pos)?))),
+        5 => Ok(Value::Float(f64::from_bits(u64::from_le_bytes(
+            take_array(bytes, pos)?,
+        )))),
         6 => {
             let len = take_u32(bytes, pos)? as usize;
             let s = take(bytes, pos, len)?;

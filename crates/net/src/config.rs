@@ -1,30 +1,16 @@
-//! Validated `DOSCO_NET_*` environment configuration and connection
-//! establishment (bounded exponential-backoff retry + connect timeout).
-//!
-//! | variable               | meaning                                      | default |
-//! |------------------------|----------------------------------------------|---------|
-//! | `DOSCO_NET_ADDR`       | `host:port` the process connects or binds to | unset   |
-//! | `DOSCO_NET_RETRIES`    | extra connect attempts after the first       | `5`     |
-//! | `DOSCO_NET_TIMEOUT_MS` | per-attempt connect timeout (ms), ≥ 1        | `2000`  |
-//!
-//! Parsing goes through [`dosco_obs::env::parse_lookup`]: unset or blank
-//! means default, malformed raises an [`EnvParseError`] naming the
-//! variable, the offending value, and what was expected. Which role a
-//! process plays is its binary's business (`examples/distributed.rs`
-//! reads `DOSCO_NET_ROLE` itself).
+//! Connection establishment: the [`NetConfig`] dial policy and
+//! [`connect_with_retry`] (bounded exponential-backoff retry + connect
+//! timeout).
 
 use std::fmt;
 use std::io;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use dosco_obs::env::{parse_lookup, EnvParseError};
-
-/// Validated network configuration for one process.
+/// The dial policy of [`crate::dial_session`]: how often and how long
+/// to try before a connection fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
-    /// Peer (or bind) address, if `DOSCO_NET_ADDR` is set.
-    pub addr: Option<String>,
     /// Extra connect attempts after the first (total = retries + 1).
     pub retries: u32,
     /// Per-attempt connect timeout.
@@ -34,68 +20,15 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            addr: None,
             retries: 5,
             timeout: Duration::from_millis(2000),
         }
     }
 }
 
-impl NetConfig {
-    /// Reads configuration from the process environment.
-    ///
-    /// # Errors
-    ///
-    /// [`EnvParseError`] naming the first malformed variable.
-    pub fn from_env() -> Result<Self, EnvParseError> {
-        Self::from_lookup(&|var| std::env::var(var).ok())
-    }
-
-    /// Reads configuration through an injectable lookup (testable without
-    /// touching the process environment).
-    ///
-    /// # Errors
-    ///
-    /// [`EnvParseError`] naming the first malformed variable.
-    pub fn from_lookup(get: &dyn Fn(&str) -> Option<String>) -> Result<Self, EnvParseError> {
-        let defaults = NetConfig::default();
-        let addr = match get("DOSCO_NET_ADDR") {
-            None => None,
-            Some(raw) if raw.trim().is_empty() => None,
-            Some(raw) => Some(raw.trim().to_owned()),
-        };
-        let retries = parse_lookup::<u32>(get, "DOSCO_NET_RETRIES", "a u32 retry count", |_| true)?
-            .unwrap_or(defaults.retries);
-        let timeout_ms = parse_lookup::<u64>(
-            get,
-            "DOSCO_NET_TIMEOUT_MS",
-            "a positive timeout in milliseconds",
-            |&v| v >= 1,
-        )?
-        .map_or(defaults.timeout, Duration::from_millis);
-        Ok(NetConfig {
-            addr,
-            retries,
-            timeout: timeout_ms,
-        })
-    }
-
-    /// The configured address, or an error naming the variable if unset
-    /// (a process that must dial or bind calls this).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::MissingAddr`] when `DOSCO_NET_ADDR` was not provided.
-    pub fn require_addr(&self) -> Result<&str, NetError> {
-        self.addr.as_deref().ok_or(NetError::MissingAddr)
-    }
-}
-
 /// Connection-establishment failures.
 #[derive(Debug)]
 pub enum NetError {
-    /// `DOSCO_NET_ADDR` is required for this role but unset.
-    MissingAddr,
     /// Every connect attempt failed.
     Connect {
         /// The address dialed.
@@ -120,9 +53,6 @@ pub enum NetError {
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetError::MissingAddr => {
-                write!(f, "DOSCO_NET_ADDR is required for this role but unset")
-            }
             NetError::Connect {
                 addr,
                 attempts,
@@ -204,46 +134,6 @@ pub fn connect_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
-
-    fn lookup(pairs: &[(&str, &str)]) -> impl Fn(&str) -> Option<String> {
-        let map: HashMap<String, String> = pairs
-            .iter()
-            .map(|&(k, v)| (k.to_owned(), v.to_owned()))
-            .collect();
-        move |k: &str| map.get(k).cloned()
-    }
-
-    #[test]
-    fn defaults_when_unset() {
-        let cfg = NetConfig::from_lookup(&lookup(&[])).expect("defaults");
-        assert_eq!(cfg, NetConfig::default());
-        assert!(matches!(cfg.require_addr(), Err(NetError::MissingAddr)));
-    }
-
-    #[test]
-    fn full_parse() {
-        let cfg = NetConfig::from_lookup(&lookup(&[
-            ("DOSCO_NET_ADDR", "127.0.0.1:7171"),
-            ("DOSCO_NET_RETRIES", "2"),
-            ("DOSCO_NET_TIMEOUT_MS", "250"),
-        ]))
-        .expect("parse");
-        assert_eq!(cfg.addr.as_deref(), Some("127.0.0.1:7171"));
-        assert_eq!(cfg.retries, 2);
-        assert_eq!(cfg.timeout, Duration::from_millis(250));
-    }
-
-    #[test]
-    fn malformed_values_name_the_variable() {
-        let err = NetConfig::from_lookup(&lookup(&[("DOSCO_NET_TIMEOUT_MS", "0")]))
-            .expect_err("zero timeout");
-        assert!(err.to_string().contains("DOSCO_NET_TIMEOUT_MS"), "{err}");
-
-        let err = NetConfig::from_lookup(&lookup(&[("DOSCO_NET_RETRIES", "many")]))
-            .expect_err("non-numeric");
-        assert!(err.to_string().contains("DOSCO_NET_RETRIES"), "{err}");
-    }
 
     #[test]
     fn backoff_is_bounded_exponential() {

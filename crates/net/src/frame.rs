@@ -153,15 +153,16 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
     let mut header = [0u8; HEADER_LEN];
     read_exact_or_eof(r, &mut header)?;
-    let magic: [u8; 4] = header[0..4].try_into().expect("4-byte slice");
+    let [m0, m1, m2, m3, l0, l1, l2, l3, checksum @ ..] = header;
+    let magic = [m0, m1, m2, m3];
     if magic != MAGIC {
         return Err(FrameError::BadMagic(magic));
     }
-    let len = u32::from_le_bytes(header[4..8].try_into().expect("4-byte slice"));
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
     if len > MAX_PAYLOAD {
         return Err(FrameError::TooLarge(len));
     }
-    let expected = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
+    let expected = u64::from_le_bytes(checksum);
     let mut payload = vec![0u8; len as usize];
     read_exact_mid_frame(r, &mut payload)?;
     let actual = fnv1a64(&payload);

@@ -1,10 +1,11 @@
 //! `dosco_net`: the pluggable transport layer under the actor–learner and
 //! serve planes.
 //!
-//! The paper's coordination system is distributed by design; this crate is
-//! what lets the runtime and serve dataflows span OS processes without the
-//! algorithms changing (the SRL/MSRL lesson: abstract the transport under
-//! the dataflow, not the dataflow itself). It provides:
+//! The runtime's lockstep channels and the serving fabric's shard
+//! mailboxes are typed channels behind one trait, so the same dataflow
+//! runs over in-process queues or TCP without the algorithms changing
+//! (the SRL/MSRL lesson: abstract the transport under the dataflow, not
+//! the dataflow itself). It provides:
 //!
 //! - [`transport`] — the [`Transport`]/[`Tx`]/[`Rx`] traits: typed bounded
 //!   channels with crossbeam's exact backpressure, disconnect, and
@@ -14,12 +15,12 @@
 //!   thread per sender, a reader thread + bounded queue per receiver, and
 //!   the [`SocketLoopback`] transport that pairs them over `127.0.0.1` for
 //!   equivalence testing.
-//! - [`open_session`] / [`dial_session`] — the one TCP session of both
-//!   multi-process deployments: a hello frame, then a typed channel each way.
+//! - [`open_session`] / [`dial_session`] — the TCP session of the serving
+//!   fabric's remote shards: a hello frame, then a typed channel each way.
 //! - [`frame`] — the length-prefixed, FNV-1a-checksummed wire frame.
 //! - [`codec`] — a bit-exact binary encoding of the vendored serde
 //!   [`serde::Value`] tree (floats travel as raw IEEE-754 bits).
-//! - [`config`] — validated `DOSCO_NET_*` environment configuration, plus
+//! - [`config`] — the [`NetConfig`] dial policy and
 //!   [`connect_with_retry`] (bounded exponential backoff + connect
 //!   timeout).
 //!
@@ -29,6 +30,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod codec;
 pub mod config;

@@ -1,6 +1,6 @@
-//! The one TCP session of both multi-process deployments (actor ↔
-//! learner, frontend ↔ shard): the listening end writes a hello frame
-//! (`LearnerHello`, `ShardInit`), then each direction is a typed channel.
+//! The TCP session of the serving fabric's remote shards (frontend ↔
+//! shard): the listening end writes a hello frame (`ShardInit`), then
+//! each direction is a typed channel.
 
 use std::any::type_name;
 use std::net::TcpStream;

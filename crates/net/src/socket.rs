@@ -19,7 +19,7 @@
 //! `net_socket_stalls`).
 
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 
 use crossbeam::channel::{self, RecvError, SendError, TryRecvError, TrySendError};
@@ -47,7 +47,9 @@ struct SocketTx<T> {
 
 impl<T: Wire> Tx<T> for SocketTx<T> {
     fn send(&self, msg: T) -> Result<(), SendError<T>> {
-        let q = self.queue.as_ref().expect("live sender");
+        let Some(q) = &self.queue else {
+            return Err(SendError(msg));
+        };
         match q.try_send(msg) {
             Ok(()) => Ok(()),
             Err(TrySendError::Disconnected(m)) => Err(SendError(m)),
@@ -81,6 +83,10 @@ impl<T> Drop for SocketTx<T> {
 /// # Panics
 ///
 /// Panics if the writer thread cannot be spawned or `capacity == 0`.
+#[allow(
+    clippy::expect_used,
+    reason = "the documented # Panics contract of sender_on"
+)]
 pub fn sender_on<T: Wire>(stream: TcpStream, capacity: usize) -> BoxTx<T> {
     let (tx, rx) = channel::bounded::<T>(capacity);
     let writer = thread::Builder::new()
@@ -122,16 +128,24 @@ struct SocketRx<T> {
 
 impl<T: Wire> Rx<T> for SocketRx<T> {
     fn recv(&self) -> Result<T, RecvError> {
-        self.queue.as_ref().expect("live receiver").recv()
+        self.queue.as_ref().ok_or(RecvError)?.recv()
     }
 
     fn try_recv(&self) -> Result<T, TryRecvError> {
-        self.queue.as_ref().expect("live receiver").try_recv()
+        self.queue
+            .as_ref()
+            .ok_or(TryRecvError::Disconnected)?
+            .try_recv()
     }
 
     fn fault(&self) -> Option<String> {
-        self.fault.lock().expect("fault lock").clone()
+        lock_fault(&self.fault).clone()
     }
+}
+
+/// The fault slot, also after a reader thread panicked holding it.
+fn lock_fault(fault: &Mutex<Option<String>>) -> std::sync::MutexGuard<'_, Option<String>> {
+    fault.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<T> Drop for SocketRx<T> {
@@ -159,6 +173,10 @@ impl<T> Drop for SocketRx<T> {
 ///
 /// Panics if the reader thread cannot be spawned, the stream cannot be
 /// cloned, or `capacity == 0`.
+#[allow(
+    clippy::expect_used,
+    reason = "the documented # Panics contract of receiver_on"
+)]
 pub fn receiver_on<T: Wire>(stream: TcpStream, capacity: usize) -> BoxRx<T> {
     let (tx, rx) = channel::bounded::<T>(capacity);
     let fault: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
@@ -187,14 +205,14 @@ pub fn receiver_on<T: Wire>(stream: TcpStream, capacity: usize) -> BoxRx<T> {
                         continue;
                     }
                     Err(e) => {
-                        *fault_in.lock().expect("fault lock") = Some(e.to_string());
+                        *lock_fault(&fault_in) = Some(e.to_string());
                         return;
                     }
                 };
                 let msg: T = match decode_msg(&payload) {
                     Ok(m) => m,
                     Err(e) => {
-                        *fault_in.lock().expect("fault lock") = Some(e.to_string());
+                        *lock_fault(&fault_in) = Some(e.to_string());
                         return;
                     }
                 };
@@ -225,10 +243,20 @@ pub fn receiver_on<T: Wire>(stream: TcpStream, capacity: usize) -> BoxRx<T> {
 /// This drives the *identical* generic code path a multi-host deployment
 /// uses — same codec, framing, threads, and backpressure — which is what
 /// the socket equivalence tests pin against the in-process transport.
+///
+/// # Panics
+///
+/// [`Transport::channel`] panics if loopback cannot be bound, connected
+/// or accepted, if a thread cannot be spawned, or as [`sender_on`] and
+/// [`receiver_on`]: its signature has no room for an error.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SocketLoopback;
 
 impl<T: Wire> Transport<T> for SocketLoopback {
+    #[allow(
+        clippy::expect_used,
+        reason = "the documented # Panics contract of SocketLoopback"
+    )]
     fn channel(&self, capacity: usize) -> (BoxTx<T>, BoxRx<T>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
         let addr = listener.local_addr().expect("listener addr");

@@ -21,8 +21,7 @@
 //! them over [`InProcess`] (bounded crossbeam channels), while
 //! [`train_with_transport`] accepts any [`Transport`] — e.g.
 //! `dosco_net::SocketLoopback`, which routes every message through the
-//! framed binary codec over real TCP sockets. The multi-process
-//! deployment in [`crate::remote`] runs the same learner loop.
+//! framed binary codec over real TCP sockets.
 //!
 //! Shutdown (normal, cancelled, or panicking) always follows the same
 //! sequence: drop the reply channel (unblocking an actor waiting for its
@@ -60,9 +59,8 @@ fn elapsed_ns(since: Instant) -> u64 {
 
 /// The rollout actor: collect under the current snapshot, send the batch
 /// with the agent RNG, wait for the learner's reply. Returns the RNG if
-/// it still holds it at exit. The in-process driver runs it on a thread,
-/// [`crate::run_actor`] in an actor process.
-pub(crate) fn actor_loop(
+/// it still holds it at exit.
+fn actor_loop(
     params: CollectParams,
     counters: &Counters,
     envs: &mut [Box<dyn Env>],
@@ -119,7 +117,7 @@ pub(crate) fn actor_loop(
 }
 
 /// Checks a received batch against the lockstep protocol before the
-/// update indexes it — a remote actor is untrusted input.
+/// update indexes it: a batch that crossed a transport is untrusted input.
 fn check_batch<L: Learner + ?Sized>(
     batch: &ExperienceBatch,
     version: u64,
@@ -159,9 +157,8 @@ fn check_batch<L: Learner + ?Sized>(
     Ok(())
 }
 
-/// The learner's consume→update→reply loop, shared verbatim by the
-/// in-process driver and the multi-process learner ([`crate::remote`]) so
-/// the two paths cannot drift arithmetically: only the channels differ.
+/// The learner's consume→update→reply loop over whichever transport
+/// [`train_inner`] opened: only the channels differ between transports.
 ///
 /// Returns the statistics and the agent RNG if the learner kept it (after
 /// the final update, or when the actor is gone); `cancel`, when set, stops
@@ -171,7 +168,7 @@ fn check_batch<L: Learner + ?Sized>(
 ///
 /// A description of the first batch that breaks the lockstep protocol
 /// ([`check_batch`], or no agent RNG); the loop stops there.
-pub(crate) fn run_learner_loop<L: Learner + ?Sized>(
+fn run_learner_loop<L: Learner + ?Sized>(
     learner: &mut L,
     rx: &dyn Rx<ExperienceBatch>,
     ret: &dyn Tx<SyncReply>,
@@ -272,7 +269,7 @@ fn publish<L: Learner + ?Sized>(
 
 /// Consumes the batches still in flight until the actor disconnects,
 /// returning the agent RNG if one of them carried it.
-pub(crate) fn drain(rx: &dyn Rx<ExperienceBatch>, counters: &Counters) -> Option<StdRng> {
+fn drain(rx: &dyn Rx<ExperienceBatch>, counters: &Counters) -> Option<StdRng> {
     let mut rng = None;
     while let Ok(batch) = rx.recv() {
         Counters::inc(&counters.batches_drained);

@@ -13,8 +13,8 @@
 //!   trait and hands the versioned [`PolicySnapshot`] and the RNG back.
 //!
 //! The two run in lockstep, so a run is **bit-identical** to the serial
-//! training loop (proven by test) whether the channels are in-process,
-//! loopback TCP, or span two processes ([`remote`]). An overlapped mode
+//! training loop (proven by test) whether the channels are in-process or
+//! loopback TCP. An overlapped mode
 //! existed once and lost to lockstep in every measured configuration: the
 //! learner dominates the cycle, so overlapping collection buys little.
 //!
@@ -34,7 +34,6 @@
 pub mod config;
 pub mod counters;
 pub mod driver;
-pub mod remote;
 pub mod snapshot;
 pub mod wire;
 
@@ -42,6 +41,5 @@ pub use config::RuntimeConfig;
 pub use counters::RuntimeReport;
 pub use dosco_rl::learner::{CollectParams, Learner};
 pub use driver::{train, train_cancellable, train_with_transport, RuntimeOutcome};
-pub use remote::{run_actor, run_learner};
 pub use snapshot::{PolicySlot, PolicySnapshot, SlotInfo};
-pub use wire::{ExperienceBatch, LearnerHello, SyncReply};
+pub use wire::{ExperienceBatch, SyncReply};

@@ -1,15 +1,13 @@
 //! Wire-format message types of the actor–learner plane.
 //!
 //! These are the typed messages that cross a [`dosco_net`] transport
-//! channel: the experience batch the actor ships to the learner, the
-//! lockstep reply, and the handshake of the multi-process deployment
-//! ([`crate::remote`]). All of them serialize through the
-//! vendored serde so the socket transport's bit-exact binary codec can
-//! carry them; the circulating [`StdRng`] travels as its four-word
-//! xoshiro256++ state and resumes the identical stream on the other side.
+//! channel: the experience batch the actor ships to the learner and the
+//! lockstep reply. Both serialize through the vendored serde so the
+//! socket transport's bit-exact binary codec can carry them; the
+//! circulating [`StdRng`] travels as its four-word xoshiro256++ state and
+//! resumes the identical stream on the other side.
 
 use crate::snapshot::PolicySnapshot;
-use dosco_rl::learner::CollectParams;
 use dosco_rl::rollout::Rollout;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize, Value};
@@ -85,18 +83,6 @@ impl Deserialize for SyncReply {
     }
 }
 
-/// The learner's handshake to the connecting remote actor: everything the
-/// actor process needs to mirror the in-process actor thread.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct LearnerHello {
-    /// Collection hyperparameters from the algorithm.
-    pub params: CollectParams,
-    /// The initial (version 0) snapshot.
-    pub snapshot: PolicySnapshot,
-    /// The agent RNG state the actor starts from.
-    pub rng: [u64; 4],
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,36 +149,5 @@ mod tests {
         let back: SyncReply = dosco_net::decode_msg(&payload).expect("decode");
         assert_eq!(*back.snapshot, snap);
         assert_eq!(back.rng.state(), StdRng::seed_from_u64(5).state());
-    }
-
-    #[test]
-    fn hello_round_trips() {
-        let snap = PolicySnapshot {
-            version: 0,
-            actor: dosco_nn::mlp::Mlp::new(
-                &[2, 3, 2],
-                dosco_nn::mlp::Activation::Relu,
-                &mut StdRng::seed_from_u64(1),
-            ),
-            critic: dosco_nn::mlp::Mlp::new(
-                &[2, 3, 1],
-                dosco_nn::mlp::Activation::Relu,
-                &mut StdRng::seed_from_u64(2),
-            ),
-        };
-        let hello = LearnerHello {
-            params: CollectParams {
-                n_steps: 8,
-                gamma: 0.99,
-                gae_lambda: 0.95,
-            },
-            snapshot: snap.clone(),
-            rng: [1, 2, 3, 4],
-        };
-        let back: LearnerHello =
-            dosco_net::decode_msg(&dosco_net::encode_msg(&hello)).expect("hello");
-        assert_eq!(back.params, hello.params);
-        assert_eq!(back.snapshot, snap);
-        assert_eq!(back.rng, [1, 2, 3, 4]);
     }
 }

@@ -2,25 +2,22 @@
 //! tentpole. A sync-mode training run whose channels are real TCP
 //! connections — framed, checksummed, serialized through the binary codec
 //! — produces *bit-identical* results to the in-process run: same
-//! `TrainStats`, same weights, and the same RNG stream afterwards. The
-//! multi-process deployment (learner server + connecting actor, two
-//! independent transports over loopback TCP) is held to the same standard.
+//! `TrainStats`, same weights, and the same RNG stream afterwards. A
+//! batch that breaks the lockstep protocol stops the run with the
+//! protocol error, whichever transport delivered it.
 
-use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
-use dosco_net::{encode_msg, read_frame, write_frame, NetConfig, NetError, SocketLoopback};
+use dosco_net::{BoxRx, BoxTx, InProcess, SocketLoopback, Transport};
 use dosco_nn::matrix::Matrix;
 use dosco_rl::a2c::{A2c, A2cConfig};
 use dosco_rl::env::{Env, StepResult};
 use dosco_rl::ppo::{Ppo, PpoConfig};
 use dosco_rl::rollout::Rollout;
 use dosco_runtime::{
-    run_learner, train, train_cancellable, train_with_transport, ExperienceBatch, Learner,
-    LearnerHello, PolicySnapshot, RuntimeConfig, RuntimeOutcome,
+    train, train_cancellable, train_with_transport, ExperienceBatch, RuntimeConfig, SyncReply,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -189,69 +186,6 @@ fn sync_ppo_over_loopback_socket_is_bit_identical() {
     );
 }
 
-/// The full multi-process deployment path — a learner server accepting a
-/// TCP connection and a separately-constructed actor dialing in, speaking
-/// `LearnerHello`/`ExperienceBatch`/`SyncReply` frames — reproduces the
-/// in-process sync run bit for bit (weights, stats, and RNG tail).
-#[test]
-fn remote_learner_and_actor_over_tcp_match_in_process_sync() {
-    let total = 300;
-    let cfg = a2c_config();
-
-    let mut in_proc = A2c::new(2, 2, cfg, 7);
-    let mut in_proc_envs = ring_envs(3);
-    let baseline = train(
-        &mut in_proc,
-        &mut in_proc_envs,
-        total,
-        &RuntimeConfig::sync(),
-    );
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind learner");
-    let addr = listener.local_addr().expect("learner address").to_string();
-
-    let learner_thread = std::thread::spawn(move || {
-        let mut agent = A2c::new(2, 2, cfg, 7);
-        let outcome = run_learner(&listener, &mut agent, total, None).expect("learner server run");
-        (agent, outcome)
-    });
-
-    // The "actor process": same code path a real second process runs, here
-    // on a thread so the test can join both ends.
-    let mut actor_envs = ring_envs(3);
-    let net = NetConfig::default();
-    let sent = dosco_runtime::run_actor(&mut actor_envs, &addr, &net).expect("actor run");
-    assert!(sent > 0, "actor shipped no batches");
-
-    let (remote_agent, outcome) = learner_thread.join().expect("learner thread");
-    assert_eq!(outcome.stats, baseline.stats, "remote stats diverged");
-    assert_eq!(
-        remote_agent.actor().flat_params(),
-        in_proc.actor().flat_params(),
-        "remote actor weights diverged"
-    );
-    assert_eq!(
-        remote_agent.critic().flat_params(),
-        in_proc.critic().flat_params(),
-        "remote critic weights diverged"
-    );
-
-    // RNG equivalence across the process boundary: the learner got the
-    // stream back (it travels inside every batch), so a serial tail stays
-    // identical. The training envs live in the actor "process" and are
-    // gone, so the tail runs on identical fresh envs for both agents (the
-    // baseline replayed through a fresh in-process run).
-    let mut remote_agent = remote_agent;
-    let tail_baseline = {
-        let mut fresh = A2c::new(2, 2, cfg, 7);
-        let mut fresh_envs = ring_envs(3);
-        let _ = train(&mut fresh, &mut fresh_envs, total, &RuntimeConfig::sync());
-        fresh.train(&mut ring_envs(2), 60)
-    };
-    let tail_remote = remote_agent.train(&mut ring_envs(2), 60);
-    assert_eq!(tail_remote, tail_baseline, "RNG diverged across processes");
-}
-
 /// Cancellation stops a run early and still restores the agent RNG (the
 /// shutdown drain recovers it from wherever it is in flight).
 #[test]
@@ -274,7 +208,7 @@ fn cancelled_training_shuts_down_cleanly_and_restores_rng() {
 }
 
 /// A rollout of zeros shaped like the ring env's `n_envs × n_steps`
-/// batch, for the fake actor below to corrupt.
+/// batch, for the tests below to corrupt.
 fn zero_rollout(n_envs: usize, n_steps: usize) -> Rollout {
     let rows = n_envs * n_steps;
     Rollout {
@@ -291,39 +225,50 @@ fn zero_rollout(n_envs: usize, n_steps: usize) -> Rollout {
     }
 }
 
-/// Serves one learner run whose only actor is a raw socket: it reads the
-/// hello, sends `batch`, and keeps the connection open. Returns what
-/// [`run_learner`] returned; fails the test if the learner panics or is
-/// still running after a minute.
-fn serve_one_hostile_batch(batch: ExperienceBatch) -> Result<RuntimeOutcome, NetError> {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind learner");
-    let addr = listener.local_addr().expect("learner address");
-    let (done_tx, done_rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let mut agent = A2c::new(2, 2, a2c_config(), 7);
-        let _ = done_tx.send(run_learner(&listener, &mut agent, 300, None));
-    });
-    let mut stream = TcpStream::connect(addr).expect("dial learner");
-    read_frame(&mut stream).expect("hello frame");
-    write_frame(&mut stream, &encode_msg(&batch)).expect("send batch");
-    let result = match done_rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(result) => result,
-        Err(RecvTimeoutError::Disconnected) => panic!("learner panicked on a hostile batch"),
-        Err(RecvTimeoutError::Timeout) => panic!("learner hung on a hostile batch"),
-    };
-    drop(stream);
-    result
-}
+/// The in-process transport, except that the experience channel hands
+/// the learner `batch` before anything the actor sends.
+struct Hostile(Mutex<Option<ExperienceBatch>>);
 
-fn assert_protocol_error(result: Result<RuntimeOutcome, NetError>, what: &str) {
-    match result {
-        Err(NetError::Protocol(msg)) => assert!(msg.contains(what), "{msg}"),
-        other => panic!("expected a protocol error naming {what:?}, got {other:?}"),
+impl Transport<ExperienceBatch> for Hostile {
+    fn channel(&self, capacity: usize) -> (BoxTx<ExperienceBatch>, BoxRx<ExperienceBatch>) {
+        let (tx, rx) = InProcess.channel(capacity + 1);
+        let batch = self.0.lock().expect("hostile batch").take();
+        tx.send(batch.expect("one channel per run"))
+            .expect("room for the hostile batch");
+        (tx, rx)
     }
 }
 
-/// A remote actor is untrusted input: a batch that lost the circulating
-/// RNG is refused, not unwrapped.
+impl Transport<SyncReply> for Hostile {
+    fn channel(&self, capacity: usize) -> (BoxTx<SyncReply>, BoxRx<SyncReply>) {
+        InProcess.channel(capacity)
+    }
+}
+
+/// Trains over a transport that delivers `batch` first and asserts the
+/// run stops with the lockstep protocol error naming `what`.
+fn assert_protocol_error(batch: ExperienceBatch, what: &str) {
+    let mut agent = A2c::new(2, 2, a2c_config(), 7);
+    let hostile = Hostile(Mutex::new(Some(batch)));
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        train_with_transport(
+            &mut agent,
+            &mut ring_envs(1),
+            300,
+            &RuntimeConfig::sync(),
+            &hostile,
+        )
+    }));
+    let payload = run.expect_err("a hostile batch must stop training");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("the protocol error is a formatted panic");
+    assert!(msg.contains("lockstep protocol violated"), "{msg}");
+    assert!(msg.contains(what), "{msg}");
+}
+
+/// A batch that crossed a transport is untrusted input: one that lost the
+/// circulating RNG is refused, not unwrapped.
 #[test]
 fn hostile_batch_without_rng_is_a_protocol_error() {
     let batch = ExperienceBatch {
@@ -331,7 +276,7 @@ fn hostile_batch_without_rng_is_a_protocol_error() {
         version: 0,
         rng: None,
     };
-    assert_protocol_error(serve_one_hostile_batch(batch), "RNG");
+    assert_protocol_error(batch, "RNG");
 }
 
 /// A batch claiming a policy version the learner has not published yet
@@ -343,7 +288,7 @@ fn hostile_batch_from_a_future_version_is_a_protocol_error() {
         version: 1,
         rng: Some(StdRng::seed_from_u64(1)),
     };
-    assert_protocol_error(serve_one_hostile_batch(batch), "version");
+    assert_protocol_error(batch, "version");
 }
 
 /// A rollout whose per-transition fields disagree in length is refused
@@ -357,7 +302,7 @@ fn hostile_batch_with_ragged_rows_is_a_protocol_error() {
         version: 0,
         rng: Some(StdRng::seed_from_u64(1)),
     };
-    assert_protocol_error(serve_one_hostile_batch(batch), "rows");
+    assert_protocol_error(batch, "rows");
 }
 
 /// A rollout that does not fit the learner's networks — observations of
@@ -375,36 +320,6 @@ fn hostile_batch_that_does_not_fit_the_policy_is_a_protocol_error() {
             version: 0,
             rng: Some(StdRng::seed_from_u64(1)),
         };
-        assert_protocol_error(serve_one_hostile_batch(batch), "policy");
-    }
-}
-
-/// A learner is untrusted input to the actor too: a hello whose actor
-/// reads observations of the wrong width, offers more actions than the
-/// environments have, or whose critic does not fit, is refused before the
-/// collector or the environment sees it.
-#[test]
-fn hello_that_does_not_fit_the_envs_is_a_protocol_error() {
-    let net = |obs: usize, acts: usize| A2c::new(obs, acts, a2c_config(), 7);
-    let (fits, wide, many) = (net(2, 2), net(3, 2), net(2, 3));
-    for (actor, critic) in [(&wide, &wide), (&many, &many), (&fits, &wide)] {
-        let hello = LearnerHello {
-            params: fits.collect_params(),
-            snapshot: PolicySnapshot {
-                version: 0,
-                actor: actor.actor().clone(),
-                critic: critic.critic().clone(),
-            },
-            rng: [1, 2, 3, 4],
-        };
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake learner");
-        let addr = listener.local_addr().expect("learner address").to_string();
-        let net = NetConfig::default();
-        let actor_run =
-            std::thread::spawn(move || dosco_runtime::run_actor(&mut ring_envs(2), &addr, &net));
-        let (mut stream, _) = listener.accept().expect("actor dials in");
-        write_frame(&mut stream, &encode_msg(&hello)).expect("send hello");
-        let result = actor_run.join().expect("the actor panicked");
-        assert!(matches!(result, Err(NetError::Protocol(_))), "{result:?}");
+        assert_protocol_error(batch, "policy");
     }
 }

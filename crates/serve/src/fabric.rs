@@ -46,7 +46,6 @@ use dosco_simnet::{
     Action, ChurnTimeline, DecisionPoint, Metrics, ScenarioConfig, SimEvent, Simulation,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
@@ -84,11 +83,6 @@ pub struct ServeConfig {
     /// every epoch boundary. `None` (the default) costs one `Option`
     /// check per epoch.
     pub status: Option<Arc<StatusBoard>>,
-    /// Cooperative cancellation flag, checked at every epoch boundary:
-    /// once set, the fabric shuts down gracefully (shards join, every
-    /// applied decision stays accounted) and returns the partial outcome.
-    /// `None` (the default) costs one `Option` check per epoch.
-    pub cancel: Option<Arc<AtomicBool>>,
     /// How long a flush barrier may go unanswered before the shards
     /// still owing a batch are declared dead and their routed decisions
     /// fall back to shortest-path. Batches are at most one row per
@@ -111,7 +105,6 @@ impl ServeConfig {
             faults: FaultScript::new(),
             control: None,
             status: None,
-            cancel: None,
             gather_stall: GATHER_STALL,
             churn: ChurnTimeline::none(),
         }
@@ -128,13 +121,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_status(mut self, status: Arc<StatusBoard>) -> Self {
         self.status = Some(status);
-        self
-    }
-
-    /// Attaches a cooperative cancellation flag.
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(cancel);
         self
     }
 
@@ -559,14 +545,6 @@ pub(crate) fn serve_core<'scope>(
     let mut f = Frontend::launch(policy, hub, sims, cfg, launcher);
     loop {
         let epoch = f.report.epochs;
-        if cfg
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-        {
-            f.report.epochs += 1;
-            break;
-        }
         on_epoch(epoch);
         f.boundary(epoch);
         let decided = f.collect();

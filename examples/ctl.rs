@@ -215,8 +215,8 @@ fn main() {
         .expect("read log")
     {
         println!(
-            "  log[{}] {:?} -> v{} (was {:?}): {}",
-            rec.seq, rec.action, rec.version, rec.previous, rec.reason
+            "  log[{}] promote -> v{} (was {:?}): {}",
+            rec.seq, rec.version, rec.previous, rec.reason
         );
     }
 

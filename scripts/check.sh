@@ -59,9 +59,6 @@ cargo test --release -p dosco-bench --test obs_overhead -- --include-ignored
 echo "== chaos: substrate churn smoke (release, bounded time + conservation) =="
 cargo test --release -p dosco-bench --test chaos_smoke -- --include-ignored
 
-echo "== example distributed: in-process == learner process + actor process, bit for bit =="
-cargo run -q --release --example distributed
-
 echo "== example actor_learner: lockstep runtime on Abilene, batch conservation =="
 cargo run -q --release --example actor_learner
 
