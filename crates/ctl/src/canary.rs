@@ -249,6 +249,10 @@ pub fn run_canary(
     canary: &CanaryConfig,
     mut judge: impl FnMut(&CanaryStats) -> CanaryDecision,
 ) -> CanaryOutcome {
+    #[allow(
+        clippy::expect_used,
+        reason = "the documented # Panics contract of run_canary"
+    )]
     canary
         .validate()
         .expect("canary configuration must be valid");
@@ -304,12 +308,18 @@ pub fn run_canary(
                     shards: canary.canary_shards.clone(),
                 });
             } else if epoch == decide_epoch {
+                #[allow(
+                    clippy::expect_used,
+                    reason = "a valid window is at least one epoch long, so the \
+                              start epoch's arm has run"
+                )]
+                let window_start = window_start
+                    .take()
+                    .expect("window start precedes window end");
                 let stats = CanaryStats {
                     incumbent_version: incumbent.version,
                     candidate_version: candidate.version,
-                    window_start: window_start
-                        .take()
-                        .expect("window start precedes window end"),
+                    window_start,
                     window_end: board.snapshot(),
                 };
                 let verdict = judge(&stats);

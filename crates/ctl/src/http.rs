@@ -116,7 +116,8 @@ impl CtlServer {
     ///
     /// # Errors
     ///
-    /// Returns the bind error, naming the requested address.
+    /// Returns the bind error, naming the requested address, or the OS
+    /// error if a server thread cannot be spawned.
     pub fn start(cfg: &CtlConfig, state: Arc<CtlState>) -> io::Result<CtlServer> {
         let listener = TcpListener::bind(&cfg.addr).map_err(|e| {
             io::Error::new(e.kind(), format!("binding ctl server to {}: {e}", cfg.addr))
@@ -131,6 +132,8 @@ impl CtlServer {
         // while a request is being answered).
         let rx = Arc::new(std::sync::Mutex::new(rx));
 
+        // A spawn failure returns at once: dropping `tx` then disconnects
+        // the workers already running, and they drain out.
         let workers = (0..WORKERS)
             .map(|i| {
                 let rx = Arc::clone(&rx);
@@ -138,9 +141,8 @@ impl CtlServer {
                 std::thread::Builder::new()
                     .name(format!("dosco-ctl-worker-{i}"))
                     .spawn(move || worker_loop(&rx, &state))
-                    .expect("spawning ctl worker thread")
             })
-            .collect();
+            .collect::<io::Result<Vec<_>>>()?;
 
         let accept_stop = Arc::clone(&stop);
         let acceptor = std::thread::Builder::new()
@@ -157,8 +159,7 @@ impl CtlServer {
                         break;
                     }
                 }
-            })
-            .expect("spawning ctl acceptor thread");
+            })?;
 
         Ok(CtlServer {
             addr,
@@ -290,10 +291,14 @@ fn route_post(state: &CtlState, path: &str, body: &str) -> (u16, &'static str, S
     };
     match path {
         "/jobs/train" => match parse_spec(body).and_then(|v| TrainJobSpec::from_json(&v)) {
-            Ok(spec) => {
-                let id = state.jobs().spawn_train(spec);
-                (200, "OK", format!(r#"{{"id":{id},"kind":"train"}}"#))
-            }
+            Ok(spec) => match state.jobs().spawn_train(spec) {
+                Ok(id) => (200, "OK", format!(r#"{{"id":{id},"kind":"train"}}"#)),
+                Err(e) => (
+                    503,
+                    "Service Unavailable",
+                    format!(r#"{{"error":{}}}"#, json_str(&e.to_string())),
+                ),
+            },
             Err(e) => bad(&e),
         },
         _ => {
@@ -330,6 +335,16 @@ fn route_post(state: &CtlState, path: &str, body: &str) -> (u16, &'static str, S
     }
 }
 
+/// Serializes a response body.
+///
+/// # Panics
+///
+/// If `serde_json::to_string` fails, which it cannot over the in-memory
+/// data model: its `Result` only mirrors upstream's signature.
+#[allow(
+    clippy::expect_used,
+    reason = "the documented # Panics contract of to_json: serialization cannot fail"
+)]
 fn to_json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("in-memory serialization cannot fail")
 }

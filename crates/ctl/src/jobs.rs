@@ -19,8 +19,9 @@ use dosco_runtime::{train_cancellable, RuntimeConfig};
 use dosco_simnet::ScenarioConfig;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// A training-job spec, with defaults sized for an ops smoke run.
@@ -128,8 +129,7 @@ impl Job {
     /// Joins a finished worker, caching its summary. Running jobs are
     /// left alone — this never blocks.
     fn reap(&mut self) {
-        if self.handle.as_ref().is_some_and(JoinHandle::is_finished) {
-            let handle = self.handle.take().expect("checked above");
+        if let Some(handle) = self.handle.take_if(|h| h.is_finished()) {
             self.summary = Some(match handle.join() {
                 Ok(s) => s,
                 Err(_) => "job panicked".to_string(),
@@ -164,7 +164,7 @@ pub struct JobManager {
 impl std::fmt::Debug for JobManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobManager")
-            .field("jobs", &self.jobs.lock().expect("job table poisoned").len())
+            .field("jobs", &self.table().len())
             .finish()
     }
 }
@@ -176,33 +176,40 @@ impl JobManager {
         JobManager::default()
     }
 
+    /// The job table, recovered if a holder panicked: every write (an
+    /// insert, a reap, a shutdown's join) replaces whole fields, with
+    /// nothing between them that can panic.
+    fn table(&self) -> MutexGuard<'_, BTreeMap<u64, Job>> {
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Spawns a cancellable training run and returns its job id.
-    pub fn spawn_train(&self, spec: TrainJobSpec) -> u64 {
+    ///
+    /// # Errors
+    ///
+    /// The OS error if the job's thread cannot be spawned; no job is
+    /// recorded then.
+    pub fn spawn_train(&self, spec: TrainJobSpec) -> io::Result<u64> {
         let cancel = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&cancel);
         let handle = std::thread::Builder::new()
             .name("dosco-ctl-job-train".to_string())
-            .spawn(move || run_train_job(&spec, &flag))
-            .expect("spawning train job thread");
+            .spawn(move || run_train_job(&spec, &flag))?;
         let job = Job {
             cancel,
             handle: Some(handle),
             summary: None,
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        self.jobs
-            .lock()
-            .expect("job table poisoned")
-            .insert(id, job);
-        id
+        self.table().insert(id, job);
+        Ok(id)
     }
 
     /// Requests a cooperative stop. Returns `false` for an unknown id.
     /// The job keeps running until its next cancellation point; poll
     /// `GET /jobs` for the drain.
     pub fn stop(&self, id: u64) -> bool {
-        let jobs = self.jobs.lock().expect("job table poisoned");
-        match jobs.get(&id) {
+        match self.table().get(&id) {
             Some(job) => {
                 job.cancel.store(true, Ordering::Relaxed);
                 true
@@ -213,8 +220,8 @@ impl JobManager {
 
     /// All jobs in id order, reaping finished workers on the way.
     pub fn list(&self) -> Vec<JobView> {
-        let mut jobs = self.jobs.lock().expect("job table poisoned");
-        jobs.iter_mut()
+        self.table()
+            .iter_mut()
             .map(|(&id, job)| {
                 job.reap();
                 job.view(id)
@@ -224,7 +231,7 @@ impl JobManager {
 
     /// Stops every job and blocks until all workers have drained.
     pub fn shutdown(&self) {
-        let mut jobs = self.jobs.lock().expect("job table poisoned");
+        let mut jobs = self.table();
         for job in jobs.values_mut() {
             job.cancel.store(true, Ordering::Relaxed);
         }
@@ -315,11 +322,13 @@ mod tests {
     #[test]
     fn jobs_run_stop_and_reap() {
         let mgr = JobManager::new();
-        let id = mgr.spawn_train(TrainJobSpec {
-            total_steps: 1_000_000_000, // far beyond the test's patience
-            seed: 1,
-            horizon: 100.0,
-        });
+        let id = mgr
+            .spawn_train(TrainJobSpec {
+                total_steps: 1_000_000_000, // far beyond the test's patience
+                seed: 1,
+                horizon: 100.0,
+            })
+            .expect("spawn the job thread");
         assert!(mgr.stop(id), "known id stops");
         assert!(!mgr.stop(id + 999), "unknown id does not");
         mgr.shutdown();

@@ -186,7 +186,7 @@ impl PolicyRegistry {
         let path = self.root.join(MANIFEST_FILE);
         let tmp = self.root.join(format!("{MANIFEST_FILE}.tmp"));
         let json = serde_json::to_string_pretty(&self.manifest)
-            .expect("in-memory serialization cannot fail");
+            .map_err(|e| invalid(format!("serializing manifest: {e}")))?;
         std::fs::write(&tmp, json).map_err(|e| {
             io::Error::new(e.kind(), format!("writing manifest {}: {e}", tmp.display()))
         })?;
@@ -222,7 +222,8 @@ impl PolicyRegistry {
                     format!("opening promotion log {}: {e}", path.display()),
                 )
             })?;
-        let line = serde_json::to_string(&record).expect("in-memory serialization cannot fail");
+        let line = serde_json::to_string(&record)
+            .map_err(|e| invalid(format!("serializing promotion record: {e}")))?;
         writeln!(file, "{line}").map_err(|e| {
             io::Error::new(
                 e.kind(),
@@ -290,7 +291,7 @@ impl PolicyRegistry {
         let policy = CoordinationPolicy::load(&path)?;
         let json = policy
             .to_json()
-            .expect("in-memory serialization cannot fail");
+            .map_err(|e| invalid(format!("serializing registry v{version}: {e}")))?;
         let actual = format!("{:016x}", fnv1a64(json.as_bytes()));
         if json.len() as u64 != meta.payload_len || actual != meta.fnv64 {
             return Err(invalid(format!(

@@ -11,7 +11,7 @@ use crate::registry::{ArtifactMeta, PolicyRegistry};
 use dosco_runtime::{PolicySlot, SlotInfo};
 use dosco_serve::{FabricStatus, StatusBoard};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The `GET /healthz` response body.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,6 +43,12 @@ pub struct ShardsResponse {
 
 /// Everything the ops endpoints read. Attachments can be installed at
 /// any time from any thread; the HTTP workers read them per request.
+///
+/// A panicking holder of any lock here, the operator's registry mutex
+/// included, does not take the endpoints down: every read recovers the
+/// guard ([`PoisonError::into_inner`]). Each attachment's writer replaces
+/// its `Option` whole, and the registry's promoted head is one field, so
+/// no read sees half an update.
 #[derive(Debug, Default)]
 pub struct CtlState {
     slot: Mutex<Option<Arc<PolicySlot>>>,
@@ -59,17 +65,17 @@ impl CtlState {
 
     /// Attaches (or replaces) the training plane's policy slot.
     pub fn attach_slot(&self, slot: Arc<PolicySlot>) {
-        *self.slot.lock().expect("ctl state poisoned") = Some(slot);
+        *lock(&self.slot) = Some(slot);
     }
 
     /// Attaches (or replaces) the serving fabric's status board.
     pub fn attach_board(&self, board: Arc<StatusBoard>) {
-        *self.board.lock().expect("ctl state poisoned") = Some(board);
+        *lock(&self.board) = Some(board);
     }
 
     /// Attaches (or replaces) the policy registry.
     pub fn attach_registry(&self, registry: Arc<Mutex<PolicyRegistry>>) {
-        *self.registry.lock().expect("ctl state poisoned") = Some(registry);
+        *lock(&self.registry) = Some(registry);
     }
 
     /// The background-job table behind the `POST /jobs/*` routes.
@@ -87,18 +93,10 @@ impl CtlState {
 
     /// The `GET /snapshot` body.
     pub fn snapshot_response(&self) -> SnapshotResponse {
-        let slot = self
-            .slot
-            .lock()
-            .expect("ctl state poisoned")
+        let slot = lock(&self.slot).as_ref().map(|s| s.info());
+        let registry_head = lock(&self.registry)
             .as_ref()
-            .map(|s| s.info());
-        let registry_head = self
-            .registry
-            .lock()
-            .expect("ctl state poisoned")
-            .as_ref()
-            .and_then(|r| r.lock().expect("registry poisoned").head().cloned());
+            .and_then(|r| lock(r).head().cloned());
         SnapshotResponse {
             slot,
             registry_head,
@@ -107,7 +105,7 @@ impl CtlState {
 
     /// The `GET /shards` body.
     pub fn shards_response(&self) -> ShardsResponse {
-        match self.board.lock().expect("ctl state poisoned").as_ref() {
+        match lock(&self.board).as_ref() {
             Some(board) => ShardsResponse {
                 attached: true,
                 status: board.snapshot(),
@@ -118,6 +116,11 @@ impl CtlState {
             },
         }
     }
+}
+
+/// Locks `m`, recovering the guard if a holder panicked.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -172,5 +175,38 @@ mod tests {
         assert_eq!(a, b);
         let back: SnapshotResponse = serde_json::from_str(&a).unwrap();
         assert_eq!(back, state.snapshot_response());
+    }
+
+    /// An operator thread that panics while it holds the attached
+    /// registry poisons its mutex; `GET /snapshot` still answers with the
+    /// promoted head.
+    #[test]
+    fn poisoned_registry_still_reports_its_head() {
+        use dosco_core::policy::PolicyMetadata;
+        use dosco_core::CoordinationPolicy;
+        let root =
+            std::env::temp_dir().join(format!("dosco-state-test-poisoned-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let mut registry = PolicyRegistry::open(&root).unwrap();
+        let actor = Mlp::new(&[16, 8, 4], Activation::Tanh, &mut StdRng::seed_from_u64(1));
+        let policy = CoordinationPolicy::new(actor, 3, PolicyMetadata::default());
+        let version = registry.publish(&policy).unwrap().version;
+        registry.promote(version, "deploy").unwrap();
+        let registry = Arc::new(Mutex::new(registry));
+        let state = CtlState::new();
+        state.attach_registry(Arc::clone(&registry));
+
+        let operator = Arc::clone(&registry);
+        let outcome = std::thread::spawn(move || {
+            let _held = operator.lock().unwrap();
+            panic!("operator thread fails while holding the registry");
+        })
+        .join();
+        assert!(outcome.is_err());
+        assert!(registry.is_poisoned());
+
+        let head = state.snapshot_response().registry_head;
+        assert_eq!(head.map(|h| h.version), Some(version));
+        std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -1,11 +1,13 @@
-//! `dosco_net`: the pluggable transport layer under the actor–learner and
-//! serve planes.
+//! `dosco_net`: the pluggable transport layer under the actor–learner
+//! runtime and the serving fabric.
 //!
 //! The runtime's lockstep channels and the serving fabric's shard
 //! mailboxes are typed channels behind one trait, so the same dataflow
 //! runs over in-process queues or TCP without the algorithms changing
 //! (the SRL/MSRL lesson: abstract the transport under the dataflow, not
-//! the dataflow itself). It provides:
+//! the dataflow itself). Every plane runs in one process: the socket
+//! transport is the runtime's socket ≡ channel contract and the
+//! benchmark's loopback probes, not a deployment. It provides:
 //!
 //! - [`transport`] — the [`Transport`]/[`Tx`]/[`Rx`] traits: typed bounded
 //!   channels with crossbeam's exact backpressure, disconnect, and
@@ -13,16 +15,10 @@
 //!   *is* the original crossbeam wiring (bit-identical by construction).
 //! - [`socket`] — the same contract over TCP: a bounded queue + writer
 //!   thread per sender, a reader thread + bounded queue per receiver, and
-//!   the [`SocketLoopback`] transport that pairs them over `127.0.0.1` for
-//!   equivalence testing.
-//! - [`open_session`] / [`dial_session`] — the TCP session of the serving
-//!   fabric's remote shards: a hello frame, then a typed channel each way.
+//!   the [`SocketLoopback`] transport that pairs them over `127.0.0.1`.
 //! - [`frame`] — the length-prefixed, FNV-1a-checksummed wire frame.
 //! - [`codec`] — a bit-exact binary encoding of the vendored serde
 //!   [`serde::Value`] tree (floats travel as raw IEEE-754 bits).
-//! - [`config`] — the [`NetConfig`] dial policy and
-//!   [`connect_with_retry`] (bounded exponential backoff + connect
-//!   timeout).
 //!
 //! Traffic is observable through the `net_*` counters and the
 //! `net_encode`/`net_decode` span timers in `dosco_obs`.
@@ -33,15 +29,11 @@
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod codec;
-pub mod config;
 pub mod frame;
-mod session;
 pub mod socket;
 pub mod transport;
 
 pub use codec::{decode_msg, encode_msg, CodecError};
-pub use config::{backoff_delay, connect_with_retry, NetConfig, NetError};
 pub use frame::{read_frame, write_frame, FrameError};
-pub use session::{dial_session, open_session};
 pub use socket::{receiver_on, sender_on, SocketLoopback, Wire};
 pub use transport::{BoxRx, BoxTx, InProcess, Rx, Transport, Tx};

@@ -77,8 +77,7 @@ impl<T> Drop for SocketTx<T> {
 
 /// Wraps the write half of `stream` as a typed transport sender with room
 /// for `capacity` in-flight messages. Set `TCP_NODELAY` on `stream` first
-/// (the session functions and [`crate::connect_with_retry`] do), or small
-/// frames wait out Nagle's algorithm.
+/// ([`SocketLoopback`] does), or small frames wait out Nagle's algorithm.
 ///
 /// # Panics
 ///
@@ -240,9 +239,10 @@ pub fn receiver_on<T: Wire>(stream: TcpStream, capacity: usize) -> BoxRx<T> {
 /// loopback: bind an ephemeral listener, connect, accept, and wrap the two
 /// streams with [`sender_on`] / [`receiver_on`].
 ///
-/// This drives the *identical* generic code path a multi-host deployment
-/// uses — same codec, framing, threads, and backpressure — which is what
-/// the socket equivalence tests pin against the in-process transport.
+/// Every message crosses the codec, the frame, a writer and a reader
+/// thread and the kernel's TCP window, with end-to-end backpressure. The
+/// runtime's socket ≡ channel tests pin the lockstep training over it
+/// against the in-process transport, bit for bit.
 ///
 /// # Panics
 ///

@@ -90,6 +90,16 @@ impl Categorical {
     }
 
     /// The most likely action per row (greedy inference, Sec. IV-C2).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row has no actions, or if a log-probability is NaN
+    /// (logits that were not finite): such a row has no most likely
+    /// action.
+    #[allow(
+        clippy::expect_used,
+        reason = "the documented # Panics contract of argmax"
+    )]
     pub fn argmax(&self) -> Vec<usize> {
         (0..self.batch())
             .map(|r| {

@@ -50,6 +50,7 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod dist;
 pub mod kfac;

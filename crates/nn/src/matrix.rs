@@ -865,6 +865,10 @@ fn mm_tile<const RT: usize>(ab: Operands<'_>, out: &mut [f32], arow0: usize, j_s
     while j0 + MM_JT <= n {
         let mut acc = [[0.0f32; MM_JT]; RT];
         for (k, b_row) in (0..kk).zip(b.chunks_exact(n)) {
+            #[allow(
+                clippy::expect_used,
+                reason = "the slice is MM_JT long by construction; the conversion cannot fail"
+            )]
             let b_seg: &[f32; MM_JT] = b_row[j0..j0 + MM_JT].try_into().expect("tile width");
             for rr in 0..RT {
                 let av = a_rows[rr][k];

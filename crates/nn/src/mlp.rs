@@ -266,6 +266,15 @@ impl Mlp {
     }
 
     /// Output dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network has no layers, which [`Mlp::new`] never
+    /// builds.
+    #[allow(
+        clippy::expect_used,
+        reason = "the documented # Panics contract of outputs"
+    )]
     pub fn outputs(&self) -> usize {
         self.layers.last().expect("at least one layer").outputs()
     }

@@ -6,7 +6,7 @@
 //! epoch loop:
 //!
 //! 1. **Boundary work**: poll the attached [`PolicySlot`] version and,
-//!    if it moved, broadcast [`ShardMsg::Swap`] so every shard switches
+//!    if it moved, broadcast the swap so every shard switches
 //!    at this epoch; apply fault-script transitions (kill / respawn /
 //!    re-sync).
 //! 2. **Collect**: advance every live episode to its next decision
@@ -54,13 +54,11 @@ use std::time::{Duration, Instant};
 /// go unanswered before every shard still owing a batch is declared
 /// dead and its decisions fall back. Batches are at most one row per
 /// episode, so a healthy shard answers in microseconds; ten seconds of
-/// silence means the peer is gone.
+/// silence means its thread hangs.
 pub const GATHER_STALL: Duration = Duration::from_secs(10);
 
-/// Bounded mailbox capacity per shard, local or remote (a remote session
-/// sizes both directions with it, on both ends). Shards drain
-/// continuously, so a small capacity only adds backpressure, never
-/// deadlock.
+/// Bounded mailbox capacity per shard. Shards drain continuously, so a
+/// small capacity only adds backpressure, never deadlock.
 pub(crate) const MAILBOX_CAPACITY: usize = 64;
 
 /// Configuration of the serving fabric.
@@ -87,7 +85,7 @@ pub struct ServeConfig {
     /// still owing a batch are declared dead and their routed decisions
     /// fall back to shortest-path. Batches are at most one row per
     /// episode, so a healthy shard answers in microseconds; the default
-    /// ([`GATHER_STALL`], 10 s) means the peer is gone.
+    /// ([`GATHER_STALL`], 10 s) means its thread hangs.
     pub gather_stall: Duration,
     /// Substrate churn timeline applied to every served episode (each
     /// episode seed runs the same timeline, like the seeded evaluation
@@ -321,12 +319,12 @@ pub(crate) struct ShardHandle<'scope> {
     /// The shard's mailbox sender and its own response receiver; `None`
     /// while the shard is down.
     link: Option<(BoxTx<ShardMsg>, BoxRx<Vec<DecisionResponse>>)>,
-    /// Worker thread for locally-launched shards; `None` for shards that
-    /// live in another process (their lifecycle is the connection's).
+    /// The shard's worker thread; `None` for a shard with no thread of
+    /// its own (a test's fake).
     join: Option<ScopedJoinHandle<'scope, ()>>,
     /// The shard was written off (launch failure, a closed channel, a
     /// batch that broke the protocol, or a stalled barrier). A dead shard
-    /// is never respawned: the peer is gone, not scripted to come back
+    /// is never respawned: a failure is not a scripted window that ends
     /// like a fault-window kill.
     dead: bool,
 }
@@ -347,6 +345,7 @@ impl<'scope> ShardHandle<'scope> {
 
     /// A handle for a shard that could not be launched: routes fall back
     /// immediately, never respawns.
+    #[cfg(test)]
     pub(crate) fn dead() -> Self {
         ShardHandle {
             link: None,
@@ -375,13 +374,10 @@ impl<'scope> ShardHandle<'scope> {
             .map_or(Err(TryRecvError::Disconnected), |(_, rx)| rx.try_recv())
     }
 
-    /// Sends a live shard `Shutdown` and drops its channel ends, the
-    /// mailbox first: a socket sender's drop puts `Shutdown` on the wire.
+    /// Sends a live shard `Shutdown` and drops its channel ends.
     fn stop(&mut self) {
-        if let Some((tx, rx)) = self.link.take() {
+        if let Some((tx, _)) = self.link.take() {
             let _ = tx.send(ShardMsg::Shutdown);
-            drop(tx);
-            drop(rx);
         }
     }
 
@@ -395,11 +391,10 @@ impl<'scope> ShardHandle<'scope> {
     }
 }
 
-/// How the frontend brings shard `index` up with a starting policy:
-/// locally (spawn a worker thread over in-process channels) or remotely
-/// (hand an accepted connection its `ShardInit`). The epoch loop is
-/// launcher-agnostic — this is what keeps the in-process and
-/// multi-process serve paths on the *same* decision arithmetic.
+/// How the frontend brings shard `index` up with a starting policy. The
+/// fabric spawns a worker thread over in-process channels
+/// ([`LocalLauncher`]); the write-off tests launch fakes that die, hang
+/// or misbehave through the same seam.
 pub(crate) trait ShardLauncher<'scope> {
     fn launch(
         &mut self,
@@ -493,9 +488,7 @@ pub fn serve(
 /// the observation contract (padded degree). Without a hub, `policy`
 /// itself is served at version 0.
 ///
-/// The shards run on scoped threads of this process. The multi-process
-/// deployment, whose shards dial in over TCP, is
-/// [`serve_remote`](crate::serve_remote), built on the same epoch loop.
+/// The shards run on scoped threads of this process.
 ///
 /// # Panics
 ///
@@ -527,9 +520,7 @@ pub fn serve_with(
 }
 
 /// The launcher-agnostic epoch loop: the four phases of the module
-/// docs, one `Frontend` method each. Shared verbatim by the
-/// in-process and the multi-process entry points, so process topology
-/// cannot change decision arithmetic.
+/// docs, one `Frontend` method each.
 ///
 /// # Panics
 ///
@@ -549,7 +540,7 @@ pub(crate) fn serve_core<'scope>(
         f.boundary(epoch);
         let decided = f.collect();
         if decided {
-            f.gather(epoch);
+            f.gather();
             f.apply();
         }
         // The last epoch, in which every episode reached its horizon,
@@ -762,7 +753,7 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
                     self.routed[e] = Some((owner, dp));
                     continue;
                 }
-                // Dead peer discovered on route: degrade this and every
+                // Dead shard discovered on route: degrade this and every
                 // later decision for the shard, don't panic.
                 self.write_off(owner);
             }
@@ -790,10 +781,10 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
     /// silence tells a shard that hangs after its barrier from one still
     /// computing, so one that stays silent for
     /// [`ServeConfig::gather_stall`] is written off then.
-    fn gather(&mut self, epoch: u64) {
+    fn gather(&mut self) {
         let t0 = (dosco_obs::spans_enabled() && self.routes()).then(Instant::now);
         for i in 0..self.shards.len() {
-            if self.owed[i] > 0 && !self.shards[i].send(ShardMsg::Flush { epoch }) {
+            if self.owed[i] > 0 && !self.shards[i].send(ShardMsg::Flush) {
                 self.write_off(i);
             }
         }
@@ -861,13 +852,7 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
     /// to it this epoch with the shortest-path fallback.
     fn write_off(&mut self, i: usize) {
         let h = &mut self.shards[i];
-        if let Some((tx, rx)) = h.link.take() {
-            // The receiver first: on a socket its drop shuts the
-            // connection, so a writer blocked on a peer that stopped
-            // reading fails, and the sender's drop does not wait on it.
-            drop(rx);
-            drop(tx);
-        }
+        h.link = None;
         h.dead = true;
         self.report.shard_disconnects += 1;
         self.owed[i] = 0;
@@ -1004,9 +989,8 @@ mod tests {
         )
     }
 
-    /// Shards that cannot even be launched (e.g. a remote connection
-    /// that failed its handshake) must degrade to the shortest-path
-    /// fallback, not panic the frontend.
+    /// Shards that cannot even be launched must degrade to the
+    /// shortest-path fallback, not panic the frontend.
     #[test]
     fn dead_on_arrival_shards_degrade_to_fallback() {
         struct DeadLauncher;
@@ -1107,7 +1091,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let _answers_nothing = resp_tx;
                     while let Ok(msg) = rx.recv() {
-                        if matches!(msg, ShardMsg::Flush { .. }) {
+                        if matches!(msg, ShardMsg::Flush) {
                             break;
                         }
                     }
@@ -1151,7 +1135,7 @@ mod tests {
                     while let Ok(msg) = rx.recv() {
                         match msg {
                             ShardMsg::Request(r) => requests.push(r),
-                            ShardMsg::Flush { .. } => {
+                            ShardMsg::Flush => {
                                 let _ = resp_tx.send(answer(&requests));
                                 requests.clear();
                             }

@@ -4,8 +4,9 @@
 //!
 //! [`DistributedAgents`](dosco_core::DistributedAgents) answers one
 //! decision at a time with one un-batched MLP forward per decision. This
-//! crate partitions the topology's nodes across worker **shards**
-//! (bounded mailboxes over the vendored crossbeam channels); a frontend
+//! crate partitions the topology's nodes across worker **shards**, each a
+//! thread of the serving process behind a bounded in-process mailbox (the
+//! vendored crossbeam channels); a frontend
 //! drives many concurrent episodes — the serving load — and each shard
 //! batches the decision requests queued at its mailbox into a *single*
 //! matrix forward per epoch. Three properties make it production-shaped:
@@ -20,8 +21,8 @@
 //!   A [`ControlQueue`] lands a snapshot on a subset of shards (canary,
 //!   rollback) through the same boundary swap.
 //! - **Graceful degradation** ([`fault`]): a shard is down when an
-//!   epoch-scripted window kills it or when its peer is gone (written
-//!   off). Decisions for its nodes fall back to the [`dosco_baselines`]
+//!   epoch-scripted window kills it or when it is written off (its thread
+//!   ended, broke the protocol or left a barrier unanswered). Decisions for its nodes fall back to the [`dosco_baselines`]
 //!   shortest-path coordinator — a killed shard until its window ends
 //!   and it respawns on the latest snapshot published to it — and every
 //!   decision is counted as batched or fallback, never silently lost
@@ -48,13 +49,10 @@
 pub mod control;
 pub mod fabric;
 pub mod fault;
-pub mod remote;
-pub mod shard;
+mod shard;
 pub mod status;
 
 pub use control::{ControlQueue, PublishCmd};
 pub use fabric::{serve, serve_with, ServeConfig, ServeOutcome, ServeReport, GATHER_STALL};
 pub use fault::FaultScript;
-pub use remote::{run_remote_shard, serve_remote, ShardInit};
-pub use shard::{shard_of, DecisionRequest, DecisionResponse, ShardMsg};
 pub use status::{FabricStatus, StatusBoard};

@@ -25,7 +25,6 @@ use dosco_obs::{GaugeKind, HistKind, SpanKind};
 use dosco_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The shard owning `node`: a round-robin partition (`node mod
@@ -34,14 +33,13 @@ use std::sync::Arc;
 /// node's RNG stream and decision sequence independent of the shard
 /// count.
 #[must_use]
-pub fn shard_of(node: usize, num_shards: usize) -> usize {
+pub(crate) fn shard_of(node: usize, num_shards: usize) -> usize {
     node % num_shards
 }
 
-/// One decision request routed to a shard. Serializable so the mailbox
-/// can be a `dosco_net` socket channel (a remote shard process).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DecisionRequest {
+/// One decision request routed to a shard.
+#[derive(Debug, Clone)]
+pub(crate) struct DecisionRequest {
     /// Globally monotonic request id — defines the deterministic batch
     /// order and the order of per-node RNG draws.
     pub id: u64,
@@ -56,16 +54,13 @@ pub struct DecisionRequest {
 /// The shard mailbox protocol. Messages are FIFO per sender; the
 /// frontend is the only producer, so a shard sees requests in id order
 /// and swaps exactly at the epoch boundary they were broadcast.
-#[derive(Debug, Serialize, Deserialize)]
-pub enum ShardMsg {
+#[derive(Debug)]
+pub(crate) enum ShardMsg {
     /// Queue a decision request for the next flush.
     Request(DecisionRequest),
     /// Epoch barrier: batch everything queued into one forward and
     /// answer each request.
-    Flush {
-        /// The frontend epoch this barrier closes (diagnostic).
-        epoch: u64,
-    },
+    Flush,
     /// Policy hot-swap, delivered at an epoch boundary before that
     /// epoch's requests.
     Swap {
@@ -81,8 +76,8 @@ pub enum ShardMsg {
 /// A shard's answer to one request: only what the frontend cannot tell
 /// for itself. The receiver a batch arrives on names the shard, and a
 /// batch's length is its row count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DecisionResponse {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DecisionResponse {
     /// Episode the decision belongs to (copied from the request).
     pub episode: usize,
     /// Chosen action as a flat index (`Action::from_index`).
@@ -93,9 +88,7 @@ pub struct DecisionResponse {
 
 /// Everything a shard worker owns. Responses travel as one `Vec` per
 /// flush — a single channel hand-off per shard per epoch, so transport
-/// cost scales with shards, not decisions. The mailbox and response
-/// channel are `dosco_net` transport ends, so the same worker body runs
-/// on an in-process thread or in a separate shard process over TCP.
+/// cost scales with shards, not decisions.
 pub(crate) struct ShardWorker {
     pub index: usize,
     pub num_shards: usize,
@@ -150,7 +143,7 @@ pub(crate) fn run_shard(mut w: ShardWorker) {
                 pending.push(r);
                 valid
             }
-            Ok(ShardMsg::Flush { .. }) => {
+            Ok(ShardMsg::Flush) => {
                 let forwarded = forward(&w, &mut pending, rngs.as_deref_mut(), &mut answers);
                 if forwarded && !answers.is_empty() {
                     let rows = answers.len() as f64;
@@ -438,7 +431,7 @@ mod tests {
             for r in requests {
                 tx.send(ShardMsg::Request(r)).expect("queue");
             }
-            tx.send(ShardMsg::Flush { epoch: 0 }).expect("queue");
+            tx.send(ShardMsg::Flush).expect("queue");
             run_shard(w);
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "{what}");
         }
@@ -460,7 +453,7 @@ mod tests {
                 tx.send(ShardMsg::Request(r)).expect("queue");
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
-            tx.send(ShardMsg::Flush { epoch: 0 }).expect("queue");
+            tx.send(ShardMsg::Flush).expect("queue");
             let answers = rx.recv().expect("one batch");
             let actions: Vec<usize> = answers.iter().map(|a| a.action_index).collect();
             assert_eq!(actions, expected);

@@ -456,8 +456,8 @@ impl Simulation {
     /// The `next_decision`/`apply` pair is the external integration
     /// point: [`Simulation::run`] drives it with an in-process
     /// [`Coordinator`], while the `dosco_serve` fabric holds the pending
-    /// decision open across a remote batched inference round trip before
-    /// applying — the idempotent pending state is what makes that split
+    /// decision open across a shard's batched inference round trip
+    /// before applying — the idempotent pending state is what makes that split
     /// safe.
     pub fn next_decision(&mut self) -> Option<DecisionPoint> {
         if let Some((dp, _)) = self.pending {

@@ -125,6 +125,19 @@ impl ArrivalPattern {
         }
     }
 
+    /// The paper's pattern called `name` (`fixed`, `poisson`, `mmpp`,
+    /// `trace`): the inverse of [`ArrivalPattern::name`] over the four
+    /// `paper_*` patterns. `None` for any other name.
+    pub fn paper_by_name(name: &str) -> Option<Self> {
+        match name {
+            "fixed" => Some(ArrivalPattern::paper_fixed()),
+            "poisson" => Some(ArrivalPattern::paper_poisson()),
+            "mmpp" => Some(ArrivalPattern::paper_mmpp()),
+            "trace" => Some(ArrivalPattern::paper_trace()),
+            _ => None,
+        }
+    }
+
     /// Checks the parameters: the interval, means, switch period and trace
     /// scale finite and positive, the switch probability in `[0, 1]`.
     ///
@@ -481,6 +494,14 @@ mod tests {
             let t = sequence(&pattern, 0.0, 1)[0];
             assert!(t > 0.0 && t.is_finite(), "{}", pattern.name());
         }
+    }
+
+    #[test]
+    fn pattern_names_round_trip() {
+        for n in ["fixed", "poisson", "mmpp", "trace"] {
+            assert_eq!(ArrivalPattern::paper_by_name(n).map(|p| p.name()), Some(n));
+        }
+        assert_eq!(ArrivalPattern::paper_by_name("Poisson"), None);
     }
 
     #[test]

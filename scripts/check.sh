@@ -20,6 +20,9 @@ cargo test -q --workspace
 echo "== cargo test (vendored crossbeam channel: vendor/* is outside the workspace, so --workspace skips it) =="
 cargo test -q -p crossbeam
 
+echo "== cargo test (vendored serde, serde_json, rand, proptest: the codec's bit-exact floats, policy artifacts, every seed and every property suite rest on them; --workspace skips them too) =="
+cargo test -q -p serde -p serde_json -p rand -p proptest
+
 echo "== crossbeam wake rule: no lost wake-up over a million messages per case, each under a 30 s watchdog (release) =="
 cargo test -q --release -p crossbeam -- --include-ignored
 

@@ -52,16 +52,11 @@ fn seed_count(args: &[String], default: u64) -> u64 {
 }
 
 fn pattern(args: &[String]) -> ArrivalPattern {
-    match flag(args, "--pattern").as_deref().unwrap_or("poisson") {
-        "fixed" => ArrivalPattern::paper_fixed(),
-        "poisson" => ArrivalPattern::paper_poisson(),
-        "mmpp" => ArrivalPattern::paper_mmpp(),
-        "trace" => ArrivalPattern::paper_trace(),
-        other => {
-            eprintln!("unknown pattern {other:?}; use fixed|poisson|mmpp|trace");
-            std::process::exit(2);
-        }
-    }
+    let name = flag(args, "--pattern").unwrap_or_else(|| "poisson".into());
+    ArrivalPattern::paper_by_name(&name).unwrap_or_else(|| {
+        eprintln!("unknown pattern {name:?}; use fixed|poisson|mmpp|trace");
+        std::process::exit(2);
+    })
 }
 
 fn scenario(args: &[String]) -> ScenarioConfig {
