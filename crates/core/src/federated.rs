@@ -27,9 +27,10 @@
 use crate::observe::ObservationAdapter;
 use crate::policy::{CoordinationPolicy, PolicyMetadata};
 use crate::reward::RewardConfig;
+use dosco_nn::dist::{log_softmax, sample_action};
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
-use dosco_nn::{Activation, Categorical};
+use dosco_nn::Activation;
 use dosco_rl::a2c::{A2cConfig, RmsPropStep};
 use dosco_rl::rollout::Rollout;
 use dosco_rl::trainer::Helper;
@@ -332,8 +333,9 @@ pub fn train_per_node(
         }
         // The owning node's agent acts (stochastic during training).
         let learner = &mut learners[dp.node.0];
-        let dist = Categorical::new(&learner.actor.forward(&Matrix::row_vector(&obs)));
-        let action = dist.sample(&mut rng)[0];
+        let action = learner
+            .actor
+            .forward_row(&obs, |logits| sample_action(log_softmax(logits), &mut rng));
         pending.insert(dp.flow, (dp.node, obs, action, 0.0));
         sim.apply(Action::from_index(action));
         decisions += 1;

@@ -2,9 +2,8 @@
 //! (Fig. 4b).
 
 use crate::observe::ObservationAdapter;
-use dosco_nn::matrix::Matrix;
+use dosco_nn::dist::{greedy_action, log_softmax, sample_action};
 use dosco_nn::mlp::Mlp;
-use dosco_nn::Categorical;
 use dosco_simnet::{Action, Coordinator, DecisionPoint, Simulation};
 use dosco_topology::NodeId;
 use serde::{Deserialize, Serialize};
@@ -96,7 +95,8 @@ impl CoordinationPolicy {
     ///
     /// Panics if `obs.len()` mismatches the policy's input dimension.
     pub fn act(&self, obs: &[f32]) -> usize {
-        Categorical::new(&self.actor.forward(&Matrix::row_vector(obs))).argmax()[0]
+        self.actor
+            .forward_row(obs, |logits| greedy_action(log_softmax(logits)))
     }
 
     /// Stochastic action: samples from the policy distribution. This is
@@ -108,7 +108,8 @@ impl CoordinationPolicy {
     ///
     /// Panics if `obs.len()` mismatches the policy's input dimension.
     pub fn act_sampled<R: rand::Rng + ?Sized>(&self, obs: &[f32], rng: &mut R) -> usize {
-        Categorical::new(&self.actor.forward(&Matrix::row_vector(obs))).sample(rng)[0]
+        self.actor
+            .forward_row(obs, |logits| sample_action(log_softmax(logits), rng))
     }
 
     /// Serializes the policy to JSON.
@@ -809,7 +810,7 @@ mod tests {
     ];
 
     /// Such a weight used to load, and `act` on an all-zero observation
-    /// (`∞ · 0` is NaN) then panicked in `Categorical::argmax`.
+    /// (`∞ · 0` is NaN) then panicked in the greedy rule.
     #[test]
     fn from_json_rejects_a_non_finite_weight() {
         let p = policy(3);

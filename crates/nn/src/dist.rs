@@ -1,19 +1,79 @@
 //! Categorical policy head: sampling, log-probabilities, entropy, and the
 //! policy-gradient logit gradients used by the actor-critic algorithms.
+//!
+//! One rule turns a row of log-probabilities into an action, greedy
+//! ([`greedy_action`]) or drawn ([`sample_action`]); [`Categorical`] runs it
+//! on its stored rows, and a decision runs it on [`log_softmax`] of a logit
+//! row without building a distribution. Both see the same log-probability
+//! bits, so both choose the same action.
 
 use crate::matrix::Matrix;
 use rand::Rng;
 
-/// Numerically stable per-row log-softmax.
-pub fn log_softmax_row(logits: &[f32]) -> Vec<f32> {
+/// Numerically stable log-softmax of one logit row, element by element:
+/// `l − max − ln Σ exp(l − max)`. Allocates nothing.
+pub fn log_softmax(logits: &[f32]) -> impl ExactSizeIterator<Item = f32> + '_ {
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let log_sum: f32 = logits.iter().map(|&l| (l - max).exp()).sum::<f32>().ln();
-    logits.iter().map(|&l| l - max - log_sum).collect()
+    logits.iter().map(move |&l| l - max - log_sum)
+}
+
+/// Numerically stable per-row log-softmax.
+pub fn log_softmax_row(logits: &[f32]) -> Vec<f32> {
+    log_softmax(logits).collect()
 }
 
 /// Per-row softmax probabilities.
 pub fn softmax_row(logits: &[f32]) -> Vec<f32> {
-    log_softmax_row(logits).iter().map(|&l| l.exp()).collect()
+    log_softmax(logits).map(f32::exp).collect()
+}
+
+/// The most likely action of one row of log-probabilities (greedy
+/// inference, Sec. IV-C2). Among equal log-probabilities the last one
+/// wins.
+///
+/// # Panics
+///
+/// Panics if the row is empty, or if a log-probability is NaN (logits that
+/// were not finite): such a row has no most likely action.
+#[allow(
+    clippy::expect_used,
+    reason = "the documented # Panics contract of the greedy rule"
+)]
+pub fn greedy_action(log_probs: impl IntoIterator<Item = f32>) -> usize {
+    log_probs
+        .into_iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("log-probs are finite"))
+        .map(|(i, _)| i)
+        .expect("non-empty action space")
+}
+
+/// One inverse-CDF draw from one row of log-probabilities: a single
+/// `gen::<f32>()`, then the first action whose cumulative probability
+/// exceeds it; the last action if rounding leaves the sum below the draw.
+///
+/// # Panics
+///
+/// Panics if the row is empty.
+pub fn sample_action<R: Rng + ?Sized>(
+    log_probs: impl IntoIterator<Item = f32>,
+    rng: &mut R,
+) -> usize {
+    let u: f32 = rng.gen();
+    let mut acc = 0.0;
+    let mut last = None;
+    for (i, lp) in log_probs.into_iter().enumerate() {
+        acc += lp.exp();
+        if u < acc {
+            return i;
+        }
+        last = Some(i);
+    }
+    match last {
+        Some(i) => i, // guard against f32 rounding
+        None => panic!("non-empty action space"),
+    }
 }
 
 /// A batch categorical distribution parameterized by logits
@@ -41,8 +101,13 @@ impl Categorical {
     pub fn new(logits: &Matrix) -> Self {
         let mut log_probs = Matrix::zeros(logits.rows(), logits.cols());
         for r in 0..logits.rows() {
-            let row = log_softmax_row(logits.row(r));
-            log_probs.row_mut(r).copy_from_slice(&row);
+            for (o, lp) in log_probs
+                .row_mut(r)
+                .iter_mut()
+                .zip(log_softmax(logits.row(r)))
+            {
+                *o = lp;
+            }
         }
         Categorical { log_probs }
     }
@@ -77,39 +142,19 @@ impl Categorical {
     ///
     /// Panics if `row` is out of range.
     pub fn sample_row<R: Rng + ?Sized>(&self, row: usize, rng: &mut R) -> usize {
-        let u: f32 = rng.gen();
-        let mut acc = 0.0;
-        let r = self.log_probs.row(row);
-        for (i, &lp) in r.iter().enumerate() {
-            acc += lp.exp();
-            if u < acc {
-                return i;
-            }
-        }
-        r.len() - 1 // guard against f32 rounding
+        sample_action(self.log_probs.row(row).iter().copied(), rng)
     }
 
-    /// The most likely action per row (greedy inference, Sec. IV-C2).
+    /// The most likely action per row ([`greedy_action`] on each row).
     ///
     /// # Panics
     ///
     /// Panics if a row has no actions, or if a log-probability is NaN
     /// (logits that were not finite): such a row has no most likely
     /// action.
-    #[allow(
-        clippy::expect_used,
-        reason = "the documented # Panics contract of argmax"
-    )]
     pub fn argmax(&self) -> Vec<usize> {
         (0..self.batch())
-            .map(|r| {
-                let row = self.log_probs.row(r);
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("log-probs are finite"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty action space")
-            })
+            .map(|r| greedy_action(self.log_probs.row(r).iter().copied()))
             .collect()
     }
 

@@ -365,7 +365,7 @@ impl Matrix {
     /// Reshapes to `rows × cols` in place, reusing the allocation where
     /// possible and leaving the contents unspecified: for scratch buffers
     /// whose next use overwrites every element.
-    pub(crate) fn reshape(&mut self, rows: usize, cols: usize) {
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols);

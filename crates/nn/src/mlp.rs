@@ -8,6 +8,7 @@
 use crate::matrix::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Hidden-layer activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -234,6 +235,12 @@ impl Clone for Mlp {
     }
 }
 
+thread_local! {
+    /// [`Mlp::forward_row`]'s input, output and hidden buffers, kept per
+    /// thread: a decision would otherwise allocate all three.
+    static ROW_FORWARD: RefCell<[Matrix; 3]> = RefCell::new(Default::default());
+}
+
 impl Mlp {
     /// Builds an MLP with the given layer sizes (`sizes[0]` inputs,
     /// `sizes.last()` outputs) and hidden activation.
@@ -303,22 +310,56 @@ impl Mlp {
     ///
     /// Panics if `x.cols()` does not match the input dimension.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        // Ping-pong between the activation `h` and a scratch buffer `z`:
-        // after the second layer both keep their (maximum-width)
-        // allocation for the rest of the pass. The first layer reads `x`.
-        let mut h = Matrix::zeros(0, 0);
-        let mut z = Matrix::zeros(0, 0);
+        let mut out = Matrix::default();
+        self.forward_into(x, &mut out, &mut Matrix::default());
+        out
+    }
+
+    /// [`Mlp::forward`] into `out`, with `scratch` holding the hidden
+    /// activations between layers. Both are reshaped as the pass needs and
+    /// keep their allocations, so a caller that keeps them from one
+    /// forward to the next allocates nothing once they are shaped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols()` does not match the input dimension.
+    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix, scratch: &mut Matrix) {
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let input = if i == 0 { x } else { &h };
+            // The layers alternate between the two buffers so that the
+            // last one writes `out`; the first reads `x`.
+            let (z, h) = if (last - i).is_multiple_of(2) {
+                (&mut *out, &*scratch)
+            } else {
+                (&mut *scratch, &*out)
+            };
+            let input = if i == 0 { x } else { h };
             z.reshape(input.rows(), layer.outputs());
-            layer.forward_into(input, &mut z);
+            layer.forward_into(input, z);
             if i != last {
-                self.activation.apply_in_place(&mut z);
+                self.activation.apply_in_place(z);
             }
-            std::mem::swap(&mut h, &mut z);
         }
-        h
+    }
+
+    /// The forward pass of one observation, its output row handed to `f`:
+    /// a decision's forward. It runs through buffers this thread keeps
+    /// from one call to the next, so once they are shaped it allocates
+    /// nothing. The output row holds the bits of row 0 of
+    /// [`Mlp::forward`] on [`Matrix::row_vector`]`(obs)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obs.len()` does not match the input dimension, or if
+    /// `f` itself calls `forward_row` (the thread's buffers are in use).
+    pub fn forward_row<T>(&self, obs: &[f32], f: impl FnOnce(&[f32]) -> T) -> T {
+        ROW_FORWARD.with(|cell| {
+            let [x, out, scratch] = &mut *cell.borrow_mut();
+            x.reshape(1, obs.len());
+            x.as_mut_slice().copy_from_slice(obs);
+            self.forward_into(x, out, scratch);
+            f(out.row(0))
+        })
     }
 
     /// Forward pass that records the per-layer inputs for backpropagation.

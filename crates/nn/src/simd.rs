@@ -34,8 +34,15 @@
 //! element never changes its chain, so none of this is visible in the
 //! results.
 //!
+//! Under the 16-lane kernel a tail of fewer than 8 columns — the 4-action
+//! head of a decision — runs on the 8-lane masked tile, which times
+//! faster there than the 16-lane one (DESIGN.md has the numbers); each
+//! element keeps the same chain.
+//!
 //! The module also hosts the AVX2 and AVX-512 instantiations of the
-//! activation loop ([`crate::tanh_in_place`]) and the AVX2 one of the
+//! activation loop ([`crate::tanh_in_place`], which runs `tanh`'s block
+//! body 64 lanes at a time: four independent vectors per step at 16
+//! lanes) and the AVX2 one of the
 //! K-FAC factor inversion's `f64` loops ([`crate::linalg::damped_inverse`],
 //! which the 16-lane kernel runs too: at that width its solves were
 //! slower): the same safe, contraction-free source as the plain ones, so
@@ -334,7 +341,11 @@ pub(crate) mod x86 {
                 }
                 j0 = $mm_tiles::<RT, 2>(ab, out, arow0, j0);
                 j0 = $mm_tiles::<RT, 1>(ab, out, arow0, j0);
-                if j0 < ab.n {
+                if j0 < ab.n && $lanes > 8 && ab.n - j0 < 8 {
+                    // Fewer than 8 columns left (a small action head):
+                    // the 8-lane masked tile, same chain per element.
+                    mm_tail_avx2::<RT>(ab, out, arow0, j0);
+                } else if j0 < ab.n {
                     $mm_tail::<RT>(ab, out, arow0, j0);
                 }
             }
@@ -378,22 +389,18 @@ pub(crate) mod x86 {
     );
 
     /// The AVX2 instantiation of the [`crate::tanh_in_place`] loop: the same
-    /// safe, contraction-free body as the plain one, compiled where the
-    /// autovectoriser has 8 lanes, `vroundps` and `vblendvps`.
+    /// safe, contraction-free block body as the plain one, compiled where
+    /// the autovectoriser has 8 lanes, `vroundps` and `vblendvps`.
     #[target_feature(enable = "avx2")]
     fn tanh_in_place_avx2(xs: &mut [f32]) {
-        for v in xs {
-            *v = crate::tanh::tanh(*v);
-        }
+        crate::tanh::tanh_blocks(xs);
     }
 
     /// The AVX-512 instantiation of the same loop: 16 lanes, `vrndscaleps`
     /// and mask-register blends.
     #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
     fn tanh_in_place_avx512(xs: &mut [f32]) {
-        for v in xs {
-            *v = crate::tanh::tanh(*v);
-        }
+        crate::tanh::tanh_blocks(xs);
     }
 
     /// [`crate::tanh_in_place`] on the AVX-512 instantiation under

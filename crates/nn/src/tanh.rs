@@ -7,9 +7,17 @@
 //! straight-line code over basic IEEE operations (add, multiply, divide,
 //! truncate, integer bit moves — never a fused multiply-add), so the same
 //! source gives the same bits on every target, and a loop over it
-//! vectorises. [`tanh_in_place`] runs that loop, instantiated three times:
-//! plainly, under AVX-512 where [`crate::simd::active`] selects the 16-lane
-//! kernel, and under AVX2 where it selects another SIMD kernel.
+//! vectorises.
+//!
+//! The body is written once, over a block of lanes: each statement runs on
+//! every lane of the block before the next statement starts. [`tanh()`] is
+//! the one-lane block. [`tanh_in_place`] runs blocks of 64 lanes, so each
+//! step issues four independent 16-lane vectors (eight 8-lane ones) and
+//! the chain of one vector through the port's two divisions no longer
+//! sets the pace; the fewer than 64 elements left over run one lane at a
+//! time. That loop is instantiated three times: plainly, under AVX-512
+//! where [`crate::simd::active`] selects the 16-lane kernel, and under
+//! AVX2 where it selects another SIMD kernel.
 //!
 //! The port's source carries this notice:
 //!
@@ -44,7 +52,25 @@ fn add_exponent(y: f32, shift: i32) -> f32 {
     f((y.to_bits() as i32).wrapping_add(shift) as u32)
 }
 
-/// `tanh(x)`: the bits of glibc's `tanhf` (fdlibm), on every host.
+/// Lanes per block of the slice loops: every step of the port then
+/// issues `W / 16` independent AVX-512 vectors (`W / 8` under AVX2), so
+/// the chain through its two divisions stalls no step. 32 lanes timed
+/// slower, 128 no faster.
+const W: usize = 64;
+
+/// `[f(0), f(1), …, f(N − 1)]`: one statement of the port on every lane
+/// of a block, before the next statement starts.
+#[inline(always)]
+fn lanes<T: Copy + Default, const N: usize>(f: impl Fn(usize) -> T) -> [T; N] {
+    let mut out = [T::default(); N];
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = f(i);
+    }
+    out
+}
+
+/// `tanh(x)`: the bits of glibc's `tanhf` (fdlibm), on every host — the
+/// one-lane case of the block form below.
 ///
 /// fdlibm's algorithm, select-only. With `em = expm1f(±2|x|)`:
 /// `|x| ≥ 1` gives `1 − 2/(em + 2)`, `|x| < 1` gives `−em/(em + 2)`, and
@@ -61,71 +87,110 @@ fn add_exponent(y: f32, shift: i32) -> f32 {
 /// ```
 #[inline(always)]
 pub fn tanh(x: f32) -> f32 {
+    let mut lane = [x];
+    tanh_block(&mut lane);
+    lane[0]
+}
+
+/// [`tanh()`] of `N` lanes at once, in place. Each statement runs on
+/// every lane before the next one, so a vectorised block carries `N / 16`
+/// (or `N / 8`) independent chains through each step; lane for lane the
+/// arithmetic is the one-lane form's. A select between two values kept
+/// in lane arrays would compile to a gather (a select of the two
+/// addresses, then one load), so each select's operands are computed in
+/// the statement that selects between them.
+#[inline(always)]
+fn tanh_block<const N: usize>(xs: &mut [f32; N]) {
     let (ln2_hi, ln2_lo, invln2) = (f(0x3f31_7180), f(0x3717_f7d1), f(0x3fb8_aa3b));
     let (q1, q2, q3) = (f(0xbd08_8889), f(0x3ad0_0d01), f(0xb8a6_70cd));
     let (q4, q5) = (f(0x3686_7e54), f(0xb457_edbb));
+    let x = *xs;
 
-    let jx = x.to_bits() as i32;
-    let ix = jx & 0x7fff_ffff;
-    let big = ix >= 0x3f80_0000; // |x| >= 1
-    let below_22 = ix < 0x41b0_0000;
-    let ax = sel(below_22, f(ix as u32), 1.0); // |x| >= 22 is overridden below
-    let a = sel(big, 2.0 * ax, -2.0 * ax); // expm1f's argument
+    let ix: [i32; N] = lanes(|i| (x[i].to_bits() & 0x7fff_ffff) as i32);
+    // |x| >= 1 picks the formula; |x| >= 22 is overridden below.
+    let big = |i: usize| ix[i] >= 0x3f80_0000;
+    let below_22 = |i: usize| ix[i] < 0x41b0_0000;
+    // expm1f's argument
+    let a: [f32; N] = lanes(|i| {
+        let ax = sel(below_22(i), f(ix[i] as u32), 1.0);
+        sel(big(i), 2.0 * ax, -2.0 * ax)
+    });
 
     // --- expm1f(a), |a| < 44 ---
-    let hx = (a.to_bits() & 0x7fff_ffff) as i32;
-    let neg = !big;
-    // k = (int)(invln2·a ± 0.5). `as i32` saturates and scalarises the
-    // loop; truncating in float and reading the integer out of the
-    // mantissa (2^23 + 2^22 magic add) vectorises.
-    let t_gen = (invln2 * a + sel(neg, -0.5, 0.5)).trunc();
-    let k_gen = ((t_gen + 12_582_912.0).to_bits() as i32).wrapping_sub(0x4b40_0000);
-    let k = sel(
-        hx > 0x3eb1_7218,                              // |a| > 0.5 ln2
-        sel(hx < 0x3f85_1592, sel(neg, -1, 1), k_gen), // |a| < 1.5 ln2
-        0,
-    );
+    let hx: [i32; N] = lanes(|i| (a[i].to_bits() & 0x7fff_ffff) as i32);
+    let k: [i32; N] = lanes(|i| {
+        // k = (int)(invln2·a ± 0.5). `as i32` saturates and scalarises the
+        // loop; truncating in float and reading the integer out of the
+        // mantissa (2^23 + 2^22 magic add) vectorises.
+        let t_gen = (invln2 * a[i] + sel(big(i), 0.5, -0.5)).trunc();
+        let k_gen = ((t_gen + 12_582_912.0).to_bits() as i32).wrapping_sub(0x4b40_0000);
+        sel(
+            hx[i] > 0x3eb1_7218,                                 // |a| > 0.5 ln2
+            sel(hx[i] < 0x3f85_1592, sel(big(i), 1, -1), k_gen), // |a| < 1.5 ln2
+            0,
+        )
+    });
     // k = ±1 and k = 0 fall out of the general reduction exactly.
-    let t = k as f32;
-    let hi = a - t * ln2_hi;
-    let lo = t * ln2_lo;
-    let xr = hi - lo;
-    let c = (hi - xr) - lo;
-    let hfx = 0.5 * xr;
-    let hxs = xr * hfx;
-    let r1 = 1.0 + hxs * (q1 + hxs * (q2 + hxs * (q3 + hxs * (q4 + hxs * q5))));
-    let tt = 3.0 - r1 * hfx;
-    let e = hxs * ((r1 - tt) / (6.0 - xr * tt));
-    let r_k0 = xr - (xr * e - hxs);
-    let e2 = (xr * (e - c) - c) - hxs;
-    let r_km1 = 0.5 * (xr - e2) - 0.5;
-    let kk = k.clamp(-3, 63);
-    let shift = kk << 23;
-    let r_far = add_exponent(1.0 - (e2 - xr), shift) - 1.0; // k <= -2 or k > 56
-    let t_b = f((0x3f80_0000 - (0x0100_0000 >> (kk.clamp(0, 31) as u32))) as u32);
-    let r_b = add_exponent(t_b - (e2 - xr), shift); // 3 <= k < 23
-    let t_c = f(((0x7f - kk.clamp(0, 126)) << 23) as u32);
-    let r_c = add_exponent((xr - (e2 + t_c)) + 1.0, shift); // 23 <= k <= 56
-    let r_pos = sel(k < 23, r_b, sel(k > 56, r_far, r_c));
-    let em = sel(
-        k == 0,
-        r_k0,
-        sel(k == -1, r_km1, sel(k <= -2, r_far, r_pos)),
-    );
-    let em = sel(hx < 0x3300_0000, a, em); // |a| < 2^-25: expm1f(a) = a
+    let hi = |i: usize| a[i] - k[i] as f32 * ln2_hi;
+    let lo = |i: usize| k[i] as f32 * ln2_lo;
+    let xr: [f32; N] = lanes(|i| hi(i) - lo(i));
+    let c: [f32; N] = lanes(|i| (hi(i) - xr[i]) - lo(i));
+    let hxs: [f32; N] = lanes(|i| xr[i] * (0.5 * xr[i]));
+    let e: [f32; N] = lanes(|i| {
+        let (h, hfx) = (hxs[i], 0.5 * xr[i]);
+        let r1 = 1.0 + h * (q1 + h * (q2 + h * (q3 + h * (q4 + h * q5))));
+        let tt = 3.0 - r1 * hfx;
+        h * ((r1 - tt) / (6.0 - xr[i] * tt))
+    });
+    let em: [f32; N] = lanes(|i| {
+        let (xr, e, c, hxs, k) = (xr[i], e[i], c[i], hxs[i], k[i]);
+        let r_k0 = xr - (xr * e - hxs);
+        let e2 = (xr * (e - c) - c) - hxs;
+        let r_km1 = 0.5 * (xr - e2) - 0.5;
+        let kk = k.clamp(-3, 63);
+        let shift = kk << 23;
+        let r_far = add_exponent(1.0 - (e2 - xr), shift) - 1.0; // k <= -2 or k > 56
+        let t_b = f((0x3f80_0000 - (0x0100_0000 >> (kk.clamp(0, 31) as u32))) as u32);
+        let r_b = add_exponent(t_b - (e2 - xr), shift); // 3 <= k < 23
+        let t_c = f(((0x7f - kk.clamp(0, 126)) << 23) as u32);
+        let r_c = add_exponent((xr - (e2 + t_c)) + 1.0, shift); // 23 <= k <= 56
+        let r_pos = sel(k < 23, r_b, sel(k > 56, r_far, r_c));
+        let em = sel(
+            k == 0,
+            r_k0,
+            sel(k == -1, r_km1, sel(k <= -2, r_far, r_pos)),
+        );
+        sel(hx[i] < 0x3300_0000, a[i], em) // |a| < 2^-25: expm1f(a) = a
+    });
 
     // --- back in tanhf: one division serves both formulas ---
-    let q = sel(big, 2.0, -em) / (em + 2.0);
-    let z = sel(big, 1.0 - q, q);
-    let z = sel(below_22, z, 1.0); // |x| >= 22: 1 - tiny == 1
-    let r = f((z.to_bits() & 0x7fff_ffff) | (jx as u32 & 0x8000_0000));
-    let r = sel(ix < 0x2400_0000, x * (1.0 + x), r); // |x| < 2^-55, and ±0
-    let non_finite = sel(
-        ix == 0x7f80_0000,
-        f(0x3f80_0000 | (jx as u32 & 0x8000_0000)), // ±inf -> ±1
-        x + x,                                      // NaN -> NaN
-    );
-    sel(ix >= 0x7f80_0000, non_finite, r)
+    let q: [f32; N] = lanes(|i| sel(big(i), 2.0, -em[i]) / (em[i] + 2.0));
+    *xs = lanes(|i| {
+        let sign = x[i].to_bits() & 0x8000_0000;
+        let z = sel(big(i), 1.0 - q[i], q[i]);
+        let z = sel(below_22(i), z, 1.0); // |x| >= 22: 1 - tiny == 1
+        let r = f((z.to_bits() & 0x7fff_ffff) | sign);
+        let r = sel(ix[i] < 0x2400_0000, x[i] * (1.0 + x[i]), r); // |x| < 2^-55, and ±0
+        let non_finite = sel(
+            ix[i] == 0x7f80_0000,
+            f(0x3f80_0000 | sign), // ±inf -> ±1
+            x[i] + x[i],           // NaN -> NaN
+        );
+        sel(ix[i] >= 0x7f80_0000, non_finite, r)
+    });
+}
+
+/// The slice loop's body, inlined into each instantiation: whole blocks of
+/// [`W`] lanes, then the remainder one lane at a time.
+#[inline(always)]
+pub(crate) fn tanh_blocks(xs: &mut [f32]) {
+    let (blocks, rest) = xs.as_chunks_mut::<W>();
+    for block in blocks {
+        tanh_block(block);
+    }
+    for v in rest {
+        *v = tanh(*v);
+    }
 }
 
 /// The slice loop on a given kernel: the plain instantiation here, the
@@ -136,7 +201,7 @@ fn tanh_in_place_with(xs: &mut [f32], kernel: GemmKernel) {
         simd @ (GemmKernel::Avx2 | GemmKernel::Avx512) => {
             crate::simd::x86::run_tanh_in_place(simd, xs)
         }
-        _ => xs.iter_mut().for_each(|v| *v = tanh(*v)),
+        _ => tanh_blocks(xs),
     }
 }
 
@@ -242,12 +307,9 @@ mod tests {
         assert_eq!(first_mismatch(&xs, &got, f32::tanh), None);
     }
 
-    /// All 2³² bit patterns against libm (NaN ↦ NaN), ≈ 1 min in release;
-    /// `scripts/check.sh` runs it. A mismatch here means the port is
-    /// wrong: fix the port, never relax this to a tolerance.
-    #[test]
-    #[ignore = "exhaustive: run in release (scripts/check.sh)"]
-    fn all_bit_patterns_equal_libm() {
+    /// Runs `apply` over all 2³² bit patterns, in chunks, and compares
+    /// each output with libm's (NaN ↦ NaN).
+    fn all_bit_patterns_equal_libm(apply: impl Fn(&mut [f32])) {
         const CHUNK: usize = 1 << 16;
         let mut xs = vec![0.0f32; CHUNK];
         let mut got = vec![0.0f32; CHUNK];
@@ -256,8 +318,48 @@ mod tests {
                 *x = f32::from_bits(base + i as u32);
             }
             got.copy_from_slice(&xs);
-            tanh_in_place(&mut got);
+            apply(&mut got);
             assert_eq!(first_mismatch(&xs, &got, f32::tanh), None);
         }
+    }
+
+    /// [`all_bit_patterns_equal_libm`] on one slice instantiation, or a
+    /// stderr line where this CPU lacks its features.
+    fn all_bit_patterns_equal_libm_on(kernel: GemmKernel) {
+        if !kernel.is_available() {
+            eprintln!("skipping the {kernel:?} loop: this CPU lacks its features");
+            return;
+        }
+        all_bit_patterns_equal_libm(|xs| tanh_in_place_with(xs, kernel));
+    }
+
+    // All 2³² inputs against libm, once per form of the port: the one-lane
+    // `tanh()` and each slice instantiation of the block body, ≈ 1 min
+    // each in release; `scripts/check.sh` runs all four. A mismatch here
+    // means the port is wrong: fix the port, never relax this to a
+    // tolerance.
+
+    #[test]
+    #[ignore = "exhaustive: run in release (scripts/check.sh)"]
+    fn all_bit_patterns_equal_libm_one_lane() {
+        all_bit_patterns_equal_libm(|xs| xs.iter_mut().for_each(|v| *v = tanh(*v)));
+    }
+
+    #[test]
+    #[ignore = "exhaustive: run in release (scripts/check.sh)"]
+    fn all_bit_patterns_equal_libm_plain_loop() {
+        all_bit_patterns_equal_libm_on(GemmKernel::Scalar);
+    }
+
+    #[test]
+    #[ignore = "exhaustive: run in release (scripts/check.sh)"]
+    fn all_bit_patterns_equal_libm_avx2_loop() {
+        all_bit_patterns_equal_libm_on(GemmKernel::Avx2);
+    }
+
+    #[test]
+    #[ignore = "exhaustive: run in release (scripts/check.sh)"]
+    fn all_bit_patterns_equal_libm_avx512_loop() {
+        all_bit_patterns_equal_libm_on(GemmKernel::Avx512);
     }
 }

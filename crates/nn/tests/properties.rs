@@ -1,6 +1,8 @@
 //! Property-based tests for the NN substrate.
 
-use dosco_nn::dist::{log_softmax_row, softmax_row, Categorical};
+use dosco_nn::dist::{
+    greedy_action, log_softmax, log_softmax_row, sample_action, softmax_row, Categorical,
+};
 use dosco_nn::linalg::{damped_inverse, LinalgError};
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::{Activation, Mlp};
@@ -243,6 +245,16 @@ proptest! {
         prop_assert!(d.log_prob(&[a])[0].is_finite());
     }
 
+    /// The slice-level rule a decision runs on a logit row chooses what
+    /// `Categorical` chooses from the same row, greedy and drawn.
+    #[test]
+    fn slice_rule_matches_categorical_on_random_logits(
+        logits in finite_vec(5),
+        seed in 0u64..1000,
+    ) {
+        assert_slice_rule_matches_categorical(&logits, seed);
+    }
+
     /// Damped inverses of SPD matrices satisfy (M + λI)·inv ≈ I.
     #[test]
     fn damped_inverse_correct(data in finite_vec(9), damping in 0.01f64..1.0) {
@@ -365,6 +377,78 @@ proptest! {
 /// The two factor sizes of the paper's architecture (256 pre-activations,
 /// 256 inputs plus the homogeneous coordinate), once each: full panels
 /// and a one-column remainder, rank 64.
+/// Greedy and drawn choice on `logits` through the slice rule
+/// ([`log_softmax`] into [`greedy_action`] / [`sample_action`]) equal
+/// `Categorical::argmax` and `Categorical::sample_row`: the same action,
+/// and for draws the same RNG stream position afterwards, over 64 draws.
+fn assert_slice_rule_matches_categorical(logits: &[f32], seed: u64) -> usize {
+    let dist = Categorical::new(&Matrix::row_vector(logits));
+    let greedy = greedy_action(log_softmax(logits));
+    assert_eq!(greedy, dist.argmax()[0], "greedy on {logits:?}");
+    let mut slice_rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut dist_rng = rand::rngs::StdRng::seed_from_u64(seed);
+    for draw in 0..64 {
+        assert_eq!(
+            sample_action(log_softmax(logits), &mut slice_rng),
+            dist.sample_row(0, &mut dist_rng),
+            "draw {draw} on {logits:?}"
+        );
+    }
+    assert_eq!(slice_rng.gen::<u64>(), dist_rng.gen::<u64>());
+    greedy
+}
+
+/// Exact ties: the last maximum wins, under both rules.
+#[test]
+fn greedy_ties_go_to_the_last_maximum() {
+    for (logits, want) in [
+        (vec![0.0f32, 0.0, 0.0, 0.0], 3),
+        (vec![1.5, -2.0, 1.5, 0.25], 2),
+        (vec![0.7, 0.7, -0.1], 1),
+        (vec![-3.0, 2.0, 2.0, 2.0, -1.0], 3),
+    ] {
+        assert_eq!(assert_slice_rule_matches_categorical(&logits, 5), want);
+    }
+}
+
+/// Distinct logits whose log-probabilities round to the same `f32`: the
+/// rule ranks log-probabilities, not logits, so the last of the rounded
+/// maxima wins even where its logit is the smaller one.
+#[test]
+fn greedy_ranks_rounded_log_probs_not_logits() {
+    let logits = [1e-8f32, 0.0, -5.0];
+    assert!(logits[0] > logits[1]);
+    let lp = log_softmax_row(&logits);
+    assert_eq!(lp[0].to_bits(), lp[1].to_bits(), "{lp:?}");
+    assert_eq!(assert_slice_rule_matches_categorical(&logits, 9), 1);
+}
+
+/// A draw the cumulative sum never exceeds (the largest `f32` below 1,
+/// against probabilities that round to a sum below it) takes the last
+/// action, under both rules.
+#[test]
+fn a_draw_past_the_rounded_sum_takes_the_last_action() {
+    /// Every `gen::<f32>()` is `1 − 2⁻²⁴`.
+    struct Top;
+    impl rand::RngCore for Top {
+        fn next_u32(&mut self) -> u32 {
+            u32::MAX
+        }
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.fill(0xff);
+        }
+    }
+    let logits = [0.0f32, 1.75, 0.25];
+    let sum = log_softmax(&logits).fold(0.0f32, |acc, lp| acc + lp.exp());
+    assert!(sum < Top.gen::<f32>(), "probabilities sum to {sum}");
+    let dist = Categorical::new(&Matrix::row_vector(&logits));
+    assert_eq!(sample_action(log_softmax(&logits), &mut Top), 2);
+    assert_eq!(dist.sample_row(0, &mut Top), 2);
+}
+
 #[test]
 fn damped_inverse_matches_reference_at_paper_scale() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);

@@ -10,9 +10,9 @@ use crate::a2c::TrainStats;
 use crate::env::Env;
 use crate::rollout::{Rollout, RolloutCollector};
 use crate::trainer::Helper;
-use dosco_nn::matrix::Matrix;
+use dosco_nn::dist::{greedy_action, log_softmax};
 use dosco_nn::mlp::Mlp;
-use dosco_nn::{Activation, Categorical};
+use dosco_nn::Activation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -237,8 +237,8 @@ impl<R: UpdateRule> ActorCritic<R> {
     ///
     /// Panics if `obs.len()` does not match the observation dimension.
     pub fn act_greedy(&self, obs: &[f32]) -> usize {
-        let logits = self.actor.forward(&Matrix::row_vector(obs));
-        Categorical::new(&logits).argmax()[0]
+        self.actor
+            .forward_row(obs, |logits| greedy_action(log_softmax(logits)))
     }
 
     /// Trains for (at least) `total_steps` environment transitions across

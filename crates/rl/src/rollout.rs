@@ -2,9 +2,9 @@
 //! bootstrapped discounted returns and generalized advantage estimation.
 
 use crate::env::Env;
+use dosco_nn::dist::{log_softmax, sample_action};
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
-use dosco_nn::Categorical;
 use rand::rngs::StdRng;
 
 /// One collected mini-batch (`n_steps × n_envs` transitions, flattened
@@ -77,16 +77,21 @@ impl RolloutCollector {
         let mut values = Vec::with_capacity(batch);
         let mut reward_sum = 0.0;
 
+        // The parallel envs' observations, batched for one forward pass
+        // per step, and the forwards' buffers: kept from step to step.
+        let mut step_obs = Matrix::zeros(n_envs, obs_dim);
+        let (mut logits, mut vals, mut hidden) =
+            (Matrix::default(), Matrix::default(), Matrix::default());
+        let mut acts = Vec::with_capacity(n_envs);
         for t in 0..n_steps {
-            // Batch the parallel envs' observations for one forward pass.
-            let mut step_obs = Matrix::zeros(n_envs, obs_dim);
             for (e, o) in self.current_obs.iter().enumerate() {
                 assert_eq!(o.len(), obs_dim, "observation length mismatch");
                 step_obs.row_mut(e).copy_from_slice(o);
             }
-            let dist = Categorical::new(&actor.forward(&step_obs));
-            let acts = dist.sample(rng);
-            let vals = critic.forward(&step_obs);
+            actor.forward_into(&step_obs, &mut logits, &mut hidden);
+            acts.clear();
+            acts.extend((0..n_envs).map(|e| sample_action(log_softmax(logits.row(e)), rng)));
+            critic.forward_into(&step_obs, &mut vals, &mut hidden);
             for (e, env) in envs.iter_mut().enumerate() {
                 let r = env.step(acts[e]);
                 let idx = t * n_envs + e;
@@ -102,18 +107,17 @@ impl RolloutCollector {
         }
 
         // Bootstrap values for the observations after the last step.
-        let mut last_obs = Matrix::zeros(n_envs, obs_dim);
         for (e, o) in self.current_obs.iter().enumerate() {
-            last_obs.row_mut(e).copy_from_slice(o);
+            step_obs.row_mut(e).copy_from_slice(o);
         }
-        let last_vals = critic.forward(&last_obs);
+        critic.forward_into(&step_obs, &mut vals, &mut hidden);
 
         // GAE / bootstrapped returns, per env, backwards in time.
         let mut advantages = vec![0.0f32; batch];
         let mut returns = vec![0.0f32; batch];
         for e in 0..n_envs {
             let mut gae = 0.0f32;
-            let mut next_value = last_vals.get(e, 0);
+            let mut next_value = vals.get(e, 0);
             for t in (0..n_steps).rev() {
                 let idx = t * n_envs + e;
                 let non_terminal = if dones[idx] { 0.0 } else { 1.0 };

@@ -18,8 +18,8 @@
 use crossbeam::channel::{RecvError, TryRecvError};
 use dosco_core::{per_node_seed, CoordinationPolicy};
 use dosco_net::{BoxRx, BoxTx, Rx};
+use dosco_nn::dist::{greedy_action, log_softmax, sample_action};
 use dosco_nn::matrix::Matrix;
-use dosco_nn::Categorical;
 use dosco_obs::registry;
 use dosco_obs::{GaugeKind, HistKind, SpanKind};
 use dosco_topology::NodeId;
@@ -119,6 +119,7 @@ pub(crate) fn run_shard(mut w: ShardWorker) {
     // Requests not yet forwarded, and this epoch's answers so far.
     let mut pending: Vec<DecisionRequest> = Vec::new();
     let mut answers: Vec<DecisionResponse> = Vec::new();
+    let mut buffers = ForwardBuffers::default();
     let mut last_id = None;
     loop {
         let msg = match w.mailbox.try_recv() {
@@ -126,7 +127,13 @@ pub(crate) fn run_shard(mut w: ShardWorker) {
             // The mailbox ran dry mid-epoch: forward what has arrived
             // while the frontend steps the episodes still to come.
             Err(TryRecvError::Empty) if !pending.is_empty() => {
-                if !forward(&w, &mut pending, rngs.as_deref_mut(), &mut answers) {
+                if !forward(
+                    &w,
+                    &mut pending,
+                    rngs.as_deref_mut(),
+                    &mut answers,
+                    &mut buffers,
+                ) {
                     return;
                 }
                 continue;
@@ -144,7 +151,13 @@ pub(crate) fn run_shard(mut w: ShardWorker) {
                 valid
             }
             Ok(ShardMsg::Flush) => {
-                let forwarded = forward(&w, &mut pending, rngs.as_deref_mut(), &mut answers);
+                let forwarded = forward(
+                    &w,
+                    &mut pending,
+                    rngs.as_deref_mut(),
+                    &mut answers,
+                    &mut buffers,
+                );
                 if forwarded && !answers.is_empty() {
                     let rows = answers.len() as f64;
                     registry::set_gauge(GaugeKind::LastServeQueueDepth, rows);
@@ -157,7 +170,13 @@ pub(crate) fn run_shard(mut w: ShardWorker) {
             }
             Ok(ShardMsg::Swap { policy, version }) => {
                 // No batch mixes two policy versions.
-                let forwarded = forward(&w, &mut pending, rngs.as_deref_mut(), &mut answers);
+                let forwarded = forward(
+                    &w,
+                    &mut pending,
+                    rngs.as_deref_mut(),
+                    &mut answers,
+                    &mut buffers,
+                );
                 w.policy = policy;
                 w.version = version;
                 forwarded
@@ -223,6 +242,7 @@ fn forward(
     pending: &mut Vec<DecisionRequest>,
     rngs: Option<&mut [Option<StdRng>]>,
     answers: &mut Vec<DecisionResponse>,
+    buffers: &mut ForwardBuffers,
 ) -> bool {
     if pending.is_empty() {
         return true;
@@ -230,38 +250,57 @@ fn forward(
     let rows = pending.len();
     registry::observe(HistKind::ServeBatchSize, rows as f64);
     let _span = dosco_obs::span(SpanKind::ServeBatchForward);
-    let obs_dim = w.policy.actor().inputs();
-    let batch = Matrix::from_fn(rows, obs_dim, |r, c| pending[r].obs[c]);
-    let logits = w.policy.actor().forward(&batch);
+    let ForwardBuffers {
+        batch,
+        logits,
+        hidden,
+        actions,
+    } = buffers;
+    batch.reshape(rows, w.policy.actor().inputs());
+    for (r, req) in pending.iter().enumerate() {
+        batch.row_mut(r).copy_from_slice(&req.obs);
+    }
+    w.policy.actor().forward_into(batch, logits, hidden);
     if !logits.as_slice().iter().all(|l| l.is_finite()) {
         return false;
     }
-    let dist = Categorical::new(&logits);
-    let actions = match rngs {
+    actions.clear();
+    match rngs {
         // One draw per row, in id order, from the owning node's stream —
         // the exact draws a per-decision deployment makes.
-        Some(rngs) => (0..rows)
-            .map(|r| {
-                let rng = rngs.get_mut(pending[r].node.0)?.as_mut()?;
-                Some(dist.sample_row(r, rng))
-            })
-            .collect::<Option<Vec<_>>>(),
-        None => Some(dist.argmax()),
-    };
-    let Some(actions) = actions else {
-        return false;
-    };
+        Some(rngs) => {
+            for (r, req) in pending.iter().enumerate() {
+                let Some(rng) = rngs.get_mut(req.node.0).and_then(Option::as_mut) else {
+                    return false;
+                };
+                actions.push(sample_action(log_softmax(logits.row(r)), rng));
+            }
+        }
+        None => actions.extend((0..rows).map(|r| greedy_action(log_softmax(logits.row(r))))),
+    }
     answers.extend(
         pending
             .drain(..)
-            .zip(actions)
-            .map(|(req, action_index)| DecisionResponse {
+            .zip(actions.iter())
+            .map(|(req, &action_index)| DecisionResponse {
                 episode: req.episode,
                 action_index,
                 version: w.version,
             }),
     );
     true
+}
+
+/// [`forward`]'s buffers, which the shard loop keeps from one forward to
+/// the next: the stacked observations, the logits, the hidden activations
+/// between layers, and the actions. Once shaped by the largest batch, a
+/// forward allocates none of them.
+#[derive(Default)]
+struct ForwardBuffers {
+    batch: Matrix,
+    logits: Matrix,
+    hidden: Matrix,
+    actions: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -369,10 +408,17 @@ mod tests {
             let run = |ends: &[usize]| {
                 let mut rngs = node_streams(&w);
                 let mut answers = Vec::new();
+                let mut buffers = ForwardBuffers::default();
                 let mut start = 0;
                 for &end in ends {
                     let mut pending = requests[start..end].to_vec();
-                    assert!(forward(&w, &mut pending, rngs.as_deref_mut(), &mut answers));
+                    assert!(forward(
+                        &w,
+                        &mut pending,
+                        rngs.as_deref_mut(),
+                        &mut answers,
+                        &mut buffers,
+                    ));
                     assert!(pending.is_empty());
                     start = end;
                 }

@@ -44,8 +44,8 @@ DOSCO_SIMD=avx2 cargo test -q -p dosco-rl
 echo "== training fingerprints (DOSCO_SIMD=avx2: the 2x256 golden on the 8-lane kernel) =="
 DOSCO_SIMD=avx2 cargo test -q --test train_goldens
 
-echo "== tanh: all 2^32 inputs equal libm's tanhf bit for bit (release, ~1 min) =="
-cargo test --release -p dosco-nn --lib tanh::tests::all_bit_patterns_equal_libm -- --include-ignored
+echo "== tanh: all 2^32 inputs equal libm's tanhf bit for bit, for the one-lane tanh() and the plain, AVX2 and AVX-512 loops (release, ~1 min each) =="
+cargo test --release -p dosco-nn --lib tanh::tests::all_bit_patterns_equal_libm_ -- --include-ignored
 
 echo "== event queue: radix heap vs the indexed-heap oracle, 1 M operations with and without peeks (release) =="
 cargo test --release -p dosco-simnet --lib queue::tests::matches_reference_heap_on_a_million_operations -- --include-ignored
