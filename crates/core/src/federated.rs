@@ -207,6 +207,8 @@ fn fed_avg(learners: &mut [NodeLearner]) {
 pub struct PerNodePolicies {
     policies: Vec<CoordinationPolicy>,
     adapter: ObservationAdapter,
+    /// The observation buffer every decision is built in.
+    obs: Vec<f32>,
 }
 
 impl PerNodePolicies {
@@ -222,8 +224,10 @@ impl PerNodePolicies {
             policies.iter().all(|p| p.degree() == degree),
             "all node policies must share the padded degree"
         );
+        let adapter = ObservationAdapter::new(degree);
         PerNodePolicies {
-            adapter: ObservationAdapter::new(degree),
+            obs: Vec::with_capacity(adapter.obs_dim()),
+            adapter,
             policies,
         }
     }
@@ -236,8 +240,8 @@ impl PerNodePolicies {
 
 impl Coordinator for PerNodePolicies {
     fn decide(&mut self, sim: &Simulation, dp: &DecisionPoint) -> Action {
-        let obs = self.adapter.observe(sim, dp);
-        Action::from_index(self.policies[dp.node.0].act(&obs))
+        self.adapter.observe_into(sim, dp, &mut self.obs);
+        Action::from_index(self.policies[dp.node.0].act(&self.obs))
     }
 }
 

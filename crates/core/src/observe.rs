@@ -62,6 +62,18 @@ impl ObservationAdapter {
     /// Panics if the node's degree exceeds the adapter's padding degree,
     /// or if the decision's flow is no longer live.
     pub fn observe(&self, sim: &Simulation, dp: &DecisionPoint) -> Vec<f32> {
+        let mut obs = Vec::with_capacity(self.obs_dim());
+        self.observe_into(sim, dp, &mut obs);
+        obs
+    }
+
+    /// [`ObservationAdapter::observe`] into `obs`, which is cleared first:
+    /// a caller that keeps the buffer decides without allocating.
+    ///
+    /// # Panics
+    ///
+    /// As [`ObservationAdapter::observe`].
+    pub fn observe_into(&self, sim: &Simulation, dp: &DecisionPoint, obs: &mut Vec<f32>) {
         #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
         let flow = sim
             .flow(dp.flow)
@@ -75,7 +87,7 @@ impl ObservationAdapter {
             neighbors.len(),
             self.degree
         );
-        let mut obs = Vec::with_capacity(self.obs_dim());
+        obs.clear();
 
         // --- F_f: flow attributes (Sec. IV-B1a).
         obs.push(flow.progress() as f32);
@@ -111,9 +123,9 @@ impl ObservationAdapter {
         // means forwarding that way cannot succeed anymore.
         let remaining = flow.remaining_time(dp.time);
         // `shortest_paths` and `link_delay` track the current topology
-        // version under substrate churn (invalidated at churn epochs,
-        // recomputed per source on the next read),
-        // so the slack below never reads a stale path through a dead link.
+        // version under substrate churn (the path table is repaired in
+        // place at every churn epoch), so the slack below never reads a
+        // stale path through a dead link.
         let sp = sim.shortest_paths();
         for &(n, l) in neighbors {
             let path_delay = sim.link_delay(l) + sp.delay(n, flow.egress);
@@ -150,7 +162,6 @@ impl ObservationAdapter {
         }
 
         debug_assert_eq!(obs.len(), self.obs_dim());
-        obs
     }
 }
 

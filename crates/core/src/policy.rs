@@ -370,6 +370,8 @@ pub struct DistributedAgents {
     /// interleave — a shared stream would leak global ordering into
     /// supposedly local inference.
     samplers: Option<Vec<rand::rngs::StdRng>>,
+    /// The observation buffer every decision is built in.
+    obs: Vec<f32>,
 }
 
 impl DistributedAgents {
@@ -386,6 +388,7 @@ impl DistributedAgents {
             adapter: policy.adapter(),
             decisions: vec![0; num_nodes],
             samplers: None,
+            obs: Vec::with_capacity(policy.adapter().obs_dim()),
         }
     }
 
@@ -438,11 +441,14 @@ impl DistributedAgents {
 
 impl Coordinator for DistributedAgents {
     fn decide(&mut self, sim: &Simulation, dp: &DecisionPoint) -> Action {
-        let obs = self.adapter.observe(sim, dp);
+        let mut obs = std::mem::take(&mut self.obs);
+        self.adapter.observe_into(sim, dp, &mut obs);
         self.decisions[dp.node.0] += 1;
         // Only the node's own observation (and its own RNG stream) is
         // consulted: fully local inference.
-        Action::from_index(self.sample_action(dp.node, &obs))
+        let action = Action::from_index(self.sample_action(dp.node, &obs));
+        self.obs = obs;
+        action
     }
 }
 

@@ -343,9 +343,11 @@ pub struct ChurnStats {
     /// Instances lost with failed nodes (their reserved capacity is
     /// reclaimed atomically with the failure).
     pub instances_lost: u64,
-    /// Path-table invalidations: routing-affecting churn events applied,
-    /// regardless of decision count. An invalidation runs no Dijkstra; a
-    /// source's row is recomputed by its first read afterwards.
+    /// Path-table updates: routing-affecting churn events applied,
+    /// regardless of decision count. An update repairs each row in place
+    /// (only the rows and nodes the changed links reach do any work); no
+    /// row is recomputed unless a weight is too small to order the search.
+    /// The name is kept because serialized counters carry it.
     pub sp_recomputes: u64,
 }
 

@@ -793,10 +793,11 @@ impl Simulation {
             _ => 0,
         };
         // Every action bumps the topology version; routing-affecting ones
-        // invalidate the path table against the current masks and delays,
-        // and each source's row is recomputed by its next read. The reward
-        // normalizer D_G deliberately keeps the *nominal* diameter so
-        // reward scales stay comparable across topology versions.
+        // repair the path table in place against the current masks and
+        // delays, so every row is finished again before the next read.
+        // The reward normalizer D_G deliberately keeps the *nominal*
+        // diameter so reward scales stay comparable across topology
+        // versions.
         if action.affects_routing() {
             let Substrate {
                 node_up,
@@ -1212,8 +1213,7 @@ mod tests {
         assert!(checked.iter().all(|&c| c > 100), "{checked:?}");
     }
 
-    /// The path table advances its rows behind a `RefCell`, so a
-    /// simulation moves between threads but is not shared by them.
+    /// A simulation moves between threads.
     #[test]
     fn simulation_is_send() {
         fn assert_send<T: Send>() {}

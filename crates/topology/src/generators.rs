@@ -17,7 +17,9 @@ pub const US_PER_KM: f64 = 5.0;
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`.
+/// Panics if `n == 0`. The links it adds are valid by construction, so
+/// building cannot fail otherwise.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn line(n: usize, delay: f64, capacity: f64) -> Topology {
     assert!(n > 0, "line topology needs at least one node");
     let mut b = TopologyBuilder::new(format!("line-{n}"));
@@ -33,7 +35,9 @@ pub fn line(n: usize, delay: f64, capacity: f64) -> Topology {
 ///
 /// # Panics
 ///
-/// Panics if `n < 3`.
+/// Panics if `n < 3`. The links it adds are valid by construction, so
+/// building cannot fail otherwise.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn ring(n: usize, delay: f64, capacity: f64) -> Topology {
     assert!(n >= 3, "ring topology needs at least three nodes");
     let mut b = TopologyBuilder::new(format!("ring-{n}"));
@@ -49,7 +53,9 @@ pub fn ring(n: usize, delay: f64, capacity: f64) -> Topology {
 ///
 /// # Panics
 ///
-/// Panics if `leaves == 0`.
+/// Panics if `leaves == 0`. The links it adds are valid by construction,
+/// so building cannot fail otherwise.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn star(leaves: usize, delay: f64, capacity: f64) -> Topology {
     assert!(leaves > 0, "star topology needs at least one leaf");
     let mut b = TopologyBuilder::new(format!("star-{leaves}"));
@@ -66,7 +72,9 @@ pub fn star(leaves: usize, delay: f64, capacity: f64) -> Topology {
 ///
 /// # Panics
 ///
-/// Panics if `rows == 0 || cols == 0`.
+/// Panics if `rows == 0 || cols == 0`. The links it adds are valid by
+/// construction, so building cannot fail otherwise.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn grid(rows: usize, cols: usize, delay: f64, capacity: f64) -> Topology {
     assert!(rows > 0 && cols > 0, "grid needs positive dimensions");
     let mut b = TopologyBuilder::new(format!("grid-{rows}x{cols}"));
@@ -100,6 +108,15 @@ pub fn grid(rows: usize, cols: usize, delay: f64, capacity: f64) -> Topology {
 /// # Errors
 ///
 /// Returns an error if `n == 0`.
+///
+/// # Panics
+///
+/// Never: a disconnected graph always has a pair of nodes in different
+/// components, and every node is placed with a position.
+#[allow(
+    clippy::expect_used,
+    reason = "the documented # Panics construction invariants"
+)]
 pub fn random_geometric(
     n: usize,
     side_km: f64,

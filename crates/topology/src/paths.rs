@@ -4,45 +4,55 @@
 //! delays `d_{v,v',v_eg}` (from `v` via neighbor `v'` to the egress) can be
 //! precomputed and looked up in constant time at runtime (Sec. IV-B1d).
 //!
-//! Under substrate churn the table is kept per source, and a source's row
-//! is a *resumable* Dijkstra: a fault [re-masks](ShortestPaths::remask)
-//! the link weights and marks unstarted the rows that have settled an
-//! endpoint of a changed link, and a read of `(s, t)` afterwards runs
-//! `s`'s search only until `t` is final, leaving the heap in place for the
-//! next, farther target. Rows that nobody reads between two faults are
-//! never started, a row whose reads all fall near its source never
-//! finishes, a row the fault did not reach keeps its search, and no row
-//! allocates after construction.
+//! Under substrate churn the table stays finished: a
+//! [re-mask](ShortestPaths::remask) repairs every row in place, one changed
+//! link at a time, so a read is always an indexed load. The repair is the
+//! Ramalingam–Reps dynamic shortest-path update, made exact under ties.
 //!
-//! What makes a partial row exact is its `radius`, the distance of the
-//! last node it settled. Link weights are non-negative and a relaxation
-//! only accepts a strictly smaller distance, so every later relaxation
-//! offers `radius` or more: a node whose tentative distance is already
-//! `<= radius` keeps that distance *and* its first hop for the rest of the
-//! search. A read answers from any row with `dist[t] <= radius` — always
-//! true once the heap has run dry (`radius` = `∞`), so on a finished table
-//! a read is an indexed load behind one compare.
+//! It rests on one ordering fact. When every relaxation offers more than
+//! the offering node's own distance, a fresh Dijkstra pops nodes in key
+//! order, `key(x) = (dist[x], x)`, so a node's parent is the least-key
+//! neighbour whose offer equals `dist[x]` (acceptance is a strict `<`: the
+//! first equal offer wins). A finished row is then pinned down by local
+//! conditions at each node, and a changed link breaks them only near it:
+//!
+//! - A link whose weight rises matters only to a row in which it is the
+//!   `via` link — the one that set the distance — of one of its endpoints,
+//!   and then only to the subtree below it. There a node whose parent kept
+//!   its distance keeps its own, and a node whose parent lost it keeps it
+//!   too if another neighbour offers exactly that distance. The nodes left
+//!   are re-derived by a Dijkstra confined to them.
+//! - A link whose weight falls offers each endpoint a shorter distance or
+//!   a tie from a smaller key. The nodes whose distance falls pass their
+//!   offers on in key order through a small heap.
+//!
+//! Either way a node that changes its first hop hands it down to the
+//! subtree below it. A zero delay, or one below the rounding of the
+//! distances it is added to, breaks the ordering fact: key order is then
+//! not pop order. A re-mask that meets such a weight, before or after,
+//! recomputes every row with the full Dijkstra that
+//! [`ShortestPaths::compute_masked`] runs.
+//!
+//! The table is stored target-major: the entries of all sources for one
+//! target are adjacent. A changed link is then checked against every row
+//! by two contiguous scans, and the rows it touches read their entries
+//! near its endpoints from neighbouring lines.
 
-use crate::graph::{LinkId, NodeId, Topology};
-use std::cell::{Ref, RefCell};
-use std::cmp::Ordering;
+use crate::graph::{Link, LinkId, NodeId, Topology};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::{Index, IndexMut};
 
 /// All-pairs shortest-path delays (by link propagation delay) and next-hop
-/// tables for a [`Topology`], one resumable row per source node.
+/// tables for a [`Topology`], one finished row per source node.
 ///
-/// [`ShortestPaths::compute`] and [`ShortestPaths::compute_masked`] settle
-/// every row up front; after a [`ShortestPaths::remask`] a row is settled
-/// as far as its reads need. Either way a read returns exactly what an
-/// eager all-pairs run over the same weights produces. Two tables are
-/// equal when all their delays and next hops are, whatever graph they came
-/// from and however far their rows had got.
+/// [`ShortestPaths::compute`] and [`ShortestPaths::compute_masked`] run
+/// Dijkstra from every source; [`ShortestPaths::remask`] repairs the rows
+/// in place. Either way every read returns exactly what an eager all-pairs
+/// run over the same weights produces. Two tables are equal when all their
+/// delays and next hops are, whatever graph they came from.
 ///
-/// Reads take `&self` and advance rows behind a [`RefCell`], so the table
-/// is [`Send`] but not [`Sync`]. A read of a settled target is a shared
-/// borrow, an indexed load and one compare; the exclusive borrow and the
-/// search sit behind a cold call, so a table nobody re-masks never takes
-/// them.
+/// A read is an indexed load, and the table is [`Send`] and [`Sync`].
 ///
 /// # Example
 ///
@@ -59,98 +69,208 @@ use std::collections::BinaryHeap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShortestPaths {
+    graph: Graph,
+    /// Target-major `n × n`: entry `t * n + s` describes the path from `s`
+    /// to `t`.
+    entries: Vec<Entry>,
+    scratch: Scratch,
+}
+
+/// What a row knows about one target.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Entry {
+    /// The path's delay (∞ if unreachable).
+    dist: f64,
+    /// First hop on the path, or [`NONE`] for `s == t` and unreachable `t`.
+    next_hop: u32,
+    /// The parent of `t`: the other end of the link (its `via` link) whose
+    /// relaxation set `dist`, or [`NONE`] for the source and unreachable
+    /// nodes. Links join distinct pairs, so the parent names the link.
+    parent: u32,
+}
+
+/// An entry no search has reached.
+const UNREACHED: Entry = Entry {
+    dist: f64::INFINITY,
+    next_hop: NONE,
+    parent: NONE,
+};
+
+/// No node: the first hop and the parent of a source or unreachable node.
+const NONE: u32 = u32::MAX;
+
+/// The node a compact id names, if any.
+fn node(v: u32) -> Option<NodeId> {
+    (v != NONE).then_some(NodeId(v as usize))
+}
+
+/// The compact id of a node.
+fn id(v: NodeId) -> u32 {
+    v.0 as u32
+}
+
+/// The topology as the searches read it.
+#[derive(Debug, Clone)]
+struct Graph {
     /// CSR adjacency: `arcs[starts[v]..starts[v + 1]]` are the neighbors of
     /// `v` with their links, in [`Topology::neighbors`] order.
     starts: Vec<usize>,
     arcs: Vec<(NodeId, LinkId)>,
+    /// Both endpoints of every link.
+    ends: Vec<(NodeId, NodeId)>,
     /// Effective delay per link, never negative: `∞` while the link or
     /// either endpoint is down, which no relaxation can ever accept.
     weight: Vec<f64>,
-    rows: Vec<RefCell<Row>>,
-    /// `remask`'s scratch: both endpoints of every link whose weight it
-    /// changed, sized at construction for every link to change once.
-    touched: Vec<NodeId>,
 }
 
-/// The Dijkstra search from one source, paused after any settled node.
-#[derive(Debug)]
-struct Row {
-    /// `dist[t]` = shortest path delay to `t` (∞ if unreachable), final
-    /// wherever it is `<= radius`.
-    dist: Vec<f64>,
-    /// `next_hop[t]` = first hop on a shortest path to `t`, final wherever
-    /// `dist[t]` is.
-    next_hop: Vec<Option<NodeId>>,
-    /// The frontier, sized at construction so no push reallocates.
-    heap: BinaryHeap<HeapEntry>,
-    /// Distance of the last settled node: [`UNSTARTED`] until the first
-    /// read after a re-mask, `∞` once the heap has run dry.
-    radius: f64,
+/// One source's row of the target-major table, indexed by target.
+struct Row<'a> {
+    s: NodeId,
+    n: usize,
+    entries: &'a mut [Entry],
 }
 
-impl Clone for Row {
-    /// A derived clone would trim the heap's spare capacity, and the copy
-    /// would allocate when its search resumes.
-    fn clone(&self) -> Self {
-        let mut heap = self.heap.clone();
-        heap.reserve_exact(self.heap.capacity() - heap.len());
+impl<'a> Row<'a> {
+    /// Source `s`'s row of the table of `n` nodes.
+    fn new(s: usize, n: usize, entries: &'a mut [Entry]) -> Self {
         Row {
-            dist: self.dist.clone(),
-            next_hop: self.next_hop.clone(),
-            heap,
-            radius: self.radius,
+            s: NodeId(s),
+            n,
+            entries,
         }
     }
 }
 
-/// The `radius` of a row whose buffers still hold the previous mask's
-/// search; below every distance, so no read answers from it.
-const UNSTARTED: f64 = f64::NEG_INFINITY;
+impl Index<NodeId> for Row<'_> {
+    type Output = Entry;
+
+    fn index(&self, t: NodeId) -> &Entry {
+        &self.entries[t.0 * self.n + self.s.0]
+    }
+}
+
+impl IndexMut<NodeId> for Row<'_> {
+    fn index_mut(&mut self, t: NodeId) -> &mut Entry {
+        &mut self.entries[t.0 * self.n + self.s.0]
+    }
+}
+
+/// The buffers searches and repairs work in, shared by every row and
+/// sized at construction so that nothing allocates afterwards.
+#[derive(Debug)]
+struct Scratch {
+    /// Min-heap of [`key`]s.
+    heap: BinaryHeap<Reverse<u128>>,
+    /// The nodes a rise moves, and each node's [`UNMOVED`], [`KEPT`] or
+    /// [`LOST`] state.
+    moved: Vec<NodeId>,
+    state: Vec<u8>,
+    /// The stack a first hop is handed down with.
+    stack: Vec<NodeId>,
+    /// The links a re-mask changes, with their new weights.
+    changed: Vec<(LinkId, f64)>,
+    #[cfg(test)]
+    counts: Counts,
+}
+
+impl Scratch {
+    fn new(n: usize, m: usize) -> Self {
+        // A full search pushes the source, then once per accepted
+        // relaxation: a link is relaxed once from each end, and the later
+        // end offers the earlier one no less than its final distance. A
+        // rise queues each node of the subtree below its link at most once
+        // to decide it, then re-derives the ones that lost their distance
+        // from one seed each, as a search would. A fall pops each node at
+        // most once and pushes at most once per arc it relaxes: a push is
+        // a strict fall of a distance that no earlier pop can offer.
+        Scratch {
+            heap: BinaryHeap::with_capacity(2 * m + n + 2),
+            moved: Vec::with_capacity(n),
+            state: vec![UNMOVED; n],
+            stack: Vec::with_capacity(n),
+            changed: Vec::with_capacity(m),
+            #[cfg(test)]
+            counts: Counts::default(),
+        }
+    }
+}
+
+impl Clone for Scratch {
+    /// A derived clone would trim the buffers' spare capacity, and the
+    /// copy would allocate on its first re-mask.
+    fn clone(&self) -> Self {
+        Scratch::new(self.state.len(), self.changed.capacity())
+    }
+}
+
+/// A node a rise has not moved.
+const UNMOVED: u8 = 0;
+/// A node a rise gave a new parent at its old distance.
+const KEPT: u8 = 1;
+/// A node that lost its distance in a rise, and is re-derived.
+const LOST: u8 = 2;
+
+/// What repairs cost, for tests to pin.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counts {
+    /// Rows recomputed from scratch by a re-mask.
+    restarts: usize,
+    /// Nodes a repair queued: decided in a rise, popped in a fall.
+    visits: usize,
+}
 
 impl PartialEq for ShortestPaths {
     fn eq(&self, other: &Self) -> bool {
-        self.settle_all();
-        other.settle_all();
-        self.rows.len() == other.rows.len()
-            && self.rows.iter().zip(&other.rows).all(|(a, b)| {
-                let (a, b) = (a.borrow(), b.borrow());
-                a.dist == b.dist && a.next_hop == b.next_hop
-            })
+        self.entries.len() == other.entries.len()
+            && (self.entries.iter().zip(&other.entries))
+                .all(|(a, b)| a.dist == b.dist && a.next_hop == b.next_hop)
     }
 }
 
-/// Max-heap entry ordered so the *smallest* distance pops first.
-#[derive(Debug, Clone, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
+/// The heap and tie-break key of node `v` at distance `d`: it orders like
+/// `(d, v)`, because the bits of non-negative floats order like their
+/// values.
+fn key(d: f64, v: NodeId) -> u128 {
+    (u128::from(d.to_bits()) << 64) | v.0 as u128
 }
 
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want min-dist first.
-        // Distances are sums of the non-negative weights `remask` admits.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
+/// The distance and node of a [`key`].
+fn unkey(k: u128) -> (f64, NodeId) {
+    (f64::from_bits((k >> 64) as u64), NodeId(k as u64 as usize))
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// Whether `fl(d + w) > d` holds for every weight `w >= least` and every
+/// distance `d <= bound`: it does once `least` exceeds the spacing of
+/// floats at `bound`, since `d + w` then exceeds the next float above `d`.
+fn order_safe(bound: f64, least: f64) -> bool {
+    bound.is_finite() && least > f64::from_bits(bound.to_bits() + 1) - bound
+}
+
+/// Asserts that the masks and delays cover every node and link.
+fn check_lengths(n: usize, m: usize, node_up: &[bool], link_up: &[bool], delays: &[f64]) {
+    assert!(node_up.len() >= n, "node mask covers every node");
+    assert!(link_up.len() >= m, "link mask covers every link");
+    assert!(delays.len() >= m, "delays cover every link");
+}
+
+/// The effective weight of link `l` between `a` and `b` under the masks.
+fn masked_weight(
+    (l, (a, b)): (usize, &(NodeId, NodeId)),
+    node_up: &[bool],
+    link_up: &[bool],
+    delays: &[f64],
+) -> f64 {
+    let usable = link_up[l] && node_up[a.0] && node_up[b.0];
+    let weight = if usable { delays[l] } else { f64::INFINITY };
+    assert!(weight >= 0.0, "usable link delays are non-negative");
+    weight
 }
 
 impl ShortestPaths {
     /// Runs Dijkstra from every node and stores delays plus next hops.
     pub fn compute(topo: &Topology) -> Self {
-        let sp = Self::unstarted(topo, topo.links().iter().map(|l| l.delay).collect());
-        sp.settle_all();
-        sp
+        Self::with_weights(topo, |_, link| link.delay)
     }
 
     /// Like [`ShortestPaths::compute`], but on a *masked* view of the
@@ -176,173 +296,154 @@ impl ShortestPaths {
         link_up: &[bool],
         delays: &[f64],
     ) -> Self {
-        let mut sp = Self::unstarted(topo, vec![f64::INFINITY; topo.num_links()]);
-        sp.remask(node_up, link_up, delays);
-        sp.settle_all();
-        sp
+        check_lengths(topo.num_nodes(), topo.num_links(), node_up, link_up, delays);
+        Self::with_weights(topo, |l, link| {
+            masked_weight((l, &(link.a, link.b)), node_up, link_up, delays)
+        })
     }
 
-    /// The table of `topo` under the per-link `weight`, no row started;
-    /// the only place a row's buffers are allocated.
-    fn unstarted(topo: &Topology, weight: Vec<f64>) -> Self {
-        let n = topo.num_nodes();
+    /// The table of `topo` under the per-link `weight`, every row searched;
+    /// the only place the table's buffers are allocated.
+    fn with_weights(topo: &Topology, weight: impl Fn(usize, &Link) -> f64) -> Self {
+        let (n, m) = (topo.num_nodes(), topo.num_links());
+        assert!(n < NONE as usize, "node ids fit in 32 bits");
         let mut starts = Vec::with_capacity(n + 1);
-        let mut arcs = Vec::with_capacity(2 * topo.num_links());
+        let mut arcs = Vec::with_capacity(2 * m);
         for v in topo.node_ids() {
             starts.push(arcs.len());
             arcs.extend_from_slice(topo.neighbors(v));
         }
         starts.push(arcs.len());
-        // One push for the source, then one per accepted relaxation. A
-        // link is relaxed once from each end, and the later end offers
-        // the earlier one no less than its final distance: at most one
-        // push per link.
-        let frontier = topo.num_links() + 1;
-        let rows = (0..n)
-            .map(|_| {
-                RefCell::new(Row {
-                    dist: vec![f64::INFINITY; n],
-                    next_hop: vec![None; n],
-                    heap: BinaryHeap::with_capacity(frontier),
-                    radius: UNSTARTED,
-                })
-            })
-            .collect();
-        ShortestPaths {
-            starts,
-            arcs,
-            weight,
-            rows,
-            touched: Vec::with_capacity(2 * topo.num_links()),
+        let links = topo.links();
+        let mut sp = ShortestPaths {
+            graph: Graph {
+                starts,
+                arcs,
+                ends: links.iter().map(|l| (l.a, l.b)).collect(),
+                weight: links
+                    .iter()
+                    .enumerate()
+                    .map(|(l, link)| weight(l, link))
+                    .collect(),
+            },
+            entries: vec![UNREACHED; n * n],
+            scratch: Scratch::new(n, m),
+        };
+        sp.search_all();
+        sp
+    }
+
+    /// The number of nodes.
+    fn n(&self) -> usize {
+        self.graph.starts.len() - 1
+    }
+
+    /// Runs a full Dijkstra from every source.
+    fn search_all(&mut self) {
+        let n = self.n();
+        let ShortestPaths {
+            graph,
+            entries,
+            scratch,
+        } = self;
+        for s in 0..n {
+            graph.search(&mut Row::new(s, n, entries), &mut scratch.heap);
         }
     }
 
     /// Switches the table to a new masked view of its topology — the
     /// arguments mean what they mean to [`ShortestPaths::compute_masked`]
-    /// — and marks unstarted every row that has settled an endpoint of a
-    /// link whose effective weight changed. Nothing is recomputed here: a
-    /// row restarts in place on the first [`ShortestPaths::delay`] or
-    /// [`ShortestPaths::next_hop`] that reads it, and answers what
-    /// `compute_masked` would have.
+    /// — and repairs every row in place to what `compute_masked` would
+    /// return.
     ///
-    /// A row reads a link's weight only when it settles one of the link's
-    /// endpoints. A row that has settled neither endpoint of any changed
-    /// link has therefore run exactly the pops and relaxations a fresh
-    /// search under the new weights runs up to its `radius`, and keeps its
-    /// `dist`, `next_hop`, heap and `radius`. `dist[v] <= radius` counts
-    /// as settled, which also covers a node still queued at the radius,
-    /// and every node of a finished row.
+    /// Links whose effective weight changed are applied one at a time, in
+    /// link order, each repair exact for the weights at that step; a
+    /// finished row depends only on the final weights. A row in which a
+    /// risen link is no parent link, or to which a fallen link offers
+    /// nothing better, costs one check. If any weight before or after is
+    /// too small to order the search (see the module docs), every row is
+    /// recomputed instead. Nothing allocates.
     ///
     /// # Panics
     ///
     /// Panics if a mask or delay slice is shorter than the topology's node
-    /// or link count, or if a usable link's delay is negative or NaN:
-    /// stopping a search at its target is only exact for non-negative
-    /// weights.
+    /// or link count, or if a usable link's delay is negative or NaN.
     pub fn remask(&mut self, node_up: &[bool], link_up: &[bool], delays: &[f64]) {
-        let (n, m) = (self.rows.len(), self.weight.len());
-        assert!(node_up.len() >= n, "node mask covers every node");
-        assert!(link_up.len() >= m, "link mask covers every link");
-        assert!(delays.len() >= m, "delays cover every link");
-        self.touched.clear();
-        for v in 0..n {
-            for &(w, l) in &self.arcs[self.starts[v]..self.starts[v + 1]] {
-                let usable = link_up[l.0] && node_up[v] && node_up[w.0];
-                let weight = if usable { delays[l.0] } else { f64::INFINITY };
-                assert!(weight >= 0.0, "usable link delays are non-negative");
-                if weight.to_bits() != self.weight[l.0].to_bits() {
-                    self.weight[l.0] = weight;
-                    self.touched.extend([NodeId(v), w]);
+        let (n, m) = (self.n(), self.graph.weight.len());
+        check_lengths(n, m, node_up, link_up, delays);
+        let ShortestPaths {
+            graph,
+            entries,
+            scratch,
+        } = self;
+        let changed = &mut scratch.changed;
+        changed.clear();
+        for (l, ends) in graph.ends.iter().enumerate() {
+            let new = masked_weight((l, ends), node_up, link_up, delays);
+            if new.to_bits() != graph.weight[l].to_bits() {
+                changed.push((LinkId(l), new));
+            }
+        }
+        if changed.is_empty() {
+            return;
+        }
+        // Every distance the repairs meet is a float sum along a simple
+        // path of links at their old or new weight: within twice the sum
+        // of those weights, whatever the rounding.
+        let (mut bound, mut least) = (0.0, f64::INFINITY);
+        for w in graph.weight.iter().chain(changed.iter().map(|(_, w)| w)) {
+            if w.is_finite() {
+                bound += w;
+                least = least.min(*w);
+            }
+        }
+        if !order_safe(2.0 * bound, least) {
+            for &(l, new) in changed.iter() {
+                graph.weight[l.0] = new;
+            }
+            self.search_all();
+            #[cfg(test)]
+            {
+                self.scratch.counts.restarts += n;
+            }
+            return;
+        }
+        for i in 0..scratch.changed.len() {
+            let (l, new) = scratch.changed[i];
+            let rise = new > graph.weight[l.0];
+            graph.weight[l.0] = new;
+            let (a, b) = graph.ends[l.0];
+            for s in 0..n {
+                // A rise only matters where `l` leads to one endpoint.
+                let child = if !rise {
+                    None
+                } else if entries[a.0 * n + s].parent == id(b) {
+                    Some(a)
+                } else if entries[b.0 * n + s].parent == id(a) {
+                    Some(b)
+                } else {
+                    continue;
+                };
+                let mut row = Row::new(s, n, entries);
+                match child {
+                    Some(child) => graph.raise(&mut row, child, scratch),
+                    None => graph.lower(&mut row, l, scratch),
                 }
             }
-        }
-        for row in &mut self.rows {
-            let row = row.get_mut();
-            if self.touched.iter().any(|v| row.dist[v.0] <= row.radius) {
-                row.radius = UNSTARTED;
-            }
-        }
-    }
-
-    /// The row of source `s`, settled at least as far as `t`.
-    #[inline]
-    fn row(&self, s: NodeId, t: NodeId) -> Ref<'_, Row> {
-        let row = self.rows[s.0].borrow();
-        if row.dist[t.0] <= row.radius {
-            return row;
-        }
-        drop(row);
-        self.settle(s, Some(t));
-        self.rows[s.0].borrow()
-    }
-
-    /// Resumes `s`'s Dijkstra — restarting it in place if a re-mask
-    /// intervened — until `t` is final, or until the heap runs dry for
-    /// `None`. However the stops fall, the pops, relaxations and float
-    /// sums are those of one uninterrupted run.
-    #[cold]
-    fn settle(&self, s: NodeId, t: Option<NodeId>) {
-        let mut row = self.rows[s.0].borrow_mut();
-        let Row {
-            dist,
-            next_hop,
-            heap,
-            radius,
-        } = &mut *row;
-        if *radius == UNSTARTED {
-            dist.fill(f64::INFINITY);
-            next_hop.fill(None);
-            heap.clear();
-            dist[s.0] = 0.0;
-            heap.push(HeapEntry { dist: 0.0, node: s });
-        }
-        while t.map_or(*radius < f64::INFINITY, |t| dist[t.0] > *radius) {
-            let Some(HeapEntry { dist: d, node: v }) = heap.pop() else {
-                *radius = f64::INFINITY;
-                break;
-            };
-            if d > dist[v.0] {
-                continue; // stale entry
-            }
-            *radius = d;
-            for &(w, l) in &self.arcs[self.starts[v.0]..self.starts[v.0 + 1]] {
-                let nd = d + self.weight[l.0];
-                if nd < dist[w.0] {
-                    dist[w.0] = nd;
-                    // The first hop towards w is w itself out of s, else v's.
-                    next_hop[w.0] = if v == s { Some(w) } else { next_hop[v.0] };
-                    debug_assert!(heap.len() < heap.capacity(), "at most one push per link");
-                    heap.push(HeapEntry { dist: nd, node: w });
-                }
-            }
-        }
-    }
-
-    /// How many of `s`'s targets are final (0 for an unstarted row).
-    #[cfg(test)]
-    fn settled(&self, s: NodeId) -> usize {
-        let row = self.rows[s.0].borrow();
-        row.dist.iter().filter(|&&d| d <= row.radius).count()
-    }
-
-    /// Runs every row's search to exhaustion.
-    fn settle_all(&self) {
-        for s in 0..self.rows.len() {
-            self.settle(NodeId(s), None);
         }
     }
 
     /// Shortest-path delay from `s` to `t` (0 for `s == t`,
     /// `f64::INFINITY` if unreachable).
     pub fn delay(&self, s: NodeId, t: NodeId) -> f64 {
-        self.row(s, t).dist[t.0]
+        self.entries[t.0 * self.n() + s.0].dist
     }
 
     /// First hop on a shortest path from `s` to `t`.
     ///
     /// Returns `None` if `s == t` or `t` is unreachable.
     pub fn next_hop(&self, s: NodeId, t: NodeId) -> Option<NodeId> {
-        self.row(s, t).next_hop[t.0]
+        node(self.entries[t.0 * self.n() + s.0].next_hop)
     }
 
     /// The full node sequence of a shortest path from `s` to `t`, excluding
@@ -361,7 +462,7 @@ impl ShortestPaths {
             let hop = self.next_hop(cur, t)?;
             path.push(hop);
             cur = hop;
-            if path.len() > self.rows.len() {
+            if path.len() > self.n() {
                 // Defensive: should be impossible on a consistent table.
                 return None;
             }
@@ -373,11 +474,238 @@ impl ShortestPaths {
     /// shortest-path delay over all node pairs. Used to normalize the
     /// per-hop shaping penalty (Sec. IV-B3).
     pub fn diameter(&self) -> f64 {
-        self.settle_all();
-        let finite_max = |max: f64, &d: &f64| if d.is_finite() { max.max(d) } else { max };
-        self.rows.iter().fold(0.0, |max, row| {
-            row.borrow().dist.iter().fold(max, finite_max)
-        })
+        let finite_max = |max: f64, e: &Entry| {
+            if e.dist.is_finite() {
+                max.max(e.dist)
+            } else {
+                max
+            }
+        };
+        self.entries.iter().fold(0.0, finite_max)
+    }
+}
+
+impl Row<'_> {
+    /// The first hop towards `z` on a path through its neighbour `y`.
+    fn hop(&self, y: NodeId, z: NodeId) -> u32 {
+        if y == self.s {
+            id(z)
+        } else {
+            self[y].next_hop
+        }
+    }
+
+    /// The first hop towards `z` through its parent, if it has one.
+    fn parent_hop(&self, z: NodeId) -> u32 {
+        node(self[z].parent).map_or(NONE, |p| self.hop(p, z))
+    }
+
+    /// Whether `y`'s `offer` ties `z`'s distance from a smaller key than
+    /// `z`'s parent: the tie a fresh search hands to `y`.
+    fn wins_tie(&self, offer: f64, y: NodeId, z: NodeId) -> bool {
+        offer == self[z].dist
+            && node(self[z].parent).is_some_and(|p| key(self[y].dist, y) < key(self[p].dist, p))
+    }
+
+    /// `y` offers `z` its path over a link of weight `w`, and `z` adopts it
+    /// if it is shorter or ties from a smaller key than `z`'s parent.
+    /// Returns whether it was adopted, and if so whether it was shorter.
+    fn adopt(&mut self, y: NodeId, z: NodeId, w: f64) -> Option<bool> {
+        let offer = self[y].dist + w;
+        let shorter = offer < self[z].dist;
+        if !shorter && !self.wins_tie(offer, y, z) {
+            return None;
+        }
+        self[z].dist = offer;
+        self[z].parent = id(y);
+        Some(shorter)
+    }
+
+    /// Gives the first hop of `root` to every descendant that a rise has
+    /// not moved, stopping at those it has: the path to each passes
+    /// through `root`.
+    fn hand_down(&mut self, g: &Graph, root: NodeId, stack: &mut Vec<NodeId>, state: &[u8]) {
+        let hop = self[root].next_hop;
+        stack.clear();
+        stack.push(root);
+        while let Some(x) = stack.pop() {
+            for &(y, _) in g.arcs(x) {
+                if self[y].parent == id(x) && state[y.0] == UNMOVED {
+                    self[y].next_hop = hop;
+                    stack.push(y);
+                }
+            }
+        }
+    }
+}
+
+impl Graph {
+    fn arcs(&self, v: NodeId) -> &[(NodeId, LinkId)] {
+        &self.arcs[self.starts[v.0]..self.starts[v.0 + 1]]
+    }
+
+    /// A full Dijkstra from the row's source.
+    fn search(&self, row: &mut Row, heap: &mut BinaryHeap<Reverse<u128>>) {
+        let s = row.s;
+        for t in 0..self.starts.len() - 1 {
+            row[NodeId(t)] = UNREACHED;
+        }
+        row[s].dist = 0.0;
+        heap.push(Reverse(key(0.0, s)));
+        while let Some(Reverse(kv)) = heap.pop() {
+            let (d, v) = unkey(kv);
+            if d > row[v].dist {
+                continue; // stale entry
+            }
+            for &(w, l) in self.arcs(v) {
+                let nd = d + self.weight[l.0];
+                if nd < row[w].dist {
+                    row[w].dist = nd;
+                    row[w].next_hop = row.hop(v, w);
+                    row[w].parent = id(v);
+                    debug_assert!(heap.len() < heap.capacity(), "sized at construction");
+                    heap.push(Reverse(key(nd, w)));
+                }
+            }
+        }
+    }
+
+    /// Repairs `row` after the weight of the link from `child`'s parent to
+    /// `child` rose, possibly to ∞.
+    ///
+    /// Only the subtree below `child` can change, and in it only a node
+    /// whose parent lost its distance can lose its own: any other keeps its
+    /// parent's unchanged offer. So the repair walks down from `child`
+    /// through losers alone, in key order. A node keeps its distance
+    /// ([`KEPT`]) if a neighbour that did not lose its own offers exactly
+    /// that, and takes the least-key such neighbour as its parent; such a
+    /// neighbour is nearer the source, so already decided. Otherwise it is
+    /// [`LOST`], and the losers are re-derived by a Dijkstra confined to
+    /// them, seeded from their other neighbours.
+    fn raise(&self, row: &mut Row, child: NodeId, scratch: &mut Scratch) {
+        let Scratch {
+            heap,
+            moved,
+            state,
+            stack,
+            ..
+        } = scratch;
+        moved.clear();
+        let mut next = Some(child);
+        while let Some(x) = next {
+            #[cfg(test)]
+            {
+                scratch.counts.visits += 1;
+            }
+            moved.push(x);
+            let (d, mut least) = (row[x].dist, u128::MAX);
+            for &(y, k) in self.arcs(x) {
+                let dy = row[y].dist;
+                if dy + self.weight[k.0] == d && state[y.0] != LOST {
+                    least = least.min(key(dy, y));
+                }
+            }
+            if least != u128::MAX {
+                state[x.0] = KEPT;
+                row[x].parent = id(unkey(least).1);
+            } else {
+                state[x.0] = LOST;
+                for &(y, _) in self.arcs(x) {
+                    if row[y].parent == id(x) {
+                        heap.push(Reverse(key(row[y].dist, y)));
+                    }
+                }
+            }
+            next = heap.pop().map(|Reverse(ky)| unkey(ky).1);
+        }
+        let lost = |state: &[u8], x: &&NodeId| state[x.0] == LOST;
+        for &x in moved.iter().filter(|x| lost(state, x)) {
+            row[x].dist = f64::INFINITY;
+            row[x].parent = NONE;
+        }
+        for &x in moved.iter().filter(|x| lost(state, x)) {
+            for &(y, k) in self.arcs(x) {
+                if state[y.0] != LOST {
+                    row.adopt(y, x, self.weight[k.0]);
+                }
+            }
+            if row[x].dist.is_finite() {
+                heap.push(Reverse(key(row[x].dist, x)));
+            }
+        }
+        // A loser popped is final. Its offers can shorten other losers,
+        // and, rounding being what it is, tie a keeper's distance.
+        while let Some(Reverse(kx)) = heap.pop() {
+            let (d, x) = unkey(kx);
+            if d > row[x].dist {
+                continue; // stale entry
+            }
+            for &(z, k) in self.arcs(x) {
+                if state[z.0] != UNMOVED && row.adopt(x, z, self.weight[k.0]) == Some(true) {
+                    debug_assert!(heap.len() < heap.capacity(), "sized at construction");
+                    heap.push(Reverse(key(row[z].dist, z)));
+                }
+            }
+        }
+        // First hops, parents before children. The nodes below a moved
+        // node that did not move themselves reach the source through it,
+        // and still hold its old first hop.
+        moved.sort_unstable_by_key(|&x| key(row[x].dist, x));
+        for &x in moved.iter() {
+            let hop = row.parent_hop(x);
+            if row[x].next_hop != hop {
+                row[x].next_hop = hop;
+                row.hand_down(self, x, stack, state);
+            }
+        }
+        for &x in moved.iter() {
+            state[x.0] = UNMOVED;
+        }
+    }
+
+    /// Repairs `row` after link `l`'s weight fell, possibly from ∞.
+    fn lower(&self, row: &mut Row, l: LinkId, scratch: &mut Scratch) {
+        let (a, b) = self.ends[l.0];
+        self.offer(row, a, b, l, scratch);
+        self.offer(row, b, a, l, scratch);
+        // Nodes whose distance fell pass their offers on in key order.
+        while let Some(Reverse(kx)) = scratch.heap.pop() {
+            let (d, x) = unkey(kx);
+            if d > row[x].dist {
+                continue; // stale entry
+            }
+            #[cfg(test)]
+            {
+                scratch.counts.visits += 1;
+            }
+            for &(z, k) in self.arcs(x) {
+                self.offer(row, x, z, k, scratch);
+            }
+        }
+    }
+
+    /// [`Row::adopt`] during a fall, which also passes first hops on. A
+    /// `z` whose distance fell is queued to pass its offers on. One that
+    /// only took a new parent, or whose parent's first hop changed, offers
+    /// nothing new: it hands its new first hop down to its subtree at once.
+    fn offer(&self, row: &mut Row, y: NodeId, z: NodeId, k: LinkId, scratch: &mut Scratch) {
+        let shorter = match row.adopt(y, z, self.weight[k.0]) {
+            Some(shorter) => shorter,
+            // A parent's offer comes from a node whose distance did not
+            // rise, over a link whose weight did not rise: it still ties.
+            None if row[z].parent == id(y) => false,
+            None => return,
+        };
+        let hop = row.hop(y, z);
+        if shorter {
+            row[z].next_hop = hop;
+            let heap = &mut scratch.heap;
+            debug_assert!(heap.len() < heap.capacity(), "sized at construction");
+            heap.push(Reverse(key(row[z].dist, z)));
+        } else if row[z].next_hop != hop {
+            row[z].next_hop = hop;
+            row.hand_down(self, z, &mut scratch.stack, &scratch.state);
+        }
     }
 }
 
@@ -508,193 +836,232 @@ mod tests {
         (t, vec![true; n], vec![true; m], delays)
     }
 
-    /// Settled nodes per source, and each row's buffer capacities.
-    fn settled(sp: &ShortestPaths) -> Vec<usize> {
-        (0..sp.rows.len()).map(|s| sp.settled(NodeId(s))).collect()
+    /// The buffers a re-mask works in, whose capacities must not move.
+    fn capacities(sp: &ShortestPaths) -> [usize; 5] {
+        let s = &sp.scratch;
+        [
+            sp.entries.capacity(),
+            s.heap.capacity(),
+            s.moved.capacity(),
+            s.stack.capacity(),
+            s.changed.capacity(),
+        ]
     }
 
-    fn capacities(sp: &ShortestPaths) -> Vec<[usize; 3]> {
-        let caps = |r: &RefCell<Row>| {
-            let r = r.borrow();
-            [r.dist.capacity(), r.next_hop.capacity(), r.heap.capacity()]
-        };
-        sp.rows.iter().map(caps).collect()
+    /// Every delay (to the bit) and next hop equals a fresh
+    /// `compute_masked` of the masks.
+    fn assert_exact(
+        sp: &ShortestPaths,
+        t: &Topology,
+        node_up: &[bool],
+        link_up: &[bool],
+        d: &[f64],
+    ) {
+        let eager = ShortestPaths::compute_masked(t, node_up, link_up, d);
+        for s in t.node_ids() {
+            for v in t.node_ids() {
+                assert_eq!(
+                    sp.delay(s, v).to_bits(),
+                    eager.delay(s, v).to_bits(),
+                    "delay({s}, {v})"
+                );
+                assert_eq!(
+                    sp.next_hop(s, v),
+                    eager.next_hop(s, v),
+                    "next_hop({s}, {v})"
+                );
+            }
+        }
+        assert_eq!(sp.entries, eager.entries, "parents too");
     }
 
     #[test]
-    fn read_settles_to_its_target_and_a_farther_read_resumes() {
+    fn a_remask_repairs_rows_in_place_without_a_restart() {
         let (t, node_up, mut link_up, delays) = abilene_masks();
-        let n = t.num_nodes();
         let mut sp = ShortestPaths::compute(&t);
-        assert_eq!(settled(&sp), vec![n; n], "compute is eager");
         let caps = capacities(&sp);
+
+        // A link going down re-derives the subtrees below it; coming back
+        // up, it lowers their distances again.
         link_up[3] = false;
         sp.remask(&node_up, &link_up, &delays);
-        assert_eq!(settled(&sp), vec![0; n]);
-        let eager = ShortestPaths::compute_masked(&t, &node_up, &link_up, &delays);
-        let check = |s, t| {
-            assert_eq!(sp.delay(s, t), eager.delay(s, t));
-            assert_eq!(sp.next_hop(s, t), eager.next_hop(s, t));
-        };
+        assert_exact(&sp, &t, &node_up, &link_up, &delays);
+        let down = sp.scratch.counts;
+        assert_eq!(down.restarts, 0);
+        assert!(down.visits > 0, "some row's tree used link 3");
+        link_up[3] = true;
+        sp.remask(&node_up, &link_up, &delays);
+        assert_eq!(sp, ShortestPaths::compute(&t));
+        assert_eq!(sp.entries, ShortestPaths::compute(&t).entries);
+        assert_eq!(sp.scratch.counts.restarts, 0);
+        assert!(sp.scratch.counts.visits > down.visits);
 
-        // A neighbour is final long before the search has seen every node.
-        let s = NodeId(4);
-        let near = t.neighbors(s)[0].0;
-        check(s, near);
-        let partial = sp.settled(s);
-        assert!((2..n).contains(&partial), "settled {partial} of {n}");
-        check(s, near);
-        assert_eq!(sp.settled(s), partial, "a settled target is a load");
-
-        // The farthest target resumes the same search: the heap is not
-        // restarted, the count only grows, and the near answer stands.
-        let far = t
-            .node_ids()
-            .max_by(|&a, &b| eager.delay(s, a).total_cmp(&eager.delay(s, b)))
-            .unwrap();
-        check(s, far);
-        assert!(sp.settled(s) > partial);
-        check(s, near);
-        for target in t.node_ids() {
-            check(s, target);
-        }
-        assert_eq!(sp.settled(s), n);
-
-        check(NodeId(7), NodeId(0));
-        let started: Vec<usize> = (0..n).filter(|&s| sp.settled(NodeId(s)) > 0).collect();
-        assert_eq!(started, vec![4, 7], "unread rows never start");
-        assert_eq!(capacities(&sp), caps, "no row allocates after construction");
+        // A node failing takes each of its links down in turn.
+        let mut node_up = node_up;
+        node_up[4] = false;
+        sp.remask(&node_up, &link_up, &delays);
+        assert_exact(&sp, &t, &node_up, &link_up, &delays);
+        assert_eq!(sp.scratch.counts.restarts, 0);
+        assert_eq!(capacities(&sp), caps, "a repair allocates nothing");
     }
 
     #[test]
-    fn unreachable_target_or_dead_source_exhausts_the_row() {
+    fn a_dead_node_is_unreachable_and_a_dead_source_reaches_only_itself() {
         let (t, mut node_up, link_up, delays) = abilene_masks();
-        let n = t.num_nodes();
         let mut sp = ShortestPaths::compute(&t);
         node_up[5] = false;
         sp.remask(&node_up, &link_up, &delays);
 
-        // Only an exhausted heap proves a target unreachable.
         assert!(!sp.delay(NodeId(0), NodeId(5)).is_finite());
         assert_eq!(sp.next_hop(NodeId(0), NodeId(5)), None);
-        assert_eq!(sp.rows[0].borrow().radius, f64::INFINITY);
-        assert_eq!(sp.settled(NodeId(0)), n, "∞ is settled too");
-
-        // A dead source reaches nothing but itself.
         assert_eq!(sp.delay(NodeId(5), NodeId(5)), 0.0);
-        assert_eq!(sp.settled(NodeId(5)), 1);
-        assert!(!sp.delay(NodeId(5), NodeId(0)).is_finite());
-        assert_eq!(sp.rows[5].borrow().radius, f64::INFINITY);
-
-        // Reads of finished rows are loads: no row state moves.
-        let before: Vec<f64> = sp.rows.iter().map(|r| r.borrow().radius).collect();
-        for s in [NodeId(0), NodeId(5)] {
-            for target in t.node_ids() {
-                sp.delay(s, target);
-                sp.next_hop(s, target);
-            }
+        for v in t.node_ids().filter(|&v| v != NodeId(5)) {
+            assert!(!sp.delay(NodeId(5), v).is_finite());
+            assert_eq!(sp.next_hop(NodeId(5), v), None);
         }
-        let after: Vec<f64> = sp.rows.iter().map(|r| r.borrow().radius).collect();
-        assert_eq!(before, after);
+        assert_exact(&sp, &t, &node_up, &link_up, &delays);
     }
 
     #[test]
-    fn noop_remask_keeps_rows_and_a_changed_weight_resets_them() {
+    fn noop_remask_repairs_nothing_and_a_changed_weight_repairs_only_its_rows() {
         let (t, mut node_up, mut link_up, mut delays) = abilene_masks();
         let n = t.num_nodes();
         let mut sp = ShortestPaths::compute(&t);
         node_up[2] = false;
         sp.remask(&node_up, &link_up, &delays);
-        sp.delay(NodeId(4), t.neighbors(NodeId(4))[0].0);
-        sp.delay(NodeId(7), NodeId(0));
-        let counts = settled(&sp);
-        assert!(counts[4] > 0 && counts[4] < n);
+        let (table, counts) = (sp.clone(), sp.scratch.counts);
 
         // Identical arguments, and a link going down under a dead endpoint.
         sp.remask(&node_up, &link_up, &delays);
-        assert_eq!(settled(&sp), counts);
         link_up[t.neighbors(NodeId(2))[0].1 .0] = false;
         sp.remask(&node_up, &link_up, &delays);
-        assert_eq!(settled(&sp), counts);
+        assert_eq!(sp.scratch.counts, counts, "no weight changed");
+        assert_eq!(sp, table);
 
-        // One live link's delay moves: exactly the rows that had settled
-        // one of its endpoints restart, and the others keep their counts.
+        // One live link's delay rises: only the rows in which it is the
+        // parent link of one of its endpoints move.
         let (a, b) = (NodeId(0), t.neighbors(NodeId(0))[0].0);
         let live = t.link_between(a, b).unwrap();
-        assert!(sp.weight[live.0].is_finite());
-        let reached = |s: usize| {
-            let row = sp.rows[s].borrow();
-            row.dist[a.0] <= row.radius || row.dist[b.0] <= row.radius
+        let parents = |sp: &ShortestPaths, s: usize| {
+            sp.entries[a.0 * n + s].parent == b.0 as u32
+                || sp.entries[b.0 * n + s].parent == a.0 as u32
         };
-        let expected: Vec<usize> = (0..n)
-            .map(|s| if reached(s) { 0 } else { counts[s] })
-            .collect();
-        assert_eq!(expected[7], 0, "row 7 settled node 0");
-        assert!(expected[4] > 0, "row 4 never got past its first neighbour");
+        let repaired: Vec<usize> = (0..n).filter(|&s| parents(&sp, s)).collect();
+        assert!(!repaired.is_empty() && repaired.len() < n, "{repaired:?}");
+        let before = sp.clone();
         delays[live.0] *= 2.0;
         sp.remask(&node_up, &link_up, &delays);
-        assert_eq!(settled(&sp), expected);
-        assert_eq!(
-            sp,
-            ShortestPaths::compute_masked(&t, &node_up, &link_up, &delays)
-        );
+        assert_exact(&sp, &t, &node_up, &link_up, &delays);
+        assert_eq!(sp.scratch.counts.restarts, 0);
+        for s in (0..n).filter(|s| !repaired.contains(s)) {
+            for i in (s..n * n).step_by(n) {
+                assert_eq!(sp.entries[i], before.entries[i], "row {s}");
+            }
+        }
     }
 
     #[test]
-    fn back_to_back_remasks_compute_nothing() {
+    fn back_to_back_remasks_repair_each_step() {
         let (t, mut node_up, mut link_up, delays) = abilene_masks();
         let mut sp = ShortestPaths::compute(&t);
         link_up[0] = false;
         sp.remask(&node_up, &link_up, &delays);
         node_up[5] = false;
         sp.remask(&node_up, &link_up, &delays);
-        assert_eq!(settled(&sp), vec![0; t.num_nodes()]);
-        // The first read sees the second re-mask, not the first.
+        assert_eq!(sp.scratch.counts.restarts, 0);
         assert!(!sp.delay(NodeId(0), NodeId(5)).is_finite());
+        assert_exact(&sp, &t, &node_up, &link_up, &delays);
     }
 
     #[test]
-    fn equality_diameter_and_clone_of_a_half_settled_table_match_eager() {
-        let (t, node_up, mut link_up, mut delays) = abilene_masks();
+    fn ties_on_a_unit_grid_go_to_the_least_key_parent() {
+        // Every shortest path on a unit grid ties with others; a spike to
+        // exactly two ties a link with each two-hop detour around it.
+        let t = crate::generators::grid(4, 4, 1.0, 1.0);
+        let (n, m) = (t.num_nodes(), t.num_links());
+        let (mut node_up, mut link_up) = (vec![true; n], vec![true; m]);
+        let mut delays = vec![1.0; m];
+        let mut sp = ShortestPaths::compute(&t);
+        // Toggle a link or a node, or set a link's delay.
+        enum Step {
+            Link(usize),
+            Node(usize),
+            Delay(usize, f64),
+        }
+        use Step::{Delay, Link, Node};
+        let steps = [
+            Link(5),
+            Delay(6, 2.0),
+            Link(5),
+            Link(9),
+            Delay(6, 1.0),
+            Node(5),
+            Delay(10, 2.0),
+            Link(9),
+            Node(5),
+            Delay(10, 1.0),
+            Node(0),
+            Node(0),
+        ];
+        for step in steps {
+            match step {
+                Link(l) => link_up[l] = !link_up[l],
+                Node(v) => node_up[v] = !node_up[v],
+                Delay(l, d) => delays[l] = d,
+            }
+            sp.remask(&node_up, &link_up, &delays);
+            assert_exact(&sp, &t, &node_up, &link_up, &delays);
+        }
+        assert_eq!(sp.scratch.counts.restarts, 0);
+    }
+
+    #[test]
+    fn an_order_unsafe_table_recomputes_every_row() {
+        let (t, node_up, link_up, nominal) = abilene_masks();
         let n = t.num_nodes();
+        let mut sp = ShortestPaths::compute(&t);
+        let caps = capacities(&sp);
+        // A zero delay adds nothing to the distance it offers, and a tiny
+        // one rounds away: key order is no longer pop order.
+        for (factor, restarts) in [(0.0, n), (1e-300, 2 * n)] {
+            let mut delays = nominal.clone();
+            delays[6] *= factor;
+            sp.remask(&node_up, &link_up, &delays);
+            assert_eq!(sp.scratch.counts.restarts, restarts, "factor {factor}");
+            assert_exact(&sp, &t, &node_up, &link_up, &delays);
+        }
+        // Leaving the unsafe weights recomputes once more; after that the
+        // table repairs again.
+        sp.remask(&node_up, &link_up, &nominal);
+        assert_eq!(sp.scratch.counts.restarts, 3 * n);
+        assert_eq!(sp, ShortestPaths::compute(&t));
+        let mut link_up = link_up;
+        link_up[4] = false;
+        sp.remask(&node_up, &link_up, &nominal);
+        assert_eq!(sp.scratch.counts.restarts, 3 * n);
+        assert_exact(&sp, &t, &node_up, &link_up, &nominal);
+        assert_eq!(capacities(&sp), caps, "recomputing allocates nothing");
+    }
+
+    #[test]
+    fn equality_diameter_and_clone_of_a_repaired_table_match_eager() {
+        let (t, node_up, mut link_up, mut delays) = abilene_masks();
         link_up[2] = false;
         delays[6] *= 3.0;
         let eager = ShortestPaths::compute_masked(&t, &node_up, &link_up, &delays);
-        let half_settled = || {
-            let mut sp = ShortestPaths::compute(&t);
-            sp.remask(&node_up, &link_up, &delays);
-            sp.delay(NodeId(4), t.neighbors(NodeId(4))[0].0);
-            sp.delay(NodeId(9), NodeId(9));
-            assert!(settled(&sp).iter().sum::<usize>() < n);
-            sp
-        };
+        let mut sp = ShortestPaths::compute(&t);
+        sp.remask(&node_up, &link_up, &delays);
+        assert_eq!(sp.diameter(), eager.diameter());
+        assert_eq!(sp, eager);
 
-        let lazy = half_settled();
-        assert_eq!(lazy.diameter(), eager.diameter());
-        assert_eq!(settled(&lazy), vec![n; n], "diameter settles every row");
-
-        let lazy = half_settled();
-        assert_eq!(lazy, eager);
-        assert_eq!(settled(&lazy), vec![n; n], "so does equality");
-
-        // A clone carries the paused searches and resumes them on its own.
-        let lazy = half_settled();
-        let clone = lazy.clone();
-        assert_eq!(settled(&clone), settled(&lazy));
-        assert_eq!(capacities(&clone), capacities(&lazy));
-        assert_eq!(clone, eager);
-        assert!(
-            settled(&lazy).iter().sum::<usize>() < n,
-            "the original is untouched"
-        );
-        assert_eq!(lazy, eager);
-
-        // Re-masking back to nominal is a fresh `compute`.
+        // A clone repairs on its own, with buffers of its own.
+        let mut clone = sp.clone();
+        assert_eq!(capacities(&clone), capacities(&sp));
         let (_, node_up, link_up, delays) = abilene_masks();
-        let mut lazy = lazy;
-        lazy.remask(&node_up, &link_up, &delays);
-        assert_eq!(lazy, ShortestPaths::compute(&t));
-        assert_ne!(lazy, eager);
+        clone.remask(&node_up, &link_up, &delays);
+        assert_eq!(clone, ShortestPaths::compute(&t));
+        assert_ne!(clone, eager);
+        assert_eq!(sp, eager, "the original is untouched");
     }
 
     #[test]
@@ -722,9 +1089,9 @@ mod tests {
     }
 
     #[test]
-    fn table_is_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<ShortestPaths>();
+    fn table_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ShortestPaths>();
     }
 
     #[test]

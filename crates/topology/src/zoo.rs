@@ -53,6 +53,12 @@ pub const ABILENE_EGRESS: NodeId = NodeId(7);
 /// assert_eq!(t.num_links(), 14);
 /// assert_eq!(DegreeStats::of(&t).max, 3);
 /// ```
+///
+/// # Panics
+///
+/// Never: the cities are placed with positions and the link list joins
+/// distinct pairs, so building is valid by construction.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn abilene() -> Topology {
     let mut b = TopologyBuilder::new("Abilene");
     // Order encodes the paper's v1..v11 (see module docs).
@@ -95,6 +101,11 @@ pub fn abilene() -> Topology {
 ///
 /// Deterministic statistical reconstruction (hub-dominated European
 /// backbone); see the module docs for the substitution rationale.
+///
+/// # Panics
+///
+/// Never: the degree profile is feasible, which the zoo tests pin.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn bt_europe() -> Topology {
     reconstruct_degree_profile(
         "BT Europe",
@@ -115,6 +126,11 @@ pub fn bt_europe() -> Topology {
 /// The paper highlights this network as *highly skewed* in node degree,
 /// which blows up the observation/action space (Δ_G = 20); the
 /// reconstruction preserves exactly that skew.
+///
+/// # Panics
+///
+/// Never: the degree profile is feasible, which the zoo tests pin.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn china_telecom() -> Topology {
     reconstruct_degree_profile(
         "China Telecom",
@@ -131,6 +147,11 @@ pub fn china_telecom() -> Topology {
 }
 
 /// Interroute: 110 nodes, 158 edges, degree 1/7/2.87 (Table I).
+///
+/// # Panics
+///
+/// Never: the degree profile is feasible, which the zoo tests pin.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn interroute() -> Topology {
     reconstruct_degree_profile(
         "Interroute",

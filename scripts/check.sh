@@ -53,6 +53,9 @@ cargo test --release -p dosco-simnet --lib queue::tests::matches_reference_heap_
 echo "== event queue: the same oracle at the simulator's depth, 1.7e5 resident, pushes and cancels inside the sorted run (release) =="
 cargo test --release -p dosco-simnet --lib queue::tests::matches_reference_heap_at_grid_depth -- --include-ignored
 
+echo "== path table: in-place repairs vs compute_masked, every read bit for bit over 10k random churn scripts with order-breaking delays (release) =="
+cargo test --release -p dosco-topology --test path_oracle -- --include-ignored
+
 echo "== simcore 100k-flow churn smoke (release, bounded time + flat memory) =="
 cargo test --release -p dosco-bench --test churn_smoke -- --include-ignored
 

@@ -142,9 +142,9 @@ fn drl_and_baselines_degrade_and_recover_around_pinned_fault() {
     );
 }
 
-/// Shortest-path coordination that runs every path row to exhaustion once
-/// it has seen a fault, where plain SP settles each row only as far as
-/// its reads reach.
+/// Shortest-path coordination that reads the whole path table (its
+/// diameter) after every fault, where plain SP reads only the pairs its
+/// decisions need.
 struct SettleEveryRow(ShortestPath);
 
 impl Coordinator for SettleEveryRow {
@@ -162,14 +162,15 @@ impl Coordinator for SettleEveryRow {
     }
 }
 
-/// How far a path row was settled, and in which order its targets were
-/// asked for, never shows: on the 10x10 unit-delay grid, where every
-/// shortest path ties with others until a delay spike breaks some of the
-/// ties, an SP episode under stochastic link failures is the same episode
-/// — metrics, churn counters, event stream — whether rows stop at their
-/// targets or are all forced after each fault. (The spikes are what make
-/// a row that stops too early visible: with equal weights the first
-/// distance a search finds for a node is already its last.)
+/// Which pairs of the path table are read after a fault, and in which
+/// order, never shows: on the 10x10 unit-delay grid, where every shortest
+/// path ties with others until a delay spike breaks some of the ties, an
+/// SP episode under stochastic link failures is the same episode —
+/// metrics, churn counters, event stream — whether it reads only its own
+/// pairs or the whole table after each fault. The rows are repaired in
+/// place at every fault, so a read can only load; while rows were lazy
+/// searches, this pinned that a row stopped at its target answered as a
+/// finished one.
 #[test]
 fn partial_path_rows_run_the_same_episode_as_forced_rows() {
     let topology = dosco::topology::generators::grid(10, 10, 1.0, 1.0);

@@ -4,25 +4,29 @@
 //! forward through buffers their thread keeps (`Mlp::forward_row`) and
 //! choose from the logit row in place (`dist::greedy_action`,
 //! `dist::sample_action`). So once one decision has shaped those buffers,
-//! a thousand more of either kind make no allocation of any size.
+//! a thousand more of either kind make no allocation of any size. A
+//! deployed `DistributedAgents` builds each observation in a buffer it
+//! keeps (`ObservationAdapter::observe_into`) and reads the path table
+//! with plain loads, so its decisions on a live simulation allocate
+//! nothing either.
 //!
 //! The counting allocator is process-wide, which is why this file is its
 //! own test binary; it counts only on the thread that has switched
-//! counting on, so the test harness's own threads are not counted.
+//! counting on, and into that thread's own tally, so neither the test
+//! harness's threads nor a test running alongside are counted.
 
-use dosco::core::policy::{CoordinationPolicy, PolicyMetadata};
+use dosco::core::policy::{CoordinationPolicy, DistributedAgents, PolicyMetadata};
 use dosco::nn::Mlp;
-use dosco::simnet::ScenarioConfig;
+use dosco::simnet::{Coordinator, ScenarioConfig, Simulation};
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Whether this thread's allocations are counted.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's counted allocations.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting every block it hands out to a thread
@@ -31,7 +35,7 @@ struct Counting;
 
 fn count() {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -68,11 +72,11 @@ static ALLOCATOR: Counting = Counting;
 
 /// Allocations `f` makes on this thread.
 fn allocations_of(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]
@@ -108,5 +112,32 @@ fn a_warm_decision_allocates_nothing() {
     assert_eq!(
         sampled, 0,
         "1000 sampled decisions made {sampled} allocations"
+    );
+}
+
+#[test]
+fn a_warm_distributed_decision_allocates_nothing() {
+    let cfg = ScenarioConfig::paper_base(2);
+    let degree = cfg.topology.network_degree();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let actor = Mlp::paper_arch(4 * degree + 4, degree + 1, &mut rng);
+    let policy = CoordinationPolicy::new(actor, degree, PolicyMetadata::default());
+    let mut agents = DistributedAgents::deploy(&policy, cfg.topology.num_nodes());
+    let mut sim = Simulation::new(cfg, 3);
+    // Counts only the decision: stepping the simulation is not its cost.
+    let mut step = |sim: &mut Simulation| {
+        let dp = sim.next_decision().expect("the episode outlasts the test");
+        let mut action = None;
+        let made = allocations_of(|| action = Some(agents.decide(sim, &dp)));
+        sim.apply(action.expect("decided"));
+        made
+    };
+    // Warm-up: the first decision shapes the forward's buffers.
+    step(&mut sim);
+
+    let made: usize = (0..1000).map(|_| step(&mut sim)).sum();
+    assert_eq!(
+        made, 0,
+        "1000 distributed decisions made {made} allocations"
     );
 }

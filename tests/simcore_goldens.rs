@@ -13,6 +13,13 @@
 //! single-substrate engine must reproduce it exactly, [`ChurnStats`]
 //! included.
 //!
+//! `tests/goldens/churn_grid.json` pins churn where shortest paths tie
+//! everywhere: a 6×6 grid of equal delays, under SP, GCASP and greedy
+//! distributed agents, whose observations read every neighbour's path
+//! row. It was captured while path rows were still lazy, resumable
+//! searches restarted after each fault, and the in-place repair that
+//! replaced them must reproduce it exactly.
+//!
 //! Regenerate (only when a behavior change is *intended* and documented):
 //!
 //! ```text
@@ -20,15 +27,17 @@
 //! ```
 
 use dosco::baselines::{Gcasp, ShortestPath};
-use dosco::core::policy::fnv1a64;
+use dosco::core::policy::{fnv1a64, CoordinationPolicy, DistributedAgents, PolicyMetadata};
+use dosco::nn::Mlp;
 use dosco::simnet::coordinator::RandomCoordinator;
 use dosco::simnet::{
     ChurnAction, ChurnStats, ChurnTimeline, Coordinator, Metrics, ScenarioConfig, SimEvent,
     Simulation, TransitPolicy,
 };
 use dosco::topology::zoo::ABILENE_EGRESS;
-use dosco::topology::{LinkId, NodeId};
+use dosco::topology::{generators, LinkId, NodeId, Topology};
 use dosco::traffic::ArrivalPattern;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -276,6 +285,97 @@ fn capture_churn() -> ChurnGoldens {
     ChurnGoldens { version: 1, cases }
 }
 
+/// The base scenario's service and flows on a 6×6 grid of unit delays:
+/// four ingresses at the corners and one near the centre, each sending
+/// across the grid, so most sources' rows are read and most of their
+/// shortest paths tie.
+fn grid_scenario() -> ScenarioConfig {
+    let mut topology = generators::grid(6, 6, 1.0, 1.0);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x6121D);
+    topology.assign_random_capacities(&mut rng, (0.5, 2.0), (1.0, 5.0));
+    let mut cfg = ScenarioConfig::paper_base(1)
+        .with_pattern(ArrivalPattern::paper_poisson())
+        .with_horizon(1_200.0);
+    let template = cfg.ingresses[0].clone();
+    cfg.ingresses = [(0, 35), (5, 30), (30, 5), (35, 0), (14, 23)]
+        .into_iter()
+        .map(|(node, egress)| dosco::simnet::IngressSpec {
+            node: NodeId(node),
+            egress: NodeId(egress),
+            ..template.clone()
+        })
+        .collect();
+    cfg.topology = topology;
+    cfg
+}
+
+/// Link failures and recoveries (two at one timestamp, two cutting off
+/// an ingress corner), one node down and up, and one delay spike to
+/// twice the unit delay, which ties with every two-hop detour, and its
+/// restore.
+fn grid_timeline(topo: &Topology) -> ChurnTimeline {
+    let link = |a: usize, b: usize| {
+        topo.link_between(NodeId(a), NodeId(b))
+            .expect("grid neighbours are linked")
+    };
+    ChurnTimeline::new(vec![
+        (80.0, ChurnAction::LinkDown(link(14, 15))),
+        (130.0, ChurnAction::LinkDown(link(8, 14))),
+        (
+            180.0,
+            ChurnAction::DelaySpike {
+                link: link(20, 21),
+                factor: 2.0,
+            },
+        ),
+        (230.0, ChurnAction::LinkUp(link(14, 15))),
+        (280.0, ChurnAction::NodeDown(NodeId(21))),
+        (330.0, ChurnAction::LinkDown(link(0, 1))),
+        (380.0, ChurnAction::LinkDown(link(0, 6))),
+        (430.0, ChurnAction::LinkUp(link(0, 1))),
+        (480.0, ChurnAction::NodeUp(NodeId(21))),
+        (530.0, ChurnAction::LinkUp(link(8, 14))),
+        (
+            580.0,
+            ChurnAction::DelaySpike {
+                link: link(20, 21),
+                factor: 1.0,
+            },
+        ),
+        (630.0, ChurnAction::LinkUp(link(0, 6))),
+        (700.0, ChurnAction::LinkDown(link(27, 28))),
+        (700.0, ChurnAction::LinkDown(link(22, 28))),
+        (760.0, ChurnAction::LinkDown(link(2, 3))),
+        (820.0, ChurnAction::LinkUp(link(22, 28))),
+        (880.0, ChurnAction::LinkUp(link(27, 28))),
+        (940.0, ChurnAction::LinkUp(link(2, 3))),
+    ])
+    .with_transit(TransitPolicy::Drop)
+}
+
+fn capture_churn_grid() -> ChurnGoldens {
+    let cfg = grid_scenario();
+    let n = cfg.topology.num_nodes();
+    let degree = cfg.topology.network_degree();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+    let actor = Mlp::paper_arch(4 * degree + 4, degree + 1, &mut rng);
+    let policy = CoordinationPolicy::new(actor, degree, PolicyMetadata::default());
+    let coordinators: [(&str, Box<dyn Coordinator>); 3] = [
+        ("sp", Box::new(ShortestPath::new())),
+        ("gcasp", Box::new(Gcasp::new())),
+        ("agents", Box::new(DistributedAgents::deploy(&policy, n))),
+    ];
+    let mut cases = Vec::new();
+    for (label, mut c) in coordinators {
+        let timeline = grid_timeline(&cfg.topology);
+        let mut sim = Simulation::with_churn(cfg.clone(), 71, timeline);
+        let run = run_sim(&format!("churn-grid-{label}"), &mut sim, 71, c.as_mut());
+        let churn = *sim.churn_stats().expect("timeline installed");
+        cases.push(ChurnCase { run, churn });
+    }
+    ChurnGoldens { version: 1, cases }
+}
+
 /// `fnv1a64` (the one-shot helper) and the resumable [`fnv_step`] agree,
 /// so the golden hashes are reproducible from a collected stream too.
 #[test]
@@ -334,6 +434,21 @@ fn churn_matches_pre_refactor_goldens() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let fresh = capture_churn();
     let Some(pinned) = pinned_or_capture("churn.json", &fresh) else {
+        return;
+    };
+    assert_eq!(pinned.version, 1);
+    assert_eq!(pinned.cases.len(), fresh.cases.len(), "case set changed");
+    for (p, f) in pinned.cases.iter().zip(&fresh.cases) {
+        assert_case_eq(&p.run, &f.run);
+        assert_eq!(p.churn, f.churn, "{}: ChurnStats diverged", p.run.name);
+    }
+}
+
+#[test]
+fn churn_grid_matches_pre_repair_goldens() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let fresh = capture_churn_grid();
+    let Some(pinned) = pinned_or_capture("churn_grid.json", &fresh) else {
         return;
     };
     assert_eq!(pinned.version, 1);
