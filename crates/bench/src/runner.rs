@@ -203,6 +203,12 @@ const POLICY_CACHE: &str = "target/dosco-policies";
 /// on `scenario`: `target/dosco-policies/<key>-<hash>.json`, the hash the
 /// FNV-1a of the serialized [`TRAINING_REVISION`], `config` and `scenario`.
 /// Any change to what is trained, or to the training code, is a new file.
+///
+/// # Panics
+///
+/// Never: serializing plain configuration structs to a string cannot
+/// fail.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn policy_cache_path(key: &str, scenario: &ScenarioConfig, config: &TrainConfig) -> PathBuf {
     let identity = serde_json::to_string(&(TRAINING_REVISION, config, scenario))
         .expect("in-memory serialization cannot fail");

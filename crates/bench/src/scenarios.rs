@@ -22,7 +22,9 @@ pub fn base_scenario(num_ingress: usize, pattern: ArrivalPattern, horizon: f64) 
 ///
 /// # Panics
 ///
-/// Panics if the topology has fewer than 9 nodes (needs `v8`).
+/// Panics if the topology has fewer than 9 nodes (needs `v8`). The
+/// scenario it builds is otherwise valid by construction.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn topology_scenario(mut topology: Topology, horizon: f64) -> ScenarioConfig {
     assert!(
         topology.num_nodes() >= 9,
@@ -72,6 +74,12 @@ pub fn topology_scenario(mut topology: Topology, horizon: f64) -> ScenarioConfig
 /// then shortest-path forwards to the egress), so throughput numbers
 /// measure the event queue, the flow slab, and the coordinator — not
 /// drop shortcuts.
+///
+/// # Panics
+///
+/// Panics if the topology has fewer than 3 nodes. The catalog and the
+/// scenario it builds are otherwise valid by construction.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn churn_scenario(
     topology: Topology,
     interval: f64,

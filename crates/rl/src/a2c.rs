@@ -211,6 +211,11 @@ impl UpdateRule for RmsPropStep {
         self.config.lr_decay.then_some(self.config.lr)
     }
 
+    /// # Panics
+    ///
+    /// Never: the critic side is away only inside `update`, which puts
+    /// it back before returning.
+    #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
     fn set_lr(&mut self, lr: f32) {
         self.actor_opt.set_learning_rate(lr);
         self.critic
@@ -220,6 +225,10 @@ impl UpdateRule for RmsPropStep {
             .set_learning_rate(lr);
     }
 
+    /// # Panics
+    ///
+    /// Never: the critic side is taken here and put back before this
+    /// returns, and the helper's job returns it.
     fn update(
         &mut self,
         actor: &mut Mlp,
@@ -232,6 +241,7 @@ impl UpdateRule for RmsPropStep {
             rollout.normalize_advantages();
         }
         let (rollout, c) = (&*rollout, self.config);
+        #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
         let mut side = self
             .critic
             .take()

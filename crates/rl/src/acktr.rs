@@ -211,6 +211,12 @@ impl UpdateRule for KfacStep {
 
     /// `rng` drives the Fisher-factor sampling; for bit-identical training
     /// it must be the same stream that collected the rollout.
+    ///
+    /// # Panics
+    ///
+    /// Never: the K-FAC sides are away only between an update and the
+    /// statistics blend it leaves on the helper, which the next update
+    /// collects first.
     fn update(
         &mut self,
         actor: &mut Mlp,
@@ -222,6 +228,7 @@ impl UpdateRule for KfacStep {
         if let Some(sides) = helper.finish::<Sides>() {
             self.sides = Some(sides);
         }
+        #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
         let Sides {
             actor: mut actor_side,
             critic: mut critic_side,

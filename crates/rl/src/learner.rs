@@ -214,6 +214,12 @@ impl<R: UpdateRule> ActorCritic<R> {
     }
 
     /// The critic network.
+    ///
+    /// # Panics
+    ///
+    /// Never: the critic is away only inside an update, which puts it
+    /// back before returning.
+    #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
     pub fn critic(&self) -> &Mlp {
         self.critic
             .as_ref()
@@ -256,7 +262,13 @@ impl<R: UpdateRule> ActorCritic<R> {
     /// batch. `rng` drives any update-time sampling (ACKTR's Fisher
     /// factors; A2C and PPO draw nothing); for bit-identical training it
     /// must be the stream that collected the rollout.
+    ///
+    /// # Panics
+    ///
+    /// Never on the critic's account: it is always back here, because
+    /// the update returns it.
     pub fn update_batch(&mut self, rollout: &mut Rollout, rng: &mut StdRng) {
+        #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
         let critic = self
             .critic
             .take()

@@ -57,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod a2c;
 pub mod acktr;

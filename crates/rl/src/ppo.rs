@@ -151,6 +151,11 @@ impl UpdateRule for ClippedSurrogateEpochs {
         None // PPO applies no internal decay
     }
 
+    /// # Panics
+    ///
+    /// Never: the critic side is away only inside `update`, which puts
+    /// it back before returning.
+    #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
     fn set_lr(&mut self, lr: f32) {
         self.actor_opt.set_learning_rate(lr);
         self.critic
@@ -160,6 +165,10 @@ impl UpdateRule for ClippedSurrogateEpochs {
             .set_learning_rate(lr);
     }
 
+    /// # Panics
+    ///
+    /// Never: the critic side is taken here and put back before this
+    /// returns, and the helper's job returns it.
     fn update(
         &mut self,
         actor: &mut Mlp,
@@ -170,6 +179,7 @@ impl UpdateRule for ClippedSurrogateEpochs {
     ) -> Mlp {
         rollout.normalize_advantages();
         let (rollout, c) = (&*rollout, self.config);
+        #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
         let mut side = self
             .critic
             .take()

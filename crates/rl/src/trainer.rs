@@ -132,6 +132,10 @@ struct HelperThread {
 }
 
 impl HelperThread {
+    /// # Panics
+    ///
+    /// Panics if the operating system cannot start the thread.
+    #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
     fn spawn() -> Self {
         let (jobs, rx) = bounded::<Job>(1);
         let (tx, done) = bounded::<Done>(1);
@@ -228,6 +232,13 @@ impl Helper {
     }
 
     /// Blocks until the job on the helper thread is done.
+    ///
+    /// # Panics
+    ///
+    /// Never: it is called only with a job on the helper thread, which
+    /// answers every job while the helper holds its channels (a job's
+    /// panic is caught and sent back as its result).
+    #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
     fn wait(&self) -> Done {
         let thread = self.thread.as_ref().expect("a job on the helper thread");
         thread
@@ -238,6 +249,11 @@ impl Helper {
 }
 
 /// A job's result as the type the job returned.
+///
+/// # Panics
+///
+/// Panics if `S` is not the type the job returned: a caller's bug.
+#[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 fn unbox<S: 'static>(result: Box<dyn Any + Send>) -> S {
     *result
         .downcast()

@@ -13,19 +13,25 @@
 //!    point, observe locally, and route the request to the shard owning
 //!    the node — or answer immediately with the shortest-path fallback
 //!    if that shard is down.
-//! 3. **Flush**: send the epoch barrier; each shard forwards the rows it
-//!    has not yet forwarded (it forwards rows whenever its mailbox runs
-//!    dry, so most of an epoch's GEMM overlaps the collect phase) and
-//!    answers the whole epoch as one batch on its own response channel.
+//! 3. **Flush**: send the epoch barrier to every shard owing answers and
+//!    poll for them. A shard answers one row whenever its mailbox runs
+//!    dry during the collect phase, so the barrier finds it at most one
+//!    row's forward away; it then hands the back half of the rows still
+//!    unanswered to the frontend, which has nothing else to do until the
+//!    answers arrive. The frontend forwards them the moment it polls the
+//!    job, under the policy the job carries, and sends the logits back;
+//!    the shard forwards the front half meanwhile, picks every row's
+//!    action in request order and answers the whole epoch as one batch
+//!    on its own response channel.
 //! 4. **Apply**: apply every answer in episode order and account for
 //!    every decision (batched + fallback == total, always).
 //!
 //! Determinism: each episode's simulation consumes exactly the decision
 //! sequence a per-decision run would produce, batch order is fixed by
-//! request id, every row's answer is independent of the forward it sat
-//! in, and per-node RNG streams live with the owning shard — so neither
-//! shard count nor how a shard splits an epoch into forwards can change
-//! any decision.
+//! request id, every row's logits are independent of the forward — and
+//! the thread — that computed them, and action choice and per-node RNG
+//! streams live with the owning shard — so neither shard count nor how a
+//! shard splits an epoch into forwards can change any decision.
 //!
 //! Under `DOSCO_SPANS`, the collect phase and the barrier (first flush
 //! sent to last batch accepted) of every epoch that routed a decision are
@@ -33,12 +39,16 @@
 
 use crate::control::ControlQueue;
 use crate::fault::FaultScript;
-use crate::shard::{run_shard, shard_of, DecisionRequest, DecisionResponse, ShardMsg, ShardWorker};
+use crate::shard::{
+    run_shard, shard_of, DecisionRequest, DecisionResponse, EpochBatch, HelpJob, ShardMsg,
+    ShardReply, ShardWorker,
+};
 use crate::status::{FabricStatus, StatusBoard};
 use crossbeam::channel::TryRecvError;
 use dosco_core::policy::PolicyMetadata;
 use dosco_core::{CoordinationPolicy, ObservationAdapter};
 use dosco_net::{BoxRx, BoxTx, InProcess, Transport};
+use dosco_nn::matrix::Matrix;
 use dosco_obs::registry;
 use dosco_obs::{CounterKind, SpanKind};
 use dosco_runtime::{PolicySlot, PolicySnapshot};
@@ -227,6 +237,10 @@ pub struct ServeReport {
     /// Largest answer batch a shard sent for one epoch, in rows. A shard
     /// may have computed it in several forwards.
     pub max_batch_rows: u64,
+    /// Rows the frontend forwarded for a shard at a flush barrier (the
+    /// back part a shard hands over). Counted when forwarded, whether or
+    /// not the shard then answered them.
+    pub helped_rows: u64,
     /// Policy version the fabric ended on; during a run, the fabric-wide
     /// current version (what respawns re-sync to).
     pub final_version: u64,
@@ -318,7 +332,7 @@ fn policy_from_snapshot(snap: &PolicySnapshot, degree: usize) -> CoordinationPol
 pub(crate) struct ShardHandle<'scope> {
     /// The shard's mailbox sender and its own response receiver; `None`
     /// while the shard is down.
-    link: Option<(BoxTx<ShardMsg>, BoxRx<Vec<DecisionResponse>>)>,
+    link: Option<(BoxTx<ShardMsg>, BoxRx<ShardReply>)>,
     /// The shard's worker thread; `None` for a shard with no thread of
     /// its own (a test's fake).
     join: Option<ScopedJoinHandle<'scope, ()>>,
@@ -333,7 +347,7 @@ impl<'scope> ShardHandle<'scope> {
     /// A live shard reached through `tx`, answering on `rx`.
     pub(crate) fn new(
         tx: BoxTx<ShardMsg>,
-        rx: BoxRx<Vec<DecisionResponse>>,
+        rx: BoxRx<ShardReply>,
         join: Option<ScopedJoinHandle<'scope, ()>>,
     ) -> Self {
         ShardHandle {
@@ -366,9 +380,9 @@ impl<'scope> ShardHandle<'scope> {
             .is_some_and(|(tx, _)| tx.send(msg).is_ok())
     }
 
-    /// The shard's answer batch if one has arrived; `Disconnected` once
-    /// its channel closed or the shard is down.
-    fn poll(&self) -> Result<Vec<DecisionResponse>, TryRecvError> {
+    /// The shard's next reply if one has arrived; `Disconnected` once its
+    /// channel closed or the shard is down.
+    fn poll(&self) -> Result<ShardReply, TryRecvError> {
         self.link
             .as_ref()
             .map_or(Err(TryRecvError::Disconnected), |(_, rx)| rx.try_recv())
@@ -421,8 +435,10 @@ impl<'scope> ShardLauncher<'scope> for LocalLauncher<'_, 'scope, '_> {
         version: u64,
     ) -> ShardHandle<'scope> {
         let (tx, mailbox) = Transport::<ShardMsg>::channel(&InProcess, MAILBOX_CAPACITY);
-        // One batch per barrier, and the frontend takes it before the next.
-        let (responses, rx) = Transport::<Vec<DecisionResponse>>::channel(&InProcess, 1);
+        // At most one reply in flight: the help job of a barrier comes
+        // back before its batch is sent, and the frontend takes the
+        // batch before the next barrier.
+        let (responses, rx) = Transport::<ShardReply>::channel(&InProcess, 1);
         let stochastic_seed = self.cfg.stochastic_seed;
         let (num_shards, num_nodes) = (self.num_shards, self.num_nodes);
         let join = self.scope.spawn(move || {
@@ -591,6 +607,13 @@ struct Frontend<'a, 'scope> {
     starts: Vec<Option<Instant>>,
     next_id: u64,
     events_scratch: Vec<SimEvent>,
+    /// Observation buffers to observe into, handed back in the shards'
+    /// batches.
+    spent_obs: Vec<Vec<f32>>,
+    /// Emptied batch buffers, each sent back inside a flush.
+    spent_batches: Vec<EpochBatch>,
+    /// The hidden activations of the help jobs' forwards.
+    hidden: Matrix,
 }
 
 impl<'a, 'scope> Frontend<'a, 'scope> {
@@ -639,6 +662,9 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
             starts: vec![None; episodes],
             next_id: 0,
             events_scratch: Vec::new(),
+            spent_obs: Vec::new(),
+            spent_batches: Vec::new(),
+            hidden: Matrix::default(),
         }
     }
 
@@ -741,11 +767,13 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
             }
             let owner = shard_of(dp.node.0, self.shards.len());
             if self.shards[owner].alive() {
+                let mut obs = self.spent_obs.pop().unwrap_or_default();
+                self.adapter.observe_into(sim, &dp, &mut obs);
                 let request = ShardMsg::Request(DecisionRequest {
                     id: self.next_id,
                     episode: e,
                     node: dp.node,
-                    obs: self.adapter.observe(sim, &dp),
+                    obs,
                 });
                 if self.shards[owner].send(request) {
                     self.next_id += 1;
@@ -776,15 +804,20 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
 
     /// Phase 3, flush: the barrier to every shard that owes a batch,
     /// then one batch from each, polling only the shards that still owe
-    /// one. A shard whose channel closes, or whose batch does not answer
-    /// exactly what was routed to it, is written off at once. Nothing but
-    /// silence tells a shard that hangs after its barrier from one still
-    /// computing, so one that stays silent for
-    /// [`ServeConfig::gather_stall`] is written off then.
+    /// one and forwarding each help job the moment it is polled. A shard
+    /// whose channel closes, whose help job does not fit its policy, or
+    /// whose batch does not answer exactly what was routed to it, is
+    /// written off at once. Nothing but silence tells a shard that hangs
+    /// after its barrier from one still computing, so one that stays
+    /// silent for [`ServeConfig::gather_stall`] is written off then.
     fn gather(&mut self) {
         let t0 = (dosco_obs::spans_enabled() && self.routes()).then(Instant::now);
         for i in 0..self.shards.len() {
-            if self.owed[i] > 0 && !self.shards[i].send(ShardMsg::Flush) {
+            if self.owed[i] == 0 {
+                continue;
+            }
+            let spare = self.spent_batches.pop().unwrap_or_default();
+            if !self.shards[i].send(ShardMsg::Flush(spare)) {
                 self.write_off(i);
             }
         }
@@ -798,8 +831,13 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
                 }
                 match self.shards[i].poll() {
                     Err(TryRecvError::Empty) => continue,
-                    Ok(batch) if self.answers_exactly(i, &batch) => self.accept(i, &batch),
-                    _ => self.write_off(i),
+                    Ok(ShardReply::Help(job)) => self.help(i, job),
+                    Ok(ShardReply::Batch(batch)) if self.answers_exactly(i, &batch.answers) => {
+                        self.accept(i, batch);
+                    }
+                    Ok(ShardReply::Batch(_)) | Err(TryRecvError::Disconnected) => {
+                        self.write_off(i);
+                    }
                 }
                 progressed = true;
             }
@@ -838,13 +876,31 @@ impl<'a, 'scope> Frontend<'a, 'scope> {
                 .all(|r| matches!(self.routed.get(r.episode), Some(Some((s, _))) if *s == i))
     }
 
-    /// Takes shard `i`'s batch as this epoch's answers for its episodes.
-    fn accept(&mut self, i: usize, batch: &[DecisionResponse]) {
-        for r in batch {
+    /// Forwards shard `i`'s help job and sends the logits back; writes
+    /// the shard off if the job's rows are not its policy's input width
+    /// or the logits cannot be sent.
+    fn help(&mut self, i: usize, mut job: HelpJob) {
+        if !job.run(&mut self.hidden) {
+            self.write_off(i);
+            return;
+        }
+        self.report.helped_rows += job.rows() as u64;
+        if !self.shards[i].send(ShardMsg::Logits(job)) {
+            self.write_off(i);
+        }
+    }
+
+    /// Takes shard `i`'s batch as this epoch's answers for its episodes,
+    /// and keeps its buffers for later requests and flushes.
+    fn accept(&mut self, i: usize, mut batch: EpochBatch) {
+        let rows = batch.answers.len();
+        for r in batch.answers.drain(..) {
             self.actions[r.episode] = Some(Action::from_index(r.action_index));
-            self.report.count_batched(i, r.version, batch.len());
+            self.report.count_batched(i, r.version, rows);
         }
         self.owed[i] = 0;
+        self.spent_obs.append(&mut batch.spent);
+        self.spent_batches.push(batch);
     }
 
     /// Writes shard `i` off for the rest of the run: drops both its
@@ -982,10 +1038,10 @@ mod tests {
 
     /// A mailbox and a response channel, the two ends of a shard the
     /// launchers below play.
-    fn shard_channels() -> (Channel<ShardMsg>, Channel<Vec<DecisionResponse>>) {
+    fn shard_channels() -> (Channel<ShardMsg>, Channel<ShardReply>) {
         (
             Transport::<ShardMsg>::channel(&InProcess, 64),
-            Transport::<Vec<DecisionResponse>>::channel(&InProcess, 1),
+            Transport::<ShardReply>::channel(&InProcess, 1),
         )
     }
 
@@ -1091,7 +1147,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let _answers_nothing = resp_tx;
                     while let Ok(msg) = rx.recv() {
-                        if matches!(msg, ShardMsg::Flush) {
+                        if matches!(msg, ShardMsg::Flush(_)) {
                             break;
                         }
                     }
@@ -1135,11 +1191,12 @@ mod tests {
                     while let Ok(msg) = rx.recv() {
                         match msg {
                             ShardMsg::Request(r) => requests.push(r),
-                            ShardMsg::Flush => {
-                                let _ = resp_tx.send(answer(&requests));
+                            ShardMsg::Flush(mut batch) => {
+                                batch.answers = answer(&requests);
+                                let _ = resp_tx.send(ShardReply::Batch(batch));
                                 requests.clear();
                             }
-                            ShardMsg::Swap { .. } | ShardMsg::Shutdown => {}
+                            ShardMsg::Logits(_) | ShardMsg::Swap { .. } | ShardMsg::Shutdown => {}
                         }
                     }
                 });

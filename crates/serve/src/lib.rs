@@ -8,8 +8,10 @@
 //! thread of the serving process behind a bounded in-process mailbox (the
 //! vendored crossbeam channels); a frontend
 //! drives many concurrent episodes — the serving load — and each shard
-//! batches the decision requests queued at its mailbox into a *single*
-//! matrix forward per epoch. Three properties make it production-shaped:
+//! batches the decision requests queued at its mailbox into matrix
+//! forwards, handing half of the rows left at an epoch's barrier to the
+//! frontend's otherwise idle thread. Three properties make it
+//! production-shaped:
 //!
 //! - **Policy hot-swap** ([`fabric`]): the fabric subscribes to the
 //!   training runtime's versioned

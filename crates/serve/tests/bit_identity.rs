@@ -136,3 +136,46 @@ fn churn_serving_is_deterministic_and_shard_count_invariant() {
     let with_empty = serve(&p, None, &scenario, &seeds, &empty);
     assert_eq!(plain.metrics, with_empty.metrics);
 }
+
+/// The flush barrier's help path is used and exact: with a paper-width
+/// actor the one shard falls behind the frontend, so its flushes hand
+/// rows to the frontend to forward — and every episode still equals the
+/// per-decision deployment's, greedy and stochastic.
+#[test]
+fn one_shard_hands_rows_to_the_frontend_and_still_agrees_with_in_process() {
+    let scenario = scenario();
+    let degree = scenario.topology.network_degree();
+    let mut rng = StdRng::seed_from_u64(11);
+    let actor = Mlp::paper_arch(4 * degree + 4, degree + 1, &mut rng);
+    let p = CoordinationPolicy::new(actor, degree, PolicyMetadata::default());
+    let seeds: Vec<u64> = (1..=8).collect();
+
+    let greedy = serve(&p, None, &scenario, &seeds, &ServeConfig::new(1));
+    assert!(greedy.report.conserved());
+    assert!(greedy.report.helped_rows > 0, "{:?}", greedy.report);
+    let baseline: Vec<_> = seeds
+        .iter()
+        .map(|&s| dosco_core::eval::evaluate(&p, &scenario, s))
+        .collect();
+    assert_eq!(greedy.metrics, baseline);
+
+    let cfg = ServeConfig::new(1).with_stochastic_seed(4);
+    let one = serve(&p, None, &scenario, &[5], &cfg);
+    let mut agents = DistributedAgents::deploy_stochastic(&p, scenario.topology.num_nodes(), 4);
+    let mut sim = Simulation::new(scenario.clone(), 5);
+    sim.run(&mut agents);
+    assert_eq!(one.metrics[0], *sim.metrics());
+    let stochastic = serve(&p, None, &scenario, &seeds, &cfg);
+    assert!(stochastic.report.helped_rows > 0, "{:?}", stochastic.report);
+    assert_eq!(
+        stochastic.metrics,
+        serve(
+            &p,
+            None,
+            &scenario,
+            &seeds,
+            &ServeConfig::new(3).with_stochastic_seed(4)
+        )
+        .metrics
+    );
+}

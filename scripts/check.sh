@@ -56,6 +56,9 @@ cargo test --release -p dosco-simnet --lib queue::tests::matches_reference_heap_
 echo "== path table: in-place repairs vs compute_masked, every read bit for bit over 10k random churn scripts with order-breaking delays (release) =="
 cargo test --release -p dosco-topology --test path_oracle -- --include-ignored
 
+echo "== serve oracle: 64 episodes x {1, 2, 4} shards x {greedy, stochastic} equal the in-process deployment; the kill-window and hub-publish scripts at 4x their horizon (release) =="
+cargo test --release -p dosco-serve --test serve_oracle -- --include-ignored
+
 echo "== simcore 100k-flow churn smoke (release, bounded time + flat memory) =="
 cargo test --release -p dosco-bench --test churn_smoke -- --include-ignored
 
