@@ -11,7 +11,7 @@
 //! `Metrics` and `ChurnStats` totals once, when it is dropped, and a
 //! serving run adds its `ServeReport` once, when it finishes, so they move
 //! at episode or run end. Live, the registry counts only what nothing else
-//! tallies: net frames and bytes, shard queue depth, batch sizes, sampled
+//! tallies: net frames and bytes, serve batch rows and sizes, sampled
 //! utilization, spans and trace volume.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +31,7 @@ pub enum CounterKind {
     /// Serve decisions degraded to the shortest-path fallback because the
     /// owning shard was down, added when a serving run finishes.
     ServeFallbacks,
-    /// Policy hot-swaps broadcast to serving shards, added when a serving
+    /// Policy hot-swaps taken by the serving fabric, added when a serving
     /// run finishes.
     ServeSwaps,
     /// Frames written to a `dosco_net` socket transport.
@@ -139,9 +139,9 @@ pub enum GaugeKind {
     PeakNodeUtil,
     /// Peak link utilization seen at any sample.
     PeakLinkUtil,
-    /// Mailbox depth of the most recently flushed serving shard.
+    /// Rows of the most recent serving forward (both parts of a batch).
     LastServeQueueDepth,
-    /// Deepest serving-shard mailbox seen at any flush.
+    /// Most rows one serving forward has had.
     PeakServeQueueDepth,
     /// Final substrate topology version (churn actions applied) of the
     /// most recently dropped simulation that ran a churn timeline.
@@ -255,9 +255,11 @@ pub enum SpanKind {
     LearnerUpdate,
     /// Snapshot clone + publish into the policy slot.
     SnapshotPublish,
-    /// One batched forward (stack → GEMM → head) inside a serving shard.
+    /// One batched serving forward on the epoch loop's thread (the part
+    /// of a batch the helper thread does not take).
     ServeBatchForward,
-    /// One serve decision end to end: request creation to action applied.
+    /// One batched serve decision end to end: decision point reached to
+    /// action applied.
     ServeDecision,
     /// Encoding one wire message (serde tree -> binary frame payload).
     NetEncode,
@@ -266,12 +268,13 @@ pub enum SpanKind {
     /// One layer's hidden activation (`tanh` over its batch) in a
     /// `dosco_nn` forward pass: the forward's other half, next to `Gemm`.
     Activation,
-    /// The serve frontend's collect phase of one epoch that routed a
-    /// decision: stepping every live episode to its next decision and
-    /// routing it.
+    /// The serve epoch loop's collect step, in an epoch that forwarded a
+    /// row: stepping every live episode to its next decision and
+    /// stacking its observation.
     ServeCollect,
-    /// The serve frontend's barrier of one epoch that routed a decision:
-    /// from the first flush sent to the last answer batch accepted.
+    /// The serve epoch loop's forward step, in an epoch that forwarded a
+    /// row: from handing the helper thread its rows, through the forwards
+    /// on the loop's thread, to the helper's join.
     ServeBarrier,
 }
 

@@ -1,17 +1,13 @@
 //! Control-plane directives for the serving fabric: targeted policy
 //! publishes applied at epoch boundaries.
 //!
-//! The [`PolicySlot`](dosco_runtime::PolicySlot) hub is the one door for
-//! a fabric-wide publish: it broadcasts to *every* shard — the right
-//! semantics for following a live learner, but too coarse for
-//! operational workflows: a canary wants a candidate on a *subset* of
-//! shards while the rest keep serving the incumbent, and a rollback
-//! wants the incumbent republished to exactly the shards that diverged.
-//! A [`ControlQueue`] carries those directives. The frontend drains it
-//! at every epoch boundary (after the hub poll, so explicit directives
-//! win over the broadcast within a boundary) and delivers the swaps with
-//! the same epoch-pinned mechanism as a hub publish — one code path,
-//! identical determinism guarantees.
+//! The [`PolicySlot`](dosco_runtime::PolicySlot) hub publishes to *every*
+//! shard, which suits following a live learner. A canary wants a
+//! candidate on a *subset* of shards while the rest keep the incumbent,
+//! and a rollback republishes the incumbent to exactly the shards that
+//! diverged. A [`ControlQueue`] carries those directives. The epoch loop
+//! drains it at every boundary, after the hub poll, so an explicit
+//! directive wins over a broadcast at the same boundary.
 
 use dosco_runtime::PolicySnapshot;
 use std::collections::VecDeque;
@@ -22,8 +18,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// epoch boundary.
 #[derive(Debug, Clone)]
 pub struct PublishCmd {
-    /// The snapshot to deploy (validated against the observation
-    /// contract by the frontend, exactly like a hub publish).
+    /// The snapshot to deploy (checked against the observation contract
+    /// at the boundary it lands at, like a hub publish).
     pub snapshot: Arc<PolicySnapshot>,
     /// The shard indices it lands on (out-of-range indices are
     /// ignored); the rest keep their current policy.

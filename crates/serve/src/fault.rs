@@ -1,15 +1,15 @@
 //! Epoch-scripted shard outages for the serving fabric.
 //!
-//! Outages are indexed by the frontend's epoch counter rather than wall
-//! clock, so a chaos scenario degrades the same way on every run — the
-//! fault tests are ordinary deterministic tests.
+//! Outages are indexed by the epoch counter rather than wall clock, so
+//! a chaos scenario degrades the same way on every run — the fault tests
+//! are ordinary deterministic tests.
 
 use std::ops::Range;
 
-/// A deterministic outage script: the epochs each shard is down for.
-/// A scripted window takes its shard down for real — the worker is shut
-/// down at the window start and respawned, on the policy it should run,
-/// at the window end — so the fabric has one way for a shard to be down.
+/// A deterministic outage script: the epochs each shard is down for. A
+/// window's start takes its shard down — its nodes' decisions fall back
+/// to shortest-path — and its end brings the shard back up on the policy
+/// last published to it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultScript {
     windows: Vec<(usize, Range<u64>)>,

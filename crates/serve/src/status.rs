@@ -1,19 +1,14 @@
 //! Live fabric status for operational surfaces.
 //!
 //! A [`StatusBoard`] is an optional attachment on
-//! [`ServeConfig`](crate::ServeConfig): when present, the frontend
-//! publishes a [`FabricStatus`] at every epoch boundary (and once more at
-//! shutdown). A status is a view of the fabric's own accounting, not a
-//! second copy of it: its body is the running [`ServeReport`] the epoch
-//! loop writes from epoch 0 — epoch, decision and per-shard counts,
-//! per-version accounting, versions — and it adds only what the report
-//! does not hold: live episodes, shard liveness, and aggregate flow
-//! metrics. The `dosco_ctl` `GET /shards` endpoint serves it, and the
-//! canary driver reads window deltas from it.
-//!
-//! Cost model: updates happen on the frontend thread only, once per
-//! epoch (never per decision), and only when a board is attached — a
-//! detached fabric pays exactly one `Option` check per epoch.
+//! [`ServeConfig`](crate::ServeConfig): when present, the epoch loop
+//! publishes a [`FabricStatus`] at every epoch boundary and once more at
+//! the end. A status is a view of the fabric's own accounting: its body
+//! is the running [`ServeReport`], and it adds only live episodes, which
+//! shards are up, and aggregate flow metrics. The `dosco_ctl`
+//! `GET /shards` endpoint serves it, and the canary driver reads window
+//! deltas from it. A fabric without a board pays one `Option` check per
+//! epoch.
 
 use crate::fabric::ServeReport;
 use serde::{Deserialize, Serialize};
@@ -30,8 +25,8 @@ pub struct FabricStatus {
     pub report: ServeReport,
     /// Episodes still running.
     pub live_episodes: u64,
-    /// Whether each shard worker is up (false inside a kill window or
-    /// after a disconnect), indexed by shard.
+    /// Whether each shard is up (false inside a kill window or after a
+    /// write-off), indexed by shard.
     pub alive: Vec<bool>,
     /// Flows arrived across all episodes so far.
     pub flows_arrived: u64,

@@ -137,10 +137,10 @@ fn churn_serving_is_deterministic_and_shard_count_invariant() {
     assert_eq!(plain.metrics, with_empty.metrics);
 }
 
-/// The flush barrier's help path is used and exact: with a paper-width
-/// actor the one shard falls behind the frontend, so its flushes hand
-/// rows to the frontend to forward — and every episode still equals the
-/// per-decision deployment's, greedy and stochastic.
+/// The helper's half is used and exact: on one shard, the back half of
+/// every batch of four rows or more is forwarded as the helper's part —
+/// and every episode still equals the per-decision deployment's, greedy
+/// and stochastic.
 #[test]
 fn one_shard_hands_rows_to_the_frontend_and_still_agrees_with_in_process() {
     let scenario = scenario();

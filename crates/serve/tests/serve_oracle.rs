@@ -1,8 +1,8 @@
 //! The serve oracle at depth: many episodes, every shard count, greedy
 //! and stochastic, and the fault and hot-swap scripts of
 //! `fault_injection.rs` and `hot_swap.rs` at four times their horizon.
-//! A paper-width actor makes a shard fall behind the frontend, so flush
-//! barriers hand rows over to the frontend throughout.
+//! A paper-width actor, and the back half of every batch of four rows or
+//! more forwarded as the helper's part throughout.
 //!
 //! `#[ignore]`d: it runs in release from `scripts/check.sh`
 //! (`cargo test --release -p dosco-serve --test serve_oracle --
@@ -77,7 +77,7 @@ fn lockstep(
 
 /// 64 episodes on 1, 2 and 4 shards, greedy and stochastic: every
 /// episode equals the in-process deployment's, and the one-shard serves
-/// hand rows to the frontend.
+/// hand rows to the helper.
 #[test]
 #[ignore = "release depth run; scripts/check.sh runs it"]
 fn sixty_four_episodes_on_every_shard_count_equal_the_in_process_deployment() {

@@ -1,4 +1,4 @@
-//! The serve frontend's phase spans. Its own test binary, so no other
+//! The serve epoch loop's step spans. Its own test binary, so no other
 //! test shares the global `dosco_obs` registry it reads.
 
 use dosco_core::policy::PolicyMetadata;

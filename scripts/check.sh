@@ -35,8 +35,8 @@ DOSCO_SIMD=off cargo test -q -p dosco-rl
 echo "== training fingerprints (DOSCO_SIMD=off: the 2x256 golden on the scalar kernels, plain tanh and inversion loops) =="
 DOSCO_SIMD=off cargo test -q --test train_goldens
 
-echo "== cargo test (nn, DOSCO_SIMD=avx2: the 8-lane kernel and AVX2 tanh loop, which auto skips on an AVX-512 host) =="
-DOSCO_SIMD=avx2 cargo test -q -p dosco-nn
+echo "== cargo test (nn + serve, DOSCO_SIMD=avx2: the 8-lane kernel and AVX2 tanh loop, which auto skips on an AVX-512 host; a batch split across two threads on it) =="
+DOSCO_SIMD=avx2 cargo test -q -p dosco-nn -p dosco-serve
 
 echo "== cargo test (rl, DOSCO_SIMD=avx2: forked update halves == inline == the serial update's fingerprints on the 8-lane kernel) =="
 DOSCO_SIMD=avx2 cargo test -q -p dosco-rl

@@ -8,10 +8,10 @@
 //! deployed `DistributedAgents` builds each observation in a buffer it
 //! keeps (`ObservationAdapter::observe_into`) and reads the path table
 //! with plain loads, so its decisions on a live simulation allocate
-//! nothing either. The serving fabric's frontend observes into buffers
-//! its shards hand back with their answers and forwards help jobs through
-//! buffers that travel back and forth, so a warm serving epoch allocates
-//! nothing on the frontend's thread.
+//! nothing either. The serving fabric's epoch loop observes into rows it
+//! keeps and forwards into buffers it keeps, so a warm serving epoch
+//! allocates nothing on the thread that runs it (`serve_epoch_alloc.rs`
+//! counts the helper thread too).
 //!
 //! The counting allocator is process-wide, which is why this file is its
 //! own test binary; it counts only on the thread that has switched
