@@ -10,7 +10,7 @@ use dosco_bench::runner::{Algo, ExpBudget};
 use dosco_bench::scenarios::{base_scenario, pattern_by_name};
 use dosco_core::eval::{evaluate, EvalStats};
 use dosco_core::train::train_distributed;
-use dosco_rl::trainer::fan_out;
+use dosco_nn::fork::fan_out;
 use dosco_simnet::Simulation;
 
 fn main() {

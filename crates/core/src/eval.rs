@@ -3,7 +3,7 @@
 //! protocol, and [`EvalStats`] the one aggregate (mean ± std, Sec. V).
 
 use crate::policy::{CoordinationPolicy, DistributedAgents};
-use dosco_rl::trainer::fan_out;
+use dosco_nn::fork::fan_out;
 use dosco_simnet::{
     ChurnTimeline, Coordinator, EventLog, Metrics, ScenarioConfig, SimEvent, Simulation,
 };

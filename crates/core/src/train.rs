@@ -21,6 +21,7 @@ use dosco_rl::rollout::Rollout;
 use dosco_rl::trainer::train_multi_seed;
 use dosco_simnet::ScenarioConfig;
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// The training code's revision, part of a cached policy's identity: bumped
 /// with every re-capture of the fingerprints in `tests/train_goldens.rs`.
@@ -170,7 +171,10 @@ pub fn train_seed(
         Algorithm::Ppo => Box::new(Ppo::new(obs, actions, config.ppo, seed)),
     };
     let stats = train_serial_with(&mut *learner, envs, config.total_steps, |l, r, s| {
-        on_update(l, r, s)
+        if let Some(r) = r {
+            on_update(l, r, s);
+        }
+        ControlFlow::Continue(())
     });
     (learner, stats)
 }

@@ -1,12 +1,13 @@
 //! Background job control: spawn, observe, and stop training runs from
 //! the ops surface.
 //!
-//! A job is one background thread driving
-//! [`dosco_runtime::train_cancellable`] (a fresh A2C agent over
-//! [`CoordEnv`] copies of the paper's base scenario). The runtime checks
-//! its flag at every batch boundary, so `stop` is a flag store, never a
-//! kill: the job drains out with batch conservation intact and reports a
-//! partial summary. Its episodes fold into `GET /metrics` as they end.
+//! A job is one background thread that trains a fresh A2C agent over
+//! [`CoordEnv`] copies of the paper's base scenario with
+//! [`train_serial_with`], the one training loop. Its hook reads the job's
+//! stop flag at every update boundary, so `stop` is a flag store, never a
+//! kill: the job ends at the next boundary, keeps its agent's RNG stream
+//! and reports a partial summary. Its episodes fold into `GET /metrics`
+//! as they end.
 //!
 //! Specs arrive as JSON bodies with every field optional; unknown fields
 //! are rejected so a typo'd knob fails loudly instead of silently running
@@ -15,11 +16,12 @@
 use dosco_core::{CoordEnv, RewardConfig};
 use dosco_rl::a2c::{A2c, A2cConfig};
 use dosco_rl::env::Env;
-use dosco_runtime::{train_cancellable, RuntimeConfig};
+use dosco_rl::train_serial_with;
 use dosco_simnet::ScenarioConfig;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::io;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -247,7 +249,8 @@ impl JobManager {
 }
 
 /// The training-job body: a fresh A2C agent over four `CoordEnv` copies
-/// of the paper's base scenario, run through the cancellable runtime.
+/// of the paper's base scenario, stopped at the first update boundary
+/// after `cancel` is set.
 fn run_train_job(spec: &TrainJobSpec, cancel: &AtomicBool) -> String {
     let scenario = ScenarioConfig::paper_base(2).with_horizon(spec.horizon);
     let degree = scenario.topology.network_degree();
@@ -272,18 +275,18 @@ fn run_train_job(spec: &TrainJobSpec, cancel: &AtomicBool) -> String {
         },
         spec.seed,
     );
-    let outcome = train_cancellable(
-        &mut agent,
-        &mut envs,
-        spec.total_steps,
-        &RuntimeConfig::sync(),
-        cancel,
-    );
+    let stats = train_serial_with(&mut agent, &mut envs, spec.total_steps, |_, _, _| {
+        if cancel.load(Ordering::Relaxed) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
     format!(
         "trained {} steps over {} updates (tail mean reward {:.4})",
-        outcome.stats.total_steps,
-        outcome.stats.mean_rewards.len(),
-        outcome.stats.tail_mean(10),
+        stats.total_steps,
+        stats.mean_rewards.len(),
+        stats.tail_mean(10),
     )
 }
 

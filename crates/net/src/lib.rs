@@ -1,9 +1,9 @@
 //! `dosco_net`: the pluggable transport layer under the actor–learner
-//! runtime and the serving fabric.
+//! runtime.
 //!
-//! The runtime's lockstep channels and the serving fabric's shard
-//! mailboxes are typed channels behind one trait, so the same dataflow
-//! runs over in-process queues or TCP without the algorithms changing
+//! The runtime's lockstep channels are typed channels behind one trait,
+//! so the same dataflow runs over in-process queues or TCP without the
+//! algorithms changing
 //! (the SRL/MSRL lesson: abstract the transport under the dataflow, not
 //! the dataflow itself). Every plane runs in one process: the socket
 //! transport is the runtime's socket ≡ channel contract and the

@@ -2,7 +2,7 @@
 //! may live in one process (crossbeam) or on either side of a socket.
 //!
 //! The contract every implementation must honor is the crossbeam contract
-//! the runtime and serve planes were built on:
+//! the runtime was built on:
 //!
 //! - `send` blocks while `capacity` messages are in flight (backpressure)
 //!   and fails only when the receiving side is gone;
@@ -12,10 +12,10 @@
 //! An in-process `recv` on an empty channel parks its thread at once. In
 //! the lockstep training runtime the actor waits for its reply through a
 //! whole learner update, and parked it leaves its core to the update's
-//! critic half (on the learner's `dosco_rl::trainer::Helper`); a spinning
-//! wait there cost a core. A consumer that gains from polling — the serve
-//! shard loop, whose next message is microseconds away — spins on
-//! `try_recv` itself before it calls `recv`.
+//! critic half (on the learner's helper, `dosco_nn::fork::Helper`); a
+//! spinning wait there cost a core. The serving plane uses no channel:
+//! its helper hands jobs over through an atomic state, with the bounded
+//! spin-then-park wait of `dosco_nn::fork`.
 //!
 //! Error types are re-used from the vendored crossbeam so generic driver
 //! code matches on exactly the arms it matched on before.

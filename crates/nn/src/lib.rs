@@ -21,13 +21,15 @@
 //!   loops,
 //! - [`tanh()`] / [`tanh_in_place`]: the workspace's one `tanh`, an in-repo
 //!   port of fdlibm's that returns glibc's bits on every host and
-//!   vectorises.
+//!   vectorises,
+//! - [`fork`]: the workspace's two ways to use more than one core —
+//!   [`fork::fan_out`] over whole training and evaluation seeds, and one
+//!   [`fork::Helper`] thread that runs the second half of an update or of
+//!   a served batch beside the caller.
 //!
-//! Every kernel here is serial: the workspace spends its cores on whole
-//! training and evaluation seeds (`dosco_rl::trainer::fan_out`) and on
-//! the actor and critic halves of an update (`dosco_rl::trainer`), not
-//! on threads inside a GEMM. Only [`simd`] is exempt from this crate's
-//! `deny` on raw-pointer and intrinsic code.
+//! The kernels themselves are serial: no thread runs inside a GEMM. Only
+//! [`simd`] is exempt from this crate's `deny` on raw-pointer and
+//! intrinsic code.
 //!
 //! Models serialize with serde, so trained policies can be copied to every
 //! node for distributed inference (Fig. 4b) and shipped as JSON artifacts.
@@ -53,6 +55,7 @@
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod dist;
+pub mod fork;
 pub mod kfac;
 pub mod linalg;
 pub mod matrix;

@@ -8,7 +8,7 @@
 
 use crate::learner::{ActorCritic, CollectParams, UpdateRule};
 use crate::rollout::Rollout;
-use crate::trainer::Helper;
+use crate::trainer::{self, Helper};
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::{ForwardCache, Gradients, Mlp};
 use dosco_nn::optim::{Optimizer, RmsProp};
@@ -166,7 +166,7 @@ pub(crate) fn value_gradients(critic: &Mlp, batch: &ValueBatch, vf_coef: f32, bu
 
 /// The A2C update: each network's gradient, clipped, through one RMSprop
 /// step — the critic's on the learner's helper thread beside the actor's
-/// (`Helper::join`). Draws no randomness.
+/// (`trainer::join`). Draws no randomness.
 #[derive(Debug)]
 pub struct RmsPropStep {
     config: A2cConfig,
@@ -248,7 +248,8 @@ impl UpdateRule for RmsPropStep {
             .expect("the critic side is back once an update returns");
         side.batch.copy_from(rollout);
         let (actor_opt, buf) = (&mut self.actor_opt, &mut self.actor_buf);
-        let ((), (critic, side)) = helper.join(
+        let ((), (critic, side)) = trainer::join(
+            helper,
             || {
                 policy_gradients(actor, rollout, c.ent_coef, buf);
                 buf.grads.clip_global_norm(c.max_grad_norm);

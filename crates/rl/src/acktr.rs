@@ -11,7 +11,7 @@
 use crate::a2c::{policy_gradients, value_gradients, Buffers, ValueBatch};
 use crate::learner::{ActorCritic, CollectParams, UpdateRule};
 use crate::rollout::Rollout;
-use crate::trainer::Helper;
+use crate::trainer::{self, Helper};
 use dosco_nn::kfac::{Kfac, KfacConfig};
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
@@ -148,7 +148,7 @@ struct Sides {
 /// The ACKTR update: per network, the A2C gradient, Fisher-factor
 /// statistics from model-sampled gradients, and one K-FAC
 /// natural-gradient step under the KL trust region — the critic's on the
-/// learner's helper thread beside the actor's (`Helper::join`).
+/// learner's helper thread beside the actor's (`trainer::join`).
 ///
 /// Only a step that refreshes the inverses reads the factors
 /// ([`Kfac::step_refreshes`]; 1 update in `inverse_period`). On every
@@ -225,7 +225,7 @@ impl UpdateRule for KfacStep {
         rng: &mut StdRng,
         helper: &mut Helper,
     ) -> Mlp {
-        if let Some(sides) = helper.finish::<Sides>() {
+        if let Some(sides) = trainer::finish::<Sides>(helper) {
             self.sides = Some(sides);
         }
         #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
@@ -266,7 +266,8 @@ impl UpdateRule for KfacStep {
         let blend = actor_side.kfac.step_refreshes();
         debug_assert_eq!(blend, critic_side.kfac.step_refreshes());
         batch.copy_from(rollout);
-        let (actor_side, (critic, critic_side, batch)) = helper.join(
+        let (actor_side, (critic, critic_side, batch)) = trainer::join(
+            helper,
             || {
                 let dist = policy_gradients(actor, rollout, c.ent_coef, &mut actor_side.buf);
                 let fisher_out = dist.fisher_sample_logits(&mut actor_rng);
@@ -287,7 +288,7 @@ impl UpdateRule for KfacStep {
         if blend {
             self.sides = Some(sides);
         } else {
-            helper.start(move || {
+            trainer::start(helper, move || {
                 sides.actor.blend();
                 sides.critic.blend();
                 sides

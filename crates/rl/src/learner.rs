@@ -15,6 +15,7 @@ use dosco_nn::mlp::Mlp;
 use dosco_nn::Activation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::ControlFlow;
 
 /// Collection hyperparameters the actors need from the algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -83,13 +84,19 @@ pub fn train_serial<L: Learner + ?Sized>(
     envs: &mut [Box<dyn Env>],
     total_steps: usize,
 ) -> TrainStats {
-    train_serial_with(learner, envs, total_steps, |_, _, _| {})
+    train_serial_with(learner, envs, total_steps, |_, _, _| {
+        ControlFlow::Continue(())
+    })
 }
 
-/// [`train_serial`] with a hook: after every update, `on_update` sees the
-/// learner, the rollout that update consumed and the stats so far — one
-/// collector and one schedule for the whole budget, so a caller that
-/// evaluates or prints along the way does not reset the envs to do it.
+/// [`train_serial`] with a hook at every update boundary, the first
+/// before any update and the last after the final one: `on_update` sees
+/// the learner, the rollout the last update consumed (`None` before the
+/// first) and the stats so far — one collector and one schedule for
+/// the whole budget, so a caller that evaluates or prints along the way
+/// does not reset the envs to do it. A `Break` stops training there: the
+/// hook is the loop's one cancellation point, and the learner gets its
+/// RNG back either way.
 ///
 /// # Panics
 ///
@@ -98,7 +105,7 @@ pub fn train_serial_with<L: Learner + ?Sized>(
     learner: &mut L,
     envs: &mut [Box<dyn Env>],
     total_steps: usize,
-    mut on_update: impl FnMut(&L, &Rollout, &TrainStats),
+    mut on_update: impl FnMut(&L, Option<&Rollout>, &TrainStats) -> ControlFlow<()>,
 ) -> TrainStats {
     let params = learner.collect_params();
     let base_lr = learner.lr_schedule();
@@ -106,7 +113,9 @@ pub fn train_serial_with<L: Learner + ?Sized>(
     let mut collector = RolloutCollector::new(envs);
     let mut stats = TrainStats::default();
     let per_update = params.n_steps * envs.len();
-    while stats.total_steps < total_steps {
+    let mut last = None;
+    while on_update(learner, last.as_ref(), &stats).is_continue() && stats.total_steps < total_steps
+    {
         if let Some(base) = base_lr {
             learner.set_lr(decayed_lr(base, stats.total_steps, total_steps));
         }
@@ -122,7 +131,7 @@ pub fn train_serial_with<L: Learner + ?Sized>(
         learner.update_batch(&mut rollout, &mut rng);
         stats.mean_rewards.push(rollout.mean_reward());
         stats.total_steps += per_update;
-        on_update(learner, &rollout, &stats);
+        last = Some(rollout);
     }
     learner.restore_rng(rng);
     stats
@@ -156,7 +165,7 @@ pub trait UpdateRule: Send + Sized {
     /// Applies one update to the networks from a collected rollout; `rng`
     /// is the stream for any update-time sampling. The three rules split
     /// the update into an actor half and a critic half that share nothing
-    /// and hand both to `Helper::join`, which runs the critic half on the
+    /// and hand both to `trainer::join`, which runs the critic half on the
     /// learner's helper thread when a core is free — so the critic, and
     /// the rule's state for it, go there by value and come back, which is
     /// why the critic is passed in and returned. Every draw from `rng` is
@@ -329,7 +338,44 @@ impl<R: UpdateRule> Learner for ActorCritic<R> {
 
 #[cfg(test)]
 mod tests {
-    use super::decayed_lr;
+    use super::*;
+    use crate::a2c::{A2c, A2cConfig};
+    use crate::env::testenvs::Corridor;
+
+    fn corridors() -> Vec<Box<dyn Env>> {
+        (0..2).map(|_| Box::new(Corridor::new(4)) as _).collect()
+    }
+
+    /// A break before the first update stops training with no step taken,
+    /// and the agent gets its RNG back untouched: it then trains exactly
+    /// as a fresh agent of the same seed does. A break at a later
+    /// boundary stops after that many updates.
+    #[test]
+    fn a_break_stops_training_and_restores_the_rng() {
+        let cfg = A2cConfig {
+            n_steps: 5,
+            hidden: [8, 8],
+            ..A2cConfig::default()
+        };
+        let mut agent = A2c::new(1, 2, cfg, 17);
+        let stats = train_serial_with(&mut agent, &mut corridors(), 1_000_000, |_, _, _| {
+            ControlFlow::Break(())
+        });
+        assert_eq!(stats.total_steps, 0, "the break preempted every update");
+        assert!(stats.mean_rewards.is_empty());
+        agent.train(&mut corridors(), 40);
+        let mut fresh = A2c::new(1, 2, cfg, 17);
+        fresh.train(&mut corridors(), 40);
+        assert_eq!(agent.actor().flat_params(), fresh.actor().flat_params());
+        let stats = train_serial_with(&mut agent, &mut corridors(), 1_000_000, |_, _, s| {
+            if s.mean_rewards.len() == 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(stats.total_steps, 3 * 5 * 2);
+    }
 
     #[test]
     fn decay_is_linear_to_a_tenth_and_clamped() {

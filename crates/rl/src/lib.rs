@@ -25,9 +25,9 @@
 //!   networks, OU exploration noise) — used by the centralized baseline's
 //!   continuous rule-update policy,
 //! - [`trainer`]: multi-seed training with best-agent selection
-//!   (Alg. 1 ln. 13) over [`trainer::fan_out`], the scoped-thread
-//!   fork–join every seed-level loop in the workspace shares, and the
-//!   fork–join of one update's actor and critic halves.
+//!   (Alg. 1 ln. 13) over `dosco_nn::fork::fan_out`, and the job a
+//!   learner's [`trainer::Helper`] runs: one update's critic half beside
+//!   its actor half.
 //!
 //! # Example
 //!

@@ -8,7 +8,7 @@
 use crate::a2c::{Buffers, CriticSide};
 use crate::learner::{ActorCritic, CollectParams, UpdateRule};
 use crate::rollout::Rollout;
-use crate::trainer::Helper;
+use crate::trainer::{self, Helper};
 use dosco_nn::matrix::Matrix;
 use dosco_nn::mlp::Mlp;
 use dosco_nn::optim::{Adam, Optimizer};
@@ -60,7 +60,7 @@ impl Default for PpoConfig {
 
 /// The PPO update: `epochs` clipped-surrogate Adam steps on the actor
 /// and, side by side with them on the learner's helper thread
-/// (`Helper::join`), `epochs` value-loss Adam steps on the critic, each
+/// (`trainer::join`), `epochs` value-loss Adam steps on the critic, each
 /// pass over the whole rollout. Draws no randomness.
 #[derive(Debug)]
 pub struct ClippedSurrogateEpochs {
@@ -186,7 +186,8 @@ impl UpdateRule for ClippedSurrogateEpochs {
             .expect("the critic side is back once an update returns");
         side.batch.copy_from(rollout);
         let (actor_opt, buf) = (&mut self.actor_opt, &mut self.actor_buf);
-        let ((), (critic, side)) = helper.join(
+        let ((), (critic, side)) = trainer::join(
+            helper,
             || {
                 // Old log-probs under the collection policy.
                 actor.forward_cached_into(&rollout.obs, &mut buf.cache);

@@ -2,11 +2,11 @@
 //! optimal policies, and the pin that forking an update's actor and
 //! critic halves cannot change a result.
 
+use dosco_nn::fork::fan_out;
 use dosco_rl::a2c::{A2c, A2cConfig, RmsPropStep};
 use dosco_rl::acktr::{Acktr, AcktrConfig, KfacStep};
 use dosco_rl::env::{Env, StepResult};
 use dosco_rl::ppo::{ClippedSurrogateEpochs, Ppo, PpoConfig};
-use dosco_rl::trainer::fan_out;
 use dosco_rl::{ActorCritic, UpdateRule};
 
 /// Contextual bandit: the observation names the rewarded action.

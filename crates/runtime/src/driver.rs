@@ -23,7 +23,7 @@
 //! `dosco_net::SocketLoopback`, which routes every message through the
 //! framed binary codec over real TCP sockets.
 //!
-//! Shutdown (normal, cancelled, or panicking) always follows the same
+//! Shutdown (normal or panicking) always follows the same
 //! sequence: drop the reply channel (unblocking an actor waiting for its
 //! reply), drain the experience channel until the actor disconnects
 //! (recovering the RNG from a batch still in flight), join the actor, and
@@ -40,7 +40,6 @@ use dosco_rl::env::Env;
 use dosco_rl::learner::{decayed_lr, CollectParams, Learner};
 use dosco_rl::rollout::RolloutCollector;
 use rand::rngs::StdRng;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -161,8 +160,7 @@ fn check_batch<L: Learner + ?Sized>(
 /// [`train_inner`] opened: only the channels differ between transports.
 ///
 /// Returns the statistics and the agent RNG if the learner kept it (after
-/// the final update, or when the actor is gone); `cancel`, when set, stops
-/// the loop at the next batch boundary.
+/// the final update, or when the actor is gone).
 ///
 /// # Errors
 ///
@@ -174,7 +172,6 @@ fn run_learner_loop<L: Learner + ?Sized>(
     ret: &dyn Tx<SyncReply>,
     total_steps: usize,
     counters: &Counters,
-    cancel: Option<&AtomicBool>,
 ) -> Result<(TrainStats, Option<StdRng>), String> {
     let base_lr = learner.lr_schedule();
     let mut stats = TrainStats::default();
@@ -184,9 +181,6 @@ fn run_learner_loop<L: Learner + ?Sized>(
     // it and a steady cycle allocates no snapshot.
     let mut sent = None;
     while stats.total_steps < total_steps {
-        if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-            break;
-        }
         let wait = Instant::now();
         let received = rx.recv();
         let ns = elapsed_ns(wait);
@@ -295,7 +289,7 @@ pub fn train<L: Learner + ?Sized>(
     total_steps: usize,
     _config: &RuntimeConfig,
 ) -> RuntimeOutcome {
-    train_inner(learner, envs, total_steps, &InProcess, None)
+    train_inner(learner, envs, total_steps, &InProcess)
 }
 
 /// [`train`] over an arbitrary [`Transport`]: every experience batch and
@@ -318,25 +312,7 @@ where
     L: Learner + ?Sized,
     Tr: Transport<ExperienceBatch> + Transport<SyncReply>,
 {
-    train_inner(learner, envs, total_steps, transport, None)
-}
-
-/// [`train`] with a cooperative cancellation flag: setting `cancel` stops
-/// the learner at the next batch boundary, after which shutdown proceeds
-/// exactly as a normal completion (drain, join, RNG restore). Used by the
-/// `dosco_ctl` job-control surface.
-///
-/// # Panics
-///
-/// As [`train`].
-pub fn train_cancellable<L: Learner + ?Sized>(
-    learner: &mut L,
-    envs: &mut [Box<dyn Env>],
-    total_steps: usize,
-    _config: &RuntimeConfig,
-    cancel: &AtomicBool,
-) -> RuntimeOutcome {
-    train_inner(learner, envs, total_steps, &InProcess, Some(cancel))
+    train_inner(learner, envs, total_steps, transport)
 }
 
 fn train_inner<L, Tr>(
@@ -344,7 +320,6 @@ fn train_inner<L, Tr>(
     envs: &mut [Box<dyn Env>],
     total_steps: usize,
     transport: &Tr,
-    cancel: Option<&AtomicBool>,
 ) -> RuntimeOutcome
 where
     L: Learner + ?Sized,
@@ -377,15 +352,9 @@ where
                 agent_rng,
             )
         });
-        let (stats, mut final_rng) = run_learner_loop(
-            learner,
-            rx.as_ref(),
-            ret_tx.as_ref(),
-            total_steps,
-            counters,
-            cancel,
-        )
-        .unwrap_or_else(|e| panic!("lockstep protocol violated: {e}"));
+        let (stats, mut final_rng) =
+            run_learner_loop(learner, rx.as_ref(), ret_tx.as_ref(), total_steps, counters)
+                .unwrap_or_else(|e| panic!("lockstep protocol violated: {e}"));
         drop(ret_tx); // unblock an actor waiting for its reply
         final_rng = drain(rx.as_ref(), counters).or(final_rng);
         match actor.join() {

@@ -40,6 +40,6 @@ pub mod wire;
 pub use config::RuntimeConfig;
 pub use counters::RuntimeReport;
 pub use dosco_rl::learner::{CollectParams, Learner};
-pub use driver::{train, train_cancellable, train_with_transport, RuntimeOutcome};
+pub use driver::{train, train_with_transport, RuntimeOutcome};
 pub use snapshot::{PolicySlot, PolicySnapshot, SlotInfo};
 pub use wire::{ExperienceBatch, SyncReply};

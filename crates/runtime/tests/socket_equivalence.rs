@@ -7,8 +7,7 @@
 //! protocol error, whichever transport delivered it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use dosco_net::{BoxRx, BoxTx, InProcess, SocketLoopback, Transport};
 use dosco_nn::matrix::Matrix;
@@ -16,9 +15,7 @@ use dosco_rl::a2c::{A2c, A2cConfig};
 use dosco_rl::env::{Env, StepResult};
 use dosco_rl::ppo::{Ppo, PpoConfig};
 use dosco_rl::rollout::Rollout;
-use dosco_runtime::{
-    train, train_cancellable, train_with_transport, ExperienceBatch, RuntimeConfig, SyncReply,
-};
+use dosco_runtime::{train, train_with_transport, ExperienceBatch, RuntimeConfig, SyncReply};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -184,27 +181,6 @@ fn sync_ppo_over_loopback_socket_is_bit_identical() {
         socketed.critic().flat_params(),
         in_proc.critic().flat_params()
     );
-}
-
-/// Cancellation stops a run early and still restores the agent RNG (the
-/// shutdown drain recovers it from wherever it is in flight).
-#[test]
-fn cancelled_training_shuts_down_cleanly_and_restores_rng() {
-    let cancel = Arc::new(AtomicBool::new(false));
-    let mut agent = A2c::new(2, 2, a2c_config(), 17);
-    let mut envs = ring_envs(2);
-    cancel.store(true, Ordering::Relaxed); // cancel before the first update
-    let outcome = train_cancellable(
-        &mut agent,
-        &mut envs,
-        1_000_000,
-        &RuntimeConfig::sync(),
-        &cancel,
-    );
-    assert_eq!(outcome.stats.total_steps, 0, "cancel preempted all updates");
-    // The agent survived with a usable RNG: further training works.
-    let tail = agent.train(&mut ring_envs(2), 40);
-    assert!(tail.total_steps >= 40);
 }
 
 /// A rollout of zeros shaped like the ring env's `n_envs × n_steps`

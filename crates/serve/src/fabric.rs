@@ -31,6 +31,7 @@ use crate::status::{FabricStatus, StatusBoard};
 use dosco_core::policy::PolicyMetadata;
 use dosco_core::{per_node_seed, CoordinationPolicy, ObservationAdapter};
 use dosco_nn::dist::{greedy_action, log_softmax, sample_action};
+use dosco_nn::fork::Job;
 use dosco_obs::registry;
 use dosco_obs::{CounterKind, GaugeKind, HistKind, SpanKind};
 use dosco_runtime::{PolicySlot, PolicySnapshot};
@@ -292,8 +293,8 @@ pub fn serve(
 /// With a `hub`, the fabric serves the hub's latest snapshot and follows
 /// its publishes, and `policy` only fixes the observation contract;
 /// without one, it serves `policy` at version 0. The epochs run on the
-/// calling thread, with one scoped helper thread if the host has a
-/// second core.
+/// calling thread, with one helper thread while a core is free for it
+/// (`dosco_nn::fork::Helper`).
 ///
 /// # Panics
 ///
@@ -310,11 +311,8 @@ pub fn serve_with(
     mut on_epoch: impl FnMut(u64),
 ) -> ServeOutcome {
     let mut sims = cfg.episodes(scenario, episode_seeds);
-    let helper = Helper::new();
-    let (metrics, report) = std::thread::scope(|s| {
-        let _stop = helper.spawn_in(s);
-        Fabric::new(policy, hub, &mut sims, cfg, &helper).run(&mut on_epoch)
-    });
+    let helper = Helper::default();
+    let (metrics, report) = Fabric::new(policy, hub, &mut sims, cfg, &helper).run(&mut on_epoch);
     ServeOutcome { metrics, report }
 }
 
@@ -585,30 +583,31 @@ impl<'a> Fabric<'a> {
         self.batches.iter().any(|b| b.rows > 0)
     }
 
-    /// Step 3: starts the helper on its job, forwards every batch's own
-    /// part, and joins the helper. Returns the job, whose logits the
+    /// Step 3: forwards every batch's own part while the helper forwards
+    /// its job, and joins the helper. Returns the job, whose logits the
     /// choose step reads.
     fn forward(&mut self) -> MutexGuard<'a, Part> {
         let helper: &'a Helper = self.helper;
-        let routed = self.batches.iter().any(|b| b.rows > 0);
+        let batches = &mut self.batches;
+        let routed = batches.iter().any(|b| b.rows > 0);
         let t0 = (dosco_obs::spans_enabled() && routed).then(Instant::now);
-        if self.helped.is_some() {
-            helper.start();
-        }
-        for batch in self.batches.iter_mut().filter(|b| b.rows > 0) {
-            let rows = batch.rows as f64;
-            registry::observe(HistKind::ServeBatchSize, rows);
-            registry::set_gauge(GaugeKind::LastServeQueueDepth, rows);
-            registry::max_gauge(GaugeKind::PeakServeQueueDepth, rows);
-            let _span = dosco_obs::span(SpanKind::ServeBatchForward);
-            batch.part.forward();
-        }
-        let job = match self.helped.map(|b| &self.batches[b]) {
-            Some(b) => {
-                self.report.helped_rows += (b.rows - b.front) as u64;
-                helper.finish()
+        let helped = self.helped.map(|b| &batches[b]);
+        self.report.helped_rows += helped.map_or(0, |b| (b.rows - b.front) as u64);
+        let mut own = || {
+            for batch in batches.iter_mut().filter(|b| b.rows > 0) {
+                let rows = batch.rows as f64;
+                registry::observe(HistKind::ServeBatchSize, rows);
+                registry::set_gauge(GaugeKind::LastServeQueueDepth, rows);
+                registry::max_gauge(GaugeKind::PeakServeQueueDepth, rows);
+                let _span = dosco_obs::span(SpanKind::ServeBatchForward);
+                batch.part.run();
             }
-            None => helper.job(),
+        };
+        let job = if self.helped.is_some() {
+            helper.join(own).1
+        } else {
+            own();
+            helper.job()
         };
         if let Some(t0) = t0 {
             record_span_since(SpanKind::ServeBarrier, t0);
@@ -810,44 +809,63 @@ mod tests {
         let seeds: Vec<u64> = (0..16).collect();
         for back in [false, true] {
             let mut sims = cfg.episodes(&scenario, &seeds);
-            let helper = Helper::new();
-            std::thread::scope(|s| {
-                let _stop = helper.spawn_thread(s);
-                let mut f = Fabric::new(&p, None, &mut sims, &cfg, &helper);
-                f.boundary();
-                assert!(f.collect());
-                let b = f.helped.expect("16 rows on one policy are helped");
-                let batch = &mut f.batches[b];
-                let poisoned = if back { batch.rows - 1 } else { 0 };
-                match poisoned.checked_sub(batch.front) {
-                    Some(r) => helper.job().x.row_mut(r)[0] = f32::NAN,
-                    None => batch.part.x.row_mut(poisoned)[0] = f32::NAN,
-                }
-                let g = f
-                    .routed
-                    .iter()
-                    .flatten()
-                    .find(|&&(_, batch, row)| batch == b && row == poisoned)
-                    .map(|(dp, _, _)| shard_of(dp.node.0, 2))
-                    .expect("the poisoned row is routed");
-                let rows = [f.groups[0].rows as u64, f.groups[1].rows as u64];
-                let job = f.forward();
-                f.settle(&job);
-                drop(job);
-                let r = &f.report;
-                assert_eq!(r.shard_disconnects, 1, "back {back}");
-                assert_eq!(r.shard_fallback[g], rows[g], "back {back}");
-                assert_eq!(r.shard_batched[1 - g], rows[1 - g], "back {back}");
-                assert_eq!(r.shard_batched[g], 0, "back {back}");
-                assert!(f.groups[g].dead && !f.groups[g].up);
-                f.report.epochs += 1;
-                let (_, r) = f.run(&mut |_| {});
-                assert!(r.conserved(), "{r:?}");
-                assert_eq!(r.shard_disconnects, 1, "{r:?}");
-                assert_eq!(r.shard_batched[g], 0, "{r:?}");
-                assert!(r.shard_fallback[g] > rows[g], "{r:?}");
-                assert!(r.shard_batched[1 - g] > rows[1 - g], "{r:?}");
-            });
+            let helper = Helper::always_forking(Part::default());
+            let mut f = Fabric::new(&p, None, &mut sims, &cfg, &helper);
+            f.boundary();
+            assert!(f.collect());
+            let b = f.helped.expect("16 rows on one policy are helped");
+            let batch = &mut f.batches[b];
+            let poisoned = if back { batch.rows - 1 } else { 0 };
+            match poisoned.checked_sub(batch.front) {
+                Some(r) => helper.job().x.row_mut(r)[0] = f32::NAN,
+                None => batch.part.x.row_mut(poisoned)[0] = f32::NAN,
+            }
+            let g = f
+                .routed
+                .iter()
+                .flatten()
+                .find(|&&(_, batch, row)| batch == b && row == poisoned)
+                .map(|(dp, _, _)| shard_of(dp.node.0, 2))
+                .expect("the poisoned row is routed");
+            let rows = [f.groups[0].rows as u64, f.groups[1].rows as u64];
+            let job = f.forward();
+            f.settle(&job);
+            drop(job);
+            let r = &f.report;
+            assert_eq!(r.shard_disconnects, 1, "back {back}");
+            assert_eq!(r.shard_fallback[g], rows[g], "back {back}");
+            assert_eq!(r.shard_batched[1 - g], rows[1 - g], "back {back}");
+            assert_eq!(r.shard_batched[g], 0, "back {back}");
+            assert!(f.groups[g].dead && !f.groups[g].up);
+            f.report.epochs += 1;
+            let (_, r) = f.run(&mut |_| {});
+            assert!(r.conserved(), "{r:?}");
+            assert_eq!(r.shard_disconnects, 1, "{r:?}");
+            assert_eq!(r.shard_batched[g], 0, "{r:?}");
+            assert!(r.shard_fallback[g] > rows[g], "{r:?}");
+            assert!(r.shard_batched[1 - g] > rows[1 - g], "{r:?}");
+        }
+    }
+
+    /// A serve run on a worker of a `fan_out` whose workers fill every
+    /// core forwards the helper's part inline: the rows still count as
+    /// helped, and no helper thread starts.
+    #[test]
+    fn a_serve_on_a_saturating_fan_out_worker_forwards_the_helpers_part_inline() {
+        let scenario = ScenarioConfig::paper_base(2).with_horizon(200.0);
+        let p = policy(scenario.topology.network_degree());
+        let cfg = ServeConfig::new(1);
+        let seeds: Vec<u64> = (0..16).collect();
+        let workers = vec![(); dosco_nn::fork::cores()];
+        let runs = dosco_nn::fork::fan_out(&workers, |()| {
+            let mut sims = cfg.episodes(&scenario, &seeds);
+            let helper = Helper::default();
+            let (_, r) = Fabric::new(&p, None, &mut sims, &cfg, &helper).run(&mut |_| {});
+            (r.helped_rows, helper.started())
+        });
+        for (helped_rows, started) in runs {
+            assert!(helped_rows > 0);
+            assert!(!started);
         }
     }
 

@@ -7,8 +7,8 @@
 //! crate drives many concurrent episodes — the serving load — through
 //! one epoch loop ([`fabric`]): each epoch observes every episode's next
 //! decision into stacked rows, runs one batched forward per policy in
-//! use (the back half of a batch on the call's helper thread when the
-//! host has a second core), and chooses and applies every action in
+//! use (the back half of a batch on the call's helper thread while a
+//! core is free for it), and chooses and applies every action in
 //! episode order. The topology's nodes are partitioned into node groups
 //! (the report's *shards*), each with its own policy version and up/down
 //! state. Three properties make it production-shaped:

@@ -26,6 +26,9 @@ cargo test -q -p serde -p serde_json -p rand -p proptest
 echo "== crossbeam wake rule: no lost wake-up over a million messages per case, each under a 30 s watchdog (release) =="
 cargo test -q --release -p crossbeam -- --include-ignored
 
+echo "== helper hand-off: every job runs exactly once and in order over a million jobs per case, some posted after the helper parked, each case under a 30 s watchdog (release) =="
+cargo test -q --release -p dosco-nn --lib fork -- --include-ignored
+
 echo "== cargo test (nn + serve, DOSCO_SIMD=off: scalar reference kernels, plain tanh and inversion loops) =="
 DOSCO_SIMD=off cargo test -q -p dosco-nn -p dosco-serve
 

@@ -8,10 +8,8 @@
 //! deployed `DistributedAgents` builds each observation in a buffer it
 //! keeps (`ObservationAdapter::observe_into`) and reads the path table
 //! with plain loads, so its decisions on a live simulation allocate
-//! nothing either. The serving fabric's epoch loop observes into rows it
-//! keeps and forwards into buffers it keeps, so a warm serving epoch
-//! allocates nothing on the thread that runs it (`serve_epoch_alloc.rs`
-//! counts the helper thread too).
+//! nothing either. (A warm serving epoch is counted on every thread by
+//! `serve_epoch_alloc.rs`.)
 //!
 //! The counting allocator is process-wide, which is why this file is its
 //! own test binary; it counts only on the thread that has switched
@@ -20,7 +18,6 @@
 
 use dosco::core::policy::{CoordinationPolicy, DistributedAgents, PolicyMetadata};
 use dosco::nn::Mlp;
-use dosco::serve::{serve_with, ServeConfig};
 use dosco::simnet::{Coordinator, ScenarioConfig, Simulation};
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -144,34 +141,4 @@ fn a_warm_distributed_decision_allocates_nothing() {
         made, 0,
         "1000 distributed decisions made {made} allocations"
     );
-}
-
-/// Allocations on the frontend's thread — the one `serve_with` calls its
-/// epoch hook on — over 200 epochs late in a 1-shard serve of 16
-/// episodes: boundary, collect (stepping the simulations included),
-/// flush barrier with its help jobs, and apply. The paper-width actor
-/// makes the shard fall behind the frontend, so the flushes hand rows
-/// over.
-#[test]
-fn a_warm_serving_epoch_allocates_nothing_on_the_frontend() {
-    let cfg = ScenarioConfig::paper_base(2).with_horizon(400.0);
-    let degree = cfg.topology.network_degree();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-    let actor = Mlp::paper_arch(4 * degree + 4, degree + 1, &mut rng);
-    let policy = CoordinationPolicy::new(actor, degree, PolicyMetadata::default());
-    let seeds: Vec<u64> = (0..16).collect();
-    let (from, until) = (500, 700);
-    let mut made = None;
-    let out = serve_with(&policy, None, &cfg, &seeds, &ServeConfig::new(1), |epoch| {
-        if epoch == from {
-            COUNTING.with(|c| c.set(true));
-            made = Some(ALLOCATIONS.with(Cell::get));
-        } else if epoch == until {
-            COUNTING.with(|c| c.set(false));
-            made = made.map(|before| ALLOCATIONS.with(Cell::get) - before);
-        }
-    });
-    assert!(out.report.epochs > until, "{:?}", out.report);
-    assert!(out.report.helped_rows > 0, "{:?}", out.report);
-    assert_eq!(made, Some(0), "{} warm epochs", until - from);
 }
