@@ -1,7 +1,7 @@
 //! The canary lifecycle: candidate on a shard subset → observe an epoch
 //! window → promote or roll back, all through epoch-boundary swaps.
 //!
-//! [`run_canary`] wires a [`ControlQueue`] and a [`StatusBoard`] into
+//! [`run_canary`] wires a [`PolicySlot`] hub and a [`StatusBoard`] into
 //! one serving run and drives the state machine from the fabric's
 //! deterministic epoch hook:
 //!
@@ -10,7 +10,7 @@
 //! 2. At `start_epoch + window`, snapshot the board again (window end),
 //!    hand the [`CanaryStats`] — per-version decision deltas and flow
 //!    metric deltas over the window — to the judge.
-//! 3. [`CanaryDecision::Promote`]: publish the candidate through the
+//! 3. [`CanaryDecision::Promote`]: broadcast the candidate through the
 //!    hub, converging *every* shard at that boundary.
 //!    [`CanaryDecision::Rollback`]: republish the incumbent to exactly
 //!    the canary shards.
@@ -26,9 +26,8 @@
 
 use dosco_core::policy::PolicyMetadata;
 use dosco_core::CoordinationPolicy;
-use dosco_runtime::{PolicySlot, PolicySnapshot};
 use dosco_serve::{
-    serve_with, ControlQueue, FabricStatus, PublishCmd, ServeConfig, ServeOutcome, StatusBoard,
+    serve_with, FabricStatus, PolicySlot, PolicySnapshot, ServeConfig, ServeOutcome, StatusBoard,
 };
 use dosco_simnet::ScenarioConfig;
 use serde::{Deserialize, Serialize};
@@ -229,8 +228,8 @@ pub struct CanaryOutcome {
 /// `base_cfg` supplies shards/stochastic/fault/churn settings. A
 /// status board already attached there is *reused* — attach the same
 /// board to a [`CtlState`](crate::CtlState) and `GET /shards` watches
-/// the canary live. Any control-queue attachment is replaced by the
-/// driver's own (the state machine owns the directives).
+/// the canary live. The driver owns the run's hub: the incumbent is its
+/// broadcast from epoch 0, and every transition is a publish to it.
 ///
 /// # Panics
 ///
@@ -275,15 +274,11 @@ pub fn run_canary(
             ..PolicyMetadata::default()
         },
     );
-    let control = Arc::new(ControlQueue::new());
     let board = base_cfg
         .status
         .clone()
         .unwrap_or_else(|| Arc::new(StatusBoard::new()));
-    let cfg = base_cfg
-        .clone()
-        .with_control(Arc::clone(&control))
-        .with_status(Arc::clone(&board));
+    let cfg = base_cfg.clone().with_status(Arc::clone(&board));
     let hub = PolicySlot::new((*incumbent).clone());
 
     let decide_epoch = canary.start_epoch + canary.window;
@@ -303,10 +298,7 @@ pub fn run_canary(
                 // candidate's publish below lands at *this* boundary, so the
                 // snapshot cleanly precedes all candidate traffic.
                 window_start = Some(board.snapshot());
-                control.push(PublishCmd {
-                    snapshot: Arc::clone(&candidate),
-                    shards: canary.canary_shards.clone(),
-                });
+                hub.publish_to(Arc::clone(&candidate), &canary.canary_shards);
             } else if epoch == decide_epoch {
                 #[allow(
                     clippy::expect_used,
@@ -324,15 +316,11 @@ pub fn run_canary(
                 };
                 let verdict = judge(&stats);
                 match verdict {
-                    // Promote through the hub, the one door for a
-                    // fabric-wide publish: its publish is the same
-                    // epoch-boundary swap, and it sets the policy respawned
-                    // shards come back on.
+                    // A broadcast converges every shard at this boundary.
                     CanaryDecision::Promote => hub.publish(Arc::clone(&candidate)),
-                    CanaryDecision::Rollback => control.push(PublishCmd {
-                        snapshot: Arc::clone(&incumbent),
-                        shards: canary.canary_shards.clone(),
-                    }),
+                    CanaryDecision::Rollback => {
+                        hub.publish_to(Arc::clone(&incumbent), &canary.canary_shards);
+                    }
                 }
                 stats_out = Some(stats);
                 decision = Some(verdict);

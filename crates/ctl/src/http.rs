@@ -1,10 +1,10 @@
 //! The dependency-free ops HTTP server.
 //!
-//! A plain `std::net::TcpListener` with one acceptor thread and a small
-//! bounded pool of worker threads — no async runtime, no external HTTP
-//! crate. It speaks just enough HTTP/1.1 for an ops surface:
-//! `Content-Length`-framed JSON responses and `Connection: close` (one
-//! request per connection). The routes:
+//! A plain `std::net::TcpListener` and two worker threads that each
+//! accept for themselves — no async runtime, no external HTTP crate. It
+//! speaks just enough HTTP/1.1 for an ops surface: `Content-Length`-framed
+//! JSON responses and `Connection: close` (one request per connection).
+//! The routes:
 //!
 //! | Route                  | Body                                              |
 //! |------------------------|---------------------------------------------------|
@@ -21,11 +21,10 @@
 //!
 //! Configuration follows the workspace env contract
 //! ([`dosco_obs::env`]): `DOSCO_CTL_ADDR` (a socket address; defaults to
-//! an ephemeral loopback port). Two worker threads answer requests.
+//! an ephemeral loopback port).
 
 use crate::jobs::TrainJobSpec;
 use crate::state::CtlState;
-use crossbeam::channel::{self, Receiver};
 use dosco_obs::env::{parse_lookup, EnvParseError};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,7 +46,7 @@ const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
 /// request within this window is cut off with a 400.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Worker threads answering requests (the acceptor is separate).
+/// Worker threads, each accepting and answering one connection at a time.
 const WORKERS: usize = 2;
 
 /// Ops server configuration.
@@ -106,13 +105,13 @@ impl CtlConfig {
 pub struct CtlServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl CtlServer {
-    /// Binds `cfg.addr` and starts the acceptor plus two workers, all
-    /// answering from `state`.
+    /// Binds `cfg.addr` and starts two workers, both answering from
+    /// `state`. Each blocks in `accept` on its own handle to the socket,
+    /// so the kernel's listen backlog holds what waits for them.
     ///
     /// # Errors
     ///
@@ -122,51 +121,28 @@ impl CtlServer {
         let listener = TcpListener::bind(&cfg.addr).map_err(|e| {
             io::Error::new(e.kind(), format!("binding ctl server to {}: {e}", cfg.addr))
         })?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        // Bounded hand-off: a burst beyond the workers' capacity
-        // backpressures the acceptor instead of queueing unboundedly.
-        let (tx, rx) = channel::bounded::<TcpStream>(WORKERS * 8);
-        // The vendored channel has a single-consumer receiver; the pool
-        // shares it behind a mutex (held only for the dequeue, never
-        // while a request is being answered).
-        let rx = Arc::new(std::sync::Mutex::new(rx));
-
-        // A spawn failure returns at once: dropping `tx` then disconnects
-        // the workers already running, and they drain out.
-        let workers = (0..WORKERS)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let state = Arc::clone(&state);
+        let mut server = CtlServer {
+            addr: listener.local_addr()?,
+            stop: Arc::new(AtomicBool::new(false)),
+            workers: Vec::with_capacity(WORKERS),
+        };
+        for i in 0..WORKERS {
+            let (stop, state) = (Arc::clone(&server.stop), Arc::clone(&state));
+            let spawned = listener.try_clone().and_then(|listener| {
                 std::thread::Builder::new()
                     .name(format!("dosco-ctl-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &state))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-
-        let accept_stop = Arc::clone(&stop);
-        let acceptor = std::thread::Builder::new()
-            .name("dosco-ctl-accept".to_string())
-            .spawn(move || {
-                // `tx` lives here: when the acceptor exits, the channel
-                // disconnects and every worker drains out.
-                for conn in listener.incoming() {
-                    if accept_stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    if tx.send(stream).is_err() {
-                        break;
-                    }
+                    .spawn(move || worker_loop(&listener, &stop, &state))
+            });
+            match spawned {
+                Ok(worker) => server.workers.push(worker),
+                Err(e) => {
+                    // Stop the workers already running.
+                    server.shutdown();
+                    return Err(e);
                 }
-            })?;
-
-        Ok(CtlServer {
-            addr,
-            stop,
-            acceptor: Some(acceptor),
-            workers,
-        })
+            }
+        }
+        Ok(server)
     }
 
     /// The actually bound address (resolves the `:0` ephemeral port).
@@ -174,16 +150,15 @@ impl CtlServer {
         self.addr
     }
 
-    /// Stops accepting, drains the workers, and joins every thread. A
-    /// request already handed to a worker still completes.
+    /// Stops accepting and joins every worker. A request a worker is
+    /// already answering still completes; connections still waiting in
+    /// the backlog are closed.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Release);
-        // Unblock the acceptor's blocking `accept` with one throwaway
-        // connection; it observes `stop` and exits, disconnecting the
-        // worker channel.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+        // Every worker takes one more connection, sees `stop` and exits:
+        // one throwaway connection per worker unblocks them all.
+        for _ in &self.workers {
+            let _ = TcpStream::connect(self.addr);
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -191,19 +166,15 @@ impl CtlServer {
     }
 }
 
-/// Worker body: answer connections until the acceptor disconnects.
-fn worker_loop(rx: &std::sync::Mutex<Receiver<TcpStream>>, state: &CtlState) {
+/// Worker body: accept and answer connections until `stop` is set.
+fn worker_loop(listener: &TcpListener, stop: &AtomicBool, state: &CtlState) {
     loop {
-        // A poisoned lock means a sibling worker panicked while holding
-        // the dequeue mutex; the queue itself is still sound, so keep
-        // serving instead of cascading the panic through the pool.
-        let next = rx
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .recv();
-        match next {
-            Ok(stream) => handle_connection(stream, state),
-            Err(_) => return,
+        let conn = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        if let Ok((stream, _)) = conn {
+            handle_connection(stream, state);
         }
     }
 }

@@ -24,10 +24,11 @@
 //!   delivered through the fabric's epoch-boundary swap path, so version
 //!   accounting stays exact under canarying too.
 //!
-//! Cost model: the control plane rides entirely on epoch-boundary
-//! attachments ([`ControlQueue`](dosco_serve::ControlQueue),
-//! [`StatusBoard`](dosco_serve::StatusBoard)); a fabric with nothing
-//! attached pays one `Option` check per epoch and nothing per decision.
+//! Cost model: the control plane rides entirely on what a fabric reads
+//! at its epoch boundaries (the [`PolicySlot`](dosco_serve::PolicySlot)
+//! hub, a [`StatusBoard`](dosco_serve::StatusBoard)); a boundary with
+//! nothing published pays one atomic load for the hub and nothing per
+//! decision.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

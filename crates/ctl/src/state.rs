@@ -1,17 +1,16 @@
 //! Shared state behind the ops endpoints: optional attachments to the
-//! training plane (a [`PolicySlot`]), the serving plane (a
-//! [`StatusBoard`]), and the artifact store (a [`PolicyRegistry`]).
+//! serving plane (its [`PolicySlot`] hub and [`StatusBoard`]) and the
+//! artifact store (a [`PolicyRegistry`]).
 //!
-//! Every attachment is optional so the server can come up first and have
-//! planes attached as they start; detached endpoints answer honestly
-//! (`attached: false` / `null` fields) instead of erroring.
+//! The state is built once, before the server starts, with whichever
+//! planes exist; a detached endpoint answers honestly (`attached: false`
+//! / `null` fields) instead of erroring.
 
 use crate::jobs::JobManager;
 use crate::registry::{ArtifactMeta, PolicyRegistry};
-use dosco_runtime::{PolicySlot, SlotInfo};
-use dosco_serve::{FabricStatus, StatusBoard};
+use dosco_serve::{FabricStatus, PolicySlot, SlotInfo, StatusBoard};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The `GET /healthz` response body.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,19 +40,18 @@ pub struct ShardsResponse {
     pub status: FabricStatus,
 }
 
-/// Everything the ops endpoints read. Attachments can be installed at
-/// any time from any thread; the HTTP workers read them per request.
+/// Everything the ops endpoints read: the attachments, fixed before the
+/// server starts, and the job table.
 ///
-/// A panicking holder of any lock here, the operator's registry mutex
-/// included, does not take the endpoints down: every read recovers the
-/// guard ([`PoisonError::into_inner`]). Each attachment's writer replaces
-/// its `Option` whole, and the registry's promoted head is one field, so
-/// no read sees half an update.
+/// An operator thread that panics holding the registry's mutex does not
+/// take the endpoints down: the read recovers the guard
+/// ([`PoisonError::into_inner`]). The registry's promoted head is one
+/// field, so no read sees half an update.
 #[derive(Debug, Default)]
 pub struct CtlState {
-    slot: Mutex<Option<Arc<PolicySlot>>>,
-    board: Mutex<Option<Arc<StatusBoard>>>,
-    registry: Mutex<Option<Arc<Mutex<PolicyRegistry>>>>,
+    slot: Option<Arc<PolicySlot>>,
+    board: Option<Arc<StatusBoard>>,
+    registry: Option<Arc<Mutex<PolicyRegistry>>>,
     jobs: JobManager,
 }
 
@@ -63,19 +61,26 @@ impl CtlState {
         CtlState::default()
     }
 
-    /// Attaches (or replaces) the training plane's policy slot.
-    pub fn attach_slot(&self, slot: Arc<PolicySlot>) {
-        *lock(&self.slot) = Some(slot);
+    /// Attaches the policy hub a serving run or the training plane
+    /// publishes to.
+    #[must_use]
+    pub fn with_slot(mut self, slot: Arc<PolicySlot>) -> Self {
+        self.slot = Some(slot);
+        self
     }
 
-    /// Attaches (or replaces) the serving fabric's status board.
-    pub fn attach_board(&self, board: Arc<StatusBoard>) {
-        *lock(&self.board) = Some(board);
+    /// Attaches the serving fabric's status board.
+    #[must_use]
+    pub fn with_board(mut self, board: Arc<StatusBoard>) -> Self {
+        self.board = Some(board);
+        self
     }
 
-    /// Attaches (or replaces) the policy registry.
-    pub fn attach_registry(&self, registry: Arc<Mutex<PolicyRegistry>>) {
-        *lock(&self.registry) = Some(registry);
+    /// Attaches the policy registry.
+    #[must_use]
+    pub fn with_registry(mut self, registry: Arc<Mutex<PolicyRegistry>>) -> Self {
+        self.registry = Some(registry);
+        self
     }
 
     /// The background-job table behind the `POST /jobs/*` routes.
@@ -93,10 +98,11 @@ impl CtlState {
 
     /// The `GET /snapshot` body.
     pub fn snapshot_response(&self) -> SnapshotResponse {
-        let slot = lock(&self.slot).as_ref().map(|s| s.info());
-        let registry_head = lock(&self.registry)
-            .as_ref()
-            .and_then(|r| lock(r).head().cloned());
+        let slot = self.slot.as_ref().map(|s| s.info());
+        let registry_head = self.registry.as_ref().and_then(|r| {
+            let registry = r.lock().unwrap_or_else(PoisonError::into_inner);
+            registry.head().cloned()
+        });
         SnapshotResponse {
             slot,
             registry_head,
@@ -105,7 +111,7 @@ impl CtlState {
 
     /// The `GET /shards` body.
     pub fn shards_response(&self) -> ShardsResponse {
-        match lock(&self.board).as_ref() {
+        match &self.board {
             Some(board) => ShardsResponse {
                 attached: true,
                 status: board.snapshot(),
@@ -118,16 +124,11 @@ impl CtlState {
     }
 }
 
-/// Locks `m`, recovering the guard if a holder panicked.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dosco_nn::mlp::{Activation, Mlp};
-    use dosco_runtime::PolicySnapshot;
+    use dosco_serve::PolicySnapshot;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -151,8 +152,7 @@ mod tests {
             actor: Mlp::new(&[2, 3, 2], Activation::Tanh, &mut rng),
             critic: Mlp::new(&[2, 3, 1], Activation::Tanh, &mut rng),
         }));
-        let state = CtlState::new();
-        state.attach_slot(Arc::clone(&slot));
+        let state = CtlState::new().with_slot(Arc::clone(&slot));
         let view = state.snapshot_response().slot.unwrap();
         assert_eq!(view.version, 5);
         assert_eq!(view.actor_params, 17);
@@ -193,8 +193,7 @@ mod tests {
         let version = registry.publish(&policy).unwrap().version;
         registry.promote(version, "deploy").unwrap();
         let registry = Arc::new(Mutex::new(registry));
-        let state = CtlState::new();
-        state.attach_registry(Arc::clone(&registry));
+        let state = CtlState::new().with_registry(Arc::clone(&registry));
 
         let operator = Arc::clone(&registry);
         let outcome = std::thread::spawn(move || {

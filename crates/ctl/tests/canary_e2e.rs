@@ -10,8 +10,7 @@ use dosco_core::policy::PolicyMetadata;
 use dosco_core::CoordinationPolicy;
 use dosco_ctl::{run_canary, CanaryConfig, CanaryDecision, CanaryStats, ThresholdJudge};
 use dosco_nn::mlp::{Activation, Mlp};
-use dosco_runtime::PolicySnapshot;
-use dosco_serve::{serve, ServeConfig};
+use dosco_serve::{serve, PolicySnapshot, ServeConfig};
 use dosco_simnet::ScenarioConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

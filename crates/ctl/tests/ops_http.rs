@@ -10,8 +10,7 @@ use dosco_ctl::{
 };
 use dosco_nn::mlp::{Activation, Mlp};
 use dosco_obs::ObsReport;
-use dosco_runtime::{PolicySlot, PolicySnapshot};
-use dosco_serve::{serve, ServeConfig, StatusBoard};
+use dosco_serve::{serve, PolicySlot, PolicySnapshot, ServeConfig, StatusBoard};
 use dosco_simnet::ScenarioConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,10 +103,12 @@ fn ops_endpoints_answer_live_during_a_serving_run() {
     }));
     let board = Arc::new(StatusBoard::new());
 
-    let state = Arc::new(CtlState::new());
-    state.attach_slot(Arc::clone(&hub));
-    state.attach_board(Arc::clone(&board));
-    state.attach_registry(Arc::clone(&registry));
+    let state = Arc::new(
+        CtlState::new()
+            .with_slot(Arc::clone(&hub))
+            .with_board(Arc::clone(&board))
+            .with_registry(Arc::clone(&registry)),
+    );
     let server = CtlServer::start(&CtlConfig::default(), Arc::clone(&state)).unwrap();
     let addr = server.addr();
 

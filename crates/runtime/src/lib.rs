@@ -22,8 +22,8 @@
 //! experience channel, joins the actor, restores the agent RNG, and
 //! re-raises any actor panic. [`RuntimeReport`] surfaces the runtime
 //! counters (batches produced/consumed/in-flight, snapshots published,
-//! channel wait times) for the bench plumbing. [`PolicySlot`] is the
-//! broadcast point the serving fabric subscribes to.
+//! channel wait times) for the bench plumbing. A serving run receives a
+//! [`PolicySnapshot`] through `dosco_serve`'s hub, not through this crate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,5 +41,5 @@ pub use config::RuntimeConfig;
 pub use counters::RuntimeReport;
 pub use dosco_rl::learner::{CollectParams, Learner};
 pub use driver::{train, train_with_transport, RuntimeOutcome};
-pub use snapshot::{PolicySlot, PolicySnapshot, SlotInfo};
+pub use snapshot::PolicySnapshot;
 pub use wire::{ExperienceBatch, SyncReply};

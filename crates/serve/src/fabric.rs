@@ -1,8 +1,9 @@
 //! The serving fabric's epoch loop. E concurrent episodes (the serving
 //! load) advance one decision each per epoch, in five steps:
 //!
-//! 1. **Boundary**: the hub poll, control directives and [`FaultScript`]
-//!    windows, applied as data to the node groups; then the status.
+//! 1. **Boundary**: the hub's broadcast and directed publishes and the
+//!    [`FaultScript`] windows, applied as data to the node groups; then
+//!    the status.
 //! 2. **Collect**: every live episode steps to its next decision, which
 //!    is observed into a row of the batch of its group's policy — or, if
 //!    the group is down, answered and applied at once by the
@@ -24,9 +25,9 @@
 //! that forwards a row, are the `serve_collect` and `serve_barrier`
 //! spans.
 
-use crate::control::ControlQueue;
 use crate::fault::FaultScript;
 use crate::helper::{Helper, Part, HELP_MIN_ROWS};
+use crate::hub::PolicySlot;
 use crate::status::{FabricStatus, StatusBoard};
 use dosco_core::policy::PolicyMetadata;
 use dosco_core::{per_node_seed, CoordinationPolicy, ObservationAdapter};
@@ -34,7 +35,7 @@ use dosco_nn::dist::{greedy_action, log_softmax, sample_action};
 use dosco_nn::fork::Job;
 use dosco_obs::registry;
 use dosco_obs::{CounterKind, GaugeKind, HistKind, SpanKind};
-use dosco_runtime::{PolicySlot, PolicySnapshot};
+use dosco_runtime::PolicySnapshot;
 use dosco_simnet::{
     Action, ChurnTimeline, DecisionPoint, Metrics, ScenarioConfig, SimEvent, Simulation,
 };
@@ -55,9 +56,6 @@ pub struct ServeConfig {
     pub stochastic_seed: Option<u64>,
     /// Epoch-scripted shard outages, on shards the fabric has.
     pub faults: FaultScript,
-    /// Control-plane directives (canary, rollback), drained at every
-    /// epoch boundary.
-    pub control: Option<Arc<ControlQueue>>,
     /// Board the fabric publishes a [`FabricStatus`] to at every epoch
     /// boundary.
     pub status: Option<Arc<StatusBoard>>,
@@ -73,17 +71,9 @@ impl ServeConfig {
             num_shards,
             stochastic_seed: None,
             faults: FaultScript::new(),
-            control: None,
             status: None,
             churn: ChurnTimeline::none(),
         }
-    }
-
-    /// Attaches a control-plane directive queue.
-    #[must_use]
-    pub fn with_control(mut self, control: Arc<ControlQueue>) -> Self {
-        self.control = Some(control);
-        self
     }
 
     /// Attaches a live status board.
@@ -158,9 +148,9 @@ pub struct ServeReport {
     pub batched_decisions: u64,
     /// Decisions answered by the shortest-path fallback (shard down).
     pub fallback_decisions: u64,
-    /// Hub publishes taken (version changes seen at a boundary).
+    /// Hub broadcasts taken (version changes seen at a boundary).
     pub swaps: u64,
-    /// Control-queue publishes applied.
+    /// Directed hub publishes applied ([`PolicySlot::publish_to`]).
     pub directed_publishes: u64,
     /// Shards taken down by the start of a kill window.
     pub shard_kills: u64,
@@ -287,14 +277,14 @@ pub fn serve(
 }
 
 /// Like [`serve`], calling `on_epoch(epoch)` at every epoch boundary
-/// before the hub poll: a snapshot published from the hook lands at that
-/// boundary on every run.
+/// before the hub is read: a snapshot published from the hook lands at
+/// that boundary on every run.
 ///
 /// With a `hub`, the fabric serves the hub's latest snapshot and follows
-/// its publishes, and `policy` only fixes the observation contract;
-/// without one, it serves `policy` at version 0. The epochs run on the
-/// calling thread, with one helper thread while a core is free for it
-/// (`dosco_nn::fork::Helper`).
+/// its broadcasts and directed publishes ([`PolicySlot`]), and `policy`
+/// only fixes the observation contract; without one, it serves `policy`
+/// at version 0. The epochs run on the calling thread, with one helper
+/// thread while a core is free for it (`dosco_nn::fork::Helper`).
 ///
 /// # Panics
 ///
@@ -322,7 +312,7 @@ fn record_span_since(kind: SpanKind, t0: Instant) {
 }
 
 /// One node group: the policy it runs while up, with its version (hub
-/// publishes set every group's, control directives a subset's); whether
+/// broadcasts set every group's, directed publishes a subset's); whether
 /// it is up (no kill window open, not written off); whether a non-finite
 /// logit wrote it off for good; its batch, and its rows this epoch.
 struct Group {
@@ -360,6 +350,8 @@ type Routed = (DecisionPoint, usize, usize);
 struct Fabric<'a> {
     cfg: &'a ServeConfig,
     hub: Option<&'a PolicySlot>,
+    /// The hub's publish count at the last boundary that took its content.
+    seen: u64,
     helper: &'a Helper,
     adapter: ObservationAdapter,
     sims: &'a mut [Simulation],
@@ -421,6 +413,7 @@ impl<'a> Fabric<'a> {
             events: Vec::new(),
             cfg,
             hub,
+            seen: 0,
             helper,
             sims,
         }
@@ -443,37 +436,33 @@ impl<'a> Fabric<'a> {
         }
     }
 
-    /// Step 1: the hub poll, control directives and fault windows, one
-    /// batch per policy the up groups run, then the status.
+    /// Step 1: the hub's publishes and the fault windows, one batch per
+    /// policy the up groups run, then the status.
     fn boundary(&mut self) {
         let degree = self.adapter.degree();
         let r = &mut self.report;
-        if let Some(snap) = self
-            .hub
-            .filter(|h| h.version() != r.final_version)
-            .map(|h| h.latest())
-        {
-            let policy = policy_from_snapshot(&snap, degree);
-            for g in &mut self.groups {
-                g.policy = (Arc::clone(&policy), snap.version);
-            }
-            r.final_version = snap.version;
-            r.swaps += 1;
-        }
-        for cmd in self
-            .cfg
-            .control
-            .iter()
-            .filter(|q| q.is_pending())
-            .flat_map(|q| q.drain())
-        {
-            let policy = policy_from_snapshot(&cmd.snapshot, degree);
-            for &t in &cmd.shards {
-                if let Some(g) = self.groups.get_mut(t) {
-                    g.policy = (Arc::clone(&policy), cmd.snapshot.version);
+        // Nothing published since the last boundary: one load, no lock.
+        let published = self.hub.map(|h| (h, h.publishes()));
+        if let Some((hub, publishes)) = published.filter(|&(_, n)| n != self.seen) {
+            self.seen = publishes;
+            let (snap, directed) = hub.take();
+            if snap.version != r.final_version {
+                let policy = policy_from_snapshot(&snap, degree);
+                for g in &mut self.groups {
+                    g.policy = (Arc::clone(&policy), snap.version);
                 }
+                r.final_version = snap.version;
+                r.swaps += 1;
             }
-            r.directed_publishes += 1;
+            for (snap, groups) in directed {
+                let policy = policy_from_snapshot(&snap, degree);
+                for &t in &groups {
+                    if let Some(g) = self.groups.get_mut(t) {
+                        g.policy = (Arc::clone(&policy), snap.version);
+                    }
+                }
+                r.directed_publishes += 1;
+            }
         }
         let mut used = 0;
         for (i, g) in self.groups.iter_mut().enumerate() {

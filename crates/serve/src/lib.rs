@@ -13,14 +13,13 @@
 //! (the report's *shards*), each with its own policy version and up/down
 //! state. Three properties make it production-shaped:
 //!
-//! - **Policy hot-swap**: the fabric subscribes to the training runtime's
-//!   versioned [`PolicySlot`](dosco_runtime::PolicySlot), the one door
-//!   for a fabric-wide publish. The loop polls the slot version at every
-//!   epoch boundary, so every group switches at the same epoch and
-//!   version accounting stays exact
-//!   ([`ServeReport::decisions_by_version`]). A [`ControlQueue`] lands a
-//!   snapshot on a subset of groups (canary, rollback) through the same
-//!   boundary.
+//! - **Policy hot-swap** ([`hub`]): a [`PolicySlot`] is the one door for
+//!   a snapshot into a run. [`PolicySlot::publish`] lands one on every
+//!   group (following a learner, promoting a canary) and
+//!   [`PolicySlot::publish_to`] on a subset (a canary, its rollback).
+//!   Both land at the next epoch boundary, the directed ones after the
+//!   broadcast, so groups switch at an epoch and version accounting
+//!   stays exact ([`ServeReport::decisions_by_version`]).
 //! - **Graceful degradation** ([`fault`]): a group is down while an
 //!   epoch-scripted window kills it, or for good once its policy returns
 //!   a non-finite logit. Decisions for its nodes fall back to the
@@ -47,13 +46,14 @@
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 #![warn(missing_debug_implementations)]
 
-pub mod control;
 pub mod fabric;
 pub mod fault;
 mod helper;
+pub mod hub;
 pub mod status;
 
-pub use control::{ControlQueue, PublishCmd};
+pub use dosco_runtime::PolicySnapshot;
 pub use fabric::{serve, serve_with, ServeConfig, ServeOutcome, ServeReport};
 pub use fault::FaultScript;
+pub use hub::{PolicySlot, SlotInfo};
 pub use status::{FabricStatus, StatusBoard};

@@ -8,8 +8,7 @@
 use dosco_core::policy::PolicyMetadata;
 use dosco_core::CoordinationPolicy;
 use dosco_nn::mlp::{Activation, Mlp};
-use dosco_runtime::{PolicySlot, PolicySnapshot};
-use dosco_serve::{serve, serve_with, FaultScript, ServeConfig};
+use dosco_serve::{serve, serve_with, FaultScript, PolicySlot, PolicySnapshot, ServeConfig};
 use dosco_simnet::ScenarioConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -13,9 +13,8 @@
 use dosco_core::policy::PolicyMetadata;
 use dosco_core::CoordinationPolicy;
 use dosco_nn::mlp::{Activation, Mlp};
-use dosco_runtime::{PolicySlot, PolicySnapshot};
 use dosco_serve::{
-    serve_with, ControlQueue, FabricStatus, FaultScript, PublishCmd, ServeConfig, StatusBoard,
+    serve_with, FabricStatus, FaultScript, PolicySlot, PolicySnapshot, ServeConfig, StatusBoard,
 };
 use dosco_simnet::ScenarioConfig;
 use rand::rngs::StdRng;
@@ -153,12 +152,10 @@ fn mid_canary_shard_kill_conserves_and_respawns_at_candidate() {
         critic: critic(degree, 2),
     });
     let board = Arc::new(StatusBoard::new());
-    let control = Arc::new(ControlQueue::new());
     const CANARY: usize = 1;
     const CANDIDATE: u64 = 9;
     let cfg = ServeConfig::new(4)
         .with_status(Arc::clone(&board))
-        .with_control(Arc::clone(&control))
         .with_faults(FaultScript::new().kill(CANARY, 10, 16));
 
     let mut samples: Vec<FabricStatus> = Vec::new();
@@ -171,10 +168,7 @@ fn mid_canary_shard_kill_conserves_and_respawns_at_candidate() {
         |epoch| {
             samples.push(board.snapshot());
             if epoch == 6 {
-                control.push(PublishCmd {
-                    snapshot: snap(degree, CANDIDATE, 77),
-                    shards: vec![CANARY],
-                });
+                hub.publish_to(snap(degree, CANDIDATE, 77), &[CANARY]);
             }
         },
     );
@@ -209,4 +203,76 @@ fn mid_canary_shard_kill_conserves_and_respawns_at_candidate() {
     assert_eq!(by_version, r.batched_decisions);
     assert_eq!(r.decisions, r.batched_decisions + r.fallback_decisions);
     assert_monotone_versions(&samples);
+}
+
+/// A broadcast and a directed publish made from one hook call land at the
+/// same boundary, the directive after the broadcast: from that boundary
+/// on, the directed group runs the directive's version and every other
+/// group the broadcast's.
+#[test]
+fn a_directive_wins_over_a_broadcast_at_the_same_boundary() {
+    let scenario = scenario();
+    let degree = scenario.topology.network_degree();
+    let contract = CoordinationPolicy::new(actor(degree, 1), degree, PolicyMetadata::default());
+    let hub = PolicySlot::new(PolicySnapshot {
+        version: 0,
+        actor: actor(degree, 1),
+        critic: critic(degree, 2),
+    });
+    let board = Arc::new(StatusBoard::new());
+    const AT: u64 = 5;
+    const DIRECTED: usize = 1;
+    let cfg = ServeConfig::new(4).with_status(Arc::clone(&board));
+
+    let mut samples: Vec<FabricStatus> = Vec::new();
+    let out = serve_with(
+        &contract,
+        Some(&hub),
+        &scenario,
+        &[3, 7, 13, 29],
+        &cfg,
+        |epoch| {
+            samples.push(board.snapshot());
+            if epoch == AT {
+                hub.publish(snap(degree, 1, 50));
+                hub.publish_to(snap(degree, 2, 60), &[DIRECTED]);
+            }
+        },
+    );
+    samples.push(board.snapshot());
+
+    let expected = |epoch: u64| -> Vec<u64> {
+        (0..4)
+            .map(|g| match (epoch >= AT, g == DIRECTED) {
+                (false, _) => 0,
+                (true, true) => 2,
+                (true, false) => 1,
+            })
+            .collect()
+    };
+    let sampled: Vec<&FabricStatus> = samples
+        .iter()
+        .filter(|s| !s.report.shard_versions.is_empty())
+        .collect();
+    assert!(
+        sampled.iter().any(|s| s.report.epochs == AT),
+        "boundary {AT} was not sampled"
+    );
+    for s in sampled {
+        assert_eq!(
+            s.report.shard_versions,
+            expected(s.report.epochs),
+            "at epoch {}",
+            s.report.epochs
+        );
+    }
+    let r = &out.report;
+    assert!(r.conserved(), "{r:?}");
+    assert_eq!(r.swaps, 1, "{r:?}");
+    assert_eq!(r.directed_publishes, 1, "{r:?}");
+    assert_eq!(r.final_version, 1, "{r:?}");
+    assert_eq!(r.shard_versions, vec![1, 2, 1, 1], "{r:?}");
+    assert!(r.decisions_at_version(0) > 0, "{r:?}");
+    assert!(r.decisions_at_version(1) > 0, "{r:?}");
+    assert!(r.decisions_at_version(2) > 0, "{r:?}");
 }

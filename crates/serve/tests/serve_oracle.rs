@@ -11,8 +11,7 @@
 use dosco_core::policy::PolicyMetadata;
 use dosco_core::{CoordinationPolicy, DistributedAgents};
 use dosco_nn::mlp::{Activation, Mlp};
-use dosco_runtime::{PolicySlot, PolicySnapshot};
-use dosco_serve::{serve, serve_with, FaultScript, ServeConfig};
+use dosco_serve::{serve, serve_with, FaultScript, PolicySlot, PolicySnapshot, ServeConfig};
 use dosco_simnet::{Coordinator, Metrics, ScenarioConfig, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -26,8 +26,7 @@ use dosco::ctl::{
 };
 use dosco::rl::a2c::{A2c, A2cConfig};
 use dosco::rl::Env;
-use dosco::runtime::{PolicySlot, PolicySnapshot};
-use dosco::serve::{ServeConfig, StatusBoard};
+use dosco::serve::{PolicySlot, PolicySnapshot, ServeConfig, StatusBoard};
 use dosco::simnet::ScenarioConfig;
 use dosco::traffic::ArrivalPattern;
 use std::io::{Read, Write};
@@ -144,10 +143,12 @@ fn main() {
         critic: untrained.critic().clone(),
     }));
     let registry = Arc::new(Mutex::new(registry));
-    let state = Arc::new(CtlState::new());
-    state.attach_board(Arc::clone(&board));
-    state.attach_slot(Arc::clone(&slot));
-    state.attach_registry(Arc::clone(&registry));
+    let state = Arc::new(
+        CtlState::new()
+            .with_board(Arc::clone(&board))
+            .with_slot(Arc::clone(&slot))
+            .with_registry(Arc::clone(&registry)),
+    );
     let cfg = CtlConfig::from_env().expect("valid DOSCO_CTL_* env");
     let server = CtlServer::start(&cfg, Arc::clone(&state)).expect("start ctl server");
     println!("ops surface listening on http://{}", server.addr());

@@ -22,8 +22,7 @@ use dosco::core::policy::PolicyMetadata;
 use dosco::core::{CoordEnv, CoordinationPolicy, RewardConfig};
 use dosco::rl::a2c::{A2c, A2cConfig};
 use dosco::rl::Env;
-use dosco::runtime::{PolicySlot, PolicySnapshot};
-use dosco::serve::{serve_with, FaultScript, ServeConfig};
+use dosco::serve::{serve_with, FaultScript, PolicySlot, PolicySnapshot, ServeConfig};
 use dosco::simnet::ScenarioConfig;
 use dosco::traffic::ArrivalPattern;
 use std::sync::Arc;

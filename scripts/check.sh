@@ -77,7 +77,7 @@ cargo run -q --release --example actor_learner
 echo "== example serve: hot swap and a shard kill window under traffic, conservation =="
 cargo run -q --release --example serve
 
-echo "== example ctl: canary lifecycle over the control queue and the hub, ops surface over TCP =="
+echo "== example ctl: canary lifecycle through the hub's directed and broadcast publishes, ops surface over TCP =="
 cargo run -q --release --example ctl
 
 echo "== dosco train + eval: the figures' training path writes a policy that loads and evaluates =="

@@ -10,8 +10,7 @@ use dosco::core::CoordinationPolicy;
 use dosco::nn::mlp::{Activation, Mlp};
 use dosco::obs::registry::counter_value;
 use dosco::obs::CounterKind;
-use dosco::runtime::{PolicySlot, PolicySnapshot};
-use dosco::serve::{serve_with, FaultScript, ServeConfig};
+use dosco::serve::{serve_with, FaultScript, PolicySlot, PolicySnapshot, ServeConfig};
 use dosco::simnet::ScenarioConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
