@@ -20,7 +20,7 @@ use dosco_core::RewardConfig;
 use dosco_traffic::ArrivalPattern;
 
 fn main() {
-    let budget = ExpBudget::from_env();
+    let (_, budget) = ExpBudget::with_flags("", "").unwrap_or_else(|e| e.exit());
     let scenario = base_scenario(2, ArrivalPattern::paper_poisson(), budget.horizon);
     let mut points = Vec::new();
 

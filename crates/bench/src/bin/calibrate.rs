@@ -2,31 +2,19 @@
 //! compares all four algorithms on one scenario. Not a paper figure —
 //! a smoke/sizing tool for the real experiment binaries.
 
-use dosco_bench::report::{flag_value, parsed_flag};
 use dosco_bench::runner::{train_central_drl, train_dist_drl, Algo, ExpBudget};
-use dosco_bench::scenarios::{base_scenario, pattern_by_name};
+use dosco_simnet::ScenarioConfig;
 use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let pattern = pattern_by_name(
-        flag_value(&args, "--pattern")
-            .as_deref()
-            .unwrap_or("poisson"),
-    );
-    let ingress: usize = parsed_flag(&args, "--ingress", "an integer").unwrap_or(2);
-    let mut budget = ExpBudget::from_env();
-    if let Some(steps) = parsed_flag(&args, "--train-steps", "an integer") {
-        budget.train_steps = steps;
-    }
-    if let Some(k) = parsed_flag::<u64>(&args, "--train-seeds", "an integer") {
-        budget.train_seeds = (0..k).collect();
-    }
-
-    let scenario = base_scenario(ingress, pattern.clone(), budget.horizon);
+    let (flags, budget) =
+        ExpBudget::with_flags("--pattern --ingress", "").unwrap_or_else(|e| e.exit());
+    let scenario = ScenarioConfig::from_flags(&flags).unwrap_or_else(|e| e.exit());
+    let scenario = scenario.with_horizon(budget.horizon);
     println!(
-        "calibrating: pattern={} ingress={ingress} train_steps={} seeds={} horizon={}",
-        pattern.name(),
+        "calibrating: pattern={} ingress={} train_steps={} seeds={} horizon={}",
+        scenario.ingresses[0].pattern.name(),
+        scenario.ingresses.len(),
         budget.train_steps,
         budget.train_seeds.len(),
         budget.horizon

@@ -14,12 +14,13 @@
 //! setup (5× the training time). Budget overrides: DOSCO_TRAIN_STEPS,
 //! DOSCO_SEEDS, DOSCO_EVAL_SEEDS, DOSCO_HORIZON (see EXPERIMENTS.md).
 
-use dosco_bench::report::{flag_value, print_series, SeriesPoint};
+use dosco_bench::report::{print_series, SeriesPoint};
 use dosco_bench::runner::{train_central_drl, train_dist_drl_cached, Algo, ExpBudget};
-use dosco_bench::scenarios::{base_scenario, pattern_by_name};
+use dosco_bench::scenarios::base_scenario;
+use dosco_traffic::ArrivalPattern;
 
-fn run_pattern(pattern_name: &str, budget: &ExpBudget, retrain: bool) -> Vec<SeriesPoint> {
-    let pattern = pattern_by_name(pattern_name);
+fn run_pattern(pattern: ArrivalPattern, budget: &ExpBudget, retrain: bool) -> Vec<SeriesPoint> {
+    let pattern_name = pattern.name();
     let mut points = Vec::new();
 
     // Train on the 2-ingress variant unless retraining per load level.
@@ -69,10 +70,16 @@ fn run_pattern(pattern_name: &str, budget: &ExpBudget, retrain: bool) -> Vec<Ser
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let pattern = flag_value(&args, "--pattern").unwrap_or_else(|| "poisson".into());
-    let retrain = args.iter().any(|a| a == "--retrain");
-    let budget = ExpBudget::from_env();
+    let (flags, budget) =
+        ExpBudget::with_flags("--pattern", "--retrain").unwrap_or_else(|e| e.exit());
+    let names = ArrivalPattern::PAPER_NAMES;
+    let pattern: String = flags
+        .value("--pattern", &format!("{names}|all"), |p: &String| {
+            p == "all" || names.split('|').any(|n| n == p)
+        })
+        .unwrap_or_else(|e| e.exit())
+        .unwrap_or_else(|| "poisson".into());
+    let retrain = flags.switch("--retrain");
     let subfig = |p: &str| match p {
         "fixed" => "Fig 6a",
         "poisson" => "Fig 6b",
@@ -80,13 +87,13 @@ fn main() {
         "trace" => "Fig 6d",
         _ => "Fig 6",
     };
-    let patterns: Vec<&str> = if pattern == "all" {
-        vec!["fixed", "poisson", "mmpp", "trace"]
-    } else {
-        vec![pattern.as_str()]
-    };
-    for p in patterns {
-        let points = run_pattern(p, &budget, retrain);
+    let patterns = if pattern == "all" { names } else { &pattern };
+    for pattern in patterns
+        .split('|')
+        .filter_map(ArrivalPattern::paper_by_name)
+    {
+        let p = pattern.name();
+        let points = run_pattern(pattern, &budget, retrain);
         print_series(
             subfig(p),
             &format!("successful flows vs #ingress ({p} arrival)"),

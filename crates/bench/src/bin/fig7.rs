@@ -16,7 +16,7 @@ use dosco_bench::scenarios::base_scenario;
 use dosco_traffic::ArrivalPattern;
 
 fn main() {
-    let budget = ExpBudget::from_env();
+    let (_, budget) = ExpBudget::with_flags("", "").unwrap_or_else(|e| e.exit());
     let mut points = Vec::new();
     for &deadline in &[20.0f64, 30.0, 40.0, 50.0] {
         let scenario = base_scenario(2, ArrivalPattern::paper_poisson(), budget.horizon)

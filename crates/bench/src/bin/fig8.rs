@@ -16,17 +16,23 @@
 //!
 //! Policies are shared with `fig6` through the policy cache.
 
-use dosco_bench::report::{bad_flag, flag_value, print_series, SeriesPoint};
+use dosco_bench::report::{print_series, SeriesPoint};
 use dosco_bench::runner::{train_central_drl, train_dist_drl_cached, Algo, ExpBudget};
-use dosco_bench::scenarios::{base_scenario, pattern_by_name};
+use dosco_bench::scenarios::base_scenario;
+use dosco_traffic::ArrivalPattern;
 
 fn part_traffic(budget: &ExpBudget) {
-    let trace_scenario = base_scenario(2, pattern_by_name("trace"), budget.horizon);
+    let trace_scenario = base_scenario(2, ArrivalPattern::paper_trace(), budget.horizon);
     let mut points = Vec::new();
 
     // Generalizing agents: trained on other patterns, tested on traces.
-    for trained_on in ["fixed", "poisson", "mmpp"] {
-        let train_scenario = base_scenario(2, pattern_by_name(trained_on), budget.horizon);
+    for pattern in [
+        ArrivalPattern::paper_fixed(),
+        ArrivalPattern::paper_poisson(),
+        ArrivalPattern::paper_mmpp(),
+    ] {
+        let trained_on = pattern.name();
+        let train_scenario = base_scenario(2, pattern, budget.horizon);
         let policy =
             train_dist_drl_cached(&format!("fig6-{trained_on}-i2"), &train_scenario, budget);
         let stats = Algo::DistDrl(policy).evaluate(&trace_scenario, &budget.eval_seeds);
@@ -74,7 +80,7 @@ fn part_traffic(budget: &ExpBudget) {
 }
 
 fn part_load(budget: &ExpBudget) {
-    let pattern = pattern_by_name("poisson");
+    let pattern = ArrivalPattern::paper_poisson();
     let train_scenario = base_scenario(2, pattern.clone(), budget.horizon);
     let generalist = train_dist_drl_cached("fig6-poisson-i2", &train_scenario, budget);
     let central = train_central_drl(&train_scenario, budget);
@@ -111,16 +117,17 @@ fn part_load(budget: &ExpBudget) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let part = flag_value(&args, "--part").unwrap_or_else(|| "traffic".into());
-    let budget = ExpBudget::from_env();
-    match part.as_str() {
-        "traffic" => part_traffic(&budget),
-        "load" => part_load(&budget),
-        "all" => {
-            part_traffic(&budget);
-            part_load(&budget);
-        }
-        other => bad_flag("--part", "traffic|load|all", other),
+    let (flags, budget) = ExpBudget::with_flags("--part", "").unwrap_or_else(|e| e.exit());
+    let part = flags
+        .value("--part", "traffic|load|all", |p: &String| {
+            ["traffic", "load", "all"].contains(&p.as_str())
+        })
+        .unwrap_or_else(|e| e.exit())
+        .unwrap_or_else(|| "traffic".into());
+    if part != "load" {
+        part_traffic(&budget);
+    }
+    if part != "traffic" {
+        part_load(&budget);
     }
 }

@@ -12,7 +12,7 @@
 //! cargo run -p dosco-bench --release --bin fig9 -- --part latency
 //! ```
 
-use dosco_bench::report::{bad_flag, flag_value, print_series, SeriesPoint};
+use dosco_bench::report::{print_series, SeriesPoint};
 use dosco_bench::runner::{train_central_drl, train_dist_drl_cached, Algo, ExpBudget};
 use dosco_bench::scenarios::topology_scenario;
 use dosco_core::ObservationAdapter;
@@ -101,16 +101,17 @@ fn part_latency(budget: &ExpBudget) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let part = flag_value(&args, "--part").unwrap_or_else(|| "success".into());
-    let budget = ExpBudget::from_env();
-    match part.as_str() {
-        "success" => part_success(&budget),
-        "latency" => part_latency(&budget),
-        "all" => {
-            part_success(&budget);
-            part_latency(&budget);
-        }
-        other => bad_flag("--part", "success|latency|all", other),
+    let (flags, budget) = ExpBudget::with_flags("--part", "").unwrap_or_else(|e| e.exit());
+    let part = flags
+        .value("--part", "success|latency|all", |p: &String| {
+            ["success", "latency", "all"].contains(&p.as_str())
+        })
+        .unwrap_or_else(|e| e.exit())
+        .unwrap_or_else(|| "success".into());
+    if part != "latency" {
+        part_success(&budget);
+    }
+    if part != "success" {
+        part_latency(&budget);
     }
 }

@@ -5,22 +5,24 @@
 //! (the figure protocol). Quantifies how much of the Fig. 6 gap is
 //! training budget vs. distribution width.
 
-use dosco_bench::report::flag_value;
 use dosco_bench::runner::{Algo, ExpBudget};
-use dosco_bench::scenarios::{base_scenario, pattern_by_name};
+use dosco_bench::scenarios::base_scenario;
 use dosco_core::eval::{evaluate, EvalStats};
 use dosco_core::train::train_distributed;
 use dosco_nn::fork::fan_out;
 use dosco_simnet::Simulation;
+use dosco_traffic::ArrivalPattern;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let budget = ExpBudget::from_env();
-    let pattern = pattern_by_name(
-        flag_value(&args, "--pattern")
-            .as_deref()
-            .unwrap_or("poisson"),
-    );
+    let (flags, budget) = ExpBudget::with_flags("--pattern", "").unwrap_or_else(|e| e.exit());
+    let pattern = flags
+        .value_by(
+            "--pattern",
+            ArrivalPattern::PAPER_NAMES,
+            ArrivalPattern::paper_by_name,
+        )
+        .unwrap_or_else(|e| e.exit())
+        .unwrap_or_else(ArrivalPattern::paper_poisson);
     let scenario = base_scenario(2, pattern, budget.horizon);
 
     let mut cfg = budget.train_config();

@@ -2,25 +2,24 @@
 //! sizing probe for the evaluation protocol (stable-baselines' `predict`
 //! samples by default; argmax can lock into forwarding loops).
 
-use dosco_bench::report::{bad_flag, flag_value, parsed_flag};
-use dosco_bench::scenarios::{base_scenario, pattern_by_name};
 use dosco_core::eval::{eval_seeds, evaluate_draws};
 use dosco_core::policy::CoordinationPolicy;
 use dosco_core::DistributedAgents;
-use dosco_simnet::Metrics;
+use dosco_obs::env::Flags;
+use dosco_simnet::{Metrics, ScenarioConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let path = flag_value(&args, "--policy")
-        .unwrap_or_else(|| bad_flag("--policy", "a policy JSON path", ""));
-    let pattern = pattern_by_name(
-        flag_value(&args, "--pattern")
-            .as_deref()
-            .unwrap_or("poisson"),
-    );
-    let ingress: usize = parsed_flag(&args, "--ingress", "an integer").unwrap_or(2);
-    let policy = CoordinationPolicy::load(&path).expect("readable policy JSON");
-    let scenario = base_scenario(ingress, pattern, 5_000.0);
+    let flags = Flags::parse(std::env::args().skip(1), "--policy --pattern --ingress", "")
+        .unwrap_or_else(|e| e.exit());
+    let path: String = flags
+        .required("--policy", "a policy JSON path", |_| true)
+        .unwrap_or_else(|e| e.exit());
+    let scenario = ScenarioConfig::from_flags(&flags).unwrap_or_else(|e| e.exit());
+    let scenario = scenario.with_horizon(5_000.0);
+    let policy = CoordinationPolicy::load(&path).unwrap_or_else(|e| {
+        eprintln!("cannot load {path}: {e}");
+        std::process::exit(1)
+    });
     for mode in ["greedy", "stochastic"] {
         let stats = evaluate_draws(&scenario, &eval_seeds(5), |s, seed| {
             let nodes = s.topology.num_nodes();

@@ -5,6 +5,7 @@
 //! cargo run -p dosco-bench --release --bin summarize -- [results-dir]
 //! ```
 
+use dosco_obs::env::Flags;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -43,11 +44,14 @@ fn parse_records(text: &str) -> BTreeMap<String, Vec<Record>> {
 }
 
 fn main() {
-    let dir = std::env::args().nth(1).unwrap_or_else(|| "results".into());
-    let dir = Path::new(&dir);
+    let flags = Flags::parse(std::env::args().skip(1), "", "").unwrap_or_else(|e| e.exit());
+    let dir = Path::new(flags.operands().first().map_or("results", String::as_str));
     let mut all = String::new();
     let mut files: Vec<_> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
+        .unwrap_or_else(|e| {
+            eprintln!("cannot read {}: {e}", dir.display());
+            std::process::exit(1)
+        })
         .filter_map(Result::ok)
         .map(|e| e.path())
         .filter(|p| p.extension().is_some_and(|x| x == "txt"))

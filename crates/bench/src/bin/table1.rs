@@ -5,9 +5,11 @@
 //! cargo run -p dosco-bench --release --bin table1
 //! ```
 
+use dosco_obs::env::Flags;
 use dosco_topology::zoo;
 
 fn main() {
+    Flags::parse(std::env::args().skip(1), "", "").unwrap_or_else(|e| e.exit());
     println!("TABLE I: Real-world network topologies [9]");
     println!(
         "{:<14} {:>5} {:>5}   Degree (Min./Max./Avg.)",

@@ -8,17 +8,17 @@
 //! ended in the window went, and a greedy evaluation episode with the
 //! journeys of the flows the deadline killed.
 
-use dosco_bench::report::{bad_flag, flag_value, parsed_flag};
-use dosco_bench::scenarios::{base_scenario, pattern_by_name};
 use dosco_core::eval::{evaluate_under_churn, EvalStats};
 use dosco_core::policy::{CoordinationPolicy, PolicyMetadata};
 use dosco_core::train::{train_seed, Algorithm, TrainConfig};
 use dosco_core::{CoordEnv, RewardConfig};
 use dosco_nn::Categorical;
+use dosco_obs::env::{Flags, SettingError};
 use dosco_rl::rollout::Rollout;
 use dosco_rl::{A2cConfig, AcktrConfig, Env, PpoConfig, StepResult};
 use dosco_simnet::journey::{Journey, JourneyLog};
-use dosco_simnet::{ChurnTimeline, DropReason, Metrics};
+use dosco_simnet::{ChurnTimeline, DropReason, Metrics, ScenarioConfig};
+use std::ops::ControlFlow;
 use std::sync::mpsc::{channel, Sender};
 
 /// Steps between two report lines.
@@ -96,36 +96,33 @@ impl Window {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let pattern = pattern_by_name(
-        flag_value(&args, "--pattern")
-            .as_deref()
-            .unwrap_or("poisson"),
-    );
-    let ingress: usize = parsed_flag(&args, "--ingress", "an integer").unwrap_or(2);
-    let steps: usize = parsed_flag(&args, "--steps", "an integer").unwrap_or(50_000);
-    let lr: f32 = parsed_flag(&args, "--lr", "a number").unwrap_or(0.25);
-    let ent_coef: f32 = parsed_flag(&args, "--ent", "a number").unwrap_or(0.01);
-    let seed: u64 = parsed_flag(&args, "--seed", "an integer").unwrap_or(0);
-    let n_steps: usize = parsed_flag(&args, "--nsteps", "an integer").unwrap_or(16);
-    let gamma: f32 = parsed_flag(&args, "--gamma", "a number").unwrap_or(0.99);
-    let normalize_advantages = args.iter().any(|a| a == "--norm");
-    let algorithm = match flag_value(&args, "--algo").as_deref().unwrap_or("acktr") {
-        "acktr" => Algorithm::Acktr,
-        "a2c" => Algorithm::A2c,
-        "ppo" => Algorithm::Ppo,
-        other => bad_flag("--algo", "acktr|a2c|ppo", other),
-    };
+/// The training configuration, seed and scenario the flags name.
+fn settings() -> Result<(TrainConfig, u64, ScenarioConfig), SettingError> {
+    let flags = Flags::parse(
+        std::env::args().skip(1),
+        "--pattern --ingress --steps --lr --ent --seed --nsteps --gamma --algo",
+        "--norm",
+    )?;
+    let steps = flags.value("--steps", "an integer", |_| true)?;
+    let positive = |v: &f32| v.is_finite() && *v > 0.0;
+    let non_negative = |v: &f32| *v == 0.0 || positive(v);
+    let lr = flags.value("--lr", "a finite positive number", positive)?;
+    let ent_coef = flags.value("--ent", "a finite non-negative number", non_negative)?;
+    let seed = flags.value("--seed", "a non-negative integer", |_| true)?;
+    let n_steps = flags.value("--nsteps", "a positive integer", |&n| n >= 1)?;
+    let gamma = flags.value("--gamma", "a number in (0, 1]", |&v| v > 0.0 && v <= 1.0)?;
+    let algorithm = flags.value_by("--algo", Algorithm::NAMES, Algorithm::from_name)?;
+    let (ent_coef, n_steps) = (ent_coef.unwrap_or(0.01), n_steps.unwrap_or(16));
+    let normalize_advantages = flags.switch("--norm");
     let config = TrainConfig {
-        algorithm,
-        total_steps: steps,
+        algorithm: algorithm.unwrap_or(Algorithm::Acktr),
+        total_steps: steps.unwrap_or(50_000),
         acktr: AcktrConfig {
-            lr,
+            lr: lr.unwrap_or(0.25),
             ent_coef,
             normalize_advantages,
             n_steps,
-            gamma,
+            gamma: gamma.unwrap_or(0.99),
             ..AcktrConfig::default()
         },
         a2c: A2cConfig {
@@ -141,8 +138,12 @@ fn main() {
         },
         ..TrainConfig::default()
     };
+    let scenario = ScenarioConfig::from_flags(&flags)?.with_horizon(5_000.0);
+    Ok((config, seed.unwrap_or(0), scenario))
+}
 
-    let scenario = base_scenario(ingress, pattern, 5_000.0);
+fn main() {
+    let (config, seed, scenario) = settings().unwrap_or_else(|e| e.exit());
     let eval_scenario = scenario.clone().with_horizon(2_000.0);
     let degree = scenario.topology.network_degree();
     let (finished, episodes) = channel();
@@ -159,9 +160,12 @@ fn main() {
     let mut window = Window::default();
     let mut reported = 0;
     train_seed(&config, &mut envs, seed, |agent, rollout, stats| {
+        let Some(rollout) = rollout else {
+            return ControlFlow::Continue(());
+        };
         window.add(agent.actor(), rollout);
         if stats.total_steps / WINDOW == reported {
-            return;
+            return ControlFlow::Continue(());
         }
         reported = stats.total_steps / WINDOW;
         let w = std::mem::take(&mut window);
@@ -204,5 +208,6 @@ fn main() {
             mean(Journey::hops),
             mean(Journey::processings),
         );
+        ControlFlow::Continue(())
     });
 }

@@ -76,28 +76,6 @@ pub fn print_series(figure: &str, ylabel: &str, points: &[SeriesPoint], with_del
     }
 }
 
-/// Tiny CLI flag reader: returns the value following `--name`, if present.
-pub fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Rejects a flag value as a usage error: prints
-/// `--name must be <what>, got "v"` and exits with code 2 — one line on
-/// stderr, never a panic with a backtrace.
-pub fn bad_flag(name: &str, what: &str, got: &str) -> ! {
-    eprintln!("{name} must be {what}, got {got:?}");
-    std::process::exit(2)
-}
-
-/// The value following `--name` parsed as `T`, or `None` when the flag is
-/// absent; a value that does not parse is a [`bad_flag`].
-pub fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str, what: &str) -> Option<T> {
-    let raw = flag_value(args, name)?;
-    Some(raw.parse().unwrap_or_else(|_| bad_flag(name, what, &raw)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,16 +107,5 @@ mod tests {
         ];
         // Just exercising the formatting path (stdout in tests is captured).
         print_series("fig6a", "successful flows", &points, true);
-    }
-
-    #[test]
-    fn flag_parsing() {
-        let args: Vec<String> = ["--pattern", "mmpp", "--steps", "100"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(flag_value(&args, "--pattern").as_deref(), Some("mmpp"));
-        assert_eq!(flag_value(&args, "--steps").as_deref(), Some("100"));
-        assert_eq!(flag_value(&args, "--missing"), None);
     }
 }

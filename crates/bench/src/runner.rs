@@ -9,13 +9,14 @@ use dosco_core::eval::{eval_seeds, evaluate_draws, EvalStats};
 use dosco_core::policy::{fnv1a64, CoordinationPolicy};
 use dosco_core::train::{train_distributed, Algorithm, TrainConfig, TRAINING_REVISION};
 use dosco_core::DistributedAgents;
+use dosco_obs::env::{parse_lookup as parse_override, Flags, SettingError};
 use dosco_rl::ddpg::DdpgConfig;
 use dosco_simnet::{Coordinator, ScenarioConfig};
 use std::path::{Path, PathBuf};
 
 /// Experiment budget: scaled-down defaults that preserve the paper's
-/// qualitative shapes; override via CLI flags or env for full-scale runs
-/// (see EXPERIMENTS.md).
+/// qualitative shapes; override via the `DOSCO_*` variables for
+/// full-scale runs (see EXPERIMENTS.md).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExpBudget {
     /// Environment transitions per training seed (distributed DRL).
@@ -45,78 +46,59 @@ impl Default for ExpBudget {
     }
 }
 
-/// A rejected experiment-budget environment override: names the variable
-/// and the offending value instead of a bare parse panic. The shared
-/// [`dosco_obs::env`] helper implements the contract (empty = unset,
-/// malformed = hard error); this alias keeps the historical name.
-pub use dosco_obs::env::EnvParseError as BudgetEnvError;
-
-use dosco_obs::env::parse_lookup as parse_override;
-
 impl ExpBudget {
     /// Reads overrides from environment variables
     /// (`DOSCO_TRAIN_STEPS`, `DOSCO_SEEDS`, `DOSCO_EVAL_SEEDS`,
     /// `DOSCO_HORIZON`, `DOSCO_CENTRAL_STEPS`) so full-scale runs don't
     /// need code edits.
     ///
-    /// # Panics
-    ///
-    /// Panics with the [`BudgetEnvError`] message (named variable plus
-    /// offending value) if an override is set but invalid. Use
-    /// [`ExpBudget::try_from_env`] to handle the error instead.
-    pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`ExpBudget::from_env`], returning the validation error
-    /// instead of panicking.
-    ///
     /// # Errors
     ///
-    /// Returns [`BudgetEnvError`] for the first override that is set but
-    /// does not parse/validate. Empty-string variables behave like unset.
-    pub fn try_from_env() -> Result<Self, BudgetEnvError> {
+    /// See [`ExpBudget::from_lookup`].
+    pub fn from_env() -> Result<Self, SettingError> {
         Self::from_lookup(&|var| std::env::var(var).ok())
     }
 
-    /// [`ExpBudget::try_from_env`] over an arbitrary variable lookup
+    /// [`ExpBudget::from_env`] over an arbitrary variable lookup
     /// (injectable for tests — no process-global environment mutation).
     ///
     /// # Errors
     ///
-    /// See [`ExpBudget::try_from_env`].
-    pub fn from_lookup(get: &dyn Fn(&str) -> Option<String>) -> Result<Self, BudgetEnvError> {
+    /// Returns [`SettingError`] for the first override that is set but
+    /// does not parse or validate. Empty-string variables behave like
+    /// unset.
+    pub fn from_lookup(get: &dyn Fn(&str) -> Option<String>) -> Result<Self, SettingError> {
+        let count = |var| parse_override::<usize>(get, var, "a positive integer", |&k| k >= 1);
+        let seeds = |var| parse_override::<u64>(get, var, "a positive integer", |&k| k >= 1);
+        let positive = |v: &f64| v.is_finite() && *v > 0.0;
         let mut b = ExpBudget::default();
-        if let Some(v) =
-            parse_override::<usize>(get, "DOSCO_TRAIN_STEPS", "a positive integer", |&v| v >= 1)?
-        {
+        if let Some(v) = count("DOSCO_TRAIN_STEPS")? {
             b.train_steps = v;
         }
-        if let Some(k) =
-            parse_override::<u64>(get, "DOSCO_SEEDS", "a positive integer", |&v| v >= 1)?
-        {
+        if let Some(k) = seeds("DOSCO_SEEDS")? {
             b.train_seeds = (0..k).collect();
         }
-        if let Some(k) =
-            parse_override::<u64>(get, "DOSCO_EVAL_SEEDS", "a positive integer", |&v| v >= 1)?
-        {
+        if let Some(k) = seeds("DOSCO_EVAL_SEEDS")? {
             b.eval_seeds = eval_seeds(k);
         }
-        if let Some(v) =
-            parse_override::<f64>(get, "DOSCO_HORIZON", "a finite positive number", |&v| {
-                v.is_finite() && v > 0.0
-            })?
+        if let Some(v) = parse_override(get, "DOSCO_HORIZON", "a finite positive number", positive)?
         {
             b.horizon = v;
         }
-        if let Some(v) =
-            parse_override::<usize>(get, "DOSCO_CENTRAL_STEPS", "a positive integer", |&v| {
-                v >= 1
-            })?
-        {
+        if let Some(v) = count("DOSCO_CENTRAL_STEPS")? {
             b.central_steps = v;
         }
         Ok(b)
+    }
+
+    /// An experiment binary's settings: its [`Flags`] and its budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SettingError`] for an unknown flag or a bad override.
+    pub fn with_flags(values: &str, switches: &str) -> Result<(Flags, Self), SettingError> {
+        let flags = Flags::parse(std::env::args().skip(1), values, switches)?;
+        Ok((flags, Self::from_env()?))
     }
 
     /// The distributed-DRL training configuration for this budget.
@@ -295,7 +277,7 @@ mod tests {
     #[test]
     fn budget_env_overrides() {
         // Only checks the default path (env vars unset in tests).
-        let b = ExpBudget::from_env();
+        let b = ExpBudget::from_env().unwrap();
         assert_eq!(b.n_envs, 4);
         let tc = b.train_config();
         assert_eq!(tc.seeds, b.train_seeds);
@@ -348,7 +330,7 @@ mod tests {
         for (var, value) in cases {
             let get = move |v: &str| (v == var).then(|| value.to_string());
             let err = ExpBudget::from_lookup(&get).unwrap_err();
-            assert_eq!(err.var, var);
+            assert_eq!(err.name, var);
             assert_eq!(err.value, value);
             let msg = err.to_string();
             assert!(msg.contains(var) && msg.contains(value), "{msg}");

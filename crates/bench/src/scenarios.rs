@@ -1,6 +1,5 @@
 //! Evaluation scenario construction (Sec. V-A1).
 
-use crate::report::bad_flag;
 use dosco_simnet::ScenarioConfig;
 use dosco_topology::{NodeId, Topology};
 use dosco_traffic::ArrivalPattern;
@@ -127,13 +126,6 @@ pub fn churn_scenario(
     };
     cfg.validate().expect("churn scenario is valid");
     cfg
-}
-
-/// Parses the four pattern names used on experiment CLIs; an unknown name
-/// is a usage error ([`bad_flag`]: one line on stderr, exit code 2).
-pub fn pattern_by_name(name: &str) -> ArrivalPattern {
-    ArrivalPattern::paper_by_name(name)
-        .unwrap_or_else(|| bad_flag("--pattern", "fixed|poisson|mmpp|trace", name))
 }
 
 #[cfg(test)]

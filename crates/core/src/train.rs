@@ -42,6 +42,9 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
+    /// The names [`Algorithm::from_name`] accepts, as a usage line spells them.
+    pub const NAMES: &'static str = "acktr|a2c|ppo";
+
     /// Lowercase name for reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -49,6 +52,12 @@ impl Algorithm {
             Algorithm::A2c => "a2c",
             Algorithm::Ppo => "ppo",
         }
+    }
+
+    /// The algorithm called `name` (the inverse of [`Algorithm::name`]).
+    pub fn from_name(name: &str) -> Option<Self> {
+        let all = [Algorithm::Acktr, Algorithm::A2c, Algorithm::Ppo];
+        all.into_iter().find(|a| a.name() == name)
     }
 }
 
@@ -147,21 +156,22 @@ fn make_envs(scenario: &ScenarioConfig, config: &TrainConfig, seed: u64) -> Vec<
 
 /// Trains one seed's agent on `envs` for `config.total_steps` in one
 /// [`train_serial_with`] call (one collector, so no episode is cut short,
-/// and the learner's own schedule), handing it to `on_update` after every
-/// update. The agent is `config.algorithm`'s, built from its block of
-/// `config` for the envs' dimensions and `seed`: the one place an
-/// [`Algorithm`] becomes a [`Learner`]. The per-seed loop of
-/// [`train_distributed`] and of the `traincurve` diagnostic.
+/// and the learner's own schedule) under that loop's hook. The agent is
+/// `config.algorithm`'s, built from its block of `config` for the envs'
+/// dimensions and `seed`: the one place an [`Algorithm`] becomes a
+/// [`Learner`]. The per-seed loop of [`train_distributed`], of the
+/// `traincurve` diagnostic and of the control plane's training jobs.
 ///
 /// # Panics
 ///
-/// Panics if `envs` is empty or the envs' dimensions differ.
+/// Panics if `envs` is empty, the envs' dimensions differ, or the
+/// algorithm's `n_steps` is 0.
 #[allow(clippy::expect_used, reason = "the documented # Panics contract")]
 pub fn train_seed(
     config: &TrainConfig,
     envs: &mut [Box<dyn Env>],
     seed: u64,
-    mut on_update: impl FnMut(&dyn Learner, &Rollout, &TrainStats),
+    mut on_update: impl FnMut(&dyn Learner, Option<&Rollout>, &TrainStats) -> ControlFlow<()>,
 ) -> (Box<dyn Learner>, TrainStats) {
     let env = envs.first().expect("need at least one env");
     let (obs, actions) = (env.obs_dim(), env.num_actions());
@@ -171,10 +181,7 @@ pub fn train_seed(
         Algorithm::Ppo => Box::new(Ppo::new(obs, actions, config.ppo, seed)),
     };
     let stats = train_serial_with(&mut *learner, envs, config.total_steps, |l, r, s| {
-        if let Some(r) = r {
-            on_update(l, r, s);
-        }
-        ControlFlow::Continue(())
+        on_update(l, r, s)
     });
     (learner, stats)
 }
@@ -218,16 +225,18 @@ fn train_checkpoints(
     let n_envs = envs.len();
     let k = config.checkpoints.max(1);
     let mut checkpoints = Vec::with_capacity(k);
-    let (learner, stats) = train_seed(config, &mut envs, seed, |agent, _, stats| {
+    let (learner, stats) = train_seed(config, &mut envs, seed, |agent, rollout, stats| {
         let updates = config
             .total_steps
             .div_ceil(agent.collect_params().n_steps * n_envs);
         // Score when update `done` reaches the next of `k` evenly spaced
-        // marks; the mark at the final update is scored after training.
+        // marks; the mark at the final update is scored after training,
+        // and the boundary before the first update is no mark.
         let done = stats.mean_rewards.len();
-        if done < updates && done * k / updates > (done - 1) * k / updates {
+        if rollout.is_some() && done < updates && done * k / updates > (done - 1) * k / updates {
             checkpoints.push(checkpoint(agent.actor(), stats.total_steps));
         }
+        ControlFlow::Continue(())
     });
     checkpoints.push(checkpoint(learner.actor(), stats.total_steps));
     checkpoints

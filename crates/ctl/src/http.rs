@@ -25,7 +25,7 @@
 
 use crate::jobs::TrainJobSpec;
 use crate::state::CtlState;
-use dosco_obs::env::{parse_lookup, EnvParseError};
+use dosco_obs::env::{parse_lookup, SettingError};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,9 +73,9 @@ impl CtlConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`EnvParseError`] for a value that does not parse as a
+    /// Returns [`SettingError`] for a value that does not parse as a
     /// socket address.
-    pub fn from_lookup(get: &dyn Fn(&str) -> Option<String>) -> Result<Self, EnvParseError> {
+    pub fn from_lookup(get: &dyn Fn(&str) -> Option<String>) -> Result<Self, SettingError> {
         let mut cfg = CtlConfig::default();
         if let Some(addr) = parse_lookup::<SocketAddr>(
             get,
@@ -93,7 +93,7 @@ impl CtlConfig {
     /// # Errors
     ///
     /// See [`CtlConfig::from_lookup`].
-    pub fn from_env() -> Result<Self, EnvParseError> {
+    pub fn from_env() -> Result<Self, SettingError> {
         Self::from_lookup(&|v| std::env::var(v).ok())
     }
 }
@@ -453,7 +453,7 @@ mod tests {
     fn config_rejects_malformed_addr_naming_the_variable() {
         let get = env_of(&[("DOSCO_CTL_ADDR", "not-an-addr")]);
         let err = CtlConfig::from_lookup(&get).unwrap_err();
-        assert_eq!(err.var, "DOSCO_CTL_ADDR");
+        assert_eq!(err.name, "DOSCO_CTL_ADDR");
         assert_eq!(err.value, "not-an-addr");
         assert!(err.to_string().contains("socket address"), "{err}");
     }

@@ -2,21 +2,20 @@
 //! the ops surface.
 //!
 //! A job is one background thread that trains a fresh A2C agent over
-//! [`CoordEnv`] copies of the paper's base scenario with
-//! [`train_serial_with`], the one training loop. Its hook reads the job's
+//! [`CoordEnv`] copies of the paper's base scenario with [`train_seed`],
+//! the per-seed loop the figures train through. Its hook reads the job's
 //! stop flag at every update boundary, so `stop` is a flag store, never a
-//! kill: the job ends at the next boundary, keeps its agent's RNG stream
-//! and reports a partial summary. Its episodes fold into `GET /metrics`
-//! as they end.
+//! kill: the job ends at the next boundary and reports a partial
+//! summary. Its episodes fold into `GET /metrics` as they end.
 //!
 //! Specs arrive as JSON bodies with every field optional; unknown fields
 //! are rejected so a typo'd knob fails loudly instead of silently running
 //! the default.
 
+use dosco_core::train::{train_seed, Algorithm, TrainConfig};
 use dosco_core::{CoordEnv, RewardConfig};
-use dosco_rl::a2c::{A2c, A2cConfig};
+use dosco_rl::a2c::A2cConfig;
 use dosco_rl::env::Env;
-use dosco_rl::train_serial_with;
 use dosco_simnet::ScenarioConfig;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
@@ -248,13 +247,11 @@ impl JobManager {
     }
 }
 
-/// The training-job body: a fresh A2C agent over four `CoordEnv` copies
-/// of the paper's base scenario, stopped at the first update boundary
-/// after `cancel` is set.
+/// The training-job body: [`train_seed`]'s A2C agent (`n_steps` 16,
+/// hidden 32×32) over four `CoordEnv` copies of the paper's base
+/// scenario, stopped at the first update boundary after `cancel` is set.
 fn run_train_job(spec: &TrainJobSpec, cancel: &AtomicBool) -> String {
     let scenario = ScenarioConfig::paper_base(2).with_horizon(spec.horizon);
-    let degree = scenario.topology.network_degree();
-    let (obs_dim, num_actions) = (4 * degree + 4, degree + 1);
     let mut envs: Vec<Box<dyn Env>> = (0..4)
         .map(|i| {
             Box::new(CoordEnv::new(
@@ -265,17 +262,17 @@ fn run_train_job(spec: &TrainJobSpec, cancel: &AtomicBool) -> String {
             )) as Box<dyn Env>
         })
         .collect();
-    let mut agent = A2c::new(
-        obs_dim,
-        num_actions,
-        A2cConfig {
+    let config = TrainConfig {
+        algorithm: Algorithm::A2c,
+        total_steps: spec.total_steps,
+        a2c: A2cConfig {
             n_steps: 16,
             hidden: [32, 32],
             ..A2cConfig::default()
         },
-        spec.seed,
-    );
-    let stats = train_serial_with(&mut agent, &mut envs, spec.total_steps, |_, _, _| {
+        ..TrainConfig::default()
+    };
+    let (_, stats) = train_seed(&config, &mut envs, spec.seed, |_, _, _| {
         if cancel.load(Ordering::Relaxed) {
             ControlFlow::Break(())
         } else {

@@ -30,8 +30,11 @@
 //!   writing there (empty value = disabled).
 //! - `DOSCO_SPANS=0|1`: disarm or arm the span timers (empty = unset).
 //!
-//! A set but malformed value is an [`EnvParseError`] naming the variable,
-//! as everywhere in the workspace (see [`env`](mod@env)).
+//! A set but malformed value is a [`SettingError`] naming the variable,
+//! the value and what was expected. The same reader, [`env`](mod@env),
+//! checks every `DOSCO_*` override and the command-line flags of every
+//! shipped binary, with one rendering
+//! (`NAME must be EXPECTED, got "VALUE"`).
 //!
 //! ## Determinism contract
 //!
@@ -55,7 +58,7 @@ pub mod registry;
 pub mod report;
 pub mod span;
 
-pub use env::EnvParseError;
+pub use env::SettingError;
 pub use event::{Event, Stream, StreamKind, SCHEMA_VERSION};
 pub use recorder::JsonlRecorder;
 pub use registry::{CounterKind, GaugeKind, HistKind, SpanKind};
@@ -120,11 +123,11 @@ pub fn set_spans_enabled(on: bool) {
 ///
 /// # Errors
 ///
-/// Returns [`EnvParseError`] when `DOSCO_SPANS` is set to anything but
+/// Returns [`SettingError`] when `DOSCO_SPANS` is set to anything but
 /// `0` or `1`.
 pub fn init_from_lookup(
     get: &dyn Fn(&str) -> Option<String>,
-) -> Result<Option<PathBuf>, EnvParseError> {
+) -> Result<Option<PathBuf>, SettingError> {
     let spans =
         env::parse_lookup::<String>(get, "DOSCO_SPANS", "0 or 1", |v| v == "0" || v == "1")?;
     let trace = env::parse_lookup::<PathBuf>(get, "DOSCO_TRACE", "a file path", |_| true)?;
@@ -142,7 +145,7 @@ pub fn init_from_lookup(
 /// # Errors
 ///
 /// See [`init_from_lookup`].
-pub fn init_from_env() -> Result<Option<PathBuf>, EnvParseError> {
+pub fn init_from_env() -> Result<Option<PathBuf>, SettingError> {
     init_from_lookup(&|v| std::env::var(v).ok())
 }
 
@@ -258,7 +261,7 @@ mod tests {
         for bad in ["off", "yes"] {
             let err = init_from_lookup(&|v| (v == "DOSCO_SPANS").then(|| bad.to_string()))
                 .expect_err("a malformed switch is an error");
-            assert_eq!(err.var, "DOSCO_SPANS");
+            assert_eq!(err.name, "DOSCO_SPANS");
             assert!(err.to_string().contains("DOSCO_SPANS"), "{err}");
             assert!(!spans_enabled(), "a rejected value arms nothing");
         }

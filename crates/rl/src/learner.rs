@@ -78,7 +78,10 @@ pub fn decayed_lr(base_lr: f32, done: usize, total: usize) -> f32 {
 ///
 /// # Panics
 ///
-/// Panics if `envs` is empty or env dimensions mismatch the networks.
+/// Panics if `envs` is empty, env dimensions mismatch the networks, or
+/// the learner collects 0 steps per env per update
+/// ([`CollectParams::n_steps`]): no update would ever move
+/// `total_steps`.
 pub fn train_serial<L: Learner + ?Sized>(
     learner: &mut L,
     envs: &mut [Box<dyn Env>],
@@ -108,6 +111,7 @@ pub fn train_serial_with<L: Learner + ?Sized>(
     mut on_update: impl FnMut(&L, Option<&Rollout>, &TrainStats) -> ControlFlow<()>,
 ) -> TrainStats {
     let params = learner.collect_params();
+    assert!(params.n_steps >= 1, "a rollout needs n_steps >= 1, got 0");
     let base_lr = learner.lr_schedule();
     let mut rng = learner.take_rng();
     let mut collector = RolloutCollector::new(envs);
@@ -375,6 +379,22 @@ mod tests {
             }
         });
         assert_eq!(stats.total_steps, 3 * 5 * 2);
+    }
+
+    /// A learner that collects no steps is refused before the loop, which
+    /// would otherwise never reach its budget.
+    #[test]
+    #[should_panic(expected = "n_steps >= 1")]
+    fn a_zero_step_rollout_is_refused() {
+        let cfg = A2cConfig {
+            n_steps: 0,
+            hidden: [8, 8],
+            ..A2cConfig::default()
+        };
+        let mut agent = A2c::new(1, 2, cfg, 17);
+        train_serial_with(&mut agent, &mut corridors(), 100, |_, _, _| {
+            ControlFlow::Continue(())
+        });
     }
 
     #[test]

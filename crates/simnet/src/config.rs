@@ -1,9 +1,11 @@
 //! Scenario configuration: topology + services + traffic.
 
 use crate::service::{ServiceCatalog, ServiceId};
+use dosco_obs::env::{Flags, SettingError};
 use dosco_topology::{zoo, NodeId, Topology};
 use dosco_traffic::{ArrivalPattern, FlowProfile};
 use serde::{Deserialize, Serialize};
+use std::ops::RangeInclusive;
 
 /// Traffic entering at one ingress node: an arrival process plus the
 /// per-flow parameters (requested service, egress, rate/duration/deadline).
@@ -86,6 +88,27 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl ScenarioConfig {
+    /// The ingress counts [`ScenarioConfig::paper_base`] accepts, one per
+    /// node `v1..v5`.
+    const BASE_INGRESS: RangeInclusive<usize> = 1..=zoo::ABILENE_INGRESS.len();
+
+    /// The base scenario a command line names: `--ingress` ingress nodes
+    /// (default 2) under the paper's `--pattern` (default `poisson`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SettingError`] for an ingress count
+    /// [`ScenarioConfig::paper_base`] does not define or an unknown pattern.
+    pub fn from_flags(flags: &Flags) -> Result<Self, SettingError> {
+        let range = Self::BASE_INGRESS;
+        let expected = format!("an integer in {range:?}");
+        let ingress = flags.value("--ingress", &expected, |k| range.contains(k))?;
+        let by_name = ArrivalPattern::paper_by_name;
+        let pattern = flags.value_by("--pattern", ArrivalPattern::PAPER_NAMES, by_name)?;
+        let pattern = pattern.unwrap_or_else(ArrivalPattern::paper_poisson);
+        Ok(Self::paper_base(ingress.unwrap_or(2)).with_pattern(pattern))
+    }
+
     /// The paper's base scenario (Sec. V-A1): Abilene topology with node
     /// capacities ~U(0,2) and link capacities ~U(1,5) (seeded), the
     /// 3-component video service, `num_ingress ∈ 1..=5` ingress nodes
@@ -97,7 +120,7 @@ impl ScenarioConfig {
     /// Panics if `num_ingress` is not in `1..=5`.
     pub fn paper_base(num_ingress: usize) -> Self {
         assert!(
-            (1..=5).contains(&num_ingress),
+            Self::BASE_INGRESS.contains(&num_ingress),
             "the base scenario defines ingress nodes v1..v5, got {num_ingress}"
         );
         let capacity_seed = 0xD05C0;

@@ -125,9 +125,14 @@ impl ArrivalPattern {
         }
     }
 
-    /// The paper's pattern called `name` (`fixed`, `poisson`, `mmpp`,
-    /// `trace`): the inverse of [`ArrivalPattern::name`] over the four
-    /// `paper_*` patterns. `None` for any other name.
+    /// The names [`ArrivalPattern::paper_by_name`] accepts, as a usage line
+    /// spells them.
+    pub const PAPER_NAMES: &'static str = "fixed|poisson|mmpp|trace";
+
+    /// The paper's pattern called `name` (one of
+    /// [`ArrivalPattern::PAPER_NAMES`]): the inverse of
+    /// [`ArrivalPattern::name`] over the four `paper_*` patterns. `None`
+    /// for any other name.
     pub fn paper_by_name(name: &str) -> Option<Self> {
         match name {
             "fixed" => Some(ArrivalPattern::paper_fixed()),

@@ -80,11 +80,12 @@ cargo run -q --release --example serve
 echo "== example ctl: canary lifecycle through the hub's directed and broadcast publishes, ops surface over TCP =="
 cargo run -q --release --example ctl
 
-echo "== dosco train + eval: the figures' training path writes a policy that loads and evaluates =="
+echo "== dosco train + eval + topo: the figures' training path writes a policy that loads and evaluates; the bundled topologies list =="
 policy_dir=$(mktemp -d)
 trap 'rm -rf "$policy_dir"' EXIT
 ./target/release/dosco train --ingress 2 --steps 4000 --seeds 2 --out "$policy_dir/policy.json"
 ./target/release/dosco eval --policy "$policy_dir/policy.json" --seeds 2
+./target/release/dosco topo
 
 echo "== dosco run: a heuristic scored on the same capacity draws as dosco eval =="
 ./target/release/dosco run --algo gcasp --seeds 2
@@ -98,6 +99,9 @@ echo "== traincurve: the training diagnostic over the same per-seed loop, two re
 echo "== calibrate: all four coordinators side by side on one scenario, tiny budget =="
 DOSCO_TRAIN_STEPS=2000 DOSCO_SEEDS=1 DOSCO_EVAL_SEEDS=1 DOSCO_HORIZON=500 DOSCO_CENTRAL_STEPS=50 \
   ./target/release/calibrate
+
+echo "== summarize: the committed results/summary.md is the fold of the committed results/*.txt =="
+./target/release/summarize results | diff - results/summary.md
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

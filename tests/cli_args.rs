@@ -1,4 +1,4 @@
-//! Bad flag values are a usage error — exit code 2 and one line on
+//! Bad or unknown flags are a usage error — exit code 2 and one line on
 //! stderr — never a panic with a backtrace, and never a NaN report. And
 //! `dosco run` scores a heuristic by the same protocol as `dosco eval`.
 
@@ -43,6 +43,20 @@ fn bad_flag_values_exit_2_with_one_line_and_no_panic() {
         ),
         (&["run", "--deadline", "soon"][..], "--deadline must be"),
         (&["run", "--seeds", "1.5"][..], "--seeds must be"),
+        // A value flag given no value is an error, not its default.
+        (
+            &["train", "--steps"][..],
+            "--steps must be a non-negative integer, got \"\"",
+        ),
+        (
+            &["train", "--algo", "dqn"][..],
+            "--algo must be acktr|a2c|ppo, got \"dqn\"",
+        ),
+        (
+            &["run", "--pattern", "bursty"][..],
+            "--pattern must be fixed|poisson|mmpp|trace, got \"bursty\"",
+        ),
+        (&["topo", "--list"][..], "flag must be absent"),
     ] {
         let (code, stderr) = dosco(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");

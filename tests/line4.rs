@@ -19,6 +19,7 @@ use dosco::rl::Env;
 use dosco::simnet::{IngressSpec, ScenarioConfig, ServiceCatalog, ServiceId, Simulation};
 use dosco::topology::TopologyBuilder;
 use dosco::traffic::{ArrivalPattern, FlowProfile};
+use std::ops::ControlFlow;
 
 /// The `line-4` harness scenario.
 fn line4() -> ScenarioConfig {
@@ -57,7 +58,7 @@ fn trained_greedy(config: &TrainConfig, seed: u64) -> EvalStats {
             Box::new(env.with_fixed_capacities()) as Box<dyn Env>
         })
         .collect();
-    let (learner, _) = train_seed(config, &mut envs, seed, |_, _, _| {});
+    let (learner, _) = train_seed(config, &mut envs, seed, |_, _, _| ControlFlow::Continue(()));
     let degree = scenario.topology.network_degree();
     let policy =
         CoordinationPolicy::new(learner.actor().clone(), degree, PolicyMetadata::default());
